@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gbkmv"
+	"gbkmv/internal/dataset"
 )
 
 // Write-path benchmarks over the shared benchmark corpus: index
@@ -58,4 +59,52 @@ func BenchmarkAddBatch(b *testing.B) {
 			ix.AddBatch(batch)
 		}
 	})
+}
+
+// saturatedIndex builds a 20 000-record index at the paper's 10 % budget —
+// full from the first insert, and large enough that work proportional to
+// the collection dominates work proportional to one record — and returns it
+// with the records the benchmarks insert.
+func saturatedIndex(b *testing.B) (*gbkmv.Index, []gbkmv.Record) {
+	b.Helper()
+	d, err := dataset.Synthetic(dataset.SyntheticConfig{
+		NumRecords: 21000, Universe: 20000,
+		AlphaFreq: 1.1, AlphaSize: 2.5,
+		MinSize: 10, MaxSize: 200,
+	}, 44)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := gbkmv.Build(d.Records[:20000], gbkmv.Options{BudgetFraction: 0.10, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ix, d.Records[20000:]
+}
+
+// BenchmarkAddSaturated measures one single-record insert into a full
+// budget: the regime BenchmarkAddBatch's roomy fixture never enters, where
+// the threshold shrinks (amortised over the slack) are part of the cost.
+func BenchmarkAddSaturated(b *testing.B) {
+	ix, extra := saturatedIndex(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Add(extra[i%len(extra)])
+	}
+}
+
+// BenchmarkSearchAfterInsert measures a threshold search that directly
+// follows an insert (the insert itself is untimed): B/op shows whether
+// growing the collection costs the next search its pooled working memory.
+func BenchmarkSearchAfterInsert(b *testing.B) {
+	ix, extra := saturatedIndex(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ix.Add(extra[i%len(extra)])
+		b.StartTimer()
+		ix.Search(extra[(i+1)%len(extra)], 0.5)
+	}
 }

@@ -156,9 +156,9 @@ func (ix *Index) Add(r Record) int {
 	return ix.AddBatch([]Record{r})[0]
 }
 
-// AddBatch appends records as one batch, returning their ids in order. When
-// the batch overflows the space budget, the threshold shrink (a full
-// resketch) is paid once for the batch rather than once per record.
+// AddBatch appends records in order, returning their ids. It is exactly Add
+// once per record — the budget is checked after each — so how callers group
+// records into batches never changes the resulting index.
 func (ix *Index) AddBatch(recs []Record) []int {
 	base := ix.inner.NumRecords()
 	ix.inner.AddRecords(recs)

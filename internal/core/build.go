@@ -161,6 +161,20 @@ const tauBuckets = 4096
 // values are split across parts — so parallel and sequential builds agree
 // bit for bit.
 func kthSmallest(parts [][]float64, k int, upper float64) float64 {
+	var sel kthSelector
+	return sel.kthSmallest(parts, k, upper)
+}
+
+// kthSelector is kthSmallest's working memory: the merged bucket histogram
+// and the candidate buffer of the target bucket. The build selects once and
+// uses a throw-away selector; the index keeps one for its threshold shrinks,
+// which therefore allocate nothing in steady state.
+type kthSelector struct {
+	hist  []int
+	cands []float64
+}
+
+func (s *kthSelector) kthSmallest(parts [][]float64, k int, upper float64) float64 {
 	if upper <= 0 {
 		return 0
 	}
@@ -172,20 +186,34 @@ func kthSmallest(parts [][]float64, k int, upper float64) float64 {
 		}
 		return b
 	}
-	hists := make([][]int, len(parts))
-	runParallel(len(parts), buildWorkers(len(parts)), func(pi int) {
-		h := make([]int, tauBuckets)
-		for _, v := range parts[pi] {
-			h[bucketOf(v)]++
+	if s.hist == nil {
+		s.hist = make([]int, tauBuckets)
+	} else {
+		clear(s.hist)
+	}
+	if len(parts) == 1 {
+		// The shrink's call (one part: the arena) counts straight into the
+		// kept histogram, on the caller's goroutine.
+		for _, v := range parts[0] {
+			s.hist[bucketOf(v)]++
 		}
-		hists[pi] = h
-	})
-	before, target := 0, -1
-	for b := 0; b < tauBuckets; b++ {
-		in := 0
+	} else {
+		hists := make([][]int, len(parts))
+		runParallel(len(parts), buildWorkers(len(parts)), func(pi int) {
+			h := make([]int, tauBuckets)
+			for _, v := range parts[pi] {
+				h[bucketOf(v)]++
+			}
+			hists[pi] = h
+		})
 		for _, h := range hists {
-			in += h[b]
+			for b, n := range h {
+				s.hist[b] += n
+			}
 		}
+	}
+	before, target := 0, -1
+	for b, in := range s.hist {
 		if before+in >= k {
 			target = b
 			break
@@ -205,7 +233,7 @@ func kthSmallest(parts [][]float64, k int, upper float64) float64 {
 		}
 		return max
 	}
-	var cands []float64
+	cands := s.cands[:0]
 	for _, p := range parts {
 		for _, v := range p {
 			if bucketOf(v) == target {
@@ -213,6 +241,7 @@ func kthSmallest(parts [][]float64, k int, upper float64) float64 {
 			}
 		}
 	}
+	s.cands = cands
 	return selectk.Float64s(cands, k-1-before)
 }
 

@@ -260,6 +260,88 @@ func TestAddRecordsShrinkMatchesResketch(t *testing.T) {
 	checkAgainstRef(t, seq, ref, "sequential-inserts")
 }
 
+func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
+	// At a budget large enough for a non-zero amortisation slack, the state
+	// after k inserts must be a function of the record sequence alone: one
+	// by one, one batch, and an arbitrary regrouping all land on the same
+	// bits, and after every shrink the index is a from-scratch sketch of
+	// (records, E_H, τ).
+	build := func() *Index {
+		ix, err := BuildIndex(buildTestDataset(t, 71, 2000), defaultOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	extra := buildTestDataset(t, 72, 300).Records
+	// The insert path leaves the cached rarity order as the build computed
+	// it (documented staleness); align the reference before comparing.
+	refOf := func(ix *Index) refState {
+		ref := refBuild(ix, ix.Tau())
+		ref.bitOrder = append([]int32(nil), ix.bitOrder...)
+		return ref
+	}
+
+	seq := build()
+	budget := seq.BudgetUnits()
+	slack := budget / shrinkSlackDivisor
+	if slack == 0 {
+		t.Fatalf("budget %d gives no slack; fixture too small", budget)
+	}
+	for i, rec := range extra {
+		_, before := seq.BuildCounters()
+		seq.AddRecord(rec)
+		_, after := seq.BuildCounters()
+		used := seq.UsedUnits()
+		// A tie run at the cut stays whole, so the index may sit over
+		// budget by at most the other members of that run.
+		ties := 0
+		for _, v := range seq.arena.hashes {
+			if v == seq.tau {
+				ties++
+			}
+		}
+		if used > budget && used-budget >= ties {
+			t.Fatalf("insert %d: %d units used, budget %d, tie run %d", i, used, budget, ties)
+		}
+		if after == before {
+			continue
+		}
+		if used < budget-slack {
+			t.Fatalf("insert %d: shrink left %d units, under budget %d - slack %d", i, used, budget, slack)
+		}
+		checkAgainstRef(t, seq, refOf(seq), "after shrink")
+	}
+	_, shrinks := seq.BuildCounters()
+	if shrinks < 3 {
+		t.Fatalf("%d shrinks over %d inserts; fixture too small", shrinks, len(extra))
+	}
+	if int(shrinks)*4 > len(extra) {
+		t.Fatalf("%d shrinks over %d inserts: the slack does not amortise", shrinks, len(extra))
+	}
+
+	ref := refOf(seq)
+	batch := build()
+	batch.AddRecords(extra)
+	checkAgainstRef(t, batch, ref, "one batch")
+	regrouped := build()
+	rng := rand.New(rand.NewSource(73))
+	for rest := extra; len(rest) > 0; {
+		n := 1 + rng.Intn(17)
+		if n > len(rest) {
+			n = len(rest)
+		}
+		regrouped.AddRecords(rest[:n])
+		rest = rest[n:]
+	}
+	checkAgainstRef(t, regrouped, ref, "regrouped")
+	for _, ix := range []*Index{batch, regrouped} {
+		if _, got := ix.BuildCounters(); got != shrinks {
+			t.Fatalf("%d shrinks, one-by-one %d", got, shrinks)
+		}
+	}
+}
+
 func TestBuildTauShortCircuit(t *testing.T) {
 	// With the budget covering every remaining occurrence, τ must be exactly
 	// 1 (decided from the occurrence count, no order statistic) and every

@@ -54,6 +54,11 @@ type Index struct {
 	// scratch.go for the ownership contract.
 	scratchPool sync.Pool
 
+	// sel is the threshold shrink's selection memory (see kthSelector),
+	// touched only under the caller's write exclusion like the rest of the
+	// insert path.
+	sel kthSelector
+
 	// Write-path work counters, atomic so scrape-time readers never contend
 	// with the write lock: every element occurrence hashed by the hash-once
 	// pipeline (build, load, insert), and every threshold shrink performed.

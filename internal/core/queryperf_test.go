@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -15,11 +16,16 @@ import (
 // guard the flat-layout refactor against quietly regressing back to
 // per-query O(m) scratch allocation.
 
-func allocFixture(t *testing.T) (*Index, []dataset.Record) {
+func skipAllocsUnderRace(t *testing.T) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector (instrumented allocs, lossy sync.Pool)")
 	}
+}
+
+func allocFixture(t *testing.T) (*Index, []dataset.Record) {
+	t.Helper()
+	skipAllocsUnderRace(t)
 	d := testDataset(t, 400)
 	ix, err := BuildIndex(d, defaultOpts())
 	if err != nil {
@@ -63,6 +69,67 @@ func TestSketchAndSearchAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { ix.SearchTopK(queries[0], 10) }); got > 2 {
 		t.Errorf("SearchTopK allocates %.1f per call, want ≤ 2", got)
+	}
+}
+
+func TestSearchAllocsUnderInserts(t *testing.T) {
+	// The mixed read/write shape: 1 AddRecord : 4 SearchSigScored on a
+	// collection large enough that anything sized to it shows. A search must
+	// allocate its hits and nothing else — an insert may not force the
+	// pooled scratch to be re-made, and candidates may not size the result.
+	skipAllocsUnderRace(t)
+	d := buildTestDataset(t, 81, 20000)
+	ix, err := BuildIndex(d, defaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Long queries: thousands of candidates each, a few dozen hits.
+	var queries []dataset.Record
+	for _, rec := range d.Records {
+		if len(rec) >= 150 && len(queries) < 4 {
+			queries = append(queries, rec)
+		}
+	}
+	sigs := make([]*QuerySig, len(queries))
+	search := func() (hits, candidates int) {
+		for _, sig := range sigs {
+			res, _ := ix.SearchSigScored(sig, 0.5, 0)
+			if cap(res) != len(res) {
+				t.Fatalf("result has cap %d for %d hits", cap(res), len(res))
+			}
+			hits += len(res)
+			candidates += sig.Stats.Candidates
+		}
+		return
+	}
+	var searches, hits, candidates int
+	var allocated uint64
+	var before, after runtime.MemStats
+	for i, rec := range buildTestDataset(t, 83, 200).Records {
+		ix.AddRecord(rec)
+		for j, q := range queries {
+			sigs[j] = ix.Sketch(q) // τ may have moved
+		}
+		if i == 0 {
+			search() // first use makes the scratch
+		}
+		runtime.ReadMemStats(&before)
+		h, c := search()
+		runtime.ReadMemStats(&after)
+		allocated += after.TotalAlloc - before.TotalAlloc
+		searches += len(sigs)
+		hits += h
+		candidates += c
+	}
+	if _, shrinks := ix.BuildCounters(); shrinks == 0 {
+		t.Fatal("no threshold shrink; the fixture is not at a full budget")
+	}
+	if candidates < 20*hits {
+		t.Fatalf("%d candidates for %d hits; the fixture cannot tell them apart", candidates, hits)
+	}
+	if per := allocated / uint64(searches); per > 4<<10 {
+		t.Errorf("%d bytes allocated per search (%d hits, %d candidates over %d searches), want ≤ 4 kB",
+			per, hits, candidates, searches)
 	}
 }
 

@@ -3,11 +3,14 @@ package core
 import "gbkmv/internal/topkheap"
 
 // searchScratch is the per-call working memory of the query path: the
-// candidate-accumulation arrays sized to the collection, an epoch-stamped
-// visited array so nothing is cleared between queries, a reusable top-k heap
-// buffer, and a reusable query-signature slot for the sketch-and-search
-// entry points. Instances live in a per-index sync.Pool; steady-state
-// searches therefore allocate nothing beyond their result slice.
+// candidate-accumulation arrays sized to the collection (with growth slack,
+// see getScratch), an epoch-stamped visited array so nothing is cleared
+// between queries, the hit-collection buffers of the threshold searches, a
+// reusable top-k heap buffer, and a reusable query-signature slot for the
+// sketch-and-search entry points. Instances live in a per-index sync.Pool;
+// steady-state searches therefore allocate nothing beyond their result
+// slice, which is an exact-size copy of the hits — never an alias of ids or
+// hits, which the next query on this scratch overwrites.
 //
 // Concurrency contract: a scratch is owned by exactly one query at a time
 // (getScratch/putScratch bracket every use). The index itself stays
@@ -19,13 +22,17 @@ type searchScratch struct {
 	visited []uint32 // visited[id] == epoch ⇔ id touched by this query
 	counts  []int32  // K∩ per touched record
 	touched []int32  // the touched ids, for sparse iteration
+	ids     []int    // searchSigWith's hits before the exact-size copy
+	hits    []Scored // searchSigScoredWith's hits before the exact-size copy
 	heap    []topkheap.Scored
 	sig     QuerySig // reusable signature for the Search(q)/SearchTopK(q) paths
 }
 
-// getScratch returns a scratch sized for the current collection. The
+// getScratch returns a scratch covering the current collection. The
 // visited array is only zeroed on (re)allocation and on epoch wrap-around —
-// per-query cost is O(touched), not O(m).
+// per-query cost is O(touched), not O(m). (Re)allocation sizes the arrays a
+// quarter past the collection, so an insert does not invalidate every pooled
+// scratch: a scratch is re-made once per 25 % of growth, not once per record.
 func (ix *Index) getScratch() *searchScratch {
 	sc, _ := ix.scratchPool.Get().(*searchScratch)
 	if sc == nil {
@@ -33,8 +40,9 @@ func (ix *Index) getScratch() *searchScratch {
 	}
 	m := len(ix.records)
 	if len(sc.visited) < m {
-		sc.visited = make([]uint32, m)
-		sc.counts = make([]int32, m)
+		n := m + m/4
+		sc.visited = make([]uint32, n)
+		sc.counts = make([]int32, n)
 		sc.epoch = 0
 	}
 	return sc

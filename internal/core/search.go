@@ -53,7 +53,10 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 	if hs := sig.sketch.Hashes(); len(hs) > 0 {
 		qMax = hs[len(hs)-1]
 	}
-	out := make([]int, 0, len(sc.touched))
+	// Hits collect in the scratch: candidates outnumber hits by orders of
+	// magnitude, so the result is sized by what qualified, not what was
+	// touched.
+	out := sc.ids[:0]
 	for _, id := range sc.touched {
 		need := theta - float64(ix.bufferOverlap(sig, int(id)))
 		if need <= 0 {
@@ -71,8 +74,11 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 			out = append(out, int(id))
 		}
 	}
+	sc.ids = out
 	slices.Sort(out)
-	return out
+	res := make([]int, len(out))
+	copy(res, out)
+	return res
 }
 
 // gatherSearchCandidates accumulates into sc.touched every record that can
@@ -148,32 +154,33 @@ func (ix *Index) AddRecord(rec dataset.Record) {
 	ix.AddRecords([]dataset.Record{rec})
 }
 
-// AddRecords appends a batch of records, paying the over-budget threshold
-// shrink at most once for the whole batch instead of once per record. The
+// shrinkSlackDivisor sets how far past the overshoot a threshold shrink
+// evicts: budget/shrinkSlackDivisor extra hash values (0.78 % of the budget),
+// so the O(index) select + trim + posting filter is paid once per slack's
+// worth of inserted hash values rather than on nearly every insert at a full
+// budget. DESIGN.md "Dynamic inserts" has the measured cost of both sides.
+const shrinkSlackDivisor = 128
+
+// AddRecords appends records in order, each exactly as AddRecord would: the
+// over-budget check runs after every record, so the state after k records
+// is a function of the record sequence alone — never of how callers group
+// it into batches (journal replay and follower apply regroup freely). The
 // path is hash-once end to end: each new element is hashed exactly once, the
 // pairs feed both the arena run and the posting lists, and a shrink trims
 // existing runs in place (arena prefixes) instead of resketching the
 // collection.
 func (ix *Index) AddRecords(recs []dataset.Record) {
-	if len(recs) == 0 {
-		// Never mutate on a no-op: a residual over-budget state (hash ties
-		// at the cut) must not trigger a shrink here, or an insert-free
-		// reload would answer differently than the index it saved.
-		return
-	}
-	base := len(ix.records)
-	// One hashing pass per new record; the (element, hash) pairs are kept so
-	// the postings update below never rehashes.
-	newElems := make([][]hash.Element, len(recs))
-	newHashes := make([][]float64, len(recs))
 	ix.bufArena.grow(len(recs))
-	for ri, rec := range recs {
+	for _, rec := range recs {
+		id := len(ix.records)
 		ix.records = append(ix.records, rec)
+		// One hashing pass; the (element, hash) pairs are kept so the
+		// postings update below never rehashes.
 		elems := make([]hash.Element, 0, len(rec))
 		hashes := make([]float64, 0, len(rec))
 		for _, e := range rec {
 			if bit, ok := ix.bitOf[e]; ok {
-				ix.bufArena.set(base+ri, bit)
+				ix.bufArena.set(id, bit)
 				continue
 			}
 			elems = append(elems, e)
@@ -187,39 +194,36 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 		}
 		sort.Float64s(run)
 		ix.arena.appendRun(run, len(run) == len(elems))
-		newElems[ri], newHashes[ri] = elems, hashes
 		ix.elementsHashed.Add(uint64(len(hashes)))
-	}
-	if over := ix.UsedUnits() - ix.budget; over > 0 {
-		// The shrink lowers τ and filters existing state; the new records'
-		// runs are already in the arena, so they are trimmed with everything
-		// else. Their postings are added below under the (possibly lower) τ.
-		ix.shrinkThreshold(over)
-	}
-	// Maintain the inverted lists incrementally from the retained pairs.
-	for ri := range recs {
-		id := int32(base + ri)
-		hashes := newHashes[ri]
-		for j, e := range newElems[ri] {
+		if over := ix.UsedUnits() - ix.budget; over > 0 {
+			// The shrink lowers τ and filters existing state; the new
+			// record's run is already in the arena, so it is trimmed with
+			// everything else. Its postings are added below under the
+			// (possibly lower) τ.
+			ix.shrinkThreshold(over)
+		}
+		// Maintain the inverted lists incrementally from the retained pairs.
+		for j, e := range elems {
 			if hashes[j] <= ix.tau {
-				ix.postings.add(e, id)
+				ix.postings.add(e, int32(id))
 			}
 		}
 		if ix.bufArena.stride > 0 {
-			ix.bufArena.forEachSetBit(int(id), func(bit int) {
-				ix.bufferPostings[bit] = append(ix.bufferPostings[bit], id)
+			ix.bufArena.forEachSetBit(id, func(bit int) {
+				ix.bufferPostings[bit] = append(ix.bufferPostings[bit], int32(id))
 			})
 		}
 	}
 }
 
-// shrinkThreshold lowers τ just enough to evict `over` stored hash values,
-// then trims every run and filters the posting lists under the new
-// threshold, reporting whether anything changed. It returns false — leaving
-// the index exactly as it was — when no hash values are stored at all: then
-// the overshoot is pure buffer cost (which grows with the record count and
-// cannot shrink), and the over-budget state is accepted rather than paying a
-// rebuild per insert, or worse, panicking.
+// shrinkThreshold lowers τ to evict `over` stored hash values plus the
+// amortisation slack (budget/shrinkSlackDivisor), then trims every run and
+// filters the posting lists under the new threshold, reporting whether
+// anything changed. It returns false — leaving the index exactly as it was —
+// when no hash values are stored at all: then the overshoot is pure buffer
+// cost (which grows with the record count and cannot shrink), and the
+// over-budget state is accepted rather than paying a rebuild per insert, or
+// worse, panicking.
 //
 // No element is rehashed: the new τ is an order statistic of the stored
 // multiset (streamed through the same histogram selection the build uses),
@@ -230,7 +234,7 @@ func (ix *Index) shrinkThreshold(over int) bool {
 	if total == 0 {
 		return false
 	}
-	keep := total - over
+	keep := total - over - ix.budget/shrinkSlackDivisor
 	if keep < 1 {
 		keep = 1
 	}
@@ -242,7 +246,7 @@ func (ix *Index) shrinkThreshold(over int) bool {
 	// journal replay) converge on identical state. When the cut lands
 	// exactly on the current τ the "shrink" is a no-op; skip it rather than
 	// repeating it on every insert while the tie run holds the line.
-	cut := kthSmallest([][]float64{ix.arena.hashes}, keep, ix.tau)
+	cut := ix.sel.kthSmallest([][]float64{ix.arena.hashes}, keep, ix.tau)
 	if cut == ix.tau {
 		return false
 	}

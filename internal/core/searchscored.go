@@ -51,7 +51,7 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 	if hs := sig.sketch.Hashes(); len(hs) > 0 {
 		qMax = hs[len(hs)-1]
 	}
-	out := make([]Scored, 0, len(sc.touched))
+	out := sc.hits[:0] // scratch-owned, as in searchSigWith
 	deferred := false
 	for _, id := range sc.touched {
 		need := theta - float64(ix.bufferOverlap(sig, int(id)))
@@ -77,18 +77,21 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 			out = append(out, Scored{ID: int(id), Score: est})
 		}
 	}
+	sc.hits = out
 	slices.SortFunc(out, func(a, b Scored) int { return a.ID - b.ID })
 	total := len(out)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
+	res := make([]Scored, len(out))
+	copy(res, out)
 	if deferred {
-		for i := range out {
-			if out[i].Score < 0 {
-				out[i].Score = ix.EstimateContainment(sig, out[i].ID)
+		for i := range res {
+			if res[i].Score < 0 {
+				res[i].Score = ix.EstimateContainment(sig, res[i].ID)
 				sig.Stats.Estimated++
 			}
 		}
 	}
-	return out, total
+	return res, total
 }

@@ -59,14 +59,19 @@ type Metrics struct {
 	// count so stale children are removed exactly) and the snapshot pause
 	// histogram — per segment-encode for segmented collections, per
 	// index-encode for single-index ones.
-	segRecords *obs.GaugeVec     // collection, segment
-	snapPause  *obs.HistogramVec // collection
-	segCounts  sync.Map          // collection name → int
-	journaled   *obs.GaugeVec // collection: entries in the current journal
-	walOffset   *obs.GaugeVec // collection: journal logical size
-	walSynced   *obs.GaugeVec // collection: durable high-water mark
+	segRecords  *obs.GaugeVec     // collection, segment
+	snapPause   *obs.HistogramVec // collection
+	segCounts   sync.Map          // collection name → int
+	journaled   *obs.GaugeVec     // collection: entries in the current journal
+	walOffset   *obs.GaugeVec     // collection: journal logical size
+	walSynced   *obs.GaugeVec     // collection: durable high-water mark
 	hashedTotal *obs.CounterVec
 	shrinkTotal *obs.CounterVec
+	// Sketch state (scrape-time mirror, absent where the engine has no such
+	// knob): the global threshold τ (the largest across segments) and used ÷
+	// budget units.
+	sketchTau  *obs.GaugeVec // collection
+	budgetUtil *obs.GaugeVec // collection
 
 	// Storage-integrity families (see integrity.go): disk errors by write-path
 	// op, snapshot verification failures by detection stage (load / scrub /
@@ -179,6 +184,12 @@ func newMetrics() *Metrics {
 			"collection"),
 		shrinkTotal: r.CounterVec("gbkmv_build_threshold_shrinks_total",
 			"Fixed-budget threshold shrinks performed.", "collection"),
+		sketchTau: r.GaugeVec("gbkmv_sketch_tau",
+			"Global hash threshold of the sketch (largest across segments); "+
+				"falls as inserts shrink it to hold the budget.", "collection"),
+		budgetUtil: r.GaugeVec("gbkmv_sketch_budget_utilisation",
+			"Sketch units used divided by the budget; sits just under 1 at a full budget "+
+				"(each threshold shrink frees a fixed slack).", "collection"),
 		diskErrors: r.CounterVec("gbkmv_disk_errors_total",
 			"Write-path disk errors, by operation.", "op"),
 		verifyFails: r.CounterVec("gbkmv_snapshot_verify_failures_total",
@@ -256,6 +267,7 @@ func (m *Metrics) removeCollection(name string) {
 	for _, v := range []*obs.GaugeVec{
 		m.replaySecs, m.qcEntries, m.collRecords, m.collGen,
 		m.journaled, m.walOffset, m.walSynced, m.readOnlyG,
+		m.sketchTau, m.budgetUtil,
 	} {
 		v.Remove(name)
 	}
@@ -413,6 +425,7 @@ func (s *Store) mirrorCollections() {
 		if seg, ok := c.eng.(*gbkmv.Segmented); ok {
 			segRecs = seg.SegmentRecords()
 		}
+		es := c.eng.EngineStats()
 		c.mu.RUnlock()
 		m.mirrorSegments(name, segRecs)
 		m.collRecords.With(name).Set(float64(records))
@@ -427,6 +440,13 @@ func (s *Store) mirrorCollections() {
 		if hasBuild {
 			m.hashedTotal.With(name).Set(hashed)
 			m.shrinkTotal.With(name).Set(shrinks)
+		}
+		// Zero where the backend has no such knob (see EngineStats).
+		if es.Tau > 0 {
+			m.sketchTau.With(name).Set(es.Tau)
+		}
+		if es.BudgetUnits > 0 {
+			m.budgetUtil.With(name).Set(float64(es.UsedUnits) / float64(es.BudgetUnits))
 		}
 	}
 }

@@ -218,6 +218,15 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("%s = %g, want %g", key, got, want)
 		}
 	}
+	// Sketch state gauges mirror /stats: τ, and used ÷ budget units.
+	_, st := doJSON(t, ts, "GET", "/collections/m/stats", "")
+	if got := series[`gbkmv_sketch_tau{collection="m"}`]; got != st["tau"] || got <= 0 {
+		t.Errorf("gbkmv_sketch_tau = %g, /stats tau %v", got, st["tau"])
+	}
+	if got, want := series[`gbkmv_sketch_budget_utilisation{collection="m"}`],
+		st["used_units"].(float64)/st["budget_units"].(float64); got != want || got <= 0 {
+		t.Errorf("gbkmv_sketch_budget_utilisation = %g, /stats used/budget %g", got, want)
+	}
 	// Per-search work counters: 2 searches + 2 batch slots ran; candidates
 	// flowed through the histogram and the totals agree with it.
 	candSum := series[`gbkmv_search_candidates_sum{collection="m"}`]

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,6 +9,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"gbkmv"
 )
 
 // openSegServer is newServer with an explicit default segment count — the
@@ -340,4 +343,90 @@ func TestSegmentedConcurrentInsertSearchSnapshot(t *testing.T) {
 	if seg := segmentsBlock(t, ts2, "c"); seg == nil || seg["count"].(float64) != 4 {
 		t.Fatalf("reloaded segments = %v, want count 4", seg)
 	}
+}
+
+// TestSegmentedRestartAfterKillAtFullBudget is TestRestartAfterKill in the
+// regime where grouping could matter: two segments at default options (the
+// 10 % budget is full from the first insert), so inserts shrink each
+// segment's threshold by overshoot + slack. The live server applied the
+// records request by request; replay applies the whole journal as one batch.
+// Both must land on the same τ and the same answers.
+func TestSegmentedRestartAfterKillAtFullBudget(t *testing.T) {
+	dir := t.TempDir()
+	store, ts := openSegServer(t, dir, 2)
+	// segCorpus' four-token records leave a sketch of a few hundred values
+	// behind a tie run; give every record a dozen skewed draws from a
+	// 20 000-token vocabulary (tie runs well under the slack) so the
+	// threshold moves and its value depends on where each shrink happened.
+	corpus := segCorpus(3400)
+	x := uint32(1)
+	for i := range corpus {
+		for j := 0; j < 12; j++ {
+			x = x*1664525 + 1013904223
+			u := uint64(x>>12) % 100000
+			corpus[i] = append(corpus[i], fmt.Sprintf("w%d", u*u/500000))
+		}
+	}
+	if code, m := doJSON(t, ts, "PUT", "/collections/full",
+		jsonBody(t, map[string]any{"records": corpus[:3000],
+			// The default 10 % budget; a small pinned buffer, because the cost
+			// model's choice for records this short leaves the sketch nothing.
+			"options": map[string]any{"buffer_bits": 8}})); code != http.StatusOK {
+		t.Fatalf("build: %d %v", code, m)
+	}
+	for i := 3000; i < len(corpus); {
+		n := 1 + i%3 // requests of 1-3 records
+		if i+n > len(corpus) {
+			n = len(corpus) - i
+		}
+		if code, m := doJSON(t, ts, "POST", "/collections/full/records",
+			jsonBody(t, map[string]any{"records": corpus[i : i+n]})); code != http.StatusOK {
+			t.Fatalf("insert: %d %v", code, m)
+		}
+		i += n
+	}
+	wantStats := doJSONBody(t, ts, "GET", "/collections/full/stats")
+	// Per-segment budgets of 128 units or more have a non-zero slack.
+	if b := wantStats["budget_units"].(float64); b < 2*128 {
+		t.Fatalf("budget_units = %v; fixture too small for a slack", b)
+	}
+	if n := scrape(t, ts)[`gbkmv_build_threshold_shrinks_total{collection="full"}`]; n < 3 {
+		t.Fatalf("%v threshold shrinks; the fixture is not at a full budget", n)
+	}
+	want := searchResults(t, ts, "full")
+	wantEngine := engineBytes(t, store, "full")
+	ts.Close() // no store.Close(): simulated kill
+
+	store2, ts2 := openSegServer(t, dir, 2)
+	defer store2.Close()
+	gotStats := doJSONBody(t, ts2, "GET", "/collections/full/stats")
+	for _, key := range []string{"tau", "used_units", "num_records", "journaled_inserts"} {
+		if gotStats[key] != wantStats[key] {
+			t.Errorf("%s after kill-restart = %v, want %v", key, gotStats[key], wantStats[key])
+		}
+	}
+	if got := searchResults(t, ts2, "full"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after kill-restart:\n got  %v\n want %v", got, want)
+	}
+	// /stats reports the coarsest segment's τ only; the encoded engine is
+	// every segment's τ, arenas and records.
+	if !bytes.Equal(engineBytes(t, store2, "full"), wantEngine) {
+		t.Fatal("replayed engine encodes differently from the one that was killed")
+	}
+}
+
+// engineBytes is the collection's engine in its snapshot encoding.
+func engineBytes(t *testing.T, store *Store, name string) []byte {
+	t.Helper()
+	c, err := store.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var buf bytes.Buffer
+	if err := gbkmv.SaveEngine(&buf, c.eng); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -1935,8 +1935,9 @@ func loadGenFiles(fsys fsx.FS, dir string, m meta) (*genState, error) {
 		tornTail = true
 	}
 	// Re-intern in entry order (reproducing the original ids), then apply
-	// as one batch so an over-budget threshold shrink (or a static engine's
-	// rebuild) costs one pass per startup, not one per entry.
+	// as one batch so a static engine's rebuild costs one pass per startup,
+	// not one per entry (the sketch engines decide threshold shrinks per
+	// record, so the grouping cannot change their state).
 	base := eng.Len()
 	recs := make([]gbkmv.Record, len(entries))
 	for i, e := range entries {
