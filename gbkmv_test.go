@@ -448,3 +448,77 @@ func TestReadRecords(t *testing.T) {
 		t.Errorf("nil vocabulary: %v", err)
 	}
 }
+
+// TestReadRecordsMatchesFields holds the byte-level line reader to what
+// ReadRecords was before it: strings.TrimSpace + strings.Fields per line,
+// Vocabulary.Record per record — same records, same ids, same lines, blank
+// lines skipped, on Unicode spaces, CRLF, invalid UTF-8 and enough records to
+// cross several arena chunks.
+func TestReadRecordsMatchesFields(t *testing.T) {
+	var in strings.Builder
+	in.WriteString("five guys burgers\r\n\n  five\tkitchen   berkeley \n \t \nb\xffd \xc3 five five\n\nx\u00a0y\u2003z\u0085\n")
+	for i := 0; i < 3000; i++ {
+		for j := 0; j <= i%40; j++ {
+			in.WriteString(" t" + strconv.Itoa((i*7+j*13)%500))
+		}
+		in.WriteString("\n")
+	}
+	in.WriteString("last line without newline")
+
+	wantVoc := gbkmv.NewVocabulary()
+	var want []gbkmv.Record
+	var wantLines []string
+	for _, line := range strings.Split(in.String(), "\n") {
+		line = strings.TrimSpace(strings.TrimSuffix(line, "\r"))
+		if line == "" {
+			continue
+		}
+		want = append(want, wantVoc.Record(strings.Fields(line)))
+		wantLines = append(wantLines, line)
+	}
+
+	voc := gbkmv.NewVocabulary()
+	got, lines, err := gbkmv.ReadRecords(strings.NewReader(in.String()), voc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(lines) != len(want) {
+		t.Fatalf("%d records, %d lines, want %d", len(got), len(lines), len(want))
+	}
+	for i := range want {
+		if lines[i] != wantLines[i] {
+			t.Fatalf("line %d = %q, want %q", i, lines[i], wantLines[i])
+		}
+		if len(got[i]) != len(want[i]) || got[i].IntersectSize(want[i]) != len(want[i]) {
+			t.Fatalf("record %d (%q) = %v, want %v", i, lines[i], got[i], want[i])
+		}
+	}
+	if voc.Len() != wantVoc.Len() {
+		t.Fatalf("vocabulary of %d tokens, want %d", voc.Len(), wantVoc.Len())
+	}
+	for id := 0; id < voc.Len(); id++ {
+		if e := gbkmv.Element(id); voc.Token(e) != wantVoc.Token(e) {
+			t.Fatalf("token %d = %q, want %q", id, voc.Token(e), wantVoc.Token(e))
+		}
+	}
+	// Records share arena chunks: appending to one must reallocate, not
+	// write into its neighbour.
+	next := append(gbkmv.Record(nil), got[1]...)
+	_ = append(got[0], 1<<40)
+	if got[1].IntersectSize(next) != len(next) {
+		t.Fatal("append to a record overwrote the next one")
+	}
+}
+
+// TestReadRecordsLineLimit: a line may be as long as the 1 MB scan buffer;
+// a longer one is an error, not a silently split record.
+func TestReadRecordsLineLimit(t *testing.T) {
+	fits := strings.Repeat("a", 1<<20-1) + "\nb\n"
+	records, _, err := gbkmv.ReadRecords(strings.NewReader(fits), nil)
+	if err != nil || len(records) != 2 {
+		t.Fatalf("line of 1 MB - 1: %d records, %v", len(records), err)
+	}
+	if _, _, err := gbkmv.ReadRecords(strings.NewReader(strings.Repeat("a", 1<<20+1)+"\nb\n"), nil); err == nil {
+		t.Fatal("line over 1 MB accepted")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"time"
 
 	"gbkmv"
 )
@@ -40,8 +41,11 @@ const maxBodyBytes = 256 << 20
 // Every response carries an X-Request-Id (echoed from the request when the
 // client sent one); the whole mux is wrapped in the observability middleware
 // (per-endpoint metrics, slow-query log — see middleware.go).
-func Handler(s *Store) http.Handler {
-	h := &api{store: s}
+func Handler(s *Store) http.Handler { return newHandler(s, maxBodyBytes) }
+
+// newHandler is Handler with the body bound a parameter, for tests.
+func newHandler(s *Store, maxBody int64) http.Handler {
+	h := &api{store: s, maxBody: maxBody}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", h.health)
 	mux.HandleFunc("GET /readyz", h.ready)
@@ -64,7 +68,8 @@ func Handler(s *Store) http.Handler {
 }
 
 type api struct {
-	store *Store
+	store   *Store
+	maxBody int64
 }
 
 type errorResponse struct {
@@ -75,13 +80,26 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decode reads the request body as JSON into v, enforcing maxBodyBytes.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+// writeBodyError answers a request whose body could not be read: 413 when it
+// ran into the size bound, 400 for everything else.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+}
+
+// decode reads the request body as JSON into v, enforcing the size bound.
+// The bulk endpoints (build, insert) scan their bodies instead: see
+// ingest.go.
+func (h *api) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, h.maxBody)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		writeBodyError(w, err)
 		return false
 	}
 	return true
@@ -220,18 +238,6 @@ type buildOptions struct {
 	Segments int `json:"segments"`
 }
 
-type buildRequest struct {
-	// Records are the collection's records as token arrays. Mutually
-	// exclusive with File.
-	Records [][]string `json:"records"`
-	// File names a server-side line-oriented record file (one record per
-	// line, whitespace-separated tokens). Only honored when the daemon was
-	// started with -record-files; paths resolve under (and must stay
-	// within) that directory.
-	File    string       `json:"file"`
-	Options buildOptions `json:"options"`
-}
-
 func (h *api) build(w http.ResponseWriter, r *http.Request) {
 	if h.fenceWrite(w, r) {
 		return
@@ -252,16 +258,19 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var req buildRequest
-	if !decode(w, r, &req) {
+	start := time.Now()
+	sc := getScanner(http.MaxBytesReader(w, r.Body, h.maxBody))
+	req, err := sc.readBuild()
+	putScanner(sc)
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
-	if (len(req.Records) == 0) == (req.File == "") {
+	voc, records := req.voc, req.records
+	if (len(records) == 0) == (req.File == "") {
 		writeError(w, http.StatusBadRequest, "provide exactly one of records or file")
 		return
 	}
-	voc := gbkmv.NewVocabulary()
-	var records []gbkmv.Record
 	if req.File != "" {
 		path, err := h.store.ResolveRecordFile(req.File)
 		if err != nil {
@@ -274,25 +283,21 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer f.Close()
-		records, _, err = gbkmv.ReadRecords(f, voc)
-		if err != nil {
+		rb := gbkmv.NewRecordBuilder(voc)
+		if err := rb.ReadLines(f, nil); err != nil {
 			writeError(w, http.StatusBadRequest, "reading record file: %v", err)
 			return
 		}
-	} else {
-		records = make([]gbkmv.Record, len(req.Records))
-		for i, tokens := range req.Records {
-			records[i] = voc.Record(tokens)
-			if len(records[i]) == 0 {
-				writeError(w, http.StatusBadRequest, "record %d is empty", i)
-				return
-			}
-		}
+		records = rb.Records()
+	} else if req.firstEmpty >= 0 {
+		writeError(w, http.StatusBadRequest, "record %d is empty", req.firstEmpty)
+		return
 	}
 	if len(records) == 0 {
 		writeError(w, http.StatusBadRequest, "no records")
 		return
 	}
+	decoded := time.Now()
 	engine := req.Options.Engine
 	if engine == "" {
 		engine = h.store.DefaultEngine()
@@ -314,7 +319,6 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 		NumPartitions:  req.Options.NumPartitions,
 	}
 	var eng gbkmv.Engine
-	var err error
 	if segments >= 1 {
 		eng, err = gbkmv.NewSegmented(engine, segments, records, opts)
 	} else {
@@ -324,6 +328,7 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "building %q: %v", name, err)
 		return
 	}
+	sketched := time.Now()
 	c, err := h.store.Create(name, voc, eng)
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -333,6 +338,14 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "creating %q: %v", name, err)
 		return
 	}
+	decode, sketch, snapshot := decoded.Sub(start), sketched.Sub(decoded), time.Since(sketched)
+	stages := h.store.metrics.buildStage
+	stages.With("decode").Observe(decode.Seconds())
+	stages.With("sketch").Observe(sketch.Seconds())
+	stages.With("snapshot").Observe(snapshot.Seconds())
+	h.store.logf("gbkmvd: built collection %q: engine %s, %d records (decode %s, sketch %s, snapshot %s)",
+		name, engine, len(records), decode.Round(time.Millisecond), sketch.Round(time.Millisecond),
+		snapshot.Round(time.Millisecond))
 	writeJSON(w, http.StatusOK, c.Stats())
 }
 
@@ -396,15 +409,6 @@ func (h *api) promote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"promoted": true, "generations": gens})
 }
 
-type insertRequest struct {
-	Records [][]string `json:"records"`
-	// RequestID optionally tags the batch for duplicate detection: a retry
-	// carrying the same id — e.g. after a crash ate the acknowledgement of
-	// a journaled insert — is rejected with 409 Conflict and the originally
-	// assigned record ids, instead of silently duplicating the records.
-	RequestID string `json:"request_id"`
-}
-
 func (h *api) insert(w http.ResponseWriter, r *http.Request) {
 	if h.fenceWrite(w, r) {
 		return
@@ -433,19 +437,27 @@ func (h *api) insert(w http.ResponseWriter, r *http.Request) {
 		h.shed(w, "storage_readonly", "collection %q is read-only (%s); retry later", c.name, reason)
 		return
 	}
-	var req insertRequest
-	if !decode(w, r, &req) {
+	// The body is {"records": [[token, ...], ...], "request_id": "..."}.
+	// request_id optionally tags the batch for duplicate detection: a retry
+	// carrying the same id — e.g. after a crash ate the acknowledgement of
+	// a journaled insert — is rejected with 409 Conflict and the originally
+	// assigned record ids, instead of silently duplicating the records.
+	sc := getScanner(http.MaxBytesReader(w, r.Body, h.maxBody))
+	batch, requestID, err := sc.readInsert()
+	putScanner(sc)
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
-	if len(req.Records) == 0 {
+	if len(batch) == 0 {
 		writeError(w, http.StatusBadRequest, "no records")
 		return
 	}
-	ids, err := c.Insert(req.Records, req.RequestID)
+	ids, err := c.Insert(batch, requestID)
 	if err != nil {
 		if errors.Is(err, ErrDuplicateRequest) {
 			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":     fmt.Sprintf("request %q was already applied", req.RequestID),
+				"error":     fmt.Sprintf("request %q was already applied", requestID),
 				"duplicate": true,
 				"ids":       ids,
 			})
@@ -482,7 +494,7 @@ func (h *api) search(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req searchRequest
-	if !decode(w, r, &req) {
+	if !h.decode(w, r, &req) {
 		return
 	}
 	if req.Threshold < 0 || req.Threshold > 1 {
@@ -521,7 +533,7 @@ func (h *api) topk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req topkRequest
-	if !decode(w, r, &req) {
+	if !h.decode(w, r, &req) {
 		return
 	}
 	if req.K <= 0 {
@@ -569,7 +581,7 @@ func (h *api) searchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchSearchRequest
-	if !decode(w, r, &req) {
+	if !h.decode(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -611,7 +623,7 @@ func (h *api) topkBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchTopKRequest
-	if !decode(w, r, &req) {
+	if !h.decode(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {

@@ -67,6 +67,10 @@ type Metrics struct {
 	walSynced   *obs.GaugeVec     // collection: durable high-water mark
 	hashedTotal *obs.CounterVec
 	shrinkTotal *obs.CounterVec
+	// buildStage times the three stages of a build request: decode (body
+	// or record file to interned records), sketch (engine construction),
+	// snapshot (Store.Create: the first generation's files).
+	buildStage *obs.HistogramVec // stage
 	// Sketch state (scrape-time mirror, absent where the engine has no such
 	// knob): the global threshold τ (the largest across segments) and used ÷
 	// budget units.
@@ -184,6 +188,9 @@ func newMetrics() *Metrics {
 			"collection"),
 		shrinkTotal: r.CounterVec("gbkmv_build_threshold_shrinks_total",
 			"Fixed-budget threshold shrinks performed.", "collection"),
+		buildStage: r.HistogramVec("gbkmv_build_stage_seconds",
+			"Wall time of each stage of a successful build request: decode, sketch, snapshot.",
+			obs.LatencyBuckets, "stage"),
 		sketchTau: r.GaugeVec("gbkmv_sketch_tau",
 			"Global hash threshold of the sketch (largest across segments); "+
 				"falls as inserts shrink it to hold the budget.", "collection"),

@@ -210,6 +210,10 @@ func TestMetricsExposition(t *testing.T) {
 		`gbkmv_collection_query_generation{collection="m"}`:                                                     1,
 		`gbkmv_batch_queries_count{collection="m"}`:                                                             1,
 		`gbkmv_batch_queries_sum{collection="m"}`:                                                               2,
+		// One successful build: one observation per stage.
+		`gbkmv_build_stage_seconds_count{stage="decode"}`:   1,
+		`gbkmv_build_stage_seconds_count{stage="sketch"}`:   1,
+		`gbkmv_build_stage_seconds_count{stage="snapshot"}`: 1,
 	}
 	for key, want := range expect {
 		if got, ok := series[key]; !ok {

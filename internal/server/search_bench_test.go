@@ -25,7 +25,7 @@ import (
 // the two: hot must be ≥2× faster and ≥5× lighter in allocations.
 
 // benchCollectionRecords returns the token records of the benchmark corpus.
-func benchCollectionRecords(b *testing.B, n int) [][]string {
+func benchCollectionRecords(b testing.TB, n int) [][]string {
 	b.Helper()
 	out := make([][]string, 0, n)
 	// Record sizes follow the paper's set-valued serving workloads (domain

@@ -1,6 +1,9 @@
 package gbkmv
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // Vocabulary maps string tokens (words, q-grams, column values, ...) to
 // dense element ids so that text-like data can be sketched. It is safe for
@@ -17,7 +20,9 @@ func NewVocabulary() *Vocabulary {
 }
 
 // ID returns the element id of the token, allocating a new id on first
-// sight.
+// sight. The vocabulary keeps its own copy of a new token, so it never pins
+// a larger string the caller sliced the token out of (a line, a request
+// body).
 func (v *Vocabulary) ID(token string) Element {
 	v.mu.RLock()
 	id, ok := v.ids[token]
@@ -25,12 +30,31 @@ func (v *Vocabulary) ID(token string) Element {
 	if ok {
 		return id
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if id, ok = v.ids[token]; ok {
+	return v.add(strings.Clone(token))
+}
+
+// IDBytes is ID for a token still held as bytes (a scanner's window, a line
+// buffer): a known token allocates nothing, a new one allocates its string
+// once.
+func (v *Vocabulary) IDBytes(token []byte) Element {
+	v.mu.RLock()
+	id, ok := v.ids[string(token)]
+	v.mu.RUnlock()
+	if ok {
 		return id
 	}
-	id = Element(len(v.toks))
+	return v.add(string(token))
+}
+
+// add assigns the next id to a token the caller did not find under the read
+// lock; token must not alias memory the caller goes on to reuse.
+func (v *Vocabulary) add(token string) Element {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if id, ok := v.ids[token]; ok {
+		return id
+	}
+	id := Element(len(v.toks))
 	v.ids[token] = id
 	v.toks = append(v.toks, token)
 	return id
