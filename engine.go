@@ -1,20 +1,21 @@
 package gbkmv
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"sync"
+
+	"gbkmv/internal/snapfmt"
 )
 
 // Engine is the pluggable sketch-engine interface: one containment-search
 // contract over GB-KMV and every baseline backend of the paper's evaluation
 // (Section V). All engines index the same []Record collections, answer the
-// same Search/TopK/Estimate queries, and serialize behind a shared versioned
-// header, so callers — the gbkmvd server, the CLIs, the experiments harness —
-// can swap the sketch under a stable search API.
+// same Search/TopK/Estimate queries, and serialize behind a shared
+// self-describing header, so callers — the gbkmvd server, the CLIs, the
+// experiments harness — can swap the sketch under a stable search API.
 //
 // Engines are registered by name (Register) and constructed through the
 // registry (NewEngine). The flagship engine is the GB-KMV *Index itself;
@@ -37,7 +38,9 @@ type Engine interface {
 	// structures may rebuild internally; see each engine's documentation.
 	Add(r Record) int
 	// AddBatch appends records as one batch, returning their ids in order.
-	// Engines that rebuild on insert pay the rebuild once per batch.
+	// Engines that rebuild on insert pay the rebuild once per batch. Records
+	// must be sorted and deduplicated (see Record); nothing checks it here,
+	// and a collection holding one that is not cannot be saved.
 	AddBatch(recs []Record) []int
 	// Search returns the ids of all records whose estimated containment
 	// C(Q, X) reaches threshold, ascending. Approximate engines may return
@@ -57,6 +60,8 @@ type Engine interface {
 	EngineStats() EngineStats
 	// Save serializes the engine's payload. Use SaveEngine to write the
 	// self-describing header + payload form that LoadEngine dispatches on.
+	// Records are stored as deltas, so Save fails on a record that is not
+	// sorted and deduplicated.
 	Save(w io.Writer) error
 }
 
@@ -169,26 +174,47 @@ const DefaultEngine = "gbkmv"
 type EngineBuilder func(records []Record, opt EngineOptions) (Engine, error)
 
 // EngineLoader reconstructs an engine from the payload written by its Save
-// (the bytes following the SaveEngine header).
+// (the bytes following the SaveEngine header). It must consume exactly that
+// payload: inside a segmented container the next segment's bytes follow
+// immediately, so a loader that reads ahead (a bufio.Reader or gob.Decoder of
+// its own) would swallow them. The reader handed in is buffered and
+// implements io.ByteReader.
 type EngineLoader func(r io.Reader) (Engine, error)
+
+// engineParser is a loader split where the stream ends: it consumes exactly
+// the engine's payload and returns the work that no longer needs the stream
+// (deriving inverted lists, rebuilding signatures). A segmented container
+// parses its segments in stream order and runs their finishes in parallel.
+type engineParser func(r *snapfmt.Reader) (finish func() (Engine, error), err error)
+
+type engineEntry struct {
+	build EngineBuilder
+	parse engineParser
+}
 
 var engineRegistry = struct {
 	sync.RWMutex
-	m map[string]struct {
-		build EngineBuilder
-		load  EngineLoader
-	}
-}{m: make(map[string]struct {
-	build EngineBuilder
-	load  EngineLoader
-})}
+	m map[string]engineEntry
+}{m: make(map[string]engineEntry)}
 
 // Register installs an engine backend under name. The built-in backends
 // register themselves at init; call Register to plug in an external one.
 // Registering a name twice panics — silently replacing a backend would make
 // snapshot dispatch ambiguous.
 func Register(name string, build EngineBuilder, load EngineLoader) {
-	if name == "" || build == nil || load == nil {
+	if load == nil {
+		panic("gbkmv: Register requires a name, a builder and a loader")
+	}
+	registerStaged(name, build, func(r *snapfmt.Reader) (func() (Engine, error), error) {
+		e, err := load(r)
+		return func() (Engine, error) { return e, nil }, err
+	})
+}
+
+// registerStaged is Register for the built-in backends, whose loaders are
+// split into parse and finish.
+func registerStaged(name string, build EngineBuilder, parse engineParser) {
+	if name == "" || build == nil || parse == nil {
 		panic("gbkmv: Register requires a name, a builder and a loader")
 	}
 	engineRegistry.Lock()
@@ -196,10 +222,7 @@ func Register(name string, build EngineBuilder, load EngineLoader) {
 	if _, dup := engineRegistry.m[name]; dup {
 		panic(fmt.Sprintf("gbkmv: engine %q registered twice", name))
 	}
-	engineRegistry.m[name] = struct {
-		build EngineBuilder
-		load  EngineLoader
-	}{build, load}
+	engineRegistry.m[name] = engineEntry{build, parse}
 }
 
 // Engines returns the registered engine names, sorted.
@@ -215,14 +238,14 @@ func Engines() []string {
 }
 
 // lookupEngine returns the registry entry for name.
-func lookupEngine(name string) (EngineBuilder, EngineLoader, error) {
+func lookupEngine(name string) (engineEntry, error) {
 	engineRegistry.RLock()
 	e, ok := engineRegistry.m[name]
 	engineRegistry.RUnlock()
 	if !ok {
-		return nil, nil, fmt.Errorf("gbkmv: unknown engine %q (have: %v)", name, Engines())
+		return e, fmt.Errorf("gbkmv: unknown engine %q (have: %v)", name, Engines())
 	}
-	return e.build, e.load, nil
+	return e, nil
 }
 
 // NewEngine builds the named engine over the records. The records slice is
@@ -232,84 +255,120 @@ func NewEngine(name string, records []Record, opt EngineOptions) (Engine, error)
 	if name == "" {
 		name = DefaultEngine
 	}
-	build, _, err := lookupEngine(name)
+	e, err := lookupEngine(name)
 	if err != nil {
 		return nil, err
 	}
 	if len(records) == 0 {
 		return nil, errors.New("gbkmv: no records")
 	}
-	return build(records, opt)
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	// Every engine assumes the Record invariant and the snapshot format
+	// stores it (deltas); refuse a violation here rather than at Save.
+	for i, r := range records {
+		for j := 1; j < len(r); j++ {
+			if r[j] <= r[j-1] {
+				return nil, fmt.Errorf("gbkmv: record %d is not sorted and deduplicated (see NewRecord)", i)
+			}
+		}
+	}
+	return e.build(records, opt)
 }
 
-// The engine snapshot format: an 8-byte magic, a format version byte, the
-// length-prefixed engine name, then the engine's own payload. The header
-// makes snapshots self-describing, so LoadEngine dispatches to the engine
-// that wrote them. Headerless streams are accepted as legacy GB-KMV index
-// snapshots (the pre-engine format), so existing snapshots keep loading.
-var engineMagic = []byte("GBKMVENG")
+// ErrSnapshotFormat is returned (wrapped) by LoadEngine, Load and
+// LoadVocabulary for a stream that is not a snapshot of the current format:
+// the magic or the format version did not match. The bytes may be an intact
+// snapshot from an older build — there is one format and no reader for any
+// other — so the remedy is to rebuild the collection from its records, not
+// to treat the file as corrupt.
+var ErrSnapshotFormat = snapfmt.ErrFormat
 
-const engineHeaderVersion = 1
+// An engine stream is the magic and format version, the engine's registry
+// name, then the engine's own payload (see DESIGN.md "Snapshot format"). The
+// name makes snapshots self-describing: LoadEngine dispatches to the engine
+// that wrote them.
+const engineMagic = "GBKMVENG"
 
-// SaveEngine serializes the engine with the self-describing header that
-// LoadEngine dispatches on. A Segmented engine writes its own container
-// format (its magic replaces the single-engine header).
+// maxEngineName bounds the registry name a snapshot can carry.
+const maxEngineName = 255
+
+// SaveEngine serializes the engine as a self-describing stream LoadEngine
+// dispatches on, streaming through one fixed buffer: nothing of the
+// collection's size is staged in memory. A Segmented engine writes the
+// container form (its magic replaces the single-engine header).
 func SaveEngine(w io.Writer, e Engine) error {
 	if s, ok := e.(*Segmented); ok {
 		return s.Save(w)
 	}
 	name := e.EngineName()
-	if len(name) == 0 || len(name) > 255 {
+	if len(name) == 0 || len(name) > maxEngineName {
 		return fmt.Errorf("gbkmv: engine name %q not serializable", name)
 	}
-	hdr := make([]byte, 0, len(engineMagic)+2+len(name))
-	hdr = append(hdr, engineMagic...)
-	hdr = append(hdr, engineHeaderVersion, byte(len(name)))
-	hdr = append(hdr, name...)
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("gbkmv: writing engine header: %w", err)
+	sw := snapfmt.NewWriter(w)
+	sw.Magic(engineMagic)
+	sw.String(name)
+	if err := e.Save(sw); err != nil {
+		sw.Fail(err)
 	}
-	return e.Save(w)
+	if err := sw.Flush(); err != nil {
+		return fmt.Errorf("gbkmv: writing %q engine snapshot: %w", name, err)
+	}
+	return nil
 }
 
 // LoadEngine reads an engine written by SaveEngine, dispatching on the
-// header to the engine that wrote it. A stream without the header is loaded
-// as a legacy GB-KMV index snapshot (the format of Index.Save before engines
-// existed).
+// header to the engine that wrote it; each section goes straight from the
+// stream into the slice the engine keeps. The stream must end where the
+// snapshot does. Anything that does not open with a current-format header is
+// ErrSnapshotFormat.
 func LoadEngine(r io.Reader) (Engine, error) {
-	head := make([]byte, len(engineMagic))
-	n, err := io.ReadFull(r, head)
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+	finish, err := loadEngineStaged(r)
+	if err != nil {
+		return nil, err
+	}
+	return finish()
+}
+
+// loadEngineStaged is LoadEngine's stream half: everything that reads r.
+func loadEngineStaged(r io.Reader) (finish func() (Engine, error), err error) {
+	sr := snapfmt.NewReader(r)
+	parse := parseEngine
+	if sr.PeekMagic() == segmentedMagic {
+		parse = parseSegmented
+	}
+	if finish, err = parse(sr); err != nil {
+		return nil, err
+	}
+	if err := sr.Done(); err != nil {
+		return nil, fmt.Errorf("gbkmv: reading engine snapshot: %w", err)
+	}
+	return finish, nil
+}
+
+// parseEngine consumes one single-engine stream.
+func parseEngine(sr *snapfmt.Reader) (func() (Engine, error), error) {
+	sr.Magic(engineMagic)
+	name := sr.String(maxEngineName)
+	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("gbkmv: reading engine header: %w", err)
 	}
-	if n == len(segmentedMagic) && bytes.Equal(head[:n], segmentedMagic) {
-		return loadSegmented(r)
-	}
-	if n < len(engineMagic) || !bytes.Equal(head[:n], engineMagic) {
-		// Legacy headerless snapshot: a bare GB-KMV index.
-		return Load(io.MultiReader(bytes.NewReader(head[:n]), r))
-	}
-	var meta [2]byte
-	if _, err := io.ReadFull(r, meta[:]); err != nil {
-		return nil, fmt.Errorf("gbkmv: reading engine header: %w", err)
-	}
-	if meta[0] != engineHeaderVersion {
-		return nil, fmt.Errorf("gbkmv: unsupported engine snapshot version %d", meta[0])
-	}
-	nameBuf := make([]byte, meta[1])
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return nil, fmt.Errorf("gbkmv: reading engine name: %w", err)
-	}
-	name := string(nameBuf)
-	_, load, err := lookupEngine(name)
+	entry, err := lookupEngine(name)
 	if err != nil {
 		return nil, fmt.Errorf("gbkmv: snapshot written by unregistered engine %q", name)
 	}
-	e, err := load(r)
+	finish, err := entry.parse(sr)
 	if err != nil {
 		return nil, fmt.Errorf("gbkmv: loading %q engine: %w", name, err)
 	}
-	return e, nil
+	return func() (Engine, error) {
+		e, err := finish()
+		if err != nil {
+			return nil, fmt.Errorf("gbkmv: loading %q engine: %w", name, err)
+		}
+		return e, nil
+	}, nil
 }
 
 // PrepareTokens prepares a token query against any engine: tokens are

@@ -1,10 +1,10 @@
 package gbkmv
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
+	"gbkmv/internal/snapfmt"
 	"gbkmv/internal/topkheap"
 )
 
@@ -166,38 +166,98 @@ func totalElements(records []Record) int {
 	return n
 }
 
-// rebuildWire is the serialized payload of every rebuild-on-load engine:
-// like the core index (see DESIGN.md "Serialization"), signatures are
-// deterministic functions of (records, options, seed), so only those are
-// stored and the engine is rebuilt through its registered builder on load.
-type rebuildWire struct {
-	Version int
-	Opt     EngineOptions
-	Records []Record
+// maxSignatureOption bounds the options that size a MinHash-family
+// signature or index (NumHashes, NumPartitions, MaxBands): an order of
+// magnitude beyond any useful value (derived signature lengths stop at 512),
+// small enough that a damaged snapshot cannot turn one into an allocation or
+// an hour of signing.
+const maxSignatureOption = 1 << 12
+
+// validate rejects options no engine can be built under. NewEngine and the
+// snapshot loaders share it. It puts no ceiling on NumHashes: the kmv engine
+// derives k = budget/m without one and saves the resolved k, and there k is
+// only a capacity (a sketch holds min(k, |r|) values). The engines that sign
+// with NumHashes bound it themselves, in checkSignatureLen.
+func (o EngineOptions) validate() error {
+	switch {
+	case !(o.BudgetFraction >= 0 && o.BudgetFraction <= 1):
+		return fmt.Errorf("gbkmv: BudgetFraction %v outside [0, 1]", o.BudgetFraction)
+	case o.BudgetUnits < 0:
+		return fmt.Errorf("gbkmv: negative BudgetUnits %d", o.BudgetUnits)
+	case o.BufferBits < NoBuffer:
+		return fmt.Errorf("gbkmv: invalid BufferBits %d", o.BufferBits)
+	case o.NumHashes < 0:
+		return fmt.Errorf("gbkmv: negative NumHashes %d", o.NumHashes)
+	case min(o.NumPartitions, o.MaxBands) < 0, max(o.NumPartitions, o.MaxBands) > maxSignatureOption:
+		return fmt.Errorf("gbkmv: NumPartitions and MaxBands must lie in [0, %d]", maxSignatureOption)
+	}
+	return nil
 }
 
-const rebuildWireVersion = 1
+// checkSignatureLen is the first thing the builders of the signing engines
+// (minhash, lshforest, lshensemble) do: NumHashes sizes their hash family and
+// one signature per record. Loads rebuild through the same builders, so
+// whatever builds also reloads.
+func (o EngineOptions) checkSignatureLen() error {
+	if o.NumHashes > maxSignatureOption {
+		return fmt.Errorf("gbkmv: NumHashes %d above %d", o.NumHashes, maxSignatureOption)
+	}
+	return nil
+}
 
-// saveRebuildable writes the (options, records) payload.
+// writeEngineOptions writes the options block shared by the rebuild-on-load
+// payload and the segmented container.
+func writeEngineOptions(w *snapfmt.Writer, o EngineOptions) {
+	w.Float64(o.BudgetFraction)
+	w.Int(o.BudgetUnits)
+	w.Varint(int64(o.BufferBits))
+	w.Uint64(o.Seed)
+	w.Int(o.NumHashes)
+	w.Int(o.NumPartitions)
+	w.Int(o.MaxBands)
+}
+
+func readEngineOptions(r *snapfmt.Reader) EngineOptions {
+	o := EngineOptions{
+		BudgetFraction: r.Float64(),
+		BudgetUnits:    r.Int(),
+		BufferBits:     int(r.Varint()),
+		Seed:           r.Uint64(),
+		NumHashes:      r.Int(),
+		NumPartitions:  r.Int(),
+		MaxBands:       r.Int(),
+	}
+	if err := o.validate(); err != nil && r.Err() == nil {
+		r.Corrupt("%v", err)
+	}
+	return o
+}
+
+// saveRebuildable writes the payload of every rebuild-on-load engine: like
+// the core index's inverted lists (see DESIGN.md "Snapshot format"), their
+// signatures are deterministic functions of (records, options, seed), so
+// only those are stored and the engine is rebuilt through its registered
+// builder on load.
 func saveRebuildable(w io.Writer, opt EngineOptions, records []Record) error {
-	return gob.NewEncoder(w).Encode(rebuildWire{
-		Version: rebuildWireVersion,
-		Opt:     opt,
-		Records: records,
-	})
+	sw := snapfmt.NewWriter(w)
+	writeEngineOptions(sw, opt)
+	sw.Records(records)
+	return sw.Flush()
 }
 
-// rebuildLoader returns an EngineLoader that decodes the payload and rebuilds
-// the named engine through the registry.
-func rebuildLoader(name string) EngineLoader {
-	return func(r io.Reader) (Engine, error) {
-		var wire rebuildWire
-		if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-			return nil, fmt.Errorf("decoding %s payload: %v", name, err)
+// rebuildParser returns the loader of a rebuild-on-load engine: the stream
+// part reads the payload, the finish rebuilds the named engine through the
+// registry.
+func rebuildParser(name string) engineParser {
+	return func(r *snapfmt.Reader) (func() (Engine, error), error) {
+		opt := readEngineOptions(r)
+		records := r.Records()
+		if r.Err() == nil && len(records) == 0 {
+			r.Corrupt("engine has no records")
 		}
-		if wire.Version != rebuildWireVersion {
-			return nil, fmt.Errorf("unsupported %s payload version %d", name, wire.Version)
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		return NewEngine(name, wire.Records, wire.Opt)
+		return func() (Engine, error) { return NewEngine(name, records, opt) }, nil
 	}
 }

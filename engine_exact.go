@@ -17,7 +17,7 @@ import (
 // once per AddBatch).
 
 func init() {
-	Register("exact", buildExactEngine, rebuildLoader("exact"))
+	registerStaged("exact", buildExactEngine, rebuildParser("exact"))
 }
 
 type exactEngine struct {

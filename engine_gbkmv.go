@@ -1,6 +1,9 @@
 package gbkmv
 
-import "io"
+import (
+	"gbkmv/internal/core"
+	"gbkmv/internal/snapfmt"
+)
 
 // The flagship engine: the GB-KMV *Index itself. The Engine methods below
 // complement the existing concrete API (Build/Search/SearchTopK/Estimate/
@@ -8,12 +11,34 @@ import "io"
 // callers compile unchanged while the index plugs into the registry.
 
 func init() {
-	Register("gbkmv",
+	registerStaged("gbkmv",
 		func(records []Record, opt EngineOptions) (Engine, error) {
 			return Build(records, opt.indexOptions())
 		},
-		func(r io.Reader) (Engine, error) { return Load(r) },
+		func(r *snapfmt.Reader) (func() (Engine, error), error) {
+			finish, err := parseIndex(r)
+			if err != nil {
+				return nil, err
+			}
+			return func() (Engine, error) { return finish() }, nil
+		},
 	)
+}
+
+// parseIndex is the staged form of Load: the core index's stream part now,
+// its inverted lists in the returned finish.
+func parseIndex(r *snapfmt.Reader) (func() (*Index, error), error) {
+	finish, err := core.LoadStaged(r)
+	if err != nil {
+		return nil, err
+	}
+	return func() (*Index, error) {
+		inner, err := finish()
+		if err != nil {
+			return nil, err
+		}
+		return &Index{inner: inner}, nil
+	}, nil
 }
 
 var _ Engine = (*Index)(nil)

@@ -1,6 +1,6 @@
 package gbkmv
 
-import "io"
+import "gbkmv/internal/snapfmt"
 
 // The "gkmv" engine is the pure G-KMV sketch of Section IV-A(2): the GB-KMV
 // index with the frequent-element buffer disabled (Options.BufferBits =
@@ -11,7 +11,7 @@ import "io"
 // (the buffer then buys nothing).
 
 func init() {
-	Register("gkmv",
+	registerStaged("gkmv",
 		func(records []Record, opt EngineOptions) (Engine, error) {
 			o := opt.indexOptions()
 			o.BufferBits = NoBuffer
@@ -21,12 +21,18 @@ func init() {
 			}
 			return gkmvEngine{ix}, nil
 		},
-		func(r io.Reader) (Engine, error) {
-			ix, err := Load(r)
+		func(r *snapfmt.Reader) (func() (Engine, error), error) {
+			finish, err := parseIndex(r)
 			if err != nil {
 				return nil, err
 			}
-			return gkmvEngine{ix}, nil
+			return func() (Engine, error) {
+				ix, err := finish()
+				if err != nil {
+					return nil, err
+				}
+				return gkmvEngine{ix}, nil
+			}, nil
 		},
 	)
 }

@@ -15,7 +15,7 @@ import (
 // min(k_Q, k_X), which is exactly the restriction G-KMV lifts.
 
 func init() {
-	Register("kmv", buildKMVEngine, rebuildLoader("kmv"))
+	registerStaged("kmv", buildKMVEngine, rebuildParser("kmv"))
 	// Segmented collections must pin k against the whole collection before
 	// the per-segment split, or each segment would derive its own k from its
 	// own records and per-segment estimates would not be comparable.

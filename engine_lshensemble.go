@@ -18,7 +18,7 @@ import (
 // AddBatch); prefer the KMV-family engines for insert-heavy collections.
 
 func init() {
-	Register("lshensemble", buildLSHEnsembleEngine, rebuildLoader("lshensemble"))
+	registerStaged("lshensemble", buildLSHEnsembleEngine, rebuildParser("lshensemble"))
 }
 
 type lshensembleEngine struct {
@@ -41,6 +41,9 @@ func (e *lshensembleEngine) ensembleOptions() lshensemble.Options {
 }
 
 func buildLSHEnsembleEngine(records []Record, opt EngineOptions) (Engine, error) {
+	if err := opt.checkSignatureLen(); err != nil {
+		return nil, err
+	}
 	e := &lshensembleEngine{opt: opt, records: records}
 	ens, err := lshensemble.Build(
 		&dataset.Dataset{Records: records, Universe: maxUniverse(records)},

@@ -19,7 +19,7 @@ import (
 // retained full signatures.
 
 func init() {
-	Register("lshforest", buildLSHForestEngine, rebuildLoader("lshforest"))
+	registerStaged("lshforest", buildLSHForestEngine, rebuildParser("lshforest"))
 }
 
 // forestRecallFloor is the minimum banding collision probability a probe
@@ -36,6 +36,9 @@ type lshforestEngine struct {
 }
 
 func buildLSHForestEngine(records []Record, opt EngineOptions) (Engine, error) {
+	if err := opt.checkSignatureLen(); err != nil {
+		return nil, err
+	}
 	l := opt.MaxBands
 	if l <= 0 {
 		l = 32

@@ -15,7 +15,7 @@ import (
 // and truncates large ones — the size-skew weakness the paper dissects.
 
 func init() {
-	Register("minhash", buildMinhashEngine, rebuildLoader("minhash"))
+	registerStaged("minhash", buildMinhashEngine, rebuildParser("minhash"))
 	// Pin the signature length against the whole collection before the
 	// per-segment split (see the kmv pinner).
 	registerSegmentPinner("minhash", func(records []Record, opt EngineOptions) EngineOptions {
@@ -53,6 +53,9 @@ func minhashK(opt EngineOptions, records []Record) (k, budget int) {
 }
 
 func buildMinhashEngine(records []Record, opt EngineOptions) (Engine, error) {
+	if err := opt.checkSignatureLen(); err != nil {
+		return nil, err
+	}
 	k, budget := minhashK(opt, records)
 	e := &minhashEngine{
 		opt:     opt,

@@ -257,30 +257,6 @@ func TestCrossEngineSaveLoad(t *testing.T) {
 	}
 }
 
-// TestLoadEngineLegacySnapshot: a headerless stream written by Index.Save —
-// the pre-engine snapshot format — loads as the gbkmv engine.
-func TestLoadEngineLegacySnapshot(t *testing.T) {
-	records, queries := engineCorpus(t, 120)
-	ix, err := gbkmv.Build(records, gbkmv.Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e, err := gbkmv.LoadEngine(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.EngineName() != "gbkmv" {
-		t.Fatalf("legacy snapshot loaded as %q", e.EngineName())
-	}
-	if got, want := e.Search(queries[0], 0.5), ix.Search(queries[0], 0.5); !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy load search %v != %v", got, want)
-	}
-}
-
 // TestCrossEngineAdd: dynamic inserts land on every engine (whether
 // incremental or rebuild-on-add). The inserted records duplicate existing
 // ones so the self-query test is meaningful for lossy sketches too: an

@@ -1,0 +1,118 @@
+package gbkmv
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"gbkmv/internal/dataset"
+)
+
+// fuzzSnapshots returns real snapshots of every registered engine at 1 and
+// 2 segments over a corpus small enough to keep the seeds short.
+func fuzzSnapshots(t testing.TB) map[string][]byte {
+	t.Helper()
+	d, err := dataset.Synthetic(dataset.SyntheticConfig{
+		NumRecords: 12, Universe: 60, AlphaFreq: 1.1, AlphaSize: 2.5, MinSize: 3, MaxSize: 12,
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for _, name := range Engines() {
+		for _, segments := range []int{1, 2} {
+			seg, err := NewSegmented(name, segments, d.Records, EngineOptions{BudgetFraction: 0.5, NumHashes: 16, MaxBands: 4, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := SaveEngine(&buf, seg); err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%s/seg%d", name, segments)] = buf.Bytes()
+		}
+	}
+	return out
+}
+
+// FuzzLoadEngine feeds the snapshot decoder arbitrary bytes. Whatever they
+// are:
+//
+//   - nothing panics, in the stream half or in the finish;
+//   - the stream half allocates in proportion to the input, never to a count
+//     the input merely declares: the slabs cost at most 8 bytes per input
+//     byte (one delta byte → one Element), slice headers and routing entries
+//     push the worst case to 32, and the fixed part is the 64 kB buffer plus
+//     at most 4096 segment shells;
+//   - a stream that loads is canonical: saving the loaded engine reproduces
+//     the input byte for byte. The kmv and minhash engines resolve their
+//     derived parameters (k, budget) into the options they save, so for them
+//     a hand-made stream with unresolved options only has to reach that
+//     fixpoint on its second generation.
+func FuzzLoadEngine(f *testing.F) {
+	snaps := fuzzSnapshots(f)
+	for _, b := range snaps {
+		f.Add(b)
+	}
+	short := snaps["gbkmv/seg2"]
+	for n := 0; n < len(short); n += 64 {
+		f.Add(short[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		finish, err := loadEngineStaged(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if allocated, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+32*len(data)); allocated > bound {
+			t.Fatalf("parsing %d bytes allocated %d, bound %d", len(data), allocated, bound)
+		}
+		if err != nil {
+			return
+		}
+		e, err := finish()
+		if err != nil {
+			return
+		}
+		resave := func(e Engine) []byte {
+			var buf bytes.Buffer
+			if err := SaveEngine(&buf, e); err != nil {
+				t.Fatalf("a loaded engine does not save: %v", err)
+			}
+			return buf.Bytes()
+		}
+		saved := resave(e)
+		if name := e.EngineName(); name == "kmv" || name == "minhash" {
+			e2, err := LoadEngine(bytes.NewReader(saved))
+			if err != nil {
+				t.Fatalf("a saved engine does not load: %v", err)
+			}
+			data, saved = saved, resave(e2)
+		}
+		if !bytes.Equal(saved, data) {
+			t.Fatalf("load → save changed the stream (%d bytes in, %d out)", len(data), len(saved))
+		}
+	})
+}
+
+// TestFuzzSeedsLoad keeps the fuzz seeds honest: every real snapshot loads,
+// every strict truncation of one is rejected, and so is a container with a
+// flag bit no writer sets (it would load and re-save as different bytes).
+func TestFuzzSeedsLoad(t *testing.T) {
+	snaps := fuzzSnapshots(t)
+	flagged := bytes.Clone(snaps["exact/seg2"])
+	flagged[len(segmentedMagic)+1] |= 0x80
+	if _, err := LoadEngine(bytes.NewReader(flagged)); err == nil {
+		t.Error("a container with unknown flag bits loaded")
+	}
+	for name, b := range snaps {
+		if _, err := LoadEngine(bytes.NewReader(b)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		for n := 0; n < len(b); n += 7 {
+			if _, err := LoadEngine(bytes.NewReader(b[:n])); err == nil {
+				t.Errorf("%s truncated to %d of %d bytes loaded", name, n, len(b))
+			}
+		}
+	}
+}

@@ -80,10 +80,11 @@ func (a *sketchArena) trimToTau(tau float64) {
 	a.hashes = a.hashes[:w]
 }
 
-// valid reports whether the arena is structurally consistent for n records:
-// monotone offsets closing exactly over the hash store, ascending runs. Used
-// to validate deserialized arenas before anything indexes into them.
-func (a *sketchArena) valid(n int) bool {
+// valid reports whether the arena is structurally consistent for n records
+// under threshold tau: monotone offsets closing exactly over the hash store,
+// ascending runs of values in [0, tau] (which also rules out NaN). Used to
+// validate deserialized arenas before anything indexes into them.
+func (a *sketchArena) valid(n int, tau float64) bool {
 	if len(a.offsets) != n+1 || len(a.complete) != n || a.offsets[0] != 0 {
 		return false
 	}
@@ -96,11 +97,12 @@ func (a *sketchArena) valid(n int) bool {
 		return false
 	}
 	for i := 0; i < n; i++ {
-		run := a.hashes[a.offsets[i]:a.offsets[i+1]]
-		for j := 1; j < len(run); j++ {
-			if run[j] < run[j-1] {
+		prev := 0.0
+		for _, v := range a.hashes[a.offsets[i]:a.offsets[i+1]] {
+			if !(v >= prev && v <= tau) {
 				return false
 			}
+			prev = v
 		}
 	}
 	return true

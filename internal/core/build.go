@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -10,8 +12,8 @@ import (
 	"gbkmv/internal/selectk"
 )
 
-// This file is the hash-once build pipeline behind BuildIndex, legacy-load
-// rebuilds and journal-replay batch inserts. The previous write path hashed
+// This file is the hash-once build pipeline behind BuildIndex and
+// journal-replay batch inserts. The previous write path hashed
 // every element occurrence up to three times (threshold selection, record
 // sketching, posting lists) and materialized an O(n) float slice just to
 // pick τ. The pipeline computes hash.UnitHash exactly once per occurrence
@@ -91,11 +93,10 @@ func runParallel(n, workers int, fn func(i int)) {
 }
 
 // hashChunks runs the single hashing pass of the pipeline: every record's
-// elements are split into buffered bits (written to the buffer arena when
-// fillBuffers is set) and non-buffered (element, hash) pairs collected into
-// per-worker chunks. This is the only place the write path calls
-// hash.UnitHash on the collection.
-func (ix *Index) hashChunks(fillBuffers bool) []buildChunk {
+// elements are split into buffered bits (written to the buffer arena) and
+// non-buffered (element, hash) pairs collected into per-worker chunks. This
+// is the only place the build calls hash.UnitHash on the collection.
+func (ix *Index) hashChunks() []buildChunk {
 	m := len(ix.records)
 	workers := buildWorkers(m)
 	step := (m + workers - 1) / workers
@@ -120,9 +121,7 @@ func (ix *Index) hashChunks(fillBuffers bool) []buildChunk {
 		for i := c.lo; i < c.hi; i++ {
 			for _, e := range ix.records[i] {
 				if bit, ok := ix.bitOf[e]; ok {
-					if fillBuffers {
-						ix.bufArena.set(i, bit)
-					}
+					ix.bufArena.set(i, bit)
 					continue
 				}
 				c.elems = append(c.elems, e)
@@ -408,10 +407,25 @@ func (ix *Index) filterPostings(tau float64) {
 // buildBufferPostings constructs the per-bit record lists and the cached
 // rarity order of the prefix filter from the buffer arena. Workers own
 // disjoint word columns of the arena, so all lists build concurrently and
-// each stays ascending by record id.
-func (ix *Index) buildBufferPostings() {
+// each stays ascending by record id. A build passes nil and lets append grow
+// the lists; a load has counted the bits (sizes[bit] records hold bit) and
+// gets the lists as windows of one slab, each with the eighth of headroom
+// append growth would have left it, so a restart allocates what it keeps and
+// the first insert into a list does not copy it.
+func (ix *Index) buildBufferPostings(sizes []int) {
 	r := ix.bufferBits
 	ix.bufferPostings = make([][]int32, r)
+	if sizes != nil {
+		room := func(n int) int { return n + n/8 + 1 }
+		total := 0
+		for _, n := range sizes[:r] {
+			total += room(n)
+		}
+		slab := make([]int32, total)
+		for bit, n := range sizes[:r] {
+			ix.bufferPostings[bit], slab = slab[:0:room(n)], slab[room(n):]
+		}
+	}
 	if r > 0 {
 		m := len(ix.records)
 		stride := ix.bufArena.stride
@@ -442,22 +456,154 @@ func (ix *Index) buildBufferPostings() {
 	})
 }
 
-// rebuildAll derives every signature structure — buffer arena, sketch arena,
-// posting lists — from (records, bitOf, τ) through the hash-once pipeline.
-// Used by the legacy v1 load; BuildIndex runs the same stages around its τ
-// selection.
-func (ix *Index) rebuildAll() {
-	ix.bufArena.init(len(ix.records), ix.bufferBits)
-	chunks := ix.hashChunks(true)
-	ix.packArenaFromChunks(chunks)
-	ix.buildPostingsFromChunks(chunks)
-	ix.buildBufferPostings()
+// rebuildPostings derives a loaded index's inverted lists from its records —
+// the one structure a snapshot does not carry — as a counting sort into one
+// slab of exactly arena.units() record ids: a counting pass sizes every
+// element's list, a prefix sum places the lists, a second pass fills them.
+// Nothing is staged per occurrence; the only working memory is one counter
+// per distinct element (elemCounters). The passes run on the calling
+// goroutine: a segmented collection rebuilds its segments side by side, and
+// the staging a parallel build needs (buildPostingsFromChunks, 16 bytes an
+// occurrence) is what a load must not allocate.
+//
+// The counting pass also checks each record against its run in the arena —
+// as many elements under τ as stored hashes, completeness flag to match —
+// which is what guarantees the slab is exactly large enough, and is the last
+// consistency check a decoded index gets before anything searches it.
+func (ix *Index) rebuildPostings() error {
+	seed, tau := ix.opt.Seed, ix.tau
+	occurrences, top := 0, hash.Element(0)
+	for _, rec := range ix.records {
+		occurrences += len(rec)
+		if len(rec) > 0 {
+			top = max(top, rec[len(rec)-1])
+		}
+	}
+	counters := newElemCounters(top, occurrences)
+	for _, e := range ix.bufferElems {
+		if e <= top { // one no record holds needs no counter
+			*counters.at(e) = skipElem
+		}
+	}
+	// counter returns the counter of an element that belongs in the inverted
+	// lists — hashed under τ, not buffered — and nil for any other.
+	counter := func(e hash.Element) *uint32 {
+		if hash.UnitHash(e, seed) > tau {
+			return nil
+		}
+		if n := counters.at(e); *n != skipElem {
+			return n
+		}
+		return nil
+	}
+	bitSizes := make([]int, ix.bufArena.stride*bufWordBits)
+	for i, rec := range ix.records {
+		run := int(ix.arena.offsets[i+1] - ix.arena.offsets[i])
+		under := 0
+		for _, e := range rec {
+			if n := counter(e); n != nil {
+				*n++
+				under++
+			}
+		}
+		buffered := 0
+		if ix.bufArena.stride > 0 {
+			for w, word := range ix.bufArena.record(i) {
+				for ; word != 0; word &= word - 1 {
+					bitSizes[w*bufWordBits+bits.TrailingZeros64(word)]++
+					buffered++
+				}
+			}
+		}
+		if under != run || ix.arena.complete[i] != (under == len(rec)-buffered) {
+			return fmt.Errorf("record %d does not match its stored sketch", i)
+		}
+	}
+	// Counts become list starts; the fill pass advances each to its list's end.
+	next, perShard := uint32(0), make([]int, postingsShards)
+	counters.each(func(e hash.Element, n *uint32) {
+		if *n != skipElem && *n > 0 {
+			perShard[uint(e)&postingsShardMask]++
+			*n, next = next, next+*n
+		}
+	})
+	slab := make([]int32, ix.arena.units())
+	for i, rec := range ix.records {
+		for _, e := range rec {
+			if n := counter(e); n != nil {
+				slab[*n] = int32(i)
+				*n++
+			}
+		}
+	}
+	shards := make([]map[hash.Element][]int32, postingsShards)
+	for s := range shards {
+		shards[s] = make(map[hash.Element][]int32, perShard[s])
+	}
+	start := uint32(0)
+	counters.each(func(e hash.Element, end *uint32) {
+		if *end != skipElem && *end > start {
+			shards[uint(e)&postingsShardMask][e] = slab[start:*end:*end]
+			start = *end
+		}
+	})
+	ix.elementsHashed.Add(2 * uint64(occurrences)) // the counting and the fill pass
+	ix.postings = postingsTable{shards: shards}
+	ix.buildBufferPostings(bitSizes)
+	return nil
 }
 
-// rebuildPostings derives only the inverted lists (one hashing pass), for
-// snapshot loads that restore the arenas directly off the wire.
-func (ix *Index) rebuildPostings() {
-	chunks := ix.hashChunks(false)
-	ix.buildPostingsFromChunks(chunks)
-	ix.buildBufferPostings()
+// skipElem marks a buffered element's counter: its occurrences live in the
+// buffer, not in the inverted lists.
+const skipElem = math.MaxUint32
+
+// elemCounters is one uint32 per element, visited in a fixed order. Element
+// ids handed out by a Vocabulary are dense, and then the counters are a flat
+// array indexed by id: on 20 000 records / 1.3 M occurrences at τ = 1
+// rebuildPostings takes 21 ms with it and 88 ms through the map (Load 45 and
+// 111 ms; at τ = 0.086, where one occurrence in twelve reaches a counter, 21
+// and 30), and a restart's CPU time is this loop. Where ids are sparse
+// against the records at hand (a small segment of a large vocabulary, or
+// arbitrary 64-bit ids) the array would dwarf them, and a map from element
+// to position in a packed array takes over.
+type elemCounters struct {
+	n     []uint32
+	index map[hash.Element]uint32 // sparse ids only: element → position in n
+	elems []hash.Element          // sparse ids only: position → element
+}
+
+// newElemCounters picks the flat array when it costs no more than 4 bytes
+// per element occurrence, i.e. when ids are at least as dense as occurrences.
+func newElemCounters(top hash.Element, occurrences int) *elemCounters {
+	if top < hash.Element(occurrences) {
+		return &elemCounters{n: make([]uint32, top+1)}
+	}
+	return &elemCounters{index: make(map[hash.Element]uint32)}
+}
+
+// at returns e's counter, creating it at zero. The pointer is good until the
+// next call.
+func (c *elemCounters) at(e hash.Element) *uint32 {
+	if c.index == nil {
+		return &c.n[e]
+	}
+	i, ok := c.index[e]
+	if !ok {
+		i = uint32(len(c.n))
+		c.index[e] = i
+		c.elems = append(c.elems, e)
+		c.n = append(c.n, 0)
+	}
+	return &c.n[i]
+}
+
+// each visits every counter in a fixed order (the same on every call).
+func (c *elemCounters) each(fn func(e hash.Element, n *uint32)) {
+	for i := range c.n {
+		e := hash.Element(i)
+		if c.index != nil {
+			e = c.elems[i]
+		}
+		fn(e, &c.n[i])
+	}
 }

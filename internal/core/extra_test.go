@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
 	"gbkmv/internal/dataset"
+	"gbkmv/internal/hash"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -38,6 +41,57 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 					t.Fatalf("t*=%v: result %d differs", tstar, i)
 				}
 			}
+		}
+	}
+}
+
+// TestLoadRebuildsTheBuiltPostings: the inverted lists Load derives are the
+// ones BuildIndex built — element for element, id for id — through both
+// counter layouts: the flat array of a collection whose ids are dense, and
+// the map of one whose few records sit high in a large id space.
+func TestLoadRebuildsTheBuiltPostings(t *testing.T) {
+	dense := testDataset(t, 200)
+	sparse := &dataset.Dataset{Universe: dense.Universe}
+	for _, r := range dense.Records[:3] {
+		sparse.Records = append(sparse.Records, r[len(r)-5:])
+	}
+	for name, d := range map[string]*dataset.Dataset{"dense": dense, "sparse": sparse} {
+		top := hash.Element(0)
+		for _, r := range d.Records {
+			top = max(top, r[len(r)-1])
+		}
+		if got := newElemCounters(top, d.TotalElements()).index == nil; got != (name == "dense") {
+			t.Fatalf("%s fixture takes the other counter layout", name)
+		}
+		ix, err := BuildIndex(d, Options{BudgetFraction: 0.5, BufferBits: 8, Seed: testSeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lists := 0
+		for s, shard := range ix.postings.shards {
+			lists += len(shard)
+			if !reflect.DeepEqual(got.postings.shards[s], shard) {
+				t.Fatalf("%s: shard %d of the loaded inverted lists differs from the built one", name, s)
+			}
+		}
+		if lists == 0 {
+			t.Fatalf("%s: fixture has no inverted lists", name)
+		}
+		for bit := range ix.bufferPostings {
+			if !slices.Equal(got.bufferPostings[bit], ix.bufferPostings[bit]) {
+				t.Fatalf("%s: buffer list %d differs", name, bit)
+			}
+		}
+		if !slices.Equal(got.bitOrder, ix.bitOrder) {
+			t.Fatalf("%s: bit order differs", name)
 		}
 	}
 }

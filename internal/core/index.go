@@ -139,7 +139,7 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	// The single hashing pass: buffer bits into the flat arena, every
 	// non-buffered (element, hash) pair into per-worker chunks.
 	ix.bufArena.init(m, r)
-	chunks := ix.hashChunks(true)
+	chunks := ix.hashChunks()
 
 	// Line 3: the global threshold τ over the remaining elements, chosen so
 	// the G-KMV part fits the leftover budget exactly. When the budget
@@ -155,7 +155,7 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	// inverted lists — all reusing the chunk hashes, nothing rehashed.
 	ix.packArenaFromChunks(chunks)
 	ix.buildPostingsFromChunks(chunks)
-	ix.buildBufferPostings()
+	ix.buildBufferPostings(nil)
 	return ix, nil
 }
 

@@ -3,12 +3,17 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/gkmv"
+	"gbkmv/internal/hash"
+	"gbkmv/internal/snapfmt"
 )
 
 // Allocation-regression tests: the arena + pooled-scratch query path must
@@ -270,125 +275,76 @@ func TestArenaDifferentialAgainstReference(t *testing.T) {
 	}
 }
 
-func TestLoadLegacyV1Snapshot(t *testing.T) {
-	// A version-1 stream carries no arena; Load must rebuild the sketches
-	// from the records and answer identically to the index that wrote it.
-	d := testDataset(t, 150)
-	ix, err := BuildIndex(d, defaultOpts())
-	if err != nil {
+// TestLoadOldFormat: a stream that is not an index of the current format —
+// a gob-encoded version-3 index as the previous build wrote it, or plain
+// garbage — is the named format error, not a decode failure.
+func TestLoadOldFormat(t *testing.T) {
+	d := testDataset(t, 20)
+	var gobV3 bytes.Buffer
+	if err := gob.NewEncoder(&gobV3).Encode(struct {
+		Version int
+		Records []dataset.Record
+		Tau     float64
+	}{3, d.Records, 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(indexWire{
-		Version:     1,
-		Opt:         ix.opt,
-		Records:     ix.records,
-		BufferElems: ix.bufferElems,
-		Tau:         ix.tau,
-		BufferBits:  ix.bufferBits,
-		Budget:      ix.budget,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.arena.units() != ix.arena.units() {
-		t.Fatalf("legacy load stored %d hash values, want %d", loaded.arena.units(), ix.arena.units())
-	}
-	for _, q := range d.SampleQueries(10, 9) {
-		a, b := ix.Search(q, 0.5), loaded.Search(q, 0.5)
-		if len(a) != len(b) {
-			t.Fatalf("legacy load: %d vs %d results", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("legacy load: result %d differs", i)
-			}
+	for name, b := range map[string][]byte{
+		"gob-v3":  gobV3.Bytes(),
+		"garbage": []byte("junk"),
+		"empty":   nil,
+		"future":  append([]byte(indexMagic), snapfmt.Version+1, 0, 0),
+	} {
+		if _, err := Load(bytes.NewReader(b)); !errors.Is(err, snapfmt.ErrFormat) {
+			t.Errorf("%s: Load = %v, want snapfmt.ErrFormat", name, err)
 		}
 	}
 }
 
-func TestLoadV2Snapshot(t *testing.T) {
-	// A version-2 stream carries the sketch arena but no buffer arena; Load
-	// must rebuild the buffers from the records and answer identically to
-	// the index that wrote it.
-	d := testDataset(t, 150)
-	ix, err := BuildIndex(d, defaultOpts())
-	if err != nil {
-		t.Fatal(err)
+// resave saves a copy of ix after mutate has damaged it, and loads that.
+func resave(t *testing.T, ix *Index, mutate func(*Index)) error {
+	t.Helper()
+	cp := &Index{
+		opt: ix.opt, records: ix.records, bufferElems: ix.bufferElems,
+		tau: ix.tau, bufferBits: ix.bufferBits, budget: ix.budget,
+		arena: sketchArena{
+			hashes:   slices.Clone(ix.arena.hashes),
+			offsets:  slices.Clone(ix.arena.offsets),
+			complete: slices.Clone(ix.arena.complete),
+		},
+		bufArena: bufferArena{words: slices.Clone(ix.bufArena.words), stride: ix.bufArena.stride, bits: ix.bufArena.bits},
 	}
+	mutate(cp)
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(indexWire{
-		Version:       2,
-		Opt:           ix.opt,
-		Records:       ix.records,
-		BufferElems:   ix.bufferElems,
-		Tau:           ix.tau,
-		BufferBits:    ix.bufferBits,
-		Budget:        ix.budget,
-		ArenaHashes:   ix.arena.hashes,
-		ArenaOffsets:  ix.arena.offsets,
-		ArenaComplete: ix.arena.complete,
-	}); err != nil {
+	if err := cp.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
+	_, err := Load(&buf)
+	if err != nil && !errors.Is(err, snapfmt.ErrCorrupt) {
+		t.Errorf("damaged index rejected with %v, want snapfmt.ErrCorrupt", err)
 	}
-	if len(loaded.bufArena.words) != len(ix.bufArena.words) {
-		t.Fatalf("v2 load rebuilt %d buffer words, want %d", len(loaded.bufArena.words), len(ix.bufArena.words))
-	}
-	for i, w := range ix.bufArena.words {
-		if loaded.bufArena.words[i] != w {
-			t.Fatalf("v2 load: buffer word %d differs", i)
-		}
-	}
-	for _, q := range d.SampleQueries(10, 9) {
-		a, b := ix.Search(q, 0.5), loaded.Search(q, 0.5)
-		if len(a) != len(b) {
-			t.Fatalf("v2 load: %d vs %d results", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("v2 load: result %d differs", i)
-			}
-		}
-	}
+	return err
 }
 
 func TestLoadRejectsCorruptBufferArena(t *testing.T) {
 	d := testDataset(t, 40)
-	ix, err := BuildIndex(d, Options{BudgetFraction: 0.2, BufferBits: 64, Seed: testSeed})
+	ix, err := BuildIndex(d, Options{BudgetFraction: 0.2, BufferBits: 40, Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(mutate func(*indexWire)) error {
-		w := indexWire{
-			Version: wireVersion, Opt: ix.opt, Records: ix.records,
-			BufferElems: ix.bufferElems, Tau: ix.tau,
-			BufferBits: ix.bufferBits, Budget: ix.budget,
-			ArenaHashes:   append([]float64(nil), ix.arena.hashes...),
-			ArenaOffsets:  append([]uint32(nil), ix.arena.offsets...),
-			ArenaComplete: append([]bool(nil), ix.arena.complete...),
-			BufWords:      append([]uint64(nil), ix.bufArena.words...),
-			BufStride:     ix.bufArena.stride,
-		}
-		mutate(&w)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Load(&buf)
-		return err
+	if err := resave(t, ix, func(*Index) {}); err != nil {
+		t.Fatalf("undamaged copy rejected: %v", err)
 	}
-	if err := corrupt(func(w *indexWire) { w.BufWords = w.BufWords[:len(w.BufWords)-1] }); err == nil {
+	if err := resave(t, ix, func(w *Index) { w.bufArena.words = w.bufArena.words[:len(w.bufArena.words)-1] }); err == nil {
 		t.Error("truncated buffer arena accepted")
 	}
-	if err := corrupt(func(w *indexWire) { w.BufStride = 7 }); err == nil {
-		t.Error("mismatched buffer stride accepted")
+	if err := resave(t, ix, func(w *Index) { w.bufArena.words = append(w.bufArena.words, 0) }); err == nil {
+		t.Error("overlong buffer arena accepted")
+	}
+	if err := resave(t, ix, func(w *Index) { w.bufArena.words[0] |= 1 << 63 }); err == nil {
+		t.Error("buffer bit beyond the capacity accepted")
+	}
+	if err := resave(t, ix, func(w *Index) { w.bufferElems = make([]hash.Element, w.bufferBits+1) }); err == nil {
+		t.Error("more buffered elements than buffer bits accepted")
 	}
 }
 
@@ -398,40 +354,37 @@ func TestLoadRejectsCorruptArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(mutate func(*indexWire)) error {
-		w := indexWire{
-			Version: wireVersion, Opt: ix.opt, Records: ix.records,
-			BufferElems: ix.bufferElems, Tau: ix.tau,
-			BufferBits: ix.bufferBits, Budget: ix.budget,
-			ArenaHashes:   append([]float64(nil), ix.arena.hashes...),
-			ArenaOffsets:  append([]uint32(nil), ix.arena.offsets...),
-			ArenaComplete: append([]bool(nil), ix.arena.complete...),
-		}
-		mutate(&w)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Load(&buf)
-		return err
-	}
-	if err := corrupt(func(w *indexWire) { w.ArenaOffsets = w.ArenaOffsets[:len(w.ArenaOffsets)-1] }); err == nil {
+	if err := resave(t, ix, func(w *Index) { w.arena.offsets = w.arena.offsets[:len(w.arena.offsets)-1] }); err == nil {
 		t.Error("truncated offset table accepted")
 	}
-	if err := corrupt(func(w *indexWire) { w.ArenaOffsets[len(w.ArenaOffsets)-1]++ }); err == nil {
+	if err := resave(t, ix, func(w *Index) { w.arena.offsets[len(w.arena.offsets)-1]++ }); err == nil {
 		t.Error("offset table overrunning the hash store accepted")
 	}
-	if err := corrupt(func(w *indexWire) {
-		if len(w.ArenaHashes) >= 2 {
-			w.ArenaHashes[0], w.ArenaHashes[1] = 1, 0 // descending run
-			w.ArenaOffsets = []uint32{0, 2}
-			w.ArenaOffsets = append(w.ArenaOffsets, make([]uint32, len(w.Records)-1)...)
-			for i := 2; i < len(w.ArenaOffsets); i++ {
-				w.ArenaOffsets[i] = 2
-			}
-			w.ArenaHashes = w.ArenaHashes[:2]
+	run := func(w *Index, i int) []float64 { return w.arena.hashes[w.arena.offsets[i]:w.arena.offsets[i+1]] }
+	long := -1
+	for i := range ix.records {
+		if len(run(ix, i)) >= 2 {
+			long = i
 		}
-	}); err == nil {
+	}
+	if long < 0 {
+		t.Fatal("fixture has no record with two stored hashes")
+	}
+	if err := resave(t, ix, func(w *Index) { r := run(w, long); r[0], r[1] = r[1], r[0] }); err == nil {
 		t.Error("descending hash run accepted")
+	}
+	if err := resave(t, ix, func(w *Index) { run(w, long)[0] = math.NaN() }); err == nil {
+		t.Error("NaN hash accepted")
+	}
+	if err := resave(t, ix, func(w *Index) { r := run(w, long); r[len(r)-1] = w.tau * 1.0000001 }); err == nil {
+		t.Error("hash above the threshold accepted")
+	}
+	// Structurally fine, but not the sketch of these records: one record's
+	// run handed to its neighbour.
+	if err := resave(t, ix, func(w *Index) { w.arena.offsets[long+1]-- }); err == nil {
+		t.Error("run boundary moved between records accepted")
+	}
+	if err := resave(t, ix, func(w *Index) { w.arena.complete[long] = !w.arena.complete[long] }); err == nil {
+		t.Error("flipped completeness flag accepted")
 	}
 }

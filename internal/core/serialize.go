@@ -1,127 +1,137 @@
 package core
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
+	"math"
 
-	"gbkmv/internal/dataset"
 	"gbkmv/internal/hash"
+	"gbkmv/internal/snapfmt"
 )
 
-// indexWire is the gob-encoded form of an Index. Since wire version 2 the
-// sketch arena is written directly — one flat hash store plus the CSR offset
-// table — and since version 3 the buffer arena rides along as one word
-// slice, so Load restores both signature halves with copies instead of
-// re-hashing or re-scanning the records. Only the inverted lists are still
-// derived on load (one hashing pass). Version-2 snapshots, which carried no
-// buffer arena, rebuild buffers from the records (cheap map lookups);
-// version-1 snapshots rebuild everything exactly as the writer did.
-type indexWire struct {
-	Version     int
-	Opt         Options
-	Records     []dataset.Record
-	BufferElems []hash.Element
-	Tau         float64
-	BufferBits  int
-	Budget      int
-	// The signature arena (version ≥ 2); see sketchArena for the layout.
-	ArenaHashes   []float64
-	ArenaOffsets  []uint32
-	ArenaComplete []bool
-	// The buffer arena (version ≥ 3); see bufferArena for the layout.
-	BufWords  []uint64
-	BufStride int
-}
+// indexMagic opens an index stream. The layout after it (see DESIGN.md
+// "Snapshot format" for the measured cost of each section):
+//
+//	options      BudgetFraction f64, BudgetUnits, BufferBits (zigzag), Seed,
+//	             CostModel, CostModelPairSample, BufferGridStep
+//	tau f64, bufferBits, budget
+//	records      snapfmt records section (delta-coded)
+//	bufferElems  count + uvarints, E_H in bit order
+//	arena        hash count, offsets as a raw uint32 slab (records+1),
+//	             completeness bits, hashes as a raw float64 slab
+//	buffers      words as a raw uint64 slab (records · ⌈bufferBits/64⌉)
+//
+// The arenas are the live slices: Save streams them out as they lie in
+// memory and Load reads each straight into the slice the index keeps. Only
+// the inverted lists are derived on load (one pass over the records).
+const indexMagic = "GBKMVIDX"
 
-const wireVersion = 3
-
-// Save serializes the index. The format is self-contained and includes both
+// Save serializes the index. The stream is self-contained and includes both
 // packed signature arenas, so Load reconstructs the exact same sketches and
-// buffers without re-hashing the collection.
+// buffers without re-hashing the collection; nothing is staged in memory.
 func (ix *Index) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(indexWire{
-		Version:       wireVersion,
-		Opt:           ix.opt,
-		Records:       ix.records,
-		BufferElems:   ix.bufferElems,
-		Tau:           ix.tau,
-		BufferBits:    ix.bufferBits,
-		Budget:        ix.budget,
-		ArenaHashes:   ix.arena.hashes,
-		ArenaOffsets:  ix.arena.offsets,
-		ArenaComplete: ix.arena.complete,
-		BufWords:      ix.bufArena.words,
-		BufStride:     ix.bufArena.stride,
-	})
+	sw := snapfmt.NewWriter(w)
+	sw.Magic(indexMagic)
+	sw.Float64(ix.opt.BudgetFraction)
+	sw.Int(ix.opt.BudgetUnits)
+	sw.Varint(int64(ix.opt.BufferBits))
+	sw.Uint64(ix.opt.Seed)
+	sw.Int(int(ix.opt.CostModel))
+	sw.Int(ix.opt.CostModelPairSample)
+	sw.Int(ix.opt.BufferGridStep)
+	sw.Float64(ix.tau)
+	sw.Int(ix.bufferBits)
+	sw.Int(ix.budget)
+	sw.Records(ix.records)
+	sw.Elements(ix.bufferElems)
+	sw.Int(len(ix.arena.hashes))
+	sw.Uint32s(ix.arena.offsets)
+	sw.Bools(ix.arena.complete)
+	sw.Float64s(ix.arena.hashes)
+	sw.Uint64s(ix.bufArena.words)
+	if err := sw.Flush(); err != nil {
+		return fmt.Errorf("core: writing index: %w", err)
+	}
+	return nil
 }
 
-// Load reconstructs an index written by Save (any supported wire version).
+// Load reconstructs an index written by Save. A stream that is not an index
+// of the current format is snapfmt.ErrFormat.
 func Load(r io.Reader) (*Index, error) {
-	var w indexWire
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("core: decoding index: %v", err)
+	finish, err := LoadStaged(r)
+	if err != nil {
+		return nil, err
 	}
-	if w.Version < 1 || w.Version > wireVersion {
-		return nil, fmt.Errorf("core: unsupported index version %d", w.Version)
-	}
-	if len(w.Records) == 0 {
-		return nil, errors.New("core: serialized index has no records")
-	}
-	ix := &Index{
-		opt:         w.Opt,
-		records:     w.Records,
-		bufferElems: w.BufferElems,
-		tau:         w.Tau,
-		bufferBits:  w.BufferBits,
-		budget:      w.Budget,
-	}
-	ix.bitOf = make(map[hash.Element]int, len(ix.bufferElems))
-	for i, e := range ix.bufferElems {
-		ix.bitOf[e] = i
-	}
-	if w.Version < 2 {
-		// Legacy snapshot without arenas: derive every signature structure
-		// from the records, exactly as the writer built them.
-		ix.rebuildAll()
-		return ix, nil
-	}
-	ix.arena = sketchArena{
-		hashes:   w.ArenaHashes,
-		offsets:  w.ArenaOffsets,
-		complete: w.ArenaComplete,
-	}
-	if !ix.arena.valid(len(ix.records)) {
-		return nil, errors.New("core: serialized index has a corrupt signature arena")
-	}
-	if w.Version >= 3 {
-		ix.bufArena = bufferArena{words: w.BufWords, stride: w.BufStride, bits: ix.bufferBits}
-		if !ix.bufArena.valid(len(ix.records), ix.bufferBits) {
-			return nil, errors.New("core: serialized index has a corrupt buffer arena")
-		}
-	} else {
-		// Version-2 snapshot: the buffers were not on the wire; rebuild them
-		// from the records and the buffered-element mapping — pure map
-		// lookups, no hashing.
-		ix.rebuildBuffers()
-	}
-	ix.rebuildPostings()
-	return ix, nil
+	return finish()
 }
 
-// rebuildBuffers reconstructs the flat buffer arena from the records and the
-// buffered-element mapping — pure map lookups, no hashing.
-func (ix *Index) rebuildBuffers() {
-	ix.bufArena.init(len(ix.records), ix.bufferBits)
-	if ix.bufferBits <= 0 {
-		return
+// LoadStaged is Load split where the stream ends: it consumes exactly the
+// index's bytes — every section validated, every slab in its final slice —
+// and returns the work that no longer needs the stream (deriving the
+// inverted lists). A container loading several indexes from one stream reads
+// them in order and runs the finishes in parallel.
+func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
+	sr := snapfmt.NewReader(r)
+	ix := &Index{}
+	sr.Magic(indexMagic)
+	ix.opt.BudgetFraction = sr.Float64()
+	ix.opt.BudgetUnits = sr.Int()
+	ix.opt.BufferBits = int(sr.Varint())
+	ix.opt.Seed = sr.Uint64()
+	ix.opt.CostModel = CostModel(sr.Int())
+	ix.opt.CostModelPairSample = sr.Int()
+	ix.opt.BufferGridStep = sr.Int()
+	ix.tau = sr.Float64()
+	ix.bufferBits = sr.Int()
+	ix.budget = sr.Int()
+	if sr.Err() == nil && !(ix.tau >= 0 && ix.tau <= 1) {
+		sr.Corrupt("threshold %v outside [0, 1]", ix.tau)
 	}
-	for i, rec := range ix.records {
-		for _, e := range rec {
-			if bit, ok := ix.bitOf[e]; ok {
-				ix.bufArena.set(i, bit)
-			}
+	if ix.bufferBits > math.MaxInt32 {
+		sr.Corrupt("buffer of %d bits", ix.bufferBits)
+	}
+	ix.records = sr.Records()
+	m := len(ix.records)
+	if sr.Err() == nil && m == 0 {
+		sr.Corrupt("index has no records")
+	}
+	ix.bufferElems = sr.Elements()
+	if len(ix.bufferElems) > ix.bufferBits {
+		sr.Corrupt("%d buffered elements for %d buffer bits", len(ix.bufferElems), ix.bufferBits)
+	}
+	nhashes := sr.Int()
+	if nhashes >= math.MaxUint32 {
+		sr.Corrupt("%d hash values overflow the offset table", nhashes)
+	}
+	ix.arena.offsets = sr.Uint32s(m + 1)
+	ix.arena.complete = sr.Bools(m)
+	ix.arena.hashes = sr.Float64s(nhashes)
+	if sr.Err() == nil && !ix.arena.valid(m, ix.tau) {
+		sr.Corrupt("signature arena is inconsistent")
+	}
+	if sr.Err() == nil && ix.bufferBits > 0 {
+		ix.bufArena.bits = ix.bufferBits
+		ix.bufArena.stride = (ix.bufferBits + bufWordBits - 1) / bufWordBits
+		if ix.bufArena.stride > math.MaxInt/m {
+			sr.Corrupt("buffer of %d bits for %d records overflows", ix.bufferBits, m)
+		} else {
+			ix.bufArena.words = sr.Uint64s(m * ix.bufArena.stride)
 		}
 	}
+	if sr.Err() == nil && !ix.bufArena.valid(m, ix.bufferBits) {
+		sr.Corrupt("buffer arena is inconsistent")
+	}
+	if err := sr.Done(); err != nil {
+		return nil, fmt.Errorf("core: reading index: %w", err)
+	}
+	return func() (*Index, error) {
+		ix.bitOf = make(map[hash.Element]int, len(ix.bufferElems))
+		for i, e := range ix.bufferElems {
+			ix.bitOf[e] = i
+		}
+		if err := ix.rebuildPostings(); err != nil {
+			return nil, fmt.Errorf("core: reading index: %w: %v", snapfmt.ErrCorrupt, err)
+		}
+		return ix, nil
+	}, nil
 }

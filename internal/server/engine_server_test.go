@@ -1,13 +1,22 @@
 package server
 
 import (
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+
+	"gbkmv"
 )
 
 // buildWithEngine PUTs the restaurants corpus under the named engine.
@@ -217,48 +226,105 @@ func TestRequestLogEviction(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotLoads: a pre-engine snapshot (bare Index.Save bytes, no
-// engine header, no engine field in meta) still loads — as the gbkmv engine.
-func TestLegacySnapshotLoads(t *testing.T) {
+// TestOldFormatSnapshotIsNamedNotQuarantined: a generation whose files
+// verify against their checksums but are not this build's snapshot format —
+// what an older build left behind — fails to load with
+// gbkmv.ErrSnapshotFormat, and nothing is quarantined or fallen back from:
+// the bytes are intact, the remedy is a rebuild. A commit record without
+// checksums (older still) is the same error, not an unverified load.
+func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	store, ts := newServer(t, dir)
 	buildRestaurants(t, ts, "rest")
+	// A derived generation, so that a parent to fall back to exists.
+	if code, m := doJSON(t, ts, "POST", "/collections/rest/snapshot", ""); code != http.StatusOK {
+		t.Fatalf("snapshot: %d %v", code, m)
+	}
 	c, err := store.Get("rest")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.eng.EngineName() != "gbkmv" {
-		t.Fatal("default engine is not gbkmv")
-	}
-	// Rewrite the committed snapshot in the legacy headerless format: for
-	// the gbkmv engine, Save's payload without the SaveEngine header is
-	// exactly what the pre-engine server wrote. A legacy commit record
-	// carries no checksums either, so strip them — the rewritten file must
-	// load unverified, as it did then.
-	if _, err := writeFileSync(nil, indexPath(c.dir, c.gen), c.eng.Save); err != nil {
-		t.Fatal(err)
-	}
-	m, err := readMeta(nil, c.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Checksums = nil
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(metaPath(c.dir), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want := engineSearch(t, ts, "rest")
+	cdir, gen := c.dir, c.gen
 	ts.Close()
 	store.Close()
-	store2, ts2 := newServer(t, dir)
-	defer store2.Close()
-	if got := engineSearch(t, ts2, "rest"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy snapshot: got %v want %v", got, want)
+
+	// Rewrite the committed index as the previous build would have: a gob
+	// stream, with a commit record whose checksum matches it.
+	m, err := readMeta(nil, cdir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m := statsOf(t, ts2, "rest"); m["engine"] != "gbkmv" {
-		t.Fatalf("legacy snapshot engine = %v", m["engine"])
+	if m.Parent == 0 {
+		t.Fatal("fixture has no parent generation")
+	}
+	sum, err := writeFileSync(nil, indexPath(cdir, gen), func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(struct {
+			Version int
+			Records [][]uint64
+		}{3, [][]uint64{{1, 2, 3}}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeMeta := func(m meta) {
+		t.Helper()
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(metaPath(cdir), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Checksums["index"] = sum
+	writeMeta(m)
+	reopen := func(what string) {
+		t.Helper()
+		var logged []string
+		_, err := loadCollection(nil, cdir, func(format string, args ...any) {
+			logged = append(logged, fmt.Sprintf(format, args...))
+		})
+		if !errors.Is(err, gbkmv.ErrSnapshotFormat) {
+			t.Fatalf("%s: loadCollection = %v, want ErrSnapshotFormat", what, err)
+		}
+		if !strings.Contains(err.Error(), filepath.Base(indexPath(cdir, gen))) {
+			t.Errorf("%s: error %q does not name the file", what, err)
+		}
+		if len(logged) != 0 {
+			t.Errorf("%s: load logged a fallback: %q", what, logged)
+		}
+		if _, err := os.Stat(quarantineDir(cdir, gen)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: generation %d was quarantined (stat: %v)", what, gen, err)
+		}
+		if _, err := os.Stat(indexPath(cdir, gen)); err != nil {
+			t.Errorf("%s: the index file was moved: %v", what, err)
+		}
+	}
+	reopen("old format")
+	m.Checksums = nil
+	writeMeta(m)
+	reopen("no checksums")
+
+	// The daemon skips the collection with a line that says what to do.
+	var mu sync.Mutex
+	var lines []string
+	store2, err := NewStore(dir, func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if _, err := store2.Get("rest"); err == nil {
+		t.Error("old-format collection was loaded")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(lines, func(l string) bool {
+		return strings.Contains(l, "index-") && strings.Contains(l, "rebuild the collection")
+	}) {
+		t.Errorf("no log line names the file and says to rebuild: %q", lines)
 	}
 }

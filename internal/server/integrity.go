@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"gbkmv"
 	"gbkmv/internal/fsx"
 )
 
@@ -36,42 +37,58 @@ type fileSum struct {
 
 func (s fileSum) zero() bool { return s.CRC64 == "" && s.Size == 0 }
 
-func sumBytes(b []byte) fileSum {
-	return fileSum{Size: int64(len(b)), CRC64: fmt.Sprintf("%016x", crc64.Checksum(b, crcTable))}
-}
-
 // errChecksum marks a snapshot file whose bytes do not match its commit
 // record — distinguishable from I/O and parse errors so callers can route
 // it to quarantine.
 var errChecksum = errors.New("checksum mismatch")
 
-// verifySum checks data against the commit record's entry for it. A zero
-// want (a commit record from before checksums existed) verifies nothing.
-func verifySum(path string, data []byte, want fileSum) error {
+// verifyFile streams a snapshot file through the CRC64 in constant memory
+// and checks its size and sum against the commit record's entry. It is the
+// scrubber's read, the follower's check of a transferred file, and the first
+// of load's two passes: nobody parses a byte of a file that has not
+// verified. A commit record with no entry for the file cannot verify
+// anything; only builds older than the snapshot format wrote those, hence
+// the format error.
+func verifyFile(fsys fsx.FS, path string, want fileSum) error {
 	if want.zero() {
-		return nil
+		return fmt.Errorf("%s: %w: the commit record carries no checksum for it", path, gbkmv.ErrSnapshotFormat)
 	}
-	if int64(len(data)) != want.Size {
-		return fmt.Errorf("%s: %w: size %d, committed %d", path, errChecksum, len(data), want.Size)
+	f, err := fsys.Open(path)
+	if err != nil {
+		return err
 	}
-	got := fmt.Sprintf("%016x", crc64.Checksum(data, crcTable))
-	if got != want.CRC64 {
-		return fmt.Errorf("%s: %w: crc64 %s, committed %s", path, errChecksum, got, want.CRC64)
+	defer f.Close()
+	cw := &countingWriter{w: io.Discard}
+	if _, err := io.Copy(cw, f); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if got := cw.sum(); got.Size != want.Size {
+		return fmt.Errorf("%s: %w: size %d, committed %d", path, errChecksum, got.Size, want.Size)
+	} else if got.CRC64 != want.CRC64 {
+		return fmt.Errorf("%s: %w: crc64 %s, committed %s", path, errChecksum, got.CRC64, want.CRC64)
 	}
 	return nil
 }
 
-// readVerified reads a snapshot file and checks it against the commit
-// record's sum before anyone parses a byte of it.
-func readVerified(fsys fsx.FS, path string, want fileSum) ([]byte, error) {
-	b, err := fsys.ReadFile(path)
+// loadVerified verifies a snapshot file, then opens it again for load to
+// parse: each section streams from the file into the slice that keeps it, so
+// a load's peak memory is what it loads. The file is read twice (the second
+// time from the page cache) instead of being held whole.
+func loadVerified[T any](fsys fsx.FS, path string, want fileSum, load func(io.Reader) (T, error)) (T, error) {
+	var zero T
+	if err := verifyFile(fsys, path, want); err != nil {
+		return zero, err
+	}
+	f, err := fsys.Open(path)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	if err := verifySum(path, b, want); err != nil {
-		return nil, err
+	defer f.Close()
+	v, err := load(f)
+	if err != nil {
+		return zero, fmt.Errorf("%s: %w", path, err)
 	}
-	return b, nil
+	return v, nil
 }
 
 // countingWriter threads the snapshot writer's output through the checksum,
@@ -261,6 +278,9 @@ type StorageHealth struct {
 	Reason                string            `json:"reason,omitempty"`
 	QuarantinedGeneration uint64            `json:"quarantined_generation,omitempty"`
 	Quarantines           []QuarantineEvent `json:"quarantines,omitempty"`
+	// SnapshotBytes is the size on disk of the snapshot (index + vocabulary
+	// files) the collection was last saved to or loaded from.
+	SnapshotBytes int64 `json:"snapshot_bytes"`
 }
 
 func (s *Store) storageHealth(c *Collection) *StorageHealth {
@@ -271,6 +291,7 @@ func (s *Store) storageHealth(c *Collection) *StorageHealth {
 		Reason:                reason,
 		QuarantinedGeneration: c.quarantinedGen.Load(),
 		Quarantines:           s.quarantineEvents(c.name),
+		SnapshotBytes:         c.snapBytes.Load(),
 	}
 }
 
@@ -314,10 +335,10 @@ func (s *Store) scrubCollection(c *Collection) error {
 		return fmt.Errorf("reading commit record: %w", err)
 	}
 	verr := func() error {
-		if _, err := readVerified(fsys, indexPath(c.dir, m.Generation), m.Checksums["index"]); err != nil {
+		if err := verifyFile(fsys, indexPath(c.dir, m.Generation), m.Checksums["index"]); err != nil {
 			return fmt.Errorf("index snapshot: %w", err)
 		}
-		if _, err := readVerified(fsys, vocabPath(c.dir, m.Generation), m.Checksums["vocab"]); err != nil {
+		if err := verifyFile(fsys, vocabPath(c.dir, m.Generation), m.Checksums["vocab"]); err != nil {
 			return fmt.Errorf("vocabulary snapshot: %w", err)
 		}
 		// The journal's own frame CRCs make it self-verifying; a torn tail
@@ -439,10 +460,10 @@ func VerifySnapshotFiles(fsys fsx.FS, dir string, gen uint64, metaBytes []byte) 
 	if m.Generation != gen {
 		return fmt.Errorf("transferred commit record names generation %d, transfer was for %d", m.Generation, gen)
 	}
-	if _, err := readVerified(fsys, indexPath(dir, gen), m.Checksums["index"]); err != nil {
+	if err := verifyFile(fsys, indexPath(dir, gen), m.Checksums["index"]); err != nil {
 		return fmt.Errorf("transferred index snapshot: %w", err)
 	}
-	if _, err := readVerified(fsys, vocabPath(dir, gen), m.Checksums["vocab"]); err != nil {
+	if err := verifyFile(fsys, vocabPath(dir, gen), m.Checksums["vocab"]); err != nil {
 		return fmt.Errorf("transferred vocabulary snapshot: %w", err)
 	}
 	return nil

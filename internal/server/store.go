@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -171,8 +170,8 @@ type StoreOptions struct {
 
 // OpenStore opens a store over the data directory with explicit options,
 // reloading every collection previously snapshotted there. With
-// Segments > 1, single-index collections loaded from pre-segmentation
-// snapshots are resharded in memory (records routed through the segment
+// Segments > 1, single-index collections (snapshotted by a store run without
+// segments) are resharded in memory (records routed through the segment
 // hash, ids preserved); their next snapshot persists the segmented form.
 func OpenStore(dir string, o StoreOptions) (*Store, error) {
 	logf := o.Logf
@@ -208,10 +207,14 @@ func OpenStore(dir string, o StoreOptions) (*Store, error) {
 		}
 		c, err := loadCollection(fsys, cdir, s.logf)
 		if err != nil {
-			if errors.Is(err, errChecksum) {
+			remedy := ""
+			switch {
+			case errors.Is(err, gbkmv.ErrSnapshotFormat):
+				remedy = "; an older build wrote it and this one reads only its own format: rebuild the collection from its records"
+			case errors.Is(err, errChecksum):
 				s.metrics.verifyFails.With(e.Name(), "load").Inc()
 			}
-			s.logf("gbkmvd: skipping collection %q: %v", e.Name(), err)
+			s.logf("gbkmvd: skipping collection %q: %v%s", e.Name(), err, remedy)
 			continue
 		}
 		s.migrateSegments(c)
@@ -297,7 +300,7 @@ func (s *Store) migrateSegments(c *Collection) {
 		return
 	}
 	c.eng = seg
-	s.logf("gbkmvd: collection %q: resharded pre-segmentation snapshot into %d segments",
+	s.logf("gbkmvd: collection %q: resharded single-index snapshot into %d segments",
 		c.name, s.defaultSegments)
 }
 
@@ -601,6 +604,9 @@ type Collection struct {
 	readOnly       atomic.Bool
 	roReason       atomic.Value // string
 	quarantinedGen atomic.Uint64
+	// snapBytes is the size of the snapshot files (index + vocabulary) of the
+	// generation the state was last saved to or loaded from.
+	snapBytes atomic.Int64
 
 	ioMu     sync.Mutex     // guards journal appends, closed, requests, commit.pending
 	journal  *journalWriter // inserts since the current snapshot; nil when dir == ""
@@ -1654,12 +1660,11 @@ type meta struct {
 	Parent uint64 `json:"parent,omitempty"`
 	// Checksums carries each snapshot file's exact size and CRC64 ("index",
 	// "vocab"), computed from the bytes as written. Verified at load, by the
-	// background scrubber, and by followers on bootstrap transfer. Commit
-	// records from before checksums existed load unverified.
+	// background scrubber, and by followers on bootstrap transfer.
 	Checksums map[string]fileSum `json:"checksums,omitempty"`
 	// Segments records the collection's segment count when the snapshot was
 	// taken (informational — the index snapshot is self-describing); 0 for
-	// single-index snapshots, including every pre-segmentation commit record.
+	// single-index snapshots.
 	Segments int `json:"segments,omitempty"`
 }
 
@@ -1764,9 +1769,24 @@ func (c *Collection) snapshot() (committed bool, err error) {
 		parent = c.gen
 	}
 	sums := make(map[string]fileSum, 2)
+	// What the snapshot cost: encode is the time spent producing bytes
+	// (writes into the page cache included), fsync the rest of writing the
+	// two files — making them durable.
+	var encode, fsync time.Duration
+	writeTimed := func(path string, write func(io.Writer) error) (fileSum, error) {
+		start, encoded := time.Now(), time.Duration(0)
+		s, err := writeFileSync(fsys, path, func(w io.Writer) error {
+			err := write(w)
+			encoded = time.Since(start)
+			return err
+		})
+		encode += encoded
+		fsync += time.Since(start) - encoded
+		return s, err
+	}
 	err = func() error {
 		indexStart := time.Now()
-		s, err := writeFileSync(fsys, indexPath(c.dir, gen), func(w io.Writer) error {
+		s, err := writeTimed(indexPath(c.dir, gen), func(w io.Writer) error {
 			return gbkmv.SaveEngine(w, c.eng)
 		})
 		if err != nil {
@@ -1779,7 +1799,7 @@ func (c *Collection) snapshot() (committed bool, err error) {
 			c.metrics.observeSnapPause(time.Since(indexStart))
 		}
 		sums["index"] = s
-		if s, err = writeFileSync(fsys, vocabPath(c.dir, gen), c.voc.Save); err != nil {
+		if s, err = writeTimed(vocabPath(c.dir, gen), c.voc.Save); err != nil {
 			return fmt.Errorf("writing vocabulary snapshot: %w", err)
 		}
 		sums["vocab"] = s
@@ -1869,6 +1889,12 @@ func (c *Collection) snapshot() (committed bool, err error) {
 	// A committed snapshot wrote fresh verified files: any quarantined
 	// generation is now superseded (its files stay aside for forensics).
 	c.quarantinedGen.Store(0)
+	c.snapBytes.Store(sums["index"].Size + sums["vocab"].Size)
+	if c.store != nil {
+		c.store.logf("gbkmvd: snapshot %q gen %d: index %d bytes, vocab %d bytes, encode %s, fsync %s",
+			c.name, gen, sums["index"].Size, sums["vocab"].Size,
+			encode.Round(10*time.Microsecond), fsync.Round(10*time.Microsecond))
+	}
 	c.walChangedLocked()
 	// Make the commit durable before deleting superseded generations: a
 	// power loss must never persist the removals while losing the rename.
@@ -1897,29 +1923,20 @@ type genState struct {
 	tornTail  bool
 	requests  *requestLog
 	replayDur time.Duration
+	snapBytes int64 // size of the two snapshot files loaded
 }
 
 // loadGenFiles loads generation m.Generation's index, vocabulary and
-// journal, verifying the snapshot files against the commit record's
-// checksums (legacy records without checksums load unverified). A mismatch
-// surfaces as errChecksum; the caller decides whether to quarantine and
-// fall back.
+// journal, each snapshot file verified against the commit record's checksum
+// before it is parsed (loadVerified). A mismatch surfaces as errChecksum, a
+// file of another format as gbkmv.ErrSnapshotFormat; the caller decides
+// whether to quarantine and fall back.
 func loadGenFiles(fsys fsx.FS, dir string, m meta) (*genState, error) {
-	ib, err := readVerified(fsys, indexPath(dir, m.Generation), m.Checksums["index"])
+	eng, err := loadVerified(fsys, indexPath(dir, m.Generation), m.Checksums["index"], gbkmv.LoadEngine)
 	if err != nil {
 		return nil, err
 	}
-	// LoadEngine dispatches on the snapshot's engine header; headerless
-	// snapshots from before engines existed load as the GB-KMV index.
-	eng, err := gbkmv.LoadEngine(bytes.NewReader(ib))
-	if err != nil {
-		return nil, err
-	}
-	vb, err := readVerified(fsys, vocabPath(dir, m.Generation), m.Checksums["vocab"])
-	if err != nil {
-		return nil, err
-	}
-	voc, err := gbkmv.LoadVocabulary(bytes.NewReader(vb))
+	voc, err := loadVerified(fsys, vocabPath(dir, m.Generation), m.Checksums["vocab"], gbkmv.LoadVocabulary)
 	if err != nil {
 		return nil, err
 	}
@@ -1957,7 +1974,8 @@ func loadGenFiles(fsys fsx.FS, dir string, m meta) (*genState, error) {
 		}
 	})
 	return &genState{eng: eng, voc: voc, entries: entries, validLen: validLen,
-		tornTail: tornTail, requests: requests, replayDur: time.Since(replayStart)}, nil
+		tornTail: tornTail, requests: requests, replayDur: time.Since(replayStart),
+		snapBytes: m.Checksums["index"].Size + m.Checksums["vocab"].Size}, nil
 }
 
 // loadCollection restores a collection from its directory: the committed
@@ -1983,7 +2001,7 @@ func loadCollection(fsys fsx.FS, dir string, logf func(string, ...any)) (*Collec
 		return nil, err
 	}
 	sweepStaleGenerations(fsys, dir, m)
-	return &Collection{
+	c := &Collection{
 		name:      m.Name,
 		dir:       dir,
 		fs:        fsys,
@@ -1996,7 +2014,9 @@ func loadCollection(fsys fsx.FS, dir string, logf func(string, ...any)) (*Collec
 		requests:  st.requests,
 		replayDur: st.replayDur,
 		tornTail:  st.tornTail,
-	}, nil
+	}
+	c.snapBytes.Store(st.snapBytes)
+	return c, nil
 }
 
 // fallbackLoad recovers a collection whose committed generation G failed to
@@ -2009,9 +2029,14 @@ func loadCollection(fsys fsx.FS, dir string, logf func(string, ...any)) (*Collec
 // names it, journal-G stays live), so a restart that finds G still corrupt
 // simply falls back again.
 func fallbackLoad(fsys fsx.FS, dir string, m meta, lerr error, logf func(string, ...any)) (*Collection, error) {
+	if errors.Is(lerr, gbkmv.ErrSnapshotFormat) {
+		// The bytes verified; they are just not this build's format, and
+		// neither is anything else an older build left here. Nothing is
+		// corrupt, so nothing is quarantined.
+		return nil, lerr
+	}
 	if m.Parent == 0 {
-		// Fresh build (or pre-lineage record): nothing retained to fall
-		// back to.
+		// Fresh build: nothing retained to fall back to.
 		return nil, lerr
 	}
 	prev, err := readMetaPrev(fsys, dir)
@@ -2080,6 +2105,7 @@ func fallbackLoad(fsys fsx.FS, dir string, m meta, lerr error, logf func(string,
 		loadDetail: lerr.Error(),
 	}
 	c.quarantinedGen.Store(m.Generation)
+	c.snapBytes.Store(st.snapBytes)
 	sweepStaleGenerations(fsys, dir, m)
 	return c, nil
 }

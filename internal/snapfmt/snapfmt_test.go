@@ -1,0 +1,304 @@
+package snapfmt
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"gbkmv/internal/dataset"
+	"gbkmv/internal/hash"
+)
+
+// opaque hides everything but Read, as a bufio.Reader or a network body
+// would: the reader cannot learn how long the source is.
+type opaque struct{ r io.Reader }
+
+func (o opaque) Read(p []byte) (int, error) { return o.r.Read(p) }
+
+type sections struct {
+	Floats  []float64
+	Words   []uint64
+	Offsets []uint32
+	Flags   []bool
+	Elems   []hash.Element
+	Records []dataset.Record
+	Strings []string
+	Name    string
+	Signed  int64
+}
+
+func fixture(n int) sections {
+	s := sections{Name: "gbkmv", Signed: -1}
+	for i := 0; i < n; i++ {
+		s.Floats = append(s.Floats, float64(i)/float64(n))
+		s.Words = append(s.Words, uint64(i)*0x9E3779B97F4A7C15)
+		s.Offsets = append(s.Offsets, uint32(i*3))
+		s.Flags = append(s.Flags, i%3 == 0)
+		s.Elems = append(s.Elems, hash.Element(i*i))
+		rec := dataset.Record{}
+		for j := 0; j < i%7; j++ {
+			rec = append(rec, hash.Element(i+j*1000))
+		}
+		s.Records = append(s.Records, rec)
+		s.Strings = append(s.Strings, string(rune('a'+i%26))+"tok")
+	}
+	return s
+}
+
+func (s sections) write(w io.Writer) error {
+	sw := NewWriter(w)
+	sw.Magic("TESTMAGC")
+	sw.String(s.Name)
+	sw.Varint(s.Signed)
+	sw.Int(len(s.Floats))
+	sw.Float64s(s.Floats)
+	sw.Uint64s(s.Words)
+	sw.Uint32s(s.Offsets)
+	sw.Bools(s.Flags)
+	sw.Elements(s.Elems)
+	sw.Records(s.Records)
+	sw.Strings(s.Strings)
+	return sw.Flush()
+}
+
+func read(r io.Reader) (sections, error) {
+	sr := NewReader(r)
+	sr.Magic("TESTMAGC")
+	var s sections
+	s.Name = sr.String(16)
+	s.Signed = sr.Varint()
+	n := sr.Int()
+	s.Floats = sr.Float64s(n)
+	s.Words = sr.Uint64s(n)
+	s.Offsets = sr.Uint32s(n)
+	s.Flags = sr.Bools(n)
+	s.Elems = sr.Elements()
+	s.Records = sr.Records()
+	s.Strings = sr.Strings()
+	return s, sr.Done()
+}
+
+// equal compares ignoring the nil/empty distinction of slices.
+func equal(a, b sections) bool {
+	norm := func(s sections) sections {
+		for i, r := range s.Records {
+			if len(r) == 0 {
+				s.Records[i] = nil
+			}
+		}
+		return s
+	}
+	return reflect.DeepEqual(norm(a), norm(b))
+}
+
+// TestRoundTrip: every encoding survives the trip, whether or not the source
+// can say how long it is, at sizes on both sides of the 64 kB buffer.
+func TestRoundTrip(t *testing.T) {
+	for _, n := range []int{1, 9, 5000, 40000} {
+		want := fixture(n)
+		var buf bytes.Buffer
+		if err := want.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range map[string]io.Reader{
+			"bounded": bytes.NewReader(buf.Bytes()),
+			"opaque":  opaque{bytes.NewReader(buf.Bytes())},
+		} {
+			got, err := read(src)
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+			if !equal(got, want) {
+				t.Fatalf("n=%d %s: round trip changed the sections", n, name)
+			}
+		}
+		// Records are windows of one slab.
+		got, _ := read(bytes.NewReader(buf.Bytes()))
+		var prev dataset.Record
+		for _, r := range got.Records {
+			if len(r) == 0 {
+				continue
+			}
+			if prev != nil && unsafe.Add(unsafe.Pointer(&prev[0]), len(prev)*8) != unsafe.Pointer(&r[0]) {
+				t.Fatalf("n=%d: records are not contiguous in one slab", n)
+			}
+			prev = r
+		}
+	}
+}
+
+// TestForeignPayload: an engine that knows nothing of this package reads and
+// writes its payload through the plain io interfaces, in the middle of a
+// stream, and takes exactly its own bytes.
+func TestForeignPayload(t *testing.T) {
+	payload := bytes.Repeat([]byte("foreign"), 20000) // crosses the buffer twice
+	var buf bytes.Buffer
+	sw := NewWriter(&buf)
+	sw.Int(7)
+	if n, err := sw.Write(payload); n != len(payload) || err != nil {
+		t.Fatalf("Write = %d, %v", n, err)
+	}
+	sw.Byte(0xAB)
+	sw.Int(9)
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sr := NewReader(&buf)
+	if got := sr.Int(); got != 7 {
+		t.Fatalf("before the payload: %d", got)
+	}
+	got := make([]byte, len(payload))
+	if _, err := io.ReadFull(sr, got); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("payload did not survive: %v", err)
+	}
+	if b, err := sr.ReadByte(); b != 0xAB || err != nil {
+		t.Fatalf("ReadByte = %#x, %v", b, err)
+	}
+	if got := sr.Int(); got != 9 {
+		t.Fatalf("after the payload: %d", got)
+	}
+	if err := sr.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sr.ReadByte(); err != io.EOF {
+		t.Fatalf("ReadByte at the end = %v, want io.EOF", err)
+	}
+}
+
+func TestFormatAndStructureErrors(t *testing.T) {
+	var good bytes.Buffer
+	if err := fixture(20).write(&good); err != nil {
+		t.Fatal(err)
+	}
+	b := good.Bytes()
+	with := func(i int, v byte) []byte {
+		c := bytes.Clone(b)
+		c[i] = v
+		return c
+	}
+	for name, tc := range map[string]struct {
+		in   []byte
+		want error
+	}{
+		"other magic":    {with(0, 'X'), ErrFormat},
+		"other version":  {with(8, Version+1), ErrFormat},
+		"too short":      {b[:5], ErrFormat},
+		"empty":          {nil, ErrFormat},
+		"truncated":      {b[:len(b)-1], ErrCorrupt},
+		"trailing bytes": {append(bytes.Clone(b), 0), ErrCorrupt},
+	} {
+		if _, err := read(bytes.NewReader(tc.in)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", name, err, tc.want)
+		}
+	}
+
+	section := func(write func(*Writer), read func(*Reader)) error {
+		var buf bytes.Buffer
+		sw := NewWriter(&buf)
+		write(sw)
+		if err := sw.Flush(); err != nil {
+			return err
+		}
+		sr := NewReader(&buf)
+		read(sr)
+		return sr.Done()
+	}
+	if err := section(func(w *Writer) { w.Write([]byte{0x80, 0x00}) }, func(r *Reader) { r.Uvarint() }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("padded varint: %v", err)
+	}
+	if err := section(func(w *Writer) { w.Byte(0xF5) }, func(r *Reader) { r.Bools(4) }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("stray flag bits: %v", err)
+	}
+	// One record, two elements, second delta zero: a duplicate.
+	if err := section(func(w *Writer) { w.Write([]byte{1, 2, 2, 5, 0}) }, func(r *Reader) { r.Records() }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("duplicate element: %v", err)
+	}
+	// One record claiming more elements than the section declares.
+	if err := section(func(w *Writer) { w.Write([]byte{1, 1, 2, 5, 1}) }, func(r *Reader) { r.Records() }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("record overrunning the section total: %v", err)
+	}
+	if err := section(func(w *Writer) { w.Records([]dataset.Record{{3, 1}}) }, func(*Reader) {}); err == nil {
+		t.Error("the writer accepted an unsorted record")
+	}
+}
+
+// TestDeclaredCountsDoNotAllocate: a count is honoured only as far as the
+// bytes behind it go. Against a source of known length a section that cannot
+// fit is rejected before anything is allocated; against an opaque one
+// allocation follows the bytes that actually arrive.
+func TestDeclaredCountsDoNotAllocate(t *testing.T) {
+	readers := map[string]func(*Reader){
+		"hashes":  func(r *Reader) { r.Float64s(r.Int()) },
+		"words":   func(r *Reader) { r.Uint64s(r.Int()) },
+		"offsets": func(r *Reader) { r.Uint32s(r.Int()) },
+		"flags":   func(r *Reader) { r.Bools(r.Int()) },
+		"elems":   func(r *Reader) { r.Elements() },
+		"records": func(r *Reader) { r.Records() },
+		"strings": func(r *Reader) { r.Strings() },
+	}
+	var hostile bytes.Buffer
+	sw := NewWriter(&hostile)
+	sw.Uvarint(1 << 40) // a count (for records and strings: the first of two)
+	sw.Uvarint(1 << 40)
+	sw.Write(make([]byte, 4096))
+	sw.Flush()
+	for name, read := range readers {
+		for _, bounded := range []bool{true, false} {
+			var src io.Reader = bytes.NewReader(hostile.Bytes())
+			if !bounded {
+				src = opaque{src}
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			sr := NewReader(src)
+			read(sr)
+			err := sr.Done()
+			runtime.ReadMemStats(&m1)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s bounded=%v: %v, want ErrCorrupt", name, bounded, err)
+			}
+			// The fixed buffer, plus for an opaque source a first step and
+			// its doublings over 4 kB of input — nowhere near the terabytes
+			// declared.
+			if got := m1.TotalAlloc - m0.TotalAlloc; got > 4<<20 {
+				t.Errorf("%s bounded=%v: allocated %d bytes for a %d-byte stream", name, bounded, got, hostile.Len())
+			}
+		}
+	}
+}
+
+func TestSlabsLoadExactly(t *testing.T) {
+	// Against a source of known length every slab is allocated once, at its
+	// final size: loading allocates what it keeps plus the fixed buffer.
+	want := fixture(200000)
+	var buf bytes.Buffer
+	if err := want.write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1, m2 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	got, err := read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	runtime.GC()
+	runtime.ReadMemStats(&m2)
+	allocated, held := float64(m1.TotalAlloc-m0.TotalAlloc), float64(m2.HeapAlloc-m0.HeapAlloc)
+	if allocated > 1.1*held+bufSize {
+		t.Errorf("loading allocated %.0f bytes to keep %.0f", allocated, held)
+	}
+	if math.Abs(got.Floats[1]-want.Floats[1]) != 0 {
+		t.Error("slab content changed")
+	}
+	runtime.KeepAlive(got)
+	// Or the second GC frees them and held comes out short.
+	runtime.KeepAlive(want)
+	runtime.KeepAlive(&buf)
+}

@@ -1,9 +1,7 @@
 package gbkmv
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"runtime"
@@ -11,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gbkmv/internal/snapfmt"
 	"gbkmv/internal/topkheap"
 )
 
@@ -35,11 +34,9 @@ import (
 //     work-stealing pool and merge: threshold results are merged in ascending
 //     global-id order, top-k through the shared bounded heap with its
 //     strict-below tie rule (score descending, id ascending on ties).
-//   - Save serializes segment-at-a-time under that segment's read lock, so a
-//     standalone Segmented pauses each segment's writers for ~1/n of the
-//     single-index encode (serving layers that quiesce writes for replay
-//     determinism can still observe the per-segment encode times; see
-//     SetSaveObserver).
+//   - Save streams the segments out one after another and rebuild-on-load
+//     engines rebuild in parallel when the snapshot is read back; the
+//     per-segment encode times are observable (see SetSaveObserver).
 //
 // Determinism: with n == 1 every operation is bit-identical to the bare
 // inner engine (the budget resolves to the same absolute units before the
@@ -57,7 +54,9 @@ import (
 // externally serialized mutations) and additionally tolerates reads running
 // concurrently with one AddBatch: per-segment locks order each segment's
 // apply against searches, and the routing table is published only after
-// every segment applied. Readers may then observe a batch's records
+// every segment applied. Save may also be called concurrently with AddBatch:
+// the two exclude each other (writers wait for the whole save, readers never
+// do), so a snapshot always holds a prefix of the global ids. Readers may then observe a batch's records
 // segment-by-segment rather than atomically — serving layers that cache
 // query results keyed on a collection-wide generation (like internal/server)
 // must keep excluding reads during applies, and do.
@@ -66,14 +65,17 @@ type Segmented struct {
 	opt   EngineOptions // per-segment build options, pinned (see pinOptions)
 	pin   atomic.Bool   // options pinned against first data
 
+	// writeMu excludes AddBatch and Save from each other: a snapshot must see
+	// the routing table and every segment at one point of the insert order.
+	writeMu sync.Mutex
+
 	routeMu sync.RWMutex
 	route   []segRef // global id → (segment, local id)
 
 	segs []*segment
 
-	// onSave, when set, observes each segment's Save encode duration — the
-	// per-segment pause a serving layer reports as its snapshot-pause
-	// histogram.
+	// onSave, when set, observes each segment's Save encode duration — what a
+	// serving layer reports as its snapshot-pause histogram.
 	onSave atomic.Value // func(segment int, d time.Duration)
 }
 
@@ -116,11 +118,14 @@ func NewSegmented(inner string, n int, records []Record, opt EngineOptions) (*Se
 	if inner == "" {
 		inner = DefaultEngine
 	}
-	if _, _, err := lookupEngine(inner); err != nil {
+	if _, err := lookupEngine(inner); err != nil {
 		return nil, err
 	}
 	if n < 1 {
 		n = 1
+	}
+	if n > maxSegments {
+		return nil, fmt.Errorf("gbkmv: %d segments requested, at most %d supported", n, maxSegments)
 	}
 	s := &Segmented{inner: inner, opt: opt, segs: make([]*segment, n)}
 	for i := range s.segs {
@@ -131,26 +136,20 @@ func NewSegmented(inner string, n int, records []Record, opt EngineOptions) (*Se
 	}
 	s.pinOptions(records)
 	subs := s.partitionOnly(records)
-	var firstErr error
-	var errMu sync.Mutex
-	fanSegments(n, func(i int) {
+	err := fanSegmentsErr(n, func(i int) error {
 		if len(subs[i].records) == 0 {
-			return
+			return nil
 		}
 		eng, err := NewEngine(inner, subs[i].records, s.opt)
 		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("gbkmv: building segment %d: %w", i, err)
-			}
-			errMu.Unlock()
-			return
+			return fmt.Errorf("gbkmv: building segment %d: %w", i, err)
 		}
 		s.segs[i].eng = eng
 		s.segs[i].globals = subs[i].globals
+		return nil
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	s.route = make([]segRef, len(records))
 	for i := range subs {
@@ -170,10 +169,11 @@ type optionsProvider interface {
 }
 
 // Reshard wraps an existing single-index engine into n segments, routing its
-// records through the segment hash — the legacy-snapshot migration path: a
-// pre-segmentation snapshot loads as its bare engine, and Reshard rebuilds
-// it segmented with the same records, ids and resolved options. An engine
-// that is already Segmented is returned unchanged.
+// records through the segment hash — the migration path of a single-engine
+// snapshot (a store run without segments) opened under a segmented default:
+// it loads as its bare engine, and Reshard rebuilds it segmented with the
+// same records, ids and resolved options. An engine that is already
+// Segmented is returned unchanged.
 func Reshard(e Engine, n int) (*Segmented, error) {
 	if s, ok := e.(*Segmented); ok {
 		return s, nil
@@ -260,6 +260,23 @@ func fanSegments(n int, f func(i int)) {
 	wg.Wait()
 }
 
+// fanSegmentsErr is fanSegments for work that can fail: every f runs, and
+// the first failure recorded is returned.
+func fanSegmentsErr(n int, f func(i int) error) error {
+	var first error
+	var mu sync.Mutex
+	fanSegments(n, func(i int) {
+		if err := f(i); err != nil {
+			mu.Lock()
+			if first == nil {
+				first = err
+			}
+			mu.Unlock()
+		}
+	})
+	return first
+}
+
 // EngineName returns the inner engine's registry name: segmentation is a
 // layout property of the collection, not a different sketch.
 func (s *Segmented) EngineName() string { return s.inner }
@@ -285,8 +302,7 @@ func (s *Segmented) SegmentRecords() []int {
 }
 
 // SetSaveObserver installs a callback observing each segment's Save encode
-// duration (the per-segment snapshot pause). Set once at wiring time, before
-// concurrent use.
+// duration. Set once at wiring time, before concurrent use.
 func (s *Segmented) SetSaveObserver(f func(segment int, d time.Duration)) {
 	s.onSave.Store(f)
 }
@@ -315,6 +331,8 @@ func (s *Segmented) Add(r Record) int { return s.AddBatch([]Record{r})[0] }
 // only the touched segments of a rebuild-on-insert engine rebuild). Global
 // ids are assigned in batch order, exactly as a single-index engine would.
 func (s *Segmented) AddBatch(recs []Record) []int {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	base := s.Len()
 	ids := make([]int, len(recs))
 	for i := range ids {
@@ -684,219 +702,153 @@ func mergeSortedScored(lists [][]Scored, limit int) []Scored {
 	return out
 }
 
-// The segmented container snapshot format: its own magic (distinguished from
-// the single-engine header by LoadEngine), a version byte, a flags byte
-// (bit0: options pinned), the length-prefixed inner engine name, segment and
-// record counts, the routing table (one uvarint segment index per record —
-// local ids are implied by order), the gob-encoded per-segment build
-// options, then each segment's SaveEngine stream, length-prefixed (length 0
-// = segment never built). Every piece is deterministic, so two replicas with
-// the same records write byte-identical containers — the property follower
-// snapshot handoff verifies.
-var segmentedMagic = []byte("GBKMVSEG")
+// The segmented container stream: its own magic (which LoadEngine dispatches
+// on) and the format version, a flags byte (bit0: options pinned), the inner
+// engine name, the per-segment build options, the segment and record counts,
+// the routing table (one uvarint segment index per record — local ids are
+// implied by order), then per segment a presence byte and, when it is 1, the
+// segment's SaveEngine stream. Engine streams are self-delimiting, so
+// segments carry no length and are never staged. Every piece is
+// deterministic, so two replicas with the same records write byte-identical
+// containers — the property follower snapshot handoff verifies.
+const segmentedMagic = "GBKMVSEG"
 
-const segmentedVersion = 1
+// maxSegments bounds the segment count of a collection and so what a
+// container may declare (the serving default is GOMAXPROCS).
+const maxSegments = 1 << 12
 
-// Save writes the segmented container. Each segment encodes under its own
-// read lock, taken one segment at a time — the bounded-pause property — with
-// the per-segment encode duration reported to the SetSaveObserver callback.
+// Save writes the segmented container, streaming each segment's engine
+// through one fixed buffer into w. It holds off AddBatch for its duration
+// (searches keep running), so the routing table and the segments it writes
+// belong to one point of the insert order; each segment's encode duration is
+// reported to the SetSaveObserver callback.
 func (s *Segmented) Save(w io.Writer) error {
-	s.routeMu.RLock()
-	route := make([]segRef, len(s.route))
-	copy(route, s.route)
-	s.routeMu.RUnlock()
-	var hdr bytes.Buffer
-	hdr.Write(segmentedMagic)
+	if len(s.inner) == 0 || len(s.inner) > maxEngineName {
+		return fmt.Errorf("gbkmv: engine name %q not serializable", s.inner)
+	}
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	sw := snapfmt.NewWriter(w)
+	sw.Magic(segmentedMagic)
 	flags := byte(0)
 	if s.pin.Load() {
 		flags |= 1
 	}
-	hdr.WriteByte(segmentedVersion)
-	hdr.WriteByte(flags)
-	if len(s.inner) == 0 || len(s.inner) > 255 {
-		return fmt.Errorf("gbkmv: engine name %q not serializable", s.inner)
-	}
-	hdr.WriteByte(byte(len(s.inner)))
-	hdr.WriteString(s.inner)
-	var num [binary.MaxVarintLen64]byte
-	putUvarint := func(b *bytes.Buffer, v uint64) {
-		b.Write(num[:binary.PutUvarint(num[:], v)])
-	}
-	putUvarint(&hdr, uint64(len(s.segs)))
-	putUvarint(&hdr, uint64(len(route)))
-	for _, ref := range route {
-		putUvarint(&hdr, uint64(ref.seg))
-	}
-	var optBuf bytes.Buffer
-	if err := gob.NewEncoder(&optBuf).Encode(s.opt); err != nil {
-		return fmt.Errorf("gbkmv: encoding segment options: %w", err)
-	}
-	putUvarint(&hdr, uint64(optBuf.Len()))
-	hdr.Write(optBuf.Bytes())
-	if _, err := w.Write(hdr.Bytes()); err != nil {
-		return fmt.Errorf("gbkmv: writing segmented header: %w", err)
+	sw.Byte(flags)
+	sw.String(s.inner)
+	writeEngineOptions(sw, s.opt)
+	sw.Int(len(s.segs))
+	sw.Int(len(s.route))
+	for _, ref := range s.route {
+		sw.Uvarint(uint64(ref.seg))
 	}
 	onSave, _ := s.onSave.Load().(func(int, time.Duration))
-	var segBuf bytes.Buffer
 	for i, seg := range s.segs {
-		segBuf.Reset()
 		start := time.Now()
-		seg.mu.RLock()
-		err := func() error {
-			if seg.eng == nil {
-				return nil
+		if seg.eng == nil {
+			sw.Byte(0)
+		} else {
+			sw.Byte(1)
+			if err := SaveEngine(sw, seg.eng); err != nil {
+				sw.Fail(fmt.Errorf("segment %d: %w", i, err))
 			}
-			return SaveEngine(&segBuf, seg.eng)
-		}()
-		seg.mu.RUnlock()
+		}
 		if onSave != nil {
 			onSave(i, time.Since(start))
 		}
-		if err != nil {
-			return fmt.Errorf("gbkmv: encoding segment %d: %w", i, err)
-		}
-		lenBuf := num[:binary.PutUvarint(num[:], uint64(segBuf.Len()))]
-		if _, err := w.Write(lenBuf); err != nil {
-			return fmt.Errorf("gbkmv: writing segment %d: %w", i, err)
-		}
-		if _, err := w.Write(segBuf.Bytes()); err != nil {
-			return fmt.Errorf("gbkmv: writing segment %d: %w", i, err)
-		}
+	}
+	if err := sw.Flush(); err != nil {
+		return fmt.Errorf("gbkmv: writing segmented snapshot: %w", err)
 	}
 	return nil
 }
 
-// loadSegmented reads the container written by Save (after the magic has
-// been consumed by LoadEngine's dispatch). Segment payloads decode in
-// parallel — the rebuild-on-load engines do real work here, and a restart
-// should use the cores a segmented collection was sized to.
-func loadSegmented(r io.Reader) (*Segmented, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		shim := &byteReaderShim{r: r}
-		br = shim
-		r = shim
+// parseSegmented consumes the container written by Save: the header and
+// routing table, then each segment's engine stream in order. The returned
+// finish runs the segments' own finishes — deriving inverted lists,
+// rebuilding the rebuild-on-load engines — in parallel: that is where a
+// restart's CPU goes, and it should use the cores a segmented collection was
+// sized to.
+func parseSegmented(sr *snapfmt.Reader) (func() (Engine, error), error) {
+	sr.Magic(segmentedMagic)
+	flags := sr.Byte()
+	if sr.Err() == nil && flags > 1 {
+		sr.Corrupt("unknown container flags %#x", flags)
 	}
-	var meta [2]byte
-	if _, err := io.ReadFull(r, meta[:]); err != nil {
+	inner := sr.String(maxEngineName)
+	opt := readEngineOptions(sr)
+	n, nrec := sr.Int(), sr.Int()
+	if sr.Err() == nil && (n < 1 || n > maxSegments) {
+		sr.Corrupt("implausible segment count %d", n)
+	}
+	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("gbkmv: reading segmented header: %w", err)
 	}
-	if meta[0] != segmentedVersion {
-		return nil, fmt.Errorf("gbkmv: unsupported segmented snapshot version %d", meta[0])
-	}
-	pinned := meta[1]&1 != 0
-	var nameLen [1]byte
-	if _, err := io.ReadFull(r, nameLen[:]); err != nil {
-		return nil, fmt.Errorf("gbkmv: reading segmented header: %w", err)
-	}
-	nameBuf := make([]byte, nameLen[0])
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return nil, fmt.Errorf("gbkmv: reading segmented engine name: %w", err)
-	}
-	inner := string(nameBuf)
-	if _, _, err := lookupEngine(inner); err != nil {
+	if _, err := lookupEngine(inner); err != nil {
 		return nil, fmt.Errorf("gbkmv: segmented snapshot written by unregistered engine %q", inner)
 	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("gbkmv: reading segment count: %w", err)
-	}
-	if n < 1 || n > 1<<20 {
-		return nil, fmt.Errorf("gbkmv: implausible segment count %d", n)
-	}
-	nrec, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("gbkmv: reading record count: %w", err)
-	}
-	s := &Segmented{inner: inner, segs: make([]*segment, n)}
-	s.pin.Store(pinned)
-	for i := range s.segs {
-		s.segs[i] = &segment{}
-	}
-	s.route = make([]segRef, nrec)
-	for i := range s.route {
-		segIdx, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("gbkmv: reading routing table: %w", err)
+	s := &Segmented{inner: inner, opt: opt, segs: make([]*segment, n)}
+	s.pin.Store(flags&1 != 0)
+	counts := make([]int, n)
+	s.route = snapfmt.Each(sr, nrec, 1, func() segRef {
+		seg := sr.Uvarint()
+		if seg >= uint64(n) {
+			sr.Corrupt("routing table names segment %d of %d", seg, n)
+			return segRef{}
 		}
-		if segIdx >= n {
-			return nil, fmt.Errorf("gbkmv: routing table names segment %d of %d", segIdx, n)
-		}
-		seg := s.segs[segIdx]
-		s.route[i] = segRef{seg: uint32(segIdx), local: uint32(len(seg.globals))}
-		seg.globals = append(seg.globals, i)
-	}
-	optLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("gbkmv: reading segment options: %w", err)
-	}
-	optBytes := make([]byte, optLen)
-	if _, err := io.ReadFull(r, optBytes); err != nil {
-		return nil, fmt.Errorf("gbkmv: reading segment options: %w", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(optBytes)).Decode(&s.opt); err != nil {
-		return nil, fmt.Errorf("gbkmv: decoding segment options: %w", err)
-	}
-	payloads := make([][]byte, n)
-	for i := uint64(0); i < n; i++ {
-		plen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("gbkmv: reading segment %d length: %w", i, err)
-		}
-		if plen == 0 {
-			continue
-		}
-		p := make([]byte, plen)
-		if _, err := io.ReadFull(r, p); err != nil {
-			return nil, fmt.Errorf("gbkmv: reading segment %d: %w", i, err)
-		}
-		payloads[i] = p
-	}
-	var firstErr error
-	var errMu sync.Mutex
-	fanSegments(int(n), func(i int) {
-		if payloads[i] == nil {
-			return
-		}
-		eng, err := LoadEngine(bytes.NewReader(payloads[i]))
-		if err == nil && eng.EngineName() != inner {
-			err = fmt.Errorf("segment engine %q, container says %q", eng.EngineName(), inner)
-		}
-		if err == nil && eng.Len() != len(s.segs[i].globals) {
-			err = fmt.Errorf("segment holds %d records, routing table says %d", eng.Len(), len(s.segs[i].globals))
-		}
-		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("gbkmv: loading segment %d: %w", i, err)
-			}
-			errMu.Unlock()
-			return
-		}
-		s.segs[i].eng = eng
+		counts[seg]++
+		return segRef{seg: uint32(seg), local: uint32(counts[seg] - 1)}
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err := sr.Err(); err != nil {
+		return nil, fmt.Errorf("gbkmv: reading routing table: %w", err)
 	}
 	for i := range s.segs {
-		if s.segs[i].eng == nil && len(s.segs[i].globals) > 0 {
-			return nil, fmt.Errorf("gbkmv: segment %d has %d routed records but no payload", i, len(s.segs[i].globals))
+		s.segs[i] = &segment{globals: make([]int, 0, counts[i])}
+	}
+	for g, ref := range s.route {
+		seg := s.segs[ref.seg]
+		seg.globals = append(seg.globals, g)
+	}
+	finishes := make([]func() (Engine, error), n)
+	for i := range s.segs {
+		switch present := sr.Byte(); {
+		case sr.Err() != nil:
+		case present == 1:
+			finish, err := parseEngine(sr)
+			if err != nil {
+				return nil, fmt.Errorf("gbkmv: loading segment %d: %w", i, err)
+			}
+			finishes[i] = finish
+		case present != 0:
+			sr.Corrupt("segment %d presence byte %d", i, present)
+		case counts[i] > 0:
+			sr.Corrupt("segment %d has %d routed records but no payload", i, counts[i])
+		}
+		if err := sr.Err(); err != nil {
+			return nil, fmt.Errorf("gbkmv: loading segment %d: %w", i, err)
 		}
 	}
-	return s, nil
-}
-
-// byteReaderShim is a minimal ByteReader for readers without one; segment
-// loads go through bytes.Reader in practice.
-type byteReaderShim struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (b *byteReaderShim) Read(p []byte) (int, error) { return b.r.Read(p) }
-func (b *byteReaderShim) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
+	return func() (Engine, error) {
+		err := fanSegmentsErr(n, func(i int) error {
+			if finishes[i] == nil {
+				return nil
+			}
+			eng, err := finishes[i]()
+			if err == nil && eng.EngineName() != inner {
+				err = fmt.Errorf("segment engine %q, container says %q", eng.EngineName(), inner)
+			}
+			if err == nil && eng.Len() != counts[i] {
+				err = fmt.Errorf("%w: segment holds %d records, routing table says %d", snapfmt.ErrCorrupt, eng.Len(), counts[i])
+			}
+			if err != nil {
+				return fmt.Errorf("gbkmv: loading segment %d: %w", i, err)
+			}
+			s.segs[i].eng = eng
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
+	}, nil
 }

@@ -1,0 +1,375 @@
+package gbkmv_test
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"io"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"gbkmv"
+	"gbkmv/internal/dataset"
+)
+
+// oldFormatStreams are what a loader of the one snapshot format must name as
+// ErrSnapshotFormat rather than fail to decode: a gob stream shaped like the
+// version-3 snapshots the previous build wrote, plain garbage, nothing at
+// all, and a current magic with a version from the future.
+func oldFormatStreams(t *testing.T, magic string) map[string][]byte {
+	t.Helper()
+	var gobV3 bytes.Buffer
+	if err := gob.NewEncoder(&gobV3).Encode(struct {
+		Version int
+		Records [][]uint64
+		Tokens  []string
+	}{3, [][]uint64{{1, 2, 3}}, []string{"five", "guys"}}); err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{
+		"gob-v3":  gobV3.Bytes(),
+		"garbage": []byte("definitely not a snapshot"),
+		"empty":   nil,
+		"future":  append([]byte(magic), 2, 0, 0, 0),
+	}
+}
+
+func TestLoadEngineOldFormat(t *testing.T) {
+	for _, magic := range []string{"GBKMVENG", "GBKMVSEG"} {
+		for name, b := range oldFormatStreams(t, magic) {
+			if _, err := gbkmv.LoadEngine(bytes.NewReader(b)); !errors.Is(err, gbkmv.ErrSnapshotFormat) {
+				t.Errorf("%s/%s: LoadEngine = %v, want ErrSnapshotFormat", magic, name, err)
+			}
+		}
+	}
+	// The bare index stream (Index.Save) is not an engine stream: the
+	// headerless form LoadEngine once accepted is gone with the old formats.
+	ix, err := gbkmv.Build(numericRecords(10, 50, 8), gbkmv.Options{BudgetFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bare bytes.Buffer
+	if err := ix.Save(&bare); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gbkmv.LoadEngine(bytes.NewReader(bare.Bytes())); !errors.Is(err, gbkmv.ErrSnapshotFormat) {
+		t.Errorf("bare index stream: LoadEngine = %v, want ErrSnapshotFormat", err)
+	}
+	if _, err := gbkmv.Load(&bare); err != nil {
+		t.Errorf("bare index stream: Load = %v", err)
+	}
+	for name, b := range oldFormatStreams(t, "GBKMVIDX") {
+		if _, err := gbkmv.Load(bytes.NewReader(b)); !errors.Is(err, gbkmv.ErrSnapshotFormat) {
+			t.Errorf("%s: Load = %v, want ErrSnapshotFormat", name, err)
+		}
+	}
+}
+
+func TestLoadVocabularyOldFormat(t *testing.T) {
+	for name, b := range oldFormatStreams(t, "GBKMVVOC") {
+		if _, err := gbkmv.LoadVocabulary(bytes.NewReader(b)); !errors.Is(err, gbkmv.ErrSnapshotFormat) {
+			t.Errorf("%s: LoadVocabulary = %v, want ErrSnapshotFormat", name, err)
+		}
+	}
+}
+
+// answers is everything a query path returns, compared bit for bit.
+type answers struct {
+	Search [][]int
+	Scored [][]gbkmv.Scored
+	Totals []int
+	TopK   [][]gbkmv.Scored
+}
+
+func answersOf(e gbkmv.Engine, queries []gbkmv.Record) answers {
+	var a answers
+	for _, q := range queries {
+		pq := e.PrepareQuery(q)
+		for _, th := range []float64{0.2, 0.5, 0.8} {
+			a.Search = append(a.Search, pq.Search(th))
+			hits, total := pq.SearchScored(th, 7)
+			a.Scored = append(a.Scored, hits)
+			a.Totals = append(a.Totals, total)
+		}
+		a.TopK = append(a.TopK, pq.TopK(5))
+	}
+	return a
+}
+
+// TestSnapshotRoundTripIdentity is the differential pin of the snapshot
+// format: for every registered engine, bare and at 1 and 2 segments, save →
+// load → save is byte-identical and the loaded engine is the saved one —
+// same answers to Search, SearchScored and TopK down to the last bit of
+// every score — fresh, after both took the same inserts, and after inserts
+// that shrink the threshold of the fixed-budget sketches.
+func TestSnapshotRoundTripIdentity(t *testing.T) {
+	records, queries := engineCorpus(t, 330)
+	opt := gbkmv.EngineOptions{BudgetFraction: 0.3, Seed: 42}
+	for _, name := range gbkmv.Engines() {
+		for _, segments := range []int{0, 1, 2} {
+			t.Run(fmt.Sprintf("%s/seg%d", name, segments), func(t *testing.T) {
+				var orig gbkmv.Engine
+				var err error
+				if segments == 0 {
+					orig, err = gbkmv.NewEngine(name, records[:200], opt)
+				} else {
+					orig, err = gbkmv.NewSegmented(name, segments, records[:200], opt)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				roundTrip := func(stage string) gbkmv.Engine {
+					t.Helper()
+					var first bytes.Buffer
+					if err := gbkmv.SaveEngine(&first, orig); err != nil {
+						t.Fatalf("%s: save: %v", stage, err)
+					}
+					loaded, err := gbkmv.LoadEngine(bytes.NewReader(first.Bytes()))
+					if err != nil {
+						t.Fatalf("%s: load: %v", stage, err)
+					}
+					var second bytes.Buffer
+					if err := gbkmv.SaveEngine(&second, loaded); err != nil {
+						t.Fatalf("%s: re-save: %v", stage, err)
+					}
+					if !bytes.Equal(first.Bytes(), second.Bytes()) {
+						t.Fatalf("%s: save → load → save changed the bytes (%d vs %d)", stage, first.Len(), second.Len())
+					}
+					if got, want := loaded.EngineStats(), orig.EngineStats(); got != want {
+						t.Fatalf("%s: loaded stats %+v, saved %+v", stage, got, want)
+					}
+					if got, want := answersOf(loaded, queries), answersOf(orig, queries); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: the loaded engine answers differently from the saved one", stage)
+					}
+					return loaded
+				}
+				loaded := roundTrip("fresh")
+				// The loaded engine is the same state, not just the same
+				// answers: it keeps agreeing under the same writes.
+				tauBefore := orig.EngineStats().Tau
+				for _, next := range []struct {
+					stage string
+					batch []gbkmv.Record
+				}{{"inserts", records[200:210]}, {"a threshold shrink", records[210:]}} {
+					orig.AddBatch(next.batch)
+					loaded.AddBatch(next.batch)
+					if got, want := answersOf(loaded, queries), answersOf(orig, queries); !reflect.DeepEqual(got, want) {
+						t.Fatalf("after %s: loaded and saved engines diverged", next.stage)
+					}
+					roundTrip("after " + next.stage)
+				}
+				if name == "gbkmv" || name == "gkmv" {
+					if tau := orig.EngineStats().Tau; tau >= tauBefore {
+						t.Fatalf("inserts did not shrink the threshold (%v → %v); fixture too small", tauBefore, tau)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDerivedOptionsReload: an engine saves the options it resolved, not
+// the ones it was given, so whatever a build derives must pass the loader's
+// checks. kmv derives k = budget/m with no ceiling — here 5000, above the
+// 4096 a given signature length may reach — bare and as the k a segmented
+// collection pins; an explicit NumHashes that large still builds kmv and
+// still fails the engines that would sign with it.
+func TestDerivedOptionsReload(t *testing.T) {
+	records := make([]gbkmv.Record, 4)
+	for i := range records {
+		records[i] = make(gbkmv.Record, 50000)
+		for j := range records[i] {
+			records[i][j] = gbkmv.Element(3*j + i)
+		}
+	}
+	for _, segments := range []int{0, 2} {
+		var e gbkmv.Engine
+		var err error
+		if segments == 0 {
+			e, err = gbkmv.NewEngine("kmv", records[:3], gbkmv.EngineOptions{Seed: 1})
+		} else {
+			e, err = gbkmv.NewSegmented("kmv", segments, records[:3], gbkmv.EngineOptions{Seed: 1})
+		}
+		if err != nil {
+			t.Fatalf("%d segments: %v", segments, err)
+		}
+		if k := e.EngineStats().NumHashes; k != 5000 {
+			t.Fatalf("%d segments: derived k = %d, fixture wants 5000", segments, k)
+		}
+		e.AddBatch(records[3:])
+		var buf bytes.Buffer
+		if err := gbkmv.SaveEngine(&buf, e); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := gbkmv.LoadEngine(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%d segments: a snapshot of a built engine does not load: %v", segments, err)
+		}
+		if got, want := loaded.EngineStats(), e.EngineStats(); got != want {
+			t.Fatalf("%d segments: loaded stats %+v, saved %+v", segments, got, want)
+		}
+		if got, want := loaded.SearchTopK(records[0][:40000], 4), e.SearchTopK(records[0][:40000], 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d segments: loaded top-k %v, saved %v", segments, got, want)
+		}
+		if _, err := gbkmv.Reshard(loaded, 2); err != nil {
+			t.Fatalf("%d segments: resharding the loaded engine: %v", segments, err)
+		}
+	}
+	long := gbkmv.EngineOptions{NumHashes: 5000, Seed: 1}
+	if _, err := gbkmv.NewEngine("kmv", records, long); err != nil {
+		t.Errorf("kmv with NumHashes 5000: %v", err)
+	}
+	for _, name := range []string{"minhash", "lshforest", "lshensemble"} {
+		if _, err := gbkmv.NewEngine(name, records[:1], long); err == nil {
+			t.Errorf("%s accepted NumHashes 5000", name)
+		}
+	}
+}
+
+// TestUnsortedRecordRefused: the format stores records as deltas, so a record
+// that breaks the sorted-and-deduplicated invariant is refused where a
+// collection is built; one slipped in through AddBatch (which cannot refuse)
+// fails the save with an error instead of writing a stream no loader takes.
+func TestUnsortedRecordRefused(t *testing.T) {
+	good := []gbkmv.Record{{1, 2, 3}, {2, 5, 9}}
+	for _, bad := range []gbkmv.Record{{3, 1, 2}, {1, 2, 2}} {
+		for _, name := range gbkmv.Engines() {
+			if _, err := gbkmv.NewEngine(name, append(good[:2:2], bad), gbkmv.EngineOptions{BudgetUnits: 100}); err == nil {
+				t.Errorf("%s built over the record %v", name, bad)
+			}
+		}
+		e, err := gbkmv.NewEngine("exact", good, gbkmv.EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Add(bad)
+		if err := gbkmv.SaveEngine(io.Discard, e); err == nil {
+			t.Errorf("a collection holding %v saved", bad)
+		}
+	}
+}
+
+// TestSegmentedSaveDuringAddBatch: Save may race AddBatch. Every snapshot
+// taken while another goroutine inserts must load, and must hold a prefix of
+// the global ids — the routing table and the segments written at one point
+// of the insert order. (Before Save excluded AddBatch, about one snapshot in
+// twenty held a segment one batch ahead of the routing table and failed to
+// load.)
+func TestSegmentedSaveDuringAddBatch(t *testing.T) {
+	records, _ := engineCorpus(t, 400)
+	recordOf := func(id int) gbkmv.Record { return records[id%len(records)] }
+	const base, batch = 100, 4
+	seg, err := gbkmv.NewSegmented("gbkmv", 4, records[:base], gbkmv.EngineOptions{BudgetUnits: 1 << 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The writer stops by itself after maxRecords, so the snapshots below
+	// stay small however slowly they are taken (the race detector).
+	const maxRecords = 4000
+	var stop atomic.Bool
+	added := make(chan int)
+	go func() {
+		n := base
+		for !stop.Load() && n < maxRecords {
+			recs := make([]gbkmv.Record, batch)
+			for i := range recs {
+				recs[i] = recordOf(n + i)
+			}
+			seg.AddBatch(recs)
+			n += batch
+		}
+		added <- n
+	}()
+	for snap := 0; snap < 20; snap++ {
+		var buf bytes.Buffer
+		if err := seg.Save(&buf); err != nil {
+			t.Errorf("snapshot %d: save: %v", snap, err)
+			break
+		}
+		loaded, err := gbkmv.LoadEngine(&buf)
+		if err != nil {
+			t.Errorf("snapshot %d: load: %v", snap, err)
+			break
+		}
+		n := loaded.Len()
+		if n < base || (n-base)%batch != 0 {
+			t.Errorf("snapshot %d holds %d records: not a whole number of batches over %d", snap, n, base)
+		}
+		for id := 0; id < n; id++ {
+			if !slices.Equal(loaded.Record(id), recordOf(id)) {
+				t.Errorf("snapshot %d: record %d is not the %dth inserted", snap, id, id)
+				break
+			}
+		}
+	}
+	stop.Store(true)
+	if n := <-added; seg.Len() != n {
+		t.Errorf("engine holds %d records after %d were added", seg.Len(), n)
+	}
+}
+
+// TestSnapshotAllocs pins the memory of the snapshot path: saving allocates
+// a fixed buffer, not a copy of the collection (the gob path staged ≈ 2.5×
+// the snapshot), and loading allocates what the loaded engine keeps plus at
+// most a quarter — every slab is read into its final slice, the inverted
+// lists are sized before they are filled.
+func TestSnapshotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation totals are meaningless under the race detector")
+	}
+	d, err := dataset.Synthetic(dataset.SyntheticConfig{
+		NumRecords: 20000, Universe: 50000,
+		AlphaFreq: 1.1, AlphaSize: 2.5,
+		MinSize: 10, MaxSize: 300,
+	}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]gbkmv.EngineOptions{
+		"budget-10%": {Seed: 5},                                                     // τ ≈ 0.1: records dominate
+		"headroom":   {BudgetUnits: 8 * d.TotalElements(), BufferBits: 64, Seed: 5}, // τ = 1: every hash stored
+	} {
+		t.Run(name, func(t *testing.T) {
+			seg, err := gbkmv.NewSegmented("gbkmv", 2, d.Records, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap bytes.Buffer
+			if err := gbkmv.SaveEngine(&snap, seg); err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1, m2 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			if err := gbkmv.SaveEngine(io.Discard, seg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			if saved := m1.TotalAlloc - m0.TotalAlloc; saved >= 1<<20 {
+				t.Errorf("saving a %d-byte snapshot allocated %d bytes, want < 1 MB", snap.Len(), saved)
+			}
+
+			seg = nil
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			loaded, err := gbkmv.LoadEngine(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			runtime.GC()
+			runtime.ReadMemStats(&m2)
+			allocated, held := m1.TotalAlloc-m0.TotalAlloc, m2.HeapAlloc-m0.HeapAlloc
+			t.Logf("snapshot %d bytes; load allocated %d, loaded engine holds %d (%.2fx)",
+				snap.Len(), allocated, held, float64(allocated)/float64(held))
+			if float64(allocated) > 1.25*float64(held) {
+				t.Errorf("loading allocated %d bytes for an engine holding %d: over 1.25x", allocated, held)
+			}
+			runtime.KeepAlive(loaded)
+		})
+	}
+}

@@ -1,46 +1,47 @@
 package gbkmv
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
+
+	"gbkmv/internal/snapfmt"
 )
 
-// vocabWire is the gob-encoded form of a Vocabulary. Only the token table
+// A vocabulary stream is the magic and format version, then the token table
+// as one string section (count, total bytes, lengths, bytes). Only the table
 // is stored; the id map is rebuilt on load (ids are the table positions).
-type vocabWire struct {
-	Version int
-	Tokens  []string
-}
-
-const vocabWireVersion = 1
+const vocabMagic = "GBKMVVOC"
 
 // Save serializes the vocabulary. Ids are positional, so an index saved
 // together with the vocabulary it was built through round-trips exactly.
 func (v *Vocabulary) Save(w io.Writer) error {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return gob.NewEncoder(w).Encode(vocabWire{
-		Version: vocabWireVersion,
-		Tokens:  v.toks,
-	})
+	sw := snapfmt.NewWriter(w)
+	sw.Magic(vocabMagic)
+	sw.Strings(v.toks)
+	if err := sw.Flush(); err != nil {
+		return fmt.Errorf("gbkmv: writing vocabulary: %w", err)
+	}
+	return nil
 }
 
-// LoadVocabulary reads a vocabulary written by Save.
+// LoadVocabulary reads a vocabulary written by Save: the tokens are windows
+// of one string slab. A stream that is not a vocabulary of the current
+// format is ErrSnapshotFormat.
 func LoadVocabulary(r io.Reader) (*Vocabulary, error) {
-	var w vocabWire
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("gbkmv: decoding vocabulary: %v", err)
+	sr := snapfmt.NewReader(r)
+	sr.Magic(vocabMagic)
+	toks := sr.Strings()
+	if err := sr.Done(); err != nil {
+		return nil, fmt.Errorf("gbkmv: reading vocabulary: %w", err)
 	}
-	if w.Version != vocabWireVersion {
-		return nil, fmt.Errorf("gbkmv: unsupported vocabulary version %d", w.Version)
-	}
-	v := &Vocabulary{
-		ids:  make(map[string]Element, len(w.Tokens)),
-		toks: w.Tokens,
-	}
-	for i, t := range w.Tokens {
+	v := &Vocabulary{ids: make(map[string]Element, len(toks)), toks: toks}
+	for i, t := range toks {
 		v.ids[t] = Element(i)
+	}
+	if len(v.ids) != len(toks) {
+		return nil, fmt.Errorf("gbkmv: reading vocabulary: %w: a token appears twice", snapfmt.ErrCorrupt)
 	}
 	return v, nil
 }
