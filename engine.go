@@ -106,8 +106,8 @@ type EngineStats struct {
 	NumRecords  int     // indexed records
 	SizeBytes   int     // in-memory signature footprint
 	BufferBytes int     // GB-KMV frequent-element buffer share of SizeBytes
-	SketchBytes int     // GB-KMV hash-store share of SizeBytes
-	BudgetUnits int     // configured budget (1 unit = one stored hash value)
+	SketchBytes int     // GB-KMV key-store share of SizeBytes (4 bytes a stored key)
+	BudgetUnits int     // configured budget (1 unit = one stored hash value; gbkmv/gkmv: one 32-bit key = 32 buffer bits = 4 bytes)
 	UsedUnits   int     // units actually consumed
 	BufferBits  int     // GB-KMV buffer size r
 	Tau         float64 // KMV-family global hash threshold

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gbkmv/internal/dataset"
+	"gbkmv/internal/snapfmt"
 )
 
 // fuzzSnapshots returns real snapshots of every registered engine at 1 and
@@ -59,6 +60,10 @@ func FuzzLoadEngine(f *testing.F) {
 	for n := 0; n < len(short); n += 64 {
 		f.Add(short[:n])
 	}
+	// The previous format version: intact bytes this build must not parse.
+	old := bytes.Clone(snaps["gbkmv/seg1"])
+	old[len(segmentedMagic)] = snapfmt.Version - 1
+	f.Add(old)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -68,10 +68,10 @@ type Options struct {
 	// default "SpaceUsed").
 	BudgetFraction float64
 	// BudgetUnits is the absolute sketch budget in signature units (one
-	// unit = one stored hash value = 32 buffer bits). When positive it
-	// overrides BudgetFraction; useful for long-lived indexes taking
-	// dynamic inserts, whose budget should not be tied to the initial data
-	// size.
+	// unit = one stored 32-bit hash key = 32 buffer bits = 4 bytes). When
+	// positive it overrides BudgetFraction; useful for long-lived indexes
+	// taking dynamic inserts, whose budget should not be tied to the
+	// initial data size.
 	BudgetUnits int
 	// BufferBits is the frequent-element buffer size r in bits per record:
 	// AutoBuffer (default) for cost-model selection, NoBuffer for none, or
@@ -181,11 +181,11 @@ type Stats struct {
 	NumRecords  int
 	BufferBits  int     // chosen r
 	Tau         float64 // global hash threshold
-	BudgetUnits int     // configured budget (1 unit = one hash value = 32 buffer bits)
+	BudgetUnits int     // configured budget (1 unit = one 32-bit hash key = 32 buffer bits = 4 bytes)
 	UsedUnits   int     // units actually consumed
 	SizeBytes   int     // in-memory signature footprint (BufferBytes + SketchBytes)
 	BufferBytes int     // footprint of the frequent-element buffers alone
-	SketchBytes int     // footprint of the G-KMV hash store alone
+	SketchBytes int     // footprint of the G-KMV key store alone: 4 bytes a stored key
 }
 
 // BuildCounters returns monotonic write-path work counters: total element

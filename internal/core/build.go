@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -13,17 +14,15 @@ import (
 )
 
 // This file is the hash-once build pipeline behind BuildIndex and
-// journal-replay batch inserts. The previous write path hashed
-// every element occurrence up to three times (threshold selection, record
-// sketching, posting lists) and materialized an O(n) float slice just to
-// pick τ. The pipeline computes hash.UnitHash exactly once per occurrence
-// into per-worker chunks and reuses those hashes for every downstream stage:
+// journal-replay batch inserts. The pipeline computes hash.Key32 exactly
+// once per occurrence into per-worker chunks and reuses those keys for every
+// downstream stage:
 //
-//	hashChunks        one parallel pass: split non-buffered (element, hash)
+//	hashChunks        one parallel pass: split non-buffered (element, key)
 //	                  pairs per record into contiguous worker chunks, setting
 //	                  buffer-arena bits along the way
 //	kthSmallest       τ selection as a streaming histogram merge over the
-//	                  chunk hashes (exact order statistic, no O(n) copy)
+//	                  chunk keys (exact order statistic, no O(n) copy)
 //	packArena         parallel filter+sort of each record's run into the
 //	                  flat sketch arena at precomputed offsets
 //	postingsFromChunks per-worker element-sharded posting maps, merged by
@@ -54,12 +53,12 @@ func buildWorkers(m int) int {
 
 // buildChunk holds one worker's share of the hashed collection: the
 // non-buffered elements of records [lo, hi) flattened in record order, their
-// unit hashes (parallel slice), and the per-record end offsets.
+// keys (parallel slice), and the per-record end offsets.
 type buildChunk struct {
 	lo, hi int
 	elems  []hash.Element
-	hashes []float64
-	recEnd []int32 // recEnd[i-lo] = end offset of record i in elems/hashes
+	keys   []uint32
+	recEnd []int32 // recEnd[i-lo] = end offset of record i in elems/keys
 }
 
 // runParallel invokes fn(i) for i in [0, n) across up to `workers`
@@ -94,8 +93,8 @@ func runParallel(n, workers int, fn func(i int)) {
 
 // hashChunks runs the single hashing pass of the pipeline: every record's
 // elements are split into buffered bits (written to the buffer arena) and
-// non-buffered (element, hash) pairs collected into per-worker chunks. This
-// is the only place the build calls hash.UnitHash on the collection.
+// non-buffered (element, key) pairs collected into per-worker chunks. This
+// is the only place the build hashes the collection.
 func (ix *Index) hashChunks() []buildChunk {
 	m := len(ix.records)
 	workers := buildWorkers(m)
@@ -116,7 +115,7 @@ func (ix *Index) hashChunks() []buildChunk {
 			total += len(ix.records[i])
 		}
 		c.elems = make([]hash.Element, 0, total)
-		c.hashes = make([]float64, 0, total)
+		c.keys = make([]uint32, 0, total)
 		c.recEnd = make([]int32, 0, c.hi-c.lo)
 		for i := c.lo; i < c.hi; i++ {
 			for _, e := range ix.records[i] {
@@ -125,14 +124,14 @@ func (ix *Index) hashChunks() []buildChunk {
 					continue
 				}
 				c.elems = append(c.elems, e)
-				c.hashes = append(c.hashes, hash.UnitHash(e, seed))
+				c.keys = append(c.keys, hash.Key32(e, seed))
 			}
 			c.recEnd = append(c.recEnd, int32(len(c.elems)))
 		}
 	})
 	var hashed uint64
 	for i := range chunks {
-		hashed += uint64(len(chunks[i].hashes))
+		hashed += uint64(len(chunks[i].keys))
 	}
 	ix.elementsHashed.Add(hashed)
 	return chunks
@@ -147,19 +146,20 @@ func (c *buildChunk) recRange(i int) (int32, int32) {
 	return start, c.recEnd[i-c.lo]
 }
 
-// tauBuckets is the histogram resolution of kthSmallest. Unit hashes are
-// uniform on [0, upper), so the candidate bucket holds ~n/tauBuckets values.
-const tauBuckets = 4096
+// tauBucketBits sets the histogram resolution of kthSmallest: at most
+// 2^tauBucketBits buckets, at least half as many in use. Keys are uniform on
+// [0, upper], so the candidate bucket holds ~n/4096 to ~n/2048 of them.
+const tauBucketBits = 12
 
-// kthSmallest returns the k-th smallest value (1-based) of the multiset
-// formed by the parts, all of which must lie in [0, upper]. It replaces a
-// full concatenate-and-quickselect with a streaming two-pass histogram: each
+// kthSmallest returns the k-th smallest key (1-based) of the multiset formed
+// by the parts, all of which must lie in [0, upper]. It replaces a full
+// concatenate-and-quickselect with a streaming two-pass histogram: each
 // part's bucket counts merge into one histogram, only the bucket containing
 // the target rank is materialized, and the exact order statistic is selected
 // inside it. The result depends only on the multiset and k — never on how
-// values are split across parts — so parallel and sequential builds agree
-// bit for bit.
-func kthSmallest(parts [][]float64, k int, upper float64) float64 {
+// keys are split across parts — so parallel and sequential builds agree bit
+// for bit.
+func kthSmallest(parts [][]uint32, k int, upper uint32) uint32 {
 	var sel kthSelector
 	return sel.kthSmallest(parts, k, upper)
 }
@@ -170,23 +170,17 @@ func kthSmallest(parts [][]float64, k int, upper float64) float64 {
 // which therefore allocate nothing in steady state.
 type kthSelector struct {
 	hist  []int
-	cands []float64
+	cands []uint32
 }
 
-func (s *kthSelector) kthSmallest(parts [][]float64, k int, upper float64) float64 {
-	if upper <= 0 {
-		return 0
-	}
-	scale := tauBuckets / upper
-	bucketOf := func(v float64) int {
-		b := int(v * scale)
-		if b >= tauBuckets {
-			b = tauBuckets - 1
-		}
-		return b
-	}
+func (s *kthSelector) kthSmallest(parts [][]uint32, k int, upper uint32) uint32 {
+	// A key's bucket is its top bits under the upper bound's width: one
+	// shift per key (a division here doubles the cost of a saturated
+	// insert), monotone in the key, and below 2^tauBucketBits.
+	shift := max(0, bits.Len32(upper)-tauBucketBits)
+	const buckets = 1 << tauBucketBits
 	if s.hist == nil {
-		s.hist = make([]int, tauBuckets)
+		s.hist = make([]int, buckets)
 	} else {
 		clear(s.hist)
 	}
@@ -194,14 +188,14 @@ func (s *kthSelector) kthSmallest(parts [][]float64, k int, upper float64) float
 		// The shrink's call (one part: the arena) counts straight into the
 		// kept histogram, on the caller's goroutine.
 		for _, v := range parts[0] {
-			s.hist[bucketOf(v)]++
+			s.hist[v>>shift]++
 		}
 	} else {
 		hists := make([][]int, len(parts))
 		runParallel(len(parts), buildWorkers(len(parts)), func(pi int) {
-			h := make([]int, tauBuckets)
+			h := make([]int, buckets)
 			for _, v := range parts[pi] {
-				h[bucketOf(v)]++
+				h[v>>shift]++
 			}
 			hists[pi] = h
 		})
@@ -221,34 +215,32 @@ func (s *kthSelector) kthSmallest(parts [][]float64, k int, upper float64) float
 	}
 	if target < 0 {
 		// k exceeds the multiset size; callers guard against this, but the
-		// largest value is the only sensible answer.
-		max := 0.0
+		// largest key is the only sensible answer.
+		top := uint32(0)
 		for _, p := range parts {
 			for _, v := range p {
-				if v > max {
-					max = v
-				}
+				top = max(top, v)
 			}
 		}
-		return max
+		return top
 	}
 	cands := s.cands[:0]
 	for _, p := range parts {
 		for _, v := range p {
-			if bucketOf(v) == target {
+			if int(v>>shift) == target {
 				cands = append(cands, v)
 			}
 		}
 	}
 	s.cands = cands
-	return selectk.Float64s(cands, k-1-before)
+	return selectk.Select(cands, k-1-before)
 }
 
-// chunkHashParts projects the chunks onto their hash slices for kthSmallest.
-func chunkHashParts(chunks []buildChunk) [][]float64 {
-	parts := make([][]float64, len(chunks))
+// chunkKeyParts projects the chunks onto their key slices for kthSmallest.
+func chunkKeyParts(chunks []buildChunk) [][]uint32 {
+	parts := make([][]uint32, len(chunks))
 	for i := range chunks {
-		parts[i] = chunks[i].hashes
+		parts[i] = chunks[i].keys
 	}
 	return parts
 }
@@ -256,12 +248,13 @@ func chunkHashParts(chunks []buildChunk) [][]float64 {
 // packArenaFromChunks fills the sketch arena from the hashed chunks under
 // the index's threshold: per-record run lengths are counted in parallel, the
 // offset table is one prefix sum, and each worker then filters and sorts its
-// records' runs directly into the shared hash store (disjoint ranges, no
+// records' runs directly into the shared key store (disjoint ranges, no
 // synchronization). Sorting the filtered multiset reproduces exactly what
-// the sequential gkmv.BuildHashes produced.
-func (ix *Index) packArenaFromChunks(chunks []buildChunk) {
+// the sequential gkmv.BuildHashes produces. It fails, before the prefix sum
+// could wrap, when the kept keys exceed what the offset table addresses.
+func (ix *Index) packArenaFromChunks(chunks []buildChunk) error {
 	m := len(ix.records)
-	tau := ix.tau
+	cut := ix.cut
 	a := &ix.arena
 	if cap(a.offsets) < m+1 {
 		a.offsets = make([]uint32, m+1)
@@ -279,8 +272,8 @@ func (ix *Index) packArenaFromChunks(chunks []buildChunk) {
 		for i := c.lo; i < c.hi; i++ {
 			start, end := c.recRange(i)
 			n := 0
-			for _, v := range c.hashes[start:end] {
-				if v <= tau {
+			for _, v := range c.keys[start:end] {
+				if v <= cut {
 					n++
 				}
 			}
@@ -288,30 +281,37 @@ func (ix *Index) packArenaFromChunks(chunks []buildChunk) {
 			a.complete[i] = n == int(end-start)
 		}
 	})
+	total := 0
+	for _, n := range a.offsets[1:] {
+		total += int(n)
+	}
+	if err := checkArenaRoom(total); err != nil {
+		return err
+	}
 	a.offsets[0] = 0
 	for i := 0; i < m; i++ {
 		a.offsets[i+1] += a.offsets[i]
 	}
-	total := int(a.offsets[m])
-	if cap(a.hashes) < total {
-		a.hashes = make([]float64, total)
+	if cap(a.keys) < total {
+		a.keys = make([]uint32, total)
 	} else {
-		a.hashes = a.hashes[:total]
+		a.keys = a.keys[:total]
 	}
 	runParallel(len(chunks), workers, func(ci int) {
 		c := &chunks[ci]
 		for i := c.lo; i < c.hi; i++ {
 			start, end := c.recRange(i)
-			run := a.hashes[a.offsets[i]:a.offsets[i+1]:a.offsets[i+1]]
+			run := a.keys[a.offsets[i]:a.offsets[i+1]:a.offsets[i+1]]
 			run = run[:0]
-			for _, v := range c.hashes[start:end] {
-				if v <= tau {
+			for _, v := range c.keys[start:end] {
+				if v <= cut {
 					run = append(run, v)
 				}
 			}
-			sort.Float64s(run)
+			slices.Sort(run)
 		}
 	})
+	return nil
 }
 
 // Posting lists are sharded by element so that both the parallel merge at
@@ -349,7 +349,7 @@ func (p *postingsTable) add(e hash.Element, id int32) {
 // chunk maps in chunk order. Chunks cover ascending record ranges, so every
 // merged list is ascending by record id — identical to a sequential scan.
 func (ix *Index) buildPostingsFromChunks(chunks []buildChunk) {
-	tau := ix.tau
+	cut := ix.cut
 	workers := buildWorkers(len(ix.records))
 	chunkShards := make([][]map[hash.Element][]int32, len(chunks))
 	runParallel(len(chunks), workers, func(ci int) {
@@ -361,7 +361,7 @@ func (ix *Index) buildPostingsFromChunks(chunks []buildChunk) {
 		for i := c.lo; i < c.hi; i++ {
 			start, end := c.recRange(i)
 			for j := start; j < end; j++ {
-				if c.hashes[j] <= tau {
+				if c.keys[j] <= cut {
 					e := c.elems[j]
 					s := shards[uint(e)&postingsShardMask]
 					s[e] = append(s[e], int32(i))
@@ -387,17 +387,16 @@ func (ix *Index) buildPostingsFromChunks(chunks []buildChunk) {
 	ix.postings = postingsTable{shards: final}
 }
 
-// filterPostings drops every element whose hash exceeds the (newly shrunk)
-// threshold, one hash per distinct surviving key instead of one per
-// occurrence. Lists of surviving elements are untouched, so the result is
-// exactly what a from-scratch rebuild at the new τ would produce for the
-// same records.
-func (ix *Index) filterPostings(tau float64) {
+// filterPostings drops every element whose key exceeds the (newly shrunk)
+// cut, one hash per distinct listed element instead of one per occurrence.
+// Lists of surviving elements are untouched, so the result is exactly what a
+// from-scratch rebuild at the new τ would produce for the same records.
+func (ix *Index) filterPostings(cut uint32) {
 	seed := ix.opt.Seed
 	runParallel(postingsShards, buildWorkers(postingsShards), func(s int) {
 		shard := ix.postings.shards[s]
 		for e := range shard {
-			if hash.UnitHash(e, seed) > tau {
+			if hash.Key32(e, seed) > cut {
 				delete(shard, e)
 			}
 		}
@@ -467,11 +466,11 @@ func (ix *Index) buildBufferPostings(sizes []int) {
 // occurrence) is what a load must not allocate.
 //
 // The counting pass also checks each record against its run in the arena —
-// as many elements under τ as stored hashes, completeness flag to match —
+// as many elements under τ as stored keys, completeness flag to match —
 // which is what guarantees the slab is exactly large enough, and is the last
 // consistency check a decoded index gets before anything searches it.
 func (ix *Index) rebuildPostings() error {
-	seed, tau := ix.opt.Seed, ix.tau
+	seed, cut := ix.opt.Seed, ix.cut
 	occurrences, top := 0, hash.Element(0)
 	for _, rec := range ix.records {
 		occurrences += len(rec)
@@ -488,7 +487,7 @@ func (ix *Index) rebuildPostings() error {
 	// counter returns the counter of an element that belongs in the inverted
 	// lists — hashed under τ, not buffered — and nil for any other.
 	counter := func(e hash.Element) *uint32 {
-		if hash.UnitHash(e, seed) > tau {
+		if hash.Key32(e, seed) > cut {
 			return nil
 		}
 		if n := counters.at(e); *n != skipElem {

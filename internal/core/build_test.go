@@ -1,28 +1,34 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"gbkmv/internal/bitmap"
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/gkmv"
 	"gbkmv/internal/hash"
+	"gbkmv/internal/snapfmt"
 )
 
 // Differential tests for the hash-once build pipeline: the parallel build
 // must be bit-identical — τ, arena, buffers, posting lists, bit order — to
 // the sequential seed algorithm it replaced (threshold from a sorted O(n)
-// hash slice, per-record gkmv.BuildHashes, rehashing buildPostings),
-// regardless of seed or worker count.
+// key slice, per-record gkmv.BuildHashes at the index's public Tau(),
+// rehashing buildPostings), regardless of seed or worker count.
 
 // refState is the output of the pre-pipeline sequential build, derived from
 // the index's record set and buffered-element choice (both of which are
 // seed-deterministic and shared with the pipeline).
 type refState struct {
-	tau            float64
-	runs           [][]float64
+	cut            uint32
+	runs           [][]uint32
 	complete       []bool
 	buffers        []*bitmap.Bitmap
 	postings       map[hash.Element][]int32
@@ -30,30 +36,33 @@ type refState struct {
 	bitOrder       []int32
 }
 
-// refBuild replays the sequential seed algorithm over the index's records at
-// the given τ (pass tau < 0 to also re-derive τ the old way, from the full
-// sorted slice of non-buffered occurrence hashes and the index's budget).
-func refBuild(ix *Index, tau float64) refState {
-	seed := ix.opt.Seed
-	if tau < 0 {
-		var all []float64
-		for _, rec := range ix.records {
-			for _, e := range rec {
-				if _, buffered := ix.bitOf[e]; buffered {
-					continue
-				}
-				all = append(all, hash.UnitHash(e, seed))
+// refCut re-derives the threshold the old way: from the full sorted slice of
+// non-buffered occurrence keys and the index's budget.
+func refCut(ix *Index) uint32 {
+	var all []uint32
+	for _, rec := range ix.records {
+		for _, e := range rec {
+			if _, buffered := ix.bitOf[e]; !buffered {
+				all = append(all, hash.Key32(e, ix.opt.Seed))
 			}
 		}
-		gBudget := ix.budget - bufferUnits(len(ix.records), ix.bufferBits)
-		if gBudget >= len(all) {
-			tau = 1
-		} else {
-			sort.Float64s(all)
-			tau = all[gBudget-1]
-		}
 	}
-	st := refState{tau: tau, postings: map[hash.Element][]int32{}}
+	gBudget := ix.budget - bufferUnits(len(ix.records), ix.bufferBits)
+	if gBudget >= len(all) {
+		return math.MaxUint32
+	}
+	slices.Sort(all)
+	return all[gBudget-1]
+}
+
+// refBuild replays the sequential seed algorithm over the index's records at
+// the given cut. Runs come from gkmv.BuildHashes at τ = KeyUnit(cut) — the
+// public route the benchmark's kernel views take — so the comparison also
+// pins that τ round-trips to exactly the index's own runs.
+func refBuild(ix *Index, cut uint32) refState {
+	seed := ix.opt.Seed
+	tau := hash.KeyUnit(cut)
+	st := refState{cut: cut, postings: map[hash.Element][]int32{}}
 	for i, rec := range ix.records {
 		var buf *bitmap.Bitmap
 		if ix.bufferBits > 0 {
@@ -72,7 +81,7 @@ func refBuild(ix *Index, tau float64) refState {
 		st.complete = append(st.complete, complete)
 		st.buffers = append(st.buffers, buf)
 		for _, e := range rest {
-			if hash.UnitHash(e, seed) <= tau {
+			if hash.Key32(e, seed) <= cut {
 				st.postings[e] = append(st.postings[e], int32(i))
 			}
 		}
@@ -105,12 +114,12 @@ func refBuild(ix *Index, tau float64) refState {
 // sequential reference, bit for bit.
 func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 	t.Helper()
-	if ix.tau != ref.tau {
-		t.Fatalf("%s: τ = %v, reference %v", label, ix.tau, ref.tau)
+	if ix.cut != ref.cut {
+		t.Fatalf("%s: cut = %v, reference %v", label, ix.cut, ref.cut)
 	}
 	for i := range ix.records {
 		got := ix.arena.view(i)
-		run := got.Hashes()
+		run := got.Keys()
 		if len(run) != len(ref.runs[i]) {
 			t.Fatalf("%s: record %d run length %d, reference %d", label, i, len(run), len(ref.runs[i]))
 		}
@@ -194,7 +203,7 @@ func TestBuildMatchesSequentialReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstRef(t, ix, refBuild(ix, -1), "fresh build")
+			checkAgainstRef(t, ix, refBuild(ix, refCut(ix)), "fresh build")
 		}
 	}
 }
@@ -207,15 +216,15 @@ func TestBuildWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := refBuild(seq, -1)
+	ref := refBuild(seq, refCut(seq))
 	for _, w := range []int{2, 3, 5, 8, 13, 64} {
 		forcedBuildWorkers = w
 		ix, err := BuildIndex(d, defaultOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix.tau != seq.tau {
-			t.Fatalf("workers=%d: τ = %v, sequential %v", w, ix.tau, seq.tau)
+		if ix.cut != seq.cut {
+			t.Fatalf("workers=%d: cut = %v, sequential %v", w, ix.cut, seq.cut)
 		}
 		checkAgainstRef(t, ix, ref, "workers")
 	}
@@ -236,7 +245,7 @@ func TestAddRecordsShrinkMatchesResketch(t *testing.T) {
 	if ix.Tau() >= tauBefore {
 		t.Fatalf("batch insert did not shrink τ (%v → %v); fixture too small", tauBefore, ix.Tau())
 	}
-	ref := refBuild(ix, ix.Tau())
+	ref := refBuild(ix, ix.cut)
 	// The insert path appends new records' buffer postings after existing
 	// entries without refreshing the cached rarity order; align the
 	// reference's order with the documented staleness before comparing.
@@ -277,7 +286,7 @@ func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
 	// The insert path leaves the cached rarity order as the build computed
 	// it (documented staleness); align the reference before comparing.
 	refOf := func(ix *Index) refState {
-		ref := refBuild(ix, ix.Tau())
+		ref := refBuild(ix, ix.cut)
 		ref.bitOrder = append([]int32(nil), ix.bitOrder...)
 		return ref
 	}
@@ -296,8 +305,8 @@ func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
 		// A tie run at the cut stays whole, so the index may sit over
 		// budget by at most the other members of that run.
 		ties := 0
-		for _, v := range seq.arena.hashes {
-			if v == seq.tau {
+		for _, v := range seq.arena.keys {
+			if v == seq.cut {
 				ties++
 			}
 		}
@@ -363,29 +372,76 @@ func TestBuildTauShortCircuit(t *testing.T) {
 
 func TestKthSmallestMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 30; trial++ {
+	// Upper bounds on both sides of the histogram's width: the whole key
+	// space, a shrunk threshold, one just past a power of two (the fewest
+	// buckets in use), and fewer keys than buckets.
+	uppers := []uint32{math.MaxUint32, 0x5EB851EB, 1 << 24, 1<<24 - 1, 1000}
+	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(3000)
-		upper := []float64{1, 0.37, 0.004}[trial%3]
-		vals := make([]float64, n)
+		upper := uppers[trial%len(uppers)]
+		vals := make([]uint32, n)
 		for i := range vals {
-			vals[i] = rng.Float64() * upper
+			vals[i] = uint32(rng.Int63n(int64(upper) + 1))
 			if rng.Intn(4) == 0 && i > 0 {
 				vals[i] = vals[rng.Intn(i)] // inject ties
 			}
 		}
+		vals[rng.Intn(n)] = upper
 		// Split into random parts, as the per-worker chunks would.
-		var parts [][]float64
+		var parts [][]uint32
 		for lo := 0; lo < n; {
 			hi := lo + 1 + rng.Intn(n-lo)
 			parts = append(parts, vals[lo:hi])
 			lo = hi
 		}
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
+		sorted := slices.Clone(vals)
+		slices.Sort(sorted)
 		for _, k := range []int{1, 1 + rng.Intn(n), n} {
 			if got, want := kthSmallest(parts, k, upper), sorted[k-1]; got != want {
-				t.Fatalf("trial %d: k=%d of %d: got %v, want %v", trial, k, n, got, want)
+				t.Fatalf("trial %d: k=%d of %d under %d: got %v, want %v", trial, k, n, upper, got, want)
 			}
 		}
 	}
+}
+
+// TestArenaLimit drives the offset table's bound through a stubbed limit
+// rather than 16 GB of keys: a build that would pack that many keys is an
+// error, an insert that would reach it panics with the bound in the message,
+// and a stream declaring it is corrupt.
+func TestArenaLimit(t *testing.T) {
+	d := buildTestDataset(t, 11, 80)
+	opt := Options{BudgetFraction: 1.0, BufferBits: 0, Seed: testSeed}
+	ix, err := BuildIndex(d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := ix.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	units := ix.arena.units()
+	defer func(old int) { arenaLimit = old }(arenaLimit)
+
+	arenaLimit = units // one key too many
+	if _, err := BuildIndex(d, opt); err == nil || !strings.Contains(err.Error(), "offset table") {
+		t.Errorf("BuildIndex packing %d keys at limit %d: %v", units, arenaLimit, err)
+	}
+	if _, err := Load(bytes.NewReader(saved.Bytes())); !errors.Is(err, snapfmt.ErrCorrupt) {
+		t.Errorf("Load of %d keys at limit %d: %v", units, arenaLimit, err)
+	}
+
+	arenaLimit = units + 1 // the build fits exactly; the next key does not
+	if _, err := BuildIndex(d, opt); err != nil {
+		t.Fatalf("BuildIndex packing %d keys at limit %d: %v", units, arenaLimit, err)
+	}
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "offset table") {
+				t.Errorf("AddRecord past the limit: recovered %q", msg)
+			}
+		}()
+		ix.AddRecord(d.Records[0])
+		t.Error("AddRecord past the limit did not panic")
+	}()
 }

@@ -317,7 +317,7 @@ func TestUsedUnitsAccounting(t *testing.T) {
 			if _, buffered := ix.bitOf[e]; buffered {
 				continue
 			}
-			if hash.UnitHash(e, testSeed) <= ix.Tau() {
+			if hash.UnitHash(e, testSeed) < ix.Tau() { // τ is the kept share: [0, τ)
 				sketch++
 			}
 		}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +33,10 @@ type Index struct {
 	bufArena bufferArena
 	arena    sketchArena
 
-	tau        float64
+	// cut is the global threshold as a key: a record keeps the keys ≤ cut.
+	// τ = hash.KeyUnit(cut), the share of the unit interval kept; τ = 1 is
+	// the largest key.
+	cut        uint32
 	bufferBits int // r
 	budget     int // in signature units
 
@@ -145,15 +148,16 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	// the G-KMV part fits the leftover budget exactly. When the budget
 	// covers every remaining occurrence — decidable from the occurrence
 	// count alone — τ is 1 and no order statistic is needed.
-	if remaining := n - bufferedOccurrences; gBudget >= remaining {
-		ix.tau = 1
-	} else {
-		ix.tau = kthSmallest(chunkHashParts(chunks), gBudget, 1)
+	ix.cut = math.MaxUint32
+	if remaining := n - bufferedOccurrences; gBudget < remaining {
+		ix.cut = kthSmallest(chunkKeyParts(chunks), gBudget, ix.cut)
 	}
 
 	// Lines 4-6: per-record sketch runs packed into the arena, then the
-	// inverted lists — all reusing the chunk hashes, nothing rehashed.
-	ix.packArenaFromChunks(chunks)
+	// inverted lists — all reusing the chunk keys, nothing rehashed.
+	if err := ix.packArenaFromChunks(chunks); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	ix.buildPostingsFromChunks(chunks)
 	ix.buildBufferPostings(nil)
 	return ix, nil
@@ -172,8 +176,11 @@ func (ix *Index) NumRecords() int { return len(ix.records) }
 // by the index and must not be mutated.
 func (ix *Index) Records() []dataset.Record { return ix.records }
 
-// Tau returns the global hash threshold in use.
-func (ix *Index) Tau() float64 { return ix.tau }
+// Tau returns the global hash threshold in use: the share of the unit
+// interval under which elements are kept, always a key boundary (c+1)/2³².
+// gkmv.BuildHashes(rec, ix.Tau(), ix.Seed()) keeps exactly what the index
+// keeps.
+func (ix *Index) Tau() float64 { return hash.KeyUnit(ix.cut) }
 
 // BufferBits returns the buffer size r actually used.
 func (ix *Index) BufferBits() int { return ix.bufferBits }
@@ -189,7 +196,7 @@ func (ix *Index) BudgetUnits() int { return ix.budget }
 func (ix *Index) Seed() uint64 { return ix.opt.Seed }
 
 // UsedUnits returns the number of budget units actually consumed: one per
-// stored hash value plus r/32 per record. O(1): the arena length is the
+// stored 32-bit key plus r/32 per record. O(1): the arena length is the
 // stored-hash total, so the per-insert budget check does not scan the
 // collection.
 func (ix *Index) UsedUnits() int {
@@ -207,8 +214,9 @@ func (ix *Index) SizeBytes() int {
 // alone, O(1).
 func (ix *Index) BufferSizeBytes() int { return ix.bufArena.sizeBytes() }
 
-// SketchSizeBytes returns the footprint of the G-KMV hash store alone, O(1).
-func (ix *Index) SketchSizeBytes() int { return 8 * ix.arena.units() }
+// SketchSizeBytes returns the footprint of the G-KMV key store alone, O(1):
+// four bytes a unit, the same 32 bits the budget charges for it.
+func (ix *Index) SketchSizeBytes() int { return 4 * ix.arena.units() }
 
 // QuerySig is the GB-KMV sketch of a query record, reusable across many
 // Estimate/Search calls.
@@ -271,23 +279,35 @@ func (ix *Index) sketchInto(sig *QuerySig, q dataset.Record) {
 		sig.buffer = nil
 	}
 	rest := sig.rest[:0]
-	run := sig.sketch.Hashes()[:0]
+	run := sig.sketch.Keys()[:0]
 	for _, e := range q {
 		if bit, ok := ix.bitOf[e]; ok {
 			sig.buffer.Set(bit)
 			continue
 		}
-		if v := hash.UnitHash(e, ix.opt.Seed); v <= ix.tau {
+		if v := hash.Key32(e, ix.opt.Seed); v <= ix.cut {
 			rest = append(rest, e)
 			run = append(run, v)
 		}
 	}
-	sort.Float64s(run)
+	slices.Sort(run)
 	sig.Size = len(q)
 	sig.rest = rest
-	// Mirrors gkmv.Build over the prefiltered rest: every element of rest
-	// hashes ≤ τ by construction, so the run always covers it ("complete").
+	// Mirrors gkmv.BuildHashes over the prefiltered rest: every element of
+	// rest hashes ≤ τ by construction, so the run always covers it
+	// ("complete").
 	sig.sketch = gkmv.MakeView(run, true)
+}
+
+// qMax returns the unit value of the largest key of L_Q (0 when L_Q is
+// empty), the search prunes' lower bound on U(k): the largest key of
+// L_Q ∪ L_X is at least the largest key of L_Q alone.
+func (sig *QuerySig) qMax() float64 {
+	keys := sig.sketch.Keys()
+	if len(keys) == 0 {
+		return 0
+	}
+	return hash.KeyUnit(keys[len(keys)-1])
 }
 
 // EstimatedSize estimates |Q| from the signature alone: the exact count of

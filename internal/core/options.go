@@ -28,7 +28,9 @@ const AutoBuffer = -1
 
 // BufferUnitBits is the number of buffer bits that cost one budget unit.
 // The paper charges r/32 units per record for an r-bit buffer, i.e. one
-// budget unit corresponds to one 32-bit signature value.
+// budget unit corresponds to one 32-bit signature value — which is what a
+// stored hash value is (hash.Key32): unit = one 32-bit key = 32 buffer bits
+// = 4 bytes, in the budget and in memory alike.
 const BufferUnitBits = 32
 
 // Options configures GB-KMV index construction.
@@ -38,7 +40,8 @@ type Options struct {
 	// Ignored when BudgetUnits > 0.
 	BudgetFraction float64
 	// BudgetUnits is the absolute budget in signature units (one unit = one
-	// stored hash value = 32 buffer bits). Zero means use BudgetFraction.
+	// stored 32-bit key = 32 buffer bits = 4 bytes). Zero means use
+	// BudgetFraction.
 	BudgetUnits int
 	// BufferBits is the buffer size r in bits. AutoBuffer (-1) selects r
 	// with the cost model; 0 disables the buffer (pure G-KMV); positive

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -138,33 +139,6 @@ func TestSearchAllocsUnderInserts(t *testing.T) {
 	}
 }
 
-// refSketches is the pre-refactor signature store: one heap-allocated G-KMV
-// sketch per record, built from the record's non-buffered elements under the
-// index's live threshold. The differential tests below pin the arena-backed
-// estimators to this path bit for bit.
-func refSketches(ix *Index) []*gkmv.Sketch {
-	out := make([]*gkmv.Sketch, len(ix.records))
-	for i, rec := range ix.records {
-		rest := rec[:0:0]
-		for _, e := range rec {
-			if _, buffered := ix.bitOf[e]; !buffered {
-				rest = append(rest, e)
-			}
-		}
-		out[i] = gkmv.Build(rest, ix.tau, ix.opt.Seed)
-	}
-	return out
-}
-
-// refEstimate is Equation 27 over the slice-of-sketches reference store.
-func refEstimate(ix *Index, refs []*gkmv.Sketch, sig *QuerySig, refQ *gkmv.Sketch, i int) float64 {
-	exact := 0
-	if sig.buffer != nil && ix.bufArena.stride > 0 {
-		exact = sig.buffer.AndCountWords(ix.bufArena.record(i))
-	}
-	return float64(exact) + gkmv.Intersect(refQ, refs[i]).DInter
-}
-
 // refTopK is the pre-refactor top-k: score every record, drop zeros, sort by
 // (score desc, id asc), truncate.
 func refTopK(ix *Index, sig *QuerySig, k int) []Scored {
@@ -186,81 +160,96 @@ func refTopK(ix *Index, sig *QuerySig, k int) []Scored {
 	return scored
 }
 
-// checkDifferential asserts Search == SearchLinear, TopK == reference top-k,
-// and arena estimates == slice-of-sketches estimates, bit-identically.
+// checkDifferential asserts the index against the 53-bit reference — same K
+// and K∩ for every pair, estimates within 1e-6 relative, Search and
+// SearchTopK returning the reference's result sets — and against itself:
+// Search == SearchLinear, TopK == score-everything-and-sort, bit-identically.
 func checkDifferential(t *testing.T, ix *Index, queries []dataset.Record, label string) {
 	t.Helper()
-	refs := refSketches(ix)
+	ref := newRefIndex(ix)
 	for qi, q := range queries {
 		sig := ix.Sketch(q)
-		refQ := gkmv.Build(sig.rest, ix.tau, ix.opt.Seed)
+		refQ := refSketchOf(ref.rest(q), ix.Tau(), ix.opt.Seed)
 		for i := range ix.records {
-			got := ix.EstimateIntersection(sig, i)
-			want := refEstimate(ix, refs, sig, refQ, i)
-			if got != want {
-				t.Fatalf("%s: q%d record %d: arena estimate %v != reference %v", label, qi, i, got, want)
+			got := gkmv.IntersectViews(sig.sketch, ix.arena.view(i))
+			k, kInter, dInter := refIntersect(refQ, ref.sketches[i])
+			if got.K != k || got.KInter != kInter {
+				t.Fatalf("%s: q%d record %d: K=%d K∩=%d, reference %d %d", label, qi, i, got.K, got.KInter, k, kInter)
+			}
+			if math.Abs(got.DInter-dInter) > 1e-6*dInter {
+				t.Fatalf("%s: q%d record %d: D̂∩ = %v, reference %v", label, qi, i, got.DInter, dInter)
+			}
+			if est, want := ix.EstimateIntersection(sig, i), ref.estimate(sig, refQ, i); math.Abs(est-want) > 1e-6*want {
+				t.Fatalf("%s: q%d record %d: estimate %v, reference %v", label, qi, i, est, want)
 			}
 		}
 		for _, tstar := range []float64{0.2, 0.5, 0.8} {
 			got := ix.SearchSig(sig, tstar)
-			want := ix.SearchLinear(q, tstar)
-			if len(got) != len(want) {
-				t.Fatalf("%s: q%d t*=%v: Search %d results, SearchLinear %d", label, qi, tstar, len(got), len(want))
+			if want := ix.SearchLinear(q, tstar); !slices.Equal(got, want) {
+				t.Fatalf("%s: q%d t*=%v: Search %v, SearchLinear %v", label, qi, tstar, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: q%d t*=%v: result %d is %d, want %d", label, qi, tstar, i, got[i], want[i])
-				}
+			if want := ref.search(sig, refQ, tstar); !slices.Equal(got, want) {
+				t.Fatalf("%s: q%d t*=%v: Search %v, reference %v", label, qi, tstar, got, want)
 			}
 		}
 		for _, k := range []int{1, 5, 50} {
 			got := ix.SearchTopKSig(sig, k)
-			want := refTopK(ix, sig, k)
-			if len(got) != len(want) {
-				t.Fatalf("%s: q%d k=%d: %d results, want %d", label, qi, k, len(got), len(want))
+			if want := refTopK(ix, sig, k); !slices.Equal(got, want) {
+				t.Fatalf("%s: q%d k=%d: top-k %+v, want %+v", label, qi, k, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: q%d k=%d: result %d = %+v, want %+v", label, qi, k, i, got[i], want[i])
-				}
+			ids := []int{}
+			for _, s := range got {
+				ids = append(ids, s.ID)
+			}
+			if want := ref.topK(sig, refQ, k); !slices.Equal(ids, want) {
+				t.Fatalf("%s: q%d k=%d: top-k ids %v, reference %v", label, qi, k, ids, want)
 			}
 		}
 	}
 }
 
 func TestArenaDifferentialAgainstReference(t *testing.T) {
-	for _, seed := range []int64{3, 77, 991} {
+	synth := func(m int, seed int64) *dataset.Dataset {
 		d, err := dataset.Synthetic(dataset.SyntheticConfig{
-			NumRecords: 250, Universe: 5000,
+			NumRecords: m, Universe: 5000,
 			AlphaFreq: 1.1, AlphaSize: 2.2,
 			MinSize: 20, MaxSize: 300,
 		}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := BuildIndex(d, defaultOpts())
+		return d
+	}
+	type fixture struct {
+		name     string
+		d, extra *dataset.Dataset
+		seed     int64
+	}
+	fixtures := []fixture{
+		// The corpora the rest of this package's tests run on.
+		{"core_test corpus", testDataset(t, 150), testDataset(t, 230), 5},
+		{"build_test corpus", buildTestDataset(t, 55, 200), buildTestDataset(t, 56, 140), 6},
+	}
+	for _, seed := range []int64{3, 77, 991} {
+		fixtures = append(fixtures, fixture{"synthetic", synth(250, seed), synth(120, seed+2), seed + 1})
+	}
+	for _, f := range fixtures {
+		label := func(stage string) string { return fmt.Sprintf("%s (seed %d), %s", f.name, f.seed, stage) }
+		ix, err := BuildIndex(f.d, defaultOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries := d.SampleQueries(8, seed+1)
-		checkDifferential(t, ix, queries, "fresh")
+		queries := f.d.SampleQueries(8, f.seed)
+		checkDifferential(t, ix, queries, label("fresh"))
 
 		// Force an over-budget threshold shrink via a batch insert, then
 		// re-verify: the rebuilt arena must still mirror the reference.
 		tauBefore := ix.Tau()
-		extra, err := dataset.Synthetic(dataset.SyntheticConfig{
-			NumRecords: 120, Universe: 5000,
-			AlphaFreq: 1.1, AlphaSize: 2.2,
-			MinSize: 20, MaxSize: 300,
-		}, seed+2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix.AddRecords(extra.Records)
+		ix.AddRecords(f.extra.Records)
 		if ix.Tau() >= tauBefore {
-			t.Fatalf("seed %d: batch insert did not shrink τ (%v → %v); fixture too small", seed, tauBefore, ix.Tau())
+			t.Fatalf("%s: batch insert did not shrink τ (%v → %v); fixture too small", label("insert"), tauBefore, ix.Tau())
 		}
-		checkDifferential(t, ix, queries, "post-shrink")
+		checkDifferential(t, ix, queries, label("post-shrink"))
 
 		// And once more through a Save/Load round trip of the arena wire.
 		var buf bytes.Buffer
@@ -271,7 +260,7 @@ func TestArenaDifferentialAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkDifferential(t, loaded, queries, "reloaded")
+		checkDifferential(t, loaded, queries, label("reloaded"))
 	}
 }
 
@@ -305,9 +294,9 @@ func resave(t *testing.T, ix *Index, mutate func(*Index)) error {
 	t.Helper()
 	cp := &Index{
 		opt: ix.opt, records: ix.records, bufferElems: ix.bufferElems,
-		tau: ix.tau, bufferBits: ix.bufferBits, budget: ix.budget,
+		cut: ix.cut, bufferBits: ix.bufferBits, budget: ix.budget,
 		arena: sketchArena{
-			hashes:   slices.Clone(ix.arena.hashes),
+			keys:     slices.Clone(ix.arena.keys),
 			offsets:  slices.Clone(ix.arena.offsets),
 			complete: slices.Clone(ix.arena.complete),
 		},
@@ -360,7 +349,7 @@ func TestLoadRejectsCorruptArena(t *testing.T) {
 	if err := resave(t, ix, func(w *Index) { w.arena.offsets[len(w.arena.offsets)-1]++ }); err == nil {
 		t.Error("offset table overrunning the hash store accepted")
 	}
-	run := func(w *Index, i int) []float64 { return w.arena.hashes[w.arena.offsets[i]:w.arena.offsets[i+1]] }
+	run := func(w *Index, i int) []uint32 { return w.arena.keys[w.arena.offsets[i]:w.arena.offsets[i+1]] }
 	long := -1
 	for i := range ix.records {
 		if len(run(ix, i)) >= 2 {
@@ -368,16 +357,13 @@ func TestLoadRejectsCorruptArena(t *testing.T) {
 		}
 	}
 	if long < 0 {
-		t.Fatal("fixture has no record with two stored hashes")
+		t.Fatal("fixture has no record with two stored keys")
 	}
 	if err := resave(t, ix, func(w *Index) { r := run(w, long); r[0], r[1] = r[1], r[0] }); err == nil {
-		t.Error("descending hash run accepted")
+		t.Error("descending key run accepted")
 	}
-	if err := resave(t, ix, func(w *Index) { run(w, long)[0] = math.NaN() }); err == nil {
-		t.Error("NaN hash accepted")
-	}
-	if err := resave(t, ix, func(w *Index) { r := run(w, long); r[len(r)-1] = w.tau * 1.0000001 }); err == nil {
-		t.Error("hash above the threshold accepted")
+	if err := resave(t, ix, func(w *Index) { r := run(w, long); r[len(r)-1] = w.cut + 1 }); err == nil {
+		t.Error("key above the cut accepted")
 	}
 	// Structurally fine, but not the sketch of these records: one record's
 	// run handed to its neighbour.

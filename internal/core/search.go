@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/hash"
@@ -49,10 +48,7 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 	// largest hash in L_Q ∪ L_X — is at least the largest hash of L_Q
 	// alone. A candidate can only reach the remaining overlap need
 	// θ − |H_Q ∩ H_X| if K∩ ≥ need·max(L_Q).
-	qMax := 0.0
-	if hs := sig.sketch.Hashes(); len(hs) > 0 {
-		qMax = hs[len(hs)-1]
-	}
+	qMax := sig.qMax()
 	// Hits collect in the scratch: candidates outnumber hits by orders of
 	// magnitude, so the result is sized by what qualified, not what was
 	// touched.
@@ -155,9 +151,9 @@ func (ix *Index) AddRecord(rec dataset.Record) {
 }
 
 // shrinkSlackDivisor sets how far past the overshoot a threshold shrink
-// evicts: budget/shrinkSlackDivisor extra hash values (0.78 % of the budget),
-// so the O(index) select + trim + posting filter is paid once per slack's
-// worth of inserted hash values rather than on nearly every insert at a full
+// evicts: budget/shrinkSlackDivisor extra keys (0.78 % of the budget), so the
+// O(index) select + trim + posting filter is paid once per slack's worth of
+// inserted keys rather than on nearly every insert at a full
 // budget. DESIGN.md "Dynamic inserts" has the measured cost of both sides.
 const shrinkSlackDivisor = 128
 
@@ -169,32 +165,44 @@ const shrinkSlackDivisor = 128
 // pairs feed both the arena run and the posting lists, and a shrink trims
 // existing runs in place (arena prefixes) instead of resketching the
 // collection.
+//
+// It panics, before touching the index, when the batch could take the sketch
+// arena to 2³²−1 keys, the end of its 32-bit offset table (BuildIndex returns
+// an error at the same bound). The budget caps the arena, so only a budget
+// that large gets there.
 func (ix *Index) AddRecords(recs []dataset.Record) {
+	incoming := 0
+	for _, rec := range recs {
+		incoming += len(rec)
+	}
+	if err := checkArenaRoom(ix.arena.units() + incoming); err != nil {
+		panic("core: " + err.Error())
+	}
 	ix.bufArena.grow(len(recs))
 	for _, rec := range recs {
 		id := len(ix.records)
 		ix.records = append(ix.records, rec)
-		// One hashing pass; the (element, hash) pairs are kept so the
+		// One hashing pass; the (element, key) pairs are kept so the
 		// postings update below never rehashes.
 		elems := make([]hash.Element, 0, len(rec))
-		hashes := make([]float64, 0, len(rec))
+		keys := make([]uint32, 0, len(rec))
 		for _, e := range rec {
 			if bit, ok := ix.bitOf[e]; ok {
 				ix.bufArena.set(id, bit)
 				continue
 			}
 			elems = append(elems, e)
-			hashes = append(hashes, hash.UnitHash(e, ix.opt.Seed))
+			keys = append(keys, hash.Key32(e, ix.opt.Seed))
 		}
-		run := make([]float64, 0, len(hashes))
-		for _, v := range hashes {
-			if v <= ix.tau {
+		run := make([]uint32, 0, len(keys))
+		for _, v := range keys {
+			if v <= ix.cut {
 				run = append(run, v)
 			}
 		}
-		sort.Float64s(run)
+		slices.Sort(run)
 		ix.arena.appendRun(run, len(run) == len(elems))
-		ix.elementsHashed.Add(uint64(len(hashes)))
+		ix.elementsHashed.Add(uint64(len(keys)))
 		if over := ix.UsedUnits() - ix.budget; over > 0 {
 			// The shrink lowers τ and filters existing state; the new
 			// record's run is already in the arena, so it is trimmed with
@@ -204,7 +212,7 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 		}
 		// Maintain the inverted lists incrementally from the retained pairs.
 		for j, e := range elems {
-			if hashes[j] <= ix.tau {
+			if keys[j] <= ix.cut {
 				ix.postings.add(e, int32(id))
 			}
 		}
@@ -216,19 +224,19 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 	}
 }
 
-// shrinkThreshold lowers τ to evict `over` stored hash values plus the
+// shrinkThreshold lowers τ to evict `over` stored keys plus the
 // amortisation slack (budget/shrinkSlackDivisor), then trims every run and
 // filters the posting lists under the new threshold, reporting whether
 // anything changed. It returns false — leaving the index exactly as it was —
-// when no hash values are stored at all: then the overshoot is pure buffer
+// when no keys are stored at all: then the overshoot is pure buffer
 // cost (which grows with the record count and cannot shrink), and the
 // over-budget state is accepted rather than paying a rebuild per insert, or
 // worse, panicking.
 //
 // No element is rehashed: the new τ is an order statistic of the stored
 // multiset (streamed through the same histogram selection the build uses),
-// runs shrink to their ascending prefixes, and the posting filter hashes one
-// value per distinct element key rather than one per occurrence.
+// runs shrink to their ascending prefixes, and the posting filter hashes
+// once per distinct listed element rather than once per occurrence.
 func (ix *Index) shrinkThreshold(over int) bool {
 	total := ix.arena.units()
 	if total == 0 {
@@ -238,20 +246,20 @@ func (ix *Index) shrinkThreshold(over int) bool {
 	if keep < 1 {
 		keep = 1
 	}
-	// The new τ is the keep-th smallest stored hash value. τ is a value
-	// threshold and identical elements share a hash, so a tie run at the cut
+	// The new cut is the keep-th smallest stored key. τ is a value
+	// threshold and identical elements share a key, so a tie run at the cut
 	// stays whole: the index can settle slightly over budget. Crucially the
 	// new τ depends only on the stored multiset and keep — never on the
 	// insertion grouping — so batched and sequential inserts (and hence
 	// journal replay) converge on identical state. When the cut lands
 	// exactly on the current τ the "shrink" is a no-op; skip it rather than
 	// repeating it on every insert while the tie run holds the line.
-	cut := ix.sel.kthSmallest([][]float64{ix.arena.hashes}, keep, ix.tau)
-	if cut == ix.tau {
+	cut := ix.sel.kthSmallest([][]uint32{ix.arena.keys}, keep, ix.cut)
+	if cut == ix.cut {
 		return false
 	}
-	ix.tau = cut
-	ix.arena.trimToTau(cut)
+	ix.cut = cut
+	ix.arena.trimToCut(cut)
 	ix.filterPostings(cut)
 	ix.shrinks.Add(1)
 	return true

@@ -47,10 +47,7 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 	sig.Stats.Candidates = len(sc.touched)
 	// Same K∩ ≥ need·max(L_Q) prune as searchSigWith; pruned candidates are
 	// provably below θ, so they need no estimate at all.
-	qMax := 0.0
-	if hs := sig.sketch.Hashes(); len(hs) > 0 {
-		qMax = hs[len(hs)-1]
-	}
+	qMax := sig.qMax()
 	out := sc.hits[:0] // scratch-owned, as in searchSigWith
 	deferred := false
 	for _, id := range sc.touched {

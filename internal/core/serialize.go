@@ -17,8 +17,8 @@ import (
 //	tau f64, bufferBits, budget
 //	records      snapfmt records section (delta-coded)
 //	bufferElems  count + uvarints, E_H in bit order
-//	arena        hash count, offsets as a raw uint32 slab (records+1),
-//	             completeness bits, hashes as a raw float64 slab
+//	arena        key count, offsets as a raw uint32 slab (records+1),
+//	             completeness bits, keys as a raw uint32 slab
 //	buffers      words as a raw uint64 slab (records · ⌈bufferBits/64⌉)
 //
 // The arenas are the live slices: Save streams them out as they lie in
@@ -39,15 +39,15 @@ func (ix *Index) Save(w io.Writer) error {
 	sw.Int(int(ix.opt.CostModel))
 	sw.Int(ix.opt.CostModelPairSample)
 	sw.Int(ix.opt.BufferGridStep)
-	sw.Float64(ix.tau)
+	sw.Float64(ix.Tau())
 	sw.Int(ix.bufferBits)
 	sw.Int(ix.budget)
 	sw.Records(ix.records)
 	sw.Elements(ix.bufferElems)
-	sw.Int(len(ix.arena.hashes))
+	sw.Int(len(ix.arena.keys))
 	sw.Uint32s(ix.arena.offsets)
 	sw.Bools(ix.arena.complete)
-	sw.Float64s(ix.arena.hashes)
+	sw.Uint32s(ix.arena.keys)
 	sw.Uint64s(ix.bufArena.words)
 	if err := sw.Flush(); err != nil {
 		return fmt.Errorf("core: writing index: %w", err)
@@ -81,11 +81,14 @@ func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
 	ix.opt.CostModel = CostModel(sr.Int())
 	ix.opt.CostModelPairSample = sr.Int()
 	ix.opt.BufferGridStep = sr.Int()
-	ix.tau = sr.Float64()
+	tau := sr.Float64()
 	ix.bufferBits = sr.Int()
 	ix.budget = sr.Int()
-	if sr.Err() == nil && !(ix.tau >= 0 && ix.tau <= 1) {
-		sr.Corrupt("threshold %v outside [0, 1]", ix.tau)
+	// The threshold travels as τ and must come back as the key it was: a τ
+	// between two key boundaries is no index's.
+	var ok bool
+	if ix.cut, ok = hash.UnitKey(tau); sr.Err() == nil && (!ok || ix.Tau() != tau) {
+		sr.Corrupt("threshold %v is not a key boundary in (0, 1]", tau)
 	}
 	if ix.bufferBits > math.MaxInt32 {
 		sr.Corrupt("buffer of %d bits", ix.bufferBits)
@@ -99,14 +102,14 @@ func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
 	if len(ix.bufferElems) > ix.bufferBits {
 		sr.Corrupt("%d buffered elements for %d buffer bits", len(ix.bufferElems), ix.bufferBits)
 	}
-	nhashes := sr.Int()
-	if nhashes >= math.MaxUint32 {
-		sr.Corrupt("%d hash values overflow the offset table", nhashes)
+	nkeys := sr.Int()
+	if err := checkArenaRoom(nkeys); err != nil {
+		sr.Corrupt("%v", err)
 	}
 	ix.arena.offsets = sr.Uint32s(m + 1)
 	ix.arena.complete = sr.Bools(m)
-	ix.arena.hashes = sr.Float64s(nhashes)
-	if sr.Err() == nil && !ix.arena.valid(m, ix.tau) {
+	ix.arena.keys = sr.Uint32s(nkeys)
+	if sr.Err() == nil && !ix.arena.valid(m, ix.cut) {
 		sr.Corrupt("signature arena is inconsistent")
 	}
 	if sr.Err() == nil && ix.bufferBits > 0 {

@@ -77,10 +77,7 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
 	// whose bound is strictly below the current k-th score cannot enter the
 	// results (a bound merely equal to it still can, winning its tie on a
 	// smaller id, so ties are always scored).
-	qMax := 0.0
-	if hs := sig.sketch.Hashes(); len(hs) > 0 {
-		qMax = hs[len(hs)-1]
-	}
+	qMax := sig.qMax()
 	size := float64(sig.Size)
 	sig.Stats.Candidates = len(sc.touched)
 	h := topkheap.Make(k, sc.heap)

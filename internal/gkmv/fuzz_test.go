@@ -2,68 +2,114 @@ package gkmv
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"gbkmv/internal/hash"
 )
 
-// hashesFromBytes derives a strictly ascending slice of unit-interval hash
-// values from fuzz input: each byte seeds one value through the repository's
-// own hash, then the slice is sorted and deduplicated. This mirrors real
-// sketch runs, which are ascending and duplicate-free (the element hash is a
-// per-seed bijection).
-func hashesFromBytes(b []byte, seed uint64) []float64 {
-	hs := make([]float64, 0, len(b))
+// runFromBytes derives an ascending key run from fuzz input. Each byte pair
+// (value, position) seeds one key through the repository's own hash, except
+// that a zero byte repeats the previous key: real runs are ascending but not
+// strictly so (two elements of one record can collide in 32 bits), and the
+// merge must count such in-run duplicates as the multiset they are. Both runs
+// of a fuzz case share the seed, so equal (value, position) pairs tie across
+// runs.
+func runFromBytes(b []byte, seed uint64) []uint32 {
+	run := make([]uint32, 0, len(b))
 	for i, x := range b {
-		hs = append(hs, hash.UnitHash(hash.Element(uint64(x)<<8|uint64(i&0xFF)), seed))
-	}
-	sort.Float64s(hs)
-	out := hs[:0]
-	for i, v := range hs {
-		if i == 0 || v != hs[i-1] {
-			out = append(out, v)
+		if x == 0 && len(run) > 0 {
+			run = append(run, run[len(run)-1])
+			continue
 		}
+		run = append(run, hash.Key32(hash.Element(uint64(x)<<8|uint64(i&0xFF)), seed))
 	}
-	return out
+	slices.Sort(run)
+	return run
 }
 
-// FuzzIntersectViews cross-checks the merge-based union statistics behind
-// IntersectViews against a naive map-based oracle, over arbitrary ascending
-// hash runs and completeness flags. CI runs this briefly
-// (-fuzz FuzzIntersectViews -fuzztime 15s) on every push.
+// multisetStats is the map oracle: each key counts max(in a, in b) times in
+// the union and min(in a, in b) times in the intersection.
+func multisetStats(a, b []uint32) (k, kInter int, top uint32) {
+	counts := map[uint32][2]int{}
+	for _, v := range a {
+		c := counts[v]
+		c[0]++
+		counts[v] = c
+	}
+	for _, v := range b {
+		c := counts[v]
+		c[1]++
+		counts[v] = c
+	}
+	for v, c := range counts {
+		k += max(c[0], c[1])
+		kInter += min(c[0], c[1])
+		top = max(top, v)
+	}
+	return k, kInter, top
+}
+
+// plainUnionStats is the three-way merge unionStats replaced: one branch per
+// step, every quantity counted as the walk meets it.
+func plainUnionStats(a, b []uint32) (k, kInter int, top uint32) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			top = a[i]
+			i++
+		case a[i] > b[j]:
+			top = b[j]
+			j++
+		default:
+			top = a[i]
+			kInter++
+			i++
+			j++
+		}
+		k++
+	}
+	for ; i < len(a); i++ {
+		top = a[i]
+		k++
+	}
+	for ; j < len(b); j++ {
+		top = b[j]
+		k++
+	}
+	return k, kInter, top
+}
+
+// FuzzIntersectViews cross-checks the branch-free merge behind
+// IntersectViews against a naive map-based multiset oracle and against the
+// plain three-way merge, over arbitrary ascending key runs and completeness
+// flags. CI runs this briefly (-fuzz FuzzIntersectViews -fuzztime 15s) on
+// every push.
 func FuzzIntersectViews(f *testing.F) {
 	f.Add([]byte{}, []byte{}, false, false)
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, true, true)
 	f.Add([]byte{0, 0, 0, 7}, []byte{7}, true, false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{}, false, true)
+	f.Add([]byte{5, 6, 7, 8}, []byte{5, 6, 9, 8}, false, false)    // cross-run ties
+	f.Add([]byte{3, 0, 0, 9}, []byte{3, 0, 4, 9, 0}, false, false) // in-run duplicates, tied across runs
 	f.Fuzz(func(t *testing.T, ab, bb []byte, compA, compB bool) {
-		a := hashesFromBytes(ab, 11)
-		b := hashesFromBytes(bb, 11)
+		a := runFromBytes(ab, 11)
+		b := runFromBytes(bb, 11)
 		got := IntersectViews(MakeView(a, compA), MakeView(b, compB))
 
-		// Map-based oracle for k = |A ∪ B|, K∩ = |A ∩ B|, U(k) = max.
-		union := map[float64]int{}
-		for _, v := range a {
-			union[v] |= 1
-		}
-		for _, v := range b {
-			union[v] |= 2
-		}
-		k, kInter, uk := 0, 0, 0.0
-		for v, mask := range union {
-			k++
-			if mask == 3 {
-				kInter++
-			}
-			if v > uk {
-				uk = v
-			}
-		}
+		k, kInter, top := multisetStats(a, b)
 		if got.K != k || got.KInter != kInter {
 			t.Fatalf("K=%d KInter=%d, oracle K=%d KInter=%d", got.K, got.KInter, k, kInter)
 		}
-		if k > 0 && got.UK != uk {
+		if pk, pInter, pTop := plainUnionStats(a, b); pk != k || pInter != kInter || pTop != top {
+			t.Fatalf("plain merge K=%d KInter=%d top=%d, oracle %d %d %d", pk, pInter, pTop, k, kInter, top)
+		}
+		uk := 0.0
+		if k > 0 {
+			uk = hash.KeyUnit(top)
+		}
+		if got.UK != uk {
 			t.Fatalf("UK=%v, oracle %v", got.UK, uk)
 		}
 
@@ -77,10 +123,10 @@ func FuzzIntersectViews(f *testing.F) {
 			if got.DUnion != float64(k) || got.DInter != float64(kInter) {
 				t.Fatalf("exact path: DUnion=%v DInter=%v, want %d %d", got.DUnion, got.DInter, k, kInter)
 			}
-		case k >= 2 && uk > 0:
+		case k >= 2:
 			wantDU := float64(k-1) / uk
 			wantDI := float64(kInter) / float64(k) * wantDU
-			if math.Abs(got.DUnion-wantDU) > 1e-12 || math.Abs(got.DInter-wantDI) > 1e-12 {
+			if math.Abs(got.DUnion-wantDU) > 1e-12*wantDU || math.Abs(got.DInter-wantDI) > 1e-12*wantDU {
 				t.Fatalf("DUnion=%v DInter=%v, want %v %v", got.DUnion, got.DInter, wantDU, wantDI)
 			}
 		default:
@@ -89,10 +135,10 @@ func FuzzIntersectViews(f *testing.F) {
 			}
 		}
 
-		// The top-k pruning bound the core search relies on: with qMax the
-		// largest hash of A (the query side), DInter ≤ K∩/qMax.
+		// The pruning bound the core search relies on: with qMax the unit
+		// value of the largest key of A (the query side), DInter ≤ K∩/qMax.
 		if len(a) > 0 && got.KInter > 0 {
-			if qMax := a[len(a)-1]; got.DInter > float64(got.KInter)/qMax+1e-9 {
+			if qMax := hash.KeyUnit(a[len(a)-1]); got.DInter > float64(got.KInter)/qMax*(1+1e-12) {
 				t.Fatalf("prune bound violated: DInter=%v > K∩/qMax=%v", got.DInter, float64(got.KInter)/qMax)
 			}
 		}

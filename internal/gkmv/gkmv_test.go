@@ -2,7 +2,8 @@ package gkmv
 
 import (
 	"math"
-	"sort"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,30 +23,65 @@ func seqRecord(lo, hi int) dataset.Record {
 	return dataset.NewRecord(elems)
 }
 
-func fromHashes(hs []float64, tau float64, complete bool) *Sketch {
-	s := make([]float64, len(hs))
-	copy(s, hs)
-	sort.Float64s(s)
-	return &Sketch{view: MakeView(s, complete), tau: tau}
+// build is the sketch of a record as a View.
+func build(r dataset.Record, tau float64, seed uint64) View {
+	keys, complete := BuildHashes(r, tau, seed)
+	return MakeView(keys, complete)
+}
+
+// buildAll sketches every record of the dataset under a shared threshold.
+func buildAll(d *dataset.Dataset, tau float64, seed uint64) []View {
+	out := make([]View, len(d.Records))
+	for i, r := range d.Records {
+		out[i] = build(r, tau, seed)
+	}
+	return out
+}
+
+// containment is Equation 26: D̂∩ / |Q|.
+func containment(q, x View, qSize int) float64 {
+	return IntersectViews(q, x).DInter / float64(qSize)
+}
+
+// fromUnits is the view whose keys stand for the given unit hash values.
+func fromUnits(us []float64, complete bool) View {
+	keys := make([]uint32, len(us))
+	for i, u := range us {
+		keys[i] = uint32(u * (1 << 32))
+	}
+	slices.Sort(keys)
+	return MakeView(keys, complete)
 }
 
 func TestBuildKeepsExactlyBelowTau(t *testing.T) {
 	r := seqRecord(0, 1000)
 	tau := 0.3
-	s := Build(r, tau, testSeed)
+	s := build(r, tau, testSeed)
+	// A key is kept when the share of the unit interval at or under it fits
+	// under τ; up to one key's width (2⁻³²) that is "unit hash ≤ τ".
 	want := 0
 	for _, e := range r {
-		if hash.UnitHash(e, testSeed) <= tau {
+		if hash.KeyUnit(hash.Key32(e, testSeed)) <= tau {
 			want++
 		}
 	}
 	if s.K() != want {
 		t.Errorf("K = %d, want %d", s.K(), want)
 	}
-	for _, h := range s.Hashes() {
-		if h > tau {
-			t.Fatalf("stored hash %v above threshold %v", h, tau)
+	for _, x := range s.Keys() {
+		if hash.KeyUnit(x) > tau {
+			t.Fatalf("stored key %d (%v) above threshold %v", x, hash.KeyUnit(x), tau)
 		}
+	}
+	if !slices.IsSorted(s.Keys()) {
+		t.Fatal("run is not ascending")
+	}
+	// τ = 0 keeps nothing; an empty record is then still complete.
+	if keys, complete := BuildHashes(r, 0, testSeed); len(keys) != 0 || complete {
+		t.Errorf("τ=0 kept %d keys, complete=%v", len(keys), complete)
+	}
+	if _, complete := BuildHashes(nil, 0, testSeed); !complete {
+		t.Error("the empty record is complete under any τ")
 	}
 }
 
@@ -57,13 +93,13 @@ func TestBuildPanicsOnBadTau(t *testing.T) {
 					t.Errorf("Build with tau=%v did not panic", tau)
 				}
 			}()
-			Build(seqRecord(0, 3), tau, testSeed)
+			BuildHashes(seqRecord(0, 3), tau, testSeed)
 		}()
 	}
 }
 
 func TestBuildCompleteAtTauOne(t *testing.T) {
-	s := Build(seqRecord(0, 50), 1, testSeed)
+	s := build(seqRecord(0, 50), 1, testSeed)
 	if !s.Complete() {
 		t.Error("sketch with τ=1 should be complete")
 	}
@@ -75,7 +111,7 @@ func TestBuildCompleteAtTauOne(t *testing.T) {
 func TestBuildExpectedSize(t *testing.T) {
 	// E[|L_X|] = τ·|X|; with |X| = 10000 and τ = 0.2, std ≈ 40.
 	r := seqRecord(0, 10000)
-	s := Build(r, 0.2, testSeed)
+	s := build(r, 0.2, testSeed)
 	if math.Abs(float64(s.K())-2000) > 200 {
 		t.Errorf("K = %d, want ~2000", s.K())
 	}
@@ -87,16 +123,16 @@ func TestTheorem2UnionIsValidKMV(t *testing.T) {
 	x := seqRecord(0, 500)
 	y := seqRecord(250, 800)
 	tau := 0.25
-	sx := Build(x, tau, testSeed)
-	sy := Build(y, tau, testSeed)
-	k, _, uk := unionStats(sx.Hashes(), sy.Hashes())
+	sx := build(x, tau, testSeed)
+	sy := build(y, tau, testSeed)
+	k, _, uk := unionStats(sx.Keys(), sy.Keys())
 
 	union := dataset.NewRecord(append(append([]hash.Element{}, x...), y...))
-	all := make([]float64, len(union))
+	all := make([]uint32, len(union))
 	for i, e := range union {
-		all[i] = hash.UnitHash(e, testSeed)
+		all[i] = hash.Key32(e, testSeed)
 	}
-	sort.Float64s(all)
+	slices.Sort(all)
 	if k == 0 {
 		t.Fatal("empty union sketch; lower tau too aggressive for test")
 	}
@@ -109,20 +145,20 @@ func TestIntersectPaperExample4(t *testing.T) {
 	// Fig. 3 / Example 4: τ = 0.5,
 	// L_Q = {0.10, 0.24, 0.33}, L_X1 = {0.24, 0.33, 0.47}.
 	// k = 4, U(k) = 0.47, K∩ = 2, D̂∩ = 2/4 · 3/0.47 ≈ 3.19, Ĉ ≈ 0.53.
-	lq := fromHashes([]float64{0.10, 0.24, 0.33}, 0.5, false)
-	lx := fromHashes([]float64{0.24, 0.33, 0.47}, 0.5, false)
-	res := Intersect(lq, lx)
+	lq := fromUnits([]float64{0.10, 0.24, 0.33}, false)
+	lx := fromUnits([]float64{0.24, 0.33, 0.47}, false)
+	res := IntersectViews(lq, lx)
 	if res.K != 4 {
 		t.Fatalf("k = %d, want 4", res.K)
 	}
-	if res.UK != 0.47 {
+	if math.Abs(res.UK-0.47) > 1e-9 { // a key stands for its bucket's upper edge
 		t.Fatalf("U(k) = %v, want 0.47", res.UK)
 	}
 	if res.KInter != 2 {
 		t.Fatalf("K∩ = %d, want 2", res.KInter)
 	}
 	want := 2.0 / 4.0 * 3.0 / 0.47
-	if math.Abs(res.DInter-want) > 1e-9 {
+	if math.Abs(res.DInter-want) > 1e-8 {
 		t.Errorf("D̂∩ = %v, want %v", res.DInter, want)
 	}
 	if got := res.DInter / 6; math.Abs(got-0.53) > 0.01 {
@@ -131,9 +167,9 @@ func TestIntersectPaperExample4(t *testing.T) {
 }
 
 func TestIntersectExactWhenComplete(t *testing.T) {
-	a := Build(seqRecord(0, 30), 1, testSeed)
-	b := Build(seqRecord(20, 50), 1, testSeed)
-	res := Intersect(a, b)
+	a := build(seqRecord(0, 30), 1, testSeed)
+	b := build(seqRecord(20, 50), 1, testSeed)
+	res := IntersectViews(a, b)
 	if !res.Exact {
 		t.Fatal("complete sketches should give exact intersection")
 	}
@@ -146,45 +182,25 @@ func TestIntersectExactWhenComplete(t *testing.T) {
 }
 
 func TestUnionStatsProperty(t *testing.T) {
-	f := func(xs, ys []uint16) bool {
-		toSorted := func(zs []uint16) []float64 {
-			set := map[float64]bool{}
-			for _, z := range zs {
-				set[float64(z)/65536] = true
+	// Runs are multisets (two elements of one record may share a key): the
+	// union counts each key max(in a, in b) times, the intersection min.
+	f := func(xs, ys []uint8) bool {
+		toRun := func(zs []uint8) []uint32 {
+			out := make([]uint32, len(zs))
+			for i, z := range zs {
+				out[i] = uint32(z) << 24
 			}
-			out := make([]float64, 0, len(set))
-			for v := range set {
-				out = append(out, v)
-			}
-			sort.Float64s(out)
+			slices.Sort(out)
 			return out
 		}
-		a, b := toSorted(xs), toSorted(ys)
-		k, kInter, uk := unionStats(a, b)
-		set := map[float64]bool{}
-		inter := 0
-		for _, v := range a {
-			set[v] = true
-		}
-		for _, v := range b {
-			if set[v] {
-				inter++
-			}
-			set[v] = true
-		}
-		wantK := len(set)
-		wantUK := 0.0
-		for v := range set {
-			if v > wantUK {
-				wantUK = v
-			}
-		}
-		if k != wantK || kInter != inter {
-			return false
-		}
-		return k == 0 || uk == wantUK
+		a, b := toRun(xs), toRun(ys)
+		k, kInter, top := unionStats(a, b)
+		wantK, wantInter, wantTop := multisetStats(a, b)
+		pk, pInter, pTop := plainUnionStats(a, b)
+		return k == wantK && kInter == wantInter && top == wantTop &&
+			k == pk && kInter == pInter && top == pTop
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
@@ -194,9 +210,9 @@ func TestIntersectStatistical(t *testing.T) {
 	// k ≈ 1000 → tight estimate.
 	q := seqRecord(0, 2000)
 	x := seqRecord(1000, 4000) // wait: overlap 1000
-	sq := Build(q, 0.2, testSeed)
-	sx := Build(x, 0.2, testSeed)
-	res := Intersect(sq, sx)
+	sq := build(q, 0.2, testSeed)
+	sx := build(x, 0.2, testSeed)
+	res := IntersectViews(sq, sx)
 	if math.Abs(res.DInter-1000)/1000 > 0.25 {
 		t.Errorf("D̂∩ = %v, want ~1000", res.DInter)
 	}
@@ -225,9 +241,9 @@ func TestGKMVBeatsKMVAtEqualBudget(t *testing.T) {
 			// G-KMV with the same *total* storage: τ chosen so that
 			// τ(|Q|+|X|) = 2·budgetPerRecord.
 			tau := 2.0 * budgetPerRecord / float64(len(p.q)+len(p.x))
-			gq := Build(p.q, tau, seed)
-			gx := Build(p.x, tau, seed)
-			errGKMV += math.Abs(ContainmentEstimate(gq, gx, len(p.q)) - truth)
+			gq := build(p.q, tau, seed)
+			gx := build(p.x, tau, seed)
+			errGKMV += math.Abs(containment(gq, gx, len(p.q)) - truth)
 			trials++
 		}
 	}
@@ -238,19 +254,11 @@ func TestGKMVBeatsKMVAtEqualBudget(t *testing.T) {
 	}
 }
 
-func TestExpectedThreshold(t *testing.T) {
-	if got := ExpectedThreshold(100, 1000); got != 0.1 {
-		t.Errorf("ExpectedThreshold = %v, want 0.1", got)
-	}
-	if got := ExpectedThreshold(2000, 1000); got != 1 {
-		t.Errorf("ExpectedThreshold over-budget = %v, want 1", got)
-	}
-	if got := ExpectedThreshold(10, 0); got != 1 {
-		t.Errorf("ExpectedThreshold empty = %v, want 1", got)
-	}
-}
-
 func TestThresholdForBudgetExactFit(t *testing.T) {
+	// The threshold for a budget is the budget-th smallest key of the
+	// collection, handed around as τ = KeyUnit(cut): sketching every record
+	// under that τ stores exactly the keys ≤ cut — the budget, plus whatever
+	// ties the cut (an element in several records is one key in each).
 	cfg := dataset.SyntheticConfig{
 		NumRecords: 200, Universe: 5000,
 		AlphaFreq: 1.1, AlphaSize: 2,
@@ -260,68 +268,46 @@ func TestThresholdForBudgetExactFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := d.TotalElements() / 10
-	tau, err := ThresholdForBudget(d, budget, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	var all []uint32
+	for _, r := range d.Records {
+		for _, e := range r {
+			all = append(all, hash.Key32(e, testSeed))
+		}
 	}
+	slices.Sort(all)
+	budget := len(all) / 10
+	cut := all[budget-1]
+	want, _ := slices.BinarySearch(all, cut+1) // keys ≤ cut
 	stored := 0
-	for _, s := range BuildAll(d, tau, testSeed) {
-		stored += s.K()
+	for _, v := range buildAll(d, hash.KeyUnit(cut), testSeed) {
+		stored += v.K()
 	}
-	// Selection hits the budget exactly up to hash ties across records
-	// (duplicate elements in different records share a hash value).
-	if stored > budget+budget/20 || stored < budget-budget/20 {
-		t.Errorf("stored %d hash values for budget %d", stored, budget)
-	}
-}
-
-func TestThresholdForBudgetErrors(t *testing.T) {
-	if _, err := ThresholdForBudget(nil, 10, 1); err == nil {
-		t.Error("nil dataset accepted")
-	}
-	d := &dataset.Dataset{Universe: 1}
-	if _, err := ThresholdForBudget(d, 10, 1); err == nil {
-		t.Error("empty dataset accepted")
-	}
-	d2 := &dataset.Dataset{Records: []dataset.Record{seqRecord(0, 5)}, Universe: 5}
-	if _, err := ThresholdForBudget(d2, 0, 1); err == nil {
-		t.Error("zero budget accepted")
-	}
-}
-
-func TestThresholdForBudgetOversized(t *testing.T) {
-	d := &dataset.Dataset{Records: []dataset.Record{seqRecord(0, 5)}, Universe: 5}
-	tau, err := ThresholdForBudget(d, 1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tau != 1 {
-		t.Errorf("oversized budget tau = %v, want 1", tau)
+	if stored != want || stored < budget || stored > budget+budget/20 {
+		t.Errorf("stored %d keys for budget %d, %d keys are ≤ the cut", stored, budget, want)
 	}
 }
 
 func TestBuildAll(t *testing.T) {
-	d := &dataset.Dataset{
-		Records:  []dataset.Record{seqRecord(0, 10), seqRecord(5, 25)},
-		Universe: 25,
+	// Every view under a shared threshold: ascending, under the cut, complete
+	// exactly when it kept the whole record.
+	d, err := dataset.Synthetic(dataset.SyntheticConfig{
+		NumRecords: 100, Universe: 2000,
+		AlphaFreq: 1.1, AlphaSize: 2,
+		MinSize: 1, MaxSize: 60,
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ss := BuildAll(d, 0.5, testSeed)
-	if len(ss) != 2 {
-		t.Fatalf("got %d sketches", len(ss))
-	}
-	for i, s := range ss {
-		want := Build(d.Records[i], 0.5, testSeed)
-		if s.K() != want.K() {
-			t.Errorf("sketch %d size mismatch", i)
+	const tau = 0.5
+	cut, _ := hash.UnitKey(tau)
+	for i, v := range buildAll(d, tau, testSeed) {
+		keys := v.Keys()
+		if !slices.IsSorted(keys) || (len(keys) > 0 && keys[len(keys)-1] > cut) {
+			t.Fatalf("record %d: run %v is not an ascending run under %d", i, keys, cut)
 		}
-	}
-}
-
-func TestContainmentEstimateZeroQuery(t *testing.T) {
-	s := Build(seqRecord(0, 10), 0.5, testSeed)
-	if got := ContainmentEstimate(s, s, 0); got != 0 {
-		t.Errorf("containment with qSize=0 = %v", got)
+		if v.Complete() != (v.K() == len(d.Records[i])) {
+			t.Errorf("record %d: complete = %v with %d of %d elements kept", i, v.Complete(), v.K(), len(d.Records[i]))
+		}
 	}
 }
 
@@ -329,36 +315,38 @@ func BenchmarkBuildTau01(b *testing.B) {
 	r := seqRecord(0, 5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(r, 0.1, testSeed)
+		BuildHashes(r, 0.1, testSeed)
 	}
 }
 
 func BenchmarkIntersect(b *testing.B) {
-	x := Build(seqRecord(0, 5000), 0.1, testSeed)
-	y := Build(seqRecord(2500, 7500), 0.1, testSeed)
+	x := build(seqRecord(0, 5000), 0.1, testSeed)
+	y := build(seqRecord(2500, 7500), 0.1, testSeed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Intersect(x, y)
+		IntersectViews(x, y)
 	}
 }
 
 func TestDistinctEstimate(t *testing.T) {
 	// Complete sketch: exact.
-	s := Build(seqRecord(0, 40), 1, testSeed)
+	s := build(seqRecord(0, 40), 1, testSeed)
 	if got := s.DistinctEstimate(); got != 40 {
 		t.Errorf("complete DistinctEstimate = %v, want 40", got)
 	}
 	// Thresholded sketch: statistical accuracy.
 	const n = 20000
-	big := Build(seqRecord(0, n), 0.05, testSeed)
+	big := build(seqRecord(0, n), 0.05, testSeed)
 	got := big.DistinctEstimate()
 	if math.Abs(got-n)/n > 0.2 {
 		t.Errorf("DistinctEstimate = %v, want ~%d", got, n)
 	}
 	// Degenerate: empty and single-hash sketches do not divide by zero.
-	empty := Build(dataset.Record{}, 0.5, testSeed)
-	if got := empty.DistinctEstimate(); got != 0 {
+	if got := MakeView(nil, false).DistinctEstimate(); got != 0 {
 		t.Errorf("empty DistinctEstimate = %v", got)
+	}
+	if got := MakeView([]uint32{0}, false).DistinctEstimate(); got != 1 {
+		t.Errorf("single-key DistinctEstimate = %v", got)
 	}
 }
 
@@ -393,18 +381,18 @@ func TestTheorem5GKMVBeatsMinHashVariance(t *testing.T) {
 	var cnt int
 	for trial := 0; trial < trials; trial++ {
 		seed := uint64(trial*101 + 3)
-		gs := BuildAll(d, tau, seed)
+		gs := buildAll(d, tau, seed)
 		gen := minhash.NewGenerator(kPrime, seed)
 		sigs := make([]minhash.Signature, m)
 		for i, r := range d.Records {
 			sigs[i] = gen.Sign(r)
 		}
 		for _, q := range queries {
-			gq := Build(q, tau, seed)
+			gq := build(q, tau, seed)
 			sq := gen.Sign(q)
 			for i, x := range d.Records {
 				truth := q.Containment(x)
-				eg := ContainmentEstimate(gq, gs[i], len(q))
+				eg := containment(gq, gs[i], len(q))
 				em := minhash.EstimateContainment(sq, sigs[i], len(q), len(x))
 				mseG += (eg - truth) * (eg - truth)
 				mseM += (em - truth) * (em - truth)
@@ -416,5 +404,44 @@ func TestTheorem5GKMVBeatsMinHashVariance(t *testing.T) {
 	mseM /= float64(cnt)
 	if mseG >= mseM {
 		t.Errorf("Theorem 5 violated empirically: MSE[G-KMV]=%v >= MSE[MinHash]=%v", mseG, mseM)
+	}
+}
+
+// BenchmarkUnionStats is the merge on the run lengths a search meets (10–40
+// keys a side, a third shared), branch-free against the plain three-way
+// merge it replaced; ns/op is per pair.
+func BenchmarkUnionStats(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const pairs = 4096
+	as, bs := make([][]uint32, pairs), make([][]uint32, pairs)
+	for p := range as {
+		shared := make([]uint32, 3+rng.Intn(12))
+		for i := range shared {
+			shared[i] = rng.Uint32()
+		}
+		side := func() []uint32 {
+			run := slices.Clone(shared)
+			for n := 7 + rng.Intn(20); n > 0; n-- {
+				run = append(run, rng.Uint32())
+			}
+			slices.Sort(run)
+			return run
+		}
+		as[p], bs[p] = side(), side()
+	}
+	for name, merge := range map[string]func(a, b []uint32) (int, int, uint32){
+		"branchfree": unionStats,
+		"plain":      plainUnionStats,
+	} {
+		b.Run(name, func(b *testing.B) {
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				_, kInter, _ := merge(as[i%pairs], bs[i%pairs])
+				sink += kInter
+			}
+			if sink < 0 {
+				b.Fatal(sink)
+			}
+		})
 	}
 }

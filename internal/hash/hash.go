@@ -1,7 +1,8 @@
 // Package hash provides the hashing substrate shared by every sketch in this
 // repository: a fast avalanching 64-bit hash over element identifiers, a
-// mapping from 64-bit hash values to the unit interval [0, 1), and seeded
-// hash families for MinHash-style signatures.
+// mapping from 64-bit hash values to the unit interval [0, 1) and to the
+// 32-bit fixed-point keys the G-KMV signatures store, and seeded hash
+// families for MinHash-style signatures.
 //
 // All sketches in the paper (KMV, G-KMV, GB-KMV) assume a collision-free hash
 // that maps elements uniformly to [0, 1). We use a 64-bit finalizer
@@ -52,6 +53,35 @@ func Unit(h uint64) float64 {
 // UnitHash hashes an element with the given seed directly to [0, 1).
 func UnitHash(e Element, seed uint64) float64 {
 	return Unit(Hash64(e, seed))
+}
+
+// Key32 hashes an element to its 32-bit sketch key: the top 32 bits of
+// Hash64, i.e. the unit hash in 32-bit fixed point (uint32(UnitHash·2³²)), so
+// key order is unit-hash order. This is the one width the G-KMV signatures
+// store and compare — the paper's 32-bit signature unit. Hash64 stays a
+// bijection; two distinct elements share a key with probability 2⁻³².
+func Key32(e Element, seed uint64) uint32 {
+	return uint32(Hash64(e, seed) >> 32)
+}
+
+// KeyUnit returns the share of the unit interval at or under key k,
+// (k+1)/2³² — exactly representable, never zero, 1 at the largest key. It is
+// the value a key stands for wherever the estimators need a unit hash: the
+// threshold τ of "keep key ≤ k", and U(k) when k is the largest key of a
+// union.
+func KeyUnit(k uint32) float64 {
+	return float64(uint64(k)+1) / (1 << 32)
+}
+
+// UnitKey is KeyUnit's inverse on [0, 1]: the largest key k with
+// KeyUnit(k) ≤ u. ok is false when there is none (u < 2⁻³² keeps nothing) or
+// u is outside the unit interval.
+func UnitKey(u float64) (k uint32, ok bool) {
+	n := u * (1 << 32) // keys kept; the scaling is exact
+	if !(n >= 1 && n <= 1<<32) {
+		return 0, false
+	}
+	return uint32(uint64(n) - 1), true
 }
 
 // Family is a family of independent hash functions derived from a base seed,

@@ -2,6 +2,7 @@ package hash
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -211,5 +212,50 @@ func BenchmarkFamilyMinHash64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.MinHash64(0, elems)
+	}
+}
+
+func TestKey32IsUnitHashInFixedPoint(t *testing.T) {
+	// The key is the unit hash scaled to 32 bits and truncated, so key order
+	// is unit-hash order and "key ≤ c" is "unit hash < (c+1)/2³²".
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 100000; i++ {
+		e, seed := Element(rng.Uint64()), rng.Uint64()
+		k, u := Key32(e, seed), UnitHash(e, seed)
+		if want := uint32(u * (1 << 32)); k != want {
+			t.Fatalf("Key32(%d, %d) = %d, UnitHash·2³² = %d", e, seed, k, want)
+		}
+		if !(u < KeyUnit(k)) || (k > 0 && u < KeyUnit(k-1)) {
+			t.Fatalf("unit hash %v outside key %d's bucket [%v, %v)", u, k, KeyUnit(k-1), KeyUnit(k))
+		}
+	}
+}
+
+func TestKeyUnitRoundTrip(t *testing.T) {
+	keys := []uint32{0, 1, 2, 1 << 31, math.MaxUint32 - 1, math.MaxUint32}
+	rng := rand.New(rand.NewSource(10))
+	for i := 0; i < 100000; i++ {
+		keys = append(keys, rng.Uint32())
+	}
+	for _, k := range keys {
+		u := KeyUnit(k)
+		if !(u > 0 && u <= 1) {
+			t.Fatalf("KeyUnit(%d) = %v outside (0, 1]", k, u)
+		}
+		if got, ok := UnitKey(u); !ok || got != k {
+			t.Fatalf("UnitKey(KeyUnit(%d)) = %d, %v", k, got, ok)
+		}
+		// Anything short of the next boundary is still key k.
+		if got, ok := UnitKey(math.Nextafter(KeyUnit(k), 2)); k < math.MaxUint32 && (!ok || got != k) {
+			t.Fatalf("UnitKey just above KeyUnit(%d) = %d, %v", k, got, ok)
+		}
+	}
+	if KeyUnit(math.MaxUint32) != 1 || KeyUnit(0) != 1.0/(1<<32) {
+		t.Errorf("KeyUnit ends: %v, %v", KeyUnit(0), KeyUnit(math.MaxUint32))
+	}
+	for _, u := range []float64{0, 1.0 / (1 << 33), -0.5, math.Nextafter(1, 2), math.NaN(), math.Inf(1)} {
+		if k, ok := UnitKey(u); ok {
+			t.Errorf("UnitKey(%v) = %d, want none", u, k)
+		}
 	}
 }

@@ -1,20 +1,21 @@
-// Package selectk implements in-place quickselect over float64 slices. The
-// index's threshold selection ("the budget-th smallest stored hash value")
-// previously sorted the full hash multiset — O(n log n) on every build and
-// every over-budget insert — when only one order statistic is needed.
-// Quickselect finds it in expected O(n) with no allocation.
+// Package selectk implements in-place quickselect. The index's threshold
+// selection ("the budget-th smallest stored key") needs one order statistic,
+// not a sorted multiset; quickselect finds it in expected O(n) with no
+// allocation.
 package selectk
 
-// Float64s returns the k-th smallest value of a (k is 0-based), partially
+import "cmp"
+
+// Select returns the k-th smallest value of a (k is 0-based), partially
 // reordering a in place: afterwards a[k] holds the answer, everything before
 // it is ≤ and everything after it is ≥. It panics when k is out of range.
 //
 // The pivot is a median of three (of nine for large ranges), which is
-// expected O(n) on the hash-value inputs this repository feeds it (uniform
-// by construction). Duplicate values — hash ties from repeated elements
-// across records — are handled by a three-way partition, so runs of equal
-// values cost one pass instead of quadratic churn.
-func Float64s(a []float64, k int) float64 {
+// expected O(n) on the hash-key inputs this repository feeds it (uniform by
+// construction). Duplicate values — key ties from repeated elements across
+// records — are handled by a three-way partition, so runs of equal values
+// cost one pass instead of quadratic churn.
+func Select[T cmp.Ordered](a []T, k int) T {
 	if k < 0 || k >= len(a) {
 		panic("selectk: k out of range")
 	}
@@ -35,9 +36,12 @@ func Float64s(a []float64, k int) float64 {
 	return a[k]
 }
 
+// Float64s is Select over unit hash values.
+func Float64s(a []float64, k int) float64 { return Select(a, k) }
+
 // pivot picks a pivot value for a[lo..hi]: median of three, upgraded to a
 // median of three medians (ninther) for wide ranges.
-func pivot(a []float64, lo, hi int) float64 {
+func pivot[T cmp.Ordered](a []T, lo, hi int) T {
 	n := hi - lo + 1
 	mid := lo + n/2
 	if n > 128 {
@@ -52,7 +56,7 @@ func pivot(a []float64, lo, hi int) float64 {
 }
 
 // median3 returns the median of three values.
-func median3(x, y, z float64) float64 {
+func median3[T cmp.Ordered](x, y, z T) T {
 	if x > y {
 		x, y = y, x
 	}
@@ -67,7 +71,7 @@ func median3(x, y, z float64) float64 {
 
 // partition3 is a Dutch-national-flag partition of a[lo..hi] around value p:
 // on return a[lo..lt-1] < p, a[lt..gt] == p, a[gt+1..hi] > p.
-func partition3(a []float64, lo, hi int, p float64) (lt, gt int) {
+func partition3[T cmp.Ordered](a []T, lo, hi int, p T) (lt, gt int) {
 	lt, gt = lo, hi
 	for i := lo; i <= gt; {
 		switch {
@@ -86,7 +90,7 @@ func partition3(a []float64, lo, hi int, p float64) (lt, gt int) {
 }
 
 // insertionSort sorts a[lo..hi] in place.
-func insertionSort(a []float64, lo, hi int) {
+func insertionSort[T cmp.Ordered](a []T, lo, hi int) {
 	for i := lo + 1; i <= hi; i++ {
 		for j := i; j > lo && a[j] < a[j-1]; j-- {
 			a[j], a[j-1] = a[j-1], a[j]

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
@@ -233,6 +234,30 @@ func TestRequestLogEviction(t *testing.T) {
 // the bytes are intact, the remedy is a rebuild. A commit record without
 // checksums (older still) is the same error, not an unverified load.
 func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
+	// What the previous builds wrote: a gob stream (before the flat format),
+	// and the flat format's version 1 (float64 hash values) — the committed
+	// file itself with its version byte turned back.
+	t.Run("gob-v3", func(t *testing.T) {
+		testOldFormatSnapshot(t, func(w io.Writer, _ []byte) error {
+			return gob.NewEncoder(w).Encode(struct {
+				Version int
+				Records [][]uint64
+			}{3, [][]uint64{{1, 2, 3}}})
+		})
+	})
+	t.Run("version-1", func(t *testing.T) {
+		testOldFormatSnapshot(t, func(w io.Writer, current []byte) error {
+			old := bytes.Clone(current)
+			old[8] = 1 // the byte after the 8-byte magic
+			_, err := w.Write(old)
+			return err
+		})
+	})
+}
+
+// testOldFormatSnapshot commits what rewrite makes of the current index file
+// in its place and checks that loading names the format, not corruption.
+func testOldFormatSnapshot(t *testing.T, rewrite func(w io.Writer, current []byte) error) {
 	dir := t.TempDir()
 	store, ts := newServer(t, dir)
 	buildRestaurants(t, ts, "rest")
@@ -248,8 +273,8 @@ func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
 	ts.Close()
 	store.Close()
 
-	// Rewrite the committed index as the previous build would have: a gob
-	// stream, with a commit record whose checksum matches it.
+	// Rewrite the committed index as a previous build would have, with a
+	// commit record whose checksum matches it.
 	m, err := readMeta(nil, cdir)
 	if err != nil {
 		t.Fatal(err)
@@ -257,12 +282,11 @@ func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
 	if m.Parent == 0 {
 		t.Fatal("fixture has no parent generation")
 	}
-	sum, err := writeFileSync(nil, indexPath(cdir, gen), func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(struct {
-			Version int
-			Records [][]uint64
-		}{3, [][]uint64{{1, 2, 3}}})
-	})
+	current, err := os.ReadFile(indexPath(cdir, gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := writeFileSync(nil, indexPath(cdir, gen), func(w io.Writer) error { return rewrite(w, current) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 //
 //	scalar   uvarint (canonical: no padding bytes), zigzag varint, 8-byte
 //	         little-endian float64/uint64, length-prefixed string
-//	slab     a raw little-endian []float64 / []uint32 / []uint64, element
+//	slab     a raw little-endian []uint32 / []uint64, element
 //	         count known to the reader; goes to and from the live slice in
 //	         64 kB steps, so neither side ever holds a second copy
 //	records  record count, total element count, then per record its length,
@@ -41,8 +41,9 @@ import (
 )
 
 // Version is the snapshot format version, written after every magic. There
-// is exactly one: a stream with any other version is ErrFormat.
-const Version = 1
+// is exactly one: a stream with any other version is ErrFormat. (1 stored the
+// index's hash values as float64; 2 stores 32-bit keys.)
+const Version = 2
 
 // ErrFormat marks a stream that is not a snapshot of this format version:
 // the magic or the version byte did not match. It is distinct from
@@ -187,10 +188,6 @@ func putSlab[T any](w *Writer, s []T, size int, put func([]byte, T)) {
 		}
 		s = s[n:]
 	}
-}
-
-func (w *Writer) Float64s(s []float64) {
-	putSlab(w, s, 8, func(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) })
 }
 
 func (w *Writer) Uint64s(s []uint64) { putSlab(w, s, 8, binary.LittleEndian.PutUint64) }
@@ -552,10 +549,6 @@ func slab[T any](r *Reader, n, size int, get func([]byte) T) []T {
 		return nil
 	}
 	return dst
-}
-
-func (r *Reader) Float64s(n int) []float64 {
-	return slab(r, n, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 }
 
 func (r *Reader) Uint64s(n int) []uint64 {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -21,7 +20,7 @@ type opaque struct{ r io.Reader }
 func (o opaque) Read(p []byte) (int, error) { return o.r.Read(p) }
 
 type sections struct {
-	Floats  []float64
+	Keys    []uint32
 	Words   []uint64
 	Offsets []uint32
 	Flags   []bool
@@ -35,7 +34,7 @@ type sections struct {
 func fixture(n int) sections {
 	s := sections{Name: "gbkmv", Signed: -1}
 	for i := 0; i < n; i++ {
-		s.Floats = append(s.Floats, float64(i)/float64(n))
+		s.Keys = append(s.Keys, uint32(i)*0x9E3779B9)
 		s.Words = append(s.Words, uint64(i)*0x9E3779B97F4A7C15)
 		s.Offsets = append(s.Offsets, uint32(i*3))
 		s.Flags = append(s.Flags, i%3 == 0)
@@ -55,8 +54,8 @@ func (s sections) write(w io.Writer) error {
 	sw.Magic("TESTMAGC")
 	sw.String(s.Name)
 	sw.Varint(s.Signed)
-	sw.Int(len(s.Floats))
-	sw.Float64s(s.Floats)
+	sw.Int(len(s.Keys))
+	sw.Uint32s(s.Keys)
 	sw.Uint64s(s.Words)
 	sw.Uint32s(s.Offsets)
 	sw.Bools(s.Flags)
@@ -73,7 +72,7 @@ func read(r io.Reader) (sections, error) {
 	s.Name = sr.String(16)
 	s.Signed = sr.Varint()
 	n := sr.Int()
-	s.Floats = sr.Float64s(n)
+	s.Keys = sr.Uint32s(n)
 	s.Words = sr.Uint64s(n)
 	s.Offsets = sr.Uint32s(n)
 	s.Flags = sr.Bools(n)
@@ -233,9 +232,8 @@ func TestFormatAndStructureErrors(t *testing.T) {
 // allocation follows the bytes that actually arrive.
 func TestDeclaredCountsDoNotAllocate(t *testing.T) {
 	readers := map[string]func(*Reader){
-		"hashes":  func(r *Reader) { r.Float64s(r.Int()) },
 		"words":   func(r *Reader) { r.Uint64s(r.Int()) },
-		"offsets": func(r *Reader) { r.Uint32s(r.Int()) },
+		"keys":    func(r *Reader) { r.Uint32s(r.Int()) },
 		"flags":   func(r *Reader) { r.Bools(r.Int()) },
 		"elems":   func(r *Reader) { r.Elements() },
 		"records": func(r *Reader) { r.Records() },
@@ -294,7 +292,7 @@ func TestSlabsLoadExactly(t *testing.T) {
 	if allocated > 1.1*held+bufSize {
 		t.Errorf("loading allocated %.0f bytes to keep %.0f", allocated, held)
 	}
-	if math.Abs(got.Floats[1]-want.Floats[1]) != 0 {
+	if got.Keys[1] != want.Keys[1] {
 		t.Error("slab content changed")
 	}
 	runtime.KeepAlive(got)

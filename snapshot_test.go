@@ -2,10 +2,12 @@ package gbkmv_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -14,12 +16,14 @@ import (
 
 	"gbkmv"
 	"gbkmv/internal/dataset"
+	"gbkmv/internal/snapfmt"
 )
 
 // oldFormatStreams are what a loader of the one snapshot format must name as
 // ErrSnapshotFormat rather than fail to decode: a gob stream shaped like the
-// version-3 snapshots the previous build wrote, plain garbage, nothing at
-// all, and a current magic with a version from the future.
+// version-3 snapshots an earlier build wrote, plain garbage, nothing at all,
+// and a current magic with the version before this one (the flat format with
+// float64 hash values) or one from the future.
 func oldFormatStreams(t *testing.T, magic string) map[string][]byte {
 	t.Helper()
 	var gobV3 bytes.Buffer
@@ -34,7 +38,8 @@ func oldFormatStreams(t *testing.T, magic string) map[string][]byte {
 		"gob-v3":  gobV3.Bytes(),
 		"garbage": []byte("definitely not a snapshot"),
 		"empty":   nil,
-		"future":  append([]byte(magic), 2, 0, 0, 0),
+		"flat-v1": append([]byte(magic), snapfmt.Version-1, 0, 0, 0),
+		"future":  append([]byte(magic), snapfmt.Version+1, 0, 0, 0),
 	}
 }
 
@@ -66,6 +71,38 @@ func TestLoadEngineOldFormat(t *testing.T) {
 		if _, err := gbkmv.Load(bytes.NewReader(b)); !errors.Is(err, gbkmv.ErrSnapshotFormat) {
 			t.Errorf("%s: Load = %v, want ErrSnapshotFormat", name, err)
 		}
+	}
+}
+
+// TestLoadOffBoundaryThreshold: τ travels as a float64 but is always a key
+// boundary (c+1)/2³² — the index compares 32-bit keys against c. A stream
+// whose τ falls between two boundaries is no index's: corrupt, not a format
+// question, and never silently rounded to a neighbouring cut.
+func TestLoadOffBoundaryThreshold(t *testing.T) {
+	ix, err := gbkmv.Build(numericRecords(40, 200, 30), gbkmv.Options{BudgetFraction: 0.2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tau := ix.Stats().Tau
+	if tau <= 0 || tau >= 1 || tau*(1<<32) != math.Trunc(tau*(1<<32)) {
+		t.Fatalf("fixture τ = %v is not a key boundary inside (0, 1)", tau)
+	}
+	var saved bytes.Buffer
+	if err := ix.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	stored := binary.LittleEndian.AppendUint64(nil, math.Float64bits(tau))
+	if n := bytes.Count(saved.Bytes(), stored); n != 1 {
+		t.Fatalf("τ's eight bytes appear %d times in the stream; the fixture cannot aim", n)
+	}
+	for _, off := range []float64{math.Nextafter(tau, 0), math.Nextafter(tau, 1), tau + 1.0/(1<<33), 0, math.NaN()} {
+		patched := bytes.Replace(saved.Bytes(), stored, binary.LittleEndian.AppendUint64(nil, math.Float64bits(off)), 1)
+		if _, err := gbkmv.Load(bytes.NewReader(patched)); !errors.Is(err, snapfmt.ErrCorrupt) || errors.Is(err, gbkmv.ErrSnapshotFormat) {
+			t.Errorf("τ = %v: Load = %v, want a corrupt-snapshot error", off, err)
+		}
+	}
+	if _, err := gbkmv.Load(bytes.NewReader(saved.Bytes())); err != nil {
+		t.Errorf("untouched stream: %v", err)
 	}
 }
 
