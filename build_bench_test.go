@@ -8,7 +8,7 @@ import (
 )
 
 // Write-path benchmarks over the shared benchmark corpus: index
-// construction through the hash-once parallel pipeline and dynamic batch
+// construction (τ selection and derive, both parallel) and dynamic batch
 // inserts. CI records them into BENCH_PR4.json next to the per-engine
 // numbers; BenchmarkBuild/gbkmv is the build-path critical the regression
 // gate watches (as EngineBuild/gbkmv against older baselines).

@@ -321,7 +321,9 @@ func SaveEngine(w io.Writer, e Engine) error {
 // LoadEngine reads an engine written by SaveEngine, dispatching on the
 // header to the engine that wrote it; each section goes straight from the
 // stream into the slice the engine keeps. The stream must end where the
-// snapshot does. Anything that does not open with a current-format header is
+// snapshot does, and is read to that end before anything is derived from it
+// (a reader that notes its last Read has timed the two halves apart).
+// Anything that does not open with a current-format header is
 // ErrSnapshotFormat.
 func LoadEngine(r io.Reader) (Engine, error) {
 	finish, err := loadEngineStaged(r)
@@ -331,7 +333,10 @@ func LoadEngine(r io.Reader) (Engine, error) {
 	return finish()
 }
 
-// loadEngineStaged is LoadEngine's stream half: everything that reads r.
+// loadEngineStaged is LoadEngine's stream half: everything that reads r, to
+// its end. The returned finish does what no longer needs the stream —
+// deriving the sketches of gbkmv/gkmv from their records, rebuilding the
+// other engines.
 func loadEngineStaged(r io.Reader) (finish func() (Engine, error), err error) {
 	sr := snapfmt.NewReader(r)
 	parse := parseEngine

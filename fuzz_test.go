@@ -34,6 +34,17 @@ func fuzzSnapshots(t testing.TB) map[string][]byte {
 			out[fmt.Sprintf("%s/seg%d", name, segments)] = buf.Bytes()
 		}
 	}
+	// An r far past the vocabulary: it is what the budget is charged and sizes
+	// nothing, so this seed loads in the memory of the ones above.
+	wide, err := NewEngine("gbkmv", d.Records, EngineOptions{BudgetUnits: 1 << 30, BufferBits: 1 << 28, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveEngine(&buf, wide); err != nil {
+		t.Fatal(err)
+	}
+	out["gbkmv/wide"] = buf.Bytes()
 	return out
 }
 
@@ -46,6 +57,13 @@ func fuzzSnapshots(t testing.TB) map[string][]byte {
 //     byte (one delta byte → one Element), slice headers and routing entries
 //     push the worst case to 32, and the fixed part is the 64 kB buffer plus
 //     at most 4096 segment shells;
+//   - nor does the finish of a gbkmv or gkmv stream, which derives the sketch
+//     from what the stream half read: r and the budget are declared and size
+//     nothing; counters, lists and maps follow the records, occurrences and
+//     buffered elements that were read (well under 256 bytes a byte in all),
+//     and the buffer arena is records × ⌈|E_H|/64⌉ words — two counts the
+//     input backs, n²/32 bytes from n of them at the very worst. (The other
+//     engines rebuild at whatever size their options name; not bounded here.)
 //   - a stream that loads is canonical: saving the loaded engine reproduces
 //     the input byte for byte. The kmv and minhash engines resolve their
 //     derived parameters (k, budget) into the options they save, so for them
@@ -56,28 +74,42 @@ func FuzzLoadEngine(f *testing.F) {
 	for _, b := range snaps {
 		f.Add(b)
 	}
+	// A stream without a stored sketch is a third shorter than it was: cut
+	// points every 32 bytes keep one or more inside every section.
 	short := snaps["gbkmv/seg2"]
-	for n := 0; n < len(short); n += 64 {
+	for n := 0; n < len(short); n += 32 {
 		f.Add(short[:n])
 	}
-	// The previous format version: intact bytes this build must not parse.
-	old := bytes.Clone(snaps["gbkmv/seg1"])
-	old[len(segmentedMagic)] = snapfmt.Version - 1
-	f.Add(old)
+	// The earlier format versions: intact bytes this build must not parse.
+	for v := byte(1); v < snapfmt.Version; v++ {
+		old := bytes.Clone(snaps["gbkmv/seg1"])
+		old[len(segmentedMagic)] = v
+		f.Add(old)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		finish, err := loadEngineStaged(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
-		if allocated, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+32*len(data)); allocated > bound {
-			t.Fatalf("parsing %d bytes allocated %d, bound %d", len(data), allocated, bound)
+		allocated := func(fn func()) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fn()
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		var finish func() (Engine, error)
+		var e Engine
+		var err error
+		n := uint64(len(data))
+		if got, bound := allocated(func() { finish, err = loadEngineStaged(bytes.NewReader(data)) }), 1<<20+32*n; got > bound {
+			t.Fatalf("parsing %d bytes allocated %d, bound %d", n, got, bound)
 		}
 		if err != nil {
 			return
 		}
-		e, err := finish()
+		got, bound := allocated(func() { e, err = finish() }), 1<<20+256*n+n*n/32
 		if err != nil {
 			return
+		}
+		if name := e.EngineName(); (name == "gbkmv" || name == "gkmv") && got > bound {
+			t.Fatalf("deriving a %s engine from %d bytes allocated %d, bound %d", name, n, got, bound)
 		}
 		resave := func(e Engine) []byte {
 			var buf bytes.Buffer

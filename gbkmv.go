@@ -188,11 +188,14 @@ type Stats struct {
 	SketchBytes int     // footprint of the G-KMV key store alone: 4 bytes a stored key
 }
 
-// BuildCounters returns monotonic write-path work counters: total element
-// occurrences hashed by the hash-once pipeline (build, load, insert — each
-// occurrence exactly once) and fixed-budget threshold shrinks performed.
-// Safe to call concurrently with reads and writes; serving layers mirror
-// these into their metrics registry at scrape time.
+// BuildCounters returns monotonic write-path work counters: element hash
+// computations — keys are re-hashed rather than staged: in a build or a load
+// a non-buffered element occurrence is hashed once to be counted and once
+// more if its key is kept, selecting τ costs a build two per distinct
+// element, and an insert hashes each occurrence once — and fixed-budget
+// threshold shrinks performed. Safe to call concurrently with reads and
+// writes; serving layers mirror these into their metrics registry at scrape
+// time.
 func (ix *Index) BuildCounters() (elementsHashed, shrinks uint64) {
 	return ix.inner.BuildCounters()
 }

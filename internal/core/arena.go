@@ -14,8 +14,8 @@ import (
 // — not strictly: two elements of one record may share a key. One stored key
 // is one budget unit and four bytes. The layout buys the query path two
 // things: intersections walk contiguous memory (no pointer chase, one cache
-// stream per record), and bulk operations — threshold shrinks,
-// serialization, unit accounting — see the whole signature as one array.
+// stream per record), and bulk operations — threshold shrinks, unit
+// accounting — see the whole signature as one array.
 type sketchArena struct {
 	keys     []uint32 // concatenated ascending runs
 	offsets  []uint32 // len = numRecords+1; run i is [offsets[i], offsets[i+1])
@@ -75,33 +75,4 @@ func (a *sketchArena) trimToCut(cut uint32) {
 	}
 	a.offsets[n] = w
 	a.keys = a.keys[:w]
-}
-
-// valid reports whether the arena is structurally consistent for n records
-// under the cut: monotone offsets closing exactly over the key store,
-// ascending runs of keys ≤ cut. Equal neighbours are legal (two elements of
-// one record colliding in 32 bits). Used to validate deserialized arenas
-// before anything indexes into them.
-func (a *sketchArena) valid(n int, cut uint32) bool {
-	if len(a.offsets) != n+1 || len(a.complete) != n || a.offsets[0] != 0 {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if a.offsets[i] > a.offsets[i+1] {
-			return false
-		}
-	}
-	if int(a.offsets[n]) != len(a.keys) {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		prev := uint32(0)
-		for _, v := range a.keys[a.offsets[i]:a.offsets[i+1]] {
-			if v < prev || v > cut {
-				return false
-			}
-			prev = v
-		}
-	}
-	return true
 }

@@ -10,21 +10,19 @@ const bufWordBits = 64
 // buffer occupies words[i*stride : (i+1)*stride]. Replacing the previous
 // []*bitmap.Bitmap (one heap object + pointer per record) buys the write and
 // query paths contiguous memory — AndCount against a query walks one cache
-// stream, serialization writes one slice, and SizeBytes is O(1) — and lets
-// build workers fill disjoint record slots concurrently without allocation.
+// stream and SizeBytes is O(1) — and lets derive's workers fill disjoint
+// record slots concurrently without allocation.
 //
-// A zero stride means the index was built without buffers (r == 0); every
+// A zero stride means the index buffers no element (E_H is empty); every
 // per-record accessor is then a no-op.
 type bufferArena struct {
 	words  []uint64
-	stride int // words per record; 0 when bufferBits == 0
-	bits   int // buffer capacity in bits (r)
+	stride int // words per record, ⌈|E_H|/64⌉; 0 without buffers
 }
 
 // init sizes the arena for m records of `bits` buffer bits each, reusing the
 // backing array when it fits. All bits are cleared.
 func (a *bufferArena) init(m, bits int) {
-	a.bits = bits
 	if bits <= 0 {
 		a.stride = 0
 		a.words = a.words[:0]
@@ -66,18 +64,13 @@ func (a *bufferArena) grow(n int) {
 }
 
 // forEachSetBit invokes fn for every set bit of record i's buffer in
-// ascending order, guarding against bits past the capacity (the arena's
-// own writers never set them, but a deserialized arena is only trusted as
-// far as valid() checks).
+// ascending order. Every bit is below the capacity: the arena's own writers
+// (derive, AddRecords) are the only ones there are.
 func (a *bufferArena) forEachSetBit(i int, fn func(bit int)) {
 	base := 0
 	for _, word := range a.record(i) {
-		for word != 0 {
-			bit := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			if bit < a.bits {
-				fn(bit)
-			}
+		for ; word != 0; word &= word - 1 {
+			fn(base + bits.TrailingZeros64(word))
 		}
 		base += bufWordBits
 	}
@@ -85,26 +78,3 @@ func (a *bufferArena) forEachSetBit(i int, fn func(bit int)) {
 
 // sizeBytes returns the memory footprint of the bit storage, O(1).
 func (a *bufferArena) sizeBytes() int { return len(a.words) * 8 }
-
-// valid reports whether the arena is structurally consistent for m records
-// with `bits` buffer bits: matching stride, exact word count, and no stray
-// bits beyond the capacity in any record's last word (those would corrupt
-// popcounts). Used to validate deserialized arenas.
-func (a *bufferArena) valid(m, bits int) bool {
-	if bits <= 0 {
-		return a.stride == 0 && len(a.words) == 0
-	}
-	stride := (bits + bufWordBits - 1) / bufWordBits
-	if a.stride != stride || a.bits != bits || len(a.words) != m*stride {
-		return false
-	}
-	if rem := bits % bufWordBits; rem != 0 {
-		mask := ^uint64(0) << uint(rem)
-		for i := 0; i < m; i++ {
-			if a.words[i*stride+stride-1]&mask != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -17,7 +17,7 @@ import (
 	"gbkmv/internal/snapfmt"
 )
 
-// Differential tests for the hash-once build pipeline: the parallel build
+// Differential tests for the build (selectCut + derive): the parallel build
 // must be bit-identical — τ, arena, buffers, posting lists, bit order — to
 // the sequential seed algorithm it replaced (threshold from a sorted O(n)
 // key slice, per-record gkmv.BuildHashes at the index's public Tau(),
@@ -42,7 +42,7 @@ func refCut(ix *Index) uint32 {
 	var all []uint32
 	for _, rec := range ix.records {
 		for _, e := range rec {
-			if _, buffered := ix.bitOf[e]; !buffered {
+			if _, buffered := ix.bitOf.lookup(e); !buffered {
 				all = append(all, hash.Key32(e, ix.opt.Seed))
 			}
 		}
@@ -70,7 +70,7 @@ func refBuild(ix *Index, cut uint32) refState {
 		}
 		rest := rec[:0:0]
 		for _, e := range rec {
-			if bit, ok := ix.bitOf[e]; ok {
+			if bit, ok := ix.bitOf.lookup(e); ok {
 				buf.Set(bit)
 				continue
 			}
@@ -397,7 +397,7 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 		sorted := slices.Clone(vals)
 		slices.Sort(sorted)
 		for _, k := range []int{1, 1 + rng.Intn(n), n} {
-			if got, want := kthSmallest(parts, k, upper), sorted[k-1]; got != want {
+			if got, want := new(kthSelector).kthSmallest(len(parts), sliceScan(parts), k, upper), sorted[k-1]; got != want {
 				t.Fatalf("trial %d: k=%d of %d under %d: got %v, want %v", trial, k, n, upper, got, want)
 			}
 		}

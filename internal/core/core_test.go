@@ -314,7 +314,7 @@ func TestUsedUnitsAccounting(t *testing.T) {
 	sketch := 0
 	for _, rec := range d.Records {
 		for _, e := range rec {
-			if _, buffered := ix.bitOf[e]; buffered {
+			if _, buffered := ix.bitOf.lookup(e); buffered {
 				continue
 			}
 			if hash.UnitHash(e, testSeed) < ix.Tau() { // τ is the kept share: [0, τ)

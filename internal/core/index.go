@@ -23,8 +23,8 @@ type Index struct {
 
 	records []dataset.Record // retained for dynamic ops and verification
 
-	bufferElems []hash.Element       // E_H in decreasing frequency order
-	bitOf       map[hash.Element]int // element → buffer bit position
+	bufferElems []hash.Element // E_H in decreasing frequency order
+	bitOf       bitTable       // element → buffer bit position
 
 	// bufArena holds every record's H_X buffer in one flat word store (see
 	// bufferArena); arena holds every record's G-KMV hash run in one flat
@@ -37,7 +37,7 @@ type Index struct {
 	// τ = hash.KeyUnit(cut), the share of the unit interval kept; τ = 1 is
 	// the largest key.
 	cut        uint32
-	bufferBits int // r
+	bufferBits int // r: what the budget charges a record; the buffers hold |E_H| ≤ r bits
 	budget     int // in signature units
 
 	// Inverted index for accelerated search: postings.get(e) lists the
@@ -47,7 +47,7 @@ type Index struct {
 	// bufferPostings[bit] lists the records whose buffer has that bit set.
 	bufferPostings [][]int32
 	// bitOrder lists all buffer bits sorted by ascending posting-list
-	// length, refreshed by buildBufferPostings. Search's prefix filter scans
+	// length, as derive left it. Search's prefix filter scans
 	// the query's rarest bits in this cached order instead of re-sorting per
 	// query; inserts may leave it slightly stale, which affects only which
 	// (equally correct) candidate superset is generated, never the results.
@@ -57,29 +57,37 @@ type Index struct {
 	// scratch.go for the ownership contract.
 	scratchPool sync.Pool
 
-	// sel is the threshold shrink's selection memory (see kthSelector),
-	// touched only under the caller's write exclusion like the rest of the
-	// insert path.
+	// sel is the threshold shrink's selection memory (see kthSelector), add
+	// the working set of the record AddRecords is on — its non-buffered
+	// elements, their keys, its sorted run. Both are touched only under the
+	// caller's write exclusion, like the rest of the insert path.
 	sel kthSelector
+	add struct {
+		elems     []hash.Element
+		keys, run []uint32
+	}
 
 	// Write-path work counters, atomic so scrape-time readers never contend
-	// with the write lock: every element occurrence hashed by the hash-once
-	// pipeline (build, load, insert), and every threshold shrink performed.
+	// with the write lock: every hash.Key32 call of the build, load and
+	// insert paths, and every threshold shrink performed.
 	elementsHashed atomic.Uint64
 	shrinks        atomic.Uint64
 }
 
-// BuildCounters returns the monotonic write-path work counters: total element
-// occurrences hashed (the hash-once pipeline hashes each exactly once, so
-// this is also the occurrence count ingested) and fixed-budget threshold
-// shrinks performed. Safe to call concurrently with reads and writes.
+// BuildCounters returns the monotonic write-path work counters: hash.Key32
+// calls — keys are re-hashed rather than staged: in a build or a load a
+// non-buffered occurrence is hashed once to be counted (not at τ = 1) and
+// once more if its key is kept, selecting τ costs a build two per distinct
+// element, and an insert hashes each occurrence once — and fixed-budget
+// threshold shrinks performed. Safe to call concurrently with reads and
+// writes.
 func (ix *Index) BuildCounters() (elementsHashed, shrinks uint64) {
 	return ix.elementsHashed.Load(), ix.shrinks.Load()
 }
 
-// BuildIndex constructs the GB-KMV index of the dataset (Algorithm 1)
-// through the hash-once pipeline in build.go: one parallel hashing pass
-// feeds threshold selection, the signature arenas and the posting lists.
+// BuildIndex constructs the GB-KMV index of the dataset (Algorithm 1): it
+// chooses r, E_H and τ, and derive (build.go) computes the rest — the same
+// function Load runs on a snapshot's (records, E_H, τ).
 func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -127,10 +135,9 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	// computed once and shared with the τ short-circuit below.
 	freq := d.Frequencies()
 	ix.bufferElems = dataset.TopFrequentFrom(freq, r)
-	ix.bitOf = make(map[hash.Element]int, len(ix.bufferElems))
+	ix.bitOf = newBitTable(ix.bufferElems)
 	bufferedOccurrences := 0
-	for i, e := range ix.bufferElems {
-		ix.bitOf[e] = i
+	for _, e := range ix.bufferElems {
 		bufferedOccurrences += freq[e]
 	}
 
@@ -139,27 +146,19 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 		return nil, errors.New("core: no budget left for the G-KMV part")
 	}
 
-	// The single hashing pass: buffer bits into the flat arena, every
-	// non-buffered (element, hash) pair into per-worker chunks.
-	ix.bufArena.init(m, r)
-	chunks := ix.hashChunks()
-
 	// Line 3: the global threshold τ over the remaining elements, chosen so
 	// the G-KMV part fits the leftover budget exactly. When the budget
 	// covers every remaining occurrence — decidable from the occurrence
 	// count alone — τ is 1 and no order statistic is needed.
 	ix.cut = math.MaxUint32
 	if remaining := n - bufferedOccurrences; gBudget < remaining {
-		ix.cut = kthSmallest(chunkKeyParts(chunks), gBudget, ix.cut)
+		ix.cut = ix.selectCut(freq, gBudget)
 	}
 
-	// Lines 4-6: per-record sketch runs packed into the arena, then the
-	// inverted lists — all reusing the chunk keys, nothing rehashed.
-	if err := ix.packArenaFromChunks(chunks); err != nil {
+	// Lines 4-6: buffers, per-record sketch runs and the inverted lists.
+	if err := ix.derive(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	ix.buildPostingsFromChunks(chunks)
-	ix.buildBufferPostings(nil)
 	return ix, nil
 }
 
@@ -269,9 +268,9 @@ func (ix *Index) Sketch(q dataset.Record) *QuerySig {
 // points (the reused sig lives in the pooled searchScratch); Sketch calls it
 // with a fresh signature.
 func (ix *Index) sketchInto(sig *QuerySig, q dataset.Record) {
-	if ix.bufferBits > 0 {
-		if sig.buffer == nil || sig.buffer.Len() != ix.bufferBits {
-			sig.buffer = bitmap.New(ix.bufferBits)
+	if h := len(ix.bufferElems); h > 0 {
+		if sig.buffer == nil || sig.buffer.Len() != h {
+			sig.buffer = bitmap.New(h)
 		} else {
 			sig.buffer.Reset()
 		}
@@ -281,7 +280,7 @@ func (ix *Index) sketchInto(sig *QuerySig, q dataset.Record) {
 	rest := sig.rest[:0]
 	run := sig.sketch.Keys()[:0]
 	for _, e := range q {
-		if bit, ok := ix.bitOf[e]; ok {
+		if bit, ok := ix.bitOf.lookup(e); ok {
 			sig.buffer.Set(bit)
 			continue
 		}

@@ -90,7 +90,7 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 // style — it must contain one of any fixed (nq − c + 1) of them. Scanning
 // the nq−c+1 *rarest* query bits keeps this exact while skipping the head
 // elements' huge lists; the rarity order comes from the index's cached
-// bitOrder (refreshed by buildBufferPostings), so no per-query sort is paid.
+// bitOrder (as derive left it), so no per-query sort is paid.
 // A slightly stale order after inserts changes only which equally-valid
 // candidate superset is scanned, never the final results.
 func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *searchScratch) {
@@ -162,9 +162,10 @@ const shrinkSlackDivisor = 128
 // is a function of the record sequence alone — never of how callers group
 // it into batches (journal replay and follower apply regroup freely). The
 // path is hash-once end to end: each new element is hashed exactly once, the
-// pairs feed both the arena run and the posting lists, and a shrink trims
-// existing runs in place (arena prefixes) instead of resketching the
-// collection.
+// pairs feed both the arena run and the posting lists (through scratch the
+// index owns: callers serialise writes, so a record allocates nothing of its
+// own), and a shrink trims existing runs in place (arena prefixes) instead of
+// resketching the collection.
 //
 // It panics, before touching the index, when the batch could take the sketch
 // arena to 2³²−1 keys, the end of its 32-bit offset table (BuildIndex returns
@@ -184,17 +185,15 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 		ix.records = append(ix.records, rec)
 		// One hashing pass; the (element, key) pairs are kept so the
 		// postings update below never rehashes.
-		elems := make([]hash.Element, 0, len(rec))
-		keys := make([]uint32, 0, len(rec))
+		elems, keys, run := ix.add.elems[:0], ix.add.keys[:0], ix.add.run[:0]
 		for _, e := range rec {
-			if bit, ok := ix.bitOf[e]; ok {
+			if bit, ok := ix.bitOf.lookup(e); ok {
 				ix.bufArena.set(id, bit)
 				continue
 			}
 			elems = append(elems, e)
 			keys = append(keys, hash.Key32(e, ix.opt.Seed))
 		}
-		run := make([]uint32, 0, len(keys))
 		for _, v := range keys {
 			if v <= ix.cut {
 				run = append(run, v)
@@ -202,6 +201,7 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 		}
 		slices.Sort(run)
 		ix.arena.appendRun(run, len(run) == len(elems))
+		ix.add.elems, ix.add.keys, ix.add.run = elems, keys, run
 		ix.elementsHashed.Add(uint64(len(keys)))
 		if over := ix.UsedUnits() - ix.budget; over > 0 {
 			// The shrink lowers τ and filters existing state; the new
@@ -254,7 +254,7 @@ func (ix *Index) shrinkThreshold(over int) bool {
 	// journal replay) converge on identical state. When the cut lands
 	// exactly on the current τ the "shrink" is a no-op; skip it rather than
 	// repeating it on every insert while the tie run holds the line.
-	cut := ix.sel.kthSmallest([][]uint32{ix.arena.keys}, keep, ix.cut)
+	cut := ix.sel.kthSmallest(1, sliceScan([][]uint32{ix.arena.keys}), keep, ix.cut)
 	if cut == ix.cut {
 		return false
 	}

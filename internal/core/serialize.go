@@ -17,18 +17,15 @@ import (
 //	tau f64, bufferBits, budget
 //	records      snapfmt records section (delta-coded)
 //	bufferElems  count + uvarints, E_H in bit order
-//	arena        key count, offsets as a raw uint32 slab (records+1),
-//	             completeness bits, keys as a raw uint32 slab
-//	buffers      words as a raw uint64 slab (records · ⌈bufferBits/64⌉)
 //
-// The arenas are the live slices: Save streams them out as they lie in
-// memory and Load reads each straight into the slice the index keeps. Only
-// the inverted lists are derived on load (one pass over the records).
+// Those are derive's inputs and the stream carries nothing else: the arenas
+// and the lists are a function of them, computed on load by the code that
+// computed them at build time. A stream cannot hold a sketch that disagrees
+// with its records, because it holds no sketch.
 const indexMagic = "GBKMVIDX"
 
-// Save serializes the index. The stream is self-contained and includes both
-// packed signature arenas, so Load reconstructs the exact same sketches and
-// buffers without re-hashing the collection; nothing is staged in memory.
+// Save serializes the index: its options, τ, r, budget, records and E_H.
+// Nothing is staged in memory.
 func (ix *Index) Save(w io.Writer) error {
 	sw := snapfmt.NewWriter(w)
 	sw.Magic(indexMagic)
@@ -44,11 +41,6 @@ func (ix *Index) Save(w io.Writer) error {
 	sw.Int(ix.budget)
 	sw.Records(ix.records)
 	sw.Elements(ix.bufferElems)
-	sw.Int(len(ix.arena.keys))
-	sw.Uint32s(ix.arena.offsets)
-	sw.Bools(ix.arena.complete)
-	sw.Uint32s(ix.arena.keys)
-	sw.Uint64s(ix.bufArena.words)
 	if err := sw.Flush(); err != nil {
 		return fmt.Errorf("core: writing index: %w", err)
 	}
@@ -66,10 +58,9 @@ func Load(r io.Reader) (*Index, error) {
 }
 
 // LoadStaged is Load split where the stream ends: it consumes exactly the
-// index's bytes — every section validated, every slab in its final slice —
-// and returns the work that no longer needs the stream (deriving the
-// inverted lists). A container loading several indexes from one stream reads
-// them in order and runs the finishes in parallel.
+// index's bytes, every section validated, and returns the work that no
+// longer needs the stream — derive. A container loading several indexes from
+// one stream reads them in order and runs the finishes in parallel.
 func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
 	sr := snapfmt.NewReader(r)
 	ix := &Index{}
@@ -90,8 +81,13 @@ func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
 	if ix.cut, ok = hash.UnitKey(tau); sr.Err() == nil && (!ok || ix.Tau() != tau) {
 		sr.Corrupt("threshold %v is not a key boundary in (0, 1]", tau)
 	}
-	if ix.bufferBits > math.MaxInt32 {
-		sr.Corrupt("buffer of %d bits", ix.bufferBits)
+	// r sizes nothing — derive's tables follow |E_H|, read element by element
+	// below — so a garbage r cannot cost memory, only mis-charge the budget.
+	// It is held to what every build guarantees of it: one record's buffer
+	// costs less than the whole budget (BuildIndex never lets the buffers
+	// take it all), and E_H fits in it.
+	if sr.Err() == nil && (ix.bufferBits > math.MaxInt32 || bufferUnits(1, ix.bufferBits) >= ix.budget) {
+		sr.Corrupt("buffer of %d bits under a budget of %d units", ix.bufferBits, ix.budget)
 	}
 	ix.records = sr.Records()
 	m := len(ix.records)
@@ -102,37 +98,15 @@ func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
 	if len(ix.bufferElems) > ix.bufferBits {
 		sr.Corrupt("%d buffered elements for %d buffer bits", len(ix.bufferElems), ix.bufferBits)
 	}
-	nkeys := sr.Int()
-	if err := checkArenaRoom(nkeys); err != nil {
-		sr.Corrupt("%v", err)
-	}
-	ix.arena.offsets = sr.Uint32s(m + 1)
-	ix.arena.complete = sr.Bools(m)
-	ix.arena.keys = sr.Uint32s(nkeys)
-	if sr.Err() == nil && !ix.arena.valid(m, ix.cut) {
-		sr.Corrupt("signature arena is inconsistent")
-	}
-	if sr.Err() == nil && ix.bufferBits > 0 {
-		ix.bufArena.bits = ix.bufferBits
-		ix.bufArena.stride = (ix.bufferBits + bufWordBits - 1) / bufWordBits
-		if ix.bufArena.stride > math.MaxInt/m {
-			sr.Corrupt("buffer of %d bits for %d records overflows", ix.bufferBits, m)
-		} else {
-			ix.bufArena.words = sr.Uint64s(m * ix.bufArena.stride)
-		}
-	}
-	if sr.Err() == nil && !ix.bufArena.valid(m, ix.bufferBits) {
-		sr.Corrupt("buffer arena is inconsistent")
+	if m > 0 && ix.bufferBits > math.MaxInt/m {
+		sr.Corrupt("buffer of %d bits for %d records overflows", ix.bufferBits, m)
 	}
 	if err := sr.Done(); err != nil {
 		return nil, fmt.Errorf("core: reading index: %w", err)
 	}
 	return func() (*Index, error) {
-		ix.bitOf = make(map[hash.Element]int, len(ix.bufferElems))
-		for i, e := range ix.bufferElems {
-			ix.bitOf[e] = i
-		}
-		if err := ix.rebuildPostings(); err != nil {
+		ix.bitOf = newBitTable(ix.bufferElems)
+		if err := ix.derive(); err != nil {
 			return nil, fmt.Errorf("core: reading index: %w: %v", snapfmt.ErrCorrupt, err)
 		}
 		return ix, nil

@@ -235,8 +235,9 @@ func TestRequestLogEviction(t *testing.T) {
 // checksums (older still) is the same error, not an unverified load.
 func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
 	// What the previous builds wrote: a gob stream (before the flat format),
-	// and the flat format's version 1 (float64 hash values) — the committed
-	// file itself with its version byte turned back.
+	// and the flat format's versions 1 (float64 hash values) and 2 (32-bit
+	// keys, the sketch stored beside the records) — the committed file itself
+	// with its version byte turned back.
 	t.Run("gob-v3", func(t *testing.T) {
 		testOldFormatSnapshot(t, func(w io.Writer, _ []byte) error {
 			return gob.NewEncoder(w).Encode(struct {
@@ -245,14 +246,16 @@ func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
 			}{3, [][]uint64{{1, 2, 3}}})
 		})
 	})
-	t.Run("version-1", func(t *testing.T) {
-		testOldFormatSnapshot(t, func(w io.Writer, current []byte) error {
-			old := bytes.Clone(current)
-			old[8] = 1 // the byte after the 8-byte magic
-			_, err := w.Write(old)
-			return err
+	for _, version := range []byte{1, 2} {
+		t.Run(fmt.Sprintf("version-%d", version), func(t *testing.T) {
+			testOldFormatSnapshot(t, func(w io.Writer, current []byte) error {
+				old := bytes.Clone(current)
+				old[8] = version // the byte after the 8-byte magic
+				_, err := w.Write(old)
+				return err
+			})
 		})
-	})
+	}
 }
 
 // testOldFormatSnapshot commits what rewrite makes of the current index file

@@ -184,7 +184,8 @@ func newMetrics() *Metrics {
 			"Journal durable high-water mark: every byte below it is fsynced.",
 			"collection"),
 		hashedTotal: r.CounterVec("gbkmv_build_elements_hashed_total",
-			"Element occurrences hashed by the write path (build, load, insert).",
+			"Element hash computations by the write path; keys are re-hashed, not staged: in a build or a load "+
+				"1 per non-buffered occurrence, 1 more if its key is kept (+2 per distinct element to select tau in a build); 1 in an insert.",
 			"collection"),
 		shrinkTotal: r.CounterVec("gbkmv_build_threshold_shrinks_total",
 			"Fixed-budget threshold shrinks performed.", "collection"),
@@ -390,7 +391,7 @@ func (cm *collMetrics) observeSearch(st gbkmv.QueryStats) {
 }
 
 // buildCounters is the optional engine interface behind the build-counter
-// mirror: the gbkmv and gkmv engines expose the hash-once pipeline's work
+// mirror: the gbkmv and gkmv engines expose their write path's work
 // counters; other backends simply don't satisfy it.
 type buildCounters interface {
 	BuildCounters() (elementsHashed, shrinks uint64)

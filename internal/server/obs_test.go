@@ -452,3 +452,41 @@ func TestSlowQueryLog(t *testing.T) {
 		}
 	}
 }
+
+// TestStartupLineReportsLoadStages: the line a restart logs per collection
+// names what the load spent its time on, the way the build line does — the
+// files verified and read, the sketch derived from them, the journal
+// replayed on top.
+func TestStartupLineReportsLoadStages(t *testing.T) {
+	dir := t.TempDir()
+	store, ts := newServer(t, dir)
+	buildRestaurants(t, ts, "rest")
+	doJSON(t, ts, "POST", "/collections/rest/records", `{"records": [["shake", "shack"]]}`)
+	ts.Close()
+	store.Close()
+
+	var mu sync.Mutex
+	var lines []string
+	store, err := NewStore(dir, func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.Contains(l, `loaded collection "rest"`) {
+			for _, want := range []string{"engine gbkmv", "4 records", "replayed from journal", "verify + read ", "derive ", "replay "} {
+				if !strings.Contains(l, want) {
+					t.Errorf("startup line %q does not report %q", l, want)
+				}
+			}
+			return
+		}
+	}
+	t.Fatalf("no startup line for the collection: %q", lines)
+}

@@ -220,8 +220,9 @@ func OpenStore(dir string, o StoreOptions) (*Store, error) {
 		s.migrateSegments(c)
 		s.attach(c, s.cacheCap)
 		s.cols[c.name] = c
-		s.logf("gbkmvd: loaded collection %q: engine %s, %d records (%d replayed from journal)",
-			c.name, c.eng.EngineName(), c.eng.Len(), c.journaled)
+		s.logf("gbkmvd: loaded collection %q: engine %s, %d records, %d replayed from journal (verify + read %s, derive %s, replay %s)",
+			c.name, c.eng.EngineName(), c.eng.Len(), c.journaled, c.readDur.Round(time.Millisecond),
+			c.deriveDur.Round(time.Millisecond), c.replayDur.Round(time.Millisecond))
 	}
 	s.ready.Store(true)
 	return s, nil
@@ -588,6 +589,8 @@ type Collection struct {
 	store      *Store        // owning store, for disk-error/quarantine accounting
 	metrics    *collMetrics  // resolved per-collection metric children
 	engName    string        // engine name, cached for the request trace
+	readDur    time.Duration // startup: snapshot files verified and read (load only)
+	deriveDur  time.Duration // startup: engine state derived from what was read (load only)
 	replayDur  time.Duration // startup journal replay duration (load only)
 	tornTail   bool          // startup replay truncated a torn journal tail
 	loadDetail string        // why load quarantined a generation, for the event log
@@ -1922,8 +1925,11 @@ type genState struct {
 	validLen  int64
 	tornTail  bool
 	requests  *requestLog
-	replayDur time.Duration
 	snapBytes int64 // size of the two snapshot files loaded
+	// The load's stages, as the startup line reports them: both snapshot
+	// files verified and read, what the engine computes once its file is read
+	// (for gbkmv: derive), and the journal replayed on top.
+	readDur, deriveDur, replayDur time.Duration
 }
 
 // loadGenFiles loads generation m.Generation's index, vocabulary and
@@ -1932,10 +1938,16 @@ type genState struct {
 // file of another format as gbkmv.ErrSnapshotFormat; the caller decides
 // whether to quarantine and fall back.
 func loadGenFiles(fsys fsx.FS, dir string, m meta) (*genState, error) {
-	eng, err := loadVerified(fsys, indexPath(dir, m.Generation), m.Checksums["index"], gbkmv.LoadEngine)
+	readStart := time.Now()
+	index := readClock{left: int(m.Checksums["index"].Size)}
+	eng, err := loadVerified(fsys, indexPath(dir, m.Generation), m.Checksums["index"], func(r io.Reader) (gbkmv.Engine, error) {
+		index.r = r
+		return gbkmv.LoadEngine(&index)
+	})
 	if err != nil {
 		return nil, err
 	}
+	derived := time.Now()
 	voc, err := loadVerified(fsys, vocabPath(dir, m.Generation), m.Checksums["vocab"], gbkmv.LoadVocabulary)
 	if err != nil {
 		return nil, err
@@ -1974,8 +1986,31 @@ func loadGenFiles(fsys fsx.FS, dir string, m meta) (*genState, error) {
 		}
 	})
 	return &genState{eng: eng, voc: voc, entries: entries, validLen: validLen,
-		tornTail: tornTail, requests: requests, replayDur: time.Since(replayStart),
-		snapBytes: m.Checksums["index"].Size + m.Checksums["vocab"].Size}, nil
+		tornTail: tornTail, requests: requests,
+		snapBytes: m.Checksums["index"].Size + m.Checksums["vocab"].Size,
+		readDur:   index.last.Sub(readStart) + replayStart.Sub(derived), deriveDur: derived.Sub(index.last),
+		replayDur: time.Since(replayStart)}, nil
+}
+
+// readClock is a snapshot file that notes when it was last read.
+// gbkmv.LoadEngine reads its stream to the end before it derives anything
+// from it, so that instant is where a load's reading ends and its deriving
+// starts — timed apart without a second way into the loader. It says how
+// much it still holds (the committed size, just verified), which is what
+// bounds the loader's allocations.
+type readClock struct {
+	r    io.Reader
+	left int
+	last time.Time
+}
+
+func (c *readClock) Len() int { return c.left }
+
+func (c *readClock) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.left -= n
+	c.last = time.Now()
+	return n, err
 }
 
 // loadCollection restores a collection from its directory: the committed
@@ -2012,6 +2047,8 @@ func loadCollection(fsys fsx.FS, dir string, logf func(string, ...any)) (*Collec
 		journal:   jw,
 		journaled: len(st.entries),
 		requests:  st.requests,
+		readDur:   st.readDur,
+		deriveDur: st.deriveDur,
 		replayDur: st.replayDur,
 		tornTail:  st.tornTail,
 	}
@@ -2100,6 +2137,8 @@ func fallbackLoad(fsys fsx.FS, dir string, m meta, lerr error, logf func(string,
 		journal:    jw,
 		journaled:  len(entries),
 		requests:   requests,
+		readDur:    st.readDur,
+		deriveDur:  st.deriveDur,
 		replayDur:  st.replayDur + time.Since(replayStart),
 		tornTail:   st.tornTail,
 		loadDetail: lerr.Error(),

@@ -2,18 +2,14 @@
 // writes: the GB-KMV index, the rebuild-on-load engines' (options, records)
 // payload, the vocabulary and the segmented container. A stream is a
 // sequence of sections with no framing of their own — the reader knows the
-// layout, every count precedes the data it sizes — built from four
+// layout, every count precedes the data it sizes — built from two
 // encodings:
 //
 //	scalar   uvarint (canonical: no padding bytes), zigzag varint, 8-byte
 //	         little-endian float64/uint64, length-prefixed string
-//	slab     a raw little-endian []uint32 / []uint64, element
-//	         count known to the reader; goes to and from the live slice in
-//	         64 kB steps, so neither side ever holds a second copy
 //	records  record count, total element count, then per record its length,
 //	         first element and strictly positive deltas, all uvarint; loads
 //	         into one []Element slab the records are carved from
-//	bits     a []bool packed eight to the byte, stray bits zero
 //
 // Both ends work through one fixed 64 kB buffer, whatever the size of the
 // collection. The reader never allocates from a count it has not checked
@@ -42,8 +38,9 @@ import (
 
 // Version is the snapshot format version, written after every magic. There
 // is exactly one: a stream with any other version is ErrFormat. (1 stored the
-// index's hash values as float64; 2 stores 32-bit keys.)
-const Version = 2
+// index's hash values as float64, 2 as 32-bit keys; 3 stores none — an index
+// stream is the inputs its sketch is derived from.)
+const Version = 3
 
 // ErrFormat marks a stream that is not a snapshot of this format version:
 // the magic or the version byte did not match. It is distinct from
@@ -172,41 +169,6 @@ func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
 func (w *Writer) String(s string) {
 	w.Int(len(s))
 	w.WriteString(s)
-}
-
-// slabStep is how many fixed-width elements one buffer refill moves.
-func slabStep(size int) int { return bufSize / size }
-
-// putSlab writes fixed-width elements straight from their live slice, one
-// buffer's worth at a time.
-func putSlab[T any](w *Writer, s []T, size int, put func([]byte, T)) {
-	for len(s) > 0 && w.err == nil {
-		n := min(len(s), slabStep(size))
-		b := w.room(n * size)
-		for i, v := range s[:n] {
-			put(b[i*size:], v)
-		}
-		s = s[n:]
-	}
-}
-
-func (w *Writer) Uint64s(s []uint64) { putSlab(w, s, 8, binary.LittleEndian.PutUint64) }
-
-func (w *Writer) Uint32s(s []uint32) { putSlab(w, s, 4, binary.LittleEndian.PutUint32) }
-
-// Bools writes the flags packed eight to the byte (count known to the
-// reader).
-func (w *Writer) Bools(s []bool) {
-	for len(s) > 0 && w.err == nil {
-		var b byte
-		for i, v := range s[:min(8, len(s))] {
-			if v {
-				b |= 1 << i
-			}
-		}
-		w.Byte(b)
-		s = s[min(8, len(s)):]
-	}
 }
 
 // Elements writes a count-prefixed element list as uvarints (no ordering
@@ -529,60 +491,8 @@ func grow[T any](s []T, n int) []T {
 	return bigger
 }
 
-// slab reads n fixed-width elements straight into their final slice.
-func slab[T any](r *Reader, n, size int, get func([]byte) T) []T {
-	dst := make([]T, 0, r.grant(n, size))
-	for len(dst) < n && r.err == nil {
-		if len(dst) == cap(dst) {
-			dst = grow(dst, n)
-		}
-		k := min(cap(dst)-len(dst), slabStep(size))
-		b := r.need(k * size)
-		if b == nil {
-			break
-		}
-		for i := 0; i < k; i++ {
-			dst = append(dst, get(b[i*size:]))
-		}
-	}
-	if r.err != nil {
-		return nil
-	}
-	return dst
-}
-
-func (r *Reader) Uint64s(n int) []uint64 {
-	return slab(r, n, 8, binary.LittleEndian.Uint64)
-}
-
-func (r *Reader) Uint32s(n int) []uint32 {
-	return slab(r, n, 4, binary.LittleEndian.Uint32)
-}
-
-// Bools reads n packed flags.
-func (r *Reader) Bools(n int) []bool {
-	dst := make([]bool, 0, r.grant((n+7)/8, 1)*8)
-	for len(dst) < n && r.err == nil {
-		if len(dst) == cap(dst) {
-			dst = grow(dst, (n+7)/8*8)
-		}
-		b := r.Byte()
-		k := min(8, n-len(dst))
-		if b>>k != 0 {
-			r.Corrupt("stray flag bits")
-		}
-		for i := 0; i < k; i++ {
-			dst = append(dst, b&(1<<i) != 0)
-		}
-	}
-	if r.err != nil {
-		return nil
-	}
-	return dst
-}
-
 // Each reads n values with decode — which must consume at least size bytes
-// a value — into one slice, under the same allocation rule as the slabs.
+// a value — into one slice, under grant's allocation rule.
 func Each[T any](r *Reader, n, size int, decode func() T) []T {
 	dst := make([]T, 0, r.grant(n, size))
 	for len(dst) < n && r.err == nil {

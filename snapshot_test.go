@@ -22,8 +22,9 @@ import (
 // oldFormatStreams are what a loader of the one snapshot format must name as
 // ErrSnapshotFormat rather than fail to decode: a gob stream shaped like the
 // version-3 snapshots an earlier build wrote, plain garbage, nothing at all,
-// and a current magic with the version before this one (the flat format with
-// float64 hash values) or one from the future.
+// and a current magic with an earlier version of the flat format (1: float64
+// hash values; 2: 32-bit keys, the sketch stored beside the records) or one
+// from the future.
 func oldFormatStreams(t *testing.T, magic string) map[string][]byte {
 	t.Helper()
 	var gobV3 bytes.Buffer
@@ -38,7 +39,8 @@ func oldFormatStreams(t *testing.T, magic string) map[string][]byte {
 		"gob-v3":  gobV3.Bytes(),
 		"garbage": []byte("definitely not a snapshot"),
 		"empty":   nil,
-		"flat-v1": append([]byte(magic), snapfmt.Version-1, 0, 0, 0),
+		"flat-v1": append([]byte(magic), 1, 0, 0, 0),
+		"flat-v2": append([]byte(magic), 2, 0, 0, 0),
 		"future":  append([]byte(magic), snapfmt.Version+1, 0, 0, 0),
 	}
 }
@@ -349,15 +351,65 @@ func TestSegmentedSaveDuringAddBatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotAllocs pins the memory of the snapshot path: saving allocates
-// a fixed buffer, not a copy of the collection (the gob path staged ≈ 2.5×
-// the snapshot), and loading allocates what the loaded engine keeps plus at
-// most a quarter — every slab is read into its final slice, the inverted
-// lists are sized before they are filled.
+// TestSnapshotAllocs pins the memory of the snapshot path and of the build
+// behind it: saving allocates a fixed buffer, not a copy of the collection
+// (the gob path staged ≈ 2.5× the snapshot); loading allocates what the
+// loaded engine keeps plus at most a quarter — the records are read into
+// their final slab, everything derived from them is sized before it is
+// filled; and a build allocates a few bytes per element occurrence, nothing
+// staged per occurrence (it was 22 B at the default budget and 44 at τ = 1).
+// The byte pin holds the format to storing derive's inputs only: a stream
+// that carried keys would be three times as long at τ = 1 as at τ ≈ 0.087.
 func TestSnapshotAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation totals are meaningless under the race detector")
 	}
+	t.Run("build", func(t *testing.T) {
+		// DESIGN.md's corpus: 20 000 records / 1 306 252 occurrences.
+		d, err := dataset.Synthetic(dataset.SyntheticConfig{
+			NumRecords: 20000, Universe: 50000,
+			AlphaFreq: 1.1, AlphaSize: 2,
+			MinSize: 20, MaxSize: 500,
+		}, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		occurrences := d.TotalElements()
+		size := map[string]int{}
+		for _, c := range []struct {
+			name    string
+			opt     gbkmv.Options
+			perElem float64 // bytes BuildIndex may allocate per occurrence
+		}{
+			{"default", gbkmv.Options{}, 8},
+			{"tau1", gbkmv.Options{BudgetUnits: 8 * occurrences, BufferBits: 64}, 14},
+		} {
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			ix, err := gbkmv.Build(d.Records, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			if tau := ix.Stats().Tau; (tau == 1) != (c.name == "tau1") {
+				t.Fatalf("%s: τ = %v", c.name, tau)
+			}
+			per := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(occurrences)
+			t.Logf("%s: build allocated %.1f B per occurrence", c.name, per)
+			if per > c.perElem {
+				t.Errorf("%s: build allocated %.1f B per element occurrence, want ≤ %.0f", c.name, per, c.perElem)
+			}
+			var snap bytes.Buffer
+			if err := ix.Save(&snap); err != nil {
+				t.Fatal(err)
+			}
+			size[c.name] = snap.Len()
+		}
+		if lo, hi := size["default"], size["tau1"]; float64(hi) > 1.01*float64(lo) || float64(lo) > 1.01*float64(hi) {
+			t.Errorf("snapshot is %d bytes at τ ≈ 0.087 and %d at τ = 1: a stream of derive's inputs does not grow with τ", lo, hi)
+		}
+	})
 	d, err := dataset.Synthetic(dataset.SyntheticConfig{
 		NumRecords: 20000, Universe: 50000,
 		AlphaFreq: 1.1, AlphaSize: 2.5,
