@@ -7,23 +7,9 @@
 //	datagen -profile NETFLIX -out netflix.gob
 //	datagen -profile all -stats
 //	datagen -records 10000 -universe 50000 -a1 1.2 -a2 2.5 -min 10 -max 500 -out custom.gob
-//
-// With -zipf-clients N it switches to a streaming insert-workload mode for
-// driving heavy-write benchmarks against gbkmvd: -inserts records are
-// generated one at a time (O(record) memory, any stream length) with the
-// custom Zipf/power-law shape and emitted as JSON lines
-//
-//	{"client": 3, "tokens": ["e17", "e2041", ...]}
-//
-// assigned round-robin across the N clients, ready to be split per client
-// and POSTed to /collections/{name}/records:
-//
-//	datagen -zipf-clients 32 -inserts 100000 -universe 50000 > inserts.jsonl
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,24 +29,8 @@ func main() {
 		a2       = flag.Float64("a2", 2.5, "custom: record-size power-law exponent")
 		minSize  = flag.Int("min", 10, "custom: smallest record size")
 		maxSize  = flag.Int("max", 500, "custom: largest record size")
-
-		zipfClients = flag.Int("zipf-clients", 0,
-			"streaming insert-workload mode: emit -inserts JSONL records assigned round-robin to this many clients")
-		inserts = flag.Int("inserts", 100000, "streaming mode: number of records to emit")
 	)
 	flag.Parse()
-
-	if *zipfClients > 0 {
-		cfg := dataset.SyntheticConfig{
-			NumRecords: 1, Universe: *universe,
-			AlphaFreq: *a1, AlphaSize: *a2,
-			MinSize: *minSize, MaxSize: *maxSize,
-		}
-		if err := streamInserts(cfg, *seed, *inserts, *zipfClients, *out); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	emit := func(name string, d *dataset.Dataset) {
 		if *stats {
@@ -116,49 +86,6 @@ func main() {
 		}
 		emit("custom", d)
 	}
-}
-
-// insertLine is one streamed insert: the client it is assigned to and the
-// record's tokens (element ids rendered as "e<id>", so any vocabulary-backed
-// collection can intern them).
-type insertLine struct {
-	Client int      `json:"client"`
-	Tokens []string `json:"tokens"`
-}
-
-// streamInserts emits n JSONL insert records round-robin across the
-// clients, to stdout when out is empty or "-".
-func streamInserts(cfg dataset.SyntheticConfig, seed int64, n, clients int, out string) error {
-	var dst *os.File
-	if out == "" || out == "-" {
-		dst = os.Stdout
-	} else {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
-	}
-	w := bufio.NewWriterSize(dst, 1<<20)
-	enc := json.NewEncoder(w)
-	err := dataset.StreamSynthetic(cfg, seed, n, func(i int, r dataset.Record) error {
-		line := insertLine{Client: i % clients, Tokens: make([]string, len(r))}
-		for j, e := range r {
-			line.Tokens[j] = fmt.Sprintf("e%d", e)
-		}
-		return enc.Encode(line)
-	})
-	if err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if dst != os.Stdout {
-		fmt.Fprintf(os.Stderr, "datagen: wrote %d insert records for %d clients to %s\n", n, clients, out)
-	}
-	return nil
 }
 
 func fatal(err error) {

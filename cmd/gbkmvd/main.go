@@ -93,10 +93,9 @@ func main() {
 	}
 	defaultSegments := *segments
 	if *follow != "" {
-		// A follower's snapshots are byte-copies of the leader's; resharding
-		// locally would fork the on-disk lineage the bootstrap protocol
-		// compares. Followers inherit segmentation through the transferred
-		// snapshots instead.
+		// A follower's snapshots are byte-copies of the leader's: it inherits
+		// segmentation through the transferred snapshots, and the flag is
+		// ignored as its help text says.
 		defaultSegments = 0
 	}
 

@@ -52,8 +52,8 @@ func startDrillNode(dir string) (*drillNode, error) {
 // process would leave it (no shutdown snapshot, journal at its last fsync).
 func (n *drillNode) crash() { n.ts.Close() }
 
-// syntheticRecords generates a drill corpus when no -file is given: token
-// overlap across records (the shared z-tokens) makes searches do real work.
+// syntheticRecords generates a drill corpus: token overlap across records
+// (the shared z-tokens) makes searches do real work.
 func syntheticRecords(n int) [][]string {
 	rng := rand.New(rand.NewSource(42))
 	out := make([][]string, n)
@@ -95,11 +95,9 @@ func followerCaughtUp(client *http.Client, node *drillNode, coll string) bool {
 }
 
 // runFailoverDrill executes the drill and returns the process exit code.
-func runFailoverDrill(records [][]string, coll string, rounds int, roundDur, promoteBound time.Duration, minReadAvail, threshold float64) int {
-	if len(records) == 0 {
-		records = syntheticRecords(5000)
-	}
-	seedN := min(1000, len(records)/2)
+func runFailoverDrill(rounds int, roundDur, promoteBound time.Duration, minReadAvail float64) int {
+	const coll, seedN = drillCollection, 1000
+	records := syntheticRecords(5000)
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	// Round zero's leader is built fresh; later rounds inherit the promoted
@@ -115,7 +113,7 @@ func runFailoverDrill(records [][]string, coll string, rounds int, roundDur, pro
 		log.Printf("drill: %v", err)
 		return 1
 	}
-	if err := buildCollection(client, leader.ts.URL+"/collections/"+coll, records[:seedN], 0); err != nil {
+	if err := buildCollection(client, leader.ts.URL+"/collections/"+coll, records[:seedN]); err != nil {
 		log.Printf("drill: building %s: %v", coll, err)
 		return 1
 	}
@@ -194,7 +192,7 @@ func runFailoverDrill(records [][]string, coll string, rounds int, roundDur, pro
 						return
 					default:
 					}
-					if doSearch(client, base, records, &inserted, rng, threshold) == nil {
+					if doSearch(client, base, records, &inserted, rng) == nil {
 						readsOK.Add(1)
 					} else {
 						readsFailed.Add(1)

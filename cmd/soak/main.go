@@ -1,283 +1,54 @@
-// Command soak drives a mixed insert + search + batch-search workload
-// against a running gbkmvd, using the JSONL insert stream emitted by
+// Command soak runs the two in-process drills CI smokes on every push. Each
+// starts its own gbkmvd nodes (real stores and journals behind httptest
+// servers) on a synthetic corpus, drives live traffic at them, breaks
+// something, and exits non-zero unless the service recovers the way
+// DESIGN.md says it does:
 //
-//	datagen -zipf-clients N -inserts M -universe U > inserts.jsonl
+//	soak -scrub -duration 6s
+//	soak -failover-drill -drill-rounds 1 -duration 6s -promote-bound 60s
 //
-// It seeds a collection from the head of the stream, then fans the remainder
-// out across concurrent clients as inserts interleaved with searches (single
-// and batch) whose queries are drawn from already-inserted records — so
-// query-cache hits, cold misses and WAL group commits all occur under
-// realistic contention. At the end it prints client-side p50/p95/p99 latency
-// per operation and the server's own view of the run scraped from /metrics.
-//
-// Usage:
-//
-//	soak -addr http://localhost:7878 -file inserts.jsonl -duration 30s -clients 8
-//
-// With -read-addrs the workload exercises a replicated deployment: writes
-// keep going to -addr (the leader) while searches fan out round-robin
-// across the listed nodes (typically the leader plus its read replicas).
-// Latency percentiles are then reported per node per operation, and each
-// replica's observed lag (bytes, entries, seconds behind the leader) is
-// scraped from its /stats after the run:
-//
-//	soak -addr http://leader:7878 -read-addrs http://replica1:7879,http://replica2:7880 \
-//	  -file inserts.jsonl -duration 60s
+// Throughput and latency are the benchmark's business (bash bench/run.sh),
+// not this command's.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"gbkmv/internal/obs"
 )
 
-type insertLine struct {
-	Client int      `json:"client"`
-	Tokens []string `json:"tokens"`
-}
-
-// opKinds of the workload mix.
 const (
-	opInsert = iota
-	opSearch
-	opBatch
-	numOps
+	// The collection every drill builds and drives, and the containment
+	// threshold its searches ask for.
+	drillCollection = "soak"
+	drillThreshold  = 0.5
 )
-
-var opNames = [numOps]string{"insert", "search", "search:batch"}
 
 func main() {
 	var (
-		addr       = flag.String("addr", "http://localhost:7878", "gbkmvd base URL (the leader: all writes go here)")
-		readAddrs  = flag.String("read-addrs", "", "comma-separated node base URLs searches fan out across round-robin (default: just -addr)")
-		file       = flag.String("file", "", "datagen -zipf-clients JSONL insert stream (required)")
-		coll       = flag.String("collection", "soak", "collection name to build and drive")
-		duration   = flag.Duration("duration", 30*time.Second, "how long to run the mixed workload")
-		clients    = flag.Int("clients", 8, "concurrent client goroutines")
-		seedN      = flag.Int("seed-records", 1000, "records built into the collection before the run")
-		insertFrac = flag.Float64("insert-frac", 0.2, "fraction of operations that are inserts")
-		batchFrac  = flag.Float64("batch-frac", 0.1, "fraction of operations that are batch searches")
-		batchSize  = flag.Int("batch", 16, "queries per batch search")
-		threshold  = flag.Float64("threshold", 0.5, "containment threshold for searches")
-		seed       = flag.Int64("seed", 1, "workload RNG seed")
-		segments   = flag.Int("segments", 0, "collection segment count: >1 runs the workload twice in one invocation — a fresh build at options.segments=1, then at options.segments=N — printing both latency tables for comparison; 1 pins a single segment; 0 (default) leaves it to the daemon")
-
-		failoverDrill = flag.Bool("failover-drill", false, "run the in-process failover drill instead of the networked workload (kills leaders, measures promotion time and read availability)")
-		scrubDrill    = flag.Bool("scrub", false, "run the in-process scrub drill instead of the networked workload (bit-flips a committed snapshot under live reads, requires detection, quarantine, self-repair and unbroken read availability)")
+		scrubDrill    = flag.Bool("scrub", false, "run the scrub drill (bit-flips a committed snapshot under live reads, requires detection, quarantine, self-repair and unbroken read availability)")
+		failoverDrill = flag.Bool("failover-drill", false, "run the failover drill (kills leaders, measures promotion time and read availability)")
+		duration      = flag.Duration("duration", 30*time.Second, "length of the scrub drill, or of one failover round")
 		drillRounds   = flag.Int("drill-rounds", 3, "failover drill: rounds (each kills a leader and promotes its follower)")
 		promoteBound  = flag.Duration("promote-bound", 30*time.Second, "failover drill: fail if any promotion takes longer than this")
 		minReadAvail  = flag.Float64("min-read-avail", 0.99, "failover drill: fail if read availability lands under this fraction")
 	)
 	flag.Parse()
-	if *failoverDrill {
-		// The drill builds its own in-process nodes; -file is optional (a
-		// synthetic corpus is generated without it).
-		var records [][]string
-		if *file != "" {
-			var err error
-			if records, err = loadRecords(*file); err != nil {
-				log.Fatalf("soak: %v", err)
-			}
-		}
-		os.Exit(runFailoverDrill(records, *coll, *drillRounds, *duration, *promoteBound, *minReadAvail, *threshold))
+	switch {
+	case *scrubDrill:
+		os.Exit(runScrubDrill(*duration))
+	case *failoverDrill:
+		os.Exit(runFailoverDrill(*drillRounds, *duration, *promoteBound, *minReadAvail))
 	}
-	if *scrubDrill {
-		var records [][]string
-		if *file != "" {
-			var err error
-			if records, err = loadRecords(*file); err != nil {
-				log.Fatalf("soak: %v", err)
-			}
-		}
-		os.Exit(runScrubDrill(records, *coll, *duration, *threshold))
-	}
-	if *file == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	records, err := loadRecords(*file)
-	if err != nil {
-		log.Fatalf("soak: %v", err)
-	}
-	if len(records) <= *seedN {
-		log.Fatalf("soak: %d records in %s, need more than -seed-records (%d)", len(records), *file, *seedN)
-	}
-
-	client := &http.Client{Timeout: 60 * time.Second}
-	leader := strings.TrimRight(*addr, "/")
-	base := leader + "/collections/" + *coll
-	// readNodes are the bases searches rotate across; writes stay on the
-	// leader (replicas redirect them anyway).
-	readNodes := []string{leader}
-	if *readAddrs != "" {
-		readNodes = nil
-		for _, a := range strings.Split(*readAddrs, ",") {
-			if a = strings.TrimRight(strings.TrimSpace(a), "/"); a != "" {
-				readNodes = append(readNodes, a)
-			}
-		}
-		if len(readNodes) == 0 {
-			log.Fatalf("soak: -read-addrs parsed to no nodes")
-		}
-	}
-	// runPhase builds the collection fresh at one segment count (0 leaves the
-	// choice to the daemon) and drives the mixed workload against it for the
-	// full -duration, printing its latency table under the phase label.
-	runPhase := func(label string, segs int) {
-		if err := buildCollection(client, base, records[:*seedN], segs); err != nil {
-			log.Fatalf("soak: building %s: %v", *coll, err)
-		}
-		log.Printf("soak: built %s with %d seed records (%s); running %d clients for %s (reads across %d nodes)",
-			*coll, *seedN, label, *clients, *duration, len(readNodes))
-
-		// inserted is the high-water mark of records visible to searches; next
-		// hands out insert records. Both start past the seed set.
-		var inserted, next atomic.Int64
-		inserted.Store(int64(*seedN))
-		next.Store(int64(*seedN))
-
-		// Latency histograms are per node per op, so a lagging or overloaded
-		// replica shows up as its own row instead of blurring the aggregate.
-		// Writes always hit node 0's slot of the leader; reads use the chosen
-		// read node's slot.
-		nodeHist := func() map[string]*[numOps]*obs.Histogram {
-			m := make(map[string]*[numOps]*obs.Histogram, len(readNodes)+1)
-			for _, n := range append([]string{leader}, readNodes...) {
-				if _, ok := m[n]; ok {
-					continue
-				}
-				var hs [numOps]*obs.Histogram
-				for i := range hs {
-					hs[i] = obs.NewHistogram(obs.LatencyBuckets)
-				}
-				m[n] = &hs
-			}
-			return m
-		}()
-		var errs, rr atomic.Int64
-
-		deadline := time.Now().Add(*duration)
-		var wg sync.WaitGroup
-		for w := 0; w < *clients; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(*seed + int64(w)))
-				for time.Now().Before(deadline) {
-					op := opSearch
-					switch p := rng.Float64(); {
-					case p < *insertFrac:
-						op = opInsert
-					case p < *insertFrac+*batchFrac:
-						op = opBatch
-					}
-					node := leader
-					if op != opInsert {
-						node = readNodes[int(rr.Add(1)-1)%len(readNodes)]
-					}
-					nodeBase := node + "/collections/" + *coll
-					start := time.Now()
-					var err error
-					switch op {
-					case opInsert:
-						i := next.Add(1) - 1
-						if int(i) >= len(records) {
-							op = opSearch // stream exhausted: degrade to searches
-							node = readNodes[int(rr.Add(1)-1)%len(readNodes)]
-							nodeBase = node + "/collections/" + *coll
-							err = doSearch(client, nodeBase, records, &inserted, rng, *threshold)
-							break
-						}
-						err = doInsert(client, nodeBase, records[i])
-						if err == nil {
-							// Visible only after acknowledgement; monotonic is
-							// enough for query sampling.
-							inserted.Store(i + 1)
-						}
-					case opSearch:
-						err = doSearch(client, nodeBase, records, &inserted, rng, *threshold)
-					case opBatch:
-						err = doBatch(client, nodeBase, records, &inserted, rng, *threshold, *batchSize)
-					}
-					nodeHist[node][op].Observe(time.Since(start).Seconds())
-					if err != nil {
-						errs.Add(1)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-
-		fmt.Printf("\n[%s]\n%-28s %-13s %10s %10s %10s %10s\n", label, "node", "op", "count", "p50", "p95", "p99")
-		printNode := func(node string) {
-			for i, h := range nodeHist[node] {
-				s := h.Snapshot()
-				if s.Count == 0 {
-					continue
-				}
-				fmt.Printf("%-28s %-13s %10d %10s %10s %10s\n", node, opNames[i], s.Count,
-					fmtSecs(s.Quantile(0.5)), fmtSecs(s.Quantile(0.95)), fmtSecs(s.Quantile(0.99)))
-			}
-		}
-		printNode(leader)
-		for _, n := range readNodes {
-			if n != leader {
-				printNode(n)
-			}
-		}
-		if n := errs.Load(); n > 0 {
-			fmt.Printf("errors: %d\n", n)
-		}
-	}
-
-	if *segments > 1 {
-		// A/B the segmentation win in one invocation: identical workload,
-		// fresh build each phase, single-index first so its table prints as
-		// the baseline.
-		runPhase("segments=1", 1)
-		runPhase(fmt.Sprintf("segments=%d", *segments), *segments)
-	} else {
-		label := "daemon-default segments"
-		if *segments == 1 {
-			label = "segments=1"
-		}
-		runPhase(label, *segments)
-	}
-	printReplicaLag(client, readNodes, leader, *coll)
-	printServerMetrics(client, leader+"/metrics", *coll)
-}
-
-func loadRecords(path string) ([][]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out [][]string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
-	for sc.Scan() {
-		var line insertLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return nil, fmt.Errorf("%s line %d: %v", path, len(out)+1, err)
-		}
-		out = append(out, line.Tokens)
-	}
-	return out, sc.Err()
+	flag.Usage()
+	os.Exit(2)
 }
 
 func post(client *http.Client, method, url string, body any) error {
@@ -301,12 +72,8 @@ func post(client *http.Client, method, url string, body any) error {
 	return nil
 }
 
-func buildCollection(client *http.Client, base string, records [][]string, segments int) error {
-	body := map[string]any{"records": records}
-	if segments > 0 {
-		body["options"] = map[string]any{"segments": segments}
-	}
-	return post(client, http.MethodPut, base, body)
+func buildCollection(client *http.Client, base string, records [][]string) error {
+	return post(client, http.MethodPut, base, map[string]any{"records": records})
 }
 
 func doInsert(client *http.Client, base string, tokens []string) error {
@@ -322,105 +89,7 @@ func sampleQuery(records [][]string, inserted *atomic.Int64, rng *rand.Rand) []s
 	return tokens[:n]
 }
 
-func doSearch(client *http.Client, base string, records [][]string, inserted *atomic.Int64, rng *rand.Rand, threshold float64) error {
+func doSearch(client *http.Client, base string, records [][]string, inserted *atomic.Int64, rng *rand.Rand) error {
 	return post(client, http.MethodPost, base+"/search", map[string]any{
-		"query": sampleQuery(records, inserted, rng), "threshold": threshold, "limit": 10})
-}
-
-func doBatch(client *http.Client, base string, records [][]string, inserted *atomic.Int64, rng *rand.Rand, threshold float64, size int) error {
-	queries := make([][]string, size)
-	for i := range queries {
-		queries[i] = sampleQuery(records, inserted, rng)
-	}
-	return post(client, http.MethodPost, base+"/search:batch", map[string]any{
-		"queries": queries, "threshold": threshold, "limit": 10})
-}
-
-// printReplicaLag scrapes each read node's /stats and prints its observed
-// replication lag — the end-of-run answer to "how far behind were the
-// replicas we were reading from".
-func printReplicaLag(client *http.Client, readNodes []string, leader, coll string) {
-	printed := false
-	for _, node := range readNodes {
-		if node == leader {
-			continue
-		}
-		resp, err := client.Get(node + "/collections/" + coll + "/stats")
-		if err != nil {
-			log.Printf("soak: scraping %s stats: %v", node, err)
-			continue
-		}
-		var st struct {
-			Replication *struct {
-				Bootstrapped bool    `json:"bootstrapped"`
-				LagBytes     int64   `json:"replica_lag_bytes"`
-				LagEntries   int     `json:"replica_lag_entries"`
-				LagSeconds   float64 `json:"replica_lag_seconds"`
-				Reconnects   int64   `json:"stream_reconnects"`
-			} `json:"replication"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil || st.Replication == nil {
-			log.Printf("soak: %s reports no replication state (not a follower?)", node)
-			continue
-		}
-		if !printed {
-			fmt.Printf("\nreplica lag at end of run:\n")
-			printed = true
-		}
-		r := st.Replication
-		fmt.Printf("  %-28s bootstrapped=%v lag=%dB/%d entries/%.2fs reconnects=%d\n",
-			node, r.Bootstrapped, r.LagBytes, r.LagEntries, r.LagSeconds, r.Reconnects)
-	}
-}
-
-// printServerMetrics scrapes /metrics and prints the series relevant to the
-// run — the server-side counterpart of the client-side latency table.
-func printServerMetrics(client *http.Client, url, coll string) {
-	resp, err := client.Get(url)
-	if err != nil {
-		log.Printf("soak: scraping %s: %v", url, err)
-		return
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		log.Printf("soak: reading %s: %v", url, err)
-		return
-	}
-	wanted := []string{
-		"gbkmv_http_requests_total",
-		"gbkmv_query_cache_hits_total", "gbkmv_query_cache_misses_total",
-		"gbkmv_query_cache_evictions_total", "gbkmv_query_cache_entries",
-		"gbkmv_wal_appended_frames_total", "gbkmv_wal_appended_bytes_total",
-		"gbkmv_wal_fsync_seconds_count", "gbkmv_wal_fsync_seconds_sum",
-		"gbkmv_wal_commit_group_size_count", "gbkmv_wal_commit_group_size_sum",
-		"gbkmv_search_candidates_total", "gbkmv_search_pruned_total",
-		"gbkmv_search_estimated_total", "gbkmv_search_buffer_accepts_total",
-		"gbkmv_collection_records",
-	}
-	var lines []string
-	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, "#") || !strings.Contains(line, coll) {
-			continue
-		}
-		name, _, _ := strings.Cut(line, "{")
-		for _, w := range wanted {
-			if name == w {
-				lines = append(lines, line)
-				break
-			}
-		}
-	}
-	sort.Strings(lines)
-	fmt.Printf("\nserver view (%s):\n", url)
-	for _, l := range lines {
-		fmt.Println("  " + l)
-	}
-}
-
-// fmtSecs renders a latency quantile compactly.
-func fmtSecs(s float64) string {
-	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
+		"query": sampleQuery(records, inserted, rng), "threshold": drillThreshold, "limit": 10})
 }

@@ -24,11 +24,9 @@ import (
 // never take the in-memory collection down with it.
 
 // runScrubDrill executes the drill and returns the process exit code.
-func runScrubDrill(records [][]string, coll string, dur time.Duration, threshold float64) int {
-	if len(records) == 0 {
-		records = syntheticRecords(5000)
-	}
-	seedN := min(1000, len(records)/2)
+func runScrubDrill(dur time.Duration) int {
+	const coll, seedN = drillCollection, 1000
+	records := syntheticRecords(5000)
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	root, err := os.MkdirTemp("", "soak-scrub-*")
@@ -45,7 +43,7 @@ func runScrubDrill(records [][]string, coll string, dur time.Duration, threshold
 	defer node.store.Close()
 	defer node.ts.Close()
 	base := node.ts.URL + "/collections/" + coll
-	if err := buildCollection(client, base, records[:seedN], 0); err != nil {
+	if err := buildCollection(client, base, records[:seedN]); err != nil {
 		log.Printf("scrub drill: building %s: %v", coll, err)
 		return 1
 	}
@@ -85,7 +83,7 @@ func runScrubDrill(records [][]string, coll string, dur time.Duration, threshold
 					return
 				default:
 				}
-				if doSearch(client, base, records, &inserted, rng, threshold) == nil {
+				if doSearch(client, base, records, &inserted, rng) == nil {
 					readsOK.Add(1)
 				} else {
 					readsFailed.Add(1)

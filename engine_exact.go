@@ -120,6 +120,4 @@ func (e *exactEngine) EngineStats() EngineStats {
 	}
 }
 
-func (e *exactEngine) engineOptions() EngineOptions { return e.opt }
-
 func (e *exactEngine) Save(w io.Writer) error { return saveRebuildable(w, e.opt, e.records) }

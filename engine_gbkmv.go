@@ -69,23 +69,6 @@ func (ix *Index) EngineStats() EngineStats {
 	}
 }
 
-// engineOptions reports the options the index's current state was built
-// under, with the data-dependent choices (absolute budget, auto-selected
-// buffer size r) resolved — what resharding needs to rebuild the same
-// records with the same parameters.
-func (ix *Index) engineOptions() EngineOptions {
-	st := ix.Stats()
-	buf := st.BufferBits
-	if buf <= 0 {
-		buf = NoBuffer
-	}
-	return EngineOptions{
-		BudgetUnits: st.BudgetUnits,
-		BufferBits:  buf,
-		Seed:        ix.inner.Seed(),
-	}
-}
-
 // indexPrepared adapts *Query to PreparedQuery. Query.Clone returns the
 // concrete *Query (the ergonomic form for direct Index users), so the
 // interface's Clone needs this one-method wrapper.

@@ -127,15 +127,6 @@ func (e *kmvEngine) EngineStats() EngineStats {
 	}
 }
 
-// engineOptions reports the resolved build options (k and budget pinned),
-// so resharding rebuilds the same sketches the snapshot would restore.
-func (e *kmvEngine) engineOptions() EngineOptions {
-	opt := e.opt
-	opt.NumHashes = e.k
-	opt.BudgetUnits = e.budget
-	return opt
-}
-
 // Save pins the *resolved* parameters (k, budget) into the stored options:
 // both are derived from the collection at build time, and dynamic inserts
 // grow the collection without re-deriving them, so a loader re-deriving from

@@ -151,6 +151,4 @@ func (e *lshensembleEngine) EngineStats() EngineStats {
 	}
 }
 
-func (e *lshensembleEngine) engineOptions() EngineOptions { return e.opt }
-
 func (e *lshensembleEngine) Save(w io.Writer) error { return saveRebuildable(w, e.opt, e.records) }

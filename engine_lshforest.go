@@ -14,9 +14,10 @@ import (
 // threshold through the collection's maximum record size (the conservative
 // upper bound), and the probe depth is the deepest one whose banding
 // collision probability at that Jaccard still clears a high-recall floor —
-// so the candidate set behaves like the paper's recall-leaning LSH
-// baselines. Search returns the candidates; Estimate scores them from the
-// retained full signatures.
+// so the candidate set leans towards recall. With skewed record sizes that
+// conversion puts every probe at depth 1 and the candidates are most of the
+// collection, so Search keeps only those whose estimate from the retained
+// full signatures reaches the threshold.
 
 func init() {
 	registerStaged("lshforest", buildLSHForestEngine, rebuildParser("lshforest"))
@@ -31,7 +32,7 @@ type lshforestEngine struct {
 	opt     EngineOptions
 	forest  *lshforest.Forest
 	records []Record
-	sigs    []minhash.Signature // full signatures, for Estimate/TopK scoring
+	sigs    []minhash.Signature // full signatures: candidate verification, Estimate, TopK
 	maxSize int
 }
 
@@ -116,7 +117,8 @@ func (e *lshforestEngine) probeDepth(s float64) int {
 	return depth
 }
 
-func (e *lshforestEngine) searchSig(sig any, qSize int, threshold float64) []int {
+// candidates probes every tree at the depth the converted threshold allows.
+func (e *lshforestEngine) candidates(sig any, qSize int, threshold float64) []int {
 	if qSize <= 0 {
 		return nil
 	}
@@ -136,13 +138,30 @@ func (e *lshforestEngine) estimateSig(sig any, qSize, i int) float64 {
 		sig.(minhash.Signature), e.sigs[i], qSize, len(e.records[i])))
 }
 
-// searchScoredSig attaches estimates to the forest's candidate set: the
-// candidates are the full (recall-leaning) result set, so only the hits
-// surviving the limit cut are scored, once each.
+// searchScoredSig verifies the forest's candidates: a candidate is a hit
+// only if its estimate reaches the threshold, and that estimate is its score.
+// Candidates come in ascending id order, so truncating at limit while
+// counting the rest keeps the hits/total contract exact.
 func (e *lshforestEngine) searchScoredSig(sig any, qSize int, threshold float64, limit int) ([]Scored, int) {
-	return scoreCandidates(e.searchSig(sig, qSize, threshold), limit, func(i int) float64 {
-		return e.estimateSig(sig, qSize, i)
-	})
+	hits, total := []Scored{}, 0
+	for _, i := range e.candidates(sig, qSize, threshold) {
+		if s := e.estimateSig(sig, qSize, i); s >= threshold {
+			total++
+			if limit <= 0 || len(hits) < limit {
+				hits = append(hits, Scored{ID: i, Score: s})
+			}
+		}
+	}
+	return hits, total
+}
+
+func (e *lshforestEngine) searchSig(sig any, qSize int, threshold float64) []int {
+	hits, _ := e.searchScoredSig(sig, qSize, threshold, 0)
+	ids := make([]int, len(hits))
+	for i, h := range hits {
+		ids[i] = h.ID
+	}
+	return ids
 }
 
 // topkSig scores the broadest candidate set (depth-1 probe of every tree)
@@ -182,7 +201,5 @@ func (e *lshforestEngine) EngineStats() EngineStats {
 		NumHashes: e.forest.NumHashes(),
 	}
 }
-
-func (e *lshforestEngine) engineOptions() EngineOptions { return e.opt }
 
 func (e *lshforestEngine) Save(w io.Writer) error { return saveRebuildable(w, e.opt, e.records) }

@@ -137,15 +137,6 @@ func (e *minhashEngine) EngineStats() EngineStats {
 	}
 }
 
-// engineOptions reports the resolved build options (k and budget pinned),
-// so resharding rebuilds the signatures the snapshot would restore.
-func (e *minhashEngine) engineOptions() EngineOptions {
-	opt := e.opt
-	opt.NumHashes = e.k
-	opt.BudgetUnits = e.budget
-	return opt
-}
-
 // Save pins the resolved (k, budget) into the stored options, exactly like
 // the kmv engine: a loader must reproduce the signatures that answered
 // queries before the snapshot, not re-derive k from the grown collection.

@@ -34,7 +34,7 @@ func engineCorpus(t testing.TB, numRecords int) (records []gbkmv.Record, queries
 // whichever frequent elements hash above τ, plain KMV is further capped by
 // min(k_Q, k_X), MinHash suffers the same size-skew, and the LSH family
 // leans on recall by construction. Floors sit below the measured values
-// (0.98, 0.37, 0.19, 0.23, 0.97, 0.89, 1.0) with margin; a regression that
+// (0.98, 0.37, 0.19, 0.23, 0.94, 0.89, 1.0) with margin; a regression that
 // halves any engine's recall still trips them.
 var recallFloors = map[string]float64{
 	"gbkmv":       0.90,
@@ -437,8 +437,8 @@ func TestCrossEngineSearchSorted(t *testing.T) {
 // TestCrossEngineSearchScored pins every engine's scored search to its
 // decomposed reference: SearchScored(t*, limit) must return exactly the
 // Search(t*) ids (ascending, truncated at limit), report the full result
-// count as total, and score each returned hit identically to Estimate. This
-// is the contract the server's read path relies on when it stops
+// count as total, score each returned hit identically to Estimate, and
+// return no hit whose estimate is under the threshold. This is the contract the server's read path relies on when it stops
 // re-estimating returned hits.
 func TestCrossEngineSearchScored(t *testing.T) {
 	records, queries := engineCorpus(t, 250)
@@ -467,6 +467,11 @@ func TestCrossEngineSearchScored(t *testing.T) {
 							}
 							if est := e.Estimate(q, h.ID); h.Score != est {
 								t.Fatalf("t*=%v: id %d scored %v, Estimate %v", tstar, h.ID, h.Score, est)
+							}
+							// lshensemble returns its partitions' candidates
+							// unverified: that is LSH-E's design.
+							if name != "lshensemble" && h.Score < tstar {
+								t.Fatalf("t*=%v: id %d is a hit at estimate %v", tstar, h.ID, h.Score)
 							}
 						}
 					}

@@ -297,27 +297,35 @@ func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
 	if slack == 0 {
 		t.Fatalf("budget %d gives no slack; fixture too small", budget)
 	}
+	// tiesAt counts the stored keys equal to cut: the length of its tie run.
+	tiesAt := func(cut uint32) int {
+		n := 0
+		for _, v := range seq.arena.keys {
+			if v == cut {
+				n++
+			}
+		}
+		return n
+	}
 	for i, rec := range extra {
 		_, before := seq.BuildCounters()
+		// A shrink that finds the cut inside a tie run evicts the run whole:
+		// it may undershoot the slack by that run (plus the occurrence this
+		// record may add to it).
+		evictable := tiesAt(seq.cut) + 1
 		seq.AddRecord(rec)
 		_, after := seq.BuildCounters()
 		used := seq.UsedUnits()
 		// A tie run at the cut stays whole, so the index may sit over
 		// budget by at most the other members of that run.
-		ties := 0
-		for _, v := range seq.arena.keys {
-			if v == seq.cut {
-				ties++
-			}
-		}
-		if used > budget && used-budget >= ties {
+		if ties := tiesAt(seq.cut); used > budget && used-budget >= ties {
 			t.Fatalf("insert %d: %d units used, budget %d, tie run %d", i, used, budget, ties)
 		}
 		if after == before {
 			continue
 		}
-		if used < budget-slack {
-			t.Fatalf("insert %d: shrink left %d units, under budget %d - slack %d", i, used, budget, slack)
+		if used < budget-slack-evictable {
+			t.Fatalf("insert %d: shrink left %d units, under budget %d - slack %d - evicted run %d", i, used, budget, slack, evictable)
 		}
 		checkAgainstRef(t, seq, refOf(seq), "after shrink")
 	}
@@ -348,6 +356,55 @@ func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
 		if _, got := ix.BuildCounters(); got != shrinks {
 			t.Fatalf("%d shrinks, one-by-one %d", got, shrinks)
 		}
+	}
+}
+
+// TestAddRecordsTieRunOnCutIsEvicted: without a buffer the most popular
+// element's occurrences share one key, the build's order statistic lands
+// inside that run, and every later selection lands on it again. The shrink
+// must evict the run whole instead of declining while inserts take the index
+// arbitrarily far over budget: after every insert the index is over budget
+// by less than its longest run, and it stays a from-scratch sketch of
+// (records, E_H, τ) however the inserts are grouped.
+func TestAddRecordsTieRunOnCutIsEvicted(t *testing.T) {
+	for _, seed := range []int64{5, 9} {
+		d, err := dataset.Synthetic(dataset.SyntheticConfig{
+			NumRecords: 320, Universe: 2000,
+			AlphaFreq: 1.2, AlphaSize: 2.5,
+			MinSize: 10, MaxSize: 100,
+		}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := func() *Index {
+			ix, err := BuildIndex(&dataset.Dataset{Records: d.Records[:260], Universe: d.Universe},
+				Options{BudgetFraction: 0.10, BufferBits: 0, Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix
+		}
+		ix := build()
+		budget := ix.BudgetUnits()
+		for i, rec := range d.Records[260:] {
+			ix.AddRecord(rec)
+			runs, longest := map[uint32]int{}, 0
+			for _, v := range ix.arena.keys {
+				runs[v]++
+				longest = max(longest, runs[v])
+			}
+			if used := ix.UsedUnits(); used > budget+longest {
+				t.Fatalf("seed %d, insert %d: %d units used, budget %d, longest run %d", seed, i, used, budget, longest)
+			}
+		}
+		_, shrinks := ix.BuildCounters()
+		if shrinks == 0 {
+			t.Fatalf("seed %d: no shrink over 60 inserts into a full budget (%d units used, budget %d)", seed, ix.UsedUnits(), budget)
+		}
+		checkAgainstRef(t, ix, refBuild(ix, ix.cut), "one by one")
+		batch := build()
+		batch.AddRecords(d.Records[260:])
+		checkAgainstRef(t, batch, refBuild(ix, ix.cut), "one batch")
 	}
 }
 

@@ -228,10 +228,10 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 // amortisation slack (budget/shrinkSlackDivisor), then trims every run and
 // filters the posting lists under the new threshold, reporting whether
 // anything changed. It returns false — leaving the index exactly as it was —
-// when no keys are stored at all: then the overshoot is pure buffer
-// cost (which grows with the record count and cannot shrink), and the
-// over-budget state is accepted rather than paying a rebuild per insert, or
-// worse, panicking.
+// when no keys are stored at all, or only the occurrences of one element:
+// then the overshoot is buffer cost (which grows with the record count and
+// cannot shrink) or a single tie run, and the over-budget state is accepted
+// rather than paying a rebuild per insert, or worse, panicking.
 //
 // No element is rehashed: the new τ is an order statistic of the stored
 // multiset (streamed through the same histogram selection the build uses),
@@ -248,15 +248,29 @@ func (ix *Index) shrinkThreshold(over int) bool {
 	}
 	// The new cut is the keep-th smallest stored key. τ is a value
 	// threshold and identical elements share a key, so a tie run at the cut
-	// stays whole: the index can settle slightly over budget. Crucially the
-	// new τ depends only on the stored multiset and keep — never on the
-	// insertion grouping — so batched and sequential inserts (and hence
-	// journal replay) converge on identical state. When the cut lands
-	// exactly on the current τ the "shrink" is a no-op; skip it rather than
-	// repeating it on every insert while the tie run holds the line.
+	// stays whole: the index can settle over budget by less than that run.
+	// Crucially the new τ depends only on the stored multiset and keep —
+	// never on the insertion grouping — so batched and sequential inserts
+	// (and hence journal replay) converge on identical state.
 	cut := ix.sel.kthSmallest(1, sliceScan([][]uint32{ix.arena.keys}), keep, ix.cut)
 	if cut == ix.cut {
-		return false
+		// The run on the current cut is longer than what has to go, and it
+		// only grows with the inserts (an order statistic of a multiset lands
+		// inside its biggest runs: the occurrences of one popular unbuffered
+		// element). Evict it whole — the cut drops to the largest stored key
+		// strictly below, still a function of the multiset alone — rather
+		// than decline every shrink while the run takes the index ever
+		// further over budget.
+		below, found := uint32(0), false
+		for _, v := range ix.arena.keys {
+			if v < cut && (!found || v > below) {
+				below, found = v, true
+			}
+		}
+		if !found {
+			return false // the run is all there is
+		}
+		cut = below
 	}
 	ix.cut = cut
 	ix.arena.trimToCut(cut)

@@ -293,8 +293,7 @@ func (c SyntheticConfig) Validate() error {
 }
 
 // recordGen draws one synthetic record at a time: Zipf element popularity,
-// power-law record sizes. It is the shared engine behind Synthetic (which
-// materializes a Dataset) and StreamSynthetic (which does not).
+// power-law record sizes.
 type recordGen struct {
 	rng      *rand.Rand
 	sizeDist *powerlaw.Dist
@@ -363,27 +362,6 @@ func Synthetic(cfg SyntheticConfig, seed int64) (*Dataset, error) {
 		records[i] = gen.next()
 	}
 	return &Dataset{Records: records, Universe: cfg.Universe}, nil
-}
-
-// StreamSynthetic generates n records with Synthetic's distributions
-// (cfg.NumRecords is ignored), invoking emit for each without materializing
-// a Dataset — the record is owned by the callback. This is the heavy-write
-// workload source behind the server insert benchmarks and datagen's
-// streaming client mode: arbitrarily long insert streams cost O(record)
-// memory. Emit returning an error stops the stream. Deterministic in
-// (cfg, seed, n).
-func StreamSynthetic(cfg SyntheticConfig, seed int64, n int, emit func(i int, r Record) error) error {
-	cfg.NumRecords = 1 // validated but unused: records are not materialized
-	gen, err := newRecordGen(cfg, seed)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := emit(i, gen.next()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Uniform generates the supplementary-experiment dataset of Section V-F:

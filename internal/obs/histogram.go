@@ -50,16 +50,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return h
 }
 
-// NewHistogram builds a standalone (unregistered) histogram — for tools that
-// want the same sharded recorder and quantile math outside a registry. Panics
-// on invalid bounds, mirroring Registry.Histogram.
-func NewHistogram(bounds []float64) *Histogram {
-	if !validBounds(bounds) {
-		panic("obs: histogram bounds must be finite and strictly ascending")
-	}
-	return newHistogram(bounds)
-}
-
 // validBounds reports whether bounds is non-empty, finite and strictly
 // ascending.
 func validBounds(bounds []float64) bool {

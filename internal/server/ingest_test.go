@@ -15,6 +15,7 @@ import (
 	"testing/iotest"
 
 	"gbkmv"
+	"gbkmv/internal/dataset"
 )
 
 // The reference the scanner is held to: the bulk handlers as they were
@@ -372,6 +373,29 @@ func TestBodyTooLarge(t *testing.T) {
 	if code, m := doJSON(t, ts, "POST", "/collections/rest/records", `{"records":[["small"]]}`); code != http.StatusOK {
 		t.Errorf("small insert: %d %v", code, m)
 	}
+}
+
+// benchCollectionRecords returns the token records of the benchmark corpus.
+// Record sizes follow the paper's set-valued serving workloads (domain and
+// column search): sets of tens to hundreds of values.
+func benchCollectionRecords(t testing.TB, n int) [][]string {
+	t.Helper()
+	d, err := dataset.Synthetic(dataset.SyntheticConfig{
+		NumRecords: n, Universe: 20000,
+		AlphaFreq: 1.1, AlphaSize: 2.5,
+		MinSize: 30, MaxSize: 200,
+	}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]string, n)
+	for i, r := range d.Records {
+		out[i] = make([]string, len(r))
+		for j, e := range r {
+			out[i][j] = fmt.Sprintf("e%d", e)
+		}
+	}
+	return out
 }
 
 // marshalBuildBody marshals a build body for the benchmark corpus.

@@ -2,8 +2,16 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"gbkmv"
 )
 
 // scannerFixture builds a frame stream of five entries (mixing tagged and
@@ -148,4 +156,161 @@ func TestForEachRidRun(t *testing.T) {
 	if !reflect.DeepEqual(got, expect) {
 		t.Fatalf("runs = %v, want %v", got, expect)
 	}
+}
+
+// fuzzJournalSeeds runs a real collection through a build, inserts with and
+// without request ids and a snapshot between them, and returns its journal
+// and commit record as they lie on disk.
+func fuzzJournalSeeds(tb testing.TB) (journal, metaJSON []byte) {
+	tb.Helper()
+	dir := tb.TempDir()
+	store, err := NewStore(dir, func(string, ...any) {})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer store.Close()
+	voc := gbkmv.NewVocabulary()
+	eng, err := gbkmv.NewEngine("gbkmv", []gbkmv.Record{voc.Record([]string{"seed", "one"})}, gbkmv.EngineOptions{BudgetUnits: 1000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := store.Create("j", voc, eng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	insert := func(rid string, batch ...[]string) {
+		if _, err := c.Insert(batch, rid); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	insert("rid-0", []string{"before", "the", "snapshot"})
+	if c, err = store.Snapshot("j"); err != nil {
+		tb.Fatal(err)
+	}
+	insert("", []string{"a", "b"})
+	insert("rid-1", []string{"c"}, []string{"d", "e", "f"})
+	// Tokens the encoder escapes.
+	insert("", []string{"é", "quote\"", "back\\slash", "<&>", "tab\t", "😀", " "})
+	insert("rid \"2\"", []string{"g"})
+	cdir := filepath.Join(dir, "j")
+	if metaJSON, err = os.ReadFile(metaPath(cdir)); err != nil {
+		tb.Fatal(err)
+	}
+	m, err := decodeMeta(metaJSON, "meta.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if journal, err = os.ReadFile(journalPath(cdir, m.Generation)); err != nil {
+		tb.Fatal(err)
+	}
+	return journal, metaJSON
+}
+
+// TestFuzzJournalSeeds keeps the fuzz seeds honest: the journal holds the
+// five frames inserted after the snapshot, tagged and untagged, and the
+// commit record remembers the request from before it.
+func TestFuzzJournalSeeds(t *testing.T) {
+	journal, metaJSON := fuzzJournalSeeds(t)
+	s := newFrameScanner(journal, 0, "seed")
+	entries, err := s.scanAll()
+	if err != nil || len(entries) != 5 || s.Offset() != int64(len(journal)) {
+		t.Fatalf("seed journal: %d entries to offset %d of %d, %v", len(entries), s.Offset(), len(journal), err)
+	}
+	if entries[0].RequestID != "" || entries[1].RequestID != "rid-1" || entries[4].RequestID != "rid \"2\"" {
+		t.Fatalf("seed journal request ids: %+v", entries)
+	}
+	m, err := decodeMeta(metaJSON, "meta.json")
+	if err != nil || m.Generation != 2 || len(m.Requests) != 1 || len(m.Checksums) != 2 {
+		t.Fatalf("seed commit record: %+v, %v", m, err)
+	}
+}
+
+// FuzzJournalScanner: arbitrary bytes through the frame scanner never panic
+// and never allocate by a length the bytes only declare; whatever prefix
+// decodes re-encodes through marshalFrame to exactly the bytes consumed, so
+// the decoder loses nothing the encoder writes and Offset() is a frame
+// boundary. (The fuzzer cannot forge the two CRC32s around a payload the
+// encoder would have written differently — whitespace, an unknown field —
+// so every frame that decodes here is one a seed holds.) The same bytes
+// framed as one payload under valid checksums reach the payload decoder
+// itself: it rejects or it decodes something that survives a round trip.
+func FuzzJournalScanner(f *testing.F) {
+	journal, _ := fuzzJournalSeeds(f)
+	f.Add(journal)
+	for n := 0; n < len(journal); n += 7 {
+		f.Add(journal[:n])
+	}
+	// An intact header that declares 48 MB over three bytes.
+	huge := binary.BigEndian.AppendUint32(nil, 48<<20)
+	huge = binary.BigEndian.AppendUint32(huge, crc32.ChecksumIEEE(huge))
+	f.Add(append(huge, 0, 0, 0, 0, '[', '"', 'a'))
+	f.Add([]byte(`{"rid":"r","tokens":["a"],"more":1}`))
+	f.Add([]byte(` ["a", "b"]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := newFrameScanner(data, 0, "fuzz")
+		entries, err := s.scanAll()
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+64*len(data)); got > bound {
+			t.Fatalf("scanning %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
+		if err == nil {
+			var again []byte
+			for _, e := range entries {
+				if again, err = marshalFrame(again, e.Tokens, e.RequestID); err != nil {
+					t.Fatalf("a decoded entry does not encode: %v", err)
+				}
+			}
+			if s.Offset() > int64(len(data)) || !bytes.Equal(again, data[:s.Offset()]) {
+				t.Fatalf("%d entries to offset %d re-encode to %d other bytes", len(entries), s.Offset(), len(again))
+			}
+		}
+
+		var hdr [12]byte
+		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(data)))
+		binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(hdr[0:4]))
+		binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(data))
+		framed, err := newFrameScanner(append(hdr[:], data...), 0, "framed").scanAll()
+		if err != nil {
+			return
+		}
+		if len(framed) != 1 {
+			t.Fatalf("one intact frame scanned as %d entries", len(framed))
+		}
+		again, err := marshalFrame(nil, framed[0].Tokens, framed[0].RequestID)
+		if err != nil {
+			t.Fatalf("a decoded entry does not encode: %v", err)
+		}
+		if back, err := newFrameScanner(again, 0, "again").scanAll(); err != nil || !reflect.DeepEqual(back, framed) {
+			t.Fatalf("entry %+v came back as %+v, %v", framed[0], back, err)
+		}
+	})
+}
+
+// FuzzDecodeMeta: arbitrary bytes as a commit record never panic, and one
+// that decodes survives encode → decode unchanged.
+func FuzzDecodeMeta(f *testing.F) {
+	_, metaJSON := fuzzJournalSeeds(f)
+	f.Add(metaJSON)
+	for n := 0; n < len(metaJSON); n += 11 {
+		f.Add(metaJSON[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeMeta(data, "fuzz")
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(m)
+		if err != nil {
+			t.Fatalf("a decoded commit record does not encode: %v", err)
+		}
+		m2, err := decodeMeta(enc, "again")
+		if err != nil {
+			t.Fatalf("an encoded commit record does not decode: %v", err)
+		}
+		if enc2, err := json.Marshal(m2); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("commit record changed across encode → decode:\n%s\n%s (%v)", enc, enc2, err)
+		}
+	})
 }

@@ -168,17 +168,17 @@ func TestSegmentedBuildStatsInsertSearch(t *testing.T) {
 	}
 }
 
-// TestSegmentedMigrationRoundTrip proves the legacy-snapshot path: a store
-// written entirely before segmentation (bare engine snapshot + journal)
-// reopens under a segmented default, reshards on load with identical search
-// results, persists the segmented form, and that snapshot loads fine again —
-// including under a store with no segment default.
+// TestSegmentedMigrationRoundTrip: a snapshot keeps the layout it was written
+// with, whatever default the store that opens it runs under. A bare snapshot
+// with a journaled tail (what a store without a segment default writes: a
+// promoted follower, a test) reopened under Segments: 4 loads, replays and
+// answers as the bare engine it is, and stays bare through its next
+// snapshot; a collection built segmented loads segmented under a store with
+// no segment default.
 func TestSegmentedMigrationRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	records := segCorpus(40)
 
-	// Era 1: pre-segmentation. Plain NewStore (Segments 0) + build without
-	// options.segments writes exactly the PR 9 on-disk format.
 	store, ts := newServer(t, dir)
 	body := map[string]any{
 		"records": records,
@@ -187,13 +187,13 @@ func TestSegmentedMigrationRoundTrip(t *testing.T) {
 	if code, m := doJSON(t, ts, "PUT", "/collections/m", jsonBody(t, body)); code != http.StatusOK {
 		t.Fatalf("build: %d %v", code, m)
 	}
-	// Journaled tail on top of the snapshot, so migration also replays WAL.
+	// Journaled tail on top of the snapshot, so the reopen also replays WAL.
 	if code, m := doJSON(t, ts, "POST", "/collections/m/records",
 		`{"records": [["tok1", "legacy1"], ["tok2", "tok3", "legacy2"]]}`); code != http.StatusOK {
 		t.Fatalf("insert: %d %v", code, m)
 	}
 	if seg := segmentsBlock(t, ts, "m"); seg != nil {
-		t.Fatalf("pre-segmentation collection reports segments: %v", seg)
+		t.Fatalf("single-index collection reports segments: %v", seg)
 	}
 	want := searchResults(t, ts, "m")
 	ts.Close()
@@ -201,50 +201,46 @@ func TestSegmentedMigrationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Era 2: reopen segmented. The bare snapshot must reshard on load.
+	// Reopen under a segmented default: the bare snapshot is served as it is.
 	store2, ts2 := openSegServer(t, dir, 4)
-	seg := segmentsBlock(t, ts2, "m")
-	if seg == nil || seg["count"].(float64) != 4 {
-		t.Fatalf("migrated collection segments = %v, want count 4", seg)
+	if seg := segmentsBlock(t, ts2, "m"); seg != nil {
+		t.Fatalf("bare snapshot loaded under Segments: 4 reports segments: %v", seg)
 	}
 	if got := searchResults(t, ts2, "m"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("migration changed results:\n got %v\nwant %v", got, want)
+		t.Fatalf("reopening under Segments: 4 changed results:\n got %v\nwant %v", got, want)
 	}
-	// More inserts post-migration, then persist the segmented form.
+	// More inserts, a snapshot, and a collection built under the default.
 	if code, m := doJSON(t, ts2, "POST", "/collections/m/records",
-		`{"records": [["tok5", "migrated1"]]}`); code != http.StatusOK {
+		`{"records": [["tok5", "reopened1"]]}`); code != http.StatusOK {
 		t.Fatalf("insert: %d %v", code, m)
 	}
 	if code, m := doJSON(t, ts2, "POST", "/collections/m/snapshot", ""); code != http.StatusOK {
 		t.Fatalf("snapshot: %d %v", code, m)
 	}
-	want2 := searchResults(t, ts2, "m")
+	if code, m := doJSON(t, ts2, "PUT", "/collections/s", jsonBody(t, body)); code != http.StatusOK {
+		t.Fatalf("build: %d %v", code, m)
+	}
+	want2, wantSeg := searchResults(t, ts2, "m"), searchResults(t, ts2, "s")
 	ts2.Close()
 	if err := store2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Era 3a: the segmented snapshot self-describes — it loads segmented even
-	// under a store with no segment default (a follower, or a downgrade).
-	store3, ts3 := newServer(t, dir)
-	if seg := segmentsBlock(t, ts3, "m"); seg == nil || seg["count"].(float64) != 4 {
-		t.Fatalf("segmented snapshot loaded under default store as %v, want count 4", seg)
+	// Under a store with no segment default (a follower, a downgrade) each
+	// loads as it was written: "m" bare, "s" at the four segments it was
+	// built with.
+	_, ts3 := newServer(t, dir)
+	if seg := segmentsBlock(t, ts3, "m"); seg != nil {
+		t.Fatalf("bare snapshot reports segments after its second snapshot: %v", seg)
 	}
 	if got := searchResults(t, ts3, "m"); !reflect.DeepEqual(got, want2) {
-		t.Fatalf("segmented snapshot round-trip changed results:\n got %v\nwant %v", got, want2)
+		t.Fatalf("bare snapshot round-trip changed results:\n got %v\nwant %v", got, want2)
 	}
-	ts3.Close()
-	if err := store3.Close(); err != nil {
-		t.Fatal(err)
+	if seg := segmentsBlock(t, ts3, "s"); seg == nil || seg["count"].(float64) != 4 {
+		t.Fatalf("segmented snapshot loaded under default store as %v, want count 4", seg)
 	}
-
-	// Era 3b: reopening with a matching default leaves it alone too.
-	_, ts4 := openSegServer(t, dir, 4)
-	if seg := segmentsBlock(t, ts4, "m"); seg == nil || seg["count"].(float64) != 4 {
-		t.Fatalf("reopen with matching default: segments = %v", seg)
-	}
-	if got := searchResults(t, ts4, "m"); !reflect.DeepEqual(got, want2) {
-		t.Fatalf("second reopen changed results:\n got %v\nwant %v", got, want2)
+	if got := searchResults(t, ts3, "s"); !reflect.DeepEqual(got, wantSeg) {
+		t.Fatalf("segmented snapshot round-trip changed results:\n got %v\nwant %v", got, wantSeg)
 	}
 }
 

@@ -56,10 +56,8 @@ type Store struct {
 	cacheCap   int    // prepared-query cache entries per collection; 0 disables
 	// defaultSegments is the segment count of collections whose build names
 	// none (options.segments == 0): 0 builds unsegmented single-index
-	// collections (the pre-segmentation behavior), n >= 1 shards across n
-	// sub-indexes. It also drives load-time migration: with a default > 1,
-	// pre-segmentation snapshots reshard on load (OpenStore). Followers must
-	// keep it 0 — their snapshot files are byte-copies of the leader's.
+	// collections, n >= 1 shards across n sub-indexes. A loaded snapshot
+	// keeps the layout it was written with, whatever the default is.
 	defaultSegments int
 	logf            func(format string, args ...any)
 
@@ -163,16 +161,13 @@ type StoreOptions struct {
 	// Logf receives startup and operational log lines (nil means log.Printf).
 	Logf func(format string, args ...any)
 	// Segments is the default segment count for collections whose build
-	// requests name none, and the load-time migration target: 0 keeps
-	// single-index collections as-is (the pre-segmentation behavior).
+	// requests name none (0 builds single-index collections). It applies to
+	// builds only: a snapshot loads with the layout it was written with.
 	Segments int
 }
 
 // OpenStore opens a store over the data directory with explicit options,
-// reloading every collection previously snapshotted there. With
-// Segments > 1, single-index collections (snapshotted by a store run without
-// segments) are resharded in memory (records routed through the segment
-// hash, ids preserved); their next snapshot persists the segmented form.
+// reloading every collection previously snapshotted there.
 func OpenStore(dir string, o StoreOptions) (*Store, error) {
 	logf := o.Logf
 	fsys := o.FS
@@ -217,7 +212,6 @@ func OpenStore(dir string, o StoreOptions) (*Store, error) {
 			s.logf("gbkmvd: skipping collection %q: %v%s", e.Name(), err, remedy)
 			continue
 		}
-		s.migrateSegments(c)
 		s.attach(c, s.cacheCap)
 		s.cols[c.name] = c
 		s.logf("gbkmvd: loaded collection %q: engine %s, %d records, %d replayed from journal (verify + read %s, derive %s, replay %s)",
@@ -281,29 +275,6 @@ func (s *Store) DefaultEngine() string { return s.defaultEng }
 // leaves options.segments at 0. Zero means unsegmented single-index
 // collections.
 func (s *Store) DefaultSegments() int { return s.defaultSegments }
-
-// migrateSegments reshards a freshly loaded single-index collection to the
-// store's default segment count (ids preserved; estimates of data-dependent
-// engines may shift, as any segmented build's do). Failure keeps the loaded
-// engine — migration is an optimization, not a correctness requirement.
-// Called from OpenStore before attach, so no locks are needed yet.
-func (s *Store) migrateSegments(c *Collection) {
-	if s.defaultSegments <= 1 {
-		return
-	}
-	if _, ok := c.eng.(*gbkmv.Segmented); ok {
-		return
-	}
-	seg, err := gbkmv.Reshard(c.eng, s.defaultSegments)
-	if err != nil {
-		s.logf("gbkmvd: collection %q: keeping single-index engine (reshard to %d segments failed: %v)",
-			c.name, s.defaultSegments, err)
-		return
-	}
-	c.eng = seg
-	s.logf("gbkmvd: collection %q: resharded single-index snapshot into %d segments",
-		c.name, s.defaultSegments)
-}
 
 // DefaultQueryCacheEntries is the per-collection prepared-query cache size
 // used when SetQueryCacheSize was never called.
@@ -661,10 +632,6 @@ type commitState struct {
 	// retry racing that gap finds its original here and waits for its
 	// group instead of slipping past the duplicate check.
 	inflight map[string]*inflightInsert
-	// serial forces the pre-group-commit behavior — flush+fsync per insert
-	// under ioMu. It exists so the insert benchmarks can measure the
-	// per-insert-fsync baseline in-tree; production never sets it.
-	serial bool
 }
 
 // inflightInsert is one request-tagged batch between journal append and
@@ -1266,18 +1233,6 @@ func (c *Collection) Insert(batch [][]string, requestID string) ([]int, error) {
 		}
 		c.commit.inflight[requestID] = &inflightInsert{batch: b, done: g.done}
 	}
-	if c.commit.serial {
-		// Benchmark baseline: commit this group (necessarily just b) right
-		// here, fsync under ioMu, exactly like the pre-group-commit path.
-		// Skipping syncMu is safe because the whole serial commit — append,
-		// seal, flush, fsync, apply — runs inside this single ioMu critical
-		// section, which excludes every other commit path (leaders never
-		// run in serial mode; drain paths hold ioMu). Do not move any part
-		// of it outside ioMu without restoring syncMu.
-		c.commitGroup(g, true)
-		c.ioMu.Unlock()
-		return b.ids, b.err
-	}
 	c.ioMu.Unlock()
 	if !leader {
 		<-g.done
@@ -1300,9 +1255,8 @@ func (c *Collection) Insert(batch [][]string, requestID string) ([]int, error) {
 }
 
 // commitGroup seals g, makes its frames durable, applies its batches in
-// journal order and signals the waiters. Called with ioMu held (plus
-// syncMu, except in single-writer serial mode); returns with ioMu held and
-// g.done closed.
+// journal order and signals the waiters. Called with ioMu and syncMu held;
+// returns with ioMu held and g.done closed.
 //
 // With holdIoMu false — the leader path — only the seal and the buffer
 // flush run under ioMu (the buffered writer is shared with appends); the
@@ -1311,9 +1265,9 @@ func (c *Collection) Insert(batch [][]string, requestID string) ([]int, error) {
 // group. The write path thereby pipelines into at most one fsync plus one
 // apply phase in flight, with appends never stalling behind either, and
 // order stays intact because applies happen only here, under syncMu, group
-// by group in seal order. With holdIoMu true — the drain and serial paths,
-// which are rare or single-writer and already pause the collection — the
-// whole commit runs under the lock.
+// by group in seal order. With holdIoMu true — the drain paths, which are
+// rare and already pause the collection — the whole commit runs under the
+// lock.
 //
 // On a flush or fsync failure the group's batches — and any batch that
 // appended behind them, whose frames can no longer become durable in order

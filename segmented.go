@@ -160,35 +160,6 @@ func NewSegmented(inner string, n int, records []Record, opt EngineOptions) (*Se
 	return s, nil
 }
 
-// optionsProvider is the unexported interface every built-in adapter
-// implements to report the options its current state was built under, with
-// data-dependent parameters resolved — what Reshard needs to rebuild the
-// same records as segments.
-type optionsProvider interface {
-	engineOptions() EngineOptions
-}
-
-// Reshard wraps an existing single-index engine into n segments, routing its
-// records through the segment hash — the migration path of a single-engine
-// snapshot (a store run without segments) opened under a segmented default:
-// it loads as its bare engine, and Reshard rebuilds it segmented with the
-// same records, ids and resolved options. An engine that is already
-// Segmented is returned unchanged.
-func Reshard(e Engine, n int) (*Segmented, error) {
-	if s, ok := e.(*Segmented); ok {
-		return s, nil
-	}
-	op, ok := e.(optionsProvider)
-	if !ok {
-		return nil, fmt.Errorf("gbkmv: engine %q does not expose its build options; cannot reshard", e.EngineName())
-	}
-	records := make([]Record, e.Len())
-	for i := range records {
-		records[i] = e.Record(i)
-	}
-	return NewSegmented(e.EngineName(), n, records, op.engineOptions())
-}
-
 // pinOptions resolves data-dependent option defaults against the global
 // record set and splits the budget across segments: the absolute budget is
 // resolved first (so n == 1 resolves to exactly what the bare engine would
@@ -280,10 +251,6 @@ func fanSegmentsErr(n int, f func(i int) error) error {
 // EngineName returns the inner engine's registry name: segmentation is a
 // layout property of the collection, not a different sketch.
 func (s *Segmented) EngineName() string { return s.inner }
-
-// InnerEngine returns the inner engine registry name (same as EngineName;
-// explicit for callers holding the Engine interface).
-func (s *Segmented) InnerEngine() string { return s.inner }
 
 // SegmentCount returns the number of segments.
 func (s *Segmented) SegmentCount() int { return len(s.segs) }

@@ -301,45 +301,6 @@ func TestSegmentedDeferredBuild(t *testing.T) {
 	assertSameResults(t, "deferred/inserted", seg, loaded, queries)
 }
 
-// TestReshard pins the legacy-migration path: wrapping a bare engine into n
-// segments preserves ids and, for the segment-independent engines, every
-// result bit.
-func TestReshard(t *testing.T) {
-	records, queries := engineCorpus(t, 120)
-	for _, name := range segTestEngines {
-		bare, err := gbkmv.NewEngine(name, append([]gbkmv.Record(nil), records...), segOpts(42))
-		if err != nil {
-			t.Fatalf("NewEngine(%s): %v", name, err)
-		}
-		seg, err := gbkmv.Reshard(bare, 4)
-		if err != nil {
-			t.Fatalf("Reshard(%s): %v", name, err)
-		}
-		if seg.SegmentCount() != 4 || seg.Len() != bare.Len() {
-			t.Fatalf("%s: resharded to %d segments / %d records", name, seg.SegmentCount(), seg.Len())
-		}
-		for i := 0; i < bare.Len(); i++ {
-			if !reflect.DeepEqual(bare.Record(i), seg.Record(i)) {
-				t.Fatalf("%s: Record(%d) changed identity across Reshard", name, i)
-			}
-		}
-		if again, err := gbkmv.Reshard(seg, 2); err != nil || again != seg {
-			t.Fatalf("%s: Reshard of a Segmented should be identity, got %v/%v", name, again, err)
-		}
-	}
-	for _, name := range segmentIndependentEngines {
-		bare, err := gbkmv.NewEngine(name, append([]gbkmv.Record(nil), records...), segOpts(42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, err := gbkmv.Reshard(bare, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, name+"/resharded", bare, seg, queries)
-	}
-}
-
 // TestSegmentedEngineStats pins the aggregate stats surface.
 func TestSegmentedEngineStats(t *testing.T) {
 	records, _ := engineCorpus(t, 120)

@@ -254,9 +254,6 @@ func TestDerivedOptionsReload(t *testing.T) {
 		if got, want := loaded.SearchTopK(records[0][:40000], 4), e.SearchTopK(records[0][:40000], 4); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d segments: loaded top-k %v, saved %v", segments, got, want)
 		}
-		if _, err := gbkmv.Reshard(loaded, 2); err != nil {
-			t.Fatalf("%d segments: resharding the loaded engine: %v", segments, err)
-		}
 	}
 	long := gbkmv.EngineOptions{NumHashes: 5000, Seed: 1}
 	if _, err := gbkmv.NewEngine("kmv", records, long); err != nil {
