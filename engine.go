@@ -31,8 +31,9 @@ type Engine interface {
 	EngineName() string
 	// Len returns the number of indexed records.
 	Len() int
-	// Record returns the indexed record with id i. The returned slice is
-	// owned by the engine and must not be mutated.
+	// Record returns the indexed record with id i. The returned slice must
+	// not be mutated: most engines hand out the one they hold (gbkmv and gkmv
+	// keep their records packed and decode a copy on each call).
 	Record(i int) Record
 	// Add appends a record, returning its id. Engines built around static
 	// structures may rebuild internally; see each engine's documentation.
@@ -107,6 +108,8 @@ type EngineStats struct {
 	SizeBytes   int     // in-memory signature footprint
 	BufferBytes int     // GB-KMV frequent-element buffer share of SizeBytes
 	SketchBytes int     // GB-KMV key-store share of SizeBytes (4 bytes a stored key)
+	RecordBytes int     // the retained records, beside SizeBytes (gbkmv/gkmv: the packed slab and its offsets; 0 where not reported)
+	IndexBytes  int     // what search walks, beside SizeBytes (gbkmv/gkmv: inverted lists, bit columns, offset tables; 0 where not reported)
 	BudgetUnits int     // configured budget (1 unit = one stored hash value; gbkmv/gkmv: one 32-bit key = 32 buffer bits = 4 bytes)
 	UsedUnits   int     // units actually consumed
 	BufferBits  int     // GB-KMV buffer size r
@@ -170,7 +173,7 @@ func (o EngineOptions) indexOptions() Options {
 const DefaultEngine = "gbkmv"
 
 // EngineBuilder constructs an engine over a record collection. The records
-// slice is retained by the engine and must not be mutated afterwards.
+// slice may be retained by the engine and must not be mutated afterwards.
 type EngineBuilder func(records []Record, opt EngineOptions) (Engine, error)
 
 // EngineLoader reconstructs an engine from the payload written by its Save
@@ -248,9 +251,9 @@ func lookupEngine(name string) (engineEntry, error) {
 	return e, nil
 }
 
-// NewEngine builds the named engine over the records. The records slice is
-// retained by the engine and must not be mutated afterwards. An empty name
-// selects DefaultEngine.
+// NewEngine builds the named engine over the records. The records slice may
+// be retained by the engine (all but gbkmv and gkmv do) and must not be
+// mutated afterwards. An empty name selects DefaultEngine.
 func NewEngine(name string, records []Record, opt EngineOptions) (Engine, error) {
 	if name == "" {
 		name = DefaultEngine

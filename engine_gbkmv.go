@@ -62,6 +62,8 @@ func (ix *Index) EngineStats() EngineStats {
 		SizeBytes:   st.SizeBytes,
 		BufferBytes: st.BufferBytes,
 		SketchBytes: st.SketchBytes,
+		RecordBytes: st.RecordBytes,
+		IndexBytes:  st.IndexBytes,
 		BudgetUnits: st.BudgetUnits,
 		UsedUnits:   st.UsedUnits,
 		BufferBits:  st.BufferBits,

@@ -387,6 +387,11 @@ func TestCrossEngineStats(t *testing.T) {
 		if st.SizeBytes <= 0 {
 			t.Errorf("%s: SizeBytes = %d", name, st.SizeBytes)
 		}
+		// The bytes around the sketch are reported by the engines that keep
+		// them in a form they can size, and zero elsewhere.
+		if own := name == "gbkmv" || name == "gkmv"; own != (st.RecordBytes > 0) || own != (st.IndexBytes > 0) {
+			t.Errorf("%s: RecordBytes = %d, IndexBytes = %d", name, st.RecordBytes, st.IndexBytes)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package gbkmv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -48,6 +49,39 @@ func fuzzSnapshots(t testing.TB) map[string][]byte {
 	return out
 }
 
+// damagedRecordSections returns a real gbkmv snapshot with its records
+// section replaced by ones that break the record coding, each in one way: a
+// padded (non-canonical) uvarint, a zero delta, a record length that overruns
+// the section, a delta that wraps 2⁶⁴. The index keeps the section's bytes as
+// its record store, so what the loader lets through it holds.
+func damagedRecordSections(t testing.TB) map[string][]byte {
+	t.Helper()
+	e, err := NewEngine("gbkmv", []Record{{1, 2, 3}, {2, 5, 9}}, EngineOptions{BudgetUnits: 100, BufferBits: NoBuffer, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveEngine(&buf, e); err != nil {
+		t.Fatal(err)
+	}
+	// 2 records, 6 elements: 3 of them 1 +1 +1, 3 of them 2 +3 +4.
+	section := []byte{2, 6, 3, 1, 1, 1, 3, 2, 3, 4}
+	if n := bytes.Count(buf.Bytes(), section); n != 1 {
+		t.Fatalf("the records section appears %d times in the snapshot; the fixture cannot aim", n)
+	}
+	wrap := append([]byte{2, 6, 3, 1, 1, 1, 3, 2, 3}, bytes.Repeat([]byte{0xff}, 9)...)
+	out := make(map[string][]byte)
+	for name, damaged := range map[string][]byte{
+		"padded uvarint":  {2, 6, 3, 1, 0x81, 0x00, 1, 3, 2, 3, 4},
+		"zero delta":      {2, 6, 3, 1, 1, 1, 3, 2, 0, 4},
+		"length overruns": {2, 6, 3, 1, 1, 1, 4, 2, 3, 4},
+		"delta wraps":     append(wrap, 0x01), // 5 + (2⁶⁴ − 1)
+	} {
+		out[name] = bytes.Replace(buf.Bytes(), section, damaged, 1)
+	}
+	return out
+}
+
 // FuzzLoadEngine feeds the snapshot decoder arbitrary bytes. Whatever they
 // are:
 //
@@ -62,7 +96,8 @@ func fuzzSnapshots(t testing.TB) map[string][]byte {
 //     nothing; counters, lists and maps follow the records, occurrences and
 //     buffered elements that were read (well under 256 bytes a byte in all),
 //     and the buffer arena is records × ⌈|E_H|/64⌉ words — two counts the
-//     input backs, n²/32 bytes from n of them at the very worst. (The other
+//     input backs, n²/32 bytes from n of them at the very worst — with its
+//     transpose, the bit columns, an eighth of headroom wider. (The other
 //     engines rebuild at whatever size their options name; not bounded here.)
 //   - a stream that loads is canonical: saving the loaded engine reproduces
 //     the input byte for byte. The kmv and minhash engines resolve their
@@ -79,6 +114,10 @@ func FuzzLoadEngine(f *testing.F) {
 	short := snaps["gbkmv/seg2"]
 	for n := 0; n < len(short); n += 32 {
 		f.Add(short[:n])
+	}
+	// Sections that break the record coding: the store must not take them.
+	for _, b := range damagedRecordSections(f) {
+		f.Add(b)
 	}
 	// The earlier format versions: intact bytes this build must not parse.
 	for v := byte(1); v < snapfmt.Version; v++ {
@@ -104,7 +143,7 @@ func FuzzLoadEngine(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, bound := allocated(func() { e, err = finish() }), 1<<20+256*n+n*n/32
+		got, bound := allocated(func() { e, err = finish() }), 1<<20+256*n+n*n/12
 		if err != nil {
 			return
 		}
@@ -141,6 +180,11 @@ func TestFuzzSeedsLoad(t *testing.T) {
 	flagged[len(segmentedMagic)+1] |= 0x80
 	if _, err := LoadEngine(bytes.NewReader(flagged)); err == nil {
 		t.Error("a container with unknown flag bits loaded")
+	}
+	for name, b := range damagedRecordSections(t) {
+		if _, err := LoadEngine(bytes.NewReader(b)); !errors.Is(err, snapfmt.ErrCorrupt) {
+			t.Errorf("records section with a %s: LoadEngine = %v, want a corrupt-snapshot error", name, err)
+		}
 	}
 	for name, b := range snaps {
 		if _, err := LoadEngine(bytes.NewReader(b)); err != nil {

@@ -88,9 +88,9 @@ type Index struct {
 	inner *core.Index
 }
 
-// Build constructs an Index over the records. The records slice is retained
-// by the index (for dynamic insertion and introspection) and must not be
-// mutated afterwards.
+// Build constructs an Index over the records. The index keeps its own packed
+// copy of them (the coding its snapshot stores, about a sixth of the slices'
+// bytes for vocabulary ids): the slice and its records stay the caller's.
 func Build(records []Record, opt Options) (*Index, error) {
 	if len(records) == 0 {
 		return nil, errors.New("gbkmv: no records")
@@ -172,9 +172,9 @@ func (ix *Index) AddBatch(recs []Record) []int {
 // Len returns the number of indexed records.
 func (ix *Index) Len() int { return ix.inner.NumRecords() }
 
-// Record returns the indexed record with id i. The returned slice is owned
-// by the index and must not be mutated.
-func (ix *Index) Record(i int) Record { return ix.inner.Records()[i] }
+// Record returns the indexed record with id i: a copy, decoded from the
+// index's packed store on each call and the caller's to keep.
+func (ix *Index) Record(i int) Record { return ix.inner.Record(i) }
 
 // Stats describes the built sketch.
 type Stats struct {
@@ -186,6 +186,8 @@ type Stats struct {
 	SizeBytes   int     // in-memory signature footprint (BufferBytes + SketchBytes)
 	BufferBytes int     // footprint of the frequent-element buffers alone
 	SketchBytes int     // footprint of the G-KMV key store alone: 4 bytes a stored key
+	RecordBytes int     // the retained records: packed slab and offsets (not part of SizeBytes)
+	IndexBytes  int     // what search walks beside the sketch: inverted lists, bit columns, offset tables (not part of SizeBytes)
 }
 
 // BuildCounters returns monotonic write-path work counters: element hash
@@ -211,5 +213,7 @@ func (ix *Index) Stats() Stats {
 		SizeBytes:   ix.inner.SizeBytes(),
 		BufferBytes: ix.inner.BufferSizeBytes(),
 		SketchBytes: ix.inner.SketchSizeBytes(),
+		RecordBytes: ix.inner.RecordSizeBytes(),
+		IndexBytes:  ix.inner.IndexSizeBytes(),
 	}
 }

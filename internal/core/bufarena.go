@@ -1,7 +1,5 @@
 package core
 
-import "math/bits"
-
 const bufWordBits = 64
 
 // bufferArena is the flat store of every record's frequent-element buffer
@@ -61,19 +59,6 @@ func (a *bufferArena) grow(n int) {
 		return
 	}
 	a.words = append(a.words, make([]uint64, n*a.stride)...)
-}
-
-// forEachSetBit invokes fn for every set bit of record i's buffer in
-// ascending order. Every bit is below the capacity: the arena's own writers
-// (derive, AddRecords) are the only ones there are.
-func (a *bufferArena) forEachSetBit(i int, fn func(bit int)) {
-	base := 0
-	for _, word := range a.record(i) {
-		for ; word != 0; word &= word - 1 {
-			fn(base + bits.TrailingZeros64(word))
-		}
-		base += bufWordBits
-	}
 }
 
 // sizeBytes returns the memory footprint of the bit storage, O(1).

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"gbkmv/internal/hash"
@@ -25,8 +25,8 @@ import (
 //	            occurrence keys, streamed twice through kthSelector's
 //	            histogram (count, then materialise the target bucket) from
 //	            the element frequency table: one hash a distinct element
-//	derive      counting pass → prefix sums → fill pass: buffer arena, sketch
-//	            arena, inverted lists, per-bit lists and bit order
+//	derive      counting pass → prefix sums → fill pass: buffer arena and its
+//	            bit columns, sketch arena, inverted lists and bit order
 //
 // Every pass runs over contiguous record ranges, one per worker, and is
 // deterministic in the record order alone: range boundaries and worker
@@ -55,9 +55,11 @@ func buildWorkers(m int) int {
 // span is a contiguous range of indices: one worker's share of a pass.
 type span struct{ lo, hi int }
 
-// spans splits [0, n) into at most `workers` contiguous, ascending spans.
-func spans(n, workers int) []span {
+// spans splits [0, n) into at most `workers` contiguous, ascending spans,
+// every boundary but the last a multiple of align.
+func spans(n, workers, align int) []span {
 	step := (n + workers - 1) / workers
+	step = (step + align - 1) / align * align
 	out := make([]span, 0, workers)
 	for lo := 0; lo < n; lo += step {
 		out = append(out, span{lo, min(lo+step, n)})
@@ -78,7 +80,7 @@ func runParallel(n, workers int, fn func(i int)) {
 		return
 	}
 	var wg sync.WaitGroup
-	for _, sp := range spans(n, workers) {
+	for _, sp := range spans(n, workers, 1) {
 		wg.Add(1)
 		go func(sp span) {
 			defer wg.Done()
@@ -196,7 +198,7 @@ func (s *kthSelector) kthSmallest(parts int, scan keyScan, k int, upper uint32) 
 // held beyond a worker's one block.
 func (ix *Index) selectCut(freq []int, k int) uint32 {
 	seed := ix.opt.Seed
-	parts := spans(len(freq), buildWorkers(len(freq)))
+	parts := spans(len(freq), buildWorkers(len(freq)), 1)
 	var sel kthSelector
 	return sel.kthSmallest(len(parts), func(p int, emit func([]uint32)) {
 		block, hashed := make([]uint32, 0, 1024), 0
@@ -239,31 +241,34 @@ func deriveWorkers(m int, top hash.Element, occurrences int) int {
 // deriveShare is the working memory of one of derive's workers, all that is
 // kept between its counting and its fill pass.
 type deriveShare struct {
-	cnt  *elemCounters // element → records listing it, then the write cursor into the posting slab
-	bits []int         // buffer bit → records holding it, then the write cursor into the bit's list
-	kept []uint64      // one bit an element occurrence of the span: not buffered, and under the cut
+	cnt  *elemCounters  // element → records listing it, then the write cursor into the posting slab
+	kept []uint64       // one bit an element occurrence of the span: not buffered, and under the cut
+	rec  []hash.Element // the record at hand, decoded from the store
 }
 
 // derive computes everything an index holds beyond its inputs — the records,
 // E_H (bufferElems, bitOf), the cut and the seed — as one counting sort:
 //
-//	count   per record: buffer bits set in the buffer arena, run length and
-//	        completeness; per element: how many records list it; per bit: how
-//	        many records hold it
-//	place   prefix sums: the arena's offset table, every inverted list and
-//	        every per-bit list as a window of one exactly sized slab
+//	count   per record: buffer bits set in the buffer arena and in the bit
+//	        columns, run length and completeness; per element: how many
+//	        records list it
+//	place   prefix sums: the arena's offset table, and every inverted list as
+//	        a window of one exactly sized slab
 //	fill    per record: its keys ≤ cut sorted straight into its arena run, its
-//	        id appended to the lists of its elements and bits
+//	        id appended to the lists of its elements
 //
 // Workers own contiguous record ranges and their own counters; a list is
 // laid out element by element and, within one, worker by worker, so it comes
-// out ascending by record id whatever the worker count. The counting pass
-// leaves the fill pass one bit per occurrence — kept or not — so only kept
-// keys are hashed a second time and buffered-or-not is asked once; the
-// working memory is that bit and the counters, no key and no pair.
+// out ascending by record id whatever the worker count. Ranges start on
+// multiples of 64 records, so no two workers share a word of a bit column.
+// Both passes decode each record from the packed store into the worker's one
+// buffer (a shift and an add an element, snapfmt's 1–2-byte path). The
+// counting pass leaves the fill pass one bit per occurrence — kept or not —
+// so only kept keys are hashed a second time and buffered-or-not is asked
+// once; the working memory is that bit and the counters, no key and no pair.
 //
-// Everything per buffer bit — the buffer arena's stride, the per-bit lists,
-// the bit order — is sized by |E_H|, the bits an element can set, and not by
+// Everything per buffer bit — the buffer arena's stride, the bit columns, the
+// bit order — is sized by |E_H|, the bits an element can set, and not by
 // r: r is what the budget charges a record, and exceeds |E_H| when the build
 // was asked for more bits than its records have elements. Every allocation
 // here therefore follows a count of things at hand (records, occurrences,
@@ -273,35 +278,31 @@ type deriveShare struct {
 // It fails, before the prefix sum could wrap, when the kept keys exceed what
 // the arena's offset table addresses.
 func (ix *Index) derive() error {
-	m, h := len(ix.records), len(ix.bufferElems)
+	m, h := ix.recs.Len(), len(ix.bufferElems)
 	seed, cut := ix.opt.Seed, ix.cut
-	occurrences, top := 0, hash.Element(0)
-	for _, rec := range ix.records {
-		occurrences += len(rec)
-		if len(rec) > 0 {
-			top = max(top, rec[len(rec)-1])
-		}
-	}
-	parts := spans(m, deriveWorkers(m, top, occurrences))
+	occurrences, top := ix.recs.Elements(), ix.recs.Top()
+	parts := spans(m, deriveWorkers(m, top, occurrences), bufWordBits)
 
 	ix.bufArena.init(m, h)
+	ix.bufCols.init(m, h)
 	a := &ix.arena
 	a.offsets = make([]uint32, m+1)
 	a.complete = make([]bool, m)
 	shares := make([]deriveShare, len(parts))
 	runParallel(len(parts), len(parts), func(w int) {
 		spanOccurrences := 0
-		for _, rec := range ix.records[parts[w].lo:parts[w].hi] {
-			spanOccurrences += len(rec)
+		for i := parts[w].lo; i < parts[w].hi; i++ {
+			spanOccurrences += ix.recs.RecordLen(i)
 		}
-		sh := deriveShare{newElemCounters(top, occurrences), make([]int, h), make([]uint64, (spanOccurrences+63)/64)}
+		sh := deriveShare{cnt: newElemCounters(top, occurrences), kept: make([]uint64, (spanOccurrences+63)/64)}
 		pos, hashes := 0, 0
 		for i := parts[w].lo; i < parts[w].hi; i++ {
 			rest, under := 0, 0
-			for _, e := range ix.records[i] {
+			sh.rec = ix.recs.AppendRecord(sh.rec[:0], i)
+			for _, e := range sh.rec {
 				if bit, buffered := ix.bitOf.lookup(e); buffered {
 					ix.bufArena.set(i, bit)
-					sh.bits[bit]++
+					ix.bufCols.set(bit, i)
 				} else {
 					rest++
 					// At τ = 1 every key is under the cut: none is computed.
@@ -350,28 +351,13 @@ func (ix *Index) derive() error {
 			perShard[uint(e)&postingsShardMask]++
 		}
 	})
-	// Per-bit lists are windows of a slab too, each with the eighth of
-	// headroom append growth would have left it, so the first insert into a
-	// list does not copy it.
-	room := func(n int) int { return n + n/8 + 1 }
-	sizes, bitTotal := make([]int, h), 0
-	for bit := range sizes {
-		for _, sh := range shares {
-			sh.bits[bit], sizes[bit] = sizes[bit], sizes[bit]+sh.bits[bit]
-		}
-		bitTotal += room(sizes[bit])
-	}
-	bitSlab := make([]int32, bitTotal)
-	ix.bufferPostings = make([][]int32, h)
-	for bit, n := range sizes {
-		ix.bufferPostings[bit], bitSlab = bitSlab[:n:room(n)], bitSlab[room(n):]
-	}
 
 	runParallel(len(parts), len(parts), func(w int) {
 		sh, pos := shares[w], 0
 		for i := parts[w].lo; i < parts[w].hi; i++ {
 			run := a.keys[a.offsets[i]:a.offsets[i]:a.offsets[i+1]]
-			for _, e := range ix.records[i] {
+			sh.rec = ix.recs.AppendRecord(sh.rec[:0], i)
+			for _, e := range sh.rec {
 				if sh.kept[pos>>6]>>(pos&63)&1 != 0 {
 					run = append(run, hash.Key32(e, seed))
 					n := sh.cnt.at(e)
@@ -382,10 +368,6 @@ func (ix *Index) derive() error {
 			}
 			// Sorting the filtered multiset is exactly gkmv.BuildHashes.
 			slices.Sort(run)
-			ix.bufArena.forEachSetBit(i, func(bit int) {
-				ix.bufferPostings[bit][sh.bits[bit]] = int32(i)
-				sh.bits[bit]++
-			})
 		}
 	})
 	shards := make([]map[hash.Element][]int32, postingsShards)
@@ -401,17 +383,13 @@ func (ix *Index) derive() error {
 	})
 	ix.postings = postingsTable{shards: shards}
 
+	held := make([]int, h)
 	ix.bitOrder = make([]int32, h)
-	for i := range ix.bitOrder {
-		ix.bitOrder[i] = int32(i)
+	for bit := range ix.bitOrder {
+		ix.bitOrder[bit], held[bit] = int32(bit), ix.bufCols.count(bit)
 	}
-	sort.Slice(ix.bitOrder, func(i, j int) bool {
-		li := len(ix.bufferPostings[ix.bitOrder[i]])
-		lj := len(ix.bufferPostings[ix.bitOrder[j]])
-		if li != lj {
-			return li < lj
-		}
-		return ix.bitOrder[i] < ix.bitOrder[j]
+	slices.SortFunc(ix.bitOrder, func(a, b int32) int {
+		return cmp.Or(held[a]-held[b], int(a-b))
 	})
 	return nil
 }

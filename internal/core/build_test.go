@@ -36,18 +36,39 @@ type refState struct {
 	bitOrder       []int32
 }
 
+// recordsOf decodes ix's records from its packed store (not through the
+// Records() shim, which would leave a materialised copy behind).
+func recordsOf(ix *Index) []dataset.Record { return ix.recs.All() }
+
+// columnIDs lists, ascending, the records whose column holds bit: the
+// inverted list the column replaced. It fails the test on a set bit at or past
+// the record count, where every column must be clear.
+func columnIDs(t *testing.T, ix *Index, bit int) []int32 {
+	t.Helper()
+	ids := []int32{}
+	for id := 0; id < ix.bufCols.stride*bufWordBits; id++ {
+		if ix.bufCols.get(bit, id) {
+			if id >= ix.recs.Len() {
+				t.Fatalf("column %d holds record %d of %d", bit, id, ix.recs.Len())
+			}
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
+}
+
 // refCut re-derives the threshold the old way: from the full sorted slice of
 // non-buffered occurrence keys and the index's budget.
 func refCut(ix *Index) uint32 {
 	var all []uint32
-	for _, rec := range ix.records {
+	for _, rec := range recordsOf(ix) {
 		for _, e := range rec {
 			if _, buffered := ix.bitOf.lookup(e); !buffered {
 				all = append(all, hash.Key32(e, ix.opt.Seed))
 			}
 		}
 	}
-	gBudget := ix.budget - bufferUnits(len(ix.records), ix.bufferBits)
+	gBudget := ix.budget - bufferUnits(ix.recs.Len(), ix.bufferBits)
 	if gBudget >= len(all) {
 		return math.MaxUint32
 	}
@@ -63,7 +84,7 @@ func refBuild(ix *Index, cut uint32) refState {
 	seed := ix.opt.Seed
 	tau := hash.KeyUnit(cut)
 	st := refState{cut: cut, postings: map[hash.Element][]int32{}}
-	for i, rec := range ix.records {
+	for i, rec := range recordsOf(ix) {
 		var buf *bitmap.Bitmap
 		if ix.bufferBits > 0 {
 			buf = bitmap.New(ix.bufferBits)
@@ -117,7 +138,7 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 	if ix.cut != ref.cut {
 		t.Fatalf("%s: cut = %v, reference %v", label, ix.cut, ref.cut)
 	}
-	for i := range ix.records {
+	for i := 0; i < ix.recs.Len(); i++ {
 		got := ix.arena.view(i)
 		run := got.Keys()
 		if len(run) != len(ref.runs[i]) {
@@ -157,18 +178,20 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 	if gotKeys != len(ref.postings) {
 		t.Fatalf("%s: %d posting keys, reference %d", label, gotKeys, len(ref.postings))
 	}
-	if len(ix.bufferPostings) != len(ref.bufferPostings) {
-		t.Fatalf("%s: %d buffer postings, reference %d", label, len(ix.bufferPostings), len(ref.bufferPostings))
-	}
-	for bit := range ix.bufferPostings {
-		got, want := ix.bufferPostings[bit], ref.bufferPostings[bit]
-		if len(got) != len(want) {
-			t.Fatalf("%s: bufferPostings[%d] has %d ids, reference %d", label, bit, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("%s: bufferPostings[%d][%d] = %d, reference %d", label, bit, j, got[j], want[j])
+	// The reference's per-bit lists are over r bits, the columns over the
+	// |E_H| ≤ r an element can set; a bit past them has no record.
+	for bit, want := range ref.bufferPostings {
+		if bit >= len(ix.bufferElems) {
+			if len(want) != 0 {
+				t.Fatalf("%s: reference lists %d records under bit %d of %d", label, len(want), bit, len(ix.bufferElems))
 			}
+			continue
+		}
+		if got := columnIDs(t, ix, bit); !slices.Equal(got, want) {
+			t.Fatalf("%s: column %d holds %v, reference list %v", label, bit, got, want)
+		}
+		if got := ix.bufCols.count(bit); got != len(want) {
+			t.Fatalf("%s: column %d counts %d records, reference list %d", label, bit, got, len(want))
 		}
 	}
 	for i := range ix.bitOrder {
@@ -246,8 +269,8 @@ func TestAddRecordsShrinkMatchesResketch(t *testing.T) {
 		t.Fatalf("batch insert did not shrink τ (%v → %v); fixture too small", tauBefore, ix.Tau())
 	}
 	ref := refBuild(ix, ix.cut)
-	// The insert path appends new records' buffer postings after existing
-	// entries without refreshing the cached rarity order; align the
+	// The insert path sets new records' column bits without refreshing the
+	// cached rarity order; align the
 	// reference's order with the documented staleness before comparing.
 	ref.bitOrder = append([]int32(nil), ix.bitOrder...)
 	checkAgainstRef(t, ix, ref, "post-shrink")
@@ -420,7 +443,7 @@ func TestBuildTauShortCircuit(t *testing.T) {
 	if ix.Tau() != 1 {
 		t.Fatalf("τ = %v, want 1", ix.Tau())
 	}
-	for i := range ix.records {
+	for i := 0; i < ix.recs.Len(); i++ {
 		if !ix.arena.view(i).Complete() {
 			t.Fatalf("record %d not complete at τ=1", i)
 		}

@@ -54,12 +54,11 @@ func sameDerived(t *testing.T, got, want *Index, bitOrder bool, label string) {
 			}
 		}
 	}
-	if len(got.bufferPostings) != len(want.bufferPostings) {
-		t.Fatalf("%s: %d per-bit lists, want %d", label, len(got.bufferPostings), len(want.bufferPostings))
-	}
-	for bit, ids := range want.bufferPostings {
-		if !slices.Equal(got.bufferPostings[bit], ids) {
-			t.Fatalf("%s: the list of bit %d differs", label, bit)
+	// Columns are compared by content: their stride is capacity, which follows
+	// how an index grew, not what it holds.
+	for bit := range want.bufferElems {
+		if !slices.Equal(columnIDs(t, got, bit), columnIDs(t, want, bit)) {
+			t.Fatalf("%s: the column of bit %d differs", label, bit)
 		}
 	}
 	if bitOrder && !slices.Equal(got.bitOrder, want.bitOrder) {
@@ -140,11 +139,7 @@ func TestDeriveBuildLoadIdentity(t *testing.T) {
 							return ix
 						}
 						ix := build()
-						top, occurrences := hash.Element(0), 0
-						for _, rec := range ix.records {
-							top, occurrences = max(top, rec[len(rec)-1]), occurrences+len(rec)
-						}
-						if denseIDs(top, occurrences) != c.dense {
+						if denseIDs(ix.recs.Top(), ix.recs.Elements()) != c.dense {
 							t.Fatalf("%s: the fixture takes the other counter layout", label)
 						}
 						if first == nil {
@@ -184,7 +179,7 @@ func TestDeriveBuildLoadIdentity(t *testing.T) {
 func damagedCopy(t *testing.T, ix *Index, mutate func(*Index)) []byte {
 	t.Helper()
 	cp := &Index{
-		opt: ix.opt, records: ix.records, bufferElems: ix.bufferElems,
+		opt: ix.opt, recs: ix.recs, bufferElems: ix.bufferElems,
 		cut: ix.cut, bufferBits: ix.bufferBits, budget: ix.budget,
 	}
 	mutate(cp)
@@ -239,7 +234,9 @@ func TestLoadAllocatesByWhatItRead(t *testing.T) {
 		"as built":          func(*Index) {},
 		"garbage r, budget": func(w *Index) { w.bufferBits, w.budget = r, budget },
 		"one record, no E_H": func(w *Index) {
-			w.bufferBits, w.budget, w.records, w.bufferElems = r, budget, w.records[:1], nil
+			w.bufferBits, w.budget, w.bufferElems = r, budget, nil
+			w.recs = snapfmt.PackedRecords{}
+			w.recs.Append(ix.Record(0))
 		},
 	} {
 		stream := damagedCopy(t, ix, mutate)
@@ -253,11 +250,11 @@ func TestLoadAllocatesByWhatItRead(t *testing.T) {
 		if allocated, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<18+32*len(stream)); allocated > bound {
 			t.Errorf("%s: loading %d bytes allocated %d, bound %d", name, len(stream), allocated, bound)
 		}
-		if h := len(got.bufferElems); len(got.bufferPostings) != h || len(got.bitOrder) != h || got.bufArena.stride != (h+63)/64 {
-			t.Errorf("%s: %d per-bit lists, %d ordered bits, %d words a record for %d buffered elements",
-				name, len(got.bufferPostings), len(got.bitOrder), got.bufArena.stride, h)
+		if h := len(got.bufferElems); len(got.bufCols.words) != h*got.bufCols.stride || len(got.bitOrder) != h || got.bufArena.stride != (h+63)/64 {
+			t.Errorf("%s: %d column words at stride %d, %d ordered bits, %d words a record for %d buffered elements",
+				name, len(got.bufCols.words), got.bufCols.stride, len(got.bitOrder), got.bufArena.stride, h)
 		}
-		q := ix.records[3]
+		q := ix.Record(3)
 		if want := ix.Search(q, 0.5); name != "one record, no E_H" && !slices.Equal(got.Search(q, 0.5), want) {
 			t.Errorf("%s: search answers %v, the index it was copied from %v", name, got.Search(q, 0.5), want)
 		}
@@ -285,7 +282,7 @@ func TestBufferWiderThanVocabulary(t *testing.T) {
 	if ix.arena.units() != 0 || ix.UsedUnits() != bufferUnits(50, 256) || ix.BufferSizeBytes() != 50*8 {
 		t.Fatalf("%d keys, %d units used, %d buffer bytes", ix.arena.units(), ix.UsedUnits(), ix.BufferSizeBytes())
 	}
-	for i, rec := range ix.records {
+	for i, rec := range recordsOf(ix) {
 		for bit, e := range ix.bufferElems {
 			if _, holds := slices.BinarySearch(rec, e); ix.bufArena.get(i, bit) != holds {
 				t.Fatalf("record %d, bit %d (element %d): set %v, held %v", i, bit, e, !holds, holds)

@@ -85,9 +85,9 @@ func TestLoadRebuildsTheBuiltPostings(t *testing.T) {
 		if lists == 0 {
 			t.Fatalf("%s: fixture has no inverted lists", name)
 		}
-		for bit := range ix.bufferPostings {
-			if !slices.Equal(got.bufferPostings[bit], ix.bufferPostings[bit]) {
-				t.Fatalf("%s: buffer list %d differs", name, bit)
+		for bit := range ix.bufferElems {
+			if !slices.Equal(columnIDs(t, got, bit), columnIDs(t, ix, bit)) {
+				t.Fatalf("%s: bit column %d differs", name, bit)
 			}
 		}
 		if !slices.Equal(got.bitOrder, ix.bitOrder) {

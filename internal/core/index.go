@@ -13,6 +13,7 @@ import (
 	"gbkmv/internal/gkmv"
 	"gbkmv/internal/hash"
 	"gbkmv/internal/kmv"
+	"gbkmv/internal/snapfmt"
 )
 
 // Index is the GB-KMV sketch of a dataset (Algorithm 1): for every record a
@@ -21,7 +22,13 @@ import (
 type Index struct {
 	opt Options
 
-	records []dataset.Record // retained for dynamic ops and verification
+	// recs holds the records in their snapshot coding (≈ 1.33 bytes an
+	// occurrence against 8 for a hash.Element): derive, Save, Join and
+	// Record read them, no search and no insert does. decoded is the
+	// Records() shim's materialised copy, nil until that is first called.
+	recs      snapfmt.PackedRecords
+	decodedMu sync.Mutex
+	decoded   []dataset.Record
 
 	bufferElems []hash.Element // E_H in decreasing frequency order
 	bitOf       bitTable       // element → buffer bit position
@@ -29,8 +36,11 @@ type Index struct {
 	// bufArena holds every record's H_X buffer in one flat word store (see
 	// bufferArena); arena holds every record's G-KMV hash run in one flat
 	// CSR layout (see sketchArena). All per-record signature reads go
-	// through bufArena.record(i) / arena.view(i).
+	// through bufArena.record(i) / arena.view(i). bufCols is bufArena
+	// transposed, a bitmap over record ids per buffer bit (see
+	// bufferColumns): the buffer half of candidate generation.
 	bufArena bufferArena
+	bufCols  bufferColumns
 	arena    sketchArena
 
 	// cut is the global threshold as a key: a record keeps the keys ≤ cut.
@@ -44,11 +54,9 @@ type Index struct {
 	// records whose G-KMV sketch contains element e (element-sharded; see
 	// postingsTable).
 	postings postingsTable
-	// bufferPostings[bit] lists the records whose buffer has that bit set.
-	bufferPostings [][]int32
-	// bitOrder lists all buffer bits sorted by ascending posting-list
-	// length, as derive left it. Search's prefix filter scans
-	// the query's rarest bits in this cached order instead of re-sorting per
+	// bitOrder lists all buffer bits sorted by ascending column popcount
+	// (records holding the bit), as derive left it. Search's prefix filter ORs
+	// the query's rarest columns in this cached order instead of re-sorting per
 	// query; inserts may leave it slightly stale, which affects only which
 	// (equally correct) candidate superset is generated, never the results.
 	bitOrder []int32
@@ -87,7 +95,8 @@ func (ix *Index) BuildCounters() (elementsHashed, shrinks uint64) {
 
 // BuildIndex constructs the GB-KMV index of the dataset (Algorithm 1): it
 // chooses r, E_H and τ, and derive (build.go) computes the rest — the same
-// function Load runs on a snapshot's (records, E_H, τ).
+// function Load runs on a snapshot's (records, E_H, τ). The dataset is read,
+// not retained: the index keeps its own packed copy of the records.
 func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -126,9 +135,12 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 
 	ix := &Index{
 		opt:        opt,
-		records:    d.Records,
 		bufferBits: r,
 		budget:     budget,
+	}
+	var err error
+	if ix.recs, err = snapfmt.PackRecords(d.Records, buildWorkers(m)); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	// Line 2: E_H ← top r most frequent elements. The frequency table is
@@ -169,11 +181,25 @@ func bufferUnits(m, r int) int {
 }
 
 // NumRecords returns the number of indexed records.
-func (ix *Index) NumRecords() int { return len(ix.records) }
+func (ix *Index) NumRecords() int { return ix.recs.Len() }
 
-// Records returns the indexed records. The slice and its records are owned
-// by the index and must not be mutated.
-func (ix *Index) Records() []dataset.Record { return ix.records }
+// Record returns a decoded copy of record i, the caller's to keep.
+func (ix *Index) Record(i int) dataset.Record { return ix.recs.Record(i) }
+
+// Records returns every indexed record decoded, 8 bytes an occurrence the
+// index otherwise does not hold: the first call materialises them and
+// AddRecords keeps the copy in step from then on. Its one caller is the
+// benchmark's traced ladder (bench/trace.go), which this module cannot change
+// in step with itself; nothing in this module calls it — use Record. The
+// slice and its records must not be mutated.
+func (ix *Index) Records() []dataset.Record {
+	ix.decodedMu.Lock()
+	defer ix.decodedMu.Unlock()
+	if ix.decoded == nil {
+		ix.decoded = ix.recs.All()
+	}
+	return ix.decoded
+}
 
 // Tau returns the global hash threshold in use: the share of the unit
 // interval under which elements are kept, always a key boundary (c+1)/2³².
@@ -199,12 +225,13 @@ func (ix *Index) Seed() uint64 { return ix.opt.Seed }
 // stored-hash total, so the per-insert budget check does not scan the
 // collection.
 func (ix *Index) UsedUnits() int {
-	return bufferUnits(len(ix.records), ix.bufferBits) + ix.arena.units()
+	return bufferUnits(ix.recs.Len(), ix.bufferBits) + ix.arena.units()
 }
 
 // SizeBytes returns the in-memory footprint of the signatures (buffers +
-// sketch arena), excluding the retained records and inverted lists. O(1):
-// both halves live in flat arenas whose lengths are the answer.
+// sketch arena), excluding the retained records (RecordSizeBytes) and what
+// search walks to find candidates (IndexSizeBytes). O(1): both halves live in
+// flat arenas whose lengths are the answer.
 func (ix *Index) SizeBytes() int {
 	return ix.BufferSizeBytes() + ix.SketchSizeBytes()
 }
@@ -216,6 +243,26 @@ func (ix *Index) BufferSizeBytes() int { return ix.bufArena.sizeBytes() }
 // SketchSizeBytes returns the footprint of the G-KMV key store alone, O(1):
 // four bytes a unit, the same 32 bits the budget charges for it.
 func (ix *Index) SketchSizeBytes() int { return 4 * ix.arena.units() }
+
+// RecordSizeBytes returns the footprint of the retained records: the packed
+// slab and its offsets.
+func (ix *Index) RecordSizeBytes() int { return ix.recs.SizeBytes() }
+
+// IndexSizeBytes returns the footprint of what search walks beside the
+// signatures: the inverted lists (4 bytes a stored key — a key is listed
+// exactly once — and a 32-byte map entry a listed element, bucket overhead
+// not counted), the bit columns (|E_H| bits a record) and the sketch arena's
+// offset and completeness tables. Like the other sizes it counts what is in
+// use, not growth headroom, so an index and its reload report the same.
+func (ix *Index) IndexSizeBytes() int {
+	listed := 0
+	for _, shard := range ix.postings.shards {
+		listed += len(shard)
+	}
+	m := ix.recs.Len()
+	columns := len(ix.bufferElems) * ((m + bufWordBits - 1) / bufWordBits) * 8
+	return 4*ix.arena.units() + 32*listed + columns + 4*len(ix.arena.offsets) + len(ix.arena.complete)
+}
 
 // QuerySig is the GB-KMV sketch of a query record, reusable across many
 // Estimate/Search calls.

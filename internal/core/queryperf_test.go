@@ -166,7 +166,7 @@ func TestSearchAllocsUnderInserts(t *testing.T) {
 // (score desc, id asc), truncate.
 func refTopK(ix *Index, sig *QuerySig, k int) []Scored {
 	scored := []Scored{}
-	for i := range ix.records {
+	for i := 0; i < ix.recs.Len(); i++ {
 		if s := ix.EstimateContainment(sig, i); s > 0 {
 			scored = append(scored, Scored{ID: i, Score: s})
 		}
@@ -193,7 +193,7 @@ func checkDifferential(t *testing.T, ix *Index, queries []dataset.Record, label 
 	for qi, q := range queries {
 		sig := ix.Sketch(q)
 		refQ := refSketchOf(ref.rest(q), ix.Tau(), ix.opt.Seed)
-		for i := range ix.records {
+		for i := 0; i < ix.recs.Len(); i++ {
 			got := gkmv.IntersectViews(sig.sketch, ix.arena.view(i))
 			k, kInter, dInter := refIntersect(refQ, ref.sketches[i])
 			if got.K != k || got.KInter != kInter {

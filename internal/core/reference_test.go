@@ -72,8 +72,8 @@ type refIndex struct {
 }
 
 func newRefIndex(ix *Index) refIndex {
-	ref := refIndex{ix: ix, sketches: make([]refSketch, len(ix.records))}
-	for i, rec := range ix.records {
+	ref := refIndex{ix: ix, sketches: make([]refSketch, ix.recs.Len())}
+	for i, rec := range recordsOf(ix) {
 		ref.sketches[i] = refSketchOf(ref.rest(rec), ix.Tau(), ix.opt.Seed)
 	}
 	return ref

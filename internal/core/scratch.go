@@ -22,6 +22,8 @@ type searchScratch struct {
 	visited []uint32 // visited[id] == epoch ⇔ id touched by this query
 	counts  []int32  // K∩ per touched record
 	touched []int32  // the touched ids, for sparse iteration
+	columns []int32  // the buffer bits whose columns this query ORs
+	union   []uint64 // their OR: one bit a record, sized with visited
 	ids     []int    // searchSigWith's hits before the exact-size copy
 	hits    []Scored // searchSigScoredWith's hits before the exact-size copy
 	heap    []topkheap.Scored
@@ -38,11 +40,12 @@ func (ix *Index) getScratch() *searchScratch {
 	if sc == nil {
 		sc = &searchScratch{}
 	}
-	m := len(ix.records)
+	m := ix.recs.Len()
 	if len(sc.visited) < m {
 		n := m + m/4
 		sc.visited = make([]uint32, n)
 		sc.counts = make([]int32, n)
+		sc.union = make([]uint64, (n+bufWordBits-1)/bufWordBits)
 		sc.epoch = 0
 	}
 	return sc

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"gbkmv/internal/dataset"
@@ -35,7 +36,7 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 	theta := tstar * float64(sig.Size)
 	if theta <= 0 {
 		// Every record trivially satisfies the threshold.
-		out := make([]int, len(ix.records))
+		out := make([]int, ix.recs.Len())
 		for i := range out {
 			out[i] = i
 		}
@@ -88,11 +89,12 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 // through the exact buffer part when |H_Q ∩ H_X| ≥ θ. Such a record shares
 // at least c = ⌈θ⌉ of the query's nq buffered bits, so — prefix-filter
 // style — it must contain one of any fixed (nq − c + 1) of them. Scanning
-// the nq−c+1 *rarest* query bits keeps this exact while skipping the head
-// elements' huge lists; the rarity order comes from the index's cached
-// bitOrder (as derive left it), so no per-query sort is paid.
+// the nq−c+1 *rarest* query bits keeps this exact while leaving out the head
+// elements, which nearly every record holds; the rarity order comes from the
+// index's cached bitOrder (as derive left it), so no per-query sort is paid.
 // A slightly stale order after inserts changes only which equally-valid
-// candidate superset is scanned, never the final results.
+// candidate superset is scanned, never the final results. The records holding
+// any of those bits are the OR of the bits' columns (visitColumns).
 func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *searchScratch) {
 	sc.nextEpoch()
 	sc.touched = sc.touched[:0]
@@ -109,18 +111,33 @@ func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *search
 			c++ // ⌈θ⌉
 		}
 		if c >= 1 && c <= nq {
-			remaining := nq - c + 1
+			cols := sc.columns[:0]
 			for _, bit := range ix.bitOrder {
-				if !sig.buffer.Get(int(bit)) {
-					continue
-				}
-				for _, id := range ix.bufferPostings[bit] {
-					sc.visit(id)
-				}
-				if remaining--; remaining == 0 {
-					break
+				if sig.buffer.Get(int(bit)) {
+					if cols = append(cols, bit); len(cols) == nq-c+1 {
+						break
+					}
 				}
 			}
+			sc.columns = cols
+			ix.visitColumns(sc)
+		}
+	}
+}
+
+// visitColumns visits, once each and in ascending id order, the records that
+// hold any of the buffer bits in sc.columns: the columns are ORed into the
+// scratch's bitmap over record ids — a word of 64 records a step, whatever
+// the bits' popularity — and its set bits walked.
+func (ix *Index) visitColumns(sc *searchScratch) {
+	union := sc.union[:(ix.recs.Len()+bufWordBits-1)/bufWordBits]
+	clear(union)
+	for _, bit := range sc.columns {
+		ix.bufCols.orInto(union, int(bit))
+	}
+	for wi, w := range union {
+		for ; w != 0; w &= w - 1 {
+			sc.visit(int32(wi*bufWordBits + bits.TrailingZeros64(w)))
 		}
 	}
 }
@@ -133,7 +150,7 @@ func (ix *Index) SearchLinear(q dataset.Record, tstar float64) []int {
 	sig := ix.Sketch(q)
 	theta := tstar * float64(sig.Size)
 	out := []int{}
-	for i := range ix.records {
+	for i := 0; i < ix.recs.Len(); i++ {
 		if ix.EstimateIntersection(sig, i) >= theta {
 			out = append(out, i)
 		}
@@ -167,28 +184,44 @@ const shrinkSlackDivisor = 128
 // own), and a shrink trims existing runs in place (arena prefixes) instead of
 // resketching the collection.
 //
+// The records are coded onto the packed store, not retained: the caller's
+// slices are its own again when AddRecords returns.
+//
 // It panics, before touching the index, when the batch could take the sketch
-// arena to 2³²−1 keys, the end of its 32-bit offset table (BuildIndex returns
-// an error at the same bound). The budget caps the arena, so only a budget
-// that large gets there.
+// arena to 2³²−1 keys or the record store to 2³²−1 bytes, the ends of their
+// 32-bit offset tables (BuildIndex returns an error at the same bounds). The
+// budget caps the arena, so only a budget that large gets there.
 func (ix *Index) AddRecords(recs []dataset.Record) {
 	incoming := 0
 	for _, rec := range recs {
 		incoming += len(rec)
 	}
-	if err := checkArenaRoom(ix.arena.units() + incoming); err != nil {
+	err := checkArenaRoom(ix.arena.units() + incoming)
+	if err == nil {
+		err = ix.recs.CheckRoom(len(recs), incoming)
+	}
+	if err != nil {
 		panic("core: " + err.Error())
 	}
 	ix.bufArena.grow(len(recs))
+	ix.bufCols.grow(ix.recs.Len() + len(recs))
+	ix.decodedMu.Lock()
+	if ix.decoded != nil {
+		for _, rec := range recs {
+			ix.decoded = append(ix.decoded, slices.Clone(rec))
+		}
+	}
+	ix.decodedMu.Unlock()
 	for _, rec := range recs {
-		id := len(ix.records)
-		ix.records = append(ix.records, rec)
+		id := ix.recs.Len()
+		ix.recs.Append(rec)
 		// One hashing pass; the (element, key) pairs are kept so the
 		// postings update below never rehashes.
 		elems, keys, run := ix.add.elems[:0], ix.add.keys[:0], ix.add.run[:0]
 		for _, e := range rec {
 			if bit, ok := ix.bitOf.lookup(e); ok {
 				ix.bufArena.set(id, bit)
+				ix.bufCols.set(bit, id)
 				continue
 			}
 			elems = append(elems, e)
@@ -215,11 +248,6 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 			if keys[j] <= ix.cut {
 				ix.postings.add(e, int32(id))
 			}
-		}
-		if ix.bufArena.stride > 0 {
-			ix.bufArena.forEachSetBit(id, func(bit int) {
-				ix.bufferPostings[bit] = append(ix.bufferPostings[bit], int32(id))
-			})
 		}
 	}
 }

@@ -31,7 +31,7 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 	if theta <= 0 {
 		// Every record trivially satisfies the threshold; estimate only the
 		// materialized page, never O(N).
-		total := len(ix.records)
+		total := ix.recs.Len()
 		n := total
 		if limit > 0 && n > limit {
 			n = limit

@@ -25,7 +25,8 @@ import (
 const indexMagic = "GBKMVIDX"
 
 // Save serializes the index: its options, τ, r, budget, records and E_H.
-// Nothing is staged in memory.
+// Nothing is staged in memory, and the records — nearly all of the stream —
+// are the index's own packed slab, written as it is.
 func (ix *Index) Save(w io.Writer) error {
 	sw := snapfmt.NewWriter(w)
 	sw.Magic(indexMagic)
@@ -39,7 +40,7 @@ func (ix *Index) Save(w io.Writer) error {
 	sw.Float64(ix.Tau())
 	sw.Int(ix.bufferBits)
 	sw.Int(ix.budget)
-	sw.Records(ix.records)
+	sw.Packed(&ix.recs)
 	sw.Elements(ix.bufferElems)
 	if err := sw.Flush(); err != nil {
 		return fmt.Errorf("core: writing index: %w", err)
@@ -89,8 +90,8 @@ func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
 	if sr.Err() == nil && (ix.bufferBits > math.MaxInt32 || bufferUnits(1, ix.bufferBits) >= ix.budget) {
 		sr.Corrupt("buffer of %d bits under a budget of %d units", ix.bufferBits, ix.budget)
 	}
-	ix.records = sr.Records()
-	m := len(ix.records)
+	ix.recs = sr.Packed()
+	m := ix.recs.Len()
 	if sr.Err() == nil && m == 0 {
 		sr.Corrupt("index has no records")
 	}

@@ -58,16 +58,13 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
 		}
 	}
 	if sig.buffer != nil {
+		sc.columns = sc.columns[:0]
 		for wi, words := 0, sig.buffer.Words(); wi < words; wi++ {
-			w := sig.buffer.Word(wi)
-			for w != 0 {
-				bit := wi*64 + bits.TrailingZeros64(w)
-				w &= w - 1
-				for _, id := range ix.bufferPostings[bit] {
-					sc.visit(id)
-				}
+			for w := sig.buffer.Word(wi); w != 0; w &= w - 1 {
+				sc.columns = append(sc.columns, int32(wi*64+bits.TrailingZeros64(w)))
 			}
 		}
+		ix.visitColumns(sc)
 	}
 	// The score ceiling reuses Search's K∩ bound: D̂∩ = K∩·(k−1)/(k·U(k)) ≤
 	// K∩/U(k) ≤ K∩/max(L_Q), since U(k) — the largest hash of L_Q ∪ L_X —
@@ -112,11 +109,15 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
 // per-query result slices in input order. Each worker owns one scratch (and
 // its embedded query-signature buffers) for its whole share of the batch.
 func (ix *Index) SearchBatch(queries []dataset.Record, tstar float64) [][]int {
-	out := make([][]int, len(queries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
+	return ix.searchEach(len(queries), tstar, func(i int, _ dataset.Record) dataset.Record { return queries[i] })
+}
+
+// searchEach is SearchBatch over n queries produced on demand: query(i, buf)
+// returns the i-th, for which it may reuse buf — the calling worker's — as
+// its memory.
+func (ix *Index) searchEach(n int, tstar float64, query func(i int, buf dataset.Record) dataset.Record) [][]int {
+	out := make([][]int, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -125,12 +126,14 @@ func (ix *Index) SearchBatch(queries []dataset.Record, tstar float64) [][]int {
 			defer wg.Done()
 			sc := ix.getScratch()
 			defer ix.putScratch(sc)
+			var buf dataset.Record
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
+				if i >= n {
 					return
 				}
-				ix.sketchInto(&sc.sig, queries[i])
+				buf = query(i, buf[:0])
+				ix.sketchInto(&sc.sig, buf)
 				out[i] = ix.searchSigWith(&sc.sig, tstar, sc)
 			}
 		}()
@@ -146,11 +149,14 @@ type Pair struct {
 
 // Join computes the approximate containment self-join of the indexed
 // collection: every ordered pair (i, j), i ≠ j, with estimated
-// C(X_i, X_j) ≥ tstar. Queries run concurrently; pairs are returned sorted
-// by (Q, X). This is the join-shaped workload PPjoin was designed for,
-// answered from the sketch.
+// C(X_i, X_j) ≥ tstar. Queries run concurrently, each worker decoding the
+// record it is on from the packed store; pairs are returned sorted by (Q, X).
+// This is the join-shaped workload PPjoin was designed for, answered from the
+// sketch.
 func (ix *Index) Join(tstar float64) []Pair {
-	results := ix.SearchBatch(ix.records, tstar)
+	results := ix.searchEach(ix.recs.Len(), tstar, func(i int, buf dataset.Record) dataset.Record {
+		return ix.recs.AppendRecord(buf, i)
+	})
 	pairs := []Pair{}
 	for q, ids := range results {
 		for _, x := range ids {

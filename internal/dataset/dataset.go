@@ -12,15 +12,18 @@
 package dataset
 
 import (
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gbkmv/internal/hash"
 	"gbkmv/internal/powerlaw"
+	"gbkmv/internal/selectk"
 )
 
 // Record is a set of elements, stored sorted and deduplicated.
@@ -31,14 +34,8 @@ type Record []hash.Element
 func NewRecord(elems []hash.Element) Record {
 	r := make(Record, len(elems))
 	copy(r, elems)
-	sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
-	out := r[:0]
-	for i, e := range r {
-		if i == 0 || e != r[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
+	slices.Sort(r)
+	return slices.Compact(r)
 }
 
 // Contains reports whether the record contains e (binary search).
@@ -158,24 +155,43 @@ func (d *Dataset) TopFrequent(r int) []hash.Element {
 
 // TopFrequentFrom is TopFrequent over a precomputed frequency table
 // (freq[e] = occurrences of element e), for callers that need the table for
-// other decisions too and should not pay a second counting pass.
+// other decisions too and should not pay a second counting pass. The r are
+// selected before they are sorted — the r-th largest frequency is an order
+// statistic, and what ties on it goes to the smaller ids — and returned in a
+// slice of exactly their number: a caller that keeps them (an index keeps its
+// E_H) keeps nothing sized by the universe.
 func TopFrequentFrom(freq []int, r int) []hash.Element {
-	ids := make([]hash.Element, 0, len(freq))
-	for e, f := range freq {
+	occurring := make([]int, 0, len(freq))
+	for _, f := range freq {
 		if f > 0 {
+			occurring = append(occurring, f)
+		}
+	}
+	r = max(0, min(r, len(occurring)))
+	ids := make([]hash.Element, 0, r)
+	if r == 0 {
+		return ids
+	}
+	// Every frequency above the r-th largest is in; of those equal to it,
+	// as many as are left, in id order.
+	cut := selectk.Select(occurring, len(occurring)-r)
+	ties := r
+	for _, f := range occurring {
+		if f > cut {
+			ties--
+		}
+	}
+	for e, f := range freq {
+		if f > cut {
 			ids = append(ids, hash.Element(e))
+		} else if f == cut && ties > 0 {
+			ids = append(ids, hash.Element(e))
+			ties--
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		fi, fj := freq[ids[i]], freq[ids[j]]
-		if fi != fj {
-			return fi > fj
-		}
-		return ids[i] < ids[j]
+	slices.SortFunc(ids, func(a, b hash.Element) int {
+		return cmp.Or(cmp.Compare(freq[b], freq[a]), cmp.Compare(a, b))
 	})
-	if r < len(ids) {
-		ids = ids[:r]
-	}
 	return ids
 }
 

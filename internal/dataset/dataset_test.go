@@ -3,6 +3,9 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -288,6 +291,43 @@ func TestTopFrequentDeterministicTies(t *testing.T) {
 	for i := range a {
 		if a[i] != hash.Element(i) {
 			t.Errorf("tie-break not by id: %v", a)
+		}
+	}
+}
+
+// TestTopFrequentFromMatchesFullSort: selecting the r before sorting them
+// returns what sorting every occurring element and cutting at r did — ties on
+// the r-th frequency to the smaller ids — in a slice of exactly r, so a caller
+// that keeps it pins nothing sized by the universe.
+func TestTopFrequentFromMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 200; trial++ {
+		freq := make([]int, 1+rng.Intn(300))
+		for e := range freq {
+			if rng.Intn(3) > 0 {
+				freq[e] = rng.Intn(1 + rng.Intn(12)) // few distinct values: long tie runs
+			}
+		}
+		var ref []hash.Element
+		for e, f := range freq {
+			if f > 0 {
+				ref = append(ref, hash.Element(e))
+			}
+		}
+		sort.Slice(ref, func(i, j int) bool {
+			if fi, fj := freq[ref[i]], freq[ref[j]]; fi != fj {
+				return fi > fj
+			}
+			return ref[i] < ref[j]
+		})
+		for _, r := range []int{0, 1, rng.Intn(len(freq) + 1), len(ref), len(freq) + 5} {
+			got, want := TopFrequentFrom(freq, r), ref[:min(r, len(ref))]
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d, r=%d over %v: %v, full sort %v", trial, r, freq, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("trial %d, r=%d: %d elements in a slice of capacity %d", trial, r, len(got), cap(got))
+			}
 		}
 	}
 }

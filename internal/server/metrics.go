@@ -76,6 +76,10 @@ type Metrics struct {
 	// budget units.
 	sketchTau  *obs.GaugeVec // collection
 	budgetUtil *obs.GaugeVec // collection
+	// Where an engine's bytes are (scrape-time mirror): the sketch (/stats
+	// size_bytes), the retained records, and what search walks beside the
+	// sketch. Parts an engine does not report read 0.
+	resident *obs.GaugeVec // collection, part
 
 	// Storage-integrity families (see integrity.go): disk errors by write-path
 	// op, snapshot verification failures by detection stage (load / scrub /
@@ -198,6 +202,11 @@ func newMetrics() *Metrics {
 		budgetUtil: r.GaugeVec("gbkmv_sketch_budget_utilisation",
 			"Sketch units used divided by the budget; sits just under 1 at a full budget "+
 				"(each threshold shrink frees a fixed slack).", "collection"),
+		resident: r.GaugeVec("gbkmv_collection_resident_bytes",
+			"Bytes the engine holds, by part: sketch (signatures: buffers and keys, the /stats size_bytes), "+
+				"records (the retained records), index (inverted lists, bit columns, offset tables); "+
+				"summed across segments, 0 for a part the engine does not report.",
+			"collection", "part"),
 		diskErrors: r.CounterVec("gbkmv_disk_errors_total",
 			"Write-path disk errors, by operation.", "op"),
 		verifyFails: r.CounterVec("gbkmv_snapshot_verify_failures_total",
@@ -281,6 +290,9 @@ func (m *Metrics) removeCollection(name string) {
 	}
 	for _, v := range []*obs.HistogramVec{m.fsync, m.groupSize, m.batchSize, m.candidates, m.snapPause} {
 		v.Remove(name)
+	}
+	for _, part := range residentParts {
+		m.resident.Remove(name, part)
 	}
 	m.removeSegmentChildren(name, 0)
 	m.endpoints.Range(func(k, _ any) bool {
@@ -397,6 +409,10 @@ type buildCounters interface {
 	BuildCounters() (elementsHashed, shrinks uint64)
 }
 
+// residentParts are the part labels of gbkmv_collection_resident_bytes, in
+// the order mirrorCollections sets them.
+var residentParts = [...]string{"sketch", "records", "index"}
+
 // mirrorCollections is the store's scrape hook: point-in-time collection
 // state (record counts, generations, WAL offsets, cache residency, build
 // counters) is mirrored into registry gauges right before each exposition,
@@ -455,6 +471,9 @@ func (s *Store) mirrorCollections() {
 		}
 		if es.BudgetUnits > 0 {
 			m.budgetUtil.With(name).Set(float64(es.UsedUnits) / float64(es.BudgetUnits))
+		}
+		for i, bytes := range [...]int{es.SizeBytes, es.RecordBytes, es.IndexBytes} {
+			m.resident.With(name, residentParts[i]).Set(float64(bytes))
 		}
 	}
 }

@@ -231,6 +231,14 @@ func TestMetricsExposition(t *testing.T) {
 		st["used_units"].(float64)/st["budget_units"].(float64); got != want || got <= 0 {
 		t.Errorf("gbkmv_sketch_budget_utilisation = %g, /stats used/budget %g", got, want)
 	}
+	// Where the bytes are: one gauge a part, each mirroring its /stats field —
+	// the sketch, and the records and search structures around it.
+	for part, field := range map[string]string{"sketch": "size_bytes", "records": "record_bytes", "index": "index_bytes"} {
+		got := series[`gbkmv_collection_resident_bytes{collection="m",part="`+part+`"}`]
+		if want, _ := st[field].(float64); got != want || got <= 0 {
+			t.Errorf("gbkmv_collection_resident_bytes{part=%q} = %g, /stats %s %v", part, got, field, st[field])
+		}
+	}
 	// Per-search work counters: 2 searches + 2 batch slots ran; candidates
 	// flowed through the histogram and the totals agree with it.
 	candSum := series[`gbkmv_search_candidates_sum{collection="m"}`]

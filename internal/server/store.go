@@ -1417,6 +1417,10 @@ func (c *Collection) drainPending() {
 // CollStats reports a collection's engine, sketch configuration, footprint
 // and persistence state. Engine-specific fields (buffer_bits, tau,
 // num_hashes, the budget pair) are zero where the backend has no such knob.
+// size_bytes is the sketch alone; record_bytes (the retained records) and
+// index_bytes (what search walks beside the sketch: inverted lists, bit
+// columns, offset tables) are what the engine holds around it, zero/omitted
+// for engines that do not report them.
 type CollStats struct {
 	Name             string  `json:"name"`
 	Engine           string  `json:"engine"`
@@ -1429,6 +1433,8 @@ type CollStats struct {
 	SizeBytes        int     `json:"size_bytes"`
 	BufferBytes      int     `json:"buffer_bytes,omitempty"`
 	SketchBytes      int     `json:"sketch_bytes,omitempty"`
+	RecordBytes      int     `json:"record_bytes,omitempty"`
+	IndexBytes       int     `json:"index_bytes,omitempty"`
 	VocabSize        int     `json:"vocab_size"`
 	Persistent       bool    `json:"persistent"`
 	Generation       uint64  `json:"generation"`
@@ -1537,6 +1543,8 @@ func (c *Collection) Stats() CollStats {
 		SizeBytes:        st.SizeBytes,
 		BufferBytes:      st.BufferBytes,
 		SketchBytes:      st.SketchBytes,
+		RecordBytes:      st.RecordBytes,
+		IndexBytes:       st.IndexBytes,
 		VocabSize:        c.voc.Len(),
 		Persistent:       c.dir != "",
 		Generation:       c.gen,

@@ -1,0 +1,355 @@
+package snapfmt
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+	"sync"
+
+	"gbkmv/internal/dataset"
+	"gbkmv/internal/hash"
+)
+
+// This file is the one place the record coding lives. A record is coded as
+// its length, its first element and the strictly positive deltas between
+// consecutive elements, all canonical uvarints; a records section is the
+// record count, the element count and then every record's coding back to
+// back. Ids handed out by a vocabulary are dense, so the gaps of a sorted
+// record sit near their entropy: ≈ 1.33 bytes an element occurrence on the
+// corpora here, against 8 for a hash.Element.
+//
+// PackedRecords keeps a collection in that coding in memory — what the GB-KMV
+// index retains of its records, and byte for byte what its snapshot writes
+// for them — and Writer.Records, Reader.Records and Reader.Packed are the
+// same three functions (measure, appendRecord, decodeRecord) around a
+// []dataset.Record or a stream.
+
+// uvarintLen is the length of v's canonical uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// measure returns the length of rec's coding, rec's largest element and
+// whether rec is strictly ascending (the dataset.Record invariant). One that
+// is not still codes and decodes to itself — deltas wrap — but no loader
+// takes it: stores remember it and refuse to be written.
+func measure(rec dataset.Record) (size int, top hash.Element, ascending bool) {
+	size, ascending = uvarintLen(uint64(len(rec))), true
+	prev := hash.Element(0)
+	for j, e := range rec {
+		if j > 0 && e <= prev {
+			ascending = false
+		}
+		size += uvarintLen(uint64(e - prev))
+		prev, top = e, max(top, e)
+	}
+	return size, top, ascending
+}
+
+// appendRecord appends rec's coding to dst.
+func appendRecord(dst []byte, rec dataset.Record) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(rec)))
+	prev := hash.Element(0)
+	for _, e := range rec {
+		dst = binary.AppendUvarint(dst, uint64(e-prev))
+		prev = e
+	}
+	return dst
+}
+
+// uvarint decodes the uvarint at b[k:] and returns the index past it. b is a
+// store's own bytes — written by appendRecord or validated by Reader.Packed —
+// so a whole uvarint is there. Nearly every gap of a dense-id record that
+// does not fit one byte fits two, decided before binary.Uvarint's loop.
+func uvarint(b []byte, k int) (uint64, int) {
+	x, y := b[k], b[k+1]
+	if y < 0x80 {
+		return uint64(x&0x7f) | uint64(y)<<7, k + 2
+	}
+	v, w := binary.Uvarint(b[k:])
+	return v, k + w
+}
+
+// decodeRecord appends the elements of the record coded at the head of b to
+// dst. Nine gaps in ten are one byte: a load, a compare and an add.
+func decodeRecord(dst []hash.Element, b []byte) []hash.Element {
+	n, k := binary.Uvarint(b)
+	dst = slices.Grow(dst, int(n))
+	out := dst[len(dst) : len(dst)+int(n)]
+	prev := hash.Element(0)
+	for i := range out {
+		d := uint64(b[k])
+		if d < 0x80 {
+			k++
+		} else {
+			d, k = uvarint(b, k)
+		}
+		prev += hash.Element(d)
+		out[i] = prev
+	}
+	return dst[:len(dst)+int(n)]
+}
+
+// PackedRecords is a record collection held in the records section's coding:
+// one byte slab of every record's coding back to back, and one offset a
+// record. The zero value is an empty collection.
+type PackedRecords struct {
+	data     []byte
+	offsets  []uint32 // len = Len()+1 once anything is stored; record i is data[offsets[i]:offsets[i+1]]
+	elements int      // element occurrences
+	top      hash.Element
+	unsorted int // 1 + the first record that is not strictly ascending; 0 when all are
+}
+
+// packLimit is the slab length the uint32 offsets cannot address: a store
+// holds fewer bytes than this. A variable only so the tests can reach the
+// bound without 4 GB of records.
+var packLimit = math.MaxUint32
+
+func checkPackRoom(bytes int) error {
+	if bytes >= packLimit {
+		return fmt.Errorf("%d bytes of records overflow the record store's 32-bit offset table (limit %d)", bytes, packLimit)
+	}
+	return nil
+}
+
+// PackRecords codes recs across up to `workers` goroutines: every record is
+// measured, the offsets are the prefix sums, and each record is coded
+// straight into its window of the slab. Slab and offsets get the eighth of
+// headroom append growth would have left them, so the first inserts into a
+// built collection do not begin by copying it. recs is not retained.
+func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
+	m := len(recs)
+	p := PackedRecords{offsets: make([]uint32, m+1, m+1+m/8)}
+	workers = max(1, min(workers, m))
+	type share struct {
+		bytes, elements, unsorted int
+		top                       hash.Element
+	}
+	shares := make([]share, workers)
+	step := (m + workers - 1) / workers
+	fan := func(fn func(w, lo, hi int)) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			lo, hi := min(w*step, m), min((w+1)*step, m)
+			if w == workers-1 {
+				fn(w, lo, hi)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn(w, lo, hi)
+			}()
+		}
+		wg.Wait()
+	}
+	fan(func(w, lo, hi int) {
+		sh := &shares[w]
+		for i := lo; i < hi; i++ {
+			size, top, ascending := measure(recs[i])
+			if !ascending && sh.unsorted == 0 {
+				sh.unsorted = i + 1
+			}
+			// A size that does not fit its slot fails the byte total below.
+			p.offsets[i+1] = uint32(size)
+			sh.bytes, sh.elements, sh.top = sh.bytes+size, sh.elements+len(recs[i]), max(sh.top, top)
+		}
+	})
+	total := 0
+	for _, sh := range shares {
+		total += sh.bytes
+		p.elements, p.top = p.elements+sh.elements, max(p.top, sh.top)
+		if p.unsorted == 0 {
+			p.unsorted = sh.unsorted
+		}
+	}
+	if err := checkPackRoom(total); err != nil {
+		return PackedRecords{}, err
+	}
+	for i := 0; i < m; i++ {
+		p.offsets[i+1] += p.offsets[i]
+	}
+	p.data = make([]byte, total, total+total/8)
+	fan(func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			appendRecord(p.data[p.offsets[i]:p.offsets[i]:p.offsets[i+1]], recs[i])
+		}
+	})
+	return p, nil
+}
+
+// Len returns the number of records.
+func (p *PackedRecords) Len() int { return max(0, len(p.offsets)-1) }
+
+// Elements returns the number of element occurrences over all records.
+func (p *PackedRecords) Elements() int { return p.elements }
+
+// Top returns the largest element of any record (0 for none).
+func (p *PackedRecords) Top() hash.Element { return p.top }
+
+// SizeBytes returns the bytes the records take: the slab and the offsets.
+func (p *PackedRecords) SizeBytes() int { return len(p.data) + 4*len(p.offsets) }
+
+// CheckRoom reports whether `records` more records of `elements` element
+// occurrences in all are certain to fit the offset table, taking every
+// uvarint at its longest: the check a caller makes before it changes anything
+// else for an Append.
+func (p *PackedRecords) CheckRoom(records, elements int) error {
+	worst := records + elements
+	if worst > (math.MaxInt-len(p.data))/binary.MaxVarintLen64 {
+		return checkPackRoom(math.MaxInt)
+	}
+	return checkPackRoom(len(p.data) + binary.MaxVarintLen64*worst)
+}
+
+// Append codes rec onto the end of the store, which grows like any appended
+// slice. rec is not retained. It panics when the slab would outgrow the
+// offset table: callers make room first (CheckRoom).
+func (p *PackedRecords) Append(rec dataset.Record) {
+	size, top, ascending := measure(rec)
+	if err := checkPackRoom(len(p.data) + size); err != nil {
+		panic("snapfmt: " + err.Error())
+	}
+	if p.offsets == nil {
+		p.offsets = []uint32{0}
+	}
+	if !ascending && p.unsorted == 0 {
+		p.unsorted = p.Len() + 1
+	}
+	p.data = appendRecord(p.data, rec)
+	p.offsets = append(p.offsets, uint32(len(p.data)))
+	p.elements, p.top = p.elements+len(rec), max(p.top, top)
+}
+
+// RecordLen returns the number of elements of record i.
+func (p *PackedRecords) RecordLen(i int) int {
+	n, _ := binary.Uvarint(p.data[p.offsets[i]:])
+	return int(n)
+}
+
+// AppendRecord appends the elements of record i to dst: the allocation-free
+// way to walk the store with one reused buffer.
+func (p *PackedRecords) AppendRecord(dst []hash.Element, i int) []hash.Element {
+	return decodeRecord(dst, p.data[p.offsets[i]:p.offsets[i+1]])
+}
+
+// Record returns a decoded copy of record i, the caller's to keep.
+func (p *PackedRecords) Record(i int) dataset.Record {
+	return p.AppendRecord(make([]hash.Element, 0, p.RecordLen(i)), i)
+}
+
+// All decodes every record into windows of one element slab.
+func (p *PackedRecords) All() []dataset.Record {
+	recs := make([]dataset.Record, p.Len())
+	elems := make([]hash.Element, 0, p.elements)
+	for i := range recs {
+		start := len(elems)
+		elems = p.AppendRecord(elems, i)
+		recs[i] = elems[start:len(elems):len(elems)]
+	}
+	return recs
+}
+
+// Records writes the records section. Records must be strictly ascending
+// (the dataset.Record invariant); one that is not fails the stream, since
+// the reader would reject it.
+func (w *Writer) Records(recs []dataset.Record) {
+	total := 0
+	for _, r := range recs {
+		total += len(r)
+	}
+	w.Int(len(recs))
+	w.Int(total)
+	for i, rec := range recs {
+		size, _, ascending := measure(rec)
+		switch {
+		case !ascending:
+			w.Fail(fmt.Errorf("snapfmt: record %d is not sorted and deduplicated", i))
+		case size <= bufSize:
+			appendRecord(w.room(size)[:0], rec)
+		default:
+			w.Write(appendRecord(make([]byte, 0, size), rec))
+		}
+		if w.err != nil {
+			return
+		}
+	}
+}
+
+// Packed writes the records section of a store: the two counts and the slab
+// as it is — the bytes Records writes for the same records.
+func (w *Writer) Packed(p *PackedRecords) {
+	if p.unsorted > 0 {
+		w.Fail(fmt.Errorf("snapfmt: record %d is not sorted and deduplicated", p.unsorted-1))
+		return
+	}
+	w.Int(p.Len())
+	w.Int(p.elements)
+	w.Write(p.data)
+}
+
+// Packed reads the records section into a store. This is the section's one
+// validation loop — canonical uvarints, every record strictly ascending, the
+// declared counts met exactly — and the bytes it has checked are its output:
+// no element is held decoded. A record costs at least its length byte and an
+// element at least one, which is what the first allocations are held to
+// (grant); past that the slab grows by append as bytes actually arrive, so
+// what a stream declares never sizes more than a constant times what it
+// holds.
+func (r *Reader) Packed() PackedRecords {
+	m, total := r.Int(), r.Int()
+	if r.err == nil && total > math.MaxInt-m {
+		r.Corrupt("records section of %d records and %d elements overflows", m, total)
+	}
+	least := r.grant(m+total, 1)
+	if r.bounded {
+		// Dense ids code to about four bytes for every three elements: half
+		// again over the least a section can be saves the common load its
+		// growth copies, still within the bytes the source holds.
+		least = int(min(int64(least)+int64(least)/2, r.left+int64(r.end-r.pos)))
+	}
+	p := PackedRecords{data: make([]byte, 0, least), offsets: make([]uint32, 1, r.grant(m, 1)+1)}
+	for p.Len() < m && r.err == nil {
+		n := r.Int()
+		if n > total-p.elements {
+			r.Corrupt("record %d has %d elements, section declares %d in all", p.Len(), n, total)
+			break
+		}
+		p.data = binary.AppendUvarint(p.data, uint64(n))
+		prev := hash.Element(0)
+		for j := 0; j < n && r.err == nil; j++ {
+			d := r.Uvarint()
+			// A zero delta repeats an element and one that wraps 2⁶⁴ descends.
+			if e := prev + hash.Element(d); j > 0 && e <= prev {
+				r.Corrupt("record %d is not strictly ascending", p.Len())
+			} else {
+				prev = e
+			}
+			p.data = binary.AppendUvarint(p.data, d)
+		}
+		if err := checkPackRoom(len(p.data)); err != nil && r.err == nil {
+			r.Corrupt("%v", err)
+		}
+		p.offsets = append(p.offsets, uint32(len(p.data)))
+		p.elements, p.top = p.elements+n, max(p.top, prev)
+	}
+	if r.err == nil && p.elements != total {
+		r.Corrupt("records hold %d elements, section declares %d", p.elements, total)
+	}
+	if r.err != nil {
+		return PackedRecords{}
+	}
+	return p
+}
+
+// Records reads the records section decoded: every record a window of one
+// element slab. It is Packed and a decode, for the engines that keep their
+// records as slices.
+func (r *Reader) Records() []dataset.Record {
+	p := r.Packed()
+	if r.err != nil {
+		return nil
+	}
+	return p.All()
+}

@@ -8,8 +8,9 @@
 //	scalar   uvarint (canonical: no padding bytes), zigzag varint, 8-byte
 //	         little-endian float64/uint64, length-prefixed string
 //	records  record count, total element count, then per record its length,
-//	         first element and strictly positive deltas, all uvarint; loads
-//	         into one []Element slab the records are carved from
+//	         first element and strictly positive deltas, all uvarint
+//	         (records.go); loads as those same bytes (PackedRecords, what the
+//	         GB-KMV index keeps) or decoded into one []Element slab
 //
 // Both ends work through one fixed 64 kB buffer, whatever the size of the
 // collection. The reader never allocates from a count it has not checked
@@ -32,7 +33,6 @@ import (
 	"math"
 	"strings"
 
-	"gbkmv/internal/dataset"
 	"gbkmv/internal/hash"
 )
 
@@ -177,33 +177,6 @@ func (w *Writer) Elements(s []hash.Element) {
 	w.Int(len(s))
 	for _, e := range s {
 		w.Uvarint(uint64(e))
-	}
-}
-
-// Records writes the records section. Records must be strictly ascending
-// (the dataset.Record invariant); one that is not fails the stream, since
-// the reader would reject it.
-func (w *Writer) Records(recs []dataset.Record) {
-	total := 0
-	for _, r := range recs {
-		total += len(r)
-	}
-	w.Int(len(recs))
-	w.Int(total)
-	for i, r := range recs {
-		w.Int(len(r))
-		prev := hash.Element(0)
-		for j, e := range r {
-			if j > 0 && e <= prev {
-				w.Fail(fmt.Errorf("snapfmt: record %d is not sorted and deduplicated", i))
-				return
-			}
-			w.Uvarint(uint64(e - prev))
-			prev = e
-		}
-		if w.err != nil {
-			return
-		}
 	}
 }
 
@@ -510,59 +483,6 @@ func Each[T any](r *Reader, n, size int, decode func() T) []T {
 // Elements reads a count-prefixed element list.
 func (r *Reader) Elements() []hash.Element {
 	return Each(r, r.Int(), 1, func() hash.Element { return hash.Element(r.Uvarint()) })
-}
-
-// Records reads the records section: every record is a window of one
-// element slab, strictly ascending. Each record costs at least its length
-// byte and each element at least one, which is what bounds the two
-// allocations.
-func (r *Reader) Records() []dataset.Record {
-	m, total := r.Int(), r.Int()
-	recs := make([]dataset.Record, 0, r.grant(m, 1))
-	elems := make([]hash.Element, 0, r.grant(total, 1))
-	moved := false
-	for len(recs) < m && r.err == nil {
-		n := r.Int()
-		if n > total-len(elems) {
-			r.Corrupt("record %d has %d elements, section declares %d in all", len(recs), n, total)
-			break
-		}
-		start := len(elems)
-		prev := hash.Element(0)
-		for j := 0; j < n && r.err == nil; j++ {
-			d := hash.Element(r.Uvarint())
-			if e := prev + d; j > 0 && e <= prev {
-				r.Corrupt("record %d is not strictly ascending", len(recs))
-			} else {
-				prev = e
-			}
-			if len(elems) == cap(elems) {
-				elems, moved = grow(elems, total), true
-			}
-			elems = append(elems, prev)
-		}
-		if len(recs) == cap(recs) {
-			recs = grow(recs, m)
-		}
-		recs = append(recs, elems[start:len(elems):len(elems)])
-	}
-	if r.err == nil && len(elems) != total {
-		r.Corrupt("records hold %d elements, section declares %d", len(elems), total)
-	}
-	if r.err != nil {
-		return nil
-	}
-	if moved {
-		// The slab was reallocated under records already carved (a source of
-		// unknown length): carve them again from the final one.
-		off := 0
-		for i := range recs {
-			n := len(recs[i])
-			recs[i] = elems[off : off+n : off+n]
-			off += n
-		}
-	}
-	return recs
 }
 
 // Strings reads a string table into windows of one string slab.

@@ -250,7 +250,7 @@ func TestDeclaredCountsDoNotAllocate(t *testing.T) {
 func TestSlabsLoadExactly(t *testing.T) {
 	// Against a source of known length every slab is allocated once, at its
 	// final size: loading allocates what it keeps plus the fixed buffer.
-	load := func(want sections) (allocated, held float64) {
+	load := func(want sections) (allocated, held, stream float64) {
 		var buf bytes.Buffer
 		if err := want.write(&buf); err != nil {
 			t.Fatal(err)
@@ -271,19 +271,65 @@ func TestSlabsLoadExactly(t *testing.T) {
 		// Or the second GC frees them and held comes out short.
 		runtime.KeepAlive(got)
 		runtime.KeepAlive(&buf)
-		return float64(m1.TotalAlloc - m0.TotalAlloc), float64(m2.HeapAlloc - m0.HeapAlloc)
+		return float64(m1.TotalAlloc - m0.TotalAlloc), float64(m2.HeapAlloc - m0.HeapAlloc), float64(buf.Len())
 	}
 	all := fixture(200000)
-	slabs := all
-	slabs.Strings = nil
-	if allocated, held := load(slabs); allocated > 1.1*held+bufSize {
-		t.Errorf("loading allocated %.0f bytes to keep %.0f", allocated, held)
+	if allocated, held, _ := load(sections{Elems: all.Elems}); allocated > 1.1*held+bufSize {
+		t.Errorf("loading an element list allocated %.0f bytes to keep %.0f", allocated, held)
+	}
+	// Decoded records are Packed and a decode: the section's own bytes are
+	// staged on the way to the element slab — the stream's length once, and
+	// append's growth copies where gaps run wider than the vocabulary ids the
+	// first allocation is sized for (these are two and three bytes) — never a
+	// second element slab.
+	if allocated, held, stream := load(sections{Records: all.Records}); allocated > 1.1*held+bufSize+4*stream {
+		t.Errorf("loading decoded records allocated %.0f bytes to keep %.0f from a stream of %.0f", allocated, held, stream)
 	}
 	// A string table is the one section with a list read ahead of the data it
 	// sizes: the lengths, 8 bytes a string, let go once the strings are
 	// carved. Measured apart, so nothing else hides it.
-	if allocated, held := load(sections{Strings: all.Strings}); allocated > 1.1*held+bufSize+float64(8*len(all.Strings)) {
+	if allocated, held, _ := load(sections{Strings: all.Strings}); allocated > 1.1*held+bufSize+float64(8*len(all.Strings)) {
 		t.Errorf("loading a string table allocated %.0f bytes to keep %.0f", allocated, held)
 	}
 	runtime.KeepAlive(all)
+}
+
+// TestPackedLoadsInPlace: the store a vocabulary's records load into — ids
+// dense, so gaps of one byte and now and then two — is allocated once, within
+// the half over the section's least size its first allocation allows, and
+// takes a fifth of what the decoded records do.
+func TestPackedLoadsInPlace(t *testing.T) {
+	d, err := dataset.Synthetic(dataset.SyntheticConfig{
+		NumRecords: 20000, Universe: 50000, AlphaFreq: 1.1, AlphaSize: 2.5, MinSize: 10, MaxSize: 300,
+	}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sw := NewWriter(&buf)
+	sw.Records(d.Records)
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	sr := NewReader(bytes.NewReader(buf.Bytes()))
+	p := sr.Packed()
+	if err := sr.Done(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	allocated, kept := int(m1.TotalAlloc-m0.TotalAlloc), cap(p.data)+4*cap(p.offsets)
+	t.Logf("section %d bytes: store of %d (%d in use) for %d occurrences, load allocated %d",
+		buf.Len(), kept, p.SizeBytes(), p.Elements(), allocated)
+	if allocated > kept+bufSize+8192 {
+		t.Errorf("loading a store of %d bytes allocated %d", kept, allocated)
+	}
+	if least := d.NumRecords() + d.TotalElements(); cap(p.data) > least+least/2 {
+		t.Errorf("slab of %d bytes for a section of at least %d", cap(p.data), least)
+	}
+	if decoded := 8*d.TotalElements() + 24*d.NumRecords(); 5*kept > decoded {
+		t.Errorf("store of %d bytes, the decoded records take %d", kept, decoded)
+	}
 }

@@ -414,6 +414,8 @@ func (s *Segmented) EngineStats() EngineStats {
 			st.SizeBytes += es.SizeBytes
 			st.BufferBytes += es.BufferBytes
 			st.SketchBytes += es.SketchBytes
+			st.RecordBytes += es.RecordBytes
+			st.IndexBytes += es.IndexBytes
 			st.BudgetUnits += es.BudgetUnits
 			st.UsedUnits += es.UsedUnits
 			if es.Tau > st.Tau {

@@ -318,6 +318,19 @@ func TestSegmentedEngineStats(t *testing.T) {
 	if st.SizeBytes <= 0 || st.UsedUnits <= 0 || st.Tau <= 0 {
 		t.Fatalf("implausible aggregate stats: %+v", st)
 	}
+	// Records route to exactly one segment, so their bytes sum to the bare
+	// engine's up to the offset table's one extra slot a segment; the index
+	// part sums per-segment lists and columns, each over its own τ and E_H.
+	bare, err := gbkmv.NewEngine("gbkmv", records, segOpts(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.RecordBytes, bare.EngineStats().RecordBytes+4*(seg.SegmentCount()-1); got != want {
+		t.Fatalf("RecordBytes = %d over %d segments, bare engine %d", got, seg.SegmentCount(), want)
+	}
+	if st.IndexBytes <= 0 {
+		t.Fatalf("IndexBytes = %d", st.IndexBytes)
+	}
 	if h, _ := seg.BuildCounters(); h == 0 {
 		t.Fatal("BuildCounters reported no hashing work")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -348,15 +349,89 @@ func TestSegmentedSaveDuringAddBatch(t *testing.T) {
 	}
 }
 
+// goldenRecords and goldenSnapshot: a two-segment gbkmv collection — ten
+// records built, four inserted, among them an empty record and ids no
+// vocabulary hands out (2²⁰+3, 2⁴⁰, 2⁶³+1) — and its snapshot as the commit
+// before the index kept its records packed wrote it (PR 18, format 3; one
+// segment at τ = 1, the other shrunk to τ ≈ 0.67).
+func goldenRecords() []gbkmv.Record {
+	recs := make([]gbkmv.Record, 14)
+	for i := range recs {
+		n := gbkmv.Element(i)
+		recs[i] = gbkmv.NewRecord([]gbkmv.Element{n % 5, 5 + n, 20 + 3*n, 60 + n*n, 300 + 17*n})
+	}
+	recs[4] = gbkmv.Record{}
+	recs[11] = append(recs[11], 1<<20+3, 1<<40)
+	recs[12] = gbkmv.Record{1<<63 + 1}
+	return recs
+}
+
+const goldenSnapshot = "" +
+	"47424b4d5653454703010567626b6d76000000000000000014100700000000000000000000020e010001000101000100" +
+	"01010000010147424b4d56454e47030567626b6d7647424b4d56494458039a9999999999b93f14100700000000000000" +
+	"00800108000000000000f03f0814061c0501051126800205030515289a0205010a1b3ab20205030a1f50b80207010f25" +
+	"8001b2029cfc3ffdffbfffff1f018180808080808080800108010306080b0d171d0147424b4d56454e47030567626b6d" +
+	"7647424b4d56494458039a9999999999b93f1410070000000000000000800108000020dddf88e53f081408230500050f" +
+	"28f00105020513268e020005000a1932ac0205020a1d44b60205040a215eb80205000f236eb60205030f29aa01a40208" +
+	"00020405070a0c0e"
+
+// TestSnapshotGoldenBytes checks "format 3 unchanged" instead of asserting
+// it: the same build and inserts write the golden bytes; the golden bytes
+// load, answer as the built engine does, hand back the records, and save back
+// as themselves.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	golden, err := hex.DecodeString(goldenSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := goldenRecords()
+	built, err := gbkmv.NewSegmented("gbkmv", 2, recs[:10], gbkmv.EngineOptions{BudgetUnits: 40, BufferBits: 8, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.AddBatch(recs[10:])
+	var saved bytes.Buffer
+	if err := gbkmv.SaveEngine(&saved, built); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), golden) {
+		t.Errorf("this build writes\n%x\nthe golden snapshot is\n%x", saved.Bytes(), golden)
+	}
+	loaded, err := gbkmv.LoadEngine(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatalf("the golden snapshot does not load: %v", err)
+	}
+	var resaved bytes.Buffer
+	if err := gbkmv.SaveEngine(&resaved, loaded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), golden) {
+		t.Errorf("the golden snapshot loads and saves back as\n%x", resaved.Bytes())
+	}
+	for i, want := range recs {
+		if got := loaded.Record(i); !slices.Equal(got, want) {
+			t.Errorf("record %d of the golden snapshot is %v, want %v", i, got, want)
+		}
+	}
+	queries := []gbkmv.Record{recs[0], recs[3][:3], recs[11], recs[12], {0, 1, 2, 3, 4}}
+	if got, want := answersOf(loaded, queries), answersOf(built, queries); !reflect.DeepEqual(got, want) {
+		t.Error("the golden snapshot answers differently from the engine built here")
+	}
+}
+
 // TestSnapshotAllocs pins the memory of the snapshot path and of the build
-// behind it: saving allocates a fixed buffer, not a copy of the collection
-// (the gob path staged ≈ 2.5× the snapshot); loading allocates what the
-// loaded engine keeps plus at most a quarter — the records are read into
-// their final slab, everything derived from them is sized before it is
-// filled; and a build allocates a few bytes per element occurrence, nothing
-// staged per occurrence (it was 22 B at the default budget and 44 at τ = 1).
-// The byte pin holds the format to storing derive's inputs only: a stream
-// that carried keys would be three times as long at τ = 1 as at τ ≈ 0.087.
+// behind it, in absolute terms. Saving allocates a fixed buffer, not a copy of
+// the collection (the gob path staged ≈ 2.5× the snapshot). A loaded engine
+// holds its sketch and its records packed, a third of what it held while the
+// records were []uint64 slices; loading allocates less than it did then, and
+// what it lets go again is derive's counters — at most 2 bytes an occurrence
+// by deriveWorkers' own rule, a bit an occurrence beside them, the reader's
+// buffer — never a decoded element slab, which is 8 bytes an occurrence. A
+// build allocates a few bytes per element occurrence, the packed slab among
+// them, nothing staged per occurrence (it was 22 B at the default budget and
+// 44 at τ = 1). The byte pin holds the format to storing derive's inputs only:
+// a stream that carried keys would be three times as long at τ = 1 as at
+// τ ≈ 0.087.
 func TestSnapshotAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation totals are meaningless under the race detector")
@@ -415,12 +490,21 @@ func TestSnapshotAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opt := range map[string]gbkmv.EngineOptions{
-		"budget-10%": {Seed: 5},                                                     // τ ≈ 0.1: records dominate
-		"headroom":   {BudgetUnits: 8 * d.TotalElements(), BufferBits: 64, Seed: 5}, // τ = 1: every hash stored
+	occurrences := d.TotalElements()
+	for _, c := range []struct {
+		name string
+		opt  gbkmv.EngineOptions
+		// What this load allocated and the loaded engine held at the commit
+		// before the records were packed (PR 18), and what it may hold now.
+		parentAllocated, parentHeld, maxHeld uint64
+	}{
+		// τ ≈ 0.1: records dominate.
+		{"budget-10%", gbkmv.EngineOptions{Seed: 5}, 7_048_320, 6_093_488, 2_200_000},
+		// τ = 1: every hash stored.
+		{"headroom", gbkmv.EngineOptions{BudgetUnits: 8 * occurrences, BufferBits: 64, Seed: 5}, 11_636_128, 10_680_352, 7_000_000},
 	} {
-		t.Run(name, func(t *testing.T) {
-			seg, err := gbkmv.NewSegmented("gbkmv", 2, d.Records, opt)
+		t.Run(c.name, func(t *testing.T) {
+			seg, err := gbkmv.NewSegmented("gbkmv", 2, d.Records, c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -450,10 +534,16 @@ func TestSnapshotAllocs(t *testing.T) {
 			runtime.GC()
 			runtime.ReadMemStats(&m2)
 			allocated, held := m1.TotalAlloc-m0.TotalAlloc, m2.HeapAlloc-m0.HeapAlloc
-			t.Logf("snapshot %d bytes; load allocated %d, loaded engine holds %d (%.2fx)",
-				snap.Len(), allocated, held, float64(allocated)/float64(held))
-			if float64(allocated) > 1.25*float64(held) {
-				t.Errorf("loading allocated %d bytes for an engine holding %d: over 1.25x", allocated, held)
+			t.Logf("snapshot %d bytes of %d occurrences; load allocated %d (was %d), loaded engine holds %d (was %d)",
+				snap.Len(), occurrences, allocated, c.parentAllocated, held, c.parentHeld)
+			if allocated >= c.parentAllocated {
+				t.Errorf("loading allocated %d bytes, %d while the records were slices", allocated, c.parentAllocated)
+			}
+			if held > c.maxHeld {
+				t.Errorf("the loaded engine holds %d bytes, want ≤ %d", held, c.maxHeld)
+			}
+			if transient, slab := allocated-held, uint64(8*occurrences); 3*transient >= slab {
+				t.Errorf("loading let go of %d bytes: over a third of a decoded element slab (%d)", transient, slab)
 			}
 			runtime.KeepAlive(loaded)
 		})
