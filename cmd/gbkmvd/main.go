@@ -3,9 +3,8 @@
 //
 // Each collection is backed by a pluggable sketch engine — GB-KMV by
 // default, or any registered backend (gkmv, kmv, minhash, lshforest,
-// lshensemble, exact) named per build via options.engine or daemon-wide via
-// -engine. Collections are built from posted records or server-side files,
-// searched concurrently, extended with journaled dynamic inserts, and
+// lshensemble, exact) named per build via options.engine. Collections are
+// built from posted records or server-side files, searched concurrently, extended with journaled dynamic inserts, and
 // snapshotted to the data directory — on demand, and on graceful shutdown.
 // On startup every collection found in the data directory is reloaded from
 // its latest snapshot (tagged with the engine that wrote it) with the insert
@@ -13,7 +12,7 @@
 //
 // Usage:
 //
-//	gbkmvd -addr :7878 -data ./gbkmvd-data [-engine lshensemble]
+//	gbkmvd -addr :7878 -data ./gbkmvd-data
 //
 // Quick start:
 //
@@ -51,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"gbkmv"
 	"gbkmv/internal/repl"
 	"gbkmv/internal/server"
 )
@@ -60,7 +58,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":7878", "HTTP listen address")
 		dataDir     = flag.String("data", "./gbkmvd-data", "data directory for snapshots and journals; empty disables persistence")
-		engine      = flag.String("engine", gbkmv.DefaultEngine, "default sketch engine for builds that name none (one of: "+strings.Join(gbkmv.Engines(), ", ")+")")
 		segments    = flag.Int("segments", runtime.GOMAXPROCS(0), "default segment count for builds that leave options.segments at 0: collections shard across this many sub-indexes for multicore inserts and parallel search fan-out (1 = single-index; ignored with -follow, where snapshot bytes must track the leader)")
 		recordFiles = flag.String("record-files", "", "directory server-side record files may be built from; empty disables file builds")
 		queryCache  = flag.Int("query-cache", server.DefaultQueryCacheEntries, "prepared-query cache entries per collection; 0 disables caching")
@@ -105,9 +102,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatalf("gbkmvd: opening store: %v", err)
-	}
-	if err := store.SetDefaultEngine(*engine); err != nil {
-		log.Fatalf("gbkmvd: -engine: %v", err)
 	}
 	store.SetQueryCacheSize(*queryCache)
 	if *recordFiles != "" {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"gbkmv/internal/snapfmt"
 )
@@ -17,8 +16,8 @@ import (
 // self-describing header, so callers — the gbkmvd server, the CLIs, the
 // experiments harness — can swap the sketch under a stable search API.
 //
-// Engines are registered by name (Register) and constructed through the
-// registry (NewEngine). The flagship engine is the GB-KMV *Index itself;
+// Engines are registered by name and constructed through the registry
+// (NewEngine). The flagship engine is the GB-KMV *Index itself;
 // baselines trade accuracy, space or mutability differently (see the
 // per-engine documentation and the README's "Choosing an engine").
 //
@@ -59,6 +58,13 @@ type Engine interface {
 	// EngineStats reports the engine's configuration and footprint. Fields
 	// that do not apply to a backend are zero.
 	EngineStats() EngineStats
+	// BuildCounters returns monotonic write-path work counters: element hash
+	// computations and fixed-budget threshold shrinks (see
+	// Index.BuildCounters). They are the history of this process, not state
+	// of the engine — a load hashes less than the build it reproduces — which
+	// is why they are not part of EngineStats. Zero for the engines that do
+	// not count them (all but gbkmv and gkmv).
+	BuildCounters() (elementsHashed, shrinks uint64)
 	// Save serializes the engine's payload. Use SaveEngine to write the
 	// self-describing header + payload form that LoadEngine dispatches on.
 	// Records are stored as deltas, so Save fails on a record that is not
@@ -95,6 +101,10 @@ type PreparedQuery interface {
 	// elements that cannot appear in any indexed record (e.g. tokens unknown
 	// to the vocabulary) still belong to Q and shrink every containment.
 	SetSize(n int)
+	// QueryStats returns the work counters of the most recent Search,
+	// SearchScored or TopK on this prepared query (see Query.QueryStats).
+	// Zero for the engines that do not count them (all but gbkmv and gkmv).
+	QueryStats() QueryStats
 	// Clone returns an independent copy for cheap per-goroutine reuse.
 	Clone() PreparedQuery
 }
@@ -159,81 +169,48 @@ func (o EngineOptions) budget(totalElements int) int {
 	return int(frac * float64(totalElements))
 }
 
-// indexOptions projects the engine options onto the GB-KMV index options.
-func (o EngineOptions) indexOptions() Options {
-	return Options{
-		BudgetFraction: o.BudgetFraction,
-		BudgetUnits:    o.BudgetUnits,
-		BufferBits:     o.BufferBits,
-		Seed:           o.Seed,
-	}
-}
-
 // DefaultEngine is the engine used when no name is given: the GB-KMV index.
 const DefaultEngine = "gbkmv"
 
-// EngineBuilder constructs an engine over a record collection. The records
-// slice may be retained by the engine and must not be mutated afterwards.
-type EngineBuilder func(records []Record, opt EngineOptions) (Engine, error)
-
-// EngineLoader reconstructs an engine from the payload written by its Save
-// (the bytes following the SaveEngine header). It must consume exactly that
-// payload: inside a segmented container the next segment's bytes follow
-// immediately, so a loader that reads ahead (a bufio.Reader or gob.Decoder of
-// its own) would swallow them. The reader handed in is buffered and
-// implements io.ByteReader.
-type EngineLoader func(r io.Reader) (Engine, error)
-
 // engineParser is a loader split where the stream ends: it consumes exactly
-// the engine's payload and returns the work that no longer needs the stream
+// the engine's payload (inside a segmented container the next segment's bytes
+// follow immediately) and returns the work that no longer needs the stream
 // (deriving inverted lists, rebuilding signatures). A segmented container
 // parses its segments in stream order and runs their finishes in parallel.
 type engineParser func(r *snapfmt.Reader) (finish func() (Engine, error), err error)
 
+// engineEntry is everything the registry knows about an engine.
 type engineEntry struct {
-	build EngineBuilder
+	// resolve makes the engine's data-dependent option defaults explicit
+	// against the records they are derived from (kmv's k = budget/records);
+	// nil for an engine whose defaults are static. It is the only place such a
+	// default is derived, and it is idempotent: NewEngine runs it before
+	// build, the engine keeps and saves the result, and a Segmented runs it
+	// against the whole collection before splitting the budget, so the
+	// per-segment NewEngine finds every value already set.
+	resolve func(records []Record, opt EngineOptions) EngineOptions
+	// build constructs the engine over a non-empty, validated record set
+	// under resolved options. It may retain the records slice.
+	build func(records []Record, opt EngineOptions) (Engine, error)
 	parse engineParser
 }
 
-var engineRegistry = struct {
-	sync.RWMutex
-	m map[string]engineEntry
-}{m: make(map[string]engineEntry)}
+// engineRegistry is written only from this package's init functions.
+var engineRegistry = map[string]engineEntry{}
 
-// Register installs an engine backend under name. The built-in backends
-// register themselves at init; call Register to plug in an external one.
-// Registering a name twice panics — silently replacing a backend would make
-// snapshot dispatch ambiguous.
-func Register(name string, build EngineBuilder, load EngineLoader) {
-	if load == nil {
-		panic("gbkmv: Register requires a name, a builder and a loader")
-	}
-	registerStaged(name, build, func(r *snapfmt.Reader) (func() (Engine, error), error) {
-		e, err := load(r)
-		return func() (Engine, error) { return e, nil }, err
-	})
-}
-
-// registerStaged is Register for the built-in backends, whose loaders are
-// split into parse and finish.
-func registerStaged(name string, build EngineBuilder, parse engineParser) {
-	if name == "" || build == nil || parse == nil {
-		panic("gbkmv: Register requires a name, a builder and a loader")
-	}
-	engineRegistry.Lock()
-	defer engineRegistry.Unlock()
-	if _, dup := engineRegistry.m[name]; dup {
+// register installs a backend under name. Registering a name twice panics:
+// silently replacing a backend would make snapshot dispatch ambiguous.
+func register(name string, e engineEntry) {
+	if _, dup := engineRegistry[name]; dup {
 		panic(fmt.Sprintf("gbkmv: engine %q registered twice", name))
 	}
-	engineRegistry.m[name] = engineEntry{build, parse}
+	engineRegistry[name] = e
 }
 
 // Engines returns the registered engine names, sorted.
 func Engines() []string {
-	engineRegistry.RLock()
-	defer engineRegistry.RUnlock()
-	names := make([]string, 0, len(engineRegistry.m))
-	for n := range engineRegistry.m {
+	names := make([]string, 0, len(engineRegistry))
+	for n := range engineRegistry {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -242,9 +219,7 @@ func Engines() []string {
 
 // lookupEngine returns the registry entry for name.
 func lookupEngine(name string) (engineEntry, error) {
-	engineRegistry.RLock()
-	e, ok := engineRegistry.m[name]
-	engineRegistry.RUnlock()
+	e, ok := engineRegistry[name]
 	if !ok {
 		return e, fmt.Errorf("gbkmv: unknown engine %q (have: %v)", name, Engines())
 	}
@@ -276,6 +251,9 @@ func NewEngine(name string, records []Record, opt EngineOptions) (Engine, error)
 				return nil, fmt.Errorf("gbkmv: record %d is not sorted and deduplicated (see NewRecord)", i)
 			}
 		}
+	}
+	if e.resolve != nil {
+		opt = e.resolve(records, opt)
 	}
 	return e.build(records, opt)
 }
@@ -383,7 +361,8 @@ func parseEngine(sr *snapfmt.Reader) (func() (Engine, error), error) {
 // converted through the vocabulary without interning (so queries never grow
 // it), and distinct unknown tokens — which cannot match any record but still
 // belong to Q — are counted into the containment denominator |Q| via
-// SetSize. This is the engine-generic form of Index.PrepareTokens; an error
+// SetSize. This is the one correct way to query by tokens; hand-rolling it
+// and forgetting the size override silently inflates every estimate. An error
 // is returned for an empty query.
 func PrepareTokens(e Engine, voc *Vocabulary, tokens []string) (PreparedQuery, error) {
 	rec, unknown := voc.QueryRecord(tokens)

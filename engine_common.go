@@ -4,144 +4,253 @@ import (
 	"fmt"
 	"io"
 
+	"gbkmv/internal/minhash"
 	"gbkmv/internal/snapfmt"
 	"gbkmv/internal/topkheap"
 )
 
-// The baseline engines share one mechanical skeleton: they retain the record
-// collection, derive all signature state deterministically from (records,
-// options), and answer Search/TopK/Estimate from a prepared per-query
-// signature. This file holds that skeleton so each adapter is only the
-// backend-specific sketching and estimation.
+// A baseline engine — every registered engine but gbkmv and gkmv — retains
+// the record collection, derives all signature state deterministically from
+// (records, resolved options), and answers from a per-query signature. What
+// differs between baselines is the six decisions of backend; everything else
+// (id bookkeeping, the result walk, top-k selection, prepared queries, the
+// snapshot payload) is baseline and baselineQuery, written once.
 
-// sigEngine is the internal contract a baseline adapter implements to get
-// Search/SearchTopK/Estimate/PrepareQuery for free via enginePrepared. The
-// sig value is the engine-specific prepared query signature and is treated
-// as immutable once built.
-type sigEngine interface {
-	Engine
-	prepareSig(q Record) any
-	searchSig(sig any, qSize int, threshold float64) []int
-	searchScoredSig(sig any, qSize int, threshold float64, limit int) ([]Scored, int)
-	topkSig(sig any, qSize, k int) []Scored
-	estimateSig(sig any, qSize, i int) float64
+// backend is what one baseline decides. A sig is the backend's own query
+// signature, built by sign and treated as immutable; qSize is the |Q| in
+// force (SetSize may have moved it off the signed record's length).
+type backend interface {
+	// add indexes recs[from:], recs being the whole collection with the new
+	// records already appended. Static structures rebuild from recs.
+	add(recs []Record, from int) error
+	sign(q Record) any
+	// estimate returns the containment estimate of the query in record i,
+	// within [0, 1].
+	estimate(sig any, qSize, i int) float64
+	// candidates names the records a threshold search looks at: ids
+	// ascending, or every record when all is set (ids is then ignored, so
+	// "everything" and "nothing" are never both spelled nil). A final set is
+	// the search result as it stands; otherwise a candidate is a hit only if
+	// its estimate reaches the threshold.
+	candidates(sig any, qSize int, threshold float64) (ids []int, all, final bool)
+	// topkCandidates names the records top-k scores, as candidates does.
+	topkCandidates(sig any, qSize int) (ids []int, all bool)
+	// stats fills in the backend's footprint; Engine and NumRecords are set.
+	stats(st *EngineStats)
 }
 
-// enginePrepared implements PreparedQuery for every sigEngine: the signature
+// scanAll is the candidate generation of a backend that has none: search and
+// top-k estimate every record.
+type scanAll struct{}
+
+func (scanAll) candidates(any, int, float64) ([]int, bool, bool) { return nil, true, false }
+func (scanAll) topkCandidates(any, int) ([]int, bool)            { return nil, true }
+
+// signatures is what the three MinHash-family backends retain per record —
+// its full signature and, through the records, its true size — and the
+// Equation 14 estimate they share.
+type signatures struct {
+	records []Record
+	sigs    []minhash.Signature
+}
+
+func (s *signatures) estimate(sig any, qSize, i int) float64 {
+	return clamp01(minhash.EstimateContainment(
+		sig.(minhash.Signature), s.sigs[i], qSize, len(s.records[i])))
+}
+
+// baseline implements Engine over a backend.
+type baseline struct {
+	name    string
+	opt     EngineOptions // resolved (see engineEntry): what Save stores and a load rebuilds from
+	records []Record
+	backend
+}
+
+// registerBaseline registers a baseline engine: open builds the empty
+// backend under resolved options, and the records arrive through add — on
+// build, on load (the payload is options and records; signatures are
+// deterministic in them, so a load rebuilds through NewEngine) and on insert.
+func registerBaseline(name string, resolve func([]Record, EngineOptions) EngineOptions, open func(EngineOptions) (backend, error)) {
+	register(name, engineEntry{
+		resolve: resolve,
+		build: func(records []Record, opt EngineOptions) (Engine, error) {
+			b, err := open(opt)
+			if err != nil {
+				return nil, err
+			}
+			if err := b.add(records, 0); err != nil {
+				return nil, err
+			}
+			return &baseline{name: name, opt: opt, records: records, backend: b}, nil
+		},
+		parse: func(r *snapfmt.Reader) (func() (Engine, error), error) {
+			opt := readEngineOptions(r)
+			records := r.Records()
+			if r.Err() == nil && len(records) == 0 {
+				r.Corrupt("engine has no records")
+			}
+			if err := r.Err(); err != nil {
+				return nil, err
+			}
+			return func() (Engine, error) { return NewEngine(name, records, opt) }, nil
+		},
+	})
+}
+
+func (e *baseline) EngineName() string  { return e.name }
+func (e *baseline) Len() int            { return len(e.records) }
+func (e *baseline) Record(i int) Record { return e.records[i] }
+
+func (e *baseline) Add(r Record) int { return e.AddBatch([]Record{r})[0] }
+
+// AddBatch appends the records under the options resolved at build time
+// (nothing is re-derived from the grown collection) and hands the backend the
+// whole batch at once, so a backend that rebuilds pays for it once.
+func (e *baseline) AddBatch(recs []Record) []int {
+	from := len(e.records)
+	e.records = append(e.records, recs...)
+	if err := e.add(e.records, from); err != nil {
+		// AddBatch cannot report errors, and a backend that built once from
+		// these options failing on more records is a programming error.
+		panic("gbkmv: " + e.name + " insert: " + err.Error())
+	}
+	return idRange(from, len(recs))
+}
+
+// idRange returns the ids from, from+1, …: what an AddBatch of n records
+// onto a collection of from returns, on every engine.
+func idRange(from, n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = from + i
+	}
+	return ids
+}
+
+func (e *baseline) Search(q Record, threshold float64) []int { return e.prepare(q).Search(threshold) }
+func (e *baseline) SearchTopK(q Record, k int) []Scored      { return e.prepare(q).TopK(k) }
+func (e *baseline) Estimate(q Record, i int) float64         { return e.prepare(q).Estimate(i) }
+func (e *baseline) PrepareQuery(q Record) PreparedQuery      { return e.prepare(q) }
+
+func (e *baseline) prepare(q Record) *baselineQuery {
+	return &baselineQuery{e: e, sig: e.sign(q), size: len(q)}
+}
+
+func (e *baseline) EngineStats() EngineStats {
+	st := EngineStats{Engine: e.name, NumRecords: len(e.records)}
+	e.stats(&st)
+	return st
+}
+
+// BuildCounters is zero: no baseline counts its write-path work.
+func (e *baseline) BuildCounters() (elementsHashed, shrinks uint64) { return 0, 0 }
+
+// Save writes the resolved options and the records. Resolved, because the
+// data-dependent defaults (kmv's k, minhash's signature length) come from the
+// collection as it was built and inserts do not re-derive them: a load that
+// derived them from the grown records would build other sketches than the
+// ones that answered before the snapshot.
+func (e *baseline) Save(w io.Writer) error {
+	sw := snapfmt.NewWriter(w)
+	writeEngineOptions(sw, e.opt)
+	sw.Records(e.records)
+	return sw.Flush()
+}
+
+// baselineQuery implements PreparedQuery for every baseline: the signature
 // is shared (immutable), only the size override is per-instance state, so
 // Clone is a struct copy.
-type enginePrepared struct {
-	e    sigEngine
+type baselineQuery struct {
+	e    *baseline
 	sig  any
 	size int
 }
 
-func (p *enginePrepared) Search(threshold float64) []int {
-	return p.e.searchSig(p.sig, p.size, threshold)
-}
-func (p *enginePrepared) SearchScored(threshold float64, limit int) ([]Scored, int) {
-	return p.e.searchScoredSig(p.sig, p.size, threshold, limit)
-}
-func (p *enginePrepared) TopK(k int) []Scored { return p.e.topkSig(p.sig, p.size, k) }
-func (p *enginePrepared) Estimate(i int) float64 {
-	return p.e.estimateSig(p.sig, p.size, i)
-}
-func (p *enginePrepared) Size() int     { return p.size }
-func (p *enginePrepared) SetSize(n int) { p.size = n }
-func (p *enginePrepared) Clone() PreparedQuery {
+func (p *baselineQuery) Size() int              { return p.size }
+func (p *baselineQuery) SetSize(n int)          { p.size = n }
+func (p *baselineQuery) Estimate(i int) float64 { return p.e.estimate(p.sig, p.size, i) }
+
+// QueryStats is zero: no baseline counts its search work.
+func (p *baselineQuery) QueryStats() QueryStats { return QueryStats{} }
+
+func (p *baselineQuery) Clone() PreparedQuery {
 	cp := *p
 	return &cp
 }
 
-// prepareOn builds the shared prepared query for a sigEngine.
-func prepareOn(e sigEngine, q Record) PreparedQuery {
-	return &enginePrepared{e: e, sig: e.prepareSig(q), size: len(q)}
+func (p *baselineQuery) Search(threshold float64) []int {
+	ids := []int{}
+	p.walk(threshold, 0, false, func(id int, _ float64) { ids = append(ids, id) })
+	return ids
 }
 
-// searchByEstimate scans all n records and returns those whose estimate
-// reaches threshold·|Q| semantics, i.e. estimate ≥ threshold, ascending.
-func searchByEstimate(n int, threshold float64, est func(i int) float64) []int {
-	out := []int{}
-	for i := 0; i < n; i++ {
-		if est(i) >= threshold {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// searchScoredByEstimate is the scored form of searchByEstimate for the
-// scan-everything engines: the one estimate per record that decides
-// membership doubles as the hit's score, so returned ids are never
-// re-estimated. The scan runs in ascending id order, so truncating at limit
-// while counting the rest keeps the hits/total contract exact.
-func searchScoredByEstimate(n int, threshold float64, limit int, est func(i int) float64) ([]Scored, int) {
+func (p *baselineQuery) SearchScored(threshold float64, limit int) ([]Scored, int) {
 	hits := []Scored{}
-	total := 0
-	for i := 0; i < n; i++ {
-		s := est(i)
-		if s >= threshold {
-			total++
-			if limit <= 0 || len(hits) < limit {
-				hits = append(hits, Scored{ID: i, Score: s})
-			}
+	total := p.walk(threshold, limit, true, func(id int, s float64) { hits = append(hits, Scored{ID: id, Score: s}) })
+	return hits, total
+}
+
+// walk is the one result walk behind Search and SearchScored: it hands emit
+// the hits inside the limit and returns how many there are in all. Candidates
+// come in ascending id order, so cutting at limit while counting on keeps
+// both exact. A verified candidate's one estimate decides membership and is
+// its score; a final set is scored only where a score is returned — the hits
+// inside the limit, and none when score is false.
+func (p *baselineQuery) walk(threshold float64, limit int, score bool, emit func(id int, s float64)) (total int) {
+	cands, all, final := p.e.candidates(p.sig, p.size, threshold)
+	n := len(cands)
+	if all {
+		n = len(p.e.records)
+	}
+	for j := 0; j < n; j++ {
+		id := j
+		if !all {
+			id = cands[j]
+		}
+		kept := limit <= 0 || total < limit
+		var s float64
+		if !final || (score && kept) {
+			s = p.e.estimate(p.sig, p.size, id)
+		}
+		if !final && !(s >= threshold) {
+			continue
+		}
+		total++
+		if kept {
+			emit(id, s)
 		}
 	}
-	return hits, total
+	return total
 }
 
-// scoreCandidates is the scored form for the candidate-generation engines
-// (lshforest, lshensemble, exact): their search already returns the full
-// result set as ascending ids, so only the hits surviving the limit cut are
-// estimated — exactly once each.
-func scoreCandidates(cands []int, limit int, est func(i int) float64) ([]Scored, int) {
-	total := len(cands)
-	if limit > 0 && len(cands) > limit {
-		cands = cands[:limit]
-	}
-	hits := make([]Scored, len(cands))
-	for i, id := range cands {
-		hits[i] = Scored{ID: id, Score: est(id)}
-	}
-	return hits, total
-}
-
-// topkByEstimate scores the given candidate ids (all n records when cands is
-// nil), drops zero estimates, and returns the k best, best first with ties
-// broken by ascending id. Selection runs through the shared bounded heap
-// (the same one behind the GB-KMV index's pruned top-k), so every registry
-// engine pays O(n log k) instead of sorting its full candidate set.
-func topkByEstimate(n, k int, cands []int, est func(i int) float64) []Scored {
+// TopK scores the backend's top-k candidates, drops zero estimates, and
+// selects through the bounded heap the GB-KMV index's top-k uses: best first,
+// ties by ascending id, O(n log k).
+func (p *baselineQuery) TopK(k int) []Scored {
 	if k <= 0 {
 		return nil
 	}
+	cands, all := p.e.topkCandidates(p.sig, p.size)
+	n := len(cands)
+	if all {
+		n = len(p.e.records)
+	}
 	h := topkheap.Make(k, nil)
-	if cands == nil {
-		for i := 0; i < n; i++ {
-			if s := est(i); s > 0 {
-				h.Push(i, s)
-			}
+	for j := 0; j < n; j++ {
+		id := j
+		if !all {
+			id = cands[j]
 		}
-	} else {
-		for _, i := range cands {
-			if s := est(i); s > 0 {
-				h.Push(i, s)
-			}
+		if s := p.e.estimate(p.sig, p.size, id); s > 0 {
+			h.Push(id, s)
 		}
 	}
 	return h.Sorted()
 }
 
 // clamp01 clamps a containment estimate into [0, 1].
-func clamp01(c float64) float64 {
-	if c < 0 {
-		return 0
-	}
-	if c > 1 {
-		return 1
-	}
-	return c
-}
+func clamp01(c float64) float64 { return min(max(c, 0), 1) }
 
 // maxUniverse returns one past the largest element id, the Universe value
 // the internal dataset type expects.
@@ -231,33 +340,4 @@ func readEngineOptions(r *snapfmt.Reader) EngineOptions {
 		r.Corrupt("%v", err)
 	}
 	return o
-}
-
-// saveRebuildable writes the payload of every rebuild-on-load engine: like
-// the core index's inverted lists (see DESIGN.md "Snapshot format"), their
-// signatures are deterministic functions of (records, options, seed), so
-// only those are stored and the engine is rebuilt through its registered
-// builder on load.
-func saveRebuildable(w io.Writer, opt EngineOptions, records []Record) error {
-	sw := snapfmt.NewWriter(w)
-	writeEngineOptions(sw, opt)
-	sw.Records(records)
-	return sw.Flush()
-}
-
-// rebuildParser returns the loader of a rebuild-on-load engine: the stream
-// part reads the payload, the finish rebuilds the named engine through the
-// registry.
-func rebuildParser(name string) engineParser {
-	return func(r *snapfmt.Reader) (func() (Engine, error), error) {
-		opt := readEngineOptions(r)
-		records := r.Records()
-		if r.Err() == nil && len(records) == 0 {
-			r.Corrupt("engine has no records")
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return func() (Engine, error) { return NewEngine(name, records, opt) }, nil
-	}
 }

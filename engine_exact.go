@@ -1,8 +1,6 @@
 package gbkmv
 
 import (
-	"io"
-
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/ppjoin"
 )
@@ -17,107 +15,52 @@ import (
 // once per AddBatch).
 
 func init() {
-	registerStaged("exact", buildExactEngine, rebuildParser("exact"))
+	registerBaseline("exact", nil, func(EngineOptions) (backend, error) { return &exactBackend{}, nil })
 }
 
-type exactEngine struct {
-	opt     EngineOptions
+type exactBackend struct {
 	pp      *ppjoin.Index
 	records []Record
 }
 
-func buildExactEngine(records []Record, opt EngineOptions) (Engine, error) {
-	pp, err := ppjoin.Build(&dataset.Dataset{Records: records, Universe: maxUniverse(records)})
+func (b *exactBackend) add(recs []Record, _ int) error {
+	pp, err := ppjoin.Build(&dataset.Dataset{Records: recs, Universe: maxUniverse(recs)})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &exactEngine{opt: opt, pp: pp, records: records}, nil
+	b.pp, b.records = pp, recs
+	return nil
 }
 
-func (e *exactEngine) EngineName() string  { return "exact" }
-func (e *exactEngine) Len() int            { return len(e.records) }
-func (e *exactEngine) Record(i int) Record { return e.records[i] }
+// sign is the record itself: exact search needs no signature.
+func (b *exactBackend) sign(q Record) any { return q }
 
-func (e *exactEngine) Add(r Record) int { return e.AddBatch([]Record{r})[0] }
-
-// AddBatch appends records and rebuilds the prefix-filter index once for the
-// batch (its global frequency ordering cannot be patched incrementally).
-func (e *exactEngine) AddBatch(recs []Record) []int {
-	ids := make([]int, len(recs))
-	for i, r := range recs {
-		ids[i] = len(e.records)
-		e.records = append(e.records, r)
+func (b *exactBackend) estimate(sig any, qSize, i int) float64 {
+	if qSize <= 0 {
+		return 0
 	}
-	pp, err := ppjoin.Build(&dataset.Dataset{Records: e.records, Universe: maxUniverse(e.records)})
-	if err != nil {
-		panic("gbkmv: exact rebuild: " + err.Error())
-	}
-	e.pp = pp
-	return ids
+	return float64(sig.(Record).IntersectSize(b.records[i])) / float64(qSize)
 }
 
-// prepareSig is the record itself: exact search needs no signature.
-func (e *exactEngine) prepareSig(q Record) any { return q }
-
-func (e *exactEngine) searchSig(sig any, qSize int, threshold float64) []int {
+func (b *exactBackend) candidates(sig any, qSize int, threshold float64) ([]int, bool, bool) {
 	q := sig.(Record)
 	if threshold <= 0 {
-		out := make([]int, len(e.records))
-		for i := range out {
-			out[i] = i
-		}
-		return out
+		return nil, true, true
 	}
 	if qSize <= 0 || len(q) == 0 {
-		return []int{}
+		return nil, false, true
 	}
 	// The size override maps onto the native threshold: the overlap bound is
 	// c = ⌈t·|Q|⌉, and ppjoin derives c from len(q), so scale t by
 	// qSize/len(q) — the products, and hence c, are identical.
-	return e.pp.Search(q, threshold*float64(qSize)/float64(len(q)))
+	return b.pp.Search(q, threshold*float64(qSize)/float64(len(q))), false, true
 }
 
-func (e *exactEngine) estimateSig(sig any, qSize, i int) float64 {
-	q := sig.(Record)
-	if qSize <= 0 {
-		return 0
-	}
-	return float64(q.IntersectSize(e.records[i])) / float64(qSize)
-}
+// topkCandidates is every record: a prefix-filter probe at a low threshold
+// is not "anything that overlaps" — once |Q| > 100 its overlap bound is above
+// 1 and it misses the records sharing a single element.
+func (b *exactBackend) topkCandidates(any, int) ([]int, bool) { return nil, true }
 
-func (e *exactEngine) searchScoredSig(sig any, qSize int, threshold float64, limit int) ([]Scored, int) {
-	return scoreCandidates(e.searchSig(sig, qSize, threshold), limit, func(i int) float64 {
-		return e.estimateSig(sig, qSize, i)
-	})
-}
-
-func (e *exactEngine) topkSig(sig any, qSize, k int) []Scored {
-	return topkByEstimate(len(e.records), k, nil, func(i int) float64 {
-		return e.estimateSig(sig, qSize, i)
-	})
-}
-
-func (e *exactEngine) Search(q Record, threshold float64) []int {
-	return e.searchSig(q, len(q), threshold)
-}
-
-func (e *exactEngine) SearchTopK(q Record, k int) []Scored {
-	return e.topkSig(q, len(q), k)
-}
-
-func (e *exactEngine) Estimate(q Record, i int) float64 {
-	return e.estimateSig(q, len(q), i)
-}
-
-func (e *exactEngine) PrepareQuery(q Record) PreparedQuery { return prepareOn(e, q) }
-
-func (e *exactEngine) EngineStats() EngineStats {
-	return EngineStats{
-		Engine:     e.EngineName(),
-		NumRecords: len(e.records),
-		SizeBytes:  e.pp.SizeBytes(),
-		// No sketch budget: the index is exact and its size tracks the data.
-	}
-}
-
-func (e *exactEngine) Save(w io.Writer) error { return saveRebuildable(w, e.opt, e.records) }
+// stats reports no sketch budget: the index is exact and its size tracks the
+// data.
+func (b *exactBackend) stats(st *EngineStats) { st.SizeBytes = b.pp.SizeBytes() }

@@ -485,3 +485,45 @@ func TestCrossEngineSearchScored(t *testing.T) {
 		})
 	}
 }
+
+// TestCrossEngineEmptyQuery: an empty query — prepared from no elements, or a
+// real one whose size was set to 0 — is contained in nothing, on every engine
+// and through NewSegmented: Estimate is 0, TopK is empty, and no threshold
+// above 0 has a hit. (Search and Estimate used to contradict each other here:
+// gbkmv and gkmv returned every record, scored 0.)
+func TestCrossEngineEmptyQuery(t *testing.T) {
+	records, queries := engineCorpus(t, 120)
+	for _, name := range gbkmv.Engines() {
+		bare := buildEngine(t, name, records)
+		seg, err := gbkmv.NewSegmented(name, 3, records, gbkmv.EngineOptions{BudgetFraction: 0.3, Seed: 42})
+		if err != nil {
+			t.Fatalf("NewSegmented(%s): %v", name, err)
+		}
+		for layout, e := range map[string]gbkmv.Engine{"bare": bare, "segmented": seg} {
+			zeroed := e.PrepareQuery(queries[0])
+			zeroed.SetSize(0)
+			for kind, pq := range map[string]gbkmv.PreparedQuery{"no elements": e.PrepareQuery(gbkmv.Record{}), "SetSize(0)": zeroed} {
+				label := name + "/" + layout + "/" + kind
+				if pq.Size() != 0 {
+					t.Fatalf("%s: Size = %d", label, pq.Size())
+				}
+				for i := 0; i < e.Len(); i += 13 {
+					if est := pq.Estimate(i); est != 0 {
+						t.Errorf("%s: Estimate(%d) = %v", label, i, est)
+					}
+				}
+				if top := pq.TopK(5); len(top) != 0 {
+					t.Errorf("%s: TopK = %v", label, top)
+				}
+				for _, tstar := range []float64{0.01, 0.5, 1} {
+					if ids := pq.Search(tstar); len(ids) != 0 {
+						t.Errorf("%s: Search(%v) returned %d records", label, tstar, len(ids))
+					}
+					if hits, total := pq.SearchScored(tstar, 0); len(hits) != 0 || total != 0 {
+						t.Errorf("%s: SearchScored(%v, 0) = %d hits, total %d", label, tstar, len(hits), total)
+					}
+				}
+			}
+		}
+	}
+}

@@ -86,6 +86,7 @@ type Options struct {
 // containment similarity search.
 type Index struct {
 	inner *core.Index
+	name  string // registry name; "" is DefaultEngine, for Build and Load callers
 }
 
 // Build constructs an Index over the records. The index keeps its own packed
@@ -94,14 +95,6 @@ type Index struct {
 func Build(records []Record, opt Options) (*Index, error) {
 	if len(records) == 0 {
 		return nil, errors.New("gbkmv: no records")
-	}
-	universe := 0
-	for _, r := range records {
-		if len(r) > 0 {
-			if top := int(r[len(r)-1]) + 1; top > universe {
-				universe = top
-			}
-		}
 	}
 	buffer := core.AutoBuffer
 	switch {
@@ -112,7 +105,7 @@ func Build(records []Record, opt Options) (*Index, error) {
 	case opt.BufferBits != AutoBuffer:
 		return nil, errors.New("gbkmv: invalid BufferBits")
 	}
-	d := &dataset.Dataset{Records: records, Universe: universe}
+	d := &dataset.Dataset{Records: records, Universe: maxUniverse(records)}
 	inner, err := core.BuildIndex(d, core.Options{
 		BudgetFraction: opt.BudgetFraction,
 		BudgetUnits:    opt.BudgetUnits,
@@ -162,11 +155,7 @@ func (ix *Index) Add(r Record) int {
 func (ix *Index) AddBatch(recs []Record) []int {
 	base := ix.inner.NumRecords()
 	ix.inner.AddRecords(recs)
-	ids := make([]int, len(recs))
-	for i := range ids {
-		ids[i] = base + i
-	}
-	return ids
+	return idRange(base, len(recs))
 }
 
 // Len returns the number of indexed records.
@@ -176,19 +165,9 @@ func (ix *Index) Len() int { return ix.inner.NumRecords() }
 // index's packed store on each call and the caller's to keep.
 func (ix *Index) Record(i int) Record { return ix.inner.Record(i) }
 
-// Stats describes the built sketch.
-type Stats struct {
-	NumRecords  int
-	BufferBits  int     // chosen r
-	Tau         float64 // global hash threshold
-	BudgetUnits int     // configured budget (1 unit = one 32-bit hash key = 32 buffer bits = 4 bytes)
-	UsedUnits   int     // units actually consumed
-	SizeBytes   int     // in-memory signature footprint (BufferBytes + SketchBytes)
-	BufferBytes int     // footprint of the frequent-element buffers alone
-	SketchBytes int     // footprint of the G-KMV key store alone: 4 bytes a stored key
-	RecordBytes int     // the retained records: packed slab and offsets (not part of SizeBytes)
-	IndexBytes  int     // what search walks beside the sketch: inverted lists, bit columns, offset tables (not part of SizeBytes)
-}
+// Stats describes the built sketch: the cross-engine EngineStats, of which an
+// index leaves only NumHashes zero.
+type Stats = EngineStats
 
 // BuildCounters returns monotonic write-path work counters: element hash
 // computations — keys are re-hashed rather than staged: in a build or a load
@@ -205,6 +184,7 @@ func (ix *Index) BuildCounters() (elementsHashed, shrinks uint64) {
 // Stats reports the index's configuration and footprint.
 func (ix *Index) Stats() Stats {
 	return Stats{
+		Engine:      ix.EngineName(),
 		NumRecords:  ix.inner.NumRecords(),
 		BufferBits:  ix.inner.BufferBits(),
 		Tau:         ix.inner.Tau(),

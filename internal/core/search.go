@@ -33,8 +33,7 @@ func (ix *Index) SearchSig(sig *QuerySig, tstar float64) []int {
 // shared by SearchSig, Search and the per-worker batch paths.
 func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) []int {
 	sig.Stats = QueryStats{}
-	theta := tstar * float64(sig.Size)
-	if theta <= 0 {
+	if tstar <= 0 {
 		// Every record trivially satisfies the threshold.
 		out := make([]int, ix.recs.Len())
 		for i := range out {
@@ -42,6 +41,11 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 		}
 		return out
 	}
+	if sig.Size <= 0 {
+		// An empty query is contained in nothing: every estimate is 0.
+		return []int{}
+	}
+	theta := tstar * float64(sig.Size)
 	ix.gatherSearchCandidates(sig, theta, sc)
 	sig.Stats.Candidates = len(sc.touched)
 	// The paper's K∩ ≥ o prune (Section IV-B, "Implementation"): the
@@ -150,6 +154,11 @@ func (ix *Index) SearchLinear(q dataset.Record, tstar float64) []int {
 	sig := ix.Sketch(q)
 	theta := tstar * float64(sig.Size)
 	out := []int{}
+	if tstar > 0 && sig.Size <= 0 {
+		// As in searchSigWith: θ is 0 too, but an empty query is contained in
+		// nothing.
+		return out
+	}
 	for i := 0; i < ix.recs.Len(); i++ {
 		if ix.EstimateIntersection(sig, i) >= theta {
 			out = append(out, i)

@@ -26,9 +26,7 @@ func (ix *Index) SearchSigScored(sig *QuerySig, tstar float64, limit int) ([]Sco
 // on each returned id (the differential tests pin this).
 func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc *searchScratch) ([]Scored, int) {
 	sig.Stats = QueryStats{}
-	size := float64(sig.Size)
-	theta := tstar * size
-	if theta <= 0 {
+	if tstar <= 0 {
 		// Every record trivially satisfies the threshold; estimate only the
 		// materialized page, never O(N).
 		total := ix.recs.Len()
@@ -43,6 +41,12 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 		sig.Stats.Estimated = n
 		return out, total
 	}
+	if sig.Size <= 0 {
+		// An empty query is contained in nothing: every estimate is 0.
+		return []Scored{}, 0
+	}
+	size := float64(sig.Size)
+	theta := tstar * size
 	ix.gatherSearchCandidates(sig, theta, sc)
 	sig.Stats.Candidates = len(sc.touched)
 	// Same K∩ ≥ need·max(L_Q) prune as searchSigWith; pruned candidates are

@@ -49,7 +49,10 @@ func AblationGlobalThreshold(w io.Writer, cfg Config) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	wl := newWorkload(d, cfg, cfg.Threshold)
-	kmvRes := wl.run(buildKMVSearcher(d, 0.10, uint64(cfg.Seed)))
+	kmvRes, err := wl.runRegistered("kmv", 0.10, cfg)
+	if err != nil {
+		return AblationResult{}, err
+	}
 	g, err := buildGKMV(d, 0.10, uint64(cfg.Seed))
 	if err != nil {
 		return AblationResult{}, err
@@ -105,7 +108,10 @@ func AblationPartitionedKMV(w io.Writer, cfg Config) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	wl := newWorkload(d, cfg, cfg.Threshold)
-	single := wl.run(buildKMVSearcher(d, 0.10, uint64(cfg.Seed)))
+	single, err := wl.runRegistered("kmv", 0.10, cfg)
+	if err != nil {
+		return AblationResult{}, err
+	}
 	parted := wl.run(buildPartitionedKMV(d, 0.10, uint64(cfg.Seed)))
 	res := AblationResult{
 		Name: "partitioned-kmv", ArmA: "single KMV", ArmB: "2-group KMV",

@@ -33,13 +33,22 @@ func engineSearcher(e gbkmv.Engine) eval.Searcher {
 	})
 }
 
-// buildRegistered constructs a registry engine over the dataset at the
-// shared experiment budget.
-func buildRegistered(name string, d *dataset.Dataset, cfg Config) (gbkmv.Engine, error) {
+// buildRegistered constructs a registry engine over the dataset at the given
+// space fraction.
+func buildRegistered(name string, d *dataset.Dataset, frac float64, cfg Config) (gbkmv.Engine, error) {
 	return gbkmv.NewEngine(name, d.Records, gbkmv.EngineOptions{
-		BudgetFraction: 0.10,
+		BudgetFraction: frac,
 		Seed:           uint64(cfg.Seed),
 	})
+}
+
+// runRegistered evaluates the named registry engine on the workload.
+func (w *workload) runRegistered(name string, frac float64, cfg Config) (eval.Result, error) {
+	e, err := buildRegistered(name, w.data, frac, cfg)
+	if err != nil {
+		return eval.Result{}, fmt.Errorf("building %s: %w", name, err)
+	}
+	return w.run(engineSearcher(e)), nil
 }
 
 // EnginesCompare evaluates every registered engine on the NETFLIX profile
@@ -64,7 +73,7 @@ func EnginesCompare(w io.Writer, cfg Config) ([]EngineRow, error) {
 	rows := []EngineRow{}
 	for _, name := range gbkmv.Engines() {
 		start := time.Now()
-		e, err := buildRegistered(name, d, cfg)
+		e, err := buildRegistered(name, d, 0.10, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("building %s: %w", name, err)
 		}

@@ -103,36 +103,6 @@ func buildGKMV(d *dataset.Dataset, frac float64, seed uint64) (*core.Index, erro
 	})
 }
 
-// kmvSearcher is the plain-KMV baseline of Fig. 6: equal allocation
-// k = ⌊b/m⌋ (Theorem 1) and a linear scan of Equation 10 estimates.
-type kmvSearcher struct {
-	sketches []*kmv.Sketch
-	k        int
-	seed     uint64
-}
-
-func buildKMVSearcher(d *dataset.Dataset, frac float64, seed uint64) *kmvSearcher {
-	budget := int(frac * float64(d.TotalElements()))
-	k := kmv.EqualAllocation(budget, d.NumRecords())
-	s := &kmvSearcher{k: k, seed: seed, sketches: make([]*kmv.Sketch, d.NumRecords())}
-	for i, r := range d.Records {
-		s.sketches[i] = kmv.Build(r, k, seed)
-	}
-	return s
-}
-
-func (s *kmvSearcher) Search(q dataset.Record, tstar float64) []int {
-	sq := kmv.Build(q, s.k, s.seed)
-	theta := tstar * float64(len(q))
-	out := []int{}
-	for i, sx := range s.sketches {
-		if kmv.Intersect(sq, sx).DInter >= theta {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // lsheSearcher adapts lshensemble to eval.Searcher.
 type lsheSearcher struct{ e *lshensemble.Ensemble }
 

@@ -53,15 +53,15 @@ func Baselines(w io.Writer, cfg Config) ([]BaselineRow, error) {
 		// same construction path the server and CLIs use. Parameters match
 		// the ad-hoc builds this replaced: budget fraction 0.10 for the KMV
 		// family, the 256-hash default for LSH-E.
-		kmvEng, err := buildRegistered("kmv", d, cfg)
+		kmvEng, err := buildRegistered("kmv", d, 0.10, cfg)
 		if err != nil {
 			return nil, err
 		}
-		lsheEng, err := buildRegistered("lshensemble", d, cfg)
+		lsheEng, err := buildRegistered("lshensemble", d, 0.10, cfg)
 		if err != nil {
 			return nil, err
 		}
-		gbEng, err := buildRegistered("gbkmv", d, cfg)
+		gbEng, err := buildRegistered("gbkmv", d, 0.10, cfg)
 		if err != nil {
 			return nil, err
 		}

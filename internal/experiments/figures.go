@@ -114,7 +114,13 @@ func Fig6(w io.Writer, cfg Config) ([]Fig6Row, error) {
 		wl := newWorkload(d, cfg, cfg.Threshold)
 		for _, frac := range []float64{0.05, 0.10} {
 			row := Fig6Row{Dataset: p.Name, Fraction: frac}
-			row.KMV = wl.run(buildKMVSearcher(d, frac, uint64(cfg.Seed))).F1
+			// The plain-KMV baseline: equal allocation k = ⌊b/m⌋ (Theorem 1)
+			// and a linear scan of Equation 10 estimates.
+			kmvRes, err := wl.runRegistered("kmv", frac, cfg)
+			if err != nil {
+				return nil, err
+			}
+			row.KMV = kmvRes.F1
 			g, err := buildGKMV(d, frac, uint64(cfg.Seed))
 			if err != nil {
 				return nil, err

@@ -277,23 +277,7 @@ func (e *Ensemble) QueryVerified(q dataset.Record, tstar float64) []int {
 // forests store banded prefixes, not full signatures).
 func (e *Ensemble) Sign(r dataset.Record) minhash.Signature { return e.gen.Sign(r) }
 
-// NumPartitions returns the number of partitions actually built.
-func (e *Ensemble) NumPartitions() int { return len(e.partitions) }
-
-// NumRecords returns the number of indexed records.
-func (e *Ensemble) NumRecords() int { return e.numRecords }
-
 // SizeUnits returns the index size in signature units (one stored hash value
 // = one unit), the accounting shared with GB-KMV's budget. LSH-E stores
 // NumHashes values per record.
 func (e *Ensemble) SizeUnits() int { return e.numRecords * e.opt.NumHashes }
-
-// PartitionBounds returns the (lower, upper) record-size bounds of each
-// partition, for inspection and tests.
-func (e *Ensemble) PartitionBounds() [][2]int {
-	out := make([][2]int, len(e.partitions))
-	for i, p := range e.partitions {
-		out[i] = [2]int{p.lower, p.upper}
-	}
-	return out
-}

@@ -40,11 +40,11 @@ func TestBuildDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NumRecords() != 600 {
-		t.Errorf("NumRecords = %d", e.NumRecords())
+	if e.numRecords != 600 {
+		t.Errorf("numRecords = %d", e.numRecords)
 	}
-	if e.NumPartitions() != 32 {
-		t.Errorf("NumPartitions = %d, want 32", e.NumPartitions())
+	if len(e.partitions) != 32 {
+		t.Errorf("%d partitions, want 32", len(e.partitions))
 	}
 	if e.SizeUnits() != 600*256 {
 		t.Errorf("SizeUnits = %d, want %d", e.SizeUnits(), 600*256)
@@ -57,7 +57,10 @@ func TestEqualDepthPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := e.PartitionBounds()
+	bounds := make([][2]int, len(e.partitions))
+	for i, p := range e.partitions {
+		bounds[i] = [2]int{p.lower, p.upper}
+	}
 	// Bounds must be non-decreasing across partitions, and each partition's
 	// lower bound must be ≥ the previous partition's upper... equal-depth by
 	// size means ranges are ordered.
@@ -256,8 +259,8 @@ func TestFewRecordsManyPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NumPartitions() > 5 {
-		t.Errorf("NumPartitions = %d for 5 records", e.NumPartitions())
+	if len(e.partitions) > 5 {
+		t.Errorf("%d partitions for 5 records", len(e.partitions))
 	}
 	for i := range d.Records {
 		e.Query(d.Records[i], 0.5) // must not panic

@@ -78,9 +78,8 @@ func (h *Histogram) Observe(v float64) {
 // Bounds returns the bucket upper bounds (shared; do not mutate).
 func (h *Histogram) Bounds() []float64 { return h.bounds }
 
-// Snapshot is a point-in-time copy of a histogram, mergeable with any other
-// snapshot of the same bucket layout. Counts has one entry per bound plus
-// the trailing +Inf bucket.
+// Snapshot is a point-in-time copy of a histogram. Counts has one entry per
+// bound plus the trailing +Inf bucket.
 type Snapshot struct {
 	Bounds []float64
 	Counts []uint64
@@ -108,62 +107,6 @@ func (h *Histogram) Snapshot() Snapshot {
 		s.Count += c
 	}
 	return s
-}
-
-// Merge adds o into s. Both snapshots must share a bucket layout (same
-// length and bounds); Merge panics otherwise, since silently merging
-// mismatched layouts would corrupt every later quantile.
-func (s *Snapshot) Merge(o Snapshot) {
-	if len(s.Counts) != len(o.Counts) {
-		panic("obs: merging histogram snapshots with different bucket layouts")
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-}
-
-// Quantile returns an estimate of the q-quantile (q in [0, 1]) by locating
-// the bucket holding the target rank and interpolating linearly inside it.
-// The error is bounded by the bucket width; with the log-spaced
-// LatencyBuckets that is a fixed relative error of at most one sub-decade
-// step (≈1.58×), independent of the latency magnitude. Observations beyond
-// the last bound report the last bound. An empty snapshot returns 0.
-func (s Snapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(s.Bounds) {
-			// +Inf bucket: the best available statement is "beyond the
-			// largest bound".
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		frac := (rank - float64(cum-c)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return s.Bounds[len(s.Bounds)-1] // unreachable: cum == Count by construction
 }
 
 // LatencyBuckets is the fixed latency bucket layout used by every duration

@@ -82,86 +82,6 @@ func TestHistogramObserveBoundaries(t *testing.T) {
 	}
 }
 
-func TestSnapshotQuantile(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4, 8})
-	if q := h.Snapshot().Quantile(0.5); q != 0 {
-		t.Fatalf("empty quantile = %v, want 0", q)
-	}
-	// 100 observations uniform in (1, 2]: all land in the (1,2] bucket.
-	for i := 1; i <= 100; i++ {
-		h.Observe(1 + float64(i)/100)
-	}
-	s := h.Snapshot()
-	// Interpolation inside the single populated bucket recovers the rank.
-	if q := s.Quantile(0.5); math.Abs(q-1.5) > 1e-9 {
-		t.Fatalf("p50 = %v, want 1.5", q)
-	}
-	if q := s.Quantile(0); math.Abs(q-1.01) > 1e-9 {
-		t.Fatalf("p0 = %v, want 1.01 (min rank clamps to 1)", q)
-	}
-	if q := s.Quantile(1); math.Abs(q-2) > 1e-9 {
-		t.Fatalf("p100 = %v, want 2", q)
-	}
-	// Values beyond the last bound report the last bound.
-	h2 := newHistogram([]float64{1, 2})
-	h2.Observe(100)
-	if q := h2.Snapshot().Quantile(0.99); q != 2 {
-		t.Fatalf("overflow quantile = %v, want last bound 2", q)
-	}
-	// Out-of-range q clamps.
-	if q := s.Quantile(-1); q != s.Quantile(0) {
-		t.Fatalf("q<0 should clamp to 0: %v vs %v", q, s.Quantile(0))
-	}
-	if q := s.Quantile(2); q != s.Quantile(1) {
-		t.Fatalf("q>1 should clamp to 1: %v vs %v", q, s.Quantile(1))
-	}
-}
-
-func TestSnapshotQuantileAcrossBuckets(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4})
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5) // bucket ≤1
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(3) // bucket ≤4
-	}
-	s := h.Snapshot()
-	// p25 inside first bucket, p75 inside third.
-	if q := s.Quantile(0.25); q <= 0 || q > 1 {
-		t.Fatalf("p25 = %v, want in (0, 1]", q)
-	}
-	if q := s.Quantile(0.75); q <= 2 || q > 4 {
-		t.Fatalf("p75 = %v, want in (2, 4]", q)
-	}
-}
-
-func TestSnapshotMerge(t *testing.T) {
-	a := newHistogram([]float64{1, 2})
-	b := newHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	b.Observe(1.5)
-	b.Observe(3)
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Count != 3 {
-		t.Fatalf("merged Count = %d, want 3", s.Count)
-	}
-	if got := []uint64{s.Counts[0], s.Counts[1], s.Counts[2]}; got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("merged counts = %v, want [1 1 1]", got)
-	}
-	if math.Abs(s.Sum-5) > 1e-9 {
-		t.Fatalf("merged Sum = %v, want 5", s.Sum)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched layouts should panic")
-		}
-	}()
-	c := newHistogram([]float64{1}).Snapshot()
-	s.Merge(c)
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	h := newHistogram(LatencyBuckets)
 	const workers, per = 8, 1000

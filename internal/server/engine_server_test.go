@@ -119,22 +119,6 @@ func TestBuildUnknownEngineRejected(t *testing.T) {
 	}
 }
 
-// TestStoreDefaultEngine: the daemon-level default applies when a build
-// names no engine, and bogus defaults are rejected up front.
-func TestStoreDefaultEngine(t *testing.T) {
-	store, ts := newServer(t, "")
-	if err := store.SetDefaultEngine("nope"); err == nil {
-		t.Fatal("bogus default engine accepted")
-	}
-	if err := store.SetDefaultEngine("exact"); err != nil {
-		t.Fatal(err)
-	}
-	buildRestaurants(t, ts, "rest")
-	if m := statsOf(t, ts, "rest"); m["engine"] != "exact" {
-		t.Fatalf("default engine not applied: %v", m["engine"])
-	}
-}
-
 // TestInsertDuplicateRequestID covers the WAL-ambiguity fix end to end: a
 // retry with the same request_id is rejected with 409 and the original ids —
 // through the in-memory window, through a journal-replay restart (the crash

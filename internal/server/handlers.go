@@ -211,8 +211,7 @@ func (h *api) list(w http.ResponseWriter, r *http.Request) {
 
 type buildOptions struct {
 	// Engine selects the sketch backend by registry name (gbkmv, gkmv, kmv,
-	// minhash, lshforest, lshensemble, exact, ...). Empty uses the store's
-	// default (the daemon's -engine flag, "gbkmv" unless overridden).
+	// minhash, lshforest, lshensemble, exact). Empty is gbkmv.DefaultEngine.
 	Engine string `json:"engine"`
 	// BudgetFraction is the sketch budget as a fraction of the data size
 	// (default 0.10).
@@ -298,10 +297,6 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	decoded := time.Now()
-	engine := req.Options.Engine
-	if engine == "" {
-		engine = h.store.DefaultEngine()
-	}
 	segments := req.Options.Segments
 	if segments < 0 {
 		writeError(w, http.StatusBadRequest, "options.segments must be >= 0, got %d", segments)
@@ -320,9 +315,9 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 	}
 	var eng gbkmv.Engine
 	if segments >= 1 {
-		eng, err = gbkmv.NewSegmented(engine, segments, records, opts)
+		eng, err = gbkmv.NewSegmented(req.Options.Engine, segments, records, opts)
 	} else {
-		eng, err = gbkmv.NewEngine(engine, records, opts)
+		eng, err = gbkmv.NewEngine(req.Options.Engine, records, opts)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "building %q: %v", name, err)
@@ -344,7 +339,7 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 	stages.With("sketch").Observe(sketch.Seconds())
 	stages.With("snapshot").Observe(snapshot.Seconds())
 	h.store.logf("gbkmvd: built collection %q: engine %s, %d records (decode %s, sketch %s, snapshot %s)",
-		name, engine, len(records), decode.Round(time.Millisecond), sketch.Round(time.Millisecond),
+		name, eng.EngineName(), len(records), decode.Round(time.Millisecond), sketch.Round(time.Millisecond),
 		snapshot.Round(time.Millisecond))
 	writeJSON(w, http.StatusOK, c.Stats())
 }

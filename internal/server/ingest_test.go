@@ -537,7 +537,7 @@ func TestBuildByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			voc, recs, _ := refRecords(ref.Records)
-			eng, err := gbkmv.NewSegmented(refStore.DefaultEngine(), segments, recs, gbkmv.EngineOptions{Seed: 7})
+			eng, err := gbkmv.NewSegmented(gbkmv.DefaultEngine, segments, recs, gbkmv.EngineOptions{Seed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}

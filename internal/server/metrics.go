@@ -402,13 +402,6 @@ func (cm *collMetrics) observeSearch(st gbkmv.QueryStats) {
 	cm.bufAccepts.Add(uint64(st.BufferAccepts))
 }
 
-// buildCounters is the optional engine interface behind the build-counter
-// mirror: the gbkmv and gkmv engines expose their write path's work
-// counters; other backends simply don't satisfy it.
-type buildCounters interface {
-	BuildCounters() (elementsHashed, shrinks uint64)
-}
-
 // residentParts are the part labels of gbkmv_collection_resident_bytes, in
 // the order mirrorCollections sets them.
 var residentParts = [...]string{"sketch", "records", "index"}
@@ -440,11 +433,7 @@ func (s *Store) mirrorCollections() {
 		if c.qcache != nil {
 			entries = c.qcache.entries()
 		}
-		var hashed, shrinks uint64
-		bc, hasBuild := c.eng.(buildCounters)
-		if hasBuild {
-			hashed, shrinks = bc.BuildCounters()
-		}
+		hashed, shrinks := c.eng.BuildCounters()
 		var segRecs []int
 		if seg, ok := c.eng.(*gbkmv.Segmented); ok {
 			segRecs = seg.SegmentRecords()
@@ -461,10 +450,8 @@ func (s *Store) mirrorCollections() {
 		m.readOnlyG.With(name).Set(ro)
 		m.journaled.With(name).Set(float64(journaled))
 		m.qcEntries.With(name).Set(float64(entries))
-		if hasBuild {
-			m.hashedTotal.With(name).Set(hashed)
-			m.shrinkTotal.With(name).Set(shrinks)
-		}
+		m.hashedTotal.With(name).Set(hashed)
+		m.shrinkTotal.With(name).Set(shrinks)
 		// Zero where the backend has no such knob (see EngineStats).
 		if es.Tau > 0 {
 			m.sketchTau.With(name).Set(es.Tau)

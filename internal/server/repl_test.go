@@ -346,7 +346,7 @@ func TestApplyReplicated(t *testing.T) {
 	if !bytes.Equal(replicaJournal, frames) {
 		t.Fatal("replica journal diverges from leader journal")
 	}
-	hits, total, err := replica.Search([]string{"second"}, 0.9, 0, false, nil)
+	hits, total, err := replica.SearchRaw([]byte(`["second"]`), 0.9, 0, false, nil, nil)
 	if err != nil || total != 1 {
 		t.Fatalf("replica search: %d hits, total %d, err %v", len(hits), total, err)
 	}

@@ -281,11 +281,11 @@ func TestSegmentedConcurrentInsertSearchSnapshot(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
-				if _, _, err := c.Search([]string{fmt.Sprintf("tok%d", i%17), "tok3"}, 0.3, 20, false, nil); err != nil {
+				if _, _, err := c.SearchRaw([]byte(fmt.Sprintf(`["tok%d", "tok3"]`, i%17)), 0.3, 20, false, nil, nil); err != nil {
 					errc <- fmt.Errorf("search: %w", err)
 					return
 				}
-				if _, err := c.TopK([]string{fmt.Sprintf("tok%d", i%29)}, 5, false, nil); err != nil {
+				if _, err := c.TopKRaw([]byte(fmt.Sprintf(`["tok%d"]`, i%29)), 5, false, nil, nil); err != nil {
 					errc <- fmt.Errorf("topk: %w", err)
 					return
 				}

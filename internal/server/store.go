@@ -49,11 +49,10 @@ func ValidName(name string) bool { return nameRE.MatchString(name) }
 // Lifecycle operations (build, delete) are additionally serialized by opMu
 // so concurrent PUTs to the same name cannot interleave their disk writes.
 type Store struct {
-	dir        string // data directory; "" disables persistence
-	fs         fsx.FS // filesystem the journal and snapshot paths go through
-	fileRoot   string // root for server-side file builds; "" disables them
-	defaultEng string // engine used when a build names none
-	cacheCap   int    // prepared-query cache entries per collection; 0 disables
+	dir      string // data directory; "" disables persistence
+	fs       fsx.FS // filesystem the journal and snapshot paths go through
+	fileRoot string // root for server-side file builds; "" disables them
+	cacheCap int    // prepared-query cache entries per collection; 0 disables
 	// defaultSegments is the segment count of collections whose build names
 	// none (options.segments == 0): 0 builds unsegmented single-index
 	// collections, n >= 1 shards across n sub-indexes. A loaded snapshot
@@ -177,7 +176,7 @@ func OpenStore(dir string, o StoreOptions) (*Store, error) {
 	if fsys == nil {
 		fsys = fsx.Default
 	}
-	s := &Store{dir: dir, fs: fsys, defaultEng: gbkmv.DefaultEngine, cacheCap: DefaultQueryCacheEntries,
+	s := &Store{dir: dir, fs: fsys, cacheCap: DefaultQueryCacheEntries,
 		defaultSegments: o.Segments, logf: logf, cols: make(map[string]*Collection)}
 	s.metrics = newMetrics()
 	s.metrics.reg.OnScrape(s.mirrorCollections)
@@ -252,24 +251,6 @@ func (s *Store) attach(c *Collection, cacheCap int) {
 		s.noteQuarantine(c.name, g, "load", c.loadDetail)
 	}
 }
-
-// SetDefaultEngine selects the engine used when a build request names none.
-// The name must be registered with the gbkmv engine registry.
-func (s *Store) SetDefaultEngine(name string) error {
-	if name == "" {
-		return nil
-	}
-	for _, n := range gbkmv.Engines() {
-		if n == name {
-			s.defaultEng = name
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown engine %q (have: %v)", name, gbkmv.Engines())
-}
-
-// DefaultEngine returns the engine used when a build request names none.
-func (s *Store) DefaultEngine() string { return s.defaultEng }
 
 // DefaultSegments returns the segment count applied when a build request
 // leaves options.segments at 0. Zero means unsegmented single-index
@@ -756,46 +737,6 @@ func (c *Collection) Engine() string {
 	return c.eng.EngineName()
 }
 
-// prepared returns a prepared query for the tokens, through the cache's
-// canonical key when one is enabled. Caller must hold at least the read
-// lock (which is what makes the generation read exact: writers bump
-// queryGen under the write lock, so a cache hit is always against the
-// engine state it was prepared under). The returned query is private to the
-// caller. tr, when non-nil, receives the cache outcome and token count for
-// the request trace.
-func (c *Collection) prepared(tokens []string, tr *reqTrace) (gbkmv.PreparedQuery, error) {
-	if tr != nil {
-		tr.tokens = len(tokens)
-	}
-	if c.qcache == nil || len(tokens) > maxCachedQueryTokens {
-		if tr != nil {
-			tr.cache = cacheOff
-		}
-		return gbkmv.PrepareTokens(c.eng, c.voc, tokens)
-	}
-	sc := qkeyPool.Get().(*qkeyScratch)
-	defer qkeyPool.Put(sc)
-	gen := c.queryGen.Load()
-	key := canonicalKey(tokens, sc)
-	if shared, ok := c.qcache.lookup(gen, key); ok {
-		c.qcache.hits.Add(1)
-		if tr != nil {
-			tr.cache = cacheHit
-		}
-		return shared.Clone(), nil
-	}
-	c.qcache.misses.Add(1)
-	if tr != nil {
-		tr.cache = cacheMiss
-	}
-	pq, err := gbkmv.PrepareTokens(c.eng, c.voc, tokens)
-	if err != nil {
-		return nil, err
-	}
-	c.qcache.put(gen, key, pq) // the cache owns pq; hand out a clone
-	return pq.Clone(), nil
-}
-
 // decodeQueryTokens unmarshals a raw query (the verbatim JSON of a request's
 // query array) into its tokens.
 func decodeQueryTokens(raw []byte) ([]string, error) {
@@ -812,7 +753,10 @@ func decodeQueryTokens(raw []byte) ([]string, error) {
 // miss the tokens are decoded once and resolved through the canonical (L2)
 // key — preparing only if that misses too — and the raw key is installed as
 // an alias to the shared prepared query so the next byte-identical request
-// takes the fast path. Caller holds the read lock. tr, when non-nil,
+// takes the fast path. Caller must hold at least the read lock (which is
+// what makes the generation read exact: writers bump queryGen under the write
+// lock, so a cache hit is always against the engine state it was prepared
+// under). The returned query is private to the caller. tr, when non-nil,
 // receives the cache outcome and token count (-1 when the raw-bytes hit
 // skipped decoding) for the request trace.
 func (c *Collection) preparedRaw(raw []byte, tr *reqTrace) (gbkmv.PreparedQuery, error) {
@@ -888,7 +832,7 @@ func (c *Collection) appendHits(dst []Hit, scored []gbkmv.Scored, withTokens boo
 	return dst
 }
 
-// Search returns records with estimated containment ≥ threshold, scored, in
+// SearchRaw returns records with estimated containment ≥ threshold, scored, in
 // ascending id order, together with the total number of qualifying records,
 // appending the materialized hits to dst (pass nil, or a pooled buffer, to
 // bound steady-state allocation). limit > 0 caps the hits that are scored
@@ -896,22 +840,11 @@ func (c *Collection) appendHits(dst []Hit, scored []gbkmv.Scored, withTokens boo
 // pay O(N) estimates and token slices for a page of 10. Each returned hit is
 // estimated exactly once: the engine's SearchScored reports the estimate
 // that decided membership during the candidate walk.
-func (c *Collection) Search(tokens []string, threshold float64, limit int, withTokens bool, dst []Hit) (hits []Hit, total int, err error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	q, err := c.prepared(tokens, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	scored, total := q.SearchScored(threshold, limit)
-	c.noteSearch(q, nil)
-	return c.appendHits(dst, scored, withTokens), total, nil
-}
-
-// SearchRaw is Search taking the query as its verbatim request JSON (an
-// array of token strings), which lets a repeated query resolve through the
-// exact-bytes cache key without decoding tokens at all. tr, when non-nil,
-// receives the request trace (cache outcome, per-search work counters).
+//
+// The query is its verbatim request JSON (an array of token strings), which
+// lets a repeated query resolve through the exact-bytes cache key without
+// decoding tokens at all. tr, when non-nil, receives the request trace (cache
+// outcome, per-search work counters).
 func (c *Collection) SearchRaw(rawQuery []byte, threshold float64, limit int, withTokens bool, dst []Hit, tr *reqTrace) (hits []Hit, total int, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -924,21 +857,8 @@ func (c *Collection) SearchRaw(rawQuery []byte, threshold float64, limit int, wi
 	return c.appendHits(dst, scored, withTokens), total, nil
 }
 
-// TopK returns the k best records by estimated containment, best first,
-// appending to dst as Search does.
-func (c *Collection) TopK(tokens []string, k int, withTokens bool, dst []Hit) ([]Hit, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	q, err := c.prepared(tokens, nil)
-	if err != nil {
-		return nil, err
-	}
-	hits := c.appendHits(dst, q.TopK(k), withTokens)
-	c.noteSearch(q, nil)
-	return hits, nil
-}
-
-// TopKRaw is TopK taking the query as its verbatim request JSON.
+// TopKRaw returns the k best records by estimated containment, best first,
+// appending to dst and taking the query as SearchRaw does.
 func (c *Collection) TopKRaw(rawQuery []byte, k int, withTokens bool, dst []Hit, tr *reqTrace) ([]Hit, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -951,26 +871,16 @@ func (c *Collection) TopKRaw(rawQuery []byte, k int, withTokens bool, dst []Hit,
 	return hits, nil
 }
 
-// queryStatser is the optional prepared-query interface behind per-search
-// work counters: the gbkmv and gkmv engines report them (the clone's Stats
-// field is private to this goroutine per the concurrency contract); other
-// backends simply don't satisfy it.
-type queryStatser interface {
-	QueryStats() gbkmv.QueryStats
-}
-
 // noteSearch books a finished search's work counters into the collection's
 // metrics and, when tr is non-nil, the request trace. q must be the private
-// clone the search just ran on.
+// clone the search just ran on (its counters are private to this goroutine
+// per the concurrency contract). Only gbkmv and gkmv count their work; a
+// search of any other engine books a sample of zeros.
 func (c *Collection) noteSearch(q gbkmv.PreparedQuery, tr *reqTrace) {
 	if c.metrics == nil && tr == nil {
 		return
 	}
-	qs, ok := q.(queryStatser)
-	if !ok {
-		return
-	}
-	st := qs.QueryStats()
+	st := q.QueryStats()
 	c.metrics.observeSearch(st)
 	if tr != nil {
 		tr.stats.candidates = st.Candidates
@@ -1072,32 +982,21 @@ func runBatch(n int, run func(i int)) {
 // slots (each carries the context error) instead of running the batch to
 // completion against a client that already gave up; a nil ctx never expires.
 func (c *Collection) SearchBatch(ctx context.Context, queries []json.RawMessage, threshold float64, limit int, withTokens bool) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	c.metrics.observeBatch(len(queries))
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	slots, idx := dedupBatch(queries)
-	runBatch(len(queries), func(i int) {
-		if ctx != nil && ctx.Err() != nil {
-			out[i].Err = ctx.Err()
-			return
-		}
-		pq, err := slots[idx[i]].prepared(c)
-		if err != nil {
-			out[i].Err = err
-			return
-		}
-		cl := pq.Clone()
-		scored, total := cl.SearchScored(threshold, limit)
-		c.noteSearch(cl, nil)
-		out[i].Hits = c.appendHits(make([]Hit, 0, len(scored)), scored, withTokens)
-		out[i].Total = total
+	return c.batch(ctx, queries, withTokens, func(q gbkmv.PreparedQuery) ([]gbkmv.Scored, int) {
+		return q.SearchScored(threshold, limit)
 	})
-	return out
 }
 
 // TopKBatch is SearchBatch for top-k queries.
 func (c *Collection) TopKBatch(ctx context.Context, queries []json.RawMessage, k int, withTokens bool) []BatchResult {
+	return c.batch(ctx, queries, withTokens, func(q gbkmv.PreparedQuery) ([]gbkmv.Scored, int) {
+		return q.TopK(k), 0
+	})
+}
+
+// batch is the body of SearchBatch and TopKBatch: run answers one query on
+// its private clone.
+func (c *Collection) batch(ctx context.Context, queries []json.RawMessage, withTokens bool, run func(q gbkmv.PreparedQuery) (scored []gbkmv.Scored, total int)) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	c.metrics.observeBatch(len(queries))
 	c.mu.RLock()
@@ -1114,9 +1013,10 @@ func (c *Collection) TopKBatch(ctx context.Context, queries []json.RawMessage, k
 			return
 		}
 		cl := pq.Clone()
-		scored := cl.TopK(k)
+		scored, total := run(cl)
 		c.noteSearch(cl, nil)
 		out[i].Hits = c.appendHits(make([]Hit, 0, len(scored)), scored, withTokens)
+		out[i].Total = total
 	})
 	return out
 }

@@ -1,10 +1,6 @@
 package gbkmv
 
-import (
-	"errors"
-
-	"gbkmv/internal/core"
-)
+import "gbkmv/internal/core"
 
 // Query is a prepared query signature. Preparing once and reusing it
 // amortizes the sketching cost over a search and any number of per-record
@@ -44,21 +40,6 @@ func (ix *Index) Prepare(q Record) *Query {
 		tau:   ix.inner.Tau(),
 		sig:   ix.inner.Sketch(q),
 	}
-}
-
-// PrepareTokens prepares a token query: tokens are converted through the
-// vocabulary without interning (so queries never grow it), and distinct
-// unknown tokens — which cannot match any record but still belong to Q —
-// are counted into the containment denominator |Q|. This is the one correct
-// way to query by tokens; hand-rolling it and forgetting the size override
-// silently inflates every estimate. An error is returned for an empty
-// query.
-func (ix *Index) PrepareTokens(voc *Vocabulary, tokens []string) (*Query, error) {
-	rec, unknown := voc.QueryRecord(tokens)
-	if len(rec)+unknown == 0 {
-		return nil, errors.New("gbkmv: empty query")
-	}
-	return ix.Prepare(rec).WithSize(len(rec) + unknown), nil
 }
 
 // current returns the signature, re-sketching if the index's threshold has

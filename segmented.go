@@ -97,19 +97,6 @@ type segment struct {
 
 var _ Engine = (*Segmented)(nil)
 
-// segmentPinners holds the per-engine hooks that resolve data-dependent
-// option defaults (e.g. the MinHash-family signature length k =
-// budget/records) against the GLOBAL collection before it is split, so every
-// segment builds with the same resolved parameters and per-segment scores
-// stay mutually comparable. Adapters register theirs from init; engines with
-// static defaults need none.
-var segmentPinners = map[string]func(records []Record, opt EngineOptions) EngineOptions{}
-
-// registerSegmentPinner installs an option-pinning hook for an engine.
-func registerSegmentPinner(name string, pin func([]Record, EngineOptions) EngineOptions) {
-	segmentPinners[name] = pin
-}
-
 // NewSegmented builds the named engine sharded across n segments. Records
 // route by content hash; options resolve against the whole record set before
 // the per-segment split (see pinOptions). n < 1 is treated as 1; records may
@@ -161,16 +148,18 @@ func NewSegmented(inner string, n int, records []Record, opt EngineOptions) (*Se
 }
 
 // pinOptions resolves data-dependent option defaults against the global
-// record set and splits the budget across segments: the absolute budget is
-// resolved first (so n == 1 resolves to exactly what the bare engine would
-// use), engine-specific defaults (MinHash-family k) are pinned through the
-// registered hook, then each segment gets an equal ceil share of the units.
+// record set and splits the budget across segments: the engine's own resolve
+// runs first (kmv's and minhash's k, which each segment would otherwise
+// derive from its own records, leaving per-segment estimates incomparable),
+// the absolute budget is resolved (so n == 1 resolves to exactly what the
+// bare engine would use), then each segment gets an equal ceil share of the
+// units.
 func (s *Segmented) pinOptions(records []Record) {
 	if s.pin.Swap(true) {
 		return
 	}
-	if pin := segmentPinners[s.inner]; pin != nil {
-		s.opt = pin(records, s.opt)
+	if e, _ := lookupEngine(s.inner); e.resolve != nil {
+		s.opt = e.resolve(records, s.opt)
 	}
 	if units := s.opt.budget(totalElements(records)); units > 0 {
 		n := len(s.segs)
@@ -301,10 +290,7 @@ func (s *Segmented) AddBatch(recs []Record) []int {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	base := s.Len()
-	ids := make([]int, len(recs))
-	for i := range ids {
-		ids[i] = base + i
-	}
+	ids := idRange(base, len(recs))
 	if len(recs) == 0 {
 		return ids
 	}
@@ -326,10 +312,9 @@ func (s *Segmented) AddBatch(recs []Record) []int {
 		if seg.eng == nil {
 			eng, err := NewEngine(s.inner, subs[i].records, s.opt)
 			if err != nil {
-				// Mirrors the rebuild-on-insert adapters: AddBatch cannot
-				// report errors, and a registered builder failing on non-empty
-				// records under options that already built once is a
-				// programming error.
+				// As in baseline.AddBatch: AddBatch cannot report errors, and
+				// a registered builder failing on non-empty records under
+				// options that already built once is a programming error.
 				panic("gbkmv: building segment on insert: " + err.Error())
 			}
 			seg.eng = eng
@@ -433,16 +418,12 @@ func (s *Segmented) EngineStats() EngineStats {
 	return st
 }
 
-// BuildCounters sums the segments' write-path work counters (segments whose
-// engine does not expose them contribute zero).
+// BuildCounters sums the segments' write-path work counters.
 func (s *Segmented) BuildCounters() (elementsHashed, shrinks uint64) {
-	type counters interface {
-		BuildCounters() (uint64, uint64)
-	}
 	for _, seg := range s.segs {
 		seg.mu.RLock()
-		if bc, ok := seg.eng.(counters); ok && seg.eng != nil {
-			h, sh := bc.BuildCounters()
+		if seg.eng != nil {
+			h, sh := seg.eng.BuildCounters()
 			elementsHashed += h
 			shrinks += sh
 		}
@@ -514,7 +495,7 @@ func (q *segmentedQuery) Search(threshold float64) []int {
 	q.fan(func(i int, pq PreparedQuery) {
 		per[i] = q.globalize(i, pq.Search(threshold))
 	})
-	return mergeSortedIDs(per)
+	return mergeSorted(per, 0, func(id int) int { return id })
 }
 
 func (q *segmentedQuery) SearchScored(threshold float64, limit int) ([]Scored, int) {
@@ -540,7 +521,7 @@ func (q *segmentedQuery) SearchScored(threshold float64, limit int) ([]Scored, i
 		total += r.total
 		lists[i] = r.hits
 	}
-	return mergeSortedScored(lists, limit), total
+	return mergeSorted(lists, limit, func(h Scored) int { return h.ID }), total
 }
 
 func (q *segmentedQuery) TopK(k int) []Scored {
@@ -584,13 +565,12 @@ func (q *segmentedQuery) Estimate(i int) float64 {
 	return pq.Estimate(int(ref.local))
 }
 
-// QueryStats sums the per-segment work counters of the last search, for the
-// segments whose prepared queries report them (gbkmv/gkmv).
+// QueryStats sums the per-segment work counters of the last search.
 func (q *segmentedQuery) QueryStats() QueryStats {
 	var st QueryStats
 	for _, pq := range q.pqs {
-		if qs, ok := pq.(interface{ QueryStats() QueryStats }); ok {
-			s := qs.QueryStats()
+		if pq != nil {
+			s := pq.QueryStats()
 			st.Candidates += s.Candidates
 			st.PrunedByBound += s.PrunedByBound
 			st.Estimated += s.Estimated
@@ -600,8 +580,9 @@ func (q *segmentedQuery) QueryStats() QueryStats {
 	return st
 }
 
-// mergeSortedIDs merges ascending id lists into one ascending list.
-func mergeSortedIDs(lists [][]int) []int {
+// mergeSorted merges lists that each ascend by id into one that does, capped
+// at limit (limit <= 0 means no cap).
+func mergeSorted[T any](lists [][]T, limit int, id func(T) int) []T {
 	total, nonEmpty, last := 0, 0, -1
 	for i, l := range lists {
 		total += len(l)
@@ -611,41 +592,7 @@ func mergeSortedIDs(lists [][]int) []int {
 		}
 	}
 	if nonEmpty == 0 {
-		return []int{}
-	}
-	if nonEmpty == 1 {
-		return lists[last]
-	}
-	out := make([]int, 0, total)
-	pos := make([]int, len(lists))
-	for len(out) < total {
-		best, bestID := -1, 0
-		for i, l := range lists {
-			if pos[i] < len(l) {
-				if id := l[pos[i]]; best == -1 || id < bestID {
-					best, bestID = i, id
-				}
-			}
-		}
-		out = append(out, bestID)
-		pos[best]++
-	}
-	return out
-}
-
-// mergeSortedScored merges ascending-by-id scored lists, capping at limit
-// (limit <= 0 means no cap).
-func mergeSortedScored(lists [][]Scored, limit int) []Scored {
-	total, nonEmpty, last := 0, 0, -1
-	for i, l := range lists {
-		total += len(l)
-		if len(l) > 0 {
-			nonEmpty++
-			last = i
-		}
-	}
-	if nonEmpty == 0 {
-		return []Scored{}
+		return []T{}
 	}
 	if nonEmpty == 1 && (limit <= 0 || len(lists[last]) <= limit) {
 		return lists[last]
@@ -653,19 +600,18 @@ func mergeSortedScored(lists [][]Scored, limit int) []Scored {
 	if limit > 0 && limit < total {
 		total = limit
 	}
-	out := make([]Scored, 0, total)
+	out := make([]T, 0, total)
 	pos := make([]int, len(lists))
 	for len(out) < total {
-		best := -1
-		var bestSc Scored
+		best, bestID := -1, 0
 		for i, l := range lists {
 			if pos[i] < len(l) {
-				if sc := l[pos[i]]; best == -1 || sc.ID < bestSc.ID {
-					best, bestSc = i, sc
+				if v := id(l[pos[i]]); best == -1 || v < bestID {
+					best, bestID = i, v
 				}
 			}
 		}
-		out = append(out, bestSc)
+		out = append(out, lists[best][pos[best]])
 		pos[best]++
 	}
 	return out
