@@ -91,8 +91,16 @@ type PreparedQuery interface {
 	// which is why a serving layer should prefer this over Search followed
 	// by per-hit Estimate calls.
 	SearchScored(threshold float64, limit int) (hits []Scored, total int)
+	// AppendSearchScored is SearchScored with the hits appended to dst, for a
+	// caller that serves many queries from one buffer: with room in dst the
+	// gbkmv and gkmv engines allocate nothing, a Segmented only what its
+	// goroutines cost.
+	AppendSearchScored(dst []Scored, threshold float64, limit int) (hits []Scored, total int)
 	// TopK returns the k best records by estimated containment, best first.
 	TopK(k int) []Scored
+	// AppendTopK is TopK with the results appended to dst, as
+	// AppendSearchScored is to SearchScored.
+	AppendTopK(dst []Scored, k int) []Scored
 	// Estimate returns the estimated containment C(Q, X_i).
 	Estimate(i int) float64
 	// Size returns the query size |Q| in use.
@@ -366,10 +374,17 @@ func parseEngine(sr *snapfmt.Reader) (func() (Engine, error), error) {
 // is returned for an empty query.
 func PrepareTokens(e Engine, voc *Vocabulary, tokens []string) (PreparedQuery, error) {
 	rec, unknown := voc.QueryRecord(tokens)
-	if len(rec)+unknown == 0 {
+	return PrepareElements(e, rec, len(rec)+unknown)
+}
+
+// PrepareElements is PrepareTokens for a caller that resolved the tokens
+// itself: rec holds the elements of the query's known tokens and size is |Q|,
+// its distinct tokens, known or not. The prepared query keeps rec.
+func PrepareElements(e Engine, rec Record, size int) (PreparedQuery, error) {
+	if size == 0 {
 		return nil, errors.New("gbkmv: empty query")
 	}
 	pq := e.PrepareQuery(rec)
-	pq.SetSize(len(rec) + unknown)
+	pq.SetSize(size)
 	return pq, nil
 }

@@ -186,9 +186,12 @@ func (p *baselineQuery) Search(threshold float64) []int {
 }
 
 func (p *baselineQuery) SearchScored(threshold float64, limit int) ([]Scored, int) {
-	hits := []Scored{}
-	total := p.walk(threshold, limit, true, func(id int, s float64) { hits = append(hits, Scored{ID: id, Score: s}) })
-	return hits, total
+	return p.AppendSearchScored([]Scored{}, threshold, limit)
+}
+
+func (p *baselineQuery) AppendSearchScored(dst []Scored, threshold float64, limit int) ([]Scored, int) {
+	total := p.walk(threshold, limit, true, func(id int, s float64) { dst = append(dst, Scored{ID: id, Score: s}) })
+	return dst, total
 }
 
 // walk is the one result walk behind Search and SearchScored: it hands emit
@@ -224,12 +227,14 @@ func (p *baselineQuery) walk(threshold float64, limit int, score bool, emit func
 	return total
 }
 
-// TopK scores the backend's top-k candidates, drops zero estimates, and
+func (p *baselineQuery) TopK(k int) []Scored { return p.AppendTopK(nil, k) }
+
+// AppendTopK scores the backend's top-k candidates, drops zero estimates, and
 // selects through the bounded heap the GB-KMV index's top-k uses: best first,
 // ties by ascending id, O(n log k).
-func (p *baselineQuery) TopK(k int) []Scored {
+func (p *baselineQuery) AppendTopK(dst []Scored, k int) []Scored {
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	cands, all := p.e.topkCandidates(p.sig, p.size)
 	n := len(cands)
@@ -246,7 +251,7 @@ func (p *baselineQuery) TopK(k int) []Scored {
 			h.Push(id, s)
 		}
 	}
-	return h.Sorted()
+	return h.AppendSorted(dst)
 }
 
 // clamp01 clamps a containment estimate into [0, 1].

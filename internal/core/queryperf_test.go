@@ -61,6 +61,27 @@ func TestSearchTopKSigAllocs(t *testing.T) {
 	}
 }
 
+func TestAppendSearchAllocs(t *testing.T) {
+	// The append forms copy out of the pooled scratch into the caller's
+	// buffer: with room there, a search and a top-k allocate nothing at all.
+	ix, queries := allocFixture(t)
+	sig := ix.Sketch(queries[0])
+	var dst []Scored
+	for i := 0; i < 4; i++ { // warm the scratch pool, its buffers and dst
+		dst, _ = ix.AppendSearchSigScored(dst[:0], sig, 0.5, 0)
+		dst = ix.AppendTopKSig(dst[:0], sig, 10)
+	}
+	if len(dst) == 0 {
+		t.Fatal("the fixture query has no results")
+	}
+	if got := testing.AllocsPerRun(100, func() { dst, _ = ix.AppendSearchSigScored(dst[:0], sig, 0.5, 0) }); got != 0 {
+		t.Errorf("AppendSearchSigScored allocates %.1f per call with a warm buffer, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { dst = ix.AppendTopKSig(dst[:0], sig, 10) }); got != 0 {
+		t.Errorf("AppendTopKSig allocates %.1f per call with a warm buffer, want 0", got)
+	}
+}
+
 func TestSketchAndSearchAllocs(t *testing.T) {
 	// The raw-record entry points sketch into pooled scratch as well, so a
 	// server answering Search(q) pays only for the result slice.

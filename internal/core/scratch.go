@@ -9,7 +9,8 @@ import "gbkmv/internal/topkheap"
 // reusable top-k heap buffer, and a reusable query-signature slot for the
 // sketch-and-search entry points. Instances live in a per-index sync.Pool;
 // steady-state searches therefore allocate nothing beyond their result
-// slice, which is an exact-size copy of the hits — never an alias of ids or
+// slice — and not that when the caller brings one (AppendSearchSigScored,
+// AppendTopKSig). Results are always copied out, never an alias of ids or
 // hits, which the next query on this scratch overwrites.
 //
 // Concurrency contract: a scratch is owned by exactly one query at a time
@@ -25,7 +26,7 @@ type searchScratch struct {
 	columns []int32  // the buffer bits whose columns this query ORs
 	union   []uint64 // their OR: one bit a record, sized with visited
 	ids     []int    // searchSigWith's hits before the exact-size copy
-	hits    []Scored // searchSigScoredWith's hits before the exact-size copy
+	hits    []Scored // searchSigScoredWith's hits before the copy out
 	heap    []topkheap.Scored
 	sig     QuerySig // reusable signature for the Search(q)/SearchTopK(q) paths
 }

@@ -18,12 +18,25 @@ import "slices"
 func (ix *Index) SearchSigScored(sig *QuerySig, tstar float64, limit int) ([]Scored, int) {
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	return ix.searchSigScoredWith(sig, tstar, limit, sc)
+	hits, total := ix.searchSigScoredWith(sig, tstar, limit, sc)
+	res := make([]Scored, len(hits))
+	copy(res, hits)
+	return res, total
 }
 
-// searchSigScoredWith runs the scored search over caller-provided scratch.
-// It is result-equivalent to searchSigWith followed by EstimateContainment
-// on each returned id (the differential tests pin this).
+// AppendSearchSigScored is SearchSigScored with the hits appended to dst: a
+// caller that brings a buffer with room allocates nothing.
+func (ix *Index) AppendSearchSigScored(dst []Scored, sig *QuerySig, tstar float64, limit int) ([]Scored, int) {
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
+	hits, total := ix.searchSigScoredWith(sig, tstar, limit, sc)
+	return append(dst, hits...), total
+}
+
+// searchSigScoredWith runs the scored search over caller-provided scratch,
+// which owns the hits it returns: the caller copies them out before the
+// scratch goes back. It is result-equivalent to searchSigWith followed by
+// EstimateContainment on each returned id (the differential tests pin this).
 func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc *searchScratch) ([]Scored, int) {
 	sig.Stats = QueryStats{}
 	if tstar <= 0 {
@@ -34,16 +47,17 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 		if limit > 0 && n > limit {
 			n = limit
 		}
-		out := make([]Scored, n)
+		out := slices.Grow(sc.hits[:0], n)
 		for i := 0; i < n; i++ {
-			out[i] = Scored{ID: i, Score: ix.EstimateContainment(sig, i)}
+			out = append(out, Scored{ID: i, Score: ix.EstimateContainment(sig, i)})
 		}
+		sc.hits = out
 		sig.Stats.Estimated = n
 		return out, total
 	}
 	if sig.Size <= 0 {
 		// An empty query is contained in nothing: every estimate is 0.
-		return []Scored{}, 0
+		return nil, 0
 	}
 	size := float64(sig.Size)
 	theta := tstar * size
@@ -84,15 +98,13 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
-	res := make([]Scored, len(out))
-	copy(res, out)
 	if deferred {
-		for i := range res {
-			if res[i].Score < 0 {
-				res[i].Score = ix.EstimateContainment(sig, res[i].ID)
+		for i := range out {
+			if out[i].Score < 0 {
+				out[i].Score = ix.EstimateContainment(sig, out[i].ID)
 				sig.Stats.Estimated++
 			}
 		}
 	}
-	return res, total
+	return out, total
 }

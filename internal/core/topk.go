@@ -27,23 +27,36 @@ func (ix *Index) SearchTopK(q dataset.Record, k int) []Scored {
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
 	ix.sketchInto(&sc.sig, q)
-	return ix.topkSigWith(&sc.sig, k, sc)
+	h := ix.topkSigWith(&sc.sig, k, sc)
+	return h.Sorted()
 }
 
 // SearchTopKSig is SearchTopK with a prebuilt query signature.
 func (ix *Index) SearchTopKSig(sig *QuerySig, k int) []Scored {
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	return ix.topkSigWith(sig, k, sc)
+	h := ix.topkSigWith(sig, k, sc)
+	return h.Sorted()
+}
+
+// AppendTopKSig is SearchTopKSig with the results appended to dst: a caller
+// that brings a buffer with room allocates nothing.
+func (ix *Index) AppendTopKSig(dst []Scored, sig *QuerySig, k int) []Scored {
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
+	h := ix.topkSigWith(sig, k, sc)
+	return h.AppendSorted(dst)
 }
 
 // topkSigWith selects the k best candidates with a bounded min-heap and an
 // upper-bound prune instead of scoring everything and sorting: once the heap
 // holds k results, a candidate whose cheap score ceiling cannot beat the
-// running k-th score skips the full G-KMV merge entirely.
-func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
+// running k-th score skips the full G-KMV merge entirely. The heap it returns
+// lives in the scratch: the caller copies the results out (Sorted,
+// AppendSorted) before the scratch goes back.
+func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) topkheap.Heap {
 	if k <= 0 || sig.Size == 0 {
-		return nil
+		return topkheap.Make(0, nil)
 	}
 	sig.Stats = QueryStats{}
 	// Candidate generation as in searchSigWith with θ → 0⁺: any record
@@ -102,7 +115,7 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
 		}
 	}
 	sc.heap = h.Buf()
-	return h.Sorted()
+	return h
 }
 
 // SearchBatch runs Search for every query concurrently and returns the

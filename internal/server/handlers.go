@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -89,20 +88,6 @@ func writeBodyError(w http.ResponseWriter, err error) {
 		return
 	}
 	writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-}
-
-// decode reads the request body as JSON into v, enforcing the size bound.
-// The bulk endpoints (build, insert) scan their bodies instead: see
-// ingest.go.
-func (h *api) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, h.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeBodyError(w, err)
-		return false
-	}
-	return true
 }
 
 // shed answers a request refused under overload: 503 + Retry-After, booked
@@ -468,181 +453,89 @@ func (h *api) insert(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ids": ids})
 }
 
-type searchRequest struct {
-	// Query is kept as raw JSON: a byte-identical hot query resolves through
-	// the prepared-query cache's exact-bytes key without per-token decoding.
-	Query     json.RawMessage `json:"query"`
-	Threshold float64         `json:"threshold"`
-	// Limit caps the hits returned; 0 means all. The total qualifying count
-	// is always reported.
-	Limit int `json:"limit"`
-	// WithTokens includes each hit's record tokens in the response.
-	WithTokens bool `json:"with_tokens"`
-}
-
-func (h *api) search(w http.ResponseWriter, r *http.Request) {
+// query is the shared front of search, topk and their batch forms: it
+// resolves the collection, scans and validates the body and opens the
+// request trace. When ok, the caller puts the scanner back once it is done
+// with the request's queries, which alias the scanner's buffers.
+func (h *api) query(w http.ResponseWriter, r *http.Request, batch, topk bool) (c *Collection, sc *bodyScanner, req queryBody, ok bool) {
 	if h.deadlinePassed(w, r) {
-		return
+		return nil, nil, req, false
 	}
-	c, ok := h.collection(w, r)
-	if !ok {
-		return
+	if c, ok = h.collection(w, r); !ok {
+		return nil, nil, req, false
 	}
-	var req searchRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	if req.Threshold < 0 || req.Threshold > 1 {
-		writeError(w, http.StatusBadRequest, "threshold must be in [0, 1]")
-		return
-	}
-	tr := traceOf(w)
-	if tr != nil {
-		tr.isQuery = true
-		tr.engine = c.engName
-	}
-	sc := getResp()
-	defer putResp(sc)
-	hits, total, err := c.SearchRaw(req.Query, req.Threshold, req.Limit, req.WithTokens, sc.hits[:0], tr)
+	sc = getScanner(http.MaxBytesReader(w, r.Body, h.maxBody))
+	req, err := sc.readQuery(batch, topk)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "search: %v", err)
-		return
+		writeBodyError(w, err)
+	} else if err = req.invalid(batch); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+	} else {
+		if tr := traceOf(w); tr != nil {
+			tr.isQuery = true
+			tr.engine = c.engName
+			if batch {
+				tr.queries = len(req.queries)
+			}
+		}
+		return c, sc, req, true
 	}
-	sc.hits = hits
-	sc.b = appendSearchResponse(sc.b[:0], total, hits)
-	writeRaw(w, http.StatusOK, sc.b)
+	putScanner(sc)
+	return nil, nil, req, false
 }
 
-type topkRequest struct {
-	Query      json.RawMessage `json:"query"`
-	K          int             `json:"k"`
-	WithTokens bool            `json:"with_tokens"`
-}
+func (h *api) search(w http.ResponseWriter, r *http.Request) { h.answer(w, r, false) }
+func (h *api) topk(w http.ResponseWriter, r *http.Request)   { h.answer(w, r, true) }
 
-func (h *api) topk(w http.ResponseWriter, r *http.Request) {
-	if h.deadlinePassed(w, r) {
-		return
-	}
-	c, ok := h.collection(w, r)
+// answer serves search ({"query": [token, ...], "threshold": t, "limit": n,
+// "with_tokens": bool}; limit caps the hits returned, 0 means all, and the
+// total qualifying count is always reported) and topk ({"query": [...], "k":
+// k, "with_tokens": bool}).
+func (h *api) answer(w http.ResponseWriter, r *http.Request, topk bool) {
+	c, sc, req, ok := h.query(w, r, false, topk)
 	if !ok {
 		return
 	}
-	var req topkRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	if req.K <= 0 {
-		writeError(w, http.StatusBadRequest, "k must be positive")
-		return
-	}
-	tr := traceOf(w)
-	if tr != nil {
-		tr.isQuery = true
-		tr.engine = c.engName
-	}
-	sc := getResp()
-	defer putResp(sc)
-	hits, err := c.TopKRaw(req.Query, req.K, req.WithTokens, sc.hits[:0], tr)
+	defer putScanner(sc)
+	rs := getResp()
+	defer putResp(rs)
+	hits, total, err := c.answer(rs, req.query, req.querySpec, rs.hits[:0], traceOf(w))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "topk: %v", err)
+		what := "search"
+		if topk {
+			what = "topk"
+		}
+		writeError(w, http.StatusBadRequest, "%s: %v", what, err)
 		return
 	}
-	sc.hits = hits
-	sc.b = appendTopKResponse(sc.b[:0], hits)
-	writeRaw(w, http.StatusOK, sc.b)
-}
-
-// maxBatchQueries bounds one batch request: the whole batch runs under a
-// single read-lock acquisition, so an unbounded batch could starve writers.
-const maxBatchQueries = 1024
-
-type batchSearchRequest struct {
-	Queries    []json.RawMessage `json:"queries"`
-	Threshold  float64           `json:"threshold"`
-	Limit      int               `json:"limit"`
-	WithTokens bool              `json:"with_tokens"`
-}
-
-// searchBatch answers many threshold searches in one request: each distinct
-// query is prepared once, the batch fans out across a bounded worker pool,
-// and lock acquisition plus response encoding are amortized over the batch.
-// Per-query failures (e.g. an empty query) fail only their result slot.
-func (h *api) searchBatch(w http.ResponseWriter, r *http.Request) {
-	if h.deadlinePassed(w, r) {
-		return
+	rs.hits = hits
+	if topk {
+		rs.b = appendTopKResponse(rs.b[:0], hits)
+	} else {
+		rs.b = appendSearchResponse(rs.b[:0], total, hits)
 	}
-	c, ok := h.collection(w, r)
+	writeRaw(w, http.StatusOK, rs.b)
+}
+
+func (h *api) searchBatch(w http.ResponseWriter, r *http.Request) { h.answerBatch(w, r, false) }
+func (h *api) topkBatch(w http.ResponseWriter, r *http.Request)   { h.answerBatch(w, r, true) }
+
+// answerBatch answers many threshold searches, or top-k queries, in one
+// request ("queries" in place of "query"): each distinct query is prepared
+// once, the batch fans out across a bounded worker pool, and lock acquisition
+// plus response encoding are amortized over the batch. Per-query failures
+// (e.g. an empty query) fail only their result slot.
+func (h *api) answerBatch(w http.ResponseWriter, r *http.Request, topk bool) {
+	c, sc, req, ok := h.query(w, r, true, topk)
 	if !ok {
 		return
 	}
-	var req batchSearchRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "no queries")
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest, "batch of %d queries exceeds the limit of %d", len(req.Queries), maxBatchQueries)
-		return
-	}
-	if req.Threshold < 0 || req.Threshold > 1 {
-		writeError(w, http.StatusBadRequest, "threshold must be in [0, 1]")
-		return
-	}
-	if tr := traceOf(w); tr != nil {
-		tr.isQuery = true
-		tr.engine = c.engName
-		tr.queries = len(req.Queries)
-	}
-	results := c.SearchBatch(r.Context(), req.Queries, req.Threshold, req.Limit, req.WithTokens)
-	sc := getResp()
-	defer putResp(sc)
-	sc.b = appendBatchResponse(sc.b[:0], results, true)
-	writeRaw(w, http.StatusOK, sc.b)
-}
-
-type batchTopKRequest struct {
-	Queries    []json.RawMessage `json:"queries"`
-	K          int               `json:"k"`
-	WithTokens bool              `json:"with_tokens"`
-}
-
-func (h *api) topkBatch(w http.ResponseWriter, r *http.Request) {
-	if h.deadlinePassed(w, r) {
-		return
-	}
-	c, ok := h.collection(w, r)
-	if !ok {
-		return
-	}
-	var req batchTopKRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "no queries")
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest, "batch of %d queries exceeds the limit of %d", len(req.Queries), maxBatchQueries)
-		return
-	}
-	if req.K <= 0 {
-		writeError(w, http.StatusBadRequest, "k must be positive")
-		return
-	}
-	if tr := traceOf(w); tr != nil {
-		tr.isQuery = true
-		tr.engine = c.engName
-		tr.queries = len(req.Queries)
-	}
-	results := c.TopKBatch(r.Context(), req.Queries, req.K, req.WithTokens)
-	sc := getResp()
-	defer putResp(sc)
-	sc.b = appendBatchResponse(sc.b[:0], results, false)
-	writeRaw(w, http.StatusOK, sc.b)
+	defer putScanner(sc)
+	results := c.batch(r.Context(), req.queries, req.querySpec)
+	rs := getResp()
+	defer putResp(rs)
+	rs.b = appendBatchResponse(rs.b[:0], results, !topk)
+	writeRaw(w, http.StatusOK, rs.b)
 }
 
 func (h *api) snapshot(w http.ResponseWriter, r *http.Request) {

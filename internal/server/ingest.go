@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"unicode"
 	"unicode/utf16"
@@ -14,27 +15,34 @@ import (
 	"gbkmv"
 )
 
-// The two bulk bodies — PUT /collections/{name} and POST …/records — are
-// read by a streaming scanner instead of encoding/json: a body is tokens
-// almost to the byte, and reflection decoding turns each one into a string,
-// each record into a grown slice and buffers the whole body besides (22×
-// the body in allocations for a 13.6 MB build). The scanner walks the body
-// once through a fixed window and hands token bytes straight to their
-// consumer: the vocabulary for a build, one slab for an insert.
+// The bodies that are tokens almost to the byte — PUT /collections/{name},
+// POST …/records, and search, topk and their batch forms — are read by a
+// streaming scanner instead of encoding/json: reflection decoding turns each
+// token into a string, each record into a grown slice and buffers the whole
+// body besides (22× the body in allocations for a 13.6 MB build, 1 kB for a
+// three-field search request). The scanner walks the body once through a
+// fixed window and hands the bytes straight to their consumer: the vocabulary
+// for a build, one slab for an insert, the query as it stands — the
+// prepared-query cache's key — for a search.
 //
 // It accepts what json.Decoder with DisallowUnknownFields accepts for the
 // same struct, and reads it the same way: case-folded keys, a later
-// duplicate key replacing (records, file) or merging into (options) an
-// earlier one, null as "leave unset", U+FFFD for invalid UTF-8 and lone
-// surrogates, nothing read past the closing brace. The one departure: on a
+// duplicate key replacing (records, file, query, queries) or merging into
+// (options) an earlier one, null as "leave unset" for a string, number or
+// bool and as "empty" for an array, U+FFFD for invalid UTF-8 and lone
+// surrogates, nothing read past the closing brace. Two departures. On a
 // repeated "records" key encoding/json decodes into the previous slice and a
 // null token keeps that slot's old string; here a null token is always "".
-// ingest_test.go holds the table and the fuzz target that pin this.
+// And an unknown field or a value of the wrong type is reported where it
+// stands, while encoding/json first reads on to the closing brace: a body
+// with both such a field and a syntax error behind it, or the size bound, is
+// answered for the field. ingest_test.go and query_body_test.go hold the
+// tables and the fuzz targets that pin this.
 
 // scanWindow is the scanner's window: large enough that refills are rare,
 // small enough that a pooled scanner costs nothing to keep. It grows only
-// for a single token longer than itself. Scanners whose window or slab grew
-// past scanKeepBytes are dropped, not pooled.
+// for a single token longer than itself. Scanners whose window, slab or
+// captured values grew past scanKeepBytes are dropped, not pooled.
 const (
 	scanWindow    = 64 << 10
 	scanKeepBytes = 1 << 20
@@ -50,7 +58,14 @@ type bodyScanner struct {
 
 	key []byte // current top-level key, unescaped
 	tok []byte // unescaped form of the last string that needed it
-	raw []byte // last object captured by rawObject
+
+	// Values kept as they stand (capture): their bytes back to back, the end
+	// offset of each, and — while one is being read — where in the window
+	// its not yet copied part starts (-1 otherwise).
+	raw     []byte
+	rawEnds []int
+	mark    int
+	queries [][]byte // queryBody.queries' backing array
 
 	// Insert bodies: every token's bytes back to back, the end offset of
 	// each token in slab, and the token count at the end of each record.
@@ -65,12 +80,12 @@ var scanPool = sync.Pool{New: func() any {
 
 func getScanner(r io.Reader) *bodyScanner {
 	s := scanPool.Get().(*bodyScanner)
-	s.r, s.pos, s.end, s.rerr = r, 0, 0, nil
+	s.r, s.pos, s.end, s.rerr, s.mark = r, 0, 0, nil, -1
 	return s
 }
 
 func putScanner(s *bodyScanner) {
-	if len(s.buf) > scanKeepBytes || cap(s.slab) > scanKeepBytes {
+	if len(s.buf) > scanKeepBytes || cap(s.slab) > scanKeepBytes || cap(s.raw) > scanKeepBytes {
 		return
 	}
 	s.r = nil
@@ -89,6 +104,10 @@ func (s *bodyScanner) fill() bool {
 		return false
 	}
 	if s.pos > 0 {
+		if s.mark >= 0 {
+			s.raw = append(s.raw, s.buf[s.mark:s.pos]...)
+			s.mark = 0
+		}
 		s.end = copy(s.buf, s.buf[s.pos:s.end])
 		s.pos = 0
 	} else if s.end == len(s.buf) {
@@ -130,18 +149,74 @@ func (s *bodyScanner) next() (byte, error) {
 	}
 }
 
-// null consumes the literal the caller saw the 'n' of.
-func (s *bodyScanner) null() error {
-	for s.end-s.pos < 4 {
+// literal consumes null, true or false: the one the caller saw the first
+// byte of.
+func (s *bodyScanner) literal(word string) error {
+	for s.end-s.pos < len(word) {
 		if !s.fill() {
 			return s.readErr()
 		}
 	}
-	if string(s.buf[s.pos:s.pos+4]) != "null" {
-		return syntaxErr('n', "where a value should start")
+	if string(s.buf[s.pos:s.pos+len(word)]) != word {
+		return syntaxErr(word[0], "where a value should start")
 	}
-	s.pos += 4
+	s.pos += len(word)
 	return nil
+}
+
+// at returns the byte i past the unread position, or 0 where the body ends
+// first.
+func (s *bodyScanner) at(i int) byte {
+	for s.pos+i >= s.end {
+		if !s.fill() {
+			return 0
+		}
+	}
+	return s.buf[s.pos+i]
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// number consumes the number the caller saw the first byte of, held to the
+// JSON grammar, and returns its text, valid until the scanner is used again.
+func (s *bodyScanner) number() ([]byte, error) {
+	i := 0
+	digits := func() bool {
+		from := i
+		for isDigit(s.at(i)) {
+			i++
+		}
+		return i > from
+	}
+	ok := true
+	if s.at(i) == '-' {
+		i++
+	}
+	if s.at(i) == '0' {
+		i++
+	} else {
+		ok = digits()
+	}
+	if ok && s.at(i) == '.' {
+		i++
+		ok = digits()
+	}
+	if c := s.at(i); ok && (c == 'e' || c == 'E') {
+		i++
+		if c = s.at(i); c == '+' || c == '-' {
+			i++
+		}
+		ok = digits()
+	}
+	if !ok {
+		if s.pos+i >= s.end {
+			return nil, s.readErr()
+		}
+		return nil, syntaxErr(s.buf[s.pos+i], "in a number")
+	}
+	text := s.buf[s.pos : s.pos+i]
+	s.pos += i
+	return text, nil
 }
 
 // sep consumes the separator after an element of an array or object and
@@ -206,14 +281,22 @@ func (s *bodyScanner) str() ([]byte, error) {
 	}
 }
 
-// unquote decodes the inside of a string literal into s.tok the way
-// encoding/json does: invalid UTF-8 and surrogate halves without their
-// partner become U+FFFD.
+// unquote decodes the inside of a string literal: text itself when it stands
+// for its own bytes, s.tok otherwise.
 func (s *bodyScanner) unquote(text []byte) ([]byte, error) {
 	if utf8.Valid(text) && bytes.IndexByte(text, '\\') < 0 {
 		return text, nil
 	}
-	out := s.tok[:0]
+	var err error
+	s.tok, err = appendUnquoted(s.tok[:0], text)
+	return s.tok, err
+}
+
+// appendUnquoted appends what the inside of a string literal stands for, the
+// way encoding/json decodes it: invalid UTF-8 and surrogate halves without
+// their partner become U+FFFD. text must not end inside an escape's first two
+// bytes (no lone trailing backslash).
+func appendUnquoted(out, text []byte) ([]byte, error) {
 	for i := 0; i < len(text); {
 		c := text[i]
 		if c >= utf8.RuneSelf {
@@ -227,7 +310,6 @@ func (s *bodyScanner) unquote(text []byte) ([]byte, error) {
 			i++
 			continue
 		}
-		// str never ends a string on a backslash, so text[i+1] exists.
 		esc := text[i+1]
 		i += 2
 		switch esc {
@@ -246,7 +328,7 @@ func (s *bodyScanner) unquote(text []byte) ([]byte, error) {
 		case 'u':
 			r := hex4(text[i:])
 			if r < 0 {
-				return nil, errors.New("invalid JSON: bad \\u escape in a string")
+				return out, errors.New("invalid JSON: bad \\u escape in a string")
 			}
 			i += 4
 			if utf16.IsSurrogate(r) {
@@ -260,10 +342,9 @@ func (s *bodyScanner) unquote(text []byte) ([]byte, error) {
 			}
 			out = utf8.AppendRune(out, r)
 		default:
-			return nil, syntaxErr(esc, "after a backslash")
+			return out, syntaxErr(esc, "after a backslash")
 		}
 	}
-	s.tok = out
 	return out, nil
 }
 
@@ -289,38 +370,91 @@ func hex4(b []byte) rune {
 	return r
 }
 
-// rawObject captures the object whose opening brace is the next byte, to
-// its matching brace, into s.raw. Only brackets and strings are tracked:
-// whatever else is wrong inside, encoding/json reports when it decodes the
-// capture.
-func (s *bodyScanner) rawObject() ([]byte, error) {
-	s.raw = s.raw[:0]
-	depth, inStr, esc := 0, false, false
-	for {
-		for s.pos < s.end {
-			c := s.buf[s.pos]
-			s.pos++
-			s.raw = append(s.raw, c)
-			switch {
-			case esc:
-				esc = false
-			case inStr:
-				esc = c == '\\'
-				inStr = c != '"'
-			case c == '"':
-				inStr = true
-			case c == '{' || c == '[':
-				depth++
-			case c == '}' || c == ']':
-				if depth--; depth == 0 {
-					return s.raw, nil
+// maxDepth is how deep arrays and objects may nest: encoding/json's bound.
+const maxDepth = 10000
+
+// value consumes one value of any type, held to the JSON grammar. depth is
+// how many arrays and objects are open around it.
+func (s *bodyScanner) value(depth int) error {
+	c, err := s.next()
+	if err != nil {
+		return err
+	}
+	switch {
+	case c == '"':
+		_, err = s.str()
+	case c == 'n':
+		err = s.literal("null")
+	case c == 't':
+		err = s.literal("true")
+	case c == 'f':
+		err = s.literal("false")
+	case c == '-' || isDigit(c):
+		_, err = s.number()
+	case c == '[' || c == '{':
+		if depth >= maxDepth {
+			return errors.New("invalid JSON: exceeded max depth")
+		}
+		closer := c + 2 // in ASCII, for both
+		var done bool
+		done, err = s.open(closer)
+		for !done && err == nil {
+			if c == '{' {
+				if err = s.memberKey(); err != nil {
+					return err
 				}
 			}
+			if err = s.value(depth + 1); err != nil {
+				return err
+			}
+			done, err = s.sep(closer)
 		}
-		if !s.fill() {
-			return nil, s.readErr()
-		}
+	default:
+		err = syntaxErr(c, "where a value should start")
 	}
+	return err
+}
+
+// memberKey consumes an object member's key and colon, leaving the key,
+// unescaped, in s.key and the scanner on the member's value.
+func (s *bodyScanner) memberKey() error {
+	c, err := s.next()
+	if err != nil {
+		return err
+	}
+	if c != '"' {
+		return syntaxErr(c, "where a key should start")
+	}
+	key, err := s.str()
+	if err != nil {
+		return err
+	}
+	s.key = append(s.key[:0], key...) // key may alias the window
+	if c, err = s.next(); err != nil {
+		return err
+	}
+	if c != ':' {
+		return syntaxErr(c, "after a key")
+	}
+	s.pos++
+	return nil
+}
+
+func (s *bodyScanner) resetCaptures() { s.raw, s.rawEnds = s.raw[:0], s.rawEnds[:0] }
+
+// capture consumes one value of any type, held to the JSON grammar, and
+// keeps its bytes as they stand — what a json.RawMessage field would hold —
+// at the end of s.raw, noting where they end in s.rawEnds.
+func (s *bodyScanner) capture(depth int) error {
+	if _, err := s.next(); err != nil {
+		return err
+	}
+	s.mark = s.pos
+	err := s.value(depth)
+	s.raw = append(s.raw, s.buf[s.mark:s.pos]...)
+	s.mark = -1
+	s.rawEnds = append(s.rawEnds, len(s.raw))
+	return err
 }
 
 // object walks the body's top-level object: field is called for each key
@@ -332,31 +466,16 @@ func (s *bodyScanner) object(field func(key []byte) error) error {
 		return err
 	}
 	if c == 'n' {
-		return s.null()
+		return s.literal("null")
 	}
 	if c != '{' {
 		return syntaxErr(c, "where the request object should start")
 	}
 	done, err := s.open('}')
 	for !done && err == nil {
-		if c, err = s.next(); err != nil {
+		if err = s.memberKey(); err != nil {
 			return err
 		}
-		if c != '"' {
-			return syntaxErr(c, "where a key should start")
-		}
-		var key []byte
-		if key, err = s.str(); err != nil {
-			return err
-		}
-		s.key = append(s.key[:0], key...) // key may alias the window
-		if c, err = s.next(); err != nil {
-			return err
-		}
-		if c != ':' {
-			return syntaxErr(c, "after a key")
-		}
-		s.pos++
 		if err = field(s.key); err != nil {
 			return err
 		}
@@ -373,7 +492,7 @@ func (s *bodyScanner) array(what string, elem func() error) error {
 		return err
 	}
 	if c == 'n' {
-		return s.null()
+		return s.literal("null")
 	}
 	if c != '[' {
 		return syntaxErr(c, "where "+what+" should start")
@@ -388,12 +507,10 @@ func (s *bodyScanner) array(what string, elem func() error) error {
 	return err
 }
 
-// records walks a "records" value — an array of token arrays, or null —
-// calling token for each token's bytes (valid only during the call) and
-// endRecord after each record. A null record has no tokens; a null token is
-// the empty string.
-func (s *bodyScanner) records(token func([]byte), endRecord func()) error {
-	elem := func() error {
+// tokens walks an array of strings, or null, calling token for each one's
+// bytes (valid only during the call). A null token is the empty string.
+func (s *bodyScanner) tokens(what string, token func([]byte)) error {
+	return s.array(what, func() error {
 		c, err := s.next()
 		if err != nil {
 			return err
@@ -408,12 +525,26 @@ func (s *bodyScanner) records(token func([]byte), endRecord func()) error {
 			return nil
 		case 'n':
 			token(nil)
-			return s.null()
+			return s.literal("null")
 		}
-		return syntaxErr(c, "where a token should start")
-	}
+		return notAToken(c)
+	})
+}
+
+// notAToken is the error of an array element that starts with this byte,
+// which neither a string nor null does.
+type notAToken byte
+
+func (c notAToken) Error() string {
+	return syntaxErr(byte(c), "where a token should start").Error()
+}
+
+// records walks a "records" value — an array of token arrays, or null —
+// calling token for each token's bytes and endRecord after each record. A
+// null record has no tokens.
+func (s *bodyScanner) records(token func([]byte), endRecord func()) error {
 	return s.array("the records array", func() error {
-		if err := s.array("a record", elem); err != nil {
+		if err := s.tokens("a record", token); err != nil {
 			return err
 		}
 		endRecord()
@@ -429,7 +560,7 @@ func (s *bodyScanner) optString(dst *string) error {
 	}
 	switch c {
 	case 'n':
-		return s.null()
+		return s.literal("null")
 	case '"':
 		text, err := s.str()
 		if err != nil {
@@ -439,6 +570,71 @@ func (s *bodyScanner) optString(dst *string) error {
 		return nil
 	}
 	return syntaxErr(c, "where a string should start")
+}
+
+// optNumber reads a number value's text (valid until the scanner is used
+// again), or nil for null.
+func (s *bodyScanner) optNumber() ([]byte, error) {
+	c, err := s.next()
+	switch {
+	case err != nil:
+		return nil, err
+	case c == 'n':
+		return nil, s.literal("null")
+	case c == '-' || isDigit(c):
+		return s.number()
+	}
+	return nil, syntaxErr(c, "where a number should start")
+}
+
+// optFloat reads a number into dst; null leaves dst alone.
+func (s *bodyScanner) optFloat(dst *float64) error {
+	text, err := s.optNumber()
+	if err != nil || text == nil {
+		return err
+	}
+	f, err := strconv.ParseFloat(string(text), 64)
+	if err != nil {
+		return fmt.Errorf("number %s does not fit a float64", text)
+	}
+	*dst = f
+	return nil
+}
+
+// optInt reads a number into dst, refusing one written with a fraction or an
+// exponent as encoding/json does for an int field; null leaves dst alone.
+func (s *bodyScanner) optInt(dst *int) error {
+	text, err := s.optNumber()
+	if err != nil || text == nil {
+		return err
+	}
+	n, err := strconv.ParseInt(string(text), 10, strconv.IntSize)
+	if err != nil {
+		return fmt.Errorf("number %s is not an integer in range", text)
+	}
+	*dst = int(n)
+	return nil
+}
+
+// optBool reads true or false into dst; null leaves dst alone.
+func (s *bodyScanner) optBool(dst *bool) error {
+	c, err := s.next()
+	switch {
+	case err != nil:
+		return err
+	case c == 'n':
+		return s.literal("null")
+	case c == 't':
+		err = s.literal("true")
+	case c == 'f':
+		err = s.literal("false")
+	default:
+		return syntaxErr(c, "where true or false should start")
+	}
+	if err == nil {
+		*dst = c == 't'
+	}
+	return err
 }
 
 // keyIs matches a key the way encoding/json matches struct fields.
@@ -488,18 +684,18 @@ func (s *bodyScanner) readBuild() (buildBody, error) {
 				return err
 			}
 			if c == 'n' {
-				return s.null()
+				return s.literal("null")
 			}
 			if c != '{' {
 				return syntaxErr(c, "where the options object should start")
 			}
-			raw, err := s.rawObject()
-			if err != nil {
+			s.resetCaptures()
+			if err := s.capture(1); err != nil {
 				return err
 			}
 			// Decoding into the same struct merges a repeated key's
 			// fields, as decoding the whole body at once did.
-			dec := json.NewDecoder(bytes.NewReader(raw))
+			dec := json.NewDecoder(bytes.NewReader(s.raw))
 			dec.DisallowUnknownFields()
 			if err := dec.Decode(&b.Options); err != nil {
 				return fmt.Errorf("options: %w", err)
@@ -550,4 +746,86 @@ func (s *bodyScanner) readInsert() (batch [][]string, requestID string, err erro
 		start = end
 	}
 	return batch, requestID, nil
+}
+
+// querySpec is what a search-shaped request asks about its query or queries:
+// a threshold search of at most limit hits (0: all) or, with topk set, the k
+// best. withTokens adds each hit's record tokens to the response.
+type querySpec struct {
+	topk       bool
+	threshold  float64
+	limit, k   int
+	withTokens bool
+}
+
+// queryBody is a scanned search, topk, search:batch or topk:batch request.
+// A query is kept as its JSON stands in the body: a byte-identical hot query
+// resolves through the prepared-query cache's exact-bytes key without
+// per-token decoding. query (nil when the body had none) and queries alias
+// the scanner's buffers and are valid until it is used again or put back.
+type queryBody struct {
+	query   []byte
+	queries [][]byte
+	querySpec
+}
+
+// readQuery scans the body of one of the four query endpoints: "query" (or,
+// for a batch form, "queries") and "with_tokens", with "threshold" and
+// "limit" for a search and "k" for a top-k.
+func (s *bodyScanner) readQuery(batch, topk bool) (queryBody, error) {
+	b := queryBody{querySpec: querySpec{topk: topk}}
+	s.resetCaptures()
+	err := s.object(func(key []byte) error {
+		switch {
+		case !batch && keyIs(key, "query"):
+			s.resetCaptures()
+			return s.capture(1)
+		case batch && keyIs(key, "queries"):
+			s.resetCaptures()
+			return s.array("the queries array", func() error { return s.capture(2) })
+		case !topk && keyIs(key, "threshold"):
+			return s.optFloat(&b.threshold)
+		case !topk && keyIs(key, "limit"):
+			return s.optInt(&b.limit)
+		case topk && keyIs(key, "k"):
+			return s.optInt(&b.k)
+		case keyIs(key, "with_tokens"):
+			return s.optBool(&b.withTokens)
+		}
+		return fmt.Errorf("unknown field %q", key)
+	})
+	if err != nil {
+		return b, err
+	}
+	// Views only now: s.raw moved while it grew.
+	b.queries = s.queries[:0]
+	start := 0
+	for _, end := range s.rawEnds {
+		b.queries = append(b.queries, s.raw[start:end:end])
+		start = end
+	}
+	s.queries = b.queries
+	if !batch && len(b.queries) == 1 {
+		b.query = b.queries[0]
+	}
+	return b, nil
+}
+
+// maxBatchQueries bounds one batch request: the whole batch runs under a
+// single read-lock acquisition, so an unbounded batch could starve writers.
+const maxBatchQueries = 1024
+
+// invalid is what is wrong with a request that scanned, or nil.
+func (b *queryBody) invalid(batch bool) error {
+	switch {
+	case batch && len(b.queries) == 0:
+		return errors.New("no queries")
+	case batch && len(b.queries) > maxBatchQueries:
+		return fmt.Errorf("batch of %d queries exceeds the limit of %d", len(b.queries), maxBatchQueries)
+	case b.topk && b.k <= 0:
+		return errors.New("k must be positive")
+	case !b.topk && !(b.threshold >= 0 && b.threshold <= 1):
+		return errors.New("threshold must be in [0, 1]")
+	}
+	return nil
 }

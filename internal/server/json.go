@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"gbkmv"
 )
 
 // The hot read-path responses (search, topk and their batch forms) are
@@ -15,11 +17,14 @@ import (
 // build responses) keep the reflective encoder, but share the same buffer
 // pool so even they allocate no response buffer per request.
 
-// respScratch is the pooled per-request response state: the output buffer
-// and the []Hit scratch the Collection appends results into.
+// respScratch is the pooled per-request state of the read path: the query's
+// cache keys and tokens, the buffer the engine appends its scored results to,
+// the []Hit they are materialized into and the response's bytes.
 type respScratch struct {
-	b    []byte
-	hits []Hit
+	qkey   qkeyScratch
+	scored []gbkmv.Scored
+	hits   []Hit
+	b      []byte
 }
 
 var respPool = sync.Pool{New: func() any { return new(respScratch) }}
@@ -27,6 +32,11 @@ var respPool = sync.Pool{New: func() any { return new(respScratch) }}
 func getResp() *respScratch { return respPool.Get().(*respScratch) }
 
 func putResp(sc *respScratch) {
+	// A query's tokens are bounded by the body alone: what an outsized one
+	// grew is dropped under the scanner's keep rule, not pooled.
+	if cap(sc.qkey.slab) > scanKeepBytes || cap(sc.qkey.spans) > scanKeepBytes/16 {
+		return
+	}
 	// Drop token references so pooled buffers don't pin record token slices
 	// across requests; keep the backing arrays.
 	for i := range sc.hits {

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"slices"
 	"sync"
 
@@ -117,33 +121,129 @@ func newQueryCacheWith(capacity int, hits, misses, evictions *obs.Counter) *quer
 }
 
 // qkeyScratch holds the pooled buffers of one request's key building (the
-// raw and canonical keys coexist on the miss path, hence two buffers).
+// raw and canonical keys coexist on the miss path, hence two buffers) and of
+// the query's tokens, which stay bytes from the body to the vocabulary: slab
+// holds them unescaped and back to back, spans says where each one lies.
 type qkeyScratch struct {
-	toks []string
-	key  []byte
-	raw  []byte
+	key   []byte
+	raw   []byte
+	slab  []byte
+	spans []tokSpan
+	elems []gbkmv.Element
+	lex   bodyScanner // readTokens' scanner; holds no window of its own
 }
 
-var qkeyPool = sync.Pool{New: func() any { return new(qkeyScratch) }}
+// tokSpan is one token: slab[lo:hi].
+type tokSpan struct{ lo, hi int }
 
-// canonicalKey writes the canonical cache key of a token query into the
-// scratch buffer and returns it (valid until the scratch is reused): the
-// distinct tokens sorted, each prefixed with its uvarint length. The
-// length prefix — rather than a separator byte — keeps keys unambiguous for
-// arbitrary token bytes, so two different queries can never share a key.
-func canonicalKey(tokens []string, sc *qkeyScratch) []byte {
-	sc.toks = append(sc.toks[:0], tokens...)
-	slices.Sort(sc.toks)
-	key := append(sc.key[:0], canonKeyPrefix)
-	for i, t := range sc.toks {
-		if i > 0 && t == sc.toks[i-1] {
-			continue // duplicates don't change the query set
+// tokenize reads a query into the scratch and returns how many tokens it has.
+// Afterwards spans holds the query's token set: distinct tokens, sorted.
+func (sc *qkeyScratch) tokenize(raw []byte) (n int, err error) {
+	if err := sc.readTokens(raw); err != nil {
+		return 0, err
+	}
+	n = len(sc.spans)
+	slab := sc.slab
+	token := func(s tokSpan) []byte { return slab[s.lo:s.hi] }
+	slices.SortFunc(sc.spans, func(a, b tokSpan) int { return bytes.Compare(token(a), token(b)) })
+	sc.spans = slices.CompactFunc(sc.spans, func(a, b tokSpan) bool { return bytes.Equal(token(a), token(b)) })
+	return n, nil
+}
+
+// readTokens reads a query — the JSON of an array of strings as a request
+// carried it, or null — into slab and spans, in the query's order: the body
+// scanner's own token walk, over the bytes in place of a window. It reads
+// what json.Unmarshal into a []string reads (a null token is "", invalid
+// UTF-8 becomes U+FFFD) and refuses what that refuses — in that function's
+// words where the query is JSON of another shape or missing, which is all a
+// request can come to: the scanner has held the bytes to the grammar.
+func (sc *qkeyScratch) readTokens(raw []byte) error {
+	sc.slab, sc.spans = sc.slab[:0], sc.spans[:0]
+	s := &sc.lex
+	s.buf, s.pos, s.end, s.rerr, s.mark = raw, 0, len(raw), io.EOF, -1
+	c, err := s.next()
+	switch {
+	case err != nil:
+		err = errors.New("unexpected end of JSON input")
+	case c != '[' && c != 'n' && jsonKind(c) != "":
+		err = unmarshalTypeErr(c, "[]string")
+	default:
+		err = s.tokens("the query", func(tok []byte) {
+			sc.slab = append(sc.slab, tok...)
+			sc.spans = append(sc.spans, tokSpan{len(sc.slab) - len(tok), len(sc.slab)})
+		})
+		var elem notAToken
+		if errors.As(err, &elem) && jsonKind(byte(elem)) != "" {
+			err = unmarshalTypeErr(byte(elem), "string")
 		}
-		key = binary.AppendUvarint(key, uint64(len(t)))
-		key = append(key, t...)
+		if err == nil {
+			if c, end := s.next(); end == nil { // nothing may follow the array
+				err = syntaxErr(c, "after the query")
+			}
+		}
+	}
+	s.buf = nil
+	if err != nil {
+		return fmt.Errorf("query must be a JSON array of strings: %v", err)
+	}
+	return nil
+}
+
+// unmarshalTypeErr is json.Unmarshal's error for a value that starts with c
+// where the Go type into is wanted.
+func unmarshalTypeErr(c byte, into string) error {
+	return errors.New("json: cannot unmarshal " + jsonKind(c) + " into Go value of type " + into)
+}
+
+// jsonKind names the type of the JSON value that starts with c, as
+// encoding/json's errors do, or is "" where none does.
+func jsonKind(c byte) string {
+	switch {
+	case c == '"':
+		return "string"
+	case c == '{':
+		return "object"
+	case c == '[':
+		return "array"
+	case c == 't' || c == 'f':
+		return "bool"
+	case c == '-' || isDigit(c):
+		return "number"
+	}
+	return ""
+}
+
+// canonicalKey writes the canonical cache key of the tokenized query into the
+// scratch buffer and returns it (valid until the scratch is reused): the
+// distinct tokens sorted, each prefixed with its uvarint length. The length
+// prefix — rather than a separator byte — keeps keys unambiguous for
+// arbitrary token bytes, so two different queries can never share a key.
+func (sc *qkeyScratch) canonicalKey() []byte {
+	key := append(sc.key[:0], canonKeyPrefix)
+	for _, s := range sc.spans {
+		key = binary.AppendUvarint(key, uint64(s.hi-s.lo))
+		key = append(key, sc.slab[s.lo:s.hi]...)
 	}
 	sc.key = key
 	return key
+}
+
+// prepare prepares the tokenized query against the engine: its tokens go
+// through the vocabulary as bytes, without interning, and gbkmv.PrepareElements
+// takes it from there with |Q| = the distinct tokens, known or not.
+func (sc *qkeyScratch) prepare(e gbkmv.Engine, voc *gbkmv.Vocabulary) (gbkmv.PreparedQuery, error) {
+	elems := sc.elems[:0]
+	for _, s := range sc.spans {
+		if id, ok := voc.LookupBytes(sc.slab[s.lo:s.hi]); ok {
+			elems = append(elems, id)
+		}
+	}
+	sc.elems = elems
+	// The prepared query keeps its record, so it gets one of its own: distinct
+	// tokens have distinct ids, which only need sorting.
+	rec := gbkmv.Record(slices.Clone(elems))
+	slices.Sort(rec)
+	return gbkmv.PrepareElements(e, rec, len(sc.spans))
 }
 
 // rawQueryKey writes the exact-bytes cache key of a query's verbatim JSON

@@ -22,10 +22,24 @@ func collStats(t *testing.T, c *Collection) QueryCacheStats {
 	return *st.QueryCache
 }
 
+// canonKeyOf is the canonical cache key of a token query, through the
+// request path's own steps: the query's JSON, tokenized, keyed.
+func canonKeyOf(t *testing.T, sc *qkeyScratch, tokens ...string) []byte {
+	t.Helper()
+	raw, err := json.Marshal(tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.tokenize(raw); err != nil {
+		t.Fatal(err)
+	}
+	return sc.canonicalKey()
+}
+
 func TestCanonicalKey(t *testing.T) {
 	sc := &qkeyScratch{}
 	key := func(tokens ...string) string {
-		return string(canonicalKey(tokens, sc))
+		return string(canonKeyOf(t, sc, tokens...))
 	}
 	if key("a", "b") != key("b", "a") {
 		t.Error("order changed the key")
@@ -55,7 +69,7 @@ func TestQueryCacheLRUAndGenerations(t *testing.T) {
 	sc := &qkeyScratch{}
 	pq, _ := gbkmv.PrepareTokens(eng, voc, []string{"x"})
 
-	k1 := append([]byte(nil), canonicalKey([]string{"x"}, sc)...)
+	k1 := append([]byte(nil), canonKeyOf(t, sc, "x")...)
 	if _, ok := qc.lookup(1, k1); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -81,7 +95,7 @@ func TestQueryCacheLRUAndGenerations(t *testing.T) {
 	// Filling a shard beyond capacity evicts oldest-first.
 	evBefore := qc.stats().Evictions
 	for i := 0; i < 64; i++ {
-		k := append([]byte(nil), canonicalKey([]string{fmt.Sprintf("t%d", i)}, sc)...)
+		k := append([]byte(nil), canonKeyOf(t, sc, fmt.Sprintf("t%d", i))...)
 		qc.put(2, k, pq)
 	}
 	st := qc.stats()

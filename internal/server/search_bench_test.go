@@ -14,7 +14,7 @@ import (
 
 // The one read-path benchmark the repo's benchmark (bench/) has no row for:
 // no workload there sends search:batch. It drives the HTTP handler end to
-// end (JSON decode, prepared-query cache, engine search, hand-written
+// end (body scan, prepared-query cache, engine search, hand-written
 // response encode) without network or client-library noise.
 
 // benchRW is a no-op ResponseWriter reused across requests.

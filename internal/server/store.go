@@ -737,67 +737,47 @@ func (c *Collection) Engine() string {
 	return c.eng.EngineName()
 }
 
-// decodeQueryTokens unmarshals a raw query (the verbatim JSON of a request's
-// query array) into its tokens.
-func decodeQueryTokens(raw []byte) ([]string, error) {
-	var tokens []string
-	if err := json.Unmarshal(raw, &tokens); err != nil {
-		return nil, fmt.Errorf("query must be a JSON array of strings: %v", err)
-	}
-	return tokens, nil
-}
-
 // preparedRaw returns a prepared query for a request's verbatim query JSON.
 // The hot path is the exact-bytes (L1) lookup: a repeated query skips the
 // per-token JSON decode, the canonicalization *and* the sketch. On an L1
-// miss the tokens are decoded once and resolved through the canonical (L2)
-// key — preparing only if that misses too — and the raw key is installed as
-// an alias to the shared prepared query so the next byte-identical request
-// takes the fast path. Caller must hold at least the read lock (which is
-// what makes the generation read exact: writers bump queryGen under the write
-// lock, so a cache hit is always against the engine state it was prepared
-// under). The returned query is private to the caller. tr, when non-nil,
-// receives the cache outcome and token count (-1 when the raw-bytes hit
-// skipped decoding) for the request trace.
-func (c *Collection) preparedRaw(raw []byte, tr *reqTrace) (gbkmv.PreparedQuery, error) {
-	if c.qcache == nil {
-		tokens, err := decodeQueryTokens(raw)
-		if err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			tr.tokens = len(tokens)
-			tr.cache = cacheOff
-		}
-		return gbkmv.PrepareTokens(c.eng, c.voc, tokens)
-	}
-	sc := qkeyPool.Get().(*qkeyScratch)
-	defer qkeyPool.Put(sc)
+// miss the tokens are read once, as bytes into sc, and resolved through the
+// canonical (L2) key — preparing only if that misses too — and the raw key is
+// installed as an alias to the shared prepared query so the next
+// byte-identical request takes the fast path. Caller must hold at least the
+// read lock (which is what makes the generation read exact: writers bump
+// queryGen under the write lock, so a cache hit is always against the engine
+// state it was prepared under). The returned query is private to the caller.
+// tr, when non-nil, receives the cache outcome and token count (-1 when the
+// raw-bytes hit skipped decoding) for the request trace.
+func (c *Collection) preparedRaw(raw []byte, sc *qkeyScratch, tr *reqTrace) (gbkmv.PreparedQuery, error) {
 	gen := c.queryGen.Load()
-	rawKey := rawQueryKey(raw, sc)
-	if shared, ok := c.qcache.lookup(gen, rawKey); ok {
-		c.qcache.hits.Add(1)
-		if tr != nil {
-			tr.tokens = -1 // raw-bytes hit: tokens were never decoded
-			tr.cache = cacheHit
+	var rawKey []byte
+	if c.qcache != nil {
+		rawKey = rawQueryKey(raw, sc)
+		if shared, ok := c.qcache.lookup(gen, rawKey); ok {
+			c.qcache.hits.Add(1)
+			if tr != nil {
+				tr.tokens = -1 // raw-bytes hit: tokens were never decoded
+				tr.cache = cacheHit
+			}
+			return shared.Clone(), nil
 		}
-		return shared.Clone(), nil
 	}
-	tokens, err := decodeQueryTokens(raw)
+	tokens, err := sc.tokenize(raw)
 	if err != nil {
 		return nil, err
 	}
 	if tr != nil {
-		tr.tokens = len(tokens)
+		tr.tokens = tokens
 	}
-	if len(tokens) > maxCachedQueryTokens {
-		// Too large to cache under either key; prepare uncached.
+	if c.qcache == nil || tokens > maxCachedQueryTokens {
+		// No cache, or too large to cache under either key; prepare uncached.
 		if tr != nil {
 			tr.cache = cacheOff
 		}
-		return gbkmv.PrepareTokens(c.eng, c.voc, tokens)
+		return sc.prepare(c.eng, c.voc)
 	}
-	key := canonicalKey(tokens, sc)
+	key := sc.canonicalKey()
 	if shared, ok := c.qcache.lookup(gen, key); ok {
 		c.qcache.hits.Add(1)
 		if tr != nil {
@@ -810,7 +790,7 @@ func (c *Collection) preparedRaw(raw []byte, tr *reqTrace) (gbkmv.PreparedQuery,
 	if tr != nil {
 		tr.cache = cacheMiss
 	}
-	pq, err := gbkmv.PrepareTokens(c.eng, c.voc, tokens)
+	pq, err := sc.prepare(c.eng, c.voc)
 	if err != nil {
 		return nil, err
 	}
@@ -838,7 +818,7 @@ func (c *Collection) appendHits(dst []Hit, scored []gbkmv.Scored, withTokens boo
 // bound steady-state allocation). limit > 0 caps the hits that are scored
 // and materialized — a threshold-0 query against a large collection must not
 // pay O(N) estimates and token slices for a page of 10. Each returned hit is
-// estimated exactly once: the engine's SearchScored reports the estimate
+// estimated exactly once: the engine's scored search reports the estimate
 // that decided membership during the candidate walk.
 //
 // The query is its verbatim request JSON (an array of token strings), which
@@ -846,29 +826,44 @@ func (c *Collection) appendHits(dst []Hit, scored []gbkmv.Scored, withTokens boo
 // decoding tokens at all. tr, when non-nil, receives the request trace (cache
 // outcome, per-search work counters).
 func (c *Collection) SearchRaw(rawQuery []byte, threshold float64, limit int, withTokens bool, dst []Hit, tr *reqTrace) (hits []Hit, total int, err error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	q, err := c.preparedRaw(rawQuery, tr)
-	if err != nil {
-		return nil, 0, err
-	}
-	scored, total := q.SearchScored(threshold, limit)
-	c.noteSearch(q, tr)
-	return c.appendHits(dst, scored, withTokens), total, nil
+	rs := getResp()
+	defer putResp(rs)
+	return c.answer(rs, rawQuery, querySpec{threshold: threshold, limit: limit, withTokens: withTokens}, dst, tr)
 }
 
 // TopKRaw returns the k best records by estimated containment, best first,
 // appending to dst and taking the query as SearchRaw does.
 func (c *Collection) TopKRaw(rawQuery []byte, k int, withTokens bool, dst []Hit, tr *reqTrace) ([]Hit, error) {
+	rs := getResp()
+	defer putResp(rs)
+	hits, _, err := c.answer(rs, rawQuery, querySpec{topk: true, k: k, withTokens: withTokens}, dst, tr)
+	return hits, err
+}
+
+// answer is the body of SearchRaw and TopKRaw, working in the caller's
+// scratch: the query's keys and tokens and the engine's scored results live
+// in rs, so a steady-state request allocates nothing between its body and
+// its response but the clone of the cached query.
+func (c *Collection) answer(rs *respScratch, rawQuery []byte, sp querySpec, dst []Hit, tr *reqTrace) (hits []Hit, total int, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	q, err := c.preparedRaw(rawQuery, tr)
+	q, err := c.preparedRaw(rawQuery, &rs.qkey, tr)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	hits := c.appendHits(dst, q.TopK(k), withTokens)
+	rs.scored, total = sp.run(q, rs.scored[:0])
 	c.noteSearch(q, tr)
-	return hits, nil
+	return c.appendHits(dst, rs.scored, sp.withTokens), total, nil
+}
+
+// run answers the request on a private prepared query, appending to dst.
+// total counts every qualifying record of a threshold search, and is 0 for a
+// top-k.
+func (sp querySpec) run(q gbkmv.PreparedQuery, dst []gbkmv.Scored) (scored []gbkmv.Scored, total int) {
+	if sp.topk {
+		return q.AppendTopK(dst, sp.k), 0
+	}
+	return q.AppendSearchScored(dst, sp.threshold, sp.limit)
 }
 
 // noteSearch books a finished search's work counters into the collection's
@@ -905,7 +900,7 @@ type BatchResult struct {
 // sketching work parallelizes along with its searches instead of running
 // serially before the fan-out.
 type batchSlot struct {
-	raw  json.RawMessage
+	raw  []byte
 	once sync.Once
 	pq   gbkmv.PreparedQuery
 	err  error
@@ -913,19 +908,20 @@ type batchSlot struct {
 
 // prepared resolves the slot's query, preparing on first use (query
 // sketching is a read: engines allow concurrent PrepareQuery, exactly as
-// the core SearchBatch's workers sketch concurrently). Duplicate queries
-// block on the first worker's prepare and then share the result.
-func (s *batchSlot) prepared(c *Collection) (gbkmv.PreparedQuery, error) {
+// the core SearchBatch's workers sketch concurrently) in the calling worker's
+// scratch. Duplicate queries block on the first worker's prepare and then
+// share the result.
+func (s *batchSlot) prepared(c *Collection, sc *qkeyScratch) (gbkmv.PreparedQuery, error) {
 	// No trace here: slots are prepared by racing workers, and the batch
 	// trace is aggregated at the request level, not per slot.
-	s.once.Do(func() { s.pq, s.err = c.preparedRaw(s.raw, nil) })
+	s.once.Do(func() { s.pq, s.err = c.preparedRaw(s.raw, sc, nil) })
 	return s.pq, s.err
 }
 
 // dedupBatch groups the batch into distinct-query slots (detected on the
 // verbatim query bytes; permuted duplicates still share a signature through
 // the cache's canonical key) and maps every batch position to its slot.
-func dedupBatch(queries []json.RawMessage) ([]batchSlot, []int) {
+func dedupBatch(queries [][]byte) ([]batchSlot, []int) {
 	slots := make([]batchSlot, 0, len(queries))
 	idx := make([]int, len(queries))
 	seen := make(map[string]int, len(queries))
@@ -975,28 +971,15 @@ func runBatch(n int, run func(i int)) {
 	wg.Wait()
 }
 
-// SearchBatch answers every query of the batch under one read-lock
-// acquisition: each distinct query is prepared once (through the cache when
-// enabled), then the batch fans out across a bounded worker pool. Results
-// are in input order. A ctx deadline passing mid-batch fails the remaining
-// slots (each carries the context error) instead of running the batch to
-// completion against a client that already gave up; a nil ctx never expires.
-func (c *Collection) SearchBatch(ctx context.Context, queries []json.RawMessage, threshold float64, limit int, withTokens bool) []BatchResult {
-	return c.batch(ctx, queries, withTokens, func(q gbkmv.PreparedQuery) ([]gbkmv.Scored, int) {
-		return q.SearchScored(threshold, limit)
-	})
-}
-
-// TopKBatch is SearchBatch for top-k queries.
-func (c *Collection) TopKBatch(ctx context.Context, queries []json.RawMessage, k int, withTokens bool) []BatchResult {
-	return c.batch(ctx, queries, withTokens, func(q gbkmv.PreparedQuery) ([]gbkmv.Scored, int) {
-		return q.TopK(k), 0
-	})
-}
-
-// batch is the body of SearchBatch and TopKBatch: run answers one query on
-// its private clone.
-func (c *Collection) batch(ctx context.Context, queries []json.RawMessage, withTokens bool, run func(q gbkmv.PreparedQuery) (scored []gbkmv.Scored, total int)) []BatchResult {
+// batch answers every query of a search:batch or topk:batch request — each
+// the verbatim JSON of its token array, as SearchRaw takes it — under one
+// read-lock acquisition: each distinct query is prepared once (through the
+// cache when enabled), then the batch fans out across a bounded worker pool.
+// Results are in input order. A ctx deadline passing mid-batch fails the
+// remaining slots (each carries the context error) instead of running the
+// batch to completion against a client that already gave up; a nil ctx never
+// expires.
+func (c *Collection) batch(ctx context.Context, queries [][]byte, sp querySpec) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	c.metrics.observeBatch(len(queries))
 	c.mu.RLock()
@@ -1007,16 +990,17 @@ func (c *Collection) batch(ctx context.Context, queries []json.RawMessage, withT
 			out[i].Err = ctx.Err()
 			return
 		}
-		pq, err := slots[idx[i]].prepared(c)
+		rs := getResp()
+		defer putResp(rs)
+		pq, err := slots[idx[i]].prepared(c, &rs.qkey)
 		if err != nil {
 			out[i].Err = err
 			return
 		}
 		cl := pq.Clone()
-		scored, total := run(cl)
+		rs.scored, out[i].Total = sp.run(cl, rs.scored[:0])
 		c.noteSearch(cl, nil)
-		out[i].Hits = c.appendHits(make([]Hit, 0, len(scored)), scored, withTokens)
-		out[i].Total = total
+		out[i].Hits = c.appendHits(make([]Hit, 0, len(rs.scored)), rs.scored, sp.withTokens)
 	})
 	return out
 }

@@ -86,9 +86,16 @@ func (h *Heap) Sorted() []Scored {
 	if len(h.items) == 0 {
 		return nil
 	}
-	out := make([]Scored, len(h.items))
-	copy(out, h.items)
-	slices.SortFunc(out, func(a, b Scored) int {
+	return h.AppendSorted(make([]Scored, 0, len(h.items)))
+}
+
+// AppendSorted appends the kept items to dst, best first (ties by ascending
+// id), leaving the heap's backing array reusable. With nothing kept dst comes
+// back as it was.
+func (h *Heap) AppendSorted(dst []Scored) []Scored {
+	base := len(dst)
+	dst = append(dst, h.items...)
+	slices.SortFunc(dst[base:], func(a, b Scored) int {
 		switch {
 		case worse(b, a):
 			return -1
@@ -98,7 +105,7 @@ func (h *Heap) Sorted() []Scored {
 			return 0
 		}
 	})
-	return out
+	return dst
 }
 
 func (h *Heap) up(i int) {

@@ -97,10 +97,22 @@ func (q *Query) SearchScored(threshold float64, limit int) (hits []Scored, total
 	return q.inner.SearchSigScored(q.current(), threshold, limit)
 }
 
+// AppendSearchScored is SearchScored with the hits appended to dst; with room
+// in dst it allocates nothing.
+func (q *Query) AppendSearchScored(dst []Scored, threshold float64, limit int) (hits []Scored, total int) {
+	return q.inner.AppendSearchSigScored(dst, q.current(), threshold, limit)
+}
+
 // TopK returns the k records with the highest estimated containment, best
 // first. Records with estimate 0 are never returned.
 func (q *Query) TopK(k int) []Scored {
 	return q.inner.SearchTopKSig(q.current(), k)
+}
+
+// AppendTopK is TopK with the results appended to dst; with room in dst it
+// allocates nothing.
+func (q *Query) AppendTopK(dst []Scored, k int) []Scored {
+	return q.inner.AppendTopKSig(dst, q.current(), k)
 }
 
 // Estimate returns the estimated containment C(Q, X_i).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,6 +74,9 @@ type Segmented struct {
 	route   []segRef // global id → (segment, local id)
 
 	segs []*segment
+
+	// searches pools the working memory of fanned-out queries (*segSearch).
+	searches sync.Pool
 
 	// onSave, when set, observes each segment's Save encode duration — what a
 	// serving layer reports as its snapshot-pause histogram.
@@ -188,36 +192,53 @@ func (s *Segmented) routeOf(r Record) int {
 	return int(h % uint64(len(s.segs)))
 }
 
-// fanSegments runs f(0..n-1) across a bounded work-stealing worker pool —
-// the same atomic-counter pool shape the server's batch search uses — or
-// inline when parallelism cannot help.
-func fanSegments(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+// fan is one run of the work-stealing pool: f(0..n-1) shared out over up to
+// GOMAXPROCS goroutines, whoever is free taking the next index, or run inline
+// when parallelism cannot help. The state a run needs lives in the fan, so a
+// pooled one (segSearch) starts its goroutines without a closure or a wait
+// group of its own.
+type fan struct {
+	f    func(i int)
+	n    int
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+// run shares f(0..n-1) out and returns when all of it is done; the fan can
+// then run again.
+func (p *fan) run(n int) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			p.f(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
+	p.n = n
+	p.next.Store(0)
+	p.wg.Add(workers)
+	for ; workers > 0; workers-- {
+		go p.work()
 	}
-	wg.Wait()
+	p.wg.Wait()
+}
+
+func (p *fan) work() {
+	defer p.wg.Done()
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n {
+			return
+		}
+		p.f(i)
+	}
+}
+
+// fanSegments runs f(0..n-1) through a fan of its own — the same
+// atomic-counter pool shape the server's batch search uses.
+func fanSegments(n int, f func(i int)) {
+	p := fan{f: f}
+	p.run(n)
 }
 
 // fanSegmentsErr is fanSegments for work that can fail: every f runs, and
@@ -460,95 +481,119 @@ func (q *segmentedQuery) Clone() PreparedQuery {
 	return cp
 }
 
-// fan runs f once per built segment under that segment's read lock, through
-// the work-stealing pool. Each worker touches a distinct segment's prepared
-// query, which keeps the PreparedQuery single-goroutine contract intact.
-func (q *segmentedQuery) fan(f func(seg int, pq PreparedQuery)) {
-	active := make([]int, 0, len(q.pqs))
-	for i, pq := range q.pqs {
-		if pq != nil {
-			active = append(active, i)
-		}
-	}
-	fanSegments(len(active), func(ai int) {
-		i := active[ai]
-		seg := q.s.segs[i]
-		seg.mu.RLock()
-		defer seg.mu.RUnlock()
-		f(i, q.pqs[i])
-	})
+// segSearch is the working memory of one fanned-out scored search or top-k:
+// the fan, the query's parameters, the per-segment runs its workers fill and
+// the merge's cursors and heap. Instances are pooled on the Segmented, and f
+// is bound once, when one is made: a steady-state query allocates nothing
+// here but what starting its helper goroutines costs.
+type segSearch struct {
+	fan
+	q         *segmentedQuery
+	threshold float64
+	limit     int
+	k         int        // > 0 selects top-k
+	runs      [][]Scored // one a segment, under global ids
+	totals    []int      // one a segment: the qualifying count of a scored search
+	pos       []int      // mergeSorted's cursors
+	heap      []Scored   // the top-k merge's heap
 }
 
-// globalize remaps a segment's ascending local ids to ascending global ids.
-// Caller holds the segment's read lock (fan provides it).
-func (q *segmentedQuery) globalize(seg int, locals []int) []int {
-	g := q.s.segs[seg].globals
-	out := make([]int, len(locals))
-	for i, l := range locals {
-		out[i] = g[l]
+// fanOut runs the query on every built segment, each under its read lock and
+// on its own prepared query (which keeps the PreparedQuery single-goroutine
+// contract intact), and returns the runs. The caller puts the segSearch back.
+func (q *segmentedQuery) fanOut(threshold float64, limit, k int) *segSearch {
+	ss, _ := q.s.searches.Get().(*segSearch)
+	if ss == nil {
+		n := len(q.s.segs)
+		ss = &segSearch{runs: make([][]Scored, n), totals: make([]int, n), pos: make([]int, n)}
+		ss.f = ss.segment
 	}
-	return out
+	ss.q, ss.threshold, ss.limit, ss.k = q, threshold, limit, k
+	ss.run(len(q.pqs))
+	ss.q = nil
+	return ss
+}
+
+// segment answers for segment i and remaps its local ids to global ones.
+func (ss *segSearch) segment(i int) {
+	run := ss.runs[i][:0]
+	ss.runs[i], ss.totals[i] = run, 0
+	pq := ss.q.pqs[i]
+	if pq == nil {
+		return
+	}
+	seg := ss.q.s.segs[i]
+	seg.mu.RLock()
+	defer seg.mu.RUnlock()
+	if ss.k > 0 {
+		run = pq.AppendTopK(run, ss.k)
+	} else {
+		// The limit pushes down soundly: the global first-limit-by-id hits
+		// are a subset of each segment's first-limit-by-id hits, because
+		// local order is global order within a segment.
+		run, ss.totals[i] = pq.AppendSearchScored(run, ss.threshold, ss.limit)
+	}
+	for j := range run {
+		run[j].ID = seg.globals[run[j].ID]
+	}
+	ss.runs[i] = run
 }
 
 func (q *segmentedQuery) Search(threshold float64) []int {
 	per := make([][]int, len(q.pqs))
-	q.fan(func(i int, pq PreparedQuery) {
-		per[i] = q.globalize(i, pq.Search(threshold))
+	fanSegments(len(q.pqs), func(i int) {
+		if q.pqs[i] == nil {
+			return
+		}
+		seg := q.s.segs[i]
+		seg.mu.RLock()
+		defer seg.mu.RUnlock()
+		ids := q.pqs[i].Search(threshold)
+		for j, local := range ids {
+			ids[j] = seg.globals[local]
+		}
+		per[i] = ids
 	})
-	return mergeSorted(per, 0, func(id int) int { return id })
+	return mergeSorted([]int{}, per, make([]int, len(per)), 0, func(id int) int { return id })
 }
 
 func (q *segmentedQuery) SearchScored(threshold float64, limit int) ([]Scored, int) {
-	type res struct {
-		hits  []Scored
-		total int
-	}
-	per := make([]res, len(q.pqs))
-	q.fan(func(i int, pq PreparedQuery) {
-		// The limit pushes down soundly: the global first-limit-by-id hits
-		// are a subset of each segment's first-limit-by-id hits, because
-		// local order is global order within a segment.
-		hits, total := pq.SearchScored(threshold, limit)
-		g := q.s.segs[i].globals
-		for j := range hits {
-			hits[j].ID = g[hits[j].ID]
-		}
-		per[i] = res{hits: hits, total: total}
-	})
-	total := 0
-	lists := make([][]Scored, len(per))
-	for i, r := range per {
-		total += r.total
-		lists[i] = r.hits
-	}
-	return mergeSorted(lists, limit, func(h Scored) int { return h.ID }), total
+	return q.AppendSearchScored([]Scored{}, threshold, limit)
 }
 
-func (q *segmentedQuery) TopK(k int) []Scored {
-	if k <= 0 {
-		return nil
+func (q *segmentedQuery) AppendSearchScored(dst []Scored, threshold float64, limit int) ([]Scored, int) {
+	ss := q.fanOut(threshold, limit, 0)
+	total := 0
+	for _, t := range ss.totals {
+		total += t
 	}
-	per := make([][]Scored, len(q.pqs))
-	q.fan(func(i int, pq PreparedQuery) {
-		// Any global top-k member is in its own segment's top-k, so merging
-		// the per-segment top-k sets through the shared bounded heap — the
-		// same strict-below tie rule (score descending, id ascending on
-		// ties) every engine uses — reproduces the single-index result
-		// exactly whenever per-record estimates agree.
-		hits := pq.TopK(k)
-		g := q.s.segs[i].globals
-		for j := range hits {
-			hits[j].ID = g[hits[j].ID]
-		}
-		per[i] = hits
-	})
-	h := topkheap.Make(k, nil)
-	for _, hits := range per {
-		for _, sc := range hits {
+	dst = mergeSorted(dst, ss.runs, ss.pos, limit, func(h Scored) int { return h.ID })
+	q.s.searches.Put(ss)
+	return dst, total
+}
+
+func (q *segmentedQuery) TopK(k int) []Scored { return q.AppendTopK(nil, k) }
+
+func (q *segmentedQuery) AppendTopK(dst []Scored, k int) []Scored {
+	if k <= 0 {
+		return dst
+	}
+	// Any global top-k member is in its own segment's top-k, so merging the
+	// per-segment top-k sets through the shared bounded heap — the same
+	// strict-below tie rule (score descending, id ascending on ties) every
+	// engine uses — reproduces the single-index result exactly whenever
+	// per-record estimates agree.
+	ss := q.fanOut(0, 0, k)
+	h := topkheap.Make(k, ss.heap)
+	for _, run := range ss.runs {
+		for _, sc := range run {
 			h.Push(sc.ID, sc.Score)
 		}
 	}
-	return h.Sorted()
+	ss.heap = h.Buf()
+	dst = h.AppendSorted(dst)
+	q.s.searches.Put(ss)
+	return dst
 }
 
 func (q *segmentedQuery) Estimate(i int) float64 {
@@ -580,9 +625,10 @@ func (q *segmentedQuery) QueryStats() QueryStats {
 	return st
 }
 
-// mergeSorted merges lists that each ascend by id into one that does, capped
-// at limit (limit <= 0 means no cap).
-func mergeSorted[T any](lists [][]T, limit int, id func(T) int) []T {
+// mergeSorted appends to dst the merge of lists that each ascend by id,
+// capped at limit elements (limit <= 0 means no cap). pos is scratch, one
+// cursor a list.
+func mergeSorted[T any](dst []T, lists [][]T, pos []int, limit int, id func(T) int) []T {
 	total, nonEmpty, last := 0, 0, -1
 	for i, l := range lists {
 		total += len(l)
@@ -591,18 +637,15 @@ func mergeSorted[T any](lists [][]T, limit int, id func(T) int) []T {
 			last = i
 		}
 	}
-	if nonEmpty == 0 {
-		return []T{}
-	}
-	if nonEmpty == 1 && (limit <= 0 || len(lists[last]) <= limit) {
-		return lists[last]
-	}
 	if limit > 0 && limit < total {
 		total = limit
 	}
-	out := make([]T, 0, total)
-	pos := make([]int, len(lists))
-	for len(out) < total {
+	if nonEmpty == 1 {
+		return append(dst, lists[last][:total]...)
+	}
+	dst = slices.Grow(dst, total)
+	clear(pos)
+	for ; total > 0; total-- {
 		best, bestID := -1, 0
 		for i, l := range lists {
 			if pos[i] < len(l) {
@@ -611,10 +654,10 @@ func mergeSorted[T any](lists [][]T, limit int, id func(T) int) []T {
 				}
 			}
 		}
-		out = append(out, lists[best][pos[best]])
+		dst = append(dst, lists[best][pos[best]])
 		pos[best]++
 	}
-	return out
+	return dst
 }
 
 // The segmented container stream: its own magic (which LoadEngine dispatches

@@ -2,7 +2,9 @@ package gbkmv_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -333,5 +335,93 @@ func TestSegmentedEngineStats(t *testing.T) {
 	}
 	if h, _ := seg.BuildCounters(); h == 0 {
 		t.Fatal("BuildCounters reported no hashing work")
+	}
+}
+
+// TestAppendForms: on every engine, bare and segmented, AppendSearchScored
+// and AppendTopK leave what dst held alone and append exactly what
+// SearchScored and TopK return. With room in dst they allocate nothing on
+// gbkmv, and on a Segmented over it only what starting the fan's goroutines
+// costs: one object each.
+func TestAppendForms(t *testing.T) {
+	records, queries := engineCorpus(t, 250)
+	marker := gbkmv.Scored{ID: -7, Score: 7}
+	for _, name := range gbkmv.Engines() {
+		for _, segments := range []int{0, 1, 3} {
+			e := buildEngine(t, name, records)
+			if segments > 0 {
+				var err error
+				if e, err = gbkmv.NewSegmented(name, segments, records, segOpts(42)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for qi, q := range queries[:6] {
+				pq := e.PrepareQuery(q)
+				for _, limit := range []int{0, 3} {
+					want, wantTotal := pq.SearchScored(0.3, limit)
+					got, total := pq.AppendSearchScored([]gbkmv.Scored{marker}, 0.3, limit)
+					if total != wantTotal || got[0] != marker || !reflect.DeepEqual(got[1:], want) {
+						t.Fatalf("%s/%d segments, query %d: AppendSearchScored(limit %d) = %v/%d after the marker, SearchScored %v/%d",
+							name, segments, qi, limit, got[1:], total, want, wantTotal)
+					}
+				}
+				for _, k := range []int{0, 1, 5} {
+					want := pq.TopK(k)
+					got := pq.AppendTopK([]gbkmv.Scored{marker}, k)
+					if got[0] != marker || len(got)-1 != len(want) || (len(want) > 0 && !reflect.DeepEqual(got[1:], want)) {
+						t.Fatalf("%s/%d segments, query %d: AppendTopK(%d) = %v after the marker, TopK %v", name, segments, qi, k, got[1:], want)
+					}
+				}
+			}
+		}
+	}
+	if raceEnabled {
+		return // allocation counts are meaningless under the race detector
+	}
+	for _, segments := range []int{0, 1, 2} {
+		e := buildEngine(t, "gbkmv", records)
+		goroutines := 0
+		if segments > 0 {
+			var err error
+			if e, err = gbkmv.NewSegmented("gbkmv", segments, records, segOpts(42)); err != nil {
+				t.Fatal(err)
+			}
+			if goroutines = min(runtime.GOMAXPROCS(0), segments); goroutines == 1 {
+				goroutines = 0 // one worker runs inline
+			}
+		}
+		pq := e.PrepareQuery(queries[0])
+		var dst []gbkmv.Scored
+		search := func() { dst, _ = pq.AppendSearchScored(dst[:0], 0.3, 0) }
+		topk := func() { dst = pq.AppendTopK(dst[:0], 10) }
+		for i := 0; i < 4; i++ { // warm the pools and dst
+			search()
+			topk()
+		}
+		if len(dst) == 0 {
+			t.Fatal("the fixture query has no results")
+		}
+		// Not testing.AllocsPerRun, which measures at GOMAXPROCS 1, where the
+		// fan runs inline and starts nothing. The least of a few rounds: one a
+		// collection cycle falls into also pays for the pooled scratch it drops.
+		mallocs := func(f func()) float64 {
+			least := math.Inf(1)
+			for round := 0; round < 4; round++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < 100; i++ {
+					f()
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, float64(after.Mallocs-before.Mallocs)/100)
+			}
+			return least
+		}
+		if got := mallocs(search); got > float64(goroutines)+0.05 {
+			t.Errorf("%d segments: AppendSearchScored allocates %.2f per call with a warm buffer, want at most %d", segments, got, goroutines)
+		}
+		if got := mallocs(topk); got > float64(goroutines)+0.05 {
+			t.Errorf("%d segments: AppendTopK allocates %.2f per call with a warm buffer, want at most %d", segments, got, goroutines)
+		}
 	}
 }

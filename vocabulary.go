@@ -69,6 +69,14 @@ func (v *Vocabulary) Lookup(token string) (Element, bool) {
 	return id, ok
 }
 
+// LookupBytes is Lookup for a token still held as bytes.
+func (v *Vocabulary) LookupBytes(token []byte) (Element, bool) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	id, ok := v.ids[string(token)]
+	return id, ok
+}
+
 // Token returns the token of an id, or "" for an unknown id.
 func (v *Vocabulary) Token(id Element) string {
 	v.mu.RLock()
