@@ -5,35 +5,66 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"unicode"
+
+	"gbkmv/internal/snapfmt"
 )
 
-// RecordBuilder turns a stream of token bytes into records without an
-// intermediate string per token or a slice per record: tokens intern
-// through the vocabulary from their bytes, the open record is sorted and
-// deduplicated in one reused scratch, and finished records are carved out of
-// chunked element arenas. It is the ingest path of ReadRecords and of
-// gbkmvd's bulk build; a builder is not safe for concurrent use.
-type RecordBuilder struct {
-	voc     *Vocabulary
-	open    []Element // the record being read, in token order
-	arena   []Element // unused tail of the current chunk
-	chunk   int       // size of the next chunk
-	records []Record
+// Corpus is a record collection in the coding the snapshots store it in
+// (about 1.3 bytes an element occurrence for vocabulary ids, against 8 in a
+// Record): what a RecordBuilder produces and what NewEngineFromCorpus and
+// NewSegmentedFromCorpus build from, so that a bulk build never holds its
+// records as slices.
+type Corpus struct {
+	recs snapfmt.PackedRecords
 }
 
-// Arena chunks double from arenaMinChunk, so a three-record collection pins
-// a few kB, up to arenaMaxChunk elements (512 kB), which bounds the unused
-// tail a large collection carries to under one record per chunk.
-const (
-	arenaMinChunk = 256
-	arenaMaxChunk = 64 << 10
-)
+// packCorpus codes records into a corpus. The records are not retained.
+func packCorpus(records []Record) (*Corpus, error) {
+	recs, err := snapfmt.PackRecords(records, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, fmt.Errorf("gbkmv: %w", err)
+	}
+	return &Corpus{recs: recs}, nil
+}
+
+// Len returns the number of records.
+func (c *Corpus) Len() int { return c.recs.Len() }
+
+// Elements returns the number of element occurrences over all records.
+func (c *Corpus) Elements() int { return c.recs.Elements() }
+
+// Record returns a decoded copy of record i, the caller's to keep.
+func (c *Corpus) Record(i int) Record { return c.recs.Record(i) }
+
+// Records returns every record decoded, each a window of one element slab.
+func (c *Corpus) Records() []Record { return c.recs.All() }
+
+// take hands the store to an engine and leaves the corpus empty: whoever still
+// holds the corpus no longer holds the records.
+func (c *Corpus) take() snapfmt.PackedRecords {
+	recs := c.recs
+	c.recs = snapfmt.PackedRecords{}
+	return recs
+}
+
+// RecordBuilder turns a stream of token bytes into a Corpus without an
+// intermediate string per token or a slice per record: tokens intern through
+// the vocabulary from their bytes, the open record is sorted and deduplicated
+// in one reused scratch and coded from there onto the corpus. It is the
+// ingest path of ReadRecords and of gbkmvd's bulk build; a builder is not safe
+// for concurrent use.
+type RecordBuilder struct {
+	voc  *Vocabulary
+	open []Element // the record being read, in token order
+	recs snapfmt.PackedRecords
+}
 
 // NewRecordBuilder returns a builder interning through voc.
 func NewRecordBuilder(voc *Vocabulary) *RecordBuilder {
-	return &RecordBuilder{voc: voc, chunk: arenaMinChunk}
+	return &RecordBuilder{voc: voc}
 }
 
 // Token adds a token to the open record. The bytes are not retained.
@@ -41,26 +72,28 @@ func (b *RecordBuilder) Token(token []byte) {
 	b.open = append(b.open, b.voc.IDBytes(token))
 }
 
-// EndRecord closes the open record, appends it to Records and returns its
-// number of distinct elements; a record without tokens is appended empty.
-func (b *RecordBuilder) EndRecord() int {
+// EndRecord closes the open record, appends it to the corpus and returns its
+// number of distinct elements; a record without tokens is appended empty. It
+// fails, the record dropped, once the corpus holds all its 32-bit offsets can
+// address (4 GB coded).
+func (b *RecordBuilder) EndRecord() (int, error) {
 	slices.Sort(b.open)
 	open := slices.Compact(b.open)
-	if len(open) > len(b.arena) {
-		b.arena = make([]Element, max(b.chunk, len(open)))
-		b.chunk = min(2*b.chunk, arenaMaxChunk)
-	}
-	n := copy(b.arena, open)
-	// The capacity stops at the record, so an append to it cannot run
-	// into its neighbour in the chunk.
-	b.records = append(b.records, Record(b.arena[:n:n]))
-	b.arena = b.arena[n:]
 	b.open = b.open[:0]
-	return n
+	if err := b.recs.Append(open); err != nil {
+		return 0, fmt.Errorf("gbkmv: %w", err)
+	}
+	return len(open), nil
 }
 
-// Records returns the records closed so far.
-func (b *RecordBuilder) Records() []Record { return b.records }
+// Corpus returns the records closed so far and starts the builder on an empty
+// corpus.
+func (b *RecordBuilder) Corpus() *Corpus {
+	b.recs.Fit()
+	c := &Corpus{recs: b.recs}
+	b.recs = snapfmt.PackedRecords{}
+	return c
+}
 
 // ReadLines appends one record per non-blank line of r, the format of
 // ReadRecords, without keeping the text. keep, when not nil, sees each such
@@ -84,7 +117,9 @@ func (b *RecordBuilder) ReadLines(r io.Reader, keep func(line []byte)) error {
 			b.Token(line[:end])
 			line = bytes.TrimLeftFunc(line[end:], unicode.IsSpace)
 		}
-		b.EndRecord()
+		if _, err := b.EndRecord(); err != nil {
+			return err
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("gbkmv: reading records: %w", err)
@@ -105,5 +140,5 @@ func ReadRecords(r io.Reader, voc *Vocabulary) (records []Record, lines []string
 	if err != nil {
 		return nil, nil, err
 	}
-	return b.Records(), lines, nil
+	return b.Corpus().Records(), lines, nil
 }

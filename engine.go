@@ -190,16 +190,18 @@ type engineParser func(r *snapfmt.Reader) (finish func() (Engine, error), err er
 // engineEntry is everything the registry knows about an engine.
 type engineEntry struct {
 	// resolve makes the engine's data-dependent option defaults explicit
-	// against the records they are derived from (kmv's k = budget/records);
-	// nil for an engine whose defaults are static. It is the only place such a
-	// default is derived, and it is idempotent: NewEngine runs it before
-	// build, the engine keeps and saves the result, and a Segmented runs it
-	// against the whole collection before splitting the budget, so the
-	// per-segment NewEngine finds every value already set.
-	resolve func(records []Record, opt EngineOptions) EngineOptions
-	// build constructs the engine over a non-empty, validated record set
-	// under resolved options. It may retain the records slice.
-	build func(records []Record, opt EngineOptions) (Engine, error)
+	// against the collection they are derived from, m records of n element
+	// occurrences in all (kmv's k = budget/m); nil for an engine whose
+	// defaults are static. It is the only place such a default is derived, and
+	// it is idempotent: the engine constructors run it before build, the
+	// engine keeps and saves the result, and a Segmented runs it against the
+	// whole collection before splitting the budget, so the per-segment build
+	// finds every value already set.
+	resolve func(m, n int, opt EngineOptions) EngineOptions
+	// build constructs the engine over a non-empty, validated corpus under
+	// resolved options, and leaves the corpus empty: gbkmv and gkmv keep its
+	// store, the others their records decoded from it (Corpus.Records).
+	build func(c *Corpus, opt EngineOptions) (Engine, error)
 	parse engineParser
 }
 
@@ -234,10 +236,22 @@ func lookupEngine(name string) (engineEntry, error) {
 	return e, nil
 }
 
-// NewEngine builds the named engine over the records. The records slice may
-// be retained by the engine (all but gbkmv and gkmv do) and must not be
-// mutated afterwards. An empty name selects DefaultEngine.
+// NewEngine builds the named engine over the records: it codes them into a
+// Corpus and builds from that (NewEngineFromCorpus), so the slice and its
+// records stay the caller's. An empty name selects DefaultEngine.
 func NewEngine(name string, records []Record, opt EngineOptions) (Engine, error) {
+	c, err := packCorpus(records)
+	if err != nil {
+		return nil, err
+	}
+	return NewEngineFromCorpus(name, c, opt)
+}
+
+// NewEngineFromCorpus builds the named engine over a corpus — a
+// RecordBuilder's, which never held its records as slices. The engine takes
+// the corpus over: c is empty afterwards. An empty name selects
+// DefaultEngine.
+func NewEngineFromCorpus(name string, c *Corpus, opt EngineOptions) (Engine, error) {
 	if name == "" {
 		name = DefaultEngine
 	}
@@ -245,25 +259,22 @@ func NewEngine(name string, records []Record, opt EngineOptions) (Engine, error)
 	if err != nil {
 		return nil, err
 	}
-	if len(records) == 0 {
+	if c.Len() == 0 {
 		return nil, errors.New("gbkmv: no records")
 	}
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	// Every engine assumes the Record invariant and the snapshot format
-	// stores it (deltas); refuse a violation here rather than at Save.
-	for i, r := range records {
-		for j := 1; j < len(r); j++ {
-			if r[j] <= r[j-1] {
-				return nil, fmt.Errorf("gbkmv: record %d is not sorted and deduplicated (see NewRecord)", i)
-			}
-		}
+	// stores it (deltas); refuse a violation here rather than at Save. The
+	// corpus noted it as it was coded.
+	if err := c.recs.CheckSorted(); err != nil {
+		return nil, fmt.Errorf("gbkmv: %w (see NewRecord)", err)
 	}
 	if e.resolve != nil {
-		opt = e.resolve(records, opt)
+		opt = e.resolve(c.Len(), c.Elements(), opt)
 	}
-	return e.build(records, opt)
+	return e.build(c, opt)
 }
 
 // ErrSnapshotFormat is returned (wrapped) by LoadEngine, Load and

@@ -70,15 +70,18 @@ type baseline struct {
 // registerBaseline registers a baseline engine: open builds the empty
 // backend under resolved options, and the records arrive through add — on
 // build, on load (the payload is options and records; signatures are
-// deterministic in them, so a load rebuilds through NewEngine) and on insert.
-func registerBaseline(name string, resolve func([]Record, EngineOptions) EngineOptions, open func(EngineOptions) (backend, error)) {
+// deterministic in them, so a load rebuilds through NewEngineFromCorpus) and
+// on insert.
+func registerBaseline(name string, resolve func(m, n int, opt EngineOptions) EngineOptions, open func(EngineOptions) (backend, error)) {
 	register(name, engineEntry{
 		resolve: resolve,
-		build: func(records []Record, opt EngineOptions) (Engine, error) {
+		build: func(c *Corpus, opt EngineOptions) (Engine, error) {
 			b, err := open(opt)
 			if err != nil {
 				return nil, err
 			}
+			recs := c.take()
+			records := recs.All()
 			if err := b.add(records, 0); err != nil {
 				return nil, err
 			}
@@ -86,14 +89,14 @@ func registerBaseline(name string, resolve func([]Record, EngineOptions) EngineO
 		},
 		parse: func(r *snapfmt.Reader) (func() (Engine, error), error) {
 			opt := readEngineOptions(r)
-			records := r.Records()
-			if r.Err() == nil && len(records) == 0 {
+			c := &Corpus{recs: r.Packed()}
+			if r.Err() == nil && c.Len() == 0 {
 				r.Corrupt("engine has no records")
 			}
 			if err := r.Err(); err != nil {
 				return nil, err
 			}
-			return func() (Engine, error) { return NewEngine(name, records, opt) }, nil
+			return func() (Engine, error) { return NewEngineFromCorpus(name, c, opt) }, nil
 		},
 	})
 }

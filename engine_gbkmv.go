@@ -21,7 +21,7 @@ import (
 func init() {
 	for _, name := range []string{"gbkmv", "gkmv"} {
 		register(name, engineEntry{
-			build: func(records []Record, opt EngineOptions) (Engine, error) {
+			build: func(c *Corpus, opt EngineOptions) (Engine, error) {
 				o := Options{
 					BudgetFraction: opt.BudgetFraction,
 					BudgetUnits:    opt.BudgetUnits,
@@ -31,7 +31,7 @@ func init() {
 				if name == "gkmv" {
 					o.BufferBits = NoBuffer
 				}
-				ix, err := Build(records, o)
+				ix, err := buildIndex(c, o)
 				if err != nil {
 					return nil, err
 				}

@@ -12,10 +12,10 @@ import "gbkmv/internal/kmv"
 
 func init() {
 	registerBaseline("kmv",
-		func(records []Record, opt EngineOptions) EngineOptions {
-			opt.BudgetUnits = opt.budget(totalElements(records))
+		func(m, n int, opt EngineOptions) EngineOptions {
+			opt.BudgetUnits = opt.budget(n)
 			if opt.NumHashes <= 0 {
-				opt.NumHashes = kmv.EqualAllocation(opt.BudgetUnits, len(records))
+				opt.NumHashes = kmv.EqualAllocation(opt.BudgetUnits, m)
 			}
 			return opt
 		},

@@ -16,10 +16,10 @@ func init() {
 		// as the KMV family (one unit = one stored hash value), bounded: below
 		// 8 the estimator is noise, above 512 signing dominates everything
 		// else.
-		func(records []Record, opt EngineOptions) EngineOptions {
-			opt.BudgetUnits = opt.budget(totalElements(records))
+		func(m, n int, opt EngineOptions) EngineOptions {
+			opt.BudgetUnits = opt.budget(n)
 			if opt.NumHashes <= 0 {
-				opt.NumHashes = min(max(opt.BudgetUnits/len(records), 8), 512)
+				opt.NumHashes = min(max(opt.BudgetUnits/m, 8), 512)
 			}
 			return opt
 		},

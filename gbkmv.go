@@ -96,6 +96,16 @@ func Build(records []Record, opt Options) (*Index, error) {
 	if len(records) == 0 {
 		return nil, errors.New("gbkmv: no records")
 	}
+	c, err := packCorpus(records)
+	if err != nil {
+		return nil, err
+	}
+	return buildIndex(c, opt)
+}
+
+// buildIndex is the one build behind Build and the gbkmv and gkmv engines: the
+// index takes the corpus's store over.
+func buildIndex(c *Corpus, opt Options) (*Index, error) {
 	buffer := core.AutoBuffer
 	switch {
 	case opt.BufferBits == NoBuffer:
@@ -105,8 +115,7 @@ func Build(records []Record, opt Options) (*Index, error) {
 	case opt.BufferBits != AutoBuffer:
 		return nil, errors.New("gbkmv: invalid BufferBits")
 	}
-	d := &dataset.Dataset{Records: records, Universe: maxUniverse(records)}
-	inner, err := core.BuildIndex(d, core.Options{
+	inner, err := core.BuildPacked(c.take(), core.Options{
 		BudgetFraction: opt.BudgetFraction,
 		BudgetUnits:    opt.BudgetUnits,
 		BufferBits:     buffer,

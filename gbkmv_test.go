@@ -206,6 +206,23 @@ func TestVocabularyRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVocabularyRecordAllocs: a record of known tokens is one allocation, the
+// slice it is sorted and deduplicated in — not that and a copy of it.
+func TestVocabularyRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	v := gbkmv.NewVocabulary()
+	tokens := []string{"b", "a", "b", "c", "d"}
+	v.Record(tokens)
+	if n := testing.AllocsPerRun(100, func() { v.Record(tokens) }); n != 1 {
+		t.Errorf("Record allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { v.QueryRecord(tokens) }); n != 1 {
+		t.Errorf("QueryRecord allocates %v times, want 1", n)
+	}
+}
+
 func TestVocabularyConcurrent(t *testing.T) {
 	v := gbkmv.NewVocabulary()
 	var wg sync.WaitGroup

@@ -9,6 +9,7 @@ import (
 	"hash"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"gbkmv"
@@ -100,12 +101,35 @@ func digestEngine(t *testing.T, h hash.Hash, e gbkmv.Engine, queries []gbkmv.Rec
 	return snap.Bytes()
 }
 
+// goldenTokenCorpus is records as a RecordBuilder codes them: from a
+// vocabulary that already holds "0", "1", … in order, so the token of an
+// element interns to that element.
+func goldenTokenCorpus(t *testing.T, records []gbkmv.Record) *gbkmv.Corpus {
+	t.Helper()
+	voc := gbkmv.NewVocabulary()
+	for e := 0; e < 2000; e++ {
+		voc.ID(strconv.Itoa(e))
+	}
+	b := gbkmv.NewRecordBuilder(voc)
+	for i, r := range records {
+		for _, e := range r {
+			b.Token(strconv.AppendUint(nil, uint64(e), 10))
+		}
+		if _, err := b.EndRecord(); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	return b.Corpus()
+}
+
 // TestEngineGolden pins "bit-identical across a commit" for all seven
 // engines: each engine bare and through NewSegmented at n = 1 and n = 3, as
 // built and after an AddBatch of 30 and 10 single Adds (every Add rebuilds
 // lshensemble, which is most of this test's time), the engine itself and its
 // own snapshot loaded back — snapshot bytes, stats and results reduced to one
-// digest per engine, compared with the one the parent commit produced.
+// digest per engine, compared with the one the parent commit produced. Beside
+// the digest, each of the three is also built from a RecordBuilder's Corpus
+// and must save to the same SHA-256 as the one built from slices.
 func TestEngineGolden(t *testing.T) {
 	build, extra, queries := goldenCorpus()
 	opt := gbkmv.EngineOptions{BudgetFraction: 0.2, Seed: 42}
@@ -127,6 +151,25 @@ func TestEngineGolden(t *testing.T) {
 				}
 				if err != nil {
 					t.Fatalf("segments=%d: %v", segments, err)
+				}
+				var fromCorpus gbkmv.Engine
+				if segments == 0 {
+					fromCorpus, err = gbkmv.NewEngineFromCorpus(name, goldenTokenCorpus(t, build), opt)
+				} else {
+					fromCorpus, err = gbkmv.NewSegmentedFromCorpus(name, segments, goldenTokenCorpus(t, build), opt)
+				}
+				if err != nil {
+					t.Fatalf("segments=%d, from a corpus: %v", segments, err)
+				}
+				var fromRecords, fromTokens bytes.Buffer
+				if err := gbkmv.SaveEngine(&fromRecords, e); err != nil {
+					t.Fatal(err)
+				}
+				if err := gbkmv.SaveEngine(&fromTokens, fromCorpus); err != nil {
+					t.Fatal(err)
+				}
+				if a, b := sha256.Sum256(fromRecords.Bytes()), sha256.Sum256(fromTokens.Bytes()); a != b {
+					t.Errorf("segments=%d: built from a corpus the snapshot is %x, from records %x", segments, b, a)
 				}
 				for _, grown := range []bool{false, true} {
 					if grown {

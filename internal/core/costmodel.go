@@ -18,8 +18,25 @@ import (
 // candidate, so the chosen buffer is never worse (under the model) than pure
 // G-KMV — the paper's constraint V∆ < 0.
 func OptimalBufferBits(d *dataset.Dataset, budget int, opt Options) (int, error) {
-	opt = opt.withDefaults()
-	curve, err := BufferVarianceCurve(d, budget, opt)
+	st, err := datasetStats(d)
+	if err != nil {
+		return 0, err
+	}
+	return optimalBufferBits(st, budget, opt)
+}
+
+// datasetStats counts a dataset held as slices.
+func datasetStats(d *dataset.Dataset) (recordStats, error) {
+	if d == nil || len(d.Records) == 0 {
+		return recordStats{}, errors.New("core: empty dataset")
+	}
+	return recordStats{freq: d.Frequencies(), sizes: d.RecordSizes()}, nil
+}
+
+// optimalBufferBits is OptimalBufferBits over statistics at hand: the packed
+// build's, which has them from its store.
+func optimalBufferBits(st recordStats, budget int, opt Options) (int, error) {
+	curve, err := varianceCurve(st, budget, opt)
 	if err != nil {
 		return 0, err
 	}
@@ -42,18 +59,23 @@ type VariancePoint struct {
 // BufferVarianceCurve evaluates the model variance for every candidate
 // buffer size, which is exactly the curve plotted in Fig. 5 of the paper.
 func BufferVarianceCurve(d *dataset.Dataset, budget int, opt Options) ([]VariancePoint, error) {
-	opt = opt.withDefaults()
-	if d == nil || len(d.Records) == 0 {
-		return nil, errors.New("core: empty dataset")
-	}
-	if budget <= 0 {
-		return nil, errors.New("core: budget must be positive")
-	}
-	in, err := newModelInputs(d, opt)
+	st, err := datasetStats(d)
 	if err != nil {
 		return nil, err
 	}
-	m := len(d.Records)
+	return varianceCurve(st, budget, opt)
+}
+
+func varianceCurve(st recordStats, budget int, opt Options) ([]VariancePoint, error) {
+	opt = opt.withDefaults()
+	if budget <= 0 {
+		return nil, errors.New("core: budget must be positive")
+	}
+	in, err := newModelInputs(st, opt)
+	if err != nil {
+		return nil, err
+	}
+	m := len(st.sizes)
 	step := opt.BufferGridStep
 	if step <= 0 {
 		step = 8
@@ -86,34 +108,33 @@ type modelInputs struct {
 	sizes      []float64 // sampled record sizes
 }
 
-// newModelInputs derives the moments either empirically from the dataset or
-// from fitted power-law exponents (the paper's closed form).
-func newModelInputs(d *dataset.Dataset, opt Options) (*modelInputs, error) {
+// newModelInputs derives the moments either empirically from the collection's
+// statistics or from fitted power-law exponents (the paper's closed form).
+func newModelInputs(st recordStats, opt Options) (*modelInputs, error) {
 	switch opt.CostModel {
 	case CostModelEmpirical:
-		return empiricalInputs(d, opt)
+		return empiricalInputs(st, opt)
 	case CostModelClosedForm:
-		return closedFormInputs(d, opt)
+		return closedFormInputs(st, opt)
 	default:
 		return nil, errors.New("core: unknown cost model")
 	}
 }
 
-func empiricalInputs(d *dataset.Dataset, opt Options) (*modelInputs, error) {
-	raw := d.Frequencies()
-	freqs := make([]float64, 0, len(raw))
-	for _, f := range raw {
+func empiricalInputs(st recordStats, opt Options) (*modelInputs, error) {
+	freqs := make([]float64, 0, len(st.freq))
+	for _, f := range st.freq {
 		if f > 0 {
 			freqs = append(freqs, float64(f))
 		}
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(freqs)))
-	sizes := sampleSizes(d.RecordSizes(), opt.CostModelPairSample, int64(opt.Seed)+1)
-	return finishInputs(freqs, sizes, len(d.Records))
+	sizes := sampleSizes(st.sizes, opt.CostModelPairSample, int64(opt.Seed)+1)
+	return finishInputs(freqs, sizes, len(st.sizes))
 }
 
-func closedFormInputs(d *dataset.Dataset, opt Options) (*modelInputs, error) {
-	stats, err := d.ComputeStats()
+func closedFormInputs(st recordStats, opt Options) (*modelInputs, error) {
+	stats, err := dataset.StatsFrom(st.freq, st.sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +150,7 @@ func closedFormInputs(d *dataset.Dataset, opt Options) (*modelInputs, error) {
 		freqs[i] = p * float64(stats.TotalElements)
 	}
 	// Record sizes from the fitted power law on the observed support.
-	sizesInt := d.RecordSizes()
+	sizesInt := st.sizes
 	lo, hi := sizesInt[0], sizesInt[0]
 	for _, s := range sizesInt {
 		if s < lo {
@@ -153,7 +174,7 @@ func closedFormInputs(d *dataset.Dataset, opt Options) (*modelInputs, error) {
 	for i := range sizes {
 		sizes[i] = float64(dist.Sample(rng))
 	}
-	return finishInputs(freqs, sizes, len(d.Records))
+	return finishInputs(freqs, sizes, len(st.sizes))
 }
 
 func finishInputs(freqs, sizes []float64, m int) (*modelInputs, error) {

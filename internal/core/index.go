@@ -93,19 +93,35 @@ func (ix *Index) BuildCounters() (elementsHashed, shrinks uint64) {
 	return ix.elementsHashed.Load(), ix.shrinks.Load()
 }
 
-// BuildIndex constructs the GB-KMV index of the dataset (Algorithm 1): it
-// chooses r, E_H and τ, and derive (build.go) computes the rest — the same
-// function Load runs on a snapshot's (records, E_H, τ). The dataset is read,
-// not retained: the index keeps its own packed copy of the records.
+// BuildIndex packs the dataset's records (snapfmt.PackRecords) and builds the
+// index over the store. The dataset is read, not retained.
 func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
+	var records []dataset.Record
+	if d != nil {
+		records = d.Records
+	}
+	recs, err := snapfmt.PackRecords(records, buildWorkers(len(records)))
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return BuildPacked(recs, opt)
+}
+
+// BuildPacked constructs the GB-KMV index of a packed record collection
+// (Algorithm 1): it chooses r, E_H and τ, and derive (build.go) computes the
+// rest — the same function Load runs on a snapshot's (records, E_H, τ). The
+// index takes the store over: it is what the index retains of its records, and
+// all the build reads of them (m, n, and by one decode pass the frequency
+// table and the record sizes).
+func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if d == nil || len(d.Records) == 0 {
+	m, n := recs.Len(), recs.Elements()
+	if m == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
-	n := d.TotalElements()
 	budget := opt.BudgetUnits
 	if budget == 0 {
 		budget = int(opt.BudgetFraction * float64(n))
@@ -113,13 +129,16 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	if budget <= 0 {
 		return nil, errors.New("core: budget resolves to zero units")
 	}
+	// The frequency table is computed once and shared by the cost model, the
+	// choice of E_H and the choice of τ.
+	st := packedStats(&recs)
 
 	// Line 1 of Algorithm 1: pick the buffer size from the cost model (or
 	// from the caller's override).
 	r := opt.BufferBits
 	if r == AutoBuffer {
 		var err error
-		r, err = OptimalBufferBits(d, budget, opt)
+		r, err = optimalBufferBits(st, budget, opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: cost model: %w", err)
 		}
@@ -127,7 +146,6 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	if r%8 != 0 {
 		r += 8 - r%8
 	}
-	m := len(d.Records)
 	if cost := bufferUnits(m, r); cost >= budget {
 		// Never let the buffer consume the entire budget.
 		r = ((budget * BufferUnitBits / (2 * m)) / 8) * 8
@@ -135,17 +153,13 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 
 	ix := &Index{
 		opt:        opt,
+		recs:       recs,
 		bufferBits: r,
 		budget:     budget,
 	}
-	var err error
-	if ix.recs, err = snapfmt.PackRecords(d.Records, buildWorkers(m)); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 
-	// Line 2: E_H ← top r most frequent elements. The frequency table is
-	// computed once and shared with the τ short-circuit below.
-	freq := d.Frequencies()
+	// Line 2: E_H ← top r most frequent elements.
+	freq := st.freq
 	ix.bufferElems = dataset.TopFrequentFrom(freq, r)
 	ix.bitOf = newBitTable(ix.bufferElems)
 	bufferedOccurrences := 0
@@ -172,6 +186,46 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return ix, nil
+}
+
+// recordStats is what Algorithm 1 and its cost model read of a collection
+// beyond m and n: freq[e] is the number of records holding element e, sizes
+// the record sizes in record order.
+type recordStats struct {
+	freq, sizes []int
+}
+
+// packedStats reads a store's statistics in one decode pass, a span of the
+// records and a frequency table a worker (as many as derive may have: the
+// tables are its counters' size), summed into the first.
+func packedStats(recs *snapfmt.PackedRecords) recordStats {
+	m, universe := recs.Len(), 0
+	if recs.Elements() > 0 {
+		universe = int(recs.Top()) + 1
+	}
+	st := recordStats{freq: make([]int, universe), sizes: make([]int, m)}
+	parts := spans(m, deriveWorkers(m, recs.Top(), recs.Elements()), 1)
+	tables := make([][]int, len(parts))
+	tables[0] = st.freq
+	runParallel(len(parts), len(parts), func(w int) {
+		if w > 0 {
+			tables[w] = make([]int, universe)
+		}
+		freq, rec := tables[w], []hash.Element(nil)
+		for i := parts[w].lo; i < parts[w].hi; i++ {
+			rec = recs.AppendRecord(rec[:0], i)
+			st.sizes[i] = len(rec)
+			for _, e := range rec {
+				freq[e]++
+			}
+		}
+	})
+	for _, table := range tables[1:] {
+		for e, f := range table {
+			st.freq[e] += f
+		}
+	}
+	return st
 }
 
 // bufferUnits is the budget charge of an r-bit buffer across m records

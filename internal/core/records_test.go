@@ -9,6 +9,7 @@ import (
 
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/hash"
+	"gbkmv/internal/snapfmt"
 )
 
 // TestPackedIndexRecords: the index keeps its records packed and hands back
@@ -118,5 +119,34 @@ func TestPackedIndexRefusesUnsortedOnSave(t *testing.T) {
 	}
 	if err := ix.Save(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "record 40 is not sorted") {
 		t.Fatalf("Save = %v, want record 40 named", err)
+	}
+}
+
+// TestPackedStats: what the packed build reads of its store in one decode pass
+// — the frequency table and the record sizes — is what the dataset computes
+// from the slices, at every worker count; the table stops at the largest
+// element the records hold.
+func TestPackedStats(t *testing.T) {
+	d := buildTestDataset(t, 62, 300)
+	d.Records = append(d.Records, dataset.Record{}, dataset.Record{5999})
+	recs, err := snapfmt.PackRecords(d.Records, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFreq := (&dataset.Dataset{Records: d.Records, Universe: 6000}).Frequencies()
+	defer func() { forcedBuildWorkers = 0 }()
+	for _, workers := range []int{1, 2, 3, 7} {
+		forcedBuildWorkers = workers
+		st := packedStats(&recs)
+		if !slices.Equal(st.freq, wantFreq) || !slices.Equal(st.sizes, d.RecordSizes()) {
+			t.Errorf("%d workers: frequencies or sizes differ from the dataset's", workers)
+		}
+	}
+	empty, err := snapfmt.PackRecords([]dataset.Record{{}, {}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := packedStats(&empty); len(st.freq) != 0 || !slices.Equal(st.sizes, []int{0, 0}) {
+		t.Errorf("records without elements: %d frequencies, sizes %v", len(st.freq), st.sizes)
 	}
 }

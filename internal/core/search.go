@@ -223,7 +223,9 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 	ix.decodedMu.Unlock()
 	for _, rec := range recs {
 		id := ix.recs.Len()
-		ix.recs.Append(rec)
+		if err := ix.recs.Append(rec); err != nil {
+			panic("core: " + err.Error()) // CheckRoom above made the room
+		}
 		// One hashing pass; the (element, key) pairs are kept so the
 		// postings update below never rehashes.
 		elems, keys, run := ix.add.elems[:0], ix.add.keys[:0], ix.add.run[:0]

@@ -32,10 +32,16 @@ type Record []hash.Element
 // NewRecord builds a Record from possibly unsorted, possibly duplicated
 // elements.
 func NewRecord(elems []hash.Element) Record {
-	r := make(Record, len(elems))
+	r := make([]hash.Element, len(elems))
 	copy(r, elems)
-	slices.Sort(r)
-	return slices.Compact(r)
+	return SortRecord(r)
+}
+
+// SortRecord makes a Record of elems in place: for a caller that just filled
+// the slice and keeps no other use of it.
+func SortRecord(elems []hash.Element) Record {
+	slices.Sort(elems)
+	return slices.Compact(elems)
 }
 
 // Contains reports whether the record contains e (binary search).
@@ -209,12 +215,19 @@ type Stats struct {
 // summary. Fitting uses xmin=1 for frequencies and the dataset's minimum
 // record size for sizes.
 func (d *Dataset) ComputeStats() (Stats, error) {
-	s := Stats{
-		NumRecords:    d.NumRecords(),
-		AvgRecordLen:  d.AvgRecordLen(),
-		TotalElements: d.TotalElements(),
+	return StatsFrom(d.Frequencies(), d.RecordSizes())
+}
+
+// StatsFrom is ComputeStats for a caller that holds the frequency table
+// (Frequencies) and the record sizes (RecordSizes) and not the records.
+func StatsFrom(freq, sizes []int) (Stats, error) {
+	s := Stats{NumRecords: len(sizes)}
+	for _, x := range sizes {
+		s.TotalElements += x
 	}
-	freq := d.Frequencies()
+	if len(sizes) > 0 {
+		s.AvgRecordLen = float64(s.TotalElements) / float64(len(sizes))
+	}
 	occurring := make([]int, 0, len(freq))
 	for _, f := range freq {
 		if f > 0 {
@@ -227,15 +240,9 @@ func (d *Dataset) ComputeStats() (Stats, error) {
 		return s, fmt.Errorf("dataset: fitting α1: %w", err)
 	}
 	s.AlphaFreq = a1
-	sizes := d.RecordSizes()
 	minSize := 1
 	if len(sizes) > 0 {
-		minSize = sizes[0]
-		for _, x := range sizes {
-			if x < minSize {
-				minSize = x
-			}
-		}
+		minSize = slices.Min(sizes)
 	}
 	a2, err := powerlaw.FitMLE(sizes, minSize)
 	if err != nil {

@@ -250,8 +250,8 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	voc, records := req.voc, req.records
-	if (len(records) == 0) == (req.File == "") {
+	voc, corpus := req.voc, req.corpus
+	if (corpus.Len() == 0) == (req.File == "") {
 		writeError(w, http.StatusBadRequest, "provide exactly one of records or file")
 		return
 	}
@@ -272,12 +272,12 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "reading record file: %v", err)
 			return
 		}
-		records = rb.Records()
+		corpus = rb.Corpus()
 	} else if req.firstEmpty >= 0 {
 		writeError(w, http.StatusBadRequest, "record %d is empty", req.firstEmpty)
 		return
 	}
-	if len(records) == 0 {
+	if corpus.Len() == 0 {
 		writeError(w, http.StatusBadRequest, "no records")
 		return
 	}
@@ -300,9 +300,9 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 	}
 	var eng gbkmv.Engine
 	if segments >= 1 {
-		eng, err = gbkmv.NewSegmented(req.Options.Engine, segments, records, opts)
+		eng, err = gbkmv.NewSegmentedFromCorpus(req.Options.Engine, segments, corpus, opts)
 	} else {
-		eng, err = gbkmv.NewEngine(req.Options.Engine, records, opts)
+		eng, err = gbkmv.NewEngineFromCorpus(req.Options.Engine, corpus, opts)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "building %q: %v", name, err)
@@ -324,7 +324,7 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 	stages.With("sketch").Observe(sketch.Seconds())
 	stages.With("snapshot").Observe(snapshot.Seconds())
 	h.store.logf("gbkmvd: built collection %q: engine %s, %d records (decode %s, sketch %s, snapshot %s)",
-		name, eng.EngineName(), len(records), decode.Round(time.Millisecond), sketch.Round(time.Millisecond),
+		name, eng.EngineName(), eng.Len(), decode.Round(time.Millisecond), sketch.Round(time.Millisecond),
 		snapshot.Round(time.Millisecond))
 	writeJSON(w, http.StatusOK, c.Stats())
 }

@@ -540,15 +540,14 @@ func (c notAToken) Error() string {
 }
 
 // records walks a "records" value — an array of token arrays, or null —
-// calling token for each token's bytes and endRecord after each record. A
-// null record has no tokens.
-func (s *bodyScanner) records(token func([]byte), endRecord func()) error {
+// calling token for each token's bytes and endRecord after each record, whose
+// error ends the walk. A null record has no tokens.
+func (s *bodyScanner) records(token func([]byte), endRecord func() error) error {
 	return s.array("the records array", func() error {
 		if err := s.tokens("a record", token); err != nil {
 			return err
 		}
-		endRecord()
-		return nil
+		return endRecord()
 	})
 }
 
@@ -641,8 +640,9 @@ func (s *bodyScanner) optBool(dst *bool) error {
 func keyIs(key []byte, name string) bool { return bytes.EqualFold(key, []byte(name)) }
 
 // buildBody is a scanned build request. Its "records" — an array of token
-// arrays, mutually exclusive with File — are interned as they are read;
-// firstEmpty is the index of the first one without tokens, or -1.
+// arrays, mutually exclusive with File — are interned and coded into corpus
+// as they are read; firstEmpty is the index of the first one without tokens,
+// or -1.
 type buildBody struct {
 	// File names a server-side line-oriented record file (one record per
 	// line, whitespace-separated tokens). Only honored when the daemon was
@@ -652,7 +652,7 @@ type buildBody struct {
 	Options buildOptions
 
 	voc        *gbkmv.Vocabulary
-	records    []gbkmv.Record
+	corpus     *gbkmv.Corpus
 	firstEmpty int
 }
 
@@ -660,8 +660,9 @@ type buildBody struct {
 func (s *bodyScanner) readBuild() (buildBody, error) {
 	var b buildBody
 	var rb *gbkmv.RecordBuilder
+	var records int
 	fresh := func() {
-		b.voc, b.firstEmpty = gbkmv.NewVocabulary(), -1
+		b.voc, b.firstEmpty, records = gbkmv.NewVocabulary(), -1, 0
 		rb = gbkmv.NewRecordBuilder(b.voc)
 	}
 	fresh()
@@ -671,10 +672,13 @@ func (s *bodyScanner) readBuild() (buildBody, error) {
 			// A repeated key replaces what the earlier one read, ids
 			// included.
 			fresh()
-			return s.records(rb.Token, func() {
-				if rb.EndRecord() == 0 && b.firstEmpty < 0 {
-					b.firstEmpty = len(rb.Records()) - 1
+			return s.records(rb.Token, func() error {
+				n, err := rb.EndRecord()
+				if n == 0 && b.firstEmpty < 0 {
+					b.firstEmpty = records
 				}
+				records++
+				return err
 			})
 		case keyIs(key, "file"):
 			return s.optString(&b.File)
@@ -704,7 +708,7 @@ func (s *bodyScanner) readBuild() (buildBody, error) {
 		}
 		return fmt.Errorf("unknown field %q", key)
 	})
-	b.records = rb.Records()
+	b.corpus = rb.Corpus()
 	return b, err
 }
 
@@ -721,8 +725,9 @@ func (s *bodyScanner) readInsert() (batch [][]string, requestID string, err erro
 			return s.records(func(tok []byte) {
 				s.slab = append(s.slab, tok...)
 				s.tokEnds = append(s.tokEnds, len(s.slab))
-			}, func() {
+			}, func() error {
 				s.recEnds = append(s.recEnds, len(s.tokEnds))
+				return nil
 			})
 		case keyIs(key, "request_id"):
 			return s.optString(&requestID)

@@ -20,11 +20,11 @@ import (
 // record sit near their entropy: ≈ 1.33 bytes an element occurrence on the
 // corpora here, against 8 for a hash.Element.
 //
-// PackedRecords keeps a collection in that coding in memory — what the GB-KMV
-// index retains of its records, and byte for byte what its snapshot writes
-// for them — and Writer.Records, Reader.Records and Reader.Packed are the
-// same three functions (measure, appendRecord, decodeRecord) around a
-// []dataset.Record or a stream.
+// PackedRecords keeps a collection in that coding in memory — what a bulk
+// build holds of its records from the scanner on, what the GB-KMV index
+// retains of them, and byte for byte what its snapshot writes for them — and
+// Writer.Records and Reader.Packed are the same three functions (measure,
+// appendRecord, decodeRecord) around a []dataset.Record or a stream.
 
 // uvarintLen is the length of v's canonical uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -106,6 +106,14 @@ type PackedRecords struct {
 // bound without 4 GB of records.
 var packLimit = math.MaxUint32
 
+// SetPackLimit is for the tests of the packages that build stores: it lowers
+// the bound and returns what puts it back.
+func SetPackLimit(limit int) (restore func()) {
+	old := packLimit
+	packLimit = limit
+	return func() { packLimit = old }
+}
+
 func checkPackRoom(bytes int) error {
 	if bytes >= packLimit {
 		return fmt.Errorf("%d bytes of records overflow the record store's 32-bit offset table (limit %d)", bytes, packLimit)
@@ -113,38 +121,45 @@ func checkPackRoom(bytes int) error {
 	return nil
 }
 
+// withHeadroom is the capacity a bulk-built store gives n bytes, or n records:
+// the eighth append growth would have left them, so the first inserts into a
+// built collection do not begin by copying it.
+func withHeadroom(n int) int { return n + n/8 }
+
+// fanSpans splits [0, m) into `workers` contiguous spans and calls fn(w, lo,
+// hi) for each, the last on the caller's goroutine, and waits for all.
+func fanSpans(m, workers int, fn func(w, lo, hi int)) {
+	step := (m + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := min(w*step, m), min((w+1)*step, m)
+		if w == workers-1 {
+			fn(w, lo, hi)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w, lo, hi)
+		}()
+	}
+	wg.Wait()
+}
+
 // PackRecords codes recs across up to `workers` goroutines: every record is
 // measured, the offsets are the prefix sums, and each record is coded
-// straight into its window of the slab. Slab and offsets get the eighth of
-// headroom append growth would have left them, so the first inserts into a
-// built collection do not begin by copying it. recs is not retained.
+// straight into its window of the slab. Slab and offsets get withHeadroom.
+// recs is not retained.
 func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 	m := len(recs)
-	p := PackedRecords{offsets: make([]uint32, m+1, m+1+m/8)}
+	p := PackedRecords{offsets: make([]uint32, m+1, withHeadroom(m)+1)}
 	workers = max(1, min(workers, m))
 	type share struct {
 		bytes, elements, unsorted int
 		top                       hash.Element
 	}
 	shares := make([]share, workers)
-	step := (m + workers - 1) / workers
-	fan := func(fn func(w, lo, hi int)) {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := min(w*step, m), min((w+1)*step, m)
-			if w == workers-1 {
-				fn(w, lo, hi)
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fn(w, lo, hi)
-			}()
-		}
-		wg.Wait()
-	}
-	fan(func(w, lo, hi int) {
+	fanSpans(m, workers, func(w, lo, hi int) {
 		sh := &shares[w]
 		for i := lo; i < hi; i++ {
 			size, top, ascending := measure(recs[i])
@@ -170,13 +185,69 @@ func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 	for i := 0; i < m; i++ {
 		p.offsets[i+1] += p.offsets[i]
 	}
-	p.data = make([]byte, total, total+total/8)
-	fan(func(_, lo, hi int) {
+	p.data = make([]byte, total, withHeadroom(total))
+	fanSpans(m, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			appendRecord(p.data[p.offsets[i]:p.offsets[i]:p.offsets[i+1]], recs[i])
 		}
 	})
 	return p, nil
+}
+
+// Partition deals the records out to n new stores, record i to store
+// route(record i), each store in the order of p: the coded bytes are copied,
+// a record is decoded only for route to see, into one buffer a worker — route
+// runs on up to `workers` goroutines and must not keep its argument. part[i]
+// is the store record i went to. Every store comes out as PackRecords would
+// have packed its records, headroom included. p must hold no unsorted record.
+func (p *PackedRecords) Partition(n, workers int, route func(rec dataset.Record) int) (parts []PackedRecords, part []uint32, err error) {
+	if err := p.CheckSorted(); err != nil {
+		return nil, nil, err
+	}
+	m := p.Len()
+	part = make([]uint32, m)
+	workers = max(1, min(workers, m))
+	type share struct {
+		records, bytes, elements int
+		top                      hash.Element
+	}
+	shares := make([]share, workers*n) // worker w's share of store s at w*n+s
+	fanSpans(m, workers, func(w, lo, hi int) {
+		var rec []hash.Element
+		for i := lo; i < hi; i++ {
+			rec = p.AppendRecord(rec[:0], i)
+			s := route(rec)
+			part[i] = uint32(s)
+			sh := &shares[w*n+s]
+			sh.records, sh.bytes, sh.elements = sh.records+1, sh.bytes+int(p.offsets[i+1]-p.offsets[i]), sh.elements+len(rec)
+			if len(rec) > 0 {
+				sh.top = max(sh.top, rec[len(rec)-1])
+			}
+		}
+	})
+	parts = make([]PackedRecords, n)
+	for s := range parts {
+		var all share
+		for w := 0; w < workers; w++ {
+			sh := shares[w*n+s]
+			all.records, all.bytes, all.elements, all.top = all.records+sh.records, all.bytes+sh.bytes, all.elements+sh.elements, max(all.top, sh.top)
+		}
+		if err := checkPackRoom(all.bytes); err != nil {
+			return nil, nil, err
+		}
+		parts[s] = PackedRecords{
+			data:     make([]byte, 0, withHeadroom(all.bytes)),
+			offsets:  make([]uint32, 1, withHeadroom(all.records)+1),
+			elements: all.elements,
+			top:      all.top,
+		}
+	}
+	for i, s := range part {
+		q := &parts[s]
+		q.data = append(q.data, p.data[p.offsets[i]:p.offsets[i+1]]...)
+		q.offsets = append(q.offsets, uint32(len(q.data)))
+	}
+	return parts, part, nil
 }
 
 // Len returns the number of records.
@@ -204,12 +275,13 @@ func (p *PackedRecords) CheckRoom(records, elements int) error {
 }
 
 // Append codes rec onto the end of the store, which grows like any appended
-// slice. rec is not retained. It panics when the slab would outgrow the
-// offset table: callers make room first (CheckRoom).
-func (p *PackedRecords) Append(rec dataset.Record) {
+// slice. rec is not retained. A record that would take the slab past the
+// offset table is an error and leaves the store as it was; a caller that must
+// not find out halfway through a batch asks first (CheckRoom).
+func (p *PackedRecords) Append(rec dataset.Record) error {
 	size, top, ascending := measure(rec)
 	if err := checkPackRoom(len(p.data) + size); err != nil {
-		panic("snapfmt: " + err.Error())
+		return err
 	}
 	if p.offsets == nil {
 		p.offsets = []uint32{0}
@@ -220,6 +292,34 @@ func (p *PackedRecords) Append(rec dataset.Record) {
 	p.data = appendRecord(p.data, rec)
 	p.offsets = append(p.offsets, uint32(len(p.data)))
 	p.elements, p.top = p.elements+len(rec), max(p.top, top)
+	return nil
+}
+
+// Fit gives a store grown by Append the capacities of one packed at once
+// (withHeadroom): what is over is cut off, what is missing costs the one copy
+// the first insert would otherwise pay.
+func (p *PackedRecords) Fit() {
+	if p.Len() == 0 {
+		return
+	}
+	p.data = fit(p.data, withHeadroom(len(p.data)))
+	p.offsets = fit(p.offsets, withHeadroom(p.Len())+1)
+}
+
+func fit[T any](s []T, capacity int) []T {
+	if cap(s) >= capacity {
+		return s[:len(s):capacity]
+	}
+	return append(make([]T, 0, capacity), s...)
+}
+
+// CheckSorted names the first record that is not strictly ascending (the
+// dataset.Record invariant), or returns nil: the store noted it as it coded.
+func (p *PackedRecords) CheckSorted() error {
+	if p.unsorted > 0 {
+		return fmt.Errorf("record %d is not sorted and deduplicated", p.unsorted-1)
+	}
+	return nil
 }
 
 // RecordLen returns the number of elements of record i.
@@ -280,8 +380,8 @@ func (w *Writer) Records(recs []dataset.Record) {
 // Packed writes the records section of a store: the two counts and the slab
 // as it is — the bytes Records writes for the same records.
 func (w *Writer) Packed(p *PackedRecords) {
-	if p.unsorted > 0 {
-		w.Fail(fmt.Errorf("snapfmt: record %d is not sorted and deduplicated", p.unsorted-1))
+	if err := p.CheckSorted(); err != nil {
+		w.Fail(fmt.Errorf("snapfmt: %w", err))
 		return
 	}
 	w.Int(p.Len())
@@ -341,15 +441,4 @@ func (r *Reader) Packed() PackedRecords {
 		return PackedRecords{}
 	}
 	return p
-}
-
-// Records reads the records section decoded: every record a window of one
-// element slab. It is Packed and a decode, for the engines that keep their
-// records as slices.
-func (r *Reader) Records() []dataset.Record {
-	p := r.Packed()
-	if r.err != nil {
-		return nil
-	}
-	return p.All()
 }

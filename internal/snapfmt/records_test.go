@@ -145,16 +145,74 @@ func TestPackedRoundTrip(t *testing.T) {
 		if !bytes.Equal(loaded.data, appended.data) || !slices.Equal(loaded.offsets, appended.offsets) {
 			t.Fatalf("%s: the loaded store is not the saved one", name)
 		}
-		r = src()
-		decoded := r.Records()
-		if err := r.Done(); err != nil || len(decoded) != len(recs) {
-			t.Fatalf("%s: Records() = %d records, %v", name, len(decoded), err)
+	}
+}
+
+// sameStore reports whether two stores are indistinguishable: bytes, offsets,
+// counts and the capacity of both slices.
+func sameStore(a, b *PackedRecords) bool {
+	return bytes.Equal(a.data, b.data) && slices.Equal(a.offsets, b.offsets) &&
+		cap(a.data) == cap(b.data) && cap(a.offsets) == cap(b.offsets) &&
+		a.elements == b.elements && a.top == b.top && a.unsorted == b.unsorted
+}
+
+// TestPackedPartitionAndFit: a store dealt out by Partition is, store by
+// store, what PackRecords makes of the records routed there — headroom
+// included, at any worker count, empty stores too — and one grown by Append
+// is, after Fit, what PackRecords makes of all of them.
+func TestPackedPartitionAndFit(t *testing.T) {
+	recs := packFixture(3, 500)
+	route := func(rec dataset.Record) int {
+		if len(rec) == 0 {
+			return 4
 		}
-		for i := range recs {
-			if !slices.Equal(decoded[i], recs[i]) {
-				t.Fatalf("%s: Records()[%d] = %v, want %v", name, i, decoded[i], recs[i])
+		return int((rec[0] + rec[len(rec)-1]) % 4) // store 5 gets nothing
+	}
+	whole, err := PackRecords(recs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := make([][]dataset.Record, 6)
+	for _, rec := range recs {
+		routed[route(rec)] = append(routed[route(rec)], rec)
+	}
+	for _, workers := range []int{1, 2, 5, 1000} {
+		parts, part, err := whole.Partition(6, workers, route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range recs {
+			if int(part[i]) != route(rec) {
+				t.Fatalf("%d workers: record %d went to store %d, routed to %d", workers, i, part[i], route(rec))
 			}
 		}
+		for s := range parts {
+			want, err := PackRecords(routed[s], 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameStore(&parts[s], &want) {
+				t.Errorf("%d workers: store %d (%d records) is not what PackRecords makes of its records", workers, s, parts[s].Len())
+			}
+		}
+	}
+	var grown PackedRecords
+	for _, rec := range recs {
+		if err := grown.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown.Fit()
+	if !sameStore(&grown, &whole) {
+		t.Errorf("appended and fitted: %d bytes in %d, %d offsets in %d; packed: %d in %d, %d in %d", len(grown.data), cap(grown.data),
+			len(grown.offsets), cap(grown.offsets), len(whole.data), cap(whole.data), len(whole.offsets), cap(whole.offsets))
+	}
+	unsorted, err := PackRecords([]dataset.Record{{1, 2}, {2, 1}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := unsorted.Partition(2, 1, func(dataset.Record) int { return 0 }); err == nil || !strings.Contains(err.Error(), "record 1 is not sorted") {
+		t.Errorf("partitioning a store with an unsorted record: %v", err)
 	}
 }
 
@@ -185,8 +243,7 @@ func TestPackedUnsortedRefusesToSave(t *testing.T) {
 }
 
 // TestPackedRejectsMalformedSections: the section's one validation loop, on
-// each thing a section can get wrong. All of them are corruption, whichever
-// reader — the store's or the decoding one — meets them.
+// each thing a section can get wrong. All of them are corruption.
 func TestPackedRejectsMalformedSections(t *testing.T) {
 	wrap := append([]byte{2, 5}, bytes.Repeat([]byte{0xff}, 9)...) // 5, then a delta of 2⁶⁴−1
 	wrap = append(wrap, 0x01)
@@ -200,15 +257,10 @@ func TestPackedRejectsMalformedSections(t *testing.T) {
 		"truncated":         {2, 3, 2, 5, 1, 1},
 		"count past source": {0xff, 0xff, 0xff, 0xff, 0x0f, 0},
 	} {
-		for reader, read := range map[string]func(*Reader){
-			"Packed":  func(r *Reader) { r.Packed() },
-			"Records": func(r *Reader) { r.Records() },
-		} {
-			r := NewReader(bytes.NewReader(section))
-			read(r)
-			if err := r.Done(); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s through %s: %v, want ErrCorrupt", name, reader, err)
-			}
+		r := NewReader(bytes.NewReader(section))
+		r.Packed()
+		if err := r.Done(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
 		}
 	}
 	// The one-element record {2⁶⁴−1} and a first element ≥ 2⁶³ are not wraps.
@@ -222,9 +274,10 @@ func TestPackedRejectsMalformedSections(t *testing.T) {
 
 // TestPackedLimit drives the offset table's bound through a stubbed limit
 // rather than 4 GB of records: packing that many bytes is an error, an append
-// that would reach it panics with the bound in the message unless the caller
-// asked first (CheckRoom, which takes every uvarint at its longest), and a
-// section that long is corrupt.
+// that would reach it is the same error and leaves the store alone (a caller
+// in the middle of a batch asks first: CheckRoom, which takes every uvarint at
+// its longest), a partition into stores that long is refused, and a section
+// that long is corrupt.
 func TestPackedLimit(t *testing.T) {
 	recs := packFixture(2, 50)
 	p, err := PackRecords(recs, 2)
@@ -232,7 +285,7 @@ func TestPackedLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	section := sectionOf(t, func(w *Writer) { w.Packed(&p) })
-	defer func(old int) { packLimit = old }(packLimit)
+	defer SetPackLimit(packLimit)()
 
 	packLimit = len(p.data) // one byte too many
 	if _, err := PackRecords(recs, 2); err == nil || !strings.Contains(err.Error(), "offset table") {
@@ -248,7 +301,9 @@ func TestPackedLimit(t *testing.T) {
 	if _, err := PackRecords(recs, 2); err != nil {
 		t.Fatalf("packing %d bytes at limit %d: %v", len(p.data), packLimit, err)
 	}
-	p.Append(dataset.Record{9}) // two bytes
+	if err := p.Append(dataset.Record{9}); err != nil { // two bytes
+		t.Fatalf("Append under the limit: %v", err)
+	}
 	if err := p.CheckRoom(0, 0); err != nil {
 		t.Errorf("CheckRoom for nothing: %v", err)
 	}
@@ -258,14 +313,12 @@ func TestPackedLimit(t *testing.T) {
 	if err := p.CheckRoom(math.MaxInt/2, math.MaxInt/2); err == nil {
 		t.Error("CheckRoom overflowed on an absurd batch")
 	}
-	func() {
-		defer func() {
-			msg, _ := recover().(string)
-			if !strings.Contains(msg, "offset table") {
-				t.Errorf("Append past the limit: recovered %q", msg)
-			}
-		}()
-		p.Append(dataset.Record{9})
-		t.Error("Append past the limit did not panic")
-	}()
+	before := len(p.data)
+	if err := p.Append(dataset.Record{9}); err == nil || !strings.Contains(err.Error(), "offset table") || len(p.data) != before || p.Len() != len(recs)+1 {
+		t.Errorf("Append past the limit: %v, store of %d records and %d bytes", err, p.Len(), len(p.data))
+	}
+	packLimit = len(p.data) / 2
+	if _, _, err := p.Partition(1, 2, func(dataset.Record) int { return 0 }); err == nil || !strings.Contains(err.Error(), "offset table") {
+		t.Errorf("partition into one store of %d bytes at limit %d: %v", len(p.data), packLimit, err)
+	}
 }

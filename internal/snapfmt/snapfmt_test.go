@@ -60,7 +60,8 @@ func read(r io.Reader) (sections, error) {
 	s.Name = sr.String(16)
 	s.Signed = sr.Varint()
 	s.Elems = sr.Elements()
-	s.Records = sr.Records()
+	recs := sr.Packed()
+	s.Records = recs.All()
 	s.Strings = sr.Strings()
 	return s, sr.Done()
 }
@@ -194,11 +195,11 @@ func TestFormatAndStructureErrors(t *testing.T) {
 		t.Errorf("padded varint: %v", err)
 	}
 	// One record, two elements, second delta zero: a duplicate.
-	if err := section(func(w *Writer) { w.Write([]byte{1, 2, 2, 5, 0}) }, func(r *Reader) { r.Records() }); !errors.Is(err, ErrCorrupt) {
+	if err := section(func(w *Writer) { w.Write([]byte{1, 2, 2, 5, 0}) }, func(r *Reader) { r.Packed() }); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("duplicate element: %v", err)
 	}
 	// One record claiming more elements than the section declares.
-	if err := section(func(w *Writer) { w.Write([]byte{1, 1, 2, 5, 1}) }, func(r *Reader) { r.Records() }); !errors.Is(err, ErrCorrupt) {
+	if err := section(func(w *Writer) { w.Write([]byte{1, 1, 2, 5, 1}) }, func(r *Reader) { r.Packed() }); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("record overrunning the section total: %v", err)
 	}
 	if err := section(func(w *Writer) { w.Records([]dataset.Record{{3, 1}}) }, func(*Reader) {}); err == nil {
@@ -213,7 +214,7 @@ func TestFormatAndStructureErrors(t *testing.T) {
 func TestDeclaredCountsDoNotAllocate(t *testing.T) {
 	readers := map[string]func(*Reader){
 		"elems":   func(r *Reader) { r.Elements() },
-		"records": func(r *Reader) { r.Records() },
+		"records": func(r *Reader) { r.Packed() },
 		"strings": func(r *Reader) { r.Strings() },
 	}
 	var hostile bytes.Buffer

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Profile gbkmvd under one of the benchmark's serving workloads:
 #
-#   scripts/profile-serve.sh serve-read [seed]
+#   scripts/profile-serve.sh serve-read [seed]        allocation and CPU profiles
+#   scripts/profile-serve.sh serve-read [seed] rss    what set rss_mb, and when
 #
 # Builds what bench/run.sh builds, where it builds it (.bench_build/), and
 # runs the workload with a two-line wrapper in gbkmvd's place that adds
@@ -14,9 +15,23 @@
 # window lies inside it: that window's two profiles are printed with
 # `go tool pprof -top -cum`, and all of them are left in
 # .bench_build/profile/ for `go tool pprof` to open.
+#
+# With rss the daemons run under GODEBUG=gctrace=1 instead and are sampled
+# every 50 ms: VmRSS and VmHWM from /proc/<pid>/status, beside the stage the
+# daemon is in — build until it logs "built collection", warm-up until it has
+# answered the 4096 queries of the harness's warm-up pass, main from then on
+# (the probe passes that follow the main phase on the same daemon included).
+# For the daemon that served the main phase — the one that answered the most
+# requests — it prints the rises of VmHWM (a row a megabyte, and the last) with
+# their stage, the gctrace lines around the last one, and the steady-state
+# VmRSS (the median over the main stage). rss_mb is VmHWM as the main phase ends: a last rise
+# above it happened in a probe.
 set -euo pipefail
-workload=${1:?usage: scripts/profile-serve.sh <serve-read|serve-write|serve-mixed> [seed]}
+usage="usage: scripts/profile-serve.sh <serve-read|serve-write|serve-mixed> [seed] [rss]"
+workload=${1:?$usage}
 seed=${2:-1}
+mode=${3:-profile}
+[ "$mode" = profile ] || [ "$mode" = rss ] || { echo "$usage" >&2; exit 2; }
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 build="$root/.bench_build"
 out="$build/profile"
@@ -29,12 +44,17 @@ export GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local GOWORK=off
 (cd "$root/bench" && go build -o "$build/bin/bench" . && go build -o "$build/bin/gbkmvd" gbkmv/cmd/gbkmvd)
 
 # One daemon runs at a time, so they can share a debug port. The wrapper
-# notes each one's API address (the harness passes -addr first) on its way.
+# notes each one's API address (the harness passes -addr first) and pid on its
+# way.
 port=$((20000 + RANDOM % 20000))
+launch="exec \"$build/bin/gbkmvd\" -debug-addr 127.0.0.1:$port \"\$@\""
+if [ "$mode" = rss ]; then
+	launch="GODEBUG=gctrace=1 exec \"$build/bin/gbkmvd\" \"\$@\" 2> \"$out/stderr.\$\$\""
+fi
 cat > "$out/gbkmvd" <<EOF
 #!/bin/sh
-echo "\$2" >> "$out/daemons"
-exec "$build/bin/gbkmvd" -debug-addr 127.0.0.1:$port "\$@"
+echo "\$2 \$\$" >> "$out/daemons"
+$launch
 EOF
 chmod +x "$out/gbkmvd"
 
@@ -46,9 +66,62 @@ bench=$!
 requests() {
 	curl -sf --max-time 2 "http://$1/metrics" | awk '/^gbkmv_http_requests_total/ { n += $NF } END { printf "%d\n", n }'
 }
+
+if [ "$mode" = rss ]; then
+	hz=$(getconf CLK_TCK)
+	warm=4096 # bench/serve.go's warm-up pass
+	while kill -0 "$bench" 2> /dev/null; do
+		sleep 0.05
+		read -r addr pid < <(tail -n 1 "$out/daemons" 2> /dev/null) || continue
+		# Seconds since the process started, which is what gctrace's @ counts.
+		at=$(awk -v hz="$hz" 'NR == FNR { up = $1; next } { sub(/.*\) /, ""); printf "%.2f", up - $20 / hz }' \
+			/proc/uptime "/proc/$pid/stat" 2> /dev/null) || continue
+		mem=$(awk '/^VmRSS:/ { rss = $2 } /^VmHWM:/ { hwm = $2 } END { printf "%.1f %.1f", rss / 1024, hwm / 1024 }' \
+			"/proc/$pid/status" 2> /dev/null) || continue
+		# All requests answered, and those of the warm-up pass's kinds.
+		read -r all queries < <(curl -sf --max-time 2 "http://$addr/metrics" | awk '
+			/^gbkmv_http_requests_total/ { n += $NF; if ($0 ~ /\/(search|topk)"/) q += $NF }
+			END { printf "%d %d\n", n, q }')
+		stage=build
+		if grep -q "built collection" "$out/stderr.$pid" 2> /dev/null; then
+			stage=warm-up
+			if [ "$queries" -ge "$warm" ] || [ "$all" -gt $((queries + warm)) ]; then
+				stage=main
+			fi
+		fi
+		echo "$at $mem $stage $all" >> "$out/samples.$pid"
+	done
+	wait "$bench" || { echo "the benchmark run failed; see above" >&2; exit 1; }
+	served=0
+	for f in "$out"/samples.*; do
+		n=$(tail -n 1 "$f" | awk '{ print $5 }')
+		if [ "$n" -ge "$served" ]; then
+			served=$n
+			pid=${f##*.}
+		fi
+	done
+	echo "== $workload, seed $seed: daemon $pid answered $served requests =="
+	echo "== result: $(cat "$out/result.json")"
+	echo
+	echo "== VmHWM rises (s since start, stage, VmRSS MB, VmHWM MB, requests answered) =="
+	awk '$3 > hwm { hwm = $3; row = sprintf("%7.2fs  %-8s %6.1f %6.1f  %d", $1, $4, $2, $3, $5) }
+		hwm >= shown + 1 { print row; shown = hwm; row = "" }
+		END { if (row != "") print row }' "$out/samples.$pid"
+	last=$(awk '$3 > hwm { hwm = $3; at = $1 } END { print at }' "$out/samples.$pid")
+	echo
+	echo "== gctrace around the last rise, at ${last}s ($out/stderr.$pid) =="
+	awk -v at="$last" '/^gc [0-9]+ @/ { t = substr($3, 2) + 0; line[++n] = $0; if (t <= at) before = n }
+		END { for (i = before - 3; i <= before + 3; i++) if (i >= 1 && i <= n) print line[i] }' "$out/stderr.$pid"
+	echo
+	grep "built collection" "$out/stderr.$pid" || true
+	awk '$4 == "main" { print $2 }' "$out/samples.$pid" | sort -n |
+		awk '{ v[NR] = $1 } END { if (NR) printf "== steady state: VmRSS %.1f MB, the median of %d samples over the main stage ==\n", v[int((NR + 1) / 2)], NR }'
+	exit 0
+fi
+
 window=0
 while kill -0 "$bench" 2> /dev/null; do
-	addr=$(tail -n 1 "$out/daemons" 2> /dev/null || true)
+	addr=$(tail -n 1 "$out/daemons" 2> /dev/null | cut -d " " -f 1)
 	before=$([ -n "$addr" ] && requests "$addr" || true)
 	if [ -z "$before" ]; then
 		sleep 0.05

@@ -104,8 +104,23 @@ var _ Engine = (*Segmented)(nil)
 // NewSegmented builds the named engine sharded across n segments. Records
 // route by content hash; options resolve against the whole record set before
 // the per-segment split (see pinOptions). n < 1 is treated as 1; records may
-// be empty (segments then build lazily on first insert).
+// be empty (segments then build lazily on first insert). The records are
+// coded into a Corpus and built from that (NewSegmentedFromCorpus): the slice
+// and its records stay the caller's.
 func NewSegmented(inner string, n int, records []Record, opt EngineOptions) (*Segmented, error) {
+	c, err := packCorpus(records)
+	if err != nil {
+		return nil, err
+	}
+	return NewSegmentedFromCorpus(inner, n, c, opt)
+}
+
+// NewSegmentedFromCorpus is NewSegmented over a corpus, which it takes over:
+// c is empty afterwards. Each segment is built from its own corpus, the coded
+// bytes of its records copied out of c — no record is held decoded beyond the
+// one a worker is routing — and c's store is dropped before the segment builds
+// start; with one segment it is handed on as it is.
+func NewSegmentedFromCorpus(inner string, n int, c *Corpus, opt EngineOptions) (*Segmented, error) {
 	if inner == "" {
 		inner = DefaultEngine
 	}
@@ -122,50 +137,65 @@ func NewSegmented(inner string, n int, records []Record, opt EngineOptions) (*Se
 	for i := range s.segs {
 		s.segs[i] = &segment{}
 	}
-	if len(records) == 0 {
+	source := c.take()
+	m := source.Len()
+	if m == 0 {
 		return s, nil
 	}
-	s.pinOptions(records)
-	subs := s.partitionOnly(records)
+	if err := source.CheckSorted(); err != nil {
+		return nil, fmt.Errorf("gbkmv: %w (see NewRecord)", err)
+	}
+	s.pinOptions(m, source.Elements())
+	parts, part := []snapfmt.PackedRecords{source}, make([]uint32, m)
+	if n > 1 {
+		var err error
+		if parts, part, err = source.Partition(n, runtime.GOMAXPROCS(0), s.routeOf); err != nil {
+			return nil, fmt.Errorf("gbkmv: %w", err)
+		}
+		source = snapfmt.PackedRecords{} // the segments hold their copies
+	}
+	s.route = make([]segRef, m)
+	for g, i := range part {
+		seg := s.segs[i]
+		if seg.globals == nil {
+			seg.globals = make([]int, 0, parts[i].Len())
+		}
+		s.route[g] = segRef{seg: i, local: uint32(len(seg.globals))}
+		seg.globals = append(seg.globals, g)
+	}
 	err := fanSegmentsErr(n, func(i int) error {
-		if len(subs[i].records) == 0 {
+		if parts[i].Len() == 0 {
 			return nil
 		}
-		eng, err := NewEngine(inner, subs[i].records, s.opt)
+		eng, err := NewEngineFromCorpus(inner, &Corpus{recs: parts[i]}, s.opt)
+		parts[i] = snapfmt.PackedRecords{}
 		if err != nil {
 			return fmt.Errorf("gbkmv: building segment %d: %w", i, err)
 		}
 		s.segs[i].eng = eng
-		s.segs[i].globals = subs[i].globals
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.route = make([]segRef, len(records))
-	for i := range subs {
-		for j, g := range subs[i].globals {
-			s.route[g] = segRef{seg: uint32(i), local: uint32(j)}
-		}
-	}
 	return s, nil
 }
 
 // pinOptions resolves data-dependent option defaults against the global
-// record set and splits the budget across segments: the engine's own resolve
-// runs first (kmv's and minhash's k, which each segment would otherwise
-// derive from its own records, leaving per-segment estimates incomparable),
-// the absolute budget is resolved (so n == 1 resolves to exactly what the
-// bare engine would use), then each segment gets an equal ceil share of the
-// units.
-func (s *Segmented) pinOptions(records []Record) {
+// record set — `records` records of `elements` element occurrences in all —
+// and splits the budget across segments: the engine's own resolve runs first
+// (kmv's and minhash's k, which each segment would otherwise derive from its
+// own records, leaving per-segment estimates incomparable), the absolute
+// budget is resolved (so one segment resolves to exactly what the bare engine
+// would use), then each segment gets an equal ceil share of the units.
+func (s *Segmented) pinOptions(records, elements int) {
 	if s.pin.Swap(true) {
 		return
 	}
 	if e, _ := lookupEngine(s.inner); e.resolve != nil {
-		s.opt = e.resolve(records, s.opt)
+		s.opt = e.resolve(records, elements, s.opt)
 	}
-	if units := s.opt.budget(totalElements(records)); units > 0 {
+	if units := s.opt.budget(elements); units > 0 {
 		n := len(s.segs)
 		s.opt.BudgetUnits = (units + n - 1) / n
 		s.opt.BudgetFraction = 0
@@ -316,7 +346,7 @@ func (s *Segmented) AddBatch(recs []Record) []int {
 		return ids
 	}
 	if !s.pin.Load() {
-		s.pinOptions(recs)
+		s.pinOptions(len(recs), totalElements(recs))
 	}
 	subs := s.partitionOnly(recs)
 	touched := make([]int, 0, len(subs))

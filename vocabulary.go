@@ -3,6 +3,8 @@ package gbkmv
 import (
 	"strings"
 	"sync"
+
+	"gbkmv/internal/dataset"
 )
 
 // Vocabulary maps string tokens (words, q-grams, column values, ...) to
@@ -100,7 +102,7 @@ func (v *Vocabulary) Record(tokens []string) Record {
 	for i, t := range tokens {
 		elems[i] = v.ID(t)
 	}
-	return NewRecord(elems)
+	return dataset.SortRecord(elems)
 }
 
 // QueryRecord converts tokens to a Record using only tokens already in the
@@ -124,7 +126,7 @@ func (v *Vocabulary) QueryRecord(tokens []string) (r Record, unknown int) {
 		misses[t] = struct{}{}
 	}
 	v.mu.RUnlock()
-	return NewRecord(elems), len(misses)
+	return dataset.SortRecord(elems), len(misses)
 }
 
 // Tokens converts a Record back to its tokens (unknown ids become "").
