@@ -96,23 +96,23 @@ func main() {
 		defaultSegments = 0
 	}
 
+	cacheEntries := *queryCache
+	if cacheEntries <= 0 {
+		cacheEntries = -1 // the flag's 0 disables caching; the option's 0 means the default
+	}
 	store, err := server.OpenStore(*dataDir, server.StoreOptions{
-		Logf:     log.Printf,
-		Segments: defaultSegments,
+		Logf:                 log.Printf,
+		Segments:             defaultSegments,
+		QueryCacheEntries:    cacheEntries,
+		RecordFileRoot:       *recordFiles,
+		SlowQueryThreshold:   *slowQuery,
+		RequestTimeout:       *requestTimeout,
+		ResponseWriteTimeout: *writeTimeout,
+		MaxInflightInserts:   *maxInserts,
 	})
 	if err != nil {
 		log.Fatalf("gbkmvd: opening store: %v", err)
 	}
-	store.SetQueryCacheSize(*queryCache)
-	if *recordFiles != "" {
-		if err := store.SetRecordFileRoot(*recordFiles); err != nil {
-			log.Fatalf("gbkmvd: -record-files: %v", err)
-		}
-	}
-	store.SetSlowQueryThreshold(*slowQuery)
-	store.SetRequestTimeout(*requestTimeout)
-	store.SetResponseWriteTimeout(*writeTimeout)
-	store.SetMaxInflightInserts(*maxInserts)
 	if *dataDir != "" {
 		// Background storage health: periodic scrub passes re-verify committed
 		// snapshots against their checksums, and a short-interval probe moves

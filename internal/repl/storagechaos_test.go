@@ -24,7 +24,7 @@ import (
 // store.
 func startFaultNode(t *testing.T, dir string, ffs *fsx.FaultFS) *node {
 	t.Helper()
-	st, err := server.NewStoreWithFS(dir, ffs, t.Logf)
+	st, err := server.OpenStore(dir, server.StoreOptions{FS: ffs, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,8 @@ func metricsText(t *testing.T, url string) string {
 }
 
 func TestInsertGateShedsLoad(t *testing.T) {
-	store, ts := newServer(t, "")
+	store, ts := newServerWith(t, "", StoreOptions{MaxInflightInserts: 1})
 	buildRestaurants(t, ts, "c")
-	store.SetMaxInflightInserts(1)
 
 	// Occupy the only slot, as a slow in-flight insert would.
 	release, ok := store.acquireInsertSlot()
@@ -56,25 +55,29 @@ func TestInsertGateShedsLoad(t *testing.T) {
 		`{"query": ["five"], "threshold": 0.5}`); code != http.StatusOK {
 		t.Fatalf("search during insert overload: %d %v", code, m)
 	}
-	// Releasing the slot restores writes; disabling the gate does too.
+	// Releasing the slot restores writes.
 	release()
 	if code, m := doJSON(t, ts, "POST", "/collections/c/records", `{"records": [["ok"]]}`); code != http.StatusOK {
 		t.Fatalf("insert after release: %d %v", code, m)
 	}
-	store.SetMaxInflightInserts(0)
-	if code, m := doJSON(t, ts, "POST", "/collections/c/records", `{"records": [["ok2"]]}`); code != http.StatusOK {
-		t.Fatalf("insert with gate disabled: %d %v", code, m)
+	// A store opened without the bound never gates.
+	open, _ := newServer(t, "")
+	if release, ok := open.acquireInsertSlot(); !ok || release != nil {
+		t.Fatalf("unbounded store gated an insert: release set %v, ok %v", release != nil, ok)
 	}
 }
 
 func TestRequestDeadlineSheds(t *testing.T) {
 	dir := t.TempDir()
-	store, ts := newServer(t, dir)
-	buildRestaurants(t, ts, "c")
+	built, unbounded := newServer(t, dir)
+	buildRestaurants(t, unbounded, "c")
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// A deadline that has always already expired: every deadline-checking
-	// handler sheds at entry.
-	store.SetRequestTimeout(time.Nanosecond)
+	// handler sheds at entry. (The build above needed a store without it.)
+	_, ts := newServerWith(t, dir, StoreOptions{RequestTimeout: time.Nanosecond})
 	for _, ep := range []struct{ method, path, body string }{
 		{"POST", "/collections/c/records", `{"records": [["x"]]}`},
 		{"POST", "/collections/c/search", `{"query": ["five"], "threshold": 0.5}`},
@@ -101,12 +104,5 @@ func TestRequestDeadlineSheds(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("wal stream under request deadline: %d, want 200 (repl transfers are exempt)", resp.StatusCode)
-	}
-
-	// Clearing the timeout restores normal service.
-	store.SetRequestTimeout(0)
-	if code, m := doJSON(t, ts, "POST", "/collections/c/search",
-		`{"query": ["five"], "threshold": 0.5}`); code != http.StatusOK {
-		t.Fatalf("search after clearing timeout: %d %v", code, m)
 	}
 }

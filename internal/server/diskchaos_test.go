@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,7 +24,7 @@ import (
 // newChaosServer builds a store over a FaultFS and serves it.
 func newChaosServer(t *testing.T, dir string, ffs *fsx.FaultFS) (*Store, *httptest.Server) {
 	t.Helper()
-	store, err := NewStoreWithFS(dir, ffs, t.Logf)
+	store, err := OpenStore(dir, StoreOptions{FS: ffs, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +143,57 @@ func TestDiskChaosENOSPC(t *testing.T) {
 	}
 }
 
+// TestDiskChaosReplicaENOSPC: a follower's disk errors are as visible as a
+// leader's. A replicated chunk that cannot be made durable is rolled back and
+// refused as before, and it is also booked in gbkmv_disk_errors_total and
+// degrades the replica to read-only until the probe sees the disk heal.
+func TestDiskChaosReplicaENOSPC(t *testing.T) {
+	leaderDir := t.TempDir()
+	leaderStore, ts := newServer(t, leaderDir)
+	defer leaderStore.Close()
+	buildRestaurants(t, ts, "c")
+	doJSON(t, ts, "POST", "/collections/c/records", `{"records": [["replicated", "entry"]]}`)
+	frames, err := os.ReadFile(filepath.Join(leaderDir, "c", "journal-1.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ffs := &fsx.FaultFS{}
+	replicaStore, _ := newChaosServer(t, t.TempDir(), ffs)
+	defer replicaStore.Close()
+	replica := replicaFromSnapshot(t, leaderDir, replicaStore, "c", 1)
+
+	ffs.WriteBudget(0) // disk full
+	off, applied, err := replica.ApplyReplicated(1, 0, frames)
+	if !errors.Is(err, ErrStorage) || !strings.Contains(err.Error(), "replica journal") || off != 0 || applied != 0 {
+		t.Fatalf("chunk on a full disk: offset %d, applied %d, err %v", off, applied, err)
+	}
+	if _, end, entries := replica.ReplPosition(); end != 0 || entries != 0 {
+		t.Fatalf("failed chunk left the journal at %d with %d entries, want a rollback to 0", end, entries)
+	}
+	expo := storeMetrics(t, replicaStore)
+	for _, want := range []string{
+		`gbkmv_disk_errors_total{op="journal_flush"} 1`,
+		`gbkmv_wal_rollbacks_total{collection="c"} 1`,
+	} {
+		if !strings.Contains(expo, want) {
+			t.Fatalf("replica metrics lack %s", want)
+		}
+	}
+	if got := replica.storageStatus(); got != "degraded:read-only" {
+		t.Fatalf("storage status after ENOSPC on a replica = %q", got)
+	}
+
+	ffs.WriteBudget(-1) // space freed
+	replicaStore.probeReadOnly()
+	if got := replica.storageStatus(); got != "ok" {
+		t.Fatalf("storage status after the probe healed = %q", got)
+	}
+	if off, applied, err := replica.ApplyReplicated(1, 0, frames); err != nil || off != int64(len(frames)) || applied != 1 {
+		t.Fatalf("chunk after recovery: offset %d, applied %d, err %v", off, applied, err)
+	}
+}
+
 // TestDiskChaosSnapshotFailureKeepsCommittedGeneration: EIO mid-snapshot
 // (torn index write) aborts before the commit point — the committed
 // generation stays intact on disk and keeps serving, the snapshot endpoint
@@ -169,7 +221,7 @@ func TestDiskChaosSnapshotFailureKeepsCommittedGeneration(t *testing.T) {
 	if got := searchBoth(t, ts, "rest"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reads after failed snapshot:\n got  %v\n want %v", got, want)
 	}
-	if m, err := readMeta(nil, filepath.Join(dir, "rest")); err != nil || m.Generation != 1 {
+	if m, err := readMeta(fsx.Default, filepath.Join(dir, "rest")); err != nil || m.Generation != 1 {
 		t.Fatalf("committed generation after failed snapshot: %v gen %d, want 1", err, m.Generation)
 	}
 
@@ -225,8 +277,19 @@ func TestDiskChaosBitFlipFallbackDifferential(t *testing.T) {
 	history(t, corrupt)
 	history(t, control)
 
-	// Post-crash corruption: one bit flips in the committed index snapshot.
+	// Post-crash corruption: one bit flips in the committed index snapshot —
+	// and the crash itself tore the live journal's tail mid append (bytes
+	// that were never acknowledged, so the twin's state is still the target).
 	flipByte(t, filepath.Join(corrupt, "rest", "index-2.snap"))
+	torn := rawFrame(t, []string{"torn", "mid", "write"})
+	f, err := os.OpenFile(filepath.Join(corrupt, "rest", "journal-2.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)-5]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	cstore, cts := newServer(t, control)
 	defer cstore.Close()
@@ -260,6 +323,9 @@ func TestDiskChaosBitFlipFallbackDifferential(t *testing.T) {
 	}
 	if !strings.Contains(storeMetrics(t, store), `gbkmv_snapshot_verify_failures_total{collection="rest",stage="load"} 1`) {
 		t.Fatal("load-stage verify failure not booked")
+	}
+	if !strings.Contains(storeMetrics(t, store), `gbkmv_wal_torn_tail_recoveries_total{collection="rest"} 1`) {
+		t.Fatal("the live journal's torn tail was truncated by the fallback load but not reported")
 	}
 
 	// Writes still flow (the disk is healthy — only history rotted), and a
@@ -346,7 +412,7 @@ func TestDiskChaosScrubDetectsAndRepairs(t *testing.T) {
 	if g := c.QuarantinedGeneration(); g != 0 {
 		t.Fatalf("repair snapshot did not clear quarantine: gen %d", g)
 	}
-	if m, err := readMeta(nil, filepath.Join(dir, "rest")); err != nil || m.Generation != 2 {
+	if m, err := readMeta(fsx.Default, filepath.Join(dir, "rest")); err != nil || m.Generation != 2 {
 		t.Fatalf("repair snapshot: %v gen %d, want 2", err, m.Generation)
 	}
 	if got := searchBoth(t, ts, "rest"); !reflect.DeepEqual(got, want) {

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"gbkmv"
+	"gbkmv/internal/fsx"
 )
 
 // buildWithEngine PUTs the restaurants corpus under the named engine.
@@ -256,13 +257,13 @@ func testOldFormatSnapshot(t *testing.T, rewrite func(w io.Writer, current []byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdir, gen := c.dir, c.gen
+	cdir, gen := c.gens.dir, c.gens.gen
 	ts.Close()
 	store.Close()
 
 	// Rewrite the committed index as a previous build would have, with a
 	// commit record whose checksum matches it.
-	m, err := readMeta(nil, cdir)
+	m, err := readMeta(fsx.Default, cdir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func testOldFormatSnapshot(t *testing.T, rewrite func(w io.Writer, current []byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := writeFileSync(nil, indexPath(cdir, gen), func(w io.Writer) error { return rewrite(w, current) })
+	sum, err := writeFileSync(fsx.Default, indexPath(cdir, gen), func(w io.Writer) error { return rewrite(w, current) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +293,11 @@ func testOldFormatSnapshot(t *testing.T, rewrite func(w io.Writer, current []byt
 	reopen := func(what string) {
 		t.Helper()
 		var logged []string
-		_, err := loadCollection(nil, cdir, func(format string, args ...any) {
+		_, err := loadGeneration(fsx.Default, cdir, func(format string, args ...any) {
 			logged = append(logged, fmt.Sprintf(format, args...))
 		})
 		if !errors.Is(err, gbkmv.ErrSnapshotFormat) {
-			t.Fatalf("%s: loadCollection = %v, want ErrSnapshotFormat", what, err)
+			t.Fatalf("%s: loadGeneration = %v, want ErrSnapshotFormat", what, err)
 		}
 		if !strings.Contains(err.Error(), filepath.Base(indexPath(cdir, gen))) {
 			t.Errorf("%s: error %q does not name the file", what, err)

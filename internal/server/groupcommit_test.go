@@ -159,7 +159,7 @@ func TestKillBetweenAppendAndFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := c.gen
+	gen := c.gens.gen
 	// Simulated kill mid-commit: the process dies after frames were
 	// appended (and possibly handed to the OS) but before the group's
 	// fsync. Nothing was acknowledged or applied. Depending on what the
@@ -167,7 +167,7 @@ func TestKillBetweenAppendAndFsync(t *testing.T) {
 	// unsynced frames — model the worst case: one intact unsynced frame
 	// followed by a torn half-frame.
 	_ = store // abandoned: no Close
-	path := journalPath(c.dir, gen)
+	path := journalPath(c.gens.dir, gen)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestDuplicateRequestDuringCommitWindow(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	c.journal.syncHook = func() error {
+	c.wal.journal.syncHook = func() error {
 		once.Do(func() { close(entered) })
 		<-release
 		return nil
@@ -246,9 +246,9 @@ func TestDuplicateRequestDuringCommitWindow(t *testing.T) {
 	}()
 	// Let the retry reach the in-flight check before releasing the fsync.
 	for i := 0; i < 1000; i++ {
-		c.ioMu.Lock()
-		_, inflight := c.commit.inflight["rid-window"]
-		c.ioMu.Unlock()
+		c.wal.ioMu.Lock()
+		_, inflight := c.wal.inflight["rid-window"]
+		c.wal.ioMu.Unlock()
 		if inflight {
 			break
 		}
@@ -268,12 +268,12 @@ func TestDuplicateRequestDuringCommitWindow(t *testing.T) {
 	if n := c.eng.Len(); n != before+1 {
 		t.Fatalf("collection has %d records, want %d (no double insert)", n, before+1)
 	}
-	c.ioMu.Lock()
-	if len(c.commit.inflight) != 0 {
-		t.Fatalf("in-flight registry not cleared: %v", c.commit.inflight)
+	c.wal.ioMu.Lock()
+	if len(c.wal.inflight) != 0 {
+		t.Fatalf("in-flight registry not cleared: %v", c.wal.inflight)
 	}
-	c.journal.syncHook = nil
-	c.ioMu.Unlock()
+	c.wal.journal.syncHook = nil
+	c.wal.ioMu.Unlock()
 }
 
 func TestAppendFailureHealsWithoutCommitInFlight(t *testing.T) {
@@ -287,18 +287,18 @@ func TestAppendFailureHealsWithoutCommitInFlight(t *testing.T) {
 	if _, err := c.Insert([][]string{{"before"}}, ""); err != nil {
 		t.Fatal(err)
 	}
-	durable := c.journal.SyncedOffset()
+	durable := c.wal.journal.SyncedOffset()
 
-	c.journal.writeHook = func() error { return errors.New("transient write error") }
+	c.wal.journal.writeHook = func() error { return errors.New("transient write error") }
 	if _, err := c.Insert([][]string{{"doomed"}}, ""); !errors.Is(err, ErrStorage) {
 		t.Fatalf("insert during write failure: err = %v, want ErrStorage", err)
 	}
-	c.ioMu.Lock()
-	if got := c.journal.Offset(); got != durable {
+	c.wal.ioMu.Lock()
+	if got := c.wal.journal.Offset(); got != durable {
 		t.Fatalf("journal offset %d after failed append, want rollback to %d", got, durable)
 	}
-	c.journal.writeHook = nil
-	c.ioMu.Unlock()
+	c.wal.journal.writeHook = nil
+	c.wal.ioMu.Unlock()
 
 	// The disk "recovered": the very next insert must succeed and replay
 	// cleanly — no restart, no snapshot needed.
@@ -330,11 +330,11 @@ func TestGroupCommitSyncFailure(t *testing.T) {
 	if _, err := c.Insert([][]string{{"before", "failure"}}, ""); err != nil {
 		t.Fatal(err)
 	}
-	durable := c.journal.SyncedOffset()
+	durable := c.wal.journal.SyncedOffset()
 
 	// Break the fsync and hammer the collection: every batch must fail with
 	// a storage error and the journal must roll back to the durable mark.
-	c.journal.syncHook = func() error { return errors.New("injected fsync failure") }
+	c.wal.journal.syncHook = func() error { return errors.New("injected fsync failure") }
 	var wg sync.WaitGroup
 	errs := make([]error, 6)
 	for w := range errs {
@@ -350,12 +350,12 @@ func TestGroupCommitSyncFailure(t *testing.T) {
 			t.Fatalf("insert %d during fsync failure: err = %v, want ErrStorage", w, err)
 		}
 	}
-	c.ioMu.Lock()
-	if got := c.journal.Offset(); got != durable {
+	c.wal.ioMu.Lock()
+	if got := c.wal.journal.Offset(); got != durable {
 		t.Fatalf("journal offset %d after failed commits, want rollback to %d", got, durable)
 	}
-	c.journal.syncHook = nil
-	c.ioMu.Unlock()
+	c.wal.journal.syncHook = nil
+	c.wal.ioMu.Unlock()
 
 	// The rollback healed the journal: inserts work again and none of the
 	// failed batches left a trace in memory or on disk.

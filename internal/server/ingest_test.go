@@ -559,14 +559,11 @@ func TestBuildPeakLive(t *testing.T) {
 // a 400 naming the bound, from a body's records and from a record file alike,
 // and the collection is not created.
 func TestBuildOverflow(t *testing.T) {
-	store, ts := newServer(t, "")
 	root := t.TempDir()
 	if err := os.WriteFile(root+"/records.txt", []byte(strings.Repeat("alpha beta gamma delta\n", 8)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SetRecordFileRoot(root); err != nil {
-		t.Fatal(err)
-	}
+	store, ts := newServerWith(t, "", StoreOptions{RecordFileRoot: root})
 	record := `["alpha","beta","gamma","delta"]` // five bytes coded
 	bodies := map[string]string{
 		"records": `{"records":[` + strings.Repeat(record+",", 7) + record + `],"options":{"budget_units":64}}`,
@@ -665,11 +662,11 @@ func TestBuildByteIdentity(t *testing.T) {
 				t.Errorf("stats differ:\n handler   %+v\n reference %+v", got, want)
 			}
 			for _, path := range []func(string, uint64) string{indexPath, vocabPath} {
-				got, err := os.ReadFile(path(coll.dir, 1))
+				got, err := os.ReadFile(path(coll.gens.dir, 1))
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := os.ReadFile(path(refColl.dir, 1))
+				want, err := os.ReadFile(path(refColl.gens.dir, 1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -677,11 +674,11 @@ func TestBuildByteIdentity(t *testing.T) {
 					t.Errorf("%s differs from the reference build's (%d vs %d bytes)", path("", 1), len(got), len(want))
 				}
 			}
-			gotMeta, err := readMeta(store.fs, coll.dir)
+			gotMeta, err := readMeta(store.fs, coll.gens.dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantMeta, err := readMeta(refStore.fs, refColl.dir)
+			wantMeta, err := readMeta(refStore.fs, refColl.gens.dir)
 			if err != nil {
 				t.Fatal(err)
 			}

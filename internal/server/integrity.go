@@ -145,23 +145,16 @@ func isDegradingDiskErr(err error) bool {
 
 // noteDiskError books a write-path disk error: the per-op counter always,
 // and — for the errors that mean the disk is unhealthy — the transition
-// into read-only mode. Nil-safe for collections assembled outside a Store.
+// into read-only mode. It is the wal's and the generations' disk-error hook.
 func (c *Collection) noteDiskError(op string, err error) {
 	if err == nil {
 		return
 	}
-	if c.store != nil {
-		c.store.metrics.diskErrors.With(op).Inc()
-	}
-	if !isDegradingDiskErr(err) {
-		return
-	}
-	if c.readOnly.CompareAndSwap(false, true) {
+	c.store.metrics.diskErrors.With(op).Inc()
+	if isDegradingDiskErr(err) && c.readOnly.CompareAndSwap(false, true) {
 		c.roReason.Store(fmt.Sprintf("%s: %v", op, err))
-		if c.store != nil {
-			c.store.logf("gbkmvd: collection %q entering read-only mode (%s: %v); reads keep serving, writes shed until the disk heals",
-				c.name, op, err)
-		}
+		c.store.logf("gbkmvd: collection %q entering read-only mode (%s: %v); reads keep serving, writes shed until the disk heals",
+			c.name, op, err)
 	}
 }
 
@@ -178,43 +171,28 @@ func (c *Collection) ReadOnlyState() (bool, string) {
 // QuarantinedGeneration returns the generation quarantined at load or by the
 // scrubber, 0 if none. Cleared by the next committed snapshot, which writes
 // fresh verified files.
-func (c *Collection) QuarantinedGeneration() uint64 { return c.quarantinedGen.Load() }
+func (c *Collection) QuarantinedGeneration() uint64 { return c.gens.quarantined.Load() }
 
-// probeStorage checks whether a read-only collection's disk healed: a small
-// write+fsync+remove in the collection directory. On success the collection
-// leaves read-only mode.
-func (c *Collection) probeStorage() error {
-	if c.dir == "" {
-		c.readOnly.Store(false)
+// probe checks whether the disk under the collection's directory takes
+// writes: a small write+fsync+remove.
+func (g *generations) probe() error {
+	if g.dir == "" {
 		return nil
 	}
-	fsys := c.fsys()
-	path := filepath.Join(c.dir, ".probe")
-	err := func() error {
-		f, err := fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		_, werr := f.Write([]byte("gbkmv storage probe\n"))
-		serr := f.Sync()
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if serr != nil {
-			return serr
-		}
-		return cerr
-	}()
-	fsys.Remove(path)
-	if err != nil {
+	path := filepath.Join(g.dir, ".probe")
+	defer g.fs.Remove(path)
+	return writeBytesSync(g.fs, path, []byte("gbkmv storage probe\n"))
+}
+
+// probeStorage checks whether a read-only collection's disk healed; on
+// success the collection leaves read-only mode.
+func (c *Collection) probeStorage() error {
+	if err := c.gens.probe(); err != nil {
 		return err
 	}
 	if c.readOnly.CompareAndSwap(true, false) {
 		c.roReason.Store("")
-		if c.store != nil {
-			c.store.logf("gbkmvd: collection %q storage healed; leaving read-only mode", c.name)
-		}
+		c.store.logf("gbkmvd: collection %q storage healed; leaving read-only mode", c.name)
 	}
 	return nil
 }
@@ -223,7 +201,7 @@ func (c *Collection) probeStorage() error {
 // /healthz: "ok", "degraded:read-only", or "quarantined:<gen>" (a corrupt
 // generation was detected and not yet superseded by a repair snapshot).
 func (c *Collection) storageStatus() string {
-	if g := c.quarantinedGen.Load(); g != 0 {
+	if g := c.gens.quarantined.Load(); g != 0 {
 		return fmt.Sprintf("quarantined:%d", g)
 	}
 	if ro, _ := c.ReadOnlyState(); ro {
@@ -289,9 +267,9 @@ func (s *Store) storageHealth(c *Collection) *StorageHealth {
 		Status:                c.storageStatus(),
 		ReadOnly:              ro,
 		Reason:                reason,
-		QuarantinedGeneration: c.quarantinedGen.Load(),
+		QuarantinedGeneration: c.gens.quarantined.Load(),
 		Quarantines:           s.quarantineEvents(c.name),
-		SnapshotBytes:         c.snapBytes.Load(),
+		SnapshotBytes:         c.gens.snapBytes.Load(),
 	}
 }
 
@@ -310,7 +288,7 @@ func (s *Store) ScrubNow() ScrubReport {
 	var rep ScrubReport
 	for _, name := range s.Names() {
 		c, err := s.Get(name)
-		if err != nil || c.dir == "" {
+		if err != nil || !c.gens.persistent() {
 			continue
 		}
 		rep.Collections++
@@ -323,46 +301,63 @@ func (s *Store) ScrubNow() ScrubReport {
 	return rep
 }
 
-// scrubCollection verifies one collection's committed generation on disk.
-// The scrub is optimistic about concurrent snapshots: it verifies against
-// the commit record it read first, and on failure re-reads the record — if
-// the generation moved, the files it read were legitimately superseded
-// mid-scrub and the pass is clean.
-func (s *Store) scrubCollection(c *Collection) error {
-	fsys := c.fsys()
-	m, err := readMeta(fsys, c.dir)
+// verifyCommitted re-reads the committed generation's files: both snapshot
+// checksums and the journal's frame CRCs. corrupt names the generation when
+// verr says it is. The check is optimistic about concurrent snapshots: it
+// verifies against the commit record it read first, and on failure re-reads
+// the record — if the generation moved, the files it read were legitimately
+// superseded mid-scrub and the pass is clean.
+func (g *generations) verifyCommitted() (corrupt uint64, verr error) {
+	m, err := readMeta(g.fs, g.dir)
 	if err != nil {
-		return fmt.Errorf("reading commit record: %w", err)
+		return 0, fmt.Errorf("reading commit record: %w", err)
 	}
-	verr := func() error {
-		if err := verifyFile(fsys, indexPath(c.dir, m.Generation), m.Checksums["index"]); err != nil {
+	verr = func() error {
+		if err := verifyFile(g.fs, indexPath(g.dir, m.Generation), m.Checksums["index"]); err != nil {
 			return fmt.Errorf("index snapshot: %w", err)
 		}
-		if err := verifyFile(fsys, vocabPath(c.dir, m.Generation), m.Checksums["vocab"]); err != nil {
+		if err := verifyFile(g.fs, vocabPath(g.dir, m.Generation), m.Checksums["vocab"]); err != nil {
 			return fmt.Errorf("vocabulary snapshot: %w", err)
 		}
 		// The journal's own frame CRCs make it self-verifying; a torn tail
 		// (or a frame mid-append by a concurrent insert) ends the scan
 		// cleanly, interior corruption is an error.
-		if _, _, err := replayJournal(fsys, journalPath(c.dir, m.Generation)); err != nil {
+		if _, _, err := replayJournal(g.fs, journalPath(g.dir, m.Generation)); err != nil {
 			return fmt.Errorf("journal: %w", err)
 		}
 		return nil
 	}()
 	if verr == nil {
-		return nil
+		return 0, nil
 	}
-	if m2, err := readMeta(fsys, c.dir); err == nil && m2.Generation != m.Generation {
-		return nil // superseded mid-scrub; the new generation gets the next pass
+	if m2, err := readMeta(g.fs, g.dir); err == nil && m2.Generation != m.Generation {
+		return 0, nil // superseded mid-scrub; the new generation gets the next pass
+	}
+	return m.Generation, verr
+}
+
+// quarantine moves generation gen's snapshot files aside and marks it.
+func (g *generations) quarantine(gen uint64) error {
+	err := quarantineGeneration(g.fs, g.dir, gen)
+	g.quarantined.Store(gen)
+	return err
+}
+
+// scrubCollection verifies one collection's committed generation on disk,
+// quarantining it — and, on a leader, repairing by a fresh snapshot — when it
+// is corrupt.
+func (s *Store) scrubCollection(c *Collection) error {
+	gen, verr := c.gens.verifyCommitted()
+	if gen == 0 {
+		return verr
 	}
 	s.metrics.scrubFails.Inc()
 	s.metrics.verifyFails.With(c.name, "scrub").Inc()
-	s.logf("gbkmvd: scrub: collection %q generation %d is corrupt: %v", c.name, m.Generation, verr)
-	s.noteQuarantine(c.name, m.Generation, "scrub", verr.Error())
-	if qerr := quarantineGeneration(fsys, c.dir, m.Generation); qerr != nil {
-		s.logf("gbkmvd: scrub: quarantining generation %d of %q: %v", m.Generation, c.name, qerr)
+	s.logf("gbkmvd: scrub: collection %q generation %d is corrupt: %v", c.name, gen, verr)
+	s.noteQuarantine(c.name, gen, "scrub", verr.Error())
+	if qerr := c.gens.quarantine(gen); qerr != nil {
+		s.logf("gbkmvd: scrub: quarantining generation %d of %q: %v", gen, c.name, qerr)
 	}
-	c.quarantinedGen.Store(m.Generation)
 	// Leader self-repair: the in-memory state is intact (the corruption was
 	// found on disk, not in memory), so a fresh snapshot writes a verified
 	// replacement generation. Followers must not advance their generation
@@ -373,7 +368,7 @@ func (s *Store) scrubCollection(c *Collection) error {
 			s.logf("gbkmvd: scrub: repair snapshot of %q failed: %v", c.name, err)
 		} else {
 			s.logf("gbkmvd: scrub: collection %q repaired by snapshot (corrupt generation %d quarantined in %s)",
-				c.name, m.Generation, quarantineDir(c.dir, m.Generation))
+				c.name, gen, quarantineDir(c.gens.dir, gen))
 		}
 	}
 	return verr
@@ -450,9 +445,6 @@ func (s *Store) probeReadOnly() {
 // before renaming the record into place — the transfer-time verification
 // point. metaBytes is the verbatim commit record; gen must match it.
 func VerifySnapshotFiles(fsys fsx.FS, dir string, gen uint64, metaBytes []byte) error {
-	if fsys == nil {
-		fsys = fsx.Default
-	}
 	m, err := decodeMeta(metaBytes, filepath.Join(dir, "meta.json"))
 	if err != nil {
 		return fmt.Errorf("transferred commit record: %w", err)

@@ -96,14 +96,14 @@ func TestIsDegradingDiskErr(t *testing.T) {
 // fails.
 func TestVerifySnapshotFiles(t *testing.T) {
 	dir := t.TempDir()
-	isum, err := writeFileSync(nil, indexPath(dir, 7), func(w io.Writer) error {
+	isum, err := writeFileSync(fsx.Default, indexPath(dir, 7), func(w io.Writer) error {
 		_, err := w.Write([]byte("index bytes"))
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vsum, err := writeFileSync(nil, vocabPath(dir, 7), func(w io.Writer) error {
+	vsum, err := writeFileSync(fsx.Default, vocabPath(dir, 7), func(w io.Writer) error {
 		_, err := w.Write([]byte("vocab bytes"))
 		return err
 	})
@@ -112,14 +112,14 @@ func TestVerifySnapshotFiles(t *testing.T) {
 	}
 	mb := []byte(fmt.Sprintf(`{"generation": 7, "checksums": {"index": {"size": %d, "crc64": %q}, "vocab": {"size": %d, "crc64": %q}}}`,
 		isum.Size, isum.CRC64, vsum.Size, vsum.CRC64))
-	if err := VerifySnapshotFiles(nil, dir, 7, mb); err != nil {
+	if err := VerifySnapshotFiles(fsx.Default, dir, 7, mb); err != nil {
 		t.Fatalf("intact transfer must verify: %v", err)
 	}
-	if err := VerifySnapshotFiles(nil, dir, 8, mb); err == nil {
+	if err := VerifySnapshotFiles(fsx.Default, dir, 8, mb); err == nil {
 		t.Fatal("generation mismatch must fail")
 	}
 	flipByte(t, vocabPath(dir, 7))
-	if err := VerifySnapshotFiles(nil, dir, 7, mb); err == nil {
+	if err := VerifySnapshotFiles(fsx.Default, dir, 7, mb); err == nil {
 		t.Fatal("flipped byte must fail verification")
 	}
 }

@@ -37,7 +37,7 @@ import (
 // silently truncate every later entry — is a hard error instead.
 //
 // The request id is echoed into every frame of its batch so that replay can
-// rebuild the duplicate-detection window (see Collection.Insert): after the
+// rebuild the duplicate-detection window (see wal.insert): after the
 // WAL-ambiguity crash — journal fsynced, response lost — the client's retry
 // is recognized from the replayed frames and rejected instead of silently
 // doubling the records. Plain arrays keep id-less inserts (and all journals
@@ -53,7 +53,7 @@ var errEntryTooLarge = errors.New("journal entry too large")
 // a buffered writer; durability is split into Flush (buffer → file) and
 // SyncFile (fsync) so that the group-commit protocol can append under the
 // collection's I/O lock while the expensive fsync runs outside it, shared
-// by every batch of a commit group (see Collection.Insert).
+// by every batch of a commit group (see wal.insert).
 type journalWriter struct {
 	f   fsx.File
 	buf *bufio.Writer
@@ -78,9 +78,6 @@ type journalWriter struct {
 // found during replay. The file goes through fsys so disk-chaos tests can
 // inject write and fsync faults.
 func openJournalWriter(fsys fsx.FS, path string, validLen int64) (*journalWriter, error) {
-	if fsys == nil {
-		fsys = fsx.Default
-	}
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -301,9 +298,6 @@ func decodeEntry(payload []byte) (journalEntry, error) {
 // itself lives in journalScanner (journal_reader.go), shared with the
 // replication apply path.
 func replayJournal(fsys fsx.FS, path string) (entries []journalEntry, validLen int64, err error) {
-	if fsys == nil {
-		fsys = fsx.Default
-	}
 	f, err := fsys.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, nil

@@ -7,11 +7,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"gbkmv/internal/fsx"
 )
 
 func writeEntries(t *testing.T, path string, entries [][]string) {
 	t.Helper()
-	jw, err := openJournalWriter(nil, path, 0)
+	jw, err := openJournalWriter(fsx.Default, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		{"solo"},
 	}
 	writeEntries(t, path, want)
-	got, n, err := replayJournal(nil, path)
+	got, n, err := replayJournal(fsx.Default, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 func TestJournalMissingFileIsEmpty(t *testing.T) {
-	got, n, err := replayJournal(nil, filepath.Join(t.TempDir(), "nope.log"))
+	got, n, err := replayJournal(fsx.Default, filepath.Join(t.TempDir(), "nope.log"))
 	if err != nil || n != 0 || len(got) != 0 {
 		t.Fatalf("missing journal: entries=%v len=%d err=%v", got, n, err)
 	}
@@ -69,7 +71,7 @@ func TestJournalTornTail(t *testing.T) {
 	for _, cut := range []int64{1, 4, 9, 11, 13} { // into header and into payload
 		path := filepath.Join(t.TempDir(), "journal.log")
 		writeEntries(t, path, [][]string{{"a", "b"}, {"c"}})
-		_, good, err := replayJournal(nil, path)
+		_, good, err := replayJournal(fsx.Default, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +79,7 @@ func TestJournalTornTail(t *testing.T) {
 		full := fi.Size()
 		// Re-append a third entry, then tear it `cut` bytes after the
 		// intact prefix.
-		jw, err := openJournalWriter(nil, path, full)
+		jw, err := openJournalWriter(fsx.Default, path, full)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +92,7 @@ func TestJournalTornTail(t *testing.T) {
 		if err := os.Truncate(path, full+cut); err != nil {
 			t.Fatal(err)
 		}
-		entries, validLen, err := replayJournal(nil, path)
+		entries, validLen, err := replayJournal(fsx.Default, path)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -101,7 +103,7 @@ func TestJournalTornTail(t *testing.T) {
 			t.Fatalf("cut %d: validLen = %d, want %d", cut, validLen, full)
 		}
 		// Recovery: reopen at validLen and append; the journal is whole again.
-		jw, err = openJournalWriter(nil, path, validLen)
+		jw, err = openJournalWriter(fsx.Default, path, validLen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +113,7 @@ func TestJournalTornTail(t *testing.T) {
 		if err := jw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		entries, _, err = replayJournal(nil, path)
+		entries, _, err = replayJournal(fsx.Default, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +136,7 @@ func TestJournalInteriorCorruption(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := replayJournal(nil, path); err == nil {
+	if _, _, err := replayJournal(fsx.Default, path); err == nil {
 		t.Fatal("interior corruption went undetected")
 	}
 }
@@ -152,7 +154,7 @@ func TestJournalTailCorruption(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	entries, _, err := replayJournal(nil, path)
+	entries, _, err := replayJournal(fsx.Default, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestJournalTailCorruption(t *testing.T) {
 func TestJournalOverrunningLengthAtTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.log")
 	writeEntries(t, path, [][]string{{"good"}})
-	_, good, err := replayJournal(nil, path)
+	_, good, err := replayJournal(fsx.Default, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestJournalOverrunningLengthAtTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	entries, validLen, err := replayJournal(nil, path)
+	entries, validLen, err := replayJournal(fsx.Default, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestJournalCorruptLength(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := replayJournal(nil, path); err == nil {
+	if _, _, err := replayJournal(fsx.Default, path); err == nil {
 		t.Fatal("corrupt length field went undetected")
 	}
 }

@@ -309,11 +309,11 @@ func (m *Metrics) removeCollection(name string) {
 }
 
 // collMetrics is one collection's resolved metric children, hung on the
-// Collection at attach time. All methods are nil-safe so collections
-// assembled outside a Store (unit tests, tools) instrument nothing and cost
-// nothing.
+// Collection when it is assembled.
 type collMetrics struct {
-	fsync       *obs.Histogram
+	fsync *obs.Histogram
+	// snapPause takes one snapshot-encode lock hold: a whole-index encode, or
+	// one segment's encode when the collection is segmented.
 	snapPause   *obs.Histogram
 	groupSize   *obs.Histogram
 	walBytes    *obs.Counter
@@ -351,57 +351,6 @@ func (m *Metrics) collMetricsFor(name string) *collMetrics {
 	}
 }
 
-func (cm *collMetrics) observeFsync(d time.Duration) {
-	if cm != nil {
-		cm.fsync.Observe(d.Seconds())
-	}
-}
-
-// observeSnapPause books one snapshot-encode lock hold (a whole-index encode,
-// or one segment's encode when the collection is segmented).
-func (cm *collMetrics) observeSnapPause(d time.Duration) {
-	if cm != nil {
-		cm.snapPause.Observe(d.Seconds())
-	}
-}
-
-func (cm *collMetrics) observeGroup(members int) {
-	if cm != nil {
-		cm.groupSize.Observe(float64(members))
-	}
-}
-
-func (cm *collMetrics) addWAL(bytes, frames int) {
-	if cm != nil {
-		cm.walBytes.Add(uint64(bytes))
-		cm.walFrames.Add(uint64(frames))
-	}
-}
-
-func (cm *collMetrics) incRollback() {
-	if cm != nil {
-		cm.rollbacks.Inc()
-	}
-}
-
-func (cm *collMetrics) observeBatch(queries int) {
-	if cm != nil {
-		cm.batchSize.Observe(float64(queries))
-	}
-}
-
-// observeSearch books one search's work counters (from gbkmv.QueryStats).
-func (cm *collMetrics) observeSearch(st gbkmv.QueryStats) {
-	if cm == nil {
-		return
-	}
-	cm.candidates.Observe(float64(st.Candidates))
-	cm.candTotal.Add(uint64(st.Candidates))
-	cm.pruned.Add(uint64(st.PrunedByBound))
-	cm.estimated.Add(uint64(st.Estimated))
-	cm.bufAccepts.Add(uint64(st.BufferAccepts))
-}
-
 // residentParts are the part labels of gbkmv_collection_resident_bytes, in
 // the order mirrorCollections sets them.
 var residentParts = [...]string{"sketch", "records", "index"}
@@ -420,15 +369,13 @@ func (s *Store) mirrorCollections() {
 	m := s.metrics
 	for _, c := range cols {
 		name := c.name
-		c.ioMu.Lock()
-		if c.journal != nil {
-			m.walOffset.With(name).Set(float64(c.journal.Offset()))
-			m.walSynced.With(name).Set(float64(c.journal.SyncedOffset()))
+		w := c.wal.status()
+		if w.ok {
+			m.walOffset.With(name).Set(float64(w.offset))
+			m.walSynced.With(name).Set(float64(w.synced))
 		}
-		c.ioMu.Unlock()
 		c.mu.RLock()
 		records := c.eng.Len()
-		journaled := c.journaled
 		var entries int
 		if c.qcache != nil {
 			entries = c.qcache.entries()
@@ -448,7 +395,7 @@ func (s *Store) mirrorCollections() {
 			ro = 1
 		}
 		m.readOnlyG.With(name).Set(ro)
-		m.journaled.With(name).Set(float64(journaled))
+		m.journaled.With(name).Set(float64(w.entries))
 		m.qcEntries.With(name).Set(float64(entries))
 		m.hashedTotal.With(name).Set(hashed)
 		m.shrinkTotal.With(name).Set(shrinks)

@@ -136,19 +136,18 @@ func withObservability(s *Store, next http.Handler) http.Handler {
 		// (handlers shed with 503 once it passes) and the response with a
 		// write deadline (a stuck reader can't pin the connection forever) —
 		// except for the replication stream/transfer endpoints, which are
-		// long-running by design. Both knobs default to off; the atomic loads
-		// keep the disabled path free.
+		// long-running by design. Both knobs default to off.
 		var cancel context.CancelFunc
-		if s.requestTimeoutNs.Load() > 0 || s.writeTimeoutNs.Load() > 0 {
+		if s.opt.RequestTimeout > 0 || s.opt.ResponseWriteTimeout > 0 {
 			if !isReplTransfer(r) {
-				if wt := s.writeTimeoutNs.Load(); wt > 0 {
+				if s.opt.ResponseWriteTimeout > 0 {
 					// Errors (recorder writers in tests) mean no deadline
 					// support; the request proceeds unbounded.
-					_ = http.NewResponseController(tw).SetWriteDeadline(start.Add(time.Duration(wt)))
+					_ = http.NewResponseController(tw).SetWriteDeadline(start.Add(s.opt.ResponseWriteTimeout))
 				}
-				if rt := s.requestTimeoutNs.Load(); rt > 0 {
+				if s.opt.RequestTimeout > 0 {
 					var ctx context.Context
-					ctx, cancel = context.WithTimeout(r.Context(), time.Duration(rt))
+					ctx, cancel = context.WithTimeout(r.Context(), s.opt.RequestTimeout)
 					r = r.WithContext(ctx)
 				}
 			}
@@ -168,7 +167,7 @@ func withObservability(s *Store, next http.Handler) http.Handler {
 			pattern = "unmatched" // 404/405 fallthrough: one bounded label
 		}
 		s.metrics.endpoint(pattern, r.PathValue("name")).record(status, d)
-		if thr := s.slowQueryNs.Load(); thr > 0 && tw.trace.isQuery && d.Nanoseconds() >= thr {
+		if s.opt.SlowQueryThreshold > 0 && tw.trace.isQuery && d >= s.opt.SlowQueryThreshold {
 			s.logSlowQuery(rid, pattern, r.PathValue("name"), status, d, &tw.trace)
 		}
 		tw.ResponseWriter = nil // don't pin the connection's writer in the pool
@@ -192,11 +191,4 @@ func (s *Store) logSlowQuery(rid, pattern, coll string, status int, d time.Durat
 		rid, pattern, coll, tr.engine, tr.tokens, tr.queries,
 		tr.stats.candidates, tr.stats.pruned, tr.stats.estimated, tr.stats.bufferAccepts,
 		cache, status, d)
-}
-
-// SetSlowQueryThreshold enables the slow-query log: search-shaped requests
-// (search, topk and their batch forms) taking at least d emit one structured
-// log line with the request's trace. Zero (the default) disables it.
-func (s *Store) SetSlowQueryThreshold(d time.Duration) {
-	s.slowQueryNs.Store(d.Nanoseconds())
 }

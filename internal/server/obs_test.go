@@ -416,16 +416,20 @@ func TestSlowQueryLog(t *testing.T) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
-	store, err := NewStore("", logf)
-	if err != nil {
-		t.Fatal(err)
+	serve := func(o StoreOptions) *httptest.Server {
+		o.Logf = logf
+		store, err := OpenStore("", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(Handler(store))
+		t.Cleanup(ts.Close)
+		buildRestaurants(t, ts, "slow")
+		return ts
 	}
-	ts := httptest.NewServer(Handler(store))
-	defer ts.Close()
-	buildRestaurants(t, ts, "slow")
 
 	// Threshold disabled: no slow-query lines.
-	doJSON(t, ts, "POST", "/collections/slow/search", `{"query": ["five"], "threshold": 0.5}`)
+	doJSON(t, serve(StoreOptions{}), "POST", "/collections/slow/search", `{"query": ["five"], "threshold": 0.5}`)
 	mu.Lock()
 	for _, l := range lines {
 		if strings.Contains(l, "slow-query") {
@@ -434,7 +438,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	mu.Unlock()
 
-	store.SetSlowQueryThreshold(time.Nanosecond) // everything is slow now
+	ts := serve(StoreOptions{SlowQueryThreshold: time.Nanosecond}) // everything is slow now
 	doJSON(t, ts, "POST", "/collections/slow/search", `{"query": ["five", "guys"], "threshold": 0.5}`)
 	// Non-query endpoints never hit the slow log, however slow.
 	doJSON(t, ts, "GET", "/collections/slow/stats", "")

@@ -48,9 +48,7 @@ import (
 // canonical lookup and installs itself as an alias on the way out.
 type queryCache struct {
 	shards []qcShard
-	// The counters are owned by the Collection (registry children when the
-	// store has metrics, standalone otherwise), not by the cache: a cache
-	// swap (SetQueryCacheSize) must not reset the collection's totals.
+	// The counters are the collection's registry children.
 	hits, misses, evictions *obs.Counter
 }
 
@@ -94,16 +92,10 @@ type qcEntry struct {
 	pq  gbkmv.PreparedQuery
 }
 
-// newQueryCache returns a cache holding up to capacity entries in total, or
-// nil when capacity <= 0 (caching disabled). Counters are standalone; store
-// paths use newQueryCacheWith so totals land in the registry and survive
-// cache swaps.
-func newQueryCache(capacity int) *queryCache {
-	return newQueryCacheWith(capacity, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
-}
-
-// newQueryCacheWith is newQueryCache with caller-owned counters.
-func newQueryCacheWith(capacity int, hits, misses, evictions *obs.Counter) *queryCache {
+// newQueryCache returns a cache holding up to capacity entries in total,
+// counting into the caller's counters, or nil when capacity <= 0 (caching
+// disabled).
+func newQueryCache(capacity int, hits, misses, evictions *obs.Counter) *queryCache {
 	if capacity <= 0 {
 		return nil
 	}

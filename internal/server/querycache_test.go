@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gbkmv"
+	"gbkmv/internal/obs"
 )
 
 // collStats fetches /stats for a collection.
@@ -65,7 +66,7 @@ func TestQueryCacheLRUAndGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc := newQueryCache(qcShards) // one entry per shard
+	qc := newQueryCache(qcShards, &obs.Counter{}, &obs.Counter{}, &obs.Counter{}) // one entry per shard
 	sc := &qkeyScratch{}
 	pq, _ := gbkmv.PrepareTokens(eng, voc, []string{"x"})
 
@@ -204,11 +205,11 @@ func TestQueryCacheServesAndInvalidates(t *testing.T) {
 	}
 }
 
-// TestQueryCacheDisabled: size 0 turns the cache off — no query_cache in
-// stats, searches still correct.
+// TestQueryCacheDisabled: a negative size turns the cache off — no
+// query_cache in stats, searches still correct — and any other size is the
+// collections' capacity.
 func TestQueryCacheDisabled(t *testing.T) {
-	store, ts := newServer(t, "")
-	store.SetQueryCacheSize(0)
+	_, ts := newServerWith(t, "", StoreOptions{QueryCacheEntries: -1})
 	buildRestaurants(t, ts, "rest")
 	if _, m := doJSON(t, ts, "POST", "/collections/rest/search",
 		`{"query": ["five", "guys"], "threshold": 0.5}`); m["count"] != float64(2) {
@@ -218,15 +219,15 @@ func TestQueryCacheDisabled(t *testing.T) {
 	if _, ok := m["query_cache"]; ok {
 		t.Fatalf("query_cache reported with caching disabled: %v", m)
 	}
-	// Re-enabling swaps caches in on live collections.
-	store.SetQueryCacheSize(16)
+	_, ts = newServerWith(t, "", StoreOptions{QueryCacheEntries: 16})
+	buildRestaurants(t, ts, "rest")
 	doJSON(t, ts, "POST", "/collections/rest/search", `{"query": ["five", "guys"], "threshold": 0.5}`)
 	_, m = doJSON(t, ts, "GET", "/collections/rest/stats", "")
 	// One query populates two entries: the canonical key plus its verbatim
 	// raw-bytes alias.
 	qcm, ok := m["query_cache"].(map[string]any)
 	if !ok || qcm["entries"] != float64(2) {
-		t.Fatalf("query_cache after re-enable: %v", m)
+		t.Fatalf("query_cache of a 16-entry store: %v", m)
 	}
 }
 

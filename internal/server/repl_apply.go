@@ -19,8 +19,9 @@ import (
 // applied to the engine — the follower's acknowledged position (its own
 // SyncedOffset) never outruns its disk, so a follower crash replays its
 // local journal on restart and resumes the stream from exactly where it
-// left off, with no re-bootstrap and no gap. Applying through the same
-// applyBatch the leader uses keeps every derived invariant for free:
+// left off, with no re-bootstrap and no gap. Both run the wal's one
+// durable-append sequence and apply through the same hook, which keeps
+// every derived invariant for free:
 // record ids assign in journal order, the duplicate-detection window
 // rebuilds from the echoed request ids, and the query generation bumps
 // under the write lock so the prepared-query cache never serves stale
@@ -123,10 +124,6 @@ type ReplStats struct {
 	ChainDepth int64 `json:"chain_depth"`
 }
 
-// Metrics exposes the store's metric surface so the follower can register
-// its own instruments on the shared registry.
-func (s *Store) Metrics() *Metrics { return s.metrics }
-
 // CollectionDir returns the directory the named collection lives (or will
 // live) in — where the follower's bootstrap writes the transferred
 // snapshot files before InstallReplica loads them.
@@ -140,15 +137,6 @@ func (s *Store) CollectionDir(name string) (string, error) {
 	return filepath.Join(s.dir, name), nil
 }
 
-// ReplicaSnapshotPaths returns where a follower's bootstrap writes the
-// transferred generation files: the index and vocabulary snapshots, and the
-// meta.json commit record. The bootstrap must write meta last (via a tmp
-// file renamed into place) — exactly like a local snapshot, it is the
-// commit point that makes the generation loadable.
-func ReplicaSnapshotPaths(dir string, gen uint64) (index, vocab, metaFile string) {
-	return indexPath(dir, gen), vocabPath(dir, gen), metaPath(dir)
-}
-
 // InstallReplica loads the collection from its directory — exactly the
 // startup path: committed snapshot plus journal replay — and installs it,
 // replacing any previous incarnation. The follower calls it after writing
@@ -160,19 +148,20 @@ func (s *Store) InstallReplica(name string) (*Collection, error) {
 	}
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
-	c, err := loadCollection(s.fs, dir, s.logf)
+	st, err := loadGeneration(s.fs, dir, s.logf)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
 	old := s.cols[name]
-	cacheCap := s.cacheCap
 	s.mu.RUnlock()
 	if old != nil {
-		old.closeJournal()
+		old.wal.close()
 		s.metrics.removeCollection(name)
 	}
-	s.attach(c, cacheCap)
+	// Assembled only now: the old incarnation's metric series are gone, so
+	// the children this one resolves are fresh.
+	c := s.adopt(dir, st)
 	s.mu.Lock()
 	s.cols[name] = c
 	s.mu.Unlock()
@@ -192,17 +181,12 @@ func (s *Store) RollGeneration(name string, target uint64) error {
 	if err != nil {
 		return err
 	}
-	if c.dir == "" {
+	if !c.gens.persistent() {
 		return ErrNoPersistence
 	}
-	c.commit.syncMu.Lock()
-	defer c.commit.syncMu.Unlock()
-	c.drainPending()
-	defer c.ioMu.Unlock()
-	c.mu.RLock()
-	cur := c.gen
-	c.mu.RUnlock()
-	if cur+1 != target {
+	release := c.wal.quiesce()
+	defer release()
+	if cur := c.gens.gen; cur+1 != target {
 		return fmt.Errorf("%w: generation handoff to %d but replica is at %d", ErrReplDiverged, target, cur)
 	}
 	_, err = c.snapshot()
@@ -214,91 +198,15 @@ func (s *Store) RollGeneration(name string, target uint64) error {
 // apply path fsyncs before applying, so the three coincide between calls)
 // and the applied entry count.
 func (c *Collection) ReplPosition() (gen uint64, applied int64, entries int) {
-	c.ioMu.Lock()
-	defer c.ioMu.Unlock()
-	if c.journal != nil {
-		applied = c.journal.Offset()
-	}
-	c.mu.RLock()
-	gen = c.gen
-	entries = c.journaled
-	c.mu.RUnlock()
-	return gen, applied, entries
+	st := c.wal.status()
+	return st.gen, st.offset, st.entries
 }
 
-// ApplyReplicated ingests one stream chunk: raw journal frames of the
-// given generation starting at byte offset from, which must equal the
-// local journal's end (the stream has no gaps). The chunk's intact frames
-// are appended verbatim, made durable, then applied in journal order; a
-// trailing partial frame — a chunk cut by a dropped connection — is
-// ignored, exactly like a torn tail at startup, and the follower resumes
-// from the returned offset. Returns the new local journal offset and the
-// number of entries applied.
+// ApplyReplicated ingests one stream chunk: raw journal frames of the given
+// generation starting at byte offset from, which must equal the local
+// journal's end. Durability strictly precedes apply, as on the leader (see
+// wal.appendDurable). Returns the new local journal offset and the number of
+// entries applied; the follower resumes from that offset.
 func (c *Collection) ApplyReplicated(gen uint64, from int64, frames []byte) (off int64, applied int, err error) {
-	c.commit.syncMu.Lock()
-	defer c.commit.syncMu.Unlock()
-	c.drainPending() // returns with ioMu held
-	defer c.ioMu.Unlock()
-	if c.closed || c.journal == nil {
-		return 0, 0, fmt.Errorf("%w: collection %q is closed", ErrStorage, c.name)
-	}
-	c.mu.RLock()
-	cur := c.gen
-	c.mu.RUnlock()
-	if gen != cur {
-		return 0, 0, fmt.Errorf("%w: chunk of generation %d, replica at %d", ErrReplDiverged, gen, cur)
-	}
-	off = c.journal.Offset()
-	if from != off {
-		return 0, 0, fmt.Errorf("%w: chunk starts at %d, replica journal ends at %d", ErrReplDiverged, from, off)
-	}
-	// Decode before touching the journal: only frames that parse intact are
-	// appended, so the local journal never needs the startup torn-tail
-	// truncation for stream-delivered bytes. Interior corruption in a chunk
-	// is a hard error — the leader only ships sealed frames, so it means the
-	// transfer (or the leader's disk) is mangling data.
-	sc := newFrameScanner(frames, off, c.name)
-	entries, err := sc.scanAll()
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: replicated chunk: %v", ErrStorage, err)
-	}
-	validLen := sc.Offset() - off
-	if validLen == 0 {
-		return off, 0, nil
-	}
-	valid := frames[:validLen]
-	// Durability strictly before apply, mirroring the leader's commit order:
-	// append, flush, fsync, and only then mutate the engine. On failure the
-	// journal rolls back to its durable mark (which also heals a poisoned
-	// buffered writer); if even that fails the journal is closed and the
-	// follower re-bootstraps the collection.
-	err = c.journal.appendFrames(valid)
-	if err == nil {
-		err = c.journal.Flush()
-	}
-	if err == nil {
-		err = c.journal.SyncFile()
-	}
-	if err != nil {
-		c.metrics.incRollback()
-		if rbErr := c.journal.Rollback(c.journal.SyncedOffset()); rbErr != nil {
-			c.journal.Close()
-			c.journal = nil
-		}
-		return off, 0, fmt.Errorf("%w: replica journal: %v", ErrStorage, err)
-	}
-	c.metrics.addWAL(len(valid), len(entries))
-	// Apply in journal order through the leader's own batch path, one batch
-	// per request-id run — the same partitioning startup replay rebuilds the
-	// dedup window from, so ids, request spans and the query generation all
-	// land exactly as they did on the leader.
-	forEachRidRun(entries, func(i, j int, rid string) {
-		batch := make([][]string, j-i)
-		for k := i; k < j; k++ {
-			batch[k-i] = entries[k].Tokens
-		}
-		c.applyBatch(&commitBatch{tokens: batch, rid: rid})
-	})
-	c.walChangedLocked() // this node may itself be streamed from (chained replicas)
-	return c.journal.Offset(), len(entries), nil
+	return c.wal.appendDurable(gen, from, frames)
 }

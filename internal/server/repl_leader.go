@@ -26,62 +26,13 @@ import (
 // is an exact subtraction.
 //
 // Generations: a snapshot truncates the journal and bumps the generation,
-// which would strand a tailing follower. The collection remembers the
-// superseded generation's final synced offset (prevGen/prevGenFinal); a
+// which would strand a tailing follower. The wal remembers the
+// superseded generation's final synced offset (prevGen/prevFinal); a
 // follower that streamed the old journal to exactly that offset holds
 // exactly the snapshot's state and is told, via the X-Gbkmv-Next-Generation
 // header, to roll its own generation forward and resume at offset 0. Any
 // other cross-generation request gets 410 Gone and re-bootstraps — the old
 // journal file no longer exists, so there is nothing to resume from.
-
-// walStatus is a point-in-time copy of one collection's stream position.
-type walStatus struct {
-	ok        bool   // has an open journal (persistent, not closed)
-	gen       uint64 // current generation
-	synced    int64  // durable frontier of the current journal
-	entries   int    // entries applied from the current journal (lag signal)
-	prevGen   uint64 // generation superseded by the last snapshot (0 if none)
-	prevFinal int64  // final synced offset of prevGen
-	notify    <-chan struct{}
-}
-
-// walStatus snapshots the collection's replication position. The notify
-// channel is closed the next time the durable frontier moves (commit-group
-// fsync, snapshot, close), so wal streams long-poll without spinning.
-func (c *Collection) walStatus() walStatus {
-	c.ioMu.Lock()
-	defer c.ioMu.Unlock()
-	st := walStatus{prevGen: c.prevGen, prevFinal: c.prevGenFinal}
-	if c.journal == nil || c.closed {
-		return st
-	}
-	st.ok = true
-	st.synced = c.journal.SyncedOffset()
-	st.notify = c.walWaitLocked()
-	c.mu.RLock()
-	st.gen = c.gen
-	st.entries = c.journaled
-	c.mu.RUnlock()
-	return st
-}
-
-// walChangedLocked wakes every stream waiting on the durable frontier.
-// Caller holds ioMu (or exclusively owns an unpublished collection).
-func (c *Collection) walChangedLocked() {
-	if c.walNotify != nil {
-		close(c.walNotify)
-		c.walNotify = nil
-	}
-}
-
-// walWaitLocked returns the channel the next walChangedLocked will close.
-// Caller holds ioMu.
-func (c *Collection) walWaitLocked() <-chan struct{} {
-	if c.walNotify == nil {
-		c.walNotify = make(chan struct{})
-	}
-	return c.walNotify
-}
 
 const (
 	// defaultWALChunk bounds one wal response; followers re-request from
@@ -193,7 +144,7 @@ func (h *api) walStream(w http.ResponseWriter, r *http.Request) {
 	}
 	deadline := time.Now().Add(wait)
 	for {
-		st := c.walStatus()
+		st := c.wal.follow()
 		if !st.ok {
 			writeError(w, http.StatusConflict,
 				"collection %q has no journal (replication requires a persistent leader)", c.name)
@@ -257,7 +208,7 @@ func (h *api) serveWALChunk(w http.ResponseWriter, c *Collection, st walStatus, 
 	if n > max {
 		n = max
 	}
-	f, err := os.Open(journalPath(c.dir, st.gen))
+	f, err := os.Open(c.gens.journalFile(st.gen))
 	if err != nil {
 		writeError(w, http.StatusGone, "journal of generation %d is gone: %v", st.gen, err)
 		return
@@ -288,7 +239,7 @@ func (h *api) replManifest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st := c.walStatus()
+	st := c.wal.status()
 	if !st.ok {
 		writeError(w, http.StatusConflict,
 			"collection %q has no journal (replication requires a persistent leader)", c.name)
@@ -321,19 +272,13 @@ func (h *api) replFile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "repl/file: bad gen %q", q.Get("gen"))
 		return
 	}
-	var path, sumKey string
-	switch kind := q.Get("kind"); kind {
-	case "meta":
-		path = metaPath(c.dir)
-	case "index":
-		path, sumKey = indexPath(c.dir, gen), "index"
-	case "vocab":
-		path, sumKey = vocabPath(c.dir, gen), "vocab"
-	default:
+	kind := q.Get("kind")
+	path, sumKey, ok := c.gens.snapshotFile(kind, gen)
+	if !ok {
 		writeError(w, http.StatusBadRequest, "repl/file: bad kind %q (want meta, index or vocab)", kind)
 		return
 	}
-	st := c.walStatus()
+	st := c.wal.status()
 	if !st.ok {
 		writeError(w, http.StatusConflict,
 			"collection %q has no journal (replication requires a persistent leader)", c.name)
@@ -356,14 +301,9 @@ func (h *api) replFile(w http.ResponseWriter, r *http.Request) {
 	}
 	h.setWALHeaders(w, st.gen, st.synced, st.entries)
 	if sumKey != "" {
-		// The committed checksum, not one recomputed here: a file rotted on
-		// the leader's own disk must fail the follower's verification rather
-		// than propagate with a fresh, matching sum.
-		if m, err := readMeta(h.store.fs, c.dir); err == nil && m.Generation == gen {
-			if sum, ok := m.Checksums[sumKey]; ok && !sum.zero() {
-				w.Header().Set(hdrFileSize, strconv.FormatInt(sum.Size, 10))
-				w.Header().Set(hdrFileCRC64, sum.CRC64)
-			}
+		if sum, ok := c.gens.committedSum(gen, sumKey); ok {
+			w.Header().Set(hdrFileSize, strconv.FormatInt(sum.Size, 10))
+			w.Header().Set(hdrFileCRC64, sum.CRC64)
 		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

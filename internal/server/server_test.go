@@ -17,7 +17,14 @@ import (
 // memory-only store.
 func newServer(t *testing.T, dir string) (*Store, *httptest.Server) {
 	t.Helper()
-	store, err := NewStore(dir, t.Logf)
+	return newServerWith(t, dir, StoreOptions{})
+}
+
+// newServerWith is newServer over a store opened with o (logging to t).
+func newServerWith(t *testing.T, dir string, o StoreOptions) (*Store, *httptest.Server) {
+	t.Helper()
+	o.Logf = t.Logf
+	store, err := OpenStore(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,6 @@ func TestBuildSearchTopKStats(t *testing.T) {
 }
 
 func TestBuildFromFile(t *testing.T) {
-	store, ts := newServer(t, "")
 	root := t.TempDir()
 	data := "five guys burgers and fries\nfive kitchen berkeley\n\nin n out burgers\n"
 	if err := os.WriteFile(filepath.Join(root, "records.txt"), []byte(data), 0o644); err != nil {
@@ -176,12 +182,11 @@ func TestBuildFromFile(t *testing.T) {
 
 	// File builds are opt-in: without a configured root they must 400.
 	body := `{"file": "records.txt", "options": {"budget_fraction": 1}}`
-	if code, _ := doJSON(t, ts, "PUT", "/collections/fromfile", body); code != http.StatusBadRequest {
+	_, closed := newServer(t, "")
+	if code, _ := doJSON(t, closed, "PUT", "/collections/fromfile", body); code != http.StatusBadRequest {
 		t.Fatalf("file build without -record-files: %d, want 400", code)
 	}
-	if err := store.SetRecordFileRoot(root); err != nil {
-		t.Fatal(err)
-	}
+	_, ts := newServerWith(t, "", StoreOptions{RecordFileRoot: root})
 	// Relative paths resolve under the root.
 	if code, m := doJSON(t, ts, "PUT", "/collections/fromfile", body); code != http.StatusOK || m["num_records"] != float64(3) {
 		t.Fatalf("build from file: %d %v", code, m)
