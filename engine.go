@@ -40,7 +40,9 @@ type Engine interface {
 	// AddBatch appends records as one batch, returning their ids in order.
 	// Engines that rebuild on insert pay the rebuild once per batch. Records
 	// must be sorted and deduplicated (see Record); nothing checks it here,
-	// and a collection holding one that is not cannot be saved.
+	// and a collection holding one that is not cannot be saved. recs and the
+	// records' arrays stay the caller's, who may reuse them once AddBatch
+	// returns: an engine that keeps records keeps copies.
 	AddBatch(recs []Record) []int
 	// Search returns the ids of all records whose estimated containment
 	// C(Q, X) reaches threshold, ascending. Approximate engines may return

@@ -107,12 +107,17 @@ func (e *baseline) Record(i int) Record { return e.records[i] }
 
 func (e *baseline) Add(r Record) int { return e.AddBatch([]Record{r})[0] }
 
-// AddBatch appends the records under the options resolved at build time
-// (nothing is re-derived from the grown collection) and hands the backend the
-// whole batch at once, so a backend that rebuilds pays for it once.
+// AddBatch appends copies of the records (one array a batch) under the
+// options resolved at build time (nothing is re-derived from the grown
+// collection) and hands the backend the whole batch at once, so a backend
+// that rebuilds pays for it once.
 func (e *baseline) AddBatch(recs []Record) []int {
 	from := len(e.records)
-	e.records = append(e.records, recs...)
+	slab := make([]Element, 0, totalElements(recs))
+	for _, r := range recs {
+		slab = append(slab, r...)
+		e.records = append(e.records, slab[len(slab)-len(r):len(slab):len(slab)])
+	}
 	if err := e.add(e.records, from); err != nil {
 		// AddBatch cannot report errors, and a backend that built once from
 		// these options failing on more records is a programming error.

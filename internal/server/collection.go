@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"gbkmv"
 )
@@ -31,8 +32,9 @@ type Collection struct {
 	readOnly atomic.Bool
 	roReason atomic.Value // string
 
-	wal  wal
-	gens generations
+	wal      wal
+	gens     generations
+	applying recordSlab // applyBatch's records
 
 	mu     sync.RWMutex
 	voc    *gbkmv.Vocabulary
@@ -357,36 +359,55 @@ func (c *Collection) batch(ctx context.Context, queries [][]byte, sp querySpec) 
 // reproduces. A non-empty requestID makes a retry of the same insert answer
 // ErrDuplicateRequest with the originally assigned ids. Returns the new
 // record ids in batch order.
+//
+// Tokens and request id are taken as a frame holds them and as HTTP delivers
+// them: each byte that is not UTF-8 is read as U+FFFD.
 func (c *Collection) Insert(batch [][]string, requestID string) ([]int, error) {
+	sc := getScanner(nil)
+	defer putScanner(sc)
+	sc.tokenBatch.reset()
+	for _, tokens := range batch {
+		for _, tok := range tokens {
+			sc.slab = appendCoerced(sc.slab, tok)
+			sc.tokEnds = append(sc.tokEnds, len(sc.slab))
+		}
+		sc.endRecord()
+	}
+	if !utf8.ValidString(requestID) {
+		requestID = string(appendCoerced(nil, requestID))
+	}
+	return c.insert(sc, requestID)
+}
+
+// insert is the one write path, for records a scanner holds; the caller
+// keeps sc until it returns.
+func (c *Collection) insert(sc *bodyScanner, requestID string) ([]int, error) {
 	// Validate before touching the vocabulary or the journal: a rejected
 	// batch must leave no trace. (A record is empty iff it has no tokens —
 	// every token interns to an element.) An empty batch is rejected too:
 	// it has no ids to acknowledge or remember.
-	if len(batch) == 0 {
+	if len(sc.recEnds) == 0 {
 		return nil, errors.New("empty batch")
 	}
-	for i, tokens := range batch {
-		if len(tokens) == 0 {
+	for i := range sc.recEnds {
+		if from, to := sc.span(i); from == to {
 			return nil, fmt.Errorf("record %d is empty", i)
 		}
 	}
-	// Encode the journal frames before the wal takes its append lock:
-	// marshaling is CPU work that concurrent inserts should overlap, not
-	// queue on.
-	frames, encErr := encodeBatch(batch, requestID)
-	return c.wal.insert(&commitBatch{tokens: batch, rid: requestID}, frames, encErr)
+	return c.wal.insert(&commitBatch{toks: &sc.tokenBatch, to: len(sc.recEnds), rid: requestID}, &sc.frames)
 }
 
 // applyBatch interns and applies one batch: the wal's apply hook, called in
-// journal order. The engine mutation takes the write lock; searches block
-// only for this in-memory apply, never for I/O.
+// journal order and one call at a time (hence the one slab). The engine
+// mutation takes the write lock; searches block only for this in-memory
+// apply, never for I/O.
 func (c *Collection) applyBatch(b *commitBatch) {
-	recs := make([]gbkmv.Record, len(b.tokens))
-	for i, tokens := range b.tokens {
-		recs[i] = c.voc.Record(tokens)
+	c.applying.reset()
+	for i := b.from; i < b.to; i++ {
+		c.applying.add(c.voc, b.toks, i)
 	}
 	c.mu.Lock()
-	b.ids = c.eng.AddBatch(recs)
+	b.ids = c.eng.AddBatch(c.applying.recs)
 	// Bump the query generation before the new records become visible (the
 	// write lock is still held): searches load the generation under the read
 	// lock, so no cached pre-insert answer can ever be served post-insert.

@@ -432,32 +432,31 @@ func loadGenFiles(fsys fsx.FS, dir string, m meta) (*genState, error) {
 // frames sharing a rid) in order.
 func (st *genState) replayOnto(fsys fsx.FS, path string, persisted []requestEntry) error {
 	start := time.Now()
-	entries, validLen, err := replayJournal(fsys, path)
-	if err != nil {
-		return err
-	}
-	// A torn tail is detected here, before openJournalWriter truncates it
-	// away.
-	fi, err := fsys.Stat(path)
-	st.tornTail = err == nil && fi.Size() > validLen
-	// Re-intern in entry order (reproducing the original ids), then apply
-	// as one batch so a static engine's rebuild costs one pass per startup,
-	// not one per entry (the sketch engines decide threshold shrinks per
-	// record, so the grouping cannot change their state).
+	// Re-intern in entry order (reproducing the original ids) as the frames
+	// decode, then apply as one batch so a static engine's rebuild costs one
+	// pass per startup, not one per entry (the sketch engines decide threshold
+	// shrinks per record, so the grouping cannot change their state).
 	base := st.eng.Len()
-	recs := make([]gbkmv.Record, len(entries))
-	for i, e := range entries {
-		recs[i] = st.voc.Record(e.Tokens)
-	}
-	st.eng.AddBatch(recs)
 	st.window = newRequestLog()
 	for _, r := range persisted {
 		st.window.add(r.ID, r.First, r.Count)
 	}
-	forEachRidRun(entries, func(i, j int, rid string) {
-		st.window.add(rid, base+i, j-i)
+	var recs recordSlab
+	entries, validLen, err := scanJournal(fsys, path, func(toks *tokenBatch) {
+		recs.add(st.voc, toks, 0)
+		toks.reset()
+	}, func(from, to int, rid string) {
+		st.window.add(rid, base+from, to-from)
 	})
-	st.entries, st.validLen = len(entries), validLen
+	if err != nil {
+		return err
+	}
+	st.eng.AddBatch(recs.recs)
+	// A torn tail is detected here, before openJournalWriter truncates it
+	// away.
+	fi, err := fsys.Stat(path)
+	st.tornTail = err == nil && fi.Size() > validLen
+	st.entries, st.validLen = entries, validLen
 	st.replayDur += time.Since(start)
 	return nil
 }

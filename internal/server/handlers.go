@@ -422,18 +422,20 @@ func (h *api) insert(w http.ResponseWriter, r *http.Request) {
 	// carrying the same id — e.g. after a crash ate the acknowledgement of
 	// a journaled insert — is rejected with 409 Conflict and the originally
 	// assigned record ids, instead of silently duplicating the records.
+	// The scanner is kept until insert returns: its group's leader interns the
+	// records from it, on whichever request's goroutine that runs.
 	sc := getScanner(http.MaxBytesReader(w, r.Body, h.maxBody))
-	batch, requestID, err := sc.readInsert()
-	putScanner(sc)
+	defer putScanner(sc)
+	requestID, err := sc.readInsert()
 	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	if len(batch) == 0 {
+	if len(sc.recEnds) == 0 {
 		writeError(w, http.StatusBadRequest, "no records")
 		return
 	}
-	ids, err := c.Insert(batch, requestID)
+	ids, err := c.insert(sc, requestID)
 	if err != nil {
 		if errors.Is(err, ErrDuplicateRequest) {
 			writeJSON(w, http.StatusConflict, map[string]any{
@@ -450,7 +452,8 @@ func (h *api) insert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "inserting: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ids": ids})
+	sc.frames = appendIDsResponse(sc.frames[:0], ids)
+	writeRaw(w, http.StatusOK, sc.frames)
 }
 
 // query is the shared front of search, topk and their batch forms: it

@@ -67,11 +67,10 @@ type bodyScanner struct {
 	mark    int
 	queries [][]byte // queryBody.queries' backing array
 
-	// Insert bodies: every token's bytes back to back, the end offset of
-	// each token in slab, and the token count at the end of each record.
-	slab    []byte
-	tokEnds []int
-	recEnds []int
+	// An insert's records (readInsert), and its journal frames and then its
+	// acknowledgement: the request keeps the scanner until it has answered.
+	tokenBatch
+	frames []byte
 }
 
 var scanPool = sync.Pool{New: func() any {
@@ -85,11 +84,17 @@ func getScanner(r io.Reader) *bodyScanner {
 }
 
 func putScanner(s *bodyScanner) {
-	if len(s.buf) > scanKeepBytes || cap(s.slab) > scanKeepBytes || cap(s.raw) > scanKeepBytes {
+	if len(s.buf) > scanKeepBytes || cap(s.slab) > scanKeepBytes || cap(s.raw) > scanKeepBytes || cap(s.frames) > scanKeepBytes {
 		return
 	}
 	s.r = nil
 	scanPool.Put(s)
+}
+
+// over points the scanner at a value already in memory: b is its window and
+// nothing is read.
+func (s *bodyScanner) over(b []byte) {
+	s.r, s.buf, s.pos, s.end, s.rerr, s.mark = nil, b, 0, len(b), io.EOF, -1
 }
 
 func syntaxErr(c byte, where string) error {
@@ -712,21 +717,16 @@ func (s *bodyScanner) readBuild() (buildBody, error) {
 	return b, err
 }
 
-// readInsert scans an insert body into the token arrays Collection.Insert
-// takes. All tokens share one string and one []string, so a batch costs
-// three allocations whatever its size.
-func (s *bodyScanner) readInsert() (batch [][]string, requestID string, err error) {
-	reset := func() { s.slab, s.tokEnds, s.recEnds = s.slab[:0], s.tokEnds[:0], s.recEnds[:0] }
-	reset()
+// readInsert scans an insert body's records into the scanner's tokenBatch,
+// as Collection.insert takes them.
+func (s *bodyScanner) readInsert() (requestID string, err error) {
+	s.tokenBatch.reset()
 	err = s.object(func(key []byte) error {
 		switch {
 		case keyIs(key, "records"):
-			reset()
-			return s.records(func(tok []byte) {
-				s.slab = append(s.slab, tok...)
-				s.tokEnds = append(s.tokEnds, len(s.slab))
-			}, func() error {
-				s.recEnds = append(s.recEnds, len(s.tokEnds))
+			s.tokenBatch.reset() // a repeated key replaces what the earlier one read
+			return s.records(s.token, func() error {
+				s.endRecord()
 				return nil
 			})
 		case keyIs(key, "request_id"):
@@ -734,23 +734,7 @@ func (s *bodyScanner) readInsert() (batch [][]string, requestID string, err erro
 		}
 		return fmt.Errorf("unknown field %q", key)
 	})
-	if err != nil || len(s.recEnds) == 0 {
-		return nil, requestID, err
-	}
-	text := string(s.slab)
-	tokens := make([]string, len(s.tokEnds))
-	start := 0
-	for i, end := range s.tokEnds {
-		tokens[i] = text[start:end]
-		start = end
-	}
-	batch = make([][]string, len(s.recEnds))
-	start = 0
-	for i, end := range s.recEnds {
-		batch[i] = tokens[start:end:end]
-		start = end
-	}
-	return batch, requestID, nil
+	return requestID, err
 }
 
 // querySpec is what a search-shaped request asks about its query or queries:

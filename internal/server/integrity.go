@@ -322,7 +322,7 @@ func (g *generations) verifyCommitted() (corrupt uint64, verr error) {
 		// The journal's own frame CRCs make it self-verifying; a torn tail
 		// (or a frame mid-append by a concurrent insert) ends the scan
 		// cleanly, interior corruption is an error.
-		if _, _, err := replayJournal(g.fs, journalPath(g.dir, m.Generation)); err != nil {
+		if _, _, err := scanJournal(g.fs, journalPath(g.dir, m.Generation), (*tokenBatch).reset, func(int, int, string) {}); err != nil {
 			return fmt.Errorf("journal: %w", err)
 		}
 		return nil

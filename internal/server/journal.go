@@ -8,11 +8,7 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync/atomic"
@@ -95,61 +91,6 @@ func openJournalWriter(fsys fsx.FS, path string, validLen int64) (*journalWriter
 	return j, nil
 }
 
-// journalEntry is one replayed insert: its tokens and, when the insert
-// carried one, the client request id of its batch.
-type journalEntry struct {
-	Tokens    []string
-	RequestID string
-}
-
-// framedEntry is the object payload used when a request id must be echoed.
-type framedEntry struct {
-	RequestID string   `json:"rid"`
-	Tokens    []string `json:"tokens"`
-}
-
-// marshalFrame encodes one record's frame (12-byte header + payload) into
-// dst, echoing requestID (when non-empty) into the payload.
-func marshalFrame(dst []byte, tokens []string, requestID string) ([]byte, error) {
-	var payload []byte
-	var err error
-	if requestID == "" {
-		payload, err = json.Marshal(tokens)
-	} else {
-		payload, err = json.Marshal(framedEntry{RequestID: requestID, Tokens: tokens})
-	}
-	if err != nil {
-		return dst, err
-	}
-	if len(payload) > journalMaxEntry {
-		// Replay hard-errors on oversized entries; writing one would make
-		// the collection unloadable, so refuse the insert instead.
-		return dst, fmt.Errorf("%w: record of %d bytes exceeds the limit (%d)", errEntryTooLarge, len(payload), journalMaxEntry)
-	}
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(hdr[0:4]))
-	binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	return dst, nil
-}
-
-// encodeBatch marshals (and size-checks) a whole batch into one frame
-// stream. It touches no journal state, so the insert path runs it *before*
-// taking the append lock — the CPU-bound JSON encoding of concurrent
-// batches overlaps instead of queueing on ioMu.
-func encodeBatch(batch [][]string, requestID string) ([]byte, error) {
-	var frames []byte
-	for _, tokens := range batch {
-		var err error
-		if frames, err = marshalFrame(frames, tokens, requestID); err != nil {
-			return nil, err
-		}
-	}
-	return frames, nil
-}
-
 // appendFrames buffers a pre-encoded frame stream as one write. A frame
 // stream is all-or-nothing from the encoder's side; only an actual I/O
 // failure — which poisons the buffered writer and therefore everything
@@ -166,17 +107,6 @@ func (j *journalWriter) appendFrames(frames []byte) error {
 	}
 	j.off += int64(len(frames))
 	return nil
-}
-
-// AppendBatch frames and buffers a whole batch as one write: encodeBatch +
-// appendFrames for single-writer callers (tests); the insert path splits
-// the two around its lock acquisition.
-func (j *journalWriter) AppendBatch(batch [][]string, requestID string) error {
-	frames, err := encodeBatch(batch, requestID)
-	if err != nil {
-		return err
-	}
-	return j.appendFrames(frames)
 }
 
 // Offset returns the journal's logical size (including buffered entries);
@@ -245,16 +175,6 @@ func (j *journalWriter) SyncFile() error {
 // everything above it is unacknowledged by construction.
 func (j *journalWriter) SyncedOffset() int64 { return j.synced.Load() }
 
-// Sync flushes buffered entries and fsyncs the file — the one-call form
-// for single-writer callers (tests); the group-commit path drives Flush and
-// SyncFile separately so the fsync can leave the append lock.
-func (j *journalWriter) Sync() error {
-	if err := j.Flush(); err != nil {
-		return err
-	}
-	return j.SyncFile()
-}
-
 // Close flushes and closes the journal.
 func (j *journalWriter) Close() error {
 	flushErr := j.buf.Flush()
@@ -265,55 +185,26 @@ func (j *journalWriter) Close() error {
 	return closeErr
 }
 
-// decodeEntry parses a frame payload: a bare token array (id-less inserts
-// and pre-request-id journals) or the {"rid", "tokens"} object form.
-func decodeEntry(payload []byte) (journalEntry, error) {
-	for _, c := range payload {
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '{':
-			var fe framedEntry
-			if err := json.Unmarshal(payload, &fe); err != nil {
-				return journalEntry{}, err
-			}
-			return journalEntry{Tokens: fe.Tokens, RequestID: fe.RequestID}, nil
-		default:
-			var tokens []string
-			if err := json.Unmarshal(payload, &tokens); err != nil {
-				return journalEntry{}, err
-			}
-			return journalEntry{Tokens: tokens}, nil
-		}
-	}
-	return journalEntry{}, errors.New("empty payload")
-}
-
-// replayJournal reads every intact entry of the journal at path and returns
-// them together with the byte offset up to which the file is valid. A
-// missing file is an empty journal. A torn or corrupt tail entry ends the
-// replay at the last intact offset; corruption *before* the end of the file
-// (a bad CRC followed by more data) is reported as an error, since silently
-// dropping interior records would be data loss. The frame-decode loop
-// itself lives in journalScanner (journal_reader.go), shared with the
-// replication apply path.
-func replayJournal(fsys fsx.FS, path string) (entries []journalEntry, validLen int64, err error) {
+// scanJournal runs the journal file at path through journalScanner.scanRuns
+// (see there for each and run) and returns the records it holds and the byte
+// offset up to which it is valid. A missing file is an empty journal. A torn
+// or corrupt tail entry ends the scan at the last intact offset; corruption
+// before the end of the file is an error, since silently dropping interior
+// records would be data loss.
+func scanJournal(fsys fsx.FS, path string, each func(toks *tokenBatch), run func(from, to int, rid string)) (records int, validLen int64, err error) {
 	f, err := fsys.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return nil, 0, err
+		return 0, 0, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, 0, err
+		return 0, 0, err
 	}
 	s := newJournalScanner(f, 0, fi.Size(), path)
-	entries, err = s.scanAll()
-	if err != nil {
-		return nil, 0, err
-	}
-	return entries, s.Offset(), nil
+	records, err = s.scanRuns(each, run)
+	return records, s.Offset(), err
 }

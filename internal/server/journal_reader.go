@@ -11,10 +11,11 @@ import (
 )
 
 // journalScanner is the one frame-decode loop shared by every consumer of
-// the journal byte stream: startup replay (replayJournal), the follower's
-// replicated-frame apply (ApplyReplicated) and the scanner unit tests. It
-// reads length-prefixed CRC-framed entries from an io.Reader and classifies
-// every way a stream can end:
+// the journal byte stream: startup replay and the scrub (scanJournal), the
+// follower's replicated-frame apply (ApplyReplicated) and the scanner unit
+// tests. It reads length-prefixed CRC-framed entries from an io.Reader into
+// toks — the span form a request body's records take, read by the same token
+// walk — and classifies every way a stream can end:
 //
 //   - a clean end on a frame boundary is io.EOF;
 //   - a torn trailing frame — a crash mid-append, or a replication chunk cut
@@ -40,6 +41,11 @@ type journalScanner struct {
 	end  int64  // absolute end-of-stream offset; < 0 when unknown (network stream)
 	off  int64  // boundary of the last intact frame (the resume point)
 	name string // stream name for error text
+
+	toks    tokenBatch  // the records decoded so far; the caller may reset it between frames
+	payload []byte      // the frame being decoded
+	rid     string      // its request id
+	p       bodyScanner // walks payload in place
 }
 
 // errTornFrame marks a partial trailing frame: the stream ended mid-frame.
@@ -67,21 +73,22 @@ func newFrameScanner(frames []byte, base int64, name string) *journalScanner {
 // truncate a torn file back to, or to resume a cut stream from.
 func (s *journalScanner) Offset() int64 { return s.off }
 
-// Next decodes the next frame. It returns io.EOF at a clean end,
-// errTornFrame for a partial trailing frame, and a descriptive hard error
-// for corruption; any other error from the underlying reader (EIO, ...) is
-// passed through wrapped, since truncating on a transient read error would
-// delete acknowledged entries.
-func (s *journalScanner) Next() (journalEntry, error) {
+// Next decodes the next frame, appending its record to toks, and returns the
+// request id it echoes ("" for none). It returns io.EOF at a clean end,
+// errTornFrame for a partial trailing frame, and a descriptive hard error for
+// corruption; any other error from the underlying reader (EIO, ...) is passed
+// through wrapped, since truncating on a transient read error would delete
+// acknowledged entries.
+func (s *journalScanner) Next() (rid string, err error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(s.r, hdr[:]); err != nil {
 		switch err {
 		case io.EOF:
-			return journalEntry{}, io.EOF // clean end on a frame boundary
+			return "", io.EOF // clean end on a frame boundary
 		case io.ErrUnexpectedEOF:
-			return journalEntry{}, errTornFrame // torn header
+			return "", errTornFrame // torn header
 		default:
-			return journalEntry{}, fmt.Errorf("journal %s: reading header at offset %d: %v", s.name, s.off, err)
+			return "", fmt.Errorf("journal %s: reading header at offset %d: %v", s.name, s.off, err)
 		}
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])
@@ -92,68 +99,100 @@ func (s *journalScanner) Next() (journalEntry, error) {
 		// complete one with a bad length checksum: this is corruption, and
 		// trusting the length would misread — or, worse, silently truncate —
 		// everything after it.
-		return journalEntry{}, fmt.Errorf("journal %s: corrupt entry header at offset %d", s.name, s.off)
+		return "", fmt.Errorf("journal %s: corrupt entry header at offset %d", s.name, s.off)
 	}
 	if s.end >= 0 && int64(n) > s.end-(s.off+int64(len(hdr))) {
-		return journalEntry{}, errTornFrame // length overruns the stream: torn tail
+		return "", errTornFrame // length overruns the stream: torn tail
 	}
 	if n > journalMaxEntry {
-		return journalEntry{}, fmt.Errorf("journal %s: entry at offset %d claims %d bytes", s.name, s.off, n)
+		return "", fmt.Errorf("journal %s: entry at offset %d claims %d bytes", s.name, s.off, n)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(s.payload)) < n {
+		s.payload = make([]byte, n)
+	}
+	payload := s.payload[:n]
 	if _, err := io.ReadFull(s.r, payload); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return journalEntry{}, errTornFrame // torn payload
+			return "", errTornFrame // torn payload
 		}
-		return journalEntry{}, fmt.Errorf("journal %s: reading entry at offset %d: %v", s.name, s.off, err)
+		return "", fmt.Errorf("journal %s: reading entry at offset %d: %v", s.name, s.off, err)
 	}
 	entryEnd := s.off + int64(len(hdr)) + int64(n)
 	if crc32.ChecksumIEEE(payload) != sum {
 		if s.end >= 0 && entryEnd == s.end {
-			return journalEntry{}, errTornFrame // corrupt tail frame: torn
+			return "", errTornFrame // corrupt tail frame: torn
 		}
-		return journalEntry{}, fmt.Errorf("journal %s: corrupt entry at offset %d", s.name, s.off)
+		return "", fmt.Errorf("journal %s: corrupt entry at offset %d", s.name, s.off)
 	}
-	entry, err := decodeEntry(payload)
-	if err != nil {
-		return journalEntry{}, fmt.Errorf("journal %s: entry at offset %d: %v", s.name, s.off, err)
+	if err := s.decode(payload); err != nil {
+		s.toks.dropOpen()
+		return "", fmt.Errorf("journal %s: entry at offset %d: %v", s.name, s.off, err)
 	}
+	s.toks.endRecord()
 	s.off = entryEnd
-	return entry, nil
+	return s.rid, nil
 }
 
-// scanAll drains the scanner, returning every intact entry. A clean end or
-// a torn trailing frame both end the scan normally (the caller reads
-// Offset() for the valid length / resume point); corruption is returned.
-func (s *journalScanner) scanAll() ([]journalEntry, error) {
-	var entries []journalEntry
-	for {
-		e, err := s.Next()
-		switch {
-		case err == nil:
-			entries = append(entries, e)
-		case err == io.EOF || errors.Is(err, errTornFrame):
-			return entries, nil
-		default:
-			return nil, err
-		}
+// decode reads a frame payload — a bare token array (id-less inserts) or the
+// {"rid", "tokens"} object — into toks' open record and rid, accepting what
+// json.Unmarshal did: keys in any case, unknown ones ignored, a later one
+// replacing an earlier, null for an absent value or an empty token.
+func (s *journalScanner) decode(payload []byte) error {
+	p := &s.p
+	p.over(payload)
+	s.rid = ""
+	c, err := p.next()
+	switch {
+	case err != nil:
+		return err
+	case c == '{':
+		err = p.object(func(key []byte) error {
+			switch {
+			case keyIs(key, "tokens"):
+				s.toks.dropOpen()
+				return p.tokens("the tokens", s.toks.token)
+			case keyIs(key, "rid"):
+				return p.optString(&s.rid)
+			}
+			return p.value(1)
+		})
+	default:
+		err = p.tokens("the payload", s.toks.token)
 	}
+	if err != nil {
+		return err
+	}
+	if c, err = p.next(); err == nil {
+		return syntaxErr(c, "after the payload")
+	}
+	return nil
 }
 
-// forEachRidRun partitions replayed entries into maximal runs of
-// consecutive frames sharing a request id — the shape of one original
-// insert batch (every frame of a batch echoes its batch's id; id-less
-// inserts coalesce, which is harmless since only tagged batches are
-// remembered). Both startup replay and the follower apply path use it, so
-// the duplicate-detection window is rebuilt identically everywhere.
-func forEachRidRun(entries []journalEntry, fn func(start, end int, rid string)) {
-	for i := 0; i < len(entries); {
-		rid := entries[i].RequestID
-		j := i + 1
-		for j < len(entries) && entries[j].RequestID == rid {
-			j++
+// scanRuns drains the scanner into toks. each is handed toks after every
+// record (replay interns the record there and resets toks, never holding more
+// than a frame's tokens). run is told each maximal run [from, to) of
+// consecutive records — counted from the first scanned — that echo one request
+// id: the shape of an original insert batch (id-less inserts coalesce, which
+// is harmless since only tagged batches are remembered). Replay and the
+// follower both find their batches here, so the duplicate-detection window is
+// rebuilt identically everywhere. A clean end and a torn trailing frame end
+// the scan normally (Offset() is the valid length); corruption is returned.
+func (s *journalScanner) scanRuns(each func(toks *tokenBatch), run func(from, to int, rid string)) (records int, err error) {
+	from, cur := 0, ""
+	for {
+		rid, err := s.Next()
+		if records > from && (err != nil || rid != cur) {
+			run(from, records, cur)
 		}
-		fn(i, j, rid)
-		i = j
+		switch {
+		case err == io.EOF || errors.Is(err, errTornFrame):
+			return records, nil
+		case err != nil:
+			return records, err
+		case rid != cur:
+			from, cur = records, rid
+		}
+		records++
+		each(&s.toks)
 	}
 }

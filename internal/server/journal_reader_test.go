@@ -143,18 +143,28 @@ func TestScannerCorruptHeaderCRC(t *testing.T) {
 	}
 }
 
-// TestForEachRidRun checks the batch partitioning both replay paths share.
+// TestForEachRidRun checks the batch partitioning both replay paths share:
+// the runs scanRuns reports as it decodes.
 func TestForEachRidRun(t *testing.T) {
-	_, _, want := scannerFixture(t)
+	frames, _, want := scannerFixture(t)
 	type run struct {
 		start, end int
 		rid        string
 	}
 	var got []run
-	forEachRidRun(want, func(i, j int, rid string) { got = append(got, run{i, j, rid}) })
+	s := newFrameScanner(frames, 0, "runs")
+	n, err := s.scanRuns(func(*tokenBatch) {}, func(i, j int, rid string) { got = append(got, run{i, j, rid}) })
+	if err != nil || n != len(want) || len(s.toks.recEnds) != len(want) {
+		t.Fatalf("scanned %d records (%d held), %v", n, len(s.toks.recEnds), err)
+	}
 	expect := []run{{0, 1, ""}, {1, 3, "r1"}, {3, 4, ""}, {4, 5, "r2"}}
 	if !reflect.DeepEqual(got, expect) {
 		t.Fatalf("runs = %v, want %v", got, expect)
+	}
+	for i, e := range want {
+		if tokens := tokensOfRecord(&s.toks, i); !reflect.DeepEqual(tokens, e.Tokens) {
+			t.Fatalf("record %d = %q, want %q", i, tokens, e.Tokens)
+		}
 	}
 }
 
@@ -233,7 +243,8 @@ func TestFuzzJournalSeeds(t *testing.T) {
 // encoder would have written differently — whitespace, an unknown field —
 // so every frame that decodes here is one a seed holds.) The same bytes
 // framed as one payload under valid checksums reach the payload decoder
-// itself: it rejects or it decodes something that survives a round trip.
+// itself: it rejects what the reference decoder (encoding/json) rejects, and
+// what it decodes is what the reference decodes and survives a round trip.
 func FuzzJournalScanner(f *testing.F) {
 	journal, _ := fuzzJournalSeeds(f)
 	f.Add(journal)
@@ -246,6 +257,11 @@ func FuzzJournalScanner(f *testing.F) {
 	f.Add(append(huge, 0, 0, 0, 0, '[', '"', 'a'))
 	f.Add([]byte(`{"rid":"r","tokens":["a"],"more":1}`))
 	f.Add([]byte(` ["a", "b"]`))
+	f.Add([]byte(`{"TOKENS":["x"],"Rid":null,"tokens":["a\ud83d","\u00e9"],"rid":"r\n","more":{"deep":[1,true,null]}} `))
+	f.Add([]byte(`{"rid":"r","tokens":null}`))
+	f.Add([]byte(`{"rid":5,"tokens":["a"]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`["a"] x`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -272,11 +288,24 @@ func FuzzJournalScanner(f *testing.F) {
 		binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(hdr[0:4]))
 		binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(data))
 		framed, err := newFrameScanner(append(hdr[:], data...), 0, "framed").scanAll()
+		// The payload decoder accepts what encoding/json accepted and reads it
+		// the same — but for a null token under a repeated key, which
+		// encoding/json leaves holding the earlier key's string (ingest.go).
+		ref, refErr := decodeEntry(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("payload %q: scanner error %v, reference error %v", data, err, refErr)
+		}
 		if err != nil {
 			return
 		}
 		if len(framed) != 1 {
 			t.Fatalf("one intact frame scanned as %d entries", len(framed))
+		}
+		if ref.Tokens == nil {
+			ref.Tokens = []string{}
+		}
+		if !bytes.Contains(data, []byte("null")) && !reflect.DeepEqual(framed[0], ref) {
+			t.Fatalf("payload %q: scanned %+v, reference %+v", data, framed[0], ref)
 		}
 		again, err := marshalFrame(nil, framed[0].Tokens, framed[0].RequestID)
 		if err != nil {

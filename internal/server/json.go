@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"gbkmv"
 )
@@ -62,18 +63,52 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 
 // appendJSONString appends s as a JSON string literal. The fast path copies
 // printable ASCII and multi-byte UTF-8 verbatim; anything needing escapes
-// (quotes, backslashes, control bytes) falls back to the stdlib encoder for
-// exact compatibility.
+// (quotes, backslashes, control bytes) goes through appendQuoted.
 func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c == '"' || c == '\\' {
-			enc, _ := json.Marshal(s)
-			return append(b, enc...)
+			return appendQuoted(b, s)
 		}
 	}
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// appendQuoted appends src as the JSON string literal json.Marshal writes for
+// it, byte for byte — the two-character escapes it has, \u00XX for the other
+// control characters and <, > and &, \u2028 and \u2029 escaped, \ufffd for
+// each byte that is not UTF-8. The journal's frames are made of it
+// (FuzzFrameEncode holds it to encoding/json).
+func appendQuoted[S []byte | string](dst []byte, src S) []byte {
+	const hex = "0123456789abcdef"
+	const escaped uint64 = 1<<'"' | 1<<'&' | 1<<'<' | 1<<'>' // below 64; the backslash is above
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(src); {
+		if c := src[i]; c >= ' ' && c < utf8.RuneSelf && c != '\\' && (c >= 64 || escaped>>c&1 == 0) {
+			i++
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(string(src[i:min(len(src), i+utf8.UTFMax)]))
+		i += size
+		if c >= utf8.RuneSelf && c != '\u2028' && c != '\u2029' && (c != utf8.RuneError || size > 1) {
+			continue
+		}
+		dst = append(dst, src[start:i-size]...)
+		start = i
+		switch {
+		case c == '\\' || c == '"':
+			dst = append(dst, '\\', byte(c))
+		case c == '\b' || c == '\t' || c == '\n' || c == '\f' || c == '\r':
+			dst = append(dst, '\\', "btn.fr"[c-'\b'])
+		case c == utf8.RuneError:
+			dst = append(dst, `\ufffd`...)
+		default:
+			dst = append(dst, '\\', 'u', hex[c>>12], hex[c>>8&0xF], hex[c>>4&0xF], hex[c&0xF])
+		}
+	}
+	return append(append(dst, src[start:]...), '"')
 }
 
 // appendFloat appends a float in the shortest round-trippable form.
@@ -134,6 +169,18 @@ func appendTopKResponse(b []byte, hits []Hit) []byte {
 	b = append(b, `{"hits":`...)
 	b = appendHitsJSON(b, hits)
 	return append(b, '}')
+}
+
+// appendIDsResponse appends an insert's acknowledgement: {"ids":[..]}, newline.
+func appendIDsResponse(b []byte, ids []int) []byte {
+	b = append(b, `{"ids":[`...)
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return append(b, "]}\n"...)
 }
 
 // appendBatchResponse appends the batch envelope

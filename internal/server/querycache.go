@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 
@@ -152,7 +151,7 @@ func (sc *qkeyScratch) tokenize(raw []byte) (n int, err error) {
 func (sc *qkeyScratch) readTokens(raw []byte) error {
 	sc.slab, sc.spans = sc.slab[:0], sc.spans[:0]
 	s := &sc.lex
-	s.buf, s.pos, s.end, s.rerr, s.mark = raw, 0, len(raw), io.EOF, -1
+	s.over(raw)
 	c, err := s.next()
 	switch {
 	case err != nil:

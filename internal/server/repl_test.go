@@ -8,9 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
+
+	"gbkmv"
 )
 
 // getRaw issues a plain GET and returns the status, headers and body.
@@ -365,5 +368,84 @@ func TestApplyReplicated(t *testing.T) {
 	gen, off3, entries := replica.ReplPosition()
 	if gen != 1 || off3 != int64(len(frames)) || entries != 3 {
 		t.Fatalf("position = gen %d, off %d, entries %d", gen, off3, entries)
+	}
+}
+
+// TestInsertInvalidUTF8ReplaysIdentically: tokens (and a request id) that are
+// not UTF-8, inserted through the Go API, intern live as what their frames
+// hold — so a crash-restart and a follower, which both intern from frames,
+// reproduce the live vocabulary in order and every record. (While the live
+// apply interned the raw bytes, "a\xff" and "a\xfe" were two elements on the
+// leader and one, "a�", everywhere else.)
+func TestInsertInvalidUTF8ReplaysIdentically(t *testing.T) {
+	leaderDir := t.TempDir()
+	leaderStore, err := NewStore(leaderDir, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	voc := gbkmv.NewVocabulary()
+	eng, err := gbkmv.NewEngine("gbkmv", []gbkmv.Record{voc.Record([]string{"seed", "one"})}, gbkmv.EngineOptions{BudgetUnits: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := leaderStore.Create("c", voc, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaStore, err := NewStore(t.TempDir(), func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := replicaFromSnapshot(t, leaderDir, replicaStore, "c", 1)
+
+	if _, err := live.Insert([][]string{{"a\xff", "a\xfe", "ok"}, {"b\xff\xfe", "a�", "seed"}}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Insert([][]string{{"cut\xe2\x82", "a\xff"}}, "rid\xff"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := live.voc.Lookup("a\xff"); ok {
+		t.Fatal("the live vocabulary holds a token no frame can")
+	}
+	if live.voc.Len() != 2+4 { // seed, one; a�, ok, b��, cut��
+		t.Fatalf("live vocabulary of %d tokens", live.voc.Len())
+	}
+	frames, err := os.ReadFile(filepath.Join(leaderDir, "c", "journal-1.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, applied, err := replica.ApplyReplicated(1, 0, frames); err != nil || applied != 3 {
+		t.Fatalf("replica applied %d entries, %v", applied, err)
+	}
+	// The crash: the leader's directory opened again, nothing closed.
+	reopenedStore, err := NewStore(leaderDir, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := reopenedStore.Get("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Collection{"reopened": reopened, "replica": replica} {
+		if c.voc.Len() != live.voc.Len() || c.eng.Len() != live.eng.Len() {
+			t.Fatalf("%s: %d tokens, %d records; live %d, %d", name, c.voc.Len(), c.eng.Len(), live.voc.Len(), live.eng.Len())
+		}
+		for id := 0; id < live.voc.Len(); id++ {
+			if got, want := c.voc.Token(gbkmv.Element(id)), live.voc.Token(gbkmv.Element(id)); got != want {
+				t.Fatalf("%s: token %d is %q, live %q", name, id, got, want)
+			}
+		}
+		for i := 0; i < live.eng.Len(); i++ {
+			if got, want := c.eng.Record(i), live.eng.Record(i); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: record %d is %v, live %v", name, i, got, want)
+			}
+		}
+		// The request id is remembered as its frames spell it, by all three.
+		if _, err := c.Insert([][]string{{"again"}}, "rid\xff"); !errors.Is(err, ErrDuplicateRequest) {
+			t.Fatalf("%s: retry of the request id: %v", name, err)
+		}
+	}
+	if _, err := live.Insert([][]string{{"again"}}, "rid�"); !errors.Is(err, ErrDuplicateRequest) {
+		t.Fatalf("live: retry of the request id as its frames spell it: %v", err)
 	}
 }

@@ -77,6 +77,7 @@ type wal struct {
 	notify    chan struct{}
 	prevGen   uint64
 	prevFinal int64
+	chunk     tokenBatch // appendDurable's last chunk, for its arrays
 }
 
 // inflightInsert is one request-tagged batch between journal append and
@@ -93,12 +94,15 @@ type commitGroup struct {
 	done     chan struct{}
 }
 
-// commitBatch is one insert's slot in its commit group.
+// commitBatch is one insert's slot in its commit group: records [from, to)
+// of toks, which its owner (a request's scanner, appendDurable's) leaves
+// alone until the batch is settled.
 type commitBatch struct {
-	tokens [][]string
-	rid    string
-	ids    []int // assigned in apply order == journal order
-	err    error
+	toks     *tokenBatch
+	from, to int
+	rid      string
+	ids      []int // assigned in apply order == journal order
+	err      error
 }
 
 // init binds a collection's wal, once, to its name, its metric children and
@@ -117,16 +121,26 @@ func (w *wal) open(jw *journalWriter, gen uint64, entries int, requests *request
 	w.entries.Store(int64(entries))
 }
 
-// insert journals one client insert — frames is b's records, encoded by the caller
-// outside any lock — and returns once b is durable and applied, or failed.
-// Returns the new record ids in batch order.
+// insert journals one client insert — all of b.toks, framed into *buf — and
+// returns once b is durable and applied, or failed. Returns the new record
+// ids in batch order.
 //
 // A non-empty b.rid closes the WAL-ambiguity window: the id is echoed into
 // every frame and remembered (across snapshots via the commit record, across
 // restarts via replay), so a client retrying an insert whose acknowledgement
 // was lost gets ErrDuplicateRequest with the originally assigned ids instead
 // of duplicated records.
-func (w *wal) insert(b *commitBatch, frames []byte, encErr error) ([]int, error) {
+func (w *wal) insert(b *commitBatch, buf *[]byte) ([]int, error) {
+	// Frames are encoded before the append lock is taken, so concurrent
+	// inserts overlap the work. A memory-only store encodes none, unless a
+	// record could be one the journal refuses (an escape makes six bytes of
+	// one at most): both kinds of store refuse the same inserts.
+	var frames []byte
+	var encErr error
+	if w.persistent || 6*(len(b.toks.slab)+len(b.rid))+3*len(b.toks.tokEnds)+24 > journalMaxEntry {
+		frames, encErr = encodeFrames((*buf)[:0], b.toks, b.rid)
+		*buf = frames
+	}
 	w.ioMu.Lock()
 	if b.rid != "" {
 		if ids, seen := w.requests.get(b.rid); seen {
@@ -153,17 +167,17 @@ func (w *wal) insert(b *commitBatch, frames []byte, encErr error) ([]int, error)
 		w.ioMu.Unlock()
 		return nil, fmt.Errorf("%w: collection %q is closed", ErrStorage, w.name)
 	}
+	if encErr != nil {
+		w.ioMu.Unlock()
+		return nil, encErr // errEntryTooLarge: client-side, nothing written
+	}
 	if w.journal == nil {
 		// Memory-only store: nothing to make durable, apply in place.
 		w.applied(b)
 		w.ioMu.Unlock()
 		return b.ids, b.err
 	}
-	if encErr != nil {
-		w.ioMu.Unlock()
-		return nil, encErr // errEntryTooLarge or a marshal failure: client-side, nothing written
-	}
-	if err := w.append(frames, len(b.tokens)); err != nil {
+	if err := w.append(frames, b.to-b.from); err != nil {
 		err = fmt.Errorf("%w: journal append: %v", ErrStorage, err)
 		// The buffered writer is poisoned: nothing after the partial write
 		// enters the stream. A commit in flight will surface that at its flush
@@ -390,7 +404,14 @@ func (w *wal) appendDurable(gen uint64, from int64, frames []byte) (off int64, a
 	// sealed frames, so it means the transfer (or the leader's disk) is
 	// mangling data.
 	sc := newFrameScanner(frames, off, w.name)
-	entries, err := sc.scanAll()
+	if sc.toks = w.chunk; len(frames) <= scanKeepBytes {
+		defer func() { w.chunk = sc.toks }()
+	}
+	sc.toks.reset()
+	var batches []*commitBatch
+	entries, err := sc.scanRuns(func(*tokenBatch) {}, func(from, to int, rid string) {
+		batches = append(batches, &commitBatch{toks: &sc.toks, from: from, to: to, rid: rid})
+	})
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: replicated chunk: %v", ErrStorage, err)
 	}
@@ -398,15 +419,7 @@ func (w *wal) appendDurable(gen uint64, from int64, frames []byte) (off int64, a
 	if len(valid) == 0 {
 		return off, 0, nil
 	}
-	var batches []*commitBatch
-	forEachRidRun(entries, func(i, j int, rid string) {
-		tokens := make([][]string, j-i)
-		for k := i; k < j; k++ {
-			tokens[k-i] = entries[k].Tokens
-		}
-		batches = append(batches, &commitBatch{tokens: tokens, rid: rid})
-	})
-	if err = w.append(valid, len(entries)); err == nil {
+	if err = w.append(valid, entries); err == nil {
 		_, err = w.makeDurable(batches, false)
 	}
 	if err != nil {
@@ -416,7 +429,7 @@ func (w *wal) appendDurable(gen uint64, from int64, frames []byte) (off int64, a
 		w.abandon(err)
 		return off, 0, err
 	}
-	return w.journal.Offset(), len(entries), nil
+	return w.journal.Offset(), entries, nil
 }
 
 // swap replaces the journal with generation gen's empty one, remembering

@@ -49,9 +49,9 @@ func newWALRig(t *testing.T) *walRig {
 func (r *walRig) apply(b *commitBatch) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, tokens := range b.tokens {
+	for i := b.from; i < b.to; i++ {
 		b.ids = append(b.ids, len(r.applied))
-		r.applied = append(r.applied, tokens[0])
+		r.applied = append(r.applied, tokensOfRecord(b.toks, i)[0])
 	}
 }
 
@@ -63,9 +63,8 @@ func (r *walRig) appliedSoFar() []string {
 
 // insert commits one single-record batch.
 func (r *walRig) insert(token, rid string) ([]int, error) {
-	batch := [][]string{{token}}
-	frames, err := encodeBatch(batch, rid)
-	return r.w.insert(&commitBatch{tokens: batch, rid: rid}, frames, err)
+	var frames []byte
+	return r.w.insert(&commitBatch{toks: packTokens([][]string{{token}}), to: 1, rid: rid}, &frames)
 }
 
 // stallFsync makes the next fsync announce itself on entered and wait for

@@ -9,11 +9,12 @@
 # -debug-addr. While the harness runs, every daemon it starts is sampled in
 # back-to-back 3 s windows — /debug/pprof/allocs?seconds=3 and
 # /debug/pprof/profile?seconds=3 together — and each window is labelled with
-# the requests the daemon answered in it. The main phase is the only stretch
-# of the run that keeps a daemon saturated for seconds on end (set-ups,
-# probes and restarts send a few thousand requests each), so the busiest
-# window lies inside it: that window's two profiles are printed with
-# `go tool pprof -top -cum`, and all of them are left in
+# the requests the daemon answered in it, all of them and those of the kind
+# the workload's main phase sends (inserts for serve-write, searches and
+# top-ks for the others). The window table is printed, and the two profiles
+# of the window that answered the most main-phase requests — on serve-write
+# the build and its 4 096-query warm-up answer more requests than either
+# insert window — with `go tool pprof -top -cum`; all of them are left in
 # .bench_build/profile/ for `go tool pprof` to open.
 #
 # With rss the daemons run under GODEBUG=gctrace=1 instead and are sampled
@@ -57,14 +58,20 @@ echo "\$2 \$\$" >> "$out/daemons"
 $launch
 EOF
 chmod +x "$out/gbkmvd"
+: > "$out/daemons" # the harness starts its first daemon a second in
 
 "$build/bin/bench" -gbkmvd "$out/gbkmvd" -work "$build/run" \
 	--workload "$workload" --seed "$seed" --seconds 10 --trace 0 > "$out/result.json" &
 bench=$!
 
-# requests <addr>: how many requests that daemon has answered so far.
+# requests <addr>: how many requests that daemon has answered so far, and how
+# many of the workload's main-phase kind.
+main_kind='/(search|topk)"'
+[ "$workload" = serve-write ] && main_kind='/records"'
 requests() {
-	curl -sf --max-time 2 "http://$1/metrics" | awk '/^gbkmv_http_requests_total/ { n += $NF } END { printf "%d\n", n }'
+	curl -sf --max-time 2 "http://$1/metrics" | awk -v kind="$main_kind" '
+		/^gbkmv_http_requests_total/ { n += $NF; if ($0 ~ kind) m += $NF }
+		END { printf "%d %d\n", n, m }'
 }
 
 if [ "$mode" = rss ]; then
@@ -120,10 +127,13 @@ if [ "$mode" = rss ]; then
 fi
 
 window=0
+refused=
 while kill -0 "$bench" 2> /dev/null; do
-	addr=$(tail -n 1 "$out/daemons" 2> /dev/null | cut -d " " -f 1)
-	before=$([ -n "$addr" ] && requests "$addr" || true)
-	if [ -z "$before" ]; then
+	addr=$(tail -n 1 "$out/daemons" | cut -d " " -f 1)
+	# No daemon yet, one that is gone, or one whose debug port refused (a
+	# restart's daemon can come up before its predecessor let go of the port):
+	# wait for the next.
+	if [ -z "$addr" ] || [ "$addr" = "$refused" ] || ! before=$(requests "$addr") || [ -z "$before" ]; then
 		sleep 0.05
 		continue
 	fi
@@ -138,15 +148,20 @@ while kill -0 "$bench" 2> /dev/null; do
 	wait "$allocs" || ok=$?
 	wait "$cpu" || ok=$?
 	echo "window $window: daemon $addr, $before requests in, curl exit $ok" >> "$out/log"
+	[ "$ok" = 7 ] && refused=$addr
 	if [ "$ok" = 0 ] && after=$(requests "$addr") && [ -n "$after" ]; then
-		echo "$((after - before)) $window" >> "$out/windows"
+		read -r all0 main0 <<< "$before"
+		read -r all1 main1 <<< "$after"
+		echo "$((main1 - main0)) $((all1 - all0)) $window $addr" >> "$out/windows"
 	fi
 done
 wait "$bench" || { echo "the benchmark run failed; see above" >&2; exit 1; }
 
 [ -s "$out/windows" ] || { echo "no daemon lived through a 3 s window; see $out/log" >&2; exit 1; }
-read -r served busiest < <(sort -rn "$out/windows" | head -n 1)
-echo "== $workload, seed $seed: window $busiest, $served requests in 3 s =="
+echo "== windows (main-phase requests, all requests, window, daemon) =="
+cat "$out/windows"
+read -r served all busiest _ < <(sort -rn "$out/windows" | head -n 1)
+echo "== $workload, seed $seed: window $busiest, $served main-phase requests of $all in 3 s =="
 echo "== result: $(cat "$out/result.json")"
 for kind in allocs cpu; do
 	echo

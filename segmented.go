@@ -68,7 +68,9 @@ type Segmented struct {
 
 	// writeMu excludes AddBatch and Save from each other: a snapshot must see
 	// the routing table and every segment at one point of the insert order.
+	// It also guards adding, AddBatch's working memory.
 	writeMu sync.Mutex
+	adding  segAdd
 
 	routeMu sync.RWMutex
 	route   []segRef // global id → (segment, local id)
@@ -348,42 +350,56 @@ func (s *Segmented) AddBatch(recs []Record) []int {
 	if !s.pin.Load() {
 		s.pinOptions(len(recs), totalElements(recs))
 	}
-	subs := s.partitionOnly(recs)
-	touched := make([]int, 0, len(subs))
-	for i := range subs {
-		if len(subs[i].records) > 0 {
-			touched = append(touched, i)
+	a := &s.adding
+	if a.f == nil {
+		a.f, a.runs = s.applyRun, make([]segRun, len(s.segs))
+	}
+	// Route the batch into per-segment runs; nothing is published yet.
+	a.touched = a.touched[:0]
+	for i, seg := range s.segs {
+		seg.mu.RLock()
+		a.runs[i] = segRun{records: a.runs[i].records[:0], globals: a.runs[i].globals[:0], localBase: len(seg.globals)}
+		seg.mu.RUnlock()
+	}
+	for i, r := range recs {
+		run := &a.runs[s.routeOf(r)]
+		run.records = append(run.records, r)
+		run.globals = append(run.globals, base+i)
+	}
+	for i := range a.runs {
+		if len(a.runs[i].records) > 0 {
+			a.touched = append(a.touched, i)
 		}
 	}
-	fanSegments(len(touched), func(ti int) {
-		i := touched[ti]
-		seg := s.segs[i]
-		seg.mu.Lock()
-		defer seg.mu.Unlock()
-		if seg.eng == nil {
-			eng, err := NewEngine(s.inner, subs[i].records, s.opt)
-			if err != nil {
-				// As in baseline.AddBatch: AddBatch cannot report errors, and
-				// a registered builder failing on non-empty records under
-				// options that already built once is a programming error.
-				panic("gbkmv: building segment on insert: " + err.Error())
-			}
-			seg.eng = eng
-		} else {
-			seg.eng.AddBatch(subs[i].records)
+	a.run(len(a.touched))
+	a.refs = slices.Grow(a.refs[:0], len(recs))[:len(recs)]
+	for i := range a.runs {
+		run := &a.runs[i]
+		for j, g := range run.globals {
+			a.refs[g-base] = segRef{seg: uint32(i), local: uint32(run.localBase + j)}
 		}
-		seg.globals = append(seg.globals, subs[i].globals...)
-	})
-	refs := make([]segRef, len(recs))
-	for i := range subs {
-		for j, g := range subs[i].globals {
-			refs[g-base] = segRef{seg: uint32(i), local: uint32(subs[i].localBase + j)}
-		}
+		clear(run.records) // the records are the caller's again
 	}
 	s.routeMu.Lock()
-	s.route = append(s.route, refs...)
+	s.route = append(s.route, a.refs...)
 	s.routeMu.Unlock()
+	if len(recs) > segAddKeep {
+		s.adding = segAdd{} // a replayed journal's worth is not worth keeping
+	}
 	return ids
+}
+
+// segAddKeep is the largest batch whose scratch AddBatch keeps for the next.
+const segAddKeep = 1 << 12
+
+// segAdd is the working memory of AddBatch, kept from batch to batch: the
+// fan (f bound once, to applyRun), each segment's share of the batch, the
+// segments that have one, and the batch's routing entries.
+type segAdd struct {
+	fan
+	runs    []segRun
+	touched []int
+	refs    []segRef
 }
 
 // segRun is one segment's share of an insert batch.
@@ -393,23 +409,25 @@ type segRun struct {
 	localBase int   // segment length before this batch
 }
 
-// partitionOnly routes a batch into per-segment runs without publishing
-// anything; AddBatch publishes under the proper locks.
-func (s *Segmented) partitionOnly(recs []Record) []segRun {
-	base := s.Len()
-	subs := make([]segRun, len(s.segs))
-	for i := range subs {
-		seg := s.segs[i]
-		seg.mu.RLock()
-		subs[i].localBase = len(seg.globals)
-		seg.mu.RUnlock()
+// applyRun applies the ti-th touched segment's run under that segment's lock.
+func (s *Segmented) applyRun(ti int) {
+	i := s.adding.touched[ti]
+	run, seg := &s.adding.runs[i], s.segs[i]
+	seg.mu.Lock()
+	defer seg.mu.Unlock()
+	if seg.eng == nil {
+		eng, err := NewEngine(s.inner, run.records, s.opt)
+		if err != nil {
+			// As in baseline.AddBatch: AddBatch cannot report errors, and
+			// a registered builder failing on non-empty records under
+			// options that already built once is a programming error.
+			panic("gbkmv: building segment on insert: " + err.Error())
+		}
+		seg.eng = eng
+	} else {
+		seg.eng.AddBatch(run.records)
 	}
-	for i, r := range recs {
-		seg := s.routeOf(r)
-		subs[seg].records = append(subs[seg].records, r)
-		subs[seg].globals = append(subs[seg].globals, base+i)
-	}
-	return subs
+	seg.globals = append(seg.globals, run.globals...)
 }
 
 func (s *Segmented) Search(q Record, threshold float64) []int {
