@@ -1,12 +1,11 @@
 // Command datagen generates the synthetic datasets used by the reproduction
-// and writes them to disk (gob format, readable with internal/dataset.Load),
-// or prints their Table II-style statistics.
+// and prints their Table II-style statistics.
 //
 // Usage:
 //
-//	datagen -profile NETFLIX -out netflix.gob
-//	datagen -profile all -stats
-//	datagen -records 10000 -universe 50000 -a1 1.2 -a2 2.5 -min 10 -max 500 -out custom.gob
+//	datagen -profile NETFLIX
+//	datagen -profile all
+//	datagen -records 10000 -universe 50000 -a1 1.2 -a2 2.5 -min 10 -max 500
 package main
 
 import (
@@ -19,9 +18,7 @@ import (
 
 func main() {
 	var (
-		profile  = flag.String("profile", "", "Table II profile name, or 'all' (with -stats)")
-		out      = flag.String("out", "", "output file (gob)")
-		stats    = flag.Bool("stats", false, "print dataset statistics")
+		profile  = flag.String("profile", "", "Table II profile name, or 'all'")
 		seed     = flag.Int64("seed", 42, "generation seed")
 		records  = flag.Int("records", 1000, "custom: number of records")
 		universe = flag.Int("universe", 10000, "custom: distinct element ids")
@@ -33,26 +30,13 @@ func main() {
 	flag.Parse()
 
 	emit := func(name string, d *dataset.Dataset) {
-		if *stats {
-			st, err := d.ComputeStats()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%-9s records=%d avgLen=%.1f distinct=%d totalElems=%d α1-fit=%.2f α2-fit=%.2f\n",
-				name, st.NumRecords, st.AvgRecordLen, st.DistinctElements,
-				st.TotalElements, st.AlphaFreq, st.AlphaSize)
+		st, err := d.ComputeStats()
+		if err != nil {
+			fatal(err)
 		}
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			if err := d.Save(f); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s (%d records)\n", *out, d.NumRecords())
-		}
+		fmt.Printf("%-9s records=%d avgLen=%.1f distinct=%d totalElems=%d α1-fit=%.2f α2-fit=%.2f\n",
+			name, st.NumRecords, st.AvgRecordLen, st.DistinctElements,
+			st.TotalElements, st.AlphaFreq, st.AlphaSize)
 	}
 
 	switch {

@@ -29,8 +29,8 @@ func init() {
 	})
 }
 
-// lshensembleBackend retains the full per-record signatures beside the
-// ensemble: its forests store only banded prefixes, and re-signing a record
+// lshensembleBackend estimates from the ensemble's full per-record
+// signatures: its forests store only banded prefixes, and re-signing a record
 // on every estimate would cost O(NumHashes·|X|) per scored hit.
 type lshensembleBackend struct {
 	signatures
@@ -40,17 +40,15 @@ type lshensembleBackend struct {
 
 // add rebuilds the ensemble: the equal-depth partitioning depends on the
 // whole size distribution, so there is no sound incremental insert. The
-// retained signatures only grow — the hash family is a pure function of
-// (seed, NumHashes), so the rebuilt ensemble signs identically.
-func (b *lshensembleBackend) add(recs []Record, from int) error {
-	ens, err := lshensemble.Build(&dataset.Dataset{Records: recs, Universe: maxUniverse(recs)}, b.opt)
+// signatures only grow — the hash family is a pure function of (seed,
+// NumHashes) — so the rebuild is handed the ones it has and signs only the
+// new records, once each.
+func (b *lshensembleBackend) add(recs []Record, _ int) error {
+	ens, err := lshensemble.Build(&dataset.Dataset{Records: recs, Universe: maxUniverse(recs)}, b.opt, b.sigs)
 	if err != nil {
 		return err
 	}
-	b.ens, b.records = ens, recs
-	for _, r := range recs[from:] {
-		b.sigs = append(b.sigs, ens.Sign(r))
-	}
+	b.ens, b.records, b.sigs = ens, recs, ens.Signatures()
 	return nil
 }
 

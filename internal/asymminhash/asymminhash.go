@@ -233,9 +233,3 @@ func (ix *Index) Query(q dataset.Record, tstar float64) []int {
 	sort.Ints(out)
 	return out
 }
-
-// MaxSize returns the padding target M.
-func (ix *Index) MaxSize() int { return ix.maxSize }
-
-// SizeUnits returns the signature storage in hash-value units.
-func (ix *Index) SizeUnits() int { return len(ix.sizes) * ix.opt.NumHashes }

@@ -54,11 +54,11 @@ func TestMaxSizeIsPaddingTarget(t *testing.T) {
 			want = len(r)
 		}
 	}
-	if ix.MaxSize() != want {
-		t.Errorf("MaxSize = %d, want %d", ix.MaxSize(), want)
+	if ix.maxSize != want {
+		t.Errorf("maxSize = %d, want %d", ix.maxSize, want)
 	}
-	if ix.SizeUnits() != 400*256 {
-		t.Errorf("SizeUnits = %d", ix.SizeUnits())
+	if len(ix.sizes) != 400 || ix.opt.NumHashes != 256 {
+		t.Errorf("%d records signed with %d hashes, want 400 with the 256 default", len(ix.sizes), ix.opt.NumHashes)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestSkewedSizesHurtF1VsLSHE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	le, err := lshensemble.Build(d, lshensemble.Options{Seed: 7})
+	le, err := lshensemble.Build(d, lshensemble.Options{Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

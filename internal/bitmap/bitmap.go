@@ -34,11 +34,8 @@ func (b *Bitmap) Len() int { return b.n }
 func (b *Bitmap) Words() int { return len(b.words) }
 
 // Word returns the i-th backing word; with Words it supports allocation-free
-// set-bit iteration (the pattern Ones would heap-allocate for).
+// set-bit iteration.
 func (b *Bitmap) Word(i int) uint64 { return b.words[i] }
-
-// SizeBytes returns the memory footprint of the bit storage in bytes.
-func (b *Bitmap) SizeBytes() int { return len(b.words) * 8 }
 
 // Set sets bit i.
 func (b *Bitmap) Set(i int) {
@@ -46,14 +43,6 @@ func (b *Bitmap) Set(i int) {
 		panic(fmt.Sprintf("bitmap: Set(%d) out of range [0,%d)", i, b.n))
 	}
 	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
-}
-
-// Clear clears bit i.
-func (b *Bitmap) Clear(i int) {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitmap: Clear(%d) out of range [0,%d)", i, b.n))
-	}
-	b.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
 // Get reports whether bit i is set.
@@ -69,21 +58,6 @@ func (b *Bitmap) Count() int {
 	c := 0
 	for _, w := range b.words {
 		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// AndCount returns |b ∩ o|, the number of positions set in both bitmaps.
-// The bitmaps may have different capacities; only the common prefix is
-// compared.
-func (b *Bitmap) AndCount(o *Bitmap) int {
-	n := len(b.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(b.words[i] & o.words[i])
 	}
 	return c
 }
@@ -104,28 +78,6 @@ func (b *Bitmap) AndCountWords(words []uint64) int {
 	return c
 }
 
-// OrCount returns |b ∪ o| over the common capacity plus the exclusive tails.
-func (b *Bitmap) OrCount(o *Bitmap) int {
-	n := len(b.words)
-	m := len(o.words)
-	max := n
-	if m > max {
-		max = m
-	}
-	c := 0
-	for i := 0; i < max; i++ {
-		var w uint64
-		if i < n {
-			w = b.words[i]
-		}
-		if i < m {
-			w |= o.words[i]
-		}
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // Clone returns a deep copy.
 func (b *Bitmap) Clone() *Bitmap {
 	w := make([]uint64, len(b.words))
@@ -138,19 +90,6 @@ func (b *Bitmap) Reset() {
 	for i := range b.words {
 		b.words[i] = 0
 	}
-}
-
-// Ones returns the indices of all set bits in increasing order.
-func (b *Bitmap) Ones() []int {
-	out := make([]int, 0, b.Count())
-	for wi, w := range b.words {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			out = append(out, wi*wordBits+tz)
-			w &= w - 1
-		}
-	}
-	return out
 }
 
 // Equal reports whether two bitmaps have identical capacity and contents.

@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,9 +36,11 @@ func TestSetGetClear(t *testing.T) {
 		if !b.Get(i) {
 			t.Errorf("bit %d not set after Set", i)
 		}
-		b.Clear(i)
+	}
+	b.Reset()
+	for _, i := range []int{0, 63, 64, 129} {
 		if b.Get(i) {
-			t.Errorf("bit %d still set after Clear", i)
+			t.Errorf("bit %d still set after Reset", i)
 		}
 	}
 }
@@ -45,9 +48,8 @@ func TestSetGetClear(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	b := New(10)
 	for name, f := range map[string]func(){
-		"Set":   func() { b.Set(10) },
-		"Get":   func() { b.Get(-1) },
-		"Clear": func() { b.Clear(100) },
+		"Set": func() { b.Set(10) },
+		"Get": func() { b.Get(-1) },
 	} {
 		func() {
 			defer func() {
@@ -92,7 +94,7 @@ func TestAndCountMatchesSetIntersection(t *testing.T) {
 				want++
 			}
 		}
-		return a.AndCount(b) == want && b.AndCount(a) == want
+		return a.AndCountWords(b.words) == want && b.AndCountWords(a.words) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -112,7 +114,8 @@ func TestOrCountMatchesSetUnion(t *testing.T) {
 			b.Set(int(y))
 			s[int(y)] = true
 		}
-		return a.OrCount(b) == len(s)
+		// |A ∪ B| by inclusion–exclusion over the two kernels the index uses.
+		return a.Count()+b.Count()-a.AndCountWords(b.words) == len(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -125,11 +128,11 @@ func TestAndCountDifferentCapacities(t *testing.T) {
 	a.Set(3)
 	b.Set(3)
 	b.Set(200) // beyond a's capacity; must not be counted
-	if got := a.AndCount(b); got != 1 {
-		t.Errorf("AndCount = %d, want 1", got)
+	if got := a.AndCountWords(b.words); got != 1 {
+		t.Errorf("AndCountWords = %d, want 1", got)
 	}
-	if got := b.AndCount(a); got != 1 {
-		t.Errorf("AndCount (swapped) = %d, want 1", got)
+	if got := b.AndCountWords(a.words); got != 1 {
+		t.Errorf("AndCountWords (swapped) = %d, want 1", got)
 	}
 }
 
@@ -138,13 +141,14 @@ func TestOrCountDifferentCapacities(t *testing.T) {
 	b := New(256)
 	a.Set(3)
 	b.Set(200)
-	if got := a.OrCount(b); got != 2 {
-		t.Errorf("OrCount = %d, want 2", got)
+	if got := a.Count() + b.Count() - a.AndCountWords(b.words); got != 2 {
+		t.Errorf("|A ∪ B| = %d, want 2", got)
 	}
 }
 
 func TestInclusionExclusion(t *testing.T) {
-	// |A| + |B| = |A∩B| + |A∪B| must hold for any pair.
+	// |A| + |B| = |A∩B| + |A∪B| must hold for any pair, the union counted
+	// bit by bit.
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		a, b := New(512), New(512)
@@ -152,9 +156,15 @@ func TestInclusionExclusion(t *testing.T) {
 			a.Set(rng.Intn(512))
 			b.Set(rng.Intn(512))
 		}
-		if a.Count()+b.Count() != a.AndCount(b)+a.OrCount(b) {
+		union := 0
+		for i := 0; i < 512; i++ {
+			if a.Get(i) || b.Get(i) {
+				union++
+			}
+		}
+		if and := a.AndCountWords(b.words); a.Count()+b.Count() != and+union {
 			t.Fatalf("inclusion-exclusion violated: |A|=%d |B|=%d ∩=%d ∪=%d",
-				a.Count(), b.Count(), a.AndCount(b), a.OrCount(b))
+				a.Count(), b.Count(), and, union)
 		}
 	}
 }
@@ -188,7 +198,13 @@ func TestOnes(t *testing.T) {
 	for _, i := range want {
 		a.Set(i)
 	}
-	got := a.Ones()
+	// The allocation-free iteration over Words/Word that the index uses.
+	var got []int
+	for wi := 0; wi < a.Words(); wi++ {
+		for w := a.Word(wi); w != 0; w &= w - 1 {
+			got = append(got, wi*wordBits+bits.TrailingZeros64(w))
+		}
+	}
 	if len(got) != len(want) {
 		t.Fatalf("Ones = %v, want %v", got, want)
 	}
@@ -214,14 +230,10 @@ func TestEqual(t *testing.T) {
 }
 
 func TestSizeBytes(t *testing.T) {
-	if got := New(1).SizeBytes(); got != 8 {
-		t.Errorf("SizeBytes(1 bit) = %d, want 8", got)
-	}
-	if got := New(64).SizeBytes(); got != 8 {
-		t.Errorf("SizeBytes(64 bits) = %d, want 8", got)
-	}
-	if got := New(65).SizeBytes(); got != 16 {
-		t.Errorf("SizeBytes(65 bits) = %d, want 16", got)
+	for bitsN, want := range map[int]int{1: 8, 64: 8, 65: 16} {
+		if got := 8 * New(bitsN).Words(); got != want {
+			t.Errorf("%d bits take %d bytes, want %d", bitsN, got, want)
+		}
 	}
 }
 
@@ -235,6 +247,6 @@ func BenchmarkAndCount1024(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.AndCount(y)
+		x.AndCountWords(y.words)
 	}
 }

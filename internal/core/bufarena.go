@@ -46,12 +46,6 @@ func (a *bufferArena) set(i, bit int) {
 	a.words[i*a.stride+bit/bufWordBits] |= 1 << (uint(bit) % bufWordBits)
 }
 
-// get reports whether bit `bit` of record i's buffer is set (used by the
-// differential build tests).
-func (a *bufferArena) get(i, bit int) bool {
-	return a.words[i*a.stride+bit/bufWordBits]&(1<<(uint(bit)%bufWordBits)) != 0
-}
-
 // grow appends n zeroed record slots (no-op without buffers). Batch
 // inserts pre-size once for the whole batch rather than once per record.
 func (a *bufferArena) grow(n int) {

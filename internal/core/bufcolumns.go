@@ -54,11 +54,6 @@ func (c *bufferColumns) set(bit, id int) {
 	c.words[bit*c.stride+id/bufWordBits] |= 1 << (uint(id) % bufWordBits)
 }
 
-// get reports whether record id holds bit (used by the differential tests).
-func (c *bufferColumns) get(bit, id int) bool {
-	return c.words[bit*c.stride+id/bufWordBits]&(1<<(uint(id)%bufWordBits)) != 0
-}
-
 // orInto ORs column bit into dst, which covers ⌈m/64⌉ ≤ stride words.
 func (c *bufferColumns) orInto(dst []uint64, bit int) {
 	for i, w := range c.words[bit*c.stride:][:len(dst)] {

@@ -40,6 +40,27 @@ type refState struct {
 // Records() shim, which would leave a materialised copy behind).
 func recordsOf(ix *Index) []dataset.Record { return ix.recs.All() }
 
+// arenaBit reports whether record i's buffer row holds bit, columnBit whether
+// column bit holds record id: the two layouts the differential checks read.
+func arenaBit(ix *Index, i, bit int) bool {
+	return ix.bufArena.record(i)[bit/bufWordBits]&(1<<(uint(bit)%bufWordBits)) != 0
+}
+
+func columnBit(ix *Index, bit, id int) bool {
+	return ix.bufCols.words[bit*ix.bufCols.stride+id/bufWordBits]&(1<<(uint(id)%bufWordBits)) != 0
+}
+
+// ones lists a bitmap's set bits, ascending.
+func ones(b *bitmap.Bitmap) []int {
+	var out []int
+	for i := 0; i < b.Len(); i++ {
+		if b.Get(i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // columnIDs lists, ascending, the records whose column holds bit: the
 // inverted list the column replaced. It fails the test on a set bit at or past
 // the record count, where every column must be clear.
@@ -47,7 +68,7 @@ func columnIDs(t *testing.T, ix *Index, bit int) []int32 {
 	t.Helper()
 	ids := []int32{}
 	for id := 0; id < ix.bufCols.stride*bufWordBits; id++ {
-		if ix.bufCols.get(bit, id) {
+		if columnBit(ix, bit, id) {
 			if id >= ix.recs.Len() {
 				t.Fatalf("column %d holds record %d of %d", bit, id, ix.recs.Len())
 			}
@@ -112,7 +133,7 @@ func refBuild(ix *Index, cut uint32) refState {
 		if buf == nil {
 			continue
 		}
-		for _, bit := range buf.Ones() {
+		for _, bit := range ones(buf) {
 			st.bufferPostings[bit] = append(st.bufferPostings[bit], int32(i))
 		}
 	}
@@ -149,12 +170,12 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 				t.Fatalf("%s: record %d hash %d = %v, reference %v", label, i, j, run[j], ref.runs[i][j])
 			}
 		}
-		if got.Complete() != ref.complete[i] {
-			t.Fatalf("%s: record %d complete = %v, reference %v", label, i, got.Complete(), ref.complete[i])
+		if ix.arena.complete[i] != ref.complete[i] {
+			t.Fatalf("%s: record %d complete = %v, reference %v", label, i, ix.arena.complete[i], ref.complete[i])
 		}
 		if ix.bufferBits > 0 {
 			for bit := 0; bit < ix.bufferBits; bit++ {
-				if ix.bufArena.get(i, bit) != ref.buffers[i].Get(bit) {
+				if arenaBit(ix, i, bit) != ref.buffers[i].Get(bit) {
 					t.Fatalf("%s: record %d buffer bit %d differs", label, i, bit)
 				}
 			}
@@ -284,7 +305,7 @@ func TestAddRecordsShrinkMatchesResketch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range extra.Records {
-		seq.AddRecord(rec)
+		seq.AddRecords([]dataset.Record{rec})
 	}
 	if seq.Tau() != ix.Tau() {
 		t.Fatalf("sequential inserts τ = %v, batch %v", seq.Tau(), ix.Tau())
@@ -336,7 +357,7 @@ func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
 		// it may undershoot the slack by that run (plus the occurrence this
 		// record may add to it).
 		evictable := tiesAt(seq.cut) + 1
-		seq.AddRecord(rec)
+		seq.AddRecords([]dataset.Record{rec})
 		_, after := seq.BuildCounters()
 		used := seq.UsedUnits()
 		// A tie run at the cut stays whole, so the index may sit over
@@ -410,7 +431,7 @@ func TestAddRecordsTieRunOnCutIsEvicted(t *testing.T) {
 		ix := build()
 		budget := ix.BudgetUnits()
 		for i, rec := range d.Records[260:] {
-			ix.AddRecord(rec)
+			ix.AddRecords([]dataset.Record{rec})
 			runs, longest := map[uint32]int{}, 0
 			for _, v := range ix.arena.keys {
 				runs[v]++
@@ -444,7 +465,7 @@ func TestBuildTauShortCircuit(t *testing.T) {
 		t.Fatalf("τ = %v, want 1", ix.Tau())
 	}
 	for i := 0; i < ix.recs.Len(); i++ {
-		if !ix.arena.view(i).Complete() {
+		if !ix.arena.complete[i] {
 			t.Fatalf("record %d not complete at τ=1", i)
 		}
 	}
@@ -521,7 +542,7 @@ func TestArenaLimit(t *testing.T) {
 				t.Errorf("AddRecord past the limit: recovered %q", msg)
 			}
 		}()
-		ix.AddRecord(d.Records[0])
+		ix.AddRecords([]dataset.Record{d.Records[0]})
 		t.Error("AddRecord past the limit did not panic")
 	}()
 }

@@ -34,8 +34,8 @@ func checkColumns(t *testing.T, ix *Index, bitOrder bool, label string) {
 	for bit := 0; bit < h; bit++ {
 		held := 0
 		for id := 0; id < ix.bufCols.stride*bufWordBits; id++ {
-			col := ix.bufCols.get(bit, id)
-			if row := id < m && ix.bufArena.get(id, bit); col != row {
+			col := columnBit(ix, bit, id)
+			if row := id < m && arenaBit(ix, id, bit); col != row {
 				t.Fatalf("%s: record %d of %d, bit %d: column %v, row %v", label, id, m, bit, col, row)
 			}
 			if col {
@@ -170,7 +170,7 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 				for _, e := range sig.rest {
 					rest = append(rest, ref.postings[e])
 				}
-				for _, bit := range sig.buffer.Ones() {
+				for _, bit := range ones(sig.buffer) {
 					all = append(all, ref.bufferPostings[bit])
 				}
 				for _, tstar := range []float64{0.2, 0.34, 0.5, 0.75, 1} {

@@ -338,7 +338,7 @@ func TestAddRecordSearchable(t *testing.T) {
 	}
 	rec := d.Records[0] // duplicate of record 0: containment 1 with itself
 	before := ix.NumRecords()
-	ix.AddRecord(rec)
+	ix.AddRecords([]dataset.Record{rec})
 	if ix.NumRecords() != before+1 {
 		t.Fatalf("NumRecords = %d, want %d", ix.NumRecords(), before+1)
 	}
@@ -364,7 +364,7 @@ func TestAddRecordKeepsBudget(t *testing.T) {
 	// Add many records; the threshold must shrink to hold the budget.
 	tauBefore := ix.Tau()
 	for i := 0; i < 30; i++ {
-		ix.AddRecord(d.Records[i%len(d.Records)])
+		ix.AddRecords([]dataset.Record{d.Records[i%len(d.Records)]})
 	}
 	if used := ix.UsedUnits(); used > budget+budget/10 {
 		t.Errorf("after inserts: used %d units for budget %d", used, budget)

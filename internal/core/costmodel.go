@@ -10,21 +10,6 @@ import (
 	"gbkmv/internal/powerlaw"
 )
 
-// OptimalBufferBits selects the buffer size r (in bits) that minimizes the
-// model variance of the GB-KMV containment estimator under the given budget
-// (Section IV-C6 of the paper). Candidate sizes are 0, step, 2·step, ... up
-// to the point where the buffer would eat the budget, and the returned r is
-// the candidate with the smallest model variance. r = 0 is always a
-// candidate, so the chosen buffer is never worse (under the model) than pure
-// G-KMV — the paper's constraint V∆ < 0.
-func OptimalBufferBits(d *dataset.Dataset, budget int, opt Options) (int, error) {
-	st, err := datasetStats(d)
-	if err != nil {
-		return 0, err
-	}
-	return optimalBufferBits(st, budget, opt)
-}
-
 // datasetStats counts a dataset held as slices.
 func datasetStats(d *dataset.Dataset) (recordStats, error) {
 	if d == nil || len(d.Records) == 0 {
@@ -33,7 +18,13 @@ func datasetStats(d *dataset.Dataset) (recordStats, error) {
 	return recordStats{freq: d.Frequencies(), sizes: d.RecordSizes()}, nil
 }
 
-// optimalBufferBits is OptimalBufferBits over statistics at hand: the packed
+// optimalBufferBits selects the buffer size r (in bits) that minimizes the
+// model variance of the GB-KMV containment estimator under the given budget
+// (Section IV-C6 of the paper). Candidate sizes are 0, step, 2·step, ... up
+// to the point where the buffer would eat the budget, and the returned r is
+// the candidate with the smallest model variance. r = 0 is always a
+// candidate, so the chosen buffer is never worse (under the model) than pure
+// G-KMV — the paper's constraint V∆ < 0. The statistics are the packed
 // build's, which has them from its store.
 func optimalBufferBits(st recordStats, budget int, opt Options) (int, error) {
 	curve, err := varianceCurve(st, budget, opt)

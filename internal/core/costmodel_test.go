@@ -59,12 +59,22 @@ func TestBufferVarianceCurveErrors(t *testing.T) {
 	}
 }
 
+// statsOf counts a dataset as the cost model reads it.
+func statsOf(t *testing.T, d *dataset.Dataset) recordStats {
+	t.Helper()
+	st, err := datasetStats(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestOptimalBufferPrefersBufferOnSkewedData(t *testing.T) {
 	// With highly skewed element frequencies, buffering the head elements
 	// should reduce the model variance, so the chosen r should be positive.
 	d := skewedDataset(t, 1.5)
 	budget := d.TotalElements() / 10
-	r, err := OptimalBufferBits(d, budget, Options{Seed: testSeed})
+	r, err := optimalBufferBits(statsOf(t, d), budget, Options{Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +91,7 @@ func TestOptimalBufferIsArgminOfCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := OptimalBufferBits(d, budget, opt)
+	r, err := optimalBufferBits(statsOf(t, d), budget, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +103,14 @@ func TestOptimalBufferIsArgminOfCurve(t *testing.T) {
 		}
 	}
 	if r != bestR {
-		t.Errorf("OptimalBufferBits = %d, curve argmin = %d", r, bestR)
+		t.Errorf("optimalBufferBits = %d, curve argmin = %d", r, bestR)
 	}
 }
 
 func TestClosedFormModelRuns(t *testing.T) {
 	d := skewedDataset(t, 1.2)
 	budget := d.TotalElements() / 10
-	r, err := OptimalBufferBits(d, budget, Options{Seed: testSeed, CostModel: CostModelClosedForm})
+	r, err := optimalBufferBits(statsOf(t, d), budget, Options{Seed: testSeed, CostModel: CostModelClosedForm})
 	if err != nil {
 		t.Fatal(err)
 	}

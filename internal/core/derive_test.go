@@ -284,7 +284,7 @@ func TestBufferWiderThanVocabulary(t *testing.T) {
 	}
 	for i, rec := range recordsOf(ix) {
 		for bit, e := range ix.bufferElems {
-			if _, holds := slices.BinarySearch(rec, e); ix.bufArena.get(i, bit) != holds {
+			if _, holds := slices.BinarySearch(rec, e); arenaBit(ix, i, bit) != holds {
 				t.Fatalf("record %d, bit %d (element %d): set %v, held %v", i, bit, e, !holds, holds)
 			}
 		}

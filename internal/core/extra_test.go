@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gbkmv/internal/dataset"
+	"gbkmv/internal/gkmv"
 	"gbkmv/internal/hash"
 )
 
@@ -324,14 +325,18 @@ func TestQuerySigEstimatedSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Average the relative error over a sample of queries: the size
-	// estimator combines the exact buffer count with the G-KMV distinct
-	// estimator (Remark 1).
+	// Average the relative error over a sample of queries: the signature
+	// alone approximates |Q| (Remark 1) — the exact count of its buffered
+	// elements plus the G-KMV distinct estimate (k−1)/U(k) of the rest, the
+	// union estimate of the sketch with itself.
 	var relErr float64
 	queries := d.SampleQueries(20, 31)
 	for _, q := range queries {
 		sig := ix.Sketch(q)
-		got := sig.EstimatedSize()
+		got := gkmv.IntersectViews(sig.sketch, sig.sketch).DUnion
+		if sig.buffer != nil {
+			got += float64(sig.buffer.Count())
+		}
 		truth := float64(len(q))
 		relErr += mathAbs(got-truth) / truth
 	}

@@ -410,19 +410,6 @@ func (sig *QuerySig) qMax() float64 {
 	return hash.KeyUnit(keys[len(keys)-1])
 }
 
-// EstimatedSize estimates |Q| from the signature alone: the exact count of
-// buffered elements plus the G-KMV distinct estimate of the rest. Remark 1
-// of the paper notes the query size can be approximated from the sketch
-// when it is not readily available; Size (the true value) is preferred when
-// known.
-func (sig *QuerySig) EstimatedSize() float64 {
-	est := sig.sketch.DistinctEstimate()
-	if sig.buffer != nil {
-		est += float64(sig.buffer.Count())
-	}
-	return est
-}
-
 // bufferOverlap returns |H_Q ∩ H_X_i|, the exact buffered intersection.
 func (ix *Index) bufferOverlap(sig *QuerySig, i int) int {
 	if sig.buffer == nil || ix.bufArena.stride == 0 {

@@ -156,7 +156,7 @@ func TestSearchAllocsUnderInserts(t *testing.T) {
 	var allocated uint64
 	var before, after runtime.MemStats
 	for i, rec := range buildTestDataset(t, 83, 200).Records {
-		ix.AddRecord(rec)
+		ix.AddRecords([]dataset.Record{rec})
 		for j, q := range queries {
 			sigs[j] = ix.Sketch(q) // τ may have moved
 		}

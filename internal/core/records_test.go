@@ -113,7 +113,7 @@ func TestPackedIndexRefusesUnsortedOnSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := dataset.Record{9, 4, 4}
-	ix.AddRecord(bad)
+	ix.AddRecords([]dataset.Record{bad})
 	if got := ix.Record(40); !slices.Equal(got, bad) {
 		t.Fatalf("Record(40) = %v, want %v", got, bad)
 	}

@@ -167,15 +167,6 @@ func (ix *Index) SearchLinear(q dataset.Record, tstar float64) []int {
 	return out
 }
 
-// AddRecord appends a record to the index under the fixed space budget
-// ("Processing Dynamic Data", Section IV-B): the global threshold is
-// recomputed for the enlarged dataset and every sketch is trimmed to the new
-// (never larger) threshold. The buffered element set E_H is kept fixed; a
-// full rebuild refreshes it.
-func (ix *Index) AddRecord(rec dataset.Record) {
-	ix.AddRecords([]dataset.Record{rec})
-}
-
 // shrinkSlackDivisor sets how far past the overshoot a threshold shrink
 // evicts: budget/shrinkSlackDivisor extra keys (0.78 % of the budget), so the
 // O(index) select + trim + posting filter is paid once per slack's worth of
@@ -183,9 +174,13 @@ func (ix *Index) AddRecord(rec dataset.Record) {
 // budget. DESIGN.md "Dynamic inserts" has the measured cost of both sides.
 const shrinkSlackDivisor = 128
 
-// AddRecords appends records in order, each exactly as AddRecord would: the
-// over-budget check runs after every record, so the state after k records
-// is a function of the record sequence alone — never of how callers group
+// AddRecords appends records in order under the fixed space budget
+// ("Processing Dynamic Data", Section IV-B): when a record takes the index
+// over budget the global threshold is recomputed for the enlarged dataset and
+// every sketch is trimmed to the new (never larger) threshold. The buffered
+// element set E_H is kept fixed; a full rebuild refreshes it. The over-budget
+// check runs after every record, so the state after k records is a function
+// of the record sequence alone — never of how callers group
 // it into batches (journal replay and follower apply regroup freely). The
 // path is hash-once end to end: each new element is hashed exactly once, the
 // pairs feed both the arena run and the posting lists (through scratch the

@@ -13,10 +13,8 @@ package dataset
 
 import (
 	"cmp"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"slices"
 	"sort"
@@ -111,14 +109,6 @@ func (d *Dataset) TotalElements() int {
 	return n
 }
 
-// AvgRecordLen returns the average record length.
-func (d *Dataset) AvgRecordLen() float64 {
-	if len(d.Records) == 0 {
-		return 0
-	}
-	return float64(d.TotalElements()) / float64(len(d.Records))
-}
-
 // Frequencies returns freq[e] = number of records containing element e, for
 // every e in [0, Universe).
 func (d *Dataset) Frequencies() []int {
@@ -129,18 +119,6 @@ func (d *Dataset) Frequencies() []int {
 		}
 	}
 	return freq
-}
-
-// DistinctElements returns the number of elements that occur in at least one
-// record.
-func (d *Dataset) DistinctElements() int {
-	n := 0
-	for _, f := range d.Frequencies() {
-		if f > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // RecordSizes returns the multiset of record sizes.
@@ -272,20 +250,6 @@ func (d *Dataset) SampleQueries(n int, seed int64) []Record {
 		out[i] = d.Records[perm[i]]
 	}
 	return out
-}
-
-// Save writes the dataset with gob encoding.
-func (d *Dataset) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(d)
-}
-
-// Load reads a dataset written by Save.
-func Load(r io.Reader) (*Dataset, error) {
-	var d Dataset
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("dataset: decoding: %w", err)
-	}
-	return &d, nil
 }
 
 // SyntheticConfig parameterizes the synthetic generator.

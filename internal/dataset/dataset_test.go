@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -252,14 +251,15 @@ func TestFrequenciesAndDistinct(t *testing.T) {
 			t.Fatalf("freq = %v, want %v", freq, want)
 		}
 	}
-	if d.DistinctElements() != 3 {
-		t.Errorf("DistinctElements = %d", d.DistinctElements())
-	}
 	if d.TotalElements() != 4 {
 		t.Errorf("TotalElements = %d", d.TotalElements())
 	}
-	if d.AvgRecordLen() != 2 {
-		t.Errorf("AvgRecordLen = %v", d.AvgRecordLen())
+	st, err := d.ComputeStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DistinctElements != 3 || st.TotalElements != 4 || st.AvgRecordLen != 2 {
+		t.Errorf("stats = %+v, want 3 distinct, 4 occurrences, average length 2", st)
 	}
 }
 
@@ -355,33 +355,6 @@ func TestSampleQueries(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	cfg := SyntheticConfig{NumRecords: 30, Universe: 500, AlphaFreq: 1, AlphaSize: 2, MinSize: 5, MaxSize: 30}
-	d, _ := Synthetic(cfg, 11)
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Universe != d.Universe || got.NumRecords() != d.NumRecords() {
-		t.Fatal("round trip changed shape")
-	}
-	for i := range d.Records {
-		if len(got.Records[i]) != len(d.Records[i]) {
-			t.Fatalf("record %d differs after round trip", i)
-		}
-	}
-}
-
-func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob"))); err == nil {
-		t.Error("Load of garbage succeeded")
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	cfg := SyntheticConfig{NumRecords: 800, Universe: 8000, AlphaFreq: 1.2, AlphaSize: 3, MinSize: 10, MaxSize: 100}
 	d, _ := Synthetic(cfg, 21)
@@ -452,13 +425,15 @@ func TestProfileByNameUnknown(t *testing.T) {
 }
 
 func TestProfileNamesSortedComplete(t *testing.T) {
-	names := ProfileNames()
-	if len(names) != 7 {
-		t.Fatalf("got %d profiles, want 7", len(names))
+	ps := Profiles()
+	if len(ps) != 7 {
+		t.Fatalf("got %d profiles, want 7", len(ps))
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i] <= names[i-1] {
-			t.Errorf("names not sorted: %v", names)
+	seen := map[string]bool{}
+	for _, p := range ps {
+		if got, err := ProfileByName(p.Name); err != nil || got.Name != p.Name || seen[p.Name] {
+			t.Errorf("profile %q: looked up as %q (%v), seen before: %v", p.Name, got.Name, err, seen[p.Name])
 		}
+		seen[p.Name] = true
 	}
 }

@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Profile describes one of the paper's seven real-life datasets (Table II)
 // together with the scaled-down synthetic configuration we substitute for it.
@@ -97,17 +94,6 @@ func ProfileByName(name string) (Profile, error) {
 		}
 	}
 	return Profile{}, fmt.Errorf("dataset: unknown profile %q", name)
-}
-
-// ProfileNames returns all profile names in a stable order.
-func ProfileNames() []string {
-	ps := Profiles()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Generate materializes the profile's synthetic dataset with the given seed.

@@ -49,15 +49,14 @@ func AblationGlobalThreshold(w io.Writer, cfg Config) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	wl := newWorkload(d, cfg, cfg.Threshold)
-	kmvRes, err := wl.runRegistered("kmv", 0.10, cfg)
+	kmvRes, err := wl.runRegistered("kmv", cfg.atBudget(0.10))
 	if err != nil {
 		return AblationResult{}, err
 	}
-	g, err := buildGKMV(d, 0.10, uint64(cfg.Seed))
+	gRes, err := wl.runRegistered("gkmv", cfg.atBudget(0.10))
 	if err != nil {
 		return AblationResult{}, err
 	}
-	gRes := wl.run(eval.SearcherFunc(g.Search))
 	res := AblationResult{
 		Name: "global-threshold", ArmA: "KMV (equal k)", ArmB: "G-KMV (global τ)",
 		F1A: kmvRes.F1, F1B: gRes.F1,
@@ -77,18 +76,17 @@ func AblationBuffer(w io.Writer, cfg Config) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	wl := newWorkload(d, cfg, cfg.Threshold)
-	g, err := buildGKMV(d, 0.10, uint64(cfg.Seed))
+	gRes, err := wl.runRegistered("gkmv", cfg.atBudget(0.10))
 	if err != nil {
 		return AblationResult{}, err
 	}
-	gRes := wl.run(eval.SearcherFunc(g.Search))
-	gb, err := buildGBKMV(d, 0.10, uint64(cfg.Seed))
+	gb, err := buildRegistered("gbkmv", d, cfg.atBudget(0.10))
 	if err != nil {
 		return AblationResult{}, err
 	}
-	gbRes := wl.run(eval.SearcherFunc(gb.Search))
+	gbRes := wl.run(engineSearcher(gb))
 	res := AblationResult{
-		Name: "buffer", ArmA: "G-KMV (r=0)", ArmB: fmt.Sprintf("GB-KMV (r=%d)", gb.BufferBits()),
+		Name: "buffer", ArmA: "G-KMV (r=0)", ArmB: fmt.Sprintf("GB-KMV (r=%d)", gb.EngineStats().BufferBits),
 		F1A: gRes.F1, F1B: gbRes.F1,
 		TimeA: gRes.AvgQueryTime, TimeB: gbRes.AvgQueryTime,
 		Comment: "cost-model buffer should not hurt, usually helps on skewed data",
@@ -108,7 +106,7 @@ func AblationPartitionedKMV(w io.Writer, cfg Config) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	wl := newWorkload(d, cfg, cfg.Threshold)
-	single, err := wl.runRegistered("kmv", 0.10, cfg)
+	single, err := wl.runRegistered("kmv", cfg.atBudget(0.10))
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -134,7 +132,9 @@ func AblationIndexedSearch(w io.Writer, cfg Config) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	wl := newWorkload(d, cfg, cfg.Threshold)
-	gb, err := buildGBKMV(d, 0.10, uint64(cfg.Seed))
+	// SearchLinear is not part of the engine contract: this arm needs the
+	// index itself.
+	gb, err := core.BuildIndex(d, core.Options{BudgetFraction: 0.10, BufferBits: core.AutoBuffer, Seed: uint64(cfg.Seed)})
 	if err != nil {
 		return AblationResult{}, err
 	}

@@ -10,11 +10,12 @@ import (
 	"gbkmv/internal/eval"
 )
 
-// This file dispatches the systems-under-test through the public engine
-// registry (gbkmv.Engines / gbkmv.NewEngine) instead of package-local
-// ad-hoc constructions: every registered backend — including ones added
-// after this experiment was written — is built on the same workload with
-// the same budget and scored against the exact ground truth.
+// This file is how a figure builds a system under test: through the public
+// engine registry (gbkmv.Engines / gbkmv.NewEngine), the path gbkmvd and the
+// CLIs use. The rows that need a handle no engine offers build theirs
+// directly — AsymMH and FreqSet (no engine), LSH-E with verification (reads
+// the ensemble's records), the partitioned-KMV and cost-model ablations, and
+// the two that time core's linear scan (indexed-search, extra-scaling).
 
 // EngineRow is one (engine, workload) evaluation.
 type EngineRow struct {
@@ -33,20 +34,35 @@ func engineSearcher(e gbkmv.Engine) eval.Searcher {
 	})
 }
 
-// buildRegistered constructs a registry engine over the dataset at the given
-// space fraction.
-func buildRegistered(name string, d *dataset.Dataset, frac float64, cfg Config) (gbkmv.Engine, error) {
-	return gbkmv.NewEngine(name, d.Records, gbkmv.EngineOptions{
-		BudgetFraction: frac,
-		Seed:           uint64(cfg.Seed),
-	})
+// atBudget is the options of a system built at a space fraction: the KMV
+// family ("gbkmv" with the cost-model buffer, "gkmv", "kmv"), and LSH-E at
+// its 256-hash default, which ignores the budget.
+func (c Config) atBudget(frac float64) gbkmv.EngineOptions {
+	return gbkmv.EngineOptions{BudgetFraction: frac, Seed: uint64(c.Seed)}
 }
 
-// runRegistered evaluates the named registry engine on the workload.
-func (w *workload) runRegistered(name string, frac float64, cfg Config) (eval.Result, error) {
-	e, err := buildRegistered(name, w.data, frac, cfg)
+// withHashes is the options of LSH-E at a signature length.
+func (c Config) withHashes(n int) gbkmv.EngineOptions {
+	return gbkmv.EngineOptions{NumHashes: n, Seed: uint64(c.Seed)}
+}
+
+// buildRegistered constructs a registry engine over the dataset: the one way
+// a figure builds GB-KMV ("gbkmv"), G-KMV ("gkmv"), KMV ("kmv"), LSH-E
+// ("lshensemble") or PPjoin* ("exact").
+func buildRegistered(name string, d *dataset.Dataset, opt gbkmv.EngineOptions) (gbkmv.Engine, error) {
+	e, err := gbkmv.NewEngine(name, d.Records, opt)
 	if err != nil {
-		return eval.Result{}, fmt.Errorf("building %s: %w", name, err)
+		return nil, fmt.Errorf("building %s: %w", name, err)
+	}
+	return e, nil
+}
+
+// runRegistered builds the named registry engine over the workload's dataset
+// and evaluates it.
+func (w *workload) runRegistered(name string, opt gbkmv.EngineOptions) (eval.Result, error) {
+	e, err := buildRegistered(name, w.data, opt)
+	if err != nil {
+		return eval.Result{}, err
 	}
 	return w.run(engineSearcher(e)), nil
 }
@@ -73,9 +89,9 @@ func EnginesCompare(w io.Writer, cfg Config) ([]EngineRow, error) {
 	rows := []EngineRow{}
 	for _, name := range gbkmv.Engines() {
 		start := time.Now()
-		e, err := buildRegistered(name, d, 0.10, cfg)
+		e, err := buildRegistered(name, d, cfg.atBudget(0.10))
 		if err != nil {
-			return nil, fmt.Errorf("building %s: %w", name, err)
+			return nil, err
 		}
 		built := time.Since(start)
 		r := wl.run(engineSearcher(e))

@@ -10,11 +10,9 @@ import (
 	"io"
 	"time"
 
-	"gbkmv/internal/core"
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/eval"
 	"gbkmv/internal/kmv"
-	"gbkmv/internal/lshensemble"
 )
 
 // Config controls a whole experiment run.
@@ -80,42 +78,6 @@ func newWorkload(d *dataset.Dataset, cfg Config, tstar float64) *workload {
 // run evaluates a searcher on the workload.
 func (w *workload) run(s eval.Searcher) eval.Result {
 	return eval.Run(s, w.queries, w.truth, w.tstar)
-}
-
-// --- systems under test -------------------------------------------------
-
-// buildGBKMV builds the GB-KMV index at the given space fraction with the
-// cost-model buffer.
-func buildGBKMV(d *dataset.Dataset, frac float64, seed uint64) (*core.Index, error) {
-	return core.BuildIndex(d, core.Options{
-		BudgetFraction: frac,
-		BufferBits:     core.AutoBuffer,
-		Seed:           seed,
-	})
-}
-
-// buildGKMV builds the buffer-less G-KMV variant at the given fraction.
-func buildGKMV(d *dataset.Dataset, frac float64, seed uint64) (*core.Index, error) {
-	return core.BuildIndex(d, core.Options{
-		BudgetFraction: frac,
-		BufferBits:     0,
-		Seed:           seed,
-	})
-}
-
-// lsheSearcher adapts lshensemble to eval.Searcher.
-type lsheSearcher struct{ e *lshensemble.Ensemble }
-
-func (s lsheSearcher) Search(q dataset.Record, tstar float64) []int {
-	return s.e.Query(q, tstar)
-}
-
-func buildLSHE(d *dataset.Dataset, numHashes int, seed uint64) (eval.Searcher, *lshensemble.Ensemble, error) {
-	e, err := lshensemble.Build(d, lshensemble.Options{NumHashes: numHashes, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	return lsheSearcher{e}, e, nil
 }
 
 // partitionedKMVSearcher splits the element universe into a high-frequency

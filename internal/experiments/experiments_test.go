@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"gbkmv"
+	"gbkmv/internal/dataset"
 )
 
 func TestTable2RowsComplete(t *testing.T) {
@@ -382,6 +384,92 @@ func TestScalingIndexedFaster(t *testing.T) {
 	for _, r := range rows {
 		if r.Indexed > r.Linear {
 			t.Errorf("m=%d: indexed %v slower than linear %v", r.NumRecords, r.Indexed, r.Linear)
+		}
+	}
+}
+
+// fig7to13Exceptions are the (profile, rule) pairs of TestFig7to13Ordering
+// that do not hold on all four budgets at HEAD, with the budgets they fail
+// at; DESIGN.md "Findings at HEAD" has the rows. An entry that moves — for
+// the better too — fails the test, so the record stays true.
+var fig7to13Exceptions = map[string]string{
+	// At 2 % (and 5 % on the two most size-skewed profiles) the cost model's
+	// buffer takes most of the budget and GB-KMV falls behind its own
+	// buffer-less variant, at 2 % behind LSH-E's 16 hashes too.
+	"NETFLIX: GB-KMV ≥ G-KMV": "2% 5%",
+	"DELIC: GB-KMV ≥ G-KMV":   "2% 5%",
+	"ENRON: GB-KMV ≥ G-KMV":   "2%",
+	"REUTERS: GB-KMV ≥ G-KMV": "2%",
+	"WEBSPAM: GB-KMV ≥ G-KMV": "2%",
+	"NETFLIX: GB-KMV > LSH-E": "2%",
+	"DELIC: GB-KMV > LSH-E":   "2%",
+	"ENRON: GB-KMV > LSH-E":   "2%",
+	"REUTERS: GB-KMV > LSH-E": "2%",
+	// KMV, charged 8 B a unit against G-KMV's 4, catches up with G-KMV once
+	// its equal allocation k is large (20 %), and on WEBSPAM's long records
+	// while τ is still small.
+	"DELIC: G-KMV > KMV":   "20%",
+	"COD: G-KMV > KMV":     "20%",
+	"ENRON: G-KMV > KMV":   "5% 20%",
+	"REUTERS: G-KMV > KMV": "20%",
+	"WEBSPAM: G-KMV > KMV": "2% 5%",
+}
+
+// TestFig7to13Ordering pins the paper's headline — at equal space GB-KMV ≥
+// G-KMV > KMV, and GB-KMV > LSH-E — on the accuracy-versus-space curves, every
+// system built through the registry: every profile at Quick() scale, budgets
+// 2, 5, 10 and 20 %, LSH-E at the signature length of the same space. A rule
+// is pinned for a profile when it holds on all four budgets.
+func TestFig7to13Ordering(t *testing.T) {
+	cfg := Quick()
+	fracs := []float64{0.02, 0.05, 0.10, 0.20}
+	systems := []string{"gbkmv", "gkmv", "kmv", "lshensemble"}
+	rules := []struct {
+		name   string
+		hi, lo int // indexes into systems
+		strict bool
+	}{
+		{"GB-KMV ≥ G-KMV", 0, 1, false},
+		{"G-KMV > KMV", 1, 2, true},
+		{"GB-KMV > LSH-E", 0, 3, true},
+	}
+	t.Logf("%-9s %6s  %s", "Dataset", "Space", "F1 (sketch bytes): gbkmv, gkmv, kmv, lshensemble")
+	for _, p := range dataset.Profiles() {
+		d, err := generate(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := newWorkload(d, cfg, cfg.Threshold)
+		f1 := make([][]float64, len(fracs))
+		for i, frac := range fracs {
+			line := ""
+			for _, name := range systems {
+				opt := cfg.atBudget(frac)
+				if name == "lshensemble" {
+					opt = cfg.withHashes(lsheHashesAt(d, frac))
+				}
+				e, err := buildRegistered(name, d, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := wl.run(engineSearcher(e))
+				f1[i] = append(f1[i], r.F1)
+				line += fmt.Sprintf("  %.3f (%d)", r.F1, e.EngineStats().SizeBytes)
+			}
+			t.Logf("%-9s %5.0f%% %s", p.Name, frac*100, line)
+		}
+		for _, rule := range rules {
+			var fails []string
+			for i, frac := range fracs {
+				hi, lo := f1[i][rule.hi], f1[i][rule.lo]
+				if hi < lo || (rule.strict && hi == lo) {
+					fails = append(fails, fmt.Sprintf("%.0f%%", frac*100))
+				}
+			}
+			key := p.Name + ": " + rule.name
+			if got, want := strings.Join(fails, " "), fig7to13Exceptions[key]; got != want {
+				t.Errorf("%s fails at budgets [%s], recorded [%s] (fig7to13Exceptions and DESIGN.md \"Findings at HEAD\")", key, got, want)
+			}
 		}
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"gbkmv/internal/asymminhash"
+	"gbkmv/internal/core"
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/eval"
 	"gbkmv/internal/hash"
+	"gbkmv/internal/lshensemble"
 	"gbkmv/internal/minhash"
 )
 
@@ -53,22 +55,22 @@ func Baselines(w io.Writer, cfg Config) ([]BaselineRow, error) {
 		// same construction path the server and CLIs use. Parameters match
 		// the ad-hoc builds this replaced: budget fraction 0.10 for the KMV
 		// family, the 256-hash default for LSH-E.
-		kmvEng, err := buildRegistered("kmv", d, 0.10, cfg)
+		kmvEng, err := buildRegistered("kmv", d, cfg.atBudget(0.10))
 		if err != nil {
 			return nil, err
 		}
-		lsheEng, err := buildRegistered("lshensemble", d, 0.10, cfg)
+		lsheEng, err := buildRegistered("lshensemble", d, cfg.atBudget(0.10))
 		if err != nil {
 			return nil, err
 		}
-		gbEng, err := buildRegistered("gbkmv", d, 0.10, cfg)
+		gbEng, err := buildRegistered("gbkmv", d, cfg.atBudget(0.10))
 		if err != nil {
 			return nil, err
 		}
 		// LSH-E with exact candidate verification is not an engine (its
 		// verification step reads the raw records); build the ensemble
 		// directly for that one row.
-		_, ensemble, err := buildLSHE(d, 256, uint64(cfg.Seed))
+		ensemble, err := lshensemble.Build(d, lshensemble.Options{NumHashes: 256, Seed: uint64(cfg.Seed)}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +204,9 @@ func Scaling(w io.Writer, cfg Config) ([]ScalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		gb, err := buildGBKMV(d, 0.10, uint64(cfg.Seed))
+		// The linear scan is not part of the engine contract: this figure
+		// times the index itself.
+		gb, err := core.BuildIndex(d, core.Options{BudgetFraction: 0.10, BufferBits: core.AutoBuffer, Seed: uint64(cfg.Seed)})
 		if err != nil {
 			return nil, err
 		}

@@ -5,11 +5,11 @@ import (
 	"io"
 	"time"
 
+	"gbkmv"
 	"gbkmv/internal/core"
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/eval"
 	"gbkmv/internal/freqset"
-	"gbkmv/internal/ppjoin"
 )
 
 // Fig5Point is one point of the buffer-size sweep: the cost-model variance
@@ -68,15 +68,14 @@ func Fig5(w io.Writer, cfg Config) ([]Fig5Result, error) {
 		fmt.Fprintf(w, "%8s %14s %8s\n", "r(bits)", "model-var", "F1")
 		for i := 0; i < len(curve); i += step {
 			pt := curve[i]
-			ix, err := core.BuildIndex(d, core.Options{
-				BudgetFraction: 0.10,
-				BufferBits:     pt.R,
-				Seed:           uint64(cfg.Seed),
-			})
+			opt := cfg.atBudget(0.10)
+			if opt.BufferBits = pt.R; pt.R == 0 {
+				opt.BufferBits = gbkmv.NoBuffer // the registry's 0 asks the cost model
+			}
+			r, err := wl.runRegistered("gbkmv", opt)
 			if err != nil {
 				return nil, err
 			}
-			r := wl.run(eval.SearcherFunc(ix.Search))
 			res.Points = append(res.Points, Fig5Point{R: pt.R, ModelVar: pt.Variance, F1: r.F1})
 			if r.F1 > bestF1 {
 				bestF1, res.BestF1R = r.F1, pt.R
@@ -114,23 +113,18 @@ func Fig6(w io.Writer, cfg Config) ([]Fig6Row, error) {
 		wl := newWorkload(d, cfg, cfg.Threshold)
 		for _, frac := range []float64{0.05, 0.10} {
 			row := Fig6Row{Dataset: p.Name, Fraction: frac}
-			// The plain-KMV baseline: equal allocation k = ⌊b/m⌋ (Theorem 1)
-			// and a linear scan of Equation 10 estimates.
-			kmvRes, err := wl.runRegistered("kmv", frac, cfg)
-			if err != nil {
-				return nil, err
+			// "kmv" is the plain baseline: equal allocation k = ⌊b/m⌋
+			// (Theorem 1) and a linear scan of Equation 10 estimates.
+			for _, sys := range []struct {
+				engine string
+				f1     *float64
+			}{{"kmv", &row.KMV}, {"gkmv", &row.GKMV}, {"gbkmv", &row.GBKMV}} {
+				r, err := wl.runRegistered(sys.engine, cfg.atBudget(frac))
+				if err != nil {
+					return nil, err
+				}
+				*sys.f1 = r.F1
 			}
-			row.KMV = kmvRes.F1
-			g, err := buildGKMV(d, frac, uint64(cfg.Seed))
-			if err != nil {
-				return nil, err
-			}
-			row.GKMV = wl.run(eval.SearcherFunc(g.Search)).F1
-			gb, err := buildGBKMV(d, frac, uint64(cfg.Seed))
-			if err != nil {
-				return nil, err
-			}
-			row.GBKMV = wl.run(eval.SearcherFunc(gb.Search)).F1
 			rows = append(rows, row)
 			fmt.Fprintf(w, "%-9s %6.0f%% %8.3f %8.3f %8.3f\n",
 				p.Name, frac*100, row.KMV, row.GKMV, row.GBKMV)
@@ -167,13 +161,11 @@ func Fig7to13(w io.Writer, cfg Config) ([]AccuracyRow, error) {
 			return nil, err
 		}
 		wl := newWorkload(d, cfg, cfg.Threshold)
-		n := float64(d.TotalElements())
 		for _, frac := range []float64{0.05, 0.10} {
-			gb, err := buildGBKMV(d, frac, uint64(cfg.Seed))
+			r, err := wl.runRegistered("gbkmv", cfg.atBudget(frac))
 			if err != nil {
 				return nil, err
 			}
-			r := wl.run(eval.SearcherFunc(gb.Search))
 			row := AccuracyRow{
 				Dataset: p.Name, Method: "GB-KMV", Fraction: frac,
 				F1: r.F1, Precision: r.Precision, Recall: r.Recall, F05: r.F05,
@@ -182,20 +174,10 @@ func Fig7to13(w io.Writer, cfg Config) ([]AccuracyRow, error) {
 			fmt.Fprintf(w, "%-9s %-7s %6.0f%% %8.3f %8.3f %8.3f %8.3f\n",
 				p.Name, "GB-KMV", frac*100, r.F1, r.Precision, r.Recall, r.F05)
 
-			// LSH-E at a comparable space: numHashes ≈ frac·N/m, clamped
-			// to a workable signature size.
-			numHashes := int(frac * n / float64(d.NumRecords()))
-			if numHashes < 16 {
-				numHashes = 16
-			}
-			if numHashes > 256 {
-				numHashes = 256
-			}
-			ls, _, err := buildLSHE(d, numHashes, uint64(cfg.Seed))
+			r, err = wl.runRegistered("lshensemble", cfg.withHashes(lsheHashesAt(d, frac)))
 			if err != nil {
 				return nil, err
 			}
-			r = wl.run(ls)
 			row = AccuracyRow{
 				Dataset: p.Name, Method: "LSH-E", Fraction: frac,
 				F1: r.F1, Precision: r.Precision, Recall: r.Recall, F05: r.F05,
@@ -206,6 +188,13 @@ func Fig7to13(w io.Writer, cfg Config) ([]AccuracyRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// lsheHashesAt is LSH-E's signature length at a space comparable to a budget
+// fraction: frac·N/m hash values a record, clamped to a workable signature
+// size.
+func lsheHashesAt(d *dataset.Dataset, frac float64) int {
+	return min(max(int(frac*float64(d.TotalElements())/float64(d.NumRecords())), 16), 256)
 }
 
 // Fig14Row is the per-query F1 distribution of one (dataset, method).
@@ -230,19 +219,14 @@ func Fig14(w io.Writer, cfg Config) ([]Fig14Row, error) {
 			return nil, err
 		}
 		wl := newWorkload(d, cfg, cfg.Threshold)
-		gb, err := buildGBKMV(d, 0.10, uint64(cfg.Seed))
-		if err != nil {
-			return nil, err
-		}
-		ls, _, err := buildLSHE(d, 256, uint64(cfg.Seed))
-		if err != nil {
-			return nil, err
-		}
 		for _, sys := range []struct {
-			name string
-			s    eval.Searcher
-		}{{"GB-KMV", eval.SearcherFunc(gb.Search)}, {"LSH-E", ls}} {
-			r := wl.run(sys.s)
+			name, engine string
+			opt          gbkmv.EngineOptions
+		}{{"GB-KMV", "gbkmv", cfg.atBudget(0.10)}, {"LSH-E", "lshensemble", cfg.withHashes(256)}} {
+			r, err := wl.runRegistered(sys.engine, sys.opt)
+			if err != nil {
+				return nil, err
+			}
 			row := Fig14Row{
 				Dataset: p.Name, Method: sys.name,
 				Min: r.PerQueryF1.Min, Avg: r.PerQueryF1.Mean, Max: r.PerQueryF1.Max,
@@ -275,19 +259,19 @@ func Fig15(w io.Writer, cfg Config) ([]Fig15Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		gb, err := buildGBKMV(d, 0.10, uint64(cfg.Seed))
+		gb, err := buildRegistered("gbkmv", d, cfg.atBudget(0.10))
 		if err != nil {
 			return nil, err
 		}
-		ls, _, err := buildLSHE(d, 256, uint64(cfg.Seed))
+		ls, err := buildRegistered("lshensemble", d, cfg.withHashes(256))
 		if err != nil {
 			return nil, err
 		}
 		for _, tstar := range []float64{0.2, 0.4, 0.6, 0.8} {
 			wl := newWorkload(d, cfg, tstar)
 			row := Fig15Row{Dataset: p.Name, Threshold: tstar}
-			row.GBKMV = wl.run(eval.SearcherFunc(gb.Search)).F1
-			row.LSHE = wl.run(ls).F1
+			row.GBKMV = wl.run(engineSearcher(gb)).F1
+			row.LSHE = wl.run(engineSearcher(ls)).F1
 			rows = append(rows, row)
 			fmt.Fprintf(w, "%-9s %6.1f %8.3f %8.3f\n", p.Name, tstar, row.GBKMV, row.LSHE)
 		}
@@ -328,11 +312,11 @@ func Fig16(w io.Writer, cfg Config) ([]Fig16Row, error) {
 			return err
 		}
 		wl := newWorkload(d, cfg, cfg.Threshold)
-		gb, err := buildGBKMV(d, 0.10, uint64(cfg.Seed))
+		gb, err := wl.runRegistered("gbkmv", cfg.atBudget(0.10))
 		if err != nil {
 			return err
 		}
-		ls, _, err := buildLSHE(d, 256, uint64(cfg.Seed))
+		ls, err := wl.runRegistered("lshensemble", cfg.withHashes(256))
 		if err != nil {
 			return err
 		}
@@ -340,9 +324,7 @@ func Fig16(w io.Writer, cfg Config) ([]Fig16Row, error) {
 		if sweep == "recSize" {
 			z = a2
 		}
-		row := Fig16Row{Sweep: sweep, Z: z}
-		row.GBKMV = wl.run(eval.SearcherFunc(gb.Search)).F1
-		row.LSHE = wl.run(ls).F1
+		row := Fig16Row{Sweep: sweep, Z: z, GBKMV: gb.F1, LSHE: ls.F1}
 		rows = append(rows, row)
 		fmt.Fprintf(w, "%-8s z=%.1f %8.3f %8.3f\n", sweep, z, row.GBKMV, row.LSHE)
 		return nil
@@ -390,11 +372,10 @@ func Fig17(w io.Writer, cfg Config) ([]Fig17Row, error) {
 		}
 		wl := newWorkload(d, cfg, cfg.Threshold)
 		for _, frac := range []float64{0.02, 0.05, 0.10, 0.20} {
-			gb, err := buildGBKMV(d, frac, uint64(cfg.Seed))
+			r, err := wl.runRegistered("gbkmv", cfg.atBudget(frac))
 			if err != nil {
 				return nil, err
 			}
-			r := wl.run(eval.SearcherFunc(gb.Search))
 			row := Fig17Row{Dataset: name, Method: "GB-KMV",
 				Setting: fmt.Sprintf("%.0f%%", frac*100), F1: r.F1, AvgTime: r.AvgQueryTime}
 			rows = append(rows, row)
@@ -402,11 +383,10 @@ func Fig17(w io.Writer, cfg Config) ([]Fig17Row, error) {
 				name, "GB-KMV", row.Setting, r.F1, fmtDur(r.AvgQueryTime))
 		}
 		for _, nh := range []int{32, 64, 128, 256} {
-			ls, _, err := buildLSHE(d, nh, uint64(cfg.Seed))
+			r, err := wl.runRegistered("lshensemble", cfg.withHashes(nh))
 			if err != nil {
 				return nil, err
 			}
-			r := wl.run(ls)
 			row := Fig17Row{Dataset: name, Method: "LSH-E",
 				Setting: fmt.Sprintf("%d hashes", nh), F1: r.F1, AvgTime: r.AvgQueryTime}
 			rows = append(rows, row)
@@ -438,12 +418,12 @@ func Fig18(w io.Writer, cfg Config) ([]Fig18Row, error) {
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := buildGBKMV(d, 0.10, uint64(cfg.Seed)); err != nil {
+		if _, err := buildRegistered("gbkmv", d, cfg.atBudget(0.10)); err != nil {
 			return nil, err
 		}
 		tGB := time.Since(start)
 		start = time.Now()
-		if _, _, err := buildLSHE(d, 256, uint64(cfg.Seed)); err != nil {
+		if _, err := buildRegistered("lshensemble", d, cfg.withHashes(256)); err != nil {
 			return nil, err
 		}
 		tLS := time.Since(start)
@@ -485,22 +465,20 @@ func Fig19a(w io.Writer, cfg Config) ([]Fig19aRow, error) {
 	rows := []Fig19aRow{}
 	fmt.Fprintf(w, "%-7s %-10s %8s %12s\n", "Method", "Setting", "F1", "AvgQuery")
 	for _, frac := range []float64{0.05, 0.10, 0.20} {
-		gb, err := buildGBKMV(d, frac, uint64(cfg.Seed))
+		r, err := wl.runRegistered("gbkmv", cfg.atBudget(frac))
 		if err != nil {
 			return nil, err
 		}
-		r := wl.run(eval.SearcherFunc(gb.Search))
 		row := Fig19aRow{Method: "GB-KMV", Setting: fmt.Sprintf("%.0f%%", frac*100),
 			F1: r.F1, AvgTime: r.AvgQueryTime}
 		rows = append(rows, row)
 		fmt.Fprintf(w, "%-7s %-10s %8.3f %12s\n", row.Method, row.Setting, row.F1, fmtDur(row.AvgTime))
 	}
 	for _, nh := range []int{64, 128, 256} {
-		ls, _, err := buildLSHE(d, nh, uint64(cfg.Seed))
+		r, err := wl.runRegistered("lshensemble", cfg.withHashes(nh))
 		if err != nil {
 			return nil, err
 		}
-		r := wl.run(ls)
 		row := Fig19aRow{Method: "LSH-E", Setting: fmt.Sprintf("%d hashes", nh),
 			F1: r.F1, AvgTime: r.AvgQueryTime}
 		rows = append(rows, row)
@@ -534,11 +512,11 @@ func Fig19b(w io.Writer, cfg Config) ([]Fig19bRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	gb, err := buildGBKMV(d, 0.10, uint64(cfg.Seed))
+	gb, err := buildRegistered("gbkmv", d, cfg.atBudget(0.10))
 	if err != nil {
 		return nil, err
 	}
-	pp, err := ppjoin.Build(d)
+	pp, err := buildRegistered("exact", d, gbkmv.EngineOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -575,8 +553,8 @@ func Fig19b(w io.Writer, cfg Config) ([]Fig19bRow, error) {
 			continue
 		}
 		truth := eval.GroundTruthAll(d, queries, cfg.Threshold)
-		rGB := eval.Run(eval.SearcherFunc(gb.Search), queries, truth, cfg.Threshold)
-		rPP := eval.Run(eval.SearcherFunc(pp.Search), queries, truth, cfg.Threshold)
+		rGB := eval.Run(engineSearcher(gb), queries, truth, cfg.Threshold)
+		rPP := eval.Run(engineSearcher(pp), queries, truth, cfg.Threshold)
 		rFS := eval.Run(eval.SearcherFunc(fs.Search), queries, truth, cfg.Threshold)
 		row := Fig19bRow{
 			SizeUpper: upper,

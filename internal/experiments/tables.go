@@ -85,18 +85,18 @@ func Table3(w io.Writer, cfg Config) ([]Table3Row, error) {
 			return nil, err
 		}
 		n := float64(d.TotalElements())
-		ix, err := buildGBKMV(d, 0.10, uint64(cfg.Seed))
+		gb, err := buildRegistered("gbkmv", d, cfg.atBudget(0.10))
 		if err != nil {
 			return nil, err
 		}
-		_, e, err := buildLSHE(d, 256, uint64(cfg.Seed))
+		ls, err := buildRegistered("lshensemble", d, cfg.withHashes(256))
 		if err != nil {
 			return nil, err
 		}
 		row := Table3Row{
 			Name:         p.Name,
-			GBKMVPercent: 100 * float64(ix.UsedUnits()) / n,
-			LSHEPercent:  100 * float64(e.SizeUnits()) / n,
+			GBKMVPercent: 100 * float64(gb.EngineStats().UsedUnits) / n,
+			LSHEPercent:  100 * float64(ls.EngineStats().UsedUnits) / n,
 		}
 		rows = append(rows, row)
 		fmt.Fprintf(w, "%-9s %9.1f%% %9.1f%%\n", row.Name, row.GBKMVPercent, row.LSHEPercent)

@@ -44,9 +44,6 @@ func Build(d *dataset.Dataset) (*Index, error) {
 	return ix, nil
 }
 
-// NumRecords returns the number of indexed records.
-func (ix *Index) NumRecords() int { return len(ix.sizes) }
-
 // Search returns, exactly, every record id with C(Q, X) ≥ tstar, ascending.
 func (ix *Index) Search(q dataset.Record, tstar float64) []int {
 	if len(q) == 0 {

@@ -121,8 +121,8 @@ func TestNumRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumRecords() != d.NumRecords() {
-		t.Errorf("NumRecords = %d", ix.NumRecords())
+	if len(ix.sizes) != d.NumRecords() {
+		t.Errorf("%d records indexed, want %d", len(ix.sizes), d.NumRecords())
 	}
 }
 

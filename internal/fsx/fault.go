@@ -38,8 +38,6 @@ type FaultFS struct {
 	failSyncs  int   // next n matching syncs fail with syncErr
 	syncErr    error // defaults to EIO
 	lyingSync  bool  // matching syncs report success without making data durable
-	failOpens  int   // next n matching write-intent opens fail with openErr
-	openErr    error // defaults to EIO
 
 	files    map[string]*fileState
 	injected map[string]int64 // fault kind -> times injected
@@ -101,14 +99,6 @@ func (f *FaultFS) LieOnSync(on bool) {
 	f.mu.Unlock()
 }
 
-// FailOpens arms n one-shot failures of write-intent opens with err (EIO if
-// nil).
-func (f *FaultFS) FailOpens(n int, err error) {
-	f.mu.Lock()
-	f.failOpens, f.openErr = n, err
-	f.mu.Unlock()
-}
-
 // Crash truncates every tracked file back to its durable size — the on-disk
 // state an abrupt power loss would leave. Call it only after the store using
 // this FS has been abandoned.
@@ -143,7 +133,7 @@ func (f *FaultFS) Crash() error {
 }
 
 // Injected reports how many faults of the given kind ("write", "enospc",
-// "torn", "flip", "sync", "open") were injected so far.
+// "torn", "flip", "sync") were injected so far.
 func (f *FaultFS) Injected(kind string) int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -194,18 +184,6 @@ func (f *FaultFS) OpenFile(name string, flag int, perm iofs.FileMode) (File, err
 	if flag&writeIntent == 0 {
 		return f.base().OpenFile(name, flag, perm)
 	}
-	f.mu.Lock()
-	if f.matches(name) && f.failOpens > 0 {
-		f.failOpens--
-		f.note("open")
-		err := f.openErr
-		f.mu.Unlock()
-		if err == nil {
-			err = syscall.EIO
-		}
-		return nil, &iofs.PathError{Op: "open", Path: name, Err: err}
-	}
-	f.mu.Unlock()
 	fl, err := f.base().OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err

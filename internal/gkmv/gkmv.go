@@ -48,25 +48,9 @@ func MakeView(keys []uint32, complete bool) View {
 // K returns the number of stored keys.
 func (v View) K() int { return len(v.keys) }
 
-// Complete reports whether every element of the record hashed below τ, in
-// which case the view is a lossless copy of the record's hash set.
-func (v View) Complete() bool { return v.complete }
-
 // Keys returns the stored keys ascending; the slice is owned by the backing
 // store.
 func (v View) Keys() []uint32 { return v.keys }
-
-// DistinctEstimate returns the Beyer et al. estimator (k−1)/U(k) of the
-// number of distinct elements in the sketched record — exact when the
-// sketch is complete. A G-KMV sketch is a valid KMV sketch of its record
-// with k = |L_X| (Theorem 2 with Y = ∅), so the estimator applies directly.
-func (v View) DistinctEstimate() float64 {
-	k := len(v.keys)
-	if v.complete || k < 2 {
-		return float64(k)
-	}
-	return float64(k-1) / hash.KeyUnit(v.keys[k-1])
-}
 
 // BuildHashes computes the raw sketch of a record under threshold tau: the
 // ascending run of keys x with hash.KeyUnit(x) ≤ tau, plus whether the run

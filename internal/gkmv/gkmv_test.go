@@ -100,7 +100,7 @@ func TestBuildPanicsOnBadTau(t *testing.T) {
 
 func TestBuildCompleteAtTauOne(t *testing.T) {
 	s := build(seqRecord(0, 50), 1, testSeed)
-	if !s.Complete() {
+	if !s.complete {
 		t.Error("sketch with τ=1 should be complete")
 	}
 	if s.K() != 50 {
@@ -305,8 +305,8 @@ func TestBuildAll(t *testing.T) {
 		if !slices.IsSorted(keys) || (len(keys) > 0 && keys[len(keys)-1] > cut) {
 			t.Fatalf("record %d: run %v is not an ascending run under %d", i, keys, cut)
 		}
-		if v.Complete() != (v.K() == len(d.Records[i])) {
-			t.Errorf("record %d: complete = %v with %d of %d elements kept", i, v.Complete(), v.K(), len(d.Records[i]))
+		if v.complete != (v.K() == len(d.Records[i])) {
+			t.Errorf("record %d: complete = %v with %d of %d elements kept", i, v.complete, v.K(), len(d.Records[i]))
 		}
 	}
 }
@@ -328,25 +328,26 @@ func BenchmarkIntersect(b *testing.B) {
 	}
 }
 
+// TestDistinctEstimate: a G-KMV sketch is a valid KMV sketch of its record
+// with k = |L_X| (Theorem 2 with Y = ∅), so the union estimate (k−1)/U(k) of
+// a view with itself is the Beyer et al. estimate of the record's distinct
+// count — exact when the sketch is complete.
 func TestDistinctEstimate(t *testing.T) {
-	// Complete sketch: exact.
+	distinct := func(v View) float64 { return IntersectViews(v, v).DUnion }
 	s := build(seqRecord(0, 40), 1, testSeed)
-	if got := s.DistinctEstimate(); got != 40 {
-		t.Errorf("complete DistinctEstimate = %v, want 40", got)
+	if got := distinct(s); got != 40 {
+		t.Errorf("complete sketch estimates %v distinct elements, want 40", got)
 	}
 	// Thresholded sketch: statistical accuracy.
 	const n = 20000
-	big := build(seqRecord(0, n), 0.05, testSeed)
-	got := big.DistinctEstimate()
-	if math.Abs(got-n)/n > 0.2 {
-		t.Errorf("DistinctEstimate = %v, want ~%d", got, n)
+	if got := distinct(build(seqRecord(0, n), 0.05, testSeed)); math.Abs(got-n)/n > 0.2 {
+		t.Errorf("thresholded sketch estimates %v distinct elements, want ~%d", got, n)
 	}
-	// Degenerate: empty and single-hash sketches do not divide by zero.
-	if got := MakeView(nil, false).DistinctEstimate(); got != 0 {
-		t.Errorf("empty DistinctEstimate = %v", got)
-	}
-	if got := MakeView([]uint32{0}, false).DistinctEstimate(); got != 1 {
-		t.Errorf("single-key DistinctEstimate = %v", got)
+	// Degenerate: empty and single-key sketches do not divide by zero.
+	for _, keys := range [][]uint32{nil, {0}} {
+		if got := distinct(MakeView(keys, false)); got != 0 {
+			t.Errorf("%d-key sketch estimates %v, want 0 (the estimator needs k ≥ 2)", len(keys), got)
+		}
 	}
 }
 

@@ -106,27 +106,6 @@ func NewFamily(k int, seed uint64) *Family {
 	return &Family{seeds: seeds}
 }
 
-// Size returns the number of functions in the family.
-func (f *Family) Size() int { return len(f.seeds) }
-
-// At hashes e with the i-th function of the family.
-func (f *Family) At(i int, e Element) uint64 {
-	return Hash64(e, f.seeds[i])
-}
-
-// MinUnit returns the minimum unit-interval hash of the i-th function over
-// the elements, and math.Inf(1) for an empty slice.
-func (f *Family) MinUnit(i int, elems []Element) float64 {
-	min := math.Inf(1)
-	seed := f.seeds[i]
-	for _, e := range elems {
-		if v := Unit(Hash64(e, seed)); v < min {
-			min = v
-		}
-	}
-	return min
-}
-
 // MinHash64 returns the minimum 64-bit hash of the i-th function over the
 // elements, and math.MaxUint64 for an empty slice.
 func (f *Family) MinHash64(i int, elems []Element) uint64 {

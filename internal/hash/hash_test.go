@@ -108,8 +108,8 @@ func TestUnitHashBucketUniformity(t *testing.T) {
 
 func TestNewFamilySize(t *testing.T) {
 	for _, k := range []int{1, 16, 256} {
-		if got := NewFamily(k, 0).Size(); got != k {
-			t.Errorf("NewFamily(%d).Size() = %d", k, got)
+		if got := len(NewFamily(k, 0).seeds); got != k {
+			t.Errorf("NewFamily(%d) has %d functions", k, got)
 		}
 	}
 }
@@ -127,7 +127,7 @@ func TestFamilyDeterministic(t *testing.T) {
 	a := NewFamily(8, 99)
 	b := NewFamily(8, 99)
 	for i := 0; i < 8; i++ {
-		if a.At(i, 12345) != b.At(i, 12345) {
+		if a.MinHash64(i, []Element{12345}) != b.MinHash64(i, []Element{12345}) {
 			t.Fatalf("family not deterministic at i=%d", i)
 		}
 	}
@@ -138,7 +138,7 @@ func TestFamilyIndependentMembers(t *testing.T) {
 	e := Element(777)
 	seen := make(map[uint64]bool)
 	for i := 0; i < 4; i++ {
-		h := f.At(i, e)
+		h := f.MinHash64(i, []Element{e})
 		if seen[h] {
 			t.Fatalf("duplicate hash across family members: %#x", h)
 		}
@@ -149,19 +149,22 @@ func TestFamilyIndependentMembers(t *testing.T) {
 func TestFamilyMinUnit(t *testing.T) {
 	f := NewFamily(2, 5)
 	elems := []Element{1, 2, 3, 4, 5}
-	min := f.MinUnit(0, elems)
+	min := f.MinHash64(0, elems)
+	attained := false
 	for _, e := range elems {
-		if v := Unit(f.At(0, e)); v < min {
-			t.Errorf("MinUnit missed smaller value %v < %v", v, min)
+		v := Hash64(e, f.seeds[0])
+		if v < min {
+			t.Errorf("MinHash64 missed smaller value %#x < %#x", v, min)
 		}
+		attained = attained || v == min
+	}
+	if !attained {
+		t.Errorf("MinHash64 = %#x is no element's hash", min)
 	}
 }
 
 func TestFamilyMinUnitEmpty(t *testing.T) {
 	f := NewFamily(1, 5)
-	if got := f.MinUnit(0, nil); !math.IsInf(got, 1) {
-		t.Errorf("MinUnit(empty) = %v, want +Inf", got)
-	}
 	if got := f.MinHash64(0, nil); got != math.MaxUint64 {
 		t.Errorf("MinHash64(empty) = %v, want MaxUint64", got)
 	}

@@ -45,33 +45,8 @@ func Build(r dataset.Record, k int, seed uint64) *Sketch {
 // K returns the number of hash values actually stored (k_X ≤ capacity).
 func (s *Sketch) K() int { return len(s.hashes) }
 
-// Capacity returns the configured maximum sketch size.
-func (s *Sketch) Capacity() int { return s.capacity }
-
-// Exact reports whether the sketch retains every element of its record, in
-// which case estimates derived from it alone are exact.
-func (s *Sketch) Exact() bool { return s.exact }
-
-// Hashes returns the stored hash values in ascending order. The slice is
-// owned by the sketch and must not be modified.
-func (s *Sketch) Hashes() []float64 { return s.hashes }
-
 // SizeBytes returns the in-memory footprint of the stored signature.
 func (s *Sketch) SizeBytes() int { return 8 * len(s.hashes) }
-
-// DistinctEstimate returns the Beyer et al. unbiased estimator
-// D̂ = (k−1)/U(k) of the number of distinct elements in the sketched record,
-// or the exact count when the sketch is exact.
-func (s *Sketch) DistinctEstimate() float64 {
-	if s.exact {
-		return float64(len(s.hashes))
-	}
-	k := len(s.hashes)
-	if k < 2 {
-		return float64(k)
-	}
-	return float64(k-1) / s.hashes[k-1]
-}
 
 // Union returns the KMV synopsis L = L_a ⊕ L_b of the union of the two
 // underlying records: the k smallest distinct hash values of L_a ∪ L_b with
@@ -94,20 +69,6 @@ func Union(a, b *Sketch) *Sketch {
 		capacity = b.capacity
 	}
 	return &Sketch{hashes: merged, capacity: capacity, exact: exact}
-}
-
-// UnionAll folds Union over all sketches (the ⊕ of Beyer et al. extended to
-// n-ary unions), returning nil for an empty input. The result estimates the
-// distinct count of the union of all underlying records.
-func UnionAll(sketches []*Sketch) *Sketch {
-	if len(sketches) == 0 {
-		return nil
-	}
-	u := sketches[0]
-	for _, s := range sketches[1:] {
-		u = Union(u, s)
-	}
-	return u
 }
 
 // mergeDistinct merges two ascending slices, dropping duplicates.

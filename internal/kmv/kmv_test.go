@@ -36,10 +36,10 @@ func TestBuildSortedAndTruncated(t *testing.T) {
 	if s.K() != 10 {
 		t.Fatalf("K = %d, want 10", s.K())
 	}
-	if s.Exact() {
+	if s.exact {
 		t.Error("sketch of 100 elements with k=10 should not be exact")
 	}
-	hs := s.Hashes()
+	hs := s.hashes
 	for i := 1; i < len(hs); i++ {
 		if hs[i] <= hs[i-1] {
 			t.Fatal("hashes not strictly ascending")
@@ -50,13 +50,13 @@ func TestBuildSortedAndTruncated(t *testing.T) {
 func TestBuildSmallRecordExact(t *testing.T) {
 	r := seqRecord(0, 5)
 	s := Build(r, 10, testSeed)
-	if !s.Exact() {
+	if !s.exact {
 		t.Error("sketch should be exact when |X| ≤ k")
 	}
 	if s.K() != 5 {
 		t.Errorf("K = %d, want 5", s.K())
 	}
-	if got := s.DistinctEstimate(); got != 5 {
+	if got := distinct(s); got != 5 {
 		t.Errorf("DistinctEstimate = %v, want exactly 5", got)
 	}
 }
@@ -79,8 +79,8 @@ func TestBuildKeepsSmallestHashes(t *testing.T) {
 	}
 	sort.Float64s(all)
 	for i := 0; i < 20; i++ {
-		if s.Hashes()[i] != all[i] {
-			t.Fatalf("sketch[%d] = %v, want %v", i, s.Hashes()[i], all[i])
+		if s.hashes[i] != all[i] {
+			t.Fatalf("sketch[%d] = %v, want %v", i, s.hashes[i], all[i])
 		}
 	}
 }
@@ -91,7 +91,7 @@ func TestDistinctEstimateAccuracy(t *testing.T) {
 	const n = 20000
 	r := seqRecord(0, n)
 	s := Build(r, 256, testSeed)
-	got := s.DistinctEstimate()
+	got := distinct(s)
 	if math.Abs(got-n)/n > 0.25 {
 		t.Errorf("DistinctEstimate = %v, want ~%d", got, n)
 	}
@@ -105,7 +105,7 @@ func TestDistinctEstimateUnbiasedAcrossSeeds(t *testing.T) {
 	sum := 0.0
 	const trials = 60
 	for i := 0; i < trials; i++ {
-		sum += Build(r, 64, uint64(i)).DistinctEstimate()
+		sum += distinct(Build(r, 64, uint64(i)))
 	}
 	mean := sum / trials
 	if math.Abs(mean-n)/n > 0.05 {
@@ -122,9 +122,9 @@ func TestUnionEquation8(t *testing.T) {
 	}
 	// Union sketch must be the 30 smallest distinct hashes of the merged
 	// signatures.
-	merged := mergeDistinct(a.Hashes(), b.Hashes())
+	merged := mergeDistinct(a.hashes, b.hashes)
 	for i := 0; i < 30; i++ {
-		if u.Hashes()[i] != merged[i] {
+		if u.hashes[i] != merged[i] {
 			t.Fatalf("union sketch[%d] mismatch", i)
 		}
 	}
@@ -134,7 +134,7 @@ func TestUnionExactWhenBothExact(t *testing.T) {
 	a := Build(seqRecord(0, 5), 10, testSeed)
 	b := Build(seqRecord(3, 8), 10, testSeed)
 	u := Union(a, b)
-	if !u.Exact() {
+	if !u.exact {
 		t.Error("union of exact sketches should be exact")
 	}
 	if u.K() != 8 { // |{0..7}|
@@ -396,24 +396,32 @@ func BenchmarkIntersect(b *testing.B) {
 	}
 }
 
+// distinct is the Beyer et al. estimate D̂ = (k−1)/U(k) of a sketched
+// record's distinct count — exact for an exact sketch — read off the union
+// estimate (Equation 9) of the sketch with itself.
+func distinct(s *Sketch) float64 { return Intersect(s, s).DUnion }
+
+// unionAll folds Union over the sketches: the ⊕ of Beyer et al. extended to
+// n-ary unions.
+func unionAll(sketches []*Sketch) *Sketch {
+	u := sketches[0]
+	for _, s := range sketches[1:] {
+		u = Union(u, s)
+	}
+	return u
+}
+
 func TestUnionAll(t *testing.T) {
-	if got := UnionAll(nil); got != nil {
-		t.Errorf("UnionAll(nil) = %v", got)
-	}
-	a := Build(seqRecord(0, 1000), 64, testSeed)
-	if got := UnionAll([]*Sketch{a}); got.K() != a.K() {
-		t.Errorf("singleton UnionAll changed sketch size")
-	}
 	// Union of three overlapping ranges covering [0, 3000).
 	sketches := []*Sketch{
 		Build(seqRecord(0, 1200), 64, testSeed),
 		Build(seqRecord(1000, 2200), 64, testSeed),
 		Build(seqRecord(2000, 3000), 64, testSeed),
 	}
-	u := UnionAll(sketches)
-	got := u.DistinctEstimate()
+	u := unionAll(sketches)
+	got := distinct(u)
 	if math.Abs(got-3000)/3000 > 0.4 {
-		t.Errorf("UnionAll distinct estimate = %v, want ~3000", got)
+		t.Errorf("n-ary union distinct estimate = %v, want ~3000", got)
 	}
 }
 
@@ -423,11 +431,11 @@ func TestUnionAllExactSmall(t *testing.T) {
 		Build(seqRecord(3, 9), 32, testSeed),
 		Build(seqRecord(7, 12), 32, testSeed),
 	}
-	u := UnionAll(sketches)
-	if !u.Exact() {
+	u := unionAll(sketches)
+	if !u.exact {
 		t.Fatal("union of exact sketches should stay exact")
 	}
-	if got := u.DistinctEstimate(); got != 12 {
+	if got := distinct(u); got != 12 {
 		t.Errorf("exact union estimate = %v, want 12", got)
 	}
 }

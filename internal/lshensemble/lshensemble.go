@@ -69,8 +69,8 @@ type Ensemble struct {
 	opt        Options
 	gen        *minhash.Generator
 	partitions []partition
-	numRecords int
-	records    []dataset.Record // retained for QueryVerified
+	records    []dataset.Record    // retained for QueryVerified
+	sigs       []minhash.Signature // full signature per record; the forests hold banded copies
 	// optParams[i] caches the (b, r) minimizing FP+FN at threshold grid
 	// point i (s* = i / paramGrid).
 	optParams []bandParam
@@ -82,14 +82,21 @@ type bandParam struct{ b, r int }
 // paramGrid is the resolution of the cached optimal-parameter table.
 const paramGrid = 50
 
-// Build constructs the LSH-E index over the dataset.
-func Build(d *dataset.Dataset, opt Options) (*Ensemble, error) {
+// Build constructs the LSH-E index over the dataset. sigs holds the
+// signatures of d.Records[:len(sigs)] under opt's hash family (a pure function
+// of NumHashes and Seed) — what Signatures returned when a prefix of the
+// dataset was built under the same options, nil for a first build; Build
+// signs the records past them, each once, and keeps the whole list.
+func Build(d *dataset.Dataset, opt Options, sigs []minhash.Signature) (*Ensemble, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	if d == nil || len(d.Records) == 0 {
 		return nil, errors.New("lshensemble: empty dataset")
+	}
+	if len(sigs) > len(d.Records) {
+		return nil, errors.New("lshensemble: more signatures than records")
 	}
 	// The forest needs NumHashes divisible into MaxBands trees.
 	l := opt.MaxBands
@@ -99,11 +106,14 @@ func Build(d *dataset.Dataset, opt Options) (*Ensemble, error) {
 	maxDepth := opt.NumHashes / l
 
 	e := &Ensemble{
-		opt:        opt,
-		gen:        minhash.NewGenerator(opt.NumHashes, opt.Seed),
-		numRecords: len(d.Records),
-		records:    d.Records,
-		maxDepth:   maxDepth,
+		opt:      opt,
+		gen:      minhash.NewGenerator(opt.NumHashes, opt.Seed),
+		records:  d.Records,
+		sigs:     sigs,
+		maxDepth: maxDepth,
+	}
+	for _, r := range d.Records[len(sigs):] {
+		e.sigs = append(e.sigs, e.gen.Sign(r))
 	}
 	e.buildParamTable(l, maxDepth)
 
@@ -137,7 +147,7 @@ func Build(d *dataset.Dataset, opt Options) (*Ensemble, error) {
 			return nil, err
 		}
 		for local, id := range ids {
-			f.AddRecord(local, d.Records[id])
+			f.Add(local, e.sigs[id])
 		}
 		f.Index()
 		e.partitions = append(e.partitions, partition{
@@ -277,7 +287,12 @@ func (e *Ensemble) QueryVerified(q dataset.Record, tstar float64) []int {
 // forests store banded prefixes, not full signatures).
 func (e *Ensemble) Sign(r dataset.Record) minhash.Signature { return e.gen.Sign(r) }
 
+// Signatures returns the full signature of every record, by id: what the
+// next Build over a grown dataset takes so that it signs only what is new.
+// The slice and its signatures are the ensemble's; do not modify them.
+func (e *Ensemble) Signatures() []minhash.Signature { return e.sigs }
+
 // SizeUnits returns the index size in signature units (one stored hash value
 // = one unit), the accounting shared with GB-KMV's budget. LSH-E stores
 // NumHashes values per record.
-func (e *Ensemble) SizeUnits() int { return e.numRecords * e.opt.NumHashes }
+func (e *Ensemble) SizeUnits() int { return len(e.records) * e.opt.NumHashes }

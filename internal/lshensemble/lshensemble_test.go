@@ -2,6 +2,7 @@ package lshensemble
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gbkmv/internal/dataset"
@@ -23,25 +24,25 @@ func testDataset(t *testing.T) *dataset.Dataset {
 
 func TestBuildValidation(t *testing.T) {
 	d := testDataset(t)
-	if _, err := Build(nil, Options{}); err == nil {
+	if _, err := Build(nil, Options{}, nil); err == nil {
 		t.Error("nil dataset accepted")
 	}
-	if _, err := Build(&dataset.Dataset{}, Options{}); err == nil {
+	if _, err := Build(&dataset.Dataset{}, Options{}, nil); err == nil {
 		t.Error("empty dataset accepted")
 	}
-	if _, err := Build(d, Options{NumHashes: -1}); err == nil {
+	if _, err := Build(d, Options{NumHashes: -1}, nil); err == nil {
 		t.Error("negative NumHashes accepted")
 	}
 }
 
 func TestBuildDefaults(t *testing.T) {
 	d := testDataset(t)
-	e, err := Build(d, Options{Seed: 1})
+	e, err := Build(d, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.numRecords != 600 {
-		t.Errorf("numRecords = %d", e.numRecords)
+	if len(e.records) != 600 {
+		t.Errorf("numRecords = %d", len(e.records))
 	}
 	if len(e.partitions) != 32 {
 		t.Errorf("%d partitions, want 32", len(e.partitions))
@@ -53,7 +54,7 @@ func TestBuildDefaults(t *testing.T) {
 
 func TestEqualDepthPartitioning(t *testing.T) {
 	d := testDataset(t)
-	e, err := Build(d, Options{Seed: 1})
+	e, err := Build(d, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestQuerySelfRetrieval(t *testing.T) {
 	// A query identical to an indexed record has J = 1 within its
 	// partition, so it must be retrieved at any threshold.
 	d := testDataset(t)
-	e, err := Build(d, Options{Seed: 2})
+	e, err := Build(d, Options{Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestQueryRecallAgainstGroundTruth(t *testing.T) {
 	// LSH-E favours recall (Section III-B): most true results should be in
 	// the candidate set at t* = 0.5.
 	d := testDataset(t)
-	e, err := Build(d, Options{Seed: 3})
+	e, err := Build(d, Options{Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestQueryRecallAgainstGroundTruth(t *testing.T) {
 
 func TestQueryEmpty(t *testing.T) {
 	d := testDataset(t)
-	e, err := Build(d, Options{Seed: 4})
+	e, err := Build(d, Options{Seed: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestSizeFilterSkipsSmallPartitions(t *testing.T) {
 	// With a huge query and t* = 0.9, partitions of tiny records cannot
 	// qualify; the size filter must remove their candidates entirely.
 	d := testDataset(t)
-	e, err := Build(d, Options{Seed: 5})
+	e, err := Build(d, Options{Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestSizeFilterSkipsSmallPartitions(t *testing.T) {
 
 func TestOptimalParamsShape(t *testing.T) {
 	d := testDataset(t)
-	e, err := Build(d, Options{Seed: 6})
+	e, err := Build(d, Options{Seed: 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestNonDivisibleHashCount(t *testing.T) {
 	// NumHashes not divisible by MaxBands: Build must adjust the band count
 	// rather than fail.
 	d := testDataset(t)
-	e, err := Build(d, Options{NumHashes: 100, MaxBands: 32, Seed: 7})
+	e, err := Build(d, Options{NumHashes: 100, MaxBands: 32, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestFewRecordsManyPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Build(d, Options{Seed: 8})
+	e, err := Build(d, Options{Seed: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func BenchmarkBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(d, Options{Seed: 1}); err != nil {
+		if _, err := Build(d, Options{Seed: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,7 +296,7 @@ func BenchmarkQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := Build(d, Options{Seed: 1})
+	e, err := Build(d, Options{Seed: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func BenchmarkQuery(b *testing.B) {
 
 func TestQueryVerifiedPerfectPrecision(t *testing.T) {
 	d := testDataset(t)
-	e, err := Build(d, Options{Seed: 12})
+	e, err := Build(d, Options{Seed: 12}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestQueryVerifiedPerfectPrecision(t *testing.T) {
 
 func TestQueryVerifiedSubsetOfQuery(t *testing.T) {
 	d := testDataset(t)
-	e, err := Build(d, Options{Seed: 13})
+	e, err := Build(d, Options{Seed: 13}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,5 +338,54 @@ func TestQueryVerifiedSubsetOfQuery(t *testing.T) {
 		if !raw[id] {
 			t.Fatalf("verified result %d not among raw candidates", id)
 		}
+	}
+}
+
+// TestBuildSignsOnlyNewRecords: a rebuild over a grown dataset keeps the
+// signatures it is handed — the same arrays, never signed again — signs the
+// records past them, and indexes exactly what a build from scratch does.
+func TestBuildSignsOnlyNewRecords(t *testing.T) {
+	d := testDataset(t)
+	opt := Options{NumHashes: 64, Seed: 9}
+	const m = 450
+	first, err := Build(&dataset.Dataset{Records: d.Records[:m], Universe: d.Universe}, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := first.Signatures()
+	if len(prior) != m {
+		t.Fatalf("%d signatures for %d records", len(prior), m)
+	}
+	grown, err := Build(d, opt, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := Build(d, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := grown.Signatures()
+	if len(sigs) != len(d.Records) {
+		t.Fatalf("%d signatures for %d records", len(sigs), len(d.Records))
+	}
+	signed := 0
+	for i, sig := range sigs {
+		if i >= m || &sig[0] != &prior[i][0] {
+			signed++
+		}
+		if !slices.Equal(sig, scratch.Signatures()[i]) {
+			t.Fatalf("record %d: signature differs from a build from scratch", i)
+		}
+	}
+	if want := len(d.Records) - m; signed != want {
+		t.Errorf("the rebuild signed %d records, want the %d new ones", signed, want)
+	}
+	for _, q := range d.SampleQueries(20, 3) {
+		if got, want := grown.Query(q, 0.5), scratch.Query(q, 0.5); !slices.Equal(got, want) {
+			t.Fatalf("rebuild returns %d candidates, a build from scratch %d", len(got), len(want))
+		}
+	}
+	if _, err := Build(&dataset.Dataset{Records: d.Records[:m-1], Universe: d.Universe}, opt, prior); err == nil {
+		t.Error("more signatures than records accepted")
 	}
 }

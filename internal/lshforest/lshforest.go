@@ -74,11 +74,6 @@ func (f *Forest) Add(id int, sig minhash.Signature) {
 	f.n++
 }
 
-// AddRecord signs and inserts a record.
-func (f *Forest) AddRecord(id int, r dataset.Record) {
-	f.Add(id, f.Sign(r))
-}
-
 // Index sorts all trees; it must be called after the last Add and before the
 // first Query.
 func (f *Forest) Index() {

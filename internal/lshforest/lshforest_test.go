@@ -34,8 +34,8 @@ func TestNewValidation(t *testing.T) {
 func TestIdenticalRecordAlwaysFound(t *testing.T) {
 	f, _ := New(16, 4, 7)
 	r := seqRecord(0, 100)
-	f.AddRecord(0, r)
-	f.AddRecord(1, seqRecord(500, 600))
+	f.Add(0, f.Sign(r))
+	f.Add(1, f.Sign(seqRecord(500, 600)))
 	f.Index()
 	// An identical query collides in every tree at any depth.
 	for b := 1; b <= 16; b *= 2 {
@@ -56,7 +56,7 @@ func TestIdenticalRecordAlwaysFound(t *testing.T) {
 
 func TestDisjointRecordRarelyFound(t *testing.T) {
 	f, _ := New(8, 8, 7)
-	f.AddRecord(0, seqRecord(0, 500))
+	f.Add(0, f.Sign(seqRecord(0, 500)))
 	f.Index()
 	got := f.Query(f.Sign(seqRecord(10000, 10500)), 8, 8)
 	if len(got) != 0 {
@@ -70,7 +70,7 @@ func TestCollisionProbabilityMonotonicity(t *testing.T) {
 	base := seqRecord(0, 400)
 	// Index 60 records with varying overlap with base.
 	for i := 0; i < 60; i++ {
-		f.AddRecord(i, seqRecord(i*10, i*10+400))
+		f.Add(i, f.Sign(seqRecord(i*10, i*10+400)))
 	}
 	f.Index()
 	sig := f.Sign(base)
@@ -90,9 +90,9 @@ func TestSimilarFoundDissimilarFiltered(t *testing.T) {
 	f, _ := New(32, 8, 11)
 	// Record 0: near-duplicate of the query; records 1..40: low overlap.
 	q := seqRecord(0, 300)
-	f.AddRecord(0, seqRecord(0, 310)) // J ≈ 0.97
+	f.Add(0, f.Sign(seqRecord(0, 310))) // J ≈ 0.97
 	for i := 1; i <= 40; i++ {
-		f.AddRecord(i, seqRecord(250+i*37, 550+i*37)) // small or no overlap
+		f.Add(i, f.Sign(seqRecord(250+i*37, 550+i*37))) // small or no overlap
 	}
 	f.Index()
 	got := f.Query(f.Sign(q), 32, 4)
@@ -113,7 +113,7 @@ func TestSimilarFoundDissimilarFiltered(t *testing.T) {
 func TestQueryClampsParameters(t *testing.T) {
 	f, _ := New(4, 4, 1)
 	r := seqRecord(0, 50)
-	f.AddRecord(0, r)
+	f.Add(0, f.Sign(r))
 	f.Index()
 	// Out-of-range (b, r) must not panic and must behave as clamped.
 	got := f.Query(f.Sign(r), 100, 100)
@@ -129,7 +129,7 @@ func TestQueryClampsParameters(t *testing.T) {
 func TestLenAndSizeUnits(t *testing.T) {
 	f, _ := New(8, 4, 1)
 	for i := 0; i < 5; i++ {
-		f.AddRecord(i, seqRecord(i, i+30))
+		f.Add(i, f.Sign(seqRecord(i, i+30)))
 	}
 	f.Index()
 	if f.Len() != 5 {
@@ -143,7 +143,7 @@ func TestLenAndSizeUnits(t *testing.T) {
 func TestDuplicateIdsDeduplicated(t *testing.T) {
 	f, _ := New(8, 2, 3)
 	r := seqRecord(0, 100)
-	f.AddRecord(7, r)
+	f.Add(7, f.Sign(r))
 	f.Index()
 	got := f.Query(f.Sign(r), 8, 1)
 	if len(got) != 1 || got[0] != 7 {
@@ -154,7 +154,7 @@ func TestDuplicateIdsDeduplicated(t *testing.T) {
 func BenchmarkQuery(b *testing.B) {
 	f, _ := New(32, 8, 1)
 	for i := 0; i < 1000; i++ {
-		f.AddRecord(i, seqRecord(i*3, i*3+200))
+		f.Add(i, f.Sign(seqRecord(i*3, i*3+200)))
 	}
 	f.Index()
 	sig := f.Sign(seqRecord(0, 200))

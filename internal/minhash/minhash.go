@@ -65,14 +65,6 @@ func Jaccard(a, b Signature) float64 {
 	return float64(Collisions(a, b)) / float64(len(a))
 }
 
-// JaccardVariance is Var[ŝ] = s(1−s)/k (Equation 7).
-func JaccardVariance(s float64, k int) float64 {
-	if k <= 0 {
-		return math.Inf(1)
-	}
-	return s * (1 - s) / float64(k)
-}
-
 // ContainmentFromJaccard converts a Jaccard similarity s between Q and X to
 // the containment of Q in X given the two sizes (Equation 12):
 //

@@ -76,12 +76,29 @@ func TestJaccardEmptySignature(t *testing.T) {
 	}
 }
 
+// TestJaccardVariance: over independent hash families the collision-fraction
+// estimator is unbiased with Var[ŝ] = s(1−s)/k (Equations 6 and 7).
 func TestJaccardVariance(t *testing.T) {
-	if got := JaccardVariance(0.5, 100); math.Abs(got-0.0025) > 1e-12 {
-		t.Errorf("JaccardVariance = %v, want 0.0025", got)
+	x, y := seqRecord(0, 100), seqRecord(50, 150) // J = 50/150
+	const (
+		s      = 1.0 / 3
+		k      = 64
+		trials = 400
+	)
+	var sum, sum2 float64
+	for i := 0; i < trials; i++ {
+		g := NewGenerator(k, uint64(i)+1)
+		est := Jaccard(g.Sign(x), g.Sign(y))
+		sum += est
+		sum2 += est * est
 	}
-	if !math.IsInf(JaccardVariance(0.5, 0), 1) {
-		t.Error("k=0 variance should be +Inf")
+	mean := sum / trials
+	variance := (sum2 - trials*mean*mean) / (trials - 1)
+	if math.Abs(mean-s) > 0.01 {
+		t.Errorf("mean estimate %v, want %v", mean, s)
+	}
+	if want := s * (1 - s) / k; math.Abs(variance-want)/want > 0.3 {
+		t.Errorf("variance %v, Equation 7 gives %v", variance, want)
 	}
 }
 

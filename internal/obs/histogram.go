@@ -75,9 +75,6 @@ func (h *Histogram) Observe(v float64) {
 	addFloat(&sh.sum, v)
 }
 
-// Bounds returns the bucket upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // Snapshot is a point-in-time copy of a histogram. Counts has one entry per
 // bound plus the trailing +Inf bucket.
 type Snapshot struct {

@@ -45,9 +45,6 @@ type Gauge struct {
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds v (negative to subtract) with a CAS loop.
-func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

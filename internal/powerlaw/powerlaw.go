@@ -57,18 +57,6 @@ func (d *Dist) normalize() {
 	d.cdf[n-1] = 1 // guard against rounding
 }
 
-// PMF returns P(X = x), or 0 outside the support.
-func (d *Dist) PMF(x int) float64 {
-	if x < d.Xmin || x > d.Xmax {
-		return 0
-	}
-	i := x - d.Xmin
-	if i == 0 {
-		return d.cdf[0]
-	}
-	return d.cdf[i] - d.cdf[i-1]
-}
-
 // Sample draws one value.
 func (d *Dist) Sample(rng *rand.Rand) int {
 	u := rng.Float64()
@@ -77,24 +65,6 @@ func (d *Dist) Sample(rng *rand.Rand) int {
 		i = len(d.cdf) - 1
 	}
 	return d.Xmin + i
-}
-
-// SampleN draws n values.
-func (d *Dist) SampleN(rng *rand.Rand, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Sample(rng)
-	}
-	return out
-}
-
-// Mean returns E[X].
-func (d *Dist) Mean() float64 {
-	m := 0.0
-	for x := d.Xmin; x <= d.Xmax; x++ {
-		m += float64(x) * d.PMF(x)
-	}
-	return m
 }
 
 // FitMLE estimates the power-law exponent of xs (samples below xmin are

@@ -82,9 +82,6 @@ func Build(d *dataset.Dataset) (*Index, error) {
 	return ix, nil
 }
 
-// NumRecords returns the number of indexed records.
-func (ix *Index) NumRecords() int { return len(ix.ordered) }
-
 // SizeBytes approximates the in-memory footprint of the index structures:
 // the reordered token lists, the rank table and the positional postings.
 func (ix *Index) SizeBytes() int {

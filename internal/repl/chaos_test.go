@@ -118,7 +118,7 @@ func TestChaosStreamFaults(t *testing.T) {
 		})
 	}
 
-	if got := f.Bootstraps(); got != 1 {
+	if got := bootstraps(f); got != 1 {
 		t.Fatalf("bootstraps = %d, want 1 (faults must not trigger re-bootstrap)", got)
 	}
 	if l, fo := records(t, leader, "c"), records(t, fnode, "c"); l != fo || l != 3+4*800 {
@@ -173,7 +173,7 @@ func TestChaosDuplicatedChunkResync(t *testing.T) {
 		return caughtUp(leader, fnode, "c")
 	})
 
-	if got := f.Bootstraps(); got != 1 {
+	if got := bootstraps(f); got != 1 {
 		t.Fatalf("bootstraps = %d, want 1 (replay must be dropped, not re-bootstrapped)", got)
 	}
 	// Exact count: had the replayed frames been appended, records would have
@@ -278,7 +278,7 @@ func TestChaosPromotionFencesDivergedLeader(t *testing.T) {
 	waitFor(t, 30*time.Second, "old leader to demote and converge", func() bool {
 		return caughtUp(fnode, oldNode, "c")
 	})
-	if got := of.Bootstraps(); got != 1 {
+	if got := bootstraps(of); got != 1 {
 		t.Fatalf("demotion bootstraps = %d, want 1 (divergence forces a re-bootstrap)", got)
 	}
 	// The fencing happened and was counted on the promoted node.
@@ -345,7 +345,7 @@ func TestChaosPromotionCleanDemotion(t *testing.T) {
 	waitFor(t, 30*time.Second, "clean demotion", func() bool {
 		return caughtUp(fnode, oldNode, "c")
 	})
-	if got := of.Bootstraps(); got != 0 {
+	if got := bootstraps(of); got != 0 {
 		t.Fatalf("clean demotion bootstrapped %d times, want 0 (generation handoff)", got)
 	}
 	ni, nv := snapFiles(t, fnode.dir, "c", 2)
@@ -411,7 +411,7 @@ func TestChaosChainedReplicaAndAutoPromotion(t *testing.T) {
 	waitFor(t, 30*time.Second, "C to follow the promoted node", func() bool {
 		return caughtUp(bnode, cnode, "c")
 	})
-	if got := fc.Bootstraps(); got != 1 {
+	if got := bootstraps(fc); got != 1 {
 		t.Fatalf("C bootstrapped %d times, want 1 (handoff, not re-bootstrap)", got)
 	}
 	// Depth collapsed: B is the leader now, C is depth 1.

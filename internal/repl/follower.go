@@ -46,9 +46,6 @@ type Options struct {
 	// Wait is the long-poll duration sent with each caught-up wal request.
 	// Default 10s.
 	Wait time.Duration
-	// MaxChunk caps the bytes requested per wal chunk; 0 uses the leader's
-	// default.
-	MaxChunk int64
 	// ReadyLagBytes is the /readyz gate: the follower reports ready only
 	// once every collection is bootstrapped and lags by at most this many
 	// journal bytes. Default 1 MiB.
@@ -84,8 +81,6 @@ type Follower struct {
 	mu       sync.Mutex
 	replicas map[string]*replica
 	listed   bool // first successful collection listing completed
-
-	bootstraps atomic.Int64 // total bootstraps performed (restarts resume instead)
 
 	// Promotion state (see promote.go). lastContact is the UnixNano stamp of
 	// the last successful exchange with the leader — the leader-loss clock.
@@ -241,11 +236,6 @@ func (f *Follower) Close() {
 		<-f.watcherDone
 	}
 }
-
-// Bootstraps returns how many collection bootstraps this follower
-// performed. A follower restarting with intact local state resumes from
-// its journal instead of bootstrapping; tests assert on exactly that.
-func (f *Follower) Bootstraps() int64 { return f.bootstraps.Load() }
 
 // manage polls the leader's collection listing, starting a replica loop for
 // every new collection and retiring (and locally deleting) ones the leader
@@ -436,9 +426,6 @@ func (r *replica) tailOnce(ctx context.Context, c *server.Collection) (bool, err
 	gen, from, _ := c.ReplPosition()
 	u := fmt.Sprintf("%s/collections/%s/wal?gen=%d&from=%d&wait=%s",
 		r.f.opt.Leader, url.PathEscape(r.name), gen, from, r.f.opt.Wait)
-	if r.f.opt.MaxChunk > 0 {
-		u += fmt.Sprintf("&max=%d", r.f.opt.MaxChunk)
-	}
 	rctx, cancel := context.WithTimeout(ctx, r.f.opt.Wait+30*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
@@ -608,7 +595,6 @@ func (r *replica) bootstrap(ctx context.Context) (*server.Collection, error) {
 	r.mu.Lock()
 	r.coll, r.bootstrapped, r.bootstrapSecs = c, true, secs
 	r.mu.Unlock()
-	r.f.bootstraps.Add(1)
 	r.f.mBootstrap.Observe(secs)
 	r.f.logf("repl: %s: bootstrapped generation %d (%d records) from %s in %.2fs",
 		r.name, man.Generation, man.Records, r.f.opt.Leader, secs)

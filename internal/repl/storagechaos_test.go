@@ -73,7 +73,7 @@ func TestChaosBootstrapTransferFaults(t *testing.T) {
 	waitFor(t, 30*time.Second, "convergence through a truncated transfer", func() bool {
 		return caughtUp(leader, fnode, "c")
 	})
-	if got := f.Bootstraps(); got != 1 {
+	if got := bootstraps(f); got != 1 {
 		t.Fatalf("bootstraps = %d, want 1 (the truncated attempt must not count as installed)", got)
 	}
 	if l, fo := records(t, leader, "c"), records(t, fnode, "c"); l != fo {
@@ -104,7 +104,7 @@ func TestChaosBootstrapTransferFaults(t *testing.T) {
 	waitFor(t, 30*time.Second, "re-bootstrap through local disk corruption", func() bool {
 		return caughtUp(leader, fnode2, "c")
 	})
-	if got := f2.Bootstraps(); got != 1 {
+	if got := bootstraps(f2); got != 1 {
 		t.Fatalf("bootstraps = %d, want 1", got)
 	}
 	if got := ffs2.Injected("flip"); got != 1 {

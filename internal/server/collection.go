@@ -64,12 +64,6 @@ func (s *Store) newCollection(name, dir string, voc *gbkmv.Vocabulary, eng gbkmv
 		qcache: newQueryCache(s.cacheCap, m.qcHits, m.qcMisses, m.qcEvictions)}
 	c.wal.init(name, dir != "", m, c.applyBatch, c.noteDiskError)
 	c.gens.init(dir, s.fs, c.noteDiskError)
-	if seg, ok := eng.(*gbkmv.Segmented); ok {
-		// Per-segment snapshot encode durations are the collection's write
-		// pauses once segmented — each segment is locked only while its own
-		// sub-index serializes.
-		seg.SetSaveObserver(func(_ int, d time.Duration) { m.snapPause.Observe(d.Seconds()) })
-	}
 	return c
 }
 
@@ -80,30 +74,24 @@ type Hit struct {
 	Tokens   []string `json:"tokens,omitempty"`
 }
 
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
-
-// preparedRaw returns a prepared query for a request's verbatim query JSON.
-// The hot path is the exact-bytes (L1) lookup: a repeated query skips the
-// per-token JSON decode, the canonicalization *and* the sketch. On an L1
-// miss the tokens are read once, as bytes into sc, and resolved through the
-// canonical (L2) key — preparing only if that misses too — and the raw key is
-// installed as an alias to the shared prepared query so the next
-// byte-identical request takes the fast path. Caller must hold at least the
-// read lock (which is what makes the generation read exact: writers bump
-// queryGen under the write lock, so a cache hit is always against the engine
-// state it was prepared under). The returned query is private to the caller.
-// tr, when non-nil, receives the cache outcome and token count (-1 when the
-// raw-bytes hit skipped decoding) for the request trace.
+// preparedRaw returns a prepared query for a request's verbatim query JSON,
+// which is also its cache key: a repeated query skips the per-token JSON
+// decode, the sorting of its token set *and* the sketch. On a miss the tokens
+// are read once, as bytes into sc, and the query prepared from them is cached
+// for the next byte-identical request. Caller must hold at least the read
+// lock (which is what makes the generation read exact: writers bump queryGen
+// under the write lock, so a cache hit is always against the engine state it
+// was prepared under). The returned query is private to the caller. tr, when
+// non-nil, receives the cache outcome and token count (-1 when a hit skipped
+// decoding) for the request trace.
 func (c *Collection) preparedRaw(raw []byte, sc *qkeyScratch, tr *reqTrace) (gbkmv.PreparedQuery, error) {
 	gen := c.queryGen.Load()
-	var rawKey []byte
-	if c.qcache != nil {
-		rawKey = rawQueryKey(raw, sc)
-		if shared, ok := c.qcache.lookup(gen, rawKey); ok {
+	cached := c.qcache != nil && len(raw) <= maxKeyBytes
+	if cached {
+		if shared, ok := c.qcache.lookup(gen, raw); ok {
 			c.qcache.hits.Add(1)
 			if tr != nil {
-				tr.tokens = -1 // raw-bytes hit: tokens were never decoded
+				tr.tokens = -1 // tokens were never decoded
 				tr.cache = cacheHit
 			}
 			return shared.Clone(), nil
@@ -116,21 +104,11 @@ func (c *Collection) preparedRaw(raw []byte, sc *qkeyScratch, tr *reqTrace) (gbk
 	if tr != nil {
 		tr.tokens = tokens
 	}
-	if c.qcache == nil || tokens > maxCachedQueryTokens {
-		// No cache, or too large to cache under either key; prepare uncached.
+	if !cached {
 		if tr != nil {
 			tr.cache = cacheOff
 		}
 		return sc.prepare(c.eng, c.voc)
-	}
-	key := sc.canonicalKey()
-	if shared, ok := c.qcache.lookup(gen, key); ok {
-		c.qcache.hits.Add(1)
-		if tr != nil {
-			tr.cache = cacheHit
-		}
-		c.qcache.put(gen, rawKey, shared)
-		return shared.Clone(), nil
 	}
 	c.qcache.misses.Add(1)
 	if tr != nil {
@@ -140,8 +118,7 @@ func (c *Collection) preparedRaw(raw []byte, sc *qkeyScratch, tr *reqTrace) (gbk
 	if err != nil {
 		return nil, err
 	}
-	c.qcache.put(gen, key, pq)
-	c.qcache.put(gen, rawKey, pq)
+	c.qcache.put(gen, raw, pq)
 	return pq.Clone(), nil
 }
 
@@ -266,8 +243,8 @@ func (s *batchSlot) prepared(c *Collection, sc *qkeyScratch) (gbkmv.PreparedQuer
 }
 
 // dedupBatch groups the batch into distinct-query slots (detected on the
-// verbatim query bytes; permuted duplicates still share a signature through
-// the cache's canonical key) and maps every batch position to its slot.
+// verbatim query bytes, as the cache does) and maps every batch position to
+// its slot.
 func dedupBatch(queries [][]byte) ([]batchSlot, []int) {
 	slots := make([]batchSlot, 0, len(queries))
 	idx := make([]int, len(queries))
@@ -437,12 +414,9 @@ func (c *Collection) snapshot() (committed bool, err error) {
 	if snap == nil {
 		return false, err
 	}
-	if !segmented {
-		// Single-index pause: the whole encode ran under one engine state.
-		// Segmented engines observe per-segment pauses through their save
-		// observer instead (see newCollection).
-		c.metrics.snapPause.Observe(snap.index.Seconds())
-	}
+	// The write pause: inserts waited, the wal quiesced, for the whole index
+	// encode — of every segment, when there are several.
+	c.metrics.snapPause.Observe(snap.index.Seconds())
 	c.wal.swap(snap.log, snap.gen)
 	c.store.logf("gbkmvd: snapshot %q gen %d: index %d bytes, vocab %d bytes, encode %s, fsync %s",
 		c.name, snap.gen, snap.sums["index"].Size, snap.sums["vocab"].Size,

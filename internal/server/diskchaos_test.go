@@ -304,7 +304,7 @@ func TestDiskChaosBitFlipFallbackDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := c.QuarantinedGeneration(); g != 2 {
+	if g := c.gens.quarantined.Load(); g != 2 {
 		t.Fatalf("quarantined generation = %d, want 2", g)
 	}
 	if _, err := os.Stat(filepath.Join(corrupt, "rest", "quarantine-2", "index-2.snap")); err != nil {
@@ -336,7 +336,7 @@ func TestDiskChaosBitFlipFallbackDifferential(t *testing.T) {
 	if _, err := store.Snapshot("rest"); err != nil {
 		t.Fatal(err)
 	}
-	if g := c.QuarantinedGeneration(); g != 0 {
+	if g := c.gens.quarantined.Load(); g != 0 {
 		t.Fatalf("quarantine not cleared by repair snapshot: gen %d", g)
 	}
 	if _, m := doJSON(t, ts, "GET", "/healthz", ""); m["status"] != "ok" {
@@ -378,7 +378,7 @@ func TestDiskChaosLyingFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := c.QuarantinedGeneration(); g != 2 {
+	if g := c.gens.quarantined.Load(); g != 2 {
 		t.Fatalf("quarantined generation = %d, want 2", g)
 	}
 }
@@ -409,7 +409,7 @@ func TestDiskChaosScrubDetectsAndRepairs(t *testing.T) {
 	// Leader self-repair: the in-memory state was never corrupt, so the scrub
 	// snapshotted a verified generation 2 and cleared the quarantine flag.
 	c, _ := store.Get("rest")
-	if g := c.QuarantinedGeneration(); g != 0 {
+	if g := c.gens.quarantined.Load(); g != 0 {
 		t.Fatalf("repair snapshot did not clear quarantine: gen %d", g)
 	}
 	if m, err := readMeta(fsx.Default, filepath.Join(dir, "rest")); err != nil || m.Generation != 2 {
@@ -464,7 +464,7 @@ func TestDiskChaosSilentBitFlipOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := c.QuarantinedGeneration(); g != 2 {
+	if g := c.gens.quarantined.Load(); g != 2 {
 		t.Fatalf("quarantined generation = %d, want 2", g)
 	}
 }

@@ -168,11 +168,6 @@ func (c *Collection) ReadOnlyState() (bool, string) {
 	return true, reason
 }
 
-// QuarantinedGeneration returns the generation quarantined at load or by the
-// scrubber, 0 if none. Cleared by the next committed snapshot, which writes
-// fresh verified files.
-func (c *Collection) QuarantinedGeneration() uint64 { return c.gens.quarantined.Load() }
-
 // probe checks whether the disk under the collection's directory takes
 // writes: a small write+fsync+remove.
 func (g *generations) probe() error {

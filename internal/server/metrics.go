@@ -176,8 +176,8 @@ func newMetrics() *Metrics {
 			"Records per segment of a segmented collection.",
 			"collection", "segment"),
 		snapPause: r.HistogramVec("gbkmv_snapshot_pause_seconds",
-			"Engine-lock hold time per snapshot encode: one observation per segment "+
-				"for segmented collections, one per snapshot for single-index ones.",
+			"Time inserts wait on a snapshot: the encode and write of the whole index "+
+				"(all segments), one observation per snapshot.",
 			obs.LatencyBuckets, "collection"),
 		journaled: r.GaugeVec("gbkmv_wal_entries",
 			"Entries in the current journal (reset by snapshots).", "collection"),
@@ -312,8 +312,8 @@ func (m *Metrics) removeCollection(name string) {
 // Collection when it is assembled.
 type collMetrics struct {
 	fsync *obs.Histogram
-	// snapPause takes one snapshot-encode lock hold: a whole-index encode, or
-	// one segment's encode when the collection is segmented.
+	// snapPause takes one observation a snapshot: the whole index's encode,
+	// for which inserts wait.
 	snapPause   *obs.Histogram
 	groupSize   *obs.Histogram
 	walBytes    *obs.Counter

@@ -25,12 +25,12 @@ import (
 //     so the middleware gets exact route patterns (never raw paths — the
 //     label space stays bounded) without pre-parsing the URL.
 
-// cache outcome codes for the slow-query log.
+// cache outcome codes for the slow-query log; 0 is a request that made no
+// cacheable lookup (or recorded none).
 const (
-	cacheNone int8 = iota // not a cacheable lookup (or not recorded)
-	cacheHit
+	cacheHit int8 = iota + 1
 	cacheMiss
-	cacheOff // caching disabled for the collection
+	cacheOff // the query was prepared uncached: caching disabled, or the query too large to key
 )
 
 // reqTrace is the per-request trace: handlers fill it while serving, the

@@ -326,6 +326,31 @@ func TestMetricsPersistentWAL(t *testing.T) {
 	}
 }
 
+// TestSnapshotPauseCountsSnapshots: inserts wait for the encode of the whole
+// index, however many segments it has, so the pause histogram takes one
+// observation a snapshot — not one a segment.
+func TestSnapshotPauseCountsSnapshots(t *testing.T) {
+	_, ts := newServerWith(t, t.TempDir(), StoreOptions{Segments: 3})
+	buildRestaurants(t, ts, "w")
+	_, st := doJSON(t, ts, "GET", "/collections/w/stats", "")
+	if seg, _ := st["segments"].(map[string]any); seg["count"] != float64(3) {
+		t.Fatalf("collection has segments %v, want 3 of them", st["segments"])
+	}
+	const pauses = `gbkmv_snapshot_pause_seconds_count{collection="w"}`
+	built := scrape(t, ts)[pauses] // the build's own snapshot
+	for i := 1; i <= 2; i++ {
+		if code, m := doJSON(t, ts, "POST", "/collections/w/snapshot", ""); code != http.StatusOK {
+			t.Fatalf("snapshot: %d %v", code, m)
+		}
+		if got := scrape(t, ts)[pauses]; got != built+float64(i) {
+			t.Fatalf("%g pauses observed after %d snapshots on top of %g", got, i, built)
+		}
+	}
+	if built != 1 {
+		t.Errorf("the build's snapshot booked %g pauses, want 1", built)
+	}
+}
+
 // TestMetricsUnderConcurrentLoad hammers inserts, searches and scrapes
 // concurrently (meaningful under -race) and then checks the exposition is
 // still internally consistent.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,28 +43,22 @@ type refBatchTopKRequest struct {
 	WithTokens bool              `json:"with_tokens"`
 }
 
-// refCanonicalKey is the canonical cache key as it was built from strings.
-func refCanonicalKey(tokens []string) []byte {
+// refTokenSet is the query's token set — what decides its sketch — built
+// from strings: distinct tokens, sorted.
+func refTokenSet(tokens []string) []string {
 	toks := slices.Clone(tokens)
 	slices.Sort(toks)
-	key := []byte{canonKeyPrefix}
-	for i, t := range toks {
-		if i > 0 && t == toks[i-1] {
-			continue
-		}
-		key = binary.AppendUvarint(key, uint64(len(t)))
-		key = append(key, t...)
-	}
-	return key
+	return slices.Compact(toks)
 }
 
 // queryRead is what the read path makes of one query of a request: refused
 // (what is not an array of strings, and an empty one), or its bytes as they
-// stood in the body, its tokens in order and its two cache keys.
+// stood in the body (its cache key), its tokens in order and its token set.
 type queryRead struct {
-	refused             bool
-	tokens              []string
-	raw, rawKey, canKey string
+	refused bool
+	tokens  []string
+	raw     string
+	set     []string
 }
 
 // queryOutcome is how far a request gets before anything is searched: the
@@ -129,8 +122,7 @@ func refOutcome(body []byte, batch, topk bool, limit int64) queryOutcome {
 		out.queries = append(out.queries, queryRead{
 			tokens: tokens,
 			raw:    string(raw),
-			rawKey: string(rawQueryKey(raw, new(qkeyScratch))),
-			canKey: string(refCanonicalKey(tokens)),
+			set:    refTokenSet(tokens),
 		})
 	}
 	if !batch && out.queries[0].refused {
@@ -162,14 +154,16 @@ func scanOutcome(body []byte, batch, topk bool, limit int64, wrap func(io.Reader
 			out.queries = append(out.queries, queryRead{refused: true})
 			continue
 		}
-		read := queryRead{raw: string(raw), rawKey: string(rawQueryKey(raw, &qk))}
+		read := queryRead{raw: string(raw)}
 		for _, s := range qk.spans {
 			read.tokens = append(read.tokens, string(qk.slab[s.lo:s.hi]))
 		}
 		if _, err := qk.tokenize(raw); err != nil {
 			panic(err) // readTokens took it
 		}
-		read.canKey = string(qk.canonicalKey())
+		for _, s := range qk.spans {
+			read.set = append(read.set, string(qk.slab[s.lo:s.hi]))
+		}
 		out.queries = append(out.queries, read)
 	}
 	if !batch && out.queries[0].refused {
@@ -191,7 +185,8 @@ const unbounded = 1 << 30
 
 // checkQueryForm holds the scanner to the reference on one body read as one
 // of the four requests, under a size bound: the same status and, when that
-// is 200, equal fields, equal token sequences and byte-equal cache keys.
+// is 200, equal fields, equal token sequences, equal token sets and
+// byte-equal query bytes (the cache key).
 func checkQueryForm(t testing.TB, body []byte, batch, topk bool, limit int64, wrap func(io.Reader) io.Reader) {
 	t.Helper()
 	want := refOutcome(body, batch, topk, limit)
@@ -205,7 +200,7 @@ func checkQueryForm(t testing.TB, body []byte, batch, topk bool, limit int64, wr
 	}
 	for i, w := range want.queries {
 		g := got.queries[i]
-		if g.refused != w.refused || !slices.Equal(g.tokens, w.tokens) || g.raw != w.raw || g.rawKey != w.rawKey || g.canKey != w.canKey {
+		if g.refused != w.refused || !slices.Equal(g.tokens, w.tokens) || g.raw != w.raw || !slices.Equal(g.set, w.set) {
 			t.Fatalf("body %.300q (batch %v, topk %v), query %d:\n scanner   %.300q\n reference %.300q", body, batch, topk, i, fmt.Sprint(g), fmt.Sprint(w))
 		}
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"container/list"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -14,10 +13,10 @@ import (
 )
 
 // queryCache is the per-collection prepared-query cache: a sharded LRU over
-// engine PreparedQuerys keyed by (collection query generation, canonical
-// token key). Hashing a query into its signature is the dominant per-request
-// cost for hot queries; the cache computes it once per (generation, query)
-// and hands out cheap clones.
+// engine PreparedQuerys keyed by (collection query generation, the query's
+// verbatim JSON bytes). Hashing a query into its signature is the dominant
+// per-request cost for hot queries; the cache computes it once per
+// (generation, query) and hands out cheap clones.
 //
 // Correctness rests on two invariants enforced by the Collection:
 //
@@ -28,47 +27,33 @@ import (
 //     prepared under; entries keyed by an older generation simply stop
 //     matching and age out through the LRU (no scan, no explicit flush).
 //   - The cached PreparedQuery instance is never used for a query: lookup
-//     returns the shared instance, and callers either Clone it (outside the
-//     shard lock — safe because the shared instance is never mutated, and a
+//     returns the shared instance, and callers Clone it (outside the shard
+//     lock — safe because the shared instance is never mutated, and a
 //     concurrent put of the same key swaps the entry's interface value
-//     rather than mutating the old instance) or re-put it verbatim under an
-//     alias key. All per-request mutable state (size overrides, the gbkmv
-//     threshold-tracking rebuild slot) lives in the clones.
+//     rather than mutating the old instance). All per-request mutable state
+//     (size overrides, the gbkmv threshold-tracking rebuild slot) lives in
+//     the clones.
 //
-// The cache is two-keyed. The canonical (L2) key is the query's token
-// *set* — distinct tokens, sorted, each length-prefixed (uvarint) so no
-// token content can alias a boundary — which means "a b", "b a" and
-// "b a b" share one entry and one signature. The raw (L1) key is the
-// verbatim JSON bytes of the query array: a hot query repeats byte-
-// identically, and an exact-bytes hit skips the per-token JSON decode and
-// the canonicalization entirely, not just the sketch. Both key spaces live
-// in the same LRU (distinguished by a prefix byte) and may reference the
-// same shared PreparedQuery; a raw key that misses falls back to the
-// canonical lookup and installs itself as an alias on the way out.
+// The key is the verbatim JSON bytes of the query array: a hot query repeats
+// byte-identically, and a hit skips the per-token JSON decode and the
+// sorting of the token set, not just the sketch. The token *set* still
+// decides the sketch, so a permuted or duplicated-token spelling of a cached
+// query gets the same answer — as a miss, from one more sketch. A second,
+// canonical key space that caught such spellings served 23 of 36 500 hits on
+// the serve-read benchmark workload and 7–9 of 8 000 on serve-mixed (counted
+// at PR 24), and went.
 type queryCache struct {
 	shards []qcShard
 	// The counters are the collection's registry children.
 	hits, misses, evictions *obs.Counter
 }
 
-// Key-space prefixes: a raw-bytes key can never collide with a canonical
-// encoding.
-const (
-	rawKeyPrefix   = 'r'
-	canonKeyPrefix = 'c'
-)
-
-// maxRawKeyBytes bounds the raw-key alias: outsized query bodies skip L1
-// (they still dedupe through the canonical key when small enough in tokens)
-// so a few giant queries cannot dominate the cache's memory.
-const maxRawKeyBytes = 4096
-
-// maxCachedQueryTokens bounds what enters the cache at all: beyond it a
-// query is prepared uncached. The cache capacity counts entries, not bytes,
-// and both the canonical key and the cached prepared query retain O(|Q|)
-// state — without this bound an unauthenticated client posting distinct
-// multi-megabyte queries could pin entries × |Q| memory per collection.
-const maxCachedQueryTokens = 1024
+// maxKeyBytes bounds what enters the cache at all: a longer query is
+// prepared uncached. The cache capacity counts entries, not bytes, and both
+// the key and the cached prepared query retain O(|Q|) state — without this
+// bound an unauthenticated client posting distinct multi-megabyte queries
+// could pin entries × |Q| memory per collection.
+const maxKeyBytes = 4096
 
 // qcShards is the shard count (power of two). Per-collection caches see at
 // most one HTTP handler per in-flight request, so a small constant keeps the
@@ -111,13 +96,10 @@ func newQueryCache(capacity int, hits, misses, evictions *obs.Counter) *queryCac
 	return qc
 }
 
-// qkeyScratch holds the pooled buffers of one request's key building (the
-// raw and canonical keys coexist on the miss path, hence two buffers) and of
-// the query's tokens, which stay bytes from the body to the vocabulary: slab
-// holds them unescaped and back to back, spans says where each one lies.
+// qkeyScratch holds the pooled buffers of one request's query tokens, which
+// stay bytes from the body to the vocabulary: slab holds them unescaped and
+// back to back, spans says where each one lies.
 type qkeyScratch struct {
-	key   []byte
-	raw   []byte
 	slab  []byte
 	spans []tokSpan
 	elems []gbkmv.Element
@@ -204,21 +186,6 @@ func jsonKind(c byte) string {
 	return ""
 }
 
-// canonicalKey writes the canonical cache key of the tokenized query into the
-// scratch buffer and returns it (valid until the scratch is reused): the
-// distinct tokens sorted, each prefixed with its uvarint length. The length
-// prefix — rather than a separator byte — keeps keys unambiguous for
-// arbitrary token bytes, so two different queries can never share a key.
-func (sc *qkeyScratch) canonicalKey() []byte {
-	key := append(sc.key[:0], canonKeyPrefix)
-	for _, s := range sc.spans {
-		key = binary.AppendUvarint(key, uint64(s.hi-s.lo))
-		key = append(key, sc.slab[s.lo:s.hi]...)
-	}
-	sc.key = key
-	return key
-}
-
 // prepare prepares the tokenized query against the engine: its tokens go
 // through the vocabulary as bytes, without interning, and gbkmv.PrepareElements
 // takes it from there with |Q| = the distinct tokens, known or not.
@@ -237,17 +204,7 @@ func (sc *qkeyScratch) prepare(e gbkmv.Engine, voc *gbkmv.Vocabulary) (gbkmv.Pre
 	return gbkmv.PrepareElements(e, rec, len(sc.spans))
 }
 
-// rawQueryKey writes the exact-bytes cache key of a query's verbatim JSON
-// into the scratch buffer, or nil when the query is too large to alias.
-func rawQueryKey(raw []byte, sc *qkeyScratch) []byte {
-	if len(raw) > maxRawKeyBytes {
-		return nil
-	}
-	sc.raw = append(append(sc.raw[:0], rawKeyPrefix), raw...)
-	return sc.raw
-}
-
-// shardFor selects a shard by FNV-1a over the canonical key.
+// shardFor selects a shard by FNV-1a over the key.
 func (qc *queryCache) shardFor(key []byte) *qcShard {
 	const (
 		offset64 = 14695981039346656037
@@ -262,15 +219,11 @@ func (qc *queryCache) shardFor(key []byte) *qcShard {
 }
 
 // lookup returns the shared cached prepared query for (gen, key), if
-// present and current. The map lookup uses the raw key bytes (no string
-// allocation on the hit path). Counting is the caller's job — one request
-// may probe both key spaces but must count as one hit or one miss. The
-// returned instance is shared: callers may Clone it (read-only) or re-put
-// it under an alias key, never use it for a query directly.
+// present and current. The map lookup uses the key bytes in place (no string
+// allocation on the hit path). Counting is the caller's job. The returned
+// instance is shared: callers Clone it (read-only), never use it for a query
+// directly.
 func (qc *queryCache) lookup(gen uint64, key []byte) (gbkmv.PreparedQuery, bool) {
-	if key == nil {
-		return nil, false
-	}
 	sh := qc.shardFor(key)
 	sh.mu.Lock()
 	el, ok := sh.m[string(key)]
@@ -285,14 +238,11 @@ func (qc *queryCache) lookup(gen uint64, key []byte) (gbkmv.PreparedQuery, bool)
 }
 
 // put stores pq for (gen, key). pq must never again be used directly by the
-// caller for queries (hand in the freshly prepared instance — or a shared
-// instance from lookup, for alias keys — and query through a clone). An
-// existing entry for the same key — current or stale — is overwritten in
-// place, so dead generations never accumulate behind a hot key.
+// caller for queries (hand in the freshly prepared instance and query through
+// a clone). An existing entry for the same key — current or stale — is
+// overwritten in place, so dead generations never accumulate behind a hot
+// key.
 func (qc *queryCache) put(gen uint64, key []byte, pq gbkmv.PreparedQuery) {
-	if key == nil {
-		return
-	}
 	sh := qc.shardFor(key)
 	sh.mu.Lock()
 	if el, ok := sh.m[string(key)]; ok {

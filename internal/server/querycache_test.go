@@ -23,42 +23,6 @@ func collStats(t *testing.T, c *Collection) QueryCacheStats {
 	return *st.QueryCache
 }
 
-// canonKeyOf is the canonical cache key of a token query, through the
-// request path's own steps: the query's JSON, tokenized, keyed.
-func canonKeyOf(t *testing.T, sc *qkeyScratch, tokens ...string) []byte {
-	t.Helper()
-	raw, err := json.Marshal(tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sc.tokenize(raw); err != nil {
-		t.Fatal(err)
-	}
-	return sc.canonicalKey()
-}
-
-func TestCanonicalKey(t *testing.T) {
-	sc := &qkeyScratch{}
-	key := func(tokens ...string) string {
-		return string(canonKeyOf(t, sc, tokens...))
-	}
-	if key("a", "b") != key("b", "a") {
-		t.Error("order changed the key")
-	}
-	if key("a", "b") != key("b", "a", "b") {
-		t.Error("duplicates changed the key")
-	}
-	if key("a", "b") == key("ab") {
-		t.Error("concatenation aliased the key")
-	}
-	if key("a\x00", "b") == key("a", "\x00b") {
-		t.Error("NUL bytes aliased token boundaries")
-	}
-	if key("a") == key("a", "b") {
-		t.Error("extra token did not change the key")
-	}
-}
-
 func TestQueryCacheLRUAndGenerations(t *testing.T) {
 	voc := gbkmv.NewVocabulary()
 	recs := []gbkmv.Record{voc.Record([]string{"x", "y"})}
@@ -67,10 +31,9 @@ func TestQueryCacheLRUAndGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	qc := newQueryCache(qcShards, &obs.Counter{}, &obs.Counter{}, &obs.Counter{}) // one entry per shard
-	sc := &qkeyScratch{}
 	pq, _ := gbkmv.PrepareTokens(eng, voc, []string{"x"})
 
-	k1 := append([]byte(nil), canonKeyOf(t, sc, "x")...)
+	k1 := []byte(`["x"]`)
 	if _, ok := qc.lookup(1, k1); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -87,17 +50,14 @@ func TestQueryCacheLRUAndGenerations(t *testing.T) {
 	if _, ok := qc.lookup(2, k1); !ok {
 		t.Fatal("miss after generation refresh")
 	}
-	// Raw keys live in a disjoint key space: the verbatim bytes of a token
-	// whose canonical encoding they would otherwise equal cannot alias it.
-	raw := rawQueryKey(k1[1:], &qkeyScratch{})
-	if _, ok := qc.lookup(2, raw); ok {
-		t.Fatal("raw key aliased a canonical entry")
+	// The key is the query's bytes: another spelling of it is another key.
+	if _, ok := qc.lookup(2, []byte(`[ "x"]`)); ok {
+		t.Fatal("a respelled query hit the cache")
 	}
 	// Filling a shard beyond capacity evicts oldest-first.
 	evBefore := qc.stats().Evictions
 	for i := 0; i < 64; i++ {
-		k := append([]byte(nil), canonKeyOf(t, sc, fmt.Sprintf("t%d", i))...)
-		qc.put(2, k, pq)
+		qc.put(2, fmt.Appendf(nil, `["t%d"]`, i), pq)
 	}
 	st := qc.stats()
 	if st.Evictions == evBefore {
@@ -120,15 +80,16 @@ func TestQueryCacheServesAndInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	search := func() map[string]any {
+	searchFor := func(query string) map[string]any {
 		t.Helper()
 		code, m := doJSON(t, ts, "POST", "/collections/rest/search",
-			`{"query": ["shake", "shack", "burgers"], "threshold": 0.3}`)
+			`{"query": `+query+`, "threshold": 0.3}`)
 		if code != http.StatusOK {
 			t.Fatalf("search: %d %v", code, m)
 		}
 		return m
 	}
+	search := func() map[string]any { return searchFor(`["shake", "shack", "burgers"]`) }
 
 	// First search misses, second hits, answers identical.
 	first := search()
@@ -146,6 +107,15 @@ func TestQueryCacheServesAndInvalidates(t *testing.T) {
 	}
 	if first["count"] != float64(2) { // records 0 and 2 share "burgers": 1/3 ≥ 0.3
 		t.Fatalf("unexpected baseline count: %v", first)
+	}
+	// The key is the query's bytes, the sketch its token set: a permuted,
+	// duplicated-token spelling is a miss with the same answer.
+	respelled := searchFor(`["burgers", "shake", "shack", "shake"]`)
+	if st2 := collStats(t, c); st2.Hits != st1.Hits || st2.Misses != st1.Misses+1 {
+		t.Fatalf("respelled query was not a miss: %+v -> %+v", st1, st2)
+	}
+	if !reflect.DeepEqual(first, respelled) {
+		t.Fatalf("respelling changed the answer:\n %v\n %v", first, respelled)
 	}
 
 	// Insert a matching record: the cached pre-insert answer must not
@@ -223,10 +193,9 @@ func TestQueryCacheDisabled(t *testing.T) {
 	buildRestaurants(t, ts, "rest")
 	doJSON(t, ts, "POST", "/collections/rest/search", `{"query": ["five", "guys"], "threshold": 0.5}`)
 	_, m = doJSON(t, ts, "GET", "/collections/rest/stats", "")
-	// One query populates two entries: the canonical key plus its verbatim
-	// raw-bytes alias.
+	// One query populates one entry, under its verbatim bytes.
 	qcm, ok := m["query_cache"].(map[string]any)
-	if !ok || qcm["entries"] != float64(2) {
+	if !ok || qcm["entries"] != float64(1) {
 		t.Fatalf("query_cache of a 16-entry store: %v", m)
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides the small set of summary statistics shared by the
-// evaluation harness and the cost model: means, variances, extrema, quantiles
-// and simple online accumulation.
+// evaluation harness and the cost model: means, variances, extrema and
+// quantiles.
 package stats
 
 import (
@@ -109,65 +109,4 @@ func Summarize(xs []float64) Summary {
 		StdDev: StdDev(xs),
 		Median: Median(xs),
 	}
-}
-
-// Accumulator accumulates values online (Welford's algorithm), so experiment
-// loops do not need to retain every sample.
-type Accumulator struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add incorporates x.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the number of samples added.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean, or NaN when empty.
-func (a *Accumulator) Mean() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.mean
-}
-
-// Variance returns the running population variance, or NaN when empty.
-func (a *Accumulator) Variance() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.m2 / float64(a.n)
-}
-
-// Min returns the smallest sample, or NaN when empty.
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
-// Max returns the largest sample, or NaN when empty.
-func (a *Accumulator) Max() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.max
 }

@@ -128,41 +128,39 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestAccumulatorMatchesBatch holds the two-pass Mean and Variance to an
+// independent reference: Welford's one-pass accumulation of the same samples.
 func TestAccumulatorMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	xs := make([]float64, 1000)
-	var acc Accumulator
+	var mean, m2 float64
 	for i := range xs {
 		xs[i] = rng.NormFloat64()*3 + 1
-		acc.Add(xs[i])
+		d := xs[i] - mean
+		mean += d / float64(i+1)
+		m2 += d * (xs[i] - mean)
 	}
-	if acc.N() != len(xs) {
-		t.Errorf("N = %d", acc.N())
+	if !almostEqual(mean, Mean(xs), 1e-9) {
+		t.Errorf("one-pass mean %v != batch %v", mean, Mean(xs))
 	}
-	if !almostEqual(acc.Mean(), Mean(xs), 1e-9) {
-		t.Errorf("acc mean %v != batch %v", acc.Mean(), Mean(xs))
+	if !almostEqual(m2/float64(len(xs)), Variance(xs), 1e-9) {
+		t.Errorf("one-pass variance %v != batch %v", m2/float64(len(xs)), Variance(xs))
 	}
-	if !almostEqual(acc.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("acc var %v != batch %v", acc.Variance(), Variance(xs))
-	}
-	if acc.Min() != Min(xs) || acc.Max() != Max(xs) {
-		t.Errorf("acc min/max %v/%v != %v/%v", acc.Min(), acc.Max(), Min(xs), Max(xs))
+	if s := Summarize(xs); s.N != len(xs) || s.Mean != Mean(xs) || s.StdDev != StdDev(xs) || s.Min != Min(xs) || s.Max != Max(xs) {
+		t.Errorf("summary %+v disagrees with the batch functions", s)
 	}
 }
 
 func TestAccumulatorEmpty(t *testing.T) {
-	var acc Accumulator
-	if !math.IsNaN(acc.Mean()) || !math.IsNaN(acc.Variance()) ||
-		!math.IsNaN(acc.Min()) || !math.IsNaN(acc.Max()) {
-		t.Error("empty accumulator should report NaN")
+	s := Summarize(nil)
+	if s.N != 0 || !math.IsNaN(s.Mean) || !math.IsNaN(s.StdDev) ||
+		!math.IsNaN(s.Min) || !math.IsNaN(s.Max) || !math.IsNaN(s.Median) {
+		t.Errorf("summary of no samples should report NaN, got %+v", s)
 	}
 }
 
 func TestAccumulatorSingle(t *testing.T) {
-	var acc Accumulator
-	acc.Add(4)
-	if acc.Mean() != 4 || acc.Variance() != 0 || acc.Min() != 4 || acc.Max() != 4 {
-		t.Errorf("single-sample accumulator wrong: %v %v %v %v",
-			acc.Mean(), acc.Variance(), acc.Min(), acc.Max())
+	if s := Summarize([]float64{4}); s != (Summary{N: 1, Min: 4, Max: 4, Mean: 4, StdDev: 0, Median: 4}) {
+		t.Errorf("single-sample summary wrong: %+v", s)
 	}
 }
