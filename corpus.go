@@ -89,7 +89,6 @@ func (b *RecordBuilder) EndRecord() (int, error) {
 // Corpus returns the records closed so far and starts the builder on an empty
 // corpus.
 func (b *RecordBuilder) Corpus() *Corpus {
-	b.recs.Fit()
 	c := &Corpus{recs: b.recs}
 	b.recs = snapfmt.PackedRecords{}
 	return c

@@ -102,11 +102,6 @@ const tauBucketBits = 12
 // times.
 type keyScan func(part int, emit func(keys []uint32))
 
-// sliceScan is the keyScan of keys that already lie in memory.
-func sliceScan(parts [][]uint32) keyScan {
-	return func(part int, emit func([]uint32)) { emit(parts[part]) }
-}
-
 // kthSelector selects order statistics of a streamed key multiset; what it
 // keeps between calls is its working memory, the merged bucket histogram and
 // the candidate buffer of the target bucket. The build selects once with a
@@ -285,9 +280,7 @@ func (ix *Index) derive() error {
 
 	ix.bufArena.init(m, h)
 	ix.bufCols.init(m, h)
-	a := &ix.arena
-	a.offsets = make([]uint32, m+1)
-	a.complete = make([]bool, m)
+	lengths, complete := ix.arena.layout(m)
 	shares := make([]deriveShare, len(parts))
 	runParallel(len(parts), len(parts), func(w int) {
 		spanOccurrences := 0
@@ -314,8 +307,8 @@ func (ix *Index) derive() error {
 				}
 				pos++
 			}
-			a.offsets[i+1] = uint32(under) // run length; prefix-summed below
-			a.complete[i] = under == rest
+			lengths[i+1] = uint32(under) // run length; prefix-summed by place
+			complete[i] = under == rest
 			hashes += under // the fill pass hashes what is kept
 			if cut != math.MaxUint32 {
 				hashes += rest // and this one what is not buffered
@@ -325,17 +318,11 @@ func (ix *Index) derive() error {
 		ix.elementsHashed.Add(uint64(hashes))
 	})
 
-	total := 0
-	for _, n := range a.offsets[1:] {
-		total += int(n)
-	}
-	if err := checkArenaRoom(total); err != nil {
+	keys, offsets, err := ix.arena.place()
+	if err != nil {
 		return err
 	}
-	for i := 0; i < m; i++ {
-		a.offsets[i+1] += a.offsets[i]
-	}
-	a.keys = make([]uint32, total)
+	total := len(keys)
 	// Counts become write cursors into one slab of exactly `total` record
 	// ids; the fill pass advances each worker's to where the next worker's
 	// share of the list starts, the last worker's to the list's end.
@@ -355,7 +342,7 @@ func (ix *Index) derive() error {
 	runParallel(len(parts), len(parts), func(w int) {
 		sh, pos := shares[w], 0
 		for i := parts[w].lo; i < parts[w].hi; i++ {
-			run := a.keys[a.offsets[i]:a.offsets[i]:a.offsets[i+1]]
+			run := keys[offsets[i]:offsets[i]:offsets[i+1]]
 			sh.rec = ix.recs.AppendRecord(sh.rec[:0], i)
 			for _, e := range sh.rec {
 				if sh.kept[pos>>6]>>(pos&63)&1 != 0 {

@@ -170,8 +170,8 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 				t.Fatalf("%s: record %d hash %d = %v, reference %v", label, i, j, run[j], ref.runs[i][j])
 			}
 		}
-		if ix.arena.complete[i] != ref.complete[i] {
-			t.Fatalf("%s: record %d complete = %v, reference %v", label, i, ix.arena.complete[i], ref.complete[i])
+		if *ix.arena.complete.Ptr(i) != ref.complete[i] {
+			t.Fatalf("%s: record %d complete = %v, reference %v", label, i, *ix.arena.complete.Ptr(i), ref.complete[i])
 		}
 		if ix.bufferBits > 0 {
 			for bit := 0; bit < ix.bufferBits; bit++ {
@@ -344,7 +344,7 @@ func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
 	// tiesAt counts the stored keys equal to cut: the length of its tie run.
 	tiesAt := func(cut uint32) int {
 		n := 0
-		for _, v := range seq.arena.keys {
+		for _, v := range storedKeys(seq) {
 			if v == cut {
 				n++
 			}
@@ -433,7 +433,7 @@ func TestAddRecordsTieRunOnCutIsEvicted(t *testing.T) {
 		for i, rec := range d.Records[260:] {
 			ix.AddRecords([]dataset.Record{rec})
 			runs, longest := map[uint32]int{}, 0
-			for _, v := range ix.arena.keys {
+			for _, v := range storedKeys(ix) {
 				runs[v]++
 				longest = max(longest, runs[v])
 			}
@@ -465,10 +465,18 @@ func TestBuildTauShortCircuit(t *testing.T) {
 		t.Fatalf("τ = %v, want 1", ix.Tau())
 	}
 	for i := 0; i < ix.recs.Len(); i++ {
-		if !ix.arena.complete[i] {
+		if !*ix.arena.complete.Ptr(i) {
 			t.Fatalf("record %d not complete at τ=1", i)
 		}
 	}
+}
+
+// storedKeys returns every key the arena holds, in address order.
+func storedKeys(ix *Index) []uint32 { return slices.Concat(ix.arena.keys.Chunks()...) }
+
+// sliceScan is the keyScan of keys that already lie in memory, a slice a part.
+func sliceScan(parts [][]uint32) keyScan {
+	return func(part int, emit func([]uint32)) { emit(parts[part]) }
 }
 
 func TestKthSmallestMatchesSort(t *testing.T) {

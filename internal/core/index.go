@@ -315,7 +315,7 @@ func (ix *Index) IndexSizeBytes() int {
 	}
 	m := ix.recs.Len()
 	columns := len(ix.bufferElems) * ((m + bufWordBits - 1) / bufWordBits) * 8
-	return 4*ix.arena.units() + 32*listed + columns + 4*len(ix.arena.offsets) + len(ix.arena.complete)
+	return 4*ix.arena.units() + 32*listed + columns + ix.arena.tableBytes()
 }
 
 // QuerySig is the GB-KMV sketch of a query record, reusable across many
@@ -415,7 +415,11 @@ func (ix *Index) bufferOverlap(sig *QuerySig, i int) int {
 	if sig.buffer == nil || ix.bufArena.stride == 0 {
 		return 0
 	}
-	return sig.buffer.AndCountWords(ix.bufArena.record(i))
+	row, ok := ix.bufArena.builtRow(i)
+	if !ok {
+		row = ix.bufArena.record(i)
+	}
+	return sig.buffer.AndCountWords(row)
 }
 
 // EstimateIntersection estimates |Q ∩ X_i| by Equation 27:

@@ -200,7 +200,7 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 	for _, rec := range recs {
 		incoming += len(rec)
 	}
-	err := checkArenaRoom(ix.arena.units() + incoming)
+	err := ix.arena.checkRoom(len(recs), incoming)
 	if err == nil {
 		err = ix.recs.CheckRoom(len(recs), incoming)
 	}
@@ -286,7 +286,7 @@ func (ix *Index) shrinkThreshold(over int) bool {
 	// Crucially the new τ depends only on the stored multiset and keep —
 	// never on the insertion grouping — so batched and sequential inserts
 	// (and hence journal replay) converge on identical state.
-	cut := ix.sel.kthSmallest(1, sliceScan([][]uint32{ix.arena.keys}), keep, ix.cut)
+	cut := ix.sel.kthSmallest(1, ix.arena.scanKeys, keep, ix.cut)
 	if cut == ix.cut {
 		// The run on the current cut is longer than what has to go, and it
 		// only grows with the inserts (an order statistic of a multiset lands
@@ -295,12 +295,7 @@ func (ix *Index) shrinkThreshold(over int) bool {
 		// strictly below, still a function of the multiset alone — rather
 		// than decline every shrink while the run takes the index ever
 		// further over budget.
-		below, found := uint32(0), false
-		for _, v := range ix.arena.keys {
-			if v < cut && (!found || v > below) {
-				below, found = v, true
-			}
-		}
+		below, found := ix.arena.largestBelow(cut)
 		if !found {
 			return false // the run is all there is
 		}

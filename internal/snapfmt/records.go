@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"gbkmv/internal/chunked"
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/hash"
 )
@@ -91,19 +92,22 @@ func decodeRecord(dst []hash.Element, b []byte) []hash.Element {
 }
 
 // PackedRecords is a record collection held in the records section's coding:
-// one byte slab of every record's coding back to back, and one offset a
-// record. The zero value is an empty collection.
+// every record's coding back to back, and one address a record. Both are
+// chunked stores: a collection packed at once is one slab of exactly its size,
+// one grown by Append allocates a chunk at a time and never copies a record it
+// holds; a record's coding is contiguous either way. The zero value is an
+// empty collection.
 type PackedRecords struct {
-	data     []byte
-	offsets  []uint32 // len = Len()+1 once anything is stored; record i is data[offsets[i]:offsets[i+1]]
-	elements int      // element occurrences
+	data     chunked.Store[byte]
+	offsets  chunked.Store[uint32] // Len()+1 addresses once anything is stored; record i is data.Run(offsets[i], offsets[i+1])
+	elements int                   // element occurrences
 	top      hash.Element
 	unsorted int // 1 + the first record that is not strictly ascending; 0 when all are
 }
 
-// packLimit is the slab length the uint32 offsets cannot address: a store
-// holds fewer bytes than this. A variable only so the tests can reach the
-// bound without 4 GB of records.
+// packLimit is the first address the uint32 offsets cannot hold: a store's
+// bytes lie below it. A variable only so the tests can reach the bound
+// without 4 GB of records.
 var packLimit = math.MaxUint32
 
 // SetPackLimit is for the tests of the packages that build stores: it lowers
@@ -120,11 +124,6 @@ func checkPackRoom(bytes int) error {
 	}
 	return nil
 }
-
-// withHeadroom is the capacity a bulk-built store gives n bytes, or n records:
-// the eighth append growth would have left them, so the first inserts into a
-// built collection do not begin by copying it.
-func withHeadroom(n int) int { return n + n/8 }
 
 // fanSpans splits [0, m) into `workers` contiguous spans and calls fn(w, lo,
 // hi) for each, the last on the caller's goroutine, and waits for all.
@@ -148,11 +147,12 @@ func fanSpans(m, workers int, fn func(w, lo, hi int)) {
 
 // PackRecords codes recs across up to `workers` goroutines: every record is
 // measured, the offsets are the prefix sums, and each record is coded
-// straight into its window of the slab. Slab and offsets get withHeadroom.
-// recs is not retained.
+// straight into its window of the slab. Slab and offsets are exactly as long
+// as what they hold. recs is not retained.
 func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 	m := len(recs)
-	p := PackedRecords{offsets: make([]uint32, m+1, withHeadroom(m)+1)}
+	var p PackedRecords
+	offsets := p.offsets.Bulk(m + 1)
 	workers = max(1, min(workers, m))
 	type share struct {
 		bytes, elements, unsorted int
@@ -167,7 +167,7 @@ func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 				sh.unsorted = i + 1
 			}
 			// A size that does not fit its slot fails the byte total below.
-			p.offsets[i+1] = uint32(size)
+			offsets[i+1] = uint32(size)
 			sh.bytes, sh.elements, sh.top = sh.bytes+size, sh.elements+len(recs[i]), max(sh.top, top)
 		}
 	})
@@ -183,12 +183,12 @@ func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 		return PackedRecords{}, err
 	}
 	for i := 0; i < m; i++ {
-		p.offsets[i+1] += p.offsets[i]
+		offsets[i+1] += offsets[i]
 	}
-	p.data = make([]byte, total, withHeadroom(total))
+	data := p.data.Bulk(total)
 	fanSpans(m, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			appendRecord(p.data[p.offsets[i]:p.offsets[i]:p.offsets[i+1]], recs[i])
+			appendRecord(data[offsets[i]:offsets[i]:offsets[i+1]], recs[i])
 		}
 	})
 	return p, nil
@@ -199,7 +199,7 @@ func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 // a record is decoded only for route to see, into one buffer a worker — route
 // runs on up to `workers` goroutines and must not keep its argument. part[i]
 // is the store record i went to. Every store comes out as PackRecords would
-// have packed its records, headroom included. p must hold no unsorted record.
+// have packed its records. p must hold no unsorted record.
 func (p *PackedRecords) Partition(n, workers int, route func(rec dataset.Record) int) (parts []PackedRecords, part []uint32, err error) {
 	if err := p.CheckSorted(); err != nil {
 		return nil, nil, err
@@ -219,13 +219,14 @@ func (p *PackedRecords) Partition(n, workers int, route func(rec dataset.Record)
 			s := route(rec)
 			part[i] = uint32(s)
 			sh := &shares[w*n+s]
-			sh.records, sh.bytes, sh.elements = sh.records+1, sh.bytes+int(p.offsets[i+1]-p.offsets[i]), sh.elements+len(rec)
+			sh.records, sh.bytes, sh.elements = sh.records+1, sh.bytes+len(p.coded(i)), sh.elements+len(rec)
 			if len(rec) > 0 {
 				sh.top = max(sh.top, rec[len(rec)-1])
 			}
 		}
 	})
 	parts = make([]PackedRecords, n)
+	slabs, tables := make([][]byte, n), make([][]uint32, n)
 	for s := range parts {
 		var all share
 		for w := 0; w < workers; w++ {
@@ -235,23 +236,23 @@ func (p *PackedRecords) Partition(n, workers int, route func(rec dataset.Record)
 		if err := checkPackRoom(all.bytes); err != nil {
 			return nil, nil, err
 		}
-		parts[s] = PackedRecords{
-			data:     make([]byte, 0, withHeadroom(all.bytes)),
-			offsets:  make([]uint32, 1, withHeadroom(all.records)+1),
-			elements: all.elements,
-			top:      all.top,
-		}
+		parts[s].elements, parts[s].top = all.elements, all.top
+		slabs[s], tables[s] = parts[s].data.Bulk(all.bytes), parts[s].offsets.Bulk(all.records + 1)[:1]
 	}
 	for i, s := range part {
-		q := &parts[s]
-		q.data = append(q.data, p.data[p.offsets[i]:p.offsets[i+1]]...)
-		q.offsets = append(q.offsets, uint32(len(q.data)))
+		end := int(tables[s][len(tables[s])-1])
+		tables[s] = append(tables[s], uint32(end+copy(slabs[s][end:], p.coded(i))))
 	}
 	return parts, part, nil
 }
 
 // Len returns the number of records.
-func (p *PackedRecords) Len() int { return max(0, len(p.offsets)-1) }
+func (p *PackedRecords) Len() int { return max(0, p.offsets.Len()-1) }
+
+// coded returns record i's coding. The slice aliases the store.
+func (p *PackedRecords) coded(i int) []byte {
+	return p.data.Run(p.offsets.Pair(i))
+}
 
 // Elements returns the number of element occurrences over all records.
 func (p *PackedRecords) Elements() int { return p.elements }
@@ -259,58 +260,58 @@ func (p *PackedRecords) Elements() int { return p.elements }
 // Top returns the largest element of any record (0 for none).
 func (p *PackedRecords) Top() hash.Element { return p.top }
 
-// SizeBytes returns the bytes the records take: the slab and the offsets.
-func (p *PackedRecords) SizeBytes() int { return len(p.data) + 4*len(p.offsets) }
+// SizeBytes returns the bytes the records take, codings and offsets: what is
+// stored, not what the chunks holding it could.
+func (p *PackedRecords) SizeBytes() int { return p.data.Len() + 4*p.offsets.Len() }
 
 // CheckRoom reports whether `records` more records of `elements` element
 // occurrences in all are certain to fit the offset table, taking every
 // uvarint at its longest: the check a caller makes before it changes anything
 // else for an Append.
 func (p *PackedRecords) CheckRoom(records, elements int) error {
+	if records == 0 {
+		return nil
+	}
 	worst := records + elements
-	if worst > (math.MaxInt-len(p.data))/binary.MaxVarintLen64 {
+	if worst > math.MaxInt/(4*binary.MaxVarintLen64) {
 		return checkPackRoom(math.MaxInt)
 	}
-	return checkPackRoom(len(p.data) + binary.MaxVarintLen64*worst)
+	return checkPackRoom(p.data.Bound(binary.MaxVarintLen64 * worst))
 }
 
-// Append codes rec onto the end of the store, which grows like any appended
-// slice. rec is not retained. A record that would take the slab past the
-// offset table is an error and leaves the store as it was; a caller that must
-// not find out halfway through a batch asks first (CheckRoom).
+// push makes room for the coding, size bytes long, of one more record and
+// returns it: in the last chunk if it fits there, at the head of a new one if
+// not. A record that would take the store past the offset table is an error
+// and leaves the store as it was.
+func (p *PackedRecords) push(size int) ([]byte, error) {
+	if err := checkPackRoom(p.data.Place(size) + size); err != nil {
+		return nil, err
+	}
+	start, coding := p.data.Alloc(size)
+	if p.offsets.Len() == 0 {
+		p.offsets.Append(start)
+	} else {
+		*p.offsets.Ptr(p.Len()) = start
+	}
+	p.offsets.Append(start + uint32(size))
+	return coding, nil
+}
+
+// Append codes rec onto the end of the store, which allocates a chunk when
+// the last is full and moves nothing. rec is not retained. A caller that must
+// not find the store full halfway through a batch asks first (CheckRoom).
 func (p *PackedRecords) Append(rec dataset.Record) error {
 	size, top, ascending := measure(rec)
-	if err := checkPackRoom(len(p.data) + size); err != nil {
+	coding, err := p.push(size)
+	if err != nil {
 		return err
 	}
-	if p.offsets == nil {
-		p.offsets = []uint32{0}
-	}
 	if !ascending && p.unsorted == 0 {
-		p.unsorted = p.Len() + 1
+		p.unsorted = p.Len()
 	}
-	p.data = appendRecord(p.data, rec)
-	p.offsets = append(p.offsets, uint32(len(p.data)))
+	appendRecord(coding[:0], rec)
 	p.elements, p.top = p.elements+len(rec), max(p.top, top)
 	return nil
-}
-
-// Fit gives a store grown by Append the capacities of one packed at once
-// (withHeadroom): what is over is cut off, what is missing costs the one copy
-// the first insert would otherwise pay.
-func (p *PackedRecords) Fit() {
-	if p.Len() == 0 {
-		return
-	}
-	p.data = fit(p.data, withHeadroom(len(p.data)))
-	p.offsets = fit(p.offsets, withHeadroom(p.Len())+1)
-}
-
-func fit[T any](s []T, capacity int) []T {
-	if cap(s) >= capacity {
-		return s[:len(s):capacity]
-	}
-	return append(make([]T, 0, capacity), s...)
 }
 
 // CheckSorted names the first record that is not strictly ascending (the
@@ -324,14 +325,14 @@ func (p *PackedRecords) CheckSorted() error {
 
 // RecordLen returns the number of elements of record i.
 func (p *PackedRecords) RecordLen(i int) int {
-	n, _ := binary.Uvarint(p.data[p.offsets[i]:])
+	n, _ := binary.Uvarint(p.data.From(*p.offsets.Ptr(i)))
 	return int(n)
 }
 
 // AppendRecord appends the elements of record i to dst: the allocation-free
 // way to walk the store with one reused buffer.
 func (p *PackedRecords) AppendRecord(dst []hash.Element, i int) []hash.Element {
-	return decodeRecord(dst, p.data[p.offsets[i]:p.offsets[i+1]])
+	return decodeRecord(dst, p.coded(i))
 }
 
 // Record returns a decoded copy of record i, the caller's to keep.
@@ -377,8 +378,9 @@ func (w *Writer) Records(recs []dataset.Record) {
 	}
 }
 
-// Packed writes the records section of a store: the two counts and the slab
-// as it is — the bytes Records writes for the same records.
+// Packed writes the records section of a store: the two counts and the
+// codings as they are, chunk after chunk — the bytes Records writes for the
+// same records.
 func (w *Writer) Packed(p *PackedRecords) {
 	if err := p.CheckSorted(); err != nil {
 		w.Fail(fmt.Errorf("snapfmt: %w", err))
@@ -386,37 +388,32 @@ func (w *Writer) Packed(p *PackedRecords) {
 	}
 	w.Int(p.Len())
 	w.Int(p.elements)
-	w.Write(p.data)
+	for _, chunk := range p.data.Chunks() {
+		w.Write(chunk)
+	}
 }
 
 // Packed reads the records section into a store. This is the section's one
 // validation loop — canonical uvarints, every record strictly ascending, the
 // declared counts met exactly — and the bytes it has checked are its output:
-// no element is held decoded. A record costs at least its length byte and an
-// element at least one, which is what the first allocations are held to
-// (grant); past that the slab grows by append as bytes actually arrive, so
-// what a stream declares never sizes more than a constant times what it
-// holds.
+// no element is held decoded. A record is validated into one reused buffer and
+// pushed onto the store, which grows a chunk at a time as the bytes arrive —
+// chunks that start at 1 kB and double — so what a stream declares sizes
+// nothing: a section cut short has cost under twice the records it did hold.
 func (r *Reader) Packed() PackedRecords {
 	m, total := r.Int(), r.Int()
 	if r.err == nil && total > math.MaxInt-m {
 		r.Corrupt("records section of %d records and %d elements overflows", m, total)
 	}
-	least := r.grant(m+total, 1)
-	if r.bounded {
-		// Dense ids code to about four bytes for every three elements: half
-		// again over the least a section can be saves the common load its
-		// growth copies, still within the bytes the source holds.
-		least = int(min(int64(least)+int64(least)/2, r.left+int64(r.end-r.pos)))
-	}
-	p := PackedRecords{data: make([]byte, 0, least), offsets: make([]uint32, 1, r.grant(m, 1)+1)}
+	var p PackedRecords
+	var coding []byte
 	for p.Len() < m && r.err == nil {
 		n := r.Int()
 		if n > total-p.elements {
 			r.Corrupt("record %d has %d elements, section declares %d in all", p.Len(), n, total)
 			break
 		}
-		p.data = binary.AppendUvarint(p.data, uint64(n))
+		coding = binary.AppendUvarint(coding[:0], uint64(n))
 		prev := hash.Element(0)
 		for j := 0; j < n && r.err == nil; j++ {
 			d := r.Uvarint()
@@ -426,12 +423,17 @@ func (r *Reader) Packed() PackedRecords {
 			} else {
 				prev = e
 			}
-			p.data = binary.AppendUvarint(p.data, d)
+			coding = binary.AppendUvarint(coding, d)
 		}
-		if err := checkPackRoom(len(p.data)); err != nil && r.err == nil {
+		if r.err != nil {
+			break
+		}
+		stored, err := p.push(len(coding))
+		if err != nil {
 			r.Corrupt("%v", err)
+			break
 		}
-		p.offsets = append(p.offsets, uint32(len(p.data)))
+		copy(stored, coding)
 		p.elements, p.top = p.elements+n, max(p.top, prev)
 	}
 	if r.err == nil && p.elements != total {

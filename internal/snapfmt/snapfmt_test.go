@@ -296,9 +296,9 @@ func TestSlabsLoadExactly(t *testing.T) {
 }
 
 // TestPackedLoadsInPlace: the store a vocabulary's records load into — ids
-// dense, so gaps of one byte and now and then two — is allocated once, within
-// the half over the section's least size its first allocation allows, and
-// takes a fifth of what the decoded records do.
+// dense, so gaps of one byte and now and then two — is allocated once, a chunk
+// at a time as the bytes arrive, within a chunk of codings and one of offsets
+// of what it holds, and takes a fifth of what the decoded records do.
 func TestPackedLoadsInPlace(t *testing.T) {
 	d, err := dataset.Synthetic(dataset.SyntheticConfig{
 		NumRecords: 20000, Universe: 50000, AlphaFreq: 1.1, AlphaSize: 2.5, MinSize: 10, MaxSize: 300,
@@ -321,14 +321,21 @@ func TestPackedLoadsInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)
-	allocated, kept := int(m1.TotalAlloc-m0.TotalAlloc), cap(p.data)+4*cap(p.offsets)
+	kept := 0
+	for _, chunk := range p.data.Chunks() {
+		kept += cap(chunk)
+	}
+	for _, chunk := range p.offsets.Chunks() {
+		kept += 4 * cap(chunk)
+	}
+	allocated := int(m1.TotalAlloc - m0.TotalAlloc)
 	t.Logf("section %d bytes: store of %d (%d in use) for %d occurrences, load allocated %d",
 		buf.Len(), kept, p.SizeBytes(), p.Elements(), allocated)
 	if allocated > kept+bufSize+8192 {
 		t.Errorf("loading a store of %d bytes allocated %d", kept, allocated)
 	}
-	if least := d.NumRecords() + d.TotalElements(); cap(p.data) > least+least/2 {
-		t.Errorf("slab of %d bytes for a section of at least %d", cap(p.data), least)
+	if kept > p.SizeBytes()+p.SizeBytes()/50+2*(64<<10) {
+		t.Errorf("chunks of %d bytes for a store of %d", kept, p.SizeBytes())
 	}
 	if decoded := 8*d.TotalElements() + 24*d.NumRecords(); 5*kept > decoded {
 		t.Errorf("store of %d bytes, the decoded records take %d", kept, decoded)

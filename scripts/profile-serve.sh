@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Profile gbkmvd under one of the benchmark's serving workloads:
 #
-#   scripts/profile-serve.sh serve-read [seed]        allocation and CPU profiles
+#   scripts/profile-serve.sh serve-read [seed]        allocation and CPU profiles of the busiest 3 s
+#   scripts/profile-serve.sh serve-read [seed] phase  what the whole main phase allocated
 #   scripts/profile-serve.sh serve-read [seed] rss    what set rss_mb, and when
 #
 # Builds what bench/run.sh builds, where it builds it (.bench_build/), and
@@ -15,7 +16,20 @@
 # of the window that answered the most main-phase requests — on serve-write
 # the build and its 4 096-query warm-up answer more requests than either
 # insert window — with `go tool pprof -top -cum`; all of them are left in
-# .bench_build/profile/ for `go tool pprof` to open.
+# .bench_build/profile/ for `go tool pprof` to open. A window is a sample of
+# the phase, not the phase: growth comes in bursts (a store's next chunk, a
+# posting list doubling, a map growing), so the busiest 3 s read 7 kB an insert
+# where serve-write's phase averages 9; what a phase allocated is the phase
+# mode's to say.
+#
+# With phase the daemons are scraped every 0.2 s instead: the cumulative
+# /debug/pprof/allocs between two reads of the request counters. For the
+# daemon that served the main phase it keeps the last profile taken with no
+# main-phase request answered and the first taken with all of them, and prints
+# `go tool pprof -sample_index=alloc_space -top -cum -base` of the two — every
+# byte the phase allocated, the warm-up before it and the probes after it left
+# out — with the scrapes' own share (net/http/pprof, runtime/pprof, /metrics)
+# printed apart, since alloc_kb_per_op does not pay it.
 #
 # With rss the daemons run under GODEBUG=gctrace=1 instead and are sampled
 # every 50 ms: VmRSS and VmHWM from /proc/<pid>/status, beside the stage the
@@ -28,11 +42,11 @@
 # VmRSS (the median over the main stage). rss_mb is VmHWM as the main phase ends: a last rise
 # above it happened in a probe.
 set -euo pipefail
-usage="usage: scripts/profile-serve.sh <serve-read|serve-write|serve-mixed> [seed] [rss]"
+usage="usage: scripts/profile-serve.sh <serve-read|serve-write|serve-mixed> [seed] [phase|rss]"
 workload=${1:?$usage}
 seed=${2:-1}
 mode=${3:-profile}
-[ "$mode" = profile ] || [ "$mode" = rss ] || { echo "$usage" >&2; exit 2; }
+[ "$mode" = profile ] || [ "$mode" = phase ] || [ "$mode" = rss ] || { echo "$usage" >&2; exit 2; }
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 build="$root/.bench_build"
 out="$build/profile"
@@ -49,6 +63,9 @@ export GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local GOWORK=off
 # way.
 port=$((20000 + RANDOM % 20000))
 launch="exec \"$build/bin/gbkmvd\" -debug-addr 127.0.0.1:$port \"\$@\""
+# The heap profile samples one allocation in 512 kB by default, too coarse to
+# add a phase up by function: one in 8 kB there.
+[ "$mode" = phase ] && launch="GODEBUG=memprofilerate=8192 $launch"
 if [ "$mode" = rss ]; then
 	launch="GODEBUG=gctrace=1 exec \"$build/bin/gbkmvd\" \"\$@\" 2> \"$out/stderr.\$\$\""
 fi
@@ -123,6 +140,49 @@ if [ "$mode" = rss ]; then
 	grep "built collection" "$out/stderr.$pid" || true
 	awk '$4 == "main" { print $2 }' "$out/samples.$pid" | sort -n |
 		awk '{ v[NR] = $1 } END { if (NR) printf "== steady state: VmRSS %.1f MB, the median of %d samples over the main stage ==\n", v[int((NR + 1) / 2)], NR }'
+	exit 0
+fi
+
+if [ "$mode" = phase ]; then
+	# base.<pid>: the last profile after which the daemon had answered no
+	# main-phase request; scrape.<pid>.<n> with the count read before it.
+	n=0
+	while kill -0 "$bench" 2> /dev/null; do
+		sleep 0.2
+		read -r addr pid < <(tail -n 1 "$out/daemons" 2> /dev/null) || continue
+		before=$(requests "$addr") && [ -n "$before" ] || continue
+		curl -sf --max-time 5 -o "$out/scrape" "http://127.0.0.1:$port/debug/pprof/allocs" || continue
+		after=$(requests "$addr") && [ -n "$after" ] || continue
+		if [ "${after#* }" = 0 ]; then
+			mv "$out/scrape" "$out/base.$pid"
+		else
+			n=$((n + 1))
+			mv "$out/scrape" "$out/scrape.$pid.$n"
+			echo "$pid $n ${before#* } ${after#* }" >> "$out/scrapes"
+		fi
+	done
+	wait "$bench" || { echo "the benchmark run failed; see above" >&2; exit 1; }
+	[ -s "$out/scrapes" ] || { echo "no daemon was scraped after a main-phase request; see $out" >&2; exit 1; }
+	# The daemon that answered the most, its final count, and the first scrape
+	# that began with that count already answered.
+	read -r pid total < <(sort -k4,4nr "$out/scrapes" | awk 'NR == 1 { print $1, $4 }')
+	last=$(awk -v pid="$pid" -v total="$total" '$1 == pid && $3 == total { print $2; exit }' "$out/scrapes")
+	[ -n "$last" ] && [ -s "$out/base.$pid" ] || { echo "the main phase of daemon $pid was not bracketed; see $out/scrapes" >&2; exit 1; }
+	mv "$out/scrape.$pid.$last" "$out/phase.after"
+	mv "$out/base.$pid" "$out/phase.before"
+	rm -f "$out"/scrape.* "$out"/base.*
+	echo "== $workload, seed $seed: daemon $pid, $total main-phase requests between $out/phase.before and $out/phase.after =="
+	echo "== result: $(cat "$out/result.json")"
+	scraper='net/http/pprof|runtime/pprof|obs\.\(\*Registry\)'
+	diff() {
+		go tool pprof -top -cum -sample_index=alloc_space "$@" -base "$out/phase.before" "$build/bin/gbkmvd" "$out/phase.after" 2> /dev/null
+	}
+	echo
+	echo "== the phase, scrapes left out (go tool pprof -top -cum -sample_index=alloc_space -ignore '$scraper' -base phase.before $build/bin/gbkmvd phase.after) =="
+	diff -nodecount=70 -ignore "$scraper"
+	echo
+	echo "== the scrapes' own share (-focus in place of -ignore) =="
+	diff -nodecount=6 -focus "$scraper"
 	exit 0
 fi
 

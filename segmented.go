@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gbkmv/internal/chunked"
 	"gbkmv/internal/snapfmt"
 	"gbkmv/internal/topkheap"
 )
@@ -98,7 +99,7 @@ type segRef struct {
 type segment struct {
 	mu      sync.RWMutex
 	eng     Engine
-	globals []int // local id → global id, ascending by construction
+	globals chunked.Store[int] // local id → global id, ascending by construction
 }
 
 var _ Engine = (*Segmented)(nil)
@@ -157,13 +158,13 @@ func NewSegmentedFromCorpus(inner string, n int, c *Corpus, opt EngineOptions) (
 		source = snapfmt.PackedRecords{} // the segments hold their copies
 	}
 	s.route = make([]segRef, m)
+	globals := make([][]int, n) // each segment's id map, filled in global order
+	for i, seg := range s.segs {
+		globals[i] = seg.globals.Bulk(parts[i].Len())[:0]
+	}
 	for g, i := range part {
-		seg := s.segs[i]
-		if seg.globals == nil {
-			seg.globals = make([]int, 0, parts[i].Len())
-		}
-		s.route[g] = segRef{seg: i, local: uint32(len(seg.globals))}
-		seg.globals = append(seg.globals, g)
+		s.route[g] = segRef{seg: i, local: uint32(len(globals[i]))}
+		globals[i] = append(globals[i], g)
 	}
 	err := fanSegmentsErr(n, func(i int) error {
 		if parts[i].Len() == 0 {
@@ -304,7 +305,7 @@ func (s *Segmented) SegmentRecords() []int {
 	out := make([]int, len(s.segs))
 	for i, seg := range s.segs {
 		seg.mu.RLock()
-		out[i] = len(seg.globals)
+		out[i] = seg.globals.Len()
 		seg.mu.RUnlock()
 	}
 	return out
@@ -358,7 +359,7 @@ func (s *Segmented) AddBatch(recs []Record) []int {
 	a.touched = a.touched[:0]
 	for i, seg := range s.segs {
 		seg.mu.RLock()
-		a.runs[i] = segRun{records: a.runs[i].records[:0], globals: a.runs[i].globals[:0], localBase: len(seg.globals)}
+		a.runs[i] = segRun{records: a.runs[i].records[:0], globals: a.runs[i].globals[:0], localBase: seg.globals.Len()}
 		seg.mu.RUnlock()
 	}
 	for i, r := range recs {
@@ -427,7 +428,9 @@ func (s *Segmented) applyRun(ti int) {
 	} else {
 		seg.eng.AddBatch(run.records)
 	}
-	seg.globals = append(seg.globals, run.globals...)
+	for _, g := range run.globals {
+		seg.globals.Append(g)
+	}
 }
 
 func (s *Segmented) Search(q Record, threshold float64) []int {
@@ -582,7 +585,7 @@ func (ss *segSearch) segment(i int) {
 		run, ss.totals[i] = pq.AppendSearchScored(run, ss.threshold, ss.limit)
 	}
 	for j := range run {
-		run[j].ID = seg.globals[run[j].ID]
+		run[j].ID = *seg.globals.Ptr(run[j].ID)
 	}
 	ss.runs[i] = run
 }
@@ -598,7 +601,7 @@ func (q *segmentedQuery) Search(threshold float64) []int {
 		defer seg.mu.RUnlock()
 		ids := q.pqs[i].Search(threshold)
 		for j, local := range ids {
-			ids[j] = seg.globals[local]
+			ids[j] = *seg.globals.Ptr(local)
 		}
 		per[i] = ids
 	})
@@ -808,12 +811,13 @@ func parseSegmented(sr *snapfmt.Reader) (func() (Engine, error), error) {
 	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("gbkmv: reading routing table: %w", err)
 	}
+	globals := make([][]int, n)
 	for i := range s.segs {
-		s.segs[i] = &segment{globals: make([]int, 0, counts[i])}
+		s.segs[i] = &segment{}
+		globals[i] = s.segs[i].globals.Bulk(counts[i])
 	}
 	for g, ref := range s.route {
-		seg := s.segs[ref.seg]
-		seg.globals = append(seg.globals, g)
+		globals[ref.seg][ref.local] = g
 	}
 	finishes := make([]func() (Engine, error), n)
 	for i := range s.segs {
