@@ -78,29 +78,9 @@ func (b *Bitmap) AndCountWords(words []uint64) int {
 	return c
 }
 
-// Clone returns a deep copy.
-func (b *Bitmap) Clone() *Bitmap {
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	return &Bitmap{words: w, n: b.n}
-}
-
 // Reset clears all bits.
 func (b *Bitmap) Reset() {
 	for i := range b.words {
 		b.words[i] = 0
 	}
-}
-
-// Equal reports whether two bitmaps have identical capacity and contents.
-func (b *Bitmap) Equal(o *Bitmap) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i := range b.words {
-		if b.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
 }

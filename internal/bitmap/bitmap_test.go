@@ -169,19 +169,6 @@ func TestInclusionExclusion(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	a := New(64)
-	a.Set(5)
-	c := a.Clone()
-	if !c.Equal(a) {
-		t.Fatal("clone not equal to original")
-	}
-	c.Set(6)
-	if a.Get(6) {
-		t.Error("mutating clone affected original")
-	}
-}
-
 func TestReset(t *testing.T) {
 	a := New(128)
 	a.Set(0)
@@ -212,20 +199,6 @@ func TestOnes(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Ones = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a, b := New(64), New(64)
-	if !a.Equal(b) {
-		t.Error("empty bitmaps not equal")
-	}
-	a.Set(1)
-	if a.Equal(b) {
-		t.Error("different bitmaps reported equal")
-	}
-	if a.Equal(New(65)) {
-		t.Error("different capacities reported equal")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -120,11 +121,46 @@ func unionSize(lists ...[]int32) int {
 	return len(seen)
 }
 
+// searchLists returns the lists whose union a threshold search's candidates
+// are, from the reference builder's lists: with minCount T ≥ 2 the L − T + 1
+// shortest non-empty posting lists of the query, ties in query order (none
+// when fewer than T are non-empty); below it every posting list, and when
+// c = ⌈θ⌉ is in [1, nq] the lists of the nq − c + 1 rarest query bits. It
+// returns T beside them.
+func searchLists(ix *Index, ref refState, sig *QuerySig, tstar float64) ([][]int32, int) {
+	theta := tstar * float64(sig.Size)
+	t := int(sig.minCount(theta))
+	var lists [][]int32
+	for _, e := range sig.rest {
+		lists = append(lists, ref.postings[e])
+	}
+	if t >= 2 {
+		lists = slices.DeleteFunc(lists, func(l []int32) bool { return len(l) == 0 })
+		slices.SortStableFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
+		return lists[:max(len(lists)-t+1, 0)], t
+	}
+	if sig.buffer == nil {
+		return lists, t
+	}
+	nq, c := sig.buffer.Count(), int(math.Ceil(theta))
+	if c >= 1 && c <= nq {
+		taken := 0
+		for _, bit := range ix.bitOrder {
+			if sig.buffer.Get(int(bit)) && taken < nq-c+1 {
+				lists = append(lists, ref.bufferPostings[bit])
+				taken++
+			}
+		}
+	}
+	return lists, t
+}
+
 // TestColumnsSearchMatchesAlgorithm2 runs short queries of popular elements at
 // low thresholds — ⌈θ⌉ ≤ nq, so records qualify on their buffers alone and
-// the prefix filter over the columns is what finds them — and requires of
-// Search, SearchSigScored and SearchTopKSig the results of Algorithm 2 (a scan
-// of every record) and the candidate counts of the per-bit lists.
+// the prefix filter over the columns is what finds them — and long ones at
+// high thresholds — minCount T ≥ 3, so only the shortest posting lists touch
+// — and requires of Search, SearchSigScored and SearchTopKSig the results of
+// Algorithm 2 (a scan of every record) and the candidate counts of the lists.
 func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 	defer func() { forcedBuildWorkers = 0 }()
 	d, err := dataset.Synthetic(dataset.SyntheticConfig{
@@ -146,6 +182,16 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 		}
 		queries = append(queries, dataset.NewRecord(elems))
 	}
+	// Long queries, 150 to 250 of the 400 ids: a few dozen buffered, the
+	// rest in their posting lists, and θ far past what the buffer can give.
+	short := len(queries)
+	for len(queries) < short+30 {
+		var elems []hash.Element
+		for _, e := range rng.Perm(400)[:150+rng.Intn(101)] {
+			elems = append(elems, hash.Element(e))
+		}
+		queries = append(queries, dataset.NewRecord(elems))
+	}
 	for _, workers := range []int{1, 4} {
 		forcedBuildWorkers = workers
 		ix, err := BuildIndex(&dataset.Dataset{Records: d.Records[:600], Universe: d.Universe},
@@ -162,31 +208,22 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 				}
 			}
 			ref := refBuild(ix, ix.cut)
-			prefixed, bufferOnly := 0, 0
+			prefixed, bufferOnly, counted := 0, 0, 0
 			for qi, q := range queries {
 				label := fmt.Sprintf("%d workers, stage %d, query %d %v", workers, stage, qi, q)
 				sig := ix.Sketch(q)
-				var rest, all [][]int32
+				var rest [][]int32
 				for _, e := range sig.rest {
 					rest = append(rest, ref.postings[e])
 				}
-				for _, bit := range ones(sig.buffer) {
-					all = append(all, ref.bufferPostings[bit])
+				thresholds := []float64{0.2, 0.34, 0.5, 0.75, 1}
+				if qi >= short {
+					thresholds = []float64{0.5, 0.8}
 				}
-				for _, tstar := range []float64{0.2, 0.34, 0.5, 0.75, 1} {
-					// The lists' candidate set: the query's sketch elements,
-					// and of its nq buffered bits the nq−⌈θ⌉+1 rarest.
-					lists := slices.Clone(rest)
-					nq, c := sig.buffer.Count(), int(math.Ceil(tstar*float64(sig.Size)))
-					if c >= 1 && c <= nq {
+				for _, tstar := range thresholds {
+					lists, minCount := searchLists(ix, ref, sig, tstar)
+					if minCount < 2 && len(lists) > len(rest) {
 						prefixed++
-						taken := 0
-						for _, bit := range ix.bitOrder {
-							if sig.buffer.Get(int(bit)) && taken < nq-c+1 {
-								lists = append(lists, ref.bufferPostings[bit])
-								taken++
-							}
-						}
 					}
 					want := ix.SearchLinear(q, tstar)
 					if got := ix.SearchSig(sig, tstar); !slices.Equal(got, want) {
@@ -194,6 +231,9 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 					}
 					if got, want := sig.Stats.Candidates, unionSize(lists...); got != want {
 						t.Fatalf("%s, t*=%v: Search touched %d candidates, the lists' union holds %d", label, tstar, got, want)
+					}
+					if minCount >= 3 && sig.Stats.Candidates > 0 {
+						counted++
 					}
 					scored, total := ix.SearchSigScored(sig, tstar, 0)
 					if got, want := sig.Stats.Candidates, unionSize(lists...); got != want {
@@ -227,15 +267,89 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 					if got, want := ix.SearchTopKSig(sig, k), every[:min(k, len(every))]; !slices.Equal(got, want) {
 						t.Fatalf("%s: top-%d %v, brute force %v", label, k, got, want)
 					}
-					if got, want := sig.Stats.Candidates, unionSize(append(rest, all...)...); got != want {
-						t.Fatalf("%s: top-%d touched %d candidates, the lists' union holds %d", label, k, got, want)
+					// Its candidates: the posting lists' records, and the
+					// records on none that it scored on their buffers alone.
+					st := sig.Stats
+					if want := unionSize(rest...) + st.BufferAccepts; st.Candidates != want {
+						t.Fatalf("%s: top-%d counts %d candidates, the posting lists' union and the buffer-only entries %d", label, k, st.Candidates, want)
+					}
+					if st.Candidates != st.PrunedByBound+st.Estimated+st.BufferAccepts {
+						t.Fatalf("%s: top-%d stats %+v do not add up", label, k, st)
 					}
 				}
 			}
-			if prefixed < len(queries) || bufferOnly == 0 {
+			if prefixed < short || bufferOnly == 0 {
 				t.Fatalf("%d workers, stage %d: %d prefix-filtered searches, %d hits on the buffer alone; the fixture bypasses the columns",
 					workers, stage, prefixed, bufferOnly)
 			}
+			if long := len(queries) - short; counted < long {
+				t.Fatalf("%d workers, stage %d: %d searches of %d long queries touch candidates at T ≥ 3; the fixture bypasses the count",
+					workers, stage, counted, long)
+			}
+			t.Logf("%d workers, stage %d: %d prefix-filtered searches, %d counted at T ≥ 3", workers, stage, prefixed, counted)
 		}
 	}
+}
+
+// TestTopKPlanesMatchesReference holds the counter-plane top-k to refTopK
+// (score every record, sort) where the planes change shape: queries holding 1,
+// 63 and 64 buffered elements — one plane, six full ones, a seventh for a
+// single count — beside 0 to 120 sketch elements, on a build, after inserts
+// that re-stride the columns and after a threshold shrink.
+func TestTopKPlanesMatchesReference(t *testing.T) {
+	d := buildTestDataset(t, 61, 700)
+	extra := buildTestDataset(t, 62, 500).Records
+	ix, err := BuildIndex(d, Options{BudgetFraction: 0.15, BufferBits: 128, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eh := slices.Clone(ix.BufferElements())
+	if len(eh) < 64 {
+		t.Fatalf("%d buffered elements; the fixture needs 64", len(eh))
+	}
+	rng := rand.New(rand.NewSource(63))
+	var queries []dataset.Record
+	for _, nq := range []int{1, 63, 64} {
+		for _, sketched := range []int{0, 10, 120} {
+			var q []hash.Element
+			for _, i := range rng.Perm(len(eh))[:nq] {
+				q = append(q, eh[i])
+			}
+			for len(q) < nq+sketched {
+				if e := hash.Element(rng.Intn(d.Universe)); !slices.Contains(eh, e) {
+					q = append(q, e)
+				}
+			}
+			queries = append(queries, dataset.NewRecord(q))
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		planes := map[int]bool{}
+		for qi, q := range queries {
+			sig := ix.Sketch(q)
+			for _, k := range []int{1, 10, 64, ix.NumRecords()} {
+				if got, want := ix.SearchTopKSig(sig, k), refTopK(ix, sig, k); !slices.Equal(got, want) {
+					t.Fatalf("%s, query %d (%d buffered), k=%d: top-k %v, reference %v", stage, qi, sig.buffer.Count(), k, got, want)
+				}
+			}
+			planes[bits.Len(uint(sig.buffer.Count()))] = true
+		}
+		if !planes[1] || !planes[6] || !planes[7] {
+			t.Fatalf("%s: the queries span %v planes, not 1, 6 and 7", stage, planes)
+		}
+	}
+	check("built")
+
+	stride, tau := ix.bufCols.stride, ix.Tau()
+	ix.AddRecords(extra[:250])
+	if ix.bufCols.stride == stride {
+		t.Fatalf("250 inserts into %d records fit the columns' stride of %d words", len(d.Records), stride)
+	}
+	check("re-strided")
+	ix.AddRecords(extra[250:])
+	if ix.Tau() >= tau {
+		t.Fatalf("τ %v → %v: the inserts shrank nothing", tau, ix.Tau())
+	}
+	check("shrunk")
 }

@@ -338,6 +338,10 @@ type QuerySig struct {
 // QuerySig.Stats by the search entry points. It is the observable behind the
 // paper's accuracy/space/latency trade-off: candidate volume and prune
 // effectiveness are what the buffer size and budget knobs actually move.
+//
+// A top-k's candidates are the records on the query's posting lists, each
+// pruned or estimated, and the records on none that it scored off the counter
+// planes, its BufferAccepts.
 type QueryStats struct {
 	Candidates    int // records touched by candidate generation
 	PrunedByBound int // candidates dismissed by the K∩ upper-bound prune, no merge paid

@@ -6,13 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/gkmv"
+	"gbkmv/internal/hash"
 	"gbkmv/internal/snapfmt"
 )
 
@@ -204,11 +207,40 @@ func refTopK(ix *Index, sig *QuerySig, k int) []Scored {
 	return scored
 }
 
+// longQueries returns up to n queries of 150 elements or more, the kind whose
+// searches at t* ≥ 0.5 have a minCount T ≥ 2: records of d that long, each
+// with a fifth of its elements swapped for others of the universe, so the
+// record still holds about four fifths of its query.
+func longQueries(d *dataset.Dataset, n int, seed int64) []dataset.Record {
+	rng := rand.New(rand.NewSource(seed))
+	var out []dataset.Record
+	for _, rec := range d.Records {
+		if len(out) == n {
+			break
+		}
+		if len(rec) < 150 {
+			continue
+		}
+		q := slices.Clone(rec)
+		for i := range q {
+			if rng.Intn(5) == 0 {
+				q[i] = hash.Element(rng.Intn(d.Universe))
+			}
+		}
+		if q = dataset.NewRecord(q); len(q) >= 150 {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
 // checkDifferential asserts the index against the 53-bit reference — same K
 // and K∩ for every pair, estimates within 1e-6 relative, Search and
 // SearchTopK returning the reference's result sets — and against itself:
 // Search == SearchLinear, TopK == score-everything-and-sort, bit-identically.
-func checkDifferential(t *testing.T, ix *Index, queries []dataset.Record, label string) {
+// It returns how many of its searches had a minCount T ≥ 3 and touched a
+// candidate.
+func checkDifferential(t *testing.T, ix *Index, queries []dataset.Record, label string) (counted int) {
 	t.Helper()
 	ref := newRefIndex(ix)
 	for qi, q := range queries {
@@ -235,6 +267,9 @@ func checkDifferential(t *testing.T, ix *Index, queries []dataset.Record, label 
 			if want := ref.search(sig, refQ, tstar); !slices.Equal(got, want) {
 				t.Fatalf("%s: q%d t*=%v: Search %v, reference %v", label, qi, tstar, got, want)
 			}
+			if sig.minCount(tstar*float64(sig.Size)) >= 3 && sig.Stats.Candidates > 0 {
+				counted++
+			}
 		}
 		for _, k := range []int{1, 5, 50} {
 			got := ix.SearchTopKSig(sig, k)
@@ -250,6 +285,7 @@ func checkDifferential(t *testing.T, ix *Index, queries []dataset.Record, label 
 			}
 		}
 	}
+	return counted
 }
 
 func TestArenaDifferentialAgainstReference(t *testing.T) {
@@ -283,8 +319,14 @@ func TestArenaDifferentialAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries := f.d.SampleQueries(8, f.seed)
-		checkDifferential(t, ix, queries, label("fresh"))
+		// Sampled records, and long queries whose searches at t* = 0.5 and 0.8
+		// take the counted path (minCount T ≥ 2).
+		long := longQueries(f.d, 4, f.seed)
+		queries := append(f.d.SampleQueries(8, f.seed), long...)
+		counted := checkDifferential(t, ix, queries, label("fresh"))
+		if len(long) == 0 || counted < len(long) {
+			t.Fatalf("%s: %d searches of %d long queries touch candidates at T ≥ 3; the fixture bypasses the count", label("fresh"), counted, len(long))
+		}
 
 		// Force an over-budget threshold shrink via a batch insert, then
 		// re-verify: the rebuilt arena must still mirror the reference.
@@ -331,4 +373,66 @@ func TestLoadOldFormat(t *testing.T) {
 			t.Errorf("%s: Load = %v, want snapfmt.ErrFormat", name, err)
 		}
 	}
+}
+
+// zipfQueries is the query benchmarks' workload, serve-read's shape on the
+// DESIGN.md corpus at the default budget: a pool of 1 024 subset queries (8 to
+// 32 elements of an indexed record) and a schedule drawing them with Zipf
+// popularity (s = 1.05), so a few head queries — the ones holding the
+// collection's most popular elements among them — come up again and again.
+func zipfQueries(b *testing.B) (*Index, []*QuerySig, []int) {
+	b.Helper()
+	d := designCorpus(b)
+	ix, err := BuildIndex(d, Options{BufferBits: AutoBuffer})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	sigs := make([]*QuerySig, 1024)
+	for i := range sigs {
+		rec := slices.Clone(d.Records[rng.Intn(len(d.Records))])
+		rng.Shuffle(len(rec), func(a, b int) { rec[a], rec[b] = rec[b], rec[a] })
+		sigs[i] = ix.Sketch(dataset.NewRecord(rec[:min(len(rec), 8+rng.Intn(25))]))
+	}
+	zipf := rand.NewZipf(rng, 1.05, 1, uint64(len(sigs)-1))
+	order := make([]int, 1<<16)
+	for i := range order {
+		order[i] = int(zipf.Uint64())
+	}
+	return ix, sigs, order
+}
+
+// benchZipf runs query over the Zipf schedule, one query an iteration, and
+// reports the mean beside the median: on a skewed schedule the median is a
+// tail query's and the mean is where the CPU goes.
+func benchZipf(b *testing.B, query func(ix *Index, sig *QuerySig)) {
+	ix, sigs, order := zipfQueries(b)
+	lat := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		sig := sigs[order[i%len(order)]]
+		t0 := time.Now()
+		query(ix, sig)
+		lat[i] = time.Since(t0)
+	}
+	b.StopTimer()
+	var sum time.Duration
+	for _, d := range lat {
+		sum += d
+	}
+	slices.Sort(lat)
+	b.ReportMetric(float64(sum.Microseconds())/float64(len(lat)), "mean-µs")
+	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50-µs")
+}
+
+// BenchmarkSearchZipf is serve-read's search: t* = 0.7, a page of 100.
+func BenchmarkSearchZipf(b *testing.B) {
+	var dst []Scored
+	benchZipf(b, func(ix *Index, sig *QuerySig) { dst, _ = ix.AppendSearchSigScored(dst[:0], sig, 0.7, 100) })
+}
+
+// BenchmarkTopKZipf is serve-read's top-k: k = 10.
+func BenchmarkTopKZipf(b *testing.B) {
+	var dst []Scored
+	benchZipf(b, func(ix *Index, sig *QuerySig) { dst = ix.AppendTopKSig(dst[:0], sig, 10) })
 }

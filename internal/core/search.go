@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -46,19 +47,24 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 		return []int{}
 	}
 	theta := tstar * float64(sig.Size)
-	ix.gatherSearchCandidates(sig, theta, sc)
+	minCount := ix.gatherSearchCandidates(sig, theta, sc)
 	sig.Stats.Candidates = len(sc.touched)
 	// The paper's K∩ ≥ o prune (Section IV-B, "Implementation"): the
 	// G-KMV estimate is D̂∩ = K∩·(k−1)/(k·U(k)) ≤ K∩/U(k), and U(k) — the
 	// largest hash in L_Q ∪ L_X — is at least the largest hash of L_Q
 	// alone. A candidate can only reach the remaining overlap need
-	// θ − |H_Q ∩ H_X| if K∩ ≥ need·max(L_Q).
+	// θ − |H_Q ∩ H_X| if K∩ ≥ need·max(L_Q). Below minCount it cannot for
+	// any overlap, and its buffer row is not read.
 	qMax := sig.qMax()
 	// Hits collect in the scratch: candidates outnumber hits by orders of
 	// magnitude, so the result is sized by what qualified, not what was
 	// touched.
 	out := sc.ids[:0]
 	for _, id := range sc.touched {
+		if sc.counts[id] < minCount {
+			sig.Stats.PrunedByBound++
+			continue
+		}
 		need := theta - float64(ix.bufferOverlap(sig, int(id)))
 		if need <= 0 {
 			// The exact buffer part alone meets the threshold.
@@ -82,32 +88,54 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 	return res
 }
 
+// minCount returns T = ⌈(θ − n_q)·max(L_Q)⌉, the fewest posting lists of the
+// query a record must be on to reach θ, or 0 when no count is too few. The
+// per-candidate K∩ prune dismisses K∩ < (θ − |H_Q ∩ H_X|)·max(L_Q), and no
+// buffer overlap exceeds the query's n_q buffered bits: the float expression
+// is that prune's at overlap n_q, so K∩ < T is a prune it makes at every
+// overlap. T ≥ 1 implies θ > n_q, so no record then qualifies on its buffer.
+func (sig *QuerySig) minCount(theta float64) int32 {
+	nq := 0
+	if sig.buffer != nil {
+		nq = sig.buffer.Count()
+	}
+	if bound := (theta - float64(nq)) * sig.qMax(); bound > 0 {
+		return int32(math.Ceil(bound))
+	}
+	return 0
+}
+
 // gatherSearchCandidates accumulates into sc.touched every record that can
-// possibly reach θ, with K∩ per candidate accumulated exactly in sc.counts.
-// A record with zero buffer overlap and zero sketch overlap has estimate
-// exactly 0 < θ, so only records appearing in at least one posting list can
-// qualify (same element ⇔ same hash value, so the sketch-element walk counts
-// K∩ exactly).
+// possibly reach θ, with K∩ per candidate accumulated exactly in sc.counts,
+// and returns the query's minCount T: a touched record counting fewer cannot
+// qualify. A record with zero buffer overlap and zero sketch overlap has
+// estimate exactly 0 < θ, so only records appearing in at least one posting
+// list can qualify (same element ⇔ same hash value, so the sketch-element walk
+// counts K∩ exactly).
 //
-// A record with zero sketch overlap (K∩ = 0, so D̂∩ = 0) can still qualify
-// through the exact buffer part when |H_Q ∩ H_X| ≥ θ. Such a record shares
-// at least c = ⌈θ⌉ of the query's nq buffered bits, so — prefix-filter
+// From T = 2 on, a record that qualifies is on T of the query's L posting
+// lists, so — by pigeonhole — on one of any L − T + 1 of them: only the
+// L − T + 1 shortest touch records, and the T − 1 longest only count for
+// records already touched, a bit test in the mark bitmap each (gatherCounted).
+//
+// Below that, a record with zero sketch overlap (K∩ = 0, so D̂∩ = 0) can still
+// qualify through the exact buffer part when |H_Q ∩ H_X| ≥ θ. Such a record
+// shares at least c = ⌈θ⌉ of the query's nq buffered bits, so — prefix-filter
 // style — it must contain one of any fixed (nq − c + 1) of them. Scanning
 // the nq−c+1 *rarest* query bits keeps this exact while leaving out the head
 // elements, which nearly every record holds; the rarity order comes from the
 // index's cached bitOrder (as derive left it), so no per-query sort is paid.
 // A slightly stale order after inserts changes only which equally-valid
 // candidate superset is scanned, never the final results. The records holding
-// any of those bits are the OR of the bits' columns (visitColumns).
-func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *searchScratch) {
-	sc.nextEpoch()
-	sc.touched = sc.touched[:0]
-	for _, e := range sig.rest {
-		for _, id := range ix.postings.get(e) {
-			sc.visit(id)
-			sc.counts[id]++
-		}
+// any of those bits are the OR of the bits' columns (touchColumns).
+func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *searchScratch) int32 {
+	sc.start(ix.recs.Len())
+	minCount := sig.minCount(theta)
+	if minCount >= 2 {
+		ix.gatherCounted(sig, int(minCount), sc)
+		return minCount
 	}
+	ix.gatherPostings(sig, sc)
 	if sig.buffer != nil {
 		nq := sig.buffer.Count()
 		c := int(theta)
@@ -124,24 +152,69 @@ func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *search
 				}
 			}
 			sc.columns = cols
-			ix.visitColumns(sc)
+			ix.touchColumns(sc)
+		}
+	}
+	return minCount
+}
+
+// gatherPostings touches every record on a posting list of the query, counting
+// its K∩.
+func (ix *Index) gatherPostings(sig *QuerySig, sc *searchScratch) {
+	for _, e := range sig.rest {
+		for _, id := range ix.postings.get(e) {
+			sc.touch(id)
+			sc.counts[id]++
 		}
 	}
 }
 
-// visitColumns visits, once each and in ascending id order, the records that
-// hold any of the buffer bits in sc.columns: the columns are ORed into the
-// scratch's bitmap over record ids — a word of 64 records a step, whatever
-// the bits' popularity — and its set bits walked.
-func (ix *Index) visitColumns(sc *searchScratch) {
+// gatherCounted is gatherPostings for a query whose candidates need K∩ ≥ t,
+// t ≥ 2: the query's posting lists by length, the L − t + 1 shortest touch,
+// the rest only count. No record is touched when fewer than t lists are
+// non-empty.
+func (ix *Index) gatherCounted(sig *QuerySig, t int, sc *searchScratch) {
+	lists := sc.lists[:0]
+	for _, e := range sig.rest {
+		if l := ix.postings.get(e); len(l) > 0 {
+			lists = append(lists, l)
+		}
+	}
+	if short := len(lists) - t + 1; short > 0 {
+		slices.SortStableFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
+		for _, l := range lists[:short] {
+			for _, id := range l {
+				sc.touch(id)
+				sc.counts[id]++
+			}
+		}
+		marks := sc.marks
+		for _, l := range lists[short:] {
+			for _, id := range l {
+				if marks[uint32(id)/bufWordBits]&(1<<(uint32(id)%bufWordBits)) != 0 {
+					sc.counts[id]++
+				}
+			}
+		}
+	}
+	clear(lists) // the pooled scratch keeps no list alive
+	sc.lists = lists[:0]
+}
+
+// touchColumns touches, once each and in ascending id order, the records that
+// hold any of the buffer bits in sc.columns and are not touched yet: the
+// columns are ORed into the scratch's union bitmap over record ids — a word
+// of 64 records a step, whatever the bits' popularity — and its set bits past
+// the marks walked.
+func (ix *Index) touchColumns(sc *searchScratch) {
 	union := sc.union[:(ix.recs.Len()+bufWordBits-1)/bufWordBits]
 	clear(union)
 	for _, bit := range sc.columns {
 		ix.bufCols.orInto(union, int(bit))
 	}
 	for wi, w := range union {
-		for ; w != 0; w &= w - 1 {
-			sc.visit(int32(wi*bufWordBits + bits.TrailingZeros64(w)))
+		for w &^= sc.marks[wi]; w != 0; w &= w - 1 {
+			sc.touch(int32(wi*bufWordBits + bits.TrailingZeros64(w)))
 		}
 	}
 }

@@ -61,7 +61,7 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 	}
 	size := float64(sig.Size)
 	theta := tstar * size
-	ix.gatherSearchCandidates(sig, theta, sc)
+	minCount := ix.gatherSearchCandidates(sig, theta, sc)
 	sig.Stats.Candidates = len(sc.touched)
 	// Same K∩ ≥ need·max(L_Q) prune as searchSigWith; pruned candidates are
 	// provably below θ, so they need no estimate at all.
@@ -69,6 +69,10 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 	out := sc.hits[:0] // scratch-owned, as in searchSigWith
 	deferred := false
 	for _, id := range sc.touched {
+		if sc.counts[id] < minCount {
+			sig.Stats.PrunedByBound++
+			continue
+		}
 		need := theta - float64(ix.bufferOverlap(sig, int(id)))
 		if need <= 0 {
 			// The exact buffer part alone meets the threshold: membership is
@@ -93,11 +97,14 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 		}
 	}
 	sc.hits = out
-	slices.SortFunc(out, func(a, b Scored) int { return a.ID - b.ID })
 	total := len(out)
 	if limit > 0 && len(out) > limit {
+		// Only the page is sorted: a query of the Zipf head has thousands of
+		// hits on its buffer alone for a page of a few.
+		selectSmallestIDs(out, limit)
 		out = out[:limit]
 	}
+	slices.SortFunc(out, func(a, b Scored) int { return a.ID - b.ID })
 	if deferred {
 		for i := range out {
 			if out[i].Score < 0 {
@@ -107,4 +114,38 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 		}
 	}
 	return out, total
+}
+
+// selectSmallestIDs reorders hits, whose ids are distinct, so that the n with
+// the smallest ids come first, in no particular order: a quickselect
+// (Hoare partition, middle pivot — the column-touched tail of a candidate
+// walk is ascending already), expected O(len(hits)).
+func selectSmallestIDs(hits []Scored, n int) {
+	lo, hi := 0, len(hits)-1
+	for lo < hi {
+		p := hits[lo+(hi-lo)/2].ID
+		i, j := lo, hi
+		for i <= j {
+			for hits[i].ID < p {
+				i++
+			}
+			for hits[j].ID > p {
+				j--
+			}
+			if i <= j {
+				hits[i], hits[j] = hits[j], hits[i]
+				i++
+				j--
+			}
+		}
+		// hits[lo..j] ≤ p ≤ hits[i..hi], and anything between equals p.
+		switch {
+		case n-1 <= j:
+			hi = j
+		case n-1 >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }

@@ -146,19 +146,3 @@ func ZipfWeights(n int, alpha float64) []float64 {
 	}
 	return w
 }
-
-// MomentRatio computes f_{n2} = Σ f_i² / N² of the paper (the probability
-// that two uniformly drawn element occurrences are the same element), given
-// element frequencies. It is the central quantity in the variance analysis of
-// Theorems 3 and 5.
-func MomentRatio(freqs []int) float64 {
-	var n, s2 float64
-	for _, f := range freqs {
-		n += float64(f)
-		s2 += float64(f) * float64(f)
-	}
-	if n == 0 {
-		return 0
-	}
-	return s2 / (n * n)
-}

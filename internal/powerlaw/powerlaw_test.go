@@ -198,41 +198,6 @@ func TestZipfWeightsNormalized(t *testing.T) {
 	}
 }
 
-func TestMomentRatio(t *testing.T) {
-	// Two elements with equal frequency f: fn2 = 2f²/(2f)² = 1/2... no:
-	// = (f²+f²)/(2f)² = 1/2. Check with f=3.
-	if got := MomentRatio([]int{3, 3}); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("MomentRatio = %v, want 0.5", got)
-	}
-	// Single element: ratio 1.
-	if got := MomentRatio([]int{7}); got != 1 {
-		t.Errorf("MomentRatio single = %v, want 1", got)
-	}
-	if got := MomentRatio(nil); got != 0 {
-		t.Errorf("MomentRatio(nil) = %v, want 0", got)
-	}
-}
-
-func TestMomentRatioBounds(t *testing.T) {
-	// 1/n ≤ fn2 ≤ 1 for n positive frequencies.
-	f := func(raw []uint8) bool {
-		freqs := make([]int, 0, len(raw))
-		for _, r := range raw {
-			if r > 0 {
-				freqs = append(freqs, int(r))
-			}
-		}
-		if len(freqs) == 0 {
-			return true
-		}
-		r := MomentRatio(freqs)
-		return r >= 1/float64(len(freqs))-1e-12 && r <= 1+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkSample(b *testing.B) {
 	d, _ := NewDist(1.2, 1, 100000)
 	rng := rand.New(rand.NewSource(1))

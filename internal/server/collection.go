@@ -84,7 +84,7 @@ type Hit struct {
 // was prepared under). The returned query is private to the caller. tr, when
 // non-nil, receives the cache outcome and token count (-1 when a hit skipped
 // decoding) for the request trace.
-func (c *Collection) preparedRaw(raw []byte, sc *qkeyScratch, tr *reqTrace) (gbkmv.PreparedQuery, error) {
+func (c *Collection) preparedRaw(raw []byte, sc *queryTokens, tr *reqTrace) (gbkmv.PreparedQuery, error) {
 	gen := c.queryGen.Load()
 	cached := c.qcache != nil && len(raw) <= maxKeyBytes
 	if cached {
@@ -170,7 +170,7 @@ func (c *Collection) TopKRaw(rawQuery []byte, k int, withTokens bool, dst []Hit,
 func (c *Collection) answer(rs *respScratch, rawQuery []byte, sp querySpec, dst []Hit, tr *reqTrace) (hits []Hit, total int, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	q, err := c.preparedRaw(rawQuery, &rs.qkey, tr)
+	q, err := c.preparedRaw(rawQuery, &rs.query, tr)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -235,7 +235,7 @@ type batchSlot struct {
 // the core SearchBatch's workers sketch concurrently) in the calling worker's
 // scratch. Duplicate queries block on the first worker's prepare and then
 // share the result.
-func (s *batchSlot) prepared(c *Collection, sc *qkeyScratch) (gbkmv.PreparedQuery, error) {
+func (s *batchSlot) prepared(c *Collection, sc *queryTokens) (gbkmv.PreparedQuery, error) {
 	// No trace here: slots are prepared by racing workers, and the batch
 	// trace is aggregated at the request level, not per slot.
 	s.once.Do(func() { s.pq, s.err = c.preparedRaw(s.raw, sc, nil) })
@@ -316,7 +316,7 @@ func (c *Collection) batch(ctx context.Context, queries [][]byte, sp querySpec) 
 		}
 		rs := getResp()
 		defer putResp(rs)
-		pq, err := slots[idx[i]].prepared(c, &rs.qkey)
+		pq, err := slots[idx[i]].prepared(c, &rs.query)
 		if err != nil {
 			out[i].Err = err
 			return

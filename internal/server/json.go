@@ -19,10 +19,10 @@ import (
 // pool so even they allocate no response buffer per request.
 
 // respScratch is the pooled per-request state of the read path: the query's
-// cache keys and tokens, the buffer the engine appends its scored results to,
+// tokens, the buffer the engine appends its scored results to,
 // the []Hit they are materialized into and the response's bytes.
 type respScratch struct {
-	qkey   qkeyScratch
+	query  queryTokens
 	scored []gbkmv.Scored
 	hits   []Hit
 	b      []byte
@@ -35,7 +35,7 @@ func getResp() *respScratch { return respPool.Get().(*respScratch) }
 func putResp(sc *respScratch) {
 	// A query's tokens are bounded by the body alone: what an outsized one
 	// grew is dropped under the scanner's keep rule, not pooled.
-	if cap(sc.qkey.slab) > scanKeepBytes || cap(sc.qkey.spans) > scanKeepBytes/16 {
+	if cap(sc.query.slab) > scanKeepBytes || cap(sc.query.spans) > scanKeepBytes/16 {
 		return
 	}
 	// Drop token references so pooled buffers don't pin record token slices

@@ -148,7 +148,7 @@ func scanOutcome(body []byte, batch, topk bool, limit int64, wrap func(io.Reader
 	if !batch {
 		raws = [][]byte{req.query}
 	}
-	var qk qkeyScratch
+	var qk queryTokens
 	for _, raw := range raws {
 		if qk.readTokens(raw) != nil || len(qk.spans) == 0 {
 			out.queries = append(out.queries, queryRead{refused: true})
@@ -447,7 +447,7 @@ func FuzzSearchBody(f *testing.F) {
 // query from any caller, not only from the scanner, so readTokens is held to
 // json.Unmarshal into a []string on its own too, on input no scanner vetted.
 func TestQueryTokensRefuseWhatUnmarshalRefuses(t *testing.T) {
-	var qk qkeyScratch
+	var qk queryTokens
 	for _, raw := range []string{
 		``, ` `, `[`, `]`, `["a"`, `["a",`, `["a"]]`, `["a"] x`, ` ["a"] `, "\n[\t\"a\" ,\r\"b\" ]\n", `["a" "b"]`, `[,]`, `["a",]`,
 		`null`, ` null `, `nul`, `nullx`, `[null]`, `[nul]`, `[nullx]`, `[null,"a"]`, `"a"`, `{}`, `7`, `[7]`, `[true]`, `[["a"]]`,

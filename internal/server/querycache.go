@@ -96,10 +96,10 @@ func newQueryCache(capacity int, hits, misses, evictions *obs.Counter) *queryCac
 	return qc
 }
 
-// qkeyScratch holds the pooled buffers of one request's query tokens, which
+// queryTokens holds the pooled buffers of one request's query tokens, which
 // stay bytes from the body to the vocabulary: slab holds them unescaped and
 // back to back, spans says where each one lies.
-type qkeyScratch struct {
+type queryTokens struct {
 	slab  []byte
 	spans []tokSpan
 	elems []gbkmv.Element
@@ -111,7 +111,7 @@ type tokSpan struct{ lo, hi int }
 
 // tokenize reads a query into the scratch and returns how many tokens it has.
 // Afterwards spans holds the query's token set: distinct tokens, sorted.
-func (sc *qkeyScratch) tokenize(raw []byte) (n int, err error) {
+func (sc *queryTokens) tokenize(raw []byte) (n int, err error) {
 	if err := sc.readTokens(raw); err != nil {
 		return 0, err
 	}
@@ -130,7 +130,7 @@ func (sc *qkeyScratch) tokenize(raw []byte) (n int, err error) {
 // UTF-8 becomes U+FFFD) and refuses what that refuses — in that function's
 // words where the query is JSON of another shape or missing, which is all a
 // request can come to: the scanner has held the bytes to the grammar.
-func (sc *qkeyScratch) readTokens(raw []byte) error {
+func (sc *queryTokens) readTokens(raw []byte) error {
 	sc.slab, sc.spans = sc.slab[:0], sc.spans[:0]
 	s := &sc.lex
 	s.over(raw)
@@ -189,7 +189,7 @@ func jsonKind(c byte) string {
 // prepare prepares the tokenized query against the engine: its tokens go
 // through the vocabulary as bytes, without interning, and gbkmv.PrepareElements
 // takes it from there with |Q| = the distinct tokens, known or not.
-func (sc *qkeyScratch) prepare(e gbkmv.Engine, voc *gbkmv.Vocabulary) (gbkmv.PreparedQuery, error) {
+func (sc *queryTokens) prepare(e gbkmv.Engine, voc *gbkmv.Vocabulary) (gbkmv.PreparedQuery, error) {
 	elems := sc.elems[:0]
 	for _, s := range sc.spans {
 		if id, ok := voc.LookupBytes(sc.slab[s.lo:s.hi]); ok {

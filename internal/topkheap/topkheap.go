@@ -58,16 +58,23 @@ func (h *Heap) Full() bool { return len(h.items) >= h.k }
 // to it must still be scored — the candidate can win its tie on id.)
 func (h *Heap) WorstScore() float64 { return h.items[0].Score }
 
+// Admits reports whether Push(id, score) would keep the item: the heap is not
+// full, or the item ranks above the current worst.
+func (h *Heap) Admits(id int, score float64) bool {
+	it := Scored{ID: id, Score: score}
+	return len(h.items) < h.k || !(worse(it, h.items[0]) || it == h.items[0])
+}
+
 // Push offers an item. When the heap is full the item replaces the current
 // worst only if it ranks above it.
 func (h *Heap) Push(id int, score float64) {
+	if !h.Admits(id, score) {
+		return
+	}
 	it := Scored{ID: id, Score: score}
 	if len(h.items) < h.k {
 		h.items = append(h.items, it)
 		h.up(len(h.items) - 1)
-		return
-	}
-	if worse(it, h.items[0]) || it == h.items[0] {
 		return
 	}
 	h.items[0] = it

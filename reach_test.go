@@ -76,9 +76,6 @@ var reachAllow = map[string]string{
 	"method internal/server.(*traceWriter).Unwrap": "net/http.ResponseController finds the underlying writer through it, by an interface net/http does not export",
 	"func internal/snapfmt.SetPackLimit":           "the overflow tests of three packages (snapfmt, server, the root) lower the 4 GiB pack limit through it; a _test.go file cannot be shared across packages",
 	"func internal/experiments.Quick":              "the scale the experiments tests and the root package's Go benchmarks run at: two packages' tests, so not a _test.go helper",
-	"method internal/bitmap.(*Bitmap).Clone":       "only TestCloneIndependent calls it: it goes with that test, which this PR had no test-retirement room for",
-	"method internal/bitmap.(*Bitmap).Equal":       "only TestEqual and TestCloneIndependent call it: as Clone",
-	"func internal/powerlaw.MomentRatio":           "only TestMomentRatio and TestMomentRatioBounds call it (core's cost model computes f_n2 inline): as Clone",
 }
 
 // testSupport are the packages whose callers are tests by design: what other
