@@ -50,30 +50,16 @@ func (a *sketchArena) checkRoom(runs, keys int) error {
 	return checkArenaRoom(a.keys.Bound(keys))
 }
 
-// layout starts the arena over for m records: it returns the table of run
-// lengths (record i's at [i+1]) and the completeness flags for derive's
-// counting pass to fill.
-func (a *sketchArena) layout(m int) (lengths []uint32, complete []bool) {
-	return a.offsets.Bulk(m + 1), a.complete.Bulk(m)
-}
-
-// place turns the run lengths layout handed out into run addresses and
-// returns the key slab, exactly as long as the runs: record i's is
-// keys[offsets[i]:offsets[i+1]]. It fails, before the prefix sum could wrap,
-// when the keys exceed what the offset table addresses.
-func (a *sketchArena) place() (keys, offsets []uint32, err error) {
-	offsets = a.offsets.Slab()
-	total := 0
-	for _, n := range offsets[1:] {
-		total += int(n)
+// layout starts the arena over for m records holding `keys` keys in all: it
+// returns the key slab, the offset table and the completeness flags, every
+// one exactly sized and zeroed, for derive's fill pass to write in record
+// order — record i's run is keys[offsets[i]:offsets[i+1]]. It fails, before
+// allocating anything, when the keys exceed what the offset table addresses.
+func (a *sketchArena) layout(m, keys int) (slab, offsets []uint32, complete []bool, err error) {
+	if err := checkArenaRoom(keys); err != nil {
+		return nil, nil, nil, err
 	}
-	if err := checkArenaRoom(total); err != nil {
-		return nil, nil, err
-	}
-	for i := 1; i < len(offsets); i++ {
-		offsets[i] += offsets[i-1]
-	}
-	return a.keys.Bulk(total), offsets, nil
+	return a.keys.Bulk(keys), a.offsets.Bulk(m + 1), a.complete.Bulk(m), nil
 }
 
 // view returns record i's run as a gkmv.View. The view aliases the arena and
@@ -142,8 +128,8 @@ func (a *sketchArena) trimToCut(cut uint32) {
 	*address = w.Done()
 }
 
-// scanKeys is the keyScan of the stored keys, as one part.
-func (a *sketchArena) scanKeys(_ int, emit func(keys []uint32)) {
+// scanKeys is the keyScan of the stored keys.
+func (a *sketchArena) scanKeys(emit func(keys []uint32)) {
 	for _, chunk := range a.keys.Chunks() {
 		emit(chunk)
 	}

@@ -50,7 +50,7 @@ func (a *bufferArena) builtRow(i int) ([]uint64, bool) {
 
 // set sets bit `bit` of record i's buffer.
 func (a *bufferArena) set(i, bit int) {
-	a.words.Row(i)[bit/bufWordBits] |= 1 << (uint(bit) % bufWordBits)
+	a.record(i)[bit/bufWordBits] |= 1 << (uint(bit) % bufWordBits)
 }
 
 // grow appends n zeroed record slots (no-op without buffers).

@@ -10,23 +10,28 @@ import (
 
 	"gbkmv/internal/hash"
 	"gbkmv/internal/selectk"
+	"gbkmv/internal/snapfmt"
 )
 
 // This file is the one place an index's derived state is computed. A GB-KMV
 // index is a function of (records, E_H, τ, seed) — Algorithm 1 — and derive
-// is that function: BuildIndex calls it once τ is chosen, Load calls it on
+// is that function: BuildPacked calls it once τ is chosen, Load calls it on
 // what a snapshot carries (the same four inputs, nothing else), and both get
-// the same bits. Nothing is staged per element occurrence: a key is a 6–8 ns
-// hash.Key32, cheaper to compute again than to park until it is needed, so
-// the passes below re-hash what they need instead (DESIGN.md "Derive, don't
-// store" has the measured trade).
+// the same bits. An element's key depends on the element alone, so the work
+// follows distinct elements wherever it can and occurrences only where it
+// must (DESIGN.md "Derive, don't store" has the measured stages):
 //
-//	selectCut   build only: τ as an exact order statistic of the non-buffered
-//	            occurrence keys, streamed twice through kthSelector's
-//	            histogram (count, then materialise the target bucket) from
-//	            the element frequency table: one hash a distinct element
-//	derive      counting pass → prefix sums → fill pass: buffer arena and its
-//	            bit columns, sketch arena, inverted lists and bit order
+//	countElements  one decode of every record, a span of them a worker: how
+//	               many records of the span list each element (and, for the
+//	               cost model, the record sizes)
+//	selectCut      build only: τ as an exact order statistic of the
+//	               non-buffered occurrence keys, from one hash and one
+//	               (key, count) pair a distinct element
+//	derive         classify every element once — buffered, kept or dropped —
+//	               turn the counts of kept elements into write cursors, and
+//	               fill: decode again, hash each kept occurrence into its
+//	               record's arena run, write the record's id at its element's
+//	               cursor, set the buffered bits
 //
 // Every pass runs over contiguous record ranges, one per worker, and is
 // deterministic in the record order alone: range boundaries and worker
@@ -92,136 +97,145 @@ func runParallel(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// tauBucketBits sets the histogram resolution of kthSmallest: at most
+// tauBucketBits sets the histogram resolution of a selection: at most
 // 2^tauBucketBits buckets, at least half as many in use. Keys are uniform on
-// [0, upper], so the candidate bucket holds ~n/4096 to ~n/2048 of them.
+// [0, upper], so the target bucket holds ~n/4096 to ~n/2048 of them.
 const tauBucketBits = 12
 
-// keyScan streams one part of a key multiset to emit, a block at a time. A
-// selection scans every part twice and must be shown the same keys both
-// times.
-type keyScan func(part int, emit func(keys []uint32))
+// keyScan streams a key multiset to emit, a block at a time. A selection
+// scans twice and must be shown the same keys both times.
+type keyScan func(emit func(keys []uint32))
 
-// kthSelector selects order statistics of a streamed key multiset; what it
-// keeps between calls is its working memory, the merged bucket histogram and
-// the candidate buffer of the target bucket. The build selects once with a
+// kthSelector selects order statistics of key multisets; what it keeps
+// between calls is its working memory, the bucket histogram and the
+// candidate buffer of the target bucket. The build selects once with a
 // throw-away selector; the index keeps one for its threshold shrinks.
 type kthSelector struct {
 	hist  []int
 	cands []uint32
 }
 
-// kthSmallest returns the k-th smallest key (1-based) of the multiset formed
-// by the parts, all of which must lie in [0, upper]. It replaces a full
-// concatenate-and-quickselect with a streaming two-pass histogram: each
-// part's bucket counts merge into one histogram, only the bucket containing
-// the target rank is materialized, and the exact order statistic is selected
-// inside it. The result depends only on the multiset and k — never on how
-// keys are split across parts — so parallel and sequential builds agree bit
-// for bit. A k past the multiset's size (callers guard against it) selects
-// upper, the threshold that keeps every key.
-func (s *kthSelector) kthSmallest(parts int, scan keyScan, k int, upper uint32) uint32 {
-	// A key's bucket is its top bits under the upper bound's width: one
-	// shift per key (a division here doubles the cost of a saturated
-	// insert), monotone in the key, and below 2^tauBucketBits.
-	shift := max(0, bits.Len32(upper)-tauBucketBits)
-	const buckets = 1 << tauBucketBits
+// histogram returns the selector's bucket histogram, cleared, and the shift
+// that takes a key in [0, upper] to its bucket: its top bits under the upper
+// bound's width — one shift per key (a division here doubles the cost of a
+// saturated insert), monotone in the key, and below 2^tauBucketBits.
+func (s *kthSelector) histogram(upper uint32) (hist []int, shift int) {
 	if s.hist == nil {
-		s.hist = make([]int, buckets)
+		s.hist = make([]int, 1<<tauBucketBits)
 	} else {
 		clear(s.hist)
 	}
-	workers := buildWorkers(parts)
-	// Part 0 counts straight into the kept histogram — all of a shrink's
-	// one-part call, on the caller's goroutine; further parts count into
-	// their own, merged below.
-	hists := make([][]int, parts)
-	hists[0] = s.hist
-	runParallel(parts, workers, func(p int) {
-		if p > 0 {
-			hists[p] = make([]int, buckets)
-		}
-		h := hists[p]
-		scan(p, func(keys []uint32) {
-			for _, v := range keys {
-				h[v>>shift]++
-			}
-		})
-	})
-	for _, h := range hists[1:] {
-		for b, n := range h {
-			s.hist[b] += n
-		}
-	}
-	before, target := 0, -1
+	return s.hist, max(0, bits.Len32(upper)-tauBucketBits)
+}
+
+// target returns the bucket holding the k-th smallest key the histogram
+// counts and how many keys the buckets below it hold; -1 when it counts
+// fewer than k.
+func (s *kthSelector) target(k int) (bucket, before int) {
 	for b, in := range s.hist {
 		if before+in >= k {
-			target = b
-			break
+			return b, before
 		}
 		before += in
 	}
+	return -1, before
+}
+
+// kthSmallest returns the k-th smallest key (1-based) of the scanned
+// multiset, all of which must lie in [0, upper]: the keys are counted into
+// buckets, only the bucket containing the target rank is materialized, and
+// the exact order statistic is selected inside it. A k past the multiset's
+// size (callers guard against it) selects upper, the threshold that keeps
+// every key.
+func (s *kthSelector) kthSmallest(scan keyScan, k int, upper uint32) uint32 {
+	hist, shift := s.histogram(upper)
+	scan(func(keys []uint32) {
+		for _, v := range keys {
+			hist[v>>shift]++
+		}
+	})
+	target, before := s.target(k)
 	if target < 0 {
 		return upper
 	}
-	cands := make([][]uint32, parts)
-	cands[0] = s.cands[:0]
-	runParallel(parts, workers, func(p int) {
-		c := cands[p]
-		scan(p, func(keys []uint32) {
-			for _, v := range keys {
-				if int(v>>shift) == target {
-					c = append(c, v)
-				}
+	cands := s.cands[:0]
+	scan(func(keys []uint32) {
+		for _, v := range keys {
+			if int(v>>shift) == target {
+				cands = append(cands, v)
 			}
-		})
-		cands[p] = c
+		}
 	})
-	s.cands = cands[0]
-	for _, c := range cands[1:] {
-		s.cands = append(s.cands, c...)
+	s.cands = cands
+	return selectk.Select(cands, k-1-before)
+}
+
+// keyCount is a key and how many times a multiset holds it.
+type keyCount struct{ key, n uint32 }
+
+// kthWeighted is kthSmallest over the multiset {key × n} of the pairs, keys
+// anywhere in [0, MaxUint32]: a pair adds its count to its bucket, and the
+// target bucket's pairs are sorted by key and their counts walked to the
+// k-th. Its cost follows the pairs, not the multiset.
+func (s *kthSelector) kthWeighted(pairs []keyCount, k int) uint32 {
+	hist, shift := s.histogram(math.MaxUint32)
+	for _, p := range pairs {
+		hist[p.key>>shift] += int(p.n)
 	}
-	return selectk.Select(s.cands, k-1-before)
+	target, before := s.target(k)
+	if target < 0 {
+		return math.MaxUint32
+	}
+	var cands []keyCount
+	for _, p := range pairs {
+		if int(p.key>>shift) == target {
+			cands = append(cands, p)
+		}
+	}
+	slices.SortFunc(cands, func(a, b keyCount) int { return cmp.Compare(a.key, b.key) })
+	last := len(cands) - 1
+	for _, p := range cands[:last] {
+		if before += int(p.n); before >= k {
+			return p.key
+		}
+	}
+	return cands[last].key
 }
 
 // selectCut is line 3 of Algorithm 1: the k-th smallest key over the
 // non-buffered element occurrences, the cut under which exactly the G-KMV
 // budget fits. An element's occurrences share its key, so the multiset is
 // {key(e) × freq[e]} and the frequency table the buffer was chosen from
-// already holds it: each distinct element is hashed (once a scan) and its key
-// emitted as often as it occurs — no pass over the occurrences, and no key
-// held beyond a worker's one block.
+// already holds it: each distinct non-buffered element is hashed once, and
+// its key and frequency are one pair of kthWeighted.
 func (ix *Index) selectCut(freq []int, k int) uint32 {
-	seed := ix.opt.Seed
-	parts := spans(len(freq), buildWorkers(len(freq)), 1)
-	var sel kthSelector
-	return sel.kthSmallest(len(parts), func(p int, emit func([]uint32)) {
-		block, hashed := make([]uint32, 0, 1024), 0
-		for e := parts[p].lo; e < parts[p].hi; e++ {
-			f := freq[e]
-			if _, buffered := ix.bitOf.lookup(hash.Element(e)); f == 0 || buffered {
-				continue
-			}
-			hashed++
-			for key := hash.Key32(hash.Element(e), seed); f > 0; f-- {
-				if len(block) == cap(block) {
-					emit(block)
-					block = block[:0]
-				}
-				block = append(block, key)
-			}
+	distinct := 0
+	for _, f := range freq {
+		if f > 0 {
+			distinct++
 		}
-		emit(block)
-		ix.elementsHashed.Add(uint64(hashed))
-	}, k, math.MaxUint32)
+	}
+	pairs := make([]keyCount, 0, distinct)
+	for e, f := range freq {
+		if f == 0 {
+			continue
+		}
+		if _, buffered := ix.bitOf.lookup(hash.Element(e)); !buffered {
+			pairs = append(pairs, keyCount{hash.Key32(hash.Element(e), ix.opt.Seed), uint32(f)})
+		}
+	}
+	ix.elementsHashed.Add(uint64(len(pairs)))
+	var sel kthSelector
+	return sel.kthWeighted(pairs, k)
 }
 
-// deriveWorkers sizes derive's worker count against the bulk of its working
-// memory, one set of counters a worker. Flat arrays agree on positions by construction,
-// and all of them together may cost half of what denseIDs allows the one: 2
-// bytes an element occurrence, which keeps a load within a quarter of what it
-// keeps on any core count (TestSnapshotAllocs). The map of sparse ids hands
-// out positions first come, first served, so it has one worker.
+// deriveWorkers sizes the counting pass's and derive's worker count against
+// the bulk of their working memory, one set of counters a worker. Flat arrays
+// agree on positions by construction, and all of them together may cost half
+// of what denseIDs allows the one: 2 bytes an element occurrence, which keeps
+// a load within a quarter of what it keeps on any core count
+// (TestSnapshotAllocs). The table of sparse ids hands out positions first
+// come, first served, so it has one worker.
 func deriveWorkers(m int, top hash.Element, occurrences int) int {
 	if !denseIDs(top, occurrences) {
 		return 1
@@ -233,34 +247,94 @@ func deriveWorkers(m int, top hash.Element, occurrences int) int {
 	return max(1, min(w, occurrences/(2*(int(top)+1))))
 }
 
-// deriveShare is the working memory of one of derive's workers, all that is
-// kept between its counting and its fill pass.
-type deriveShare struct {
-	cnt  *elemCounters  // element → records listing it, then the write cursor into the posting slab
-	kept []uint64       // one bit an element occurrence of the span: not buffered, and under the cut
-	rec  []hash.Element // the record at hand, decoded from the store
+// elementCounts is what the counting pass reads of a packed store: its
+// records in spans, one a worker, every boundary but the last a multiple of
+// 64 records, and per span one set of element counters — how many of the
+// span's records list each element; and the element ids' universe, one past
+// the largest id the records hold (0 when they hold none).
+type elementCounts struct {
+	parts    []span
+	cnts     []*elemCounters
+	universe int
 }
 
+// countElements is the counting pass of a build and of a load, one decode of
+// every record: each worker counts its span's occurrences into its own
+// counters and, when sizes is not nil, writes its records' sizes there. A
+// build sums the counters into its frequency table (frequencies) and hands
+// them on to derive; a load hands them to derive at once.
+func countElements(recs *snapfmt.PackedRecords, sizes []int) elementCounts {
+	m, top, occurrences := recs.Len(), recs.Top(), recs.Elements()
+	c := elementCounts{parts: spans(m, deriveWorkers(m, top, occurrences), bufWordBits)}
+	c.cnts = make([]*elemCounters, len(c.parts))
+	if occurrences > 0 {
+		c.universe = int(top) + 1
+	}
+	runParallel(len(c.parts), len(c.parts), func(w int) {
+		cnt, rec := newElemCounters(top, occurrences), []hash.Element(nil)
+		for i := c.parts[w].lo; i < c.parts[w].hi; i++ {
+			rec = recs.AppendRecord(rec[:0], i)
+			if sizes != nil {
+				sizes[i] = len(rec)
+			}
+			for _, e := range rec {
+				cnt.n[cnt.slot(e)]++
+			}
+		}
+		c.cnts[w] = cnt
+	})
+	return c
+}
+
+// frequencies sums the counters into a table over the universe: freq[e] is
+// the number of records listing e.
+func (c elementCounts) frequencies() []int {
+	freq := make([]int, c.universe)
+	for _, cnt := range c.cnts {
+		cnt.each(func(pos int, e hash.Element) { freq[e] += int(cnt.n[pos]) })
+	}
+	return freq
+}
+
+// An element's class in derive, two bits an element position of a
+// classTable. Dropped is the zero value, and an element no record lists
+// stays dropped.
+const (
+	classDropped  = iota // not buffered, key over the cut
+	classKept            // not buffered, key at or under the cut
+	classBuffered        // in E_H
+)
+
+// classTable holds one class an element position.
+type classTable []uint64
+
+func newClassTable(positions int) classTable { return make(classTable, (positions+31)/32) }
+
+func (t classTable) set(pos int, class uint64) { t[pos/32] |= class << (pos % 32 * 2) }
+
+func (t classTable) of(pos int) uint64 { return t[pos/32] >> (pos % 32 * 2) & 3 }
+
 // derive computes everything an index holds beyond its inputs — the records,
-// E_H (bufferElems, bitOf), the cut and the seed — as one counting sort:
+// E_H (bufferElems, bitOf), the cut and the seed — from the counting pass's
+// counters, as one counting sort:
 //
-//	count   per record: buffer bits set in the buffer arena and in the bit
-//	        columns, run length and completeness; per element: how many
-//	        records list it
-//	place   prefix sums: the arena's offset table, and every inverted list as
-//	        a window of one exactly sized slab
-//	fill    per record: its keys ≤ cut sorted straight into its arena run, its
-//	        id appended to the lists of its elements
+//	classify  per element position: buffered, kept or dropped — one hash a
+//	          distinct non-buffered element, none at τ = 1. A buffered
+//	          element's counters now hold its buffer bit; a kept element's
+//	          become write cursors into one exactly sized slab of record ids,
+//	          laid out element by element and, within one, worker by worker;
+//	          and each worker's kept count places its first key in the arena
+//	fill      per record, decoded again: its buffered elements set their bits
+//	          in the buffer arena and in the bit columns, its kept ones are
+//	          hashed into its arena run — sorted there — and its id is written
+//	          at their cursors; a dropped one makes the run incomplete
 //
-// Workers own contiguous record ranges and their own counters; a list is
-// laid out element by element and, within one, worker by worker, so it comes
-// out ascending by record id whatever the worker count. Ranges start on
-// multiples of 64 records, so no two workers share a word of a bit column.
-// Both passes decode each record from the packed store into the worker's one
-// buffer (a shift and an add an element, snapfmt's 1–2-byte path). The
-// counting pass leaves the fill pass one bit per occurrence — kept or not —
-// so only kept keys are hashed a second time and buffered-or-not is asked
-// once; the working memory is that bit and the counters, no key and no pair.
+// Workers own the counting pass's record ranges, so every list comes out
+// ascending by record id and every run lands where the offsets, written in
+// record order, say, whatever the worker count. Ranges start on multiples of
+// 64 records, so no two workers share a word of a bit column. An occurrence
+// costs the fill pass a test of its element's class, and a hash only when it
+// is kept.
 //
 // Everything per buffer bit — the buffer arena's stride, the bit columns, the
 // bit order — is sized by |E_H|, the bits an element can set, and not by
@@ -270,100 +344,91 @@ type deriveShare struct {
 // buffered elements), which a load was shown element by element; r, a number
 // its stream merely declares, sizes nothing.
 //
-// It fails, before the prefix sum could wrap, when the kept keys exceed what
-// the arena's offset table addresses.
-func (ix *Index) derive() error {
+// It fails, before the fill pass, when the kept keys exceed what the arena's
+// offset table addresses.
+func (ix *Index) derive(c elementCounts) error {
 	m, h := ix.recs.Len(), len(ix.bufferElems)
 	seed, cut := ix.opt.Seed, ix.cut
-	occurrences, top := ix.recs.Elements(), ix.recs.Top()
-	parts := spans(m, deriveWorkers(m, top, occurrences), bufWordBits)
-
-	ix.bufArena.init(m, h)
-	ix.bufCols.init(m, h)
-	lengths, complete := ix.arena.layout(m)
-	shares := make([]deriveShare, len(parts))
-	runParallel(len(parts), len(parts), func(w int) {
-		spanOccurrences := 0
-		for i := parts[w].lo; i < parts[w].hi; i++ {
-			spanOccurrences += ix.recs.RecordLen(i)
+	last := c.cnts[len(c.cnts)-1]
+	classes := newClassTable(len(last.n))
+	starts := make([]int, len(c.cnts)+1) // worker w's kept count at w+1, then its first key at w
+	next, hashed, perShard := uint32(0), 0, make([]int, postingsShards)
+	last.each(func(pos int, e hash.Element) {
+		listed := uint32(0)
+		for _, cnt := range c.cnts {
+			listed += cnt.n[pos]
 		}
-		sh := deriveShare{cnt: newElemCounters(top, occurrences), kept: make([]uint64, (spanOccurrences+63)/64)}
-		pos, hashes := 0, 0
-		for i := parts[w].lo; i < parts[w].hi; i++ {
-			rest, under := 0, 0
-			sh.rec = ix.recs.AppendRecord(sh.rec[:0], i)
-			for _, e := range sh.rec {
-				if bit, buffered := ix.bitOf.lookup(e); buffered {
-					ix.bufArena.set(i, bit)
-					ix.bufCols.set(bit, i)
-				} else {
-					rest++
-					// At τ = 1 every key is under the cut: none is computed.
-					if cut == math.MaxUint32 || hash.Key32(e, seed) <= cut {
-						sh.kept[pos>>6] |= 1 << (pos & 63)
-						*sh.cnt.at(e)++
-						under++
-					}
-				}
-				pos++
+		if listed == 0 {
+			return
+		}
+		if bit, buffered := ix.bitOf.lookup(e); buffered {
+			classes.set(pos, classBuffered)
+			for _, cnt := range c.cnts {
+				cnt.n[pos] = uint32(bit)
 			}
-			lengths[i+1] = uint32(under) // run length; prefix-summed by place
-			complete[i] = under == rest
-			hashes += under // the fill pass hashes what is kept
-			if cut != math.MaxUint32 {
-				hashes += rest // and this one what is not buffered
+			return
+		}
+		// At τ = 1 every key is under the cut: none is computed.
+		if cut != math.MaxUint32 {
+			hashed++
+			if hash.Key32(e, seed) > cut {
+				return
 			}
 		}
-		shares[w] = sh
-		ix.elementsHashed.Add(uint64(hashes))
+		classes.set(pos, classKept)
+		for w, cnt := range c.cnts {
+			starts[w+1] += int(cnt.n[pos])
+			cnt.n[pos], next = next, next+cnt.n[pos]
+		}
+		perShard[uint(e)&postingsShardMask]++
 	})
-
-	keys, offsets, err := ix.arena.place()
+	for w := 1; w < len(starts); w++ {
+		starts[w] += starts[w-1]
+	}
+	total := starts[len(c.cnts)]
+	keys, offsets, complete, err := ix.arena.layout(m, total)
 	if err != nil {
 		return err
 	}
-	total := len(keys)
-	// Counts become write cursors into one slab of exactly `total` record
-	// ids; the fill pass advances each worker's to where the next worker's
-	// share of the list starts, the last worker's to the list's end.
-	slab := make([]int32, total)
-	last := shares[len(shares)-1].cnt
-	next, perShard := uint32(0), make([]int, postingsShards)
-	last.each(func(pos int, e hash.Element) {
-		start := next
-		for _, sh := range shares {
-			sh.cnt.n[pos], next = next, next+sh.cnt.n[pos]
-		}
-		if next > start {
-			perShard[uint(e)&postingsShardMask]++
-		}
-	})
+	ix.elementsHashed.Add(uint64(hashed + total)) // the fill pass hashes what is kept
 
-	runParallel(len(parts), len(parts), func(w int) {
-		sh, pos := shares[w], 0
-		for i := parts[w].lo; i < parts[w].hi; i++ {
-			run := keys[offsets[i]:offsets[i]:offsets[i+1]]
-			sh.rec = ix.recs.AppendRecord(sh.rec[:0], i)
-			for _, e := range sh.rec {
-				if sh.kept[pos>>6]>>(pos&63)&1 != 0 {
-					run = append(run, hash.Key32(e, seed))
-					n := sh.cnt.at(e)
-					slab[*n] = int32(i)
-					*n++
+	slab := make([]int32, total)
+	ix.bufArena.init(m, h)
+	ix.bufCols.init(m, h)
+	runParallel(len(c.parts), len(c.parts), func(w int) {
+		cnt, at, rec := c.cnts[w], starts[w], []hash.Element(nil)
+		for i := c.parts[w].lo; i < c.parts[w].hi; i++ {
+			rec = ix.recs.AppendRecord(rec[:0], i)
+			run, whole := at, true
+			for _, e := range rec {
+				switch pos := cnt.slot(e); classes.of(pos) {
+				case classKept:
+					keys[at] = hash.Key32(e, seed)
+					at++
+					slab[cnt.n[pos]] = int32(i)
+					cnt.n[pos]++
+				case classBuffered:
+					bit := int(cnt.n[pos])
+					ix.bufArena.set(i, bit)
+					ix.bufCols.set(bit, i)
+				case classDropped:
+					whole = false
 				}
-				pos++
 			}
 			// Sorting the filtered multiset is exactly gkmv.BuildHashes.
-			slices.Sort(run)
+			slices.Sort(keys[run:at])
+			offsets[i+1], complete[i] = uint32(at), whole
 		}
 	})
+	// The last worker's cursors stop where each list ends.
 	shards := make([]map[hash.Element][]int32, postingsShards)
 	for s := range shards {
 		shards[s] = make(map[hash.Element][]int32, perShard[s])
 	}
 	start := uint32(0)
 	last.each(func(pos int, e hash.Element) {
-		if end := last.n[pos]; end > start {
+		if classes.of(pos) == classKept {
+			end := last.n[pos]
 			shards[uint(e)&postingsShardMask][e] = slab[start:end:end]
 			start = end
 		}
@@ -428,15 +493,15 @@ func (ix *Index) filterPostings(cut uint32) {
 // elemCounters is one uint32 per element, at a fixed position. Element ids
 // handed out by a Vocabulary are dense, and then the counters are a flat
 // array indexed by id: on 20 000 records / 1.3 M occurrences at τ = 1 the
-// inverted lists derive in 21 ms with it and 88 ms through the map, and a
+// inverted lists derive in 21 ms with it and 88 ms through a Go map, and a
 // restart's CPU time is this loop. Where ids are sparse against the records
 // at hand (a small segment of a large vocabulary, or arbitrary 64-bit ids)
-// the array would dwarf them, and a map from element to position in a packed
-// array takes over.
+// the array would dwarf them, and an elemTable from element to position in a
+// packed array takes over.
 type elemCounters struct {
 	n     []uint32
-	index map[hash.Element]uint32 // sparse ids only: element → position in n
-	elems []hash.Element          // sparse ids only: position → element
+	index *elemTable     // sparse ids only: element → position in n
+	elems []hash.Element // sparse ids only: position → element
 }
 
 // denseIDs reports whether a flat array over [0, top] costs no more than 4
@@ -450,23 +515,23 @@ func newElemCounters(top hash.Element, occurrences int) *elemCounters {
 	if denseIDs(top, occurrences) {
 		return &elemCounters{n: make([]uint32, top+1)}
 	}
-	return &elemCounters{index: make(map[hash.Element]uint32)}
+	t := newElemTable(1 << 12)
+	return &elemCounters{index: &t}
 }
 
-// at returns e's counter, creating it at zero. The pointer is good until the
-// next call.
-func (c *elemCounters) at(e hash.Element) *uint32 {
+// slot returns e's position, creating its counter at zero.
+func (c *elemCounters) slot(e hash.Element) int {
 	if c.index == nil {
-		return &c.n[e]
+		return int(e)
 	}
-	i, ok := c.index[e]
+	pos, ok := c.index.lookup(e)
 	if !ok {
-		i = uint32(len(c.n))
-		c.index[e] = i
+		pos = len(c.n)
+		c.index.set(e, pos)
 		c.elems = append(c.elems, e)
 		c.n = append(c.n, 0)
 	}
-	return &c.n[i]
+	return pos
 }
 
 // each visits every counter's position and element in a fixed order (the

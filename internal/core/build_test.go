@@ -474,9 +474,38 @@ func TestBuildTauShortCircuit(t *testing.T) {
 // storedKeys returns every key the arena holds, in address order.
 func storedKeys(ix *Index) []uint32 { return slices.Concat(ix.arena.keys.Chunks()...) }
 
-// sliceScan is the keyScan of keys that already lie in memory, a slice a part.
+// sliceScan is the keyScan of keys that already lie in memory, in parts.
 func sliceScan(parts [][]uint32) keyScan {
-	return func(part int, emit func([]uint32)) { emit(parts[part]) }
+	return func(emit func([]uint32)) {
+		for _, part := range parts {
+			emit(part)
+		}
+	}
+}
+
+// kthOracle is what every selection is held to: the k-th smallest of the
+// sorted multiset, and upper — the threshold that keeps every key — past its
+// end.
+func kthOracle(sorted []uint32, k int, upper uint32) uint32 {
+	if k > len(sorted) {
+		return upper
+	}
+	return sorted[k-1]
+}
+
+// collidingElements returns two element ids whose keys under seed collide.
+func collidingElements(t *testing.T, seed uint64) (a, b hash.Element) {
+	t.Helper()
+	seen := map[uint32]hash.Element{}
+	for e := hash.Element(0); e < 1<<22; e++ {
+		key := hash.Key32(e, seed)
+		if first, ok := seen[key]; ok {
+			return first, e
+		}
+		seen[key] = e
+	}
+	t.Fatal("no two keys collide")
+	return 0, 0
 }
 
 func TestKthSmallestMatchesSort(t *testing.T) {
@@ -496,7 +525,7 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 			}
 		}
 		vals[rng.Intn(n)] = upper
-		// Split into random parts, as the per-worker chunks would.
+		// Streamed in random blocks, as the arena's chunks would be.
 		var parts [][]uint32
 		for lo := 0; lo < n; {
 			hi := lo + 1 + rng.Intn(n-lo)
@@ -505,11 +534,172 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 		}
 		sorted := slices.Clone(vals)
 		slices.Sort(sorted)
-		for _, k := range []int{1, 1 + rng.Intn(n), n} {
-			if got, want := new(kthSelector).kthSmallest(len(parts), sliceScan(parts), k, upper), sorted[k-1]; got != want {
+		for _, k := range []int{1, 1 + rng.Intn(n), n, n + 1} {
+			if got, want := new(kthSelector).kthSmallest(sliceScan(parts), k, upper), kthOracle(sorted, k, upper); got != want {
 				t.Fatalf("trial %d: k=%d of %d under %d: got %v, want %v", trial, k, n, upper, got, want)
 			}
 		}
+	}
+
+	// The weighted form on (key, count) tables, keys spread over the key
+	// space or crowded into one bucket, repeated across pairs.
+	for trial := 0; trial < 50; trial++ {
+		pairs := make([]keyCount, 1+rng.Intn(500))
+		var multiset []uint32
+		for i := range pairs {
+			key := rng.Uint32()
+			if trial%2 == 1 {
+				key = 0x12345678 + uint32(rng.Intn(64)) // one bucket
+			}
+			if rng.Intn(4) == 0 && i > 0 {
+				key = pairs[rng.Intn(i)].key // a colliding pair
+			}
+			pairs[i] = keyCount{key, uint32(1 + rng.Intn(30))}
+			for range pairs[i].n {
+				multiset = append(multiset, key)
+			}
+		}
+		slices.Sort(multiset)
+		for _, k := range []int{1, 1 + rng.Intn(len(multiset)), len(multiset), len(multiset) + 1} {
+			if got, want := new(kthSelector).kthWeighted(pairs, k), kthOracle(multiset, k, math.MaxUint32); got != want {
+				t.Fatalf("weighted trial %d: k=%d of %d: got %v, want %v", trial, k, len(multiset), got, want)
+			}
+		}
+	}
+
+	// The build's form, through selectCut: {key(e) × freq[e]} over the
+	// non-buffered elements of a random frequency table, held to the same
+	// oracle. Two of the elements share a key; k runs from 1 through the
+	// middle of the heaviest element's run to past the total; some elements
+	// are buffered, and in the last trial every one.
+	const seed = 77
+	a, b := collidingElements(t, seed)
+	for trial := 0; trial < 30; trial++ {
+		freq := make([]int, max(a, b)+1)
+		var present []hash.Element
+		for e := hash.Element(0); e < 3000; e++ {
+			if rng.Intn(3) == 0 {
+				present = append(present, e)
+			}
+		}
+		present = append(present, a, b)
+		for _, e := range present {
+			freq[e] = 1 + rng.Intn(40)
+		}
+		var buffered []hash.Element
+		if trial == 29 {
+			buffered = present
+		} else {
+			for _, e := range present[:len(present)-2] {
+				if rng.Intn(10) == 0 {
+					buffered = append(buffered, e)
+				}
+			}
+		}
+		ix := &Index{opt: Options{Seed: seed}, bitOf: newBitTable(buffered)}
+		var multiset []uint32
+		heaviest, heavy := uint32(0), 0
+		for _, e := range present {
+			if _, in := ix.bitOf.lookup(e); in {
+				continue
+			}
+			key := hash.Key32(e, seed)
+			for range freq[e] {
+				multiset = append(multiset, key)
+			}
+			if freq[e] > heavy {
+				heaviest, heavy = key, freq[e]
+			}
+		}
+		slices.Sort(multiset)
+		first, _ := slices.BinarySearch(multiset, heaviest)
+		straddling := first + heavy/2 + 1 // inside the heaviest run, not at its ends when it is 3 long or more
+		for _, k := range []int{1, straddling, len(multiset), len(multiset) + 1} {
+			if k < 1 {
+				continue
+			}
+			if got, want := ix.selectCut(freq, k), kthOracle(multiset, k, math.MaxUint32); got != want {
+				t.Fatalf("selectCut trial %d: k=%d of %d: got %v, want %v", trial, k, len(multiset), got, want)
+			}
+		}
+		if trial == 29 && len(multiset) != 0 {
+			t.Fatalf("every element buffered, %d keys left", len(multiset))
+		}
+	}
+}
+
+// TestBuildAndLoadHashCounts: a build and a load hash elements, not
+// occurrences — at most one hash a distinct element to select τ (a build
+// only), one to classify it, and one a kept occurrence to store its key —
+// where hashing every non-buffered occurrence to classify it came to several
+// times the elements.
+func TestBuildAndLoadHashCounts(t *testing.T) {
+	d := buildTestDataset(t, 12, 2000)
+	recs, err := snapfmt.PackRecords(d.Records, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildPacked(recs, Options{BufferBits: AutoBuffer, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, occurrences := ix.recs.Top(), ix.recs.Elements()
+	if !denseIDs(top, occurrences) || ix.Tau() == 1 || occurrences < 4*(int(top)+1) {
+		t.Fatalf("fixture: top %d, %d occurrences, τ = %v", top, occurrences, ix.Tau())
+	}
+	bound := uint64(2*(int(top)+1) + ix.arena.units())
+	for name, got := range map[string]*Index{"built": ix, "loaded": reload(t, ix, "loaded")} {
+		if hashed, _ := got.BuildCounters(); hashed > bound {
+			t.Errorf("%s: %d keys hashed for %d element ids and %d kept occurrences (of %d), want ≤ %d",
+				name, hashed, top+1, got.arena.units(), occurrences, bound)
+		}
+	}
+}
+
+// TestDeriveSparseCounters: the counters of sparse ids count what a map
+// counts — 0 and the largest 64-bit id among the elements — through enough
+// distinct elements to double their table several times, find every element
+// at its position afterwards, miss an element never counted, and visit every
+// counter once.
+func TestDeriveSparseCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	elems := []hash.Element{0, ^hash.Element(0)}
+	for len(elems) < 20000 {
+		elems = append(elems, hash.Element(rng.Uint64()))
+	}
+	cnt := newElemCounters(^hash.Element(0), 1)
+	if cnt.index == nil {
+		t.Fatal("fixture takes the dense layout")
+	}
+	want := map[hash.Element]uint32{}
+	for i := 0; i < 100000; i++ {
+		e := elems[i%len(elems)]
+		if i >= len(elems) {
+			e = elems[rng.Intn(len(elems))]
+		}
+		cnt.n[cnt.slot(e)]++
+		want[e]++
+	}
+	got := map[hash.Element]uint32{}
+	cnt.each(func(pos int, e hash.Element) {
+		if _, seen := got[e]; seen {
+			t.Fatalf("element %d visited twice", e)
+		}
+		got[e] = cnt.n[pos]
+		if at, ok := cnt.index.lookup(e); !ok || at != pos {
+			t.Fatalf("element %d at %d, %v; visited at %d", e, at, ok, pos)
+		}
+	})
+	if len(got) != len(want) {
+		t.Fatalf("%d counters visited, %d elements counted", len(got), len(want))
+	}
+	for e, n := range want {
+		if got[e] != n {
+			t.Fatalf("element %d counted %d times, want %d", e, got[e], n)
+		}
+	}
+	if _, ok := cnt.index.lookup(12345); ok {
+		t.Fatal("an element never counted has a position")
 	}
 }
 

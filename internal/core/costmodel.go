@@ -4,7 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/powerlaw"
@@ -119,7 +119,8 @@ func empiricalInputs(st recordStats, opt Options) (*modelInputs, error) {
 			freqs = append(freqs, float64(f))
 		}
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(freqs)))
+	slices.Sort(freqs)
+	slices.Reverse(freqs)
 	sizes := sampleSizes(st.sizes, opt.CostModelPairSample, int64(opt.Seed)+1)
 	return finishInputs(freqs, sizes, len(st.sizes))
 }

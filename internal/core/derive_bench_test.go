@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gbkmv/internal/dataset"
+	"gbkmv/internal/hash"
 )
 
 // designCorpus is the corpus DESIGN.md's snapshot and build tables are
@@ -22,12 +23,30 @@ func designCorpus(tb testing.TB) *dataset.Dataset {
 	return d
 }
 
-// designOptions are the two regimes of those tables: the default budget
-// (τ ≈ 0.087) and headroom for every key (τ = 1).
-func designOptions(d *dataset.Dataset) map[string]Options {
-	return map[string]Options{
-		"default": {BufferBits: AutoBuffer},
-		"tau1":    {BudgetUnits: 8 * d.TotalElements(), BufferBits: 64},
+// designCase is one regime of those tables: a corpus and the options it is
+// built with.
+type designCase struct {
+	d   *dataset.Dataset
+	opt Options
+}
+
+// designCases are the regimes of those tables: the default budget
+// (τ ≈ 0.087), headroom for every key (τ = 1), and the default budget over
+// the same records with their ids spread apart — every id times 27, past the
+// occurrence count, so that the counters are the table of sparse ids.
+func designCases(d *dataset.Dataset) map[string]designCase {
+	spread := &dataset.Dataset{Records: make([]dataset.Record, len(d.Records))}
+	factor := hash.Element(d.TotalElements()/d.Universe + 1)
+	for i, rec := range d.Records {
+		spread.Records[i] = make(dataset.Record, len(rec))
+		for j, e := range rec {
+			spread.Records[i][j] = e * factor
+		}
+	}
+	return map[string]designCase{
+		"default": {d, Options{BufferBits: AutoBuffer}},
+		"tau1":    {d, Options{BudgetUnits: 8 * d.TotalElements(), BufferBits: 64}},
+		"sparse":  {spread, Options{BufferBits: AutoBuffer}},
 	}
 }
 
@@ -35,11 +54,13 @@ func designOptions(d *dataset.Dataset) map[string]Options {
 // corpus; -benchmem gives the bytes each allocates and snapshot-bytes the
 // stream's size. Run it at -cpu 1,2 to reproduce the tables.
 func BenchmarkDesignCorpus(b *testing.B) {
-	d := designCorpus(b)
-	for name, opt := range designOptions(d) {
-		ix, err := BuildIndex(d, opt)
+	for name, c := range designCases(designCorpus(b)) {
+		ix, err := BuildIndex(c.d, c.opt)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if dense := denseIDs(ix.recs.Top(), ix.recs.Elements()); dense != (name != "sparse") {
+			b.Fatalf("%s: the corpus takes the other counter layout", name)
 		}
 		var snap bytes.Buffer
 		if err := ix.Save(&snap); err != nil {
@@ -48,7 +69,7 @@ func BenchmarkDesignCorpus(b *testing.B) {
 		b.Run("build/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildIndex(d, opt); err != nil {
+				if _, err := BuildIndex(c.d, c.opt); err != nil {
 					b.Fatal(err)
 				}
 			}

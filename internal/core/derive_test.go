@@ -94,9 +94,9 @@ func reload(t *testing.T, ix *Index, label string) *Index {
 func TestDeriveBuildLoadIdentity(t *testing.T) {
 	defer func() { forcedBuildWorkers = 0 }()
 	// Dense ids are a vocabulary's: the flat counters. Sparse ones take the
-	// map: every record cut down to its last four elements leaves fewer
+	// table: every record cut down to its last four elements leaves fewer
 	// occurrences than the id space is wide, and the inserts arrive as
-	// 64-bit ids no array could be sized by.
+	// 64-bit ids no array could be sized by, the largest among them.
 	type corpus struct {
 		name         string
 		base, extras []dataset.Record
@@ -109,10 +109,13 @@ func TestDeriveBuildLoadIdentity(t *testing.T) {
 		for _, r := range d.Records {
 			sparse.base = append(sparse.base, r[len(r)-4:])
 		}
-		for _, r := range extra.Records {
+		for j, r := range extra.Records {
 			wide := slices.Clone(r[:4])
 			for i := range wide {
 				wide[i] |= 1 << 40
+			}
+			if j%3 == 0 {
+				wide = append(wide, ^hash.Element(0))
 			}
 			sparse.extras = append(sparse.extras, wide)
 		}

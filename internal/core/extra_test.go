@@ -49,7 +49,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // TestLoadRebuildsTheBuiltPostings: the inverted lists Load derives are the
 // ones BuildIndex built — element for element, id for id — through both
 // counter layouts: the flat array of a collection whose ids are dense, and
-// the map of one whose few records sit high in a large id space.
+// the element table of one whose few records sit high in a large id space.
 func TestLoadRebuildsTheBuiltPostings(t *testing.T) {
 	dense := testDataset(t, 200)
 	sparse := &dataset.Dataset{Universe: dense.Universe}

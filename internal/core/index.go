@@ -83,12 +83,12 @@ type Index struct {
 }
 
 // BuildCounters returns the monotonic write-path work counters: hash.Key32
-// calls — keys are re-hashed rather than staged: in a build or a load a
-// non-buffered occurrence is hashed once to be counted (not at τ = 1) and
-// once more if its key is kept, selecting τ costs a build two per distinct
-// element, and an insert hashes each occurrence once — and fixed-budget
-// threshold shrinks performed. Safe to call concurrently with reads and
-// writes.
+// calls — an element's key depends on the element alone, so a build or a load
+// hashes each distinct non-buffered element once to classify it (not at
+// τ = 1, where every key is kept) and each kept occurrence once to store its
+// key, a build hashes each such element once more to select τ, and an insert
+// hashes each non-buffered occurrence once — and fixed-budget threshold
+// shrinks performed. Safe to call concurrently with reads and writes.
 func (ix *Index) BuildCounters() (elementsHashed, shrinks uint64) {
 	return ix.elementsHashed.Load(), ix.shrinks.Load()
 }
@@ -111,8 +111,9 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 // (Algorithm 1): it chooses r, E_H and τ, and derive (build.go) computes the
 // rest — the same function Load runs on a snapshot's (records, E_H, τ). The
 // index takes the store over: it is what the index retains of its records, and
-// all the build reads of them (m, n, and by one decode pass the frequency
-// table and the record sizes).
+// all the build reads of them to choose r, E_H and τ is m, n and what the
+// counting pass counts — the element counts, and the record sizes when the
+// cost model asks for them.
 func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -129,16 +130,22 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 	if budget <= 0 {
 		return nil, errors.New("core: budget resolves to zero units")
 	}
-	// The frequency table is computed once and shared by the cost model, the
-	// choice of E_H and the choice of τ.
-	st := packedStats(&recs)
+	// The counting pass is the build's and derive's at once: its counters
+	// sum to the frequency table shared by the cost model, the choice of E_H
+	// and the choice of τ, and derive takes them over.
+	var sizes []int
+	if opt.BufferBits == AutoBuffer {
+		sizes = make([]int, m)
+	}
+	counts := countElements(&recs, sizes)
+	freq := counts.frequencies()
 
 	// Line 1 of Algorithm 1: pick the buffer size from the cost model (or
 	// from the caller's override).
 	r := opt.BufferBits
 	if r == AutoBuffer {
 		var err error
-		r, err = optimalBufferBits(st, budget, opt)
+		r, err = optimalBufferBits(recordStats{freq: freq, sizes: sizes}, budget, opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: cost model: %w", err)
 		}
@@ -159,7 +166,6 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 	}
 
 	// Line 2: E_H ← top r most frequent elements.
-	freq := st.freq
 	ix.bufferElems = dataset.TopFrequentFrom(freq, r)
 	ix.bitOf = newBitTable(ix.bufferElems)
 	bufferedOccurrences := 0
@@ -182,50 +188,17 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 	}
 
 	// Lines 4-6: buffers, per-record sketch runs and the inverted lists.
-	if err := ix.derive(); err != nil {
+	if err := ix.derive(counts); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return ix, nil
 }
 
-// recordStats is what Algorithm 1 and its cost model read of a collection
-// beyond m and n: freq[e] is the number of records holding element e, sizes
-// the record sizes in record order.
+// recordStats is what Algorithm 1's cost model reads of a collection beyond
+// m and n: freq[e] is the number of records holding element e, sizes the
+// record sizes in record order.
 type recordStats struct {
 	freq, sizes []int
-}
-
-// packedStats reads a store's statistics in one decode pass, a span of the
-// records and a frequency table a worker (as many as derive may have: the
-// tables are its counters' size), summed into the first.
-func packedStats(recs *snapfmt.PackedRecords) recordStats {
-	m, universe := recs.Len(), 0
-	if recs.Elements() > 0 {
-		universe = int(recs.Top()) + 1
-	}
-	st := recordStats{freq: make([]int, universe), sizes: make([]int, m)}
-	parts := spans(m, deriveWorkers(m, recs.Top(), recs.Elements()), 1)
-	tables := make([][]int, len(parts))
-	tables[0] = st.freq
-	runParallel(len(parts), len(parts), func(w int) {
-		if w > 0 {
-			tables[w] = make([]int, universe)
-		}
-		freq, rec := tables[w], []hash.Element(nil)
-		for i := parts[w].lo; i < parts[w].hi; i++ {
-			rec = recs.AppendRecord(rec[:0], i)
-			st.sizes[i] = len(rec)
-			for _, e := range rec {
-				freq[e]++
-			}
-		}
-	})
-	for _, table := range tables[1:] {
-		for e, f := range table {
-			st.freq[e] += f
-		}
-	}
-	return st
 }
 
 // bufferUnits is the budget charge of an r-bit buffer across m records

@@ -122,10 +122,10 @@ func TestPackedIndexRefusesUnsortedOnSave(t *testing.T) {
 	}
 }
 
-// TestPackedStats: what the packed build reads of its store in one decode pass
-// — the frequency table and the record sizes — is what the dataset computes
-// from the slices, at every worker count; the table stops at the largest
-// element the records hold.
+// TestPackedStats: what the packed build reads of its store in its one
+// counting pass — the element counts, summed into the frequency table, and the
+// record sizes — is what the dataset computes from the slices, at every worker
+// count; the table stops at the largest element the records hold.
 func TestPackedStats(t *testing.T) {
 	d := buildTestDataset(t, 62, 300)
 	d.Records = append(d.Records, dataset.Record{}, dataset.Record{5999})
@@ -137,8 +137,9 @@ func TestPackedStats(t *testing.T) {
 	defer func() { forcedBuildWorkers = 0 }()
 	for _, workers := range []int{1, 2, 3, 7} {
 		forcedBuildWorkers = workers
-		st := packedStats(&recs)
-		if !slices.Equal(st.freq, wantFreq) || !slices.Equal(st.sizes, d.RecordSizes()) {
+		sizes := make([]int, recs.Len())
+		freq := countElements(&recs, sizes).frequencies()
+		if !slices.Equal(freq, wantFreq) || !slices.Equal(sizes, d.RecordSizes()) {
 			t.Errorf("%d workers: frequencies or sizes differ from the dataset's", workers)
 		}
 	}
@@ -146,7 +147,8 @@ func TestPackedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := packedStats(&empty); len(st.freq) != 0 || !slices.Equal(st.sizes, []int{0, 0}) {
-		t.Errorf("records without elements: %d frequencies, sizes %v", len(st.freq), st.sizes)
+	sizes := []int{-1, -1}
+	if freq := countElements(&empty, sizes).frequencies(); len(freq) != 0 || !slices.Equal(sizes, []int{0, 0}) {
+		t.Errorf("records without elements: %d frequencies, sizes %v", len(freq), sizes)
 	}
 }

@@ -359,7 +359,7 @@ func (ix *Index) shrinkThreshold(over int) bool {
 	// Crucially the new τ depends only on the stored multiset and keep —
 	// never on the insertion grouping — so batched and sequential inserts
 	// (and hence journal replay) converge on identical state.
-	cut := ix.sel.kthSmallest(1, ix.arena.scanKeys, keep, ix.cut)
+	cut := ix.sel.kthSmallest(ix.arena.scanKeys, keep, ix.cut)
 	if cut == ix.cut {
 		// The run on the current cut is longer than what has to go, and it
 		// only grows with the inserts (an order statistic of a multiset lands

@@ -447,43 +447,34 @@ func (r *replica) tailOnce(ctx context.Context, c *server.Collection) (bool, err
 	default:
 		return false, fmt.Errorf("leader answered %s", resp.Status)
 	}
-	hdrGen, _ := strconv.ParseUint(resp.Header.Get("X-Gbkmv-Generation"), 10, 64)
-	hdrSynced, _ := strconv.ParseInt(resp.Header.Get("X-Gbkmv-Synced-Offset"), 10, 64)
-	hdrEntries, _ := strconv.Atoi(resp.Header.Get("X-Gbkmv-Wal-Entries"))
-	if cd := resp.Header.Get("X-Gbkmv-Chain-Depth"); cd != "" {
+	hdr, err := parseWALHeaders(resp.Header)
+	if err != nil {
+		return false, err
+	}
+	if hdr.depth >= 0 {
 		// The upstream's distance from the true leader; ours is one more.
 		// This is how depth propagates down chained topologies.
-		if d, perr := strconv.ParseInt(cd, 10, 64); perr == nil && d >= 0 {
-			r.f.store.SetChainDepth(d + 1)
-		}
+		r.f.store.SetChainDepth(hdr.depth + 1)
 	}
 	frames, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
 		return false, err
 	}
-	if cs := resp.Header.Get("X-Gbkmv-Chunk-Start"); cs != "" && len(frames) > 0 {
-		// A duplicated/replayed response (a retrying proxy, a confused
-		// cache) carries frames from the wrong offset; appending them here
-		// would silently double records. Drop the chunk and retry — the
-		// local journal is untouched.
-		if start, perr := strconv.ParseInt(cs, 10, 64); perr == nil && start != from {
-			return false, fmt.Errorf("chunk starts at %d, requested %d (duplicated or replayed response); dropping", start, from)
-		}
+	// Frames from another offset than asked for are dropped before they touch
+	// the local journal, and the request retried.
+	if err := hdr.checkChunk(from, len(frames)); err != nil {
+		return false, err
 	}
-	if next := resp.Header.Get("X-Gbkmv-Next-Generation"); next != "" {
+	if hdr.next != 0 {
 		// The generation we tailed is complete; roll our own snapshot to join
 		// the leader's new generation at offset 0.
-		target, err := strconv.ParseUint(next, 10, 64)
-		if err != nil {
-			return false, fmt.Errorf("bad next-generation header %q", next)
-		}
-		if err := r.f.store.RollGeneration(r.name, target); err != nil {
+		if err := r.f.store.RollGeneration(r.name, hdr.next); err != nil {
 			return false, err
 		}
-		r.f.logf("repl: %s: rolled to generation %d after leader snapshot", r.name, target)
+		r.f.logf("repl: %s: rolled to generation %d after leader snapshot", r.name, hdr.next)
 		return true, nil
 	}
-	r.noteLeader(hdrGen, hdrSynced, hdrEntries)
+	r.noteLeader(hdr.gen, hdr.synced, hdr.entries)
 	if len(frames) == 0 {
 		r.refreshCaughtUp(c)
 		return false, nil
