@@ -352,7 +352,7 @@ func (ix *Index) derive(c elementCounts) error {
 	last := c.cnts[len(c.cnts)-1]
 	classes := newClassTable(len(last.n))
 	starts := make([]int, len(c.cnts)+1) // worker w's kept count at w+1, then its first key at w
-	next, hashed, perShard := uint32(0), 0, make([]int, postingsShards)
+	next, hashed, lists := uint32(0), 0, 0
 	last.each(func(pos int, e hash.Element) {
 		listed := uint32(0)
 		for _, cnt := range c.cnts {
@@ -380,7 +380,7 @@ func (ix *Index) derive(c elementCounts) error {
 			starts[w+1] += int(cnt.n[pos])
 			cnt.n[pos], next = next, next+cnt.n[pos]
 		}
-		perShard[uint(e)&postingsShardMask]++
+		lists++
 	})
 	for w := 1; w < len(starts); w++ {
 		starts[w] += starts[w-1]
@@ -421,19 +421,13 @@ func (ix *Index) derive(c elementCounts) error {
 		}
 	})
 	// The last worker's cursors stop where each list ends.
-	shards := make([]map[hash.Element][]int32, postingsShards)
-	for s := range shards {
-		shards[s] = make(map[hash.Element][]int32, perShard[s])
-	}
-	start := uint32(0)
-	last.each(func(pos int, e hash.Element) {
-		if classes.of(pos) == classKept {
-			end := last.n[pos]
-			shards[uint(e)&postingsShardMask][e] = slab[start:end:end]
-			start = end
-		}
+	ix.postings.lay(slab, lists, func(list func(e hash.Element, end uint32)) {
+		last.each(func(pos int, e hash.Element) {
+			if classes.of(pos) == classKept {
+				list(e, last.n[pos])
+			}
+		})
 	})
-	ix.postings = postingsTable{shards: shards}
 
 	held := make([]int, h)
 	ix.bitOrder = make([]int32, h)
@@ -444,50 +438,6 @@ func (ix *Index) derive(c elementCounts) error {
 		return cmp.Or(held[a]-held[b], int(a-b))
 	})
 	return nil
-}
-
-// Posting lists are sharded by element so that the threshold-shrink filter
-// can own disjoint element subsets without locking. Lookups stay a single
-// map access.
-const (
-	postingsShards    = 32
-	postingsShardMask = postingsShards - 1
-)
-
-// postingsTable is the element → record-id inverted index, sharded by
-// element id. Lists are ascending by record id.
-type postingsTable struct {
-	shards []map[hash.Element][]int32
-}
-
-// get returns element e's posting list (nil when absent).
-func (p *postingsTable) get(e hash.Element) []int32 {
-	if p.shards == nil {
-		return nil
-	}
-	return p.shards[uint(e)&postingsShardMask][e]
-}
-
-// add appends record id to element e's posting list.
-func (p *postingsTable) add(e hash.Element, id int32) {
-	s := p.shards[uint(e)&postingsShardMask]
-	s[e] = append(s[e], id)
-}
-
-// filterPostings drops every element whose key exceeds the (newly shrunk)
-// cut, one hash per distinct listed element instead of one per occurrence.
-// Lists of surviving elements are untouched, so the result is exactly what a
-// from-scratch rebuild at the new τ would produce for the same records.
-func (ix *Index) filterPostings(cut uint32) {
-	seed := ix.opt.Seed
-	runParallel(postingsShards, buildWorkers(postingsShards), func(s int) {
-		shard := ix.postings.shards[s]
-		for e := range shard {
-			if hash.Key32(e, seed) > cut {
-				delete(shard, e)
-			}
-		}
-	})
 }
 
 // elemCounters is one uint32 per element, at a fixed position. Element ids

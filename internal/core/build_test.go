@@ -181,23 +181,14 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 			}
 		}
 	}
-	gotKeys := 0
-	for _, shard := range ix.postings.shards {
-		gotKeys += len(shard)
-		for e, ids := range shard {
-			want := ref.postings[e]
-			if len(ids) != len(want) {
-				t.Fatalf("%s: postings[%d] has %d ids, reference %d", label, e, len(ids), len(want))
-			}
-			for j := range ids {
-				if ids[j] != want[j] {
-					t.Fatalf("%s: postings[%d][%d] = %d, reference %d", label, e, j, ids[j], want[j])
-				}
-			}
+	lists := listsOf(t, ix)
+	for e, ids := range lists {
+		if want := ref.postings[e]; !slices.Equal(ids, want) {
+			t.Fatalf("%s: postings[%d] = %v, reference %v", label, e, ids, want)
 		}
 	}
-	if gotKeys != len(ref.postings) {
-		t.Fatalf("%s: %d posting keys, reference %d", label, gotKeys, len(ref.postings))
+	if len(lists) != len(ref.postings) {
+		t.Fatalf("%s: %d posting keys, reference %d", label, len(lists), len(ref.postings))
 	}
 	// The reference's per-bit lists are over r bits, the columns over the
 	// |E_H| ≤ r an element can set; a bit past them has no record.

@@ -50,14 +50,15 @@ func sameDerived(t *testing.T, got, want *Index, bitOrder bool, label string) {
 			t.Fatalf("%s: record %d: buffer words differ", label, i)
 		}
 	}
-	for s, shard := range want.postings.shards {
-		if len(got.postings.shards[s]) != len(shard) {
-			t.Fatalf("%s: shard %d lists %d elements, want %d", label, s, len(got.postings.shards[s]), len(shard))
-		}
-		for e, ids := range shard {
-			if !slices.Equal(got.postings.shards[s][e], ids) {
-				t.Fatalf("%s: the inverted list of element %d differs", label, e)
-			}
+	// The lists are compared element by element: where a list lies — a slab
+	// run, tail blocks — follows how an index grew, not what it holds.
+	gotLists, wantLists := listsOf(t, got), listsOf(t, want)
+	if len(gotLists) != len(wantLists) {
+		t.Fatalf("%s: %d elements listed, want %d", label, len(gotLists), len(wantLists))
+	}
+	for e, ids := range wantLists {
+		if !slices.Equal(gotLists[e], ids) {
+			t.Fatalf("%s: the inverted list of element %d differs", label, e)
 		}
 	}
 	// Columns are compared by content: their stride is capacity, which follows
@@ -70,6 +71,47 @@ func sameDerived(t *testing.T, got, want *Index, bitOrder bool, label string) {
 	if bitOrder && !slices.Equal(got.bitOrder, want.bitOrder) {
 		t.Fatalf("%s: bit order differs", label)
 	}
+}
+
+// listsOf reads every inverted list of ix — its run, then its tail's blocks —
+// by element. It fails the test on a list that is empty or not strictly
+// ascending, on an element the index does not find at its own header, and on
+// counts that disagree with the headers.
+func listsOf(t *testing.T, ix *Index) map[hash.Element][]int32 {
+	t.Helper()
+	p := &ix.postings
+	lists, slabbed := map[hash.Element][]int32{}, 0
+	for l := 0; l < p.heads.Len(); l++ {
+		h := p.heads.Ptr(l)
+		if h.n+h.tn == 0 {
+			continue
+		}
+		if p.find(h.e) != h {
+			t.Fatalf("element %d does not find its own list %d", h.e, l)
+		}
+		var ids []int32
+		run, tail := p.read(h)
+		for seg := run; ; seg = tail.ids {
+			ids = append(ids, seg...)
+			if !tail.more() {
+				break
+			}
+		}
+		if len(ids) != int(h.n+h.tn) || !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+			t.Fatalf("element %d: list %v, header counts %d + %d", h.e, ids, h.n, h.tn)
+		}
+		lists[h.e], slabbed = ids, slabbed+int(h.n)
+	}
+	indexed := 0
+	for _, l := range p.index {
+		if l != 0 {
+			indexed++
+		}
+	}
+	if len(lists) != p.live || len(lists) != indexed || slabbed != p.slabLive {
+		t.Fatalf("%d lists (%d in the slab), counted %d live, %d in the index, %d in the slab", len(lists), slabbed, p.live, indexed, p.slabLive)
+	}
+	return lists
 }
 
 func reload(t *testing.T, ix *Index, label string) *Index {

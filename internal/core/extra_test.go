@@ -76,14 +76,11 @@ func TestLoadRebuildsTheBuiltPostings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		lists := 0
-		for s, shard := range ix.postings.shards {
-			lists += len(shard)
-			if !reflect.DeepEqual(got.postings.shards[s], shard) {
-				t.Fatalf("%s: shard %d of the loaded inverted lists differs from the built one", name, s)
-			}
+		built := listsOf(t, ix)
+		if !reflect.DeepEqual(listsOf(t, got), built) {
+			t.Fatalf("%s: the loaded inverted lists differ from the built ones", name)
 		}
-		if lists == 0 {
+		if len(built) == 0 {
 			t.Fatalf("%s: fixture has no inverted lists", name)
 		}
 		for bit := range ix.bufferElems {

@@ -13,12 +13,13 @@ import (
 // headroom (τ stays 1, nothing is evicted) allocate what the index grows by —
 // keys, record codings, buffer rows, offsets, flags, inverted lists — and not
 // the several times that of stores regrown by append: every per-record store
-// grows a chunk at a time and copies nothing, so what the arenas allocated is
-// the capacity of their chunks, within a chunk of what they hold. What is over
-// in the total is not theirs: the inverted lists, which quadruple here from
-// exact slabs by doubling (3× their growth), and the bit columns' re-striding
-// (DESIGN.md "One growth rule" says why both stay as they are). The same loop
-// over slices grown by append allocated 4.48× its growth.
+// and every posting list grows a chunk or a block at a time and copies
+// nothing, so what the arenas allocated is the capacity of their chunks,
+// within a chunk of what they hold. What is over in the total is the room and
+// links of the lists' tail blocks and the bit columns' re-striding, the one
+// store that still copies to grow (DESIGN.md "One growth rule"). Over slices
+// grown by append this loop allocated 4.48× its growth, with the posting lists
+// in Go maps of doubling slices 1.76×.
 func TestAddRecordsGrowthAllocatesWhatItStores(t *testing.T) {
 	skipAllocsUnderRace(t)
 	d, err := dataset.Synthetic(dataset.SyntheticConfig{
@@ -48,8 +49,8 @@ func TestAddRecordsGrowthAllocatesWhatItStores(t *testing.T) {
 	if _, shrinks := ix.BuildCounters(); shrinks != 0 || ix.Tau() != 1 {
 		t.Fatalf("the fixture left its headroom (τ = %v, %d shrinks)", ix.Tau(), shrinks)
 	}
-	if float64(allocated) > 1.9*float64(grown) {
-		t.Errorf("%d bytes allocated for %d of growth: %.2f×, want ≤ 1.9×", allocated, grown, float64(allocated)/float64(grown))
+	if float64(allocated) > 1.3*float64(grown) {
+		t.Errorf("%d bytes allocated for %d of growth: %.2f×, want ≤ 1.3×", allocated, grown, float64(allocated)/float64(grown))
 	}
 	if keys, stored := arenaKeyCapacity(ix), ix.arena.units(); keys > stored+chunkKeys {
 		t.Errorf("the arena's chunks have room for %d keys and hold %d: over by more than a chunk", keys, stored)

@@ -50,10 +50,9 @@ type Index struct {
 	bufferBits int // r: what the budget charges a record; the buffers hold |E_H| ≤ r bits
 	budget     int // in signature units
 
-	// Inverted index for accelerated search: postings.get(e) lists the
-	// records whose G-KMV sketch contains element e (element-sharded; see
-	// postingsTable).
-	postings postingsTable
+	// Inverted index for accelerated search: the records whose G-KMV sketch
+	// holds element e, per kept e (see postingLists).
+	postings postingLists
 	// bitOrder lists all buffer bits sorted by ascending column popcount
 	// (records holding the bit), as derive left it. Search's prefix filter ORs
 	// the query's rarest columns in this cached order instead of re-sorting per
@@ -277,18 +276,15 @@ func (ix *Index) RecordSizeBytes() int { return ix.recs.SizeBytes() }
 
 // IndexSizeBytes returns the footprint of what search walks beside the
 // signatures: the inverted lists (4 bytes a stored key — a key is listed
-// exactly once — and a 32-byte map entry a listed element, bucket overhead
-// not counted), the bit columns (|E_H| bits a record) and the sketch arena's
-// offset and completeness tables. Like the other sizes it counts what is in
-// use, not growth headroom, so an index and its reload report the same.
+// exactly once — and a listed element's 32-byte header, its 4-byte index
+// slots and its tail's links and unfilled room not counted), the bit columns
+// (|E_H| bits a record) and the sketch arena's offset and completeness
+// tables. Like the other sizes it counts what is in use, not growth headroom,
+// so an index and its reload report the same.
 func (ix *Index) IndexSizeBytes() int {
-	listed := 0
-	for _, shard := range ix.postings.shards {
-		listed += len(shard)
-	}
 	m := ix.recs.Len()
 	columns := len(ix.bufferElems) * ((m + bufWordBits - 1) / bufWordBits) * 8
-	return 4*ix.arena.units() + 32*listed + columns + ix.arena.tableBytes()
+	return 4*ix.arena.units() + listHeadBytes*ix.postings.live + columns + ix.arena.tableBytes()
 }
 
 // QuerySig is the GB-KMV sketch of a query record, reusable across many

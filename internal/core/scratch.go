@@ -21,15 +21,15 @@ import "gbkmv/internal/topkheap"
 // working memory — and mutations (AddRecords, shrinks) are already excluded
 // from running concurrently with reads by the Engine contract.
 type searchScratch struct {
-	counts  []int32   // K∩ per touched record
-	marks   []uint64  // marks[id/64] bit id%64 ⇔ id touched by this query
-	touched []int32   // the touched ids, for sparse iteration
-	lists   [][]int32 // the query's posting lists, by length when T ≥ 2
-	columns []int32   // the buffer bits whose columns this query reads
-	union   []uint64  // the threshold search's OR of those columns, sized with marks
-	planes  []uint64  // top-k's overlap counters, ⌈log₂(n_q+1)⌉ words per 64 records
-	ids     []int     // searchSigWith's hits before the exact-size copy
-	hits    []Scored  // searchSigScoredWith's hits before the copy out
+	counts  []int32     // K∩ per touched record
+	marks   []uint64    // marks[id/64] bit id%64 ⇔ id touched by this query
+	touched []int32     // the touched ids, for sparse iteration
+	lists   []*listHead // the query's posting lists, by length when T ≥ 2
+	columns []int32     // the buffer bits whose columns this query reads
+	union   []uint64    // the threshold search's OR of those columns, sized with marks
+	planes  []uint64    // top-k's overlap counters, ⌈log₂(n_q+1)⌉ words per 64 records
+	ids     []int       // searchSigWith's hits before the exact-size copy
+	hits    []Scored    // searchSigScoredWith's hits before the copy out
 	heap    []topkheap.Scored
 	sig     QuerySig // reusable signature for the Search(q)/SearchTopK(q) paths
 }

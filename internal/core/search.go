@@ -162,9 +162,19 @@ func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *search
 // its K∩.
 func (ix *Index) gatherPostings(sig *QuerySig, sc *searchScratch) {
 	for _, e := range sig.rest {
-		for _, id := range ix.postings.get(e) {
-			sc.touch(id)
-			sc.counts[id]++
+		h := ix.postings.find(e)
+		if h == nil {
+			continue
+		}
+		run, tail := ix.postings.read(h)
+		for ids := run; ; ids = tail.ids {
+			for _, id := range ids {
+				sc.touch(id)
+				sc.counts[id]++
+			}
+			if !tail.more() {
+				break
+			}
 		}
 	}
 }
@@ -176,28 +186,40 @@ func (ix *Index) gatherPostings(sig *QuerySig, sc *searchScratch) {
 func (ix *Index) gatherCounted(sig *QuerySig, t int, sc *searchScratch) {
 	lists := sc.lists[:0]
 	for _, e := range sig.rest {
-		if l := ix.postings.get(e); len(l) > 0 {
-			lists = append(lists, l)
+		if h := ix.postings.find(e); h != nil {
+			lists = append(lists, h)
 		}
 	}
 	if short := len(lists) - t + 1; short > 0 {
-		slices.SortStableFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
-		for _, l := range lists[:short] {
-			for _, id := range l {
-				sc.touch(id)
-				sc.counts[id]++
+		slices.SortStableFunc(lists, func(a, b *listHead) int { return int(a.n+a.tn) - int(b.n+b.tn) })
+		for _, h := range lists[:short] {
+			run, tail := ix.postings.read(h)
+			for ids := run; ; ids = tail.ids {
+				for _, id := range ids {
+					sc.touch(id)
+					sc.counts[id]++
+				}
+				if !tail.more() {
+					break
+				}
 			}
 		}
 		marks := sc.marks
-		for _, l := range lists[short:] {
-			for _, id := range l {
-				if marks[uint32(id)/bufWordBits]&(1<<(uint32(id)%bufWordBits)) != 0 {
-					sc.counts[id]++
+		for _, h := range lists[short:] {
+			run, tail := ix.postings.read(h)
+			for ids := run; ; ids = tail.ids {
+				for _, id := range ids {
+					if marks[uint32(id)/bufWordBits]&(1<<(uint32(id)%bufWordBits)) != 0 {
+						sc.counts[id]++
+					}
+				}
+				if !tail.more() {
+					break
 				}
 			}
 		}
 	}
-	clear(lists) // the pooled scratch keeps no list alive
+	clear(lists) // the pooled scratch keeps no header alive
 	sc.lists = lists[:0]
 }
 
@@ -376,7 +398,7 @@ func (ix *Index) shrinkThreshold(over int) bool {
 	}
 	ix.cut = cut
 	ix.arena.trimToCut(cut)
-	ix.filterPostings(cut)
+	ix.postings.filter(cut, ix.opt.Seed)
 	ix.shrinks.Add(1)
 	return true
 }

@@ -21,7 +21,10 @@ import (
 // the source importer), marks what is reachable from the roots below, and
 // fails listing every function, method, type, variable and constant that
 // nothing reachable refers to. It also prints the module's non-test line
-// count, the number a PR has to account for next to f1 and space_ratio.
+// count, the number a PR has to account for next to f1 and space_ratio, and
+// how many of those lines bench/ alone keeps alive: the declarations that
+// are reachable only through it and through benchRoots, the roots it needs
+// that nothing else does.
 //
 // Roots: the main and init functions (cmd/*, examples/*, the engine
 // registrations), the root package's exported API (with the exported methods
@@ -36,7 +39,7 @@ func TestReachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("non-test lines outside bench/: %d (%d packages)", m.lines, m.packages)
+	t.Logf("non-test lines outside bench/: %d (%d packages); reachable only through bench/'s roots: %d", m.lines, m.packages, m.benchOnly)
 	for _, name := range m.staleAllow {
 		t.Errorf("allow-list entry %s names nothing unreachable: delete it", name)
 	}
@@ -78,6 +81,23 @@ var reachAllow = map[string]string{
 	"func internal/experiments.Quick":              "the scale the experiments tests and the root package's Go benchmarks run at: two packages' tests, so not a _test.go helper",
 }
 
+// benchRoots are what only bench/ needs of the module: the segmented
+// engine's constructor and per-segment probes its ladder rows use, the
+// decoded records its trace reads, and the five reference engines its
+// layers table registers by name (their init files). What is reachable only
+// through them and bench/ is what bench/ alone keeps alive.
+var benchRoots = map[string]bool{
+	"func NewSegmented":                     true,
+	"method (*Segmented).SetSaveObserver":   true,
+	"method (*Segmented).SegmentRecords":    true,
+	"method internal/core.(*Index).Records": true,
+	"engine_kmv.go":                         true,
+	"engine_minhash.go":                     true,
+	"engine_lshforest.go":                   true,
+	"engine_lshensemble.go":                 true,
+	"engine_exact.go":                       true,
+}
+
 // testSupport are the packages whose callers are tests by design: what other
 // packages' _test.go files use of them counts as reachable.
 var testSupport = map[string]bool{
@@ -87,6 +107,7 @@ var testSupport = map[string]bool{
 
 type reachModule struct {
 	lines, packages int
+	benchOnly       int // non-test lines reachable only through bench/'s roots
 	dead            []string
 	staleAllow      []string
 }
@@ -235,25 +256,31 @@ func loadModule(root, modPath string, allow map[string]string) (*reachModule, er
 		return a.Filename < b.Filename || (a.Filename == b.Filename && a.Offset < b.Offset)
 	})
 	g.methodsThroughInterfaces()
-	g.rootMains()
-	g.rootExportedAPI(l.pkgs[modPath])
-	if err := g.rootBench(filepath.Join(root, "bench")); err != nil {
-		return nil, err
-	}
-	if err := g.rootTestSupport(testDirs); err != nil {
-		return nil, err
-	}
-	g.flood()
-	// What is kept on purpose keeps what it refers to; an entry for something
-	// reachable anyway is stale.
-	used := map[string]bool{}
+	// Without bench/ and its roots first, then with everything.
+	skip := map[types.Object]bool{}
 	for _, n := range g.nodes {
-		if _, ok := allow[n.name]; ok && !g.reached[n.obj] {
-			used[n.name] = true
-			g.mark(n.obj)
+		if benchRoots[n.name] {
+			skip[n.obj] = true
 		}
 	}
-	g.flood()
+	for _, obj := range g.inits {
+		if benchRoots[filepath.Base(l.fset.Position(obj.Pos()).Filename)] {
+			skip[obj] = true
+		}
+	}
+	if _, err := g.reach(allow, skip, "", testDirs); err != nil {
+		return nil, err
+	}
+	withoutBench := g.reached
+	used, err := g.reach(allow, nil, filepath.Join(root, "bench"), testDirs)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range g.nodes {
+		if g.reached[n.obj] && !withoutBench[n.obj] {
+			m.benchOnly += n.lines
+		}
+	}
 	for _, n := range g.nodes {
 		if g.reached[n.obj] {
 			continue
@@ -271,10 +298,46 @@ func loadModule(root, modPath string, allow map[string]string) (*reachModule, er
 	return m, nil
 }
 
+// reach marks afresh what the roots reach — the mains, the inits, the root
+// package's exported API and the test-support uses, less skip, and bench/'s
+// uses when bench names its directory — and then what the allow-list keeps.
+// It returns the allow-list entries that kept something.
+func (g *reachGraph) reach(allow map[string]string, skip map[types.Object]bool, bench string, testDirs []string) (map[string]bool, error) {
+	g.reached, g.work = map[types.Object]bool{}, nil
+	g.rootMains()
+	for _, obj := range g.inits {
+		if !skip[obj] {
+			g.mark(obj)
+		}
+	}
+	g.rootExportedAPI(g.l.pkgs[g.l.modPath], skip)
+	if bench != "" {
+		if err := g.rootBench(bench); err != nil {
+			return nil, err
+		}
+	}
+	if err := g.rootTestSupport(testDirs); err != nil {
+		return nil, err
+	}
+	g.flood()
+	// What is kept on purpose keeps what it refers to; an entry for something
+	// reachable anyway is stale.
+	used := map[string]bool{}
+	for _, n := range g.nodes {
+		if _, ok := allow[n.name]; ok && !g.reached[n.obj] {
+			used[n.name] = true
+			g.mark(n.obj)
+		}
+	}
+	g.flood()
+	return used, nil
+}
+
 // reachNode is one package-level declaration (or method) of the module.
 type reachNode struct {
-	obj  types.Object
-	name string // "kind [pkg.]Name" as reported
+	obj   types.Object
+	name  string // "kind [pkg.]Name" as reported
+	lines int    // its source lines, doc comment included
 }
 
 type reachGraph struct {
@@ -286,6 +349,7 @@ type reachGraph struct {
 	// viaIface is, per defined type, its methods some interface it implements
 	// declares: what a value of the type may be called through.
 	viaIface map[types.Object][]types.Object
+	inits    []types.Object // the init functions: roots, since a linked package runs them
 	reached  map[types.Object]bool
 	work     []types.Object
 }
@@ -315,14 +379,18 @@ func (g *reachGraph) inModule(obj types.Object) bool {
 	return p == g.l.modPath || strings.HasPrefix(p, g.l.modPath+"/")
 }
 
-func (g *reachGraph) node(obj types.Object, kind, name string) {
+func (g *reachGraph) node(obj types.Object, kind, name string, span ast.Node) {
 	rel := strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), g.l.modPath), "/")
 	if rel != "" {
 		name = kind + " " + rel + "." + name
 	} else {
 		name = kind + " " + name
 	}
-	g.nodes = append(g.nodes, &reachNode{obj: obj, name: name})
+	lines := 0
+	if span != nil {
+		lines = g.l.fset.Position(span.End()).Line - g.l.fset.Position(span.Pos()).Line + 1
+	}
+	g.nodes = append(g.nodes, &reachNode{obj: obj, name: name, lines: lines})
 }
 
 // refs records an edge from each of froms to every module object the
@@ -358,22 +426,25 @@ func (g *reachGraph) addPackage(p *reachPkg) {
 				}
 				switch {
 				case d.Recv != nil:
-					g.node(obj, "method", recvString(d.Recv.List[0].Type)+"."+d.Name.Name)
+					g.node(obj, "method", recvString(d.Recv.List[0].Type)+"."+d.Name.Name, withDoc(d.Doc, d))
 				case d.Name.Name == "init" || d.Name.Name == "_":
-					// An init runs because its package is linked: a root.
-					g.mark(obj)
+					g.inits = append(g.inits, obj)
 				default:
-					g.node(obj, "func", d.Name.Name)
+					g.node(obj, "func", d.Name.Name, withDoc(d.Doc, d))
 				}
 				g.refs(p.info, []types.Object{obj}, d)
 			case *ast.GenDecl:
 				var lastValues []ast.Expr // an iota group repeats its first expression
 				var lastType ast.Expr
 				for _, spec := range d.Specs {
+					var span ast.Node = spec // a spec of a group, or the whole declaration
+					if !d.Lparen.IsValid() {
+						span = withDoc(d.Doc, d)
+					}
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						obj := p.info.Defs[s.Name]
-						g.node(obj, "type", s.Name.Name)
+						g.node(obj, "type", s.Name.Name, span)
 						g.refs(p.info, []types.Object{obj}, s)
 						if named, ok := obj.Type().(*types.Named); ok && !s.Assign.IsValid() {
 							g.named = append(g.named, named)
@@ -394,7 +465,8 @@ func (g *reachGraph) addPackage(p *reachPkg) {
 								continue // a compile-time assertion keeps nothing alive
 							}
 							obj := p.info.Defs[name]
-							g.node(obj, kind, name.Name)
+							g.node(obj, kind, name.Name, span)
+							span = nil // the spec's lines are its first name's
 							froms = append(froms, obj)
 						}
 						g.refs(p.info, froms, s.Type)
@@ -425,6 +497,19 @@ func (g *reachGraph) addPackage(p *reachPkg) {
 		}
 	}
 }
+
+// withDoc spans a declaration and its doc comment.
+func withDoc(doc *ast.CommentGroup, n ast.Node) ast.Node {
+	if doc == nil {
+		return n
+	}
+	return docSpan{doc.Pos(), n.End()}
+}
+
+type docSpan struct{ from, to token.Pos }
+
+func (d docSpan) Pos() token.Pos { return d.from }
+func (d docSpan) End() token.Pos { return d.to }
 
 func recvString(e ast.Expr) string {
 	switch t := e.(type) {
@@ -470,14 +555,14 @@ func (g *reachGraph) rootMains() {
 // rootExportedAPI marks what an importer of the root package can name: its
 // exported declarations and the exported methods of its exported types,
 // whichever package declares them (Record is dataset.Record).
-func (g *reachGraph) rootExportedAPI(p *reachPkg) {
+func (g *reachGraph) rootExportedAPI(p *reachPkg, skip map[types.Object]bool) {
 	if p == nil {
 		return
 	}
 	scope := p.pkg.Scope()
 	for _, name := range scope.Names() {
 		obj := scope.Lookup(name)
-		if !obj.Exported() {
+		if !obj.Exported() || skip[obj] {
 			continue
 		}
 		g.mark(obj)
@@ -488,7 +573,7 @@ func (g *reachGraph) rootExportedAPI(p *reachPkg) {
 		if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
 			g.mark(named.Obj())
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
+				if m := named.Method(i); m.Exported() && !skip[m] {
 					g.mark(m)
 				}
 			}
