@@ -45,7 +45,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -58,7 +57,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":7878", "HTTP listen address")
 		dataDir     = flag.String("data", "./gbkmvd-data", "data directory for snapshots and journals; empty disables persistence")
-		segments    = flag.Int("segments", runtime.GOMAXPROCS(0), "default segment count for builds that leave options.segments at 0: collections shard across this many sub-indexes for multicore inserts and parallel search fan-out (1 = single-index; ignored with -follow, where snapshot bytes must track the leader)")
 		recordFiles = flag.String("record-files", "", "directory server-side record files may be built from; empty disables file builds")
 		queryCache  = flag.Int("query-cache", server.DefaultQueryCacheEntries, "prepared-query cache entries per collection; 0 disables caching")
 		grace       = flag.Duration("grace", 10*time.Second, "graceful shutdown timeout")
@@ -85,16 +83,6 @@ func main() {
 	if *follow != "" && *dataDir == "" {
 		log.Fatalf("gbkmvd: -follow requires -data (replicated state must be durable to resume after a restart)")
 	}
-	if *segments < 1 {
-		log.Fatalf("gbkmvd: -segments must be >= 1, got %d", *segments)
-	}
-	defaultSegments := *segments
-	if *follow != "" {
-		// A follower's snapshots are byte-copies of the leader's: it inherits
-		// segmentation through the transferred snapshots, and the flag is
-		// ignored as its help text says.
-		defaultSegments = 0
-	}
 
 	cacheEntries := *queryCache
 	if cacheEntries <= 0 {
@@ -102,7 +90,6 @@ func main() {
 	}
 	store, err := server.OpenStore(*dataDir, server.StoreOptions{
 		Logf:                 log.Printf,
-		Segments:             defaultSegments,
 		QueryCacheEntries:    cacheEntries,
 		RecordFileRoot:       *recordFiles,
 		SlowQueryThreshold:   *slowQuery,

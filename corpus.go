@@ -14,9 +14,8 @@ import (
 
 // Corpus is a record collection in the coding the snapshots store it in
 // (about 1.3 bytes an element occurrence for vocabulary ids, against 8 in a
-// Record): what a RecordBuilder produces and what NewEngineFromCorpus and
-// NewSegmentedFromCorpus build from, so that a bulk build never holds its
-// records as slices.
+// Record): what a RecordBuilder produces and what NewEngineFromCorpus builds
+// from, so that a bulk build never holds its records as slices.
 type Corpus struct {
 	recs snapfmt.PackedRecords
 }

@@ -97,7 +97,7 @@ func TestCorpusMatchesRecords(t *testing.T) {
 // and a build has no bound of its own on what it reads (a -record-files file
 // is as long as it is). With the bound lowered, the builder reports the record
 // that does not fit as an error — from EndRecord and through ReadLines — and
-// stays usable; NewEngine and NewSegmented report records that do not pack;
+// stays usable; NewEngine reports records that do not pack;
 // and a corpus is not partitioned into stores past the bound.
 func TestCorpusOverflow(t *testing.T) {
 	line := strings.Repeat("alpha beta gamma delta\n", 8) // 5 bytes a record: length and four ids
@@ -125,18 +125,11 @@ func TestCorpusOverflow(t *testing.T) {
 	if _, err := NewEngine("", records, EngineOptions{BudgetUnits: 64}); err == nil || !strings.Contains(err.Error(), "offset table") {
 		t.Errorf("NewEngine over records past the bound: %v", err)
 	}
-	if _, err := NewSegmented("", 2, records, EngineOptions{BudgetUnits: 64}); err == nil || !strings.Contains(err.Error(), "offset table") {
-		t.Errorf("NewSegmented over records past the bound: %v", err)
-	}
-	if _, err := NewSegmentedFromCorpus("", 2, whole, EngineOptions{BudgetUnits: 64}); err == nil || !strings.Contains(err.Error(), "offset table") {
-		t.Errorf("partitioning a corpus past the bound: %v", err)
-	}
 }
 
 // TestUnsortedRecordRefused: a record that breaks the Record invariant is
 // named by one check with one text, whichever way the records arrive — as
-// slices, which are packed first, or as a corpus, which noted it as it coded —
-// bare or segmented.
+// slices, which are packed first, or as a corpus, which noted it as it coded.
 func TestUnsortedRecordRefused(t *testing.T) {
 	good := []Record{{1, 2, 3}, {}, {2, 5, 9}, {4}}
 	for _, tc := range []struct {
@@ -159,10 +152,8 @@ func TestUnsortedRecordRefused(t *testing.T) {
 		}
 		opt := EngineOptions{BudgetUnits: 64}
 		for entry, build := range map[string]func() (Engine, error){
-			"NewEngine":              func() (Engine, error) { return NewEngine("", records, opt) },
-			"NewEngineFromCorpus":    func() (Engine, error) { return NewEngineFromCorpus("exact", corpus(), opt) },
-			"NewSegmented":           func() (Engine, error) { return NewSegmented("", 3, records, opt) },
-			"NewSegmentedFromCorpus": func() (Engine, error) { return NewSegmentedFromCorpus("kmv", 1, corpus(), opt) },
+			"NewEngine":           func() (Engine, error) { return NewEngine("", records, opt) },
+			"NewEngineFromCorpus": func() (Engine, error) { return NewEngineFromCorpus("exact", corpus(), opt) },
 		} {
 			if _, err := build(); err == nil || err.Error() != want {
 				t.Errorf("%s, %s: %v, want %q", tc.name, entry, err, want)

@@ -95,8 +95,7 @@ type PreparedQuery interface {
 	SearchScored(threshold float64, limit int) (hits []Scored, total int)
 	// AppendSearchScored is SearchScored with the hits appended to dst, for a
 	// caller that serves many queries from one buffer: with room in dst the
-	// gbkmv and gkmv engines allocate nothing, a Segmented only what its
-	// goroutines cost.
+	// gbkmv and gkmv engines allocate nothing.
 	AppendSearchScored(dst []Scored, threshold float64, limit int) (hits []Scored, total int)
 	// TopK returns the k best records by estimated containment, best first.
 	TopK(k int) []Scored
@@ -183,10 +182,9 @@ func (o EngineOptions) budget(totalElements int) int {
 const DefaultEngine = "gbkmv"
 
 // engineParser is a loader split where the stream ends: it consumes exactly
-// the engine's payload (inside a segmented container the next segment's bytes
-// follow immediately) and returns the work that no longer needs the stream
-// (deriving inverted lists, rebuilding signatures). A segmented container
-// parses its segments in stream order and runs their finishes in parallel.
+// the engine's payload and returns the work that no longer needs the stream
+// (deriving inverted lists, rebuilding signatures), so a load times the read
+// and the derive apart.
 type engineParser func(r *snapfmt.Reader) (finish func() (Engine, error), err error)
 
 // engineEntry is everything the registry knows about an engine.
@@ -195,10 +193,8 @@ type engineEntry struct {
 	// against the collection they are derived from, m records of n element
 	// occurrences in all (kmv's k = budget/m); nil for an engine whose
 	// defaults are static. It is the only place such a default is derived, and
-	// it is idempotent: the engine constructors run it before build, the
-	// engine keeps and saves the result, and a Segmented runs it against the
-	// whole collection before splitting the budget, so the per-segment build
-	// finds every value already set.
+	// it is idempotent: the engine constructors run it before build, and the
+	// engine keeps and saves the result, so a load finds every value set.
 	resolve func(m, n int, opt EngineOptions) EngineOptions
 	// build constructs the engine over a non-empty, validated corpus under
 	// resolved options, and leaves the corpus empty: gbkmv and gkmv keep its
@@ -298,12 +294,8 @@ const maxEngineName = 255
 
 // SaveEngine serializes the engine as a self-describing stream LoadEngine
 // dispatches on, streaming through one fixed buffer: nothing of the
-// collection's size is staged in memory. A Segmented engine writes the
-// container form (its magic replaces the single-engine header).
+// collection's size is staged in memory.
 func SaveEngine(w io.Writer, e Engine) error {
-	if s, ok := e.(*Segmented); ok {
-		return s.Save(w)
-	}
 	name := e.EngineName()
 	if len(name) == 0 || len(name) > maxEngineName {
 		return fmt.Errorf("gbkmv: engine name %q not serializable", name)
@@ -326,7 +318,8 @@ func SaveEngine(w io.Writer, e Engine) error {
 // snapshot does, and is read to that end before anything is derived from it
 // (a reader that notes its last Read has timed the two halves apart).
 // Anything that does not open with a current-format header is
-// ErrSnapshotFormat.
+// ErrSnapshotFormat, among it the segmented container ("GBKMVSEG") that
+// builds before one index per collection wrote.
 func LoadEngine(r io.Reader) (Engine, error) {
 	finish, err := loadEngineStaged(r)
 	if err != nil {
@@ -341,11 +334,7 @@ func LoadEngine(r io.Reader) (Engine, error) {
 // other engines.
 func loadEngineStaged(r io.Reader) (finish func() (Engine, error), err error) {
 	sr := snapfmt.NewReader(r)
-	parse := parseEngine
-	if sr.PeekMagic() == segmentedMagic {
-		parse = parseSegmented
-	}
-	if finish, err = parse(sr); err != nil {
+	if finish, err = parseEngine(sr); err != nil {
 		return nil, err
 	}
 	if err := sr.Done(); err != nil {

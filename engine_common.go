@@ -327,8 +327,8 @@ func (o EngineOptions) checkSignatureLen() error {
 	return nil
 }
 
-// writeEngineOptions writes the options block shared by the rebuild-on-load
-// payload and the segmented container.
+// writeEngineOptions writes the options block of the rebuild-on-load
+// payload.
 func writeEngineOptions(w *snapfmt.Writer, o EngineOptions) {
 	w.Float64(o.BudgetFraction)
 	w.Int(o.BudgetUnits)

@@ -2,6 +2,7 @@ package gbkmv_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -487,43 +488,94 @@ func TestCrossEngineSearchScored(t *testing.T) {
 }
 
 // TestCrossEngineEmptyQuery: an empty query — prepared from no elements, or a
-// real one whose size was set to 0 — is contained in nothing, on every engine
-// and through NewSegmented: Estimate is 0, TopK is empty, and no threshold
-// above 0 has a hit. (Search and Estimate used to contradict each other here:
+// real one whose size was set to 0 — is contained in nothing, on every
+// engine: Estimate is 0, TopK is empty, and no threshold above 0 has a hit. (Search and Estimate used to contradict each other here:
 // gbkmv and gkmv returned every record, scored 0.)
 func TestCrossEngineEmptyQuery(t *testing.T) {
 	records, queries := engineCorpus(t, 120)
 	for _, name := range gbkmv.Engines() {
-		bare := buildEngine(t, name, records)
-		seg, err := gbkmv.NewSegmented(name, 3, records, gbkmv.EngineOptions{BudgetFraction: 0.3, Seed: 42})
-		if err != nil {
-			t.Fatalf("NewSegmented(%s): %v", name, err)
-		}
-		for layout, e := range map[string]gbkmv.Engine{"bare": bare, "segmented": seg} {
-			zeroed := e.PrepareQuery(queries[0])
-			zeroed.SetSize(0)
-			for kind, pq := range map[string]gbkmv.PreparedQuery{"no elements": e.PrepareQuery(gbkmv.Record{}), "SetSize(0)": zeroed} {
-				label := name + "/" + layout + "/" + kind
-				if pq.Size() != 0 {
-					t.Fatalf("%s: Size = %d", label, pq.Size())
+		e := buildEngine(t, name, records)
+		zeroed := e.PrepareQuery(queries[0])
+		zeroed.SetSize(0)
+		for kind, pq := range map[string]gbkmv.PreparedQuery{"no elements": e.PrepareQuery(gbkmv.Record{}), "SetSize(0)": zeroed} {
+			label := name + "/" + kind
+			if pq.Size() != 0 {
+				t.Fatalf("%s: Size = %d", label, pq.Size())
+			}
+			for i := 0; i < e.Len(); i += 13 {
+				if est := pq.Estimate(i); est != 0 {
+					t.Errorf("%s: Estimate(%d) = %v", label, i, est)
 				}
-				for i := 0; i < e.Len(); i += 13 {
-					if est := pq.Estimate(i); est != 0 {
-						t.Errorf("%s: Estimate(%d) = %v", label, i, est)
-					}
+			}
+			if top := pq.TopK(5); len(top) != 0 {
+				t.Errorf("%s: TopK = %v", label, top)
+			}
+			for _, tstar := range []float64{0.01, 0.5, 1} {
+				if ids := pq.Search(tstar); len(ids) != 0 {
+					t.Errorf("%s: Search(%v) returned %d records", label, tstar, len(ids))
 				}
-				if top := pq.TopK(5); len(top) != 0 {
-					t.Errorf("%s: TopK = %v", label, top)
-				}
-				for _, tstar := range []float64{0.01, 0.5, 1} {
-					if ids := pq.Search(tstar); len(ids) != 0 {
-						t.Errorf("%s: Search(%v) returned %d records", label, tstar, len(ids))
-					}
-					if hits, total := pq.SearchScored(tstar, 0); len(hits) != 0 || total != 0 {
-						t.Errorf("%s: SearchScored(%v, 0) = %d hits, total %d", label, tstar, len(hits), total)
-					}
+				if hits, total := pq.SearchScored(tstar, 0); len(hits) != 0 || total != 0 {
+					t.Errorf("%s: SearchScored(%v, 0) = %d hits, total %d", label, tstar, len(hits), total)
 				}
 			}
 		}
+	}
+}
+
+// TestAppendForms: on every engine, AppendSearchScored and AppendTopK leave
+// what dst held alone and append exactly what SearchScored and TopK return.
+// With room in dst they allocate nothing on gbkmv.
+func TestAppendForms(t *testing.T) {
+	records, queries := engineCorpus(t, 250)
+	marker := gbkmv.Scored{ID: -7, Score: 7}
+	for _, name := range gbkmv.Engines() {
+		e := buildEngine(t, name, records)
+		for qi, q := range queries[:6] {
+			pq := e.PrepareQuery(q)
+			for _, limit := range []int{0, 3} {
+				want, wantTotal := pq.SearchScored(0.3, limit)
+				got, total := pq.AppendSearchScored([]gbkmv.Scored{marker}, 0.3, limit)
+				if total != wantTotal || got[0] != marker || !reflect.DeepEqual(got[1:], want) {
+					t.Fatalf("%s, query %d: AppendSearchScored(limit %d) = %v/%d after the marker, SearchScored %v/%d",
+						name, qi, limit, got[1:], total, want, wantTotal)
+				}
+			}
+			for _, k := range []int{0, 1, 5} {
+				want := pq.TopK(k)
+				got := pq.AppendTopK([]gbkmv.Scored{marker}, k)
+				if got[0] != marker || len(got)-1 != len(want) || (len(want) > 0 && !reflect.DeepEqual(got[1:], want)) {
+					t.Fatalf("%s, query %d: AppendTopK(%d) = %v after the marker, TopK %v", name, qi, k, got[1:], want)
+				}
+			}
+		}
+	}
+	if raceEnabled {
+		return // allocation counts are meaningless under the race detector
+	}
+	pq := buildEngine(t, "gbkmv", records).PrepareQuery(queries[0])
+	var dst []gbkmv.Scored
+	search := func() { dst, _ = pq.AppendSearchScored(dst[:0], 0.3, 0) }
+	topk := func() { dst = pq.AppendTopK(dst[:0], 10) }
+	for i := 0; i < 4; i++ { // warm the pools and dst
+		search()
+		topk()
+	}
+	if len(dst) == 0 {
+		t.Fatal("the fixture query has no results")
+	}
+	// The least of a few rounds: one a collection cycle falls into also pays
+	// for the pooled scratch it drops.
+	mallocs := func(f func()) float64 {
+		least := math.Inf(1)
+		for round := 0; round < 4; round++ {
+			least = min(least, testing.AllocsPerRun(100, f))
+		}
+		return least
+	}
+	if got := mallocs(search); got > 0 {
+		t.Errorf("AppendSearchScored allocates %.2f per call with a warm buffer, want none", got)
+	}
+	if got := mallocs(topk); got > 0 {
+		t.Errorf("AppendTopK allocates %.2f per call with a warm buffer, want none", got)
 	}
 }

@@ -3,7 +3,6 @@ package gbkmv
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -11,8 +10,8 @@ import (
 	"gbkmv/internal/snapfmt"
 )
 
-// fuzzSnapshots returns real snapshots of every registered engine at 1 and
-// 2 segments over a corpus small enough to keep the seeds short.
+// fuzzSnapshots returns a real snapshot of every registered engine over a
+// corpus small enough to keep the seeds short.
 func fuzzSnapshots(t testing.TB) map[string][]byte {
 	t.Helper()
 	d, err := dataset.Synthetic(dataset.SyntheticConfig{
@@ -23,17 +22,15 @@ func fuzzSnapshots(t testing.TB) map[string][]byte {
 	}
 	out := make(map[string][]byte)
 	for _, name := range Engines() {
-		for _, segments := range []int{1, 2} {
-			seg, err := NewSegmented(name, segments, d.Records, EngineOptions{BudgetFraction: 0.5, NumHashes: 16, MaxBands: 4, Seed: 9})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := SaveEngine(&buf, seg); err != nil {
-				t.Fatal(err)
-			}
-			out[fmt.Sprintf("%s/seg%d", name, segments)] = buf.Bytes()
+		e, err := NewEngine(name, d.Records, EngineOptions{BudgetFraction: 0.5, NumHashes: 16, MaxBands: 4, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
 		}
+		var buf bytes.Buffer
+		if err := SaveEngine(&buf, e); err != nil {
+			t.Fatal(err)
+		}
+		out[name] = buf.Bytes()
 	}
 	// An r far past the vocabulary: it is what the budget is charged and sizes
 	// nothing, so this seed loads in the memory of the ones above.
@@ -48,6 +45,12 @@ func fuzzSnapshots(t testing.TB) map[string][]byte {
 	out["gbkmv/wide"] = buf.Bytes()
 	return out
 }
+
+// segmentedHeader opens a segmented container ("GBKMVSEG", the format version,
+// its flags byte, the inner engine's name), the stream the builds before one
+// index per collection wrote: intact bytes this build must name as another
+// format.
+var segmentedHeader = append([]byte("GBKMVSEG"), snapfmt.Version, 1, 5, 'g', 'b', 'k', 'm', 'v')
 
 // damagedRecordSections returns a real gbkmv snapshot with its records
 // section replaced by ones that break the record coding, each in one way: a
@@ -88,14 +91,13 @@ func damagedRecordSections(t testing.TB) map[string][]byte {
 //   - nothing panics, in the stream half or in the finish;
 //   - the stream half allocates in proportion to the input, never to a count
 //     the input merely declares: the slabs cost at most 8 bytes per input
-//     byte (one delta byte → one Element), slice headers and routing entries
-//     push the worst case to 32, and the fixed part is the 64 kB buffer plus
-//     at most 4096 segment shells;
+//     byte (one delta byte → one Element), slice headers push the worst case
+//     to 32, and the fixed part is the 64 kB buffer;
 //   - nor does the finish of a gbkmv or gkmv stream, which derives the sketch
 //     from what the stream half read: r and the budget are declared and size
 //     nothing; counters, lists and maps follow the records, occurrences and
 //     buffered elements that were read (well under 256 bytes a byte in all),
-//     and the buffer arena is records × ⌈|E_H|/64⌉ words — two counts the
+//     and the buffer arena is records × ⌈|E_H|/8⌉ bytes — two counts the
 //     input backs, n²/32 bytes from n of them at the very worst — with its
 //     transpose, the bit columns, an eighth of headroom wider. (The other
 //     engines rebuild at whatever size their options name; not bounded here.)
@@ -109,22 +111,26 @@ func FuzzLoadEngine(f *testing.F) {
 	for _, b := range snaps {
 		f.Add(b)
 	}
-	// A stream without a stored sketch is a third shorter than it was: cut
-	// points every 32 bytes keep one or more inside every section.
-	short := snaps["gbkmv/seg2"]
-	for n := 0; n < len(short); n += 32 {
-		f.Add(short[:n])
+	// A stream without a stored sketch is short: cut points every 32 bytes
+	// keep one or more inside every section, of every engine's stream.
+	f.Add([]byte{})
+	for _, name := range Engines() {
+		for n := 32; n < len(snaps[name]); n += 32 {
+			f.Add(snaps[name][:n])
+		}
 	}
 	// Sections that break the record coding: the store must not take them.
 	for _, b := range damagedRecordSections(f) {
 		f.Add(b)
 	}
-	// The earlier format versions: intact bytes this build must not parse.
+	// The earlier format versions and the segmented container: intact bytes
+	// this build must not parse.
 	for v := byte(1); v < snapfmt.Version; v++ {
-		old := bytes.Clone(snaps["gbkmv/seg1"])
-		old[len(segmentedMagic)] = v
+		old := bytes.Clone(snaps["gbkmv"])
+		old[len(engineMagic)] = v
 		f.Add(old)
 	}
+	f.Add(segmentedHeader)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		allocated := func(fn func()) uint64 {
 			var before, after runtime.MemStats
@@ -172,14 +178,12 @@ func FuzzLoadEngine(f *testing.F) {
 }
 
 // TestFuzzSeedsLoad keeps the fuzz seeds honest: every real snapshot loads,
-// every strict truncation of one is rejected, and so is a container with a
-// flag bit no writer sets (it would load and re-save as different bytes).
+// every strict truncation of one is rejected, and the segmented container's
+// header is another format.
 func TestFuzzSeedsLoad(t *testing.T) {
 	snaps := fuzzSnapshots(t)
-	flagged := bytes.Clone(snaps["exact/seg2"])
-	flagged[len(segmentedMagic)+1] |= 0x80
-	if _, err := LoadEngine(bytes.NewReader(flagged)); err == nil {
-		t.Error("a container with unknown flag bits loaded")
+	if _, err := LoadEngine(bytes.NewReader(segmentedHeader)); !errors.Is(err, ErrSnapshotFormat) {
+		t.Errorf("a segmented container's header: LoadEngine = %v, want ErrSnapshotFormat", err)
 	}
 	for name, b := range damagedRecordSections(t) {
 		if _, err := LoadEngine(bytes.NewReader(b)); !errors.Is(err, snapfmt.ErrCorrupt) {

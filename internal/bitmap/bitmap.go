@@ -6,6 +6,7 @@
 package bitmap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -63,9 +64,8 @@ func (b *Bitmap) Count() int {
 }
 
 // AndCountWords returns the number of positions set both in b and in the
-// raw word slice, which is how the core index intersects a query bitmap
-// against one record's slot of its flat buffer arena without materializing
-// a Bitmap per record. Only the common word prefix is compared.
+// raw word slice, without materializing a Bitmap for it. Only the common
+// word prefix is compared.
 func (b *Bitmap) AndCountWords(words []uint64) int {
 	n := len(b.words)
 	if len(words) < n {
@@ -74,6 +74,33 @@ func (b *Bitmap) AndCountWords(words []uint64) int {
 	c := 0
 	for i := 0; i < n; i++ {
 		c += bits.OnesCount64(b.words[i] & words[i])
+	}
+	return c
+}
+
+// AndCountBytes returns the number of positions set both in b and in row,
+// bit i of row being bit i%8 of row[i/8]: how the core index intersects a
+// query bitmap against one record's row of its byte-strided buffer arena.
+// Each whole 8 bytes of row is one little-endian load; a partial last word is
+// the 8-byte load that ends where row does, shifted down, and only a row
+// shorter than 8 bytes is assembled byte by byte. Only the common prefix is
+// compared.
+func (b *Bitmap) AndCountBytes(row []byte) int {
+	n := min(len(row), 8*len(b.words))
+	c, i := 0, 0
+	for ; i+8 <= n; i += 8 {
+		c += bits.OnesCount64(b.words[i/8] & binary.LittleEndian.Uint64(row[i:]))
+	}
+	if tail := n - i; tail > 0 {
+		var w uint64
+		if n >= 8 {
+			w = binary.LittleEndian.Uint64(row[n-8:]) >> (64 - 8*tail)
+		} else {
+			for j := n - 1; j >= 0; j-- {
+				w = w<<8 | uint64(row[j])
+			}
+		}
+		c += bits.OnesCount64(b.words[i/8] & w)
 	}
 	return c
 }

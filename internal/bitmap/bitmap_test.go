@@ -223,3 +223,34 @@ func BenchmarkAndCount1024(b *testing.B) {
 		x.AndCountWords(y.words)
 	}
 }
+
+// TestAndCountBytesMatchesBits: a query bitmap against a byte row, bit i of
+// the row being bit i%8 of byte i/8, counts what a bit-by-bit walk counts —
+// at every row length from none to three words and a half, so the whole-word
+// loads, the overlapping load of a partial last word and the byte-by-byte
+// assembly of a row under a word all run, against bitmaps shorter and longer
+// than the row.
+func TestAndCountBytesMatchesBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 28; n++ {
+		for _, bitsLen := range []int{8 * n, 8*n + 5, max(0, 8*n-11), 200} {
+			b := New(bitsLen)
+			for i := 0; i < bitsLen; i++ {
+				if rng.Intn(3) == 0 {
+					b.Set(i)
+				}
+			}
+			row := make([]byte, n)
+			rng.Read(row)
+			want := 0
+			for i := 0; i < min(8*n, bitsLen); i++ {
+				if row[i/8]&(1<<(i%8)) != 0 && b.Get(i) {
+					want++
+				}
+			}
+			if got := b.AndCountBytes(row); got != want {
+				t.Fatalf("row of %d bytes, bitmap of %d bits: AndCountBytes = %d, want %d", n, bitsLen, got, want)
+			}
+		}
+	}
+}

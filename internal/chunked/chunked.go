@@ -1,8 +1,8 @@
 // Package chunked is the one growth rule of the per-record stores an insert
-// feeds — the sketch arena, the packed records, the buffer rows, a segment's
-// id map: a store grows by allocating a chunk (64 kB, once it holds that much)
-// and never moves what it already holds. A slice grown by append copies itself
-// every 1.25× and so allocates four times what it ends up storing; a Store
+// feeds — the sketch arena, the packed records, the buffer rows: a store
+// grows by allocating a chunk (64 kB, once it holds that much) and never
+// moves what it already holds. A slice grown by append copies itself every
+// 1.25× and so allocates four times what it ends up storing; a Store
 // allocates what it stores and at most a chunk of slack.
 package chunked
 

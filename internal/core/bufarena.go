@@ -2,45 +2,46 @@ package core
 
 import "gbkmv/internal/chunked"
 
-const bufWordBits = 64
-
 // bufferArena is the flat store of every record's frequent-element buffer
-// H_X: fixed-stride rows of words in a chunked store, mirroring the sketch
-// arena's philosophy for the bitmap half of the signature. Record i's buffer
-// is row i. Against a []*bitmap.Bitmap (one heap object + pointer per record)
-// it buys the write and query paths contiguous memory — AndCount against a
-// query walks one cache stream and SizeBytes is O(1) — and lets derive's
-// workers fill disjoint record slots concurrently without allocation; derive
-// lays the rows out as one slab, inserts add rows a chunk at a time.
+// H_X: fixed-stride rows of ⌈|E_H|/8⌉ bytes in a chunked store, mirroring the
+// sketch arena's philosophy for the bitmap half of the signature. Record i's
+// buffer is row i, bit b of it bit b%8 of byte b/8. A row holds what the
+// budget charges a record for its buffer (r/8 bytes, |E_H| ≤ r) and no
+// padding to a word. Against a []*bitmap.Bitmap (one heap object + pointer
+// per record) it buys the write and query paths contiguous memory — the
+// buffer overlap against a query walks one cache stream and SizeBytes is
+// O(1) — and lets derive's workers fill disjoint record slots concurrently
+// without allocation; derive lays the rows out as one slab, inserts add rows
+// a chunk at a time.
 //
 // A zero stride means the index buffers no element (E_H is empty); every
 // per-record accessor is then a no-op.
 type bufferArena struct {
-	words  chunked.Store[uint64]
-	built  []uint64 // the rows derive laid out, words' slab: what a search reads without a call
-	stride int      // words per record, ⌈|E_H|/64⌉; 0 without buffers
+	bytes  chunked.Store[byte]
+	built  []byte // the rows derive laid out, bytes' slab: what a search reads without a call
+	stride int    // bytes per record, ⌈|E_H|/8⌉; 0 without buffers
 }
 
 // init sizes the arena for m records of `bits` buffer bits each, all clear.
 func (a *bufferArena) init(m, bits int) {
-	a.stride = (max(bits, 0) + bufWordBits - 1) / bufWordBits
+	a.stride = (max(bits, 0) + 7) / 8
 	if a.stride > 0 {
-		a.words.Reset(a.stride)
-		a.built = a.words.Bulk(m)
+		a.bytes.Reset(a.stride)
+		a.built = a.bytes.Bulk(m)
 	}
 }
 
-// record returns record i's buffer words. The slice aliases the arena.
-func (a *bufferArena) record(i int) []uint64 {
+// record returns record i's buffer row. The slice aliases the arena.
+func (a *bufferArena) record(i int) []byte {
 	if row, ok := a.builtRow(i); ok {
 		return row
 	}
-	return a.words.Row(i)
+	return a.bytes.Row(i)
 }
 
 // builtRow is record for the rows derive laid out, small enough to inline
 // into the per-candidate loops of a search, which read little else.
-func (a *bufferArena) builtRow(i int) ([]uint64, bool) {
+func (a *bufferArena) builtRow(i int) ([]byte, bool) {
 	lo := i * a.stride
 	if lo >= len(a.built) {
 		return nil, false
@@ -50,15 +51,15 @@ func (a *bufferArena) builtRow(i int) ([]uint64, bool) {
 
 // set sets bit `bit` of record i's buffer.
 func (a *bufferArena) set(i, bit int) {
-	a.record(i)[bit/bufWordBits] |= 1 << (uint(bit) % bufWordBits)
+	a.record(i)[bit/8] |= 1 << (uint(bit) % 8)
 }
 
 // grow appends n zeroed record slots (no-op without buffers).
 func (a *bufferArena) grow(n int) {
 	if a.stride > 0 {
-		a.words.Extend(n)
+		a.bytes.Extend(n)
 	}
 }
 
 // sizeBytes returns the memory footprint of the bit storage, O(1).
-func (a *bufferArena) sizeBytes() int { return a.words.Len() * a.stride * 8 }
+func (a *bufferArena) sizeBytes() int { return a.bytes.Len() * a.stride }

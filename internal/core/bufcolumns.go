@@ -2,6 +2,10 @@ package core
 
 import "math/bits"
 
+// bufWordBits is the width of the words every bitmap over record ids is made
+// of: the bit columns, the search's marks and union, top-k's counter planes.
+const bufWordBits = 64
+
 // bufferColumns is the buffer arena transposed: per buffer bit one bitmap
 // over record ids, bit i of column b set exactly when record i's buffer holds
 // bit b. It is the candidate generator of the buffer half of a query — the

@@ -445,7 +445,7 @@ func (ix *Index) derive(c elementCounts) error {
 // array indexed by id: on 20 000 records / 1.3 M occurrences at τ = 1 the
 // inverted lists derive in 21 ms with it and 88 ms through a Go map, and a
 // restart's CPU time is this loop. Where ids are sparse against the records
-// at hand (a small segment of a large vocabulary, or arbitrary 64-bit ids)
+// at hand (a small collection over a large vocabulary, or arbitrary 64-bit ids)
 // the array would dwarf them, and an elemTable from element to position in a
 // packed array takes over.
 type elemCounters struct {

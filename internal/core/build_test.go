@@ -43,7 +43,7 @@ func recordsOf(ix *Index) []dataset.Record { return ix.recs.All() }
 // arenaBit reports whether record i's buffer row holds bit, columnBit whether
 // column bit holds record id: the two layouts the differential checks read.
 func arenaBit(ix *Index, i, bit int) bool {
-	return ix.bufArena.record(i)[bit/bufWordBits]&(1<<(uint(bit)%bufWordBits)) != 0
+	return ix.bufArena.record(i)[bit/8]&(1<<(uint(bit)%8)) != 0
 }
 
 func columnBit(ix *Index, bit, id int) bool {

@@ -301,8 +301,8 @@ func TestLoadAllocatesByWhatItRead(t *testing.T) {
 		if allocated, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<18+32*len(stream)); allocated > bound {
 			t.Errorf("%s: loading %d bytes allocated %d, bound %d", name, len(stream), allocated, bound)
 		}
-		if h := len(got.bufferElems); len(got.bufCols.words) != h*got.bufCols.stride || len(got.bitOrder) != h || got.bufArena.stride != (h+63)/64 {
-			t.Errorf("%s: %d column words at stride %d, %d ordered bits, %d words a record for %d buffered elements",
+		if h := len(got.bufferElems); len(got.bufCols.words) != h*got.bufCols.stride || len(got.bitOrder) != h || got.bufArena.stride != (h+7)/8 {
+			t.Errorf("%s: %d column words at stride %d, %d ordered bits, %d bytes a record for %d buffered elements",
 				name, len(got.bufCols.words), got.bufCols.stride, len(got.bitOrder), got.bufArena.stride, h)
 		}
 		q := ix.Record(3)
@@ -312,9 +312,60 @@ func TestLoadAllocatesByWhatItRead(t *testing.T) {
 	}
 }
 
+// TestBufferRowsAreWhatTheBudgetCharges: a record's buffer row is
+// ⌈|E_H|/8⌉ bytes, never padded to a word, so the buffers cost at most the
+// r/8 bytes a record the budget charges them — 4 bytes a unit, as the keys —
+// built, grown by inserts and reloaded, at r a multiple of 64 and not. Every
+// row reads back the bits of its record, through the overlap kernel too.
+func TestBufferRowsAreWhatTheBudgetCharges(t *testing.T) {
+	d := testDataset(t, 120)
+	for _, r := range []int{8, 64, 72, 200} {
+		ix, err := BuildIndex(&dataset.Dataset{Records: d.Records[:100], Universe: d.Universe},
+			Options{BudgetUnits: 100000, BufferBits: r, Seed: testSeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := len(ix.bufferElems)
+		if ix.BufferBits() != r || h != r {
+			t.Fatalf("r = %d: built with r = %d, |E_H| = %d", r, ix.BufferBits(), h)
+		}
+		reloaded := reload(t, ix, "built")
+		for _, stage := range []string{"built", "grown"} {
+			if stage == "grown" {
+				ix.AddRecords(d.Records[100:])
+				reloaded = reload(t, ix, "grown")
+			}
+			for name, got := range map[string]*Index{stage: ix, stage + ", reloaded": reloaded} {
+				m := got.NumRecords()
+				if got.BufferSizeBytes() != m*((h+7)/8) || got.BufferSizeBytes() > 4*bufferUnits(m, r) {
+					t.Errorf("r = %d, %s: %d buffer bytes for %d records, want %d = m·⌈|E_H|/8⌉, at most 4·%d units",
+						r, name, got.BufferSizeBytes(), m, m*((h+7)/8), bufferUnits(m, r))
+				}
+				for i, rec := range recordsOf(got) {
+					q := got.Sketch(rec)
+					held := 0
+					for bit, e := range got.bufferElems {
+						_, holds := slices.BinarySearch(rec, e)
+						if arenaBit(got, i, bit) != holds {
+							t.Fatalf("r = %d, %s: record %d, bit %d: set %v, held %v", r, name, i, bit, !holds, holds)
+						}
+						if holds {
+							held++
+						}
+					}
+					if overlap := got.bufferOverlap(q, i); overlap != held {
+						t.Fatalf("r = %d, %s: record %d overlaps its own buffer in %d bits, holds %d", r, name, i, overlap, held)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBufferWiderThanVocabulary: asked for more buffer bits than the records
 // have elements, a build charges the budget for r as asked and holds |E_H|
-// bits a record — the same index after a reload, and an exact one.
+// bits a record, in ⌈|E_H|/8⌉ bytes — the same index after a reload, and an
+// exact one.
 func TestBufferWiderThanVocabulary(t *testing.T) {
 	d, err := dataset.Synthetic(dataset.SyntheticConfig{
 		NumRecords: 50, Universe: 30, AlphaFreq: 1.1, AlphaSize: 2.2, MinSize: 3, MaxSize: 12,
@@ -330,7 +381,7 @@ func TestBufferWiderThanVocabulary(t *testing.T) {
 	if ix.BufferBits() != 256 || h == 0 || h > 30 {
 		t.Fatalf("r = %d, |E_H| = %d", ix.BufferBits(), h)
 	}
-	if ix.arena.units() != 0 || ix.UsedUnits() != bufferUnits(50, 256) || ix.BufferSizeBytes() != 50*8 {
+	if ix.arena.units() != 0 || ix.UsedUnits() != bufferUnits(50, 256) || ix.BufferSizeBytes() != 50*((h+7)/8) {
 		t.Fatalf("%d keys, %d units used, %d buffer bytes", ix.arena.units(), ix.UsedUnits(), ix.BufferSizeBytes())
 	}
 	for i, rec := range recordsOf(ix) {

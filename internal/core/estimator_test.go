@@ -18,16 +18,15 @@ import (
 // variance of Equation 11. The hash seed is that choice, so over many seeds
 // the mean estimate of a pair of known containment must sit on the truth and
 // the spread of the estimates must be what EstimateWithError predicts — at
-// every τ, buffer size and skew the index can be built with, and through the
-// segmentation layer.
+// every τ, buffer size and skew the index can be built with.
 
 // estimatorSeeds is the number of hash functions an estimate is averaged
 // over; estimatorVarianceFactor is how far the empirical variance over them
 // may sit from the mean Equation 11 prediction, either way. The prediction is
 // the KMV formula evaluated at each seed's estimated D∩ and D∪ and realised k,
 // and 200 draws of a skewed statistic estimate a variance to within a quarter
-// or so: measured ratios lie in [0.70, 1.10] at one index (median 0.95: the
-// prediction leans high) and in [0.70, 1.31] through two segments.
+// or so: measured ratios lie in [0.70, 1.10] (median 0.95: the prediction
+// leans high).
 const (
 	estimatorSeeds          = 200
 	estimatorVarianceFactor = 1.6
@@ -127,20 +126,12 @@ func TestContainmentEstimatorIsThePapers(t *testing.T) {
 			auto := build(core.Options{BudgetUnits: budget.units, BufferBits: core.AutoBuffer}).BufferBits()
 			for _, r := range []int{0, 64, auto} {
 				t.Run(fmt.Sprintf("alpha=%v/%s/r=%d", alpha, budget.name, r), func(t *testing.T) {
-					checkEstimator(t, d, pairs, budget.seeds, func(seed uint64) (*core.Index, *gbkmv.Segmented) {
+					checkEstimator(t, d, pairs, budget.seeds, func(seed uint64) *core.Index {
 						ix := build(core.Options{BudgetUnits: budget.units, BufferBits: r, Seed: seed})
 						if budget.name == "tau=1" && ix.Tau() != 1 {
 							t.Fatalf("seed %d: τ = %v, fixture wants 1", seed, ix.Tau())
 						}
-						eopt := gbkmv.EngineOptions{BudgetUnits: budget.units, BufferBits: r, Seed: seed}
-						if r == 0 {
-							eopt.BufferBits = gbkmv.NoBuffer
-						}
-						seg, err := gbkmv.NewSegmented("gbkmv", 2, records(), eopt)
-						if err != nil {
-							t.Fatalf("seed %d: %v", seed, err)
-						}
-						return ix, seg
+						return ix
 					})
 				})
 			}
@@ -148,16 +139,16 @@ func TestContainmentEstimatorIsThePapers(t *testing.T) {
 	}
 }
 
-// checkEstimator estimates every pair under hash seeds 1000 … 1000+seeds−1,
-// at one index and through two segments, and holds the mean to the truth and
-// the variance to the Equation 11 prediction.
-func checkEstimator(t *testing.T, d *dataset.Dataset, pairs []estimatorPair, seeds int, build func(seed uint64) (*core.Index, *gbkmv.Segmented)) {
+// checkEstimator estimates every pair under hash seeds 1000 … 1000+seeds−1
+// and holds the mean to the truth and the variance to the Equation 11
+// prediction.
+func checkEstimator(t *testing.T, d *dataset.Dataset, pairs []estimatorPair, seeds int, build func(seed uint64) *core.Index) {
 	// est[p][s] is pair p under seed s; predicted[p][s] the squared standard
-	// error the one index reports beside its estimate.
-	est, est2, predicted := make([][]float64, len(pairs)), make([][]float64, len(pairs)), make([][]float64, len(pairs))
+	// error the index reports beside its estimate.
+	est, predicted := make([][]float64, len(pairs)), make([][]float64, len(pairs))
 	for s := 0; s < seeds; s++ {
 		seed := uint64(1000 + s)
-		ix, seg := build(seed)
+		ix := build(seed)
 		for p, pair := range pairs {
 			sig := ix.Sketch(pair.q)
 			e, se := ix.EstimateWithError(sig, pair.x)
@@ -166,7 +157,6 @@ func checkEstimator(t *testing.T, d *dataset.Dataset, pairs []estimatorPair, see
 			}
 			est[p] = append(est[p], e)
 			predicted[p] = append(predicted[p], se*se)
-			est2[p] = append(est2[p], seg.Estimate(pair.q, pair.x))
 		}
 		// The buffer part is exact: a query inside E_H is answered without
 		// error under every hash function.
@@ -180,37 +170,29 @@ func checkEstimator(t *testing.T, d *dataset.Dataset, pairs []estimatorPair, see
 	}
 	for p, pair := range pairs {
 		want := stats.Mean(predicted[p])
-		// A segment is a GB-KMV index of half the records at half the budget:
-		// its τ and E_H estimate the collection's, so the one index's
-		// prediction is the yardstick through two segments too.
-		for _, side := range []struct {
-			name string
-			est  []float64
-		}{{"one index", est[p]}, {"two segments", est2[p]}} {
-			mean, variance := stats.Mean(side.est), stats.Variance(side.est)
-			if want == 0 {
-				// Lossless sketches are exact. (Up to a collision of two
-				// 32-bit keys, which counts a pair of distinct elements as
-				// one: seed 1030 has one between elements 156 and 1003 at
-				// alpha 1.2, past the seeds the τ = 1 fixtures use.)
-				if mean != pair.truth || variance != 0 {
-					t.Errorf("pair %d, %s, seeds 1000–%d: lossless estimates have mean %v, variance %v; truth %v",
-						p, side.name, 999+seeds, mean, variance, pair.truth)
-				}
-				continue
+		mean, variance := stats.Mean(est[p]), stats.Variance(est[p])
+		if want == 0 {
+			// Lossless sketches are exact. (Up to a collision of two
+			// 32-bit keys, which counts a pair of distinct elements as
+			// one: seed 1030 has one between elements 156 and 1003 at
+			// alpha 1.2, past the seeds the τ = 1 fixtures use.)
+			if mean != pair.truth || variance != 0 {
+				t.Errorf("pair %d, seeds 1000–%d: lossless estimates have mean %v, variance %v; truth %v",
+					p, 999+seeds, mean, variance, pair.truth)
 			}
-			se := math.Sqrt(variance / float64(seeds))
-			z, ratio := (mean-pair.truth)/se, variance/want
-			t.Logf("pair %d (truth %.4f), %s: mean %.4f (%+.2f standard errors), variance %.3g (%.2fx predicted)",
-				p, pair.truth, side.name, mean, z, variance, ratio)
-			if math.Abs(z) > 3 {
-				t.Errorf("pair %d, %s, seeds 1000–%d: mean estimate %.4f is %+.1f standard errors from the truth %.4f",
-					p, side.name, 999+seeds, mean, z, pair.truth)
-			}
-			if ratio > estimatorVarianceFactor || ratio < 1/estimatorVarianceFactor {
-				t.Errorf("pair %d, %s, seeds 1000–%d: empirical variance %.3g is %.2fx the Equation 11 prediction %.3g, outside %.1fx",
-					p, side.name, 999+seeds, variance, ratio, want, estimatorVarianceFactor)
-			}
+			continue
+		}
+		se := math.Sqrt(variance / float64(seeds))
+		z, ratio := (mean-pair.truth)/se, variance/want
+		t.Logf("pair %d (truth %.4f): mean %.4f (%+.2f standard errors), variance %.3g (%.2fx predicted)",
+			p, pair.truth, mean, z, variance, ratio)
+		if math.Abs(z) > 3 {
+			t.Errorf("pair %d, seeds 1000–%d: mean estimate %.4f is %+.1f standard errors from the truth %.4f",
+				p, 999+seeds, mean, z, pair.truth)
+		}
+		if ratio > estimatorVarianceFactor || ratio < 1/estimatorVarianceFactor {
+			t.Errorf("pair %d, seeds 1000–%d: empirical variance %.3g is %.2fx the Equation 11 prediction %.3g, outside %.1fx",
+				p, 999+seeds, variance, ratio, want, estimatorVarianceFactor)
 		}
 	}
 }

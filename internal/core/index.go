@@ -33,7 +33,7 @@ type Index struct {
 	bufferElems []hash.Element // E_H in decreasing frequency order
 	bitOf       bitTable       // element → buffer bit position
 
-	// bufArena holds every record's H_X buffer in one flat word store (see
+	// bufArena holds every record's H_X buffer in one flat byte store (see
 	// bufferArena); arena holds every record's G-KMV hash run in one flat
 	// CSR layout (see sketchArena). All per-record signature reads go
 	// through bufArena.record(i) / arena.view(i). bufCols is bufArena
@@ -392,7 +392,7 @@ func (ix *Index) bufferOverlap(sig *QuerySig, i int) int {
 	if !ok {
 		row = ix.bufArena.record(i)
 	}
-	return sig.buffer.AndCountWords(row)
+	return sig.buffer.AndCountBytes(row)
 }
 
 // EstimateIntersection estimates |Q ∩ X_i| by Equation 27:

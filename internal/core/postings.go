@@ -33,9 +33,9 @@ type postingLists struct {
 	// slot), probed linearly from elemTable's multiplicative hash of the
 	// element, which it compares in the header a slot names. It holds the
 	// element where it already is, so a slot is 4 bytes, not elemTable's 16:
-	// TestSnapshotAllocs' τ = 1 engine (two segments of 27 000 lists each)
-	// holds 6.23 MB loaded, 6.56 with the lists in Go maps and 7.80 with them
-	// behind an elemTable.
+	// TestSnapshotAllocs' τ = 1 collection, then two segments of 27 000 lists
+	// each, held 6.23 MB loaded, 6.56 with the lists in Go maps and 7.80 with
+	// them behind an elemTable (as one index it holds 5.24 MB).
 	index []uint32
 	shift uint // 64 − log₂ len(index)
 
@@ -110,9 +110,9 @@ func (p *postingLists) lay(slab []int32, lists int, each func(list func(e hash.E
 }
 
 // reindex sizes the index for n lists, at most half full — a miss, the
-// lookup of a query element only another segment lists or of an insert's new
-// element, reads a header for each slot it passes before the empty one — and
-// enters every list holding ids.
+// lookup of a query element no list holds or of an insert's new element,
+// reads a header for each slot it passes before the empty one — and enters
+// every list holding ids.
 func (p *postingLists) reindex(n int) {
 	size := 2
 	for size < 2*n {

@@ -402,20 +402,16 @@ func (c *Collection) applyBatch(b *commitBatch) {
 func (c *Collection) snapshot() (committed bool, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	seg, segmented := c.eng.(*gbkmv.Segmented)
 	// The request window rides in the commit record: the snapshot subsumes
 	// (and truncates) the journal that carried the ids, and the retry the
 	// window exists for may arrive after both the snapshot and a restart.
 	m := meta{Name: c.name, Engine: c.eng.EngineName(), Records: c.eng.Len(), Requests: c.wal.window()}
-	if segmented {
-		m.Segments = seg.SegmentCount()
-	}
 	snap, err := c.gens.snapshot(m, func(w io.Writer) error { return gbkmv.SaveEngine(w, c.eng) }, c.voc.Save)
 	if snap == nil {
 		return false, err
 	}
 	// The write pause: inserts waited, the wal quiesced, for the whole index
-	// encode — of every segment, when there are several.
+	// encode.
 	c.metrics.snapPause.Observe(snap.index.Seconds())
 	c.wal.swap(snap.log, snap.gen)
 	c.store.logf("gbkmvd: snapshot %q gen %d: index %d bytes, vocab %d bytes, encode %s, fsync %s",
@@ -475,45 +471,6 @@ type CollStats struct {
 	// quarantined generation, recent quarantine events). Filled by the stats
 	// handler — the quarantine event log lives with the store.
 	Storage *StorageHealth `json:"storage,omitempty"`
-
-	// Segments reports the collection's sharding layout; nil (omitted) for
-	// unsegmented single-index collections.
-	Segments *SegmentStats `json:"segments,omitempty"`
-}
-
-// SegmentStats describes how a segmented collection's records are spread
-// across its sub-indexes. Skew is the max/min per-segment record count ratio
-// (1.0 is a perfect spread; 0 while any segment is still empty), the quick
-// health check for the hash routing.
-type SegmentStats struct {
-	Count   int     `json:"count"`
-	Records []int   `json:"records"`
-	Max     int     `json:"max"`
-	Min     int     `json:"min"`
-	Skew    float64 `json:"skew"`
-}
-
-// segmentStatsOf derives the /stats segments block from a collection engine,
-// nil when it is not segmented.
-func segmentStatsOf(eng gbkmv.Engine) *SegmentStats {
-	seg, ok := eng.(*gbkmv.Segmented)
-	if !ok {
-		return nil
-	}
-	recs := seg.SegmentRecords()
-	st := &SegmentStats{Count: len(recs), Records: recs}
-	for i, n := range recs {
-		if i == 0 || n > st.Max {
-			st.Max = n
-		}
-		if i == 0 || n < st.Min {
-			st.Min = n
-		}
-	}
-	if st.Min > 0 {
-		st.Skew = float64(st.Max) / float64(st.Min)
-	}
-	return st
 }
 
 // Stats returns the collection's current statistics.
@@ -553,6 +510,5 @@ func (c *Collection) Stats() CollStats {
 		OpenGroupDepth:   w.depth,
 		QueryGeneration:  c.queryGen.Load(),
 		QueryCache:       qcs,
-		Segments:         segmentStatsOf(c.eng),
 	}
 }

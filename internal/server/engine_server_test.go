@@ -19,6 +19,7 @@ import (
 
 	"gbkmv"
 	"gbkmv/internal/fsx"
+	"gbkmv/internal/snapfmt"
 )
 
 // buildWithEngine PUTs the restaurants corpus under the named engine.
@@ -217,7 +218,10 @@ func TestRequestLogEviction(t *testing.T) {
 // what an older build left behind — fails to load with
 // gbkmv.ErrSnapshotFormat, and nothing is quarantined or fallen back from:
 // the bytes are intact, the remedy is a rebuild. A commit record without
-// checksums (older still) is the same error, not an unverified load.
+// checksums (older still) is the same error, not an unverified load. So is
+// the segmented container ("GBKMVSEG") the builds before one index per
+// collection wrote: a collection whose committed generation holds one is
+// refused, not quarantined.
 func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
 	// What the previous builds wrote: a gob stream (before the flat format),
 	// and the flat format's versions 1 (float64 hash values) and 2 (32-bit
@@ -229,6 +233,16 @@ func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
 				Version int
 				Records [][]uint64
 			}{3, [][]uint64{{1, 2, 3}}})
+		})
+	})
+	t.Run("segmented-container", func(t *testing.T) {
+		testOldFormatSnapshot(t, func(w io.Writer, current []byte) error {
+			// The container's header (magic, format version, flags, the inner
+			// engine's name) and, where its options, routing table and segment
+			// streams began, the engine stream a one-segment container held.
+			header := append([]byte("GBKMVSEG"), snapfmt.Version, 1, 5, 'g', 'b', 'k', 'm', 'v')
+			_, err := w.Write(append(header, current...))
+			return err
 		})
 	})
 	for _, version := range []byte{1, 2} {

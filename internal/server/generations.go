@@ -70,10 +70,6 @@ type meta struct {
 	// "vocab"), computed from the bytes as written. Verified at load, by the
 	// background scrubber, and by followers on bootstrap transfer.
 	Checksums map[string]fileSum `json:"checksums,omitempty"`
-	// Segments records the collection's segment count when the snapshot was
-	// taken (informational — the index snapshot is self-describing); 0 for
-	// single-index snapshots.
-	Segments int `json:"segments,omitempty"`
 }
 
 func metaPath(dir string) string     { return filepath.Join(dir, "meta.json") }

@@ -215,11 +215,6 @@ type buildOptions struct {
 	// NumPartitions is the LSH Ensemble partition count; 0 selects the
 	// default (32).
 	NumPartitions int `json:"num_partitions"`
-	// Segments shards the collection across this many independent sub-indexes
-	// (parallel insert apply and search fan-out, bounded per-segment snapshot
-	// pauses). 0 uses the store's default (the daemon's -segments flag; plain
-	// OpenStore defaults to unsegmented); negative rejects.
-	Segments int `json:"segments"`
 }
 
 func (h *api) build(w http.ResponseWriter, r *http.Request) {
@@ -282,14 +277,6 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	decoded := time.Now()
-	segments := req.Options.Segments
-	if segments < 0 {
-		writeError(w, http.StatusBadRequest, "options.segments must be >= 0, got %d", segments)
-		return
-	}
-	if segments == 0 {
-		segments = h.store.DefaultSegments()
-	}
 	opts := gbkmv.EngineOptions{
 		BudgetFraction: req.Options.BudgetFraction,
 		BudgetUnits:    req.Options.BudgetUnits,
@@ -298,12 +285,7 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 		NumHashes:      req.Options.NumHashes,
 		NumPartitions:  req.Options.NumPartitions,
 	}
-	var eng gbkmv.Engine
-	if segments >= 1 {
-		eng, err = gbkmv.NewSegmentedFromCorpus(req.Options.Engine, segments, corpus, opts)
-	} else {
-		eng, err = gbkmv.NewEngineFromCorpus(req.Options.Engine, corpus, opts)
-	}
+	eng, err := gbkmv.NewEngineFromCorpus(req.Options.Engine, corpus, opts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "building %q: %v", name, err)
 		return

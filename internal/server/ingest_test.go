@@ -193,7 +193,7 @@ func bodyTable() [][]byte {
 		`{"records":[["a","b"],["b","c","a"]]}`,
 		` { "records" : [ [ "a" , "b" ] , [ "c" ] ] , "options" : { "seed" : 7 } } `,
 		"{\n\t\"records\":\r\n[[\"a\"]]}",
-		`{"options":{"engine":"kmv","budget_units":5,"buffer_bits":-1,"segments":2},"records":[["a"]]}`,
+		`{"options":{"engine":"kmv","budget_units":5,"buffer_bits":-1,"num_hashes":2},"records":[["a"]]}`,
 		`{"file":"records.txt","options":{"budget_fraction":0.5}}`,
 		`{"records":[["dup","dup","a","dup"]]}`,
 		`{"records":[["a"]],"request_id":"r-1"}`,
@@ -633,65 +633,64 @@ func TestBuildByteIdentity(t *testing.T) {
 	records := benchCollectionRecords(t, 2000)
 	// Non-ASCII and escaped tokens take the scanner's slow path.
 	records = append(records, []string{"é", "\u00e9", "tab\t", "quote\"", "😀", "e17"})
-	for _, segments := range []int{1, 2} {
-		t.Run(fmt.Sprintf("segments=%d", segments), func(t *testing.T) {
-			body := marshalBuildBody(t, records, fmt.Sprintf(`{"seed":7,"segments":%d}`, segments))
+	// A build is one index: the one-segment layout is the only one left.
+	t.Run("segments=1", func(t *testing.T) {
+		body := marshalBuildBody(t, records, `{"seed":7}`)
 
-			refDir := t.TempDir()
-			refStore, err := NewStore(refDir, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ref refBuildRequest
-			if err := refDecode(bytes.NewReader(body), &ref); err != nil {
-				t.Fatal(err)
-			}
-			voc, recs, _ := refRecords(ref.Records)
-			eng, err := gbkmv.NewSegmented(gbkmv.DefaultEngine, segments, recs, gbkmv.EngineOptions{Seed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refColl, err := refStore.Create("c", voc, eng)
-			if err != nil {
-				t.Fatal(err)
-			}
+		refDir := t.TempDir()
+		refStore, err := NewStore(refDir, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref refBuildRequest
+		if err := refDecode(bytes.NewReader(body), &ref); err != nil {
+			t.Fatal(err)
+		}
+		voc, recs, _ := refRecords(ref.Records)
+		eng, err := gbkmv.NewEngine(gbkmv.DefaultEngine, recs, gbkmv.EngineOptions{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refColl, err := refStore.Create("c", voc, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			dir := t.TempDir()
-			store, ts := newServer(t, dir)
-			if code, m := doJSON(t, ts, "PUT", "/collections/c", string(body)); code != http.StatusOK {
-				t.Fatalf("build: %d %v", code, m)
-			}
-			coll, err := store.Get("c")
+		dir := t.TempDir()
+		store, ts := newServer(t, dir)
+		if code, m := doJSON(t, ts, "PUT", "/collections/c", string(body)); code != http.StatusOK {
+			t.Fatalf("build: %d %v", code, m)
+		}
+		coll, err := store.Get("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := coll.Stats(), refColl.Stats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("stats differ:\n handler   %+v\n reference %+v", got, want)
+		}
+		for _, path := range []func(string, uint64) string{indexPath, vocabPath} {
+			got, err := os.ReadFile(path(coll.gens.dir, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := coll.Stats(), refColl.Stats(); !reflect.DeepEqual(got, want) {
-				t.Errorf("stats differ:\n handler   %+v\n reference %+v", got, want)
-			}
-			for _, path := range []func(string, uint64) string{indexPath, vocabPath} {
-				got, err := os.ReadFile(path(coll.gens.dir, 1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := os.ReadFile(path(refColl.gens.dir, 1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s differs from the reference build's (%d vs %d bytes)", path("", 1), len(got), len(want))
-				}
-			}
-			gotMeta, err := readMeta(store.fs, coll.gens.dir)
+			want, err := os.ReadFile(path(refColl.gens.dir, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantMeta, err := readMeta(refStore.fs, refColl.gens.dir)
-			if err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s differs from the reference build's (%d vs %d bytes)", path("", 1), len(got), len(want))
 			}
-			if !reflect.DeepEqual(gotMeta.Checksums, wantMeta.Checksums) || len(gotMeta.Checksums) == 0 {
-				t.Errorf("snapshot checksums %v, reference %v", gotMeta.Checksums, wantMeta.Checksums)
-			}
-		})
-	}
+		}
+		gotMeta, err := readMeta(store.fs, coll.gens.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMeta, err := readMeta(refStore.fs, refColl.gens.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotMeta.Checksums, wantMeta.Checksums) || len(gotMeta.Checksums) == 0 {
+			t.Errorf("snapshot checksums %v, reference %v", gotMeta.Checksums, wantMeta.Checksums)
+		}
+	})
 }

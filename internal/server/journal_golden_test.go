@@ -87,76 +87,73 @@ func TestWritePathBytesMatchGolden(t *testing.T) {
 	records := benchCollectionRecords(t, 600)
 	reqs := journalGoldenRequests(records[200:])
 	var got bytes.Buffer
-	for _, segments := range []int{1, 2} {
-		dir := t.TempDir()
-		store, err := NewStore(dir, func(string, ...any) {})
+	dir := t.TempDir()
+	store, err := NewStore(dir, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(s *Store) func(method, path, body string) (int, []byte) {
+		h := Handler(s)
+		return func(method, path, body string) (int, []byte) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			return rec.Code, rec.Body.Bytes()
+		}
+	}
+	do := serve(store)
+	build := marshalBuildBody(t, records[:200], `{"seed":7,"budget_units":20000,"buffer_bits":64}`)
+	if code, body := do("PUT", "/collections/c", string(build)); code != http.StatusOK {
+		t.Fatalf("build: %d %s", code, body)
+	}
+	statuses := map[int]int{}
+	for i, rq := range reqs {
+		code, body := do("POST", rq.path, rq.body)
+		statuses[code]++
+		fmt.Fprintf(&got, "%d %s %d %d %x\n", i, strings.TrimPrefix(rq.path, "/collections/c/"), code, len(body), sha256.Sum256(body))
+	}
+	if statuses[http.StatusOK] < 150 || statuses[http.StatusConflict] < 5 || statuses[http.StatusBadRequest] < 10 {
+		t.Fatalf("the sequence answers %v: it should mostly be served, with a few duplicates and refusals", statuses)
+	}
+	// The files as a crash would leave them: every acknowledged insert is
+	// already fsynced, and Close (which would snapshot) is not called.
+	var names []string
+	for _, pattern := range []string{"journal-*.log", "index-*.snap", "vocab-*.snap"} {
+		matched, err := filepath.Glob(filepath.Join(dir, "c", pattern))
+		if err != nil || len(matched) == 0 {
+			t.Fatalf("%s: %v, %v", pattern, matched, err)
+		}
+		names = append(names, matched...)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serve := func(s *Store) func(method, path, body string) (int, []byte) {
-			h := Handler(s)
-			return func(method, path, body string) (int, []byte) {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
-				return rec.Code, rec.Body.Bytes()
-			}
-		}
-		do := serve(store)
-		build := marshalBuildBody(t, records[:200], fmt.Sprintf(`{"seed":7,"segments":%d,"budget_units":20000,"buffer_bits":64}`, segments))
-		if code, body := do("PUT", "/collections/c", string(build)); code != http.StatusOK {
-			t.Fatalf("build: %d %s", code, body)
-		}
-		fmt.Fprintf(&got, "# segments=%d\n", segments)
-		statuses := map[int]int{}
-		for i, rq := range reqs {
-			code, body := do("POST", rq.path, rq.body)
-			statuses[code]++
-			fmt.Fprintf(&got, "%d %s %d %d %x\n", i, strings.TrimPrefix(rq.path, "/collections/c/"), code, len(body), sha256.Sum256(body))
-		}
-		if statuses[http.StatusOK] < 150 || statuses[http.StatusConflict] < 5 || statuses[http.StatusBadRequest] < 10 {
-			t.Fatalf("the sequence answers %v: it should mostly be served, with a few duplicates and refusals", statuses)
-		}
-		// The files as a crash would leave them: every acknowledged insert is
-		// already fsynced, and Close (which would snapshot) is not called.
-		var names []string
-		for _, pattern := range []string{"journal-*.log", "index-*.snap", "vocab-*.snap"} {
-			matched, err := filepath.Glob(filepath.Join(dir, "c", pattern))
-			if err != nil || len(matched) == 0 {
-				t.Fatalf("%s: %v, %v", pattern, matched, err)
-			}
-			names = append(names, matched...)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			b, err := os.ReadFile(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&got, "%s %d %x\n", filepath.Base(name), len(b), sha256.Sum256(b))
-		}
-		// What replay makes of them.
-		reopened, err := NewStore(dir, func(string, ...any) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		do = serve(reopened)
-		for _, rq := range []goldenRequest{
-			{"GET /collections/c/stats", ""},
-			{"POST /collections/c/search", `{"query":["<script>","a&b","x>y"],"threshold":0.5,"with_tokens":true}`},
-			{"POST /collections/c/search", `{"query":["line\u2028sep","tab\t","nul\u0000"],"threshold":0.3,"with_tokens":true}`},
-			{"POST /collections/c/search", `{"query":["bad\ufffdbyte","two\ufffd\ufffdbytes"],"threshold":0.3,"with_tokens":true}`},
-			{"POST /collections/c/topk", `{"query":` + quote46(records[237]) + `,"k":5,"with_tokens":true}`},
-			{"POST /collections/c/records", `{"records":[["again"]],"request_id":"rid-11"}`},  // remembered by the commit record
-			{"POST /collections/c/records", `{"records":[["again"]],"request_id":"rid-151"}`}, // remembered by the journal
-			{"POST /collections/c/records", `{"records":[["again","<&>"]],"request_id":"rid-new"}`},
-		} {
-			method, path, _ := strings.Cut(rq.path, " ")
-			code, body := do(method, path, rq.body)
-			fmt.Fprintf(&got, "reopened %s %d %d %x\n", path, code, len(body), sha256.Sum256(body))
-		}
-		if err := reopened.Close(); err != nil {
-			t.Fatal(err)
-		}
+		fmt.Fprintf(&got, "%s %d %x\n", filepath.Base(name), len(b), sha256.Sum256(b))
+	}
+	// What replay makes of them.
+	reopened, err := NewStore(dir, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do = serve(reopened)
+	for _, rq := range []goldenRequest{
+		{"GET /collections/c/stats", ""},
+		{"POST /collections/c/search", `{"query":["<script>","a&b","x>y"],"threshold":0.5,"with_tokens":true}`},
+		{"POST /collections/c/search", `{"query":["line\u2028sep","tab\t","nul\u0000"],"threshold":0.3,"with_tokens":true}`},
+		{"POST /collections/c/search", `{"query":["bad\ufffdbyte","two\ufffd\ufffdbytes"],"threshold":0.3,"with_tokens":true}`},
+		{"POST /collections/c/topk", `{"query":` + quote46(records[237]) + `,"k":5,"with_tokens":true}`},
+		{"POST /collections/c/records", `{"records":[["again"]],"request_id":"rid-11"}`},  // remembered by the commit record
+		{"POST /collections/c/records", `{"records":[["again"]],"request_id":"rid-151"}`}, // remembered by the journal
+		{"POST /collections/c/records", `{"records":[["again","<&>"]],"request_id":"rid-new"}`},
+	} {
+		method, path, _ := strings.Cut(rq.path, " ")
+		code, body := do(method, path, rq.body)
+		fmt.Fprintf(&got, "reopened %s %d %d %x\n", path, code, len(body), sha256.Sum256(body))
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if *updateJournalGolden {
 		if err := os.WriteFile(journalGoldenPath, got.Bytes(), 0o644); err != nil {

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"gbkmv"
 	"gbkmv/internal/obs"
 )
 
@@ -54,14 +52,8 @@ type Metrics struct {
 
 	collRecords *obs.GaugeVec // collection (scrape-time mirror)
 	collGen     *obs.GaugeVec // collection: query generation
-	// Segmented-collection surface: per-segment record counts (scrape-time
-	// mirror; segCounts remembers each collection's last mirrored segment
-	// count so stale children are removed exactly) and the snapshot pause
-	// histogram — per segment-encode for segmented collections, per
-	// index-encode for single-index ones.
-	segRecords  *obs.GaugeVec     // collection, segment
+	// The snapshot pause histogram: one index encode a snapshot.
 	snapPause   *obs.HistogramVec // collection
-	segCounts   sync.Map          // collection name → int
 	journaled   *obs.GaugeVec     // collection: entries in the current journal
 	walOffset   *obs.GaugeVec     // collection: journal logical size
 	walSynced   *obs.GaugeVec     // collection: durable high-water mark
@@ -72,8 +64,7 @@ type Metrics struct {
 	// snapshot (Store.Create: the first generation's files).
 	buildStage *obs.HistogramVec // stage
 	// Sketch state (scrape-time mirror, absent where the engine has no such
-	// knob): the global threshold τ (the largest across segments) and used ÷
-	// budget units.
+	// knob): the global threshold τ and used ÷ budget units.
 	sketchTau  *obs.GaugeVec // collection
 	budgetUtil *obs.GaugeVec // collection
 	// Where an engine's bytes are (scrape-time mirror): the sketch (/stats
@@ -172,12 +163,9 @@ func newMetrics() *Metrics {
 		collGen: r.GaugeVec("gbkmv_collection_query_generation",
 			"Query generation (bumped by every engine mutation; cache key epoch).",
 			"collection"),
-		segRecords: r.GaugeVec("gbkmv_segment_records",
-			"Records per segment of a segmented collection.",
-			"collection", "segment"),
 		snapPause: r.HistogramVec("gbkmv_snapshot_pause_seconds",
-			"Time inserts wait on a snapshot: the encode and write of the whole index "+
-				"(all segments), one observation per snapshot.",
+			"Time inserts wait on a snapshot: the encode and write of the whole index, "+
+				"one observation per snapshot.",
 			obs.LatencyBuckets, "collection"),
 		journaled: r.GaugeVec("gbkmv_wal_entries",
 			"Entries in the current journal (reset by snapshots).", "collection"),
@@ -197,7 +185,7 @@ func newMetrics() *Metrics {
 			"Wall time of each stage of a successful build request: decode, sketch, snapshot.",
 			obs.LatencyBuckets, "stage"),
 		sketchTau: r.GaugeVec("gbkmv_sketch_tau",
-			"Global hash threshold of the sketch (largest across segments); "+
+			"Global hash threshold of the sketch; "+
 				"falls as inserts shrink it to hold the budget.", "collection"),
 		budgetUtil: r.GaugeVec("gbkmv_sketch_budget_utilisation",
 			"Sketch units used divided by the budget; sits just under 1 at a full budget "+
@@ -205,7 +193,7 @@ func newMetrics() *Metrics {
 		resident: r.GaugeVec("gbkmv_collection_resident_bytes",
 			"Bytes the engine holds, by part: sketch (signatures: buffers and keys, the /stats size_bytes), "+
 				"records (the retained records), index (inverted lists, bit columns, offset tables); "+
-				"summed across segments, 0 for a part the engine does not report.",
+				"0 for a part the engine does not report.",
 			"collection", "part"),
 		diskErrors: r.CounterVec("gbkmv_disk_errors_total",
 			"Write-path disk errors, by operation.", "op"),
@@ -294,7 +282,6 @@ func (m *Metrics) removeCollection(name string) {
 	for _, part := range residentParts {
 		m.resident.Remove(name, part)
 	}
-	m.removeSegmentChildren(name, 0)
 	m.endpoints.Range(func(k, _ any) bool {
 		key := k.(endpointKey)
 		if key.collection == name {
@@ -381,13 +368,8 @@ func (s *Store) mirrorCollections() {
 			entries = c.qcache.entries()
 		}
 		hashed, shrinks := c.eng.BuildCounters()
-		var segRecs []int
-		if seg, ok := c.eng.(*gbkmv.Segmented); ok {
-			segRecs = seg.SegmentRecords()
-		}
 		es := c.eng.EngineStats()
 		c.mu.RUnlock()
-		m.mirrorSegments(name, segRecs)
 		m.collRecords.With(name).Set(float64(records))
 		m.collGen.With(name).Set(float64(c.queryGen.Load()))
 		var ro float64
@@ -409,35 +391,6 @@ func (s *Store) mirrorCollections() {
 		for i, bytes := range [...]int{es.SizeBytes, es.RecordBytes, es.IndexBytes} {
 			m.resident.With(name, residentParts[i]).Set(float64(bytes))
 		}
-	}
-}
-
-// mirrorSegments sets the per-segment record gauges of one collection and
-// retires children past the current segment count (a replacement build may
-// have fewer segments, or none).
-func (m *Metrics) mirrorSegments(name string, segRecs []int) {
-	for i, n := range segRecs {
-		m.segRecords.With(name, strconv.Itoa(i)).Set(float64(n))
-	}
-	m.removeSegmentChildren(name, len(segRecs))
-	if len(segRecs) > 0 {
-		m.segCounts.Store(name, len(segRecs))
-	}
-}
-
-// removeSegmentChildren ends the gbkmv_segment_records series of segments
-// keep and above, using the remembered last mirrored count (Remove needs the
-// exact label values). keep == 0 drops the whole collection.
-func (m *Metrics) removeSegmentChildren(name string, keep int) {
-	prev, ok := m.segCounts.Load(name)
-	if !ok {
-		return
-	}
-	for i := keep; i < prev.(int); i++ {
-		m.segRecords.Remove(name, strconv.Itoa(i))
-	}
-	if keep == 0 {
-		m.segCounts.Delete(name)
 	}
 }
 

@@ -123,40 +123,37 @@ func TestReadPathResponsesMatchGolden(t *testing.T) {
 		t.Fatalf("only %d requests in the sequence", len(reqs))
 	}
 	var got bytes.Buffer
-	for _, segments := range []int{1, 2} {
-		store, err := NewStore("", func(string, ...any) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := Handler(store)
-		do := func(method, path, body string) (int, []byte) {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
-			return rec.Code, rec.Body.Bytes()
-		}
-		build := marshalBuildBody(t, records, fmt.Sprintf(`{"seed":7,"segments":%d}`, segments))
-		if code, body := do("PUT", "/collections/c", string(build)); code != http.StatusOK {
-			t.Fatalf("build: %d %s", code, body)
-		}
-		fmt.Fprintf(&got, "# segments=%d\n", segments)
-		statuses := map[int]int{}
-		for i, rq := range reqs {
-			code, body := do("POST", rq.path, rq.body)
-			statuses[code]++
-			fmt.Fprintf(&got, "%d %s %d %d %x\n", i, strings.TrimPrefix(rq.path, "/collections/c/"), code, len(body), sha256.Sum256(body))
-		}
-		if statuses[http.StatusOK] < 180 || statuses[http.StatusBadRequest] < 10 {
-			t.Fatalf("the sequence answers %v: it should mostly be served, with a few refusals", statuses)
-		}
-		code, body := do("GET", "/collections/c/stats", "")
-		var st struct {
-			QueryCache QueryCacheStats `json:"query_cache"`
-		}
-		if err := json.Unmarshal(body, &st); err != nil || code != http.StatusOK {
-			t.Fatalf("stats: %d %s (%v)", code, body, err)
-		}
-		fmt.Fprintf(&got, "query_cache %+v\n", st.QueryCache)
+	store, err := NewStore("", func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
 	}
+	h := Handler(store)
+	do := func(method, path, body string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	build := marshalBuildBody(t, records, `{"seed":7}`)
+	if code, body := do("PUT", "/collections/c", string(build)); code != http.StatusOK {
+		t.Fatalf("build: %d %s", code, body)
+	}
+	statuses := map[int]int{}
+	for i, rq := range reqs {
+		code, body := do("POST", rq.path, rq.body)
+		statuses[code]++
+		fmt.Fprintf(&got, "%d %s %d %d %x\n", i, strings.TrimPrefix(rq.path, "/collections/c/"), code, len(body), sha256.Sum256(body))
+	}
+	if statuses[http.StatusOK] < 180 || statuses[http.StatusBadRequest] < 10 {
+		t.Fatalf("the sequence answers %v: it should mostly be served, with a few refusals", statuses)
+	}
+	code, body := do("GET", "/collections/c/stats", "")
+	var st struct {
+		QueryCache QueryCacheStats `json:"query_cache"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil || code != http.StatusOK {
+		t.Fatalf("stats: %d %s (%v)", code, body, err)
+	}
+	fmt.Fprintf(&got, "query_cache %+v\n", st.QueryCache)
 	if *updateReadGolden {
 		if err := os.WriteFile(readGoldenPath, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)

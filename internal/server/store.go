@@ -116,9 +116,9 @@ type StoreOptions struct {
 	FS fsx.FS
 	// Logf receives startup and operational log lines (nil means log.Printf).
 	Logf func(format string, args ...any)
-	// Segments is the default segment count for collections whose build
-	// requests name none (0 builds single-index collections). It applies to
-	// builds only: a snapshot loads with the layout it was written with.
+	// Segments is ignored: a collection is one index. It stays only because
+	// the benchmark module sets it, and goes when that module stops naming it
+	// (ROADMAP 7b's unlink).
 	Segments int
 	// QueryCacheEntries is the prepared-query cache capacity per collection:
 	// 0 means DefaultQueryCacheEntries, a negative value disables caching.
@@ -241,11 +241,6 @@ func (s *Store) adopt(dir string, st *genState) *Collection {
 	}
 	return c
 }
-
-// DefaultSegments returns the segment count applied when a build request
-// leaves options.segments at 0. Zero means unsegmented single-index
-// collections.
-func (s *Store) DefaultSegments() int { return s.opt.Segments }
 
 // ResolveRecordFile validates a client-supplied record file path against
 // the configured root: relative paths resolve under it, and the result —

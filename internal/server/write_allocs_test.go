@@ -19,7 +19,7 @@ import (
 // writeAllocsCollection builds the insert fixture — budget headroom (τ = 1)
 // and a 64-bit buffer, as serve-write runs — in a store on dir ("" for
 // memory-only), and returns bodies of four 46-token records of known tokens.
-func writeAllocsCollection(t *testing.T, dir string, segments, n int) (*Store, *Collection, [][]byte) {
+func writeAllocsCollection(t *testing.T, dir string, n int) (*Store, *Collection, [][]byte) {
 	t.Helper()
 	records := benchCollectionRecords(t, n)
 	store, err := NewStore(dir, func(string, ...any) {})
@@ -31,7 +31,7 @@ func writeAllocsCollection(t *testing.T, dir string, segments, n int) (*Store, *
 	for i, tokens := range records {
 		recs[i] = voc.Record(tokens)
 	}
-	eng, err := gbkmv.NewSegmented("gbkmv", segments, recs, gbkmv.EngineOptions{BudgetUnits: 64 << 20, BufferBits: 64, Seed: 7})
+	eng, err := gbkmv.NewEngine("gbkmv", recs, gbkmv.EngineOptions{BudgetUnits: 64 << 20, BufferBits: 64, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,42 +59,37 @@ func writeAllocsCollection(t *testing.T, dir string, segments, n int) (*Store, *
 // TestWritePathAllocs pins what an insert request allocates between net/http
 // handing it over and its acknowledgement: four 46-token records of known
 // tokens (a 1.2 kB body) through Handler, with a request and a ResponseWriter
-// that are reused, at one and two segments, on a memory-only and on a
-// persistent store. The bounds are the measured figures plus a fifth. What
-// is left, 11 objects at one segment in memory: the request id and its header
-// slice, ServeMux's path values and MaxBytesReader (net/http's 4), the commit
-// batch, the ids (twice: the Segmented's and the discarded ones of the index
-// under it) and the collection growing — new posting lists and, in the bytes,
-// grown ones doubling; the arenas and the packed records take a chunk every
-// few hundred records and copy nothing (the least of eight rounds of 25
-// inserts leaves the chunk out). A persistent store adds the commit group, its done
-// channel and its member list; a second segment one more id range and, in
-// the bytes (AllocsPerRun counts at GOMAXPROCS 1, where the fan runs inline),
-// what starting the fan's goroutines costs. While the body became a
-// [][]string, each frame a json.Marshal, each record a fresh []Element and
-// the acknowledgement a map through reflection, this test measured 52 / 55
-// objects and 11.5 / 11.7 kB (memory-only / persistent) at one segment, 56 /
-// 59 and 11.8 / 11.9 kB at two.
+// that are reused, on a memory-only and on a persistent store. The bounds are
+// the measured figures plus a fifth. What is left, 7 objects and 227 bytes in
+// memory: the request id and its header slice, ServeMux's path values and
+// MaxBytesReader (net/http's 4), the commit batch, the ids and the collection
+// growing — new posting lists and, in the bytes, grown ones doubling; the
+// arenas and the packed records take a chunk every few hundred records and
+// copy nothing (the least of eight rounds of 25 inserts leaves the chunk
+// out). A persistent store adds the commit group, its done channel and its
+// member list: 10 objects, 395 bytes. Through the one-segment wrapper the
+// collection was until the segmented layer went, the same insert took 8 / 11
+// objects and 259 / 427 bytes (memory-only / persistent); while the body
+// became a [][]string, each frame a json.Marshal, each record a fresh
+// []Element and the acknowledgement a map through reflection, 52 / 55 objects
+// and 11.5 / 11.7 kB.
 func TestWritePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector (instrumented allocs, lossy sync.Pool)")
 	}
 	for _, c := range []struct {
-		segments   int
 		persistent bool
 		allocs     float64
 		bytes      float64
 	}{
-		{1, false, 11, 400},
-		{1, true, 14, 570},
-		{2, false, 13, 615},
-		{2, true, 16, 725},
+		{false, 7, 230},
+		{true, 10, 400},
 	} {
 		dir := ""
 		if c.persistent {
 			dir = t.TempDir()
 		}
-		store, _, bodies := writeAllocsCollection(t, dir, c.segments, 5000)
+		store, _, bodies := writeAllocsCollection(t, dir, 5000)
 		if len(bodies) < 16 {
 			t.Fatalf("only %d insert bodies of 4x46 tokens", len(bodies))
 		}
@@ -133,10 +128,10 @@ func TestWritePathAllocs(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/(runs/8))
 		}
-		t.Logf("segments=%d persistent=%v: %.1f allocations, %.0f bytes an insert of 4x46 tokens", c.segments, c.persistent, allocs, bytes)
+		t.Logf("persistent=%v: %.1f allocations, %.0f bytes an insert of 4x46 tokens", c.persistent, allocs, bytes)
 		if maxAllocs, maxBytes := 1.2*c.allocs, 1.2*c.bytes; allocs > maxAllocs || bytes > maxBytes {
-			t.Errorf("segments=%d persistent=%v: %.1f allocations and %.0f bytes an insert, want at most %.1f and %.0f",
-				c.segments, c.persistent, allocs, bytes, maxAllocs, maxBytes)
+			t.Errorf("persistent=%v: %.1f allocations and %.0f bytes an insert, want at most %.1f and %.0f",
+				c.persistent, allocs, bytes, maxAllocs, maxBytes)
 		}
 		runtime.KeepAlive(store)
 	}
@@ -162,7 +157,7 @@ func TestReplayAllocs(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	dir := t.TempDir()
-	store, c, _ := writeAllocsCollection(t, dir, 1, 100)
+	store, c, _ := writeAllocsCollection(t, dir, 100)
 	records := benchCollectionRecords(t, 5100)[100:]
 	tokens := 0
 	for i := 0; i < len(records); i += 100 {

@@ -194,58 +194,6 @@ func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 	return p, nil
 }
 
-// Partition deals the records out to n new stores, record i to store
-// route(record i), each store in the order of p: the coded bytes are copied,
-// a record is decoded only for route to see, into one buffer a worker — route
-// runs on up to `workers` goroutines and must not keep its argument. part[i]
-// is the store record i went to. Every store comes out as PackRecords would
-// have packed its records. p must hold no unsorted record.
-func (p *PackedRecords) Partition(n, workers int, route func(rec dataset.Record) int) (parts []PackedRecords, part []uint32, err error) {
-	if err := p.CheckSorted(); err != nil {
-		return nil, nil, err
-	}
-	m := p.Len()
-	part = make([]uint32, m)
-	workers = max(1, min(workers, m))
-	type share struct {
-		records, bytes, elements int
-		top                      hash.Element
-	}
-	shares := make([]share, workers*n) // worker w's share of store s at w*n+s
-	fanSpans(m, workers, func(w, lo, hi int) {
-		var rec []hash.Element
-		for i := lo; i < hi; i++ {
-			rec = p.AppendRecord(rec[:0], i)
-			s := route(rec)
-			part[i] = uint32(s)
-			sh := &shares[w*n+s]
-			sh.records, sh.bytes, sh.elements = sh.records+1, sh.bytes+len(p.coded(i)), sh.elements+len(rec)
-			if len(rec) > 0 {
-				sh.top = max(sh.top, rec[len(rec)-1])
-			}
-		}
-	})
-	parts = make([]PackedRecords, n)
-	slabs, tables := make([][]byte, n), make([][]uint32, n)
-	for s := range parts {
-		var all share
-		for w := 0; w < workers; w++ {
-			sh := shares[w*n+s]
-			all.records, all.bytes, all.elements, all.top = all.records+sh.records, all.bytes+sh.bytes, all.elements+sh.elements, max(all.top, sh.top)
-		}
-		if err := checkPackRoom(all.bytes); err != nil {
-			return nil, nil, err
-		}
-		parts[s].elements, parts[s].top = all.elements, all.top
-		slabs[s], tables[s] = parts[s].data.Bulk(all.bytes), parts[s].offsets.Bulk(all.records + 1)[:1]
-	}
-	for i, s := range part {
-		end := int(tables[s][len(tables[s])-1])
-		tables[s] = append(tables[s], uint32(end+copy(slabs[s][end:], p.coded(i))))
-	}
-	return parts, part, nil
-}
-
 // Len returns the number of records.
 func (p *PackedRecords) Len() int { return max(0, p.offsets.Len()-1) }
 

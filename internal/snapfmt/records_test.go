@@ -167,45 +167,13 @@ func sameStore(a, b *PackedRecords) bool {
 		a.elements == b.elements && a.top == b.top && a.unsorted == b.unsorted
 }
 
-// TestPackedPartitionAndFit: a store dealt out by Partition is, store by
-// store, what PackRecords makes of the records routed there — one slab that
-// fits them exactly, at any worker count, empty stores too — and one grown by
-// Append holds what PackRecords makes of all of them.
-func TestPackedPartitionAndFit(t *testing.T) {
+// TestPackedGrownEqualsPacked: a store grown by Append holds what
+// PackRecords makes of the same records.
+func TestPackedGrownEqualsPacked(t *testing.T) {
 	recs := packFixture(3, 500)
-	route := func(rec dataset.Record) int {
-		if len(rec) == 0 {
-			return 4
-		}
-		return int((rec[0] + rec[len(rec)-1]) % 4) // store 5 gets nothing
-	}
 	whole, err := PackRecords(recs, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	routed := make([][]dataset.Record, 6)
-	for _, rec := range recs {
-		routed[route(rec)] = append(routed[route(rec)], rec)
-	}
-	for _, workers := range []int{1, 2, 5, 1000} {
-		parts, part, err := whole.Partition(6, workers, route)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, rec := range recs {
-			if int(part[i]) != route(rec) {
-				t.Fatalf("%d workers: record %d went to store %d, routed to %d", workers, i, part[i], route(rec))
-			}
-		}
-		for s := range parts {
-			want, err := PackRecords(routed[s], 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if chunks := parts[s].data.Chunks(); !sameStore(&parts[s], &want) || len(chunks) != 1 || cap(chunks[0]) != want.data.Len() {
-				t.Errorf("%d workers: store %d (%d records) is not what PackRecords makes of its records", workers, s, parts[s].Len())
-			}
-		}
 	}
 	var grown PackedRecords
 	for _, rec := range recs {
@@ -215,13 +183,6 @@ func TestPackedPartitionAndFit(t *testing.T) {
 	}
 	if !sameStore(&grown, &whole) {
 		t.Errorf("appended: %d bytes, %d offsets; packed: %d, %d", grown.data.Len(), grown.offsets.Len(), whole.data.Len(), whole.offsets.Len())
-	}
-	unsorted, err := PackRecords([]dataset.Record{{1, 2}, {2, 1}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := unsorted.Partition(2, 1, func(dataset.Record) int { return 0 }); err == nil || !strings.Contains(err.Error(), "record 1 is not sorted") {
-		t.Errorf("partitioning a store with an unsorted record: %v", err)
 	}
 }
 
@@ -285,8 +246,7 @@ func TestPackedRejectsMalformedSections(t *testing.T) {
 // rather than 4 GB of records: packing that many bytes is an error, an append
 // that would reach it is the same error and leaves the store alone (a caller
 // in the middle of a batch asks first: CheckRoom, which takes every uvarint at
-// its longest), a partition into stores that long is refused, and a section
-// that long is corrupt.
+// its longest), and a section that long is corrupt.
 func TestPackedLimit(t *testing.T) {
 	recs := packFixture(2, 50)
 	p, err := PackRecords(recs, 2)
@@ -325,10 +285,6 @@ func TestPackedLimit(t *testing.T) {
 	before := p.data.Len()
 	if err := p.Append(dataset.Record{9}); err == nil || !strings.Contains(err.Error(), "offset table") || p.data.Len() != before || p.Len() != len(recs)+1 {
 		t.Errorf("Append past the limit: %v, store of %d records and %d bytes", err, p.Len(), p.data.Len())
-	}
-	packLimit = p.data.Len() / 2
-	if _, _, err := p.Partition(1, 2, func(dataset.Record) int { return 0 }); err == nil || !strings.Contains(err.Error(), "offset table") {
-		t.Errorf("partition into one store of %d bytes at limit %d: %v", p.data.Len(), packLimit, err)
 	}
 }
 

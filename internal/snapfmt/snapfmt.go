@@ -1,6 +1,6 @@
 // Package snapfmt is the one byte codec behind every snapshot this module
 // writes: the GB-KMV index, the rebuild-on-load engines' (options, records)
-// payload, the vocabulary and the segmented container. A stream is a
+// payload and the vocabulary. A stream is a
 // sequence of sections with no framing of their own — the reader knows the
 // layout, every count precedes the data it sizes — built from two
 // encodings:
@@ -358,22 +358,6 @@ func (r *Reader) Magic(magic string) {
 		return
 	}
 	r.pos += magicLen + 1
-}
-
-// PeekMagic returns the next 8 bytes without consuming them ("" when the
-// stream is shorter), for dispatching between stream kinds.
-func (r *Reader) PeekMagic() string {
-	if r.fill(magicLen) < magicLen {
-		return ""
-	}
-	return string(r.buf[r.pos : r.pos+magicLen])
-}
-
-func (r *Reader) Byte() byte {
-	if b := r.need(1); b != nil {
-		return b[0]
-	}
-	return 0
 }
 
 func (r *Reader) Uvarint() uint64 {

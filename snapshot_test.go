@@ -6,13 +6,11 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"gbkmv"
@@ -141,83 +139,73 @@ func answersOf(e gbkmv.Engine, queries []gbkmv.Record) answers {
 }
 
 // TestSnapshotRoundTripIdentity is the differential pin of the snapshot
-// format: for every registered engine, bare and at 1 and 2 segments, save →
-// load → save is byte-identical and the loaded engine is the saved one —
-// same answers to Search, SearchScored and TopK down to the last bit of
-// every score — fresh, after both took the same inserts, and after inserts
+// format: for every registered engine, save → load → save is byte-identical
+// and the loaded engine is the saved one — same answers to Search,
+// SearchScored and TopK down to the last bit of every score — fresh, after both took the same inserts, and after inserts
 // that shrink the threshold of the fixed-budget sketches.
 func TestSnapshotRoundTripIdentity(t *testing.T) {
 	records, queries := engineCorpus(t, 330)
 	opt := gbkmv.EngineOptions{BudgetFraction: 0.3, Seed: 42}
 	for _, name := range gbkmv.Engines() {
-		for _, segments := range []int{0, 1, 2} {
-			t.Run(fmt.Sprintf("%s/seg%d", name, segments), func(t *testing.T) {
-				var orig gbkmv.Engine
-				var err error
-				if segments == 0 {
-					orig, err = gbkmv.NewEngine(name, records[:200], opt)
-				} else {
-					orig, err = gbkmv.NewSegmented(name, segments, records[:200], opt)
+		t.Run(name, func(t *testing.T) {
+			orig, err := gbkmv.NewEngine(name, records[:200], opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			roundTrip := func(stage string) gbkmv.Engine {
+				t.Helper()
+				var first bytes.Buffer
+				if err := gbkmv.SaveEngine(&first, orig); err != nil {
+					t.Fatalf("%s: save: %v", stage, err)
 				}
+				loaded, err := gbkmv.LoadEngine(bytes.NewReader(first.Bytes()))
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: load: %v", stage, err)
 				}
-				roundTrip := func(stage string) gbkmv.Engine {
-					t.Helper()
-					var first bytes.Buffer
-					if err := gbkmv.SaveEngine(&first, orig); err != nil {
-						t.Fatalf("%s: save: %v", stage, err)
-					}
-					loaded, err := gbkmv.LoadEngine(bytes.NewReader(first.Bytes()))
-					if err != nil {
-						t.Fatalf("%s: load: %v", stage, err)
-					}
-					var second bytes.Buffer
-					if err := gbkmv.SaveEngine(&second, loaded); err != nil {
-						t.Fatalf("%s: re-save: %v", stage, err)
-					}
-					if !bytes.Equal(first.Bytes(), second.Bytes()) {
-						t.Fatalf("%s: save → load → save changed the bytes (%d vs %d)", stage, first.Len(), second.Len())
-					}
-					if got, want := loaded.EngineStats(), orig.EngineStats(); got != want {
-						t.Fatalf("%s: loaded stats %+v, saved %+v", stage, got, want)
-					}
-					if got, want := answersOf(loaded, queries), answersOf(orig, queries); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: the loaded engine answers differently from the saved one", stage)
-					}
-					return loaded
+				var second bytes.Buffer
+				if err := gbkmv.SaveEngine(&second, loaded); err != nil {
+					t.Fatalf("%s: re-save: %v", stage, err)
 				}
-				loaded := roundTrip("fresh")
-				// The loaded engine is the same state, not just the same
-				// answers: it keeps agreeing under the same writes.
-				tauBefore := orig.EngineStats().Tau
-				for _, next := range []struct {
-					stage string
-					batch []gbkmv.Record
-				}{{"inserts", records[200:210]}, {"a threshold shrink", records[210:]}} {
-					orig.AddBatch(next.batch)
-					loaded.AddBatch(next.batch)
-					if got, want := answersOf(loaded, queries), answersOf(orig, queries); !reflect.DeepEqual(got, want) {
-						t.Fatalf("after %s: loaded and saved engines diverged", next.stage)
-					}
-					roundTrip("after " + next.stage)
+				if !bytes.Equal(first.Bytes(), second.Bytes()) {
+					t.Fatalf("%s: save → load → save changed the bytes (%d vs %d)", stage, first.Len(), second.Len())
 				}
-				if name == "gbkmv" || name == "gkmv" {
-					if tau := orig.EngineStats().Tau; tau >= tauBefore {
-						t.Fatalf("inserts did not shrink the threshold (%v → %v); fixture too small", tauBefore, tau)
-					}
+				if got, want := loaded.EngineStats(), orig.EngineStats(); got != want {
+					t.Fatalf("%s: loaded stats %+v, saved %+v", stage, got, want)
 				}
-			})
-		}
+				if got, want := answersOf(loaded, queries), answersOf(orig, queries); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: the loaded engine answers differently from the saved one", stage)
+				}
+				return loaded
+			}
+			loaded := roundTrip("fresh")
+			// The loaded engine is the same state, not just the same
+			// answers: it keeps agreeing under the same writes.
+			tauBefore := orig.EngineStats().Tau
+			for _, next := range []struct {
+				stage string
+				batch []gbkmv.Record
+			}{{"inserts", records[200:210]}, {"a threshold shrink", records[210:]}} {
+				orig.AddBatch(next.batch)
+				loaded.AddBatch(next.batch)
+				if got, want := answersOf(loaded, queries), answersOf(orig, queries); !reflect.DeepEqual(got, want) {
+					t.Fatalf("after %s: loaded and saved engines diverged", next.stage)
+				}
+				roundTrip("after " + next.stage)
+			}
+			if name == "gbkmv" || name == "gkmv" {
+				if tau := orig.EngineStats().Tau; tau >= tauBefore {
+					t.Fatalf("inserts did not shrink the threshold (%v → %v); fixture too small", tauBefore, tau)
+				}
+			}
+		})
 	}
 }
 
 // TestDerivedOptionsReload: an engine saves the options it resolved, not
 // the ones it was given, so whatever a build derives must pass the loader's
 // checks. kmv derives k = budget/m with no ceiling — here 5000, above the
-// 4096 a given signature length may reach — bare and as the k a segmented
-// collection pins; an explicit NumHashes that large still builds kmv and
-// still fails the engines that would sign with it.
+// 4096 a given signature length may reach; an explicit NumHashes that large
+// still builds kmv and still fails the engines that would sign with it.
 func TestDerivedOptionsReload(t *testing.T) {
 	records := make([]gbkmv.Record, 4)
 	for i := range records {
@@ -226,35 +214,27 @@ func TestDerivedOptionsReload(t *testing.T) {
 			records[i][j] = gbkmv.Element(3*j + i)
 		}
 	}
-	for _, segments := range []int{0, 2} {
-		var e gbkmv.Engine
-		var err error
-		if segments == 0 {
-			e, err = gbkmv.NewEngine("kmv", records[:3], gbkmv.EngineOptions{Seed: 1})
-		} else {
-			e, err = gbkmv.NewSegmented("kmv", segments, records[:3], gbkmv.EngineOptions{Seed: 1})
-		}
-		if err != nil {
-			t.Fatalf("%d segments: %v", segments, err)
-		}
-		if k := e.EngineStats().NumHashes; k != 5000 {
-			t.Fatalf("%d segments: derived k = %d, fixture wants 5000", segments, k)
-		}
-		e.AddBatch(records[3:])
-		var buf bytes.Buffer
-		if err := gbkmv.SaveEngine(&buf, e); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := gbkmv.LoadEngine(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%d segments: a snapshot of a built engine does not load: %v", segments, err)
-		}
-		if got, want := loaded.EngineStats(), e.EngineStats(); got != want {
-			t.Fatalf("%d segments: loaded stats %+v, saved %+v", segments, got, want)
-		}
-		if got, want := loaded.SearchTopK(records[0][:40000], 4), e.SearchTopK(records[0][:40000], 4); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d segments: loaded top-k %v, saved %v", segments, got, want)
-		}
+	e, err := gbkmv.NewEngine("kmv", records[:3], gbkmv.EngineOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := e.EngineStats().NumHashes; k != 5000 {
+		t.Fatalf("derived k = %d, fixture wants 5000", k)
+	}
+	e.AddBatch(records[3:])
+	var buf bytes.Buffer
+	if err := gbkmv.SaveEngine(&buf, e); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := gbkmv.LoadEngine(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("a snapshot of a built engine does not load: %v", err)
+	}
+	if got, want := loaded.EngineStats(), e.EngineStats(); got != want {
+		t.Fatalf("loaded stats %+v, saved %+v", got, want)
+	}
+	if got, want := loaded.SearchTopK(records[0][:40000], 4), e.SearchTopK(records[0][:40000], 4); !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded top-k %v, saved %v", got, want)
 	}
 	long := gbkmv.EngineOptions{NumHashes: 5000, Seed: 1}
 	if _, err := gbkmv.NewEngine("kmv", records, long); err != nil {
@@ -290,70 +270,10 @@ func TestUnsortedRecordRefused(t *testing.T) {
 	}
 }
 
-// TestSegmentedSaveDuringAddBatch: Save may race AddBatch. Every snapshot
-// taken while another goroutine inserts must load, and must hold a prefix of
-// the global ids — the routing table and the segments written at one point
-// of the insert order. (Before Save excluded AddBatch, about one snapshot in
-// twenty held a segment one batch ahead of the routing table and failed to
-// load.)
-func TestSegmentedSaveDuringAddBatch(t *testing.T) {
-	records, _ := engineCorpus(t, 400)
-	recordOf := func(id int) gbkmv.Record { return records[id%len(records)] }
-	const base, batch = 100, 4
-	seg, err := gbkmv.NewSegmented("gbkmv", 4, records[:base], gbkmv.EngineOptions{BudgetUnits: 1 << 20, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The writer stops by itself after maxRecords, so the snapshots below
-	// stay small however slowly they are taken (the race detector).
-	const maxRecords = 4000
-	var stop atomic.Bool
-	added := make(chan int)
-	go func() {
-		n := base
-		for !stop.Load() && n < maxRecords {
-			recs := make([]gbkmv.Record, batch)
-			for i := range recs {
-				recs[i] = recordOf(n + i)
-			}
-			seg.AddBatch(recs)
-			n += batch
-		}
-		added <- n
-	}()
-	for snap := 0; snap < 20; snap++ {
-		var buf bytes.Buffer
-		if err := seg.Save(&buf); err != nil {
-			t.Errorf("snapshot %d: save: %v", snap, err)
-			break
-		}
-		loaded, err := gbkmv.LoadEngine(&buf)
-		if err != nil {
-			t.Errorf("snapshot %d: load: %v", snap, err)
-			break
-		}
-		n := loaded.Len()
-		if n < base || (n-base)%batch != 0 {
-			t.Errorf("snapshot %d holds %d records: not a whole number of batches over %d", snap, n, base)
-		}
-		for id := 0; id < n; id++ {
-			if !slices.Equal(loaded.Record(id), recordOf(id)) {
-				t.Errorf("snapshot %d: record %d is not the %dth inserted", snap, id, id)
-				break
-			}
-		}
-	}
-	stop.Store(true)
-	if n := <-added; seg.Len() != n {
-		t.Errorf("engine holds %d records after %d were added", seg.Len(), n)
-	}
-}
-
-// goldenRecords and goldenSnapshot: a two-segment gbkmv collection — ten
-// records built, four inserted, among them an empty record and ids no
-// vocabulary hands out (2²⁰+3, 2⁴⁰, 2⁶³+1) — and its snapshot as the commit
-// before the index kept its records packed wrote it (PR 18, format 3; one
-// segment at τ = 1, the other shrunk to τ ≈ 0.67).
+// goldenRecords and goldenSnapshot: a gbkmv collection — ten records built,
+// four inserted, among them an empty record and ids no vocabulary hands out
+// (2²⁰+3, 2⁴⁰, 2⁶³+1), the inserts shrinking τ to ≈ 0.65 — and its snapshot
+// as the last build that still had the segmented layer wrote it (format 3).
 func goldenRecords() []gbkmv.Record {
 	recs := make([]gbkmv.Record, 14)
 	for i := range recs {
@@ -367,6 +287,16 @@ func goldenRecords() []gbkmv.Record {
 }
 
 const goldenSnapshot = "" +
+	"47424b4d56454e47030567626b6d7647424b4d56494458039a9999999999b93f28100700000000000000008001080000" +
+	"00bab2f5e43f08280e3f0500050f28f0010501051126800205020513268e0205030515289a020005000a1932ac020501" +
+	"0a1b3ab20205020a1d44b60205030a1f50b80205040a215eb80205000f236eb60207010f258001b2029cfc3ffdffbfff" +
+	"ff1f018180808080808080800105030f29aa01a402080001020304050607"
+
+// segmentedGolden is the same records as a two-segment collection (segments
+// at τ = 1 and τ ≈ 0.67) in the segmented container ("GBKMVSEG") the builds
+// before one index per collection wrote, since the commit before the index
+// kept its records packed (format 3).
+const segmentedGolden = "" +
 	"47424b4d5653454703010567626b6d76000000000000000014100700000000000000000000020e010001000101000100" +
 	"01010000010147424b4d56454e47030567626b6d7647424b4d56494458039a9999999999b93f14100700000000000000" +
 	"00800108000000000000f03f0814061c0501051126800205030515289a0205010a1b3ab20205030a1f50b80207010f25" +
@@ -385,7 +315,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := goldenRecords()
-	built, err := gbkmv.NewSegmented("gbkmv", 2, recs[:10], gbkmv.EngineOptions{BudgetUnits: 40, BufferBits: 8, Seed: 7})
+	built, err := gbkmv.NewEngine("gbkmv", recs[:10], gbkmv.EngineOptions{BudgetUnits: 40, BufferBits: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,6 +346,19 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	queries := []gbkmv.Record{recs[0], recs[3][:3], recs[11], recs[12], {0, 1, 2, 3, 4}}
 	if got, want := answersOf(loaded, queries), answersOf(built, queries); !reflect.DeepEqual(got, want) {
 		t.Error("the golden snapshot answers differently from the engine built here")
+	}
+}
+
+// TestSegmentedContainerIsSnapshotFormat: a collection is one index, and the
+// segmented container the builds before that wrote is not this build's
+// format — intact bytes, so ErrSnapshotFormat, not corruption.
+func TestSegmentedContainerIsSnapshotFormat(t *testing.T) {
+	container, err := hex.DecodeString(segmentedGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gbkmv.LoadEngine(bytes.NewReader(container)); !errors.Is(err, gbkmv.ErrSnapshotFormat) || errors.Is(err, snapfmt.ErrCorrupt) {
+		t.Errorf("LoadEngine on a segmented container = %v, want ErrSnapshotFormat", err)
 	}
 }
 
@@ -504,18 +447,18 @@ func TestSnapshotAllocs(t *testing.T) {
 		{"headroom", gbkmv.EngineOptions{BudgetUnits: 8 * occurrences, BufferBits: 64, Seed: 5}, 11_636_128, 10_680_352, 7_000_000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			seg, err := gbkmv.NewSegmented("gbkmv", 2, d.Records, c.opt)
+			e, err := gbkmv.NewEngine("gbkmv", d.Records, c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var snap bytes.Buffer
-			if err := gbkmv.SaveEngine(&snap, seg); err != nil {
+			if err := gbkmv.SaveEngine(&snap, e); err != nil {
 				t.Fatal(err)
 			}
 			var m0, m1, m2 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&m0)
-			if err := gbkmv.SaveEngine(io.Discard, seg); err != nil {
+			if err := gbkmv.SaveEngine(io.Discard, e); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&m1)
@@ -523,7 +466,7 @@ func TestSnapshotAllocs(t *testing.T) {
 				t.Errorf("saving a %d-byte snapshot allocated %d bytes, want < 1 MB", snap.Len(), saved)
 			}
 
-			seg = nil
+			e = nil
 			runtime.GC()
 			runtime.ReadMemStats(&m0)
 			loaded, err := gbkmv.LoadEngine(bytes.NewReader(snap.Bytes()))
