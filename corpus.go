@@ -50,14 +50,16 @@ func (c *Corpus) take() snapfmt.PackedRecords {
 }
 
 // RecordBuilder turns a stream of token bytes into a Corpus without an
-// intermediate string per token or a slice per record: tokens intern through
-// the vocabulary from their bytes, the open record is sorted and deduplicated
-// in one reused scratch and coded from there onto the corpus. It is the
-// ingest path of ReadRecords and of gbkmvd's bulk build; a builder is not safe
-// for concurrent use.
+// intermediate string per token or a slice per record: the open record's
+// token bytes are buffered and interned through the vocabulary together, the
+// record is sorted and deduplicated in one reused scratch and coded from there
+// onto the corpus. It is the ingest path of ReadRecords and of gbkmvd's bulk
+// build; a builder is not safe for concurrent use.
 type RecordBuilder struct {
 	voc  *Vocabulary
-	open []Element // the record being read, in token order
+	text []byte    // the open record's token bytes, back to back
+	ends []int     // where each of its tokens ends in text
+	open []Element // its ids, in token order
 	recs snapfmt.PackedRecords
 }
 
@@ -68,14 +70,18 @@ func NewRecordBuilder(voc *Vocabulary) *RecordBuilder {
 
 // Token adds a token to the open record. The bytes are not retained.
 func (b *RecordBuilder) Token(token []byte) {
-	b.open = append(b.open, b.voc.IDBytes(token))
+	b.text = append(b.text, token...)
+	b.ends = append(b.ends, len(b.text))
 }
 
-// EndRecord closes the open record, appends it to the corpus and returns its
-// number of distinct elements; a record without tokens is appended empty. It
-// fails, the record dropped, once the corpus holds all its 32-bit offsets can
-// address (4 GB coded).
+// EndRecord closes the open record, interning its tokens under one lock of
+// the vocabulary (two where some are new), appends it to the corpus and
+// returns its number of distinct elements; a record without tokens is
+// appended empty. It fails, the record dropped, once the corpus holds all its
+// 32-bit offsets can address (4 GB coded).
 func (b *RecordBuilder) EndRecord() (int, error) {
+	b.open = b.voc.AppendIDs(b.open[:0], b.text, 0, b.ends)
+	b.text, b.ends = b.text[:0], b.ends[:0]
 	slices.Sort(b.open)
 	open := slices.Compact(b.open)
 	b.open = b.open[:0]

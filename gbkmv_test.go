@@ -239,6 +239,81 @@ func TestVocabularyConcurrent(t *testing.T) {
 	if v.Len() != 100 {
 		t.Errorf("Len = %d, want 100", v.Len())
 	}
+
+	// Readers beside a writer that grows the slab (every 500th token 3 kB long,
+	// so chunks fill and open) and the id table (to 16k slots). The writer is
+	// the only one to intern, so id i is token i; a reader keeps every string
+	// it was handed, and each must still hold its token once the writer is
+	// done.
+	const n = 12000
+	tok := func(i int) string {
+		if i%500 == 0 {
+			return "w" + strconv.Itoa(i) + strings.Repeat("x", 3000)
+		}
+		return "w" + strconv.Itoa(i)
+	}
+	v = gbkmv.NewVocabulary()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i += 4 {
+			if i%8 == 0 {
+				v.Record([]string{tok(i), tok(i + 1), tok(i + 2), tok(i + 3)})
+				continue
+			}
+			var text []byte
+			var ends []int
+			for k := i; k < i+4; k++ {
+				text = append(text, tok(k)...)
+				ends = append(ends, len(text))
+			}
+			v.AppendIDs(nil, text, 0, ends)
+		}
+	}()
+	kept := make([][]string, 4)
+	for g := range kept {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; ; r++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				known := v.Len()
+				if known == 0 {
+					continue
+				}
+				i := (r*7919 + g) % known
+				if id, ok := v.LookupBytes([]byte(tok(i))); !ok || id != gbkmv.Element(i) {
+					t.Errorf("LookupBytes(token %d) = %d %v", i, id, ok)
+					return
+				}
+				if r%2 == 0 {
+					kept[g] = append(kept[g], v.Token(gbkmv.Element(i)))
+				} else {
+					kept[g] = append(kept[g], v.Tokens(gbkmv.Record{gbkmv.Element(i)})...)
+				}
+				if got := kept[g][len(kept[g])-1]; got != tok(i) {
+					t.Errorf("token %d read as %.20q", i, got)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if v.Len() != n {
+		t.Fatalf("Len = %d, want %d", v.Len(), n)
+	}
+	for g, strs := range kept {
+		for _, s := range strs {
+			id, ok := v.Lookup(s)
+			if !ok || tok(int(id)) != s {
+				t.Fatalf("reader %d kept %.20q, which no longer reads as a token", g, s)
+			}
+		}
+	}
 }
 
 func TestPaperIntroScenario(t *testing.T) {

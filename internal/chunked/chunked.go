@@ -70,10 +70,18 @@ func (s *Store[T]) Reset(stride int) {
 // Bulk empties the store and gives it n zeroed units in one slab of exactly
 // that size, which it returns for the caller to fill.
 func (s *Store[T]) Bulk(n int) []T {
-	s.Reset(max(1, s.stride))
-	s.bulk, s.n0, s.n, s.tail = make([]T, n*s.stride), uint32(n), n, tail{n, n, n}
-	s.chunks[0] = s.bulk
+	s.Adopt(make([]T, n*max(1, s.stride)))
 	return s.bulk
+}
+
+// Adopt empties the store and makes slab, which the caller has filled and
+// keeps no other use of, its bulk slab: Bulk for units read before their count
+// was known.
+func (s *Store[T]) Adopt(slab []T) {
+	s.Reset(max(1, s.stride))
+	n := len(slab) / s.stride
+	s.bulk, s.n0, s.n, s.tail = slab[:len(slab):len(slab)], uint32(n), n, tail{n, n, n}
+	s.chunks[0] = s.bulk
 }
 
 // Slab returns what the bulk slab holds, units [0, len): From and Run for the

@@ -426,7 +426,8 @@ func (c *Collection) snapshot() (committed bool, err error) {
 // size_bytes is the sketch alone; record_bytes (the retained records) and
 // index_bytes (what search walks beside the sketch: inverted lists, bit
 // columns, offset tables) are what the engine holds around it, zero/omitted
-// for engines that do not report them.
+// for engines that do not report them; vocab_bytes is what the collection's
+// vocabulary holds (token text, offsets, id table).
 type CollStats struct {
 	Name             string  `json:"name"`
 	Engine           string  `json:"engine"`
@@ -442,6 +443,7 @@ type CollStats struct {
 	RecordBytes      int     `json:"record_bytes,omitempty"`
 	IndexBytes       int     `json:"index_bytes,omitempty"`
 	VocabSize        int     `json:"vocab_size"`
+	VocabBytes       int     `json:"vocab_bytes"`
 	Persistent       bool    `json:"persistent"`
 	Generation       uint64  `json:"generation"`
 	JournaledInserts int     `json:"journaled_inserts"`
@@ -502,6 +504,7 @@ func (c *Collection) Stats() CollStats {
 		RecordBytes:      st.RecordBytes,
 		IndexBytes:       st.IndexBytes,
 		VocabSize:        c.voc.Len(),
+		VocabBytes:       c.voc.SizeBytes(),
 		Persistent:       c.gens.persistent(),
 		Generation:       w.gen,
 		JournaledInserts: w.entries,

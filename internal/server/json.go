@@ -35,7 +35,7 @@ func getResp() *respScratch { return respPool.Get().(*respScratch) }
 func putResp(sc *respScratch) {
 	// A query's tokens are bounded by the body alone: what an outsized one
 	// grew is dropped under the scanner's keep rule, not pooled.
-	if cap(sc.query.slab) > scanKeepBytes || cap(sc.query.spans) > scanKeepBytes/16 {
+	if cap(sc.query.slab) > scanKeepBytes || cap(sc.query.spans) > scanKeepBytes/16 || cap(sc.query.ends) > scanKeepBytes/8 {
 		return
 	}
 	// Drop token references so pooled buffers don't pin record token slices

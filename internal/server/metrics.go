@@ -191,8 +191,9 @@ func newMetrics() *Metrics {
 			"Sketch units used divided by the budget; sits just under 1 at a full budget "+
 				"(each threshold shrink frees a fixed slack).", "collection"),
 		resident: r.GaugeVec("gbkmv_collection_resident_bytes",
-			"Bytes the engine holds, by part: sketch (signatures: buffers and keys, the /stats size_bytes), "+
-				"records (the retained records), index (inverted lists, bit columns, offset tables); "+
+			"Bytes a collection holds, by part: sketch (signatures: buffers and keys, the /stats size_bytes), "+
+				"records (the retained records), index (inverted lists, bit columns, offset tables), "+
+				"vocabulary (token text, offsets, id table: vocab_bytes); "+
 				"0 for a part the engine does not report.",
 			"collection", "part"),
 		diskErrors: r.CounterVec("gbkmv_disk_errors_total",
@@ -340,7 +341,7 @@ func (m *Metrics) collMetricsFor(name string) *collMetrics {
 
 // residentParts are the part labels of gbkmv_collection_resident_bytes, in
 // the order mirrorCollections sets them.
-var residentParts = [...]string{"sketch", "records", "index"}
+var residentParts = [...]string{"sketch", "records", "index", "vocabulary"}
 
 // mirrorCollections is the store's scrape hook: point-in-time collection
 // state (record counts, generations, WAL offsets, cache residency, build
@@ -369,6 +370,7 @@ func (s *Store) mirrorCollections() {
 		}
 		hashed, shrinks := c.eng.BuildCounters()
 		es := c.eng.EngineStats()
+		vocab := c.voc.SizeBytes()
 		c.mu.RUnlock()
 		m.collRecords.With(name).Set(float64(records))
 		m.collGen.With(name).Set(float64(c.queryGen.Load()))
@@ -388,7 +390,7 @@ func (s *Store) mirrorCollections() {
 		if es.BudgetUnits > 0 {
 			m.budgetUtil.With(name).Set(float64(es.UsedUnits) / float64(es.BudgetUnits))
 		}
-		for i, bytes := range [...]int{es.SizeBytes, es.RecordBytes, es.IndexBytes} {
+		for i, bytes := range [...]int{es.SizeBytes, es.RecordBytes, es.IndexBytes, vocab} {
 			m.resident.With(name, residentParts[i]).Set(float64(bytes))
 		}
 	}

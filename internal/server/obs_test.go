@@ -183,7 +183,7 @@ func checkHistogramConsistency(t *testing.T, series map[string]float64) {
 }
 
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newServer(t, "")
+	store, ts := newServer(t, "")
 	buildRestaurants(t, ts, "m")
 	search := func() {
 		if code, m := doJSON(t, ts, "POST", "/collections/m/search",
@@ -232,12 +232,20 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("gbkmv_sketch_budget_utilisation = %g, /stats used/budget %g", got, want)
 	}
 	// Where the bytes are: one gauge a part, each mirroring its /stats field —
-	// the sketch, and the records and search structures around it.
-	for part, field := range map[string]string{"sketch": "size_bytes", "records": "record_bytes", "index": "index_bytes"} {
+	// the sketch, the records and search structures around it, and the
+	// vocabulary beside them.
+	for part, field := range map[string]string{"sketch": "size_bytes", "records": "record_bytes", "index": "index_bytes", "vocabulary": "vocab_bytes"} {
 		got := series[`gbkmv_collection_resident_bytes{collection="m",part="`+part+`"}`]
 		if want, _ := st[field].(float64); got != want || got <= 0 {
 			t.Errorf("gbkmv_collection_resident_bytes{part=%q} = %g, /stats %s %v", part, got, field, st[field])
 		}
+	}
+	c, err := store.Get("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := series[`gbkmv_collection_resident_bytes{collection="m",part="vocabulary"}`], float64(c.voc.SizeBytes()); got != want {
+		t.Errorf("gbkmv_collection_resident_bytes{part=\"vocabulary\"} = %g, the vocabulary's SizeBytes %g", got, want)
 	}
 	// Per-search work counters: 2 searches + 2 batch slots ran; candidates
 	// flowed through the histogram and the totals agree with it.

@@ -98,9 +98,11 @@ func newQueryCache(capacity int, hits, misses, evictions *obs.Counter) *queryCac
 
 // queryTokens holds the pooled buffers of one request's query tokens, which
 // stay bytes from the body to the vocabulary: slab holds them unescaped and
-// back to back, spans says where each one lies.
+// back to back, ends says where each one ends in the query's order, spans
+// where each one lies.
 type queryTokens struct {
 	slab  []byte
+	ends  []int
 	spans []tokSpan
 	elems []gbkmv.Element
 	lex   bodyScanner // readTokens' scanner; holds no window of its own
@@ -131,7 +133,7 @@ func (sc *queryTokens) tokenize(raw []byte) (n int, err error) {
 // words where the query is JSON of another shape or missing, which is all a
 // request can come to: the scanner has held the bytes to the grammar.
 func (sc *queryTokens) readTokens(raw []byte) error {
-	sc.slab, sc.spans = sc.slab[:0], sc.spans[:0]
+	sc.slab, sc.ends, sc.spans = sc.slab[:0], sc.ends[:0], sc.spans[:0]
 	s := &sc.lex
 	s.over(raw)
 	c, err := s.next()
@@ -143,6 +145,7 @@ func (sc *queryTokens) readTokens(raw []byte) error {
 	default:
 		err = s.tokens("the query", func(tok []byte) {
 			sc.slab = append(sc.slab, tok...)
+			sc.ends = append(sc.ends, len(sc.slab))
 			sc.spans = append(sc.spans, tokSpan{len(sc.slab) - len(tok), len(sc.slab)})
 		})
 		var elem notAToken
@@ -187,20 +190,15 @@ func jsonKind(c byte) string {
 }
 
 // prepare prepares the tokenized query against the engine: its tokens go
-// through the vocabulary as bytes, without interning, and gbkmv.PrepareElements
-// takes it from there with |Q| = the distinct tokens, known or not.
+// through the vocabulary as bytes, without interning and under one read lock,
+// and gbkmv.PrepareElements takes it from there with |Q| = the distinct
+// tokens, known or not.
 func (sc *queryTokens) prepare(e gbkmv.Engine, voc *gbkmv.Vocabulary) (gbkmv.PreparedQuery, error) {
-	elems := sc.elems[:0]
-	for _, s := range sc.spans {
-		if id, ok := voc.LookupBytes(sc.slab[s.lo:s.hi]); ok {
-			elems = append(elems, id)
-		}
-	}
-	sc.elems = elems
-	// The prepared query keeps its record, so it gets one of its own: distinct
-	// tokens have distinct ids, which only need sorting.
-	rec := gbkmv.Record(slices.Clone(elems))
-	slices.Sort(rec)
+	sc.elems = voc.AppendKnown(sc.elems[:0], sc.slab, 0, sc.ends)
+	// A repeated token repeats its id. The prepared query keeps its record,
+	// so it gets one of its own.
+	slices.Sort(sc.elems)
+	rec := gbkmv.Record(slices.Clone(slices.Compact(sc.elems)))
 	return gbkmv.PrepareElements(e, rec, len(sc.spans))
 }
 

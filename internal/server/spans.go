@@ -116,17 +116,16 @@ func (rs *recordSlab) reset() {
 	rs.elems, rs.recs = rs.elems[:0], rs.recs[:0]
 }
 
-// add interns record i of b, allocating ids for its new tokens in token
-// order — the order replay and a follower reproduce.
+// add interns record i of b under one lock of the vocabulary (two where some
+// tokens are new), allocating ids for its new tokens in token order — the
+// order replay and a follower reproduce.
 func (rs *recordSlab) add(voc *gbkmv.Vocabulary, b *tokenBatch, i int) {
 	from, to := b.span(i)
 	if cap(rs.elems)-len(rs.elems) < to-from {
 		rs.elems = make([]gbkmv.Element, 0, max(to-from, 2*cap(rs.elems)))
 	}
 	start := len(rs.elems)
-	for k := from; k < to; k++ {
-		rs.elems = append(rs.elems, voc.IDBytes(b.tok(k)))
-	}
+	rs.elems = voc.AppendIDs(rs.elems, b.slab, endBefore(b.tokEnds, from), b.tokEnds[from:to])
 	slices.Sort(rs.elems[start:])
 	rs.elems = rs.elems[:start+len(slices.Compact(rs.elems[start:]))]
 	rs.recs = append(rs.recs, rs.elems[start:len(rs.elems):len(rs.elems)])

@@ -140,18 +140,19 @@ func TestWritePathAllocs(t *testing.T) {
 // TestReplayAllocs pins what the two consumers of journal frames allocate.
 // Startup: opening a store whose collection is 100 snapshotted records and a
 // journal of 5 000 (276 000 tokens), as a multiple of the heap the opened
-// store retains (vocabulary, packed records, sketch, postings): 2.47, of which
+// store retains (vocabulary, packed records, sketch, postings): 1.99, of which
 // the engine growing while the one replayed batch is applied is about 1.0 —
 // its arenas and records a chunk at a time, once; its posting lists by
-// doubling — the vocabulary's map and token list growing 0.5, and the element
-// slab the batch is interned into (doubled as it grows) 0.8. While the
-// engine's stores grew by append, copying themselves every 1.25×, this test
-// measured 3.38; while replay also held the journal as a []journalEntry of
-// json.Unmarshal-ed []string before interning any of it, 6.75. The follower:
-// 256-frame chunks through ApplyReplicated allocate 30 bytes a token — the
-// replica's engine and vocabulary growing; a string a token alone would be 16
-// bytes of header and the token's own — 48 while the stores grew by append,
-// and 120 while a chunk was also decoded through encoding/json.
+// doubling — the vocabulary growing 0.15 (its slab and offsets a chunk at a
+// time, its id table by doubling; 0.5 of 2.14 while it was a map and a token
+// list), and the element slab the batch is interned into (doubled as it
+// grows) 0.8. While the engine's stores grew by append, copying themselves
+// every 1.25×, this test measured 3.38; while replay also held the journal as
+// a []journalEntry of json.Unmarshal-ed []string before interning any of it,
+// 6.75. The follower: 256-frame chunks through ApplyReplicated allocate 14
+// bytes a token — the replica's engine and vocabulary growing — 21 while the
+// vocabulary held a string a token, 48 while the stores grew by append, and
+// 120 while a chunk was also decoded through encoding/json.
 func TestReplayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -190,7 +191,7 @@ func TestReplayAllocs(t *testing.T) {
 	allocated := float64(opened.TotalAlloc - before.TotalAlloc)
 	retained := float64(settled.HeapAlloc) - float64(before.HeapAlloc)
 	t.Logf("replay of 5000 records: %.0f bytes allocated, %.0f retained (%.2fx)", allocated, retained, allocated/retained)
-	if limit := 1.2 * 2.47; allocated/retained > limit {
+	if limit := 1.2 * 1.99; allocated/retained > limit {
 		t.Errorf("opening the store allocated %.2fx what it retains, want at most %.2fx", allocated/retained, limit)
 	}
 	runtime.KeepAlive(store)
@@ -223,7 +224,7 @@ func TestReplayAllocs(t *testing.T) {
 	}
 	perToken := float64(chunkBytes) / float64(tokens)
 	t.Logf("ApplyReplicated of %d chunks of 256 frames: %d bytes allocated for %d tokens (%.1f a token)", chunks-1, chunkBytes, tokens, perToken)
-	if limit := 1.2 * 30.0; perToken > limit {
+	if limit := 1.2 * 14.0; perToken > limit {
 		t.Errorf("applying replicated chunks allocated %.1f bytes a token, want at most %.1f", perToken, limit)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"gbkmv/internal/hash"
 )
@@ -180,20 +179,22 @@ func (w *Writer) Elements(s []hash.Element) {
 	}
 }
 
-// Strings writes a string table: count, total byte length, the lengths,
-// then every string's bytes back to back.
-func (w *Writer) Strings(s []string) {
+// StringTable writes a string table: count, total byte length, the lengths,
+// then every string's bytes back to back. Here the n strings are length(i)
+// bytes long and their bytes are the pieces of text in order, however those
+// are cut.
+func (w *Writer) StringTable(n int, length func(i int) int, text [][]byte) {
 	total := 0
-	for _, t := range s {
-		total += len(t)
+	for _, piece := range text {
+		total += len(piece)
 	}
-	w.Int(len(s))
+	w.Int(n)
 	w.Int(total)
-	for _, t := range s {
-		w.Int(len(t))
+	for i := range n {
+		w.Int(length(i))
 	}
-	for _, t := range s {
-		w.WriteString(t)
+	for _, piece := range text {
+		w.Write(piece)
 	}
 }
 
@@ -469,37 +470,35 @@ func (r *Reader) Elements() []hash.Element {
 	return Each(r, r.Int(), 1, func() hash.Element { return hash.Element(r.Uvarint()) })
 }
 
-// Strings reads a string table into windows of one string slab.
-func (r *Reader) Strings() []string {
+// StringTable reads a string table without a string an entry: the strings'
+// bytes back to back, and n+1 offsets into them — string i is
+// text[offsets[i]:offsets[i+1]]. A table of 4 GB or more, which the 32-bit
+// offsets cannot address, is corrupt.
+func (r *Reader) StringTable() (offsets []uint32, text []byte) {
 	n, total := r.Int(), r.Int()
-	sum := 0
-	lens := Each(r, n, 1, func() int {
-		l := r.Int()
-		if l > total-sum {
-			r.Corrupt("string table overruns its declared %d bytes", total)
-			return 0
-		}
-		sum += l
-		return l
-	})
-	if r.err == nil && sum != total {
-		r.Corrupt("string table holds %d bytes, declares %d", sum, total)
+	if r.err == nil && total >= math.MaxUint32 {
+		r.Corrupt("string table of %d bytes overflows its 32-bit offsets", total)
 	}
-	var slab strings.Builder
-	slab.Grow(r.grant(total, 1))
-	for slab.Len() < total && r.err == nil {
-		k := min(total-slab.Len(), bufSize)
-		slab.Write(r.need(k))
+	offsets = make([]uint32, 1, 1+r.grant(n, 1))
+	end := 0
+	for len(offsets) <= n && r.err == nil {
+		l := r.Int()
+		if l > total-end {
+			r.Corrupt("string table overruns its declared %d bytes", total)
+			break
+		}
+		end += l
+		offsets = append(offsets, uint32(end))
+	}
+	if r.err == nil && end != total {
+		r.Corrupt("string table holds %d bytes, declares %d", end, total)
+	}
+	text = make([]byte, 0, r.grant(total, 1))
+	for len(text) < total && r.err == nil {
+		text = append(text, r.need(min(total-len(text), bufSize))...)
 	}
 	if r.err != nil {
-		return nil
+		return nil, nil
 	}
-	all := slab.String()
-	out := make([]string, n)
-	off := 0
-	for i, l := range lens {
-		out[i] = all[off : off+l]
-		off += l
-	}
-	return out
+	return offsets, text
 }

@@ -23,7 +23,7 @@ func (o opaque) Read(p []byte) (int, error) { return o.r.Read(p) }
 type sections struct {
 	Elems   []hash.Element
 	Records []dataset.Record
-	Strings []string
+	Strings stringTable
 	Name    string
 	Signed  int64
 }
@@ -37,9 +37,30 @@ func fixture(n int) sections {
 			rec = append(rec, hash.Element(i+j*1000))
 		}
 		s.Records = append(s.Records, rec)
-		s.Strings = append(s.Strings, string(rune('a'+i%26))+"tok")
+		s.Strings.add(string(rune('a'+i%26)) + "tok")
 	}
 	return s
+}
+
+// stringTable is a string table as StringTable reads it: the strings' bytes
+// back to back and n+1 offsets into them.
+type stringTable struct {
+	Offsets []uint32
+	Text    []byte
+}
+
+func (st *stringTable) add(s string) {
+	if len(st.Offsets) == 0 {
+		st.Offsets = []uint32{0}
+	}
+	st.Text = append(st.Text, s...)
+	st.Offsets = append(st.Offsets, uint32(len(st.Text)))
+}
+
+func (st stringTable) len() int { return max(0, len(st.Offsets)-1) }
+
+func (st stringTable) equal(o stringTable) bool {
+	return st.len() == o.len() && (st.len() == 0 || slices.Equal(st.Offsets, o.Offsets)) && bytes.Equal(st.Text, o.Text)
 }
 
 func (s sections) write(w io.Writer) error {
@@ -49,7 +70,7 @@ func (s sections) write(w io.Writer) error {
 	sw.Varint(s.Signed)
 	sw.Elements(s.Elems)
 	sw.Records(s.Records)
-	sw.Strings(s.Strings)
+	sw.StringTable(s.Strings.len(), func(i int) int { return int(s.Strings.Offsets[i+1] - s.Strings.Offsets[i]) }, [][]byte{s.Strings.Text})
 	return sw.Flush()
 }
 
@@ -62,7 +83,7 @@ func read(r io.Reader) (sections, error) {
 	s.Elems = sr.Elements()
 	recs := sr.Packed()
 	s.Records = recs.All()
-	s.Strings = sr.Strings()
+	s.Strings.Offsets, s.Strings.Text = sr.StringTable()
 	return s, sr.Done()
 }
 
@@ -74,9 +95,10 @@ func equal(a, b sections) bool {
 				s.Records[i] = nil
 			}
 		}
+		s.Strings = stringTable{}
 		return s
 	}
-	return reflect.DeepEqual(norm(a), norm(b))
+	return a.Strings.equal(b.Strings) && reflect.DeepEqual(norm(a), norm(b))
 }
 
 // TestRoundTrip: every encoding survives the trip, whether or not the source
@@ -215,7 +237,7 @@ func TestDeclaredCountsDoNotAllocate(t *testing.T) {
 	readers := map[string]func(*Reader){
 		"elems":   func(r *Reader) { r.Elements() },
 		"records": func(r *Reader) { r.Packed() },
-		"strings": func(r *Reader) { r.Strings() },
+		"strings": func(r *Reader) { r.StringTable() },
 	}
 	var hostile bytes.Buffer
 	sw := NewWriter(&hostile)
@@ -266,7 +288,7 @@ func TestSlabsLoadExactly(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		runtime.GC()
 		runtime.ReadMemStats(&m2)
-		if !slices.Equal(got.Elems, want.Elems) || !slices.Equal(got.Strings, want.Strings) {
+		if !slices.Equal(got.Elems, want.Elems) || !got.Strings.equal(want.Strings) {
 			t.Error("slab content changed")
 		}
 		// Or the second GC frees them and held comes out short.
@@ -286,10 +308,8 @@ func TestSlabsLoadExactly(t *testing.T) {
 	if allocated, held, stream := load(sections{Records: all.Records}); allocated > 1.1*held+bufSize+4*stream {
 		t.Errorf("loading decoded records allocated %.0f bytes to keep %.0f from a stream of %.0f", allocated, held, stream)
 	}
-	// A string table is the one section with a list read ahead of the data it
-	// sizes: the lengths, 8 bytes a string, let go once the strings are
-	// carved. Measured apart, so nothing else hides it.
-	if allocated, held, _ := load(sections{Strings: all.Strings}); allocated > 1.1*held+bufSize+float64(8*len(all.Strings)) {
+	// A string table loads as its bytes and its offsets, no string an entry.
+	if allocated, held, _ := load(sections{Strings: all.Strings}); allocated > 1.1*held+bufSize {
 		t.Errorf("loading a string table allocated %.0f bytes to keep %.0f", allocated, held)
 	}
 	runtime.KeepAlive(all)
