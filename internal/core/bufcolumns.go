@@ -1,6 +1,10 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"gbkmv/internal/chunked"
+)
 
 // bufWordBits is the width of the words every bitmap over record ids is made
 // of: the bit columns, the search's marks and union, top-k's counter planes.
@@ -16,60 +20,73 @@ const bufWordBits = 64
 // replaces) paid the 32 bits straight back, three times the whole sketch on
 // the paper's workload. The bit-sliced shape is COBS's, kmcp's index.
 //
-// Columns share one word store with a fixed stride, the capacity in records
-// over 64; rows past the record count are zero. A zero stride means there is
-// nothing buffered.
+// The words are laid by block of 64 records: row w of the store holds word w
+// of every column, |E_H| words, so derive lays one exact slab and an insert
+// that starts a block Extends the store by a row, never moving the columns.
+// A reader of a few columns takes them from each row together. Bits past the
+// record count are zero. A zero width means there is nothing buffered.
 type bufferColumns struct {
-	words  []uint64
-	stride int // words per column
+	rows  chunked.Store[uint64]
+	width int // words a row: |E_H|
 }
 
-// columnRoom is the record capacity columns are given for m records: an
-// eighth of headroom, as append growth would leave a list, so that inserts
-// re-stride once per eighth of growth and not once per 64 records.
-func columnRoom(m int) int { return m + m/8 + bufWordBits }
-
-// init sizes the columns for m records (and their headroom) of `bits` buffer
-// bits, all clear.
-func (c *bufferColumns) init(m, bits int) {
-	c.stride, c.words = 0, nil
-	if bits > 0 {
-		c.stride = (columnRoom(m) + bufWordBits - 1) / bufWordBits
-		c.words = make([]uint64, bits*c.stride)
+// init lays the columns for m records of `width` buffer bits, all clear.
+func (c *bufferColumns) init(m, width int) {
+	*c = bufferColumns{width: width}
+	if width > 0 {
+		c.rows.Reset(width)
+		c.rows.Bulk((m + bufWordBits - 1) / bufWordBits)
 	}
 }
 
-// grow makes room for m records, re-striding every column into a wider store
-// when the capacity is exceeded.
+// grow makes room for m records, a row for each block of 64 they start.
 func (c *bufferColumns) grow(m int) {
-	if c.stride == 0 || m <= c.stride*bufWordBits {
-		return
-	}
-	old, oldStride := c.words, c.stride
-	c.init(m, len(old)/oldStride)
-	for bit := 0; bit*oldStride < len(old); bit++ {
-		copy(c.words[bit*c.stride:], old[bit*oldStride:(bit+1)*oldStride])
+	if c.width > 0 {
+		if more := (m+bufWordBits-1)/bufWordBits - c.rows.Len(); more > 0 {
+			c.rows.Extend(more)
+		}
 	}
 }
 
-// set marks record id as holding bit. Two goroutines may set bits at once
-// only for ids in different 64-record blocks.
-func (c *bufferColumns) set(bit, id int) {
-	c.words[bit*c.stride+id/bufWordBits] |= 1 << (uint(id) % bufWordBits)
+// block returns the row of record id's 64-record block, where mark sets its
+// bits; nil when nothing is buffered.
+func (c *bufferColumns) block(id int) []uint64 {
+	if c.width == 0 {
+		return nil
+	}
+	return c.rows.Row(id / bufWordBits)
 }
 
-// orInto ORs column bit into dst, which covers ⌈m/64⌉ ≤ stride words.
-func (c *bufferColumns) orInto(dst []uint64, bit int) {
-	for i, w := range c.words[bit*c.stride:][:len(dst)] {
-		dst[i] |= w
+// mark marks record id as holding bit, in the row of its block. Two
+// goroutines may mark at once only in different blocks.
+func mark(row []uint64, bit, id int) { row[bit] |= 1 << (uint(id) % bufWordBits) }
+
+// rowsFrom returns the rows from w to the end of w's chunk, whole rows of
+// width words: a reader walks the blocks a chunk at a time.
+func (c *bufferColumns) rowsFrom(w int) []uint64 { return c.rows.From(uint32(w)) }
+
+// orInto ORs the columns cols into dst, which covers ⌈m/64⌉ blocks.
+func (c *bufferColumns) orInto(dst []uint64, cols []int32) {
+	for w := 0; w < len(dst); {
+		for rows := c.rowsFrom(w); len(rows) >= c.width && w < len(dst); rows, w = rows[c.width:], w+1 {
+			row, x := rows[:c.width], dst[w]
+			for _, bit := range cols {
+				x |= row[bit]
+			}
+			dst[w] = x
+		}
 	}
 }
 
-// count returns the number of records holding bit.
-func (c *bufferColumns) count(bit int) int {
-	n := 0
-	for _, w := range c.words[bit*c.stride : (bit+1)*c.stride] {
-		n += bits.OnesCount64(w)
+// counts returns, by bit, the number of records holding it.
+func (c *bufferColumns) counts() []int {
+	held := make([]int, c.width)
+	for w := 0; w < c.rows.Len(); {
+		for rows := c.rowsFrom(w); len(rows) >= c.width && w < c.rows.Len(); rows, w = rows[c.width:], w+1 {
+			for bit, x := range rows[:c.width] {
+				held[bit] += bits.OnesCount64(x)
+			}
+		}
 	}
-	return n
+	return held
 }

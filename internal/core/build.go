@@ -328,6 +328,10 @@ func (t classTable) of(pos int) uint64 { return t[pos/32] >> (pos % 32 * 2) & 3 
 //	          in the buffer arena and in the bit columns, its kept ones are
 //	          hashed into its arena run — sorted there — and its id is written
 //	          at their cursors; a dropped one makes the run incomplete
+//	lay       the slab's lists coded as gaps (postingLists.lay): in place when
+//	          the ids are 16-bit, which every collection of fewer than
+//	          smallIDs records has; from 32-bit ids into a slab of its own
+//	          otherwise, since a gap of 2¹⁶ or more takes three slots
 //
 // Workers own the counting pass's record ranges, so every list comes out
 // ascending by record id and every run lands where the offsets, written in
@@ -392,25 +396,35 @@ func (ix *Index) derive(c elementCounts) error {
 	}
 	ix.elementsHashed.Add(uint64(hashed + total)) // the fill pass hashes what is kept
 
-	slab := make([]int32, total)
+	var ids16 []uint16
+	var ids32 []int32
+	if m <= smallIDs {
+		ids16 = make([]uint16, total)
+	} else {
+		ids32 = make([]int32, total)
+	}
 	ix.bufArena.init(m, h)
 	ix.bufCols.init(m, h)
 	runParallel(len(c.parts), len(c.parts), func(w int) {
 		cnt, at, rec := c.cnts[w], starts[w], []hash.Element(nil)
 		for i := c.parts[w].lo; i < c.parts[w].hi; i++ {
 			rec = ix.recs.AppendRecord(rec[:0], i)
-			run, whole := at, true
+			run, whole, block := at, true, ix.bufCols.block(i)
 			for _, e := range rec {
 				switch pos := cnt.slot(e); classes.of(pos) {
 				case classKept:
 					keys[at] = hash.Key32(e, seed)
 					at++
-					slab[cnt.n[pos]] = int32(i)
+					if ids16 != nil {
+						ids16[cnt.n[pos]] = uint16(i)
+					} else {
+						ids32[cnt.n[pos]] = int32(i)
+					}
 					cnt.n[pos]++
 				case classBuffered:
 					bit := int(cnt.n[pos])
 					ix.bufArena.set(i, bit)
-					ix.bufCols.set(bit, i)
+					mark(block, bit, i)
 				case classDropped:
 					whole = false
 				}
@@ -421,7 +435,7 @@ func (ix *Index) derive(c elementCounts) error {
 		}
 	})
 	// The last worker's cursors stop where each list ends.
-	ix.postings.lay(slab, lists, func(list func(e hash.Element, end uint32)) {
+	ix.postings.lay(ids16, ids32, lists, func(list func(e hash.Element, end uint32)) {
 		last.each(func(pos int, e hash.Element) {
 			if classes.of(pos) == classKept {
 				list(e, last.n[pos])
@@ -429,10 +443,10 @@ func (ix *Index) derive(c elementCounts) error {
 		})
 	})
 
-	held := make([]int, h)
+	held := ix.bufCols.counts()
 	ix.bitOrder = make([]int32, h)
 	for bit := range ix.bitOrder {
-		ix.bitOrder[bit], held[bit] = int32(bit), ix.bufCols.count(bit)
+		ix.bitOrder[bit] = int32(bit)
 	}
 	slices.SortFunc(ix.bitOrder, func(a, b int32) int {
 		return cmp.Or(held[a]-held[b], int(a-b))

@@ -47,8 +47,12 @@ func arenaBit(ix *Index, i, bit int) bool {
 }
 
 func columnBit(ix *Index, bit, id int) bool {
-	return ix.bufCols.words[bit*ix.bufCols.stride+id/bufWordBits]&(1<<(uint(id)%bufWordBits)) != 0
+	return ix.bufCols.rows.Row(id / bufWordBits)[bit]&(1<<(uint(id)%bufWordBits)) != 0
 }
+
+// blockWords returns the words the bit columns of m records and h buffer bits
+// take: a word a column and 64-record block.
+func blockWords(m, h int) int { return h * ((m + bufWordBits - 1) / bufWordBits) }
 
 // ones lists a bitmap's set bits, ascending.
 func ones(b *bitmap.Bitmap) []int {
@@ -67,7 +71,7 @@ func ones(b *bitmap.Bitmap) []int {
 func columnIDs(t *testing.T, ix *Index, bit int) []int32 {
 	t.Helper()
 	ids := []int32{}
-	for id := 0; id < ix.bufCols.stride*bufWordBits; id++ {
+	for id := 0; id < ix.bufCols.rows.Len()*bufWordBits; id++ {
 		if columnBit(ix, bit, id) {
 			if id >= ix.recs.Len() {
 				t.Fatalf("column %d holds record %d of %d", bit, id, ix.recs.Len())
@@ -202,7 +206,7 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 		if got := columnIDs(t, ix, bit); !slices.Equal(got, want) {
 			t.Fatalf("%s: column %d holds %v, reference list %v", label, bit, got, want)
 		}
-		if got := ix.bufCols.count(bit); got != len(want) {
+		if got := ix.bufCols.counts()[bit]; got != len(want) {
 			t.Fatalf("%s: column %d counts %d records, reference list %d", label, bit, got, len(want))
 		}
 	}

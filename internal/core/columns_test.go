@@ -29,12 +29,13 @@ func checkColumns(t *testing.T, ix *Index, bitOrder bool, label string) {
 	if h == 0 {
 		t.Fatalf("%s: nothing is buffered; the fixture tests nothing", label)
 	}
-	if room := ix.bufCols.stride * bufWordBits; room < m || len(ix.bufCols.words) != h*ix.bufCols.stride {
-		t.Fatalf("%s: %d columns of %d records hold %d words at stride %d", label, h, m, len(ix.bufCols.words), ix.bufCols.stride)
+	if blocks := ix.bufCols.rows.Len(); ix.bufCols.width != h || blocks*h != blockWords(m, h) {
+		t.Fatalf("%s: %d columns of %d records in %d blocks of %d words", label, h, m, blocks, ix.bufCols.width)
 	}
+	counts := ix.bufCols.counts()
 	for bit := 0; bit < h; bit++ {
 		held := 0
-		for id := 0; id < ix.bufCols.stride*bufWordBits; id++ {
+		for id := 0; id < ix.bufCols.rows.Len()*bufWordBits; id++ {
 			col := columnBit(ix, bit, id)
 			if row := id < m && arenaBit(ix, id, bit); col != row {
 				t.Fatalf("%s: record %d of %d, bit %d: column %v, row %v", label, id, m, bit, col, row)
@@ -43,7 +44,7 @@ func checkColumns(t *testing.T, ix *Index, bitOrder bool, label string) {
 				held++
 			}
 		}
-		if got := ix.bufCols.count(bit); got != held {
+		if got := counts[bit]; got != held {
 			t.Fatalf("%s: column %d counts %d records, holds %d", label, bit, got, held)
 		}
 	}
@@ -55,7 +56,7 @@ func checkColumns(t *testing.T, ix *Index, bitOrder bool, label string) {
 	}
 	for i := 1; i < h; i++ {
 		a, b := ix.bitOrder[i-1], ix.bitOrder[i]
-		if ca, cb := ix.bufCols.count(int(a)), ix.bufCols.count(int(b)); ca > cb || (ca == cb && a >= b) {
+		if ca, cb := counts[a], counts[b]; ca > cb || (ca == cb && a >= b) {
 			t.Fatalf("%s: bit order places bit %d (%d records) before bit %d (%d records)", label, a, ca, b, cb)
 		}
 	}
@@ -76,21 +77,21 @@ func TestColumnsMatchRows(t *testing.T) {
 		}
 		checkColumns(t, ix, true, label+", built")
 
-		// Inserts one by one and in batches, through at least two re-strides
-		// and at least one threshold shrink.
-		strides := map[int]bool{ix.bufCols.stride: true}
+		// Inserts one by one and in batches, through at least two new
+		// chunks of blocks and at least one threshold shrink.
+		chunks := map[int]bool{len(ix.bufCols.rows.Chunks()): true}
 		tau := ix.Tau()
 		for lo := 0; lo < len(extra); {
 			n := min(1+lo%7, len(extra)-lo)
 			ix.AddRecords(extra[lo : lo+n])
 			lo += n
-			if !strides[ix.bufCols.stride] || lo == len(extra) {
-				strides[ix.bufCols.stride] = true
+			if c := len(ix.bufCols.rows.Chunks()); !chunks[c] || lo == len(extra) {
+				chunks[c] = true
 				checkColumns(t, ix, false, fmt.Sprintf("%s, %d inserted", label, lo))
 			}
 		}
-		if len(strides) < 3 || ix.Tau() >= tau {
-			t.Fatalf("%s: %d strides seen, τ %v → %v; the fixture crosses no re-stride or no shrink", label, len(strides), tau, ix.Tau())
+		if len(chunks) < 3 || ix.Tau() >= tau {
+			t.Fatalf("%s: %d chunk counts seen, τ %v → %v; the fixture crosses no new chunk or no shrink", label, len(chunks), tau, ix.Tau())
 		}
 
 		var snap bytes.Buffer
@@ -201,10 +202,10 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 		}
 		for stage := 0; stage < 2; stage++ {
 			if stage == 1 {
-				stride := ix.bufCols.stride
+				chunks := len(ix.bufCols.rows.Chunks())
 				ix.AddRecords(d.Records[600:])
-				if ix.bufCols.stride == stride {
-					t.Fatalf("300 inserts into 600 records fit the columns' first stride of %d words", stride)
+				if len(ix.bufCols.rows.Chunks()) == chunks {
+					t.Fatalf("300 inserts into 600 records fit the columns' %d chunks", chunks)
 				}
 			}
 			ref := refBuild(ix, ix.cut)
@@ -295,7 +296,7 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 // (score every record, sort) where the planes change shape: queries holding 1,
 // 63 and 64 buffered elements — one plane, six full ones, a seventh for a
 // single count — beside 0 to 120 sketch elements, on a build, after inserts
-// that re-stride the columns and after a threshold shrink.
+// that add chunks of blocks to the columns and after a threshold shrink.
 func TestTopKPlanesMatchesReference(t *testing.T) {
 	d := buildTestDataset(t, 61, 700)
 	extra := buildTestDataset(t, 62, 500).Records
@@ -341,12 +342,12 @@ func TestTopKPlanesMatchesReference(t *testing.T) {
 	}
 	check("built")
 
-	stride, tau := ix.bufCols.stride, ix.Tau()
+	chunks, tau := len(ix.bufCols.rows.Chunks()), ix.Tau()
 	ix.AddRecords(extra[:250])
-	if ix.bufCols.stride == stride {
-		t.Fatalf("250 inserts into %d records fit the columns' stride of %d words", len(d.Records), stride)
+	if len(ix.bufCols.rows.Chunks()) == chunks {
+		t.Fatalf("250 inserts into %d records fit the columns' %d chunks", len(d.Records), chunks)
 	}
-	check("re-strided")
+	check("grown")
 	ix.AddRecords(extra[250:])
 	if ix.Tau() >= tau {
 		t.Fatalf("τ %v → %v: the inserts shrank nothing", tau, ix.Tau())

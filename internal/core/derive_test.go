@@ -61,7 +61,7 @@ func sameDerived(t *testing.T, got, want *Index, bitOrder bool, label string) {
 			t.Fatalf("%s: the inverted list of element %d differs", label, e)
 		}
 	}
-	// Columns are compared by content: their stride is capacity, which follows
+	// Columns are compared by content: which chunk a block lies in follows
 	// how an index grew, not what it holds.
 	for bit := range want.bufferElems {
 		if !slices.Equal(columnIDs(t, got, bit), columnIDs(t, want, bit)) {
@@ -70,6 +70,9 @@ func sameDerived(t *testing.T, got, want *Index, bitOrder bool, label string) {
 	}
 	if bitOrder && !slices.Equal(got.bitOrder, want.bitOrder) {
 		t.Fatalf("%s: bit order differs", label)
+	}
+	if g, w := got.IndexSizeBytes(), want.IndexSizeBytes(); g != w {
+		t.Fatalf("%s: IndexSizeBytes = %d, want %d", label, g, w)
 	}
 }
 
@@ -80,7 +83,7 @@ func sameDerived(t *testing.T, got, want *Index, bitOrder bool, label string) {
 func listsOf(t *testing.T, ix *Index) map[hash.Element][]int32 {
 	t.Helper()
 	p := &ix.postings
-	lists, slabbed := map[hash.Element][]int32{}, 0
+	lists, slabbed, slots := map[hash.Element][]int32{}, 0, 0
 	for l := 0; l < p.heads.Len(); l++ {
 		h := p.heads.Ptr(l)
 		if h.n+h.tn == 0 {
@@ -89,18 +92,14 @@ func listsOf(t *testing.T, ix *Index) map[hash.Element][]int32 {
 		if p.find(h.e) != h {
 			t.Fatalf("element %d does not find its own list %d", h.e, l)
 		}
-		var ids []int32
-		run, tail := p.read(h)
-		for seg := run; ; seg = tail.ids {
-			ids = append(ids, seg...)
-			if !tail.more() {
-				break
-			}
+		ids := p.appendIDs(nil, h)
+		if len(ids) == 0 || !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) || h.top != ids[len(ids)-1] {
+			t.Fatalf("element %d: list %v, largest id %d in the header", h.e, ids, h.top)
 		}
-		if len(ids) != int(h.n+h.tn) || !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
-			t.Fatalf("element %d: list %v, header counts %d + %d", h.e, ids, h.n, h.tn)
+		if got, want := p.listSlots(h), gapSlots(ids); got != want {
+			t.Fatalf("element %d: %v takes %d slots, its gaps %d", h.e, ids, got, want)
 		}
-		lists[h.e], slabbed = ids, slabbed+int(h.n)
+		lists[h.e], slabbed, slots = ids, slabbed+int(h.n), slots+gapSlots(ids)
 	}
 	indexed := 0
 	for _, l := range p.index {
@@ -108,10 +107,23 @@ func listsOf(t *testing.T, ix *Index) map[hash.Element][]int32 {
 			indexed++
 		}
 	}
-	if len(lists) != p.live || len(lists) != indexed || slabbed != p.slabLive {
-		t.Fatalf("%d lists (%d in the slab), counted %d live, %d in the index, %d in the slab", len(lists), slabbed, p.live, indexed, p.slabLive)
+	if len(lists) != p.live || len(lists) != indexed || slabbed != p.slabLive || slots != p.slots {
+		t.Fatalf("%d lists (%d slots, %d in the slab), counted %d live, %d in the index, %d slots, %d in the slab", len(lists), slots, slabbed, p.live, indexed, p.slots, p.slabLive)
 	}
 	return lists
+}
+
+// gapSlots returns the slots the gaps of ids take: one a gap, three a gap of
+// 2¹⁶ or more.
+func gapSlots(ids []int32) int {
+	n, prev := 0, int32(-1)
+	for _, id := range ids {
+		if n++; uint32(id-prev) >= 1<<16 {
+			n += 2
+		}
+		prev = id
+	}
+	return n
 }
 
 func reload(t *testing.T, ix *Index, label string) *Index {
@@ -301,9 +313,9 @@ func TestLoadAllocatesByWhatItRead(t *testing.T) {
 		if allocated, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<18+32*len(stream)); allocated > bound {
 			t.Errorf("%s: loading %d bytes allocated %d, bound %d", name, len(stream), allocated, bound)
 		}
-		if h := len(got.bufferElems); len(got.bufCols.words) != h*got.bufCols.stride || len(got.bitOrder) != h || got.bufArena.stride != (h+7)/8 {
-			t.Errorf("%s: %d column words at stride %d, %d ordered bits, %d bytes a record for %d buffered elements",
-				name, len(got.bufCols.words), got.bufCols.stride, len(got.bitOrder), got.bufArena.stride, h)
+		if h := len(got.bufferElems); got.bufCols.width != h || got.bufCols.rows.Len()*h != blockWords(got.NumRecords(), h) || len(got.bitOrder) != h || got.bufArena.stride != (h+7)/8 {
+			t.Errorf("%s: %d column blocks of %d words, %d ordered bits, %d bytes a record for %d buffered elements",
+				name, got.bufCols.rows.Len(), got.bufCols.width, len(got.bitOrder), got.bufArena.stride, h)
 		}
 		q := ix.Record(3)
 		if want := ix.Search(q, 0.5); name != "one record, no E_H" && !slices.Equal(got.Search(q, 0.5), want) {

@@ -16,10 +16,11 @@ import (
 // and every posting list grows a chunk or a block at a time and copies
 // nothing, so what the arenas allocated is the capacity of their chunks,
 // within a chunk of what they hold. What is over in the total is the room and
-// links of the lists' tail blocks and the bit columns' re-striding, the one
-// store that still copies to grow (DESIGN.md "One growth rule"). Over slices
-// grown by append this loop allocated 4.48× its growth, with the posting lists
-// in Go maps of doubling slices 1.76×.
+// links of the lists' tail blocks and the chunks' slack (DESIGN.md "One
+// growth rule"). Over slices grown by append this loop allocated 4.48× its
+// growth, with the posting lists in Go maps of doubling slices 1.76×, with
+// 32-bit ids and bit columns re-strided every eighth of growth 1.28×; it reads
+// 1.12×.
 func TestAddRecordsGrowthAllocatesWhatItStores(t *testing.T) {
 	skipAllocsUnderRace(t)
 	d, err := dataset.Synthetic(dataset.SyntheticConfig{
@@ -49,8 +50,8 @@ func TestAddRecordsGrowthAllocatesWhatItStores(t *testing.T) {
 	if _, shrinks := ix.BuildCounters(); shrinks != 0 || ix.Tau() != 1 {
 		t.Fatalf("the fixture left its headroom (τ = %v, %d shrinks)", ix.Tau(), shrinks)
 	}
-	if float64(allocated) > 1.3*float64(grown) {
-		t.Errorf("%d bytes allocated for %d of growth: %.2f×, want ≤ 1.3×", allocated, grown, float64(allocated)/float64(grown))
+	if float64(allocated) > 1.13*float64(grown) {
+		t.Errorf("%d bytes allocated for %d of growth: %.2f×, want ≤ 1.13×", allocated, grown, float64(allocated)/float64(grown))
 	}
 	if keys, stored := arenaKeyCapacity(ix), ix.arena.units(); keys > stored+chunkKeys {
 		t.Errorf("the arena's chunks have room for %d keys and hold %d: over by more than a chunk", keys, stored)

@@ -275,16 +275,17 @@ func (ix *Index) SketchSizeBytes() int { return 4 * ix.arena.units() }
 func (ix *Index) RecordSizeBytes() int { return ix.recs.SizeBytes() }
 
 // IndexSizeBytes returns the footprint of what search walks beside the
-// signatures: the inverted lists (4 bytes a stored key — a key is listed
-// exactly once — and a listed element's 32-byte header, its 4-byte index
-// slots and its tail's links and unfilled room not counted), the bit columns
-// (|E_H| bits a record) and the sketch arena's offset and completeness
-// tables. Like the other sizes it counts what is in use, not growth headroom,
-// so an index and its reload report the same.
+// signatures: the inverted lists (the 2-byte slots of their gaps — one a key,
+// a key being listed exactly once, and two more a gap of 2¹⁶ or more — and a
+// listed element's 32-byte header; its 4-byte index slots and its tail's
+// links, room and skipped ends not counted), the bit columns (|E_H| bits a
+// record) and the sketch arena's offset and completeness tables. Like the
+// other sizes it counts what is in use, not growth headroom, so an index and
+// its reload report the same.
 func (ix *Index) IndexSizeBytes() int {
 	m := ix.recs.Len()
 	columns := len(ix.bufferElems) * ((m + bufWordBits - 1) / bufWordBits) * 8
-	return 4*ix.arena.units() + listHeadBytes*ix.postings.live + columns + ix.arena.tableBytes()
+	return 2*ix.postings.slots + listHeadBytes*ix.postings.live + columns + ix.arena.tableBytes()
 }
 
 // QuerySig is the GB-KMV sketch of a query record, reusable across many

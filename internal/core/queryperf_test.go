@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -82,6 +83,39 @@ func TestAppendSearchAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { dst = ix.AppendTopKSig(dst[:0], sig, 10) }); got != 0 {
 		t.Errorf("AppendTopKSig allocates %.1f per call with a warm buffer, want 0", got)
+	}
+}
+
+// TestTopKPlanesSizedOnce: a scratch makes its counter planes and its list of
+// a query's columns once, for the most a query can take (the bits of |E_H|,
+// |E_H|), so top-k queries of rising n_q on one scratch allocate nothing after
+// the first — where sizing them by the query made them again at every new
+// plane count and every doubling of n_q.
+func TestTopKPlanesSizedOnce(t *testing.T) {
+	skipAllocsUnderRace(t)
+	d := testDataset(t, 400)
+	ix, err := BuildIndex(d, Options{BudgetFraction: 0.1, BufferBits: 64, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eh := ix.BufferElements()
+	var sigs []*QuerySig
+	for nq := 1; nq <= len(eh); nq++ {
+		sigs = append(sigs, ix.Sketch(dataset.NewRecord(slices.Clone(eh[:nq]))))
+	}
+	if b := bits.Len(uint(len(eh))); b < 6 {
+		t.Fatalf("|E_H| = %d: the queries span %d plane counts", len(eh), b)
+	}
+	sc := ix.getScratch()
+	ix.topkSigWith(sigs[0], 10, sc)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, sig := range sigs[1:] {
+		ix.topkSigWith(sig, 10, sc)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d top-k queries of n_q = 2 … %d on one scratch allocated %d times, want 0", len(sigs)-1, len(eh), n)
 	}
 }
 

@@ -54,7 +54,10 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 	// largest hash in L_Q ∪ L_X — is at least the largest hash of L_Q
 	// alone. A candidate can only reach the remaining overlap need
 	// θ − |H_Q ∩ H_X| if K∩ ≥ need·max(L_Q). Below minCount it cannot for
-	// any overlap, and its buffer row is not read.
+	// any overlap, and its buffer row is not read. A candidate with K∩ = 0
+	// has D̂∩ = 0 in every branch of IntersectViews, so it qualifies on its
+	// buffer alone: while L_Q holds a key the bound dismisses it otherwise,
+	// and when L_Q is empty (max(L_Q) taken as 0) the zero count does.
 	qMax := sig.qMax()
 	// Hits collect in the scratch: candidates outnumber hits by orders of
 	// magnitude, so the result is sized by what qualified, not what was
@@ -72,7 +75,7 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 			sig.Stats.BufferAccepts++
 			continue
 		}
-		if float64(sc.counts[id]) < need*qMax {
+		if sc.counts[id] == 0 || float64(sc.counts[id]) < need*qMax {
 			sig.Stats.PrunedByBound++
 			continue
 		}
@@ -162,19 +165,28 @@ func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *search
 // its K∩.
 func (ix *Index) gatherPostings(sig *QuerySig, sc *searchScratch) {
 	for _, e := range sig.rest {
-		h := ix.postings.find(e)
-		if h == nil {
-			continue
+		if h := ix.postings.find(e); h != nil {
+			ix.touchList(h, sc)
 		}
-		run, tail := ix.postings.read(h)
-		for ids := run; ; ids = tail.ids {
-			for _, id := range ids {
-				sc.touch(id)
-				sc.counts[id]++
+	}
+}
+
+// touchList touches every record on a list, counting its K∩.
+func (ix *Index) touchList(h *listHead, sc *searchScratch) {
+	run, tail := ix.postings.read(h)
+	id := int32(-1)
+	for s := run; ; s = tail.slots {
+		for i := 0; i < len(s); i++ {
+			g := int32(s[i])
+			if g == 0 {
+				g, i = escaped(s, i)
 			}
-			if !tail.more() {
-				break
-			}
+			id += g
+			sc.touch(id)
+			sc.counts[id]++
+		}
+		if !tail.more() {
+			return
 		}
 	}
 }
@@ -193,22 +205,19 @@ func (ix *Index) gatherCounted(sig *QuerySig, t int, sc *searchScratch) {
 	if short := len(lists) - t + 1; short > 0 {
 		slices.SortStableFunc(lists, func(a, b *listHead) int { return int(a.n+a.tn) - int(b.n+b.tn) })
 		for _, h := range lists[:short] {
-			run, tail := ix.postings.read(h)
-			for ids := run; ; ids = tail.ids {
-				for _, id := range ids {
-					sc.touch(id)
-					sc.counts[id]++
-				}
-				if !tail.more() {
-					break
-				}
-			}
+			ix.touchList(h, sc)
 		}
 		marks := sc.marks
 		for _, h := range lists[short:] {
 			run, tail := ix.postings.read(h)
-			for ids := run; ; ids = tail.ids {
-				for _, id := range ids {
+			id := int32(-1)
+			for s := run; ; s = tail.slots {
+				for i := 0; i < len(s); i++ {
+					g := int32(s[i])
+					if g == 0 {
+						g, i = escaped(s, i)
+					}
+					id += g
 					if marks[uint32(id)/bufWordBits]&(1<<(uint32(id)%bufWordBits)) != 0 {
 						sc.counts[id]++
 					}
@@ -231,9 +240,7 @@ func (ix *Index) gatherCounted(sig *QuerySig, t int, sc *searchScratch) {
 func (ix *Index) touchColumns(sc *searchScratch) {
 	union := sc.union[:(ix.recs.Len()+bufWordBits-1)/bufWordBits]
 	clear(union)
-	for _, bit := range sc.columns {
-		ix.bufCols.orInto(union, int(bit))
-	}
+	ix.bufCols.orInto(union, sc.columns)
 	for wi, w := range union {
 		for w &^= sc.marks[wi]; w != 0; w &= w - 1 {
 			sc.touch(int32(wi*bufWordBits + bits.TrailingZeros64(w)))
@@ -319,10 +326,11 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 		// One hashing pass; the (element, key) pairs are kept so the
 		// postings update below never rehashes.
 		elems, keys, run := ix.add.elems[:0], ix.add.keys[:0], ix.add.run[:0]
+		block := ix.bufCols.block(id)
 		for _, e := range rec {
 			if bit, ok := ix.bitOf.lookup(e); ok {
 				ix.bufArena.set(id, bit)
-				ix.bufCols.set(bit, id)
+				mark(block, bit, id)
 				continue
 			}
 			elems = append(elems, e)

@@ -63,8 +63,8 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 	theta := tstar * size
 	minCount := ix.gatherSearchCandidates(sig, theta, sc)
 	sig.Stats.Candidates = len(sc.touched)
-	// Same K∩ ≥ need·max(L_Q) prune as searchSigWith; pruned candidates are
-	// provably below θ, so they need no estimate at all.
+	// Same K∩ ≥ need·max(L_Q) and K∩ > 0 prunes as searchSigWith; pruned
+	// candidates are provably below θ, so they need no estimate at all.
 	qMax := sig.qMax()
 	out := sc.hits[:0] // scratch-owned, as in searchSigWith
 	deferred := false
@@ -83,7 +83,7 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 			sig.Stats.BufferAccepts++
 			continue
 		}
-		if float64(sc.counts[id]) < need*qMax {
+		if sc.counts[id] == 0 || float64(sc.counts[id]) < need*qMax {
 			sig.Stats.PrunedByBound++
 			continue
 		}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"gbkmv/internal/dataset"
+	"gbkmv/internal/hash"
 )
 
 // TestSearchSigScoredMatchesSearchPlusEstimate pins the scored search to its
@@ -72,5 +74,62 @@ func TestSearchSigScoredMatchesSearchPlusEstimate(t *testing.T) {
 		}
 		ix.AddRecords(extra.Records)
 		check("after-insert")
+	}
+}
+
+// TestSearchPrunesZeroCountWithoutSketch: a query whose sketch L_Q is empty —
+// buffered elements, and elements whose keys lie over the cut — has K∩ = 0
+// with every record, so D̂∩ = 0 and only records whose buffers alone reach θ
+// qualify. Search and SearchSigScored estimate none of the candidates the
+// columns touch, and answer what Algorithm 2 does.
+func TestSearchPrunesZeroCountWithoutSketch(t *testing.T) {
+	d := testDataset(t, 400)
+	ix, err := BuildIndex(d, Options{BudgetFraction: 0.1, BufferBits: 64, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eh := ix.BufferElements()
+	var over []dataset.Record // elements of the records off E_H with keys over the cut
+	for _, rec := range d.Records {
+		var elems dataset.Record
+		for _, e := range rec {
+			if _, buffered := ix.bitOf.lookup(e); !buffered && hash.Key32(e, ix.opt.Seed) > ix.cut {
+				elems = append(elems, e)
+			}
+		}
+		over = append(over, elems)
+	}
+	pruned := 0
+	for qi := 0; qi < 60; qi++ {
+		var q []hash.Element
+		for j := 0; j < 2+qi%7; j++ {
+			q = append(q, eh[(qi*13+j*5)%len(eh)])
+		}
+		q = append(q, over[qi][:min(len(over[qi]), qi%4)]...)
+		rec := dataset.NewRecord(q)
+		sig := ix.Sketch(rec)
+		if sig.qMax() != 0 || len(sig.rest) != 0 {
+			t.Fatalf("query %d: L_Q holds %d keys", qi, len(sig.sketch.Keys()))
+		}
+		for _, tstar := range []float64{0.2, 0.4, 0.6, 0.9} {
+			want := ix.SearchLinear(rec, tstar)
+			if got := ix.SearchSig(sig, tstar); !slices.Equal(got, want) || sig.Stats.Estimated != 0 {
+				t.Fatalf("query %d, t*=%v: Search finds %v with %d estimates, Algorithm 2 %v", qi, tstar, got, sig.Stats.Estimated, want)
+			}
+			pruned += sig.Stats.PrunedByBound
+			scored, total := ix.SearchSigScored(sig, tstar, 0)
+			if total != len(want) || sig.Stats.Estimated != sig.Stats.BufferAccepts {
+				t.Fatalf("query %d, t*=%v: SearchSigScored finds %d with %d estimates for %d buffer accepts, Algorithm 2 %d",
+					qi, tstar, total, sig.Stats.Estimated, sig.Stats.BufferAccepts, len(want))
+			}
+			for i, s := range scored {
+				if s.ID != want[i] {
+					t.Fatalf("query %d, t*=%v: hit %d is %d, Algorithm 2 %d", qi, tstar, i, s.ID, want[i])
+				}
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no candidate was pruned: the fixture's queries reach no record short of θ on its buffer")
 	}
 }

@@ -122,6 +122,10 @@ func (ix *Index) countOverlaps(sig *QuerySig, sc *searchScratch) (b, nq int) {
 	if sig.buffer == nil {
 		return 0, 0
 	}
+	width := ix.bufCols.width
+	if cap(sc.columns) < width {
+		sc.columns = make([]int32, 0, width) // a query's n_q is at most |E_H|
+	}
 	cols := sc.columns[:0]
 	for wi, words := 0, sig.buffer.Words(); wi < words; wi++ {
 		for w := sig.buffer.Word(wi); w != 0; w &= w - 1 {
@@ -135,43 +139,46 @@ func (ix *Index) countOverlaps(sig *QuerySig, sc *searchScratch) (b, nq int) {
 	b = bits.Len(uint(len(cols)))
 	words := (ix.recs.Len() + bufWordBits - 1) / bufWordBits
 	if cap(sc.planes) < words*b {
-		sc.planes = make([]uint64, len(sc.marks)*b)
+		// Sized for the most planes a query can take, the bits of |E_H|, so
+		// a scratch makes them once, not once per query longer than before.
+		sc.planes = make([]uint64, len(sc.marks)*bits.Len(uint(width)))
 	}
 	planes := sc.planes[:words*b]
 	clear(planes)
-	colWords, stride := ix.bufCols.words, ix.bufCols.stride
-	for w := 0; w < words; w++ {
-		p := planes[w*b : w*b+b]
-		var ones, twos, fours, eights uint64
-		for j := 0; j < len(cols); j += 16 {
-			var x [16]uint64 // a last block short of sixteen adds zeros
-			for t, bit := range cols[j:min(j+16, len(cols))] {
-				x[t] = colWords[int(bit)*stride+w]
+	for w := 0; w < words; {
+		for rows := ix.bufCols.rowsFrom(w); len(rows) >= width && w < words; rows, w = rows[width:], w+1 {
+			row, p := rows[:width], planes[w*b:w*b+b]
+			var ones, twos, fours, eights uint64
+			for j := 0; j < len(cols); j += 16 {
+				var x [16]uint64 // a last block short of sixteen adds zeros
+				for t, bit := range cols[j:min(j+16, len(cols))] {
+					x[t] = row[bit]
+				}
+				var twosA, twosB, foursA, foursB, eightsA, eightsB, carry uint64
+				twosA, ones = fullAdd(ones, x[0], x[1])
+				twosB, ones = fullAdd(ones, x[2], x[3])
+				foursA, twos = fullAdd(twos, twosA, twosB)
+				twosA, ones = fullAdd(ones, x[4], x[5])
+				twosB, ones = fullAdd(ones, x[6], x[7])
+				foursB, twos = fullAdd(twos, twosA, twosB)
+				eightsA, fours = fullAdd(fours, foursA, foursB)
+				twosA, ones = fullAdd(ones, x[8], x[9])
+				twosB, ones = fullAdd(ones, x[10], x[11])
+				foursA, twos = fullAdd(twos, twosA, twosB)
+				twosA, ones = fullAdd(ones, x[12], x[13])
+				twosB, ones = fullAdd(ones, x[14], x[15])
+				foursB, twos = fullAdd(twos, twosA, twosB)
+				eightsB, fours = fullAdd(fours, foursA, foursB)
+				carry, eights = fullAdd(eights, eightsA, eightsB)
+				for i := 4; carry != 0; i++ {
+					p[i], carry = p[i]^carry, p[i]&carry
+				}
 			}
-			var twosA, twosB, foursA, foursB, eightsA, eightsB, carry uint64
-			twosA, ones = fullAdd(ones, x[0], x[1])
-			twosB, ones = fullAdd(ones, x[2], x[3])
-			foursA, twos = fullAdd(twos, twosA, twosB)
-			twosA, ones = fullAdd(ones, x[4], x[5])
-			twosB, ones = fullAdd(ones, x[6], x[7])
-			foursB, twos = fullAdd(twos, twosA, twosB)
-			eightsA, fours = fullAdd(fours, foursA, foursB)
-			twosA, ones = fullAdd(ones, x[8], x[9])
-			twosB, ones = fullAdd(ones, x[10], x[11])
-			foursA, twos = fullAdd(twos, twosA, twosB)
-			twosA, ones = fullAdd(ones, x[12], x[13])
-			twosB, ones = fullAdd(ones, x[14], x[15])
-			foursB, twos = fullAdd(twos, twosA, twosB)
-			eightsB, fours = fullAdd(fours, foursA, foursB)
-			carry, eights = fullAdd(eights, eightsA, eightsB)
-			for i := 4; carry != 0; i++ {
-				p[i], carry = p[i]^carry, p[i]&carry
-			}
-		}
-		// No count reaches a plane past b: those of the four are zero.
-		for i, v := range [4]uint64{ones, twos, fours, eights} {
-			if i < b {
-				p[i] = v
+			// No count reaches a plane past b: those of the four are zero.
+			for i, v := range [4]uint64{ones, twos, fours, eights} {
+				if i < b {
+					p[i] = v
+				}
 			}
 		}
 	}

@@ -23,13 +23,18 @@
 # mode's to say.
 #
 # With phase the daemons are scraped every 0.2 s instead: the cumulative
-# /debug/pprof/allocs between two reads of the request counters. For the
-# daemon that served the main phase it keeps the last profile taken with no
-# main-phase request answered and the first taken with all of them, and prints
-# `go tool pprof -sample_index=alloc_space -top -cum -base` of the two — every
-# byte the phase allocated, the warm-up before it and the probes after it left
-# out — with the scrapes' own share (net/http/pprof, runtime/pprof, /metrics)
-# printed apart, since alloc_kb_per_op does not pay it.
+# /debug/pprof/allocs between two reads of the request counters, which count
+# the workload's requests (search, top-k, insert, snapshot; not /metrics or
+# /healthz). The daemon that served the main phase answers the 4 096 of the
+# warm-up pass (bench/serve.go), then the main phase's — their number is in
+# the harness's first log line, "… N+P ops" — then the probes'. Of that daemon
+# it keeps the last profile whose scrape ended with no more than the warm-up
+# answered and the first whose scrape began with the main phase answered, and
+# prints `go tool pprof -sample_index=alloc_space -top -cum -base` of the two
+# — every byte the phase allocated — with how many warm-up and probe requests
+# the two scrapes let in at its ends, and the scrapes' own share
+# (net/http/pprof, runtime/pprof, /metrics) printed apart, since
+# alloc_kb_per_op does not pay it.
 #
 # With rss the daemons run under GODEBUG=gctrace=1 instead and are sampled
 # every 50 ms: VmRSS and VmHWM from /proc/<pid>/status, beside the stage the
@@ -78,22 +83,22 @@ chmod +x "$out/gbkmvd"
 : > "$out/daemons" # the harness starts its first daemon a second in
 
 "$build/bin/bench" -gbkmvd "$out/gbkmvd" -work "$build/run" \
-	--workload "$workload" --seed "$seed" --seconds 10 --trace 0 > "$out/result.json" &
+	--workload "$workload" --seed "$seed" --seconds 10 --trace 0 > "$out/result.json" 2> >(tee "$out/harness.log" >&2) &
 bench=$!
+warm=4096 # bench/serve.go's warm-up pass
 
-# requests <addr>: how many requests that daemon has answered so far, and how
-# many of the workload's main-phase kind.
+# requests <addr>: how many requests that daemon has answered so far, how
+# many of the workload's main-phase kind, and how many of the workload's kinds.
 main_kind='/(search|topk)"'
 [ "$workload" = serve-write ] && main_kind='/records"'
 requests() {
 	curl -sf --max-time 2 "http://$1/metrics" | awk -v kind="$main_kind" '
-		/^gbkmv_http_requests_total/ { n += $NF; if ($0 ~ kind) m += $NF }
-		END { printf "%d %d\n", n, m }'
+		/^gbkmv_http_requests_total/ { n += $NF; if ($0 ~ kind) m += $NF; if ($0 ~ /\/(search|topk|records|snapshot)"/) w += $NF }
+		END { printf "%d %d %d\n", n, m, w }'
 }
 
 if [ "$mode" = rss ]; then
 	hz=$(getconf CLK_TCK)
-	warm=4096 # bench/serve.go's warm-up pass
 	while kill -0 "$bench" 2> /dev/null; do
 		sleep 0.05
 		read -r addr pid < <(tail -n 1 "$out/daemons" 2> /dev/null) || continue
@@ -144,8 +149,9 @@ if [ "$mode" = rss ]; then
 fi
 
 if [ "$mode" = phase ]; then
-	# base.<pid>: the last profile after which the daemon had answered no
-	# main-phase request; scrape.<pid>.<n> with the count read before it.
+	# base.<pid>: the last profile whose scrape ended with no more than the
+	# warm-up answered, its counts in base.<pid>.n; scrape.<pid>.<n> each later
+	# one, listed in scrapes with the counts read before and after it.
 	n=0
 	while kill -0 "$bench" 2> /dev/null; do
 		sleep 0.2
@@ -153,25 +159,29 @@ if [ "$mode" = phase ]; then
 		before=$(requests "$addr") && [ -n "$before" ] || continue
 		curl -sf --max-time 5 -o "$out/scrape" "http://127.0.0.1:$port/debug/pprof/allocs" || continue
 		after=$(requests "$addr") && [ -n "$after" ] || continue
-		if [ "${after#* }" = 0 ]; then
+		if [ "${after##* }" -le "$warm" ]; then
 			mv "$out/scrape" "$out/base.$pid"
+			echo "${before##* } ${after##* }" > "$out/base.$pid.n"
 		else
 			n=$((n + 1))
 			mv "$out/scrape" "$out/scrape.$pid.$n"
-			echo "$pid $n ${before#* } ${after#* }" >> "$out/scrapes"
+			echo "$pid $n ${before##* } ${after##* }" >> "$out/scrapes"
 		fi
 	done
 	wait "$bench" || { echo "the benchmark run failed; see above" >&2; exit 1; }
-	[ -s "$out/scrapes" ] || { echo "no daemon was scraped after a main-phase request; see $out" >&2; exit 1; }
-	# The daemon that answered the most, its final count, and the first scrape
-	# that began with that count already answered.
-	read -r pid total < <(sort -k4,4nr "$out/scrapes" | awk 'NR == 1 { print $1, $4 }')
-	last=$(awk -v pid="$pid" -v total="$total" '$1 == pid && $3 == total { print $2; exit }' "$out/scrapes")
-	[ -n "$last" ] && [ -s "$out/base.$pid" ] || { echo "the main phase of daemon $pid was not bracketed; see $out/scrapes" >&2; exit 1; }
+	main=$(sed -n 's/.* \([0-9]*\)+[0-9]* ops;.*/\1/p' "$out/harness.log" | head -n 1)
+	[ -n "$main" ] || { echo "no op count in the harness log $out/harness.log" >&2; exit 1; }
+	end=$((warm + main))
+	# The first scrape that began with the main phase answered, and its daemon.
+	read -r pid last < <(awk -v end="$end" '$3 >= end { print $1, $2; exit }' "$out/scrapes" 2> /dev/null) || true
+	[ -n "${pid:-}" ] && [ -s "$out/base.$pid" ] || { echo "no daemon was scraped before and after its $main main-phase requests (from $warm on); see $out/scrapes" >&2; exit 1; }
+	read -r b0 _ < "$out/base.$pid.n"
+	read -r _ _ _ e1 < <(awk -v pid="$pid" -v n="$last" '$1 == pid && $2 == n' "$out/scrapes")
 	mv "$out/scrape.$pid.$last" "$out/phase.after"
 	mv "$out/base.$pid" "$out/phase.before"
 	rm -f "$out"/scrape.* "$out"/base.*
-	echo "== $workload, seed $seed: daemon $pid, $total main-phase requests between $out/phase.before and $out/phase.after =="
+	echo "== $workload, seed $seed: daemon $pid, $main main-phase requests between $out/phase.before and $out/phase.after =="
+	echo "== besides them, up to $((warm - b0)) warm-up requests answered after the first scrape began and $((e1 - end)) probe requests before the second ended =="
 	echo "== result: $(cat "$out/result.json")"
 	scraper='net/http/pprof|runtime/pprof|obs\.\(\*Registry\)'
 	diff() {
@@ -210,8 +220,8 @@ while kill -0 "$bench" 2> /dev/null; do
 	echo "window $window: daemon $addr, $before requests in, curl exit $ok" >> "$out/log"
 	[ "$ok" = 7 ] && refused=$addr
 	if [ "$ok" = 0 ] && after=$(requests "$addr") && [ -n "$after" ]; then
-		read -r all0 main0 <<< "$before"
-		read -r all1 main1 <<< "$after"
+		read -r all0 main0 _ <<< "$before"
+		read -r all1 main1 _ <<< "$after"
 		echo "$((main1 - main0)) $((all1 - all0)) $window $addr" >> "$out/windows"
 	fi
 done
