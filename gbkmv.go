@@ -51,36 +51,19 @@ type Record = dataset.Record
 // ids.
 func NewRecord(elems []Element) Record { return dataset.NewRecord(elems) }
 
-// Buffer-size sentinels for Options.BufferBits.
+// Buffer-size sentinels for Options.BufferBits: AutoBuffer (the zero value,
+// and the recommended setting) selects the buffer size with the variance cost
+// model of Section IV-C6; NoBuffer disables the frequent-element buffer,
+// producing a pure G-KMV sketch.
 const (
-	// AutoBuffer (the zero value, and the recommended setting) selects the
-	// buffer size with the variance cost model of Section IV-C6.
-	AutoBuffer = 0
-	// NoBuffer disables the frequent-element buffer, producing a pure
-	// G-KMV sketch.
-	NoBuffer = -1
+	AutoBuffer = core.AutoBuffer
+	NoBuffer   = core.NoBuffer
 )
 
-// Options configures Build.
-type Options struct {
-	// BudgetFraction is the sketch budget as a fraction of the total number
-	// of element occurrences in the collection. Default 0.10 (the paper's
-	// default "SpaceUsed").
-	BudgetFraction float64
-	// BudgetUnits is the absolute sketch budget in signature units (one
-	// unit = one stored 32-bit hash key = 32 buffer bits = 4 bytes). When
-	// positive it overrides BudgetFraction; useful for long-lived indexes
-	// taking dynamic inserts, whose budget should not be tied to the
-	// initial data size.
-	BudgetUnits int
-	// BufferBits is the frequent-element buffer size r in bits per record:
-	// AutoBuffer (default) for cost-model selection, NoBuffer for none, or
-	// a positive bit count (rounded up to a byte multiple).
-	BufferBits int
-	// Seed fixes all hashing; indexes built with different seeds are
-	// incomparable. The zero seed is valid.
-	Seed uint64
-}
+// Options configures Build: the budget (BudgetFraction of the collection's
+// element occurrences, default 0.10, or BudgetUnits 32-bit signature units),
+// the buffer size BufferBits and the hash Seed.
+type Options = core.Options
 
 // Index is a GB-KMV sketch of a record collection supporting approximate
 // containment similarity search.
@@ -106,21 +89,7 @@ func Build(records []Record, opt Options) (*Index, error) {
 // buildIndex is the one build behind Build and the gbkmv and gkmv engines: the
 // index takes the corpus's store over.
 func buildIndex(c *Corpus, opt Options) (*Index, error) {
-	buffer := core.AutoBuffer
-	switch {
-	case opt.BufferBits == NoBuffer:
-		buffer = 0
-	case opt.BufferBits > 0:
-		buffer = opt.BufferBits
-	case opt.BufferBits != AutoBuffer:
-		return nil, errors.New("gbkmv: invalid BufferBits")
-	}
-	inner, err := core.BuildPacked(c.take(), core.Options{
-		BudgetFraction: opt.BudgetFraction,
-		BudgetUnits:    opt.BudgetUnits,
-		BufferBits:     buffer,
-		Seed:           opt.Seed,
-	})
+	inner, err := core.BuildPacked(c.take(), opt)
 	if err != nil {
 		return nil, err
 	}

@@ -46,14 +46,6 @@ func (b *Bitmap) Set(i int) {
 	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Get reports whether bit i is set.
-func (b *Bitmap) Get(i int) bool {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitmap: Get(%d) out of range [0,%d)", i, b.n))
-	}
-	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int {
 	c := 0

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"gbkmv/internal/chunked"
-)
+import "gbkmv/internal/chunked"
 
 // bufWordBits is the width of the words every bitmap over record ids is made
 // of: the bit columns, the search's marks and union, top-k's counter planes.
@@ -76,17 +72,4 @@ func (c *bufferColumns) orInto(dst []uint64, cols []int32) {
 			dst[w] = x
 		}
 	}
-}
-
-// counts returns, by bit, the number of records holding it.
-func (c *bufferColumns) counts() []int {
-	held := make([]int, c.width)
-	for w := 0; w < c.rows.Len(); {
-		for rows := c.rowsFrom(w); len(rows) >= c.width && w < c.rows.Len(); rows, w = rows[c.width:], w+1 {
-			for bit, x := range rows[:c.width] {
-				held[bit] += bits.OnesCount64(x)
-			}
-		}
-	}
-	return held
 }

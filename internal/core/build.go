@@ -205,10 +205,10 @@ func (s *kthSelector) kthWeighted(pairs []keyCount, k int) uint32 {
 // selectCut is line 3 of Algorithm 1: the k-th smallest key over the
 // non-buffered element occurrences, the cut under which exactly the G-KMV
 // budget fits. An element's occurrences share its key, so the multiset is
-// {key(e) × freq[e]} and the frequency table the buffer was chosen from
+// {key(e) × freq(e)} and the frequency table the buffer was chosen from
 // already holds it: each distinct non-buffered element is hashed once, and
 // its key and frequency are one pair of kthWeighted.
-func (ix *Index) selectCut(freq []int, k int) uint32 {
+func (ix *Index) selectCut(freq []int, at *elemCounters, k int) uint32 {
 	distinct := 0
 	for _, f := range freq {
 		if f > 0 {
@@ -216,12 +216,13 @@ func (ix *Index) selectCut(freq []int, k int) uint32 {
 		}
 	}
 	pairs := make([]keyCount, 0, distinct)
-	for e, f := range freq {
+	for pos, f := range freq {
 		if f == 0 {
 			continue
 		}
-		if _, buffered := ix.bitOf.lookup(hash.Element(e)); !buffered {
-			pairs = append(pairs, keyCount{hash.Key32(hash.Element(e), ix.opt.Seed), uint32(f)})
+		e := at.element(pos)
+		if _, buffered := ix.bitOf.lookup(e); !buffered {
+			pairs = append(pairs, keyCount{hash.Key32(e, ix.opt.Seed), uint32(f)})
 		}
 	}
 	ix.elementsHashed.Add(uint64(len(pairs)))
@@ -250,12 +251,10 @@ func deriveWorkers(m int, top hash.Element, occurrences int) int {
 // elementCounts is what the counting pass reads of a packed store: its
 // records in spans, one a worker, every boundary but the last a multiple of
 // 64 records, and per span one set of element counters — how many of the
-// span's records list each element; and the element ids' universe, one past
-// the largest id the records hold (0 when they hold none).
+// span's records list each element.
 type elementCounts struct {
-	parts    []span
-	cnts     []*elemCounters
-	universe int
+	parts []span
+	cnts  []*elemCounters
 }
 
 // countElements is the counting pass of a build and of a load, one decode of
@@ -267,9 +266,6 @@ func countElements(recs *snapfmt.PackedRecords, sizes []int) elementCounts {
 	m, top, occurrences := recs.Len(), recs.Top(), recs.Elements()
 	c := elementCounts{parts: spans(m, deriveWorkers(m, top, occurrences), bufWordBits)}
 	c.cnts = make([]*elemCounters, len(c.parts))
-	if occurrences > 0 {
-		c.universe = int(top) + 1
-	}
 	runParallel(len(c.parts), len(c.parts), func(w int) {
 		cnt, rec := newElemCounters(top, occurrences), []hash.Element(nil)
 		for i := c.parts[w].lo; i < c.parts[w].hi; i++ {
@@ -286,14 +282,21 @@ func countElements(recs *snapfmt.PackedRecords, sizes []int) elementCounts {
 	return c
 }
 
-// frequencies sums the counters into a table over the universe: freq[e] is
-// the number of records listing e.
-func (c elementCounts) frequencies() []int {
-	freq := make([]int, c.universe)
+// frequencies sums the counters by position, the way derive reads them:
+// freq[pos] is the number of records listing the element at pos, and at
+// names it (every worker's counters agree on positions). Positions are the
+// ids where ids are dense and first come, first served where they are
+// sparse, so the table is sized by the records' occurrences, never by their
+// largest id.
+func (c elementCounts) frequencies() (freq []int, at *elemCounters) {
+	at = c.cnts[len(c.cnts)-1]
+	freq = make([]int, len(at.n))
 	for _, cnt := range c.cnts {
-		cnt.each(func(pos int, e hash.Element) { freq[e] += int(cnt.n[pos]) })
+		for pos, n := range cnt.n {
+			freq[pos] += int(n)
+		}
 	}
-	return freq
+	return freq, at
 }
 
 // An element's class in derive, two bits an element position of a
@@ -340,8 +343,8 @@ func (t classTable) of(pos int) uint64 { return t[pos/32] >> (pos % 32 * 2) & 3 
 // costs the fill pass a test of its element's class, and a hash only when it
 // is kept.
 //
-// Everything per buffer bit — the buffer arena's stride, the bit columns, the
-// bit order — is sized by |E_H|, the bits an element can set, and not by
+// Everything per buffer bit — the buffer arena's stride, the bit columns — is
+// sized by |E_H|, the bits an element can set, and not by
 // r: r is what the budget charges a record, and exceeds |E_H| when the build
 // was asked for more bits than its records have elements. Every allocation
 // here therefore follows a count of things at hand (records, occurrences,
@@ -442,15 +445,6 @@ func (ix *Index) derive(c elementCounts) error {
 			}
 		})
 	})
-
-	held := ix.bufCols.counts()
-	ix.bitOrder = make([]int32, h)
-	for bit := range ix.bitOrder {
-		ix.bitOrder[bit] = int32(bit)
-	}
-	slices.SortFunc(ix.bitOrder, func(a, b int32) int {
-		return cmp.Or(held[a]-held[b], int(a-b))
-	})
 	return nil
 }
 
@@ -498,14 +492,27 @@ func (c *elemCounters) slot(e hash.Element) int {
 	return pos
 }
 
+// element returns the element at position pos.
+func (c *elemCounters) element(pos int) hash.Element {
+	if c.index == nil {
+		return hash.Element(pos)
+	}
+	return c.elems[pos]
+}
+
+// position returns the position of e, an element the records list.
+func (c *elemCounters) position(e hash.Element) int {
+	if c.index == nil {
+		return int(e)
+	}
+	pos, _ := c.index.lookup(e)
+	return pos
+}
+
 // each visits every counter's position and element in a fixed order (the
 // same on every call).
 func (c *elemCounters) each(fn func(pos int, e hash.Element)) {
-	for i := range c.n {
-		e := hash.Element(i)
-		if c.index != nil {
-			e = c.elems[i]
-		}
-		fn(i, e)
+	for pos := range c.n {
+		fn(pos, c.element(pos))
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -18,7 +18,7 @@ import (
 )
 
 // Differential tests for the build (selectCut + derive): the parallel build
-// must be bit-identical — τ, arena, buffers, posting lists, bit order — to
+// must be bit-identical — τ, arena, buffers, posting lists, bit columns — to
 // the sequential seed algorithm it replaced (threshold from a sorted O(n)
 // key slice, per-record gkmv.BuildHashes at the index's public Tau(),
 // rehashing buildPostings), regardless of seed or worker count.
@@ -33,7 +33,6 @@ type refState struct {
 	buffers        []*bitmap.Bitmap
 	postings       map[hash.Element][]int32
 	bufferPostings [][]int32
-	bitOrder       []int32
 }
 
 // recordsOf decodes ix's records from its packed store (not through the
@@ -58,11 +57,16 @@ func blockWords(m, h int) int { return h * ((m + bufWordBits - 1) / bufWordBits)
 func ones(b *bitmap.Bitmap) []int {
 	var out []int
 	for i := 0; i < b.Len(); i++ {
-		if b.Get(i) {
+		if bitSet(b, i) {
 			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// bitSet reports whether b holds bit i.
+func bitSet(b *bitmap.Bitmap, i int) bool {
+	return b.Word(i/bufWordBits)&(1<<(uint(i)%bufWordBits)) != 0
 }
 
 // columnIDs lists, ascending, the records whose column holds bit: the
@@ -141,18 +145,6 @@ func refBuild(ix *Index, cut uint32) refState {
 			st.bufferPostings[bit] = append(st.bufferPostings[bit], int32(i))
 		}
 	}
-	st.bitOrder = make([]int32, ix.bufferBits)
-	for i := range st.bitOrder {
-		st.bitOrder[i] = int32(i)
-	}
-	sort.Slice(st.bitOrder, func(a, b int) bool {
-		la := len(st.bufferPostings[st.bitOrder[a]])
-		lb := len(st.bufferPostings[st.bitOrder[b]])
-		if la != lb {
-			return la < lb
-		}
-		return st.bitOrder[a] < st.bitOrder[b]
-	})
 	return st
 }
 
@@ -179,7 +171,7 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 		}
 		if ix.bufferBits > 0 {
 			for bit := 0; bit < ix.bufferBits; bit++ {
-				if arenaBit(ix, i, bit) != ref.buffers[i].Get(bit) {
+				if arenaBit(ix, i, bit) != bitSet(ref.buffers[i], bit) {
 					t.Fatalf("%s: record %d buffer bit %d differs", label, i, bit)
 				}
 			}
@@ -206,14 +198,6 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 		if got := columnIDs(t, ix, bit); !slices.Equal(got, want) {
 			t.Fatalf("%s: column %d holds %v, reference list %v", label, bit, got, want)
 		}
-		if got := ix.bufCols.counts()[bit]; got != len(want) {
-			t.Fatalf("%s: column %d counts %d records, reference list %d", label, bit, got, len(want))
-		}
-	}
-	for i := range ix.bitOrder {
-		if ix.bitOrder[i] != ref.bitOrder[i] {
-			t.Fatalf("%s: bitOrder[%d] = %d, reference %d", label, i, ix.bitOrder[i], ref.bitOrder[i])
-		}
 	}
 }
 
@@ -234,7 +218,7 @@ func TestBuildMatchesSequentialReference(t *testing.T) {
 	for _, seed := range []int64{7, 404, 90210} {
 		for _, opt := range []Options{
 			{BudgetFraction: 0.1, BufferBits: AutoBuffer, Seed: uint64(seed)},
-			{BudgetFraction: 0.08, BufferBits: 0, Seed: testSeed},
+			{BudgetFraction: 0.08, BufferBits: NoBuffer, Seed: testSeed},
 			{BudgetFraction: 0.15, BufferBits: 64, Seed: testSeed},
 		} {
 			d := buildTestDataset(t, seed, 220)
@@ -285,10 +269,6 @@ func TestAddRecordsShrinkMatchesResketch(t *testing.T) {
 		t.Fatalf("batch insert did not shrink τ (%v → %v); fixture too small", tauBefore, ix.Tau())
 	}
 	ref := refBuild(ix, ix.cut)
-	// The insert path sets new records' column bits without refreshing the
-	// cached rarity order; align the
-	// reference's order with the documented staleness before comparing.
-	ref.bitOrder = append([]int32(nil), ix.bitOrder...)
 	checkAgainstRef(t, ix, ref, "post-shrink")
 
 	// Sequential inserts of the same records must converge on the identical
@@ -322,13 +302,6 @@ func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
 		return ix
 	}
 	extra := buildTestDataset(t, 72, 300).Records
-	// The insert path leaves the cached rarity order as the build computed
-	// it (documented staleness); align the reference before comparing.
-	refOf := func(ix *Index) refState {
-		ref := refBuild(ix, ix.cut)
-		ref.bitOrder = append([]int32(nil), ix.bitOrder...)
-		return ref
-	}
 
 	seq := build()
 	budget := seq.BudgetUnits()
@@ -366,7 +339,7 @@ func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
 		if used < budget-slack-evictable {
 			t.Fatalf("insert %d: shrink left %d units, under budget %d - slack %d - evicted run %d", i, used, budget, slack, evictable)
 		}
-		checkAgainstRef(t, seq, refOf(seq), "after shrink")
+		checkAgainstRef(t, seq, refBuild(seq, seq.cut), "after shrink")
 	}
 	_, shrinks := seq.BuildCounters()
 	if shrinks < 3 {
@@ -376,7 +349,7 @@ func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
 		t.Fatalf("%d shrinks over %d inserts: the slack does not amortise", shrinks, len(extra))
 	}
 
-	ref := refOf(seq)
+	ref := refBuild(seq, seq.cut)
 	batch := build()
 	batch.AddRecords(extra)
 	checkAgainstRef(t, batch, ref, "one batch")
@@ -417,7 +390,7 @@ func TestAddRecordsTieRunOnCutIsEvicted(t *testing.T) {
 		}
 		build := func() *Index {
 			ix, err := BuildIndex(&dataset.Dataset{Records: d.Records[:260], Universe: d.Universe},
-				Options{BudgetFraction: 0.10, BufferBits: 0, Seed: 4})
+				Options{BudgetFraction: 0.10, BufferBits: NoBuffer, Seed: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -452,7 +425,7 @@ func TestBuildTauShortCircuit(t *testing.T) {
 	// 1 (decided from the occurrence count, no order statistic) and every
 	// sketch complete.
 	d := buildTestDataset(t, 11, 80)
-	ix, err := BuildIndex(d, Options{BudgetFraction: 1.0, BufferBits: 0, Seed: testSeed})
+	ix, err := BuildIndex(d, Options{BudgetFraction: 1.0, BufferBits: NoBuffer, Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,13 +586,49 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 			if k < 1 {
 				continue
 			}
-			if got, want := ix.selectCut(freq, k), kthOracle(multiset, k, math.MaxUint32); got != want {
+			if got, want := ix.selectCut(freq, &elemCounters{}, k), kthOracle(multiset, k, math.MaxUint32); got != want {
 				t.Fatalf("selectCut trial %d: k=%d of %d: got %v, want %v", trial, k, len(multiset), got, want)
 			}
 		}
 		if trial == 29 && len(multiset) != 0 {
 			t.Fatalf("every element buffered, %d keys left", len(multiset))
 		}
+	}
+}
+
+// TestBuildSparseIDsAllocatesByOccurrences: the frequency table the cost
+// model, the choice of E_H and selectCut read is by counter position, so one
+// element id of 2⁴⁰ costs a build what one of 1 000 does, within 2× — not a
+// table over every id below it (8 TB) — and chooses the same r, E_H and τ.
+func TestBuildSparseIDsAllocatesByOccurrences(t *testing.T) {
+	build := func(outlier hash.Element) (*Index, uint64) {
+		zipf := rand.NewZipf(rand.New(rand.NewSource(5)), 1.1, 2, 999)
+		records := make([]dataset.Record, 1000)
+		for i := range records {
+			elems := make([]hash.Element, 20)
+			for j := range elems {
+				elems[j] = hash.Element(zipf.Uint64())
+			}
+			records[i] = dataset.NewRecord(elems)
+		}
+		records[500] = dataset.NewRecord(append(slices.Clone(records[500]), outlier))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := BuildIndex(&dataset.Dataset{Records: records}, Options{Seed: testSeed})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix, after.TotalAlloc - before.TotalAlloc
+	}
+	dense, denseBytes := build(1000)
+	sparse, sparseBytes := build(1 << 40)
+	if sparseBytes > 2*denseBytes {
+		t.Errorf("a build holding element 2⁴⁰ allocated %d bytes, one holding 1 000 %d", sparseBytes, denseBytes)
+	}
+	if sparse.BufferBits() != dense.BufferBits() || sparse.cut != dense.cut || !slices.Equal(sparse.bufferElems, dense.bufferElems) || len(sparse.bufferElems) == 0 {
+		t.Errorf("r, τ = %d, %v with 2⁴⁰ and %d, %v with 1 000 (%d buffered)",
+			sparse.BufferBits(), sparse.Tau(), dense.BufferBits(), dense.Tau(), len(sparse.bufferElems))
 	}
 }
 
@@ -704,7 +713,7 @@ func TestDeriveSparseCounters(t *testing.T) {
 // and a stream declaring it is corrupt.
 func TestArenaLimit(t *testing.T) {
 	d := buildTestDataset(t, 11, 80)
-	opt := Options{BudgetFraction: 1.0, BufferBits: 0, Seed: testSeed}
+	opt := Options{BudgetFraction: 1.0, BufferBits: NoBuffer, Seed: testSeed}
 	ix, err := BuildIndex(d, opt)
 	if err != nil {
 		t.Fatal(err)

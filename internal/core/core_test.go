@@ -35,7 +35,6 @@ func TestBuildIndexValidation(t *testing.T) {
 		{BudgetFraction: 1.5},
 		{BudgetUnits: -5},
 		{BufferBits: -2},
-		{CostModel: CostModel(9), BudgetFraction: 0.1},
 	}
 	for i, o := range cases {
 		if _, err := BuildIndex(d, o); err == nil {
@@ -72,7 +71,7 @@ func TestBuildIndexRespectsBudget(t *testing.T) {
 
 func TestBuildIndexZeroBuffer(t *testing.T) {
 	d := testDataset(t, 100)
-	ix, err := BuildIndex(d, Options{BudgetFraction: 0.1, BufferBits: 0, Seed: testSeed})
+	ix, err := BuildIndex(d, Options{BudgetFraction: 0.1, BufferBits: NoBuffer, Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestEstimateMatchesTruthOnExactRegime(t *testing.T) {
 	// With budget = 100% of elements, τ = 1 and every sketch is complete,
 	// so the estimator must be exact for every pair.
 	d := testDataset(t, 60)
-	ix, err := BuildIndex(d, Options{BudgetFraction: 1.0, BufferBits: 0, Seed: testSeed})
+	ix, err := BuildIndex(d, Options{BudgetFraction: 1.0, BufferBits: NoBuffer, Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +295,7 @@ func TestGBKMVNotWorseThanGKMV(t *testing.T) {
 		return 2 * p * r / (p + r)
 	}
 	gb := f1Of(AutoBuffer)
-	g := f1Of(0)
+	g := f1Of(NoBuffer)
 	if gb < g-0.05 {
 		t.Errorf("GB-KMV F1 %v materially worse than G-KMV %v", gb, g)
 	}

@@ -18,16 +18,24 @@ func datasetStats(d *dataset.Dataset) (recordStats, error) {
 	return recordStats{freq: d.Frequencies(), sizes: d.RecordSizes()}, nil
 }
 
+// The cost model's two constants: the record sizes sampled when averaging
+// the model variance over record pairs, and the spacing of the candidate r
+// values (the paper's "assign 8, 16, 24, ... to r").
+const (
+	costModelPairSample = 128
+	bufferGridStep      = 8
+)
+
 // optimalBufferBits selects the buffer size r (in bits) that minimizes the
 // model variance of the GB-KMV containment estimator under the given budget
-// (Section IV-C6 of the paper). Candidate sizes are 0, step, 2·step, ... up
-// to the point where the buffer would eat the budget, and the returned r is
-// the candidate with the smallest model variance. r = 0 is always a
-// candidate, so the chosen buffer is never worse (under the model) than pure
-// G-KMV — the paper's constraint V∆ < 0. The statistics are the packed
-// build's, which has them from its store.
-func optimalBufferBits(st recordStats, budget int, opt Options) (int, error) {
-	curve, err := varianceCurve(st, budget, opt)
+// (Section IV-C6 of the paper). Candidate sizes are 0, 8, 16, ... up to the
+// point where the buffer would eat the budget, and the returned r is the
+// candidate with the smallest model variance. r = 0 is always a candidate,
+// so the chosen buffer is never worse (under the model) than pure G-KMV —
+// the paper's constraint V∆ < 0. The statistics are the packed build's,
+// which has them from its store.
+func optimalBufferBits(st recordStats, budget int, seed uint64) (int, error) {
+	curve, err := varianceCurve(empiricalInputs(st, seed), budget)
 	if err != nil {
 		return 0, err
 	}
@@ -48,32 +56,44 @@ type VariancePoint struct {
 }
 
 // BufferVarianceCurve evaluates the model variance for every candidate
-// buffer size, which is exactly the curve plotted in Fig. 5 of the paper.
-func BufferVarianceCurve(d *dataset.Dataset, budget int, opt Options) ([]VariancePoint, error) {
+// buffer size, which is exactly the curve plotted in Fig. 5 of the paper and
+// the one the build's cost model minimises: the dataset's actual
+// element-frequency and record-size distributions, no distributional
+// assumption.
+func BufferVarianceCurve(d *dataset.Dataset, budget int, seed uint64) ([]VariancePoint, error) {
 	st, err := datasetStats(d)
 	if err != nil {
 		return nil, err
 	}
-	return varianceCurve(st, budget, opt)
+	return varianceCurve(empiricalInputs(st, seed), budget)
 }
 
-func varianceCurve(st recordStats, budget int, opt Options) ([]VariancePoint, error) {
-	opt = opt.withDefaults()
-	if budget <= 0 {
-		return nil, errors.New("core: budget must be positive")
-	}
-	in, err := newModelInputs(st, opt)
+// ClosedFormVarianceCurve is BufferVarianceCurve with the moments taken
+// from fitted power-law exponents (α1, α2) instead, as in the paper's
+// Equation 33: the closed form the empirical curve evaluates exactly. No
+// build uses it; the cost-model ablation builds at its argmin.
+func ClosedFormVarianceCurve(d *dataset.Dataset, budget int, seed uint64) ([]VariancePoint, error) {
+	st, err := datasetStats(d)
 	if err != nil {
 		return nil, err
 	}
-	m := len(st.sizes)
-	step := opt.BufferGridStep
-	if step <= 0 {
-		step = 8
+	in, err := closedFormInputs(st, seed)
+	if err != nil {
+		return nil, err
+	}
+	return varianceCurve(in, budget)
+}
+
+func varianceCurve(in *modelInputs, budget int) ([]VariancePoint, error) {
+	if budget <= 0 {
+		return nil, errors.New("core: budget must be positive")
+	}
+	if len(in.freqs) == 0 || len(in.sizes) == 0 {
+		return nil, errors.New("core: not enough data for the cost model")
 	}
 	var curve []VariancePoint
-	for r := 0; ; r += step {
-		if bufferUnits(m, r) >= budget || r > len(in.freqs) {
+	for r := 0; ; r += bufferGridStep {
+		if bufferUnits(in.numRecords, r) >= budget || r > len(in.freqs) {
 			break
 		}
 		curve = append(curve, VariancePoint{R: r, Variance: in.variance(r, budget)})
@@ -99,20 +119,8 @@ type modelInputs struct {
 	sizes      []float64 // sampled record sizes
 }
 
-// newModelInputs derives the moments either empirically from the collection's
-// statistics or from fitted power-law exponents (the paper's closed form).
-func newModelInputs(st recordStats, opt Options) (*modelInputs, error) {
-	switch opt.CostModel {
-	case CostModelEmpirical:
-		return empiricalInputs(st, opt)
-	case CostModelClosedForm:
-		return closedFormInputs(st, opt)
-	default:
-		return nil, errors.New("core: unknown cost model")
-	}
-}
-
-func empiricalInputs(st recordStats, opt Options) (*modelInputs, error) {
+// empiricalInputs takes the moments from the collection's statistics.
+func empiricalInputs(st recordStats, seed uint64) *modelInputs {
 	freqs := make([]float64, 0, len(st.freq))
 	for _, f := range st.freq {
 		if f > 0 {
@@ -121,11 +129,13 @@ func empiricalInputs(st recordStats, opt Options) (*modelInputs, error) {
 	}
 	slices.Sort(freqs)
 	slices.Reverse(freqs)
-	sizes := sampleSizes(st.sizes, opt.CostModelPairSample, int64(opt.Seed)+1)
+	sizes := sampleSizes(st.sizes, costModelPairSample, int64(seed)+1)
 	return finishInputs(freqs, sizes, len(st.sizes))
 }
 
-func closedFormInputs(st recordStats, opt Options) (*modelInputs, error) {
+// closedFormInputs takes the moments from the power laws fitted to the
+// collection's statistics.
+func closedFormInputs(st recordStats, seed uint64) (*modelInputs, error) {
 	stats, err := dataset.StatsFrom(st.freq, st.sizes)
 	if err != nil {
 		return nil, err
@@ -160,19 +170,15 @@ func closedFormInputs(st recordStats, opt Options) (*modelInputs, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(int64(opt.Seed) + 2))
-	n := opt.CostModelPairSample
-	sizes := make([]float64, n)
+	rng := rand.New(rand.NewSource(int64(seed) + 2))
+	sizes := make([]float64, costModelPairSample)
 	for i := range sizes {
 		sizes[i] = float64(dist.Sample(rng))
 	}
-	return finishInputs(freqs, sizes, len(st.sizes))
+	return finishInputs(freqs, sizes, len(st.sizes)), nil
 }
 
-func finishInputs(freqs, sizes []float64, m int) (*modelInputs, error) {
-	if len(freqs) == 0 || len(sizes) == 0 {
-		return nil, errors.New("core: not enough data for the cost model")
-	}
+func finishInputs(freqs, sizes []float64, m int) *modelInputs {
 	in := &modelInputs{
 		freqs:      freqs,
 		prefixF:    make([]float64, len(freqs)+1),
@@ -185,7 +191,7 @@ func finishInputs(freqs, sizes []float64, m int) (*modelInputs, error) {
 		in.prefixF2[i+1] = in.prefixF2[i] + f*f
 	}
 	in.totalN = in.prefixF[len(freqs)]
-	return in, nil
+	return in
 }
 
 // sampleSizes returns at most n record sizes (all of them when fewer).

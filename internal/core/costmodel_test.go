@@ -24,7 +24,7 @@ func skewedDataset(t *testing.T, alphaFreq float64) *dataset.Dataset {
 func TestBufferVarianceCurveShape(t *testing.T) {
 	d := skewedDataset(t, 1.2)
 	budget := d.TotalElements() / 10
-	curve, err := BufferVarianceCurve(d, budget, Options{Seed: testSeed})
+	curve, err := BufferVarianceCurve(d, budget, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,8 @@ func TestBufferVarianceCurveShape(t *testing.T) {
 		if pt.Variance < 0 {
 			t.Errorf("point %d: negative variance %v", i, pt.Variance)
 		}
-		if i > 0 && pt.R <= curve[i-1].R {
-			t.Errorf("candidates not increasing at %d", i)
+		if pt.R != i*bufferGridStep {
+			t.Errorf("candidate %d is r=%d, not on the %d-bit grid", i, pt.R, bufferGridStep)
 		}
 	}
 	// The buffer can never be allowed to eat the whole budget.
@@ -51,11 +51,17 @@ func TestBufferVarianceCurveShape(t *testing.T) {
 
 func TestBufferVarianceCurveErrors(t *testing.T) {
 	d := skewedDataset(t, 1.0)
-	if _, err := BufferVarianceCurve(nil, 100, Options{}); err == nil {
+	if _, err := BufferVarianceCurve(nil, 100, 0); err == nil {
 		t.Error("nil dataset accepted")
 	}
-	if _, err := BufferVarianceCurve(d, 0, Options{}); err == nil {
+	if _, err := BufferVarianceCurve(d, 0, 0); err == nil {
 		t.Error("zero budget accepted")
+	}
+	if _, err := ClosedFormVarianceCurve(nil, 100, 0); err == nil {
+		t.Error("closed form: nil dataset accepted")
+	}
+	if _, err := ClosedFormVarianceCurve(d, 0, 0); err == nil {
+		t.Error("closed form: zero budget accepted")
 	}
 }
 
@@ -74,7 +80,7 @@ func TestOptimalBufferPrefersBufferOnSkewedData(t *testing.T) {
 	// should reduce the model variance, so the chosen r should be positive.
 	d := skewedDataset(t, 1.5)
 	budget := d.TotalElements() / 10
-	r, err := optimalBufferBits(statsOf(t, d), budget, Options{Seed: testSeed})
+	r, err := optimalBufferBits(statsOf(t, d), budget, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +92,11 @@ func TestOptimalBufferPrefersBufferOnSkewedData(t *testing.T) {
 func TestOptimalBufferIsArgminOfCurve(t *testing.T) {
 	d := skewedDataset(t, 1.2)
 	budget := d.TotalElements() / 10
-	opt := Options{Seed: testSeed}
-	curve, err := BufferVarianceCurve(d, budget, opt)
+	curve, err := BufferVarianceCurve(d, budget, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := optimalBufferBits(statsOf(t, d), budget, opt)
+	r, err := optimalBufferBits(statsOf(t, d), budget, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,20 +115,16 @@ func TestOptimalBufferIsArgminOfCurve(t *testing.T) {
 func TestClosedFormModelRuns(t *testing.T) {
 	d := skewedDataset(t, 1.2)
 	budget := d.TotalElements() / 10
-	r, err := optimalBufferBits(statsOf(t, d), budget, Options{Seed: testSeed, CostModel: CostModelClosedForm})
+	curve, err := ClosedFormVarianceCurve(d, budget, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r < 0 {
-		t.Errorf("closed-form optimal r = %d", r)
-	}
-	curve, err := BufferVarianceCurve(d, budget, Options{Seed: testSeed, CostModel: CostModelClosedForm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range curve {
+	for i, pt := range curve {
 		if math.IsNaN(pt.Variance) {
 			t.Fatalf("closed-form variance NaN at r=%d", pt.R)
+		}
+		if pt.R != i*bufferGridStep || bufferUnits(d.NumRecords(), pt.R) >= budget {
+			t.Errorf("closed-form candidate %d is r=%d under a budget of %d", i, pt.R, budget)
 		}
 	}
 }
@@ -133,8 +134,10 @@ func TestModelsAgreeOnBufferUsefulness(t *testing.T) {
 	// should find a finite-variance configuration.
 	d := skewedDataset(t, 1.3)
 	budget := d.TotalElements() / 10
-	for _, cm := range []CostModel{CostModelEmpirical, CostModelClosedForm} {
-		curve, err := BufferVarianceCurve(d, budget, Options{Seed: testSeed, CostModel: cm})
+	for name, model := range map[string]func(*dataset.Dataset, int, uint64) ([]VariancePoint, error){
+		"empirical": BufferVarianceCurve, "closed form": ClosedFormVarianceCurve,
+	} {
+		curve, err := model(d, budget, testSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +148,7 @@ func TestModelsAgreeOnBufferUsefulness(t *testing.T) {
 			}
 		}
 		if !finite {
-			t.Errorf("cost model %d produced no finite variance", cm)
+			t.Errorf("%s cost model produced no finite variance", name)
 		}
 	}
 }
@@ -153,31 +156,16 @@ func TestModelsAgreeOnBufferUsefulness(t *testing.T) {
 func TestVarianceMonotonicInBudget(t *testing.T) {
 	// More budget → lower model variance at the same r.
 	d := skewedDataset(t, 1.2)
-	opt := Options{Seed: testSeed}
-	small, err := BufferVarianceCurve(d, d.TotalElements()/20, opt)
+	small, err := BufferVarianceCurve(d, d.TotalElements()/20, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := BufferVarianceCurve(d, d.TotalElements()/5, opt)
+	large, err := BufferVarianceCurve(d, d.TotalElements()/5, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if small[0].Variance <= large[0].Variance {
 		t.Errorf("variance did not shrink with budget: %v vs %v",
 			small[0].Variance, large[0].Variance)
-	}
-}
-
-func TestBufferGridStepHonored(t *testing.T) {
-	d := skewedDataset(t, 1.2)
-	budget := d.TotalElements() / 10
-	curve, err := BufferVarianceCurve(d, budget, Options{Seed: testSeed, BufferGridStep: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range curve {
-		if pt.R%16 != 0 {
-			t.Errorf("candidate r=%d not on 16-grid", pt.R)
-		}
 	}
 }

@@ -20,10 +20,8 @@ import (
 // sequential seed algorithm of build_test.go.
 
 // sameDerived asserts that two indexes hold the same inputs and the same
-// derived state, bit for bit. bitOrder is compared only when asked: the
-// insert path leaves it as the last derive computed it (documented
-// staleness), a load computes it afresh.
-func sameDerived(t *testing.T, got, want *Index, bitOrder bool, label string) {
+// derived state, bit for bit.
+func sameDerived(t *testing.T, got, want *Index, label string) {
 	t.Helper()
 	if got.cut != want.cut || got.bufferBits != want.bufferBits || got.budget != want.budget {
 		t.Fatalf("%s: (cut, r, budget) = (%d, %d, %d), want (%d, %d, %d)", label,
@@ -67,9 +65,6 @@ func sameDerived(t *testing.T, got, want *Index, bitOrder bool, label string) {
 		if !slices.Equal(columnIDs(t, got, bit), columnIDs(t, want, bit)) {
 			t.Fatalf("%s: the column of bit %d differs", label, bit)
 		}
-	}
-	if bitOrder && !slices.Equal(got.bitOrder, want.bitOrder) {
-		t.Fatalf("%s: bit order differs", label)
 	}
 	if g, w := got.IndexSizeBytes(), want.IndexSizeBytes(); g != w {
 		t.Fatalf("%s: IndexSizeBytes = %d, want %d", label, g, w)
@@ -188,7 +183,7 @@ func TestDeriveBuildLoadIdentity(t *testing.T) {
 				"tight":   {BudgetUnits: 300},
 			}
 			for bname, opt := range budgets {
-				for _, r := range []int{0, 64, AutoBuffer} {
+				for _, r := range []int{NoBuffer, 64, AutoBuffer} {
 					opt.BufferBits, opt.Seed = r, uint64(seed)
 					var first, firstGrown *Index
 					for _, w := range []int{1, 2, 3, 8} {
@@ -212,8 +207,8 @@ func TestDeriveBuildLoadIdentity(t *testing.T) {
 							}
 							checkAgainstRef(t, ix, refBuild(ix, refCut(ix)), label+", built")
 						}
-						sameDerived(t, ix, first, true, label+", built")
-						sameDerived(t, reload(t, ix, label), first, true, label+", built and reloaded")
+						sameDerived(t, ix, first, label+", built")
+						sameDerived(t, reload(t, ix, label), first, label+", built and reloaded")
 
 						ix = build() // first stays as built
 						ix.AddRecords(c.extras)
@@ -221,12 +216,12 @@ func TestDeriveBuildLoadIdentity(t *testing.T) {
 							shrunk[bname]++
 						}
 						grown := reload(t, ix, label+", grown")
-						sameDerived(t, grown, ix, false, label+", grown and reloaded")
+						sameDerived(t, grown, ix, label+", grown and reloaded")
 						if firstGrown == nil {
 							firstGrown = grown
 							checkAgainstRef(t, grown, refBuild(grown, grown.cut), label+", grown and reloaded")
 						}
-						sameDerived(t, grown, firstGrown, true, label+", grown and reloaded")
+						sameDerived(t, grown, firstGrown, label+", grown and reloaded")
 					}
 				}
 			}
@@ -313,9 +308,9 @@ func TestLoadAllocatesByWhatItRead(t *testing.T) {
 		if allocated, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<18+32*len(stream)); allocated > bound {
 			t.Errorf("%s: loading %d bytes allocated %d, bound %d", name, len(stream), allocated, bound)
 		}
-		if h := len(got.bufferElems); got.bufCols.width != h || got.bufCols.rows.Len()*h != blockWords(got.NumRecords(), h) || len(got.bitOrder) != h || got.bufArena.stride != (h+7)/8 {
-			t.Errorf("%s: %d column blocks of %d words, %d ordered bits, %d bytes a record for %d buffered elements",
-				name, got.bufCols.rows.Len(), got.bufCols.width, len(got.bitOrder), got.bufArena.stride, h)
+		if h := len(got.bufferElems); got.bufCols.width != h || got.bufCols.rows.Len()*h != blockWords(got.NumRecords(), h) || got.bufArena.stride != (h+7)/8 {
+			t.Errorf("%s: %d column blocks of %d words, %d bytes a record for %d buffered elements",
+				name, got.bufCols.rows.Len(), got.bufCols.width, got.bufArena.stride, h)
 		}
 		q := ix.Record(3)
 		if want := ix.Search(q, 0.5); name != "one record, no E_H" && !slices.Equal(got.Search(q, 0.5), want) {
@@ -404,7 +399,7 @@ func TestBufferWiderThanVocabulary(t *testing.T) {
 		}
 	}
 	loaded := reload(t, ix, "reloaded")
-	sameDerived(t, loaded, ix, true, "reloaded")
+	sameDerived(t, loaded, ix, "reloaded")
 	loaded.AddRecords(d.Records[:5])
 	for _, q := range d.Records[:10] {
 		if got, want := loaded.Search(q, 0.6), loaded.SearchLinear(q, 0.6); !slices.Equal(got, want) {

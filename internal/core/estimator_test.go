@@ -124,8 +124,9 @@ func TestContainmentEstimatorIsThePapers(t *testing.T) {
 			// The cost model's r is a function of the frequencies, the sizes
 			// and the budget, not of the hash function: resolved once.
 			auto := build(core.Options{BudgetUnits: budget.units, BufferBits: core.AutoBuffer}).BufferBits()
-			for _, r := range []int{0, 64, auto} {
-				t.Run(fmt.Sprintf("alpha=%v/%s/r=%d", alpha, budget.name, r), func(t *testing.T) {
+			for _, r := range []int{core.NoBuffer, 64, auto} {
+				// Named by the buffer bits the index gets: NoBuffer is r=0.
+				t.Run(fmt.Sprintf("alpha=%v/%s/r=%d", alpha, budget.name, max(r, 0)), func(t *testing.T) {
 					checkEstimator(t, d, pairs, budget.seeds, func(seed uint64) *core.Index {
 						ix := build(core.Options{BudgetUnits: budget.units, BufferBits: r, Seed: seed})
 						if budget.name == "tau=1" && ix.Tau() != 1 {

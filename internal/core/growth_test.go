@@ -102,7 +102,7 @@ func TestAddRecordsShrinkReleasesChunks(t *testing.T) {
 	if stored := ix.arena.units(); shrinks < 10 || stored < built || 3*arenaKeyCapacity(ix) > 2*peak {
 		t.Fatalf("%d shrinks, %d keys stored, built with %d, peak %d: the fixture did not shrink hard from a peak", shrinks, stored, built, peak)
 	}
-	sameDerived(t, reload(t, ix, "shrunk"), ix, false, "shrunk")
+	sameDerived(t, reload(t, ix, "shrunk"), ix, "shrunk")
 }
 
 // TestAddRecordsGrownEqualsBuilt: an index grown record by record across many
@@ -130,7 +130,7 @@ func TestAddRecordsGrownEqualsBuilt(t *testing.T) {
 	for _, rec := range inserts[:700] {
 		budget += len(rec)
 	}
-	for _, r := range []int{0, 192} { // 192 bits: buffer rows of three words, which no chunk holds a whole number of
+	for _, r := range []int{NoBuffer, 192} { // 192 bits: buffer rows of three words, which no chunk holds a whole number of
 		grown, err := BuildIndex(base, Options{BudgetUnits: base.TotalElements() + budget, BufferBits: r, Seed: testSeed})
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +141,7 @@ func TestAddRecordsGrownEqualsBuilt(t *testing.T) {
 				if run := len(grown.arena.view(200 + 10).Keys()); grown.Tau() != 1 || run <= chunkKeys {
 					t.Fatalf("r=%d: the long record's run holds %d keys at τ = %v, want more than a chunk's %d", r, run, grown.Tau(), chunkKeys)
 				}
-				sameDerived(t, reload(t, grown, "before any shrink"), grown, false, "before any shrink")
+				sameDerived(t, reload(t, grown, "before any shrink"), grown, "before any shrink")
 			}
 		}
 		_, shrinks := grown.BuildCounters()
@@ -152,7 +152,7 @@ func TestAddRecordsGrownEqualsBuilt(t *testing.T) {
 		if chunks := len(built.arena.keys.Chunks()); chunks != 1 {
 			t.Fatalf("r=%d: the loaded arena is %d chunks, want one slab", r, chunks)
 		}
-		sameDerived(t, built, grown, false, "grown")
+		sameDerived(t, built, grown, "grown")
 		if built.UsedUnits() != grown.UsedUnits() || built.Tau() != grown.Tau() {
 			t.Fatalf("r=%d: (units, τ) = (%d, %v) built, (%d, %v) grown", r, built.UsedUnits(), built.Tau(), grown.UsedUnits(), grown.Tau())
 		}

@@ -53,12 +53,6 @@ type Index struct {
 	// Inverted index for accelerated search: the records whose G-KMV sketch
 	// holds element e, per kept e (see postingLists).
 	postings postingLists
-	// bitOrder lists all buffer bits sorted by ascending column popcount
-	// (records holding the bit), as derive left it. Search's prefix filter ORs
-	// the query's rarest columns in this cached order instead of re-sorting per
-	// query; inserts may leave it slightly stale, which affects only which
-	// (equally correct) candidate superset is generated, never the results.
-	bitOrder []int32
 
 	// scratchPool recycles searchScratch working memory across queries; see
 	// scratch.go for the ownership contract.
@@ -137,17 +131,20 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 		sizes = make([]int, m)
 	}
 	counts := countElements(&recs, sizes)
-	freq := counts.frequencies()
+	freq, at := counts.frequencies()
 
 	// Line 1 of Algorithm 1: pick the buffer size from the cost model (or
 	// from the caller's override).
 	r := opt.BufferBits
-	if r == AutoBuffer {
+	switch r {
+	case AutoBuffer:
 		var err error
-		r, err = optimalBufferBits(recordStats{freq: freq, sizes: sizes}, budget, opt)
+		r, err = optimalBufferBits(recordStats{freq: freq, sizes: sizes}, budget, opt.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: cost model: %w", err)
 		}
+	case NoBuffer:
+		r = 0
 	}
 	if r%8 != 0 {
 		r += 8 - r%8
@@ -165,11 +162,11 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 	}
 
 	// Line 2: E_H ← top r most frequent elements.
-	ix.bufferElems = dataset.TopFrequentFrom(freq, r)
+	ix.bufferElems = dataset.TopFrequentFrom(freq, at.elems, r)
 	ix.bitOf = newBitTable(ix.bufferElems)
 	bufferedOccurrences := 0
 	for _, e := range ix.bufferElems {
-		bufferedOccurrences += freq[e]
+		bufferedOccurrences += freq[at.position(e)]
 	}
 
 	gBudget := budget - bufferUnits(m, r)
@@ -183,7 +180,7 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 	// count alone — τ is 1 and no order statistic is needed.
 	ix.cut = math.MaxUint32
 	if remaining := n - bufferedOccurrences; gBudget < remaining {
-		ix.cut = ix.selectCut(freq, gBudget)
+		ix.cut = ix.selectCut(freq, at, gBudget)
 	}
 
 	// Lines 4-6: buffers, per-record sketch runs and the inverted lists.
@@ -194,8 +191,8 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 }
 
 // recordStats is what Algorithm 1's cost model reads of a collection beyond
-// m and n: freq[e] is the number of records holding element e, sizes the
-// record sizes in record order.
+// m and n: the number of records holding each element, in no particular
+// order, and the record sizes in record order.
 type recordStats struct {
 	freq, sizes []int
 }

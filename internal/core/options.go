@@ -9,22 +9,15 @@ package core
 
 import "errors"
 
-// CostModel selects how the optimal buffer size is estimated.
-type CostModel int
-
+// Buffer-size sentinels for Options.BufferBits.
 const (
-	// CostModelEmpirical evaluates the paper's variance function using the
-	// dataset's actual element-frequency and record-size distributions.
-	// This is the default: it is what the closed form approximates, and it
-	// requires no distributional assumption.
-	CostModelEmpirical CostModel = iota
-	// CostModelClosedForm evaluates the variance function from fitted
-	// power-law exponents (α1, α2) as in the paper's Equation 33.
-	CostModelClosedForm
+	// AutoBuffer (the zero value, and the recommended setting) selects the
+	// buffer size with the variance cost model of Section IV-C6.
+	AutoBuffer = 0
+	// NoBuffer disables the frequent-element buffer, producing a pure
+	// G-KMV sketch.
+	NoBuffer = -1
 )
-
-// AutoBuffer requests cost-model selection of the buffer size.
-const AutoBuffer = -1
 
 // BufferUnitBits is the number of buffer bits that cost one budget unit.
 // The paper charges r/32 units per record for an r-bit buffer, i.e. one
@@ -33,44 +26,32 @@ const AutoBuffer = -1
 // = 4 bytes, in the budget and in memory alike.
 const BufferUnitBits = 32
 
-// Options configures GB-KMV index construction.
+// Options configures GB-KMV index construction; the root package exports it
+// as gbkmv.Options.
 type Options struct {
-	// BudgetFraction is the sketch budget as a fraction of the dataset's
-	// total element count (the paper's "SpaceUsed", default 0.10).
-	// Ignored when BudgetUnits > 0.
+	// BudgetFraction is the sketch budget as a fraction of the total number
+	// of element occurrences in the collection. Default 0.10 (the paper's
+	// default "SpaceUsed").
 	BudgetFraction float64
-	// BudgetUnits is the absolute budget in signature units (one unit = one
-	// stored 32-bit key = 32 buffer bits = 4 bytes). Zero means use
-	// BudgetFraction.
+	// BudgetUnits is the absolute sketch budget in signature units (one
+	// unit = one stored 32-bit hash key = 32 buffer bits = 4 bytes). When
+	// positive it overrides BudgetFraction; useful for long-lived indexes
+	// taking dynamic inserts, whose budget should not be tied to the
+	// initial data size.
 	BudgetUnits int
-	// BufferBits is the buffer size r in bits. AutoBuffer (-1) selects r
-	// with the cost model; 0 disables the buffer (pure G-KMV); positive
-	// values are used as given (rounded up to a multiple of 8).
+	// BufferBits is the frequent-element buffer size r in bits per record:
+	// AutoBuffer (default) for cost-model selection, NoBuffer for none, or
+	// a positive bit count (rounded up to a byte multiple).
 	BufferBits int
-	// Seed fixes the hash function; all sketches in one index share it.
+	// Seed fixes all hashing; indexes built with different seeds are
+	// incomparable. The zero seed is valid.
 	Seed uint64
-	// CostModel picks the buffer-size estimator when BufferBits ==
-	// AutoBuffer.
-	CostModel CostModel
-	// CostModelPairSample bounds the number of record sizes sampled when
-	// averaging the model variance over record pairs (default 128).
-	CostModelPairSample int
-	// BufferGridStep is the spacing of candidate r values tried by the
-	// cost model (default 8 bits, matching the paper's "assign 8, 16,
-	// 24, ... to r").
-	BufferGridStep int
 }
 
 // withDefaults fills zero fields with defaults.
 func (o Options) withDefaults() Options {
 	if o.BudgetFraction == 0 {
 		o.BudgetFraction = 0.10
-	}
-	if o.CostModelPairSample == 0 {
-		o.CostModelPairSample = 128
-	}
-	if o.BufferGridStep == 0 {
-		o.BufferGridStep = 8
 	}
 	return o
 }
@@ -83,14 +64,8 @@ func (o Options) validate() error {
 	if o.BudgetUnits == 0 && (o.BudgetFraction <= 0 || o.BudgetFraction > 1) {
 		return errors.New("core: BudgetFraction must be in (0, 1]")
 	}
-	if o.BufferBits < AutoBuffer {
-		return errors.New("core: BufferBits must be ≥ -1")
-	}
-	if o.BufferGridStep < 0 {
-		return errors.New("core: BufferGridStep must be non-negative")
-	}
-	if o.CostModel != CostModelEmpirical && o.CostModel != CostModelClosedForm {
-		return errors.New("core: unknown cost model")
+	if o.BufferBits < NoBuffer {
+		return errors.New("core: BufferBits must be AutoBuffer, NoBuffer or positive")
 	}
 	return nil
 }

@@ -119,7 +119,7 @@ func growWithShrinks(t *testing.T, records []dataset.Record, base int, opt Optio
 func TestPostingsUnderInserts(t *testing.T) {
 	d := buildTestDataset(t, 31, 700)
 	relays := 0
-	for _, r := range []int{0, 64, 192} {
+	for _, r := range []int{NoBuffer, 64, 192} {
 		for _, units := range []int{0, 20000, 6000} { // the default budget, then two that inserts overrun
 			for seed := int64(1); seed <= 2; seed++ {
 				label := fmt.Sprintf("r=%d, %d units, seed %d", r, units, seed)
@@ -129,7 +129,7 @@ func TestPostingsUnderInserts(t *testing.T) {
 					relays++
 				}
 				loaded := reload(t, ix, label)
-				sameDerived(t, loaded, ix, false, label+", reloaded")
+				sameDerived(t, loaded, ix, label+", reloaded")
 				checkPostings(t, loaded, label+", reloaded")
 			}
 		}
@@ -198,7 +198,7 @@ func TestPostingsReleaseTheSlab(t *testing.T) {
 		t.Fatalf("slab of %d slots (room for %d) holding %d live, tails of %d slots from %d: room for %d slots, %d before",
 			len(p.slab), cap(p.slab), p.slabLive, p.tails.Len(), tails, after, before)
 	}
-	sameDerived(t, reload(t, ix, "re-laid"), ix, false, "re-laid")
+	sameDerived(t, reload(t, ix, "re-laid"), ix, "re-laid")
 }
 
 // TestPostingsIndexDrop: opening and dropping lists in any order, on an
@@ -247,7 +247,7 @@ func FuzzPostingsUnderInserts(f *testing.F) {
 		d, extra := fuzzCorpus()
 		records := append(slices.Clone(d.Records), extra...)
 		m := 10 + int(base)%(len(d.Records)-10)
-		ix, err := BuildIndex(&dataset.Dataset{Records: records[:m]}, Options{BudgetUnits: int(units), BufferBits: []int{0, 64, 192}[buffer%3], Seed: testSeed})
+		ix, err := BuildIndex(&dataset.Dataset{Records: records[:m]}, Options{BudgetUnits: int(units), BufferBits: []int{NoBuffer, 64, 192}[buffer%3], Seed: testSeed})
 		if err != nil {
 			t.Skip(err) // a budget the buffers take whole
 		}
@@ -310,7 +310,7 @@ func TestPostingBytesPerID(t *testing.T) {
 	}
 	checkPostings(t, ix, "grown")
 	loaded := reload(t, ix, "grown")
-	sameDerived(t, loaded, ix, false, "reloaded")
+	sameDerived(t, loaded, ix, "reloaded")
 	for _, x := range []*Index{ix, loaded} {
 		p, ids, escapes := &x.postings, 0, 0
 		for _, list := range listsOf(t, x) {

@@ -87,7 +87,7 @@ func TestPackedIndexRecords(t *testing.T) {
 
 	loaded := reload(t, ix, "grown")
 	check(loaded, "reloaded")
-	sameDerived(t, loaded, ix, false, "reloaded")
+	sameDerived(t, loaded, ix, "reloaded")
 	// A self-join decodes its queries from the store, a record a worker at a
 	// time: it answers what searching with the caller's copies does.
 	var want []Pair
@@ -108,7 +108,7 @@ func TestPackedIndexRecords(t *testing.T) {
 // holds it faithfully; Save names it rather than write a stream no loader
 // takes.
 func TestPackedIndexRefusesUnsortedOnSave(t *testing.T) {
-	ix, err := BuildIndex(buildTestDataset(t, 63, 40), Options{BudgetFraction: 0.5, BufferBits: 0, Seed: testSeed})
+	ix, err := BuildIndex(buildTestDataset(t, 63, 40), Options{BudgetFraction: 0.5, BufferBits: NoBuffer, Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestPackedStats(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7} {
 		forcedBuildWorkers = workers
 		sizes := make([]int, recs.Len())
-		freq := countElements(&recs, sizes).frequencies()
+		freq, _ := countElements(&recs, sizes).frequencies()
 		if !slices.Equal(freq, wantFreq) || !slices.Equal(sizes, d.RecordSizes()) {
 			t.Errorf("%d workers: frequencies or sizes differ from the dataset's", workers)
 		}
@@ -148,7 +148,7 @@ func TestPackedStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []int{-1, -1}
-	if freq := countElements(&empty, sizes).frequencies(); len(freq) != 0 || !slices.Equal(sizes, []int{0, 0}) {
+	if freq, _ := countElements(&empty, sizes).frequencies(); len(freq) != 0 || !slices.Equal(sizes, []int{0, 0}) {
 		t.Errorf("records without elements: %d frequencies, sizes %v", len(freq), sizes)
 	}
 }

@@ -126,11 +126,12 @@ func (sig *QuerySig) minCount(theta float64) int32 {
 // shares at least c = ⌈θ⌉ of the query's nq buffered bits, so — prefix-filter
 // style — it must contain one of any fixed (nq − c + 1) of them. Scanning
 // the nq−c+1 *rarest* query bits keeps this exact while leaving out the head
-// elements, which nearly every record holds; the rarity order comes from the
-// index's cached bitOrder (as derive left it), so no per-query sort is paid.
-// A slightly stale order after inserts changes only which equally-valid
-// candidate superset is scanned, never the final results. The records holding
-// any of those bits are the OR of the bits' columns (touchColumns).
+// elements, which nearly every record holds. E_H is laid out by decreasing
+// build-time frequency, bit b being its b-th element, so the rarest are the
+// query's highest set bits and the order costs nothing to keep. Inserts may
+// leave it slightly stale, which changes only which equally-valid candidate
+// superset is scanned, never the final results. The records holding any of
+// those bits are the OR of the bits' columns (touchColumns).
 func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *searchScratch) int32 {
 	sc.start(ix.recs.Len())
 	minCount := sig.minCount(theta)
@@ -147,11 +148,11 @@ func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *search
 		}
 		if c >= 1 && c <= nq {
 			cols := sc.columns[:0]
-			for _, bit := range ix.bitOrder {
-				if sig.buffer.Get(int(bit)) {
-					if cols = append(cols, bit); len(cols) == nq-c+1 {
-						break
-					}
+			for wi := sig.buffer.Words() - 1; len(cols) <= nq-c; wi-- {
+				for w := sig.buffer.Word(wi); w != 0 && len(cols) <= nq-c; {
+					top := bits.Len64(w) - 1
+					cols = append(cols, int32(wi*bufWordBits+top))
+					w &^= 1 << top
 				}
 			}
 			sc.columns = cols

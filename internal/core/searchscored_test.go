@@ -20,7 +20,7 @@ func TestSearchSigScoredMatchesSearchPlusEstimate(t *testing.T) {
 	queries := d.SampleQueries(10, 9)
 	for _, opt := range []Options{
 		{BudgetFraction: 0.1, BufferBits: AutoBuffer, Seed: testSeed},
-		{BudgetFraction: 0.08, BufferBits: 0 /* no buffer */, Seed: testSeed + 1},
+		{BudgetFraction: 0.08, BufferBits: NoBuffer, Seed: testSeed + 1},
 		{BudgetFraction: 0.3, BufferBits: 128, Seed: testSeed + 2},
 	} {
 		ix, err := BuildIndex(d, opt)
@@ -62,7 +62,7 @@ func TestSearchSigScoredMatchesSearchPlusEstimate(t *testing.T) {
 		}
 		check("built")
 		// Inserts under a tight budget trigger a threshold shrink and leave
-		// the cached bitOrder slightly stale — the scored walk must stay
+		// E_H's frequency order slightly stale — the scored walk must stay
 		// equivalent through both.
 		extra, err := dataset.Synthetic(dataset.SyntheticConfig{
 			NumRecords: 40, Universe: 4000,

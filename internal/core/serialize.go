@@ -12,8 +12,7 @@ import (
 // indexMagic opens an index stream. The layout after it (see DESIGN.md
 // "Snapshot format" for the measured cost of each section):
 //
-//	options      BudgetFraction f64, BudgetUnits, BufferBits (zigzag), Seed,
-//	             CostModel, CostModelPairSample, BufferGridStep
+//	options      BudgetFraction f64, BudgetUnits, BufferBits (zigzag), Seed
 //	tau f64, bufferBits, budget
 //	records      snapfmt records section (delta-coded)
 //	bufferElems  count + uvarints, E_H in bit order
@@ -34,9 +33,6 @@ func (ix *Index) Save(w io.Writer) error {
 	sw.Int(ix.opt.BudgetUnits)
 	sw.Varint(int64(ix.opt.BufferBits))
 	sw.Uint64(ix.opt.Seed)
-	sw.Int(int(ix.opt.CostModel))
-	sw.Int(ix.opt.CostModelPairSample)
-	sw.Int(ix.opt.BufferGridStep)
 	sw.Float64(ix.Tau())
 	sw.Int(ix.bufferBits)
 	sw.Int(ix.budget)
@@ -70,9 +66,6 @@ func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
 	ix.opt.BudgetUnits = sr.Int()
 	ix.opt.BufferBits = int(sr.Varint())
 	ix.opt.Seed = sr.Uint64()
-	ix.opt.CostModel = CostModel(sr.Int())
-	ix.opt.CostModelPairSample = sr.Int()
-	ix.opt.BufferGridStep = sr.Int()
 	tau := sr.Float64()
 	ix.bufferBits = sr.Int()
 	ix.budget = sr.Int()

@@ -134,17 +134,18 @@ func (d *Dataset) RecordSizes() []int {
 // frequency order (ties broken by element id for determinism). If r exceeds
 // the number of occurring elements, all occurring elements are returned.
 func (d *Dataset) TopFrequent(r int) []hash.Element {
-	return TopFrequentFrom(d.Frequencies(), r)
+	return TopFrequentFrom(d.Frequencies(), nil, r)
 }
 
-// TopFrequentFrom is TopFrequent over a precomputed frequency table
-// (freq[e] = occurrences of element e), for callers that need the table for
-// other decisions too and should not pay a second counting pass. The r are
+// TopFrequentFrom is TopFrequent over a precomputed frequency table, for
+// callers that need the table for other decisions too and should not pay a
+// second counting pass: freq[pos] is the number of records listing the
+// element elems[pos], or the element pos itself when elems is nil. The r are
 // selected before they are sorted — the r-th largest frequency is an order
 // statistic, and what ties on it goes to the smaller ids — and returned in a
 // slice of exactly their number: a caller that keeps them (an index keeps its
-// E_H) keeps nothing sized by the universe.
-func TopFrequentFrom(freq []int, r int) []hash.Element {
+// E_H) keeps nothing sized by the table.
+func TopFrequentFrom(freq []int, elems []hash.Element, r int) []hash.Element {
 	occurring := make([]int, 0, len(freq))
 	for _, f := range freq {
 		if f > 0 {
@@ -152,30 +153,55 @@ func TopFrequentFrom(freq []int, r int) []hash.Element {
 		}
 	}
 	r = max(0, min(r, len(occurring)))
-	ids := make([]hash.Element, 0, r)
 	if r == 0 {
-		return ids
+		return []hash.Element{}
+	}
+	type counted struct {
+		e hash.Element
+		f int
+	}
+	elem := func(pos int) hash.Element {
+		if elems == nil {
+			return hash.Element(pos)
+		}
+		return elems[pos]
 	}
 	// Every frequency above the r-th largest is in; of those equal to it,
-	// as many as are left, in id order.
+	// as many as are left, the smallest ids first. Positions that are the
+	// ids come in id order, so the first ties are the ones; elsewhere every
+	// tie is a candidate.
 	cut := selectk.Select(occurring, len(occurring)-r)
-	ties := r
+	need, tied := r, 0
 	for _, f := range occurring {
 		if f > cut {
-			ties--
+			need--
+		} else if f == cut {
+			tied++
 		}
 	}
-	for e, f := range freq {
+	if elems == nil {
+		tied = need
+	}
+	top := make([]counted, 0, r)
+	ties := make([]hash.Element, 0, tied)
+	for pos, f := range freq {
 		if f > cut {
-			ids = append(ids, hash.Element(e))
-		} else if f == cut && ties > 0 {
-			ids = append(ids, hash.Element(e))
-			ties--
+			top = append(top, counted{elem(pos), f})
+		} else if f == cut && len(ties) < tied {
+			ties = append(ties, elem(pos))
 		}
 	}
-	slices.SortFunc(ids, func(a, b hash.Element) int {
-		return cmp.Or(cmp.Compare(freq[b], freq[a]), cmp.Compare(a, b))
+	slices.Sort(ties)
+	for _, e := range ties[:need] {
+		top = append(top, counted{e, cut})
+	}
+	slices.SortFunc(top, func(a, b counted) int {
+		return cmp.Or(cmp.Compare(b.f, a.f), cmp.Compare(a.e, b.e))
 	})
+	ids := make([]hash.Element, r)
+	for i, c := range top {
+		ids[i] = c.e
+	}
 	return ids
 }
 

@@ -298,7 +298,8 @@ func TestTopFrequentDeterministicTies(t *testing.T) {
 // TestTopFrequentFromMatchesFullSort: selecting the r before sorting them
 // returns what sorting every occurring element and cutting at r did — ties on
 // the r-th frequency to the smaller ids — in a slice of exactly r, so a caller
-// that keeps it pins nothing sized by the universe.
+// that keeps it pins nothing sized by the universe. The same table shuffled,
+// its positions naming far-apart ids in no order, selects the same elements.
 func TestTopFrequentFromMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 200; trial++ {
@@ -321,12 +322,25 @@ func TestTopFrequentFromMatchesFullSort(t *testing.T) {
 			return ref[i] < ref[j]
 		})
 		for _, r := range []int{0, 1, rng.Intn(len(freq) + 1), len(ref), len(freq) + 5} {
-			got, want := TopFrequentFrom(freq, r), ref[:min(r, len(ref))]
+			got, want := TopFrequentFrom(freq, nil, r), ref[:min(r, len(ref))]
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d, r=%d over %v: %v, full sort %v", trial, r, freq, got, want)
 			}
 			if cap(got) != len(got) {
 				t.Fatalf("trial %d, r=%d: %d elements in a slice of capacity %d", trial, r, len(got), cap(got))
+			}
+			const spread = 1 << 40
+			perm := rng.Perm(len(freq))
+			shuffled, elems := make([]int, len(freq)), make([]hash.Element, len(freq))
+			for pos, e := range perm {
+				shuffled[pos], elems[pos] = freq[e], hash.Element(e)*spread
+			}
+			spreadWant := make([]hash.Element, len(want))
+			for i, e := range want {
+				spreadWant[i] = e * spread
+			}
+			if got := TopFrequentFrom(shuffled, elems, r); !slices.Equal(got, spreadWant) {
+				t.Fatalf("trial %d, r=%d, positions shuffled: %v, want %v", trial, r, got, spreadWant)
 			}
 		}
 	}

@@ -151,8 +151,9 @@ func AblationIndexedSearch(w io.Writer, cfg Config) (AblationResult, error) {
 	return res, nil
 }
 
-// AblationCostModel compares the empirical cost model against the paper's
-// closed-form power-law model.
+// AblationCostModel compares the build's empirical cost model against the
+// paper's closed-form power-law model (Equation 33): the second arm builds at
+// the argmin of core.ClosedFormVarianceCurve.
 func AblationCostModel(w io.Writer, cfg Config) (AblationResult, error) {
 	cfg = cfg.WithDefaults()
 	d, err := ablationDataset(cfg)
@@ -160,23 +161,27 @@ func AblationCostModel(w io.Writer, cfg Config) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	wl := newWorkload(d, cfg, cfg.Threshold)
-	build := func(cm core.CostModel) (eval.Result, int, error) {
-		ix, err := core.BuildIndex(d, core.Options{
-			BudgetFraction: 0.10,
-			BufferBits:     core.AutoBuffer,
-			Seed:           uint64(cfg.Seed),
-			CostModel:      cm,
-		})
+	seed := uint64(cfg.Seed)
+	build := func(bufferBits int) (eval.Result, int, error) {
+		ix, err := core.BuildIndex(d, core.Options{BudgetFraction: 0.10, BufferBits: bufferBits, Seed: seed})
 		if err != nil {
 			return eval.Result{}, 0, err
 		}
 		return wl.run(eval.SearcherFunc(ix.Search)), ix.BufferBits(), nil
 	}
-	emp, rEmp, err := build(core.CostModelEmpirical)
+	emp, rEmp, err := build(core.AutoBuffer)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	cf, rCF, err := build(core.CostModelClosedForm)
+	curve, err := core.ClosedFormVarianceCurve(d, int(0.10*float64(d.TotalElements())), seed)
+	if err != nil {
+		return AblationResult{}, err
+	}
+	closed := core.NoBuffer
+	if r := curveArgmin(curve); r > 0 {
+		closed = r
+	}
+	cf, rCF, err := build(closed)
 	if err != nil {
 		return AblationResult{}, err
 	}

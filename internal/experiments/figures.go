@@ -47,30 +47,23 @@ func Fig5(w io.Writer, cfg Config) ([]Fig5Result, error) {
 			return nil, err
 		}
 		budget := int(0.10 * float64(d.TotalElements()))
-		curve, err := core.BufferVarianceCurve(d, budget, core.Options{Seed: uint64(cfg.Seed)})
+		curve, err := core.BufferVarianceCurve(d, budget, uint64(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
 		wl := newWorkload(d, cfg, cfg.Threshold)
-		res := Fig5Result{Dataset: name}
+		res := Fig5Result{Dataset: name, BestVarR: curveArgmin(curve)}
 		// Evaluate measured F1 on a subsample of the candidate r values to
 		// keep the sweep tractable.
 		step := len(curve)/8 + 1
 		bestF1 := -1.0
-		bestVar := curve[0].Variance
-		res.BestVarR = curve[0].R
-		for _, pt := range curve {
-			if pt.Variance < bestVar {
-				bestVar, res.BestVarR = pt.Variance, pt.R
-			}
-		}
 		fmt.Fprintf(w, "\n%s (budget 10%%, t*=%.2f)\n", name, cfg.Threshold)
 		fmt.Fprintf(w, "%8s %14s %8s\n", "r(bits)", "model-var", "F1")
 		for i := 0; i < len(curve); i += step {
 			pt := curve[i]
 			opt := cfg.atBudget(0.10)
 			if opt.BufferBits = pt.R; pt.R == 0 {
-				opt.BufferBits = gbkmv.NoBuffer // the registry's 0 asks the cost model
+				opt.BufferBits = gbkmv.NoBuffer // 0 asks the cost model
 			}
 			r, err := wl.runRegistered("gbkmv", opt)
 			if err != nil {
@@ -86,6 +79,18 @@ func Fig5(w io.Writer, cfg Config) ([]Fig5Result, error) {
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// curveArgmin returns the r of the curve's smallest model variance, the first
+// where several tie: the r the build's cost model picks from its curve.
+func curveArgmin(curve []core.VariancePoint) int {
+	best := curve[0]
+	for _, pt := range curve[1:] {
+		if pt.Variance < best.Variance {
+			best = pt
+		}
+	}
+	return best.R
 }
 
 // Fig6Row compares the three sketch variants on one dataset at one budget.

@@ -38,8 +38,9 @@ import (
 // Version is the snapshot format version, written after every magic. There
 // is exactly one: a stream with any other version is ErrFormat. (1 stored the
 // index's hash values as float64, 2 as 32-bit keys; 3 stores none — an index
-// stream is the inputs its sketch is derived from.)
-const Version = 3
+// stream is the inputs its sketch is derived from; 4 drops the cost-model
+// knobs from an index's options, which are the library's four.)
+const Version = 4
 
 // ErrFormat marks a stream that is not a snapshot of this format version:
 // the magic or the version byte did not match. It is distinct from

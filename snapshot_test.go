@@ -273,7 +273,9 @@ func TestUnsortedRecordRefused(t *testing.T) {
 // goldenRecords and goldenSnapshot: a gbkmv collection — ten records built,
 // four inserted, among them an empty record and ids no vocabulary hands out
 // (2²⁰+3, 2⁴⁰, 2⁶³+1), the inserts shrinking τ to ≈ 0.65 — and its snapshot
-// as the last build that still had the segmented layer wrote it (format 3).
+// as the last build that still had the segmented layer wrote it, in format 4:
+// the version byte of both streams 4, not 3, and the index's options block
+// without the three cost-model knobs (0, 128 and 8; 4 bytes) format 3 held.
 func goldenRecords() []gbkmv.Record {
 	recs := make([]gbkmv.Record, 14)
 	for i := range recs {
@@ -287,10 +289,10 @@ func goldenRecords() []gbkmv.Record {
 }
 
 const goldenSnapshot = "" +
-	"47424b4d56454e47030567626b6d7647424b4d56494458039a9999999999b93f28100700000000000000008001080000" +
-	"00bab2f5e43f08280e3f0500050f28f0010501051126800205020513268e0205030515289a020005000a1932ac020501" +
-	"0a1b3ab20205020a1d44b60205030a1f50b80205040a215eb80205000f236eb60207010f258001b2029cfc3ffdffbfff" +
-	"ff1f018180808080808080800105030f29aa01a402080001020304050607"
+	"47424b4d56454e47040567626b6d7647424b4d56494458049a9999999999b93f28100700000000000000000000bab2f5" +
+	"e43f08280e3f0500050f28f0010501051126800205020513268e0205030515289a020005000a1932ac0205010a1b3ab2" +
+	"0205020a1d44b60205030a1f50b80205040a215eb80205000f236eb60207010f258001b2029cfc3ffdffbfffff1f0181" +
+	"80808080808080800105030f29aa01a402080001020304050607"
 
 // segmentedGolden is the same records as a two-segment collection (segments
 // at τ = 1 and τ ≈ 0.67) in the segmented container ("GBKMVSEG") the builds
@@ -305,7 +307,7 @@ const segmentedGolden = "" +
 	"28f00105020513268e020005000a1932ac0205020a1d44b60205040a215eb80205000f236eb60205030f29aa01a40208" +
 	"00020405070a0c0e"
 
-// TestSnapshotGoldenBytes checks "format 3 unchanged" instead of asserting
+// TestSnapshotGoldenBytes checks "format 4 unchanged" instead of asserting
 // it: the same build and inserts write the golden bytes; the golden bytes
 // load, answer as the built engine does, hand back the records, and save back
 // as themselves.
