@@ -45,6 +45,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	rtpprof "runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -137,7 +138,9 @@ func main() {
 		dmux := http.NewServeMux()
 		dmux.HandleFunc("/debug/pprof/", pprof.Index)
 		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		cpu := &cpuProfiler{stop: make(chan struct{}, 1)}
+		dmux.HandleFunc("/debug/pprof/profile", cpu.profile)
+		dmux.HandleFunc("/debug/pprof/profile/stop", cpu.stopProfile)
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dsrv := &http.Server{
@@ -203,4 +206,41 @@ func main() {
 		log.Printf("gbkmvd: closing store: %v", err)
 	}
 	log.Printf("gbkmvd: bye")
+}
+
+// cpuProfiler serves net/http/pprof's CPU profile, and with ?until=stop one
+// that runs from its request until a request of /debug/pprof/profile/stop
+// (or until its client goes): a profile of a phase that ends on an event
+// rather than after a number of seconds. scripts/profile-serve.sh's setup
+// mode stops one when the warm-up's last query has been answered.
+type cpuProfiler struct {
+	stop chan struct{} // one stop, kept until a profile takes it
+}
+
+func (p *cpuProfiler) profile(w http.ResponseWriter, r *http.Request) {
+	if r.FormValue("until") != "stop" {
+		pprof.Profile(w, r)
+		return
+	}
+	select {
+	case <-p.stop: // a stop no profile took
+	default:
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if err := rtpprof.StartCPUProfile(w); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	select {
+	case <-p.stop:
+	case <-r.Context().Done():
+	}
+	rtpprof.StopCPUProfile()
+}
+
+func (p *cpuProfiler) stopProfile(http.ResponseWriter, *http.Request) {
+	select {
+	case p.stop <- struct{}{}:
+	default:
+	}
 }

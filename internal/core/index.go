@@ -311,8 +311,8 @@ type QuerySig struct {
 // planes, its BufferAccepts.
 type QueryStats struct {
 	Candidates    int // records touched by candidate generation
-	PrunedByBound int // candidates dismissed by the K∩ upper-bound prune, no merge paid
-	Estimated     int // full G-KMV merge estimates performed
+	PrunedByBound int // candidates dismissed by the K∩ upper-bound prune, never scored
+	Estimated     int // G-KMV estimates computed, each from a candidate's K∩
 	BufferAccepts int // hits settled by the exact buffer part alone
 }
 
@@ -397,6 +397,18 @@ func (ix *Index) bufferOverlap(sig *QuerySig, i int) int {
 // |H_Q ∩ H_X| + D̂∩^GKMV.
 func (ix *Index) EstimateIntersection(sig *QuerySig, i int) float64 {
 	return float64(ix.bufferOverlap(sig, i)) + gkmv.IntersectViews(sig.sketch, ix.arena.view(i)).DInter
+}
+
+// countedEstimate is D̂∩^GKMV for a candidate of the query path, from the K∩
+// its posting walk counted in sc.counts: gkmv.Estimate reads only the run's
+// length, last key and completeness, so a candidate costs O(1), not a merge.
+// Added to the buffer overlap the search read it is EstimateIntersection to
+// the bit, but for the one case where they count differently: two distinct
+// elements sharing a 32-bit key are a match to the merge and none to the
+// lists, which are keyed by element.
+func (ix *Index) countedEstimate(sig *QuerySig, id int32, sc *searchScratch) float64 {
+	_, _, d := gkmv.Estimate(sig.sketch, ix.arena.view(int(id)), int(sc.counts[id]))
+	return d
 }
 
 // EstimateWithError returns the containment estimate together with an

@@ -210,7 +210,9 @@ func TestBuildHashesReproducesArena(t *testing.T) {
 // TestDuplicateKeysInRun: Hash64 is a bijection, a 32-bit key is not — two
 // elements of one record can share a key, so a run is ascending, not strictly
 // ascending. Such a run is a valid arena, survives Save/Load, and the merge
-// counts the equal keys pairwise, as the two elements they are.
+// counts the equal keys pairwise, as the two elements they are. The query
+// path counts K∩ on the inverted lists, which are keyed by element: a key
+// shared by two distinct elements is a match to the merge alone.
 func TestDuplicateKeysInRun(t *testing.T) {
 	// Birthday search: among 300 000 elements ≈ 10 pairs collide in 32 bits.
 	seen := make(map[uint32]hash.Element, 300000)
@@ -268,6 +270,31 @@ func TestDuplicateKeysInRun(t *testing.T) {
 		}
 		if got := ix.Search(dataset.Record{e1}, 1); !slices.Equal(got, []int{0, 1}) {
 			t.Errorf("Search({e1}, 1) = %v, want [0 1]", got)
+		}
+		// {e2, f}, f an element of record 1 that record 0 lacks: record 1
+		// is a candidate through f's list, where it counts K∩ = 1, the one
+		// element it shares. The merge pairs e2's key with e1's as well and
+		// counts 2. The scoring searches report the element count.
+		var f hash.Element
+		for _, e := range one {
+			if e != e1 && !slices.Contains(both, e) {
+				f = e
+			}
+		}
+		q := dataset.NewRecord([]hash.Element{e2, f})
+		sig := ix.Sketch(q)
+		if merged := ix.EstimateContainment(sig, 1); merged != 1 {
+			t.Fatalf("merge reference scores record 1 at %v, want 1 (K∩ = 2 of 2)", merged)
+		}
+		want := Scored{ID: 1, Score: 0.5}
+		if scored, _ := ix.SearchSigScored(sig, 0.5, 0); !slices.Contains(scored, want) {
+			t.Errorf("SearchSigScored({e2, f}, 0.5) = %v, want %+v among them", scored, want)
+		}
+		if top := ix.SearchTopKSig(sig, 3); !slices.Contains(top, want) {
+			t.Errorf("SearchTopKSig({e2, f}, 3) = %v, want %+v among them", top, want)
+		}
+		if got := ix.Search(q, 1); slices.Contains(got, 1) {
+			t.Errorf("Search({e2, f}, 1) = %v: record 1 shares one element of two", got)
 		}
 	}
 	// The known cost of a 32-bit key: e2 alone matches record 1 through e1's

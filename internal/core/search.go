@@ -55,7 +55,7 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 	// alone. A candidate can only reach the remaining overlap need
 	// θ − |H_Q ∩ H_X| if K∩ ≥ need·max(L_Q). Below minCount it cannot for
 	// any overlap, and its buffer row is not read. A candidate with K∩ = 0
-	// has D̂∩ = 0 in every branch of IntersectViews, so it qualifies on its
+	// has D̂∩ = 0 in every branch of gkmv.Estimate, so it qualifies on its
 	// buffer alone: while L_Q holds a key the bound dismisses it otherwise,
 	// and when L_Q is empty (max(L_Q) taken as 0) the zero count does.
 	qMax := sig.qMax()
@@ -68,7 +68,8 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 			sig.Stats.PrunedByBound++
 			continue
 		}
-		need := theta - float64(ix.bufferOverlap(sig, int(id)))
+		overlap := float64(ix.bufferOverlap(sig, int(id)))
+		need := theta - overlap
 		if need <= 0 {
 			// The exact buffer part alone meets the threshold.
 			out = append(out, int(id))
@@ -80,7 +81,7 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 			continue
 		}
 		sig.Stats.Estimated++
-		if ix.EstimateIntersection(sig, int(id)) >= theta {
+		if overlap+ix.countedEstimate(sig, id, sc) >= theta {
 			out = append(out, int(id))
 		}
 	}
@@ -113,8 +114,11 @@ func (sig *QuerySig) minCount(theta float64) int32 {
 // and returns the query's minCount T: a touched record counting fewer cannot
 // qualify. A record with zero buffer overlap and zero sketch overlap has
 // estimate exactly 0 < θ, so only records appearing in at least one posting
-// list can qualify (same element ⇔ same hash value, so the sketch-element walk
-// counts K∩ exactly).
+// list can qualify. K∩ counts the sketch *elements* a record shares with the
+// query, and the estimate is made from it (countedEstimate). It is the
+// merge's count of equal keys but where two distinct elements share a 32-bit
+// key: that collision is counted only by the merge of the single-record API
+// (EstimateIntersection, SearchLinear).
 //
 // From T = 2 on, a record that qualifies is on T of the query's L posting
 // lists, so — by pigeonhole — on one of any L − T + 1 of them: only the

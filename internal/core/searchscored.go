@@ -12,9 +12,10 @@ import "slices"
 // estimated exactly once: the estimate that decided membership during the
 // candidate walk doubles as the hit's score, instead of the serving layer
 // re-estimating each returned id after Search. Records accepted on the
-// exact buffer part alone (whose membership needs no G-KMV merge) defer
+// exact buffer part alone (whose membership needs no G-KMV estimate) defer
 // their estimate until after the limit cut, so hits beyond the cap are
-// never scored.
+// never scored. A score comes from the K∩ the candidate walk counted
+// (countedEstimate), not from a merge of the two runs.
 func (ix *Index) SearchSigScored(sig *QuerySig, tstar float64, limit int) ([]Scored, int) {
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
@@ -36,7 +37,8 @@ func (ix *Index) AppendSearchSigScored(dst []Scored, sig *QuerySig, tstar float6
 // searchSigScoredWith runs the scored search over caller-provided scratch,
 // which owns the hits it returns: the caller copies them out before the
 // scratch goes back. It is result-equivalent to searchSigWith followed by
-// EstimateContainment on each returned id (the differential tests pin this).
+// EstimateContainment on each returned id (the differential tests pin this),
+// but for the 32-bit key collisions countedEstimate does not count.
 func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc *searchScratch) ([]Scored, int) {
 	sig.Stats = QueryStats{}
 	if tstar <= 0 {
@@ -73,12 +75,15 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 			sig.Stats.PrunedByBound++
 			continue
 		}
-		need := theta - float64(ix.bufferOverlap(sig, int(id)))
+		overlap := float64(ix.bufferOverlap(sig, int(id)))
+		need := theta - overlap
 		if need <= 0 {
 			// The exact buffer part alone meets the threshold: membership is
-			// settled, so park the estimate behind the limit cut (Score -1 is
-			// the sentinel; real scores are clamped to [0, 1]).
-			out = append(out, Scored{ID: int(id), Score: -1})
+			// settled, so park the estimate behind the limit cut. The score
+			// holds −1 − overlap meanwhile, a sentinel (real scores are
+			// clamped to [0, 1]) that keeps the overlap, so the row is read
+			// once.
+			out = append(out, Scored{ID: int(id), Score: -1 - overlap})
 			deferred = true
 			sig.Stats.BufferAccepts++
 			continue
@@ -88,7 +93,7 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 			continue
 		}
 		sig.Stats.Estimated++
-		if inter := ix.EstimateIntersection(sig, int(id)); inter >= theta {
+		if inter := overlap + ix.countedEstimate(sig, id, sc); inter >= theta {
 			est := inter / size
 			if est > 1 {
 				est = 1
@@ -108,7 +113,8 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 	if deferred {
 		for i := range out {
 			if out[i].Score < 0 {
-				out[i].Score = ix.EstimateContainment(sig, out[i].ID)
+				overlap := -1 - out[i].Score
+				out[i].Score = min((overlap+ix.countedEstimate(sig, int32(out[i].ID), sc))/size, 1)
 				sig.Stats.Estimated++
 			}
 		}

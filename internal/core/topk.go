@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"gbkmv/internal/dataset"
-	"gbkmv/internal/gkmv"
 	"gbkmv/internal/topkheap"
 )
 
@@ -98,7 +97,7 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) topkheap.H
 			continue
 		}
 		sig.Stats.Estimated++
-		if est := min((exact+gkmv.IntersectViews(sig.sketch, ix.arena.view(int(id))).DInter)/size, 1); est > 0 {
+		if est := min((exact+ix.countedEstimate(sig, id, sc))/size, 1); est > 0 {
 			h.Push(int(id), est)
 		}
 	}

@@ -83,8 +83,8 @@ func plainUnionStats(a, b []uint32) (k, kInter int, top uint32) {
 
 // FuzzIntersectViews cross-checks the branch-free merge behind
 // IntersectViews against a naive map-based multiset oracle and against the
-// plain three-way merge, over arbitrary ascending key runs and completeness
-// flags. CI runs this briefly (-fuzz FuzzIntersectViews -fuzztime 15s) on
+// plain three-way merge, and Estimate from the oracle's K∩ against
+// IntersectViews, over arbitrary ascending key runs and completeness flags. CI runs this briefly (-fuzz FuzzIntersectViews -fuzztime 15s) on
 // every push.
 func FuzzIntersectViews(f *testing.F) {
 	f.Add([]byte{}, []byte{}, false, false)
@@ -101,6 +101,10 @@ func FuzzIntersectViews(f *testing.F) {
 		k, kInter, top := multisetStats(a, b)
 		if got.K != k || got.KInter != kInter {
 			t.Fatalf("K=%d KInter=%d, oracle K=%d KInter=%d", got.K, got.KInter, k, kInter)
+		}
+		// The closed form from a K∩ counted elsewhere is the merge's to the bit.
+		if uk, du, di := Estimate(MakeView(a, compA), MakeView(b, compB), kInter); uk != got.UK || du != got.DUnion || di != got.DInter {
+			t.Fatalf("Estimate from K∩=%d: U(k)=%v D̂∪=%v D̂∩=%v, IntersectViews %+v", kInter, uk, du, di, got)
 		}
 		if pk, pInter, pTop := plainUnionStats(a, b); pk != k || pInter != kInter || pTop != top {
 			t.Fatalf("plain merge K=%d KInter=%d top=%d, oracle %d %d %d", pk, pInter, pTop, k, kInter, top)

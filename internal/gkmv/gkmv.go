@@ -86,24 +86,43 @@ type Intersection struct {
 }
 
 // IntersectViews estimates |A ∩ B| with the G-KMV estimator (Equations
-// 24–25), run directly on two ascending key runs.
+// 24–25), run directly on two ascending key runs: the merge counts K∩, and
+// Estimate does the rest.
 func IntersectViews(a, b View) Intersection {
-	k, kInter, top := unionStats(a.keys, b.keys)
-	res := Intersection{K: k, KInter: kInter}
-	if k > 0 {
-		res.UK = hash.KeyUnit(top)
-	}
-	if a.complete && b.complete {
-		res.Exact = true
-		res.DUnion = float64(k)
-		res.DInter = float64(kInter)
-		return res
-	}
-	if k >= 2 {
-		res.DUnion = float64(k-1) / res.UK
-		res.DInter = float64(kInter) / float64(k) * res.DUnion
-	}
+	k, kInter, _ := unionStats(a.keys, b.keys)
+	res := Intersection{K: k, KInter: kInter, Exact: a.complete && b.complete}
+	res.UK, res.DUnion, res.DInter = Estimate(a, b, kInter)
 	return res
+}
+
+// Estimate is the closed form of Equations 24–25 given K∩, returning U(k),
+// D̂∪ and D̂∩: everything else it reads of the two runs — their lengths, their
+// largest keys and their completeness — is O(1), since k = |L_A| + |L_B| − K∩
+// and U(k) is the larger of the two last keys. A caller that has counted K∩
+// some other way (the core search counts it on the inverted lists while
+// finding its candidates) scores a pair without merging it, and gets
+// IntersectViews' figures to the bit for the same K∩.
+func Estimate(a, b View, kInter int) (uk, dUnion, dInter float64) {
+	k := len(a.keys) + len(b.keys) - kInter
+	if k > 0 {
+		uk = hash.KeyUnit(max(last(a.keys), last(b.keys)))
+	}
+	switch {
+	case a.complete && b.complete:
+		return uk, float64(k), float64(kInter)
+	case k < 2:
+		return uk, 0, 0
+	}
+	dUnion = float64(k-1) / uk
+	return uk, dUnion, float64(kInter) / float64(k) * dUnion
+}
+
+// last returns a run's largest key, 0 for an empty run.
+func last(run []uint32) uint32 {
+	if len(run) == 0 {
+		return 0
+	}
+	return run[len(run)-1]
 }
 
 // unionStats merges two ascending key runs, returning the union size, the
@@ -123,13 +142,7 @@ func unionStats(a, b []uint32) (k, kInter int, top uint32) {
 		i += b2i(x <= y)
 		j += b2i(y <= x)
 	}
-	if len(a) > 0 {
-		top = a[len(a)-1]
-	}
-	if len(b) > 0 {
-		top = max(top, b[len(b)-1])
-	}
-	return len(a) + len(b) - kInter, kInter, top
+	return len(a) + len(b) - kInter, kInter, max(last(a), last(b))
 }
 
 // b2i is 1 for true and 0 for false; it inlines to a SETcc.

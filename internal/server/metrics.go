@@ -146,10 +146,10 @@ func newMetrics() *Metrics {
 		candTotal: r.CounterVec("gbkmv_search_candidates_total",
 			"Candidate records generated by searches.", "collection"),
 		prunedTotal: r.CounterVec("gbkmv_search_pruned_total",
-			"Candidates dismissed by the upper-bound prune without a sketch merge.",
+			"Candidates dismissed by the upper-bound prune without an estimate.",
 			"collection"),
 		estTotal: r.CounterVec("gbkmv_search_estimated_total",
-			"Full sketch-merge estimates computed by searches.", "collection"),
+			"Sketch estimates computed by searches.", "collection"),
 		bufferAccepts: r.CounterVec("gbkmv_search_buffer_accepts_total",
 			"Hits settled by the exact frequent-element buffer alone.", "collection"),
 		fencing: r.CounterVec("gbkmv_repl_fencing_rejections_total",

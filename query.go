@@ -127,10 +127,10 @@ func (q *Query) EstimateWithError(i int) (est, stderr float64) {
 }
 
 // QueryStats counts the work one search performed: candidates generated,
-// candidates dismissed by the upper-bound prune without paying a sketch
-// merge, full estimates computed, and hits settled by the exact buffer part
-// alone. These are the observables behind the paper's accuracy/space/latency
-// trade-off — the buffer and budget knobs move exactly these numbers.
+// candidates dismissed by the upper-bound prune without an estimate,
+// estimates computed, and hits settled by the exact buffer part alone. These
+// are the observables behind the paper's accuracy/space/latency trade-off —
+// the buffer and budget knobs move exactly these numbers.
 type QueryStats = core.QueryStats
 
 // QueryStats returns the work counters of the most recent Search,

@@ -4,6 +4,7 @@
 #   scripts/profile-serve.sh serve-read [seed]        allocation and CPU profiles of the busiest 3 s
 #   scripts/profile-serve.sh serve-read [seed] phase  what the whole main phase allocated
 #   scripts/profile-serve.sh serve-read [seed] rss    what set rss_mb, and when
+#   scripts/profile-serve.sh serve-read [seed] setup  CPU profile of the set-up that setup_s times
 #
 # Builds what bench/run.sh builds, where it builds it (.bench_build/), and
 # runs the workload with a two-line wrapper in gbkmvd's place that adds
@@ -46,12 +47,24 @@
 # their stage, the gctrace lines around the last one, and the steady-state
 # VmRSS (the median over the main stage). rss_mb is VmHWM as the main phase ends: a last rise
 # above it happened in a probe.
+#
+# With setup every daemon gets one CPU profile, from its first answer until
+# it has answered the 4 096 searches and top-ks of the warm-up pass: gbkmvd's
+# /debug/pprof/profile?until=stop, ended by /debug/pprof/profile/stop when a
+# read of /metrics (every 20 ms) shows the warm-up answered. That is the
+# set-up setup_s times — daemon start, PUT, warm-up — which lasts about a
+# second, and whose daemon, but for the last, is killed the moment it ends:
+# the 3 s windows miss it. The profile of the last set-up daemon (the last
+# that answered a PUT and the warm-up, and so lived on into the main phase) is
+# printed with `go tool pprof -top -cum`, with the requests answered as it
+# started and stopped; the earlier set-up daemons' profiles are lost with
+# them, or left in .bench_build/profile/ when the stop won the race.
 set -euo pipefail
-usage="usage: scripts/profile-serve.sh <serve-read|serve-write|serve-mixed> [seed] [phase|rss]"
+usage="usage: scripts/profile-serve.sh <serve-read|serve-write|serve-mixed> [seed] [phase|rss|setup]"
 workload=${1:?$usage}
 seed=${2:-1}
 mode=${3:-profile}
-[ "$mode" = profile ] || [ "$mode" = phase ] || [ "$mode" = rss ] || { echo "$usage" >&2; exit 2; }
+case "$mode" in profile | phase | rss | setup) ;; *) echo "$usage" >&2; exit 2 ;; esac
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 build="$root/.bench_build"
 out="$build/profile"
@@ -90,7 +103,7 @@ warm=4096 # bench/serve.go's warm-up pass
 # requests <addr>: how many requests that daemon has answered so far, how
 # many of the workload's main-phase kind, and how many of the workload's kinds.
 main_kind='/(search|topk)"'
-[ "$workload" = serve-write ] && main_kind='/records"'
+[ "$workload" = serve-write ] && [ "$mode" != setup ] && main_kind='/records"'
 requests() {
 	curl -sf --max-time 2 "http://$1/metrics" | awk -v kind="$main_kind" '
 		/^gbkmv_http_requests_total/ { n += $NF; if ($0 ~ kind) m += $NF; if ($0 ~ /\/(search|topk|records|snapshot)"/) w += $NF }
@@ -193,6 +206,50 @@ if [ "$mode" = phase ]; then
 	echo
 	echo "== the scrapes' own share (-focus in place of -ignore) =="
 	diff -nodecount=6 -focus "$scraper"
+	exit 0
+fi
+
+if [ "$mode" = setup ]; then
+	# profiles: daemon, profile, curl exit, then all requests, searches +
+	# top-ks and PUTs answered as it started and as it stopped.
+	n=0
+	seen=0
+	while kill -0 "$bench" 2> /dev/null; do
+		[ "$(wc -l < "$out/daemons")" -gt "$seen" ] || { sleep 0.005; continue; }
+		seen=$(wc -l < "$out/daemons")
+		addr=$(tail -n 1 "$out/daemons" | cut -d " " -f 1)
+		# The API port's first answer is the start: the debug port comes
+		# up with it.
+		until before=$(requests "$addr") && [ -n "$before" ]; do
+			kill -0 "$bench" 2> /dev/null || break 2
+			sleep 0.005
+		done
+		n=$((n + 1))
+		curl -sf --max-time 120 -o "$out/cpu.$n" "http://127.0.0.1:$port/debug/pprof/profile?until=stop" &
+		profile=$!
+		after=$before
+		while kill -0 "$bench" 2> /dev/null && [ "$(wc -l < "$out/daemons")" -eq "$seen" ]; do
+			sleep 0.02
+			after=$(requests "$addr") && [ -n "$after" ] || { after=$before; break; }
+			read -r _ queries _ <<< "$after"
+			[ "$queries" -ge "$warm" ] && break
+		done
+		curl -sf --max-time 2 "http://127.0.0.1:$port/debug/pprof/profile/stop" || true
+		ok=0
+		wait "$profile" || ok=$?
+		puts=$(curl -sf --max-time 2 "http://$addr/metrics" | awk '/^gbkmv_http_requests_total\{endpoint="PUT / { n += $NF } END { print n + 0 }') || puts=0
+		echo "$addr $n $ok $before $after $puts" >> "$out/profiles"
+	done
+	wait "$bench" || { echo "the benchmark run failed; see above" >&2; exit 1; }
+	# The last set-up daemon: the last one that was built (a PUT) and whose
+	# profile came back with the warm-up answered.
+	read -r addr n _ all0 queries0 _ all1 queries1 _ _ < <(awk -v warm="$warm" '$3 == 0 && $10 > 0 && $8 >= warm' "$out/profiles" | tail -n 1) ||
+		{ echo "no set-up daemon's profile came back; see $out/profiles" >&2; exit 1; }
+	echo "== $workload, seed $seed: the last set-up daemon, $addr, profiled from $all0 requests answered to $all1, searches + top-ks $queries0 to $queries1 =="
+	echo "== result: $(cat "$out/result.json")"
+	echo
+	echo "== set-up CPU (go tool pprof -top -cum $build/bin/gbkmvd $out/cpu.$n) =="
+	go tool pprof -top -cum -nodecount=60 "$build/bin/gbkmvd" "$out/cpu.$n" 2> /dev/null
 	exit 0
 fi
 
