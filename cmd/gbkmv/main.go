@@ -1,7 +1,7 @@
 // Command gbkmv builds a containment-search sketch over a line-oriented set
-// file and answers containment similarity queries against it, with the
-// sketch backend selected by -engine (GB-KMV by default, or any registered
-// baseline: gkmv, kmv, minhash, lshforest, lshensemble, exact).
+// file in memory and answers containment similarity queries against it, with
+// the sketch backend selected by -engine (GB-KMV by default, or any
+// registered baseline: gkmv, kmv, minhash, lshforest, lshensemble, exact).
 //
 // Input format: one record per line, whitespace-separated tokens, e.g.
 //
@@ -106,14 +106,18 @@ func main() {
 			fmt.Println(err)
 			return
 		}
-		hits := q.Search(*tstar)
-		fmt.Printf("%d records with estimated C(Q, X) ≥ %.2f\n", len(hits), *tstar)
-		for i, id := range hits {
-			if i >= *maxShow {
-				fmt.Printf("... and %d more\n", len(hits)-*maxShow)
-				break
-			}
-			fmt.Printf("  #%-6d est=%.3f  %s\n", id, q.Estimate(id), truncate(lines[id], 70))
+		// Each hit prints the estimate that admitted it. A limit of 0 is no
+		// limit to SearchScored, and no hits to -max.
+		hits, total := q.SearchScored(*tstar, *maxShow)
+		fmt.Printf("%d records with estimated C(Q, X) ≥ %.2f\n", total, *tstar)
+		if *maxShow <= 0 {
+			hits = nil
+		}
+		for _, h := range hits {
+			fmt.Printf("  #%-6d est=%.3f  %s\n", h.ID, h.Score, truncate(lines[h.ID], 70))
+		}
+		if total > len(hits) {
+			fmt.Printf("... and %d more\n", total-len(hits))
 		}
 	}
 

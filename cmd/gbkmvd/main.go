@@ -1,14 +1,17 @@
 // Command gbkmvd serves containment similarity search over multiple named
 // sketch collections through an HTTP JSON API.
 //
-// Each collection is backed by a pluggable sketch engine — GB-KMV by
-// default, or any registered backend (gkmv, kmv, minhash, lshforest,
-// lshensemble, exact) named per build via options.engine. Collections are
-// built from posted records or server-side files, searched concurrently, extended with journaled dynamic inserts, and
-// snapshotted to the data directory — on demand, and on graceful shutdown.
-// On startup every collection found in the data directory is reloaded from
-// its latest snapshot (tagged with the engine that wrote it) with the insert
-// journal replayed on top, so dynamic inserts survive restarts.
+// Each collection is a GB-KMV index, the paper's sketch: a build's
+// options.engine may only say "gbkmv", and the G-KMV sketch is
+// "buffer_bits": -1. (The baseline engines of the paper's evaluation are
+// built in memory by the library and the experiments, never served.)
+// Collections are built from posted records or server-side files, searched
+// concurrently, extended with journaled dynamic inserts, and snapshotted to
+// the data directory — on demand, and on graceful shutdown. On startup every
+// collection found in the data directory is reloaded from its latest
+// snapshot with the insert journal replayed on top, so dynamic inserts
+// survive restarts; a snapshot of another format, or of another engine, is
+// skipped with a message to rebuild the collection.
 //
 // Usage:
 //

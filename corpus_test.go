@@ -152,8 +152,8 @@ func TestUnsortedRecordRefused(t *testing.T) {
 		}
 		opt := EngineOptions{BudgetUnits: 64}
 		for entry, build := range map[string]func() (Engine, error){
-			"NewEngine":           func() (Engine, error) { return NewEngine("", records, opt) },
-			"NewEngineFromCorpus": func() (Engine, error) { return NewEngineFromCorpus("exact", corpus(), opt) },
+			"NewEngine":           func() (Engine, error) { return NewEngine("exact", records, opt) },
+			"NewEngineFromCorpus": func() (Engine, error) { return NewEngineFromCorpus(corpus(), opt) },
 		} {
 			if _, err := build(); err == nil || err.Error() != want {
 				t.Errorf("%s, %s: %v, want %q", tc.name, entry, err, want)

@@ -2,19 +2,18 @@ package gbkmv
 
 import (
 	"fmt"
-	"io"
 
 	"gbkmv/internal/minhash"
-	"gbkmv/internal/snapfmt"
 	"gbkmv/internal/topkheap"
 )
 
 // A baseline engine — every registered engine but gbkmv and gkmv — retains
 // the record collection, derives all signature state deterministically from
-// (records, resolved options), and answers from a per-query signature. What
-// differs between baselines is the six decisions of backend; everything else
-// (id bookkeeping, the result walk, top-k selection, prepared queries, the
-// snapshot payload) is baseline and baselineQuery, written once.
+// (records, resolved options), and answers from a per-query signature. It
+// lives in memory only: built, grown and searched, never saved. What differs
+// between baselines is the six decisions of backend; everything else (id
+// bookkeeping, the result walk, top-k selection, prepared queries) is
+// baseline and baselineQuery, written once.
 
 // backend is what one baseline decides. A sig is the backend's own query
 // signature, built by sign and treated as immutable; qSize is the |Q| in
@@ -62,50 +61,35 @@ func (s *signatures) estimate(sig any, qSize, i int) float64 {
 // baseline implements Engine over a backend.
 type baseline struct {
 	name    string
-	opt     EngineOptions // resolved (see engineEntry): what Save stores and a load rebuilds from
 	records []Record
 	backend
 }
 
-// registerBaseline registers a baseline engine: open builds the empty
-// backend under resolved options, and the records arrive through add — on
-// build, on load (the payload is options and records; signatures are
-// deterministic in them, so a load rebuilds through NewEngineFromCorpus) and
-// on insert.
+// registerBaseline registers a baseline engine. resolve, when not nil,
+// makes the engine's data-dependent option defaults explicit against the
+// collection they are derived from, m records of n element occurrences in all
+// (kmv's k = budget/m); inserts keep them as built. open builds the empty
+// backend under the resolved options, and the records arrive through add —
+// on build and on insert.
 func registerBaseline(name string, resolve func(m, n int, opt EngineOptions) EngineOptions, open func(EngineOptions) (backend, error)) {
-	register(name, engineEntry{
-		resolve: resolve,
-		build: func(c *Corpus, opt EngineOptions) (Engine, error) {
-			b, err := open(opt)
-			if err != nil {
-				return nil, err
-			}
-			recs := c.take()
-			records := recs.All()
-			if err := b.add(records, 0); err != nil {
-				return nil, err
-			}
-			return &baseline{name: name, opt: opt, records: records, backend: b}, nil
-		},
-		parse: func(r *snapfmt.Reader) (func() (Engine, error), error) {
-			opt := readEngineOptions(r)
-			c := &Corpus{recs: r.Packed()}
-			if r.Err() == nil && c.Len() == 0 {
-				r.Corrupt("engine has no records")
-			}
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			return func() (Engine, error) { return NewEngineFromCorpus(name, c, opt) }, nil
-		},
+	register(name, func(c *Corpus, opt EngineOptions) (Engine, error) {
+		if resolve != nil {
+			opt = resolve(c.Len(), c.Elements(), opt)
+		}
+		b, err := open(opt)
+		if err != nil {
+			return nil, err
+		}
+		recs := c.take()
+		records := recs.All()
+		if err := b.add(records, 0); err != nil {
+			return nil, err
+		}
+		return &baseline{name: name, records: records, backend: b}, nil
 	})
 }
 
-func (e *baseline) EngineName() string  { return e.name }
-func (e *baseline) Len() int            { return len(e.records) }
-func (e *baseline) Record(i int) Record { return e.records[i] }
-
-func (e *baseline) Add(r Record) int { return e.AddBatch([]Record{r})[0] }
+func (e *baseline) Len() int { return len(e.records) }
 
 // AddBatch appends copies of the records (one array a batch) under the
 // options resolved at build time (nothing is re-derived from the grown
@@ -136,11 +120,14 @@ func idRange(from, n int) []int {
 	return ids
 }
 
-func (e *baseline) Search(q Record, threshold float64) []int { return e.prepare(q).Search(threshold) }
-func (e *baseline) SearchTopK(q Record, k int) []Scored      { return e.prepare(q).TopK(k) }
-func (e *baseline) Estimate(q Record, i int) float64         { return e.prepare(q).Estimate(i) }
-func (e *baseline) PrepareQuery(q Record) PreparedQuery      { return e.prepare(q) }
+func (e *baseline) Search(q Record, threshold float64) []int {
+	ids := []int{}
+	e.prepare(q).walk(threshold, 0, false, func(id int, _ float64) { ids = append(ids, id) })
+	return ids
+}
 
+func (e *baseline) SearchTopK(q Record, k int) []Scored { return e.prepare(q).TopK(k) }
+func (e *baseline) PrepareQuery(q Record) PreparedQuery { return e.prepare(q) }
 func (e *baseline) prepare(q Record) *baselineQuery {
 	return &baselineQuery{e: e, sig: e.sign(q), size: len(q)}
 }
@@ -151,55 +138,20 @@ func (e *baseline) EngineStats() EngineStats {
 	return st
 }
 
-// BuildCounters is zero: no baseline counts its write-path work.
-func (e *baseline) BuildCounters() (elementsHashed, shrinks uint64) { return 0, 0 }
-
-// Save writes the resolved options and the records. Resolved, because the
-// data-dependent defaults (kmv's k, minhash's signature length) come from the
-// collection as it was built and inserts do not re-derive them: a load that
-// derived them from the grown records would build other sketches than the
-// ones that answered before the snapshot.
-func (e *baseline) Save(w io.Writer) error {
-	sw := snapfmt.NewWriter(w)
-	writeEngineOptions(sw, e.opt)
-	sw.Records(e.records)
-	return sw.Flush()
-}
-
 // baselineQuery implements PreparedQuery for every baseline: the signature
-// is shared (immutable), only the size override is per-instance state, so
-// Clone is a struct copy.
+// (immutable) and the |Q| in force.
 type baselineQuery struct {
 	e    *baseline
 	sig  any
 	size int
 }
 
-func (p *baselineQuery) Size() int              { return p.size }
-func (p *baselineQuery) SetSize(n int)          { p.size = n }
-func (p *baselineQuery) Estimate(i int) float64 { return p.e.estimate(p.sig, p.size, i) }
-
-// QueryStats is zero: no baseline counts its search work.
-func (p *baselineQuery) QueryStats() QueryStats { return QueryStats{} }
-
-func (p *baselineQuery) Clone() PreparedQuery {
-	cp := *p
-	return &cp
-}
-
-func (p *baselineQuery) Search(threshold float64) []int {
-	ids := []int{}
-	p.walk(threshold, 0, false, func(id int, _ float64) { ids = append(ids, id) })
-	return ids
-}
+func (p *baselineQuery) SetSize(n int) { p.size = n }
 
 func (p *baselineQuery) SearchScored(threshold float64, limit int) ([]Scored, int) {
-	return p.AppendSearchScored([]Scored{}, threshold, limit)
-}
-
-func (p *baselineQuery) AppendSearchScored(dst []Scored, threshold float64, limit int) ([]Scored, int) {
-	total := p.walk(threshold, limit, true, func(id int, s float64) { dst = append(dst, Scored{ID: id, Score: s}) })
-	return dst, total
+	hits := []Scored{}
+	total := p.walk(threshold, limit, true, func(id int, s float64) { hits = append(hits, Scored{ID: id, Score: s}) })
+	return hits, total
 }
 
 // walk is the one result walk behind Search and SearchScored: it hands emit
@@ -235,14 +187,12 @@ func (p *baselineQuery) walk(threshold float64, limit int, score bool, emit func
 	return total
 }
 
-func (p *baselineQuery) TopK(k int) []Scored { return p.AppendTopK(nil, k) }
-
-// AppendTopK scores the backend's top-k candidates, drops zero estimates, and
+// TopK scores the backend's top-k candidates, drops zero estimates, and
 // selects through the bounded heap the GB-KMV index's top-k uses: best first,
 // ties by ascending id, O(n log k).
-func (p *baselineQuery) AppendTopK(dst []Scored, k int) []Scored {
+func (p *baselineQuery) TopK(k int) []Scored {
 	if k <= 0 {
-		return dst
+		return nil
 	}
 	cands, all := p.e.topkCandidates(p.sig, p.size)
 	n := len(cands)
@@ -259,7 +209,7 @@ func (p *baselineQuery) AppendTopK(dst []Scored, k int) []Scored {
 			h.Push(id, s)
 		}
 	}
-	return h.AppendSorted(dst)
+	return h.AppendSorted(nil)
 }
 
 // clamp01 clamps a containment estimate into [0, 1].
@@ -288,17 +238,16 @@ func totalElements(records []Record) int {
 	return n
 }
 
-// maxSignatureOption bounds the options that size a MinHash-family
-// signature or index (NumHashes, NumPartitions, MaxBands): an order of
-// magnitude beyond any useful value (derived signature lengths stop at 512),
-// small enough that a damaged snapshot cannot turn one into an allocation or
-// an hour of signing.
+// maxSignatureOption bounds NumHashes where it sizes a MinHash-family
+// signature: an order of magnitude beyond any useful value (derived signature
+// lengths stop at 512), small enough that it cannot turn into an allocation
+// or an hour of signing.
 const maxSignatureOption = 1 << 12
 
-// validate rejects options no engine can be built under. NewEngine and the
-// snapshot loaders share it. It puts no ceiling on NumHashes: the kmv engine
-// derives k = budget/m without one and saves the resolved k, and there k is
-// only a capacity (a sketch holds min(k, |r|) values). The engines that sign
+// validate rejects options no engine can be built under; NewEngine and
+// NewEngineFromCorpus check them. It puts no ceiling on NumHashes: the kmv
+// engine derives k = budget/m without one, and there k is only a capacity (a
+// sketch holds min(k, |r|) values). The engines that sign
 // with NumHashes bound it themselves, in checkSignatureLen.
 func (o EngineOptions) validate() error {
 	switch {
@@ -310,47 +259,16 @@ func (o EngineOptions) validate() error {
 		return fmt.Errorf("gbkmv: invalid BufferBits %d", o.BufferBits)
 	case o.NumHashes < 0:
 		return fmt.Errorf("gbkmv: negative NumHashes %d", o.NumHashes)
-	case min(o.NumPartitions, o.MaxBands) < 0, max(o.NumPartitions, o.MaxBands) > maxSignatureOption:
-		return fmt.Errorf("gbkmv: NumPartitions and MaxBands must lie in [0, %d]", maxSignatureOption)
 	}
 	return nil
 }
 
 // checkSignatureLen is the first thing the builders of the signing engines
 // (minhash, lshforest, lshensemble) do: NumHashes sizes their hash family and
-// one signature per record. Loads rebuild through the same builders, so
-// whatever builds also reloads.
+// one signature per record.
 func (o EngineOptions) checkSignatureLen() error {
 	if o.NumHashes > maxSignatureOption {
 		return fmt.Errorf("gbkmv: NumHashes %d above %d", o.NumHashes, maxSignatureOption)
 	}
 	return nil
-}
-
-// writeEngineOptions writes the options block of the rebuild-on-load
-// payload.
-func writeEngineOptions(w *snapfmt.Writer, o EngineOptions) {
-	w.Float64(o.BudgetFraction)
-	w.Int(o.BudgetUnits)
-	w.Varint(int64(o.BufferBits))
-	w.Uint64(o.Seed)
-	w.Int(o.NumHashes)
-	w.Int(o.NumPartitions)
-	w.Int(o.MaxBands)
-}
-
-func readEngineOptions(r *snapfmt.Reader) EngineOptions {
-	o := EngineOptions{
-		BudgetFraction: r.Float64(),
-		BudgetUnits:    r.Int(),
-		BufferBits:     int(r.Varint()),
-		Seed:           r.Uint64(),
-		NumHashes:      r.Int(),
-		NumPartitions:  r.Int(),
-		MaxBands:       r.Int(),
-	}
-	if err := o.validate(); err != nil && r.Err() == nil {
-		r.Corrupt("%v", err)
-	}
-	return o
 }

@@ -20,12 +20,7 @@ func init() {
 		if err := opt.checkSignatureLen(); err != nil {
 			return nil, err
 		}
-		return &lshensembleBackend{opt: lshensemble.Options{
-			NumHashes:     opt.NumHashes,
-			NumPartitions: opt.NumPartitions,
-			MaxBands:      opt.MaxBands,
-			Seed:          opt.Seed,
-		}}, nil
+		return &lshensembleBackend{opt: lshensemble.Options{NumHashes: opt.NumHashes, Seed: opt.Seed}}, nil
 	})
 }
 

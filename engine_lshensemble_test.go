@@ -45,12 +45,12 @@ func TestLSHEnsembleSignsEachRecordOnce(t *testing.T) {
 	if got := signed(); got != 3 || len(b.sigs) != 53 {
 		t.Errorf("a batch of 3 signed %d records (%d signatures kept)", got, len(b.sigs))
 	}
-	e.Add(rec(53))
+	e.AddBatch([]Record{rec(53)})
 	if got := signed(); got != 1 || len(b.sigs) != 54 {
 		t.Errorf("an insert of 1 signed %d records (%d signatures kept)", got, len(b.sigs))
 	}
 	for i, sig := range b.sigs {
-		if &sig[0] != &b.ens.Signatures()[i][0] || !slices.Equal(sig, b.ens.Sign(e.Record(i))) {
+		if &sig[0] != &b.ens.Signatures()[i][0] || !slices.Equal(sig, b.ens.Sign(e.(*baseline).records[i])) {
 			t.Fatalf("record %d: the engine's signature is not the one the ensemble indexed", i)
 		}
 	}

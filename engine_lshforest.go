@@ -23,10 +23,7 @@ func init() {
 		if err := opt.checkSignatureLen(); err != nil {
 			return nil, err
 		}
-		l := opt.MaxBands
-		if l <= 0 {
-			l = 32
-		}
+		const l = 32 // trees
 		numHashes := opt.NumHashes
 		if numHashes <= 0 {
 			numHashes = 128

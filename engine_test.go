@@ -2,10 +2,13 @@ package gbkmv_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -95,8 +98,8 @@ func TestNewEngineErrors(t *testing.T) {
 	}
 	if e, err := gbkmv.NewEngine("", []gbkmv.Record{{1, 2, 3}}, gbkmv.EngineOptions{BudgetUnits: 16}); err != nil {
 		t.Errorf("empty name: %v", err)
-	} else if e.EngineName() != gbkmv.DefaultEngine {
-		t.Errorf("empty name resolved to %q", e.EngineName())
+	} else if name := e.EngineStats().Engine; name != gbkmv.DefaultEngine {
+		t.Errorf("empty name resolved to %q", name)
 	}
 }
 
@@ -187,11 +190,24 @@ func TestCrossEngineTopKRecall(t *testing.T) {
 	}
 }
 
+// scoresAt0 maps every record a threshold-0 scored search returns to its
+// score: the one estimate per record a prepared query reports.
+func scoresAt0(pq gbkmv.PreparedQuery) map[int]float64 {
+	hits, _ := pq.SearchScored(0, 0)
+	out := make(map[int]float64, len(hits))
+	for _, h := range hits {
+		out[h.ID] = h.Score
+	}
+	return out
+}
+
 // TestCrossEngineTopK asserts that for every engine the top-k list is
-// ordered, bounded by k, consistent with Estimate, and that for a query that
-// is an indexed record, the record itself makes the list (its containment is
+// ordered, bounded by k, scored as the scored search scores the same records
+// (and, on the GB-KMV index, as Estimate does), and that for a query that is
+// an indexed record, the record itself makes the list (its containment is
 // exactly 1 under every estimator, exact or sketch-based, because identical
-// sets share identical signatures).
+// sets share identical signatures). LSH-E's threshold-0 search is its
+// candidate set, which need not hold every top-k candidate.
 func TestCrossEngineTopK(t *testing.T) {
 	records, _ := engineCorpus(t, 300)
 	for _, name := range gbkmv.Engines() {
@@ -203,13 +219,19 @@ func TestCrossEngineTopK(t *testing.T) {
 			if len(top) == 0 || len(top) > 10 {
 				t.Fatalf("topk returned %d hits", len(top))
 			}
+			scores := scoresAt0(e.PrepareQuery(q))
 			foundSelf := false
 			for i, s := range top {
 				if i > 0 && top[i-1].Score < s.Score {
 					t.Errorf("topk not sorted at %d: %.4f < %.4f", i, top[i-1].Score, s.Score)
 				}
-				if got := e.Estimate(q, s.ID); got != s.Score {
-					t.Errorf("topk score %.4f disagrees with Estimate %.4f for id %d", s.Score, got, s.ID)
+				if got, ok := scores[s.ID]; (ok || name != "lshensemble") && got != s.Score {
+					t.Errorf("topk score %.4f disagrees with the scored search's %.4f for id %d", s.Score, got, s.ID)
+				}
+				if ix, ok := e.(*gbkmv.Index); ok {
+					if got := ix.Estimate(q, s.ID); got != s.Score {
+						t.Errorf("topk score %.4f disagrees with Estimate %.4f for id %d", s.Score, got, s.ID)
+					}
 				}
 				foundSelf = foundSelf || s.ID == self
 			}
@@ -220,13 +242,12 @@ func TestCrossEngineTopK(t *testing.T) {
 	}
 }
 
-// TestCrossEngineSaveLoad round-trips every engine through the header-tagged
-// SaveEngine/LoadEngine and asserts identical post-load search results —
-// the property the server's snapshot/reload cycle depends on. The engine is
-// built on part of the corpus and grown by AddBatch before saving, so the
-// round-trip must reproduce the *resolved* build parameters (sketch sizes
-// derived from the original collection), not re-derive them from the grown
-// one.
+// TestCrossEngineSaveLoad: GB-KMV round-trips through SaveEngine/LoadEngine
+// with identical post-load search results — the property the server's
+// snapshot/reload cycle depends on — after it was built on part of the
+// corpus and grown by AddBatch, so that the round trip reproduces the build
+// parameters rather than re-deriving them from the grown collection. Every
+// other engine lives in memory only: SaveEngine refuses it, naming it.
 func TestCrossEngineSaveLoad(t *testing.T) {
 	records, queries := engineCorpus(t, 250)
 	for _, name := range gbkmv.Engines() {
@@ -234,7 +255,14 @@ func TestCrossEngineSaveLoad(t *testing.T) {
 			e := buildEngine(t, name, records[:200])
 			e.AddBatch(records[200:])
 			var buf bytes.Buffer
-			if err := gbkmv.SaveEngine(&buf, e); err != nil {
+			err := gbkmv.SaveEngine(&buf, e)
+			if name != gbkmv.DefaultEngine {
+				if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
+					t.Fatalf("SaveEngine(%s) = %v, want a refusal naming the engine", name, err)
+				}
+				return
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			e2, err := gbkmv.LoadEngine(&buf)
@@ -278,7 +306,8 @@ func TestCrossEngineAdd(t *testing.T) {
 			}
 			// Wherever the original ranks for its own query, the duplicate
 			// must rank equally: identical signature, identical estimate.
-			if got, want := e.Estimate(extra[0], 150), e.Estimate(extra[0], 3); got != want {
+			scores := scoresAt0(e.PrepareQuery(extra[0]))
+			if got, want := scores[150], scores[3]; got != want {
 				t.Errorf("duplicate estimates %.4f, original %.4f", got, want)
 			}
 			hits := e.Search(extra[0], 0.5)
@@ -295,8 +324,8 @@ func TestCrossEngineAdd(t *testing.T) {
 }
 
 // TestCrossEnginePreparedQuery exercises the PreparedQuery contract on every
-// engine: prepared results match direct calls, SetSize rescales estimates,
-// and clones are independent.
+// engine: prepared results match direct calls, and SetSize rescales
+// estimates.
 func TestCrossEnginePreparedQuery(t *testing.T) {
 	records, queries := engineCorpus(t, 200)
 	q := queries[0]
@@ -304,43 +333,51 @@ func TestCrossEnginePreparedQuery(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := buildEngine(t, name, records)
 			pq := e.PrepareQuery(q)
-			if pq.Size() != len(q) {
-				t.Fatalf("Size = %d, want %d", pq.Size(), len(q))
-			}
-			if got, want := pq.Search(0.5), e.Search(q, 0.5); !reflect.DeepEqual(got, want) {
+			hits, _ := pq.SearchScored(0.5, 0)
+			if got, want := scoredIDs(hits), e.Search(q, 0.5); !reflect.DeepEqual(got, want) {
 				t.Errorf("prepared search %v != direct %v", got, want)
 			}
 			if got, want := pq.TopK(5), e.SearchTopK(q, 5); !reflect.DeepEqual(got, want) {
 				t.Errorf("prepared topk %v != direct %v", got, want)
 			}
-			if got, want := pq.Estimate(3), e.Estimate(q, 3); got != want {
-				t.Errorf("prepared estimate %.4f != direct %.4f", got, want)
-			}
 			// Growing |Q| must shrink every (nonzero, unclamped) estimate:
 			// exactly ∝ 1/|Q| for the intersection/|Q| estimators, and
 			// monotonically for the Jaccard-transformation family (where
 			// |Q| enters Equation 12 nonlinearly).
-			base := pq.Estimate(0)
-			clone := pq.Clone()
-			clone.SetSize(2 * len(q))
-			if pq.Size() != len(q) {
-				t.Errorf("SetSize on the clone leaked into the original (size %d)", pq.Size())
+			base := scoresAt0(pq)
+			grown := e.PrepareQuery(q)
+			grown.SetSize(2 * len(q))
+			if again := scoresAt0(pq); !reflect.DeepEqual(again, base) {
+				t.Errorf("SetSize on another prepared query moved this one's scores")
 			}
-			if base > 0 && base < 0.99 { // below any clamp
-				got := clone.Estimate(0)
+			halved := scoresAt0(grown)
+			for id, b := range base {
+				if !(b > 0 && b < 0.99) { // below any clamp
+					continue
+				}
+				got := halved[id]
 				switch name {
 				case "gbkmv", "gkmv", "kmv", "exact":
-					if got < base*0.49 || got > base*0.51 {
-						t.Errorf("estimate at 2|Q| = %.4f, want ≈ %.4f", got, base/2)
+					if got < b*0.49 || got > b*0.51 {
+						t.Errorf("record %d: estimate at 2|Q| = %.4f, want ≈ %.4f", id, got, b/2)
 					}
 				default:
-					if got >= base {
-						t.Errorf("estimate at 2|Q| = %.4f did not shrink from %.4f", got, base)
+					if got >= b {
+						t.Errorf("record %d: estimate at 2|Q| = %.4f did not shrink from %.4f", id, got, b)
 					}
 				}
 			}
 		})
 	}
+}
+
+// scoredIDs returns the ids of scored hits, in their order.
+func scoredIDs(hits []gbkmv.Scored) []int {
+	ids := make([]int, len(hits))
+	for i, h := range hits {
+		ids[i] = h.ID
+	}
+	return ids
 }
 
 // TestQueryCloneConcurrent hammers clones of one prepared query from many
@@ -397,7 +434,8 @@ func TestCrossEngineStats(t *testing.T) {
 }
 
 // TestPrepareTokensEngineGeneric: the free-function PrepareTokens applies
-// the unknown-token size correction identically on every engine.
+// the unknown-token size correction identically on every engine: it answers
+// as the query of the known tokens does at SetSize(distinct tokens).
 func TestPrepareTokensEngineGeneric(t *testing.T) {
 	voc := gbkmv.NewVocabulary()
 	records := []gbkmv.Record{
@@ -415,11 +453,18 @@ func TestPrepareTokensEngineGeneric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pq.Size() != 4 {
-				t.Fatalf("size = %d, want 4", pq.Size())
+			known := e.PrepareQuery(voc.Record([]string{"five", "guys"}))
+			known.SetSize(4)
+			if got, want := scoresAt0(pq), scoresAt0(known); !reflect.DeepEqual(got, want) {
+				t.Fatalf("PrepareTokens scores %v, the known tokens at |Q| = 4 %v", got, want)
 			}
-			if _, err := gbkmv.PrepareTokens(e, voc, nil); err == nil {
-				t.Error("empty query accepted")
+			if name == "exact" {
+				if got := scoresAt0(pq)[0]; got != 0.5 {
+					t.Fatalf("exact containment of the query in record 0 = %v, want 2/4", got)
+				}
+			}
+			if _, err := gbkmv.PrepareTokens(e, voc, nil); !errors.Is(err, gbkmv.ErrEmptyQuery) {
+				t.Errorf("empty query: %v", err)
 			}
 		})
 	}
@@ -443,20 +488,22 @@ func TestCrossEngineSearchSorted(t *testing.T) {
 // TestCrossEngineSearchScored pins every engine's scored search to its
 // decomposed reference: SearchScored(t*, limit) must return exactly the
 // Search(t*) ids (ascending, truncated at limit), report the full result
-// count as total, score each returned hit identically to Estimate, and
-// return no hit whose estimate is under the threshold. This is the contract the server's read path relies on when it stops
-// re-estimating returned hits.
+// count as total, score each returned hit as the unlimited search does — on
+// the GB-KMV index, as Estimate does — and return no hit whose estimate is
+// under the threshold. This is the contract the server's read path relies on
+// when it stops re-estimating returned hits.
 func TestCrossEngineSearchScored(t *testing.T) {
 	records, queries := engineCorpus(t, 250)
 	for _, name := range gbkmv.Engines() {
 		t.Run(name, func(t *testing.T) {
 			e := buildEngine(t, name, records)
+			ix, _ := e.(*gbkmv.Index)
 			for _, q := range queries[:6] {
-				pq := e.PrepareQuery(q)
 				for _, tstar := range []float64{0, 0.3, 0.7} {
 					ids := e.Search(q, tstar)
+					all, _ := e.PrepareQuery(q).SearchScored(tstar, 0)
 					for _, limit := range []int{0, 1, 5, len(ids)} {
-						hits, total := pq.Clone().SearchScored(tstar, limit)
+						hits, total := e.PrepareQuery(q).SearchScored(tstar, limit)
 						if total != len(ids) {
 							t.Fatalf("t*=%v limit=%d: total %d, want %d", tstar, limit, total, len(ids))
 						}
@@ -471,8 +518,13 @@ func TestCrossEngineSearchScored(t *testing.T) {
 							if h.ID != want[i] {
 								t.Fatalf("t*=%v limit=%d: hit %d id %d, want %d", tstar, limit, i, h.ID, want[i])
 							}
-							if est := e.Estimate(q, h.ID); h.Score != est {
-								t.Fatalf("t*=%v: id %d scored %v, Estimate %v", tstar, h.ID, h.Score, est)
+							if h != all[i] {
+								t.Fatalf("t*=%v limit=%d: id %d scored %v, %v without a limit", tstar, limit, h.ID, h.Score, all[i].Score)
+							}
+							if ix != nil {
+								if est := ix.Estimate(q, h.ID); h.Score != est {
+									t.Fatalf("t*=%v: id %d scored %v, Estimate %v", tstar, h.ID, h.Score, est)
+								}
 							}
 							// lshensemble returns its partitions' candidates
 							// unverified: that is LSH-E's design.
@@ -489,8 +541,9 @@ func TestCrossEngineSearchScored(t *testing.T) {
 
 // TestCrossEngineEmptyQuery: an empty query — prepared from no elements, or a
 // real one whose size was set to 0 — is contained in nothing, on every
-// engine: Estimate is 0, TopK is empty, and no threshold above 0 has a hit. (Search and Estimate used to contradict each other here:
-// gbkmv and gkmv returned every record, scored 0.)
+// engine: TopK is empty, no threshold above 0 has a hit, and on the GB-KMV
+// index Estimate is 0. (Search and Estimate used to contradict each other
+// here: gbkmv and gkmv returned every record, scored 0.)
 func TestCrossEngineEmptyQuery(t *testing.T) {
 	records, queries := engineCorpus(t, 120)
 	for _, name := range gbkmv.Engines() {
@@ -499,20 +552,21 @@ func TestCrossEngineEmptyQuery(t *testing.T) {
 		zeroed.SetSize(0)
 		for kind, pq := range map[string]gbkmv.PreparedQuery{"no elements": e.PrepareQuery(gbkmv.Record{}), "SetSize(0)": zeroed} {
 			label := name + "/" + kind
-			if pq.Size() != 0 {
-				t.Fatalf("%s: Size = %d", label, pq.Size())
-			}
-			for i := 0; i < e.Len(); i += 13 {
-				if est := pq.Estimate(i); est != 0 {
-					t.Errorf("%s: Estimate(%d) = %v", label, i, est)
+			if q, ok := pq.(*gbkmv.Query); ok {
+				for i := 0; i < e.Len(); i += 13 {
+					if est := q.Estimate(i); est != 0 {
+						t.Errorf("%s: Estimate(%d) = %v", label, i, est)
+					}
 				}
 			}
 			if top := pq.TopK(5); len(top) != 0 {
 				t.Errorf("%s: TopK = %v", label, top)
 			}
 			for _, tstar := range []float64{0.01, 0.5, 1} {
-				if ids := pq.Search(tstar); len(ids) != 0 {
-					t.Errorf("%s: Search(%v) returned %d records", label, tstar, len(ids))
+				if kind == "no elements" {
+					if ids := e.Search(gbkmv.Record{}, tstar); len(ids) != 0 {
+						t.Errorf("%s: Search(%v) returned %d records", label, tstar, len(ids))
+					}
 				}
 				if hits, total := pq.SearchScored(tstar, 0); len(hits) != 0 || total != 0 {
 					t.Errorf("%s: SearchScored(%v, 0) = %d hits, total %d", label, tstar, len(hits), total)
@@ -522,29 +576,33 @@ func TestCrossEngineEmptyQuery(t *testing.T) {
 	}
 }
 
-// TestAppendForms: on every engine, AppendSearchScored and AppendTopK leave
-// what dst held alone and append exactly what SearchScored and TopK return.
-// With room in dst they allocate nothing on gbkmv.
+// TestAppendForms: on the GB-KMV index, with and without its buffer,
+// AppendSearchScored and AppendTopK leave what dst held alone and append
+// exactly what SearchScored and TopK return. With room in dst they allocate
+// nothing.
 func TestAppendForms(t *testing.T) {
 	records, queries := engineCorpus(t, 250)
 	marker := gbkmv.Scored{ID: -7, Score: 7}
-	for _, name := range gbkmv.Engines() {
-		e := buildEngine(t, name, records)
+	for _, opt := range []gbkmv.Options{{BudgetFraction: 0.3, Seed: 42}, {BudgetFraction: 0.3, BufferBits: gbkmv.NoBuffer, Seed: 42}} {
+		ix, err := gbkmv.Build(records, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for qi, q := range queries[:6] {
-			pq := e.PrepareQuery(q)
+			pq := ix.Prepare(q)
 			for _, limit := range []int{0, 3} {
 				want, wantTotal := pq.SearchScored(0.3, limit)
 				got, total := pq.AppendSearchScored([]gbkmv.Scored{marker}, 0.3, limit)
 				if total != wantTotal || got[0] != marker || !reflect.DeepEqual(got[1:], want) {
-					t.Fatalf("%s, query %d: AppendSearchScored(limit %d) = %v/%d after the marker, SearchScored %v/%d",
-						name, qi, limit, got[1:], total, want, wantTotal)
+					t.Fatalf("r=%d, query %d: AppendSearchScored(limit %d) = %v/%d after the marker, SearchScored %v/%d",
+						opt.BufferBits, qi, limit, got[1:], total, want, wantTotal)
 				}
 			}
 			for _, k := range []int{0, 1, 5} {
 				want := pq.TopK(k)
 				got := pq.AppendTopK([]gbkmv.Scored{marker}, k)
 				if got[0] != marker || len(got)-1 != len(want) || (len(want) > 0 && !reflect.DeepEqual(got[1:], want)) {
-					t.Fatalf("%s, query %d: AppendTopK(%d) = %v after the marker, TopK %v", name, qi, k, got[1:], want)
+					t.Fatalf("r=%d, query %d: AppendTopK(%d) = %v after the marker, TopK %v", opt.BufferBits, qi, k, got[1:], want)
 				}
 			}
 		}
@@ -552,7 +610,7 @@ func TestAppendForms(t *testing.T) {
 	if raceEnabled {
 		return // allocation counts are meaningless under the race detector
 	}
-	pq := buildEngine(t, "gbkmv", records).PrepareQuery(queries[0])
+	pq := buildEngine(t, "gbkmv", records).(*gbkmv.Index).Prepare(queries[0])
 	var dst []gbkmv.Scored
 	search := func() { dst, _ = pq.AppendSearchScored(dst[:0], 0.3, 0) }
 	topk := func() { dst = pq.AppendTopK(dst[:0], 10) }

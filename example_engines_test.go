@@ -37,7 +37,7 @@ func searchWith(name string) {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(e.EngineName(), "best:", pq.TopK(1)[0].ID)
+	fmt.Println(e.EngineStats().Engine, "best:", pq.TopK(1)[0].ID)
 }
 
 // ExampleNewEngine demonstrates swapping the sketch backend under the same
@@ -101,12 +101,11 @@ func ExampleNewEngine_exact() {
 	// Output: exact best: 0
 }
 
-// ExampleSaveEngine round-trips an engine through the header-tagged snapshot
-// format: LoadEngine reads the header and dispatches to the engine that
-// wrote the stream.
+// ExampleSaveEngine round-trips the GB-KMV engine through the header-tagged
+// snapshot format; LoadEngine reads the header and refuses any other engine.
 func ExampleSaveEngine() {
 	_, records, _ := engineExampleCorpus()
-	e, err := gbkmv.NewEngine("kmv", records, gbkmv.EngineOptions{BudgetFraction: 1, Seed: 1})
+	e, err := gbkmv.NewEngine("gbkmv", records, gbkmv.EngineOptions{BudgetFraction: 1, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -119,5 +118,5 @@ func ExampleSaveEngine() {
 		panic(err)
 	}
 	fmt.Println(loaded.EngineName(), loaded.Len())
-	// Output: kmv 3
+	// Output: gbkmv 3
 }

@@ -85,10 +85,10 @@ func main() {
 		st := eng.EngineStats()
 		fmt.Printf("\n[%s] %d columns indexed, %d KB of signatures\n",
 			st.Engine, st.NumRecords, st.SizeBytes/1024)
-		pq := eng.PrepareQuery(query)
-		for _, id := range pq.Search(0.7) {
+		hits, _ := eng.PrepareQuery(query).SearchScored(0.7, 0)
+		for _, h := range hits {
 			fmt.Printf("  %.2f  %-22s (%d values)\n",
-				pq.Estimate(id), cols[id].name, len(cols[id].values))
+				h.Score, cols[h.ID].name, len(cols[h.ID].values))
 		}
 	}
 }

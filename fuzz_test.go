@@ -10,8 +10,10 @@ import (
 	"gbkmv/internal/snapfmt"
 )
 
-// fuzzSnapshots returns a real snapshot of every registered engine over a
-// corpus small enough to keep the seeds short.
+// fuzzSnapshots returns real GB-KMV snapshots over a corpus small enough to
+// keep the seeds short: one at half the occurrences' budget, and one with an
+// r far past the vocabulary, which is what the budget is charged and sizes
+// nothing, so it loads in the memory of the other.
 func fuzzSnapshots(t testing.TB) map[string][]byte {
 	t.Helper()
 	d, err := dataset.Synthetic(dataset.SyntheticConfig{
@@ -21,8 +23,11 @@ func fuzzSnapshots(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	out := make(map[string][]byte)
-	for _, name := range Engines() {
-		e, err := NewEngine(name, d.Records, EngineOptions{BudgetFraction: 0.5, NumHashes: 16, MaxBands: 4, Seed: 9})
+	for name, opt := range map[string]EngineOptions{
+		"gbkmv":      {BudgetFraction: 0.5, Seed: 9},
+		"gbkmv/wide": {BudgetUnits: 1 << 30, BufferBits: 1 << 28, Seed: 9},
+	} {
+		e, err := NewEngine("gbkmv", d.Records, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,17 +37,28 @@ func fuzzSnapshots(t testing.TB) map[string][]byte {
 		}
 		out[name] = buf.Bytes()
 	}
-	// An r far past the vocabulary: it is what the budget is charged and sizes
-	// nothing, so this seed loads in the memory of the ones above.
-	wide, err := NewEngine("gbkmv", d.Records, EngineOptions{BudgetUnits: 1 << 30, BufferBits: 1 << 28, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// baselineNamed returns, for each baseline engine, the GB-KMV snapshot with
+// its header naming that engine instead: the format and version this build
+// writes, an engine it has no snapshot format for. Builds that served every
+// engine wrote such headers; this one must name them as another format.
+func baselineNamed(t testing.TB, snapshot []byte) map[string][]byte {
+	t.Helper()
+	header := append([]byte(engineMagic), snapfmt.Version, byte(len(DefaultEngine)))
+	header = append(header, DefaultEngine...)
+	if !bytes.HasPrefix(snapshot, header) {
+		t.Fatalf("the snapshot opens with %q, not %q", snapshot[:len(header)], header)
 	}
-	var buf bytes.Buffer
-	if err := SaveEngine(&buf, wide); err != nil {
-		t.Fatal(err)
+	out := make(map[string][]byte)
+	for _, name := range Engines() {
+		if name != DefaultEngine {
+			named := append([]byte(engineMagic), snapfmt.Version, byte(len(name)))
+			named = append(named, name...)
+			out[name] = append(named, snapshot[len(header):]...)
+		}
 	}
-	out["gbkmv/wide"] = buf.Bytes()
 	return out
 }
 
@@ -93,29 +109,26 @@ func damagedRecordSections(t testing.TB) map[string][]byte {
 //     the input merely declares: the slabs cost at most 8 bytes per input
 //     byte (one delta byte → one Element), slice headers push the worst case
 //     to 32, and the fixed part is the 64 kB buffer;
-//   - nor does the finish of a gbkmv or gkmv stream, which derives the sketch
-//     from what the stream half read: r and the budget are declared and size
-//     nothing; counters, lists and maps follow the records, occurrences and
-//     buffered elements that were read (well under 256 bytes a byte in all),
-//     and the buffer arena is records × ⌈|E_H|/8⌉ bytes — two counts the
-//     input backs, n²/32 bytes from n of them at the very worst — with its
-//     transpose, the bit columns, an eighth of headroom wider. (The other
-//     engines rebuild at whatever size their options name; not bounded here.)
+//   - nor does the finish, which derives the sketch from what the stream half
+//     read: r and the budget are declared and size nothing; counters, lists
+//     and maps follow the records, occurrences and buffered elements that
+//     were read (well under 256 bytes a byte in all), and the buffer arena is
+//     records × ⌈|E_H|/8⌉ bytes — two counts the input backs, n²/32 bytes
+//     from n of them at the very worst — with its transpose, the bit columns,
+//     an eighth of headroom wider. Every stream that loads is a GB-KMV one,
+//     so the bound holds for all of them;
 //   - a stream that loads is canonical: saving the loaded engine reproduces
-//     the input byte for byte. The kmv and minhash engines resolve their
-//     derived parameters (k, budget) into the options they save, so for them
-//     a hand-made stream with unresolved options only has to reach that
-//     fixpoint on its second generation.
+//     the input byte for byte.
 func FuzzLoadEngine(f *testing.F) {
 	snaps := fuzzSnapshots(f)
 	for _, b := range snaps {
 		f.Add(b)
 	}
-	// A stream without a stored sketch is short: cut points every 32 bytes
-	// keep one or more inside every section, of every engine's stream.
+	// A stream without a stored sketch is short: cut points every 8 bytes
+	// keep several inside every section.
 	f.Add([]byte{})
-	for _, name := range Engines() {
-		for n := 32; n < len(snaps[name]); n += 32 {
+	for _, name := range []string{"gbkmv", "gbkmv/wide"} {
+		for n := 8; n < len(snaps[name]); n += 8 {
 			f.Add(snaps[name][:n])
 		}
 	}
@@ -123,14 +136,17 @@ func FuzzLoadEngine(f *testing.F) {
 	for _, b := range damagedRecordSections(f) {
 		f.Add(b)
 	}
-	// The earlier format versions and the segmented container: intact bytes
-	// this build must not parse.
+	// The earlier format versions, the segmented container and the streams
+	// naming a baseline engine: intact bytes this build must not parse.
 	for v := byte(1); v < snapfmt.Version; v++ {
 		old := bytes.Clone(snaps["gbkmv"])
 		old[len(engineMagic)] = v
 		f.Add(old)
 	}
 	f.Add(segmentedHeader)
+	for _, b := range baselineNamed(f, snaps["gbkmv"]) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		allocated := func(fn func()) uint64 {
 			var before, after runtime.MemStats
@@ -139,8 +155,8 @@ func FuzzLoadEngine(f *testing.F) {
 			runtime.ReadMemStats(&after)
 			return after.TotalAlloc - before.TotalAlloc
 		}
-		var finish func() (Engine, error)
-		var e Engine
+		var finish func() (*Index, error)
+		var ix *Index
 		var err error
 		n := uint64(len(data))
 		if got, bound := allocated(func() { finish, err = loadEngineStaged(bytes.NewReader(data)) }), 1<<20+32*n; got > bound {
@@ -149,41 +165,39 @@ func FuzzLoadEngine(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, bound := allocated(func() { e, err = finish() }), 1<<20+256*n+n*n/12
+		got, bound := allocated(func() { ix, err = finish() }), 1<<20+256*n+n*n/12
 		if err != nil {
 			return
 		}
-		if name := e.EngineName(); (name == "gbkmv" || name == "gkmv") && got > bound {
-			t.Fatalf("deriving a %s engine from %d bytes allocated %d, bound %d", name, n, got, bound)
+		if got > bound {
+			t.Fatalf("deriving an index from %d bytes allocated %d, bound %d", n, got, bound)
 		}
-		resave := func(e Engine) []byte {
-			var buf bytes.Buffer
-			if err := SaveEngine(&buf, e); err != nil {
-				t.Fatalf("a loaded engine does not save: %v", err)
-			}
-			return buf.Bytes()
+		var saved bytes.Buffer
+		if err := SaveEngine(&saved, ix); err != nil {
+			t.Fatalf("a loaded engine does not save: %v", err)
 		}
-		saved := resave(e)
-		if name := e.EngineName(); name == "kmv" || name == "minhash" {
-			e2, err := LoadEngine(bytes.NewReader(saved))
-			if err != nil {
-				t.Fatalf("a saved engine does not load: %v", err)
-			}
-			data, saved = saved, resave(e2)
-		}
-		if !bytes.Equal(saved, data) {
-			t.Fatalf("load → save changed the stream (%d bytes in, %d out)", len(data), len(saved))
+		if !bytes.Equal(saved.Bytes(), data) {
+			t.Fatalf("load → save changed the stream (%d bytes in, %d out)", len(data), saved.Len())
 		}
 	})
 }
 
 // TestFuzzSeedsLoad keeps the fuzz seeds honest: every real snapshot loads,
 // every strict truncation of one is rejected, and the segmented container's
-// header is another format.
+// header and a stream naming any engine but gbkmv are another format.
 func TestFuzzSeedsLoad(t *testing.T) {
 	snaps := fuzzSnapshots(t)
 	if _, err := LoadEngine(bytes.NewReader(segmentedHeader)); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("a segmented container's header: LoadEngine = %v, want ErrSnapshotFormat", err)
+	}
+	named := baselineNamed(t, snaps["gbkmv"])
+	if len(named) != 6 {
+		t.Errorf("streams naming %d baselines, want the six", len(named))
+	}
+	for name, b := range named {
+		if _, err := LoadEngine(bytes.NewReader(b)); !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, snapfmt.ErrCorrupt) {
+			t.Errorf("a stream naming %s: LoadEngine = %v, want ErrSnapshotFormat", name, err)
+		}
 	}
 	for name, b := range damagedRecordSections(t) {
 		if _, err := LoadEngine(bytes.NewReader(b)); !errors.Is(err, snapfmt.ErrCorrupt) {

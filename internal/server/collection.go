@@ -14,7 +14,7 @@ import (
 	"gbkmv"
 )
 
-// Collection is one named index: the vocabulary, the engine and the
+// Collection is one named index: the vocabulary, the GB-KMV index and the
 // prepared-query cache behind mu, the index RWMutex — searches take the read
 // lock and run concurrently, applyBatch takes the write lock. What makes it
 // durable belongs to two other types, each the only code touching its own
@@ -25,7 +25,6 @@ type Collection struct {
 	name    string
 	store   *Store       // owning store: logging, disk-error and quarantine accounting
 	metrics *collMetrics // resolved per-collection metric children
-	engName string       // engine name, cached for the request trace
 
 	// readOnly flips on ENOSPC/EIO-class write failures and back when the
 	// storage probe sees the disk heal (see integrity.go).
@@ -38,7 +37,7 @@ type Collection struct {
 
 	mu     sync.RWMutex
 	voc    *gbkmv.Vocabulary
-	eng    gbkmv.Engine
+	eng    *gbkmv.Index
 	qcache *queryCache // prepared-query cache; nil when disabled
 
 	// queryGen is the query generation: the cache key epoch of the engine's
@@ -58,9 +57,9 @@ type Collection struct {
 // hooks. dir is its directory, "" in a memory-only store. It has no journal
 // and no generation yet: a build's first snapshot or Store.adopt supplies
 // them.
-func (s *Store) newCollection(name, dir string, voc *gbkmv.Vocabulary, eng gbkmv.Engine) *Collection {
+func (s *Store) newCollection(name, dir string, voc *gbkmv.Vocabulary, eng *gbkmv.Index) *Collection {
 	m := s.metrics.collMetricsFor(name)
-	c := &Collection{name: name, store: s, metrics: m, engName: eng.EngineName(), voc: voc, eng: eng,
+	c := &Collection{name: name, store: s, metrics: m, voc: voc, eng: eng,
 		qcache: newQueryCache(s.cacheCap, m.qcHits, m.qcMisses, m.qcEvictions)}
 	c.wal.init(name, dir != "", m, c.applyBatch, c.noteDiskError)
 	c.gens.init(dir, s.fs, c.noteDiskError)
@@ -84,7 +83,7 @@ type Hit struct {
 // was prepared under). The returned query is private to the caller. tr, when
 // non-nil, receives the cache outcome and token count (-1 when a hit skipped
 // decoding) for the request trace.
-func (c *Collection) preparedRaw(raw []byte, sc *queryTokens, tr *reqTrace) (gbkmv.PreparedQuery, error) {
+func (c *Collection) preparedRaw(raw []byte, sc *queryTokens, tr *reqTrace) (*gbkmv.Query, error) {
 	gen := c.queryGen.Load()
 	cached := c.qcache != nil && len(raw) <= maxKeyBytes
 	if cached {
@@ -182,7 +181,7 @@ func (c *Collection) answer(rs *respScratch, rawQuery []byte, sp querySpec, dst 
 // run answers the request on a private prepared query, appending to dst.
 // total counts every qualifying record of a threshold search, and is 0 for a
 // top-k.
-func (sp querySpec) run(q gbkmv.PreparedQuery, dst []gbkmv.Scored) (scored []gbkmv.Scored, total int) {
+func (sp querySpec) run(q *gbkmv.Query, dst []gbkmv.Scored) (scored []gbkmv.Scored, total int) {
 	if sp.topk {
 		return q.AppendTopK(dst, sp.k), 0
 	}
@@ -192,9 +191,8 @@ func (sp querySpec) run(q gbkmv.PreparedQuery, dst []gbkmv.Scored) (scored []gbk
 // noteSearch books a finished search's work counters into the collection's
 // metrics and, when tr is non-nil, the request trace. q must be the private
 // clone the search just ran on (its counters are private to this goroutine
-// per the concurrency contract). Only gbkmv and gkmv count their work; a
-// search of any other engine books a sample of zeros.
-func (c *Collection) noteSearch(q gbkmv.PreparedQuery, tr *reqTrace) {
+// per the concurrency contract).
+func (c *Collection) noteSearch(q *gbkmv.Query, tr *reqTrace) {
 	st := q.QueryStats()
 	c.metrics.candidates.Observe(float64(st.Candidates))
 	c.metrics.candTotal.Add(uint64(st.Candidates))
@@ -226,16 +224,16 @@ type BatchResult struct {
 type batchSlot struct {
 	raw  []byte
 	once sync.Once
-	pq   gbkmv.PreparedQuery
+	pq   *gbkmv.Query
 	err  error
 }
 
 // prepared resolves the slot's query, preparing on first use (query
-// sketching is a read: engines allow concurrent PrepareQuery, exactly as
+// sketching is a read: the index allows concurrent Prepare, exactly as
 // the core SearchBatch's workers sketch concurrently) in the calling worker's
 // scratch. Duplicate queries block on the first worker's prepare and then
 // share the result.
-func (s *batchSlot) prepared(c *Collection, sc *queryTokens) (gbkmv.PreparedQuery, error) {
+func (s *batchSlot) prepared(c *Collection, sc *queryTokens) (*gbkmv.Query, error) {
 	// No trace here: slots are prepared by racing workers, and the batch
 	// trace is aggregated at the request level, not per slot.
 	s.once.Do(func() { s.pq, s.err = c.preparedRaw(s.raw, sc, nil) })
@@ -421,13 +419,12 @@ func (c *Collection) snapshot() (committed bool, err error) {
 }
 
 // CollStats reports a collection's engine, sketch configuration, footprint
-// and persistence state. Engine-specific fields (buffer_bits, tau,
-// num_hashes, the budget pair) are zero where the backend has no such knob.
-// size_bytes is the sketch alone; record_bytes (the retained records) and
-// index_bytes (what search walks beside the sketch: inverted lists, bit
-// columns, offset tables) are what the engine holds around it, zero/omitted
-// for engines that do not report them; vocab_bytes is what the collection's
-// vocabulary holds (token text, offsets, id table).
+// and persistence state. engine is always "gbkmv"; num_hashes is always 0
+// (omitted). size_bytes is the sketch alone; record_bytes (the retained
+// records) and index_bytes (what search walks beside the sketch: inverted
+// lists, bit columns, offset tables) are what the index holds around it;
+// vocab_bytes is what the collection's vocabulary holds (token text, offsets,
+// id table).
 type CollStats struct {
 	Name             string  `json:"name"`
 	Engine           string  `json:"engine"`
@@ -483,7 +480,7 @@ func (c *Collection) Stats() CollStats {
 	w := c.wal.status()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	st := c.eng.EngineStats()
+	st := c.eng.Stats()
 	var qcs *QueryCacheStats
 	if c.qcache != nil {
 		s := c.qcache.stats()

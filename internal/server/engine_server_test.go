@@ -22,83 +22,70 @@ import (
 	"gbkmv/internal/snapfmt"
 )
 
-// buildWithEngine PUTs the restaurants corpus under the named engine.
-func buildWithEngine(t *testing.T, ts *httptest.Server, name, engine string) {
-	t.Helper()
-	body := fmt.Sprintf(`{
-		"records": [
-			["five", "guys", "burgers", "and", "fries"],
-			["five", "kitchen", "berkeley"],
-			["in", "n", "out", "burgers"]
-		],
-		"options": {"budget_units": 1000, "engine": %q}
-	}`, engine)
-	if code, m := doJSON(t, ts, "PUT", "/collections/"+name, body); code != http.StatusOK {
-		t.Fatalf("build %s (%s): %d %v", name, engine, code, m)
-	}
-}
-
-// engineSearch runs one search and returns the hit ids.
-func engineSearch(t *testing.T, ts *httptest.Server, name string) []any {
-	t.Helper()
-	code, m := doJSON(t, ts, "POST", "/collections/"+name+"/search",
-		`{"query": ["five", "guys"], "threshold": 0.5}`)
-	if code != http.StatusOK {
-		t.Fatalf("search %s: %d %v", name, code, m)
-	}
-	ids := []any{}
-	for _, h := range m["hits"].([]any) {
-		ids = append(ids, h.(map[string]any)["id"])
-	}
-	return ids
-}
-
-// TestEngineCollectionLifecycle is the acceptance path for non-default
-// engines: create, search, insert, snapshot, kill (no graceful close), and
-// reload — with the engine surviving in /stats and the post-restart search
-// results identical.
+// TestEngineCollectionLifecycle is the acceptance path for the one sketch
+// configuration beside the default that gbkmvd builds, G-KMV
+// ("buffer_bits": -1, what the gkmv engine is): create, search, insert,
+// snapshot, kill (no graceful close), and reload — with no buffer in /stats
+// before and after, and the post-restart search results identical.
 func TestEngineCollectionLifecycle(t *testing.T) {
-	for _, engine := range []string{"exact", "kmv", "minhash", "lshensemble", "lshforest", "gkmv"} {
-		t.Run(engine, func(t *testing.T) {
-			dir := t.TempDir()
-			store, ts := newServer(t, dir)
-			buildWithEngine(t, ts, "rest", engine)
+	t.Run("gkmv", func(t *testing.T) {
+		dir := t.TempDir()
+		store, ts := newServer(t, dir)
+		if code, m := doJSON(t, ts, "PUT", "/collections/rest", `{
+			"records": [
+				["five", "guys", "burgers", "and", "fries"],
+				["five", "kitchen", "berkeley"],
+				["in", "n", "out", "burgers"]
+			],
+			"options": {"budget_units": 1000, "buffer_bits": -1}
+		}`); code != http.StatusOK {
+			t.Fatalf("build: %d %v", code, m)
+		}
+		unbuffered := func(m map[string]any) bool {
+			_, buffered := m["buffer_bytes"]
+			return m["engine"] == "gbkmv" && m["buffer_bits"] == float64(0) && !buffered
+		}
+		if m := statsOf(t, ts, "rest"); !unbuffered(m) {
+			t.Fatalf("stats of a buffer-less build: %v", m)
+		}
+		// Journaled insert, then an explicit snapshot, then another insert
+		// that only the journal knows about.
+		if code, m := doJSON(t, ts, "POST", "/collections/rest/records",
+			`{"records": [["five", "guys", "fries"]]}`); code != http.StatusOK {
+			t.Fatalf("insert: %d %v", code, m)
+		}
+		if code, m := doJSON(t, ts, "POST", "/collections/rest/snapshot", ""); code != http.StatusOK {
+			t.Fatalf("snapshot: %d %v", code, m)
+		}
+		if code, m := doJSON(t, ts, "POST", "/collections/rest/records",
+			`{"records": [["in", "n", "out"]]}`); code != http.StatusOK {
+			t.Fatalf("post-snapshot insert: %d %v", code, m)
+		}
+		search := func(ts *httptest.Server) any {
+			t.Helper()
+			code, m := doJSON(t, ts, "POST", "/collections/rest/search",
+				`{"query": ["five", "guys"], "threshold": 0.5}`)
+			if code != http.StatusOK {
+				t.Fatalf("search: %d %v", code, m)
+			}
+			return m["hits"]
+		}
+		want := search(ts)
+		ts.Close()
+		// Kill: no store.Close(), so the last insert lives only in the
+		// journal and must replay into the reloaded index.
+		_ = store
 
-			if _, m := doJSON(t, ts, "GET", "/collections/rest/stats", ""); m["engine"] != engine {
-				t.Fatalf("stats engine = %v, want %s", m["engine"], engine)
-			}
-			// Journaled insert, then an explicit snapshot, then another
-			// insert that only the journal knows about.
-			if code, m := doJSON(t, ts, "POST", "/collections/rest/records",
-				`{"records": [["five", "guys", "fries"]]}`); code != http.StatusOK {
-				t.Fatalf("insert: %d %v", code, m)
-			}
-			if code, m := doJSON(t, ts, "POST", "/collections/rest/snapshot", ""); code != http.StatusOK {
-				t.Fatalf("snapshot: %d %v", code, m)
-			}
-			if code, m := doJSON(t, ts, "POST", "/collections/rest/records",
-				`{"records": [["in", "n", "out"]]}`); code != http.StatusOK {
-				t.Fatalf("post-snapshot insert: %d %v", code, m)
-			}
-			want := engineSearch(t, ts, "rest")
-			ts.Close()
-			// Kill: no store.Close(), so the last insert lives only in the
-			// journal and must replay into the reloaded engine.
-			_ = store
-
-			store2, ts2 := newServer(t, dir)
-			defer store2.Close()
-			if _, m := doJSON(t, ts2, "GET", "/collections/rest/stats", ""); m["engine"] != engine {
-				t.Fatalf("engine after reload = %v, want %s", m["engine"], engine)
-			}
-			if m := statsOf(t, ts2, "rest"); m["num_records"] != float64(5) {
-				t.Fatalf("num_records after reload = %v, want 5", m["num_records"])
-			}
-			if got := engineSearch(t, ts2, "rest"); !reflect.DeepEqual(got, want) {
-				t.Fatalf("post-restart search:\n got  %v\n want %v", got, want)
-			}
-		})
-	}
+		store2, ts2 := newServer(t, dir)
+		defer store2.Close()
+		m := statsOf(t, ts2, "rest")
+		if !unbuffered(m) || m["num_records"] != float64(5) {
+			t.Fatalf("stats after reload: %v", m)
+		}
+		if got := search(ts2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("post-restart search:\n got  %v\n want %v", got, want)
+		}
+	})
 }
 
 func statsOf(t *testing.T, ts *httptest.Server, name string) map[string]any {
@@ -110,14 +97,38 @@ func statsOf(t *testing.T, ts *httptest.Server, name string) map[string]any {
 	return m
 }
 
-// TestBuildUnknownEngineRejected: a build naming an unregistered engine is a
-// client error, not a crash.
+// TestBuildUnknownEngineRejected: gbkmvd builds GB-KMV only. A build naming
+// any other engine, registered or not, is a client error that leaves no
+// collection behind; "gkmv" is answered with the option that builds it. The
+// baselines' own options are not build options at all.
 func TestBuildUnknownEngineRejected(t *testing.T) {
 	_, ts := newServer(t, "")
-	code, m := doJSON(t, ts, "PUT", "/collections/x",
-		`{"records": [["a", "b"]], "options": {"engine": "nope"}}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown engine: %d %v", code, m)
+	for _, c := range []struct{ name, options, says string }{
+		{"unregistered", `"engine": "nope"`, `"nope"`},
+		{"kmv", `"engine": "kmv"`, `"kmv"`},
+		{"gkmv", `"engine": "gkmv"`, `"buffer_bits": -1`},
+		{"num_hashes", `"num_hashes": 64`, "num_hashes"},
+		{"num_partitions", `"num_partitions": 8`, "num_partitions"},
+	} {
+		code, m := doJSON(t, ts, "PUT", "/collections/x",
+			`{"records": [["a", "b"]], "options": {"budget_units": 10, `+c.options+`}}`)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: %d %v", c.name, code, m)
+			continue
+		}
+		if msg, _ := m["error"].(string); !strings.Contains(msg, c.says) {
+			t.Errorf("%s: error %q does not say %s", c.name, msg, c.says)
+		}
+	}
+	if code, m := doJSON(t, ts, "GET", "/collections/x/stats", ""); code != http.StatusNotFound {
+		t.Errorf("a refused build left a collection: %d %v", code, m)
+	}
+	for _, engine := range []string{"", "gbkmv"} {
+		code, m := doJSON(t, ts, "PUT", "/collections/x",
+			fmt.Sprintf(`{"records": [["a", "b"]], "options": {"engine": %q, "budget_units": 10}}`, engine))
+		if code != http.StatusOK || m["engine"] != "gbkmv" {
+			t.Errorf("engine %q: %d %v", engine, code, m)
+		}
 	}
 }
 
@@ -221,7 +232,8 @@ func TestRequestLogEviction(t *testing.T) {
 // checksums (older still) is the same error, not an unverified load. So is
 // the segmented container ("GBKMVSEG") the builds before one index per
 // collection wrote: a collection whose committed generation holds one is
-// refused, not quarantined.
+// refused, not quarantined. And so is a snapshot of any engine but gbkmv,
+// which builds before gbkmvd served GB-KMV only could write.
 func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
 	// What the previous builds wrote: a gob stream (before the flat format),
 	// and the flat format's versions 1 (float64 hash values) and 2 (32-bit
@@ -242,6 +254,19 @@ func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
 			// streams began, the engine stream a one-segment container held.
 			header := append([]byte("GBKMVSEG"), snapfmt.Version, 1, 5, 'g', 'b', 'k', 'm', 'v')
 			_, err := w.Write(append(header, current...))
+			return err
+		})
+	})
+	// A baseline engine's snapshot, as the builds that served every engine
+	// wrote it: the current magic and version, then a name other than gbkmv.
+	t.Run("kmv", func(t *testing.T) {
+		testOldFormatSnapshot(t, func(w io.Writer, current []byte) error {
+			named := append([]byte("GBKMVENG"), snapfmt.Version, 5, 'g', 'b', 'k', 'm', 'v')
+			if !bytes.HasPrefix(current, named) {
+				t.Fatalf("the index file opens with %q, not %q", current[:len(named)], named)
+			}
+			kmv := append([]byte("GBKMVENG"), snapfmt.Version, 3, 'k', 'm', 'v')
+			_, err := w.Write(append(kmv, current[len(named):]...))
 			return err
 		})
 	})

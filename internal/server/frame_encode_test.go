@@ -106,7 +106,7 @@ func TestEntryTooLargeRefusedAlike(t *testing.T) {
 			t.Fatal(err)
 		}
 		voc := gbkmv.NewVocabulary()
-		eng, err := gbkmv.NewEngine("gbkmv", []gbkmv.Record{voc.Record([]string{"seed"})}, gbkmv.EngineOptions{BudgetUnits: 1000})
+		eng, err := gbkmv.Build([]gbkmv.Record{voc.Record([]string{"seed"})}, gbkmv.Options{BudgetUnits: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}

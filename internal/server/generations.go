@@ -49,9 +49,9 @@ type generations struct {
 	quarantined atomic.Uint64
 }
 
-// meta is the per-collection commit record. Engine records which backend
-// wrote the snapshot (informational — the snapshot is self-describing via the
-// gbkmv engine header); Requests persists the duplicate-detection window
+// meta is the per-collection commit record. Engine is always "gbkmv"
+// (informational — the index file's own header names its engine, and a load
+// refuses any other); Requests persists the duplicate-detection window
 // across the journal truncation a snapshot implies.
 type meta struct {
 	Name       string         `json:"name"`
@@ -338,7 +338,7 @@ func (g *generations) snapshot(m meta, index, vocab func(io.Writer) error) (*com
 type genState struct {
 	name string
 	gen  uint64
-	eng  gbkmv.Engine
+	eng  *gbkmv.Index
 	voc  *gbkmv.Vocabulary
 	log  *journalWriter // the committed generation's journal, open at its valid end
 	// The last journal replayed: how many entries it held, where its intact
@@ -354,8 +354,8 @@ type genState struct {
 	quarantined uint64
 	detail      string
 	// The load's stages, as the startup line reports them: both snapshot
-	// files verified and read, what the engine computes once its file is read
-	// (for gbkmv: derive), and the journal(s) replayed on top.
+	// files verified and read, the sketch derived from the index file's
+	// records, and the journal(s) replayed on top.
 	readDur, deriveDur, replayDur time.Duration
 }
 
@@ -405,7 +405,7 @@ func loadGeneration(fsys fsx.FS, dir string, logf func(string, ...any)) (*genSta
 func loadGenFiles(fsys fsx.FS, dir string, m meta) (*genState, error) {
 	readStart := time.Now()
 	index := readClock{left: int(m.Checksums["index"].Size)}
-	eng, err := loadVerified(fsys, indexPath(dir, m.Generation), m.Checksums["index"], func(r io.Reader) (gbkmv.Engine, error) {
+	eng, err := loadVerified(fsys, indexPath(dir, m.Generation), m.Checksums["index"], func(r io.Reader) (*gbkmv.Index, error) {
 		index.r = r
 		return gbkmv.LoadEngine(&index)
 	})
@@ -429,9 +429,8 @@ func loadGenFiles(fsys fsx.FS, dir string, m meta) (*genState, error) {
 func (st *genState) replayOnto(fsys fsx.FS, path string, persisted []requestEntry) error {
 	start := time.Now()
 	// Re-intern in entry order (reproducing the original ids) as the frames
-	// decode, then apply as one batch so a static engine's rebuild costs one
-	// pass per startup, not one per entry (the sketch engines decide threshold
-	// shrinks per record, so the grouping cannot change their state).
+	// decode, then apply as one batch (the index decides threshold shrinks per
+	// record, so the grouping cannot change its state).
 	base := st.eng.Len()
 	st.window = newRequestLog()
 	for _, r := range persisted {

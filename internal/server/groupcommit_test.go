@@ -33,7 +33,7 @@ func newGroupCommitCollection(t *testing.T, dir string) (*Store, *Collection) {
 	}
 	// A roomy absolute budget keeps threshold shrinks out of these tests;
 	// the shrink path has its own differential coverage in internal/core.
-	eng, err := gbkmv.NewEngine("gbkmv", recs, gbkmv.EngineOptions{BudgetUnits: 1 << 20})
+	eng, err := gbkmv.Build(recs, gbkmv.Options{BudgetUnits: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

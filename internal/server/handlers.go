@@ -195,8 +195,9 @@ func (h *api) list(w http.ResponseWriter, r *http.Request) {
 }
 
 type buildOptions struct {
-	// Engine selects the sketch backend by registry name (gbkmv, gkmv, kmv,
-	// minhash, lshforest, lshensemble, exact). Empty is gbkmv.DefaultEngine.
+	// Engine names the sketch: gbkmvd serves GB-KMV only, so it is "" or
+	// gbkmv.DefaultEngine. The baseline engines are built in memory through
+	// gbkmv.NewEngine, never here.
 	Engine string `json:"engine"`
 	// BudgetFraction is the sketch budget as a fraction of the data size
 	// (default 0.10).
@@ -209,12 +210,18 @@ type buildOptions struct {
 	// with the cost model, -1 disables the buffer, positive values are bits.
 	BufferBits int    `json:"buffer_bits"`
 	Seed       uint64 `json:"seed"`
-	// NumHashes is the MinHash-family signature length; 0 selects the
-	// backend default.
-	NumHashes int `json:"num_hashes"`
-	// NumPartitions is the LSH Ensemble partition count; 0 selects the
-	// default (32).
-	NumPartitions int `json:"num_partitions"`
+}
+
+// engineRefusal says why a build's options.engine is refused, or returns ""
+// for the one engine gbkmvd serves.
+func engineRefusal(name string) string {
+	switch name {
+	case "", gbkmv.DefaultEngine:
+		return ""
+	case "gkmv":
+		return `engine "gkmv" is GB-KMV without the buffer: build with "buffer_bits": -1`
+	}
+	return fmt.Sprintf("engine %q is not served: gbkmvd builds %q only", name, gbkmv.DefaultEngine)
 }
 
 func (h *api) build(w http.ResponseWriter, r *http.Request) {
@@ -243,6 +250,10 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 	putScanner(sc)
 	if err != nil {
 		writeBodyError(w, err)
+		return
+	}
+	if why := engineRefusal(req.Options.Engine); why != "" {
+		writeError(w, http.StatusBadRequest, "%s", why)
 		return
 	}
 	voc, corpus := req.voc, req.corpus
@@ -282,10 +293,8 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 		BudgetUnits:    req.Options.BudgetUnits,
 		BufferBits:     req.Options.BufferBits,
 		Seed:           req.Options.Seed,
-		NumHashes:      req.Options.NumHashes,
-		NumPartitions:  req.Options.NumPartitions,
 	}
-	eng, err := gbkmv.NewEngineFromCorpus(req.Options.Engine, corpus, opts)
+	eng, err := gbkmv.NewEngineFromCorpus(corpus, opts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "building %q: %v", name, err)
 		return
@@ -458,7 +467,6 @@ func (h *api) query(w http.ResponseWriter, r *http.Request, batch, topk bool) (c
 	} else {
 		if tr := traceOf(w); tr != nil {
 			tr.isQuery = true
-			tr.engine = c.engName
 			if batch {
 				tr.queries = len(req.queries)
 			}

@@ -660,7 +660,7 @@ func TestBuildByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		voc, recs, _ := refRecords(ref.Records)
-		eng, err := gbkmv.NewEngine(gbkmv.DefaultEngine, recs, gbkmv.EngineOptions{Seed: 7})
+		eng, err := gbkmv.Build(recs, gbkmv.Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

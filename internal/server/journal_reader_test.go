@@ -180,7 +180,7 @@ func fuzzJournalSeeds(tb testing.TB) (journal, metaJSON []byte) {
 	}
 	defer store.Close()
 	voc := gbkmv.NewVocabulary()
-	eng, err := gbkmv.NewEngine("gbkmv", []gbkmv.Record{voc.Record([]string{"seed", "one"})}, gbkmv.EngineOptions{BudgetUnits: 1000})
+	eng, err := gbkmv.Build([]gbkmv.Record{voc.Record([]string{"seed", "one"})}, gbkmv.Options{BudgetUnits: 1000})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -63,13 +63,13 @@ type Metrics struct {
 	// or record file to interned records), sketch (engine construction),
 	// snapshot (Store.Create: the first generation's files).
 	buildStage *obs.HistogramVec // stage
-	// Sketch state (scrape-time mirror, absent where the engine has no such
-	// knob): the global threshold τ and used ÷ budget units.
+	// Sketch state (scrape-time mirror): the global threshold τ and used ÷
+	// budget units.
 	sketchTau  *obs.GaugeVec // collection
 	budgetUtil *obs.GaugeVec // collection
-	// Where an engine's bytes are (scrape-time mirror): the sketch (/stats
-	// size_bytes), the retained records, and what search walks beside the
-	// sketch. Parts an engine does not report read 0.
+	// Where a collection's bytes are (scrape-time mirror): the sketch (/stats
+	// size_bytes), the retained records, what search walks beside the
+	// sketch, and the vocabulary.
 	resident *obs.GaugeVec // collection, part
 
 	// Storage-integrity families (see integrity.go): disk errors by write-path
@@ -193,8 +193,7 @@ func newMetrics() *Metrics {
 		resident: r.GaugeVec("gbkmv_collection_resident_bytes",
 			"Bytes a collection holds, by part: sketch (signatures: buffers and keys, the /stats size_bytes), "+
 				"records (the retained records), index (inverted lists, bit columns, offset tables), "+
-				"vocabulary (token text, offsets, id table: vocab_bytes); "+
-				"0 for a part the engine does not report.",
+				"vocabulary (token text, offsets, id table: vocab_bytes).",
 			"collection", "part"),
 		diskErrors: r.CounterVec("gbkmv_disk_errors_total",
 			"Write-path disk errors, by operation.", "op"),
@@ -369,7 +368,7 @@ func (s *Store) mirrorCollections() {
 			entries = c.qcache.entries()
 		}
 		hashed, shrinks := c.eng.BuildCounters()
-		es := c.eng.EngineStats()
+		es := c.eng.Stats()
 		vocab := c.voc.SizeBytes()
 		c.mu.RUnlock()
 		m.collRecords.With(name).Set(float64(records))
@@ -383,13 +382,8 @@ func (s *Store) mirrorCollections() {
 		m.qcEntries.With(name).Set(float64(entries))
 		m.hashedTotal.With(name).Set(hashed)
 		m.shrinkTotal.With(name).Set(shrinks)
-		// Zero where the backend has no such knob (see EngineStats).
-		if es.Tau > 0 {
-			m.sketchTau.With(name).Set(es.Tau)
-		}
-		if es.BudgetUnits > 0 {
-			m.budgetUtil.With(name).Set(float64(es.UsedUnits) / float64(es.BudgetUnits))
-		}
+		m.sketchTau.With(name).Set(es.Tau)
+		m.budgetUtil.With(name).Set(float64(es.UsedUnits) / float64(es.BudgetUnits))
 		for i, bytes := range [...]int{es.SizeBytes, es.RecordBytes, es.IndexBytes, vocab} {
 			m.resident.With(name, residentParts[i]).Set(float64(bytes))
 		}

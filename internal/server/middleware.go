@@ -38,9 +38,8 @@ const (
 type reqTrace struct {
 	isQuery bool // a search-shaped request (slow-log eligible)
 	cache   int8 // prepared-query cache outcome
-	engine  string
-	tokens  int // query token count; -1 when the raw-bytes cache hit skipped decoding
-	queries int // batch size (batch endpoints)
+	tokens  int  // query token count; -1 when the raw-bytes cache hit skipped decoding
+	queries int  // batch size (batch endpoints)
 	stats   struct {
 		candidates, pruned, estimated, bufferAccepts int
 	}
@@ -187,8 +186,8 @@ func (s *Store) logSlowQuery(rid, pattern, coll string, status int, d time.Durat
 	case cacheOff:
 		cache = "off"
 	}
-	s.logf("gbkmvd: slow-query trace_id=%s endpoint=%q collection=%s engine=%s tokens=%d queries=%d candidates=%d pruned=%d estimated=%d buffer_accepts=%d cache=%s status=%d duration=%s",
-		rid, pattern, coll, tr.engine, tr.tokens, tr.queries,
+	s.logf("gbkmvd: slow-query trace_id=%s endpoint=%q collection=%s tokens=%d queries=%d candidates=%d pruned=%d estimated=%d buffer_accepts=%d cache=%s status=%d duration=%s",
+		rid, pattern, coll, tr.tokens, tr.queries,
 		tr.stats.candidates, tr.stats.pruned, tr.stats.estimated, tr.stats.bufferAccepts,
 		cache, status, d)
 }

@@ -485,7 +485,7 @@ func TestSlowQueryLog(t *testing.T) {
 	line := slow[0]
 	for _, want := range []string{
 		"trace_id=", `endpoint="POST /collections/{name}/search"`, "collection=slow",
-		"engine=gbkmv", "tokens=2", "candidates=", "cache=miss", "status=200", "duration=",
+		"tokens=2", "candidates=", "cache=miss", "status=200", "duration=",
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("slow-query line missing %q: %s", want, line)

@@ -13,9 +13,9 @@ import (
 )
 
 // queryCache is the per-collection prepared-query cache: a sharded LRU over
-// engine PreparedQuerys keyed by (collection query generation, the query's
-// verbatim JSON bytes). Hashing a query into its signature is the dominant
-// per-request cost for hot queries; the cache computes it once per
+// prepared *gbkmv.Query values keyed by (collection query generation, the
+// query's verbatim JSON bytes). Hashing a query into its signature is the
+// dominant per-request cost for hot queries; the cache computes it once per
 // (generation, query) and hands out cheap clones.
 //
 // Correctness rests on two invariants enforced by the Collection:
@@ -26,13 +26,12 @@ import (
 //     therefore only ever served against the *identical* engine state it was
 //     prepared under; entries keyed by an older generation simply stop
 //     matching and age out through the LRU (no scan, no explicit flush).
-//   - The cached PreparedQuery instance is never used for a query: lookup
+//   - The cached *gbkmv.Query instance is never used for a query: lookup
 //     returns the shared instance, and callers Clone it (outside the shard
 //     lock — safe because the shared instance is never mutated, and a
-//     concurrent put of the same key swaps the entry's interface value
-//     rather than mutating the old instance). All per-request mutable state
-//     (size overrides, the gbkmv threshold-tracking rebuild slot) lives in
-//     the clones.
+//     concurrent put of the same key swaps the entry's pointer rather than
+//     mutating the old instance). All per-request mutable state (size
+//     overrides, the threshold-tracking rebuild slot) lives in the clones.
 //
 // The key is the verbatim JSON bytes of the query array: a hot query repeats
 // byte-identically, and a hit skips the per-token JSON decode and the
@@ -73,7 +72,7 @@ type qcShard struct {
 type qcEntry struct {
 	key string
 	gen uint64
-	pq  gbkmv.PreparedQuery
+	pq  *gbkmv.Query
 }
 
 // newQueryCache returns a cache holding up to capacity entries in total,
@@ -189,17 +188,21 @@ func jsonKind(c byte) string {
 	return ""
 }
 
-// prepare prepares the tokenized query against the engine: its tokens go
+// prepare prepares the tokenized query against the index: its tokens go
 // through the vocabulary as bytes, without interning and under one read lock,
-// and gbkmv.PrepareElements takes it from there with |Q| = the distinct
-// tokens, known or not.
-func (sc *queryTokens) prepare(e gbkmv.Engine, voc *gbkmv.Vocabulary) (gbkmv.PreparedQuery, error) {
+// and the query is prepared from their elements with |Q| = the distinct
+// tokens, known or not — unknown tokens cannot match a record but still
+// belong to Q (see gbkmv.PrepareTokens).
+func (sc *queryTokens) prepare(ix *gbkmv.Index, voc *gbkmv.Vocabulary) (*gbkmv.Query, error) {
+	if len(sc.spans) == 0 {
+		return nil, gbkmv.ErrEmptyQuery
+	}
 	sc.elems = voc.AppendKnown(sc.elems[:0], sc.slab, 0, sc.ends)
 	// A repeated token repeats its id. The prepared query keeps its record,
 	// so it gets one of its own.
 	slices.Sort(sc.elems)
 	rec := gbkmv.Record(slices.Clone(slices.Compact(sc.elems)))
-	return gbkmv.PrepareElements(e, rec, len(sc.spans))
+	return ix.Prepare(rec).WithSize(len(sc.spans)), nil
 }
 
 // shardFor selects a shard by FNV-1a over the key.
@@ -221,7 +224,7 @@ func (qc *queryCache) shardFor(key []byte) *qcShard {
 // allocation on the hit path). Counting is the caller's job. The returned
 // instance is shared: callers Clone it (read-only), never use it for a query
 // directly.
-func (qc *queryCache) lookup(gen uint64, key []byte) (gbkmv.PreparedQuery, bool) {
+func (qc *queryCache) lookup(gen uint64, key []byte) (*gbkmv.Query, bool) {
 	sh := qc.shardFor(key)
 	sh.mu.Lock()
 	el, ok := sh.m[string(key)]
@@ -240,7 +243,7 @@ func (qc *queryCache) lookup(gen uint64, key []byte) (gbkmv.PreparedQuery, bool)
 // a clone). An existing entry for the same key — current or stale — is
 // overwritten in place, so dead generations never accumulate behind a hot
 // key.
-func (qc *queryCache) put(gen uint64, key []byte, pq gbkmv.PreparedQuery) {
+func (qc *queryCache) put(gen uint64, key []byte, pq *gbkmv.Query) {
 	sh := qc.shardFor(key)
 	sh.mu.Lock()
 	if el, ok := sh.m[string(key)]; ok {

@@ -26,12 +26,12 @@ func collStats(t *testing.T, c *Collection) QueryCacheStats {
 func TestQueryCacheLRUAndGenerations(t *testing.T) {
 	voc := gbkmv.NewVocabulary()
 	recs := []gbkmv.Record{voc.Record([]string{"x", "y"})}
-	eng, err := gbkmv.NewEngine("gbkmv", recs, gbkmv.EngineOptions{BudgetUnits: 100})
+	eng, err := gbkmv.Build(recs, gbkmv.Options{BudgetUnits: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	qc := newQueryCache(qcShards, &obs.Counter{}, &obs.Counter{}, &obs.Counter{}) // one entry per shard
-	pq, _ := gbkmv.PrepareTokens(eng, voc, []string{"x"})
+	pq := eng.Prepare(voc.Record([]string{"x"}))
 
 	k1 := []byte(`["x"]`)
 	if _, ok := qc.lookup(1, k1); ok {
@@ -289,18 +289,19 @@ func TestBatchEndpoints(t *testing.T) {
 }
 
 // TestBatchMatchesSequentialAcrossEngines runs the batch-vs-sequential
-// equality on a non-default engine too (the batch path is engine-generic).
+// equality on both of the paper's KMV-family sketches gbkmvd serves: GB-KMV,
+// and G-KMV ("buffer_bits": -1, what the gkmv engine is).
 func TestBatchMatchesSequentialAcrossEngines(t *testing.T) {
 	_, ts := newServer(t, "")
-	for _, engine := range []string{"minhash", "exact"} {
+	for engine, bufferBits := range map[string]int{"gbkmv": 0, "gkmv": -1} {
 		body := fmt.Sprintf(`{
 			"records": [
 				["five", "guys", "burgers", "and", "fries"],
 				["five", "kitchen", "berkeley"],
 				["in", "n", "out", "burgers"]
 			],
-			"options": {"engine": %q, "budget_units": 1000}
-		}`, engine)
+			"options": {"buffer_bits": %d, "budget_units": 1000}
+		}`, bufferBits)
 		if code, m := doJSON(t, ts, "PUT", "/collections/"+engine, body); code != http.StatusOK {
 			t.Fatalf("build %s: %d %v", engine, code, m)
 		}

@@ -46,7 +46,7 @@ func TestReadPathAllocs(t *testing.T) {
 	for i, tokens := range records {
 		recs[i] = voc.Record(tokens)
 	}
-	eng, err := gbkmv.NewEngine("gbkmv", recs, gbkmv.EngineOptions{BudgetFraction: 0.1, Seed: 7})
+	eng, err := gbkmv.Build(recs, gbkmv.Options{BudgetFraction: 0.1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

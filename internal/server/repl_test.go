@@ -384,7 +384,7 @@ func TestInsertInvalidUTF8ReplaysIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	voc := gbkmv.NewVocabulary()
-	eng, err := gbkmv.NewEngine("gbkmv", []gbkmv.Record{voc.Record([]string{"seed", "one"})}, gbkmv.EngineOptions{BudgetUnits: 1000})
+	eng, err := gbkmv.Build([]gbkmv.Record{voc.Record([]string{"seed", "one"})}, gbkmv.Options{BudgetUnits: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 	for i, tokens := range records {
 		recs[i] = voc.Record(tokens)
 	}
-	eng, err := gbkmv.NewEngine("gbkmv", recs, gbkmv.EngineOptions{BudgetFraction: 0.1, Seed: 7})
+	eng, err := gbkmv.Build(recs, gbkmv.Options{BudgetFraction: 0.1, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -217,7 +217,7 @@ func OpenStore(dir string, o StoreOptions) (*Store, error) {
 		c := s.adopt(cdir, st)
 		s.cols[c.name] = c
 		s.logf("gbkmvd: loaded collection %q: engine %s, %d records, %d replayed from journal (verify + read %s, derive %s, replay %s)",
-			c.name, c.engName, st.eng.Len(), st.entries, st.readDur.Round(time.Millisecond),
+			c.name, c.eng.EngineName(), st.eng.Len(), st.entries, st.readDur.Round(time.Millisecond),
 			st.deriveDur.Round(time.Millisecond), st.replayDur.Round(time.Millisecond))
 	}
 	s.ready.Store(true)
@@ -291,10 +291,10 @@ func (s *Store) Names() []string {
 }
 
 // Create installs (or atomically replaces) the named collection around a
-// freshly built engine and the vocabulary it was interned through,
+// freshly built index and the vocabulary it was interned through,
 // snapshotting it immediately when the store is persistent so that
 // subsequent journaled inserts have a base to replay on.
-func (s *Store) Create(name string, voc *gbkmv.Vocabulary, eng gbkmv.Engine) (*Collection, error) {
+func (s *Store) Create(name string, voc *gbkmv.Vocabulary, eng *gbkmv.Index) (*Collection, error) {
 	if !nameRE.MatchString(name) {
 		return nil, ErrBadName
 	}

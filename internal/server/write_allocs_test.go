@@ -31,7 +31,7 @@ func writeAllocsCollection(t *testing.T, dir string, n int) (*Store, *Collection
 	for i, tokens := range records {
 		recs[i] = voc.Record(tokens)
 	}
-	eng, err := gbkmv.NewEngine("gbkmv", recs, gbkmv.EngineOptions{BudgetUnits: 64 << 20, BufferBits: 64, Seed: 7})
+	eng, err := gbkmv.Build(recs, gbkmv.Options{BudgetUnits: 64 << 20, BufferBits: 64, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ import (
 // PackedRecords keeps a collection in that coding in memory — what a bulk
 // build holds of its records from the scanner on, what the GB-KMV index
 // retains of them, and byte for byte what its snapshot writes for them — and
-// Writer.Records and Reader.Packed are the same three functions (measure,
-// appendRecord, decodeRecord) around a []dataset.Record or a stream.
+// Writer.Packed and Reader.Packed are the same three functions (measure,
+// appendRecord, decodeRecord) around a store or a stream.
 
 // uvarintLen is the length of v's canonical uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -300,35 +300,8 @@ func (p *PackedRecords) All() []dataset.Record {
 	return recs
 }
 
-// Records writes the records section. Records must be strictly ascending
-// (the dataset.Record invariant); one that is not fails the stream, since
-// the reader would reject it.
-func (w *Writer) Records(recs []dataset.Record) {
-	total := 0
-	for _, r := range recs {
-		total += len(r)
-	}
-	w.Int(len(recs))
-	w.Int(total)
-	for i, rec := range recs {
-		size, _, ascending := measure(rec)
-		switch {
-		case !ascending:
-			w.Fail(fmt.Errorf("snapfmt: record %d is not sorted and deduplicated", i))
-		case size <= bufSize:
-			appendRecord(w.room(size)[:0], rec)
-		default:
-			w.Write(appendRecord(make([]byte, 0, size), rec))
-		}
-		if w.err != nil {
-			return
-		}
-	}
-}
-
 // Packed writes the records section of a store: the two counts and the
-// codings as they are, chunk after chunk — the bytes Records writes for the
-// same records.
+// codings as they are, chunk after chunk.
 func (w *Writer) Packed(p *PackedRecords) {
 	if err := p.CheckSorted(); err != nil {
 		w.Fail(fmt.Errorf("snapfmt: %w", err))

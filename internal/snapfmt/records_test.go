@@ -92,11 +92,11 @@ func checkPacked(t *testing.T, p *PackedRecords, want []dataset.Record, label st
 
 // TestPackedRoundTrip: a store gives back what went in — packed at any worker
 // count, appended one by one, or both; written, it is byte for byte the
-// section Writer.Records writes for the same records; read back, it is the
+// section writeRecords writes for the same records; read back, it is the
 // same store.
 func TestPackedRoundTrip(t *testing.T) {
 	recs := packFixture(1, 600)
-	want := sectionOf(t, func(w *Writer) { w.Records(recs) })
+	want := sectionOf(t, func(w *Writer) { writeRecords(w, recs) })
 	var appended PackedRecords
 	for _, rec := range recs {
 		appended.Append(rec)
@@ -127,7 +127,7 @@ func TestPackedRoundTrip(t *testing.T) {
 	for name, p := range stores {
 		got := sectionOf(t, func(w *Writer) { w.Packed(p) })
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: the store writes %d bytes, Writer.Records %d, or they differ", name, len(got), len(want))
+			t.Fatalf("%s: the store writes %d bytes, writeRecords %d, or they differ", name, len(got), len(want))
 		}
 		if p.SizeBytes() != len(want)-len(sectionOf(t, func(w *Writer) { w.Int(p.Len()); w.Int(p.Elements()) }))+4*(len(recs)+1) {
 			t.Fatalf("%s: SizeBytes = %d for a section of %d bytes and %d records", name, p.SizeBytes(), len(want), len(recs))
@@ -235,7 +235,7 @@ func TestPackedRejectsMalformedSections(t *testing.T) {
 	}
 	// The one-element record {2⁶⁴−1} and a first element ≥ 2⁶³ are not wraps.
 	r := NewReader(bytes.NewReader(sectionOf(t, func(w *Writer) {
-		w.Records([]dataset.Record{{math.MaxUint64}, {1 << 63, 1<<63 + 1}})
+		writeRecords(w, []dataset.Record{{math.MaxUint64}, {1 << 63, 1<<63 + 1}})
 	})))
 	if p := r.Packed(); r.Done() != nil || p.Len() != 2 || p.Top() != math.MaxUint64 {
 		t.Errorf("records of the largest elements did not load: %v", r.Err())
@@ -315,4 +315,18 @@ func TestPackedAppendAllocatesWhatItStores(t *testing.T) {
 		t.Errorf("a store of %d bytes allocated %d as it grew", p.SizeBytes(), allocated)
 	}
 	checkPacked(t, &p, d.Records, "appended")
+}
+
+// writeRecords writes the records section of recs one coding at a time: the
+// reference the store's own writer, Writer.Packed, is held to.
+func writeRecords(w *Writer, recs []dataset.Record) {
+	total := 0
+	for _, r := range recs {
+		total += len(r)
+	}
+	w.Int(len(recs))
+	w.Int(total)
+	for _, rec := range recs {
+		w.Write(appendRecord(nil, rec))
+	}
 }

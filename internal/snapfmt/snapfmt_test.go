@@ -69,7 +69,7 @@ func (s sections) write(w io.Writer) error {
 	sw.String(s.Name)
 	sw.Varint(s.Signed)
 	sw.Elements(s.Elems)
-	sw.Records(s.Records)
+	writeRecords(sw, s.Records)
 	sw.StringTable(s.Strings.len(), func(i int) int { return int(s.Strings.Offsets[i+1] - s.Strings.Offsets[i]) }, [][]byte{s.Strings.Text})
 	return sw.Flush()
 }
@@ -224,7 +224,9 @@ func TestFormatAndStructureErrors(t *testing.T) {
 	if err := section(func(w *Writer) { w.Write([]byte{1, 1, 2, 5, 1}) }, func(r *Reader) { r.Packed() }); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("record overrunning the section total: %v", err)
 	}
-	if err := section(func(w *Writer) { w.Records([]dataset.Record{{3, 1}}) }, func(*Reader) {}); err == nil {
+	var unsorted PackedRecords
+	unsorted.Append(dataset.Record{3, 1})
+	if err := section(func(w *Writer) { w.Packed(&unsorted) }, func(*Reader) {}); err == nil {
 		t.Error("the writer accepted an unsorted record")
 	}
 }
@@ -328,7 +330,7 @@ func TestPackedLoadsInPlace(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	sw := NewWriter(&buf)
-	sw.Records(d.Records)
+	writeRecords(sw, d.Records)
 	if err := sw.Flush(); err != nil {
 		t.Fatal(err)
 	}
