@@ -62,7 +62,7 @@ func main() {
 		addr        = flag.String("addr", ":7878", "HTTP listen address")
 		dataDir     = flag.String("data", "./gbkmvd-data", "data directory for snapshots and journals; empty disables persistence")
 		recordFiles = flag.String("record-files", "", "directory server-side record files may be built from; empty disables file builds")
-		queryCache  = flag.Int("query-cache", server.DefaultQueryCacheEntries, "prepared-query cache entries per collection; 0 disables caching")
+		queryCache  = flag.Int("query-cache", server.DefaultQueryCacheEntries, "answer cache entries per collection: a repeated query's total and scored hits, kept until an insert changes the collection; 0 disables caching")
 		grace       = flag.Duration("grace", 10*time.Second, "graceful shutdown timeout")
 		readTimeout = flag.Duration("read-timeout", 5*time.Minute, "HTTP read timeout (bulk builds can be large)")
 		slowQuery   = flag.Duration("slow-query", 0, "log search requests taking at least this long, with their trace (0 disables)")

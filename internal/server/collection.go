@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +16,7 @@ import (
 )
 
 // Collection is one named index: the vocabulary, the GB-KMV index and the
-// prepared-query cache behind mu, the index RWMutex — searches take the read
+// answer cache behind mu, the index RWMutex — searches take the read
 // lock and run concurrently, applyBatch takes the write lock. What makes it
 // durable belongs to two other types, each the only code touching its own
 // state: wal (the journal and the commit protocol that calls applyBatch) and
@@ -38,7 +39,7 @@ type Collection struct {
 	mu     sync.RWMutex
 	voc    *gbkmv.Vocabulary
 	eng    *gbkmv.Index
-	qcache *queryCache // prepared-query cache; nil when disabled
+	qcache *queryCache // answer cache; nil when disabled
 
 	// queryGen is the query generation: the cache key epoch of the engine's
 	// in-memory state, bumped inside the write-lock critical section of every
@@ -73,52 +74,57 @@ type Hit struct {
 	Tokens   []string `json:"tokens,omitempty"`
 }
 
-// preparedRaw returns a prepared query for a request's verbatim query JSON,
-// which is also its cache key: a repeated query skips the per-token JSON
-// decode, the sorting of its token set *and* the sketch. On a miss the tokens
-// are read once, as bytes into sc, and the query prepared from them is cached
-// for the next byte-identical request. Caller must hold at least the read
-// lock (which is what makes the generation read exact: writers bump queryGen
-// under the write lock, so a cache hit is always against the engine state it
-// was prepared under). The returned query is private to the caller. tr, when
-// non-nil, receives the cache outcome and token count (-1 when a hit skipped
-// decoding) for the request trace.
-func (c *Collection) preparedRaw(raw []byte, sc *queryTokens, tr *reqTrace) (*gbkmv.Query, error) {
+// resolve returns the engine's answer to a request's verbatim query JSON
+// under sp: the scored hits, in rs.scored, and the total. The query bytes
+// after sp's answer-shaping fields are the cache key, so a repeated query
+// skips the per-token JSON decode, the sorting of its token set, the sketch,
+// the search and the scoring. On a miss the tokens are read once, as bytes
+// into rs, the query is prepared into rs too, and its answer is cached for
+// the next byte-identical request. Caller must hold at least the read lock
+// (which is what makes the generation read exact: writers bump queryGen under
+// the write lock, so a cache hit is always against the engine state it was
+// computed under). tr, when non-nil, receives the cache outcome, the token
+// count (-1 when a hit skipped decoding) and the search's work counters.
+func (c *Collection) resolve(rs *respScratch, raw []byte, sp querySpec, tr *reqTrace) (scored []gbkmv.Scored, total int, err error) {
 	gen := c.queryGen.Load()
-	cached := c.qcache != nil && len(raw) <= maxKeyBytes
-	if cached {
-		if shared, ok := c.qcache.lookup(gen, raw); ok {
+	var key []byte
+	if c.qcache != nil && len(raw) <= maxKeyBytes-specKeyBytes {
+		rs.key = sp.appendKey(rs.key[:0], raw)
+		key = rs.key
+		if answer, ok := c.qcache.lookup(gen, key); ok {
 			c.qcache.hits.Add(1)
 			if tr != nil {
 				tr.tokens = -1 // tokens were never decoded
 				tr.cache = cacheHit
 			}
-			return shared.Clone(), nil
+			rs.scored, total = unpackAnswer(rs.scored[:0], answer)
+			return rs.scored, total, nil
 		}
 	}
-	tokens, err := sc.tokenize(raw)
+	tokens, err := rs.query.tokenize(raw)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if tr != nil {
 		tr.tokens = tokens
+		tr.cache = cacheOff
 	}
-	if !cached {
+	if key != nil {
+		c.qcache.misses.Add(1)
 		if tr != nil {
-			tr.cache = cacheOff
+			tr.cache = cacheMiss
 		}
-		return sc.prepare(c.eng, c.voc)
 	}
-	c.qcache.misses.Add(1)
-	if tr != nil {
-		tr.cache = cacheMiss
-	}
-	pq, err := sc.prepare(c.eng, c.voc)
+	q, err := rs.query.prepare(c.eng, c.voc)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	c.qcache.put(gen, raw, pq)
-	return pq.Clone(), nil
+	rs.scored, total = sp.run(q, rs.scored[:0])
+	c.noteSearch(q, tr)
+	if key != nil {
+		c.qcache.put(gen, key, total, rs.scored)
+	}
+	return rs.scored, total, nil
 }
 
 // appendHits materializes scored results as Hits into dst (callers pass a
@@ -145,8 +151,8 @@ func (c *Collection) appendHits(dst []Hit, scored []gbkmv.Scored, withTokens boo
 //
 // The query is its verbatim request JSON (an array of token strings), which
 // lets a repeated query resolve through the exact-bytes cache key without
-// decoding tokens at all. tr, when non-nil, receives the request trace (cache
-// outcome, per-search work counters).
+// decoding tokens or searching at all. tr, when non-nil, receives the request
+// trace (cache outcome, per-search work counters).
 func (c *Collection) SearchRaw(rawQuery []byte, threshold float64, limit int, withTokens bool, dst []Hit, tr *reqTrace) (hits []Hit, total int, err error) {
 	rs := getResp()
 	defer putResp(rs)
@@ -163,22 +169,20 @@ func (c *Collection) TopKRaw(rawQuery []byte, k int, withTokens bool, dst []Hit,
 }
 
 // answer is the body of SearchRaw and TopKRaw, working in the caller's
-// scratch: the query's keys and tokens and the engine's scored results live
-// in rs, so a steady-state request allocates nothing between its body and
-// its response but the clone of the cached query.
+// scratch: the key, the query's tokens and the engine's scored results live
+// in rs, so a steady-state cache hit allocates nothing between its body and
+// its response.
 func (c *Collection) answer(rs *respScratch, rawQuery []byte, sp querySpec, dst []Hit, tr *reqTrace) (hits []Hit, total int, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	q, err := c.preparedRaw(rawQuery, &rs.query, tr)
+	scored, total, err := c.resolve(rs, rawQuery, sp, tr)
 	if err != nil {
 		return nil, 0, err
 	}
-	rs.scored, total = sp.run(q, rs.scored[:0])
-	c.noteSearch(q, tr)
-	return c.appendHits(dst, rs.scored, sp.withTokens), total, nil
+	return c.appendHits(dst, scored, sp.withTokens), total, nil
 }
 
-// run answers the request on a private prepared query, appending to dst.
+// run answers the request on a prepared query, appending to dst.
 // total counts every qualifying record of a threshold search, and is 0 for a
 // top-k.
 func (sp querySpec) run(q *gbkmv.Query, dst []gbkmv.Scored) (scored []gbkmv.Scored, total int) {
@@ -189,9 +193,8 @@ func (sp querySpec) run(q *gbkmv.Query, dst []gbkmv.Scored) (scored []gbkmv.Scor
 }
 
 // noteSearch books a finished search's work counters into the collection's
-// metrics and, when tr is non-nil, the request trace. q must be the private
-// clone the search just ran on (its counters are private to this goroutine
-// per the concurrency contract).
+// metrics and, when tr is non-nil, the request trace. q is the query the
+// search just ran on, private to the request.
 func (c *Collection) noteSearch(q *gbkmv.Query, tr *reqTrace) {
 	st := q.QueryStats()
 	c.metrics.candidates.Observe(float64(st.Candidates))
@@ -217,27 +220,32 @@ type BatchResult struct {
 }
 
 // batchSlot is one *distinct* query of a batch: duplicates within the batch
-// share a slot, so each distinct query is prepared (or cache-hit) exactly
-// once — lazily, by whichever worker reaches it first, so a cold batch's
-// sketching work parallelizes along with its searches instead of running
+// share a slot, so each distinct query's answer is resolved (through the
+// cache, or by a search) exactly once — lazily, by whichever worker reaches
+// it first, so a cold batch's searches parallelize instead of running
 // serially before the fan-out.
 type batchSlot struct {
-	raw  []byte
-	once sync.Once
-	pq   *gbkmv.Query
-	err  error
+	raw    []byte
+	once   sync.Once
+	scored []gbkmv.Scored
+	total  int
+	err    error
 }
 
-// prepared resolves the slot's query, preparing on first use (query
-// sketching is a read: the index allows concurrent Prepare, exactly as
-// the core SearchBatch's workers sketch concurrently) in the calling worker's
-// scratch. Duplicate queries block on the first worker's prepare and then
-// share the result.
-func (s *batchSlot) prepared(c *Collection, sc *queryTokens) (*gbkmv.Query, error) {
-	// No trace here: slots are prepared by racing workers, and the batch
+// resolved resolves the slot's answer on first use (a search is a read: the
+// index allows concurrent queries, exactly as the core SearchBatch's workers
+// run them) in the calling worker's scratch, and keeps a copy of it.
+// Duplicate queries block on the first worker's resolve and then share the
+// answer.
+func (s *batchSlot) resolved(c *Collection, rs *respScratch, sp querySpec) ([]gbkmv.Scored, int, error) {
+	// No trace here: slots are resolved by racing workers, and the batch
 	// trace is aggregated at the request level, not per slot.
-	s.once.Do(func() { s.pq, s.err = c.preparedRaw(s.raw, sc, nil) })
-	return s.pq, s.err
+	s.once.Do(func() {
+		var scored []gbkmv.Scored
+		scored, s.total, s.err = c.resolve(rs, s.raw, sp, nil)
+		s.scored = slices.Clone(scored)
+	})
+	return s.scored, s.total, s.err
 }
 
 // dedupBatch groups the batch into distinct-query slots (detected on the
@@ -260,10 +268,9 @@ func dedupBatch(queries [][]byte) ([]batchSlot, []int) {
 }
 
 // runBatch fans the per-query work out across a bounded worker pool under
-// the single read-lock acquisition the caller amortizes over the batch.
-// Workers clone their slot's prepared query per use (clones are cheap and
-// the shared instance is never mutated), and the engine's pooled scratch
-// machinery hands each in-flight query its own working memory.
+// the single read-lock acquisition the caller amortizes over the batch. The
+// engine's pooled scratch machinery hands each in-flight query its own
+// working memory.
 func runBatch(n int, run func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -295,8 +302,9 @@ func runBatch(n int, run func(i int)) {
 
 // batch answers every query of a search:batch or topk:batch request — each
 // the verbatim JSON of its token array, as SearchRaw takes it — under one
-// read-lock acquisition: each distinct query is prepared once (through the
-// cache when enabled), then the batch fans out across a bounded worker pool.
+// read-lock acquisition: the batch fans out across a bounded worker pool, and
+// each distinct query's answer is resolved once (through the cache when
+// enabled).
 // Results are in input order. A ctx deadline passing mid-batch fails the
 // remaining slots (each carries the context error) instead of running the
 // batch to completion against a client that already gave up; a nil ctx never
@@ -314,15 +322,13 @@ func (c *Collection) batch(ctx context.Context, queries [][]byte, sp querySpec) 
 		}
 		rs := getResp()
 		defer putResp(rs)
-		pq, err := slots[idx[i]].prepared(c, &rs.query)
+		scored, total, err := slots[idx[i]].resolved(c, rs, sp)
 		if err != nil {
 			out[i].Err = err
 			return
 		}
-		cl := pq.Clone()
-		rs.scored, out[i].Total = sp.run(cl, rs.scored[:0])
-		c.noteSearch(cl, nil)
-		out[i].Hits = c.appendHits(make([]Hit, 0, len(rs.scored)), rs.scored, sp.withTokens)
+		out[i].Total = total
+		out[i].Hits = c.appendHits(make([]Hit, 0, len(scored)), scored, sp.withTokens)
 	})
 	return out
 }
@@ -454,7 +460,7 @@ type CollStats struct {
 	// QueryGeneration is the cache-key epoch of the engine's in-memory
 	// state, bumped by every applied insert batch.
 	QueryGeneration uint64 `json:"query_generation"`
-	// QueryCache reports the prepared-query cache counters; nil (omitted)
+	// QueryCache reports the answer cache's counters and bytes; nil (omitted)
 	// when the cache is disabled.
 	QueryCache *QueryCacheStats `json:"query_cache,omitempty"`
 	// Role and Replication report the node's replication posture: Role is

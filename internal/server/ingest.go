@@ -22,8 +22,8 @@ import (
 // body besides (22× the body in allocations for a 13.6 MB build, 1 kB for a
 // three-field search request). The scanner walks the body once through a
 // fixed window and hands the bytes straight to their consumer: the vocabulary
-// for a build, one slab for an insert, the query as it stands — the
-// prepared-query cache's key — for a search.
+// for a build, one slab for an insert, the query as it stands — the end of
+// the answer cache's key — for a search.
 //
 // It accepts what json.Decoder with DisallowUnknownFields accepts for the
 // same struct, and reads it the same way: case-folded keys, a later
@@ -749,8 +749,8 @@ type querySpec struct {
 
 // queryBody is a scanned search, topk, search:batch or topk:batch request.
 // A query is kept as its JSON stands in the body: a byte-identical hot query
-// resolves through the prepared-query cache's exact-bytes key without
-// per-token decoding. query (nil when the body had none) and queries alias
+// resolves through the answer cache's exact-bytes key without per-token
+// decoding. query (nil when the body had none) and queries alias
 // the scanner's buffers and are valid until it is used again or put back.
 type queryBody struct {
 	query   []byte

@@ -14,14 +14,17 @@ import (
 // The hot read-path responses (search, topk and their batch forms) are
 // encoded by hand into pooled byte buffers: no map[string]any envelope, no
 // reflection, no per-request encoder state. A steady-state cache-hit search
-// therefore does O(result) work end to end. The cold paths (stats, errors,
-// build responses) keep the reflective encoder, but share the same buffer
-// pool so even they allocate no response buffer per request.
+// therefore does O(result) work end to end: no tokenize, no search. The cold
+// paths (stats, errors, build responses) keep the reflective encoder, but
+// share the same buffer pool so even they allocate no response buffer per
+// request.
 
-// respScratch is the pooled per-request state of the read path: the query's
-// tokens, the buffer the engine appends its scored results to,
-// the []Hit they are materialized into and the response's bytes.
+// respScratch is the pooled per-request state of the read path: the cache
+// key, the query's tokens, the buffer the engine appends its scored results
+// to (or a cached answer is unpacked into), the []Hit they are materialized
+// into and the response's bytes.
 type respScratch struct {
+	key    []byte
 	query  queryTokens
 	scored []gbkmv.Scored
 	hits   []Hit

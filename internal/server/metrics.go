@@ -69,7 +69,7 @@ type Metrics struct {
 	budgetUtil *obs.GaugeVec // collection
 	// Where a collection's bytes are (scrape-time mirror): the sketch (/stats
 	// size_bytes), the retained records, what search walks beside the
-	// sketch, and the vocabulary.
+	// sketch, the vocabulary and the answer cache.
 	resident *obs.GaugeVec // collection, part
 
 	// Storage-integrity families (see integrity.go): disk errors by write-path
@@ -130,13 +130,13 @@ func newMetrics() *Metrics {
 		replaySecs: r.GaugeVec("gbkmv_wal_replay_seconds",
 			"Duration of the startup journal replay.", "collection"),
 		qcHits: r.CounterVec("gbkmv_query_cache_hits_total",
-			"Prepared-query cache hits.", "collection"),
+			"Answer cache hits: requests answered without a search.", "collection"),
 		qcMisses: r.CounterVec("gbkmv_query_cache_misses_total",
-			"Prepared-query cache misses (query prepared from scratch).", "collection"),
+			"Answer cache misses: engine searches of a cacheable query.", "collection"),
 		qcEvictions: r.CounterVec("gbkmv_query_cache_evictions_total",
-			"Prepared-query cache LRU evictions.", "collection"),
+			"Answer cache LRU evictions.", "collection"),
 		qcEntries: r.GaugeVec("gbkmv_query_cache_entries",
-			"Prepared-query cache entries currently resident.", "collection"),
+			"Answer cache entries currently resident.", "collection"),
 		batchSize: r.HistogramVec("gbkmv_batch_queries",
 			"Queries per batch request (search:batch, topk:batch).",
 			obs.CountBuckets, "collection"),
@@ -193,7 +193,8 @@ func newMetrics() *Metrics {
 		resident: r.GaugeVec("gbkmv_collection_resident_bytes",
 			"Bytes a collection holds, by part: sketch (signatures: buffers and keys, the /stats size_bytes), "+
 				"records (the retained records), index (inverted lists, bit columns, offset tables), "+
-				"vocabulary (token text, offsets, id table: vocab_bytes).",
+				"vocabulary (token text, offsets, id table: vocab_bytes), "+
+				"query_cache (the answer cache's keys and answers: /stats query_cache.bytes).",
 			"collection", "part"),
 		diskErrors: r.CounterVec("gbkmv_disk_errors_total",
 			"Write-path disk errors, by operation.", "op"),
@@ -340,7 +341,7 @@ func (m *Metrics) collMetricsFor(name string) *collMetrics {
 
 // residentParts are the part labels of gbkmv_collection_resident_bytes, in
 // the order mirrorCollections sets them.
-var residentParts = [...]string{"sketch", "records", "index", "vocabulary"}
+var residentParts = [...]string{"sketch", "records", "index", "vocabulary", "query_cache"}
 
 // mirrorCollections is the store's scrape hook: point-in-time collection
 // state (record counts, generations, WAL offsets, cache residency, build
@@ -363,9 +364,9 @@ func (s *Store) mirrorCollections() {
 		}
 		c.mu.RLock()
 		records := c.eng.Len()
-		var entries int
+		var entries, cacheBytes int
 		if c.qcache != nil {
-			entries = c.qcache.entries()
+			entries, cacheBytes = c.qcache.entries(), int(c.qcache.bytes.Load())
 		}
 		hashed, shrinks := c.eng.BuildCounters()
 		es := c.eng.Stats()
@@ -384,7 +385,7 @@ func (s *Store) mirrorCollections() {
 		m.shrinkTotal.With(name).Set(shrinks)
 		m.sketchTau.With(name).Set(es.Tau)
 		m.budgetUtil.With(name).Set(float64(es.UsedUnits) / float64(es.BudgetUnits))
-		for i, bytes := range [...]int{es.SizeBytes, es.RecordBytes, es.IndexBytes, vocab} {
+		for i, bytes := range [...]int{es.SizeBytes, es.RecordBytes, es.IndexBytes, vocab, cacheBytes} {
 			m.resident.With(name, residentParts[i]).Set(float64(bytes))
 		}
 	}

@@ -30,14 +30,14 @@ import (
 const (
 	cacheHit int8 = iota + 1
 	cacheMiss
-	cacheOff // the query was prepared uncached: caching disabled, or the query too large to key
+	cacheOff // the query was answered uncached: caching disabled, or the query too large to key
 )
 
 // reqTrace is the per-request trace: handlers fill it while serving, the
 // middleware reads it when booking metrics and deciding the slow-query log.
 type reqTrace struct {
 	isQuery bool // a search-shaped request (slow-log eligible)
-	cache   int8 // prepared-query cache outcome
+	cache   int8 // answer cache outcome
 	tokens  int  // query token count; -1 when the raw-bytes cache hit skipped decoding
 	queries int  // batch size (batch endpoints)
 	stats   struct {

@@ -191,8 +191,8 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("search: %d %v", code, m)
 		}
 	}
-	search() // cold: cache miss
-	search() // hot: raw-bytes cache hit
+	search() // cold: cache miss, one engine search
+	search() // hot: cache hit, answered without a search
 	doJSON(t, ts, "POST", "/collections/m/records", `{"records": [["shake", "shack"]]}`)
 	doJSON(t, ts, "POST", "/collections/m/search:batch",
 		`{"queries": [["five"], ["burgers"]], "threshold": 0.1}`)
@@ -204,7 +204,7 @@ func TestMetricsExposition(t *testing.T) {
 		`gbkmv_http_requests_total{endpoint="POST /collections/{name}/search",collection="m",code="2xx"}`:       2,
 		`gbkmv_http_requests_total{endpoint="POST /collections/{name}/search:batch",collection="m",code="2xx"}`: 1,
 		`gbkmv_query_cache_hits_total{collection="m"}`:                                                          1,
-		`gbkmv_query_cache_misses_total{collection="m"}`:                                                        3, // cold search + 2 distinct batch queries
+		`gbkmv_query_cache_misses_total{collection="m"}`:                                                        3, // engine searches: cold search + 2 distinct batch queries
 		`gbkmv_wal_appended_frames_total{collection="m"}`:                                                       0, // memory-only store: no journal
 		`gbkmv_collection_records{collection="m"}`:                                                              4,
 		`gbkmv_collection_query_generation{collection="m"}`:                                                     1,
@@ -240,6 +240,12 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("gbkmv_collection_resident_bytes{part=%q} = %g, /stats %s %v", part, got, field, st[field])
 		}
 	}
+	// The answer cache's part is /stats query_cache.bytes: the three cached
+	// answers and their keys.
+	qcs, _ := st["query_cache"].(map[string]any)
+	if got, want := series[`gbkmv_collection_resident_bytes{collection="m",part="query_cache"}`], qcs["bytes"]; got != want || got <= 0 {
+		t.Errorf("gbkmv_collection_resident_bytes{part=\"query_cache\"} = %g, /stats query_cache.bytes %v", got, want)
+	}
 	c, err := store.Get("m")
 	if err != nil {
 		t.Fatal(err)
@@ -247,15 +253,16 @@ func TestMetricsExposition(t *testing.T) {
 	if got, want := series[`gbkmv_collection_resident_bytes{collection="m",part="vocabulary"}`], float64(c.voc.SizeBytes()); got != want {
 		t.Errorf("gbkmv_collection_resident_bytes{part=\"vocabulary\"} = %g, the vocabulary's SizeBytes %g", got, want)
 	}
-	// Per-search work counters: 2 searches + 2 batch slots ran; candidates
-	// flowed through the histogram and the totals agree with it.
+	// Per-search work counters count engine searches, not requests: the cold
+	// search and the 2 batch slots ran one each, the cache hit none.
+	// Candidates flowed through the histogram and the totals agree with it.
 	candSum := series[`gbkmv_search_candidates_sum{collection="m"}`]
 	candTotal := series[`gbkmv_search_candidates_total{collection="m"}`]
 	if candSum != candTotal {
 		t.Errorf("candidates histogram sum %g != counter total %g", candSum, candTotal)
 	}
-	if series[`gbkmv_search_candidates_count{collection="m"}`] != 4 {
-		t.Errorf("candidate observations = %g, want 4",
+	if series[`gbkmv_search_candidates_count{collection="m"}`] != 3 {
+		t.Errorf("candidate observations = %g, want 3",
 			series[`gbkmv_search_candidates_count{collection="m"}`])
 	}
 	// Runtime metrics are present.

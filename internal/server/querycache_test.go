@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,40 +30,78 @@ func collStats(t *testing.T, c *Collection) QueryCacheStats {
 }
 
 func TestQueryCacheLRUAndGenerations(t *testing.T) {
-	voc := gbkmv.NewVocabulary()
-	recs := []gbkmv.Record{voc.Record([]string{"x", "y"})}
-	eng, err := gbkmv.Build(recs, gbkmv.Options{BudgetUnits: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
 	qc := newQueryCache(qcShards, &obs.Counter{}, &obs.Counter{}, &obs.Counter{}) // one entry per shard
-	pq := eng.Prepare(voc.Record([]string{"x"}))
+	answer := []gbkmv.Scored{{ID: 3, Score: 0.5}, {ID: 1 << 31, Score: 1}}
 
 	k1 := []byte(`["x"]`)
 	if _, ok := qc.lookup(1, k1); ok {
 		t.Fatal("hit on empty cache")
 	}
-	qc.put(1, k1, pq)
-	if _, ok := qc.lookup(1, k1); !ok {
+	qc.put(1, k1, 7, answer)
+	if packed, ok := qc.lookup(1, k1); !ok {
 		t.Fatal("miss after put")
+	} else if got, total := unpackAnswer(nil, packed); total != 7 || !reflect.DeepEqual(got, answer) {
+		t.Fatalf("answer came back as %v, total %d", got, total)
 	}
 	// A generation bump makes the entry dead without any flush.
 	if _, ok := qc.lookup(2, k1); ok {
 		t.Fatal("stale-generation entry served")
 	}
 	// Overwriting the dead entry revives the key at the new generation.
-	qc.put(2, k1, pq)
-	if _, ok := qc.lookup(2, k1); !ok {
+	qc.put(2, k1, 1, answer[:1])
+	if packed, ok := qc.lookup(2, k1); !ok {
 		t.Fatal("miss after generation refresh")
+	} else if got, total := unpackAnswer(nil, packed); total != 1 || len(got) != 1 {
+		t.Fatalf("refreshed answer came back as %v, total %d", got, total)
 	}
 	// The key is the query's bytes: another spelling of it is another key.
 	if _, ok := qc.lookup(2, []byte(`[ "x"]`)); ok {
 		t.Fatal("a respelled query hit the cache")
 	}
+	// An answer too long to pack within maxKeyBytes is not kept: a hit is at
+	// least 9 bytes.
+	qc.put(2, []byte(`["big"]`), maxKeyBytes, make([]gbkmv.Scored, maxKeyBytes/9))
+	if _, ok := qc.lookup(2, []byte(`["big"]`)); ok {
+		t.Fatal("an outsized answer was cached")
+	}
+	// Answers pack and unpack exactly: a search's ascending ids, a top-k's in
+	// any order, ids up to 32 bits, any estimate bits.
+	rng := rand.New(rand.NewSource(1))
+	for range 200 {
+		want := make([]gbkmv.Scored, rng.Intn(60))
+		for i := range want {
+			want[i] = gbkmv.Scored{ID: rng.Intn(1 << (1 + rng.Intn(32))), Score: rng.Float64()}
+		}
+		if rng.Intn(2) == 0 {
+			slices.SortFunc(want, func(a, b gbkmv.Scored) int { return a.ID - b.ID })
+		}
+		packed := packAnswer(len(want)+rng.Intn(1000), want)
+		if got, _ := unpackAnswer(nil, packed); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%v came back as %v", want, got)
+		}
+	}
+	// A shard evicts its least recently used entry: of three keys in one
+	// shard of two entries, the one not looked up since it was put.
+	lru := newQueryCache(2*qcShards, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
+	var same [][]byte
+	for i := 0; len(same) < 3; i++ {
+		if k := fmt.Appendf(nil, `["s%d"]`, i); lru.shardFor(k) == lru.shardFor([]byte(`["s0"]`)) {
+			same = append(same, k)
+		}
+	}
+	lru.put(1, same[0], 0, nil)
+	lru.put(1, same[1], 0, nil)
+	lru.lookup(1, same[0])
+	lru.put(1, same[2], 0, nil)
+	for i, want := range []bool{true, false, true} {
+		if _, ok := lru.lookup(1, same[i]); ok != want {
+			t.Fatalf("key %d of 3 resident: %v, want %v", i, ok, want)
+		}
+	}
 	// Filling a shard beyond capacity evicts oldest-first.
 	evBefore := qc.stats().Evictions
 	for i := 0; i < 64; i++ {
-		qc.put(2, fmt.Appendf(nil, `["t%d"]`, i), pq)
+		qc.put(2, fmt.Appendf(nil, `["t%d"]`, i), i, answer[:i%3])
 	}
 	st := qc.stats()
 	if st.Evictions == evBefore {
@@ -65,6 +109,44 @@ func TestQueryCacheLRUAndGenerations(t *testing.T) {
 	}
 	if st.Entries > qcShards {
 		t.Fatalf("entries %d exceed capacity %d", st.Entries, qcShards)
+	}
+}
+
+// TestQueryCacheBytes holds the cache's byte counter — kept on put,
+// overwrite and evict, never by a scan — to a recount of the resident keys
+// and answers, through a fill past capacity, overwrites of live and stale
+// entries with longer and shorter answers, and evictions.
+func TestQueryCacheBytes(t *testing.T) {
+	qc := newQueryCache(4*qcShards, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
+	recount := func() int64 {
+		var n int64
+		for i := range qc.shards {
+			sh := &qc.shards[i]
+			sh.mu.Lock()
+			for _, e := range sh.m {
+				n += int64(len(e.key) + len(e.answer))
+			}
+			sh.mu.Unlock()
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(1))
+	hits := make([]gbkmv.Scored, 40)
+	for i := range 2000 {
+		key := fmt.Appendf(nil, `["q%d"]`, rng.Intn(120))
+		qc.put(uint64(i/300), key, i, hits[:rng.Intn(len(hits))])
+		if i%97 == 0 {
+			if got, want := qc.bytes.Load(), recount(); got != want {
+				t.Fatalf("after %d puts: bytes %d, recount %d", i+1, got, want)
+			}
+		}
+	}
+	st := qc.stats()
+	if st.Evictions == 0 || st.Entries != 4*qcShards {
+		t.Fatalf("the cache was not filled past capacity: %+v", st)
+	}
+	if got, want := st.Bytes, recount(); got != want || got <= 0 {
+		t.Fatalf("bytes %d, recount %d", got, want)
 	}
 }
 
@@ -416,5 +498,222 @@ func TestConcurrentSearchBatchInsert(t *testing.T) {
 	// 3 seed records + 4 workers × 10 inserts.
 	if _, m := doJSON(t, ts, "GET", "/collections/rest/stats", ""); m["num_records"] != float64(43) {
 		t.Errorf("num_records = %v, want 43", m["num_records"])
+	}
+}
+
+// diffNode is one store of TestAnswerCacheDifferential, on its own data
+// directory and served through Handler without a listener.
+type diffNode struct {
+	name  string
+	dir   string
+	cache int // StoreOptions.QueryCacheEntries: negative disables the cache
+	store *Store
+	h     http.Handler
+	// hits and evictions add up the cache's counters of every incarnation
+	// of the collection a reload closed.
+	hits, evictions uint64
+}
+
+func (n *diffNode) open(t *testing.T) {
+	t.Helper()
+	s, err := OpenStore(n.dir, StoreOptions{QueryCacheEntries: n.cache, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatalf("%s: %v", n.name, err)
+	}
+	n.store, n.h = s, Handler(s)
+}
+
+func (n *diffNode) coll(t *testing.T) *Collection {
+	t.Helper()
+	c, err := n.store.Get("c")
+	if err != nil {
+		t.Fatalf("%s: %v", n.name, err)
+	}
+	return c
+}
+
+// tally adds the collection's cache counters to the node's totals.
+func (n *diffNode) tally(t *testing.T) {
+	if st := n.coll(t).Stats().QueryCache; st != nil {
+		n.hits += st.Hits
+		n.evictions += st.Evictions
+	}
+}
+
+func (n *diffNode) do(method, path, body string) (int, []byte) {
+	rec := httptest.NewRecorder()
+	n.h.ServeHTTP(rec, httptest.NewRequest(method, "/collections/c"+path, strings.NewReader(body)))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// ship hands the follower the leader's journal frames it has not applied,
+// through ApplyReplicated, as the replication stream does.
+func ship(t *testing.T, leader, follower *diffNode) {
+	t.Helper()
+	gen, _, _ := leader.coll(t).ReplPosition()
+	fc := follower.coll(t)
+	fgen, off, _ := fc.ReplPosition()
+	if fgen != gen {
+		t.Fatalf("follower at generation %d, leader at %d", fgen, gen)
+	}
+	frames, err := os.ReadFile(filepath.Join(leader.dir, "c", fmt.Sprintf("journal-%d.log", gen)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end, _, err := fc.ApplyReplicated(gen, off, frames[off:]); err != nil || end != int64(len(frames)) {
+		t.Fatalf("follower applied to %d of %d: %v", end, len(frames), err)
+	}
+}
+
+// TestAnswerCacheDifferential runs one seeded schedule against four stores
+// that hold the same collection: a leader and a follower with the answer
+// cache on, and a leader and a follower with it off. The schedule inserts
+// records through the HTTP insert path (the followers apply the leaders'
+// frames through ApplyReplicated), snapshots (the followers roll their
+// generation), closes and reopens every store, and asks search, top-k and
+// batch requests over a small pool of queries, with thresholds, limits, k and
+// with_tokens drawn from small sets so that requests repeat. Every response
+// must be byte-equal to the uncached leader's. The collection grows past the
+// number of hits an answer can pack within maxKeyBytes, so a threshold-0
+// search is cached early on and answered uncached later.
+func TestAnswerCacheDifferential(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { answerCacheDifferential(t, seed) })
+	}
+}
+
+func answerCacheDifferential(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	// 420 records answer a threshold-0 search in 3 782 packed bytes; the
+	// schedule's inserts take it past maxKeyBytes.
+	records := benchCollectionRecords(t, 420)
+	var nodes []*diffNode
+	for _, name := range []string{"leader-off", "leader-on", "follower-off", "follower-on"} {
+		cache := 64
+		if strings.HasSuffix(name, "off") {
+			cache = -1
+		}
+		n := &diffNode{name: name, dir: t.TempDir(), cache: cache}
+		n.open(t)
+		nodes = append(nodes, n)
+	}
+	ref, leaders, followers := nodes[0], nodes[:2], nodes[2:]
+	build := string(marshalBuildBody(t, records, `{"seed":7}`))
+	for i, l := range leaders {
+		if code, body := l.do("PUT", "", build); code != http.StatusOK {
+			t.Fatalf("seed %d: build %s: %d %s", seed, l.name, code, body)
+		}
+		replicaFromSnapshot(t, l.dir, followers[i].store, "c", 1)
+	}
+
+	quote := func(tokens []string) string {
+		b, err := json.Marshal(tokens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var queries []string
+	for i := 0; i < 8; i++ {
+		r := records[rng.Intn(len(records))]
+		from := rng.Intn(len(r) / 2)
+		queries = append(queries, quote(r[from:from+1+rng.Intn(12)]))
+	}
+	sub := records[rng.Intn(len(records))][:6]
+	queries = append(queries,
+		quote(append([]string{"fresh-0", "fresh-1"}, sub...)), // tokens that inserts bring in
+		quote(append([]string{sub[5], sub[4], sub[3]}, sub[:3]...)),
+		`["fresh-2"]`,
+		`[]`,
+	)
+	pick := func() string { return queries[rng.Intn(len(queries))] }
+	thresholds := []string{"0", "0.3", "0.6", "1"}
+
+	// send asks every node the same request and holds each answer to the
+	// uncached leader's, byte for byte.
+	send := func(step int, path, body string) {
+		t.Helper()
+		wantCode, want := ref.do("POST", path, body)
+		for _, n := range nodes[1:] {
+			if code, got := n.do("POST", path, body); code != wantCode || !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, step %d: %s %s\n%s: %d %.300s\n%s: %d %.300s",
+					seed, step, path, body, n.name, code, got, ref.name, wantCode, want)
+			}
+		}
+	}
+	reload := func() {
+		for _, n := range nodes {
+			n.tally(t)
+			if err := n.store.Close(); err != nil {
+				t.Fatalf("seed %d: close %s: %v", seed, n.name, err)
+			}
+			n.open(t)
+		}
+	}
+
+	const steps = 240
+	for step := 0; step < steps; step++ {
+		switch r := rng.Intn(100); {
+		case r < 15: // an insert of one to three records
+			var recs []string
+			for j := 0; j <= rng.Intn(3); j++ {
+				base := records[rng.Intn(len(records))]
+				tokens := append([]string{fmt.Sprintf("fresh-%d", rng.Intn(4))}, base[:1+rng.Intn(len(base)-1)]...)
+				recs = append(recs, quote(tokens))
+			}
+			body := `{"records":[` + strings.Join(recs, ",") + `]}`
+			wantCode, want := leaders[0].do("POST", "/records", body)
+			if code, got := leaders[1].do("POST", "/records", body); wantCode != http.StatusOK || code != wantCode || !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, step %d: insert %s: %d %s / %d %s", seed, step, body, wantCode, want, code, got)
+			}
+			for i, l := range leaders {
+				ship(t, l, followers[i])
+			}
+		case r < 18 || step == steps/2: // a snapshot, and every other time a reload
+			for i, l := range leaders {
+				if code, body := l.do("POST", "/snapshot", ""); code != http.StatusOK {
+					t.Fatalf("seed %d, step %d: snapshot %s: %d %s", seed, step, l.name, code, body)
+				}
+				gen, _, _ := l.coll(t).ReplPosition()
+				if err := followers[i].store.RollGeneration("c", gen); err != nil {
+					t.Fatalf("seed %d, step %d: roll %s: %v", seed, step, followers[i].name, err)
+				}
+			}
+			if step == steps/2 || rng.Intn(2) == 0 {
+				reload()
+			}
+		case r < 55:
+			send(step, "/search", fmt.Sprintf(`{"query":%s,"threshold":%s,"limit":%d,"with_tokens":%v}`,
+				pick(), thresholds[rng.Intn(len(thresholds))], 5*rng.Intn(2), rng.Intn(2) == 0))
+		case r < 80:
+			send(step, "/topk", fmt.Sprintf(`{"query":%s,"k":%d,"with_tokens":%v}`,
+				pick(), []int{1, 10}[rng.Intn(2)], rng.Intn(2) == 0))
+		default:
+			batch := make([]string, 2+rng.Intn(4))
+			for i := range batch {
+				batch[i] = pick()
+			}
+			qs := strings.Join(batch, ",")
+			if rng.Intn(2) == 0 {
+				send(step, "/search:batch", fmt.Sprintf(`{"queries":[%s],"threshold":%s,"limit":%d,"with_tokens":%v}`,
+					qs, thresholds[rng.Intn(len(thresholds))], 5*rng.Intn(2), rng.Intn(2) == 0))
+			} else {
+				send(step, "/topk:batch", fmt.Sprintf(`{"queries":[%s],"k":%d,"with_tokens":%v}`,
+					qs, []int{1, 10}[rng.Intn(2)], rng.Intn(2) == 0))
+			}
+		}
+	}
+	for _, n := range nodes {
+		n.tally(t)
+		if err := n.store.Close(); err != nil {
+			t.Fatalf("seed %d: close %s: %v", seed, n.name, err)
+		}
+	}
+	// The schedule reached both of the cache's outcomes besides a miss.
+	for _, n := range []*diffNode{nodes[1], nodes[3]} {
+		if n.hits == 0 || n.evictions == 0 {
+			t.Fatalf("seed %d: %s served %d hits and evicted %d entries: the schedule exercised too little",
+				seed, n.name, n.hits, n.evictions)
+		}
 	}
 }

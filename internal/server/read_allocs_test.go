@@ -18,14 +18,14 @@ import (
 // handing it over and the response's bytes: through Handler, with a request
 // and a ResponseWriter that are reused, so that what is counted is this
 // package and the engine under it. The bounds are the measured figures plus a
-// fifth. What a cache hit still allocates (6 objects, 7 for a top-k): the
-// request id and its header slice, ServeMux's path values, MaxBytesReader and
-// the clone of the cached query (2). A miss adds what outlives it: the
-// prepared query and its two cache entries. Through the one-segment wrapper
-// the collection was until the segmented layer went, a hit took 8 objects
-// and 338 bytes and a miss 22 and 1 420; before the bodies were scanned and
-// results appended, 30 objects and 8.4 kB (hit, two segments) and 108 and
-// 8.5 kB (miss).
+// fifth, measured in a run of the whole package, where the request counter is
+// past one hex digit (a hit's bytes are 115 to 124 as the id grows a digit).
+// A cache hit, search or top-k, is 5 objects, and all of them net/http's or
+// the middleware's: the request id (its digits and the id), its header slice,
+// ServeMux's path values and MaxBytesReader. It neither tokenizes, prepares
+// nor searches, and unpacks the cached answer into pooled scratch. A miss adds
+// the prepared query, which dies with the request, and what outlives it: the
+// cache entry, its key and its packed answer.
 func TestReadPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector (instrumented allocs, lossy sync.Pool)")
@@ -94,9 +94,9 @@ func TestReadPathAllocs(t *testing.T) {
 		allocs  float64
 		bytes   float64
 	}{
-		{"cache-hit search", func() { post(search, hit) }, 6, 274},
-		{"cache-miss search of 46 tokens", func() { post(search, misses[next]); next++ }, 18, 1292},
-		{"top-k", func() { post(topk, best) }, 7, 275},
+		{"cache-hit search", func() { post(search, hit) }, 5, 124},
+		{"cache-miss search of 46 tokens", func() { post(search, misses[next]); next++ }, 15, 1145},
+		{"top-k", func() { post(topk, best) }, 5, 124},
 	} {
 		c.request() // the pools' buffers, and the hit's cache entry
 		allocs := testing.AllocsPerRun(runs, c.request)

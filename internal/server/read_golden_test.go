@@ -18,8 +18,9 @@ import (
 // encoding/json and the allocating ones (testdata/read_golden.txt, written
 // by this test under -update-read-golden at the commit before): one line a
 // request — status, body length, SHA-256 of the body — and at the end the
-// collection's query-cache counters. Equal bytes and equal counters are why
-// f1, recall and the cache's hit ratio cannot have moved with that change.
+// collection's query-cache counters. Equal bytes are why f1 and recall cannot
+// have moved with that change; the counters move only with what the cache
+// keys on (since it keeps answers, the spec as well as the query bytes).
 
 var updateReadGolden = flag.Bool("update-read-golden", false, "rewrite testdata/read_golden.txt from this build's responses")
 

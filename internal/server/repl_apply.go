@@ -24,8 +24,7 @@ import (
 // every derived invariant for free:
 // record ids assign in journal order, the duplicate-detection window
 // rebuilds from the echoed request ids, and the query generation bumps
-// under the write lock so the prepared-query cache never serves stale
-// hits.
+// under the write lock so the answer cache never serves stale hits.
 
 // ErrReplDiverged marks a replica whose local journal position no longer
 // matches what the leader serves — a stale generation, an offset mismatch,

@@ -53,7 +53,7 @@ type Store struct {
 	// Fixed at OpenStore: the options as given, and what it resolved from them.
 	opt        StoreOptions
 	fileRoot   string        // resolved root for server-side file builds; "" disables them
-	cacheCap   int           // prepared-query cache entries per collection; 0 disables
+	cacheCap   int           // answer cache entries per collection; 0 disables
 	insertGate chan struct{} // in-flight-insert semaphore; nil means unbounded
 
 	metrics *Metrics    // see metrics.go
@@ -103,7 +103,7 @@ func (s *Store) acquireInsertSlot() (release func(), ok bool) {
 	}
 }
 
-// DefaultQueryCacheEntries is the per-collection prepared-query cache size
+// DefaultQueryCacheEntries is the per-collection answer cache size
 // of a store whose options name none.
 const DefaultQueryCacheEntries = 4096
 
@@ -120,7 +120,7 @@ type StoreOptions struct {
 	// the benchmark module sets it, and goes when that module stops naming it
 	// (ROADMAP 7b's unlink).
 	Segments int
-	// QueryCacheEntries is the prepared-query cache capacity per collection:
+	// QueryCacheEntries is the answer cache capacity per collection:
 	// 0 means DefaultQueryCacheEntries, a negative value disables caching.
 	QueryCacheEntries int
 	// RecordFileRoot enables PUT builds from server-side files, restricted to
