@@ -3,10 +3,13 @@ package gbkmv
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"unicode"
 
 	"gbkmv/internal/snapfmt"
@@ -50,58 +53,290 @@ func (c *Corpus) take() snapfmt.PackedRecords {
 }
 
 // RecordBuilder turns a stream of token bytes into a Corpus without an
-// intermediate string per token or a slice per record: the open record's
-// token bytes are buffered and interned through the vocabulary together, the
-// record is sorted and deduplicated in one reused scratch and coded from there
-// onto the corpus. It is the ingest path of ReadRecords and of gbkmvd's bulk
-// build; a builder is not safe for concurrent use.
+// intermediate string per token or a slice per record. It is the ingest path
+// of ReadRecords and of gbkmvd's bulk build, and a pipeline (DESIGN.md "Bulk
+// ingest"): the goroutine that calls Token and EndRecord only copies token
+// bytes into blocks of whole records, and GOMAXPROCS workers code the blocks —
+// each resolves its tokens under one read lock of the vocabulary, interns the
+// ones it did not find in block order (so ids follow first appearance, as one
+// goroutine interning every token in turn gives them), sorts and
+// deduplicates each record and appends the records to the corpus in block
+// order. At most two blocks a worker are in flight, and they are reused; at
+// one proc the same block function runs on the caller's goroutine. A builder
+// is not safe for concurrent use.
 type RecordBuilder struct {
 	voc  *Vocabulary
-	text []byte    // the open record's token bytes, back to back
-	ends []int     // where each of its tokens ends in text
-	open []Element // its ids, in token order
-	recs snapfmt.PackedRecords
+	open *recordBlock // the block Token and EndRecord fill
+	next int          // the place of the next block handed on
+
+	// The workers, started with the first block handed on at more than one
+	// proc and stopped by Corpus.
+	work chan *recordBlock // blocks to code, in order
+	free chan *recordBlock // blocks coded, to fill again
+	made int               // blocks allocated, cap(free) at the most
+	wg   sync.WaitGroup
+
+	// The ordered steps: how many blocks have interned and appended, which
+	// mu guards, and the corpus the appends fill.
+	mu                 sync.Mutex
+	moved              sync.Cond
+	interned, appended int
+	recs               snapfmt.PackedRecords
+	err                error
+}
+
+// blockBytes sizes a block: it is handed on at the first record end that
+// takes its text and 8 bytes a token (its end and its id) to this many. A
+// record larger than that is a block of its own. Each block costs its
+// workers two waits for the block before it, and at 32 kB those waits were a
+// fifth of the decode at two procs.
+const blockBytes = 64 << 10
+
+// recordBlock is a run of whole records on their way from the goroutine that
+// reads them to the corpus.
+type recordBlock struct {
+	seq  int      // its place among the blocks of a corpus
+	text []byte   // the tokens' bytes, back to back
+	ends []uint32 // where each token ends in text, and once interned sortIDs' scratch
+	recs []int    // where each record's tokens end in ends, and once coded its ids in ids
+	ids  []uint32 // each token's id in token order, and once coded each record's distinct ids ascending
+	err  error    // its interning's
+}
+
+// closed returns the number of tokens of the block's closed records.
+func (k *recordBlock) closed() int {
+	if len(k.recs) == 0 {
+		return 0
+	}
+	return k.recs[len(k.recs)-1]
+}
+
+// token returns the bytes of token i.
+func (k *recordBlock) token(i int) []byte {
+	if i == 0 {
+		return k.text[:k.ends[0]]
+	}
+	return k.text[k.ends[i-1]:k.ends[i]]
+}
+
+func (k *recordBlock) reset() {
+	k.text, k.ends, k.recs, k.err = k.text[:0], k.ends[:0], k.recs[:0], nil
 }
 
 // NewRecordBuilder returns a builder interning through voc.
 func NewRecordBuilder(voc *Vocabulary) *RecordBuilder {
-	return &RecordBuilder{voc: voc}
+	b := &RecordBuilder{voc: voc, open: new(recordBlock)}
+	b.moved.L = &b.mu
+	return b
 }
 
-// Token adds a token to the open record. The bytes are not retained.
+// Token adds a token to the open record. The bytes are not retained, and a
+// record's tokens must come to less than 4 GB.
 func (b *RecordBuilder) Token(token []byte) {
-	b.text = append(b.text, token...)
-	b.ends = append(b.ends, len(b.text))
-}
-
-// EndRecord closes the open record, interning its tokens under one lock of
-// the vocabulary (two where some are new), appends it to the corpus and
-// returns its number of distinct elements; a record without tokens is
-// appended empty. It fails, the record dropped, once the corpus holds all its
-// 32-bit offsets can address (4 GB coded).
-func (b *RecordBuilder) EndRecord() (int, error) {
-	b.open = b.voc.AppendIDs(b.open[:0], b.text, 0, b.ends)
-	b.text, b.ends = b.text[:0], b.ends[:0]
-	slices.Sort(b.open)
-	open := slices.Compact(b.open)
-	b.open = b.open[:0]
-	if err := b.recs.Append(open); err != nil {
-		return 0, fmt.Errorf("gbkmv: %w", err)
+	k := b.open
+	k.text = append(k.text, token...)
+	if len(k.text) > math.MaxUint32 {
+		panic("gbkmv: a record's tokens past 4 GB")
 	}
-	return len(open), nil
+	k.ends = append(k.ends, uint32(len(k.text)))
 }
 
-// Corpus returns the records closed so far and starts the builder on an empty
-// corpus.
-func (b *RecordBuilder) Corpus() *Corpus {
-	c := &Corpus{recs: b.recs}
-	b.recs = snapfmt.PackedRecords{}
-	return c
+// EndRecord closes the open record and reports whether it is empty: without
+// tokens (a record with any token, the empty one included, has an element).
+// Its interning and coding happen later; their outcome — how many distinct
+// elements each record has, or the error of a corpus past what its 32-bit
+// offsets address (4 GB coded) — is Corpus's to report.
+func (b *RecordBuilder) EndRecord() (empty bool) {
+	k := b.open
+	empty = k.closed() == len(k.ends)
+	k.recs = append(k.recs, len(k.ends))
+	if len(k.text)+8*len(k.ends) >= blockBytes {
+		b.handOn(false)
+	}
+	return empty
+}
+
+// Corpus waits for the records closed so far to be coded and returns them,
+// and starts the builder on an empty corpus. The tokens of a record not yet
+// closed are dropped. The error is the first record that did not fit the
+// corpus's offset table; the corpus then holds the records before it.
+func (b *RecordBuilder) Corpus() (*Corpus, error) {
+	k := b.open
+	n := k.closed()
+	k.ends = k.ends[:n]
+	if n == 0 {
+		k.text = k.text[:0]
+	} else {
+		k.text = k.text[:k.ends[n-1]]
+	}
+	if len(k.recs) > 0 {
+		b.handOn(true)
+	}
+	if b.work != nil {
+		close(b.work)
+		b.wg.Wait()
+		b.work = nil
+	}
+	c, err := &Corpus{recs: b.recs}, b.err
+	b.recs, b.err = snapfmt.PackedRecords{}, nil
+	b.next, b.interned, b.appended = 0, 0, 0
+	return c, err
+}
+
+// handOn passes the open block on to be coded — to the workers, started with
+// the first block at more than one proc, or else on this goroutine — and
+// opens another. A corpus whose last block is its first starts no workers.
+func (b *RecordBuilder) handOn(last bool) {
+	k := b.open
+	k.seq, b.next = b.next, b.next+1
+	if b.work == nil && !last && runtime.GOMAXPROCS(0) > 1 {
+		b.start(runtime.GOMAXPROCS(0))
+	}
+	if b.work == nil {
+		b.code(k)
+		k.reset()
+		return
+	}
+	// A new block is as large as the last one grew: only the first grows by
+	// append. k is the worker's once sent.
+	text, ends, recs := cap(k.text), cap(k.ends), cap(k.recs)
+	b.work <- k
+	select {
+	case b.open = <-b.free:
+	default:
+		if b.made < cap(b.free) {
+			b.open = &recordBlock{text: make([]byte, 0, text), ends: make([]uint32, 0, ends), recs: make([]int, 0, recs)}
+			b.made++
+		} else {
+			b.open = <-b.free
+		}
+	}
+}
+
+// start starts the workers. Their blocks outlive them, for the builder's
+// next corpus: two a worker, one of which the caller holds open.
+func (b *RecordBuilder) start(workers int) {
+	if b.free == nil {
+		b.free, b.made = make(chan *recordBlock, 2*workers), 1
+	}
+	b.work = make(chan *recordBlock, cap(b.free))
+	b.wg.Add(workers)
+	for range workers {
+		go func() {
+			defer b.wg.Done()
+			for k := range b.work {
+				b.code(k)
+				k.reset()
+				b.free <- k
+			}
+		}()
+	}
+}
+
+// code resolves, interns, sorts and appends a block's records. The intern and
+// the append wait for the blocks before it: a block's read pass can only find
+// tokens that earlier blocks interned, and its misses take the next ids in
+// token order, so every id is the one a serial build gives.
+func (b *RecordBuilder) code(k *recordBlock) {
+	k.ids = slices.Grow(k.ids[:0], len(k.ends))[:len(k.ends)]
+	misses := b.voc.resolve(k.ids, k.text, k.ends)
+	b.await(&b.interned, k.seq)
+	if misses > 0 {
+		k.err = b.intern(k)
+	}
+	b.pass(&b.interned)
+	from, w := 0, 0
+	for i, end := range k.recs {
+		rec := k.ids[from:end]
+		sortIDs(rec, k.ends)
+		w += copy(k.ids[w:], slices.Compact(rec))
+		from, k.recs[i] = end, w
+	}
+	b.await(&b.appended, k.seq)
+	b.err = cmp.Or(b.err, k.err)
+	from = 0
+	for _, end := range k.recs {
+		if b.err == nil {
+			if err := b.recs.Append32(k.ids[from:end]); err != nil {
+				b.err = fmt.Errorf("gbkmv: %w", err)
+			}
+		}
+		from = end
+	}
+	b.pass(&b.appended)
+}
+
+// intern interns the block's misses. A panic there — the vocabulary's, past
+// the 4 GB of text its offsets address — becomes the block's error, so that
+// the blocks after it still get their turn and the caller, not a worker,
+// fails.
+func (b *RecordBuilder) intern(k *recordBlock) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("gbkmv: interning: %v", r)
+		}
+	}()
+	internMissing(b.voc, k.ids, k.token)
+	return nil
+}
+
+// sortIDs sorts ids ascending, with tmp, as long at least, for scratch. A
+// record of a few dozen ids or more is radix sorted, a byte a pass and as
+// many passes as its largest id has bytes: on records of vocabulary ids,
+// dense and mostly under 2¹⁶, that is two passes, two to three times faster
+// than slices.Sort from 32 ids on. Below 24 slices.Sort is faster.
+func sortIDs(ids, tmp []uint32) {
+	if len(ids) < 24 {
+		slices.Sort(ids)
+		return
+	}
+	var top uint32
+	for _, id := range ids {
+		top |= id
+	}
+	src, dst := ids, tmp[:len(ids)]
+	for shift := 0; shift < 32 && top>>shift != 0; shift += 8 {
+		var at [256]int
+		for _, id := range src {
+			at[byte(id>>shift)]++
+		}
+		sum := 0
+		for d, n := range at[:min(int(top>>shift), 255)+1] {
+			at[d], sum = sum, sum+n
+		}
+		for _, id := range src {
+			d := byte(id >> shift)
+			dst[at[d]] = id
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ids[0] {
+		copy(ids, src)
+	}
+}
+
+// await returns once step has counted seq blocks.
+func (b *RecordBuilder) await(step *int, seq int) {
+	b.mu.Lock()
+	for *step != seq {
+		b.moved.Wait()
+	}
+	b.mu.Unlock()
+}
+
+// pass counts one more block through step.
+func (b *RecordBuilder) pass(step *int) {
+	b.mu.Lock()
+	*step++
+	b.mu.Unlock()
+	b.moved.Broadcast()
 }
 
 // ReadLines appends one record per non-blank line of r, the format of
 // ReadRecords, without keeping the text. keep, when not nil, sees each such
-// line, trimmed, before the line buffer moves on.
+// line, trimmed, before the line buffer moves on. The error is the reader's:
+// one in coding the records is Corpus's.
 func (b *RecordBuilder) ReadLines(r io.Reader, keep func(line []byte)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
@@ -121,9 +356,7 @@ func (b *RecordBuilder) ReadLines(r io.Reader, keep func(line []byte)) error {
 			b.Token(line[:end])
 			line = bytes.TrimLeftFunc(line[end:], unicode.IsSpace)
 		}
-		if _, err := b.EndRecord(); err != nil {
-			return err
-		}
+		b.EndRecord()
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("gbkmv: reading records: %w", err)
@@ -141,8 +374,9 @@ func ReadRecords(r io.Reader, voc *Vocabulary) (records []Record, lines []string
 	}
 	b := NewRecordBuilder(voc)
 	err = b.ReadLines(r, func(line []byte) { lines = append(lines, string(line)) })
-	if err != nil {
+	c, coded := b.Corpus()
+	if err = cmp.Or(err, coded); err != nil {
 		return nil, nil, err
 	}
-	return b.Corpus().Records(), lines, nil
+	return c.Records(), lines, nil
 }

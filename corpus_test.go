@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,11 +72,19 @@ func TestCorpusMatchesRecords(t *testing.T) {
 			for _, tok := range tokens {
 				b.Token([]byte(tok))
 			}
-			if n, err := b.EndRecord(); err != nil || n != len(records[i]) {
-				t.Fatalf("seed %d: EndRecord of record %d = %d, %v; want %d distinct elements", seed, i, n, err, len(records[i]))
+			if empty := b.EndRecord(); empty != (len(tokens) == 0) {
+				t.Fatalf("seed %d: EndRecord of record %d of %d tokens says empty %v", seed, i, len(tokens), empty)
 			}
 		}
-		c := b.Corpus()
+		c, err := b.Corpus()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i, rec := range records {
+			if n := c.recs.RecordLen(i); n != len(rec) {
+				t.Fatalf("seed %d: record %d has %d distinct elements in the corpus, want %d", seed, i, n, len(rec))
+			}
+		}
 		if !bytes.Equal(storeSection(t, &c.recs), storeSection(t, &want)) || c.recs.SizeBytes() != want.SizeBytes() ||
 			c.Elements() != want.Elements() || c.recs.Top() != want.Top() {
 			t.Errorf("seed %d: the builder's store differs from PackRecords' (%d vs %d bytes, %d vs %d elements, top %d vs %d)",
@@ -87,16 +96,16 @@ func TestCorpusMatchesRecords(t *testing.T) {
 		if !reflect.DeepEqual(c.Records(), want.All()) || !reflect.DeepEqual(c.Record(150), records[150]) {
 			t.Errorf("seed %d: the corpus does not decode to the records", seed)
 		}
-		if again := b.Corpus(); again.Len() != 0 {
-			t.Errorf("seed %d: the builder kept %d records after handing its corpus over", seed, again.Len())
+		if again, err := b.Corpus(); again.Len() != 0 || err != nil {
+			t.Errorf("seed %d: the builder kept %d records after handing its corpus over (%v)", seed, again.Len(), err)
 		}
 	}
 }
 
 // TestCorpusOverflow: the record store's 32-bit offset table bounds a corpus,
 // and a build has no bound of its own on what it reads (a -record-files file
-// is as long as it is). With the bound lowered, the builder reports the record
-// that does not fit as an error — from EndRecord and through ReadLines — and
+// is as long as it is). With the bound lowered, the builder reports the first
+// record that does not fit as Corpus's error, with the records before it, and
 // stays usable; NewEngine reports records that do not pack;
 // and a corpus is not partitioned into stores past the bound.
 func TestCorpusOverflow(t *testing.T) {
@@ -105,20 +114,29 @@ func TestCorpusOverflow(t *testing.T) {
 	if err := b.ReadLines(strings.NewReader(line), nil); err != nil {
 		t.Fatal(err)
 	}
-	whole := b.Corpus()
+	whole, err := b.Corpus()
+	if err != nil || whole.Len() != 8 {
+		t.Fatalf("Corpus under the bound: %d records, %v", whole.Len(), err)
+	}
 
 	restore := snapfmt.SetPackLimit(21) // four records fit, nothing more
 	defer restore()
-	err := b.ReadLines(strings.NewReader(line), nil)
-	if err == nil || !strings.Contains(err.Error(), "offset table") {
-		t.Fatalf("ReadLines past the bound: %v", err)
+	if err := b.ReadLines(strings.NewReader(line), nil); err != nil {
+		t.Fatalf("ReadLines past the bound: %v, want the error from Corpus", err)
 	}
 	b.Token([]byte("alpha"))
-	if _, err := b.EndRecord(); err == nil || !strings.Contains(err.Error(), "offset table") {
-		t.Errorf("EndRecord past the bound: %v", err)
+	b.EndRecord()
+	c, err := b.Corpus()
+	if err == nil || !strings.Contains(err.Error(), "offset table") {
+		t.Errorf("Corpus past the bound: %v", err)
 	}
-	if c := b.Corpus(); c.Len() != 4 {
+	if c.Len() != 4 {
 		t.Errorf("the builder kept %d records, want the 4 that fit", c.Len())
+	}
+	b.Token([]byte("alpha"))
+	b.EndRecord()
+	if c, err := b.Corpus(); err != nil || c.Len() != 1 {
+		t.Errorf("the builder after an overflow: %d records, %v; want 1 and no error", c.Len(), err)
 	}
 
 	records := whole.Records()
@@ -162,5 +180,158 @@ func TestUnsortedRecordRefused(t *testing.T) {
 	}
 	if _, err := NewEngine("", good, EngineOptions{BudgetUnits: 64}); err != nil {
 		t.Errorf("sorted records refused: %v", err)
+	}
+}
+
+// serialBuilder is the reference the pipelined RecordBuilder is held to: the
+// builder as it was before it had workers, one goroutine interning each
+// record's tokens as the record ends (Vocabulary.AppendIDs), sorting and
+// deduplicating the ids and coding the record onto the store. The one
+// departure is the pipeline's contract on overflow: the first record that does
+// not fit ends the corpus, where the old builder went on to try the next.
+type serialBuilder struct {
+	voc  *Vocabulary
+	text []byte
+	ends []int
+	open []Element
+	recs snapfmt.PackedRecords
+	err  error
+}
+
+func (s *serialBuilder) token(tok []byte) {
+	s.text = append(s.text, tok...)
+	s.ends = append(s.ends, len(s.text))
+}
+
+func (s *serialBuilder) endRecord() (empty bool) {
+	empty = len(s.ends) == 0
+	s.open = s.voc.AppendIDs(s.open[:0], s.text, 0, s.ends)
+	s.text, s.ends = s.text[:0], s.ends[:0]
+	slices.Sort(s.open)
+	if s.err == nil {
+		if err := s.recs.Append(slices.Compact(s.open)); err != nil {
+			s.err = fmt.Errorf("gbkmv: %w", err)
+		}
+	}
+	return empty
+}
+
+// builderStream is a seeded token stream for the differential test: records
+// from empty to several blocks long, so that blocks end inside runs of
+// records of every size; new tokens all along, each repeated within its record
+// and in the records after it, so that a block keeps meeting tokens an
+// earlier block — or the block before it, still interning — saw first; the
+// empty token (a null in a body) and empty records among them.
+func builderStream(seed int64) [][]string {
+	rng := rand.New(rand.NewSource(seed))
+	var stream [][]string
+	var seen []string
+	for i := 0; i < 1000; i++ {
+		var n int
+		switch r := rng.Intn(100); {
+		case r < 8:
+			n = 0
+		case r < 10:
+			n = 2000 + rng.Intn(6000) // longer than a block
+		default:
+			n = 1 + rng.Intn(150)
+		}
+		tokens := make([]string, n)
+		for j := range tokens {
+			switch r := rng.Intn(100); {
+			case r < 2:
+				tokens[j] = ""
+			case r < 25 || len(seen) == 0:
+				tokens[j] = fmt.Sprintf("n%d-%d", seed, len(seen))
+				seen = append(seen, tokens[j])
+			case r < 60 && j > 0:
+				tokens[j] = tokens[rng.Intn(j)]
+			default:
+				tokens[j] = seen[len(seen)-1-rng.Intn(min(len(seen), 500))]
+			}
+		}
+		stream = append(stream, tokens)
+	}
+	return stream
+}
+
+// TestRecordBuilderMatchesSerial holds the pipelined builder to the serial
+// reference at 1, 2 and 8 procs: the same vocabulary to the Save byte (ids in
+// first-appearance order), the same coded corpus to the byte, the same first
+// empty record and the same error — with the record store's bound lowered
+// to fall inside a block too. After Corpus every block is back on the free
+// list, the workers gone with them.
+func TestRecordBuilderMatchesSerial(t *testing.T) {
+	save := func(v *Vocabulary) []byte {
+		var buf bytes.Buffer
+		if err := v.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for seed := int64(1); seed <= 3; seed++ {
+		stream := builderStream(seed)
+		for _, limit := range []int{0, 40 << 10} { // 0: no bound but the real one
+			ref := &serialBuilder{voc: NewVocabulary()}
+			refEmpty := -1
+			func() {
+				if limit > 0 {
+					defer snapfmt.SetPackLimit(limit)()
+				}
+				for i, tokens := range stream {
+					for _, tok := range tokens {
+						ref.token([]byte(tok))
+					}
+					if ref.endRecord() && refEmpty < 0 {
+						refEmpty = i
+					}
+				}
+			}()
+			if (limit > 0) != (ref.err != nil) {
+				t.Fatalf("seed %d, limit %d: the reference's error is %v", seed, limit, ref.err)
+			}
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				voc := NewVocabulary()
+				b := NewRecordBuilder(voc)
+				empty := -1
+				var c *Corpus
+				var err error
+				func() {
+					if limit > 0 {
+						defer snapfmt.SetPackLimit(limit)()
+					}
+					for i, tokens := range stream {
+						for _, tok := range tokens {
+							b.Token([]byte(tok))
+						}
+						if b.EndRecord() && empty < 0 {
+							empty = i
+						}
+					}
+					c, err = b.Corpus()
+				}()
+				where := fmt.Sprintf("seed %d, limit %d, %d procs", seed, limit, procs)
+				if fmt.Sprint(err) != fmt.Sprint(ref.err) {
+					t.Errorf("%s: error %v, reference %v", where, err, ref.err)
+				}
+				if empty != refEmpty {
+					t.Errorf("%s: first empty record %d, reference %d", where, empty, refEmpty)
+				}
+				if !bytes.Equal(save(voc), save(ref.voc)) {
+					t.Errorf("%s: the vocabulary's bytes differ from the reference's (%d tokens vs %d)", where, voc.Len(), ref.voc.Len())
+				}
+				if !bytes.Equal(storeSection(t, &c.recs), storeSection(t, &ref.recs)) {
+					t.Errorf("%s: the corpus's bytes differ from the reference's (%d records vs %d)", where, c.Len(), ref.recs.Len())
+				}
+				if b.made > 1 && (b.made != len(b.free)+1 || b.work != nil) {
+					t.Errorf("%s: after Corpus %d of %d blocks are free beside the open one, workers running %v", where, len(b.free), b.made, b.work != nil)
+				}
+				if procs > 1 && b.made < 2 {
+					t.Errorf("%s: the builder never handed a block to a worker", where)
+				}
+			}
+		}
 	}
 }

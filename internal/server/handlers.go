@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/http"
@@ -274,11 +275,12 @@ func (h *api) build(w http.ResponseWriter, r *http.Request) {
 		}
 		defer f.Close()
 		rb := gbkmv.NewRecordBuilder(voc)
-		if err := rb.ReadLines(f, nil); err != nil {
+		read := rb.ReadLines(f, nil)
+		corpus, err = rb.Corpus()
+		if err = cmp.Or(read, err); err != nil {
 			writeError(w, http.StatusBadRequest, "reading record file: %v", err)
 			return
 		}
-		corpus = rb.Corpus()
 	} else if req.firstEmpty >= 0 {
 		writeError(w, http.StatusBadRequest, "record %d is empty", req.firstEmpty)
 		return

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"gbkmv"
 	"gbkmv/internal/dataset"
@@ -338,6 +340,55 @@ func TestScannerMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestRecordBuilderWorkersStop: whatever ends a build body's scan — its end,
+// a repeated "records" key that drops what the first one read, a syntax error
+// or the size bound in the middle of the records — readBuild returns with
+// the record builder's workers stopped. No goroutine outlives the
+// differential table and three bodies long enough to start the workers, read
+// whole and a byte at a time.
+func TestRecordBuilderWorkersStop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	recs, err := json.Marshal(benchCollectionRecords(t, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := bytes.Index(recs[len(recs)/2:], []byte("],[")) + len(recs)/2
+	cut := string(recs[:half+1])
+	repeated, broken := `{"records":`+string(recs)+`,"records":[["a"]]}`, `{"records":`+cut+`,7]}`
+	before := runtime.NumGoroutine()
+	for _, wrap := range []func(io.Reader) io.Reader{func(r io.Reader) io.Reader { return r }, iotest.OneByteReader} {
+		for _, body := range bodyTable() {
+			sc := getScanner(wrap(bytes.NewReader(body)))
+			sc.readBuild()
+			putScanner(sc)
+		}
+		sc := getScanner(wrap(strings.NewReader(repeated)))
+		got, err := sc.readBuild()
+		putScanner(sc)
+		if err != nil || got.corpus.Len() != 1 {
+			t.Errorf("repeated records key: %d records, %v; want the second key's 1", got.corpus.Len(), err)
+		}
+		sc = getScanner(wrap(strings.NewReader(broken)))
+		if _, err := sc.readBuild(); err == nil {
+			t.Errorf("a syntax error half way through the records went unnoticed")
+		}
+		putScanner(sc)
+	}
+	body := `{"records":` + string(recs) + `}`
+	sc := getScanner(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), int64(len(body)/2)))
+	var tooLarge *http.MaxBytesError
+	if _, err := sc.readBuild(); !errors.As(err, &tooLarge) {
+		t.Errorf("a body over the bound half way through the records: %v, want the bound's error", err)
+	}
+	putScanner(sc)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the bodies, %d after", before, after)
+	}
+}
+
 // FuzzBuildBody asserts the same equivalence, and no panic, on arbitrary
 // bodies, delivered whole and in halves.
 func FuzzBuildBody(f *testing.F) {
@@ -426,9 +477,11 @@ func allocBytes(fn func()) uint64 {
 
 // TestBulkIngestAllocs bounds what the bulk endpoints allocate. A build —
 // body to served collection, through Handler, on a memory-only store —
-// allocates 0.64x its body, and is held to a fifth more. The vocabulary is
-// 0.5 MB of that: its slab, offsets and id table, each allocated once but the
-// table, which doubles (1.0x while the vocabulary was a map and a []string,
+// allocates 0.71x its body and is held to a fifth over the 0.64x it
+// allocated before the record builder had workers: their blocks, reused, are
+// most of the difference. The vocabulary is 0.7 MB of it: its slab, offsets
+// and id table — the table doubling, the offsets growing by append — (1.0x
+// while the vocabulary was a map and a []string,
 // which allocated 3.4 MB; 2.5x while records were read into element arenas
 // and packed afterwards; with reflection decoding the same build allocated
 // 16.7x, and 22x when a 13.6 MB body arrived over a socket). An insert body
@@ -518,9 +571,10 @@ func liveBytes(fn func() any) int64 {
 // resident set: the vocabulary and under 2 bytes an element occurrence (the
 // packed corpus with its headroom and offsets is 1.65; as []Element slices in
 // arenas, a header each, the records measured 8.65). The vocabulary is held
-// to its own bytes a token: 19.7 on the heap, its chunks' unfilled tails
-// included, for 5.4 bytes of text a token (69 while it was a map and a
-// []string), and 16.0 by its SizeBytes.
+// to its own bytes a token: 18.1 on the heap, its chunks' unfilled tails and
+// its offsets' spare capacity included, for 5.4 bytes of text a token (19.7
+// with chunked offsets, where the bound comes from; 69 while it was a map and
+// a []string), and 16.0 by its SizeBytes.
 func TestBuildPeakLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reads a 20 000-record body")

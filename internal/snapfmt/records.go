@@ -30,29 +30,33 @@ import (
 // uvarintLen is the length of v's canonical uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
+// id is what a record to code holds: elements, or the 32-bit vocabulary ids
+// a builder sorts them as.
+type id interface{ ~uint32 | ~uint64 }
+
 // measure returns the length of rec's coding, rec's largest element and
 // whether rec is strictly ascending (the dataset.Record invariant). One that
 // is not still codes and decodes to itself — deltas wrap — but no loader
 // takes it: stores remember it and refuse to be written.
-func measure(rec dataset.Record) (size int, top hash.Element, ascending bool) {
+func measure[E id](rec []E) (size int, top hash.Element, ascending bool) {
 	size, ascending = uvarintLen(uint64(len(rec))), true
-	prev := hash.Element(0)
+	var prev E
 	for j, e := range rec {
 		if j > 0 && e <= prev {
 			ascending = false
 		}
-		size += uvarintLen(uint64(e - prev))
-		prev, top = e, max(top, e)
+		size += uvarintLen(uint64(e) - uint64(prev))
+		prev, top = e, max(top, hash.Element(e))
 	}
 	return size, top, ascending
 }
 
 // appendRecord appends rec's coding to dst.
-func appendRecord(dst []byte, rec dataset.Record) []byte {
+func appendRecord[E id](dst []byte, rec []E) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rec)))
-	prev := hash.Element(0)
+	var prev E
 	for _, e := range rec {
-		dst = binary.AppendUvarint(dst, uint64(e-prev))
+		dst = binary.AppendUvarint(dst, uint64(e)-uint64(prev))
 		prev = e
 	}
 	return dst
@@ -248,7 +252,13 @@ func (p *PackedRecords) push(size int) ([]byte, error) {
 // Append codes rec onto the end of the store, which allocates a chunk when
 // the last is full and moves nothing. rec is not retained. A caller that must
 // not find the store full halfway through a batch asks first (CheckRoom).
-func (p *PackedRecords) Append(rec dataset.Record) error {
+func (p *PackedRecords) Append(rec dataset.Record) error { return appendTo(p, rec) }
+
+// Append32 is Append for a record of 32-bit ids, the width a builder sorts
+// vocabulary ids at: it codes them as the elements they are.
+func (p *PackedRecords) Append32(rec []uint32) error { return appendTo(p, rec) }
+
+func appendTo[E id](p *PackedRecords, rec []E) error {
 	size, top, ascending := measure(rec)
 	coding, err := p.push(size)
 	if err != nil {

@@ -26,8 +26,10 @@ type Vocabulary struct {
 	// Tokens hand out strings that alias it.
 	text chunked.Store[byte]
 	// offsets holds Len()+1 addresses of text: token i is
-	// text.Run(offsets[i], offsets[i+1]).
-	offsets chunked.Store[uint32]
+	// text.Run(offsets[i], offsets[i+1]). It is a flat slice, so that a
+	// probe's byte comparison finds a token's bytes with one address
+	// computation, the slab's.
+	offsets []uint32
 	// slots is the id table, linearly probed, 2^s slots at most three
 	// quarters full: 0 where no token is, else the id + 1 of a token its hash
 	// probes to in the low s bits — fewer than the slots, so they hold it —
@@ -42,7 +44,7 @@ type Vocabulary struct {
 // NewVocabulary returns an empty vocabulary.
 func NewVocabulary() *Vocabulary {
 	v := &Vocabulary{seed: maphash.MakeSeed()}
-	v.offsets.Append(0)
+	v.offsets = append(v.offsets, 0)
 	v.lay(tableSize(0))
 	return v
 }
@@ -101,7 +103,7 @@ func (v *Vocabulary) AppendIDs(dst []Element, text []byte, start int, ends []int
 	}
 	v.mu.RUnlock()
 	if misses > 0 {
-		v.internMissing(dst[base:], func(k int) []byte {
+		internMissing(v, dst[base:], func(k int) []byte {
 			if k == 0 {
 				return text[start:ends[0]]
 			}
@@ -128,19 +130,37 @@ func (v *Vocabulary) AppendKnown(dst []Element, text []byte, start int, ends []i
 }
 
 // missing marks, in the ids a read pass resolved, a token it did not find: no
-// id is that large.
+// id is that large, nor ^uint32(0), its mark among 32-bit ids.
 const missing = ^Element(0)
+
+// resolve sets ids[k] to the id of the k-th token of text — text[ends[k-1]:
+// ends[k]], the first from 0 — or to ^uint32(0) where the vocabulary does
+// not hold it, under one read lock, and returns how many it did not find.
+func (v *Vocabulary) resolve(ids []uint32, text []byte, ends []uint32) (misses int) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	from := uint32(0)
+	for k, end := range ends {
+		tok := text[from:end]
+		id, ok := v.lookup(tok, v.hash(tok))
+		if !ok {
+			id, misses = missing, misses+1
+		}
+		ids[k], from = uint32(id), end
+	}
+	return misses
+}
 
 // internMissing interns the tokens marked missing in ids — tok(k) is the
 // token of ids[k] — under one write lock and in order, and puts their ids in
 // their place.
-func (v *Vocabulary) internMissing(ids []Element, tok func(k int) []byte) {
+func internMissing[E uint32 | Element](v *Vocabulary, ids []E, tok func(k int) []byte) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for k, id := range ids {
-		if id == missing {
+		if id == ^E(0) {
 			t := tok(k)
-			ids[k] = v.intern(t, v.hash(t))
+			ids[k] = E(v.intern(t, v.hash(t)))
 		}
 	}
 }
@@ -148,11 +168,11 @@ func (v *Vocabulary) internMissing(ids []Element, tok func(k int) []byte) {
 func (v *Vocabulary) hash(tok []byte) uint64 { return maphash.Bytes(v.seed, tok) }
 
 // n is Len for a caller that holds the lock.
-func (v *Vocabulary) n() int { return v.offsets.Len() - 1 }
+func (v *Vocabulary) n() int { return len(v.offsets) - 1 }
 
 // token returns the bytes of token id, a window of the slab. The caller holds
 // the lock.
-func (v *Vocabulary) token(id uint32) []byte { return v.text.Run(v.offsets.Pair(int(id))) }
+func (v *Vocabulary) token(id uint32) []byte { return v.text.Run(v.offsets[id], v.offsets[id+1]) }
 
 // probe walks the probe sequence of tok, whose hash is h: it returns the slot
 // holding tok, found, or the free slot that ends the walk. The caller holds
@@ -206,8 +226,8 @@ func (v *Vocabulary) intern(tok []byte, h uint64) Element {
 // push appends tok's bytes to the slab and its end to the offsets. The caller
 // holds the write lock.
 func (v *Vocabulary) push(tok []byte) {
-	last := v.offsets.Len() - 1
-	end := *v.offsets.Ptr(last)
+	last := len(v.offsets) - 1
+	end := v.offsets[last]
 	if len(tok) > 0 {
 		// Below the top address, so that no more than MaxUint32 - 1 tokens
 		// (one of them empty) are ever stored and an id + 1 fits its slot.
@@ -220,12 +240,12 @@ func (v *Vocabulary) push(tok []byte) {
 		// ended. The offsets that said "ends here" now say where it starts:
 		// the last token's (and the empty token's, if that came just before
 		// it — a token appears once), each then the rest of its chunk.
-		for i := last; i >= 0 && *v.offsets.Ptr(i) == end && start != end; i-- {
-			*v.offsets.Ptr(i) = start
+		for i := last; i >= 0 && v.offsets[i] == end && start != end; i-- {
+			v.offsets[i] = start
 		}
 		end = start + uint32(len(tok))
 	}
-	v.offsets.Append(end)
+	v.offsets = append(v.offsets, end)
 }
 
 // lay builds the table at size slots from the stored tokens, and reports
@@ -286,7 +306,7 @@ func (v *Vocabulary) Len() int {
 func (v *Vocabulary) SizeBytes() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.text.Len() + 4*(v.offsets.Len()+len(v.slots))
+	return v.text.Len() + 4*(len(v.offsets)+len(v.slots))
 }
 
 // Record converts tokens to a Record, allocating ids as needed, under one
@@ -304,7 +324,7 @@ func (v *Vocabulary) Record(tokens []string) Record {
 	}
 	v.mu.RUnlock()
 	if misses > 0 {
-		v.internMissing(elems, func(k int) []byte { return bytesOf(tokens[k]) })
+		internMissing(v, elems, func(k int) []byte { return bytesOf(tokens[k]) })
 	}
 	return dataset.SortRecord(elems)
 }

@@ -39,7 +39,7 @@ func LoadVocabulary(r io.Reader) (*Vocabulary, error) {
 		return nil, fmt.Errorf("gbkmv: reading vocabulary: %w", err)
 	}
 	v := NewVocabulary()
-	v.offsets.Adopt(offsets)
+	v.offsets = offsets
 	v.text.Adopt(text)
 	if !v.lay(tableSize(v.n())) {
 		return nil, fmt.Errorf("gbkmv: reading vocabulary: %w: a token appears twice", snapfmt.ErrCorrupt)
