@@ -151,7 +151,7 @@ func (b *RecordBuilder) EndRecord() (empty bool) {
 	empty = k.closed() == len(k.ends)
 	k.recs = append(k.recs, len(k.ends))
 	if len(k.text)+8*len(k.ends) >= blockBytes {
-		b.handOn(false)
+		b.handOn()
 	}
 	return empty
 }
@@ -170,7 +170,7 @@ func (b *RecordBuilder) Corpus() (*Corpus, error) {
 		k.text = k.text[:k.ends[n-1]]
 	}
 	if len(k.recs) > 0 {
-		b.handOn(true)
+		b.handOn()
 	}
 	if b.work != nil {
 		close(b.work)
@@ -185,11 +185,11 @@ func (b *RecordBuilder) Corpus() (*Corpus, error) {
 
 // handOn passes the open block on to be coded — to the workers, started with
 // the first block at more than one proc, or else on this goroutine — and
-// opens another. A corpus whose last block is its first starts no workers.
-func (b *RecordBuilder) handOn(last bool) {
+// opens another.
+func (b *RecordBuilder) handOn() {
 	k := b.open
 	k.seq, b.next = b.next, b.next+1
-	if b.work == nil && !last && runtime.GOMAXPROCS(0) > 1 {
+	if b.work == nil && runtime.GOMAXPROCS(0) > 1 {
 		b.start(runtime.GOMAXPROCS(0))
 	}
 	if b.work == nil {

@@ -515,67 +515,26 @@ func (s *bodyScanner) array(what string, elem func() error) error {
 
 // tokens walks an array of strings, or null, calling token for each one's
 // bytes (valid only during the call). A null token is the empty string.
-//
-// A token that is plain — printable ASCII but the quote and the backslash —
-// and that its separator follows at once, as in nearly every body, is read
-// in one pass over its bytes here; anything else goes through next, str and
-// sep, which read it the same way.
 func (s *bodyScanner) tokens(what string, token func([]byte)) error {
-	c, err := s.next()
-	switch {
-	case err != nil:
-		return err
-	case c == 'n':
-		return s.literal("null")
-	case c != '[':
-		return syntaxErr(c, "where "+what+" should start")
-	}
-	done, err := s.open(']')
-	for !done && err == nil {
-		if i := s.pos + 1; i < s.end && s.buf[s.pos] == '"' {
-			for i < s.end && plainByte[s.buf[i]] {
-				i++
-			}
-			if i+1 < s.end && s.buf[i] == '"' && (s.buf[i+1] == ',' || s.buf[i+1] == ']') {
-				token(s.buf[s.pos+1 : i])
-				done, s.pos = s.buf[i+1] == ']', i+2
-				continue
-			}
-		}
-		if err = s.element(token); err == nil {
-			done, err = s.sep(']')
-		}
-	}
-	return err
-}
-
-// plainByte marks the bytes a string literal stands for as they are.
-var plainByte = func() (plain [256]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		plain[c] = c != '"' && c != '\\'
-	}
-	return plain
-}()
-
-// element reads one element of a token array.
-func (s *bodyScanner) element(token func([]byte)) error {
-	c, err := s.next()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case '"':
-		text, err := s.str()
+	return s.array(what, func() error {
+		c, err := s.next()
 		if err != nil {
 			return err
 		}
-		token(text)
-		return nil
-	case 'n':
-		token(nil)
-		return s.literal("null")
-	}
-	return notAToken(c)
+		switch c {
+		case '"':
+			text, err := s.str()
+			if err != nil {
+				return err
+			}
+			token(text)
+			return nil
+		case 'n':
+			token(nil)
+			return s.literal("null")
+		}
+		return notAToken(c)
+	})
 }
 
 // notAToken is the error of an array element that starts with this byte,
