@@ -87,9 +87,10 @@ type RecordBuilder struct {
 
 // blockBytes sizes a block: it is handed on at the first record end that
 // takes its text and 8 bytes a token (its end and its id) to this many. A
-// record larger than that is a block of its own. Each block costs its
-// workers two waits for the block before it, and at 32 kB those waits were a
-// fifth of the decode at two procs.
+// record larger than that is a block of its own. Every block costs its
+// worker two waits for the block before it, so larger blocks decode faster;
+// two a worker are held at once, so they cost what a build allocates
+// (DESIGN.md "Bulk ingest" has the measurements).
 const blockBytes = 64 << 10
 
 // recordBlock is a run of whole records on their way from the goroutine that
@@ -158,8 +159,10 @@ func (b *RecordBuilder) EndRecord() (empty bool) {
 
 // Corpus waits for the records closed so far to be coded and returns them,
 // and starts the builder on an empty corpus. The tokens of a record not yet
-// closed are dropped. The error is the first record that did not fit the
-// corpus's offset table; the corpus then holds the records before it.
+// closed are dropped. The error is that of the first record that could not
+// be coded — past the corpus's offset table, or interned past the
+// vocabulary's 4 GB of text — and the corpus then holds only records that
+// came before it.
 func (b *RecordBuilder) Corpus() (*Corpus, error) {
 	k := b.open
 	n := k.closed()
