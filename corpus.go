@@ -61,9 +61,11 @@ func (c *Corpus) take() snapfmt.PackedRecords {
 // ones it did not find in block order (so ids follow first appearance, as one
 // goroutine interning every token in turn gives them), sorts and
 // deduplicates each record and appends the records to the corpus in block
-// order. At most two blocks a worker are in flight, and they are reused; at
-// one proc the same block function runs on the caller's goroutine. A builder
-// is not safe for concurrent use.
+// order. Two blocks a worker, eight at most, are in flight, and they are
+// reused; at one proc the same block function runs on the caller's
+// goroutine. The
+// workers run until Corpus is called, so call it once done, also to abandon
+// a build. A builder is not safe for concurrent use.
 type RecordBuilder struct {
 	voc  *Vocabulary
 	open *recordBlock // the block Token and EndRecord fill
@@ -88,10 +90,15 @@ type RecordBuilder struct {
 // blockBytes sizes a block: it is handed on at the first record end that
 // takes its text and 8 bytes a token (its end and its id) to this many. A
 // record larger than that is a block of its own. Every block costs its
-// worker two waits for the block before it, so larger blocks decode faster;
-// two a worker are held at once, so they cost what a build allocates
+// worker two waits for the block before it, so larger blocks decode faster,
+// and all in flight are held at once, so they cost what a build allocates
 // (DESIGN.md "Bulk ingest" has the measurements).
-const blockBytes = 64 << 10
+const blockBytes = 32 << 10
+
+// maxBlocks bounds the blocks in flight whatever the worker count. A token
+// costs a worker about twice what it costs the scanning goroutine, so past
+// four workers the scan sets the pace, and more blocks would only be held.
+const maxBlocks = 8
 
 // recordBlock is a run of whole records on their way from the goroutine that
 // reads them to the corpus.
@@ -217,10 +224,11 @@ func (b *RecordBuilder) handOn() {
 }
 
 // start starts the workers. Their blocks outlive them, for the builder's
-// next corpus: two a worker, one of which the caller holds open.
+// next corpus: two a worker up to maxBlocks, one of which the caller holds
+// open.
 func (b *RecordBuilder) start(workers int) {
 	if b.free == nil {
-		b.free, b.made = make(chan *recordBlock, 2*workers), 1
+		b.free, b.made = make(chan *recordBlock, min(2*workers, maxBlocks)), 1
 	}
 	b.work = make(chan *recordBlock, cap(b.free))
 	b.wg.Add(workers)

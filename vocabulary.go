@@ -3,6 +3,7 @@ package gbkmv
 import (
 	"hash/maphash"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -28,7 +29,8 @@ type Vocabulary struct {
 	// offsets holds Len()+1 addresses of text: token i is
 	// text.Run(offsets[i], offsets[i+1]). It is a flat slice, so that a
 	// probe's byte comparison finds a token's bytes with one address
-	// computation, the slab's.
+	// computation, the slab's; it doubles as it fills, so that its copies
+	// come to no more than it holds.
 	offsets []uint32
 	// slots is the id table, linearly probed, 2^s slots at most three
 	// quarters full: 0 where no token is, else the id + 1 of a token its hash
@@ -228,6 +230,9 @@ func (v *Vocabulary) intern(tok []byte, h uint64) Element {
 func (v *Vocabulary) push(tok []byte) {
 	last := len(v.offsets) - 1
 	end := v.offsets[last]
+	if len(v.offsets) == cap(v.offsets) {
+		v.offsets = slices.Grow(v.offsets, len(v.offsets))
+	}
 	if len(tok) > 0 {
 		// Below the top address, so that no more than MaxUint32 - 1 tokens
 		// (one of them empty) are ever stored and an id + 1 fits its slot.
