@@ -63,9 +63,8 @@ func (c *Corpus) take() snapfmt.PackedRecords {
 // deduplicates each record and appends the records to the corpus in block
 // order. Two blocks a worker, eight at most, are in flight, and they are
 // reused; at one proc the same block function runs on the caller's
-// goroutine. The
-// workers run until Corpus is called, so call it once done, also to abandon
-// a build. A builder is not safe for concurrent use.
+// goroutine. The workers run until Corpus is called, so call it once done,
+// also to abandon a build. A builder is not safe for concurrent use.
 type RecordBuilder struct {
 	voc  *Vocabulary
 	open *recordBlock // the block Token and EndRecord fill

@@ -477,13 +477,13 @@ func allocBytes(fn func()) uint64 {
 
 // TestBulkIngestAllocs bounds what the bulk endpoints allocate. A build —
 // body to served collection, through Handler, on a memory-only store —
-// allocates 0.71x its body and is held to a fifth over the 0.64x it
-// allocated before the record builder had workers: their blocks, reused, are
-// most of the difference. The vocabulary is 0.7 MB of it: its slab, offsets
-// and id table — the table doubling, the offsets growing by append — (1.0x
-// while the vocabulary was a map and a []string,
-// which allocated 3.4 MB; 2.5x while records were read into element arenas
-// and packed afterwards; with reflection decoding the same build allocated
+// allocates 0.67x its body at two procs (0.71x at four, 0.76x at eight) and
+// is held to a fifth over the 0.64x it allocated before the record builder
+// had workers: their blocks, reused, are most of the difference. The
+// vocabulary is 0.5 MB of it: its slab a chunk at a time, its offsets and id
+// table doubling (1.0x while the vocabulary was a map and a []string, which
+// allocated 3.4 MB; 2.5x while records were read into element arenas and
+// packed afterwards; with reflection decoding the same build allocated
 // 16.7x, and 22x when a 13.6 MB body arrived over a socket). An insert body
 // of 4 records x 46 tokens scans without allocating.
 func TestBulkIngestAllocs(t *testing.T) {
@@ -571,10 +571,11 @@ func liveBytes(fn func() any) int64 {
 // resident set: the vocabulary and under 2 bytes an element occurrence (the
 // packed corpus with its headroom and offsets is 1.65; as []Element slices in
 // arenas, a header each, the records measured 8.65). The vocabulary is held
-// to its own bytes a token: 18.1 on the heap, its chunks' unfilled tails and
-// its offsets' spare capacity included, for 5.4 bytes of text a token (19.7
-// with chunked offsets, where the bound comes from; 69 while it was a map and
-// a []string), and 16.0 by its SizeBytes.
+// to its own bytes a token: 22.6 on the heap, its chunks' unfilled tails and
+// its offsets' spare capacity included — 19 986 offsets in room for 32 768,
+// the most a doubling slice leaves — for 5.4 bytes of text a token (19.7 with
+// chunked offsets, where the bound comes from; 69 while it was a map and a
+// []string), and 16.0 by its SizeBytes.
 func TestBuildPeakLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reads a 20 000-record body")
