@@ -3,13 +3,11 @@ package core
 import (
 	"cmp"
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
 
 	"gbkmv/internal/hash"
-	"gbkmv/internal/selectk"
 	"gbkmv/internal/snapfmt"
 )
 
@@ -30,12 +28,12 @@ import (
 //	derive         classify every element once — buffered, kept or dropped —
 //	               turn the counts of kept elements into write cursors, and
 //	               fill: decode again, hash each kept occurrence into its
-//	               record's arena run, write the record's id at its element's
+//	               record's summary, write the record's id at its element's
 //	               cursor, set the buffered bits
 //
 // Every pass runs over contiguous record ranges, one per worker, and is
 // deterministic in the record order alone: range boundaries and worker
-// counts never influence τ, an arena or any list (the differential tests in
+// counts never influence τ, a summary or any list (the differential tests in
 // build_test.go and derive_test.go pin this bit for bit).
 
 // forcedBuildWorkers overrides the worker count when positive; it exists for
@@ -97,35 +95,33 @@ func runParallel(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// tauBucketBits sets the histogram resolution of a selection: at most
-// 2^tauBucketBits buckets, at least half as many in use. Keys are uniform on
-// [0, upper], so the target bucket holds ~n/4096 to ~n/2048 of them.
+// tauBucketBits sets the histogram resolution of a selection: 2^tauBucketBits
+// buckets over the key space. Keys are uniform on it, so the target bucket
+// holds ~n/4096 of the keys a selection counts over the whole space — and
+// more, as a shrink's keys lie under the cut alone.
 const tauBucketBits = 12
 
-// keyScan streams a key multiset to emit, a block at a time. A selection
-// scans twice and must be shown the same keys both times.
-type keyScan func(emit func(keys []uint32))
-
 // kthSelector selects order statistics of key multisets; what it keeps
-// between calls is its working memory, the bucket histogram and the
-// candidate buffer of the target bucket. The build selects once with a
-// throw-away selector; the index keeps one for its threshold shrinks.
+// between calls is its working memory, the bucket histogram, the target
+// bucket's pairs and, for the index's threshold shrinks, the (key, count)
+// pairs of the listed elements. The build selects once with a throw-away
+// selector; the index keeps one for its shrinks.
 type kthSelector struct {
-	hist  []int
-	cands []uint32
+	hist         []int
+	pairs, cands []keyCount
 }
 
 // histogram returns the selector's bucket histogram, cleared, and the shift
-// that takes a key in [0, upper] to its bucket: its top bits under the upper
-// bound's width — one shift per key (a division here doubles the cost of a
-// saturated insert), monotone in the key, and below 2^tauBucketBits.
-func (s *kthSelector) histogram(upper uint32) (hist []int, shift int) {
+// that takes a key to its bucket: its top bits — one shift per key (a
+// division here doubles the cost of a saturated insert), monotone in the
+// key, and below 2^tauBucketBits.
+func (s *kthSelector) histogram() (hist []int, shift int) {
 	if s.hist == nil {
 		s.hist = make([]int, 1<<tauBucketBits)
 	} else {
 		clear(s.hist)
 	}
-	return s.hist, max(0, bits.Len32(upper)-tauBucketBits)
+	return s.hist, 32 - tauBucketBits
 }
 
 // target returns the bucket holding the k-th smallest key the histogram
@@ -141,44 +137,17 @@ func (s *kthSelector) target(k int) (bucket, before int) {
 	return -1, before
 }
 
-// kthSmallest returns the k-th smallest key (1-based) of the scanned
-// multiset, all of which must lie in [0, upper]: the keys are counted into
-// buckets, only the bucket containing the target rank is materialized, and
-// the exact order statistic is selected inside it. A k past the multiset's
-// size (callers guard against it) selects upper, the threshold that keeps
-// every key.
-func (s *kthSelector) kthSmallest(scan keyScan, k int, upper uint32) uint32 {
-	hist, shift := s.histogram(upper)
-	scan(func(keys []uint32) {
-		for _, v := range keys {
-			hist[v>>shift]++
-		}
-	})
-	target, before := s.target(k)
-	if target < 0 {
-		return upper
-	}
-	cands := s.cands[:0]
-	scan(func(keys []uint32) {
-		for _, v := range keys {
-			if int(v>>shift) == target {
-				cands = append(cands, v)
-			}
-		}
-	})
-	s.cands = cands
-	return selectk.Select(cands, k-1-before)
-}
-
 // keyCount is a key and how many times a multiset holds it.
 type keyCount struct{ key, n uint32 }
 
-// kthWeighted is kthSmallest over the multiset {key × n} of the pairs, keys
-// anywhere in [0, MaxUint32]: a pair adds its count to its bucket, and the
-// target bucket's pairs are sorted by key and their counts walked to the
-// k-th. Its cost follows the pairs, not the multiset.
+// kthWeighted returns the k-th smallest key (1-based) of the multiset
+// {key × n} of the pairs, keys anywhere in [0, MaxUint32], and MaxUint32 —
+// the threshold that keeps every key — for a k past its size: a pair adds its
+// count to its bucket, and the target bucket's pairs are sorted by key and
+// their counts walked to the k-th. Its cost follows the pairs, not the
+// multiset.
 func (s *kthSelector) kthWeighted(pairs []keyCount, k int) uint32 {
-	hist, shift := s.histogram(math.MaxUint32)
+	hist, shift := s.histogram()
 	for _, p := range pairs {
 		hist[p.key>>shift] += int(p.n)
 	}
@@ -186,12 +155,13 @@ func (s *kthSelector) kthWeighted(pairs []keyCount, k int) uint32 {
 	if target < 0 {
 		return math.MaxUint32
 	}
-	var cands []keyCount
+	cands := s.cands[:0]
 	for _, p := range pairs {
-		if int(p.key>>shift) == target {
+		if int(p.key>>shift) == target && p.n > 0 {
 			cands = append(cands, p)
 		}
 	}
+	s.cands = cands
 	slices.SortFunc(cands, func(a, b keyCount) int { return cmp.Compare(a.key, b.key) })
 	last := len(cands) - 1
 	for _, p := range cands[:last] {
@@ -325,23 +295,22 @@ func (t classTable) of(pos int) uint64 { return t[pos/32] >> (pos % 32 * 2) & 3 
 //	          distinct non-buffered element, none at τ = 1. A buffered
 //	          element's counters now hold its buffer bit; a kept element's
 //	          become write cursors into one exactly sized slab of record ids,
-//	          laid out element by element and, within one, worker by worker;
-//	          and each worker's kept count places its first key in the arena
+//	          laid out element by element and, within one, worker by worker
 //	fill      per record, decoded again: its buffered elements set their bits
 //	          in the buffer arena and in the bit columns, its kept ones are
-//	          hashed into its arena run — sorted there — and its id is written
-//	          at their cursors; a dropped one makes the run incomplete
+//	          hashed into its summary — how many, the largest key — and its
+//	          id is written at their cursors; a dropped one makes the summary
+//	          incomplete
 //	lay       the slab's lists coded as gaps (postingLists.lay): in place when
 //	          the ids are 16-bit, which every collection of fewer than
 //	          smallIDs records has; from 32-bit ids into a slab of its own
 //	          otherwise, since a gap of 2¹⁶ or more takes three slots
 //
 // Workers own the counting pass's record ranges, so every list comes out
-// ascending by record id and every run lands where the offsets, written in
-// record order, say, whatever the worker count. Ranges start on multiples of
-// 64 records, so no two workers share a word of a bit column. An occurrence
-// costs the fill pass a test of its element's class, and a hash only when it
-// is kept.
+// ascending by record id, whatever the worker count. Ranges start on
+// multiples of 64 records, so no two workers share a word of a bit column. An
+// occurrence costs the fill pass a test of its element's class, and a hash
+// only when it is kept.
 //
 // Everything per buffer bit — the buffer arena's stride, the bit columns — is
 // sized by |E_H|, the bits an element can set, and not by
@@ -351,15 +320,14 @@ func (t classTable) of(pos int) uint64 { return t[pos/32] >> (pos % 32 * 2) & 3 
 // buffered elements), which a load was shown element by element; r, a number
 // its stream merely declares, sizes nothing.
 //
-// It fails, before the fill pass, when the kept keys exceed what the arena's
-// offset table addresses.
+// It fails, before the fill pass, when the kept keys exceed what the posting
+// slab's 32-bit positions address.
 func (ix *Index) derive(c elementCounts) error {
 	m, h := ix.recs.Len(), len(ix.bufferElems)
 	seed, cut := ix.opt.Seed, ix.cut
 	last := c.cnts[len(c.cnts)-1]
 	classes := newClassTable(len(last.n))
-	starts := make([]int, len(c.cnts)+1) // worker w's kept count at w+1, then its first key at w
-	next, hashed, lists := uint32(0), 0, 0
+	next, total, hashed, lists := uint32(0), 0, 0, 0
 	last.each(func(pos int, e hash.Element) {
 		listed := uint32(0)
 		for _, cnt := range c.cnts {
@@ -383,20 +351,17 @@ func (ix *Index) derive(c elementCounts) error {
 			}
 		}
 		classes.set(pos, classKept)
-		for w, cnt := range c.cnts {
-			starts[w+1] += int(cnt.n[pos])
+		for _, cnt := range c.cnts {
 			cnt.n[pos], next = next, next+cnt.n[pos]
 		}
+		total += int(listed)
 		lists++
 	})
-	for w := 1; w < len(starts); w++ {
-		starts[w] += starts[w-1]
-	}
-	total := starts[len(c.cnts)]
-	keys, offsets, complete, err := ix.arena.layout(m, total)
-	if err != nil {
+	if err := checkPostingRoom(total); err != nil {
 		return err
 	}
+	ix.keys = total
+	sums := ix.sums.layout(m)
 	ix.elementsHashed.Add(uint64(hashed + total)) // the fill pass hashes what is kept
 
 	var ids16 []uint16
@@ -409,15 +374,14 @@ func (ix *Index) derive(c elementCounts) error {
 	ix.bufArena.init(m, h)
 	ix.bufCols.init(m, h)
 	runParallel(len(c.parts), len(c.parts), func(w int) {
-		cnt, at, rec := c.cnts[w], starts[w], []hash.Element(nil)
+		cnt, rec := c.cnts[w], []hash.Element(nil)
 		for i := c.parts[w].lo; i < c.parts[w].hi; i++ {
 			rec = ix.recs.AppendRecord(rec[:0], i)
-			run, whole, block := at, true, ix.bufCols.block(i)
+			k, top, whole, block := 0, uint32(0), true, ix.bufCols.block(i)
 			for _, e := range rec {
 				switch pos := cnt.slot(e); classes.of(pos) {
 				case classKept:
-					keys[at] = hash.Key32(e, seed)
-					at++
+					k, top = k+1, max(top, hash.Key32(e, seed))
 					if ids16 != nil {
 						ids16[cnt.n[pos]] = uint16(i)
 					} else {
@@ -432,20 +396,17 @@ func (ix *Index) derive(c elementCounts) error {
 					whole = false
 				}
 			}
-			// Sorting the filtered multiset is exactly gkmv.BuildHashes.
-			slices.Sort(keys[run:at])
-			offsets[i+1], complete[i] = uint32(at), whole
+			sums[i] = makeSummary(k, top, whole)
 		}
 	})
 	// The last worker's cursors stop where each list ends.
-	ix.postings.lay(ids16, ids32, lists, func(list func(e hash.Element, end uint32)) {
+	return ix.postings.lay(ids16, ids32, lists, func(list func(e hash.Element, end uint32)) {
 		last.each(func(pos int, e hash.Element) {
 			if classes.of(pos) == classKept {
 				list(e, last.n[pos])
 			}
 		})
 	})
-	return nil
 }
 
 // elemCounters is one uint32 per element, at a fixed position. Element ids

@@ -18,7 +18,7 @@ import (
 )
 
 // Differential tests for the build (selectCut + derive): the parallel build
-// must be bit-identical — τ, arena, buffers, posting lists, bit columns — to
+// must be bit-identical — τ, summaries, buffers, posting lists, bit columns — to
 // the sequential seed algorithm it replaced (threshold from a sorted O(n)
 // key slice, per-record gkmv.BuildHashes at the index's public Tau(),
 // rehashing buildPostings), regardless of seed or worker count.
@@ -155,20 +155,17 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 	if ix.cut != ref.cut {
 		t.Fatalf("%s: cut = %v, reference %v", label, ix.cut, ref.cut)
 	}
+	keys := 0
 	for i := 0; i < ix.recs.Len(); i++ {
-		got := ix.arena.view(i)
-		run := got.Keys()
-		if len(run) != len(ref.runs[i]) {
-			t.Fatalf("%s: record %d run length %d, reference %d", label, i, len(run), len(ref.runs[i]))
+		want := gkmv.MakeView(ref.runs[i], ref.complete[i])
+		if got := ix.sums.at(i).gkmv(); got != want.Summary() {
+			t.Fatalf("%s: record %d summary %+v, reference %+v", label, i, got, want.Summary())
 		}
-		for j := range run {
-			if run[j] != ref.runs[i][j] {
-				t.Fatalf("%s: record %d hash %d = %v, reference %v", label, i, j, run[j], ref.runs[i][j])
-			}
+		sc := &searchScratch{}
+		if got := ix.recordView(i, sc); !slices.Equal(got.Keys(), want.Keys()) || got.Summary() != want.Summary() {
+			t.Fatalf("%s: record %d sketched again %v, reference %v", label, i, got, want)
 		}
-		if *ix.arena.complete.Ptr(i) != ref.complete[i] {
-			t.Fatalf("%s: record %d complete = %v, reference %v", label, i, *ix.arena.complete.Ptr(i), ref.complete[i])
-		}
+		keys += len(ref.runs[i])
 		if ix.bufferBits > 0 {
 			for bit := 0; bit < ix.bufferBits; bit++ {
 				if arenaBit(ix, i, bit) != bitSet(ref.buffers[i], bit) {
@@ -176,6 +173,9 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 				}
 			}
 		}
+	}
+	if ix.keys != keys {
+		t.Fatalf("%s: Σk = %d, reference %d", label, ix.keys, keys)
 	}
 	lists := listsOf(t, ix)
 	for e, ids := range lists {
@@ -312,7 +312,7 @@ func TestAddRecordsSlackShrinksAreSequenceDeterministic(t *testing.T) {
 	// tiesAt counts the stored keys equal to cut: the length of its tie run.
 	tiesAt := func(cut uint32) int {
 		n := 0
-		for _, v := range storedKeys(seq) {
+		for _, v := range storedKeys(t, seq) {
 			if v == cut {
 				n++
 			}
@@ -401,7 +401,7 @@ func TestAddRecordsTieRunOnCutIsEvicted(t *testing.T) {
 		for i, rec := range d.Records[260:] {
 			ix.AddRecords([]dataset.Record{rec})
 			runs, longest := map[uint32]int{}, 0
-			for _, v := range storedKeys(ix) {
+			for _, v := range storedKeys(t, ix) {
 				runs[v]++
 				longest = max(longest, runs[v])
 			}
@@ -433,22 +433,22 @@ func TestBuildTauShortCircuit(t *testing.T) {
 		t.Fatalf("τ = %v, want 1", ix.Tau())
 	}
 	for i := 0; i < ix.recs.Len(); i++ {
-		if !*ix.arena.complete.Ptr(i) {
+		if !ix.sums.at(i).complete() {
 			t.Fatalf("record %d not complete at τ=1", i)
 		}
 	}
 }
 
-// storedKeys returns every key the arena holds, in address order.
-func storedKeys(ix *Index) []uint32 { return slices.Concat(ix.arena.keys.Chunks()...) }
-
-// sliceScan is the keyScan of keys that already lie in memory, in parts.
-func sliceScan(parts [][]uint32) keyScan {
-	return func(emit func([]uint32)) {
-		for _, part := range parts {
-			emit(part)
+// storedKeys returns every kept key, one a listed id: each listed element's
+// key as many times as its list names records.
+func storedKeys(t *testing.T, ix *Index) []uint32 {
+	var keys []uint32
+	for e, ids := range listsOf(t, ix) {
+		for range ids {
+			keys = append(keys, hash.Key32(e, ix.opt.Seed))
 		}
 	}
+	return keys
 }
 
 // kthOracle is what every selection is held to: the k-th smallest of the
@@ -476,39 +476,11 @@ func collidingElements(t *testing.T, seed uint64) (a, b hash.Element) {
 	return 0, 0
 }
 
+// TestKthSmallestMatchesSort holds the weighted selection to a sort: on
+// (key, count) tables, through the build's selectCut, and through a shrink's
+// pairs of the listed elements.
 func TestKthSmallestMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	// Upper bounds on both sides of the histogram's width: the whole key
-	// space, a shrunk threshold, one just past a power of two (the fewest
-	// buckets in use), and fewer keys than buckets.
-	uppers := []uint32{math.MaxUint32, 0x5EB851EB, 1 << 24, 1<<24 - 1, 1000}
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(3000)
-		upper := uppers[trial%len(uppers)]
-		vals := make([]uint32, n)
-		for i := range vals {
-			vals[i] = uint32(rng.Int63n(int64(upper) + 1))
-			if rng.Intn(4) == 0 && i > 0 {
-				vals[i] = vals[rng.Intn(i)] // inject ties
-			}
-		}
-		vals[rng.Intn(n)] = upper
-		// Streamed in random blocks, as the arena's chunks would be.
-		var parts [][]uint32
-		for lo := 0; lo < n; {
-			hi := lo + 1 + rng.Intn(n-lo)
-			parts = append(parts, vals[lo:hi])
-			lo = hi
-		}
-		sorted := slices.Clone(vals)
-		slices.Sort(sorted)
-		for _, k := range []int{1, 1 + rng.Intn(n), n, n + 1} {
-			if got, want := new(kthSelector).kthSmallest(sliceScan(parts), k, upper), kthOracle(sorted, k, upper); got != want {
-				t.Fatalf("trial %d: k=%d of %d under %d: got %v, want %v", trial, k, n, upper, got, want)
-			}
-		}
-	}
-
 	// The weighted form on (key, count) tables, keys spread over the key
 	// space or crowded into one bucket, repeated across pairs.
 	for trial := 0; trial < 50; trial++ {
@@ -594,6 +566,25 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 			t.Fatalf("every element buffered, %d keys left", len(multiset))
 		}
 	}
+
+	// The shrink's form: the listed elements' (key, ids) pairs — unused list
+	// numbers among them, after shrinks — select from every kept key.
+	ix, err := BuildIndex(buildTestDataset(t, 31, 300), defaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.AddRecords(buildTestDataset(t, 32, 200).Records)
+	if _, shrinks := ix.BuildCounters(); shrinks == 0 || ix.postings.free == 0 {
+		t.Fatalf("%d shrinks, no unused list number: fixture too small", shrinks)
+	}
+	kept := storedKeys(t, ix)
+	slices.Sort(kept)
+	pairs := ix.postings.keyCounts(nil, ix.opt.Seed)
+	for _, k := range []int{1, 1 + rng.Intn(len(kept)), len(kept), len(kept) + 1} {
+		if got, want := new(kthSelector).kthWeighted(pairs, k), kthOracle(kept, k, math.MaxUint32); got != want {
+			t.Fatalf("listed pairs: k=%d of %d: got %v, want %v", k, len(kept), got, want)
+		}
+	}
 }
 
 // TestBuildSparseIDsAllocatesByOccurrences: the frequency table the cost
@@ -651,11 +642,11 @@ func TestBuildAndLoadHashCounts(t *testing.T) {
 	if !denseIDs(top, occurrences) || ix.Tau() == 1 || occurrences < 4*(int(top)+1) {
 		t.Fatalf("fixture: top %d, %d occurrences, τ = %v", top, occurrences, ix.Tau())
 	}
-	bound := uint64(2*(int(top)+1) + ix.arena.units())
+	bound := uint64(2*(int(top)+1) + ix.keys)
 	for name, got := range map[string]*Index{"built": ix, "loaded": reload(t, ix, "loaded")} {
 		if hashed, _ := got.BuildCounters(); hashed > bound {
 			t.Errorf("%s: %d keys hashed for %d element ids and %d kept occurrences (of %d), want ≤ %d",
-				name, hashed, top+1, got.arena.units(), occurrences, bound)
+				name, hashed, top+1, got.keys, occurrences, bound)
 		}
 	}
 }
@@ -707,11 +698,11 @@ func TestDeriveSparseCounters(t *testing.T) {
 	}
 }
 
-// TestArenaLimit drives the offset table's bound through a stubbed limit
-// rather than 16 GB of keys: a build that would pack that many keys is an
-// error, an insert that would reach it panics with the bound in the message,
+// TestPostingLimit drives the posting lists' 32-bit bound through a stubbed
+// limit rather than 8 GB of slots: a build that would lay that many ids is an
+// error, an insert that could reach it panics with the bound in the message,
 // and a stream declaring it is corrupt.
-func TestArenaLimit(t *testing.T) {
+func TestPostingLimit(t *testing.T) {
 	d := buildTestDataset(t, 11, 80)
 	opt := Options{BudgetFraction: 1.0, BufferBits: NoBuffer, Seed: testSeed}
 	ix, err := BuildIndex(d, opt)
@@ -722,29 +713,38 @@ func TestArenaLimit(t *testing.T) {
 	if err := ix.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	units := ix.arena.units()
-	defer func(old int) { arenaLimit = old }(arenaLimit)
+	units := ix.keys
+	defer func(old int) { postingLimit = old }(postingLimit)
 
-	arenaLimit = units // one key too many
-	if _, err := BuildIndex(d, opt); err == nil || !strings.Contains(err.Error(), "offset table") {
-		t.Errorf("BuildIndex packing %d keys at limit %d: %v", units, arenaLimit, err)
+	postingLimit = units // one id too many
+	if _, err := BuildIndex(d, opt); err == nil || !strings.Contains(err.Error(), "32-bit positions") {
+		t.Errorf("BuildIndex laying %d ids at limit %d: %v", units, postingLimit, err)
 	}
 	if _, err := Load(bytes.NewReader(saved.Bytes())); !errors.Is(err, snapfmt.ErrCorrupt) {
-		t.Errorf("Load of %d keys at limit %d: %v", units, arenaLimit, err)
+		t.Errorf("Load of %d ids at limit %d: %v", units, postingLimit, err)
 	}
 
-	arenaLimit = units + 1 // the build fits exactly; the next key does not
+	postingLimit = units + 1 // the build fits exactly
 	if _, err := BuildIndex(d, opt); err != nil {
-		t.Fatalf("BuildIndex packing %d keys at limit %d: %v", units, arenaLimit, err)
+		t.Fatalf("BuildIndex laying %d ids at limit %d: %v", units, postingLimit, err)
 	}
+	// The tails hold nothing yet: an insert of n elements may take them to
+	// tailBound(n), and one more slot than that fits.
+	rec := d.Records[0]
+	postingLimit = ix.postings.tailBound(len(rec)) + 1
+	ix.AddRecords([]dataset.Record{rec})
+	postingLimit = ix.postings.tailBound(len(rec))
 	func() {
 		defer func() {
 			msg, _ := recover().(string)
-			if !strings.Contains(msg, "offset table") {
+			if !strings.Contains(msg, "32-bit positions") {
 				t.Errorf("AddRecord past the limit: recovered %q", msg)
 			}
 		}()
-		ix.AddRecords([]dataset.Record{d.Records[0]})
+		ix.AddRecords([]dataset.Record{rec})
 		t.Error("AddRecord past the limit did not panic")
 	}()
+	if ix.NumRecords() != 81 {
+		t.Errorf("%d records after the refused insert, want 81", ix.NumRecords())
+	}
 }

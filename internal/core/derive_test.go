@@ -30,19 +30,15 @@ func sameDerived(t *testing.T, got, want *Index, label string) {
 	if !slices.Equal(got.bufferElems, want.bufferElems) {
 		t.Fatalf("%s: E_H differs", label)
 	}
-	// The arenas are compared by content: where a run lies follows how an
+	// The stores are compared by content: where a row lies follows how an
 	// index grew — one slab from derive, chunks from inserts — not what it holds.
-	if got.recs.Len() != want.recs.Len() || got.arena.units() != want.arena.units() || got.bufArena.stride != want.bufArena.stride {
-		t.Fatalf("%s: %d records, %d keys, stride %d; want %d, %d, %d", label, got.recs.Len(), got.arena.units(), got.bufArena.stride,
-			want.recs.Len(), want.arena.units(), want.bufArena.stride)
+	if got.recs.Len() != want.recs.Len() || got.keys != want.keys || got.bufArena.stride != want.bufArena.stride {
+		t.Fatalf("%s: %d records, %d keys, stride %d; want %d, %d, %d", label, got.recs.Len(), got.keys, got.bufArena.stride,
+			want.recs.Len(), want.keys, want.bufArena.stride)
 	}
 	for i := 0; i < want.recs.Len(); i++ {
-		g, w := got.arena.view(i), want.arena.view(i)
-		if !slices.Equal(g.Keys(), w.Keys()) {
-			t.Fatalf("%s: record %d: arena keys differ", label, i)
-		}
-		if *got.arena.complete.Ptr(i) != *want.arena.complete.Ptr(i) {
-			t.Fatalf("%s: record %d: completeness flags differ", label, i)
+		if g, w := got.sums.at(i), want.sums.at(i); g != w {
+			t.Fatalf("%s: record %d: summary %+v, want %+v", label, i, g.gkmv(), w.gkmv())
 		}
 		if want.bufArena.stride > 0 && !slices.Equal(got.bufArena.record(i), want.bufArena.record(i)) {
 			t.Fatalf("%s: record %d: buffer words differ", label, i)
@@ -388,8 +384,8 @@ func TestBufferWiderThanVocabulary(t *testing.T) {
 	if ix.BufferBits() != 256 || h == 0 || h > 30 {
 		t.Fatalf("r = %d, |E_H| = %d", ix.BufferBits(), h)
 	}
-	if ix.arena.units() != 0 || ix.UsedUnits() != bufferUnits(50, 256) || ix.BufferSizeBytes() != 50*((h+7)/8) {
-		t.Fatalf("%d keys, %d units used, %d buffer bytes", ix.arena.units(), ix.UsedUnits(), ix.BufferSizeBytes())
+	if ix.keys != 0 || ix.UsedUnits() != bufferUnits(50, 256) || ix.BufferSizeBytes() != 50*((h+7)/8) {
+		t.Fatalf("%d keys, %d units used, %d buffer bytes", ix.keys, ix.UsedUnits(), ix.BufferSizeBytes())
 	}
 	for i, rec := range recordsOf(ix) {
 		for bit, e := range ix.bufferElems {

@@ -34,14 +34,15 @@ type Index struct {
 	bitOf       bitTable       // element → buffer bit position
 
 	// bufArena holds every record's H_X buffer in one flat byte store (see
-	// bufferArena); arena holds every record's G-KMV hash run in one flat
-	// CSR layout (see sketchArena). All per-record signature reads go
-	// through bufArena.record(i) / arena.view(i). bufCols is bufArena
+	// bufferArena), read through bufArena.record(i); bufCols is bufArena
 	// transposed, a bitmap over record ids per buffer bit (see
-	// bufferColumns): the buffer half of candidate generation.
+	// bufferColumns): the buffer half of candidate generation. sums holds
+	// every record's G-KMV summary, one word a record (see summary); the keys
+	// are the posting lists', and keys counts them, Σk.
 	bufArena bufferArena
 	bufCols  bufferColumns
-	arena    sketchArena
+	sums     summaries
+	keys     int
 
 	// cut is the global threshold as a key: a record keeps the keys ≤ cut.
 	// τ = hash.KeyUnit(cut), the share of the unit interval kept; τ = 1 is
@@ -58,15 +59,12 @@ type Index struct {
 	// scratch.go for the ownership contract.
 	scratchPool sync.Pool
 
-	// sel is the threshold shrink's selection memory (see kthSelector), add
-	// the working set of the record AddRecords is on — its non-buffered
-	// elements, their keys, its sorted run. Both are touched only under the
-	// caller's write exclusion, like the rest of the insert path.
-	sel kthSelector
-	add struct {
-		elems     []hash.Element
-		keys, run []uint32
-	}
+	// sel is the threshold shrink's selection memory (see kthSelector),
+	// evicted its bitmap of the records it summarises again (resummarise).
+	// Both are touched only under the caller's write exclusion, like the rest
+	// of the insert path.
+	sel     kthSelector
+	evicted []uint64
 
 	// Write-path work counters, atomic so scrape-time readers never contend
 	// with the write lock: every hash.Key32 call of the build, load and
@@ -244,17 +242,17 @@ func (ix *Index) BudgetUnits() int { return ix.budget }
 func (ix *Index) Seed() uint64 { return ix.opt.Seed }
 
 // UsedUnits returns the number of budget units actually consumed: one per
-// stored 32-bit key plus r/32 per record. O(1): the arena length is the
-// stored-hash total, so the per-insert budget check does not scan the
-// collection.
+// kept 32-bit key plus r/32 per record. O(1): Σk is kept as the keys come
+// and go, so the per-insert budget check does not scan the collection.
 func (ix *Index) UsedUnits() int {
-	return bufferUnits(ix.recs.Len(), ix.bufferBits) + ix.arena.units()
+	return bufferUnits(ix.recs.Len(), ix.bufferBits) + ix.keys
 }
 
-// SizeBytes returns the in-memory footprint of the signatures (buffers +
-// sketch arena), excluding the retained records (RecordSizeBytes) and what
-// search walks to find candidates (IndexSizeBytes). O(1): both halves live in
-// flat arenas whose lengths are the answer.
+// SizeBytes returns the footprint of the signatures in the paper's
+// accounting — r bits a record and 4 bytes a kept key — excluding the
+// retained records (RecordSizeBytes) and what search walks to find
+// candidates (IndexSizeBytes). O(1). The keys are held once, as the posting
+// lists' entries, which IndexSizeBytes counts.
 func (ix *Index) SizeBytes() int {
 	return ix.BufferSizeBytes() + ix.SketchSizeBytes()
 }
@@ -263,26 +261,26 @@ func (ix *Index) SizeBytes() int {
 // alone, O(1).
 func (ix *Index) BufferSizeBytes() int { return ix.bufArena.sizeBytes() }
 
-// SketchSizeBytes returns the footprint of the G-KMV key store alone, O(1):
-// four bytes a unit, the same 32 bits the budget charges for it.
-func (ix *Index) SketchSizeBytes() int { return 4 * ix.arena.units() }
+// SketchSizeBytes returns the G-KMV share of SizeBytes, O(1): four bytes a
+// kept key, the same 32 bits the budget charges for it.
+func (ix *Index) SketchSizeBytes() int { return 4 * ix.keys }
 
 // RecordSizeBytes returns the footprint of the retained records: the packed
 // slab and its offsets.
 func (ix *Index) RecordSizeBytes() int { return ix.recs.SizeBytes() }
 
 // IndexSizeBytes returns the footprint of what search walks beside the
-// signatures: the inverted lists (the 2-byte slots of their gaps — one a key,
+// buffers: the inverted lists (the 2-byte slots of their gaps — one a key,
 // a key being listed exactly once, and two more a gap of 2¹⁶ or more — and a
 // listed element's 32-byte header; its 4-byte index slots and its tail's
 // links, room and skipped ends not counted), the bit columns (|E_H| bits a
-// record) and the sketch arena's offset and completeness tables. Like the
-// other sizes it counts what is in use, not growth headroom, so an index and
-// its reload report the same.
+// record) and the records' summaries (8 bytes a record). Like the other
+// sizes it counts what is in use, not growth headroom, so an index and its
+// reload report the same.
 func (ix *Index) IndexSizeBytes() int {
 	m := ix.recs.Len()
 	columns := len(ix.bufferElems) * ((m + bufWordBits - 1) / bufWordBits) * 8
-	return 2*ix.postings.slots + listHeadBytes*ix.postings.live + columns + ix.arena.tableBytes()
+	return 2*ix.postings.slots + listHeadBytes*ix.postings.live + columns + ix.sums.sizeBytes()
 }
 
 // QuerySig is the GB-KMV sketch of a query record, reusable across many
@@ -394,20 +392,28 @@ func (ix *Index) bufferOverlap(sig *QuerySig, i int) int {
 }
 
 // EstimateIntersection estimates |Q ∩ X_i| by Equation 27:
-// |H_Q ∩ H_X| + D̂∩^GKMV.
+// |H_Q ∩ H_X| + D̂∩^GKMV, merging the query's run with record i's, sketched
+// again from its packed record (recordView).
 func (ix *Index) EstimateIntersection(sig *QuerySig, i int) float64 {
-	return float64(ix.bufferOverlap(sig, i)) + gkmv.IntersectViews(sig.sketch, ix.arena.view(i)).DInter
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
+	return ix.intersectionWith(sig, i, sc)
+}
+
+// intersectionWith is EstimateIntersection over caller-provided scratch.
+func (ix *Index) intersectionWith(sig *QuerySig, i int, sc *searchScratch) float64 {
+	return float64(ix.bufferOverlap(sig, i)) + gkmv.IntersectViews(sig.sketch, ix.recordView(i, sc)).DInter
 }
 
 // countedEstimate is D̂∩^GKMV for a candidate of the query path, from the K∩
-// its posting walk counted in sc.counts: gkmv.Estimate reads only the run's
-// length, last key and completeness, so a candidate costs O(1), not a merge.
+// its posting walk counted in sc.counts: gkmv.Estimate reads only the
+// record's summary beside it, so a candidate costs O(1), not a merge.
 // Added to the buffer overlap the search read it is EstimateIntersection to
 // the bit, but for the one case where they count differently: two distinct
 // elements sharing a 32-bit key are a match to the merge and none to the
 // lists, which are keyed by element.
 func (ix *Index) countedEstimate(sig *QuerySig, id int32, sc *searchScratch) float64 {
-	_, _, d := gkmv.Estimate(sig.sketch, ix.arena.view(int(id)), int(sc.counts[id]))
+	_, _, d := gkmv.Estimate(sig.sketch.Summary(), ix.sums.at(int(id)).gkmv(), int(sc.counts[id]))
 	return d
 }
 
@@ -421,8 +427,10 @@ func (ix *Index) EstimateWithError(sig *QuerySig, i int) (est, stderr float64) {
 	if sig.Size <= 0 {
 		return 0, 0
 	}
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
 	exact := ix.bufferOverlap(sig, i)
-	res := gkmv.IntersectViews(sig.sketch, ix.arena.view(i))
+	res := gkmv.IntersectViews(sig.sketch, ix.recordView(i, sc))
 	est = (float64(exact) + res.DInter) / float64(sig.Size)
 	if est > 1 {
 		est = 1
@@ -442,12 +450,15 @@ func (ix *Index) EstimateWithError(sig *QuerySig, i int) (est, stderr float64) {
 // cannot). Clamping never changes Search results because the search
 // threshold θ = t*·|Q| never exceeds |Q|.
 func (ix *Index) EstimateContainment(sig *QuerySig, i int) float64 {
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
+	return ix.containmentWith(sig, i, sc)
+}
+
+// containmentWith is EstimateContainment over caller-provided scratch.
+func (ix *Index) containmentWith(sig *QuerySig, i int, sc *searchScratch) float64 {
 	if sig.Size <= 0 {
 		return 0
 	}
-	c := ix.EstimateIntersection(sig, i) / float64(sig.Size)
-	if c > 1 {
-		c = 1
-	}
-	return c
+	return min(ix.intersectionWith(sig, i, sc)/float64(sig.Size), 1)
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -10,8 +12,10 @@ import (
 	"gbkmv/internal/hash"
 )
 
-// postingLists is the inverted index over the G-KMV keys (Section IV-B): per
-// kept element, the ascending ids of the records whose sketch holds it, coded
+// postingLists is the inverted index over the G-KMV keys (Section IV-B), and
+// the only place the keys are stored: per kept element, the ascending ids of
+// the records whose sketch holds it — the element's key, stored once for all
+// of them as the element the list is of — coded
 // as the gaps between them (the first from −1) in 16-bit slots — a gap of
 // 2¹⁶ or more as a 0 slot and its low and high halves. An element finds its
 // list number in the index and the number its header. A list is two parts:
@@ -138,6 +142,35 @@ func blockOf(i int) (k, slot int) {
 	return 2*doublings + i/(blockCap-linkSlots), i % (blockCap - linkSlots)
 }
 
+// postingLimit is the first slot address the lists' uint32 positions cannot
+// hold: the slab derive lays and the tail store lie below it. A variable only
+// so the tests can reach the bound without 8 GB of slots.
+var postingLimit = math.MaxUint32
+
+// checkPostingRoom is the one guard in front of every layout of the slab and
+// of every batch of inserts into the tails.
+func checkPostingRoom(slots int) error {
+	if slots >= postingLimit {
+		return fmt.Errorf("%d posting slots overflow the posting lists' 32-bit positions (limit %d)", slots, postingLimit)
+	}
+	return nil
+}
+
+// tailBound returns an address the tail store stays below while `keys` more
+// ids are listed: what AddRecords checks (checkPostingRoom) before it changes
+// anything. An id takes at most escapeSlots slots of its list's tail. The
+// blocks a list allocates for u new slots are full but for the last, and a
+// full block is at least half data, so they come to 2u beside the last; the
+// last is at most blockCap, and no larger than the blocks before it in the
+// chain put together (sizes double every second block), which are full too:
+// twice the list's tail, the u new slots included, or firstBlock for a
+// list's first. So n ids allocate at most 4·escapeSlots·n slots beside the
+// lesser of blockCap·n and firstBlock·n + twice what the tails hold.
+func (p *postingLists) tailBound(keys int) int {
+	last := min(blockCap*keys, firstBlock*keys+2*p.tails.Len())
+	return p.tails.Bound(4*escapeSlots*keys + last)
+}
+
 // smallIDs is the most records whose ids derive lays in 16 bits: every gap
 // between them, the first one's from −1 included, is under 2¹⁶.
 const smallIDs = 1<<16 - 1
@@ -146,8 +179,10 @@ const smallIDs = 1<<16 - 1
 // ids, which each reports in slab order: an element and where its run ends,
 // the first run starting at 0 and every other where the one before ends. The
 // ids are in ids16 when every gap fits a slot, and their gaps are coded in
-// place; else in ids32, and coded into a slab of exactly their slots.
-func (p *postingLists) lay(ids16 []uint16, ids32 []int32, lists int, each func(list func(e hash.Element, end uint32))) {
+// place; else in ids32, and coded into a slab of exactly their slots — which
+// fails, before the slab is allocated, when the slots' escapes take it past
+// what the lists' positions address.
+func (p *postingLists) lay(ids16 []uint16, ids32 []int32, lists int, each func(list func(e hash.Element, end uint32))) error {
 	*p = postingLists{live: lists}
 	heads := p.heads.Bulk(lists)
 	l, start := 0, uint32(0)
@@ -176,6 +211,9 @@ func (p *postingLists) lay(ids16 []uint16, ids32 []int32, lists int, each func(l
 				prev = id
 			}
 		}
+		if err := checkPostingRoom(slots); err != nil {
+			return err
+		}
 		p.slab = make([]uint16, slots)
 		at := 0
 		for i := range heads {
@@ -191,6 +229,7 @@ func (p *postingLists) lay(ids16 []uint16, ids32 []int32, lists int, each func(l
 	}
 	p.slabLive, p.slots = len(p.slab), len(p.slab)
 	p.reindex(lists)
+	return nil
 }
 
 // reindex sizes the index for n lists, at most half full — a miss, the
@@ -388,19 +427,48 @@ func (p *postingLists) setLink(at uint32, k int, addr uint32) {
 	copy(p.tails.From(at)[blockSize(k)-linkSlots:], link[:])
 }
 
-// filter drops the list of every element whose key exceeds the (newly shrunk)
-// cut — one walk over the headers, one hash a listed element — which leaves
-// exactly the lists a derive at the new τ lays. The tail blocks of the
-// dropped lists are compacted away, and the slab, once under half of it is
-// live, is re-laid at the size of what is.
-func (p *postingLists) filter(cut uint32, seed uint64) {
-	moved := false
+// keyCounts returns, appended to pairs, a (key, ids) pair a list number — the
+// listed element's key and how many record ids the list holds, and (0, 0) for
+// an unused number — one hash a listed element: the multiset {key × ids} is
+// every record's kept keys, which a threshold shrink selects its cut from and
+// filters the lists by.
+func (p *postingLists) keyCounts(pairs []keyCount, seed uint64) []keyCount {
 	for l := 0; l < p.heads.Len(); l++ {
 		h := p.heads.Ptr(l)
-		if h.n+h.tn == 0 || hash.Key32(h.e, seed) <= cut {
+		if h.n+h.tn == 0 {
+			pairs = append(pairs, keyCount{})
 			continue
 		}
-		moved = moved || h.tn > inlineSlots
+		n := 0
+		run, tail := p.read(h)
+		for s := run; ; s = tail.slots {
+			for i := 0; i < len(s); i++ {
+				if s[i] == 0 {
+					i += escapeSlots - 1
+				}
+				n++
+			}
+			if !tail.more() {
+				break
+			}
+		}
+		pairs = append(pairs, keyCount{hash.Key32(h.e, seed), uint32(n)})
+	}
+	return pairs
+}
+
+// filter drops the list of every element whose key, in keyCounts' pairs,
+// exceeds the (newly shrunk) cut, which leaves exactly the lists a derive at
+// the new τ lays. The tail blocks of the dropped lists are compacted away,
+// and the slab, once under half of it is live, is re-laid at the size of
+// what is.
+func (p *postingLists) filter(pairs []keyCount, cut uint32) {
+	moved := false
+	for l, pair := range pairs {
+		if pair.n == 0 || pair.key <= cut {
+			continue
+		}
+		moved = moved || p.heads.Ptr(l).tn > inlineSlots
 		p.drop(l)
 	}
 	if 2*p.slabLive < len(p.slab) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gbkmv/internal/dataset"
+	"gbkmv/internal/gkmv"
 	"gbkmv/internal/hash"
 )
 
@@ -233,10 +234,39 @@ func TestPostingsIndexDrop(t *testing.T) {
 	}
 }
 
+// checkSummaries asserts that every record's summary is the one a
+// brute-force sketch of (record, E_H, τ) gives, and that the units used beside
+// the buffers are Σk, the number of ids the lists hold.
+func checkSummaries(t *testing.T, ix *Index, label string) {
+	t.Helper()
+	keys := 0
+	for i, rec := range recordsOf(ix) {
+		var rest dataset.Record
+		for _, e := range rec {
+			if _, buffered := ix.bitOf.lookup(e); !buffered {
+				rest = append(rest, e)
+			}
+		}
+		run, complete := gkmv.BuildHashes(rest, ix.Tau(), ix.opt.Seed)
+		if got, want := ix.sums.at(i).gkmv(), gkmv.MakeView(run, complete).Summary(); got != want {
+			t.Fatalf("%s: record %d summary %+v, sketched %+v", label, i, got, want)
+		}
+		keys += len(run)
+	}
+	ids := 0
+	for _, list := range listsOf(t, ix) {
+		ids += len(list)
+	}
+	if used := ix.UsedUnits() - bufferUnits(ix.NumRecords(), ix.bufferBits); used != keys || ix.keys != keys || ids != keys {
+		t.Fatalf("%s: %d units beside the buffers, Σk = %d, %d ids listed; the records' sketches hold %d keys", label, used, ix.keys, ids, keys)
+	}
+}
+
 // FuzzPostingsUnderInserts is TestPostingsUnderInserts on fuzz-chosen
 // schedules: the base's size, the budget, r and the batch sizes, the lists
-// checked against the brute-force rebuild after every batch and against the
-// reload at the end. CI runs it briefly (-fuzz FuzzPostingsUnderInserts
+// and the summaries checked against the brute-force rebuild after every batch
+// (and the tails against the bound AddRecords checked before it), the lists
+// against the reload at the end. CI runs it briefly (-fuzz FuzzPostingsUnderInserts
 // -fuzztime 15s).
 func FuzzPostingsUnderInserts(f *testing.F) {
 	f.Add(uint8(100), uint16(0), uint8(1), []byte{1, 2, 3, 4})
@@ -252,11 +282,22 @@ func FuzzPostingsUnderInserts(f *testing.F) {
 			t.Skip(err) // a budget the buffers take whole
 		}
 		checkPostings(t, ix, "built")
+		checkSummaries(t, ix, "built")
 		for _, b := range batches {
 			n := min(int(b)%16, len(records)-m)
+			incoming := 0
+			for _, rec := range records[m : m+n] {
+				incoming += len(rec)
+			}
+			bound := ix.postings.tailBound(incoming)
 			ix.AddRecords(records[m : m+n])
 			m += n
-			checkPostings(t, ix, fmt.Sprintf("%d records", m))
+			label := fmt.Sprintf("%d records", m)
+			checkPostings(t, ix, label)
+			checkSummaries(t, ix, label)
+			if end := ix.postings.tails.End(); end > bound {
+				t.Fatalf("%s: the tails end at %d, past the %d checked for %d ids", label, end, bound, incoming)
+			}
 		}
 		loaded := reload(t, ix, "grown")
 		if got, want := listsOf(t, loaded), listsOf(t, ix); len(got) != len(want) {
@@ -319,8 +360,8 @@ func TestPostingBytesPerID(t *testing.T) {
 		}
 		perID := float64(2*p.slots) / float64(ids)
 		t.Logf("%d ids in %d lists, %d escaped: %d slots, %.3f bytes an id", ids, p.live, escapes, p.slots, perID)
-		if ids != x.arena.units() || escapes < 2 || perID > 2.1 {
-			t.Fatalf("%d ids listed of %d keys, %d escaped, %.3f bytes an id: want every key listed, escapes, at most 2.1", ids, x.arena.units(), escapes, perID)
+		if ids != x.keys || escapes < 2 || perID > 2.1 {
+			t.Fatalf("%d ids listed of %d keys, %d escaped, %.3f bytes an id: want every key listed, escapes, at most 2.1", ids, x.keys, escapes, perID)
 		}
 		// The search decodes escapes as the lists' reader does: the family,
 		// and records across the id range, as queries, at thresholds that
@@ -449,6 +490,16 @@ func FuzzPostingGaps(f *testing.F) {
 			if p.live != len(model) || p.slots != slots || p.tails.Len() != tails {
 				t.Fatalf("%s: %d lists, %d slots, a tail store of %d; want %d, %d, %d", step, p.live, p.slots, p.tails.Len(), len(model), slots, tails)
 			}
+			// A shrink selects its cut from keyCounts: a pair a list number,
+			// the list's key and its ids.
+			pairs := p.keyCounts(nil, testSeed)
+			for l, pair := range pairs {
+				h := p.heads.Ptr(l)
+				if want := model[h.e]; h.n+h.tn == 0 && pair != (keyCount{}) ||
+					h.n+h.tn > 0 && pair != (keyCount{hash.Key32(h.e, testSeed), uint32(len(want))}) {
+					t.Fatalf("%s: list %d (element %d, %d ids): pair %+v", step, l, h.e, len(want), pair)
+				}
+			}
 		}
 		check("laid")
 		for i := 0; i+3 < len(ops); i += 4 {
@@ -465,7 +516,7 @@ func FuzzPostingGaps(f *testing.F) {
 				model[e], next = append(model[e], int32(id)), id
 			case kind == 7:
 				cut := uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8
-				p.filter(cut, testSeed)
+				p.filter(p.keyCounts(nil, testSeed), cut)
 				for e := range model {
 					if hash.Key32(e, testSeed) > cut {
 						delete(model, e)

@@ -280,8 +280,9 @@ func checkDifferential(t *testing.T, ix *Index, queries []dataset.Record, label 
 	for qi, q := range queries {
 		sig := ix.Sketch(q)
 		refQ := refSketchOf(ref.rest(q), ix.Tau(), ix.opt.Seed)
+		sc := &searchScratch{}
 		for i := 0; i < ix.recs.Len(); i++ {
-			got := gkmv.IntersectViews(sig.sketch, ix.arena.view(i))
+			got := gkmv.IntersectViews(sig.sketch, ix.recordView(i, sc))
 			k, kInter, dInter := refIntersect(refQ, ref.sketches[i])
 			if got.K != k || got.KInter != kInter {
 				t.Fatalf("%s: q%d record %d: K=%d K∩=%d, reference %d %d", label, qi, i, got.K, got.KInter, k, kInter)

@@ -173,12 +173,13 @@ func TestKeyMergeMatchesFloatReference(t *testing.T) {
 	t.Logf("%d pairs", pairs)
 }
 
-// TestBuildHashesReproducesArena: gkmv.BuildHashes at the index's public
-// Tau() and Seed() is the index's own run for every record — fresh, after
+// TestBuildHashesReproducesSummaries: gkmv.BuildHashes at the index's public
+// Tau() and Seed() summarises to the index's own summary for every record,
+// and is the run the index sketches again to merge it — fresh, after
 // threshold shrinks, and after a Load. The benchmark's kernel ladder builds
 // its views this way; checkAgainstRef compares them (and everything else)
 // bit for bit.
-func TestBuildHashesReproducesArena(t *testing.T) {
+func TestBuildHashesReproducesSummaries(t *testing.T) {
 	ix, err := BuildIndex(buildTestDataset(t, 21, 300), defaultOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +210,7 @@ func TestBuildHashesReproducesArena(t *testing.T) {
 
 // TestDuplicateKeysInRun: Hash64 is a bijection, a 32-bit key is not — two
 // elements of one record can share a key, so a run is ascending, not strictly
-// ascending. Such a run is a valid arena, survives Save/Load, and the merge
+// ascending. Such a run is a valid sketch, survives Save/Load, and the merge
 // counts the equal keys pairwise, as the two elements they are. The query
 // path counts K∩ on the inverted lists, which are keyed by element: a key
 // shared by two distinct elements is a match to the merge alone.
@@ -246,9 +247,10 @@ func TestDuplicateKeysInRun(t *testing.T) {
 		t.Fatalf("an index with a duplicate key in a run does not load: %v", err)
 	}
 	for _, ix := range []*Index{ix, loaded} {
-		run := ix.arena.view(0).Keys()
-		if len(run) != len(both) || !slices.IsSorted(run) {
-			t.Fatalf("run %v for a %d-element record", run, len(both))
+		view0, view1 := ix.recordView(0, &searchScratch{}), ix.recordView(1, &searchScratch{})
+		run := view0.Keys()
+		if len(run) != len(both) || !slices.IsSorted(run) || view0.Summary() != ix.sums.at(0).gkmv() {
+			t.Fatalf("run %v for a %d-element record, summary %+v", run, len(both), ix.sums.at(0).gkmv())
 		}
 		if i, _ := slices.BinarySearch(run, hash.Key32(e1, testSeed)); run[i] != run[i+1] {
 			t.Fatalf("run %v does not hold the colliding key twice", run)
@@ -256,12 +258,12 @@ func TestDuplicateKeysInRun(t *testing.T) {
 		// Record 0 against itself: every key pairs off, the two equal ones
 		// included. Against record 1 (which holds e1 only): one of the two
 		// equal keys finds a partner, the union keeps the other.
-		self := gkmv.IntersectViews(ix.arena.view(0), ix.arena.view(0))
+		self := gkmv.IntersectViews(view0, view0)
 		if self.K != len(both) || self.KInter != len(both) {
 			t.Errorf("self merge: K=%d K∩=%d, want %d %d", self.K, self.KInter, len(both), len(both))
 		}
 		shared := len(both) + len(one) - len(dataset.NewRecord(append(slices.Clone(both), one...)))
-		cross := gkmv.IntersectViews(ix.arena.view(0), ix.arena.view(1))
+		cross := gkmv.IntersectViews(view0, view1)
 		if cross.KInter != shared || cross.K != len(both)+len(one)-shared {
 			t.Errorf("cross merge: K=%d K∩=%d, want %d %d", cross.K, cross.KInter, len(both)+len(one)-shared, shared)
 		}

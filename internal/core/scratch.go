@@ -1,6 +1,9 @@
 package core
 
-import "gbkmv/internal/topkheap"
+import (
+	"gbkmv/internal/hash"
+	"gbkmv/internal/topkheap"
+)
 
 // searchScratch is the per-call working memory of the query path: the K∩
 // counts sized to the collection (with growth slack, see getScratch), a mark
@@ -8,8 +11,9 @@ import "gbkmv/internal/topkheap"
 // it is 6 kB and stays in L1, where an array of per-record stamps was 200 kB),
 // the posting lists and bit columns a query reads, the counter planes of
 // top-k, the hit-collection buffers of the threshold searches, a reusable
-// top-k heap buffer, and a reusable query-signature slot for the
-// sketch-and-search entry points. Instances live in a per-index sync.Pool;
+// top-k heap buffer, a reusable query-signature slot for the
+// sketch-and-search entry points, and a record and its run for the paths that
+// sketch a record again to merge it (recordView). Instances live in a per-index sync.Pool;
 // steady-state searches therefore allocate nothing beyond their result
 // slice — and not that when the caller brings one (AppendSearchSigScored,
 // AppendTopKSig). Results are always copied out, never an alias of ids or
@@ -32,6 +36,8 @@ type searchScratch struct {
 	hits    []Scored    // searchSigScoredWith's hits before the copy out
 	heap    []topkheap.Scored
 	sig     QuerySig // reusable signature for the Search(q)/SearchTopK(q) paths
+	rec     []hash.Element
+	run     []uint32
 }
 
 // getScratch returns a scratch covering the current collection.

@@ -256,7 +256,8 @@ func (ix *Index) touchColumns(sc *searchScratch) {
 // SearchLinear is the plain Algorithm 2 of the paper: it scans every record,
 // estimates |Q ∩ X| by Equation 27 and keeps records meeting θ = t*·|Q|.
 // Results are sorted ascending. It exists as the reference implementation
-// for Search and for the ablation benchmarks.
+// for Search and for the ablation benchmarks: every record's run is sketched
+// again from its packed record and merged with the query's.
 func (ix *Index) SearchLinear(q dataset.Record, tstar float64) []int {
 	sig := ix.Sketch(q)
 	theta := tstar * float64(sig.Size)
@@ -276,38 +277,35 @@ func (ix *Index) SearchLinear(q dataset.Record, tstar float64) []int {
 
 // shrinkSlackDivisor sets how far past the overshoot a threshold shrink
 // evicts: budget/shrinkSlackDivisor extra keys (0.78 % of the budget), so the
-// O(index) select + trim + posting filter is paid once per slack's worth of
-// inserted keys rather than on nearly every insert at a full
+// O(index) select + posting filter + re-summary is paid once per slack's
+// worth of inserted keys rather than on nearly every insert at a full
 // budget. DESIGN.md "Dynamic inserts" has the measured cost of both sides.
 const shrinkSlackDivisor = 128
 
 // AddRecords appends records in order under the fixed space budget
 // ("Processing Dynamic Data", Section IV-B): when a record takes the index
 // over budget the global threshold is recomputed for the enlarged dataset and
-// every sketch is trimmed to the new (never larger) threshold. The buffered
+// every sketch is cut to the new (never larger) threshold. The buffered
 // element set E_H is kept fixed; a full rebuild refreshes it. The over-budget
 // check runs after every record, so the state after k records is a function
-// of the record sequence alone — never of how callers group
-// it into batches (journal replay and follower apply regroup freely). The
-// path is hash-once end to end: each new element is hashed exactly once, the
-// pairs feed both the arena run and the posting lists (through scratch the
-// index owns: callers serialise writes, so a record allocates nothing of its
-// own), and a shrink trims existing runs in place (arena prefixes) instead of
-// resketching the collection.
+// of the record sequence alone — never of how callers group it into batches
+// (journal replay and follower apply regroup freely). Each new element is
+// hashed exactly once: a kept key goes into the record's summary and its
+// element's posting list at once, and a record allocates nothing of its own.
 //
 // The records are coded onto the packed store, not retained: the caller's
 // slices are its own again when AddRecords returns.
 //
-// It panics, before touching the index, when the batch could take the sketch
-// arena to 2³²−1 keys or the record store to 2³²−1 bytes, the ends of their
-// 32-bit offset tables (BuildIndex returns an error at the same bounds). The
-// budget caps the arena, so only a budget that large gets there.
+// It panics, before touching the index, when the batch could take the
+// posting lists' tails to 2³²−1 slots or the record store to 2³²−1 bytes,
+// the ends of their 32-bit positions (BuildIndex returns an error at the
+// same bounds).
 func (ix *Index) AddRecords(recs []dataset.Record) {
 	incoming := 0
 	for _, rec := range recs {
 		incoming += len(rec)
 	}
-	err := ix.arena.checkRoom(len(recs), incoming)
+	err := checkPostingRoom(ix.postings.tailBound(incoming))
 	if err == nil {
 		err = ix.recs.CheckRoom(len(recs), incoming)
 	}
@@ -328,90 +326,84 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 		if err := ix.recs.Append(rec); err != nil {
 			panic("core: " + err.Error()) // CheckRoom above made the room
 		}
-		// One hashing pass; the (element, key) pairs are kept so the
-		// postings update below never rehashes.
-		elems, keys, run := ix.add.elems[:0], ix.add.keys[:0], ix.add.run[:0]
-		block := ix.bufCols.block(id)
+		// The record's postings go in before the budget check: the shrink
+		// selects its cut from the lists, this record's keys included, and
+		// filters them with the rest — the state "sketch, shrink, then post
+		// under the new cut" leaves.
+		k, top, hashed, block := 0, uint32(0), 0, ix.bufCols.block(id)
 		for _, e := range rec {
 			if bit, ok := ix.bitOf.lookup(e); ok {
 				ix.bufArena.set(id, bit)
 				mark(block, bit, id)
 				continue
 			}
-			elems = append(elems, e)
-			keys = append(keys, hash.Key32(e, ix.opt.Seed))
-		}
-		for _, v := range keys {
-			if v <= ix.cut {
-				run = append(run, v)
-			}
-		}
-		slices.Sort(run)
-		ix.arena.appendRun(run, len(run) == len(elems))
-		ix.add.elems, ix.add.keys, ix.add.run = elems, keys, run
-		ix.elementsHashed.Add(uint64(len(keys)))
-		if over := ix.UsedUnits() - ix.budget; over > 0 {
-			// The shrink lowers τ and filters existing state; the new
-			// record's run is already in the arena, so it is trimmed with
-			// everything else. Its postings are added below under the
-			// (possibly lower) τ.
-			ix.shrinkThreshold(over)
-		}
-		// Maintain the inverted lists incrementally from the retained pairs.
-		for j, e := range elems {
-			if keys[j] <= ix.cut {
+			hashed++
+			if v := hash.Key32(e, ix.opt.Seed); v <= ix.cut {
+				k, top = k+1, max(top, v)
 				ix.postings.add(e, int32(id))
 			}
+		}
+		ix.sums.words.Append(makeSummary(k, top, k == hashed))
+		ix.keys += k
+		ix.elementsHashed.Add(uint64(hashed))
+		if over := ix.UsedUnits() - ix.budget; over > 0 {
+			ix.shrinkThreshold(over)
 		}
 	}
 }
 
-// shrinkThreshold lowers τ to evict `over` stored keys plus the
-// amortisation slack (budget/shrinkSlackDivisor), then trims every run and
-// filters the posting lists under the new threshold, reporting whether
-// anything changed. It returns false — leaving the index exactly as it was —
-// when no keys are stored at all, or only the occurrences of one element:
-// then the overshoot is buffer cost (which grows with the record count and
-// cannot shrink) or a single tie run, and the over-budget state is accepted
-// rather than paying a rebuild per insert, or worse, panicking.
+// shrinkThreshold lowers τ to evict `over` kept keys plus the amortisation
+// slack (budget/shrinkSlackDivisor), summarises again the records it evicts
+// keys from and filters the posting lists under the new threshold,
+// reporting whether anything changed. It returns false — leaving the index
+// exactly as it was — when no keys are kept at all, or only the occurrences
+// of one element: then the overshoot is buffer cost (which grows with the
+// record count and cannot shrink) or a single tie run, and the over-budget
+// state is accepted rather than paying a rebuild per insert, or worse,
+// panicking.
 //
-// No element is rehashed: the new τ is an order statistic of the stored
-// multiset (streamed through the same histogram selection the build uses),
-// runs shrink to their ascending prefixes, and the posting filter hashes
-// once per distinct listed element rather than once per occurrence.
+// Nothing is decoded from the records and no occurrence is hashed: the new τ
+// is an order statistic of the kept multiset, which the lists hold as
+// {key(e) × |list(e)|} — one hash a listed element, and the same weighted
+// selection the build makes —, the records whose U(k) lies over the new cut
+// are summarised again from the lists (resummarise), and the filter drops
+// whole lists by those keys.
 func (ix *Index) shrinkThreshold(over int) bool {
-	total := ix.arena.units()
-	if total == 0 {
+	if ix.keys == 0 {
 		return false
 	}
-	keep := total - over - ix.budget/shrinkSlackDivisor
-	if keep < 1 {
-		keep = 1
-	}
-	// The new cut is the keep-th smallest stored key. τ is a value
-	// threshold and identical elements share a key, so a tie run at the cut
-	// stays whole: the index can settle over budget by less than that run.
-	// Crucially the new τ depends only on the stored multiset and keep —
-	// never on the insertion grouping — so batched and sequential inserts
-	// (and hence journal replay) converge on identical state.
-	cut := ix.sel.kthSmallest(ix.arena.scanKeys, keep, ix.cut)
+	keep := max(1, ix.keys-over-ix.budget/shrinkSlackDivisor)
+	pairs := ix.postings.keyCounts(ix.sel.pairs[:0], ix.opt.Seed)
+	ix.sel.pairs = pairs
+	// The new cut is the keep-th smallest kept key. τ is a value threshold
+	// and identical elements share a key, so a tie run at the cut stays
+	// whole: the index can settle over budget by less than that run.
+	// Crucially the new τ depends only on the kept multiset and keep — never
+	// on the insertion grouping — so batched and sequential inserts (and
+	// hence journal replay) converge on identical state.
+	cut := ix.sel.kthWeighted(pairs, keep)
 	if cut == ix.cut {
 		// The run on the current cut is longer than what has to go, and it
 		// only grows with the inserts (an order statistic of a multiset lands
 		// inside its biggest runs: the occurrences of one popular unbuffered
-		// element). Evict it whole — the cut drops to the largest stored key
+		// element). Evict it whole — the cut drops to the largest kept key
 		// strictly below, still a function of the multiset alone — rather
 		// than decline every shrink while the run takes the index ever
 		// further over budget.
-		below, found := ix.arena.largestBelow(cut)
+		below, found := uint32(0), false
+		for _, p := range pairs {
+			if p.n > 0 && p.key < cut && (!found || p.key > below) {
+				below, found = p.key, true
+			}
+		}
 		if !found {
 			return false // the run is all there is
 		}
 		cut = below
 	}
 	ix.cut = cut
-	ix.arena.trimToCut(cut)
-	ix.postings.filter(cut, ix.opt.Seed)
+	ix.resummarise(pairs, cut)
+	ix.postings.filter(pairs, cut)
 	ix.shrinks.Add(1)
 	return true
 }

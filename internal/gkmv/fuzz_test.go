@@ -103,7 +103,7 @@ func FuzzIntersectViews(f *testing.F) {
 			t.Fatalf("K=%d KInter=%d, oracle K=%d KInter=%d", got.K, got.KInter, k, kInter)
 		}
 		// The closed form from a K∩ counted elsewhere is the merge's to the bit.
-		if uk, du, di := Estimate(MakeView(a, compA), MakeView(b, compB), kInter); uk != got.UK || du != got.DUnion || di != got.DInter {
+		if uk, du, di := Estimate(MakeView(a, compA).Summary(), MakeView(b, compB).Summary(), kInter); uk != got.UK || du != got.DUnion || di != got.DInter {
 			t.Fatalf("Estimate from K∩=%d: U(k)=%v D̂∪=%v D̂∩=%v, IntersectViews %+v", kInter, uk, du, di, got)
 		}
 		if pk, pInter, pTop := plainUnionStats(a, b); pk != k || pInter != kInter || pTop != top {

@@ -28,12 +28,10 @@ import (
 )
 
 // View is a read-only G-KMV sketch over externally owned memory: an ascending
-// run of keys plus the completeness flag. It is the currency of the
-// flat-arena signature store — the core index packs every record's run into
-// one shared []uint32 and hands out Views, so IntersectViews and the
-// estimators walk contiguous memory with no per-record pointer chase. A View
-// is a small value (slice header + bool); copy it freely. The underlying run
-// must stay ascending and unmodified while any View of it is in use.
+// run of keys plus the completeness flag — a query's sketch, or a record's
+// sketched again for a merge. A View is a small value (slice header + bool);
+// copy it freely. The underlying run must stay ascending and unmodified while
+// any View of it is in use.
 type View struct {
 	keys     []uint32
 	complete bool
@@ -51,6 +49,19 @@ func (v View) K() int { return len(v.keys) }
 // Keys returns the stored keys ascending; the slice is owned by the backing
 // store.
 func (v View) Keys() []uint32 { return v.keys }
+
+// Summary is what Estimate reads of a sketch beside K∩: its size k, its
+// largest key (0 when k is 0) and whether it covers every element of its
+// record. An index that keeps its sketches' keys elsewhere keeps this much a
+// record and no more.
+type Summary struct {
+	K        int
+	Top      uint32
+	Complete bool
+}
+
+// Summary returns the view's summary.
+func (v View) Summary() Summary { return Summary{len(v.keys), last(v.keys), v.complete} }
 
 // BuildHashes computes the raw sketch of a record under threshold tau: the
 // ascending run of keys x with hash.KeyUnit(x) ≤ tau, plus whether the run
@@ -91,24 +102,24 @@ type Intersection struct {
 func IntersectViews(a, b View) Intersection {
 	k, kInter, _ := unionStats(a.keys, b.keys)
 	res := Intersection{K: k, KInter: kInter, Exact: a.complete && b.complete}
-	res.UK, res.DUnion, res.DInter = Estimate(a, b, kInter)
+	res.UK, res.DUnion, res.DInter = Estimate(a.Summary(), b.Summary(), kInter)
 	return res
 }
 
 // Estimate is the closed form of Equations 24–25 given K∩, returning U(k),
-// D̂∪ and D̂∩: everything else it reads of the two runs — their lengths, their
-// largest keys and their completeness — is O(1), since k = |L_A| + |L_B| − K∩
-// and U(k) is the larger of the two last keys. A caller that has counted K∩
-// some other way (the core search counts it on the inverted lists while
-// finding its candidates) scores a pair without merging it, and gets
-// IntersectViews' figures to the bit for the same K∩.
-func Estimate(a, b View, kInter int) (uk, dUnion, dInter float64) {
-	k := len(a.keys) + len(b.keys) - kInter
+// D̂∪ and D̂∩: all it reads of the two sketches beside K∩ is their summaries,
+// since k = |L_A| + |L_B| − K∩ and U(k) is the larger of the two largest
+// keys. A caller that has counted K∩ some other way (the core search counts
+// it on the inverted lists while finding its candidates) scores a pair
+// without merging it, and gets IntersectViews' figures to the bit for the
+// same K∩.
+func Estimate(a, b Summary, kInter int) (uk, dUnion, dInter float64) {
+	k := a.K + b.K - kInter
 	if k > 0 {
-		uk = hash.KeyUnit(max(last(a.keys), last(b.keys)))
+		uk = hash.KeyUnit(max(a.Top, b.Top))
 	}
 	switch {
-	case a.complete && b.complete:
+	case a.Complete && b.Complete:
 		return uk, float64(k), float64(kInter)
 	case k < 2:
 		return uk, 0, 0

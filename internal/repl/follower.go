@@ -512,7 +512,7 @@ func (r *replica) refreshCaughtUp(c *server.Collection) {
 
 // bootstrap transfers the leader's committed snapshot generation and
 // installs it: manifest, index + vocabulary files, then meta.json last (tmp
-// + rename — the commit point, same as a local snapshot). The journal tail
+// + rename + directory sync — the commit point, same as a local snapshot). The journal tail
 // is NOT transferred: the collection installs with an empty journal and the
 // tail arrives through the ordinary wal stream from offset 0. Any prior
 // local state is deleted first — bootstrap exists precisely because that
@@ -577,6 +577,12 @@ func (r *replica) bootstrap(ctx context.Context) (*server.Collection, error) {
 	}
 	if err := fsys.Rename(metaP+".tmp", metaP); err != nil {
 		return nil, err
+	}
+	// The rename commits the generation only once the directory is synced:
+	// as on the leader (generations.go), before anything — the install's
+	// sweep included — removes a file.
+	if err := fsys.SyncDir(dir); err != nil {
+		return nil, fmt.Errorf("syncing %s: %w", dir, err)
 	}
 	c, err := r.f.store.InstallReplica(r.name)
 	if err != nil {

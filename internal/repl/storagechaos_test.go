@@ -20,11 +20,11 @@ import (
 // must never install a snapshot it cannot verify against the leader's commit
 // record.
 
-// startFaultNode is startNode with a fault-injecting filesystem under the
-// store.
-func startFaultNode(t *testing.T, dir string, ffs *fsx.FaultFS) *node {
+// startFaultNode is startNode with a fault-injecting (or recording)
+// filesystem under the store.
+func startFaultNode(t *testing.T, dir string, fsys fsx.FS) *node {
 	t.Helper()
-	st, err := server.OpenStore(dir, server.StoreOptions{FS: ffs, Logf: t.Logf})
+	st, err := server.OpenStore(dir, server.StoreOptions{FS: fsys, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

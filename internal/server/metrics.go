@@ -191,8 +191,9 @@ func newMetrics() *Metrics {
 			"Sketch units used divided by the budget; sits just under 1 at a full budget "+
 				"(each threshold shrink frees a fixed slack).", "collection"),
 		resident: r.GaugeVec("gbkmv_collection_resident_bytes",
-			"Bytes a collection holds, by part: sketch (signatures: buffers and keys, the /stats size_bytes), "+
-				"records (the retained records), index (inverted lists, bit columns, offset tables), "+
+			"Bytes a collection holds, by part: sketch (the buffer rows: /stats buffer_bytes), "+
+				"records (the retained records), index (inverted lists — the G-KMV keys, each held once —, "+
+				"bit columns, per-record summaries), "+
 				"vocabulary (token text, offsets, id table: vocab_bytes), "+
 				"query_cache (the answer cache's keys and answers: /stats query_cache.bytes).",
 			"collection", "part"),
@@ -385,7 +386,9 @@ func (s *Store) mirrorCollections() {
 		m.shrinkTotal.With(name).Set(shrinks)
 		m.sketchTau.With(name).Set(es.Tau)
 		m.budgetUtil.With(name).Set(float64(es.UsedUnits) / float64(es.BudgetUnits))
-		for i, bytes := range [...]int{es.SizeBytes, es.RecordBytes, es.IndexBytes, vocab, cacheBytes} {
+		// The sketch part is the buffer rows: the G-KMV keys are held once,
+		// as the posting lists' entries, which the index part counts.
+		for i, bytes := range [...]int{es.BufferBytes, es.RecordBytes, es.IndexBytes, vocab, cacheBytes} {
 			m.resident.With(name, residentParts[i]).Set(float64(bytes))
 		}
 	}

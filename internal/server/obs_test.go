@@ -182,6 +182,40 @@ func checkHistogramConsistency(t *testing.T, series map[string]float64) {
 	}
 }
 
+// TestResidentBytesPinned pins the two parts the G-KMV keys could be counted
+// in on a collection small enough to count by hand: three records of nine,
+// nine and eight tokens, eight of them shared, under an 8-bit buffer and a
+// budget with room for every key. E_H is the eight shared tokens, so a
+// buffer row is one byte and the keys are x's and y's, one a list. The sketch
+// part is the buffer rows, 3 bytes, where size_bytes (the paper's space: the
+// rows and 4 bytes a key) is 11. The index part is 156 bytes: two lists of
+// one 2-byte gap each (4) and a 32-byte header each (64), eight bit columns
+// of one 64-record word (64) and an 8-byte summary a record (24).
+func TestResidentBytesPinned(t *testing.T) {
+	_, ts := newServer(t, "")
+	shared := `"a","b","c","d","e","f","g","h"`
+	if code, m := doJSON(t, ts, "PUT", "/collections/p", `{"records": [[`+shared+`,"x"],[`+shared+`,"y"],[`+shared+`]],
+		"options": {"budget_units": 1000, "buffer_bits": 8}}`); code != http.StatusOK {
+		t.Fatalf("build: %d %v", code, m)
+	}
+	_, st := doJSON(t, ts, "GET", "/collections/p/stats", "")
+	series := scrape(t, ts)
+	for _, c := range []struct {
+		part, field string
+		want        float64
+	}{
+		{"sketch", "buffer_bytes", 3},
+		{"index", "index_bytes", 156},
+	} {
+		if got, field := series[`gbkmv_collection_resident_bytes{collection="p",part="`+c.part+`"}`], st[c.field]; got != c.want || field != c.want {
+			t.Errorf("part %q: %g resident, /stats %s %v; want %g", c.part, got, c.field, field, c.want)
+		}
+	}
+	if st["size_bytes"] != 11.0 || st["sketch_bytes"] != 8.0 || st["used_units"] != 2.0 {
+		t.Errorf("size_bytes %v, sketch_bytes %v, used_units %v; want 11, 8 and 2", st["size_bytes"], st["sketch_bytes"], st["used_units"])
+	}
+}
+
 func TestMetricsExposition(t *testing.T) {
 	store, ts := newServer(t, "")
 	buildRestaurants(t, ts, "m")
@@ -232,9 +266,9 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("gbkmv_sketch_budget_utilisation = %g, /stats used/budget %g", got, want)
 	}
 	// Where the bytes are: one gauge a part, each mirroring its /stats field —
-	// the sketch, the records and search structures around it, and the
+	// the buffer rows, the records and search structures around them, and the
 	// vocabulary beside them.
-	for part, field := range map[string]string{"sketch": "size_bytes", "records": "record_bytes", "index": "index_bytes", "vocabulary": "vocab_bytes"} {
+	for part, field := range map[string]string{"sketch": "buffer_bytes", "records": "record_bytes", "index": "index_bytes", "vocabulary": "vocab_bytes"} {
 		got := series[`gbkmv_collection_resident_bytes{collection="m",part="`+part+`"}`]
 		if want, _ := st[field].(float64); got != want || got <= 0 {
 			t.Errorf("gbkmv_collection_resident_bytes{part=%q} = %g, /stats %s %v", part, got, field, st[field])

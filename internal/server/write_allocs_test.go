@@ -64,7 +64,7 @@ func writeAllocsCollection(t *testing.T, dir string, n int) (*Store, *Collection
 // memory: the request id and its header slice, ServeMux's path values and
 // MaxBytesReader (net/http's 4), the commit batch, the ids and the collection
 // growing — new posting lists and, in the bytes, grown ones doubling; the
-// arenas and the packed records take a chunk every few hundred records and
+// per-record stores take a chunk every few hundred records or more and
 // copy nothing (the least of eight rounds of 25 inserts leaves the chunk
 // out). A persistent store adds the commit group, its done channel and its
 // member list: 10 objects, 395 bytes. Through the one-segment wrapper the
@@ -116,8 +116,9 @@ func TestWritePathAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(runs, insert)
 		// The least of a few rounds: a round a collection cycle falls into
 		// also pays for the pooled scratch the cycle dropped, and one in which
-		// a store of the engine opens its next chunk for that (every 400
-		// records the arena's keys; at the 1 024th, five tables at once).
+		// a store of the engine opens its next chunk for that (the packed
+		// records' every few hundred records; at the 1 024th, several tables
+		// at once).
 		bytes := math.Inf(1)
 		for round := 0; round < 8; round++ {
 			var before, after runtime.MemStats
@@ -140,20 +141,23 @@ func TestWritePathAllocs(t *testing.T) {
 // TestReplayAllocs pins what the two consumers of journal frames allocate.
 // Startup: opening a store whose collection is 100 snapshotted records and a
 // journal of 5 000 (276 000 tokens), as a multiple of the heap the opened
-// store retains (vocabulary, packed records, sketch, postings): 1.99, of which
-// the engine growing while the one replayed batch is applied is about 1.0 —
-// its arenas and records a chunk at a time, once; its posting lists by
-// doubling — the vocabulary growing 0.15 (its slab and offsets a chunk at a
-// time, its id table by doubling; 0.5 of 2.14 while it was a map and a token
-// list), and the element slab the batch is interned into (doubled as it
-// grows) 0.8. While the engine's stores grew by append, copying themselves
-// every 1.25×, this test measured 3.38; while replay also held the journal as
-// a []journalEntry of json.Unmarshal-ed []string before interning any of it,
-// 6.75. The follower: 256-frame chunks through ApplyReplicated allocate 11.8
-// bytes a token — the replica's engine and vocabulary growing — 14 while the
-// posting lists held 32-bit ids and the bit columns re-strided, 21 while the
-// vocabulary held a string a token, 48 while the stores grew by append, and
-// 120 while a chunk was also decoded through encoding/json.
+// store retains (vocabulary, packed records, summaries, postings): 2.50. The
+// engine growing while the one replayed batch is applied — its stores a
+// chunk at a time, once; its posting lists by doubling — allocates about
+// what it retains; the vocabulary growing (its slab and offsets a chunk at a
+// time, its id table by doubling) and the element slab the batch is interned
+// into (doubled as it grows) make up the rest, which does not shrink with the
+// engine. While the engine also held every key in a key arena — 0.78 MB the
+// replay allocated and the store retained alike — this test measured 2.14
+// (1.99 on the machine that first took these figures); while the engine's
+// stores grew by append, copying themselves every 1.25×, 3.38; while replay
+// also held the journal as a []journalEntry of json.Unmarshal-ed []string
+// before interning any of it, 6.75. The follower: 256-frame chunks through
+// ApplyReplicated allocate 9.5 bytes a token — the replica's engine and
+// vocabulary growing — 11.8 while a key arena held the keys a second time, 14
+// while the posting lists held 32-bit ids and the bit columns re-strided, 21
+// while the vocabulary held a string a token, 48 while the stores grew by
+// append, and 120 while a chunk was also decoded through encoding/json.
 func TestReplayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -192,7 +196,7 @@ func TestReplayAllocs(t *testing.T) {
 	allocated := float64(opened.TotalAlloc - before.TotalAlloc)
 	retained := float64(settled.HeapAlloc) - float64(before.HeapAlloc)
 	t.Logf("replay of 5000 records: %.0f bytes allocated, %.0f retained (%.2fx)", allocated, retained, allocated/retained)
-	if limit := 1.2 * 1.99; allocated/retained > limit {
+	if limit := 1.2 * 2.5; allocated/retained > limit {
 		t.Errorf("opening the store allocated %.2fx what it retains, want at most %.2fx", allocated/retained, limit)
 	}
 	runtime.KeepAlive(store)
@@ -225,7 +229,7 @@ func TestReplayAllocs(t *testing.T) {
 	}
 	perToken := float64(chunkBytes) / float64(tokens)
 	t.Logf("ApplyReplicated of %d chunks of 256 frames: %d bytes allocated for %d tokens (%.1f a token)", chunks-1, chunkBytes, tokens, perToken)
-	if limit := 1.2 * 11.8; perToken > limit {
+	if limit := 1.2 * 9.5; perToken > limit {
 		t.Errorf("applying replicated chunks allocated %.1f bytes a token, want at most %.1f", perToken, limit)
 	}
 }
