@@ -76,11 +76,11 @@ type PreparedQuery interface {
 type EngineStats struct {
 	Engine      string  // registry name
 	NumRecords  int     // indexed records
-	SizeBytes   int     // in-memory signature footprint
-	BufferBytes int     // GB-KMV frequent-element buffer share of SizeBytes
-	SketchBytes int     // GB-KMV key-store share of SizeBytes (4 bytes a stored key)
+	SizeBytes   int     // signature footprint (gbkmv/gkmv: the paper's accounting, BufferBytes + SketchBytes)
+	BufferBytes int     // GB-KMV frequent-element buffer share of SizeBytes, held as it is counted
+	SketchBytes int     // GB-KMV key share of SizeBytes, 4 bytes a kept key; the keys are held once, in IndexBytes' inverted lists
 	RecordBytes int     // the retained records, beside SizeBytes (gbkmv/gkmv: the packed slab and its offsets; 0 where not reported)
-	IndexBytes  int     // what search walks, beside SizeBytes (gbkmv/gkmv: inverted lists, bit columns, offset tables; 0 where not reported)
+	IndexBytes  int     // what search walks, beside the buffers (gbkmv/gkmv: inverted lists, bit columns, per-record summaries; 0 where not reported)
 	BudgetUnits int     // configured budget (1 unit = one stored hash value; gbkmv/gkmv: one 32-bit key = 32 buffer bits = 4 bytes)
 	UsedUnits   int     // units actually consumed
 	BufferBits  int     // GB-KMV buffer size r

@@ -101,57 +101,43 @@ func runParallel(n, workers int, fn func(i int)) {
 // more, as a shrink's keys lie under the cut alone.
 const tauBucketBits = 12
 
-// kthSelector selects order statistics of key multisets; what it keeps
-// between calls is its working memory, the bucket histogram, the target
-// bucket's pairs and, for the index's threshold shrinks, the (key, count)
-// pairs of the listed elements. The build selects once with a throw-away
-// selector; the index keeps one for its shrinks.
+// kthSelector selects order statistics of weighted key multisets; what it
+// keeps between calls is its working memory: the bucket histogram, the
+// target bucket's pairs and, for the index's threshold shrinks, the listed
+// elements' pairs. The build selects once with a throw-away selector; the
+// index keeps one for its shrinks.
 type kthSelector struct {
 	hist         []int
 	pairs, cands []keyCount
-}
-
-// histogram returns the selector's bucket histogram, cleared, and the shift
-// that takes a key to its bucket: its top bits — one shift per key (a
-// division here doubles the cost of a saturated insert), monotone in the
-// key, and below 2^tauBucketBits.
-func (s *kthSelector) histogram() (hist []int, shift int) {
-	if s.hist == nil {
-		s.hist = make([]int, 1<<tauBucketBits)
-	} else {
-		clear(s.hist)
-	}
-	return s.hist, 32 - tauBucketBits
-}
-
-// target returns the bucket holding the k-th smallest key the histogram
-// counts and how many keys the buckets below it hold; -1 when it counts
-// fewer than k.
-func (s *kthSelector) target(k int) (bucket, before int) {
-	for b, in := range s.hist {
-		if before+in >= k {
-			return b, before
-		}
-		before += in
-	}
-	return -1, before
 }
 
 // keyCount is a key and how many times a multiset holds it.
 type keyCount struct{ key, n uint32 }
 
 // kthWeighted returns the k-th smallest key (1-based) of the multiset
-// {key × n} of the pairs, keys anywhere in [0, MaxUint32], and MaxUint32 —
-// the threshold that keeps every key — for a k past its size: a pair adds its
-// count to its bucket, and the target bucket's pairs are sorted by key and
-// their counts walked to the k-th. Its cost follows the pairs, not the
-// multiset.
+// {key × n} of the pairs, and MaxUint32 — the threshold that keeps every
+// key — for a k past its size. A pair adds its count to its bucket, the
+// key's top tauBucketBits bits (one shift: a division here doubled the cost
+// of a saturated insert), and only the target bucket's pairs are sorted by
+// key and their counts walked to the k-th. Its cost follows the pairs, not
+// the multiset.
 func (s *kthSelector) kthWeighted(pairs []keyCount, k int) uint32 {
-	hist, shift := s.histogram()
-	for _, p := range pairs {
-		hist[p.key>>shift] += int(p.n)
+	const shift = 32 - tauBucketBits
+	if s.hist == nil {
+		s.hist = make([]int, 1<<tauBucketBits)
 	}
-	target, before := s.target(k)
+	clear(s.hist)
+	for _, p := range pairs {
+		s.hist[p.key>>shift] += int(p.n)
+	}
+	target, before := -1, 0
+	for b, in := range s.hist {
+		if before+in >= k {
+			target = b
+			break
+		}
+		before += in
+	}
 	if target < 0 {
 		return math.MaxUint32
 	}
@@ -361,7 +347,7 @@ func (ix *Index) derive(c elementCounts) error {
 		return err
 	}
 	ix.keys = total
-	sums := ix.sums.layout(m)
+	sums := ix.sums.Bulk(m)
 	ix.elementsHashed.Add(uint64(hashed + total)) // the fill pass hashes what is kept
 
 	var ids16 []uint16

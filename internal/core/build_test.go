@@ -158,7 +158,7 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 	keys := 0
 	for i := 0; i < ix.recs.Len(); i++ {
 		want := gkmv.MakeView(ref.runs[i], ref.complete[i])
-		if got := ix.sums.at(i).gkmv(); got != want.Summary() {
+		if got := ix.summaryOf(i).gkmv(); got != want.Summary() {
 			t.Fatalf("%s: record %d summary %+v, reference %+v", label, i, got, want.Summary())
 		}
 		sc := &searchScratch{}
@@ -433,7 +433,7 @@ func TestBuildTauShortCircuit(t *testing.T) {
 		t.Fatalf("τ = %v, want 1", ix.Tau())
 	}
 	for i := 0; i < ix.recs.Len(); i++ {
-		if !ix.sums.at(i).complete() {
+		if !ix.summaryOf(i).gkmv().Complete {
 			t.Fatalf("record %d not complete at τ=1", i)
 		}
 	}

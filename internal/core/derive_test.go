@@ -37,7 +37,7 @@ func sameDerived(t *testing.T, got, want *Index, label string) {
 			want.recs.Len(), want.keys, want.bufArena.stride)
 	}
 	for i := 0; i < want.recs.Len(); i++ {
-		if g, w := got.sums.at(i), want.sums.at(i); g != w {
+		if g, w := got.summaryOf(i), want.summaryOf(i); g != w {
 			t.Fatalf("%s: record %d: summary %+v, want %+v", label, i, g.gkmv(), w.gkmv())
 		}
 		if want.bufArena.stride > 0 && !slices.Equal(got.bufArena.record(i), want.bufArena.record(i)) {

@@ -57,7 +57,7 @@ func TestAddRecordsGrowthAllocatesWhatItStores(t *testing.T) {
 	if float64(allocated) > 1.2*float64(grown) {
 		t.Errorf("%d bytes allocated for %d of growth: %.2f×, want ≤ 1.2×", allocated, grown, float64(allocated)/float64(grown))
 	}
-	if words, stored := summaryCapacity(ix), ix.sums.words.Len(); words > stored+chunkWords {
+	if words, stored := summaryCapacity(ix), ix.sums.Len(); words > stored+chunkWords {
 		t.Errorf("the summary table's chunks have room for %d words and hold %d: over by more than a chunk", words, stored)
 	}
 }
@@ -69,7 +69,7 @@ const chunkWords = 64 << 10 / 8
 // what it has allocated, since it never copies to grow.
 func summaryCapacity(ix *Index) int {
 	n := 0
-	for _, chunk := range ix.sums.words.Chunks() {
+	for _, chunk := range ix.sums.Chunks() {
 		n += cap(chunk)
 	}
 	return n
@@ -147,18 +147,18 @@ func TestAddRecordsGrownEqualsBuilt(t *testing.T) {
 		for i, rec := range inserts {
 			grown.AddRecords([]dataset.Record{rec})
 			if i == 20 {
-				if run := grown.sums.at(200 + 10).k(); grown.Tau() != 1 || run <= 64<<10/4 {
+				if run := grown.summaryOf(200 + 10).k(); grown.Tau() != 1 || run <= 64<<10/4 {
 					t.Fatalf("r=%d: the long record's run holds %d keys at τ = %v, want more than a chunk of keys", r, run, grown.Tau())
 				}
 				sameDerived(t, reload(t, grown, "before any shrink"), grown, "before any shrink")
 			}
 		}
 		_, shrinks := grown.BuildCounters()
-		if chunks := len(grown.sums.words.Chunks()); shrinks < 5 || chunks < 6 {
+		if chunks := len(grown.sums.Chunks()); shrinks < 5 || chunks < 6 {
 			t.Fatalf("r=%d: %d shrinks, %d summary chunks: the fixture does not cross enough of either", r, shrinks, chunks)
 		}
 		built := reload(t, grown, "grown")
-		if chunks := len(built.sums.words.Chunks()); chunks != 1 {
+		if chunks := len(built.sums.Chunks()); chunks != 1 {
 			t.Fatalf("r=%d: the loaded summary table is %d chunks, want one slab", r, chunks)
 		}
 		sameDerived(t, built, grown, "grown")

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"gbkmv/internal/bitmap"
+	"gbkmv/internal/chunked"
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/gkmv"
 	"gbkmv/internal/hash"
@@ -37,11 +38,13 @@ type Index struct {
 	// bufferArena), read through bufArena.record(i); bufCols is bufArena
 	// transposed, a bitmap over record ids per buffer bit (see
 	// bufferColumns): the buffer half of candidate generation. sums holds
-	// every record's G-KMV summary, one word a record (see summary); the keys
-	// are the posting lists', and keys counts them, Σk.
+	// every record's G-KMV summary, one word a record (see summary) — derive
+	// lays it out as one slab, an insert appends, a shrink rewrites the words
+	// of the records it evicts keys from; the keys are the posting lists',
+	// and keys counts them, Σk.
 	bufArena bufferArena
 	bufCols  bufferColumns
-	sums     summaries
+	sums     chunked.Store[summary]
 	keys     int
 
 	// cut is the global threshold as a key: a record keeps the keys ≤ cut.
@@ -280,7 +283,7 @@ func (ix *Index) RecordSizeBytes() int { return ix.recs.SizeBytes() }
 func (ix *Index) IndexSizeBytes() int {
 	m := ix.recs.Len()
 	columns := len(ix.bufferElems) * ((m + bufWordBits - 1) / bufWordBits) * 8
-	return 2*ix.postings.slots + listHeadBytes*ix.postings.live + columns + ix.sums.sizeBytes()
+	return 2*ix.postings.slots + listHeadBytes*ix.postings.live + columns + 8*ix.sums.Len()
 }
 
 // QuerySig is the GB-KMV sketch of a query record, reusable across many
@@ -397,11 +400,6 @@ func (ix *Index) bufferOverlap(sig *QuerySig, i int) int {
 func (ix *Index) EstimateIntersection(sig *QuerySig, i int) float64 {
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	return ix.intersectionWith(sig, i, sc)
-}
-
-// intersectionWith is EstimateIntersection over caller-provided scratch.
-func (ix *Index) intersectionWith(sig *QuerySig, i int, sc *searchScratch) float64 {
 	return float64(ix.bufferOverlap(sig, i)) + gkmv.IntersectViews(sig.sketch, ix.recordView(i, sc)).DInter
 }
 
@@ -413,7 +411,7 @@ func (ix *Index) intersectionWith(sig *QuerySig, i int, sc *searchScratch) float
 // elements sharing a 32-bit key are a match to the merge and none to the
 // lists, which are keyed by element.
 func (ix *Index) countedEstimate(sig *QuerySig, id int32, sc *searchScratch) float64 {
-	_, _, d := gkmv.Estimate(sig.sketch.Summary(), ix.sums.at(int(id)).gkmv(), int(sc.counts[id]))
+	_, _, d := gkmv.Estimate(sig.sketch.Summary(), ix.summaryOf(int(id)).gkmv(), int(sc.counts[id]))
 	return d
 }
 
@@ -450,15 +448,8 @@ func (ix *Index) EstimateWithError(sig *QuerySig, i int) (est, stderr float64) {
 // cannot). Clamping never changes Search results because the search
 // threshold θ = t*·|Q| never exceeds |Q|.
 func (ix *Index) EstimateContainment(sig *QuerySig, i int) float64 {
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	return ix.containmentWith(sig, i, sc)
-}
-
-// containmentWith is EstimateContainment over caller-provided scratch.
-func (ix *Index) containmentWith(sig *QuerySig, i int, sc *searchScratch) float64 {
 	if sig.Size <= 0 {
 		return 0
 	}
-	return min(ix.intersectionWith(sig, i, sc)/float64(sig.Size), 1)
+	return min(ix.EstimateIntersection(sig, i)/float64(sig.Size), 1)
 }

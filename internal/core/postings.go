@@ -147,8 +147,7 @@ func blockOf(i int) (k, slot int) {
 // so the tests can reach the bound without 8 GB of slots.
 var postingLimit = math.MaxUint32
 
-// checkPostingRoom is the one guard in front of every layout of the slab and
-// of every batch of inserts into the tails.
+// checkPostingRoom guards every layout of the slab and every insert batch.
 func checkPostingRoom(slots int) error {
 	if slots >= postingLimit {
 		return fmt.Errorf("%d posting slots overflow the posting lists' 32-bit positions (limit %d)", slots, postingLimit)
@@ -157,15 +156,12 @@ func checkPostingRoom(slots int) error {
 }
 
 // tailBound returns an address the tail store stays below while `keys` more
-// ids are listed: what AddRecords checks (checkPostingRoom) before it changes
-// anything. An id takes at most escapeSlots slots of its list's tail. The
-// blocks a list allocates for u new slots are full but for the last, and a
-// full block is at least half data, so they come to 2u beside the last; the
-// last is at most blockCap, and no larger than the blocks before it in the
-// chain put together (sizes double every second block), which are full too:
-// twice the list's tail, the u new slots included, or firstBlock for a
-// list's first. So n ids allocate at most 4·escapeSlots·n slots beside the
-// lesser of blockCap·n and firstBlock·n + twice what the tails hold.
+// ids are listed, which AddRecords checks before it changes anything. An id
+// takes at most escapeSlots slots. A list's new blocks are full but for the
+// last, each at least half data, so they hold at most twice its new slots;
+// the last is at most blockCap, and at most the (full) blocks before it in
+// its chain put together — twice the list's tail, new slots included — or
+// firstBlock, a list's first.
 func (p *postingLists) tailBound(keys int) int {
 	last := min(blockCap*keys, firstBlock*keys+2*p.tails.Len())
 	return p.tails.Bound(4*escapeSlots*keys + last)

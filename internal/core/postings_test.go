@@ -248,7 +248,7 @@ func checkSummaries(t *testing.T, ix *Index, label string) {
 			}
 		}
 		run, complete := gkmv.BuildHashes(rest, ix.Tau(), ix.opt.Seed)
-		if got, want := ix.sums.at(i).gkmv(), gkmv.MakeView(run, complete).Summary(); got != want {
+		if got, want := ix.summaryOf(i).gkmv(), gkmv.MakeView(run, complete).Summary(); got != want {
 			t.Fatalf("%s: record %d summary %+v, sketched %+v", label, i, got, want)
 		}
 		keys += len(run)

@@ -249,8 +249,8 @@ func TestDuplicateKeysInRun(t *testing.T) {
 	for _, ix := range []*Index{ix, loaded} {
 		view0, view1 := ix.recordView(0, &searchScratch{}), ix.recordView(1, &searchScratch{})
 		run := view0.Keys()
-		if len(run) != len(both) || !slices.IsSorted(run) || view0.Summary() != ix.sums.at(0).gkmv() {
-			t.Fatalf("run %v for a %d-element record, summary %+v", run, len(both), ix.sums.at(0).gkmv())
+		if len(run) != len(both) || !slices.IsSorted(run) || view0.Summary() != ix.summaryOf(0).gkmv() {
+			t.Fatalf("run %v for a %d-element record, summary %+v", run, len(both), ix.summaryOf(0).gkmv())
 		}
 		if i, _ := slices.BinarySearch(run, hash.Key32(e1, testSeed)); run[i] != run[i+1] {
 			t.Fatalf("run %v does not hold the colliding key twice", run)

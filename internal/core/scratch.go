@@ -12,8 +12,8 @@ import (
 // the posting lists and bit columns a query reads, the counter planes of
 // top-k, the hit-collection buffers of the threshold searches, a reusable
 // top-k heap buffer, a reusable query-signature slot for the
-// sketch-and-search entry points, and a record and its run for the paths that
-// sketch a record again to merge it (recordView). Instances live in a per-index sync.Pool;
+// sketch-and-search entry points, and a record and its run for recordView.
+// Instances live in a per-index sync.Pool;
 // steady-state searches therefore allocate nothing beyond their result
 // slice — and not that when the caller brings one (AppendSearchSigScored,
 // AppendTopKSig). Results are always copied out, never an alias of ids or

@@ -343,7 +343,7 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 				ix.postings.add(e, int32(id))
 			}
 		}
-		ix.sums.words.Append(makeSummary(k, top, k == hashed))
+		ix.sums.Append(makeSummary(k, top, k == hashed))
 		ix.keys += k
 		ix.elementsHashed.Add(uint64(hashed))
 		if over := ix.UsedUnits() - ix.budget; over > 0 {

@@ -3,19 +3,16 @@ package core
 import (
 	"slices"
 
-	"gbkmv/internal/chunked"
 	"gbkmv/internal/gkmv"
 	"gbkmv/internal/hash"
 )
 
-// summary is a record's G-KMV sketch L_X as the estimator reads it once K∩
-// is counted (gkmv.Estimate): its size k, its largest key U(k) — 0 when k is
-// 0 — and whether it covers every non-buffered element of the record. The
-// keys themselves are the posting lists': record i's are the keys of the
-// elements whose lists name i, each stored once, as a gap there. One word a
-// record: U(k) in the low 32 bits, completeness in bit 32, k above it — 31
-// bits, where a record of 2³¹ elements would be 16 GB of hash.Element to
-// hand in.
+// summary is a record's G-KMV sketch L_X as gkmv.Estimate reads it beside
+// K∩: its size k, its largest key U(k) (0 when k is 0) and whether it covers
+// every non-buffered element. The keys are the posting lists': record i's
+// are those of the elements whose lists name i. One word: U(k) in the low 32
+// bits, completeness in bit 32, k in the 31 above (a record of 2³¹ elements
+// would be 16 GB of hash.Element to hand in).
 type summary uint64
 
 func makeSummary(k int, top uint32, complete bool) summary {
@@ -30,43 +27,24 @@ func (s summary) k() int { return int(s >> 33) }
 
 func (s summary) top() uint32 { return uint32(s) }
 
-func (s summary) complete() bool { return s&(1<<32) != 0 }
-
 func (s summary) gkmv() gkmv.Summary {
-	return gkmv.Summary{K: s.k(), Top: s.top(), Complete: s.complete()}
+	return gkmv.Summary{K: s.k(), Top: s.top(), Complete: s&(1<<32) != 0}
 }
 
-// summaries is the per-record word table, a chunked store (internal/chunked):
-// derive lays it out as one slab of exactly m words, an insert appends a
-// word, and a shrink rewrites in place the words of the records it evicts
-// keys from.
-type summaries struct {
-	words chunked.Store[summary]
-}
-
-// layout starts the table over for m records and returns its slab, zeroed,
-// for derive's fill pass to write in record order.
-func (t *summaries) layout(m int) []summary { return t.words.Bulk(m) }
-
-// at returns record i's summary.
-func (t *summaries) at(i int) summary {
+// summaryOf returns record i's summary.
+func (ix *Index) summaryOf(i int) summary {
 	// The slab derive laid out holds nearly every record a search reads.
-	if built := t.words.Slab(); i < len(built) {
+	if built := ix.sums.Slab(); i < len(built) {
 		return built[i]
 	}
-	return *t.words.Ptr(i)
+	return *ix.sums.Ptr(i)
 }
 
-// sizeBytes returns the table's footprint: a word a record.
-func (t *summaries) sizeBytes() int { return 8 * t.words.Len() }
-
-// resummarise brings to a shrink's new cut the summary of every record with
-// keys over it, from the lists, before filter drops the ones over the cut:
-// such a record is incomplete now, keeps a key less for each dropped list
-// that names it, and takes for U(k) the largest key of the lists that stay
-// and name it. Those records are marked in the index's evicted bitmap; a
-// record with no key over the cut keeps its summary as it is. One walk over
-// the lists' ids, a bit test each, and no hash: the keys are in the pairs.
+// resummarise brings to a shrink's new cut, from the lists and before filter
+// drops those over it, the summary of each record with keys over the cut
+// (marked in ix.evicted; no other changes): it is incomplete now, loses a key
+// for each dropped list naming it, and takes for U(k) the largest key of the
+// staying lists naming it. One walk over the ids, a bit test each, no hash.
 func (ix *Index) resummarise(pairs []keyCount, cut uint32) {
 	words := (ix.recs.Len() + bufWordBits - 1) / bufWordBits
 	if len(ix.evicted) < words {
@@ -76,7 +54,7 @@ func (ix *Index) resummarise(pairs []keyCount, cut uint32) {
 	clear(evicted)
 	// Row addresses are dense, so the chunks hold the records in order.
 	id := 0
-	for _, chunk := range ix.sums.words.Chunks() {
+	for _, chunk := range ix.sums.Chunks() {
 		for j, s := range chunk {
 			if s.top() > cut {
 				evicted[(id+j)/bufWordBits] |= 1 << ((id + j) % bufWordBits)
@@ -101,7 +79,7 @@ func (ix *Index) resummarise(pairs []keyCount, cut uint32) {
 				if evicted[uint32(id)/bufWordBits]&(1<<(uint32(id)%bufWordBits)) == 0 {
 					continue
 				}
-				w := ix.sums.words.Ptr(int(id))
+				w := ix.sums.Ptr(int(id))
 				if pair.key > cut {
 					*w, ix.keys = makeSummary(w.k()-1, w.top(), false), ix.keys-1
 				} else if pair.key > w.top() {
@@ -115,13 +93,14 @@ func (ix *Index) resummarise(pairs []keyCount, cut uint32) {
 	}
 }
 
-// sketchRun appends to run the ascending keys of a record's non-buffered
-// elements at the index's cut and reports whether they are all of them:
-// gkmv.BuildHashes at the index's τ, for the paths that merge a record's run
-// with a query's (EstimateIntersection, EstimateWithError, SearchLinear).
-func (ix *Index) sketchRun(run []uint32, rec []hash.Element) ([]uint32, bool) {
-	whole := true
-	for _, e := range rec {
+// recordView is record i's run sketched again from its packed record into
+// the scratch, which owns it until the next call: gkmv.BuildHashes at the
+// index's τ, for the paths that merge a record's run with a query's
+// (EstimateIntersection, EstimateWithError, SearchLinear).
+func (ix *Index) recordView(i int, sc *searchScratch) gkmv.View {
+	sc.rec = ix.recs.AppendRecord(sc.rec[:0], i)
+	run, whole := sc.run[:0], true
+	for _, e := range sc.rec {
 		if _, buffered := ix.bitOf.lookup(e); buffered {
 			continue
 		}
@@ -132,14 +111,6 @@ func (ix *Index) sketchRun(run []uint32, rec []hash.Element) ([]uint32, bool) {
 		}
 	}
 	slices.Sort(run)
-	return run, whole
-}
-
-// recordView is record i's run sketched again from its packed record into
-// the scratch, which owns it until the next call.
-func (ix *Index) recordView(i int, sc *searchScratch) gkmv.View {
-	sc.rec = ix.recs.AppendRecord(sc.rec[:0], i)
-	run, whole := ix.sketchRun(sc.run[:0], sc.rec)
 	sc.run = run
 	return gkmv.MakeView(run, whole)
 }

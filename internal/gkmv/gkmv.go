@@ -50,10 +50,8 @@ func (v View) K() int { return len(v.keys) }
 // store.
 func (v View) Keys() []uint32 { return v.keys }
 
-// Summary is what Estimate reads of a sketch beside K∩: its size k, its
-// largest key (0 when k is 0) and whether it covers every element of its
-// record. An index that keeps its sketches' keys elsewhere keeps this much a
-// record and no more.
+// Summary is all Estimate reads of a sketch beside K∩: its size k, its
+// largest key (0 when k is 0) and whether it covers its whole record.
 type Summary struct {
 	K        int
 	Top      uint32

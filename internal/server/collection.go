@@ -426,9 +426,11 @@ func (c *Collection) snapshot() (committed bool, err error) {
 
 // CollStats reports a collection's engine, sketch configuration, footprint
 // and persistence state. engine is always "gbkmv"; num_hashes is always 0
-// (omitted). size_bytes is the sketch alone; record_bytes (the retained
-// records) and index_bytes (what search walks beside the sketch: inverted
-// lists, bit columns, offset tables) are what the index holds around it;
+// (omitted). size_bytes is the sketch in the paper's accounting —
+// buffer_bytes of buffer rows and sketch_bytes, 4 bytes a kept key; the keys
+// are held once, in the inverted lists. record_bytes (the retained records)
+// and index_bytes (what search walks beside the buffers: inverted lists, bit
+// columns, per-record summaries) are what the index holds around the rows;
 // vocab_bytes is what the collection's vocabulary holds (token text, offsets,
 // id table).
 type CollStats struct {
