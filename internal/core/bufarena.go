@@ -3,8 +3,8 @@ package core
 import "gbkmv/internal/chunked"
 
 // bufferArena is the flat store of every record's frequent-element buffer
-// H_X: fixed-stride rows of ⌈|E_H|/8⌉ bytes in a chunked store, mirroring the
-// sketch arena's philosophy for the bitmap half of the signature. Record i's
+// H_X: fixed-stride rows of ⌈|E_H|/8⌉ bytes in a chunked store, the bitmap
+// half of the signature laid out flat. Record i's
 // buffer is row i, bit b of it bit b%8 of byte b/8. A row holds what the
 // budget charges a record for its buffer (r/8 bytes, |E_H| ≤ r) and no
 // padding to a word. Against a []*bitmap.Bitmap (one heap object + pointer

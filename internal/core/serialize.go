@@ -17,8 +17,8 @@ import (
 //	records      snapfmt records section (delta-coded)
 //	bufferElems  count + uvarints, E_H in bit order
 //
-// Those are derive's inputs and the stream carries nothing else: the arenas
-// and the lists are a function of them, computed on load by the code that
+// Those are derive's inputs and the stream carries nothing else: the buffer
+// rows, the summaries and the lists are a function of them, computed on load by the code that
 // computed them at build time. A stream cannot hold a sketch that disagrees
 // with its records, because it holds no sketch.
 const indexMagic = "GBKMVIDX"
