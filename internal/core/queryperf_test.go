@@ -415,12 +415,12 @@ func TestLoadOldFormat(t *testing.T) {
 // 32 elements of an indexed record) and a schedule drawing them with Zipf
 // popularity (s = 1.05), so a few head queries — the ones holding the
 // collection's most popular elements among them — come up again and again.
-func zipfQueries(b *testing.B) (*Index, []*QuerySig, []int) {
-	b.Helper()
-	d := designCorpus(b)
+func zipfQueries(tb testing.TB) (*Index, []*QuerySig, []int) {
+	tb.Helper()
+	d := designCorpus(tb)
 	ix, err := BuildIndex(d, Options{BufferBits: AutoBuffer})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(29))
 	sigs := make([]*QuerySig, 1024)
