@@ -58,9 +58,8 @@ type PreparedQuery interface {
 	// SearchScored returns the ids of all records whose estimated
 	// containment is at least threshold with their estimates attached,
 	// ascending by id, plus the total qualifying count. limit > 0 caps the
-	// materialized hits (total still counts everything). Each returned
-	// record is estimated once, and its score is the estimate that admitted
-	// it.
+	// materialized hits (total still counts everything). A hit's score is
+	// the estimate that admitted it.
 	SearchScored(threshold float64, limit int) (hits []Scored, total int)
 	// TopK returns the k best records by estimated containment, best first.
 	TopK(k int) []Scored

@@ -398,9 +398,17 @@ func (ix *Index) bufferOverlap(sig *QuerySig, i int) int {
 // |H_Q ∩ H_X| + D̂∩^GKMV, merging the query's run with record i's, sketched
 // again from its packed record (recordView).
 func (ix *Index) EstimateIntersection(sig *QuerySig, i int) float64 {
+	inter, _ := ix.intersectRecord(sig, i)
+	return inter
+}
+
+// intersectRecord is EstimateIntersection with the merge's result beside the
+// estimate, for EstimateWithError's error bar.
+func (ix *Index) intersectRecord(sig *QuerySig, i int) (float64, gkmv.Intersection) {
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	return float64(ix.bufferOverlap(sig, i)) + gkmv.IntersectViews(sig.sketch, ix.recordView(i, sc)).DInter
+	res := gkmv.IntersectViews(sig.sketch, ix.recordView(i, sc))
+	return float64(ix.bufferOverlap(sig, i)) + res.DInter, res
 }
 
 // countedEstimate is D̂∩^GKMV for a candidate of the query path, from the K∩
@@ -425,14 +433,8 @@ func (ix *Index) EstimateWithError(sig *QuerySig, i int) (est, stderr float64) {
 	if sig.Size <= 0 {
 		return 0, 0
 	}
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	exact := ix.bufferOverlap(sig, i)
-	res := gkmv.IntersectViews(sig.sketch, ix.recordView(i, sc))
-	est = (float64(exact) + res.DInter) / float64(sig.Size)
-	if est > 1 {
-		est = 1
-	}
+	inter, res := ix.intersectRecord(sig, i)
+	est = min(inter/float64(sig.Size), 1)
 	if res.Exact || res.K <= 2 {
 		return est, 0
 	}

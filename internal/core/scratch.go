@@ -10,14 +10,13 @@ import (
 // bitmap over record ids (a bit a record, cleared a query: at 50 000 records
 // it is 6 kB and stays in L1, where an array of per-record stamps was 200 kB),
 // the posting lists and bit columns a query reads, the counter planes of
-// top-k, the hit-collection buffers of the threshold searches, a reusable
-// top-k heap buffer, a reusable query-signature slot for the
-// sketch-and-search entry points, and a record and its run for recordView.
-// Instances live in a per-index sync.Pool;
-// steady-state searches therefore allocate nothing beyond their result
-// slice — and not that when the caller brings one (AppendSearchSigScored,
-// AppendTopKSig). Results are always copied out, never an alias of ids or
-// hits, which the next query on this scratch overwrites.
+// top-k, the hit buffer of the threshold walk, a reusable top-k heap buffer,
+// a reusable query-signature slot for the sketch-and-search entry points,
+// and a record and its run for recordView. Instances live in a per-index
+// sync.Pool; steady-state searches therefore allocate nothing beyond their
+// result slice — and not that when the caller brings one
+// (AppendSearchSigScored, AppendTopKSig). Results are always copied out,
+// never an alias of ids, which the next query on this scratch overwrites.
 //
 // Concurrency contract: a scratch is owned by exactly one query at a time
 // (getScratch/putScratch bracket every use). The index itself stays
@@ -32,8 +31,7 @@ type searchScratch struct {
 	columns []int32     // the buffer bits whose columns this query reads
 	union   []uint64    // the threshold search's OR of those columns, sized with marks
 	planes  []uint64    // top-k's overlap counters, ⌈log₂(n_q+1)⌉ words per 64 records
-	ids     []int       // searchSigWith's hits before the exact-size copy
-	hits    []Scored    // searchSigScoredWith's hits before the copy out
+	ids     []int       // thresholdWalk's hits, unsorted, before the copy out
 	heap    []topkheap.Scored
 	sig     QuerySig // reusable signature for the Search(q)/SearchTopK(q) paths
 	rec     []hash.Element
@@ -64,9 +62,9 @@ func (ix *Index) putScratch(sc *searchScratch) {
 }
 
 // start begins a query over m records on this scratch: no record is touched
-// yet. Each query run (searchSigWith, searchSigScoredWith, topkSigWith) calls
-// it once, so a scratch held across a whole batch still isolates its queries
-// from one another.
+// yet. Each query run (thresholdWalk, topkSigWith) calls it once, so a
+// scratch held across a whole batch still isolates its queries from one
+// another.
 func (sc *searchScratch) start(m int) {
 	clear(sc.marks[:(m+bufWordBits-1)/bufWordBits])
 	sc.touched = sc.touched[:0]

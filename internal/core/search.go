@@ -30,21 +30,39 @@ func (ix *Index) SearchSig(sig *QuerySig, tstar float64) []int {
 	return ix.searchSigWith(sig, tstar, sc)
 }
 
-// searchSigWith runs the search over caller-provided scratch, the inner loop
-// shared by SearchSig, Search and the per-worker batch paths.
+// searchSigWith runs the id search over caller-provided scratch, shared by
+// SearchSig, Search and the per-worker batch paths: the walk's hits, sorted
+// and copied out.
 func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) []int {
-	sig.Stats = QueryStats{}
 	if tstar <= 0 {
 		// Every record trivially satisfies the threshold.
+		sig.Stats = QueryStats{}
 		out := make([]int, ix.recs.Len())
 		for i := range out {
 			out[i] = i
 		}
 		return out
 	}
+	hits := ix.thresholdWalk(sig, tstar, sc)
+	slices.Sort(hits)
+	out := make([]int, len(hits))
+	copy(out, hits)
+	return out
+}
+
+// thresholdWalk is the threshold search's candidate walk, t* > 0: it leaves
+// the ids of the records meeting θ = t*·|Q| in sc.ids, in no particular
+// order, and each candidate's K∩ in sc.counts, and returns sc.ids. Both
+// belong to the scratch until the next walk on it.
+func (ix *Index) thresholdWalk(sig *QuerySig, tstar float64, sc *searchScratch) []int {
+	sig.Stats = QueryStats{}
+	// Hits collect in the scratch: candidates outnumber hits by orders of
+	// magnitude, so a result is sized by what qualified, not what was
+	// touched.
+	out := sc.ids[:0]
 	if sig.Size <= 0 {
 		// An empty query is contained in nothing: every estimate is 0.
-		return []int{}
+		return out
 	}
 	theta := tstar * float64(sig.Size)
 	minCount := ix.gatherSearchCandidates(sig, theta, sc)
@@ -59,10 +77,6 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 	// buffer alone: while L_Q holds a key the bound dismisses it otherwise,
 	// and when L_Q is empty (max(L_Q) taken as 0) the zero count does.
 	qMax := sig.qMax()
-	// Hits collect in the scratch: candidates outnumber hits by orders of
-	// magnitude, so the result is sized by what qualified, not what was
-	// touched.
-	out := sc.ids[:0]
 	for _, id := range sc.touched {
 		if sc.counts[id] < minCount {
 			sig.Stats.PrunedByBound++
@@ -86,10 +100,7 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 		}
 	}
 	sc.ids = out
-	slices.Sort(out)
-	res := make([]int, len(out))
-	copy(res, out)
-	return res
+	return out
 }
 
 // minCount returns T = ⌈(θ − n_q)·max(L_Q)⌉, the fewest posting lists of the
@@ -263,7 +274,7 @@ func (ix *Index) SearchLinear(q dataset.Record, tstar float64) []int {
 	theta := tstar * float64(sig.Size)
 	out := []int{}
 	if tstar > 0 && sig.Size <= 0 {
-		// As in searchSigWith: θ is 0 too, but an empty query is contained in
+		// As in thresholdWalk: θ is 0 too, but an empty query is contained in
 		// nothing.
 		return out
 	}

@@ -13,7 +13,7 @@ import (
 // SearchSig(t*) ids (ascending, truncated at limit), report the full
 // qualifying count as total, and score every returned hit bit-identically to
 // EstimateContainment — across buffer configurations, thresholds, limits,
-// and after dynamic inserts (which exercise the deferred buffer-accept path
+// and after dynamic inserts (which exercise buffer accepts on grown records
 // and a possibly shrunk τ).
 func TestSearchSigScoredMatchesSearchPlusEstimate(t *testing.T) {
 	d := testDataset(t, 250)

@@ -54,7 +54,7 @@ func (ix *Index) AppendTopKSig(dst []Scored, sig *QuerySig, k int) []Scored {
 //
 // A record scores above zero only by sharing a sketch element or a buffered
 // element with the query. The first kind are the records on the query's
-// posting lists, touched with their K∩ as in searchSigWith, and scored first.
+// posting lists, touched with their K∩ as in thresholdWalk, and scored first.
 // The second kind need no visit: the query's buffer columns are added into
 // counter planes (countOverlaps), which hold |H_Q ∩ H_X| for every record at
 // once, and a record on no posting list has K∩ = 0, so D̂∩ = 0 and its score

@@ -145,9 +145,8 @@ func (c *Collection) appendHits(dst []Hit, scored []gbkmv.Scored, withTokens boo
 // appending the materialized hits to dst (pass nil, or a pooled buffer, to
 // bound steady-state allocation). limit > 0 caps the hits that are scored
 // and materialized — a threshold-0 query against a large collection must not
-// pay O(N) estimates and token slices for a page of 10. Each returned hit is
-// estimated exactly once: the engine's scored search reports the estimate
-// that decided membership during the candidate walk.
+// pay O(N) estimates and token slices for a page of 10. A hit's score is the
+// estimate that admitted it.
 //
 // The query is its verbatim request JSON (an array of token strings), which
 // lets a repeated query resolve through the exact-bytes cache key without

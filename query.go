@@ -18,7 +18,8 @@ import "gbkmv/internal/core"
 // any read may transparently re-sketch after a threshold shrink. Instead of
 // preparing from scratch per goroutine, Clone the query — clones share the
 // immutable signature data and copy only the mutable tracking state, so a
-// server can prepare once and hand a clone to each worker. Clones are
+// library caller that shares one prepared query across goroutines prepares
+// once and hands each goroutine a clone. Clones are
 // independent afterwards: a threshold-shrink rebuild in one clone never
 // touches another. (Reads still must not run concurrently with Index
 // mutations such as Add/AddBatch; serialize those externally, as
@@ -89,10 +90,8 @@ func (q *Query) Search(threshold float64) []int {
 
 // SearchScored returns the hits Search would return with their containment
 // estimates attached, ascending by id, plus the total qualifying count.
-// limit > 0 caps the materialized hits. Each returned record is estimated
-// exactly once — the estimate that decided membership during the candidate
-// walk is the one reported — so "search, then score every hit" costs one
-// estimate per hit instead of two.
+// limit > 0 caps the materialized hits. A hit's score is the estimate that
+// admitted it, so "search, then score every hit" needs no second estimate.
 func (q *Query) SearchScored(threshold float64, limit int) (hits []Scored, total int) {
 	return q.inner.SearchSigScored(q.current(), threshold, limit)
 }
