@@ -3,18 +3,18 @@ package core
 import "gbkmv/internal/chunked"
 
 // bufWordBits is the width of the words every bitmap over record ids is made
-// of: the bit columns, the search's marks and union, top-k's counter planes.
+// of: the bit columns, the search's marks, the counter planes.
 const bufWordBits = 64
 
 // bufferColumns is the buffer arena transposed: per buffer bit one bitmap
 // over record ids, bit i of column b set exactly when record i's buffer holds
-// bit b. It is the candidate generator of the buffer half of a query — the
-// records sharing a buffered element with it are the OR of its columns — and
-// costs what the buffers themselves cost, |E_H| bits a record: the buffer
-// exists so that a popular element takes one bit of a record instead of a
-// 32-bit signature, and an inverted list of record ids per bit (which this
-// replaces) paid the 32 bits straight back, three times the whole sketch on
-// the paper's workload. The bit-sliced shape is COBS's, kmcp's index.
+// bit b. It is the buffer half of a query — the query's columns add up to
+// every record's overlap with it (countOverlaps) — and costs what the
+// buffers themselves cost, |E_H| bits a record: the buffer exists so that a
+// popular element takes one bit of a record instead of a 32-bit signature,
+// and an inverted list of record ids per bit (which this replaces) paid the
+// 32 bits straight back, three times the whole sketch on the paper's
+// workload. The bit-sliced shape is COBS's, kmcp's index.
 //
 // The words are laid by block of 64 records: row w of the store holds word w
 // of every column, |E_H| words, so derive lays one exact slab and an insert
@@ -60,16 +60,3 @@ func mark(row []uint64, bit, id int) { row[bit] |= 1 << (uint(id) % bufWordBits)
 // rowsFrom returns the rows from w to the end of w's chunk, whole rows of
 // width words: a reader walks the blocks a chunk at a time.
 func (c *bufferColumns) rowsFrom(w int) []uint64 { return c.rows.From(uint32(w)) }
-
-// orInto ORs the columns cols into dst, which covers ⌈m/64⌉ blocks.
-func (c *bufferColumns) orInto(dst []uint64, cols []int32) {
-	for w := 0; w < len(dst); {
-		for rows := c.rowsFrom(w); len(rows) >= c.width && w < len(dst); rows, w = rows[c.width:], w+1 {
-			row, x := rows[:c.width], dst[w]
-			for _, bit := range cols {
-				x |= row[bit]
-			}
-			dst[w] = x
-		}
-	}
-}

@@ -22,8 +22,8 @@ import (
 // checkColumns asserts column bit ≡ row bit for every record and buffer bit,
 // every column clear past the record count, and — where asked: a build leaves
 // it so, inserts need not — the columns' popcounts non-increasing in the bit,
-// E_H's own order, so that a query's highest bits are its rarest.
-func checkColumns(t *testing.T, ix *Index, rarestHighest bool, label string) {
+// E_H's own order of decreasing build-time frequency.
+func checkColumns(t *testing.T, ix *Index, byFrequency bool, label string) {
 	t.Helper()
 	m, h := ix.recs.Len(), len(ix.bufferElems)
 	if h == 0 {
@@ -44,7 +44,7 @@ func checkColumns(t *testing.T, ix *Index, rarestHighest bool, label string) {
 				held++
 			}
 		}
-		if rarestHighest && held > prev {
+		if byFrequency && held > prev {
 			t.Fatalf("%s: bit %d is held by %d records, bit %d below it by %d", label, bit, held, bit-1, prev)
 		}
 		prev = held
@@ -100,26 +100,23 @@ func TestColumnsMatchRows(t *testing.T) {
 	}
 }
 
-// unionSize is the number of distinct ids over the lists.
-func unionSize(lists ...[]int32) int {
+// listUnion is the set of ids over the lists.
+func listUnion(lists ...[]int32) map[int32]bool {
 	seen := map[int32]bool{}
 	for _, l := range lists {
 		for _, id := range l {
 			seen[id] = true
 		}
 	}
-	return len(seen)
+	return seen
 }
 
-// searchLists returns the lists whose union a threshold search's candidates
-// are, from the reference builder's lists: with minCount T ≥ 2 the L − T + 1
-// shortest non-empty posting lists of the query, ties in query order (none
-// when fewer than T are non-empty); below it every posting list, and when
-// c = ⌈θ⌉ is in [1, nq] the lists of the nq − c + 1 highest query bits. It
-// returns T beside them.
-func searchLists(ix *Index, ref refState, sig *QuerySig, tstar float64) ([][]int32, int) {
-	theta := tstar * float64(sig.Size)
-	t := int(sig.minCount(theta))
+// searchLists returns the posting lists a threshold search touches records
+// on, from the reference builder's lists: with minCount T ≥ 2 the L − T + 1
+// shortest non-empty ones of the query, ties in query order (none when fewer
+// than T are non-empty); below it every one. It returns T beside them.
+func searchLists(ref refState, sig *QuerySig, tstar float64) ([][]int32, int) {
+	t := int(sig.minCount(tstar * float64(sig.Size)))
 	var lists [][]int32
 	for _, e := range sig.rest {
 		lists = append(lists, ref.postings[e])
@@ -129,28 +126,19 @@ func searchLists(ix *Index, ref refState, sig *QuerySig, tstar float64) ([][]int
 		slices.SortStableFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
 		return lists[:max(len(lists)-t+1, 0)], t
 	}
-	if sig.buffer == nil {
-		return lists, t
-	}
-	nq, c := sig.buffer.Count(), int(math.Ceil(theta))
-	if c >= 1 && c <= nq {
-		taken := 0
-		for bit := len(ix.bufferElems) - 1; bit >= 0; bit-- {
-			if bitSet(sig.buffer, bit) && taken < nq-c+1 {
-				lists = append(lists, ref.bufferPostings[bit])
-				taken++
-			}
-		}
-	}
 	return lists, t
 }
 
 // TestColumnsSearchMatchesAlgorithm2 runs short queries of popular elements at
 // low thresholds — ⌈θ⌉ ≤ nq, so records qualify on their buffers alone and
-// the prefix filter over the columns is what finds them — and long ones at
-// high thresholds — minCount T ≥ 3, so only the shortest posting lists touch
-// — and requires of Search, SearchSigScored and SearchTopKSig the results of
-// Algorithm 2 (a scan of every record) and the candidate counts of the lists.
+// the counter planes the query's columns add up to are what find them — and
+// long ones at high thresholds — minCount T ≥ 3, so only the shortest posting
+// lists touch — and requires of Search, SearchSigScored and SearchTopKSig the
+// results of Algorithm 2 (a scan of every record) and the candidate counts
+// of the lists: a threshold search's candidates are the records on the lists
+// it reads and its hits on none of them, a top-k's the records on the lists
+// and its buffer-only entries, and each candidate of either is pruned,
+// estimated or accepted on its buffer.
 func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 	defer func() { forcedBuildWorkers = 0 }()
 	d, err := dataset.Synthetic(dataset.SyntheticConfig{
@@ -198,7 +186,7 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 				}
 			}
 			ref := refBuild(ix, ix.cut)
-			prefixed, bufferOnly, counted := 0, 0, 0
+			planed, bufferOnly, counted := 0, 0, 0
 			for qi, q := range queries {
 				label := fmt.Sprintf("%d workers, stage %d, query %d %v", workers, stage, qi, q)
 				sig := ix.Sketch(q)
@@ -211,25 +199,39 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 					thresholds = []float64{0.5, 0.8}
 				}
 				for _, tstar := range thresholds {
-					lists, minCount := searchLists(ix, ref, sig, tstar)
-					if minCount < 2 && len(lists) > len(rest) {
-						prefixed++
+					lists, minCount := searchLists(ref, sig, tstar)
+					if sig.buffer != nil && math.Ceil(tstar*float64(sig.Size)) <= float64(sig.buffer.Count()) {
+						planed++
 					}
 					want := ix.SearchLinear(q, tstar)
 					if got := ix.SearchSig(sig, tstar); !slices.Equal(got, want) {
 						t.Fatalf("%s, t*=%v: Search finds %d records, Algorithm 2 %d", label, tstar, len(got), len(want))
 					}
-					if got, want := sig.Stats.Candidates, unionSize(lists...); got != want {
-						t.Fatalf("%s, t*=%v: Search touched %d candidates, the lists' union holds %d", label, tstar, got, want)
+					on := listUnion(lists...)
+					off := 0 // Algorithm 2's hits on none of the lists read
+					for _, id := range want {
+						if !on[int32(id)] {
+							off++
+						}
 					}
-					if minCount >= 3 && sig.Stats.Candidates > 0 {
+					st := sig.Stats
+					if st.Candidates != len(on)+off || st.BufferAccepts < off {
+						t.Fatalf("%s, t*=%v: Search counts %d candidates and %d buffer accepts, the lists' union holds %d and %d hits are off it",
+							label, tstar, st.Candidates, st.BufferAccepts, len(on), off)
+					}
+					if st.Candidates != st.PrunedByBound+st.Estimated+st.BufferAccepts {
+						t.Fatalf("%s, t*=%v: Search stats %+v do not add up", label, tstar, st)
+					}
+					if minCount >= 3 && st.Candidates > 0 {
 						counted++
 					}
+					bufferOnly += off
 					scored, total := ix.SearchSigScored(sig, tstar, 0)
-					if got, want := sig.Stats.Candidates, unionSize(lists...); got != want {
-						t.Fatalf("%s, t*=%v: SearchSigScored touched %d candidates, the lists' union holds %d", label, tstar, got, want)
+					// The scored page counts its buffer accepts as estimates.
+					if sst := sig.Stats; sst.Candidates != st.Candidates || sst.PrunedByBound != st.PrunedByBound ||
+						sst.BufferAccepts != st.BufferAccepts || sst.Estimated != st.Estimated+st.BufferAccepts {
+						t.Fatalf("%s, t*=%v: SearchSigScored stats %+v, Search's %+v", label, tstar, sst, st)
 					}
-					bufferOnly += sig.Stats.BufferAccepts
 					if total != len(want) || len(scored) != len(want) {
 						t.Fatalf("%s, t*=%v: SearchSigScored found %d of %d, Algorithm 2 %d", label, tstar, len(scored), total, len(want))
 					}
@@ -260,7 +262,7 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 					// Its candidates: the posting lists' records, and the
 					// records on none that it scored on their buffers alone.
 					st := sig.Stats
-					if want := unionSize(rest...) + st.BufferAccepts; st.Candidates != want {
+					if want := len(listUnion(rest...)) + st.BufferAccepts; st.Candidates != want {
 						t.Fatalf("%s: top-%d counts %d candidates, the posting lists' union and the buffer-only entries %d", label, k, st.Candidates, want)
 					}
 					if st.Candidates != st.PrunedByBound+st.Estimated+st.BufferAccepts {
@@ -268,15 +270,15 @@ func TestColumnsSearchMatchesAlgorithm2(t *testing.T) {
 					}
 				}
 			}
-			if prefixed < short || bufferOnly == 0 {
-				t.Fatalf("%d workers, stage %d: %d prefix-filtered searches, %d hits on the buffer alone; the fixture bypasses the columns",
-					workers, stage, prefixed, bufferOnly)
+			if planed < short || bufferOnly == 0 {
+				t.Fatalf("%d workers, stage %d: %d searches read the counter planes, %d hits on the buffer alone; the fixture bypasses the planes",
+					workers, stage, planed, bufferOnly)
 			}
 			if long := len(queries) - short; counted < long {
 				t.Fatalf("%d workers, stage %d: %d searches of %d long queries touch candidates at T ≥ 3; the fixture bypasses the count",
 					workers, stage, counted, long)
 			}
-			t.Logf("%d workers, stage %d: %d prefix-filtered searches, %d counted at T ≥ 3", workers, stage, prefixed, counted)
+			t.Logf("%d workers, stage %d: %d searches read the planes, %d hits off the lists, %d counted at T ≥ 3", workers, stage, planed, bufferOnly, counted)
 		}
 	}
 }

@@ -307,11 +307,13 @@ type QuerySig struct {
 // paper's accuracy/space/latency trade-off: candidate volume and prune
 // effectiveness are what the buffer size and budget knobs actually move.
 //
-// A top-k's candidates are the records on the query's posting lists, each
-// pruned or estimated, and the records on none that it scored off the counter
-// planes, its BufferAccepts.
+// A search's candidates are the records it touched on the query's posting
+// lists, each pruned, estimated or accepted on its buffer, and the records on
+// none of them that it took off the counter planes on their buffers alone —
+// a threshold search's buffer-only hits, a top-k's buffer-only entries —,
+// which BufferAccepts counts too.
 type QueryStats struct {
-	Candidates    int // records touched by candidate generation
+	Candidates    int // records touched on the lists, plus buffer-only hits
 	PrunedByBound int // candidates dismissed by the K∩ upper-bound prune, never scored
 	Estimated     int // G-KMV estimates computed, each from a candidate's K∩
 	BufferAccepts int // hits settled by the exact buffer part alone

@@ -396,7 +396,8 @@ func checkGather(t *testing.T, ix *Index, q dataset.Record, tstar float64, label
 	sig := ix.Sketch(q)
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	minCount := ix.gatherSearchCandidates(sig, tstar*float64(sig.Size), sc)
+	minCount := sig.minCount(tstar * float64(sig.Size))
+	ix.gather(sig, minCount, sc)
 	rest := map[hash.Element]bool{}
 	for _, e := range sig.rest {
 		rest[e] = true

@@ -55,9 +55,9 @@ func fuzzQuery(ix *Index, d *dataset.Dataset, base uint8, edits []byte) dataset.
 // sorting (refTopK). The index is built fresh an input — no buffer, or 64 or
 // 192 buffer bits — and takes 0 to 100 records before the query, so the
 // columns' growth and threshold shrinks are inputs too; an odd reload byte
-// then saves it and queries what Load makes of the stream, so the prefix
-// filter also runs on an E_H order read from a stream. CI runs it briefly
-// (-fuzz FuzzQueryKernels -fuzztime 15s).
+// then saves it and queries what Load makes of the stream, so the counter
+// planes also add up columns a load laid. CI runs it briefly (-fuzz
+// FuzzQueryKernels -fuzztime 15s).
 func FuzzQueryKernels(f *testing.F) {
 	f.Add(uint8(0), []byte{}, uint8(100), uint8(10), uint8(0), uint8(0), uint8(1), uint8(0))
 	f.Add(uint8(3), []byte{1, 2, 3, 200}, uint8(160), uint8(1), uint8(5), uint8(40), uint8(1), uint8(0))
@@ -65,7 +65,7 @@ func FuzzQueryKernels(f *testing.F) {
 	f.Add(uint8(7), []byte{130, 131, 132, 70, 71}, uint8(200), uint8(5), uint8(0), uint8(17), uint8(0), uint8(0))
 	f.Add(uint8(12), []byte{250, 240, 230, 220, 210, 200, 190}, uint8(255), uint8(255), uint8(9), uint8(63), uint8(2), uint8(0))
 	// Buffered elements alone at a low threshold, after inserts and a reload:
-	// the prefix filter over the columns of a loaded index.
+	// the buffer-only hits of a loaded index, read off the counter planes.
 	f.Add(uint8(255), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(60), uint8(50), uint8(3), uint8(100), uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, base uint8, edits []byte, tb, kb, limit, inserts, buffer, reload uint8) {
 		d, extra := fuzzCorpus()

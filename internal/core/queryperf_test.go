@@ -471,3 +471,48 @@ func BenchmarkTopKZipf(b *testing.B) {
 	var dst []Scored
 	benchZipf(b, func(ix *Index, sig *QuerySig) { dst = ix.AppendTopKSig(dst[:0], sig, 10) })
 }
+
+// BenchmarkSearchWholeRecord is paper-batch's and serve-mixed's search shape:
+// whole indexed records of the DESIGN.md corpus as queries, at t* = 0.5, by id
+// (SearchSig) and scored with a page of 100 (AppendSearchSigScored).
+// plane-query-% is the share of the queries with ⌈θ⌉ ≤ n_q, whose records can
+// qualify on their buffers alone: the queries that add up the counter planes.
+// hits/op is the mean qualifying count.
+func BenchmarkSearchWholeRecord(b *testing.B) {
+	const tstar = 0.5
+	d := designCorpus(b)
+	ix, err := BuildIndex(d, Options{BufferBits: AutoBuffer})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	sigs := make([]*QuerySig, 1024)
+	planed := 0
+	for i := range sigs {
+		sig := ix.Sketch(d.Records[rng.Intn(len(d.Records))])
+		if sig.buffer != nil && math.Ceil(tstar*float64(sig.Size)) <= float64(sig.buffer.Count()) {
+			planed++
+		}
+		sigs[i] = sig
+	}
+	share := 100 * float64(planed) / float64(len(sigs))
+	b.Run("ids", func(b *testing.B) {
+		hits := 0
+		for i := range b.N {
+			hits += len(ix.SearchSig(sigs[i%len(sigs)], tstar))
+		}
+		b.ReportMetric(share, "plane-query-%")
+		b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+	})
+	b.Run("scored", func(b *testing.B) {
+		var dst []Scored
+		hits := 0
+		for i := range b.N {
+			var n int
+			dst, n = ix.AppendSearchSigScored(dst[:0], sigs[i%len(sigs)], tstar, 100)
+			hits += n
+		}
+		b.ReportMetric(share, "plane-query-%")
+		b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+	})
+}

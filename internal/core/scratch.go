@@ -9,10 +9,10 @@ import (
 // counts sized to the collection (with growth slack, see getScratch), a mark
 // bitmap over record ids (a bit a record, cleared a query: at 50 000 records
 // it is 6 kB and stays in L1, where an array of per-record stamps was 200 kB),
-// the posting lists and bit columns a query reads, the counter planes of
-// top-k, the hit buffer of the threshold walk, a reusable top-k heap buffer,
-// a reusable query-signature slot for the sketch-and-search entry points,
-// and a record and its run for recordView. Instances live in a per-index
+// the posting lists and bit columns a query reads, the counter planes the
+// columns add up to, the hit buffer of the threshold walk, a reusable top-k
+// heap buffer, a reusable query-signature slot for the sketch-and-search
+// entry points, and a record and its run for recordView. Instances live in a per-index
 // sync.Pool; steady-state searches therefore allocate nothing beyond their
 // result slice — and not that when the caller brings one
 // (AppendSearchSigScored, AppendTopKSig). Results are always copied out,
@@ -29,8 +29,7 @@ type searchScratch struct {
 	touched []int32     // the touched ids, for sparse iteration
 	lists   []*listHead // the query's posting lists, by length when T ≥ 2
 	columns []int32     // the buffer bits whose columns this query reads
-	union   []uint64    // the threshold search's OR of those columns, sized with marks
-	planes  []uint64    // top-k's overlap counters, ⌈log₂(n_q+1)⌉ words per 64 records
+	planes  []uint64    // the overlap counters, ⌈log₂(n_q+1)⌉ words per 64 records
 	ids     []int       // thresholdWalk's hits, unsorted, before the copy out
 	heap    []topkheap.Scored
 	sig     QuerySig // reusable signature for the Search(q)/SearchTopK(q) paths
@@ -51,7 +50,6 @@ func (ix *Index) getScratch() *searchScratch {
 		n := m + m/4
 		sc.counts = make([]int32, n)
 		sc.marks = make([]uint64, (n+bufWordBits-1)/bufWordBits)
-		sc.union = make([]uint64, len(sc.marks))
 	}
 	return sc
 }

@@ -54,6 +54,11 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 // the ids of the records meeting θ = t*·|Q| in sc.ids, in no particular
 // order, and each candidate's K∩ in sc.counts, and returns sc.ids. Both
 // belong to the scratch until the next walk on it.
+//
+// Its candidates are the records touched on the query's posting lists
+// (gather), each pruned, accepted on its buffer or estimated, and — when
+// records can qualify on their buffers alone — the records on none of them
+// that do, read off the counter planes (appendBufferOnly).
 func (ix *Index) thresholdWalk(sig *QuerySig, tstar float64, sc *searchScratch) []int {
 	sig.Stats = QueryStats{}
 	// Hits collect in the scratch: candidates outnumber hits by orders of
@@ -65,17 +70,14 @@ func (ix *Index) thresholdWalk(sig *QuerySig, tstar float64, sc *searchScratch) 
 		return out
 	}
 	theta := tstar * float64(sig.Size)
-	minCount := ix.gatherSearchCandidates(sig, theta, sc)
-	sig.Stats.Candidates = len(sc.touched)
+	minCount := sig.minCount(theta)
+	ix.gather(sig, minCount, sc)
 	// The paper's K∩ ≥ o prune (Section IV-B, "Implementation"): the
 	// G-KMV estimate is D̂∩ = K∩·(k−1)/(k·U(k)) ≤ K∩/U(k), and U(k) — the
 	// largest hash in L_Q ∪ L_X — is at least the largest hash of L_Q
 	// alone. A candidate can only reach the remaining overlap need
 	// θ − |H_Q ∩ H_X| if K∩ ≥ need·max(L_Q). Below minCount it cannot for
-	// any overlap, and its buffer row is not read. A candidate with K∩ = 0
-	// has D̂∩ = 0 in every branch of gkmv.Estimate, so it qualifies on its
-	// buffer alone: while L_Q holds a key the bound dismisses it otherwise,
-	// and when L_Q is empty (max(L_Q) taken as 0) the zero count does.
+	// any overlap, and its buffer row is not read.
 	qMax := sig.qMax()
 	for _, id := range sc.touched {
 		if sc.counts[id] < minCount {
@@ -90,7 +92,7 @@ func (ix *Index) thresholdWalk(sig *QuerySig, tstar float64, sc *searchScratch) 
 			sig.Stats.BufferAccepts++
 			continue
 		}
-		if sc.counts[id] == 0 || float64(sc.counts[id]) < need*qMax {
+		if float64(sc.counts[id]) < need*qMax {
 			sig.Stats.PrunedByBound++
 			continue
 		}
@@ -99,7 +101,34 @@ func (ix *Index) thresholdWalk(sig *QuerySig, tstar float64, sc *searchScratch) 
 			out = append(out, int(id))
 		}
 	}
+	// A record on none of the lists has K∩ = 0, so D̂∩ = 0 in every branch of
+	// gkmv.Estimate: it qualifies on its buffer alone, when its overlap
+	// reaches c = ⌈θ⌉. No record does past the query's n_q buffered bits.
+	if c := math.Ceil(theta); sig.buffer != nil && c <= float64(sig.buffer.Count()) {
+		hits := len(out)
+		out = ix.appendBufferOnly(sig, int(c), out, sc)
+		sig.Stats.BufferAccepts += len(out) - hits
+	}
+	sig.Stats.Candidates = len(sc.touched)
 	sc.ids = out
+	return out
+}
+
+// appendBufferOnly appends to out the records gather left untouched whose
+// buffer overlap is c or more, c ≥ 1, read off the counter planes the
+// query's columns add up to (countOverlaps), and touches each, so that it
+// reads K∩ = 0. Only a query that can qualify records on their buffers pays
+// for the planes: the walk of a long query reads the rows of its few
+// candidates instead.
+func (ix *Index) appendBufferOnly(sig *QuerySig, c int, out []int, sc *searchScratch) []int {
+	b, _ := ix.countOverlaps(sig, sc)
+	for w, words := 0, (ix.recs.Len()+bufWordBits-1)/bufWordBits; w < words; w++ {
+		for m := sc.atLeast(w, b, 0, c) &^ sc.marks[w]; m != 0; m &= m - 1 {
+			id := int32(w*bufWordBits + bits.TrailingZeros64(m))
+			sc.touch(id)
+			out = append(out, int(id))
+		}
+	}
 	return out
 }
 
@@ -120,66 +149,25 @@ func (sig *QuerySig) minCount(theta float64) int32 {
 	return 0
 }
 
-// gatherSearchCandidates accumulates into sc.touched every record that can
-// possibly reach θ, with K∩ per candidate accumulated exactly in sc.counts,
-// and returns the query's minCount T: a touched record counting fewer cannot
-// qualify. A record with zero buffer overlap and zero sketch overlap has
-// estimate exactly 0 < θ, so only records appearing in at least one posting
-// list can qualify. K∩ counts the sketch *elements* a record shares with the
-// query, and the estimate is made from it (countedEstimate). It is the
-// merge's count of equal keys but where two distinct elements share a 32-bit
-// key: that collision is counted only by the merge of the single-record API
-// (EstimateIntersection, SearchLinear).
+// gather begins a query on sc and touches the records on the query's posting
+// lists, with K∩ per record accumulated exactly in sc.counts. K∩ counts the
+// sketch *elements* a record shares with the query, and the estimate is made
+// from it (countedEstimate). It is the merge's count of equal keys but where
+// two distinct elements share a 32-bit key: that collision is counted only by
+// the merge of the single-record API (EstimateIntersection, SearchLinear).
 //
-// From T = 2 on, a record that qualifies is on T of the query's L posting
-// lists, so — by pigeonhole — on one of any L − T + 1 of them: only the
-// L − T + 1 shortest touch records, and the T − 1 longest only count for
-// records already touched, a bit test in the mark bitmap each (gatherCounted).
-//
-// Below that, a record with zero sketch overlap (K∩ = 0, so D̂∩ = 0) can still
-// qualify through the exact buffer part when |H_Q ∩ H_X| ≥ θ. Such a record
-// shares at least c = ⌈θ⌉ of the query's nq buffered bits, so — prefix-filter
-// style — it must contain one of any fixed (nq − c + 1) of them. Scanning
-// the nq−c+1 *rarest* query bits keeps this exact while leaving out the head
-// elements, which nearly every record holds. E_H is laid out by decreasing
-// build-time frequency, bit b being its b-th element, so the rarest are the
-// query's highest set bits and the order costs nothing to keep. Inserts may
-// leave it slightly stale, which changes only which equally-valid candidate
-// superset is scanned, never the final results. The records holding any of
-// those bits are the OR of the bits' columns (touchColumns).
-func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *searchScratch) int32 {
+// minCount is the fewest lists a record must be on to qualify: top-k passes
+// 0, the threshold search its minCount T. Below 2 every list touches. From
+// T = 2 on, a record that qualifies is on T of the query's L posting lists,
+// so — by pigeonhole — on one of any L − T + 1 of them: only the L − T + 1
+// shortest touch records, and the T − 1 longest only count for records
+// already touched, a bit test in the mark bitmap each (gatherCounted).
+func (ix *Index) gather(sig *QuerySig, minCount int32, sc *searchScratch) {
 	sc.start(ix.recs.Len())
-	minCount := sig.minCount(theta)
 	if minCount >= 2 {
 		ix.gatherCounted(sig, int(minCount), sc)
-		return minCount
+		return
 	}
-	ix.gatherPostings(sig, sc)
-	if sig.buffer != nil {
-		nq := sig.buffer.Count()
-		c := int(theta)
-		if float64(c) < theta {
-			c++ // ⌈θ⌉
-		}
-		if c >= 1 && c <= nq {
-			cols := sc.columns[:0]
-			for wi := sig.buffer.Words() - 1; len(cols) <= nq-c; wi-- {
-				for w := sig.buffer.Word(wi); w != 0 && len(cols) <= nq-c; {
-					top := bits.Len64(w) - 1
-					cols = append(cols, int32(wi*bufWordBits+top))
-					w &^= 1 << top
-				}
-			}
-			sc.columns = cols
-			ix.touchColumns(sc)
-		}
-	}
-	return minCount
-}
-
-// gatherPostings touches every record on a posting list of the query, counting
-// its K∩.
-func (ix *Index) gatherPostings(sig *QuerySig, sc *searchScratch) {
 	for _, e := range sig.rest {
 		if h := ix.postings.find(e); h != nil {
 			ix.touchList(h, sc)
@@ -207,7 +195,7 @@ func (ix *Index) touchList(h *listHead, sc *searchScratch) {
 	}
 }
 
-// gatherCounted is gatherPostings for a query whose candidates need K∩ ≥ t,
+// gatherCounted is gather for a query whose candidates need K∩ ≥ t,
 // t ≥ 2: the query's posting lists by length, the L − t + 1 shortest touch,
 // the rest only count. No record is touched when fewer than t lists are
 // non-empty.
@@ -246,22 +234,6 @@ func (ix *Index) gatherCounted(sig *QuerySig, t int, sc *searchScratch) {
 	}
 	clear(lists) // the pooled scratch keeps no header alive
 	sc.lists = lists[:0]
-}
-
-// touchColumns touches, once each and in ascending id order, the records that
-// hold any of the buffer bits in sc.columns and are not touched yet: the
-// columns are ORed into the scratch's union bitmap over record ids — a word
-// of 64 records a step, whatever the bits' popularity — and its set bits past
-// the marks walked.
-func (ix *Index) touchColumns(sc *searchScratch) {
-	union := sc.union[:(ix.recs.Len()+bufWordBits-1)/bufWordBits]
-	clear(union)
-	ix.bufCols.orInto(union, sc.columns)
-	for wi, w := range union {
-		for w &^= sc.marks[wi]; w != 0; w &= w - 1 {
-			sc.touch(int32(wi*bufWordBits + bits.TrailingZeros64(w)))
-		}
-	}
 }
 
 // SearchLinear is the plain Algorithm 2 of the paper: it scans every record,

@@ -11,32 +11,36 @@ import (
 	"testing"
 )
 
-var updateSearchGolden = flag.Bool("update-search-golden", false, "rewrite testdata/search_golden.txt from this build")
+var (
+	updateSearchResults = flag.Bool("update-search-results", false, "rewrite testdata/search_results_golden.txt from this build")
+	updateSearchStats   = flag.Bool("update-search-stats", false, "rewrite testdata/search_stats_golden.txt from this build")
+)
 
-const searchGoldenPath = "testdata/search_golden.txt"
+const (
+	searchResultsPath = "testdata/search_results_golden.txt"
+	searchStatsPath   = "testdata/search_stats_golden.txt"
+)
 
 // TestSearchGolden runs the threshold searches over the head of the Zipf query
 // pool the query benchmarks draw from (zipfQueries: the DESIGN.md corpus at
-// the default budget) on a grid of t* and page limits, and writes one line a
-// cell: the summed totals and QueryStats of the scored search, and a digest
-// of every query's scored total, hit ids, score bits and QueryStats beside
-// SearchSig's ids and QueryStats. Each cell runs 128 queries but t* = 0 with
-// no limit, which scores every record by a merge of its own and runs the
-// first 4. The golden was written before the two searches shared one
-// candidate walk; any change that moves a byte of it changes a result, a
-// score or a counter.
+// the default budget), 128 queries on each cell of a grid of t* and page
+// limits, and writes two goldens of a line a cell. The results golden holds
+// the summed scored totals and a digest of every query's scored total, hit
+// ids and score bits beside SearchSig's ids: it was written before the
+// threshold search read its buffer-only hits off the counter planes, and a
+// change that moves a byte of it changes a result or a score. The counters
+// golden holds the summed QueryStats of the scored search and a digest of
+// both searches' QueryStats a query: what the searches count as their work,
+// which a change to candidate generation may move and names when it does.
 func TestSearchGolden(t *testing.T) {
 	ix, sigs, _ := zipfQueries(t)
-	var out bytes.Buffer
-	var buf []byte
+	var results, counters bytes.Buffer
+	var rbuf, sbuf []byte
 	le := binary.LittleEndian
 	for _, tstar := range []float64{0, 0.3, 0.5, 0.7, 1} {
 		for _, limit := range []int{0, 1, 100} {
 			queries := sigs[:128]
-			if tstar == 0 && limit == 0 {
-				queries = sigs[:4]
-			}
-			h := sha256.New()
+			rh, sh := sha256.New(), sha256.New()
 			total, sum := 0, QueryStats{}
 			for _, sig := range queries {
 				hits, n := ix.SearchSigScored(sig, tstar, limit)
@@ -46,36 +50,47 @@ func TestSearchGolden(t *testing.T) {
 				sum.PrunedByBound += st.PrunedByBound
 				sum.Estimated += st.Estimated
 				sum.BufferAccepts += st.BufferAccepts
-				buf = appendStats(le.AppendUint64(buf[:0], uint64(n)), st)
+				rbuf = le.AppendUint64(rbuf[:0], uint64(n))
 				for _, hit := range hits {
-					buf = le.AppendUint64(le.AppendUint64(buf, uint64(hit.ID)), math.Float64bits(hit.Score))
+					rbuf = le.AppendUint64(le.AppendUint64(rbuf, uint64(hit.ID)), math.Float64bits(hit.Score))
 				}
 				ids := ix.SearchSig(sig, tstar)
-				buf = appendStats(le.AppendUint64(buf, uint64(len(ids))), sig.Stats)
+				rbuf = le.AppendUint64(rbuf, uint64(len(ids)))
 				for _, id := range ids {
-					buf = le.AppendUint64(buf, uint64(id))
+					rbuf = le.AppendUint64(rbuf, uint64(id))
 				}
-				h.Write(buf)
+				rh.Write(rbuf)
+				sh.Write(appendStats(appendStats(sbuf[:0], st), sig.Stats))
 			}
-			fmt.Fprintf(&out, "t*=%g limit=%d: %d queries, total %d, candidates %d, pruned %d, estimated %d, buffer accepts %d, digest %x\n",
-				tstar, limit, len(queries), total, sum.Candidates, sum.PrunedByBound, sum.Estimated, sum.BufferAccepts, h.Sum(nil))
+			fmt.Fprintf(&results, "t*=%g limit=%d: %d queries, total %d, digest %x\n",
+				tstar, limit, len(queries), total, rh.Sum(nil))
+			fmt.Fprintf(&counters, "t*=%g limit=%d: %d queries, candidates %d, pruned %d, estimated %d, buffer accepts %d, digest %x\n",
+				tstar, limit, len(queries), sum.Candidates, sum.PrunedByBound, sum.Estimated, sum.BufferAccepts, sh.Sum(nil))
 		}
 	}
-	if *updateSearchGolden {
+	checkSearchGolden(t, searchResultsPath, results.Bytes(), *updateSearchResults)
+	checkSearchGolden(t, searchStatsPath, counters.Bytes(), *updateSearchStats)
+}
+
+// checkSearchGolden compares got with the golden at path, or rewrites it when
+// update is set.
+func checkSearchGolden(t *testing.T, path string, got []byte, update bool) {
+	t.Helper()
+	if update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(searchGoldenPath, out.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(searchGoldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("search results differ from %s:\n%s", searchGoldenPath, out.String())
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs:\n%s", path, got)
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "slices"
+import (
+	"slices"
+
+	"gbkmv/internal/selectk"
+)
 
 // SearchSigScored is SearchSig with each hit's containment estimate
 // attached, in ascending id order, and the total qualifying count; limit > 0
@@ -15,32 +19,37 @@ func (ix *Index) SearchSigScored(sig *QuerySig, tstar float64, limit int) ([]Sco
 // AppendSearchSigScored is SearchSigScored with the hits appended to dst: a
 // caller that brings a buffer with room allocates nothing.
 func (ix *Index) AppendSearchSigScored(dst []Scored, sig *QuerySig, tstar float64, limit int) ([]Scored, int) {
-	if tstar <= 0 {
-		// Every record trivially satisfies the threshold; estimate only the
-		// materialized page, never O(N).
-		sig.Stats = QueryStats{}
-		total, n := ix.recs.Len(), limit
-		if limit <= 0 || limit > total {
-			n = total
-		}
-		dst = reserve(dst, n)
-		for i := range n {
-			dst = append(dst, Scored{ID: i, Score: ix.EstimateContainment(sig, i)})
-		}
-		sig.Stats.Estimated = n
-		return dst, total
-	}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	page := ix.thresholdWalk(sig, tstar, sc)
-	total := len(page)
-	if limit > 0 && total > limit {
-		// Only the page is sorted: a query of the Zipf head has thousands of
-		// hits on its buffer alone for a page of a few.
-		selectSmallestIDs(page, limit)
-		page = page[:limit]
+	var page []int
+	total := ix.recs.Len()
+	if tstar <= 0 {
+		// Every record trivially satisfies the threshold: the page is the
+		// first ids, each touched so that it reads its K∩ on the query's
+		// lists, 0 when on none. Only the page is scored, never all N.
+		sig.Stats = QueryStats{}
+		ix.gather(sig, 0, sc)
+		n := total
+		if limit > 0 {
+			n = min(limit, total)
+		}
+		page = sc.ids[:0]
+		for id := range n {
+			sc.touch(int32(id))
+			page = append(page, id)
+		}
+		sc.ids = page
+	} else {
+		page = ix.thresholdWalk(sig, tstar, sc)
+		total = len(page)
+		if limit > 0 && total > limit {
+			// Only the page is sorted: a query of the Zipf head has thousands
+			// of hits on its buffer alone for a page of a few.
+			selectk.Select(page, limit-1)
+			page = page[:limit]
+		}
+		slices.Sort(page)
 	}
-	slices.Sort(page)
 	size := float64(sig.Size)
 	theta := tstar * size
 	dst = reserve(dst, len(page))
@@ -49,7 +58,11 @@ func (ix *Index) AppendSearchSigScored(dst []Scored, sig *QuerySig, tstar float6
 		if theta-overlap <= 0 {
 			sig.Stats.Estimated++ // a buffer accept, which the walk did not estimate
 		}
-		dst = append(dst, Scored{ID: id, Score: min((overlap+ix.countedEstimate(sig, int32(id), sc))/size, 1)})
+		score := 0.0 // an empty query, at t* ≤ 0
+		if size > 0 {
+			score = min((overlap+ix.countedEstimate(sig, int32(id), sc))/size, 1)
+		}
+		dst = append(dst, Scored{ID: id, Score: score})
 	}
 	return dst, total
 }
@@ -61,38 +74,4 @@ func reserve(dst []Scored, n int) []Scored {
 		return append(make([]Scored, 0, len(dst)+n), dst...)
 	}
 	return dst
-}
-
-// selectSmallestIDs reorders ids, which are distinct, so that the n smallest
-// come first, in no particular order: a quickselect (Hoare partition, middle
-// pivot — the column-touched tail of a candidate walk is ascending already),
-// expected O(len(ids)).
-func selectSmallestIDs(ids []int, n int) {
-	lo, hi := 0, len(ids)-1
-	for lo < hi {
-		p := ids[lo+(hi-lo)/2]
-		i, j := lo, hi
-		for i <= j {
-			for ids[i] < p {
-				i++
-			}
-			for ids[j] > p {
-				j--
-			}
-			if i <= j {
-				ids[i], ids[j] = ids[j], ids[i]
-				i++
-				j--
-			}
-		}
-		// ids[lo..j] ≤ p ≤ ids[i..hi], and anything between equals p.
-		switch {
-		case n-1 <= j:
-			hi = j
-		case n-1 >= i:
-			lo = i
-		default:
-			return
-		}
-	}
 }

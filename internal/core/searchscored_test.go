@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -61,9 +62,9 @@ func TestSearchSigScoredMatchesSearchPlusEstimate(t *testing.T) {
 			}
 		}
 		check("built")
-		// Inserts under a tight budget trigger a threshold shrink and leave
-		// E_H's frequency order slightly stale — the scored walk must stay
-		// equivalent through both.
+		// Inserts under a tight budget trigger a threshold shrink and set
+		// buffer bits in rows and columns derive did not lay — the scored
+		// walk must stay equivalent through both.
 		extra, err := dataset.Synthetic(dataset.SyntheticConfig{
 			NumRecords: 40, Universe: 4000,
 			AlphaFreq: 1.1, AlphaSize: 2.2,
@@ -80,8 +81,11 @@ func TestSearchSigScoredMatchesSearchPlusEstimate(t *testing.T) {
 // TestSearchPrunesZeroCountWithoutSketch: a query whose sketch L_Q is empty —
 // buffered elements, and elements whose keys lie over the cut — has K∩ = 0
 // with every record, so D̂∩ = 0 and only records whose buffers alone reach θ
-// qualify. Search and SearchSigScored estimate none of the candidates the
-// columns touch, and answer what Algorithm 2 does.
+// qualify. Search and SearchSigScored touch no record on a list and estimate
+// none: their candidates are their hits, all buffer accepts read off the
+// counter planes, and they answer what Algorithm 2 does. The fixture's
+// queries share buffered elements with records short of θ too, which the
+// planes leave out uncounted.
 func TestSearchPrunesZeroCountWithoutSketch(t *testing.T) {
 	d := testDataset(t, 400)
 	ix, err := BuildIndex(d, Options{BudgetFraction: 0.1, BufferBits: 64, Seed: testSeed})
@@ -99,7 +103,7 @@ func TestSearchPrunesZeroCountWithoutSketch(t *testing.T) {
 		}
 		over = append(over, elems)
 	}
-	pruned := 0
+	hits, misses := 0, 0
 	for qi := 0; qi < 60; qi++ {
 		var q []hash.Element
 		for j := 0; j < 2+qi%7; j++ {
@@ -113,23 +117,30 @@ func TestSearchPrunesZeroCountWithoutSketch(t *testing.T) {
 		}
 		for _, tstar := range []float64{0.2, 0.4, 0.6, 0.9} {
 			want := ix.SearchLinear(rec, tstar)
-			if got := ix.SearchSig(sig, tstar); !slices.Equal(got, want) || sig.Stats.Estimated != 0 {
-				t.Fatalf("query %d, t*=%v: Search finds %v with %d estimates, Algorithm 2 %v", qi, tstar, got, sig.Stats.Estimated, want)
+			got := ix.SearchSig(sig, tstar)
+			if st := sig.Stats; !slices.Equal(got, want) || st.Candidates != len(want) || st.BufferAccepts != len(want) || st.Estimated != 0 {
+				t.Fatalf("query %d, t*=%v: Search finds %v with stats %+v, Algorithm 2 %v", qi, tstar, got, st, want)
 			}
-			pruned += sig.Stats.PrunedByBound
 			scored, total := ix.SearchSigScored(sig, tstar, 0)
-			if total != len(want) || sig.Stats.Estimated != sig.Stats.BufferAccepts {
-				t.Fatalf("query %d, t*=%v: SearchSigScored finds %d with %d estimates for %d buffer accepts, Algorithm 2 %d",
-					qi, tstar, total, sig.Stats.Estimated, sig.Stats.BufferAccepts, len(want))
+			// The scored page counts its buffer accepts as estimates.
+			if st := sig.Stats; total != len(want) || st.Candidates != total || st.BufferAccepts != total || st.Estimated != total {
+				t.Fatalf("query %d, t*=%v: SearchSigScored finds %d with stats %+v, Algorithm 2 %d", qi, tstar, total, st, len(want))
 			}
 			for i, s := range scored {
 				if s.ID != want[i] {
 					t.Fatalf("query %d, t*=%v: hit %d is %d, Algorithm 2 %d", qi, tstar, i, s.ID, want[i])
 				}
 			}
+			hits += total
+			c := int(math.Ceil(tstar * float64(sig.Size)))
+			for id := range ix.NumRecords() {
+				if overlap := ix.bufferOverlap(sig, id); overlap > 0 && overlap < c {
+					misses++
+				}
+			}
 		}
 	}
-	if pruned == 0 {
-		t.Fatal("no candidate was pruned: the fixture's queries reach no record short of θ on its buffer")
+	if hits == 0 || misses == 0 {
+		t.Fatalf("%d buffer-only hits, %d records sharing a buffered element short of θ: the fixture needs both", hits, misses)
 	}
 }

@@ -66,8 +66,7 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) topkheap.H
 	}
 	sig.Stats = QueryStats{}
 	m := ix.recs.Len()
-	sc.start(m)
-	ix.gatherPostings(sig, sc)
+	ix.gather(sig, 0, sc)
 	b, nq := ix.countOverlaps(sig, sc)
 	size := float64(sig.Size)
 	h := topkheap.Make(k, sc.heap)
