@@ -367,9 +367,12 @@ func (ix *Index) sketchInto(sig *QuerySig, q dataset.Record) {
 	slices.Sort(run)
 	sig.Size = len(q)
 	sig.rest = rest
-	// Mirrors gkmv.BuildHashes over the prefiltered rest: every element of
-	// rest hashes ≤ τ by construction, so the run always covers it
-	// ("complete").
+	// The run holds only the query's unbuffered elements that hash ≤ τ, not
+	// every element of the query, and is flagged "complete" all the same, so
+	// that the estimate's exact branch turns on the record's flag alone. K∩
+	// is exact there: under the one global τ, a complete record has every
+	// unbuffered element of Q ∩ X hashing ≤ τ, and the query's run holds
+	// each of those, so K∩ counts them all whatever the rest of Q hashes to.
 	sig.sketch = gkmv.MakeView(run, true)
 }
 

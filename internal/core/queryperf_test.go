@@ -439,9 +439,15 @@ func zipfQueries(tb testing.TB) (*Index, []*QuerySig, []int) {
 
 // benchZipf runs query over the Zipf schedule, one query an iteration, and
 // reports the mean beside the median: on a skewed schedule the median is a
-// tail query's and the mean is where the CPU goes.
-func benchZipf(b *testing.B, query func(ix *Index, sig *QuerySig)) {
+// tail query's and the mean is where the CPU goes. With plane non-nil it
+// reports the two again for each kind of query — plane-* for those plane
+// says are plane queries, tail-* for the others — and with tailOnly it runs
+// the schedule without the plane queries.
+func benchZipf(b *testing.B, query func(ix *Index, sig *QuerySig), plane func(sig *QuerySig) bool, tailOnly bool) {
 	ix, sigs, order := zipfQueries(b)
+	if tailOnly {
+		order = slices.DeleteFunc(order, func(q int) bool { return plane(sigs[q]) })
+	}
 	lat := make([]time.Duration, b.N)
 	b.ResetTimer()
 	for i := range lat {
@@ -451,25 +457,57 @@ func benchZipf(b *testing.B, query func(ix *Index, sig *QuerySig)) {
 		lat[i] = time.Since(t0)
 	}
 	b.StopTimer()
-	var sum time.Duration
-	for _, d := range lat {
-		sum += d
+	report := func(prefix string, lat []time.Duration) {
+		if len(lat) == 0 {
+			return
+		}
+		var sum time.Duration
+		for _, d := range lat {
+			sum += d
+		}
+		slices.Sort(lat)
+		b.ReportMetric(float64(sum.Microseconds())/float64(len(lat)), prefix+"mean-µs")
+		b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, prefix+"p50-µs")
 	}
-	slices.Sort(lat)
-	b.ReportMetric(float64(sum.Microseconds())/float64(len(lat)), "mean-µs")
-	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50-µs")
+	if plane != nil {
+		var planes, tails []time.Duration
+		for i, d := range lat {
+			if plane(sigs[order[i%len(order)]]) {
+				planes = append(planes, d)
+			} else {
+				tails = append(tails, d)
+			}
+		}
+		report("plane-", planes)
+		report("tail-", tails)
+	}
+	report("", lat)
 }
 
-// BenchmarkSearchZipf is serve-read's search: t* = 0.7, a page of 100.
+// planeQuery reports whether a search at t* reads sig's buffer-only hits
+// off the counter planes: whether ⌈θ⌉ ≤ n_q, so that a record can qualify
+// on its buffer alone.
+func planeQuery(sig *QuerySig, tstar float64) bool {
+	return sig.buffer != nil && math.Ceil(tstar*float64(sig.Size)) <= float64(sig.buffer.Count())
+}
+
+// BenchmarkSearchZipf is serve-read's search: t* = 0.7, a page of 100, over
+// the Zipf schedule (mixed) and over it without its plane queries
+// (tail-only), each query kind's mean and median reported apart: whether a
+// tail query's latency depends on the plane queries run between them.
 func BenchmarkSearchZipf(b *testing.B) {
+	const tstar = 0.7
 	var dst []Scored
-	benchZipf(b, func(ix *Index, sig *QuerySig) { dst, _ = ix.AppendSearchSigScored(dst[:0], sig, 0.7, 100) })
+	search := func(ix *Index, sig *QuerySig) { dst, _ = ix.AppendSearchSigScored(dst[:0], sig, tstar, 100) }
+	plane := func(sig *QuerySig) bool { return planeQuery(sig, tstar) }
+	b.Run("mixed", func(b *testing.B) { benchZipf(b, search, plane, false) })
+	b.Run("tail-only", func(b *testing.B) { benchZipf(b, search, plane, true) })
 }
 
 // BenchmarkTopKZipf is serve-read's top-k: k = 10.
 func BenchmarkTopKZipf(b *testing.B) {
 	var dst []Scored
-	benchZipf(b, func(ix *Index, sig *QuerySig) { dst = ix.AppendTopKSig(dst[:0], sig, 10) })
+	benchZipf(b, func(ix *Index, sig *QuerySig) { dst = ix.AppendTopKSig(dst[:0], sig, 10) }, nil, false)
 }
 
 // BenchmarkSearchWholeRecord is paper-batch's and serve-mixed's search shape:
@@ -490,7 +528,7 @@ func BenchmarkSearchWholeRecord(b *testing.B) {
 	planed := 0
 	for i := range sigs {
 		sig := ix.Sketch(d.Records[rng.Intn(len(d.Records))])
-		if sig.buffer != nil && math.Ceil(tstar*float64(sig.Size)) <= float64(sig.buffer.Count()) {
+		if planeQuery(sig, tstar) {
 			planed++
 		}
 		sigs[i] = sig

@@ -359,13 +359,15 @@ func TestFollowerEndToEnd(t *testing.T) {
 	leader.close(t)
 }
 
-// rawFrame encodes one journal frame exactly as the server does — the test
+// rawFrame encodes one journal frame as the server codes a record none of
+// whose tokens its vocabulary holds yet — a format byte, no ids, each token
+// as a length and its bytes — which applies on any vocabulary: the test
 // forges a crash by appending directly to the leader's journal file.
 func rawFrame(t *testing.T, tokens []string) []byte {
 	t.Helper()
-	payload, err := json.Marshal(tokens)
-	if err != nil {
-		t.Fatal(err)
+	payload := []byte{1, 0}
+	for _, tok := range tokens {
+		payload = append(binary.AppendUvarint(payload, uint64(len(tok))), tok...)
 	}
 	var hdr [12]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))

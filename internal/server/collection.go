@@ -340,8 +340,8 @@ func (c *Collection) batch(ctx context.Context, queries [][]byte, sp querySpec) 
 // ErrDuplicateRequest with the originally assigned ids. Returns the new
 // record ids in batch order.
 //
-// Tokens and request id are taken as a frame holds them and as HTTP delivers
-// them: each byte that is not UTF-8 is read as U+FFFD.
+// Tokens and request id are taken as HTTP delivers them: each byte that is
+// not UTF-8 is read as U+FFFD.
 func (c *Collection) Insert(batch [][]string, requestID string) ([]int, error) {
 	sc := getScanner(nil)
 	defer putScanner(sc)
@@ -374,17 +374,25 @@ func (c *Collection) insert(sc *bodyScanner, requestID string) ([]int, error) {
 			return nil, fmt.Errorf("record %d is empty", i)
 		}
 	}
-	return c.wal.insert(&commitBatch{toks: &sc.tokenBatch, to: len(sc.recEnds), rid: requestID}, &sc.frames)
+	// Frames are encoded before the wal's append lock is taken, so concurrent
+	// inserts overlap the work, and in a memory-only store too: both kinds
+	// of store refuse the same inserts and apply what they accept alike.
+	frames, err := encodeFrames(sc.frames[:0], c.voc, &sc.tokenBatch, requestID, &sc.ids)
+	sc.frames = frames
+	return c.wal.insert(&commitBatch{frames: frames, rid: requestID}, err)
 }
 
-// applyBatch interns and applies one batch: the wal's apply hook, called in
-// journal order and one call at a time (hence the one slab). The engine
-// mutation takes the write lock; searches block only for this in-memory
-// apply, never for I/O.
+// applyBatch applies one batch's frames — the leader's own, or a follower's
+// admitted ones — to the vocabulary and the index: the wal's apply hook,
+// called in journal order and one call at a time (hence the one slab). The
+// engine mutation takes the write lock; searches block only for this
+// in-memory apply, never for I/O.
 func (c *Collection) applyBatch(b *commitBatch) {
 	c.applying.reset()
-	for i := b.from; i < b.to; i++ {
-		c.applying.add(c.voc, b.toks, i)
+	if err := c.applying.addFrames(c.voc, b.frames); err != nil {
+		// encodeFrames coded them against this vocabulary, or a pendingVocab
+		// admitted them against it, and it has only grown since: a bug.
+		panic(fmt.Sprintf("collection %q: a durable batch does not apply: %v", c.name, err))
 	}
 	c.mu.Lock()
 	b.ids = c.eng.AddBatch(c.applying.recs)

@@ -281,7 +281,10 @@ func TestDiskChaosBitFlipFallbackDifferential(t *testing.T) {
 	// and the crash itself tore the live journal's tail mid append (bytes
 	// that were never acknowledged, so the twin's state is still the target).
 	flipByte(t, filepath.Join(corrupt, "rest", "index-2.snap"))
-	torn := rawFrame(t, []string{"torn", "mid", "write"})
+	torn, err := encodeBatch([][]string{{"torn", "mid", "write"}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(filepath.Join(corrupt, "rest", "journal-2.log"), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

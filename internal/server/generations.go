@@ -428,8 +428,9 @@ func loadGenFiles(fsys fsx.FS, dir string, m meta) (*genState, error) {
 // frames sharing a rid) in order.
 func (st *genState) replayOnto(fsys fsx.FS, path string, persisted []requestEntry) error {
 	start := time.Now()
-	// Re-intern in entry order (reproducing the original ids) as the frames
-	// decode, then apply as one batch (the index decides threshold shrinks per
+	// Apply each frame to the vocabulary in entry order as it decodes (its
+	// new tokens take the ids they took on the leader), then to the index as
+	// one batch (the index decides threshold shrinks per
 	// record, so the grouping cannot change its state).
 	base := st.eng.Len()
 	st.window = newRequestLog()
@@ -437,9 +438,8 @@ func (st *genState) replayOnto(fsys fsx.FS, path string, persisted []requestEntr
 		st.window.add(r.ID, r.First, r.Count)
 	}
 	var recs recordSlab
-	entries, validLen, err := scanJournal(fsys, path, func(toks *tokenBatch) {
-		recs.add(st.voc, toks, 0)
-		toks.reset()
+	entries, validLen, err := scanJournal(fsys, path, func(f *frame) error {
+		return recs.add(st.voc, f)
 	}, func(from, to int, rid string) {
 		st.window.add(rid, base+from, to-from)
 	})

@@ -1,12 +1,13 @@
 package server
 
 import (
-	"encoding/binary"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -138,18 +139,16 @@ func TestConcurrentGroupCommitInserts(t *testing.T) {
 	}
 }
 
-// rawFrame builds one journal frame exactly as the writer does.
-func rawFrame(t *testing.T, tokens []string) []byte {
+// rawFrame builds one journal frame exactly as the writer does, against
+// the collection's vocabulary.
+func rawFrame(t *testing.T, c *Collection, tokens []string) []byte {
 	t.Helper()
-	payload, err := json.Marshal(tokens)
+	var ids []gbkmv.Element
+	frame, err := encodeFrames(nil, c.voc, packTokens([][]string{tokens}), "", &ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(hdr[0:4]))
-	binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	return append(hdr[:], payload...)
+	return frame
 }
 
 func TestKillBetweenAppendAndFsync(t *testing.T) {
@@ -172,8 +171,8 @@ func TestKillBetweenAppendAndFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intact := rawFrame(t, []string{"unsynced", "but", "intact"})
-	torn := rawFrame(t, []string{"torn", "mid", "write"})
+	intact := rawFrame(t, c, []string{"unsynced", "but", "durable", "intact"})
+	torn := rawFrame(t, c, []string{"torn", "mid", "write"})
 	if _, err := f.Write(intact); err != nil {
 		t.Fatal(err)
 	}
@@ -368,5 +367,112 @@ func TestGroupCommitSyncFailure(t *testing.T) {
 	}
 	if n := c.eng.Len(); n != 4 {
 		t.Fatalf("collection has %d records, want 4", n)
+	}
+}
+
+// TestInternBetweenEncodeAndApply runs the one interleaving the id frames
+// must survive: batch A is encoded while a token of it is still new — so
+// its frames carry that token's bytes — and batch B, ahead of A in the
+// journal, interns the token before A applies. A later batch C, encoded
+// after both, carries the token's id. The leader, a restart's replay and a
+// follower applying the journal as one chunk must then snapshot to
+// byte-identical index and vocabulary files. B's fsync is held until A sits
+// in the next commit group, which makes the interleaving deterministic.
+func TestInternBetweenEncodeAndApply(t *testing.T) {
+	dir := t.TempDir()
+	store, c := newGroupCommitCollection(t, dir)
+	jw := c.wal.journal
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	jw.syncHook = func() error {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return jw.f.Sync()
+	}
+	errs := make(chan error, 2)
+	go func() {
+		_, err := c.Insert([][]string{{"b1", "shared", "record"}}, "rid-b")
+		errs <- err
+	}()
+	<-entered
+	go func() {
+		_, err := c.Insert([][]string{{"a1", "shared"}, {"seed", "shared", "a2"}}, "")
+		errs <- err
+	}()
+	for c.wal.status().depth < 1 {
+		runtime.Gosched()
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Insert([][]string{{"shared", "c1", "one"}}, "rid-c"); err != nil {
+		t.Fatal(err)
+	}
+	shared, ok := c.voc.Lookup("shared")
+	if !ok {
+		t.Fatal(`"shared" was never interned`)
+	}
+	journal, err := os.ReadFile(journalPath(c.gens.dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := newFrameScanner(journal, 0, "journal").scanAll()
+	if err != nil || len(entries) != 4 {
+		t.Fatalf("journal: %+v, %v", entries, err)
+	}
+	for i, e := range entries[:3] {
+		if !slices.Contains(e.Tokens, "shared") {
+			t.Fatalf("frame %d carries %+v: \"shared\" was known when it was encoded", i, e)
+		}
+	}
+	if !slices.Contains(entries[3].IDs, shared) || slices.Contains(entries[3].Tokens, "shared") {
+		t.Fatalf("the last frame carries %+v, want the id %d of \"shared\"", entries[3], shared)
+	}
+
+	// The replay: the directory as a crash leaves it, opened elsewhere.
+	replayDir := t.TempDir()
+	if err := os.CopyFS(filepath.Join(replayDir, "gc"), os.DirFS(c.gens.dir)); err != nil {
+		t.Fatal(err)
+	}
+	replayStore, err := NewStore(replayDir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayStore.Close()
+	// The follower: the build's snapshot, then the journal as one chunk.
+	followerStore, err := NewStore(t.TempDir(), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer followerStore.Close()
+	follower := replicaFromSnapshot(t, dir, followerStore, "gc", 1)
+	if _, applied, err := follower.ApplyReplicated(1, 0, journal); err != nil || applied != 4 {
+		t.Fatalf("follower: %d applied, %v", applied, err)
+	}
+
+	var files [][2][]byte
+	for _, s := range []*Store{store, replayStore, followerStore} {
+		snap, err := s.Snapshot("gc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f [2][]byte
+		for i, path := range []string{indexPath(snap.gens.dir, 2), vocabPath(snap.gens.dir, 2)} {
+			if f[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		files = append(files, f)
+	}
+	for i, who := range []string{"replay", "follower"} {
+		if !bytes.Equal(files[i+1][0], files[0][0]) || !bytes.Equal(files[i+1][1], files[0][1]) {
+			t.Errorf("the %s's index (%d bytes) or vocabulary (%d) differs from the leader's (%d, %d)",
+				who, len(files[i+1][0]), len(files[i+1][1]), len(files[0][0]), len(files[0][1]))
+		}
 	}
 }

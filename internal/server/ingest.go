@@ -70,8 +70,10 @@ type bodyScanner struct {
 
 	// An insert's records (readInsert), and its journal frames and then its
 	// acknowledgement: the request keeps the scanner until it has answered.
+	// ids is encodeFrames' scratch.
 	tokenBatch
 	frames []byte
+	ids    []gbkmv.Element
 }
 
 var scanPool = sync.Pool{New: func() any {
@@ -85,7 +87,7 @@ func getScanner(r io.Reader) *bodyScanner {
 }
 
 func putScanner(s *bodyScanner) {
-	if len(s.buf) > scanKeepBytes || cap(s.slab) > scanKeepBytes || cap(s.raw) > scanKeepBytes || cap(s.frames) > scanKeepBytes {
+	if len(s.buf) > scanKeepBytes || cap(s.slab) > scanKeepBytes || cap(s.raw) > scanKeepBytes || cap(s.frames) > scanKeepBytes || cap(s.ids) > scanKeepBytes/8 {
 		return
 	}
 	s.r = nil

@@ -22,8 +22,9 @@ import (
 //	uint32 big-endian payload length
 //	uint32 big-endian IEEE CRC32 of the 4 length bytes
 //	uint32 big-endian IEEE CRC32 of the payload
-//	payload: JSON array of the record's tokens, or — when the insert carried
-//	         a client request id — a JSON object {"rid": ..., "tokens": [...]}
+//	payload: the record, coded against the vocabulary (spans.go): a format
+//	         byte, the client's request id if the insert carried one, the ids
+//	         of the tokens the vocabulary held, the bytes of the others
 //
 // Framing makes replay trivially resumable: a torn tail write (crash mid
 // append) is detected by a short read or a payload-CRC mismatch on the
@@ -36,8 +37,7 @@ import (
 // rebuild the duplicate-detection window (see wal.insert): after the
 // WAL-ambiguity crash — journal fsynced, response lost — the client's retry
 // is recognized from the replayed frames and rejected instead of silently
-// doubling the records. Plain arrays keep id-less inserts (and all journals
-// written before request ids existed) byte-compatible.
+// doubling the records.
 
 const journalMaxEntry = 64 << 20 // sanity bound on one entry's payload
 
@@ -191,7 +191,7 @@ func (j *journalWriter) Close() error {
 // or corrupt tail entry ends the scan at the last intact offset; corruption
 // before the end of the file is an error, since silently dropping interior
 // records would be data loss.
-func scanJournal(fsys fsx.FS, path string, each func(toks *tokenBatch), run func(from, to int, rid string)) (records int, validLen int64, err error) {
+func scanJournal(fsys fsx.FS, path string, each func(f *frame) error, run func(from, to int, rid string)) (records int, validLen int64, err error) {
 	f, err := fsys.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, 0, nil

@@ -13,9 +13,9 @@ import (
 // journalScanner is the one frame-decode loop shared by every consumer of
 // the journal byte stream: startup replay and the scrub (scanJournal), the
 // follower's replicated-frame apply (ApplyReplicated) and the scanner unit
-// tests. It reads length-prefixed CRC-framed entries from an io.Reader into
-// toks — the span form a request body's records take, read by the same token
-// walk — and classifies every way a stream can end:
+// tests. It reads length-prefixed CRC-framed entries from an io.Reader,
+// decodes each payload (decodeFrame) and classifies every way a stream can
+// end:
 //
 //   - a clean end on a frame boundary is io.EOF;
 //   - a torn trailing frame — a crash mid-append, or a replication chunk cut
@@ -26,7 +26,8 @@ import (
 //   - corruption that is provably not a torn tail (a bad length CRC, a bad
 //     payload CRC with more data behind it, an oversized length claim) is a
 //     hard error, because silently dropping interior frames would be data
-//     loss.
+//     loss; so is an intact frame whose payload does not decode — a JSON
+//     frame of an earlier build among them (errJSONFrame).
 //
 // The size bound, when known (>= 0), is what distinguishes "bad CRC on the
 // very last frame" (torn tail) from "bad CRC with frames after it"
@@ -42,10 +43,8 @@ type journalScanner struct {
 	off  int64  // boundary of the last intact frame (the resume point)
 	name string // stream name for error text
 
-	toks    tokenBatch  // the records decoded so far; the caller may reset it between frames
-	payload []byte      // the frame being decoded
-	rid     string      // its request id
-	p       bodyScanner // walks payload in place
+	payload []byte // the frame being decoded
+	frame   frame  // and what it holds
 }
 
 // errTornFrame marks a partial trailing frame: the stream ended mid-frame.
@@ -73,8 +72,8 @@ func newFrameScanner(frames []byte, base int64, name string) *journalScanner {
 // truncate a torn file back to, or to resume a cut stream from.
 func (s *journalScanner) Offset() int64 { return s.off }
 
-// Next decodes the next frame, appending its record to toks, and returns the
-// request id it echoes ("" for none). It returns io.EOF at a clean end,
+// Next decodes the next frame into s.frame and returns the request id it
+// echoes ("" for none). It returns io.EOF at a clean end,
 // errTornFrame for a partial trailing frame, and a descriptive hard error for
 // corruption; any other error from the underlying reader (EIO, ...) is passed
 // through wrapped, since truncating on a transient read error would delete
@@ -124,62 +123,27 @@ func (s *journalScanner) Next() (rid string, err error) {
 		}
 		return "", fmt.Errorf("journal %s: corrupt entry at offset %d", s.name, s.off)
 	}
-	if err := s.decode(payload); err != nil {
-		s.toks.dropOpen()
-		return "", fmt.Errorf("journal %s: entry at offset %d: %v", s.name, s.off, err)
+	if err := decodeFrame(payload, &s.frame); err != nil {
+		return "", fmt.Errorf("journal %s: entry at offset %d: %w", s.name, s.off, err)
 	}
-	s.toks.endRecord()
 	s.off = entryEnd
-	return s.rid, nil
+	return s.frame.rid, nil
 }
 
-// decode reads a frame payload — a bare token array (id-less inserts) or the
-// {"rid", "tokens"} object — into toks' open record and rid, accepting what
-// json.Unmarshal did: keys in any case, unknown ones ignored, a later one
-// replacing an earlier, null for an absent value or an empty token.
-func (s *journalScanner) decode(payload []byte) error {
-	p := &s.p
-	p.over(payload)
-	s.rid = ""
-	c, err := p.next()
-	switch {
-	case err != nil:
-		return err
-	case c == '{':
-		err = p.object(func(key []byte) error {
-			switch {
-			case keyIs(key, "tokens"):
-				s.toks.dropOpen()
-				return p.tokens("the tokens", s.toks.token)
-			case keyIs(key, "rid"):
-				return p.optString(&s.rid)
-			}
-			return p.value(1)
-		})
-	default:
-		err = p.tokens("the payload", s.toks.token)
-	}
-	if err != nil {
-		return err
-	}
-	if c, err = p.next(); err == nil {
-		return syntaxErr(c, "after the payload")
-	}
-	return nil
-}
-
-// scanRuns drains the scanner into toks. each is handed toks after every
-// record (replay interns the record there and resets toks, never holding more
-// than a frame's tokens). run is told each maximal run [from, to) of
-// consecutive records — counted from the first scanned — that echo one request
-// id: the shape of an original insert batch (id-less inserts coalesce, which
-// is harmless since only tagged batches are remembered). Replay and the
-// follower both find their batches here, so the duplicate-detection window is
-// rebuilt identically everywhere. A clean end and a torn trailing frame end
-// the scan normally (Offset() is the valid length); corruption is returned.
-func (s *journalScanner) scanRuns(each func(toks *tokenBatch), run func(from, to int, rid string)) (records int, err error) {
+// scanRuns drains the scanner. each is handed every frame as it decodes —
+// replay applies it there, the follower checks it will apply, the scrub
+// ignores it — and an error from it ends the scan. run is told each maximal
+// run [from, to) of consecutive records — counted from the first scanned —
+// that echo one request id: the shape of an original insert batch (id-less
+// inserts coalesce, which is harmless since only tagged batches are
+// remembered). Replay and the follower both find their batches here, so the
+// duplicate-detection window is rebuilt identically everywhere. A clean end
+// and a torn trailing frame end the scan normally (Offset() is the valid
+// length); corruption is returned.
+func (s *journalScanner) scanRuns(each func(f *frame) error, run func(from, to int, rid string)) (records int, err error) {
 	from, cur := 0, ""
 	for {
+		at := s.off
 		rid, err := s.Next()
 		if records > from && (err != nil || rid != cur) {
 			run(from, records, cur)
@@ -193,6 +157,8 @@ func (s *journalScanner) scanRuns(each func(toks *tokenBatch), run func(from, to
 			from, cur = records, rid
 		}
 		records++
-		each(&s.toks)
+		if err := each(&s.frame); err != nil {
+			return records, fmt.Errorf("journal %s: entry at offset %d: %w", s.name, at, err)
+		}
 	}
 }

@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"gbkmv"
+	"gbkmv/internal/fsx"
 )
 
 // scannerFixture builds a frame stream of five entries (mixing tagged and
@@ -26,11 +31,11 @@ func scannerFixture(t *testing.T) (frames []byte, boundaries []int64, want []jou
 		{Tokens: []string{"h", "i"}, RequestID: "r2"},
 	}
 	for _, e := range want {
-		var err error
-		frames, err = marshalFrame(frames, e.Tokens, e.RequestID)
+		frame, err := encodeBatch([][]string{e.Tokens}, e.RequestID)
 		if err != nil {
 			t.Fatal(err)
 		}
+		frames = append(frames, frame...)
 		boundaries = append(boundaries, int64(len(frames)))
 	}
 	return frames, boundaries, want
@@ -152,26 +157,88 @@ func TestForEachRidRun(t *testing.T) {
 		rid        string
 	}
 	var got []run
+	var entries []journalEntry
 	s := newFrameScanner(frames, 0, "runs")
-	n, err := s.scanRuns(func(*tokenBatch) {}, func(i, j int, rid string) { got = append(got, run{i, j, rid}) })
-	if err != nil || n != len(want) || len(s.toks.recEnds) != len(want) {
-		t.Fatalf("scanned %d records (%d held), %v", n, len(s.toks.recEnds), err)
+	n, err := s.scanRuns(func(f *frame) error {
+		entries = append(entries, entryOf(f))
+		return nil
+	}, func(i, j int, rid string) { got = append(got, run{i, j, rid}) })
+	if err != nil || n != len(want) || !reflect.DeepEqual(entries, want) {
+		t.Fatalf("scanned %d records %+v, %v", n, entries, err)
 	}
 	expect := []run{{0, 1, ""}, {1, 3, "r1"}, {3, 4, ""}, {4, 5, "r2"}}
 	if !reflect.DeepEqual(got, expect) {
 		t.Fatalf("runs = %v, want %v", got, expect)
 	}
-	for i, e := range want {
-		if tokens := tokensOfRecord(&s.toks, i); !reflect.DeepEqual(tokens, e.Tokens) {
-			t.Fatalf("record %d = %q, want %q", i, tokens, e.Tokens)
-		}
+}
+
+// TestJSONFrameRefused: a frame of the JSON form earlier builds journaled,
+// intact under its checksums, fails replay and a follower's apply with an
+// error that names that form — never scanned as a torn tail, which would
+// truncate it and every frame behind it away — and a store skips the
+// collection at startup with the remedy a snapshot of another format gets.
+func TestJSONFrameRefused(t *testing.T) {
+	intact, err := encodeBatch([][]string{{"a", "b"}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append(bytes.Clone(intact), frameOf([]byte(`{"rid":"r","tokens":["c"]}`))...)
+	path := filepath.Join(t.TempDir(), "journal.log")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := replayJournal(fsx.Default, path); !errors.Is(err, errJSONFrame) || !strings.Contains(err.Error(), "JSON token frame") {
+		t.Fatalf("replaying a JSON frame: %v", err)
+	}
+
+	dir := t.TempDir()
+	store, err := NewStore(dir, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	voc := gbkmv.NewVocabulary()
+	eng, err := gbkmv.Build([]gbkmv.Record{voc.Record([]string{"seed"})}, gbkmv.Options{BudgetUnits: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := store.Create("c", voc, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, applied, err := c.ApplyReplicated(1, 0, legacy); err == nil || !strings.Contains(err.Error(), "JSON token frame") || applied != 0 {
+		t.Fatalf("a follower applied a chunk with a JSON frame: %d, %v", applied, err)
+	}
+	if st := c.Stats(); st.NumRecords != 1 || st.WALOffsetBytes != 0 {
+		t.Fatalf("the refused chunk left %+v", st)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := readMeta(fsx.Default, filepath.Join(dir, "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journalPath(filepath.Join(dir, "c"), m.Generation), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	reopened, err := NewStore(dir, func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if _, err := reopened.Get("c"); err == nil || !strings.Contains(strings.Join(logged, "\n"), "JSON token frame") ||
+		!strings.Contains(strings.Join(logged, "\n"), "rebuild the collection") {
+		t.Fatalf("a store opened a collection with a JSON frame in its journal: %v\n%s", err, strings.Join(logged, "\n"))
 	}
 }
 
 // fuzzJournalSeeds runs a real collection through a build, inserts with and
-// without request ids and a snapshot between them, and returns its journal
-// and commit record as they lie on disk.
-func fuzzJournalSeeds(tb testing.TB) (journal, metaJSON []byte) {
+// without request ids and a snapshot between them, and returns its journal,
+// the vocabulary file of the snapshot it follows and its commit record as
+// they lie on disk. Its frames carry ids of the snapshot's tokens and of a
+// token an earlier frame introduced, and tokens as bytes.
+func fuzzJournalSeeds(tb testing.TB) (journal, vocab, metaJSON []byte) {
 	tb.Helper()
 	dir := tb.TempDir()
 	store, err := NewStore(dir, func(string, ...any) {})
@@ -197,11 +264,10 @@ func fuzzJournalSeeds(tb testing.TB) (journal, metaJSON []byte) {
 	if c, err = store.Snapshot("j"); err != nil {
 		tb.Fatal(err)
 	}
-	insert("", []string{"a", "b"})
-	insert("rid-1", []string{"c"}, []string{"d", "e", "f"})
-	// Tokens the encoder escapes.
-	insert("", []string{"é", "quote\"", "back\\slash", "<&>", "tab\t", "😀", " "})
-	insert("rid \"2\"", []string{"g"})
+	insert("", []string{"a", "b", "seed"})
+	insert("rid-1", []string{"c", "snapshot"}, []string{"d", "e", "f", "a", "one"})
+	insert("", []string{"é", "quote\"", "back\\slash", "<&>", "tab\t", "😀", " "})
+	insert("rid \"2\"", []string{"g", "before", "c"})
 	cdir := filepath.Join(dir, "j")
 	if metaJSON, err = os.ReadFile(metaPath(cdir)); err != nil {
 		tb.Fatal(err)
@@ -213,14 +279,17 @@ func fuzzJournalSeeds(tb testing.TB) (journal, metaJSON []byte) {
 	if journal, err = os.ReadFile(journalPath(cdir, m.Generation)); err != nil {
 		tb.Fatal(err)
 	}
-	return journal, metaJSON
+	if vocab, err = os.ReadFile(vocabPath(cdir, m.Generation)); err != nil {
+		tb.Fatal(err)
+	}
+	return journal, vocab, metaJSON
 }
 
 // TestFuzzJournalSeeds keeps the fuzz seeds honest: the journal holds the
-// five frames inserted after the snapshot, tagged and untagged, and the
-// commit record remembers the request from before it.
+// five frames inserted after the snapshot, tagged and untagged, carrying ids
+// and tokens, and the commit record remembers the request from before it.
 func TestFuzzJournalSeeds(t *testing.T) {
-	journal, metaJSON := fuzzJournalSeeds(t)
+	journal, _, metaJSON := fuzzJournalSeeds(t)
 	s := newFrameScanner(journal, 0, "seed")
 	entries, err := s.scanAll()
 	if err != nil || len(entries) != 5 || s.Offset() != int64(len(journal)) {
@@ -229,6 +298,10 @@ func TestFuzzJournalSeeds(t *testing.T) {
 	if entries[0].RequestID != "" || entries[1].RequestID != "rid-1" || entries[4].RequestID != "rid \"2\"" {
 		t.Fatalf("seed journal request ids: %+v", entries)
 	}
+	// "seed" is the build's first token; "a", the first frame's first.
+	if len(entries[0].IDs) != 1 || entries[0].IDs[0] != 0 || len(entries[2].IDs) != 2 || len(entries[2].Tokens) != 3 {
+		t.Fatalf("seed journal ids: %+v", entries)
+	}
 	m, err := decodeMeta(metaJSON, "meta.json")
 	if err != nil || m.Generation != 2 || len(m.Requests) != 1 || len(m.Checksums) != 2 {
 		t.Fatalf("seed commit record: %+v, %v", m, err)
@@ -236,32 +309,33 @@ func TestFuzzJournalSeeds(t *testing.T) {
 }
 
 // FuzzJournalScanner: arbitrary bytes through the frame scanner never panic
-// and never allocate by a length the bytes only declare; whatever prefix
-// decodes re-encodes through marshalFrame to exactly the bytes consumed, so
-// the decoder loses nothing the encoder writes and Offset() is a frame
-// boundary. (The fuzzer cannot forge the two CRC32s around a payload the
-// encoder would have written differently — whitespace, an unknown field —
-// so every frame that decodes here is one a seed holds.) The same bytes
-// framed as one payload under valid checksums reach the payload decoder
-// itself: it rejects what the reference decoder (encoding/json) rejects, and
-// what it decodes is what the reference decodes and survives a round trip.
+// and never allocate by a length the bytes only declare; every frame that
+// decodes holds ascending ids and survives the reference coder
+// (framePayload) unchanged. The same bytes are then applied frame by frame
+// as replay applies them, on the vocabulary of the snapshot the seed journal
+// follows, and admitted as a follower admits a chunk, on another copy of it:
+// an id past the vocabulary as it stands at a frame is refused exactly there,
+// and the two agree on every frame. Last, the bytes framed as one payload
+// under valid checksums reach the payload decoder itself, which refuses a
+// JSON frame of an earlier build by name.
 func FuzzJournalScanner(f *testing.F) {
-	journal, _ := fuzzJournalSeeds(f)
+	journal, vocab, _ := fuzzJournalSeeds(f)
 	f.Add(journal)
-	for n := 0; n < len(journal); n += 7 {
+	for n := 0; n < len(journal); n += max(1, len(journal)/40) {
 		f.Add(journal[:n])
 	}
 	// An intact header that declares 48 MB over three bytes.
 	huge := binary.BigEndian.AppendUint32(nil, 48<<20)
 	huge = binary.BigEndian.AppendUint32(huge, crc32.ChecksumIEEE(huge))
-	f.Add(append(huge, 0, 0, 0, 0, '[', '"', 'a'))
-	f.Add([]byte(`{"rid":"r","tokens":["a"],"more":1}`))
-	f.Add([]byte(` ["a", "b"]`))
-	f.Add([]byte(`{"TOKENS":["x"],"Rid":null,"tokens":["a\ud83d","\u00e9"],"rid":"r\n","more":{"deep":[1,true,null]}} `))
-	f.Add([]byte(`{"rid":"r","tokens":null}`))
-	f.Add([]byte(`{"rid":5,"tokens":["a"]}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`["a"] x`))
+	f.Add(append(huge, 0, 0, 0, 0, frameIDs, 0, 1))
+	f.Add([]byte(`{"rid":"r","tokens":["a"]}`))
+	f.Add([]byte(`["a", "b"]`))
+	f.Add(frameOf([]byte(`["a"]`)))
+	f.Add(framePayload(journalEntry{IDs: []gbkmv.Element{0, 3, 9}, Tokens: []string{"x", ""}, RequestID: "r"}))
+	f.Add(frameOf(framePayload(journalEntry{IDs: []gbkmv.Element{1 << 20}})))
+	f.Add([]byte{frameIDs, 3, 1, 0, 2})
+	f.Add([]byte{frameIDs, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{frameIDsRid, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -271,48 +345,56 @@ func FuzzJournalScanner(f *testing.F) {
 		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+64*len(data)); got > bound {
 			t.Fatalf("scanning %d bytes allocated %d, bound %d", len(data), got, bound)
 		}
-		if err == nil {
-			var again []byte
-			for _, e := range entries {
-				if again, err = marshalFrame(again, e.Tokens, e.RequestID); err != nil {
-					t.Fatalf("a decoded entry does not encode: %v", err)
-				}
+		if err == nil && s.Offset() > int64(len(data)) {
+			t.Fatalf("%d entries to offset %d of %d bytes", len(entries), s.Offset(), len(data))
+		}
+		for _, e := range entries {
+			if !slices.IsSorted(e.IDs) || len(slices.Compact(slices.Clone(e.IDs))) != len(e.IDs) {
+				t.Fatalf("ids %v do not ascend", e.IDs)
 			}
-			if s.Offset() > int64(len(data)) || !bytes.Equal(again, data[:s.Offset()]) {
-				t.Fatalf("%d entries to offset %d re-encode to %d other bytes", len(entries), s.Offset(), len(again))
+			back, err := newFrameScanner(frameOf(framePayload(e)), 0, "again").scanAll()
+			if err != nil || len(back) != 1 || !reflect.DeepEqual(back[0], e) {
+				t.Fatalf("entry %+v came back as %+v, %v", e, back, err)
 			}
 		}
 
-		var hdr [12]byte
-		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(data)))
-		binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(hdr[0:4]))
-		binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(data))
-		framed, err := newFrameScanner(append(hdr[:], data...), 0, "framed").scanAll()
-		// The payload decoder accepts what encoding/json accepted and reads it
-		// the same — but for a null token under a repeated key, which
-		// encoding/json leaves holding the earlier key's string (ingest.go).
-		ref, refErr := decodeEntry(data)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("payload %q: scanner error %v, reference error %v", data, err, refErr)
+		load := func() *gbkmv.Vocabulary {
+			v, err := gbkmv.LoadVocabulary(bytes.NewReader(vocab))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
 		}
-		if err != nil {
-			return
+		replayed, admitted := load(), load()
+		var rs recordSlab
+		runtime.ReadMemStats(&before)
+		applied, applyErr := newFrameScanner(data, 0, "apply").scanRuns(func(f *frame) error {
+			past := len(f.ids) > 0 && int(f.ids[len(f.ids)-1]) >= replayed.Len()
+			err := rs.add(replayed, f)
+			if past != (err != nil) {
+				t.Fatalf("ids %v on a vocabulary of %d tokens: %v", f.ids, replayed.Len(), err)
+			}
+			return err
+		}, func(int, int, string) {})
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+64*len(data)); got > bound {
+			t.Fatalf("applying %d bytes allocated %d, bound %d", len(data), got, bound)
 		}
-		if len(framed) != 1 {
+		pending := newPendingVocab(admitted)
+		admittedN, admitErr := newFrameScanner(data, 0, "admit").scanRuns(pending.admit, func(int, int, string) {})
+		if applied != admittedN || (applyErr == nil) != (admitErr == nil) {
+			t.Fatalf("replay applied %d frames (%v), a follower admitted %d (%v)", applied, applyErr, admittedN, admitErr)
+		}
+		if applyErr == nil && pending.len() != replayed.Len() {
+			t.Fatalf("a follower expects %d tokens after the chunk, replay holds %d", pending.len(), replayed.Len())
+		}
+
+		framed, err := newFrameScanner(frameOf(data), 0, "framed").scanAll()
+		if len(data) > 0 && (data[0] == '[' || data[0] == '{') != errors.Is(err, errJSONFrame) {
+			t.Fatalf("payload %q: %v", data, err)
+		}
+		if err == nil && len(framed) != 1 {
 			t.Fatalf("one intact frame scanned as %d entries", len(framed))
-		}
-		if ref.Tokens == nil {
-			ref.Tokens = []string{}
-		}
-		if !bytes.Contains(data, []byte("null")) && !reflect.DeepEqual(framed[0], ref) {
-			t.Fatalf("payload %q: scanned %+v, reference %+v", data, framed[0], ref)
-		}
-		again, err := marshalFrame(nil, framed[0].Tokens, framed[0].RequestID)
-		if err != nil {
-			t.Fatalf("a decoded entry does not encode: %v", err)
-		}
-		if back, err := newFrameScanner(again, 0, "again").scanAll(); err != nil || !reflect.DeepEqual(back, framed) {
-			t.Fatalf("entry %+v came back as %+v, %v", framed[0], back, err)
 		}
 	})
 }
@@ -320,7 +402,7 @@ func FuzzJournalScanner(f *testing.F) {
 // FuzzDecodeMeta: arbitrary bytes as a commit record never panic, and one
 // that decodes survives encode → decode unchanged.
 func FuzzDecodeMeta(f *testing.F) {
-	_, metaJSON := fuzzJournalSeeds(f)
+	_, _, metaJSON := fuzzJournalSeeds(f)
 	f.Add(metaJSON)
 	for n := 0; n < len(metaJSON); n += 11 {
 		f.Add(metaJSON[:n])

@@ -2,80 +2,64 @@ package server
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"hash/crc32"
+	"slices"
 
+	"gbkmv"
 	"gbkmv/internal/fsx"
 )
 
-// What the journal's tests compare against and read through: the frame
-// encoder and payload decoder as they were while a frame was json.Marshal of
-// a []string and json.Unmarshal back (the references FuzzFrameEncode and
-// FuzzJournalScanner hold encodeFrames and journalScanner.decode to), and the
-// [][]string and []journalEntry forms the tests are written in, mapped onto
-// the span form the package works in.
+// What the journal's tests read and write through: the [][]string and
+// []journalEntry forms the tests are written in, mapped onto the span form
+// the package works in and onto frames.
 
-// journalEntry is one decoded frame: its tokens and the request id it echoes.
+// journalEntry is one decoded frame: the ids it carries (nil for none), its
+// other tokens and the request id it echoes. A frame encoded against an empty
+// vocabulary carries every token of its record, in order.
 type journalEntry struct {
+	IDs       []gbkmv.Element
 	Tokens    []string
 	RequestID string
 }
 
-// framedEntry is the object payload of a frame that echoes a request id.
-type framedEntry struct {
-	RequestID string   `json:"rid"`
-	Tokens    []string `json:"tokens"`
+// entryOf copies a decoded frame out of the scanner's arrays.
+func entryOf(f *frame) journalEntry {
+	e := journalEntry{Tokens: make([]string, len(f.ends)), RequestID: f.rid}
+	if len(f.ids) > 0 {
+		e.IDs = slices.Clone(f.ids)
+	}
+	for k, end := range f.ends {
+		e.Tokens[k] = string(f.slab[endBefore(f.ends, k):end])
+	}
+	return e
 }
 
-// marshalFrame is the reference encoder: one record's frame (12-byte header
-// + payload) appended to dst, the payload by encoding/json.
-func marshalFrame(dst []byte, tokens []string, requestID string) ([]byte, error) {
-	var payload []byte
-	var err error
-	if requestID == "" {
-		payload, err = json.Marshal(tokens)
-	} else {
-		payload, err = json.Marshal(framedEntry{RequestID: requestID, Tokens: tokens})
+// framePayload is the reference coder: e's payload, written field by field
+// from the layout spans.go documents (e.IDs ascending, as a decoded frame
+// holds them).
+func framePayload(e journalEntry) []byte {
+	p := []byte{frameIDs}
+	if e.RequestID != "" {
+		p = append(binary.AppendUvarint([]byte{frameIDsRid}, uint64(len(e.RequestID))), e.RequestID...)
 	}
-	if err != nil {
-		return dst, err
+	p = binary.AppendUvarint(p, uint64(len(e.IDs)))
+	prev := gbkmv.Element(0)
+	for _, id := range e.IDs {
+		p, prev = binary.AppendUvarint(p, uint64(id-prev)), id
 	}
-	if len(payload) > journalMaxEntry {
-		return dst, fmt.Errorf("%w: record of %d bytes exceeds the limit (%d)", errEntryTooLarge, len(payload), journalMaxEntry)
+	for _, tok := range e.Tokens {
+		p = append(binary.AppendUvarint(p, uint64(len(tok))), tok...)
 	}
+	return p
+}
+
+// frameOf is payload under its 12-byte header, both checksums valid.
+func frameOf(payload []byte) []byte {
 	var hdr [12]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(hdr[0:4]))
 	binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	return dst, nil
-}
-
-// decodeEntry is the reference payload decoder: a bare token array or the
-// {"rid", "tokens"} object form, by encoding/json.
-func decodeEntry(payload []byte) (journalEntry, error) {
-	for _, c := range payload {
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '{':
-			var fe framedEntry
-			if err := json.Unmarshal(payload, &fe); err != nil {
-				return journalEntry{}, err
-			}
-			return journalEntry{Tokens: fe.Tokens, RequestID: fe.RequestID}, nil
-		default:
-			var tokens []string
-			if err := json.Unmarshal(payload, &tokens); err != nil {
-				return journalEntry{}, err
-			}
-			return journalEntry{Tokens: tokens}, nil
-		}
-	}
-	return journalEntry{}, errors.New("empty payload")
+	return append(hdr[:], payload...)
 }
 
 // packTokens is a batch in the span form, its tokens byte for byte.
@@ -100,9 +84,11 @@ func tokensOfRecord(b *tokenBatch, i int) []string {
 	return tokens
 }
 
-// encodeBatch frames a whole batch.
+// encodeBatch frames a whole batch against an empty vocabulary: every token
+// travels as its bytes.
 func encodeBatch(batch [][]string, requestID string) ([]byte, error) {
-	return encodeFrames(nil, packTokens(batch), requestID)
+	var ids []gbkmv.Element
+	return encodeFrames(nil, gbkmv.NewVocabulary(), packTokens(batch), requestID, &ids)
 }
 
 // AppendBatch frames and buffers a whole batch as one write.
@@ -126,9 +112,9 @@ func (j *journalWriter) Sync() error {
 // torn trailing frame both end the scan normally; corruption is returned.
 func (s *journalScanner) scanAll() ([]journalEntry, error) {
 	var entries []journalEntry
-	_, err := s.scanRuns(func(toks *tokenBatch) {
-		entries = append(entries, journalEntry{Tokens: tokensOfRecord(toks, 0), RequestID: s.rid})
-		toks.reset()
+	_, err := s.scanRuns(func(f *frame) error {
+		entries = append(entries, entryOf(f))
+		return nil
 	}, func(int, int, string) {})
 	if err != nil {
 		return nil, err
@@ -136,13 +122,16 @@ func (s *journalScanner) scanAll() ([]journalEntry, error) {
 	return entries, nil
 }
 
-// replayJournal reads every intact entry of the journal at path and returns
+// replayJournal reads every intact entry of the journal at path — their
+// request ids from the runs replay rebuilds its window from — and returns
 // them together with the byte offset up to which the file is valid.
 func replayJournal(fsys fsx.FS, path string) (entries []journalEntry, validLen int64, err error) {
 	var rids []string
-	_, validLen, err = scanJournal(fsys, path, func(toks *tokenBatch) {
-		entries = append(entries, journalEntry{Tokens: tokensOfRecord(toks, 0)})
-		toks.reset()
+	_, validLen, err = scanJournal(fsys, path, func(f *frame) error {
+		e := entryOf(f)
+		e.RequestID = ""
+		entries = append(entries, e)
+		return nil
 	}, func(from, to int, rid string) {
 		for ; from < to; from++ {
 			rids = append(rids, rid)

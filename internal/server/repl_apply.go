@@ -204,8 +204,10 @@ func (c *Collection) ReplPosition() (gen uint64, applied int64, entries int) {
 // ApplyReplicated ingests one stream chunk: raw journal frames of the given
 // generation starting at byte offset from, which must equal the local
 // journal's end. Durability strictly precedes apply, as on the leader (see
-// wal.appendDurable). Returns the new local journal offset and the number of
-// entries applied; the follower resumes from that offset.
+// wal.appendDurable), and a chunk with a frame whose ids the replica's
+// vocabulary would not hold when it applied is refused whole. Returns the
+// new local journal offset and the number of entries applied; the follower
+// resumes from that offset.
 func (c *Collection) ApplyReplicated(gen uint64, from int64, frames []byte) (off int64, applied int, err error) {
-	return c.wal.appendDurable(gen, from, frames)
+	return c.wal.appendDurable(gen, from, frames, newPendingVocab(c.voc).admit)
 }

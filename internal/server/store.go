@@ -293,7 +293,10 @@ func (s *Store) Names() []string {
 // Create installs (or atomically replaces) the named collection around a
 // freshly built index and the vocabulary it was interned through,
 // snapshotting it immediately when the store is persistent so that
-// subsequent journaled inserts have a base to replay on.
+// subsequent journaled inserts have a base to replay on. The collection owns
+// voc from then on: its journal frames carry voc's ids, so a token interned
+// into it by anything but the collection's own inserts is one no replay
+// would hold.
 func (s *Store) Create(name string, voc *gbkmv.Vocabulary, eng *gbkmv.Index) (*Collection, error) {
 	if !nameRE.MatchString(name) {
 		return nil, ErrBadName

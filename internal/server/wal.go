@@ -41,8 +41,9 @@ type wal struct {
 	name       string // collection name, for error messages
 	persistent bool   // false in a memory-only store: commits apply in place
 	metrics    *collMetrics
-	// apply interns and applies one batch to the index, setting b.ids;
-	// diskErr books a write-path disk error. Both are bound once, by init.
+	// apply applies one batch's frames to the vocabulary and the index,
+	// setting b.ids; diskErr books a write-path disk error. Both are bound
+	// once, by init.
 	apply   func(b *commitBatch)
 	diskErr func(op string, err error)
 
@@ -77,7 +78,9 @@ type wal struct {
 	notify    chan struct{}
 	prevGen   uint64
 	prevFinal int64
-	chunk     tokenBatch // appendDurable's last chunk, for its arrays
+	// appendDurable's frame ends and decoded frame, kept for the next chunk.
+	chunkEnds  []int
+	chunkFrame frame
 }
 
 // inflightInsert is one request-tagged batch between journal append and
@@ -94,15 +97,15 @@ type commitGroup struct {
 	done     chan struct{}
 }
 
-// commitBatch is one insert's slot in its commit group: records [from, to)
-// of toks, which its owner (a request's scanner, appendDurable's) leaves
-// alone until the batch is settled.
+// commitBatch is one insert's slot in its commit group: the journal frames
+// of its records, one a record, which its owner (a request's scanner,
+// appendDurable's caller) leaves alone until the batch is settled. They are
+// what is appended and what is applied.
 type commitBatch struct {
-	toks     *tokenBatch
-	from, to int
-	rid      string
-	ids      []int // assigned in apply order == journal order
-	err      error
+	frames []byte
+	rid    string
+	ids    []int // assigned in apply order == journal order
+	err    error
 }
 
 // init binds a collection's wal, once, to its name, its metric children and
@@ -121,26 +124,16 @@ func (w *wal) open(jw *journalWriter, gen uint64, entries int, requests *request
 	w.entries.Store(int64(entries))
 }
 
-// insert journals one client insert — all of b.toks, framed into *buf — and
-// returns once b is durable and applied, or failed. Returns the new record
-// ids in batch order.
+// insert journals one client insert — b.frames, encoded by the caller, or
+// encErr where they could not be — and returns once b is durable and
+// applied, or failed. Returns the new record ids in batch order.
 //
 // A non-empty b.rid closes the WAL-ambiguity window: the id is echoed into
 // every frame and remembered (across snapshots via the commit record, across
 // restarts via replay), so a client retrying an insert whose acknowledgement
 // was lost gets ErrDuplicateRequest with the originally assigned ids instead
 // of duplicated records.
-func (w *wal) insert(b *commitBatch, buf *[]byte) ([]int, error) {
-	// Frames are encoded before the append lock is taken, so concurrent
-	// inserts overlap the work. A memory-only store encodes none, unless a
-	// record could be one the journal refuses (an escape makes six bytes of
-	// one at most): both kinds of store refuse the same inserts.
-	var frames []byte
-	var encErr error
-	if w.persistent || 6*(len(b.toks.slab)+len(b.rid))+3*len(b.toks.tokEnds)+24 > journalMaxEntry {
-		frames, encErr = encodeFrames((*buf)[:0], b.toks, b.rid)
-		*buf = frames
-	}
+func (w *wal) insert(b *commitBatch, encErr error) ([]int, error) {
 	w.ioMu.Lock()
 	if b.rid != "" {
 		if ids, seen := w.requests.get(b.rid); seen {
@@ -172,12 +165,13 @@ func (w *wal) insert(b *commitBatch, buf *[]byte) ([]int, error) {
 		return nil, encErr // errEntryTooLarge: client-side, nothing written
 	}
 	if w.journal == nil {
-		// Memory-only store: nothing to make durable, apply in place.
+		// Memory-only store: nothing to make durable, apply the frames in
+		// place.
 		w.applied(b)
 		w.ioMu.Unlock()
 		return b.ids, b.err
 	}
-	if err := w.append(frames, b.to-b.from); err != nil {
+	if err := w.append(b.frames, countFrames(b.frames)); err != nil {
 		err = fmt.Errorf("%w: journal append: %v", ErrStorage, err)
 		// The buffered writer is poisoned: nothing after the partial write
 		// enters the stream. A commit in flight will surface that at its flush
@@ -381,10 +375,13 @@ func (w *wal) drain() {
 // (the stream has no gaps). The chunk's intact frames are appended verbatim,
 // made durable, then applied one batch per request-id run — the partitioning
 // startup replay rebuilds the dedup window from, so ids, request spans and
-// the query generation land as they did on the leader. A trailing partial
-// frame — a chunk cut by a dropped connection — is ignored, like a torn tail
-// at startup. Returns the new journal offset and the entries applied.
-func (w *wal) appendDurable(gen uint64, from int64, frames []byte) (off int64, applied int, err error) {
+// the query generation land as they did on the leader. admit is handed each
+// frame as it decodes, in order, and refuses one that would not apply; a
+// refused frame fails the chunk before anything of it is appended. A
+// trailing partial frame — a chunk cut by a dropped connection — is ignored,
+// like a torn tail at startup. Returns the new journal offset and the entries
+// applied.
+func (w *wal) appendDurable(gen uint64, from int64, frames []byte, admit func(*frame) error) (off int64, applied int, err error) {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.drain()
@@ -399,19 +396,23 @@ func (w *wal) appendDurable(gen uint64, from int64, frames []byte) (off int64, a
 	if from != off {
 		return 0, 0, fmt.Errorf("%w: chunk starts at %d, replica journal ends at %d", ErrReplDiverged, from, off)
 	}
-	// Decode before touching the journal: only frames that parse intact are
-	// appended. Interior corruption is a hard error — the leader ships only
-	// sealed frames, so it means the transfer (or the leader's disk) is
-	// mangling data.
+	// Decode before touching the journal: only frames that parse intact and
+	// apply are appended. Interior corruption is a hard error — the leader
+	// ships only sealed frames, so it means the transfer (or the leader's
+	// disk) is mangling data.
 	sc := newFrameScanner(frames, off, w.name)
-	if sc.toks = w.chunk; len(frames) <= scanKeepBytes {
-		defer func() { w.chunk = sc.toks }()
-	}
-	sc.toks.reset()
+	sc.frame = w.chunkFrame
+	ends := w.chunkEnds[:0]
 	var batches []*commitBatch
-	entries, err := sc.scanRuns(func(*tokenBatch) {}, func(from, to int, rid string) {
-		batches = append(batches, &commitBatch{toks: &sc.toks, from: from, to: to, rid: rid})
+	entries, err := sc.scanRuns(func(f *frame) error {
+		ends = append(ends, int(sc.Offset()-off))
+		return admit(f)
+	}, func(from, to int, rid string) {
+		batches = append(batches, &commitBatch{frames: frames[endBefore(ends, from):ends[to-1]], rid: rid})
 	})
+	if len(frames) <= scanKeepBytes {
+		w.chunkEnds, w.chunkFrame = ends, sc.frame
+	}
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: replicated chunk: %v", ErrStorage, err)
 	}

@@ -45,13 +45,18 @@ func newWALRig(t *testing.T) *walRig {
 	return r
 }
 
-// apply assigns the next consecutive ids, as every engine's AddBatch does.
+// apply assigns the next consecutive ids, as every engine's AddBatch does,
+// to the frames' records.
 func (r *walRig) apply(b *commitBatch) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := b.from; i < b.to; i++ {
+	entries, err := newFrameScanner(b.frames, 0, "batch").scanAll()
+	if err != nil || len(entries) != countFrames(b.frames) {
+		panic(fmt.Sprintf("a batch of %d frames scans as %d records: %v", countFrames(b.frames), len(entries), err))
+	}
+	for _, e := range entries {
 		b.ids = append(b.ids, len(r.applied))
-		r.applied = append(r.applied, tokensOfRecord(b.toks, i)[0])
+		r.applied = append(r.applied, e.Tokens[0])
 	}
 }
 
@@ -63,8 +68,8 @@ func (r *walRig) appliedSoFar() []string {
 
 // insert commits one single-record batch.
 func (r *walRig) insert(token, rid string) ([]int, error) {
-	var frames []byte
-	return r.w.insert(&commitBatch{toks: packTokens([][]string{{token}}), to: 1, rid: rid}, &frames)
+	frames, err := encodeBatch([][]string{{token}}, rid)
+	return r.w.insert(&commitBatch{frames: frames, rid: rid}, err)
 }
 
 // stallFsync makes the next fsync announce itself on entered and wait for

@@ -153,8 +153,12 @@ func TestWritePathAllocs(t *testing.T) {
 // stores grew by append, copying themselves every 1.25×, 3.38; while replay
 // also held the journal as a []journalEntry of json.Unmarshal-ed []string
 // before interning any of it, 6.75. The follower: 256-frame chunks through
-// ApplyReplicated allocate 9.5 bytes a token — the replica's engine and
-// vocabulary growing — 11.8 while a key arena held the keys a second time, 14
+// ApplyReplicated allocate 10.8 bytes a token — the replica's engine and
+// vocabulary growing, and 2.2 of it the check that every frame of a chunk
+// applies before any is appended, which notes the chunk's new tokens in a
+// scratch vocabulary; the bound stays at the 9.5 measured while frames held
+// token text and a chunk went unchecked — 11.8 while a key arena held the
+// keys a second time, 14
 // while the posting lists held 32-bit ids and the bit columns re-strided, 21
 // while the vocabulary held a string a token, 48 while the stores grew by
 // append, and 120 while a chunk was also decoded through encoding/json.
