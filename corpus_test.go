@@ -31,8 +31,9 @@ func storeSection(t *testing.T, p *snapfmt.PackedRecords) []byte {
 // codings, record boundaries, size, element count and top element; the one
 // holds them in chunks and the other in a slab — so an engine cannot tell
 // which way its store was built. The streams have duplicate tokens, empty
-// records, a vocabulary large enough for three-byte deltas and one record of
-// 100 000 tokens, whose coding is longer than a chunk of the store.
+// records, vocabularies large enough for gaps of 2¹⁴ and more, which escape
+// their class nibble, and one record of 100 000 tokens, whose coding is
+// longer than a chunk of the store.
 func TestCorpusMatchesRecords(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -109,7 +110,7 @@ func TestCorpusMatchesRecords(t *testing.T) {
 // stays usable; NewEngine reports records that do not pack;
 // and a corpus is not partitioned into stores past the bound.
 func TestCorpusOverflow(t *testing.T) {
-	line := strings.Repeat("alpha beta gamma delta\n", 8) // 5 bytes a record: length and four ids
+	line := strings.Repeat("alpha beta gamma delta\n", 8) // 3 bytes a record: its length, then four gaps of a nibble each
 	b := NewRecordBuilder(NewVocabulary())
 	if err := b.ReadLines(strings.NewReader(line), nil); err != nil {
 		t.Fatal(err)
@@ -119,7 +120,7 @@ func TestCorpusOverflow(t *testing.T) {
 		t.Fatalf("Corpus under the bound: %d records, %v", whole.Len(), err)
 	}
 
-	restore := snapfmt.SetPackLimit(21) // four records fit, nothing more
+	restore := snapfmt.SetPackLimit(15) // four records fit, nothing more
 	defer restore()
 	if err := b.ReadLines(strings.NewReader(line), nil); err != nil {
 		t.Fatalf("ReadLines past the bound: %v, want the error from Corpus", err)

@@ -2,8 +2,11 @@ package gbkmv
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"gbkmv/internal/dataset"
@@ -70,9 +73,10 @@ var segmentedHeader = append([]byte("GBKMVSEG"), snapfmt.Version, 1, 5, 'g', 'b'
 
 // damagedRecordSections returns a real gbkmv snapshot with its records
 // section replaced by ones that break the record coding, each in one way: a
-// padded (non-canonical) uvarint, a zero delta, a record length that overruns
-// the section, a delta that wraps 2⁶⁴. The index keeps the section's bytes as
-// its record store, so what the loader lets through it holds.
+// padded (non-canonical) record length, a zero gap, a record length that
+// overruns the section, a gap that wraps 2⁶⁴, a class above 64, padding bits
+// set. The index keeps the section's bytes as its record store, so what the
+// loader lets through it holds.
 func damagedRecordSections(t testing.TB) map[string][]byte {
 	t.Helper()
 	e, err := NewEngine("gbkmv", []Record{{1, 2, 3}, {2, 5, 9}}, EngineOptions{BudgetUnits: 100, BufferBits: NoBuffer, Seed: 9})
@@ -83,18 +87,21 @@ func damagedRecordSections(t testing.TB) map[string][]byte {
 	if err := SaveEngine(&buf, e); err != nil {
 		t.Fatal(err)
 	}
-	// 2 records, 6 elements: 3 of them 1 +1 +1, 3 of them 2 +3 +4.
-	section := []byte{2, 6, 3, 1, 1, 1, 3, 2, 3, 4}
+	// 2 records, 6 elements: 3 of them, gaps 1 1 1 (three class-1 nibbles),
+	// and 3 of them, gaps 2 3 4 (classes 2, 2 and 3 and the bits below
+	// their leading 1s).
+	section := []byte{2, 6, 3, 0x11, 0x01, 3, 0x42, 0x0e}
 	if n := bytes.Count(buf.Bytes(), section); n != 1 {
 		t.Fatalf("the records section appears %d times in the snapshot; the fixture cannot aim", n)
 	}
-	wrap := append([]byte{2, 6, 3, 1, 1, 1, 3, 2, 3}, bytes.Repeat([]byte{0xff}, 9)...)
 	out := make(map[string][]byte)
 	for name, damaged := range map[string][]byte{
-		"padded uvarint":  {2, 6, 3, 1, 0x81, 0x00, 1, 3, 2, 3, 4},
-		"zero delta":      {2, 6, 3, 1, 1, 1, 3, 2, 0, 4},
-		"length overruns": {2, 6, 3, 1, 1, 1, 4, 2, 3, 4},
-		"delta wraps":     append(wrap, 0x01), // 5 + (2⁶⁴ − 1)
+		"padded length":   {2, 6, 0x83, 0x00, 0x11, 0x01, 3, 0x42, 0x0e},
+		"zero gap":        {2, 6, 3, 0x11, 0x01, 3, 0x42, 0x02},                                                       // 2 5 5
+		"length overruns": {2, 6, 3, 0x11, 0x01, 4, 0x42, 0x0e},                                                       // 3 + 4 of 6
+		"gap wraps":       {2, 6, 3, 0x11, 0x01, 3, 0x42, 0x7e, 0xfc, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x07}, // 2 5 4
+		"class above 64":  {2, 4, 3, 0x11, 0x01, 1, 0x2f, 0x03, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"padding set":     {2, 6, 3, 0x11, 0x81, 3, 0x42, 0x0e},
 	} {
 		out[name] = bytes.Replace(buf.Bytes(), section, damaged, 1)
 	}
@@ -106,13 +113,15 @@ func damagedRecordSections(t testing.TB) map[string][]byte {
 //
 //   - nothing panics, in the stream half or in the finish;
 //   - the stream half allocates in proportion to the input, never to a count
-//     the input merely declares: the slabs cost at most 8 bytes per input
-//     byte (one delta byte → one Element), slice headers push the worst case
-//     to 32, and the fixed part is the 64 kB buffer;
+//     the input merely declares: the records stay the bytes they are, in a
+//     store that grows a chunk at a time as they arrive, E_H costs at most 8
+//     bytes per input byte (one uvarint byte → one Element), slice headers
+//     push the worst case to 32, and the fixed part is the 64 kB buffer;
 //   - nor does the finish, which derives the sketch from what the stream half
 //     read: r and the budget are declared and size nothing; counters, lists
-//     and maps follow the records, occurrences and buffered elements that
-//     were read (well under 256 bytes a byte in all), and the buffer arena is
+//     and maps follow the records, occurrences (a byte of records holds two
+//     at most) and buffered elements that were read (well under 256 bytes a
+//     byte in all), and the buffer arena is
 //     records × ⌈|E_H|/8⌉ bytes — two counts the input backs, n²/32 bytes
 //     from n of them at the very worst — with its transpose, the bit columns,
 //     an eighth of headroom wider. Every stream that loads is a GB-KMV one,
@@ -136,13 +145,16 @@ func FuzzLoadEngine(f *testing.F) {
 	for _, b := range damagedRecordSections(f) {
 		f.Add(b)
 	}
-	// The earlier format versions, the segmented container and the streams
-	// naming a baseline engine: intact bytes this build must not parse.
+	// The earlier format versions — this build's snapshot under each earlier
+	// version byte, and a real format-4 snapshot, records coded one uvarint
+	// a gap —, the segmented container and the streams naming a baseline
+	// engine: intact bytes this build must not parse.
 	for v := byte(1); v < snapfmt.Version; v++ {
 		old := bytes.Clone(snaps["gbkmv"])
 		old[len(engineMagic)] = v
 		f.Add(old)
 	}
+	f.Add(format4Snapshot(f))
 	f.Add(segmentedHeader)
 	for _, b := range baselineNamed(f, snaps["gbkmv"]) {
 		f.Add(b)
@@ -182,13 +194,32 @@ func FuzzLoadEngine(f *testing.F) {
 	})
 }
 
+// format4Snapshot returns a format-4 snapshot: TestSnapshotGoldenBytes'
+// collection as the builds before format 5 wrote it.
+func format4Snapshot(t testing.TB) []byte {
+	t.Helper()
+	text, err := os.ReadFile("testdata/snapshot_format4.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestFuzzSeedsLoad keeps the fuzz seeds honest: every real snapshot loads,
-// every strict truncation of one is rejected, and the segmented container's
-// header and a stream naming any engine but gbkmv are another format.
+// every strict truncation of one is rejected, and a format-4 snapshot, the
+// segmented container's header and a stream naming any engine but gbkmv are
+// another format.
 func TestFuzzSeedsLoad(t *testing.T) {
 	snaps := fuzzSnapshots(t)
 	if _, err := LoadEngine(bytes.NewReader(segmentedHeader)); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("a segmented container's header: LoadEngine = %v, want ErrSnapshotFormat", err)
+	}
+	if _, err := LoadEngine(bytes.NewReader(format4Snapshot(t))); !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, snapfmt.ErrCorrupt) {
+		t.Errorf("a format-4 snapshot: LoadEngine = %v, want ErrSnapshotFormat", err)
 	}
 	named := baselineNamed(t, snaps["gbkmv"])
 	if len(named) != 6 {

@@ -135,16 +135,6 @@ func (s *Store[T]) Row(i int) []T { return s.From(uint32(i))[:s.stride] }
 // Ptr returns the address of element i of a store of single elements.
 func (s *Store[T]) Ptr(i int) *T { return &s.From(uint32(i))[0] }
 
-// Pair returns elements i and i+1 of a store of single elements — the two
-// addresses that bound run i of another store — which lie side by side unless
-// a chunk ends between them.
-func (s *Store[T]) Pair(i int) (T, T) {
-	if pair := s.From(uint32(i)); len(pair) > 1 {
-		return pair[0], pair[1]
-	}
-	return *s.Ptr(i), *s.Ptr(i + 1)
-}
-
 // span returns the units chunk k addresses: what it holds at the most, unless
 // it is one run longer than a whole chunk.
 func (s *Store[T]) span(k int) int {

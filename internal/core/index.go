@@ -23,7 +23,7 @@ import (
 type Index struct {
 	opt Options
 
-	// recs holds the records in their snapshot coding (≈ 1.33 bytes an
+	// recs holds the records in their snapshot coding (≈ 1.04–1.09 bytes an
 	// occurrence against 8 for a hash.Element): derive, Save, Join and
 	// Record read them, no search and no insert does. decoded is the
 	// Records() shim's materialised copy, nil until that is first called.

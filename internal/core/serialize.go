@@ -14,7 +14,7 @@ import (
 //
 //	options      BudgetFraction f64, BudgetUnits, BufferBits (zigzag), Seed
 //	tau f64, bufferBits, budget
-//	records      snapfmt records section (delta-coded)
+//	records      snapfmt records section (gaps coded by class)
 //	bufferElems  count + uvarints, E_H in bit order
 //
 // Those are derive's inputs and the stream carries nothing else: the buffer

@@ -639,7 +639,7 @@ func TestBuildOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	store, ts := newServerWith(t, "", StoreOptions{RecordFileRoot: root})
-	record := `["alpha","beta","gamma","delta"]` // five bytes coded
+	record := `["alpha","beta","gamma","delta"]` // three bytes coded
 	bodies := map[string]string{
 		"records": `{"records":[` + strings.Repeat(record+",", 7) + record + `],"options":{"budget_units":64}}`,
 		"file":    `{"file":"records.txt","options":{"budget_units":64}}`,
@@ -649,7 +649,7 @@ func TestBuildOverflow(t *testing.T) {
 			t.Fatalf("%s under the bound: %d %v", name, code, m)
 		}
 	}
-	defer snapfmt.SetPackLimit(21)() // four records fit, nothing more
+	defer snapfmt.SetPackLimit(15)() // four records fit, nothing more
 	for name, body := range bodies {
 		code, m := doJSON(t, ts, "PUT", "/collections/over-"+name, body)
 		if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(m["error"]), "offset table") {

@@ -32,6 +32,14 @@ import (
 // reopened store's /stats body, whose wal_offset_bytes and wal_synced_bytes
 // are the live journal's length; every index and vocabulary file, every
 // other response and every other field of that body stayed as they were.
+// Six more moved with snapshot format 5, whose records section codes gaps in
+// bits, by class: the two index files (12 701 and 18 188 bytes became 9 145
+// and 13 311), the two vocabulary files (their version byte, and nothing
+// else), the snapshot response (its record_bytes, the packed records held in
+// memory in that coding: 19 686 → 14 809) and the reopened store's /stats
+// body (record_bytes 25 784 → 19 630, and storage.snapshot_bytes, the index
+// and vocabulary files' size, 42 063 → 37 186). The journals, every other
+// response and every other field of both bodies stayed as they were.
 
 var updateJournalGolden = flag.Bool("update-journal-golden", false, "rewrite testdata/journal_golden.txt from this build's files and responses")
 

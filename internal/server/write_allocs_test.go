@@ -141,7 +141,9 @@ func TestWritePathAllocs(t *testing.T) {
 // TestReplayAllocs pins what the two consumers of journal frames allocate.
 // Startup: opening a store whose collection is 100 snapshotted records and a
 // journal of 5 000 (276 000 tokens), as a multiple of the heap the opened
-// store retains (vocabulary, packed records, summaries, postings): 2.50. The
+// store retains (vocabulary, packed records, summaries, postings): 2.55,
+// and 2.50 while the records were coded one uvarint a gap — the retained
+// records are a fifth smaller, what replay allocates beside them is not. The
 // engine growing while the one replayed batch is applied — its stores a
 // chunk at a time, once; its posting lists by doubling — allocates about
 // what it retains; the vocabulary growing (its slab and offsets a chunk at a
@@ -153,7 +155,8 @@ func TestWritePathAllocs(t *testing.T) {
 // stores grew by append, copying themselves every 1.25×, 3.38; while replay
 // also held the journal as a []journalEntry of json.Unmarshal-ed []string
 // before interning any of it, 6.75. The follower: 256-frame chunks through
-// ApplyReplicated allocate 10.8 bytes a token — the replica's engine and
+// ApplyReplicated allocate 10.5 bytes a token (10.7 while the records were
+// coded one uvarint a gap) — the replica's engine and
 // vocabulary growing, and 2.2 of it the check that every frame of a chunk
 // applies before any is appended, which notes the chunk's new tokens in a
 // scratch vocabulary; the bound stays at the 9.5 measured while frames held

@@ -14,21 +14,46 @@ import (
 )
 
 // This file is the one place the record coding lives. A record is coded as
-// its length, its first element and the strictly positive deltas between
-// consecutive elements, all canonical uvarints; a records section is the
-// record count, the element count and then every record's coding back to
-// back. Ids handed out by a vocabulary are dense, so the gaps of a sorted
-// record sit near their entropy: ≈ 1.33 bytes an element occurrence on the
-// corpora here, against 8 for a hash.Element.
+// its length, a canonical uvarint, then a bit stream, least significant bit
+// first: every element as its gap g — the element itself for the first, the
+// difference from the one before for the rest — in two fields, its class
+// c = bits.Len64(g), 0 to 64, and the c − 1 bits of g below its leading 1
+// (none when c ≤ 1). A class up to 14 takes one nibble; nibble 15 escapes to
+// six more bits holding c − 15, so an escape cannot name a class a nibble
+// holds. The stream is zero-padded to a byte, so records stay byte-addressed.
+// A records section is the record count, the element count and then every
+// record's coding back to back. Ids handed out by a vocabulary are dense, so
+// the gaps of a sorted record are small and spread over a few classes: ≈ 1.04
+// to 1.09 bytes an element occurrence on the corpora here (DESIGN.md's,
+// paper-batch's), against 1.29 to 1.33 as one uvarint a gap and 8 for a
+// hash.Element. A byte holds at most two elements.
 //
 // PackedRecords keeps a collection in that coding in memory — what a bulk
 // build holds of its records from the scanner on, what the GB-KMV index
 // retains of them, and byte for byte what its snapshot writes for them — and
-// Writer.Packed and Reader.Packed are the same three functions (measure,
-// appendRecord, decodeRecord) around a store or a stream.
+// Writer.Packed and Reader.Packed are the same coder (measure, appendRecord)
+// and decoder (bitState) around a store or a stream.
+
+const (
+	nibbleMax = 14 // the largest class a nibble holds; nibble 15 escapes
+	escBits   = 6  // the escape's field, c − 15
+	// maxElemBytes bounds an element's coding: 4 + 6 + 63 bits.
+	maxElemBytes = 10
+)
 
 // uvarintLen is the length of v's canonical uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// classBits is the length in bits of the coding of a gap of each class.
+var classBits = func() (t [65]int) {
+	for c := range t {
+		t[c] = 4 + max(c, 1) - 1
+		if c > nibbleMax {
+			t[c] += escBits
+		}
+	}
+	return t
+}()
 
 // id is what a record to code holds: elements, or the 32-bit vocabulary ids
 // a builder sorts them as.
@@ -36,62 +61,208 @@ type id interface{ ~uint32 | ~uint64 }
 
 // measure returns the length of rec's coding, rec's largest element and
 // whether rec is strictly ascending (the dataset.Record invariant). One that
-// is not still codes and decodes to itself — deltas wrap — but no loader
-// takes it: stores remember it and refuse to be written.
+// is not still codes and decodes to itself — a zero gap is class 0, a
+// descending one wraps 2⁶⁴ — but no loader takes it: stores remember it and
+// refuse to be written.
 func measure[E id](rec []E) (size int, top hash.Element, ascending bool) {
-	size, ascending = uvarintLen(uint64(len(rec))), true
+	nbits, ascending := 0, true
 	var prev E
 	for j, e := range rec {
 		if j > 0 && e <= prev {
 			ascending = false
 		}
-		size += uvarintLen(uint64(e) - uint64(prev))
+		nbits += classBits[bits.Len64(uint64(e)-uint64(prev))]
 		prev, top = e, max(top, hash.Element(e))
 	}
-	return size, top, ascending
+	return uvarintLen(uint64(len(rec))) + (nbits+7)/8, top, ascending
+}
+
+// bitWriter appends a bit stream to dst 32 bits at a time.
+type bitWriter struct {
+	dst []byte
+	acc uint64 // the bits not yet appended, the first at the bottom
+	n   uint   // how many: under 32 between puts
+}
+
+// put appends the w ≤ 32 bits of v, which has no bit above them.
+func (bw *bitWriter) put(v uint64, w uint) {
+	bw.acc |= v << bw.n
+	if bw.n += w; bw.n >= 32 {
+		bw.dst = binary.LittleEndian.AppendUint32(bw.dst, uint32(bw.acc))
+		bw.acc >>= 32
+		bw.n -= 32
+	}
+}
+
+// end appends what is left, zero-padded to a byte.
+func (bw *bitWriter) end() []byte {
+	for ; bw.n > 0; bw.n -= min(bw.n, 8) {
+		bw.dst = append(bw.dst, byte(bw.acc))
+		bw.acc >>= 8
+	}
+	return bw.dst
 }
 
 // appendRecord appends rec's coding to dst.
 func appendRecord[E id](dst []byte, rec []E) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(rec)))
+	bw := bitWriter{dst: binary.AppendUvarint(dst, uint64(len(rec)))}
 	var prev E
 	for _, e := range rec {
-		dst = binary.AppendUvarint(dst, uint64(e)-uint64(prev))
+		g := uint64(e) - uint64(prev)
 		prev = e
+		c := uint(bits.Len64(g))
+		if c-1 < nibbleMax { // classes 1 to 14: c + 3 bits, g's leading 1 dropped
+			bw.put((g<<4|uint64(c))&^(1<<(c+3)), c+3)
+			continue
+		}
+		if c == 0 {
+			bw.put(0, 4)
+			continue
+		}
+		bw.put(15|uint64(c-15)<<4, 10)
+		low, lw := g&^(1<<(c-1)), c-1
+		if lw > 32 {
+			bw.put(low&math.MaxUint32, 32)
+			low, lw = low>>32, lw-32
+		}
+		bw.put(low, lw)
 	}
-	return dst
+	return bw.end()
 }
 
-// uvarint decodes the uvarint at b[k:] and returns the index past it. b is a
-// store's own bytes — written by appendRecord or validated by Reader.Packed —
-// so a whole uvarint is there. Nearly every gap of a dense-id record that
-// does not fit one byte fits two, decided before binary.Uvarint's loop.
-func uvarint(b []byte, k int) (uint64, int) {
-	x, y := b[k], b[k+1]
-	if y < 0x80 {
-		return uint64(x&0x7f) | uint64(y)<<7, k + 2
+// leads holds each nibble class's leading bit, the decoder's table.
+var leads = [16]uint64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
+
+// bitState is where a decoder stands in a coding b: the bits of b before
+// byte k not yet decoded are the `have` low bits of acc. Above them acc may
+// hold bits of b[k:] a refill took early; the next refill ORs the same bits in
+// again.
+type bitState struct {
+	acc  uint64
+	have uint
+	k    int
+	base int  // where b starts in the coding: nonzero once decode pads
+	bad  bool // a class above 64 was read: no coding holds one
+}
+
+// end is the length of the coding decoded so far, up to its last whole byte:
+// where it ends once every element is decoded.
+func (st *bitState) end() int { return st.base + st.k - int(st.have/8) }
+
+// gaps decodes elements into out, adding gaps up from prev, while b holds a
+// whole 8-byte word at k and the next gap is under 2⁴⁷, and returns how many
+// it decoded and the last. The refill is branch-free: a word at k shifted in
+// above the bits held, k moved past the whole bytes that took, so 56 bits or
+// more are held after it — three gaps of classes 1 to 14 (17 bits at most
+// each), decoded straight on, or one zero or escaped gap under 2⁴⁷.
+func (st *bitState) gaps(out []hash.Element, b []byte, prev hash.Element) (int, hash.Element) {
+	acc, have, k := st.acc, st.have, st.k
+	i := 0
+	for i < len(out) && k+8 <= len(b) {
+		acc |= binary.LittleEndian.Uint64(b[k:]) << (have & 63)
+		k += int(63-have) >> 3
+		have |= 56
+		c := uint(acc & 15)
+		if c-1 < nibbleMax && i+3 <= len(out) {
+			o := out[i : i+3 : i+3]
+			lead := leads[c]
+			prev += hash.Element(lead | acc>>4&(lead-1))
+			acc, have, o[0] = acc>>((c+3)&63), have-(c+3), prev
+			if c = uint(acc & 15); c-1 >= nibbleMax {
+				i++
+				continue
+			}
+			lead = leads[c]
+			prev += hash.Element(lead | acc>>4&(lead-1))
+			acc, have, o[1] = acc>>((c+3)&63), have-(c+3), prev
+			if c = uint(acc & 15); c-1 >= nibbleMax {
+				i += 2
+				continue
+			}
+			lead = leads[c]
+			prev += hash.Element(lead | acc>>4&(lead-1))
+			acc, have, o[2] = acc>>((c+3)&63), have-(c+3), prev
+			i += 3
+			continue
+		}
+		switch lw := 14 + uint(acc>>4&(1<<escBits-1)); {
+		case c-1 < nibbleMax: // one of the last two
+			lead := leads[c]
+			prev += hash.Element(lead | acc>>4&(lead-1))
+			acc, have = acc>>((c+3)&63), have-(c+3)
+		case c == 0:
+			acc, have = acc>>4, have-4
+		case lw > 46:
+			st.acc, st.have, st.k = acc, have, k
+			return i, prev
+		default:
+			prev += hash.Element(1<<(lw&63) | acc>>10&(1<<(lw&63)-1))
+			acc, have = acc>>((10+lw)&63), have-(10+lw)
+		}
+		out[i] = prev
+		i++
 	}
-	v, w := binary.Uvarint(b[k:])
-	return v, k + w
+	st.acc, st.have, st.k = acc, have, k
+	return i, prev
+}
+
+// widest decodes the escaped gap at the head of acc, one of 2⁴⁷ or more,
+// whose bits outnumber what a refill holds: b's bytes come in one at a time.
+func (st *bitState) widest(b []byte) uint64 {
+	lw := 14 + uint(st.acc>>4&(1<<escBits-1))
+	if lw > 63 {
+		st.bad, lw = true, 63
+	}
+	st.acc, st.have = st.acc>>10, st.have-10
+	g := uint64(1) << lw
+	for shift := uint(0); shift < lw; {
+		for ; st.have <= 56 && st.k < len(b); st.k++ {
+			st.acc |= uint64(b[st.k]) << st.have
+			st.have += 8
+		}
+		if st.have == 0 { // b ends inside the gap: no coding does
+			st.bad = true
+			break
+		}
+		w := min(st.have, lw-shift)
+		g |= st.acc & (1<<w - 1) << shift
+		st.acc, st.have, shift = st.acc>>w, st.have-w, shift+w
+	}
+	return g
+}
+
+// decode fills out with the elements coded in b from st on, adding gaps up
+// from prev, and returns the last. Within a word of b's end it goes on in a
+// zeroed copy of what is left, which holds the rest of any coding: past the
+// coding's end it decodes zeros.
+func (st *bitState) decode(out []hash.Element, b []byte, prev hash.Element) hash.Element {
+	for padded := false; ; {
+		var i int
+		i, prev = st.gaps(out, b, prev)
+		if out = out[i:]; len(out) == 0 {
+			return prev
+		}
+		switch {
+		case st.k+8 <= len(b):
+			prev += hash.Element(st.widest(b))
+			out[0], out = prev, out[1:]
+		case padded:
+			return prev
+		default:
+			var pad [32]byte
+			copy(pad[:], b[st.k:])
+			b, st.base, st.k, padded = pad[:], st.base+st.k, 0, true
+		}
+	}
 }
 
 // decodeRecord appends the elements of the record coded at the head of b to
-// dst. Nine gaps in ten are one byte: a load, a compare and an add.
+// dst.
 func decodeRecord(dst []hash.Element, b []byte) []hash.Element {
 	n, k := binary.Uvarint(b)
 	dst = slices.Grow(dst, int(n))
-	out := dst[len(dst) : len(dst)+int(n)]
-	prev := hash.Element(0)
-	for i := range out {
-		d := uint64(b[k])
-		if d < 0x80 {
-			k++
-		} else {
-			d, k = uvarint(b, k)
-		}
-		prev += hash.Element(d)
-		out[i] = prev
-	}
+	st := bitState{k: k}
+	st.decode(dst[len(dst):len(dst)+int(n)], b, 0)
 	return dst[:len(dst)+int(n)]
 }
 
@@ -201,11 +372,6 @@ func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 // Len returns the number of records.
 func (p *PackedRecords) Len() int { return max(0, p.offsets.Len()-1) }
 
-// coded returns record i's coding. The slice aliases the store.
-func (p *PackedRecords) coded(i int) []byte {
-	return p.data.Run(p.offsets.Pair(i))
-}
-
 // Elements returns the number of element occurrences over all records.
 func (p *PackedRecords) Elements() int { return p.elements }
 
@@ -218,17 +384,18 @@ func (p *PackedRecords) SizeBytes() int { return p.data.Len() + 4*p.offsets.Len(
 
 // CheckRoom reports whether `records` more records of `elements` element
 // occurrences in all are certain to fit the offset table, taking every
-// uvarint at its longest: the check a caller makes before it changes anything
-// else for an Append.
+// record's length and every element at ten bytes — a uvarint's longest, and
+// more than an element's 73 bits, a record's padding included: the check a
+// caller makes before it changes anything else for an Append.
 func (p *PackedRecords) CheckRoom(records, elements int) error {
 	if records == 0 {
 		return nil
 	}
 	worst := records + elements
-	if worst > math.MaxInt/(4*binary.MaxVarintLen64) {
+	if worst > math.MaxInt/(4*maxElemBytes) {
 		return checkPackRoom(math.MaxInt)
 	}
-	return checkPackRoom(p.data.Bound(binary.MaxVarintLen64 * worst))
+	return checkPackRoom(p.data.Bound(maxElemBytes * worst))
 }
 
 // push makes room for the coding, size bytes long, of one more record and
@@ -288,9 +455,11 @@ func (p *PackedRecords) RecordLen(i int) int {
 }
 
 // AppendRecord appends the elements of record i to dst: the allocation-free
-// way to walk the store with one reused buffer.
+// way to walk the store with one reused buffer. The decoder is handed the
+// rest of the record's chunk, so it reads whole words past a record's end
+// wherever another record follows it.
 func (p *PackedRecords) AppendRecord(dst []hash.Element, i int) []hash.Element {
-	return decodeRecord(dst, p.coded(i))
+	return decodeRecord(dst, p.data.From(*p.offsets.Ptr(i)))
 }
 
 // Record returns a decoded copy of record i, the caller's to keep.
@@ -325,12 +494,14 @@ func (w *Writer) Packed(p *PackedRecords) {
 }
 
 // Packed reads the records section into a store. This is the section's one
-// validation loop — canonical uvarints, every record strictly ascending, the
-// declared counts met exactly — and the bytes it has checked are its output:
-// no element is held decoded. A record is validated into one reused buffer and
-// pushed onto the store, which grows a chunk at a time as the bytes arrive —
-// chunks that start at 1 kB and double — so what a stream declares sizes
-// nothing: a section cut short has cost under twice the records it did hold.
+// validation loop — canonical codings (no class above 64, no padded uvarint,
+// zero padding bits), every record strictly ascending (no zero gap after the
+// first element, no gap that wraps 2⁶⁴), the declared counts met exactly —
+// and the bytes it has checked are its output: no element is held decoded. A
+// record is validated into one reused buffer and pushed onto the store, which
+// grows a chunk at a time as the bytes arrive — chunks that start at 1 kB and
+// double — so what a stream declares sizes nothing: a section cut short has
+// cost under twice the records it did hold.
 func (r *Reader) Packed() PackedRecords {
 	m, total := r.Int(), r.Int()
 	if r.err == nil && total > math.MaxInt-m {
@@ -344,18 +515,8 @@ func (r *Reader) Packed() PackedRecords {
 			r.Corrupt("record %d has %d elements, section declares %d in all", p.Len(), n, total)
 			break
 		}
-		coding = binary.AppendUvarint(coding[:0], uint64(n))
-		prev := hash.Element(0)
-		for j := 0; j < n && r.err == nil; j++ {
-			d := r.Uvarint()
-			// A zero delta repeats an element and one that wraps 2⁶⁴ descends.
-			if e := prev + hash.Element(d); j > 0 && e <= prev {
-				r.Corrupt("record %d is not strictly ascending", p.Len())
-			} else {
-				prev = e
-			}
-			coding = binary.AppendUvarint(coding, d)
-		}
+		var last hash.Element
+		coding, last = r.record(binary.AppendUvarint(coding[:0], uint64(n)), n, p.Len())
 		if r.err != nil {
 			break
 		}
@@ -365,7 +526,7 @@ func (r *Reader) Packed() PackedRecords {
 			break
 		}
 		copy(stored, coding)
-		p.elements, p.top = p.elements+n, max(p.top, prev)
+		p.elements, p.top = p.elements+n, max(p.top, last)
 	}
 	if r.err == nil && p.elements != total {
 		r.Corrupt("records hold %d elements, section declares %d", p.elements, total)
@@ -374,4 +535,67 @@ func (r *Reader) Packed() PackedRecords {
 		return PackedRecords{}
 	}
 	return p
+}
+
+// record reads the bit stream of a record of n elements off the stream,
+// checks it and appends its bytes to coding; it returns coding and the last
+// element. The elements are decoded a few hundred at a time, by the decoder
+// the store uses, straight from the reader's buffer, which is refilled
+// whenever less than two words are left past the decoder: a record longer than
+// the buffer streams through it. Bits a refill took early stay in the buffer
+// until the record's last byte is known.
+func (r *Reader) record(coding []byte, n, index int) ([]byte, hash.Element) {
+	var out [256]hash.Element
+	var st bitState
+	var prev hash.Element
+	for left := n; left > 0 && r.err == nil; {
+		if r.end-r.pos-st.k < 16 {
+			done := st.k - int(st.have+7)/8 // the bytes whose every bit is decoded
+			coding = append(coding, r.buf[r.pos:r.pos+done]...)
+			r.pos, st.k = r.pos+done, st.k-done
+			r.fill(bufSize)
+		}
+		window := r.buf[r.pos:r.end]
+		chunk := out[:min(left, len(out))]
+		last := prev
+		var i int
+		switch {
+		case len(window)-st.k >= 16:
+			// Having decoded nothing, gaps refilled once: 9 bytes or more
+			// are left past k, and the gap of 2⁴⁷ or more it stopped at
+			// needs 3 at most.
+			if i, prev = st.gaps(chunk, window, prev); i == 0 {
+				prev += hash.Element(st.widest(window))
+				chunk[0], i = prev, 1
+			}
+		case left <= 45: // the stream ends within 16 bytes and the bits held, 183 bits: 45 gaps at most
+			prev, i = st.decode(chunk, window, prev), len(chunk)
+			if st.end() > len(window) {
+				r.Corrupt("stream ends inside a section")
+			}
+		default:
+			r.Corrupt("stream ends inside a section")
+		}
+		// A zero gap repeats an element and one that wraps 2⁶⁴ descends.
+		for j, e := range chunk[:i] {
+			if e <= last && (j > 0 || left < n) {
+				r.Corrupt("record %d is not strictly ascending", index)
+				break
+			}
+			last = e
+		}
+		left -= i
+	}
+	switch {
+	case r.err != nil:
+	case st.bad:
+		r.Corrupt("record %d has a gap of class above 64", index)
+	case st.acc&(1<<(st.have%8)-1) != 0:
+		r.Corrupt("record %d is padded with set bits", index)
+	default:
+		end := st.end()
+		coding = append(coding, r.buf[r.pos:r.pos+end]...)
+		r.pos += end
+	}
+	return coding, prev
 }

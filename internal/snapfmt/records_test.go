@@ -2,6 +2,7 @@ package snapfmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -15,14 +16,35 @@ import (
 )
 
 // packFixture is records of every shape the coding has a case for: empty,
-// one element, dense ids (one-byte gaps), gaps of two to ten bytes, a first
-// element at and above 2⁶³, the largest element there is.
+// one element, dense ids (gaps of a nibble class), gaps at every class edge,
+// escaped classes up to 64 — a first element at and above 2⁶³, the largest
+// element there is, a gap of 2⁶⁴ − 1 —, and two records longer than the
+// reader's 64 kB buffer: 200 000 consecutive ids, and 20 000 arbitrary ones.
 func packFixture(seed int64, n int) []dataset.Record {
 	rng := rand.New(rand.NewSource(seed))
+	edges := dataset.Record{}
+	for c := 1; c <= 64; c++ { // each class's least and largest gap
+		for _, g := range []hash.Element{1 << (c - 1), 1<<(c-1) | (1<<(c-1) - 1)} {
+			if len(edges) == 0 {
+				edges = append(edges, g)
+			} else if last := edges[len(edges)-1]; last <= math.MaxUint64-g {
+				edges = append(edges, last+g)
+			}
+		}
+	}
+	long := make(dataset.Record, 200000)
+	for i := range long {
+		long[i] = hash.Element(i + 3)
+	}
+	wide := make([]hash.Element, 20000)
+	for i := range wide {
+		wide[i] = hash.Element(rng.Uint64())
+	}
 	recs := []dataset.Record{
 		{}, {0}, {math.MaxUint64}, {1 << 63}, {1<<63 + 5, math.MaxUint64},
-		{0, math.MaxUint64}, // one ten-byte delta
+		{0, math.MaxUint64}, // a gap of class 64
 		{127, 128, 255, 16383, 16384, 1 << 21, 1 << 28, 1 << 35, 1 << 42, 1 << 49, 1 << 56, 1 << 63},
+		edges, long, dataset.NewRecord(wide),
 	}
 	for len(recs) < n {
 		var elems []hash.Element
@@ -35,7 +57,7 @@ func packFixture(seed int64, n int) []dataset.Record {
 			for k := rng.Intn(20); k > 0; k-- {
 				elems = append(elems, hash.Element(rng.Uint64()))
 			}
-		default: // a long run of one-byte gaps behind a large first element
+		default: // a long run of small gaps behind a large first element
 			e := hash.Element(rng.Uint64() >> uint(rng.Intn(64)))
 			for k := rng.Intn(300); k > 0 && e < math.MaxUint64-200; k-- {
 				elems = append(elems, e)
@@ -45,6 +67,42 @@ func packFixture(seed int64, n int) []dataset.Record {
 		recs = append(recs, dataset.NewRecord(elems))
 	}
 	return recs
+}
+
+// TestRecordCodingBytes pins the coding bit for bit: the length, then each
+// gap as a 4-bit class, six more bits holding class − 15 past class 14, and
+// the gap's bits below its leading 1, least significant bit first, the last
+// byte zero-padded.
+func TestRecordCodingBytes(t *testing.T) {
+	for _, tc := range []struct {
+		rec  dataset.Record
+		want []byte
+	}{
+		{dataset.Record{}, []byte{0x00}},
+		{dataset.Record{0}, []byte{0x01, 0x00}},
+		{dataset.Record{1}, []byte{0x01, 0x01}},
+		// 5 is class 3 (0011) and 01 below its leading 1; 6 is a gap of 1,
+		// class 1 (0001); 8 a gap of 2, class 2 (0010) and a 0: 15 bits.
+		{dataset.Record{5, 6, 8}, []byte{0x03, 0x53, 0x08}},
+		// 2¹⁴ − 1 is class 14 (1110) and thirteen ones; 2¹⁴ is class 15: the
+		// escape (1111), 000000, then fourteen zeros.
+		{dataset.Record{1<<14 - 1}, []byte{0x01, 0xfe, 0xff, 0x01}},
+		{dataset.Record{1 << 14}, []byte{0x01, 0x0f, 0x00, 0x00}},
+		// 0 is class 0 (0000); a gap of 2⁶⁴ − 1 is class 64: the escape,
+		// 49 (110001), then sixty-three ones.
+		{dataset.Record{0, math.MaxUint64}, append([]byte{0x02, 0xf0, 0xf1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 0x1f)},
+	} {
+		got := appendRecord(nil, tc.rec)
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%v codes as %x, want %x", tc.rec, got, tc.want)
+		}
+		if size, _, _ := measure(tc.rec); size != len(tc.want) {
+			t.Errorf("%v measures %d bytes, codes in %d", tc.rec, size, len(tc.want))
+		}
+		if dec := decodeRecord(nil, tc.want); !slices.Equal(dec, tc.rec) {
+			t.Errorf("%x decodes to %v, want %v", tc.want, dec, tc.rec)
+		}
+	}
 }
 
 func sectionOf(t *testing.T, write func(*Writer)) []byte {
@@ -153,7 +211,7 @@ func TestPackedRoundTrip(t *testing.T) {
 // them: what it holds, whatever chunks it holds it in.
 func codings(p *PackedRecords) (data []byte, ends []int) {
 	for i := 0; i < p.Len(); i++ {
-		data = append(data, p.coded(i)...)
+		data = append(data, p.data.Run(*p.offsets.Ptr(i), *p.offsets.Ptr(i + 1))...)
 		ends = append(ends, len(data))
 	}
 	return data, ends
@@ -187,7 +245,7 @@ func TestPackedGrownEqualsPacked(t *testing.T) {
 }
 
 // TestPackedUnsortedRefusesToSave: a record that breaks the Record invariant
-// still decodes to itself (deltas wrap), so a store that was handed one — an
+// still decodes to itself (a zero gap is class 0, a descending one wraps), so a store that was handed one — an
 // insert cannot refuse — keeps answering, but names the record when written
 // instead of producing a section no reader takes.
 func TestPackedUnsortedRefusesToSave(t *testing.T) {
@@ -212,25 +270,48 @@ func TestPackedUnsortedRefusesToSave(t *testing.T) {
 	}
 }
 
+// section returns a records section of the given record codings, with the
+// counts declared.
+func section(records, elements int, codings ...[]byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(records))
+	b = binary.AppendUvarint(b, uint64(elements))
+	return append(b, bytes.Join(codings, nil)...)
+}
+
+// malformedSections is a records section for each thing one can get wrong,
+// and what the reader says about it.
+func malformedSections() map[string]struct {
+	section []byte
+	why     string
+} {
+	good := appendRecord(nil, dataset.Record{5, 6})
+	type malformed = struct {
+		section []byte
+		why     string
+	}
+	return map[string]malformed{
+		"padded length":    {section(1, 2, []byte{0x82, 0x00}, good[1:]), "padded varint"},
+		"zero gap":         {section(1, 2, appendRecord(nil, dataset.Record{5, 5})), "not strictly ascending"},
+		"gap wraps 2^64":   {section(1, 2, appendRecord(nil, dataset.Record{5, 3})), "not strictly ascending"},
+		"class above 64":   {section(1, 1, []byte{0x01, 0x2f, 0x03}, bytes.Repeat([]byte{0xff}, 8), []byte{0x01}), "class above 64"}, // the escape, 50: class 65
+		"padding set":      {section(1, 1, []byte{0x01, 0x81}), "padded with set bits"},
+		"length overruns":  {section(1, 2, appendRecord(nil, dataset.Record{5, 6, 7})), "3 elements, section declares 2"},
+		"total not met":    {section(1, 3, good), "hold 2 elements, section declares 3"},
+		"truncated":        {section(2, 4, good, good[:1]), "stream ends"},
+		"bits cut short":   {section(1, 1, []byte{0x01, 0x0f}), "stream ends"}, // an escape and nothing after it
+		"count past bytes": {section(1, 1<<40, binary.AppendUvarint(nil, 1<<40), []byte{0x11}), "stream ends"},
+	}
+}
+
 // TestPackedRejectsMalformedSections: the section's one validation loop, on
-// each thing a section can get wrong. All of them are corruption.
+// each thing a section can get wrong. All of them are corruption. (The
+// escape holds class − 15, so no coding can escape a class a nibble holds.)
 func TestPackedRejectsMalformedSections(t *testing.T) {
-	wrap := append([]byte{2, 5}, bytes.Repeat([]byte{0xff}, 9)...) // 5, then a delta of 2⁶⁴−1
-	wrap = append(wrap, 0x01)
-	for name, section := range map[string][]byte{
-		"padded length":     {1, 2, 0x82, 0x00, 5, 1},
-		"padded delta":      {1, 2, 2, 5, 0x81, 0x00},
-		"zero delta":        {1, 2, 2, 5, 0},
-		"delta wraps 2^64":  append([]byte{1, 2}, wrap...),
-		"length overruns":   {1, 2, 3, 5, 1, 1},
-		"total not met":     {1, 3, 2, 5, 1},
-		"truncated":         {2, 3, 2, 5, 1, 1},
-		"count past source": {0xff, 0xff, 0xff, 0xff, 0x0f, 0},
-	} {
-		r := NewReader(bytes.NewReader(section))
+	for name, tc := range malformedSections() {
+		r := NewReader(bytes.NewReader(tc.section))
 		r.Packed()
-		if err := r.Done(); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		if err := r.Done(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: %v, want ErrCorrupt: …%s", name, err, tc.why)
 		}
 	}
 	// The one-element record {2⁶⁴−1} and a first element ≥ 2⁶³ are not wraps.

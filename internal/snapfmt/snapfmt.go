@@ -1,24 +1,24 @@
 // Package snapfmt is the one byte codec behind every snapshot this module
-// writes: the GB-KMV index, the rebuild-on-load engines' (options, records)
-// payload and the vocabulary. A stream is a
-// sequence of sections with no framing of their own — the reader knows the
-// layout, every count precedes the data it sizes — built from two
-// encodings:
+// writes: the GB-KMV index and the vocabulary. A stream is a sequence of
+// sections with no framing of their own — the reader knows the layout, every
+// count precedes the data it sizes — built from two encodings:
 //
 //	scalar   uvarint (canonical: no padding bytes), zigzag varint, 8-byte
 //	         little-endian float64/uint64, length-prefixed string
-//	records  record count, total element count, then per record its length,
-//	         first element and strictly positive deltas, all uvarint
-//	         (records.go); loads as those same bytes (PackedRecords, what the
-//	         GB-KMV index keeps) or decoded into one []Element slab
+//	records  record count, total element count, then per record its length
+//	         (a uvarint) and its gaps — the first element, then the strictly
+//	         positive deltas — each as a 4-bit class, 6 more bits past class
+//	         14, and the gap's bits below its leading 1, zero-padded to a
+//	         byte (records.go); loads as those same bytes (PackedRecords, what
+//	         the GB-KMV index keeps) or decoded into one []Element slab
 //
 // Both ends work through one fixed 64 kB buffer, whatever the size of the
 // collection. The reader never allocates from a count it has not checked
-// against the bytes the source still holds (one delta byte is at most one
-// 8-byte Element), so a corrupt or hostile count fails as a truncated
-// stream instead of an allocation. Sources that cannot say how long they
-// are (a bufio.Reader, a network body) are read in steps that at most double
-// what has already arrived.
+// against the bytes the source still holds (a byte holds at most two
+// elements, each at most one 8-byte Element decoded), so a corrupt or hostile
+// count fails as a truncated stream instead of an allocation. Sources that
+// cannot say how long they are (a bufio.Reader, a network body) are read in
+// steps that at most double what has already arrived.
 //
 // Integrity is not this package's job: files carry their CRC64 in the commit
 // record (internal/server) and are verified before a byte is parsed. What is
@@ -39,8 +39,9 @@ import (
 // is exactly one: a stream with any other version is ErrFormat. (1 stored the
 // index's hash values as float64, 2 as 32-bit keys; 3 stores none — an index
 // stream is the inputs its sketch is derived from; 4 drops the cost-model
-// knobs from an index's options, which are the library's four.)
-const Version = 4
+// knobs from an index's options, which are the library's four; 5 codes a
+// record's gaps in bits, by class, where 4 wrote one uvarint a gap.)
+const Version = 5
 
 // ErrFormat marks a stream that is not a snapshot of this format version:
 // the magic or the version byte did not match. It is distinct from

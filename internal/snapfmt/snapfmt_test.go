@@ -216,12 +216,12 @@ func TestFormatAndStructureErrors(t *testing.T) {
 	if err := section(func(w *Writer) { w.Write([]byte{0x80, 0x00}) }, func(r *Reader) { r.Uvarint() }); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("padded varint: %v", err)
 	}
-	// One record, two elements, second delta zero: a duplicate.
-	if err := section(func(w *Writer) { w.Write([]byte{1, 2, 2, 5, 0}) }, func(r *Reader) { r.Packed() }); !errors.Is(err, ErrCorrupt) {
+	// One record, two elements, the second gap zero: a duplicate.
+	if err := section(func(w *Writer) { w.Write(append([]byte{1, 2}, appendRecord(nil, dataset.Record{5, 5})...)) }, func(r *Reader) { r.Packed() }); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("duplicate element: %v", err)
 	}
 	// One record claiming more elements than the section declares.
-	if err := section(func(w *Writer) { w.Write([]byte{1, 1, 2, 5, 1}) }, func(r *Reader) { r.Packed() }); !errors.Is(err, ErrCorrupt) {
+	if err := section(func(w *Writer) { w.Write(append([]byte{1, 1}, appendRecord(nil, dataset.Record{5, 6})...)) }, func(r *Reader) { r.Packed() }); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("record overrunning the section total: %v", err)
 	}
 	var unsorted PackedRecords
@@ -303,10 +303,9 @@ func TestSlabsLoadExactly(t *testing.T) {
 		t.Errorf("loading an element list allocated %.0f bytes to keep %.0f", allocated, held)
 	}
 	// Decoded records are Packed and a decode: the section's own bytes are
-	// staged on the way to the element slab — the stream's length once, and
-	// append's growth copies where gaps run wider than the vocabulary ids the
-	// first allocation is sized for (these are two and three bytes) — never a
-	// second element slab.
+	// staged on the way to the element slab — the stream's length once, in
+	// the store's chunks, and the one coding buffer the reader reuses across
+	// records — never a second element slab.
 	if allocated, held, stream := load(sections{Records: all.Records}); allocated > 1.1*held+bufSize+4*stream {
 		t.Errorf("loading decoded records allocated %.0f bytes to keep %.0f from a stream of %.0f", allocated, held, stream)
 	}
@@ -318,7 +317,7 @@ func TestSlabsLoadExactly(t *testing.T) {
 }
 
 // TestPackedLoadsInPlace: the store a vocabulary's records load into — ids
-// dense, so gaps of one byte and now and then two — is allocated once, a chunk
+// dense, so gaps of a few bits — is allocated once, a chunk
 // at a time as the bytes arrive, within a chunk of codings and one of offsets
 // of what it holds, and takes a fifth of what the decoded records do.
 func TestPackedLoadsInPlace(t *testing.T) {

@@ -8,9 +8,11 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"gbkmv"
@@ -236,7 +238,7 @@ func TestDerivedOptionsReload(t *testing.T) {
 	}
 }
 
-// TestUnsortedRecordRefused: the format stores records as deltas, so a record
+// TestUnsortedRecordRefused: the format stores records as gaps, so a record
 // that breaks the sorted-and-deduplicated invariant is refused where a
 // collection is built, by every engine; one slipped into a GB-KMV index
 // through AddBatch (which cannot refuse) fails the save with an error instead
@@ -263,9 +265,12 @@ func TestUnsortedRecordRefused(t *testing.T) {
 // goldenRecords and goldenSnapshot: a gbkmv collection — ten records built,
 // four inserted, among them an empty record and ids no vocabulary hands out
 // (2²⁰+3, 2⁴⁰, 2⁶³+1), the inserts shrinking τ to ≈ 0.65 — and its snapshot
-// as the last build that still had the segmented layer wrote it, in format 4:
-// the version byte of both streams 4, not 3, and the index's options block
-// without the three cost-model knobs (0, 128 and 8; 4 bytes) format 3 held.
+// in format 5: the version byte of both streams 5, and the records section's
+// gaps coded in bits, by class (163 bytes in all, where format 4 wrote 170).
+// Everything else is format 4's stream, which
+// testdata/snapshot_format4.hex holds: that collection as every build from
+// the one before the segmented layer went to the one before format 5 wrote
+// it.
 func goldenRecords() []gbkmv.Record {
 	recs := make([]gbkmv.Record, 14)
 	for i := range recs {
@@ -279,10 +284,10 @@ func goldenRecords() []gbkmv.Record {
 }
 
 const goldenSnapshot = "" +
-	"47424b4d56454e47040567626b6d7647424b4d56494458049a9999999999b93f28100700000000000000000000bab2f5" +
-	"e43f08280e3f0500050f28f0010501051126800205020513268e0205030515289a020005000a1932ac0205010a1b3ab2" +
-	"0205020a1d44b60205030a1f50b80205040a215eb80205000f236eb60207010f258001b2029cfc3ffdffbfffff1f0181" +
-	"80808080808080800105030f29aa01a402080001020304050607"
+	"47424b4d56454e47050567626b6d7647424b4d56494458059a9999999999b93f28100700000000000000000000bab2f5" +
+	"e43f08280e3f0530d10d211c0531559849000562aa31930e0572aa32941a000540aa34992c0541aa359d320582547d44" +
+	"da000592547f50e2000503c9c27989030540b7716eda000741b7828094f982c3ff9ff5ffbfffff01011f070000000000" +
+	"00000005926e09554902080001020304050607"
 
 // segmentedGolden is the same records as a two-segment collection (segments
 // at τ = 1 and τ ≈ 0.67) in the segmented container ("GBKMVSEG") the builds
@@ -297,14 +302,33 @@ const segmentedGolden = "" +
 	"28f00105020513268e020005000a1932ac0205020a1d44b60205040a215eb80205000f236eb60205030f29aa01a40208" +
 	"00020405070a0c0e"
 
-// TestSnapshotGoldenBytes checks "format 4 unchanged" instead of asserting
+// format4Snapshot returns the golden collection's snapshot in format 4.
+func format4Snapshot(t testing.TB) []byte {
+	t.Helper()
+	text, err := os.ReadFile("testdata/snapshot_format4.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSnapshotGoldenBytes checks "format 5 unchanged" instead of asserting
 // it: the same build and inserts write the golden bytes; the golden bytes
 // load, answer as the built engine does, hand back the records, and save back
-// as themselves.
+// as themselves. The same collection in format 4 is intact bytes of another
+// format: refused as one, by its version, not as corruption.
 func TestSnapshotGoldenBytes(t *testing.T) {
 	golden, err := hex.DecodeString(goldenSnapshot)
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, err = gbkmv.LoadEngine(bytes.NewReader(format4Snapshot(t)))
+	if !errors.Is(err, gbkmv.ErrSnapshotFormat) || errors.Is(err, snapfmt.ErrCorrupt) || !strings.Contains(err.Error(), "format version 4") {
+		t.Errorf("LoadEngine on the format-4 snapshot = %v, want ErrSnapshotFormat naming version 4", err)
 	}
 	recs := goldenRecords()
 	built, err := gbkmv.NewEngine("gbkmv", recs[:10], gbkmv.EngineOptions{BudgetUnits: 40, BufferBits: 8, Seed: 7})
