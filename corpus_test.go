@@ -148,7 +148,9 @@ func TestCorpusOverflow(t *testing.T) {
 
 // TestUnsortedRecordRefused: a record that breaks the Record invariant is
 // named by one check with one text, whichever way the records arrive — as
-// slices, which are packed first, or as a corpus, which noted it as it coded.
+// slices, which are packed first, or as a corpus, which noted it as it coded —
+// before any build reads them: the GB-KMV builds from slices read the slices,
+// not the store, and must not meet the record first.
 func TestUnsortedRecordRefused(t *testing.T) {
 	good := []Record{{1, 2, 3}, {}, {2, 5, 9}, {4}}
 	for _, tc := range []struct {
@@ -172,6 +174,8 @@ func TestUnsortedRecordRefused(t *testing.T) {
 		opt := EngineOptions{BudgetUnits: 64}
 		for entry, build := range map[string]func() (Engine, error){
 			"NewEngine":           func() (Engine, error) { return NewEngine("exact", records, opt) },
+			"NewEngine gbkmv":     func() (Engine, error) { return NewEngine("gbkmv", records, opt) },
+			"NewEngine gkmv":      func() (Engine, error) { return NewEngine("gkmv", records, opt) },
 			"NewEngineFromCorpus": func() (Engine, error) { return NewEngineFromCorpus(corpus(), opt) },
 		} {
 			if _, err := build(); err == nil || err.Error() != want {

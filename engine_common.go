@@ -80,7 +80,7 @@ func registerBaseline(name string, resolve func(m, n int, opt EngineOptions) Eng
 		if err != nil {
 			return nil, err
 		}
-		recs := c.take()
+		recs, _ := c.take()
 		records := recs.All()
 		if err := b.add(records, 0); err != nil {
 			return nil, err

@@ -87,9 +87,11 @@ func Build(records []Record, opt Options) (*Index, error) {
 }
 
 // buildIndex is the one build behind Build and the gbkmv and gkmv engines: the
-// index takes the corpus's store over.
+// index takes the corpus's store over, and reads the slices it was packed
+// from, if any, without keeping them.
 func buildIndex(c *Corpus, opt Options) (*Index, error) {
-	inner, err := core.BuildPacked(c.take(), opt)
+	recs, src := c.take()
+	inner, err := core.BuildPacked(recs, src, opt)
 	if err != nil {
 		return nil, err
 	}

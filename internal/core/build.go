@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"gbkmv/internal/dataset"
 	"gbkmv/internal/hash"
 	"gbkmv/internal/snapfmt"
 )
@@ -19,22 +20,27 @@ import (
 // follows distinct elements wherever it can and occurrences only where it
 // must (DESIGN.md "Derive, don't store" has the measured stages):
 //
-//	countElements  one decode of every record, a span of them a worker: how
-//	               many records of the span list each element (and, for the
-//	               cost model, the record sizes)
+//	countElements  one read of every record, a span of them a worker: how
+//	               many records of the span list each element
 //	selectCut      build only: τ as an exact order statistic of the
 //	               non-buffered occurrence keys, from one hash and one
 //	               (key, count) pair a distinct element
 //	derive         classify every element once — buffered, kept or dropped —
 //	               turn the counts of kept elements into write cursors, and
-//	               fill: decode again, hash each kept occurrence into its
-//	               record's summary, write the record's id at its element's
-//	               cursor, set the buffered bits
+//	               fill: read every record again, hash each kept occurrence
+//	               into its record's summary, write the record's id at its
+//	               element's cursor, set the buffered bits
+//
+// Both reads go through a recordSource: the caller's slices when a build is
+// handed them (BuildIndex, and NewEngine through BuildPacked) — the store was
+// packed from them a moment before, and a slice costs nothing to read — and
+// the packed store, decoded a record at a time, when there are none (a build
+// from a RecordBuilder's corpus, a load).
 //
 // Every pass runs over contiguous record ranges, one per worker, and is
-// deterministic in the record order alone: range boundaries and worker
-// counts never influence τ, a summary or any list (the differential tests in
-// build_test.go and derive_test.go pin this bit for bit).
+// deterministic in the record order alone: range boundaries, worker counts
+// and the source never influence τ, a summary or any list (the differential
+// tests in build_test.go and derive_test.go pin this bit for bit).
 
 // forcedBuildWorkers overrides the worker count when positive; it exists for
 // the worker-count-invariance tests and stays 0 in production.
@@ -204,32 +210,56 @@ func deriveWorkers(m int, top hash.Element, occurrences int) int {
 	return max(1, min(w, occurrences/(2*(int(top)+1))))
 }
 
-// elementCounts is what the counting pass reads of a packed store: its
-// records in spans, one a worker, every boundary but the last a multiple of
-// 64 records, and per span one set of element counters — how many of the
+// recordSource is where the counting pass and derive read the records: the
+// slices the store was packed from, when a build has them, and the store
+// otherwise. Either way record i holds the same elements.
+type recordSource struct {
+	packed *snapfmt.PackedRecords
+	slices []dataset.Record // nil: decode packed
+}
+
+// record returns record i: the caller's slice, or decoded into *buf. It is
+// read, never written.
+func (s recordSource) record(buf *[]hash.Element, i int) []hash.Element {
+	if s.slices != nil {
+		return s.slices[i]
+	}
+	*buf = s.packed.AppendRecord((*buf)[:0], i)
+	return *buf
+}
+
+// size returns the number of elements of record i, without decoding it.
+func (s recordSource) size(i int) int {
+	if s.slices != nil {
+		return len(s.slices[i])
+	}
+	return s.packed.RecordLen(i)
+}
+
+// elementCounts is what the counting pass reads of the records: its source,
+// the records in spans, one a worker, every boundary but the last a multiple
+// of 64 records, and per span one set of element counters — how many of the
 // span's records list each element.
 type elementCounts struct {
+	src   recordSource
 	parts []span
 	cnts  []*elemCounters
 }
 
-// countElements is the counting pass of a build and of a load, one decode of
+// countElements is the counting pass of a build and of a load, one read of
 // every record: each worker counts its span's occurrences into its own
-// counters and, when sizes is not nil, writes its records' sizes there. A
-// build sums the counters into its frequency table (frequencies) and hands
-// them on to derive; a load hands them to derive at once.
-func countElements(recs *snapfmt.PackedRecords, sizes []int) elementCounts {
-	m, top, occurrences := recs.Len(), recs.Top(), recs.Elements()
-	c := elementCounts{parts: spans(m, deriveWorkers(m, top, occurrences), bufWordBits)}
+// counters. A build sums the counters into its frequency table (frequencies)
+// and hands them on to derive; a load hands them to derive at once. src's
+// records are its store's, so the record count, the largest element and the
+// occurrence count are read off the store.
+func countElements(src recordSource) elementCounts {
+	m, top, occurrences := src.packed.Len(), src.packed.Top(), src.packed.Elements()
+	c := elementCounts{src: src, parts: spans(m, deriveWorkers(m, top, occurrences), bufWordBits)}
 	c.cnts = make([]*elemCounters, len(c.parts))
 	runParallel(len(c.parts), len(c.parts), func(w int) {
-		cnt, rec := newElemCounters(top, occurrences), []hash.Element(nil)
+		cnt, buf := newElemCounters(top, occurrences), []hash.Element(nil)
 		for i := c.parts[w].lo; i < c.parts[w].hi; i++ {
-			rec = recs.AppendRecord(rec[:0], i)
-			if sizes != nil {
-				sizes[i] = len(rec)
-			}
-			for _, e := range rec {
+			for _, e := range src.record(&buf, i) {
 				cnt.n[cnt.slot(e)]++
 			}
 		}
@@ -282,7 +312,7 @@ func (t classTable) of(pos int) uint64 { return t[pos/32] >> (pos % 32 * 2) & 3 
 //	          element's counters now hold its buffer bit; a kept element's
 //	          become write cursors into one exactly sized slab of record ids,
 //	          laid out element by element and, within one, worker by worker
-//	fill      per record, decoded again: its buffered elements set their bits
+//	fill      per record, read again: its buffered elements set their bits
 //	          in the buffer arena and in the bit columns, its kept ones are
 //	          hashed into its summary — how many, the largest key — and its
 //	          id is written at their cursors; a dropped one makes the summary
@@ -360,11 +390,10 @@ func (ix *Index) derive(c elementCounts) error {
 	ix.bufArena.init(m, h)
 	ix.bufCols.init(m, h)
 	runParallel(len(c.parts), len(c.parts), func(w int) {
-		cnt, rec := c.cnts[w], []hash.Element(nil)
+		cnt, buf := c.cnts[w], []hash.Element(nil)
 		for i := c.parts[w].lo; i < c.parts[w].hi; i++ {
-			rec = ix.recs.AppendRecord(rec[:0], i)
 			k, top, whole, block := 0, uint32(0), true, ix.bufCols.block(i)
-			for _, e := range rec {
+			for _, e := range c.src.record(&buf, i) {
 				switch pos := cnt.slot(e); classes.of(pos) {
 				case classKept:
 					k, top = k+1, max(top, hash.Key32(e, seed))

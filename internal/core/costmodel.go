@@ -15,7 +15,8 @@ func datasetStats(d *dataset.Dataset) (recordStats, error) {
 	if d == nil || len(d.Records) == 0 {
 		return recordStats{}, errors.New("core: empty dataset")
 	}
-	return recordStats{freq: d.Frequencies(), sizes: d.RecordSizes()}, nil
+	recs := d.Records
+	return recordStats{freq: d.Frequencies(), m: len(recs), size: func(i int) int { return len(recs[i]) }}, nil
 }
 
 // The cost model's two constants: the record sizes sampled when averaging
@@ -32,8 +33,8 @@ const (
 // point where the buffer would eat the budget, and the returned r is the
 // candidate with the smallest model variance. r = 0 is always a candidate,
 // so the chosen buffer is never worse (under the model) than pure G-KMV —
-// the paper's constraint V∆ < 0. The statistics are the packed build's,
-// which has them from its store.
+// the paper's constraint V∆ < 0. The statistics are the build's: the
+// frequencies its counting pass summed, and the sizes of the records sampled.
 func optimalBufferBits(st recordStats, budget int, seed uint64) (int, error) {
 	curve, err := varianceCurve(empiricalInputs(st, seed), budget)
 	if err != nil {
@@ -129,14 +130,18 @@ func empiricalInputs(st recordStats, seed uint64) *modelInputs {
 	}
 	slices.Sort(freqs)
 	slices.Reverse(freqs)
-	sizes := sampleSizes(st.sizes, costModelPairSample, int64(seed)+1)
-	return finishInputs(freqs, sizes, len(st.sizes))
+	sizes := sampleSizes(st, costModelPairSample, int64(seed)+1)
+	return finishInputs(freqs, sizes, st.m)
 }
 
 // closedFormInputs takes the moments from the power laws fitted to the
 // collection's statistics.
 func closedFormInputs(st recordStats, seed uint64) (*modelInputs, error) {
-	stats, err := dataset.StatsFrom(st.freq, st.sizes)
+	sizesInt := make([]int, st.m)
+	for i := range sizesInt {
+		sizesInt[i] = st.size(i)
+	}
+	stats, err := dataset.StatsFrom(st.freq, sizesInt)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +157,6 @@ func closedFormInputs(st recordStats, seed uint64) (*modelInputs, error) {
 		freqs[i] = p * float64(stats.TotalElements)
 	}
 	// Record sizes from the fitted power law on the observed support.
-	sizesInt := st.sizes
 	lo, hi := sizesInt[0], sizesInt[0]
 	for _, s := range sizesInt {
 		if s < lo {
@@ -175,7 +179,7 @@ func closedFormInputs(st recordStats, seed uint64) (*modelInputs, error) {
 	for i := range sizes {
 		sizes[i] = float64(dist.Sample(rng))
 	}
-	return finishInputs(freqs, sizes, len(st.sizes)), nil
+	return finishInputs(freqs, sizes, st.m), nil
 }
 
 func finishInputs(freqs, sizes []float64, m int) *modelInputs {
@@ -194,20 +198,21 @@ func finishInputs(freqs, sizes []float64, m int) *modelInputs {
 	return in
 }
 
-// sampleSizes returns at most n record sizes (all of them when fewer).
-func sampleSizes(all []int, n int, seed int64) []float64 {
-	if len(all) <= n {
-		out := make([]float64, len(all))
-		for i, s := range all {
-			out[i] = float64(s)
+// sampleSizes returns the sizes of at most n records (all of them when
+// fewer), asking st for those alone.
+func sampleSizes(st recordStats, n int, seed int64) []float64 {
+	if st.m <= n {
+		out := make([]float64, st.m)
+		for i := range out {
+			out[i] = float64(st.size(i))
 		}
 		return out
 	}
 	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(all))
+	perm := rng.Perm(st.m)
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
-		out[i] = float64(all[perm[i]])
+		out[i] = float64(st.size(perm[i]))
 	}
 	return out
 }

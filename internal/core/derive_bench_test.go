@@ -6,6 +6,7 @@ import (
 
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/hash"
+	"gbkmv/internal/snapfmt"
 )
 
 // designCorpus is the corpus DESIGN.md's snapshot and build tables are
@@ -51,8 +52,11 @@ func designCases(d *dataset.Dataset) map[string]designCase {
 }
 
 // BenchmarkDesignCorpus times BuildIndex, Save and Load on the DESIGN.md
-// corpus; -benchmem gives the bytes each allocates and snapshot-bytes the
-// stream's size. Run it at -cpu 1,2 to reproduce the tables.
+// corpus, and BuildPacked over a store packed beforehand (build-packed: the
+// build of a RecordBuilder's corpus, which decodes its records where BuildIndex
+// reads the slices it packed); -benchmem gives the bytes each allocates and
+// snapshot-bytes the stream's size. Run it at -cpu 1,2 to reproduce the
+// tables.
 func BenchmarkDesignCorpus(b *testing.B) {
 	for name, c := range designCases(designCorpus(b)) {
 		ix, err := BuildIndex(c.d, c.opt)
@@ -70,6 +74,20 @@ func BenchmarkDesignCorpus(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := BuildIndex(c.d, c.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("build-packed/"+name, func(b *testing.B) {
+			recs, err := snapfmt.PackRecords(c.d.Records, buildWorkers(len(c.d.Records)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// The index takes the store over but changes none of it.
+				if _, err := BuildPacked(recs, nil, c.opt); err != nil {
 					b.Fatal(err)
 				}
 			}

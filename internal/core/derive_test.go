@@ -117,25 +117,37 @@ func gapSlots(ids []int32) int {
 	return n
 }
 
-func reload(t *testing.T, ix *Index, label string) *Index {
+// snapshot returns ix's Save bytes.
+func snapshot(t *testing.T, ix *Index, label string) []byte {
 	t.Helper()
-	var first, second bytes.Buffer
-	if err := ix.Save(&first); err != nil {
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
 		t.Fatalf("%s: save: %v", label, err)
 	}
-	loaded, err := Load(bytes.NewReader(first.Bytes()))
+	return buf.Bytes()
+}
+
+func reload(t *testing.T, ix *Index, label string) *Index {
+	t.Helper()
+	first := snapshot(t, ix, label)
+	loaded, err := Load(bytes.NewReader(first))
 	if err != nil {
 		t.Fatalf("%s: load: %v", label, err)
 	}
-	if err := loaded.Save(&second); err != nil {
-		t.Fatalf("%s: re-save: %v", label, err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+	if !bytes.Equal(first, snapshot(t, loaded, label+", reloaded")) {
 		t.Fatalf("%s: save → load → save changed the bytes", label)
 	}
 	return loaded
 }
 
+// TestDeriveBuildLoadIdentity: a build that reads its records from the
+// caller's slices (BuildIndex), a build that decodes them from a store packed
+// beforehand (BuildPacked with no slices, the path of a RecordBuilder's
+// corpus) and a load of either's snapshot derive the same index — every
+// summary, list, buffer row and column, τ and r — and write the same bytes,
+// at every worker count; so do the three after the same inserts. The slice
+// build keeps only its packed copy: its caller's records are overwritten as
+// soon as it returns, and it still matches the others.
 func TestDeriveBuildLoadIdentity(t *testing.T) {
 	defer func() { forcedBuildWorkers = 0 }()
 	// Dense ids are a vocabulary's: the flat counters. Sparse ones take the
@@ -186,9 +198,18 @@ func TestDeriveBuildLoadIdentity(t *testing.T) {
 						label := fmt.Sprintf("seed %d, %s ids, %s budget, r=%d, %d workers", seed, c.name, bname, r, w)
 						forcedBuildWorkers = w
 						build := func() *Index {
-							ix, err := BuildIndex(&dataset.Dataset{Records: slices.Clone(c.base), Universe: c.universe}, opt)
+							records := make([]dataset.Record, len(c.base))
+							for i, rec := range c.base {
+								records[i] = slices.Clone(rec)
+							}
+							ix, err := BuildIndex(&dataset.Dataset{Records: records, Universe: c.universe}, opt)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
+							}
+							for _, rec := range records {
+								for j := range rec {
+									rec[j] = hash.Element(j)
+								}
 							}
 							return ix
 						}
@@ -205,9 +226,23 @@ func TestDeriveBuildLoadIdentity(t *testing.T) {
 						}
 						sameDerived(t, ix, first, label+", built")
 						sameDerived(t, reload(t, ix, label), first, label+", built and reloaded")
+						recs, err := snapfmt.PackRecords(c.base, w)
+						if err != nil {
+							t.Fatal(err)
+						}
+						packed, err := BuildPacked(recs, nil, opt)
+						if err != nil {
+							t.Fatalf("%s, built from the store: %v", label, err)
+						}
+						sameDerived(t, packed, first, label+", built from the store")
+						if !bytes.Equal(snapshot(t, packed, label), snapshot(t, ix, label)) {
+							t.Fatalf("%s: the builds from the store and from the slices save different bytes", label)
+						}
 
 						ix = build() // first stays as built
 						ix.AddRecords(c.extras)
+						packed.AddRecords(c.extras)
+						sameDerived(t, packed, ix, label+", built from the store and grown")
 						if _, shrinks := ix.BuildCounters(); shrinks >= 2 {
 							shrunk[bname]++
 						}

@@ -88,7 +88,8 @@ func (ix *Index) BuildCounters() (elementsHashed, shrinks uint64) {
 }
 
 // BuildIndex packs the dataset's records (snapfmt.PackRecords) and builds the
-// index over the store. The dataset is read, not retained.
+// index over the store, reading the records from the dataset's slices. The
+// dataset is read, not retained.
 func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	var records []dataset.Record
 	if d != nil {
@@ -98,17 +99,18 @@ func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return BuildPacked(recs, opt)
+	return BuildPacked(recs, records, opt)
 }
 
 // BuildPacked constructs the GB-KMV index of a packed record collection
 // (Algorithm 1): it chooses r, E_H and τ, and derive (build.go) computes the
 // rest — the same function Load runs on a snapshot's (records, E_H, τ). The
-// index takes the store over: it is what the index retains of its records, and
-// all the build reads of them to choose r, E_H and τ is m, n and what the
-// counting pass counts — the element counts, and the record sizes when the
-// cost model asks for them.
-func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
+// index takes the store over: it is what the index retains of its records.
+// from, when not nil, is the records the store was packed from, and the build
+// reads them instead of decoding the store; it does not retain them. All the
+// build reads of the records to choose r, E_H and τ is m, n, what the
+// counting pass counts and the sizes of the cost model's sampled records.
+func BuildPacked(recs snapfmt.PackedRecords, from []dataset.Record, opt Options) (*Index, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -127,11 +129,8 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 	// The counting pass is the build's and derive's at once: its counters
 	// sum to the frequency table shared by the cost model, the choice of E_H
 	// and the choice of τ, and derive takes them over.
-	var sizes []int
-	if opt.BufferBits == AutoBuffer {
-		sizes = make([]int, m)
-	}
-	counts := countElements(&recs, sizes)
+	src := recordSource{packed: &recs, slices: from}
+	counts := countElements(src)
 	freq, at := counts.frequencies()
 
 	// Line 1 of Algorithm 1: pick the buffer size from the cost model (or
@@ -140,7 +139,7 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 	switch r {
 	case AutoBuffer:
 		var err error
-		r, err = optimalBufferBits(recordStats{freq: freq, sizes: sizes}, budget, opt.Seed)
+		r, err = optimalBufferBits(recordStats{freq: freq, m: m, size: src.size}, budget, opt.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: cost model: %w", err)
 		}
@@ -192,10 +191,13 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 }
 
 // recordStats is what Algorithm 1's cost model reads of a collection beyond
-// m and n: the number of records holding each element, in no particular
-// order, and the record sizes in record order.
+// n: freq, the number of records holding each element, in no particular
+// order; m; and size, the size of record i < m, which the model asks only of
+// the records it samples.
 type recordStats struct {
-	freq, sizes []int
+	freq []int
+	m    int
+	size func(i int) int
 }
 
 // bufferUnits is the budget charge of an r-bit buffer across m records

@@ -122,10 +122,11 @@ func TestPackedIndexRefusesUnsortedOnSave(t *testing.T) {
 	}
 }
 
-// TestPackedStats: what the packed build reads of its store in its one
-// counting pass — the element counts, summed into the frequency table, and the
-// record sizes — is what the dataset computes from the slices, at every worker
-// count; the table stops at the largest element the records hold.
+// TestPackedStats: what a build reads of its records in its one counting
+// pass — the element counts, summed into the frequency table — and the record
+// sizes the cost model asks for are what the dataset computes from the
+// slices, at every worker count, whether the build reads the slices or
+// decodes the store; the table stops at the largest element the records hold.
 func TestPackedStats(t *testing.T) {
 	d := buildTestDataset(t, 62, 300)
 	d.Records = append(d.Records, dataset.Record{}, dataset.Record{5999})
@@ -135,20 +136,27 @@ func TestPackedStats(t *testing.T) {
 	}
 	wantFreq := (&dataset.Dataset{Records: d.Records, Universe: 6000}).Frequencies()
 	defer func() { forcedBuildWorkers = 0 }()
-	for _, workers := range []int{1, 2, 3, 7} {
-		forcedBuildWorkers = workers
+	for name, src := range map[string]recordSource{"packed": {packed: &recs}, "slices": {packed: &recs, slices: d.Records}} {
 		sizes := make([]int, recs.Len())
-		freq, _ := countElements(&recs, sizes).frequencies()
-		if !slices.Equal(freq, wantFreq) || !slices.Equal(sizes, d.RecordSizes()) {
-			t.Errorf("%d workers: frequencies or sizes differ from the dataset's", workers)
+		for i := range sizes {
+			sizes[i] = src.size(i)
+		}
+		if !slices.Equal(sizes, d.RecordSizes()) {
+			t.Errorf("%s: sizes differ from the dataset's", name)
+		}
+		for _, workers := range []int{1, 2, 3, 7} {
+			forcedBuildWorkers = workers
+			if freq, _ := countElements(src).frequencies(); !slices.Equal(freq, wantFreq) {
+				t.Errorf("%s, %d workers: frequencies differ from the dataset's", name, workers)
+			}
 		}
 	}
 	empty, err := snapfmt.PackRecords([]dataset.Record{{}, {}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := []int{-1, -1}
-	if freq, _ := countElements(&empty, sizes).frequencies(); len(freq) != 0 || !slices.Equal(sizes, []int{0, 0}) {
-		t.Errorf("records without elements: %d frequencies, sizes %v", len(freq), sizes)
+	src := recordSource{packed: &empty}
+	if freq, _ := countElements(src).frequencies(); len(freq) != 0 || src.size(0) != 0 || src.size(1) != 0 {
+		t.Errorf("records without elements: %d frequencies, sizes %d and %d", len(freq), src.size(0), src.size(1))
 	}
 }

@@ -100,7 +100,7 @@ func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
 	}
 	return func() (*Index, error) {
 		ix.bitOf = newBitTable(ix.bufferElems)
-		if err := ix.derive(countElements(&ix.recs, nil)); err != nil {
+		if err := ix.derive(countElements(recordSource{packed: &ix.recs})); err != nil {
 			return nil, fmt.Errorf("core: reading index: %w: %v", snapfmt.ErrCorrupt, err)
 		}
 		return ix, nil

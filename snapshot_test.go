@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -201,6 +202,96 @@ func TestSnapshotRoundTripIdentity(t *testing.T) {
 				t.Fatalf("inserts did not shrink the threshold (%v → %v); fixture too small", tauBefore, tau)
 			}
 		})
+	}
+}
+
+// TestBuildSourcesAgree: an engine built from slices (NewEngine, whose build
+// reads them), one built from a RecordBuilder's corpus of the same tokens
+// (NewEngineFromCorpus, whose build decodes its store) and the load of the
+// first's snapshot are one index: the same snapshot bytes, stats and answers.
+// A build keeps only its own copy of the records: with every record
+// overwritten once NewEngine has returned, every engine answers as one built
+// from the records as they were, and gbkmv saves the same bytes.
+func TestBuildSourcesAgree(t *testing.T) {
+	corpus, sample := engineCorpus(t, 330)
+	tokens := func(r gbkmv.Record) []string {
+		out := make([]string, len(r))
+		for j, e := range r {
+			out[j] = fmt.Sprintf("e%d", e)
+		}
+		return out
+	}
+	voc, b := gbkmv.NewVocabulary(), gbkmv.NewRecordBuilder(gbkmv.NewVocabulary())
+	records := make([]gbkmv.Record, len(corpus))
+	for i, r := range corpus {
+		records[i] = voc.Record(tokens(r))
+		for _, tok := range tokens(r) {
+			b.Token([]byte(tok))
+		}
+		b.EndRecord()
+	}
+	queries := make([]gbkmv.Record, len(sample))
+	for i, q := range sample {
+		queries[i] = voc.Record(tokens(q))
+	}
+	c, err := b.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := gbkmv.EngineOptions{BudgetFraction: 0.3, Seed: 42}
+	fromCorpus, err := gbkmv.NewEngineFromCorpus(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(e gbkmv.Engine) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gbkmv.SaveEngine(&buf, e); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, name := range gbkmv.Engines() {
+		want, err := gbkmv.NewEngine(name, records, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := make([]gbkmv.Record, len(records))
+		for i, r := range records {
+			owned[i] = slices.Clone(r)
+		}
+		got, err := gbkmv.NewEngine(name, owned, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range owned {
+			for j := range r {
+				r[j] = gbkmv.Element(j)
+			}
+		}
+		same := map[string]gbkmv.Engine{"built from the records overwritten since": got}
+		if name == gbkmv.DefaultEngine {
+			snap := save(want)
+			loaded, err := gbkmv.LoadEngine(bytes.NewReader(snap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			same["built from a RecordBuilder's corpus"] = fromCorpus
+			same["loaded from the snapshot"] = loaded
+			for how, e := range same {
+				if !bytes.Equal(save(e), snap) {
+					t.Errorf("%s, %s: the snapshot bytes differ from the slice build's", name, how)
+				}
+			}
+		}
+		for how, e := range same {
+			if st, wantSt := e.EngineStats(), want.EngineStats(); st != wantSt {
+				t.Errorf("%s, %s: stats %+v, want %+v", name, how, st, wantSt)
+			}
+			if !reflect.DeepEqual(answersOf(e, queries), answersOf(want, queries)) {
+				t.Errorf("%s, %s: the answers differ from the slice build's", name, how)
+			}
+		}
 	}
 }
 
