@@ -21,19 +21,6 @@ import (
 // from, so that a bulk build never holds its records as slices.
 type Corpus struct {
 	recs snapfmt.PackedRecords
-	// src is the records recs was packed from, when the corpus was packed
-	// from slices (packCorpus), for the build to read instead of decoding
-	// recs; nil for a RecordBuilder's. The corpus holds them only until take.
-	src []Record
-}
-
-// packCorpus codes records into a corpus, which refers to them until take.
-func packCorpus(records []Record) (*Corpus, error) {
-	recs, err := snapfmt.PackRecords(records, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return nil, fmt.Errorf("gbkmv: %w", err)
-	}
-	return &Corpus{recs: recs, src: records}, nil
 }
 
 // Len returns the number of records.
@@ -48,13 +35,12 @@ func (c *Corpus) Record(i int) Record { return c.recs.Record(i) }
 // Records returns every record decoded, each a window of one element slab.
 func (c *Corpus) Records() []Record { return c.recs.All() }
 
-// take hands the store, and the slices it was packed from if any, to an
-// engine and leaves the corpus empty: whoever still holds the corpus no longer
-// holds the records.
-func (c *Corpus) take() (snapfmt.PackedRecords, []Record) {
-	recs, src := c.recs, c.src
-	c.recs, c.src = snapfmt.PackedRecords{}, nil
-	return recs, src
+// take hands the store to an engine and leaves the corpus empty: whoever
+// still holds the corpus no longer holds the records.
+func (c *Corpus) take() snapfmt.PackedRecords {
+	recs := c.recs
+	c.recs = snapfmt.PackedRecords{}
+	return recs
 }
 
 // RecordBuilder turns a stream of token bytes into a Corpus without an

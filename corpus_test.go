@@ -147,10 +147,10 @@ func TestCorpusOverflow(t *testing.T) {
 }
 
 // TestUnsortedRecordRefused: a record that breaks the Record invariant is
-// named by one check with one text, whichever way the records arrive — as
-// slices, which are packed first, or as a corpus, which noted it as it coded —
-// before any build reads them: the GB-KMV builds from slices read the slices,
-// not the store, and must not meet the record first.
+// named with one text, whichever way the records arrive — as slices, which
+// the GB-KMV builds' counting pass checks as it reads them and the baselines
+// as they copy them, or as a corpus, which noted it as it coded — and so is
+// Build's: it refuses what NewEngine does.
 func TestUnsortedRecordRefused(t *testing.T) {
 	good := []Record{{1, 2, 3}, {}, {2, 5, 9}, {4}}
 	for _, tc := range []struct {
@@ -165,11 +165,11 @@ func TestUnsortedRecordRefused(t *testing.T) {
 		records := append(append(append([]Record{}, good[:tc.at]...), tc.bad), good[tc.at:]...)
 		want := fmt.Sprintf("gbkmv: record %d is not sorted and deduplicated (see NewRecord)", tc.at)
 		corpus := func() *Corpus {
-			c, err := packCorpus(records)
+			recs, err := snapfmt.PackRecords(records, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return c
+			return &Corpus{recs: recs}
 		}
 		opt := EngineOptions{BudgetUnits: 64}
 		for entry, build := range map[string]func() (Engine, error){
@@ -177,6 +177,13 @@ func TestUnsortedRecordRefused(t *testing.T) {
 			"NewEngine gbkmv":     func() (Engine, error) { return NewEngine("gbkmv", records, opt) },
 			"NewEngine gkmv":      func() (Engine, error) { return NewEngine("gkmv", records, opt) },
 			"NewEngineFromCorpus": func() (Engine, error) { return NewEngineFromCorpus(corpus(), opt) },
+			"Build": func() (Engine, error) {
+				ix, err := Build(records, Options{BudgetUnits: 64})
+				if err != nil {
+					return nil, err
+				}
+				return ix, nil
+			},
 		} {
 			if _, err := build(); err == nil || err.Error() != want {
 				t.Errorf("%s, %s: %v, want %q", tc.name, entry, err, want)
@@ -185,6 +192,10 @@ func TestUnsortedRecordRefused(t *testing.T) {
 	}
 	if _, err := NewEngine("", good, EngineOptions{BudgetUnits: 64}); err != nil {
 		t.Errorf("sorted records refused: %v", err)
+	}
+	want := "gbkmv: record 1 is not sorted and deduplicated (see NewRecord)"
+	if _, err := Build([]Record{{1, 2, 3}, {3, 1, 2}, {4, 5}}, Options{BudgetUnits: 64}); err == nil || err.Error() != want {
+		t.Errorf("Build: %v, want %q", err, want)
 	}
 }
 

@@ -132,10 +132,10 @@ func (o EngineOptions) budget(totalElements int) int {
 // It is the one engine with a snapshot format.
 const DefaultEngine = "gbkmv"
 
-// engineBuild constructs an engine over a non-empty, validated corpus, and
-// leaves the corpus empty: gbkmv and gkmv keep its store, the others their
-// records decoded from it (Corpus.Records).
-type engineBuild func(c *Corpus, opt EngineOptions) (Engine, error)
+// engineBuild constructs an engine over non-empty records under validated
+// options. It keeps none of the slices: gbkmv and gkmv code their own store
+// of the records, the others copy them into one slab.
+type engineBuild func(records []Record, opt EngineOptions) (Engine, error)
 
 // engineRegistry is written only from this package's init functions.
 var engineRegistry = map[string]engineBuild{}
@@ -159,14 +159,11 @@ func Engines() []string {
 	return names
 }
 
-// NewEngine builds the named engine over the records, coding them into a
-// Corpus first, so the slice and its records stay the caller's. An empty name
-// selects DefaultEngine.
+// NewEngine builds the named engine over the records, which must each be
+// sorted and deduplicated (NewRecord). The engine keeps its own copy of them:
+// the slice and its records stay the caller's, and nothing reads them once
+// NewEngine has returned. An empty name selects DefaultEngine.
 func NewEngine(name string, records []Record, opt EngineOptions) (Engine, error) {
-	c, err := packCorpus(records)
-	if err != nil {
-		return nil, err
-	}
 	if name == "" {
 		name = DefaultEngine
 	}
@@ -174,10 +171,13 @@ func NewEngine(name string, records []Record, opt EngineOptions) (Engine, error)
 	if !ok {
 		return nil, fmt.Errorf("gbkmv: unknown engine %q (have: %v)", name, Engines())
 	}
-	if err := checkBuild(c, opt); err != nil {
+	if len(records) == 0 {
+		return nil, errors.New("gbkmv: no records")
+	}
+	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	return build(c, opt)
+	return build(records, opt)
 }
 
 // NewEngineFromCorpus builds the GB-KMV engine over a corpus — a
@@ -185,27 +185,22 @@ func NewEngine(name string, records []Record, opt EngineOptions) (Engine, error)
 // options NewEngine checks. The index takes the corpus over: c is empty
 // afterwards. It is how gbkmvd builds a collection.
 func NewEngineFromCorpus(c *Corpus, opt EngineOptions) (*Index, error) {
-	if err := checkBuild(c, opt); err != nil {
-		return nil, err
-	}
-	return buildIndex(c, opt.index())
-}
-
-// checkBuild refuses a corpus no engine is built over, or options none is
-// built under.
-func checkBuild(c *Corpus, opt EngineOptions) error {
 	if c.Len() == 0 {
-		return errors.New("gbkmv: no records")
+		return nil, errors.New("gbkmv: no records")
 	}
 	if err := opt.validate(); err != nil {
-		return err
+		return nil, err
 	}
-	// Every engine assumes the Record invariant; refuse a violation here. The
-	// corpus noted it as it was coded.
+	// The index assumes the Record invariant: the corpus noted a violation
+	// as it was coded.
 	if err := c.recs.CheckSorted(); err != nil {
-		return fmt.Errorf("gbkmv: %w (see NewRecord)", err)
+		return nil, unsortedError(err)
 	}
-	return nil
+	inner, err := core.BuildPacked(c.take(), opt.index())
+	if err != nil {
+		return nil, err
+	}
+	return &Index{inner: inner}, nil
 }
 
 // ErrSnapshotFormat is returned (wrapped) by LoadEngine, Load and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gbkmv/internal/minhash"
+	"gbkmv/internal/snapfmt"
 	"gbkmv/internal/topkheap"
 )
 
@@ -65,28 +66,49 @@ type baseline struct {
 	backend
 }
 
-// registerBaseline registers a baseline engine. resolve, when not nil,
-// makes the engine's data-dependent option defaults explicit against the
-// collection they are derived from, m records of n element occurrences in all
-// (kmv's k = budget/m); inserts keep them as built. open builds the empty
-// backend under the resolved options, and the records arrive through add —
-// on build and on insert.
+// registerBaseline registers a baseline engine. It keeps a copy of the
+// caller's records in one slab, checking that each is sorted and
+// deduplicated as it copies them. resolve, when not nil, makes the engine's
+// data-dependent option defaults explicit against the collection they are
+// derived from, m records of n element occurrences in all (kmv's k =
+// budget/m); inserts keep them as built. open builds the empty backend under
+// the resolved options, and the records arrive through add — on build and on
+// insert.
 func registerBaseline(name string, resolve func(m, n int, opt EngineOptions) EngineOptions, open func(EngineOptions) (backend, error)) {
-	register(name, func(c *Corpus, opt EngineOptions) (Engine, error) {
+	register(name, func(records []Record, opt EngineOptions) (Engine, error) {
+		records, unsorted := appendCopies(nil, records)
+		if unsorted >= 0 {
+			return nil, unsortedError(snapfmt.UnsortedError{Record: unsorted})
+		}
 		if resolve != nil {
-			opt = resolve(c.Len(), c.Elements(), opt)
+			opt = resolve(len(records), totalElements(records), opt)
 		}
 		b, err := open(opt)
 		if err != nil {
 			return nil, err
 		}
-		recs, _ := c.take()
-		records := recs.All()
 		if err := b.add(records, 0); err != nil {
 			return nil, err
 		}
 		return &baseline{name: name, records: records, backend: b}, nil
 	})
+}
+
+// appendCopies appends copies of recs to dst, windows of one element slab,
+// and returns it with the first of recs that is not strictly ascending (−1
+// when all are).
+func appendCopies(dst, recs []Record) ([]Record, int) {
+	slab, unsorted := make([]Element, 0, totalElements(recs)), -1
+	for i, r := range recs {
+		for j := 1; j < len(r) && unsorted < 0; j++ {
+			if r[j] <= r[j-1] {
+				unsorted = i
+			}
+		}
+		slab = append(slab, r...)
+		dst = append(dst, slab[len(slab)-len(r):len(slab):len(slab)])
+	}
+	return dst, unsorted
 }
 
 func (e *baseline) Len() int { return len(e.records) }
@@ -97,11 +119,7 @@ func (e *baseline) Len() int { return len(e.records) }
 // that rebuilds pays for it once.
 func (e *baseline) AddBatch(recs []Record) []int {
 	from := len(e.records)
-	slab := make([]Element, 0, totalElements(recs))
-	for _, r := range recs {
-		slab = append(slab, r...)
-		e.records = append(e.records, slab[len(slab)-len(r):len(slab):len(slab)])
-	}
+	e.records, _ = appendCopies(e.records, recs)
 	if err := e.add(e.records, from); err != nil {
 		// AddBatch cannot report errors, and a backend that built once from
 		// these options failing on more records is a programming error.

@@ -14,12 +14,12 @@ package gbkmv
 
 func init() {
 	for _, name := range []string{"gbkmv", "gkmv"} {
-		register(name, func(c *Corpus, opt EngineOptions) (Engine, error) {
+		register(name, func(records []Record, opt EngineOptions) (Engine, error) {
 			o := opt.index()
 			if name == "gkmv" {
 				o.BufferBits = NoBuffer
 			}
-			ix, err := buildIndex(c, o)
+			ix, err := buildIndex(records, o)
 			if err != nil {
 				return nil, err
 			}

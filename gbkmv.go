@@ -34,10 +34,12 @@ package gbkmv
 
 import (
 	"errors"
+	"fmt"
 
 	"gbkmv/internal/core"
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/hash"
+	"gbkmv/internal/snapfmt"
 )
 
 // Element is the integer id of a set element.
@@ -72,30 +74,38 @@ type Index struct {
 	name  string // registry name; "" is DefaultEngine, for Build and Load callers
 }
 
-// Build constructs an Index over the records. The index keeps its own packed
-// copy of them (the coding its snapshot stores, about a sixth of the slices'
-// bytes for vocabulary ids): the slice and its records stay the caller's.
+// Build constructs an Index over the records, which must each be sorted and
+// deduplicated (NewRecord). The index keeps its own packed copy of them (the
+// coding its snapshot stores, about a sixth of the slices' bytes for
+// vocabulary ids): the slice and its records stay the caller's, and nothing
+// reads them once Build has returned.
 func Build(records []Record, opt Options) (*Index, error) {
 	if len(records) == 0 {
 		return nil, errors.New("gbkmv: no records")
 	}
-	c, err := packCorpus(records)
-	if err != nil {
-		return nil, err
-	}
-	return buildIndex(c, opt)
+	return buildIndex(records, opt)
 }
 
-// buildIndex is the one build behind Build and the gbkmv and gkmv engines: the
-// index takes the corpus's store over, and reads the slices it was packed
-// from, if any, without keeping them.
-func buildIndex(c *Corpus, opt Options) (*Index, error) {
-	recs, src := c.take()
-	inner, err := core.BuildPacked(recs, src, opt)
+// buildIndex is the one build from slices, behind Build and the gbkmv and gkmv
+// engines: the index codes its own copy of the records as it builds, and keeps
+// none of the slices.
+func buildIndex(records []Record, opt Options) (*Index, error) {
+	inner, err := core.BuildIndex(&dataset.Dataset{Records: records}, opt)
 	if err != nil {
-		return nil, err
+		return nil, unsortedError(err)
 	}
 	return &Index{inner: inner}, nil
+}
+
+// unsortedError states a refused record that is not sorted and deduplicated
+// one way, whichever entry point and engine refused it; any other error is
+// returned as it is.
+func unsortedError(err error) error {
+	var unsorted snapfmt.UnsortedError
+	if errors.As(err, &unsorted) {
+		return fmt.Errorf("gbkmv: %w (see NewRecord)", unsorted)
+	}
+	return err
 }
 
 // Search returns the ids (positions in the build slice) of all records whose

@@ -14,9 +14,9 @@ import (
 
 // This file is the one place an index's derived state is computed. A GB-KMV
 // index is a function of (records, E_H, τ, seed) — Algorithm 1 — and derive
-// is that function: BuildPacked calls it once τ is chosen, Load calls it on
-// what a snapshot carries (the same four inputs, nothing else), and both get
-// the same bits. An element's key depends on the element alone, so the work
+// is that function: build calls it once τ is chosen, Load calls it on what a
+// snapshot carries (the same four inputs, nothing else), and both get the
+// same bits. An element's key depends on the element alone, so the work
 // follows distinct elements wherever it can and occurrences only where it
 // must (DESIGN.md "Derive, don't store" has the measured stages):
 //
@@ -31,16 +31,26 @@ import (
 //	               into its record's summary, write the record's id at its
 //	               element's cursor, set the buffered bits
 //
-// Both reads go through a recordSource: the caller's slices when a build is
-// handed them (BuildIndex, and NewEngine through BuildPacked) — the store was
-// packed from them a moment before, and a slice costs nothing to read — and
-// the packed store, decoded a record at a time, when there are none (a build
-// from a RecordBuilder's corpus, a load).
+// Both reads go through a recordSource: the caller's slices in a build handed
+// them (BuildIndex, behind NewEngine and Build), and the packed store,
+// decoded a record at a time, where there are none (a build from a
+// RecordBuilder's corpus, a load).
+//
+// A build from slices packs the store the index keeps beside the build, not
+// in front of it. Its counting pass also checks that each record is strictly
+// ascending and sums the bits of its gaps' codings; a record that is not is
+// refused there, before anything else runs. pack then lays the store out
+// from those sizes and codes the records into it on goroutines of their own,
+// which run beside the serial stages that follow — the frequency table, the
+// cost model, E_H, τ and derive's classify — and then beside the fill; the
+// build waits for them before it returns, on every path, errors included, so
+// nothing reads the caller's slices once it has returned.
 //
 // Every pass runs over contiguous record ranges, one per worker, and is
 // deterministic in the record order alone: range boundaries, worker counts
-// and the source never influence τ, a summary or any list (the differential
-// tests in build_test.go and derive_test.go pin this bit for bit).
+// and the source never influence τ, a summary, a list or a stored byte (the
+// differential tests in build_test.go, derive_test.go and records_test.go
+// pin this bit for bit).
 
 // forcedBuildWorkers overrides the worker count when positive; it exists for
 // the worker-count-invariance tests and stays 0 in production.
@@ -211,17 +221,18 @@ func deriveWorkers(m int, top hash.Element, occurrences int) int {
 }
 
 // recordSource is where the counting pass and derive read the records: the
-// slices the store was packed from, when a build has them, and the store
-// otherwise. Either way record i holds the same elements.
+// caller's slices in a build handed them, the store otherwise (a build from a
+// RecordBuilder's corpus, a load). Either way record i holds the same
+// elements.
 type recordSource struct {
-	packed *snapfmt.PackedRecords
-	slices []dataset.Record // nil: decode packed
+	packed *snapfmt.PackedRecords // nil: read slices
+	slices []dataset.Record
 }
 
 // record returns record i: the caller's slice, or decoded into *buf. It is
 // read, never written.
 func (s recordSource) record(buf *[]hash.Element, i int) []hash.Element {
-	if s.slices != nil {
+	if s.packed == nil {
 		return s.slices[i]
 	}
 	*buf = s.packed.AppendRecord((*buf)[:0], i)
@@ -230,42 +241,137 @@ func (s recordSource) record(buf *[]hash.Element, i int) []hash.Element {
 
 // size returns the number of elements of record i, without decoding it.
 func (s recordSource) size(i int) int {
-	if s.slices != nil {
+	if s.packed == nil {
 		return len(s.slices[i])
 	}
 	return s.packed.RecordLen(i)
 }
 
+// len returns the number of records.
+func (s recordSource) len() int {
+	if s.packed == nil {
+		return len(s.slices)
+	}
+	return s.packed.Len()
+}
+
+// shape returns the records' largest element and their element occurrences:
+// the store's, or read off the slices' lengths and last elements — a
+// record's last element is its largest once the counting pass has found it
+// ascending.
+func (s recordSource) shape() (top hash.Element, occurrences int) {
+	if s.packed != nil {
+		return s.packed.Top(), s.packed.Elements()
+	}
+	for _, rec := range s.slices {
+		if len(rec) > 0 {
+			occurrences, top = occurrences+len(rec), max(top, rec[len(rec)-1])
+		}
+	}
+	return top, occurrences
+}
+
 // elementCounts is what the counting pass reads of the records: its source,
 // the records in spans, one a worker, every boundary but the last a multiple
 // of 64 records, and per span one set of element counters — how many of the
-// span's records list each element.
+// span's records list each element. A count of slices also sizes every
+// record's coding in layout, and notes unsorted, 1 + the first record that is
+// not strictly ascending (0 when all are).
 type elementCounts struct {
-	src   recordSource
-	parts []span
-	cnts  []*elemCounters
+	src         recordSource
+	top         hash.Element
+	occurrences int
+	parts       []span
+	cnts        []*elemCounters
+	layout      *snapfmt.Layout
+	unsorted    int
 }
 
 // countElements is the counting pass of a build and of a load, one read of
 // every record: each worker counts its span's occurrences into its own
 // counters. A build sums the counters into its frequency table (frequencies)
-// and hands them on to derive; a load hands them to derive at once. src's
-// records are its store's, so the record count, the largest element and the
-// occurrence count are read off the store.
+// and hands them on to derive; a load hands them to derive at once. Reading
+// slices, a worker also checks that each record is strictly ascending and
+// measures its coding as it counts it, so that the store is laid out (pack)
+// with no read of its own; it stops at the first record that is not.
 func countElements(src recordSource) elementCounts {
-	m, top, occurrences := src.packed.Len(), src.packed.Top(), src.packed.Elements()
-	c := elementCounts{src: src, parts: spans(m, deriveWorkers(m, top, occurrences), bufWordBits)}
+	m := src.len()
+	top, occurrences := src.shape()
+	c := elementCounts{src: src, top: top, occurrences: occurrences,
+		parts: spans(m, deriveWorkers(m, top, occurrences), bufWordBits)}
 	c.cnts = make([]*elemCounters, len(c.parts))
+	unsorted := make([]int, len(c.parts))
+	if src.packed == nil {
+		c.layout = snapfmt.NewLayout(m)
+	}
 	runParallel(len(c.parts), len(c.parts), func(w int) {
-		cnt, buf := newElemCounters(top, occurrences), []hash.Element(nil)
-		for i := c.parts[w].lo; i < c.parts[w].hi; i++ {
+		cnt, sp := newElemCounters(top, occurrences), c.parts[w]
+		c.cnts[w] = cnt
+		if src.packed == nil {
+			unsorted[w] = cnt.countSlices(src.slices, sp, c.layout)
+			return
+		}
+		var buf []hash.Element
+		for i := sp.lo; i < sp.hi; i++ {
 			for _, e := range src.record(&buf, i) {
 				cnt.n[cnt.slot(e)]++
 			}
 		}
-		c.cnts[w] = cnt
 	})
+	for _, u := range unsorted {
+		if u > 0 {
+			c.unsorted = u
+			break
+		}
+	}
 	return c
+}
+
+// countSlices counts the elements of records sp of recs and sets each one's
+// coding size in l, summing its gaps' bits on the way. It returns 1 + the
+// first record that is not strictly ascending, where it stops, or 0.
+func (cnt *elemCounters) countSlices(recs []dataset.Record, sp span, l *snapfmt.Layout) int {
+	for i := sp.lo; i < sp.hi; i++ {
+		nbits, prev := 0, hash.Element(0)
+		for j, e := range recs[i] {
+			// An element past the dense counters is past every record's last
+			// element: its own record does not ascend to it.
+			pos := cnt.slot(e)
+			if j > 0 && e <= prev || uint(pos) >= uint(len(cnt.n)) {
+				return i + 1
+			}
+			cnt.n[pos]++
+			nbits += snapfmt.GapBits(uint64(e - prev))
+			prev = e
+		}
+		l.SetSize(i, len(recs[i]), nbits)
+	}
+	return 0
+}
+
+// pack returns the store the index keeps. A count of the store hands it on as
+// it is. A count of slices lays it out and codes it on buildWorkers(m) − 1
+// goroutines (one at least) beside the rest of the build — the cost model,
+// E_H, τ and derive, whose serial stages leave the other cores idle — and
+// wait returns once every record is coded: the build calls it before it
+// returns, on every path, so no goroutine reads the caller's slices after.
+func (c *elementCounts) pack() (recs snapfmt.PackedRecords, wait func(), err error) {
+	if c.layout == nil {
+		return *c.src.packed, func() {}, nil
+	}
+	if err := c.layout.Place(c.occurrences, c.top); err != nil {
+		return snapfmt.PackedRecords{}, nil, err
+	}
+	m := c.src.len()
+	var wg sync.WaitGroup
+	for _, sp := range spans(m, max(1, buildWorkers(m)-1), 1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.layout.Code(c.src.slices, sp.lo, sp.hi)
+		}()
+	}
+	return c.layout.Store(), wg.Wait, nil
 }
 
 // frequencies sums the counters by position, the way derive reads them:
@@ -299,9 +405,12 @@ type classTable []uint64
 
 func newClassTable(positions int) classTable { return make(classTable, (positions+31)/32) }
 
-func (t classTable) set(pos int, class uint64) { t[pos/32] |= class << (pos % 32 * 2) }
+// A position indexes the table unsigned: signed, its division, modulo and
+// shift each take a fix-up for negative values, on every occurrence the fill
+// reads — a quarter of the fill's time on paper-batch's corpus.
+func (t classTable) set(pos int, class uint64) { t[uint(pos)/32] |= class << (uint(pos) % 32 * 2) }
 
-func (t classTable) of(pos int) uint64 { return t[pos/32] >> (pos % 32 * 2) & 3 }
+func (t classTable) of(pos int) uint64 { return t[uint(pos)/32] >> (uint(pos) % 32 * 2) & 3 }
 
 // derive computes everything an index holds beyond its inputs — the records,
 // E_H (bufferElems, bitOf), the cut and the seed — from the counting pass's
@@ -393,6 +502,10 @@ func (ix *Index) derive(c elementCounts) error {
 		cnt, buf := c.cnts[w], []hash.Element(nil)
 		for i := c.parts[w].lo; i < c.parts[w].hi; i++ {
 			k, top, whole, block := 0, uint32(0), true, ix.bufCols.block(i)
+			var row []byte // the record's buffer row
+			if h > 0 {
+				row = ix.bufArena.record(i)
+			}
 			for _, e := range c.src.record(&buf, i) {
 				switch pos := cnt.slot(e); classes.of(pos) {
 				case classKept:
@@ -404,9 +517,9 @@ func (ix *Index) derive(c elementCounts) error {
 					}
 					cnt.n[pos]++
 				case classBuffered:
-					bit := int(cnt.n[pos])
-					ix.bufArena.set(i, bit)
-					mark(block, bit, i)
+					bit := cnt.n[pos]
+					row[bit/8] |= 1 << (bit % 8)
+					mark(block, int(bit), i)
 				case classDropped:
 					whole = false
 				}
@@ -453,11 +566,17 @@ func newElemCounters(top hash.Element, occurrences int) *elemCounters {
 	return &elemCounters{index: &t}
 }
 
-// slot returns e's position, creating its counter at zero.
+// slot returns e's position, creating its counter at zero. It inlines to
+// the id itself where ids are dense, so the passes' loops over occurrences
+// call out only for the table of sparse ids.
 func (c *elemCounters) slot(e hash.Element) int {
 	if c.index == nil {
 		return int(e)
 	}
+	return c.sparseSlot(e)
+}
+
+func (c *elemCounters) sparseSlot(e hash.Element) int {
 	pos, ok := c.index.lookup(e)
 	if !ok {
 		pos = len(c.n)

@@ -634,7 +634,7 @@ func TestBuildAndLoadHashCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildPacked(recs, nil, Options{BufferBits: AutoBuffer, Seed: testSeed})
+	ix, err := BuildPacked(recs, Options{BufferBits: AutoBuffer, Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}

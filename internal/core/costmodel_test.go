@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gbkmv/internal/dataset"
@@ -167,5 +169,38 @@ func TestVarianceMonotonicInBudget(t *testing.T) {
 	if small[0].Variance <= large[0].Variance {
 		t.Errorf("variance did not shrink with budget: %v vs %v",
 			small[0].Variance, large[0].Variance)
+	}
+}
+
+// TestEmpiricalInputsCountingSort: the counting sort empiricalInputs orders
+// the frequencies with gives the float64s, in the order, that a sort of them
+// as floats gave, on random frequency tables — uniform and skewed, with the
+// zeros of positions no record lists among them.
+func TestEmpiricalInputsCountingSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		m := 1 + rng.Intn(4000)
+		freq := make([]int, rng.Intn(3000))
+		for i := range freq {
+			switch rng.Intn(3) {
+			case 0: // unlisted
+			case 1:
+				freq[i] = 1 + rng.Intn(m)
+			default:
+				freq[i] = min(m, 1+int(rng.ExpFloat64()*3))
+			}
+		}
+		var want []float64
+		for _, f := range freq {
+			if f > 0 {
+				want = append(want, float64(f))
+			}
+		}
+		slices.Sort(want)
+		slices.Reverse(want)
+		st := recordStats{freq: freq, m: m, size: func(int) int { return 1 }}
+		if got := empiricalInputs(st, testSeed).freqs; !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %d frequencies ordered otherwise than a float sort orders them", trial, len(want))
+		}
 	}
 }

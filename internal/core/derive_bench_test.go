@@ -54,9 +54,9 @@ func designCases(d *dataset.Dataset) map[string]designCase {
 // BenchmarkDesignCorpus times BuildIndex, Save and Load on the DESIGN.md
 // corpus, and BuildPacked over a store packed beforehand (build-packed: the
 // build of a RecordBuilder's corpus, which decodes its records where BuildIndex
-// reads the slices it packed); -benchmem gives the bytes each allocates and
-// snapshot-bytes the stream's size. Run it at -cpu 1,2 to reproduce the
-// tables.
+// reads the slices, and codes no store where BuildIndex codes one beside the
+// build); -benchmem gives the bytes each allocates and snapshot-bytes the
+// stream's size. Run it at -cpu 1,2 to reproduce the tables.
 func BenchmarkDesignCorpus(b *testing.B) {
 	for name, c := range designCases(designCorpus(b)) {
 		ix, err := BuildIndex(c.d, c.opt)
@@ -87,7 +87,7 @@ func BenchmarkDesignCorpus(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// The index takes the store over but changes none of it.
-				if _, err := BuildPacked(recs, nil, c.opt); err != nil {
+				if _, err := BuildPacked(recs, c.opt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -230,7 +230,7 @@ func TestDeriveBuildLoadIdentity(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						packed, err := BuildPacked(recs, nil, opt)
+						packed, err := BuildPacked(recs, opt)
 						if err != nil {
 							t.Fatalf("%s, built from the store: %v", label, err)
 						}

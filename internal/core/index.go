@@ -87,38 +87,49 @@ func (ix *Index) BuildCounters() (elementsHashed, shrinks uint64) {
 	return ix.elementsHashed.Load(), ix.shrinks.Load()
 }
 
-// BuildIndex packs the dataset's records (snapfmt.PackRecords) and builds the
-// index over the store, reading the records from the dataset's slices. The
-// dataset is read, not retained.
+// BuildIndex builds the index over the dataset's records, reading its
+// slices: the counting pass sizes each record's coding as it counts it, and
+// the store the index keeps is coded beside the rest of the build (build.go).
+// The dataset is read, not retained, and nothing reads it once BuildIndex has
+// returned. A record that is not sorted and deduplicated is an error
+// (snapfmt.UnsortedError), found by the counting pass.
 func BuildIndex(d *dataset.Dataset, opt Options) (*Index, error) {
 	var records []dataset.Record
 	if d != nil {
 		records = d.Records
 	}
-	recs, err := snapfmt.PackRecords(records, buildWorkers(len(records)))
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return BuildPacked(recs, records, opt)
+	return build(recordSource{slices: records}, opt)
 }
 
-// BuildPacked constructs the GB-KMV index of a packed record collection
-// (Algorithm 1): it chooses r, E_H and τ, and derive (build.go) computes the
-// rest — the same function Load runs on a snapshot's (records, E_H, τ). The
-// index takes the store over: it is what the index retains of its records.
-// from, when not nil, is the records the store was packed from, and the build
-// reads them instead of decoding the store; it does not retain them. All the
-// build reads of the records to choose r, E_H and τ is m, n, what the
-// counting pass counts and the sizes of the cost model's sampled records.
-func BuildPacked(recs snapfmt.PackedRecords, from []dataset.Record, opt Options) (*Index, error) {
+// BuildPacked builds the index of a packed record collection, decoding its
+// records where BuildIndex reads slices. The index takes the store over: it
+// is what the index retains of its records.
+func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
+	return build(recordSource{packed: &recs}, opt)
+}
+
+// build constructs the GB-KMV index of a record collection (Algorithm 1): it
+// chooses r, E_H and τ, and derive (build.go) computes the rest — the same
+// function Load runs on a snapshot's (records, E_H, τ). All it reads of the
+// records to choose r, E_H and τ is m, n, what the counting pass counts and
+// the sizes of the cost model's sampled records.
+func build(src recordSource, opt Options) (*Index, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	m, n := recs.Len(), recs.Elements()
+	m := src.len()
 	if m == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
+	// The counting pass is the build's and derive's at once: its counters
+	// sum to the frequency table shared by the cost model, the choice of E_H
+	// and the choice of τ, and derive takes them over.
+	counts := countElements(src)
+	if counts.unsorted > 0 {
+		return nil, fmt.Errorf("core: %w", snapfmt.UnsortedError{Record: counts.unsorted - 1})
+	}
+	n := counts.occurrences
 	budget := opt.BudgetUnits
 	if budget == 0 {
 		budget = int(opt.BudgetFraction * float64(n))
@@ -126,11 +137,11 @@ func BuildPacked(recs snapfmt.PackedRecords, from []dataset.Record, opt Options)
 	if budget <= 0 {
 		return nil, errors.New("core: budget resolves to zero units")
 	}
-	// The counting pass is the build's and derive's at once: its counters
-	// sum to the frequency table shared by the cost model, the choice of E_H
-	// and the choice of τ, and derive takes them over.
-	src := recordSource{packed: &recs, slices: from}
-	counts := countElements(src)
+	recs, wait, err := counts.pack()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	defer wait()
 	freq, at := counts.frequencies()
 
 	// Line 1 of Algorithm 1: pick the buffer size from the cost model (or

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -136,7 +137,7 @@ func TestPackedStats(t *testing.T) {
 	}
 	wantFreq := (&dataset.Dataset{Records: d.Records, Universe: 6000}).Frequencies()
 	defer func() { forcedBuildWorkers = 0 }()
-	for name, src := range map[string]recordSource{"packed": {packed: &recs}, "slices": {packed: &recs, slices: d.Records}} {
+	for name, src := range map[string]recordSource{"packed": {packed: &recs}, "slices": {slices: d.Records}} {
 		sizes := make([]int, recs.Len())
 		for i := range sizes {
 			sizes[i] = src.size(i)
@@ -158,5 +159,129 @@ func TestPackedStats(t *testing.T) {
 	src := recordSource{packed: &empty}
 	if freq, _ := countElements(src).frequencies(); len(freq) != 0 || src.size(0) != 0 || src.size(1) != 0 {
 		t.Errorf("records without elements: %d frequencies, sizes %d and %d", len(freq), src.size(0), src.size(1))
+	}
+}
+
+// TestBuildFromSlicesMatchesPacked: a build from slices — which sizes every
+// record's coding in its counting pass and codes the store beside the rest of
+// the build — saves the bytes of a build that decodes the same records from a
+// store packed beforehand (snapfmt.PackRecords, which measures them in a pass
+// of its own), in each of BenchmarkDesignCorpus's regimes and at 1, 2 and 8
+// workers.
+func TestBuildFromSlicesMatchesPacked(t *testing.T) {
+	defer func() { forcedBuildWorkers = 0 }()
+	for name, c := range designCases(designCorpus(t)) {
+		recs, err := snapfmt.PackRecords(c.d.Records, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, workers := range []int{1, 2, 8} {
+			forcedBuildWorkers = workers
+			label := fmt.Sprintf("%s, %d workers", name, workers)
+			// The index takes the store over but changes none of it.
+			packed, err := BuildPacked(recs, c.opt)
+			if err != nil {
+				t.Fatalf("%s, from the store: %v", label, err)
+			}
+			ix, err := BuildIndex(c.d, c.opt)
+			if err != nil {
+				t.Fatalf("%s, from the slices: %v", label, err)
+			}
+			if want == nil {
+				want = snapshot(t, packed, label)
+			}
+			if !bytes.Equal(snapshot(t, packed, label), want) {
+				t.Errorf("%s: the build from the store saves other bytes than at 1 worker", label)
+			}
+			if !bytes.Equal(snapshot(t, ix, label), want) {
+				t.Errorf("%s: the builds from the slices and from the store save different bytes", label)
+			}
+		}
+	}
+}
+
+// TestBuildReadsNoSliceAfterReturn: a build from slices codes the store it
+// keeps on goroutines of its own, beside the rest of the build, and waits for
+// them before it returns, on every path. The caller overwrites its records the
+// moment the build returns — a read after that is a race the detector reports
+// under -race — and the index saves and hands back what a build from a copy
+// does. Each error a build can meet once its counting pass has sized the
+// store is taken too: records past the store's offset table (before the
+// coding starts), no budget left for the G-KMV part and more kept keys than
+// the posting lists address (while it runs).
+func TestBuildReadsNoSliceAfterReturn(t *testing.T) {
+	d := buildTestDataset(t, 64, 300)
+	fresh := func() []dataset.Record {
+		records := make([]dataset.Record, len(d.Records))
+		for i, rec := range d.Records {
+			records[i] = slices.Clone(rec)
+		}
+		return records
+	}
+	overwrite := func(records []dataset.Record) {
+		for _, rec := range records {
+			for j := range rec {
+				rec[j] = hash.Element(j)
+			}
+		}
+	}
+	opt := Options{BudgetFraction: 0.3, BufferBits: AutoBuffer, Seed: testSeed}
+	want, err := BuildIndex(&dataset.Dataset{Records: fresh()}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSnap := snapshot(t, want, "from a copy")
+	defer func() { forcedBuildWorkers = 0 }()
+	for _, workers := range []int{1, 2, 8} {
+		forcedBuildWorkers = workers
+		records := fresh()
+		ix, err := BuildIndex(&dataset.Dataset{Records: records}, opt)
+		overwrite(records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snapshot(t, ix, "overwritten"), wantSnap) {
+			t.Errorf("%d workers: the index saves other bytes than a build from a copy", workers)
+		}
+		for i, rec := range d.Records {
+			if got := ix.Record(i); !slices.Equal(got, rec) {
+				t.Fatalf("%d workers: Record(%d) = %v, want %v", workers, i, got, rec)
+			}
+		}
+	}
+
+	// Only options whose buffer charge m·r wraps the int range leave the
+	// G-KMV part no budget: r is clamped to half the budget otherwise.
+	m := len(d.Records)
+	wrapping := (math.MaxInt/m + 8) / 8 * 8
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		set  func() (restore func())
+		want string
+	}{
+		{"past the offset table", opt, func() func() { return snapfmt.SetPackLimit(100) }, "offset table"},
+		{"no budget left", Options{BudgetUnits: math.MaxInt, BufferBits: wrapping, Seed: testSeed}, nil, "no budget left for the G-KMV part"},
+		{"posting room", Options{BudgetFraction: 1, BufferBits: NoBuffer, Seed: testSeed}, func() func() {
+			old := postingLimit
+			postingLimit = 10
+			return func() { postingLimit = old }
+		}, "32-bit positions"},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			forcedBuildWorkers = workers
+			func() {
+				if tc.set != nil {
+					defer tc.set()()
+				}
+				records := fresh()
+				_, err := BuildIndex(&dataset.Dataset{Records: records}, tc.opt)
+				overwrite(records)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s, %d workers: %v, want an error naming %q", tc.name, workers, err, tc.want)
+				}
+			}()
+		}
 	}
 }

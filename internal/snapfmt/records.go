@@ -77,57 +77,52 @@ func measure[E id](rec []E) (size int, top hash.Element, ascending bool) {
 	return uvarintLen(uint64(len(rec))) + (nbits+7)/8, top, ascending
 }
 
-// bitWriter appends a bit stream to dst 32 bits at a time.
-type bitWriter struct {
-	dst []byte
-	acc uint64 // the bits not yet appended, the first at the bottom
-	n   uint   // how many: under 32 between puts
-}
-
-// put appends the w ≤ 32 bits of v, which has no bit above them.
-func (bw *bitWriter) put(v uint64, w uint) {
-	bw.acc |= v << bw.n
-	if bw.n += w; bw.n >= 32 {
-		bw.dst = binary.LittleEndian.AppendUint32(bw.dst, uint32(bw.acc))
-		bw.acc >>= 32
-		bw.n -= 32
-	}
-}
-
-// end appends what is left, zero-padded to a byte.
-func (bw *bitWriter) end() []byte {
-	for ; bw.n > 0; bw.n -= min(bw.n, 8) {
-		bw.dst = append(bw.dst, byte(bw.acc))
-		bw.acc >>= 8
-	}
-	return bw.dst
-}
-
-// appendRecord appends rec's coding to dst.
+// appendRecord appends rec's coding to dst. The bits not yet appended are
+// held in two locals so that the compiler keeps them in registers: a struct
+// of them and dst would be five words, more than it keeps there, and would
+// take a load and a store an element.
 func appendRecord[E id](dst []byte, rec []E) []byte {
-	bw := bitWriter{dst: binary.AppendUvarint(dst, uint64(len(rec)))}
+	dst = binary.AppendUvarint(dst, uint64(len(rec)))
+	var acc uint64 // the bits not yet appended, the first at the bottom
+	var n uint     // how many: under 32 between puts
 	var prev E
 	for _, e := range rec {
 		g := uint64(e) - uint64(prev)
 		prev = e
 		c := uint(bits.Len64(g))
-		if c-1 < nibbleMax { // classes 1 to 14: c + 3 bits, g's leading 1 dropped
-			bw.put((g<<4|uint64(c))&^(1<<(c+3)), c+3)
-			continue
+		switch {
+		case c-1 < nibbleMax: // classes 1 to 14: c + 3 bits, g's leading 1 dropped
+			dst, acc, n = put(dst, acc, n, (g<<4|uint64(c))&^(1<<(c+3)), c+3)
+		case c == 0:
+			dst, acc, n = put(dst, acc, n, 0, 4)
+		default:
+			dst, acc, n = put(dst, acc, n, 15|uint64(c-15)<<4, 10)
+			low, lw := g&^(1<<(c-1)), c-1
+			if lw > 32 {
+				dst, acc, n = put(dst, acc, n, low&math.MaxUint32, 32)
+				low, lw = low>>32, lw-32
+			}
+			dst, acc, n = put(dst, acc, n, low, lw)
 		}
-		if c == 0 {
-			bw.put(0, 4)
-			continue
-		}
-		bw.put(15|uint64(c-15)<<4, 10)
-		low, lw := g&^(1<<(c-1)), c-1
-		if lw > 32 {
-			bw.put(low&math.MaxUint32, 32)
-			low, lw = low>>32, lw-32
-		}
-		bw.put(low, lw)
 	}
-	return bw.end()
+	// What is left, zero-padded to a byte.
+	for ; n > 0; n -= min(n, 8) {
+		dst = append(dst, byte(acc))
+		acc >>= 8
+	}
+	return dst
+}
+
+// put adds the w ≤ 32 bits of v, which has no bit above them, to the n < 32
+// bits acc holds, and appends 32 of them to dst once it holds as many.
+func put(dst []byte, acc uint64, n uint, v uint64, w uint) ([]byte, uint64, uint) {
+	acc |= v << (n & 63)
+	if n += w; n >= 32 {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(acc))
+		acc >>= 32
+		n -= 32
+	}
+	return dst, acc, n
 }
 
 // leads holds each nibble class's leading bit, the decoder's table.
@@ -320,18 +315,79 @@ func fanSpans(m, workers int, fn func(w, lo, hi int)) {
 	wg.Wait()
 }
 
+// Layout is a store packed from slices in two steps, for a pass that reads
+// the records for more than their coding (a build's counting pass): the pass
+// hands each record's size to SetSize, summing its gaps' GapBits as it reads
+// them, Place sums the sizes into addresses and allocates the slab, and Code
+// writes the codings into their windows. Records are sized, and spans of
+// them coded, from any goroutines, each record once.
+type Layout struct {
+	p       PackedRecords
+	offsets []uint32 // record i's size at i+1 until Place, its address after
+	data    []byte
+}
+
+// NewLayout returns the layout of a store of m records, every one unsized.
+func NewLayout(m int) *Layout {
+	l := &Layout{}
+	l.offsets = l.p.offsets.Bulk(m + 1)
+	return l
+}
+
+// GapBits returns the bits a gap g — an element, or its difference from the
+// one before it in its record — takes in a record's coding.
+func GapBits(g uint64) int { return classBits[bits.Len64(g)] }
+
+// SetSize sets the size of record i's coding: n elements whose gaps take
+// nbits bits in all.
+func (l *Layout) SetSize(i, n, nbits int) {
+	// A size that does not fit its slot fails Place's byte total.
+	l.offsets[i+1] = uint32(min(uvarintLen(uint64(n))+(nbits+7)/8, math.MaxUint32))
+}
+
+// Place turns the sizes into addresses and allocates the slab, exactly as
+// long as the codings; elements and top are the records' occurrence count and
+// largest element. It fails when the codings overflow the offset table, and
+// then allocates nothing.
+func (l *Layout) Place(elements int, top hash.Element) error {
+	total := 0
+	for _, size := range l.offsets {
+		total += int(size)
+	}
+	if err := checkPackRoom(total); err != nil {
+		return err
+	}
+	for i := 1; i < len(l.offsets); i++ {
+		l.offsets[i] += l.offsets[i-1]
+	}
+	l.data = l.p.data.Bulk(total)
+	l.p.elements, l.p.top = elements, top
+	return nil
+}
+
+// Code codes records [lo, hi) of recs, the records sized, into their windows
+// of the slab.
+func (l *Layout) Code(recs []dataset.Record, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		o := l.offsets[i : i+2]
+		appendRecord(l.data[o[0]:o[0]:o[1]], recs[i])
+	}
+}
+
+// Store returns the store, whole once every record is coded.
+func (l *Layout) Store() PackedRecords { return l.p }
+
 // PackRecords codes recs across up to `workers` goroutines: every record is
 // measured, the offsets are the prefix sums, and each record is coded
-// straight into its window of the slab. Slab and offsets are exactly as long
-// as what they hold. recs is not retained.
+// straight into its window of the slab (Layout). Slab and offsets are exactly
+// as long as what they hold. recs is not retained.
 func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 	m := len(recs)
-	var p PackedRecords
-	offsets := p.offsets.Bulk(m + 1)
+	l := NewLayout(m)
 	workers = max(1, min(workers, m))
 	type share struct {
-		bytes, elements, unsorted int
-		top                       hash.Element
+		elements, unsorted int
+		top                hash.Element
 	}
 	shares := make([]share, workers)
 	fanSpans(m, workers, func(w, lo, hi int) {
@@ -341,32 +397,24 @@ func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 			if !ascending && sh.unsorted == 0 {
 				sh.unsorted = i + 1
 			}
-			// A size that does not fit its slot fails the byte total below.
-			offsets[i+1] = uint32(size)
-			sh.bytes, sh.elements, sh.top = sh.bytes+size, sh.elements+len(recs[i]), max(sh.top, top)
+			l.offsets[i+1] = uint32(min(size, math.MaxUint32))
+			sh.elements, sh.top = sh.elements+len(recs[i]), max(sh.top, top)
 		}
 	})
-	total := 0
+	var elements, unsorted int
+	var top hash.Element
 	for _, sh := range shares {
-		total += sh.bytes
-		p.elements, p.top = p.elements+sh.elements, max(p.top, sh.top)
-		if p.unsorted == 0 {
-			p.unsorted = sh.unsorted
+		elements, top = elements+sh.elements, max(top, sh.top)
+		if unsorted == 0 {
+			unsorted = sh.unsorted
 		}
 	}
-	if err := checkPackRoom(total); err != nil {
+	if err := l.Place(elements, top); err != nil {
 		return PackedRecords{}, err
 	}
-	for i := 0; i < m; i++ {
-		offsets[i+1] += offsets[i]
-	}
-	data := p.data.Bulk(total)
-	fanSpans(m, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			appendRecord(data[offsets[i]:offsets[i]:offsets[i+1]], recs[i])
-		}
-	})
-	return p, nil
+	fanSpans(m, workers, func(_, lo, hi int) { l.Code(recs, lo, hi) })
+	l.p.unsorted = unsorted
+	return l.p, nil
 }
 
 // Len returns the number of records.
@@ -439,11 +487,19 @@ func appendTo[E id](p *PackedRecords, rec []E) error {
 	return nil
 }
 
-// CheckSorted names the first record that is not strictly ascending (the
-// dataset.Record invariant), or returns nil: the store noted it as it coded.
+// UnsortedError names the first record of a collection that is not strictly
+// ascending (the dataset.Record invariant).
+type UnsortedError struct{ Record int }
+
+func (e UnsortedError) Error() string {
+	return fmt.Sprintf("record %d is not sorted and deduplicated", e.Record)
+}
+
+// CheckSorted names the first record that is not strictly ascending, or
+// returns nil: the store noted it as it coded.
 func (p *PackedRecords) CheckSorted() error {
 	if p.unsorted > 0 {
-		return fmt.Errorf("record %d is not sorted and deduplicated", p.unsorted-1)
+		return UnsortedError{p.unsorted - 1}
 	}
 	return nil
 }

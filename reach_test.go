@@ -78,6 +78,7 @@ func TestReachableReportsDeadCode(t *testing.T) {
 var reachAllow = map[string]string{
 	"method internal/server.(*traceWriter).Unwrap": "net/http.ResponseController finds the underlying writer through it, by an interface net/http does not export",
 	"func internal/snapfmt.SetPackLimit":           "the overflow tests of three packages (snapfmt, server, the root) lower the 4 GiB pack limit through it; a _test.go file cannot be shared across packages",
+	"func internal/snapfmt.PackRecords":            "packs slices with its own measuring pass, the reference store the build's packing beside its counting pass is held to byte for byte in the tests of three packages (snapfmt, core, the root); a _test.go file cannot be shared across packages",
 	"func internal/experiments.Quick":              "the scale the experiments tests and the root package's Go benchmarks run at: two packages' tests, so not a _test.go helper",
 }
 

@@ -295,6 +295,51 @@ func TestBuildSourcesAgree(t *testing.T) {
 	}
 }
 
+// TestEnginesKeepNoCallerSlice: every engine keeps its own copy of what it
+// is built and grown from — a baseline one slab of the records a batch, the
+// GB-KMV engines their packed store — so the caller overwriting its records
+// the moment NewEngine and AddBatch return changes no answer and no stats.
+func TestEnginesKeepNoCallerSlice(t *testing.T) {
+	records, queries := engineCorpus(t, 330)
+	base, batch := records[:300], records[300:]
+	owned := func(recs []gbkmv.Record) []gbkmv.Record {
+		out := make([]gbkmv.Record, len(recs))
+		for i, r := range recs {
+			out[i] = slices.Clone(r)
+		}
+		return out
+	}
+	overwrite := func(recs []gbkmv.Record) {
+		for _, r := range recs {
+			for j := range r {
+				r[j] = gbkmv.Element(j)
+			}
+		}
+	}
+	opt := gbkmv.EngineOptions{BudgetFraction: 0.3, Seed: 42}
+	for _, name := range gbkmv.Engines() {
+		want, err := gbkmv.NewEngine(name, base, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.AddBatch(batch)
+		mine, more := owned(base), owned(batch)
+		got, err := gbkmv.NewEngine(name, mine, opt)
+		overwrite(mine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.AddBatch(more)
+		overwrite(more)
+		if st, wantSt := got.EngineStats(), want.EngineStats(); st != wantSt {
+			t.Errorf("%s: stats %+v, want %+v", name, st, wantSt)
+		}
+		if !reflect.DeepEqual(answersOf(got, queries), answersOf(want, queries)) {
+			t.Errorf("%s: the answers changed with the caller's records", name)
+		}
+	}
+}
+
 // TestDerivedOptionsReload: kmv derives k = budget/m with no ceiling — here
 // 5000, above the 4096 a given signature length may reach — and builds and
 // grows at it; an explicit NumHashes that large still builds kmv and still
