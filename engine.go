@@ -115,19 +115,6 @@ func (o EngineOptions) index() Options {
 	return Options{BudgetFraction: o.BudgetFraction, BudgetUnits: o.BudgetUnits, BufferBits: o.BufferBits, Seed: o.Seed}
 }
 
-// budget resolves the option pair to absolute units for a collection with
-// totalElements element occurrences.
-func (o EngineOptions) budget(totalElements int) int {
-	if o.BudgetUnits > 0 {
-		return o.BudgetUnits
-	}
-	frac := o.BudgetFraction
-	if frac == 0 {
-		frac = 0.10
-	}
-	return int(frac * float64(totalElements))
-}
-
 // DefaultEngine is the engine used when no name is given: the GB-KMV index.
 // It is the one engine with a snapshot format.
 const DefaultEngine = "gbkmv"

@@ -3,6 +3,7 @@ package gbkmv
 import (
 	"fmt"
 
+	"gbkmv/internal/core"
 	"gbkmv/internal/minhash"
 	"gbkmv/internal/snapfmt"
 	"gbkmv/internal/topkheap"
@@ -70,18 +71,18 @@ type baseline struct {
 // caller's records in one slab, checking that each is sorted and
 // deduplicated as it copies them. resolve, when not nil, makes the engine's
 // data-dependent option defaults explicit against the collection they are
-// derived from, m records of n element occurrences in all (kmv's k =
+// derived from, m records under a budget resolved from the options (kmv's k =
 // budget/m); inserts keep them as built. open builds the empty backend under
 // the resolved options, and the records arrive through add — on build and on
 // insert.
-func registerBaseline(name string, resolve func(m, n int, opt EngineOptions) EngineOptions, open func(EngineOptions) (backend, error)) {
+func registerBaseline(name string, resolve func(m, budget int, opt EngineOptions) EngineOptions, open func(EngineOptions) (backend, error)) {
 	register(name, func(records []Record, opt EngineOptions) (Engine, error) {
 		records, unsorted := appendCopies(nil, records)
 		if unsorted >= 0 {
 			return nil, unsortedError(snapfmt.UnsortedError{Record: unsorted})
 		}
 		if resolve != nil {
-			opt = resolve(len(records), totalElements(records), opt)
+			opt = resolve(len(records), core.Budget(opt.index(), totalElements(records)), opt)
 		}
 		b, err := open(opt)
 		if err != nil {
@@ -263,22 +264,16 @@ func totalElements(records []Record) int {
 const maxSignatureOption = 1 << 12
 
 // validate rejects options no engine can be built under; NewEngine and
-// NewEngineFromCorpus check them. It puts no ceiling on NumHashes: the kmv
-// engine derives k = budget/m without one, and there k is only a capacity (a
-// sketch holds min(k, |r|) values). The engines that sign
+// NewEngineFromCorpus check them. The budget and buffer options are the GB-KMV
+// index's, checked by its rule (core.CheckOptions). It puts no ceiling on
+// NumHashes: the kmv engine derives k = budget/m without one, and there k is
+// only a capacity (a sketch holds min(k, |r|) values). The engines that sign
 // with NumHashes bound it themselves, in checkSignatureLen.
 func (o EngineOptions) validate() error {
-	switch {
-	case !(o.BudgetFraction >= 0 && o.BudgetFraction <= 1):
-		return fmt.Errorf("gbkmv: BudgetFraction %v outside [0, 1]", o.BudgetFraction)
-	case o.BudgetUnits < 0:
-		return fmt.Errorf("gbkmv: negative BudgetUnits %d", o.BudgetUnits)
-	case o.BufferBits < NoBuffer:
-		return fmt.Errorf("gbkmv: invalid BufferBits %d", o.BufferBits)
-	case o.NumHashes < 0:
+	if o.NumHashes < 0 {
 		return fmt.Errorf("gbkmv: negative NumHashes %d", o.NumHashes)
 	}
-	return nil
+	return core.CheckOptions(o.index())
 }
 
 // checkSignatureLen is the first thing the builders of the signing engines

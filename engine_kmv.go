@@ -12,8 +12,8 @@ import "gbkmv/internal/kmv"
 
 func init() {
 	registerBaseline("kmv",
-		func(m, n int, opt EngineOptions) EngineOptions {
-			opt.BudgetUnits = opt.budget(n)
+		func(m, budget int, opt EngineOptions) EngineOptions {
+			opt.BudgetUnits = budget
 			if opt.NumHashes <= 0 {
 				opt.NumHashes = kmv.EqualAllocation(opt.BudgetUnits, m)
 			}

@@ -16,8 +16,8 @@ func init() {
 		// as the KMV family (one unit = one stored hash value), bounded: below
 		// 8 the estimator is noise, above 512 signing dominates everything
 		// else.
-		func(m, n int, opt EngineOptions) EngineOptions {
-			opt.BudgetUnits = opt.budget(n)
+		func(m, budget int, opt EngineOptions) EngineOptions {
+			opt.BudgetUnits = budget
 			if opt.NumHashes <= 0 {
 				opt.NumHashes = min(max(opt.BudgetUnits/m, 8), 512)
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -114,10 +115,10 @@ func BuildPacked(recs snapfmt.PackedRecords, opt Options) (*Index, error) {
 // records to choose r, E_H and τ is m, n, what the counting pass counts and
 // the sizes of the cost model's sampled records.
 func build(src recordSource, opt Options) (*Index, error) {
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
+	if err := CheckOptions(opt); err != nil {
 		return nil, err
 	}
+	opt = opt.withDefaults()
 	m := src.len()
 	if m == 0 {
 		return nil, errors.New("core: empty dataset")
@@ -130,10 +131,7 @@ func build(src recordSource, opt Options) (*Index, error) {
 		return nil, fmt.Errorf("core: %w", snapfmt.UnsortedError{Record: counts.unsorted - 1})
 	}
 	n := counts.occurrences
-	budget := opt.BudgetUnits
-	if budget == 0 {
-		budget = int(opt.BudgetFraction * float64(n))
-	}
+	budget := Budget(opt, n)
 	if budget <= 0 {
 		return nil, errors.New("core: budget resolves to zero units")
 	}
@@ -157,12 +155,12 @@ func build(src recordSource, opt Options) (*Index, error) {
 	case NoBuffer:
 		r = 0
 	}
-	if r%8 != 0 {
-		r += 8 - r%8
-	}
-	if cost := bufferUnits(m, r); cost >= budget {
-		// Never let the buffer consume the entire budget.
-		r = ((budget * BufferUnitBits / (2 * m)) / 8) * 8
+	// A byte multiple (rounded up, but for the top seven ints), never the
+	// whole budget: a buffer that would take it falls to ⌊2·budget/m⌋·8 bits,
+	// half the budget at most and half the r it replaces.
+	r = (min(r, math.MaxInt-7) + 7) &^ 7
+	if bufferUnits(m, r) >= budget {
+		r = (budget/m*2 + budget%m*2/m) * 8
 	}
 
 	ix := &Index{
@@ -175,15 +173,14 @@ func build(src recordSource, opt Options) (*Index, error) {
 	// Line 2: E_H ← top r most frequent elements.
 	ix.bufferElems = dataset.TopFrequentFrom(freq, at.elems, r)
 	ix.bitOf = newBitTable(ix.bufferElems)
+	if err := checkShape(m, r, budget, len(ix.bufferElems)); err != nil {
+		return nil, fmt.Errorf("core: BufferBits %d: %w", opt.BufferBits, err)
+	}
 	bufferedOccurrences := 0
 	for _, e := range ix.bufferElems {
 		bufferedOccurrences += freq[at.position(e)]
 	}
-
 	gBudget := budget - bufferUnits(m, r)
-	if gBudget <= 0 {
-		return nil, errors.New("core: no budget left for the G-KMV part")
-	}
 
 	// Line 3: the global threshold τ over the remaining elements, chosen so
 	// the G-KMV part fits the leftover budget exactly. When the budget
@@ -211,10 +208,37 @@ type recordStats struct {
 	size func(i int) int
 }
 
+// maxBufferBits bounds r in every index (checkShape).
+const maxBufferBits = math.MaxInt32
+
 // bufferUnits is the budget charge of an r-bit buffer across m records
-// (r/32 units each, as in the paper's accounting).
+// (r/32 units each, as in the paper's accounting), exact for all m, r ≥ 0:
+// one past math.MaxInt reads math.MaxInt, more than any budget.
 func bufferUnits(m, r int) int {
-	return m * r / BufferUnitBits
+	hi, lo := bits.Mul64(uint64(m), uint64(r))
+	if hi >= BufferUnitBits/2 {
+		return math.MaxInt
+	}
+	units, _ := bits.Div64(hi, lo, BufferUnitBits)
+	return int(units)
+}
+
+// checkShape is the rule that makes (m, r, budget, |E_H|) an index over its
+// whole life (inserts only grow m): m > 0, 0 ≤ r ≤ maxBufferBits, one
+// record's buffer charged less than the budget, and |E_H| ≤ r. The build
+// checks what it chose and Load what it read, so Load takes what was built.
+func checkShape(m, r, budget, buffered int) error {
+	switch {
+	case m <= 0:
+		return errors.New("no records")
+	case r < 0 || r > maxBufferBits:
+		return fmt.Errorf("buffer of %d bits outside [0, %d]", r, maxBufferBits)
+	case bufferUnits(1, r) >= budget:
+		return fmt.Errorf("buffer of %d bits under a budget of %d units", r, budget)
+	case buffered > r:
+		return fmt.Errorf("%d buffered elements for %d buffer bits", buffered, r)
+	}
+	return nil
 }
 
 // NumRecords returns the number of indexed records.

@@ -7,7 +7,7 @@
 // (Section IV-C6), and dynamic record insertion.
 package core
 
-import "errors"
+import "fmt"
 
 // Buffer-size sentinels for Options.BufferBits.
 const (
@@ -56,16 +56,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// validate rejects impossible configurations.
-func (o Options) validate() error {
-	if o.BudgetUnits < 0 {
-		return errors.New("core: BudgetUnits must be non-negative")
-	}
-	if o.BudgetUnits == 0 && (o.BudgetFraction <= 0 || o.BudgetFraction > 1) {
-		return errors.New("core: BudgetFraction must be in (0, 1]")
-	}
-	if o.BufferBits < NoBuffer {
-		return errors.New("core: BufferBits must be AutoBuffer, NoBuffer or positive")
+// CheckOptions refuses by name, for the build and every root engine, a
+// BudgetFraction outside [0, 1] (NaN too), a negative BudgetUnits and a
+// BufferBits below NoBuffer; one past maxBufferBits is the build's to clamp.
+func CheckOptions(o Options) error {
+	switch {
+	case !(o.BudgetFraction >= 0 && o.BudgetFraction <= 1):
+		return fmt.Errorf("core: BudgetFraction %v outside [0, 1]", o.BudgetFraction)
+	case o.BudgetUnits < 0:
+		return fmt.Errorf("core: negative BudgetUnits %d", o.BudgetUnits)
+	case o.BufferBits < NoBuffer:
+		return fmt.Errorf("core: BufferBits %d is not AutoBuffer, NoBuffer or positive", o.BufferBits)
 	}
 	return nil
+}
+
+// Budget resolves the options to units for n element occurrences.
+func Budget(o Options, n int) int {
+	if o.BudgetUnits > 0 {
+		return o.BudgetUnits
+	}
+	return int(o.withDefaults().BudgetFraction * float64(n))
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"gbkmv/internal/dataset"
@@ -263,23 +266,51 @@ func checkSummaries(t *testing.T, ix *Index, label string) {
 }
 
 // FuzzPostingsUnderInserts is TestPostingsUnderInserts on fuzz-chosen
-// schedules: the base's size, the budget, r and the batch sizes, the lists
-// and the summaries checked against the brute-force rebuild after every batch
-// (and the tails against the bound AddRecords checked before it), the lists
-// against the reload at the end. CI runs it briefly (-fuzz FuzzPostingsUnderInserts
+// schedules and options: the base's size (one record up), BudgetUnits,
+// BufferBits and BudgetFraction, extremes included, and the batch sizes. A
+// build either fails with one of the named refusals (buildRefusals) or
+// yields an index that saves, loads and saves to the same bytes, whose E_H is
+// the r most frequent elements (ties to the smaller id) and whose Search
+// equals Algorithm 2 on a few queries. The lists and the summaries are
+// checked against the brute-force rebuild after every batch (and the tails
+// against the bound AddRecords checked before it), the lists against the
+// reload at the end. CI runs it briefly (-fuzz FuzzPostingsUnderInserts
 // -fuzztime 15s).
 func FuzzPostingsUnderInserts(f *testing.F) {
-	f.Add(uint8(100), uint16(0), uint8(1), []byte{1, 2, 3, 4})
-	f.Add(uint8(20), uint16(300), uint8(2), []byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
-	f.Add(uint8(250), uint16(2000), uint8(0), []byte{15, 1, 15, 1, 15})
-	f.Add(uint8(60), uint16(800), uint8(1), []byte{0, 0, 3, 9, 2, 11, 5, 5, 5, 14, 1, 8})
-	f.Fuzz(func(t *testing.T, base uint8, units uint16, buffer uint8, batches []byte) {
+	f.Add(uint8(100), 0, 64, 0.0, []byte{1, 2, 3, 4})
+	f.Add(uint8(20), 300, 192, 0.0, []byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
+	f.Add(uint8(250), 2000, NoBuffer, 0.0, []byte{15, 1, 15, 1, 15})
+	f.Add(uint8(60), 800, 64, 0.0, []byte{0, 0, 3, 9, 2, 11, 5, 5, 5, 14, 1, 8})
+	// Four records under options the build once took and Load refused (or
+	// Save failed on): a buffer charge that wrapped, an r past Load's bound,
+	// an r that wrapped as it rounded; and a budget of one unit.
+	f.Add(uint8(3), 64, 1<<62, 0.0, []byte{1})
+	f.Add(uint8(3), 1<<50, 1<<40, 0.0, []byte{1})
+	f.Add(uint8(3), 64, math.MaxInt, 0.0, []byte{1})
+	f.Add(uint8(3), 1, AutoBuffer, 0.0, []byte{1})
+	f.Add(uint8(3), 0, AutoBuffer, math.NaN(), []byte{1})
+	f.Fuzz(func(t *testing.T, base uint8, units, bufferBits int, fraction float64, batches []byte) {
 		d, extra := fuzzCorpus()
 		records := append(slices.Clone(d.Records), extra...)
-		m := 10 + int(base)%(len(d.Records)-10)
-		ix, err := BuildIndex(&dataset.Dataset{Records: records[:m]}, Options{BudgetUnits: int(units), BufferBits: []int{NoBuffer, 64, 192}[buffer%3], Seed: testSeed})
+		m := 1 + int(base)%len(d.Records)
+		ix, err := BuildIndex(&dataset.Dataset{Records: records[:m]},
+			Options{BudgetFraction: fraction, BudgetUnits: units, BufferBits: bufferBits, Seed: testSeed})
 		if err != nil {
-			t.Skip(err) // a budget the buffers take whole
+			if !slices.ContainsFunc(buildRefusals, func(r string) bool { return strings.HasPrefix(err.Error(), r) }) {
+				t.Fatalf("a build error that is no named refusal: %v", err)
+			}
+			return
+		}
+		if want := topFrequent(records[:m], ix.BufferBits()); !slices.Equal(ix.BufferElements(), want) {
+			t.Fatalf("r = %d: E_H %v, the most frequent elements %v", ix.BufferBits(), ix.BufferElements(), want)
+		}
+		reload(t, ix, "built")
+		for _, q := range []dataset.Record{records[0], records[m-1], records[len(records)-1]} {
+			for _, tstar := range []float64{0.3, 0.7} {
+				if got, want := ix.SearchSig(ix.Sketch(q), tstar), ix.SearchLinear(q, tstar); !slices.Equal(got, want) {
+					t.Fatalf("t*=%v: Search finds %v, Algorithm 2 %v", tstar, got, want)
+				}
+			}
 		}
 		checkPostings(t, ix, "built")
 		checkSummaries(t, ix, "built")
@@ -310,6 +341,29 @@ func FuzzPostingsUnderInserts(f *testing.F) {
 			}
 		}
 	})
+}
+
+// buildRefusals opens every error a build over sorted, non-empty records
+// may return: the options a build refuses, each by name.
+var buildRefusals = []string{
+	"core: BudgetFraction ",
+	"core: negative BudgetUnits ",
+	"core: BufferBits ",
+	"core: budget resolves to zero units",
+}
+
+// topFrequent is E_H by its definition: the r most frequent elements of the
+// records, in decreasing frequency, a tie to the smaller id.
+func topFrequent(records []dataset.Record, r int) []hash.Element {
+	freq := map[hash.Element]int{}
+	for _, rec := range records {
+		for _, e := range rec {
+			freq[e]++
+		}
+	}
+	elems := slices.Collect(maps.Keys(freq))
+	slices.SortFunc(elems, func(a, b hash.Element) int { return cmp.Or(cmp.Compare(freq[b], freq[a]), cmp.Compare(a, b)) })
+	return elems[:min(r, len(elems))]
 }
 
 // TestPostingBytesPerID: at τ = 1 over more than 2¹⁶ records — where some

@@ -208,8 +208,8 @@ func TestBuildFromSlicesMatchesPacked(t *testing.T) {
 // under -race — and the index saves and hands back what a build from a copy
 // does. Each error a build can meet once its counting pass has sized the
 // store is taken too: records past the store's offset table (before the
-// coding starts), no budget left for the G-KMV part and more kept keys than
-// the posting lists address (while it runs).
+// coding starts), a buffer past its bound and more kept keys than the posting
+// lists address (while it runs).
 func TestBuildReadsNoSliceAfterReturn(t *testing.T) {
 	d := buildTestDataset(t, 64, 300)
 	fresh := func() []dataset.Record {
@@ -251,10 +251,6 @@ func TestBuildReadsNoSliceAfterReturn(t *testing.T) {
 		}
 	}
 
-	// Only options whose buffer charge m·r wraps the int range leave the
-	// G-KMV part no budget: r is clamped to half the budget otherwise.
-	m := len(d.Records)
-	wrapping := (math.MaxInt/m + 8) / 8 * 8
 	for _, tc := range []struct {
 		name string
 		opt  Options
@@ -262,7 +258,7 @@ func TestBuildReadsNoSliceAfterReturn(t *testing.T) {
 		want string
 	}{
 		{"past the offset table", opt, func() func() { return snapfmt.SetPackLimit(100) }, "offset table"},
-		{"no budget left", Options{BudgetUnits: math.MaxInt, BufferBits: wrapping, Seed: testSeed}, nil, "no budget left for the G-KMV part"},
+		{"buffer past its bound", Options{BudgetUnits: math.MaxInt, BufferBits: 1 << 40, Seed: testSeed}, nil, "BufferBits"},
 		{"posting room", Options{BudgetFraction: 1, BufferBits: NoBuffer, Seed: testSeed}, func() func() {
 			old := postingLimit
 			postingLimit = 10

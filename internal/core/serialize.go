@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"gbkmv/internal/hash"
 	"gbkmv/internal/snapfmt"
@@ -75,25 +74,11 @@ func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
 	if ix.cut, ok = hash.UnitKey(tau); sr.Err() == nil && (!ok || ix.Tau() != tau) {
 		sr.Corrupt("threshold %v is not a key boundary in (0, 1]", tau)
 	}
-	// r sizes nothing — derive's tables follow |E_H|, read element by element
-	// below — so a garbage r cannot cost memory, only mis-charge the budget.
-	// It is held to what every build guarantees of it: one record's buffer
-	// costs less than the whole budget (BuildIndex never lets the buffers
-	// take it all), and E_H fits in it.
-	if sr.Err() == nil && (ix.bufferBits > math.MaxInt32 || bufferUnits(1, ix.bufferBits) >= ix.budget) {
-		sr.Corrupt("buffer of %d bits under a budget of %d units", ix.bufferBits, ix.budget)
-	}
 	ix.recs = sr.Packed()
-	m := ix.recs.Len()
-	if sr.Err() == nil && m == 0 {
-		sr.Corrupt("index has no records")
-	}
 	ix.bufferElems = sr.Elements()
-	if len(ix.bufferElems) > ix.bufferBits {
-		sr.Corrupt("%d buffered elements for %d buffer bits", len(ix.bufferElems), ix.bufferBits)
-	}
-	if m > 0 && ix.bufferBits > math.MaxInt/m {
-		sr.Corrupt("buffer of %d bits for %d records overflows", ix.bufferBits, m)
+	// The rule every build checks of what it built (first error wins).
+	if err := checkShape(ix.recs.Len(), ix.bufferBits, ix.budget, len(ix.bufferElems)); err != nil {
+		sr.Corrupt("%v", err)
 	}
 	if err := sr.Done(); err != nil {
 		return nil, fmt.Errorf("core: reading index: %w", err)

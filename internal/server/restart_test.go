@@ -215,6 +215,37 @@ func TestRestartAfterKillAtFullBudget(t *testing.T) {
 	}
 }
 
+// TestRestartAfterClampedBuild: a build whose buffer option would take the
+// whole budget is clamped to an r that its restart loads — the build used to
+// ack it, commit it, and skip it on reopen as a corrupt snapshot.
+func TestRestartAfterClampedBuild(t *testing.T) {
+	dir := t.TempDir()
+	store, ts := newServer(t, dir)
+	if code, m := doJSON(t, ts, "PUT", "/collections/clamped", jsonBody(t, map[string]any{"records": overlapCorpus(4),
+		"options": map[string]any{"budget_units": 64, "buffer_bits": 1 << 62}})); code != http.StatusOK {
+		t.Fatalf("build: %d %v", code, m)
+	}
+	wantStats := doJSONBody(t, ts, "GET", "/collections/clamped/stats")
+	want := searchResults(t, ts, "clamped")
+	ts.Close()
+	store.Close()
+
+	store2, ts2 := newServer(t, dir)
+	defer store2.Close()
+	if names := store2.Names(); !reflect.DeepEqual(names, []string{"clamped"}) {
+		t.Fatalf("collections after restart: %v", names)
+	}
+	gotStats := doJSONBody(t, ts2, "GET", "/collections/clamped/stats")
+	for _, key := range []string{"buffer_bits", "tau", "budget_units", "used_units", "num_records", "size_bytes"} {
+		if gotStats[key] != wantStats[key] {
+			t.Errorf("%s after restart = %v, want %v", key, gotStats[key], wantStats[key])
+		}
+	}
+	if got := searchResults(t, ts2, "clamped"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after restart:\n got  %v\n want %v", got, want)
+	}
+}
+
 // engineBytes is the collection's engine in its snapshot encoding.
 func engineBytes(t *testing.T, store *Store, name string) []byte {
 	t.Helper()

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
+	"sync"
 	"testing"
 
 	"gbkmv"
@@ -27,16 +29,15 @@ func (w *benchRW) Header() http.Header         { return w.h }
 func (w *benchRW) WriteHeader(c int)           { w.code = c }
 func (w *benchRW) Write(p []byte) (int, error) { return len(p), nil }
 
-// BenchmarkServerSearchBatch compares one 32-query batch request (batch32)
-// against the same 32 queries as sequential requests (seq32); one op covers
-// all 32 queries in both cases, so ns/op is directly comparable (batch32 <
-// seq32). Cache enabled in both, as in production.
+// BenchmarkServerSearchBatch compares one 32-query batch request (batch32),
+// which the handler fans out over GOMAXPROCS workers, against the same 32
+// queries as single requests sent from GOMAXPROCS goroutines (singles32);
+// one op covers all 32 queries in both cases, so ns/op is directly
+// comparable. The cache/ pair runs with the answer cache on, as in
+// production (every op after the first is 32 hits), the nocache/ pair with
+// it off (32 engine searches an op).
 func BenchmarkServerSearchBatch(b *testing.B) {
 	const nq = 32
-	store, err := NewStore("", func(string, ...any) {})
-	if err != nil {
-		b.Fatal(err)
-	}
 	records := benchCollectionRecords(b, 2500)
 	voc := gbkmv.NewVocabulary()
 	recs := make([]gbkmv.Record, len(records))
@@ -47,10 +48,6 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := store.Create("bench", voc, eng); err != nil {
-		b.Fatal(err)
-	}
-	h := Handler(store)
 
 	// Full records as queries: the containment-search serving shape (is this
 	// set contained in an indexed one?), spread out over the collection so
@@ -69,38 +66,64 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 	}
 	batchBody := []byte(fmt.Sprintf(`{"queries":%s,"threshold":0.8,"limit":10}`, qj))
 
-	// run POSTs every body to path once per op, through one request object
-	// and body reader reset per request: the benchmark measures the handler,
-	// not request construction.
-	run := func(path string, bodies [][]byte) func(b *testing.B) {
+	// run POSTs every body to path once per op, body i from goroutine
+	// i mod senders, each through one request object and body reader reset
+	// per request: the benchmark measures the handler, not request
+	// construction.
+	run := func(h http.Handler, path string, bodies [][]byte, senders int) func(b *testing.B) {
 		return func(b *testing.B) {
 			u, err := url.Parse(path)
 			if err != nil {
 				b.Fatal(err)
 			}
-			rw := &benchRW{h: make(http.Header)}
-			rd := bytes.NewReader(nil)
-			req := &http.Request{
-				Method: "POST", URL: u,
-				Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-				Header: make(http.Header), Host: "bench",
-				Body: io.NopCloser(rd),
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, body := range bodies {
-					rd.Reset(body)
-					req.ContentLength = int64(len(body))
+			send := func(w int, bodies [][]byte) {
+				rw := &benchRW{h: make(http.Header)}
+				rd := bytes.NewReader(nil)
+				req := &http.Request{
+					Method: "POST", URL: u,
+					Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+					Header: make(http.Header), Host: "bench",
+					Body: io.NopCloser(rd),
+				}
+				for i := w; i < len(bodies); i += senders {
+					rd.Reset(bodies[i])
+					req.ContentLength = int64(len(bodies[i]))
 					rw.code = 0
 					h.ServeHTTP(rw, req)
 					if rw.code != http.StatusOK {
-						b.Fatalf("%s: status %d", path, rw.code)
+						b.Errorf("%s: status %d", path, rw.code)
+						return
 					}
 				}
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for i := 0; i < b.N; i++ {
+				wg.Add(senders)
+				for w := range senders {
+					go func() {
+						defer wg.Done()
+						send(w, bodies)
+					}()
+				}
+				wg.Wait()
+			}
 		}
 	}
-	b.Run("seq32", run("/collections/bench/search", singles))
-	b.Run("batch32", run("/collections/bench/search:batch", [][]byte{batchBody}))
+	for _, c := range []struct {
+		name    string
+		entries int
+	}{{"cache", 0}, {"nocache", -1}} {
+		store, err := OpenStore("", StoreOptions{Logf: func(string, ...any) {}, QueryCacheEntries: c.entries})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := store.Create("bench", voc, eng); err != nil {
+			b.Fatal(err)
+		}
+		h := Handler(store)
+		b.Run(c.name+"/singles32", run(h, "/collections/bench/search", singles, runtime.GOMAXPROCS(0)))
+		b.Run(c.name+"/batch32", run(h, "/collections/bench/search:batch", [][]byte{batchBody}, 1))
+	}
 }

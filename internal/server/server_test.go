@@ -270,6 +270,27 @@ func TestErrorPaths(t *testing.T) {
 			t.Errorf("%s: no error field in %v", c.name, m)
 		}
 	}
+	// Options no index is built under: a 400 naming the option, and no
+	// generation on disk.
+	dir := t.TempDir()
+	diskStore, diskTS := newServer(t, dir)
+	defer diskStore.Close()
+	for _, c := range []struct{ options, names string }{
+		{`{"budget_units": 1125899906842624, "buffer_bits": 1099511627776}`, "BufferBits"}, // past the bound on r
+		{`{"buffer_bits": -2}`, "BufferBits"},
+		{`{"budget_fraction": 2}`, "BudgetFraction"},
+	} {
+		code, m := doJSON(t, diskTS, "PUT", "/collections/refused", `{"records": [["a","b"]], "options": `+c.options+`}`)
+		if msg, _ := m["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, c.names) {
+			t.Errorf("options %s: %d %v, want a 400 naming %s", c.options, code, m, c.names)
+		}
+	}
+	if names := diskStore.Names(); len(names) != 0 {
+		t.Errorf("refused builds left collections %v", names)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "refused")); err == nil {
+		t.Error("a refused build left a collection directory")
+	}
 	// Wrong method on a valid route (the mux's own error path).
 	req, _ := http.NewRequest("GET", ts.URL+"/collections/rest/search", nil)
 	resp, err := ts.Client().Do(req)
