@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,11 +396,32 @@ func TestChaosChainedReplicaAndAutoPromotion(t *testing.T) {
 		t.Fatal("chained journals diverge pre-failover")
 	}
 
+	// Four readers at B from before the kill until C has caught up on it:
+	// reads are what keeps the service up through the failover.
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	var readsOK, readsFailed atomic.Int64
+	var readers sync.WaitGroup
+	for range 4 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for ctx.Err() == nil {
+				if code, _, err := bnode.get("POST", "/collections/c/search",
+					`{"query": ["five", "guys"], "threshold": 0.5}`); err == nil && code == http.StatusOK {
+					readsOK.Add(1)
+				} else {
+					readsFailed.Add(1)
+				}
+			}
+		}()
+	}
+
 	// Kill the true leader; B must detect the silence and promote itself
 	// inside a bounded window, C must ride the handoff without re-bootstrap.
 	killed := time.Now()
 	leader.crash()
-	waitFor(t, 20*time.Second, "auto-promotion", fb.Promoted)
+	waitFor(t, 20*time.Second, "auto-promotion", fb.promoted.Load)
 	promoTime := time.Since(killed)
 	t.Logf("auto-promotion completed %v after leader death", promoTime)
 	if bound := 15 * time.Second; promoTime > bound {
@@ -411,6 +434,13 @@ func TestChaosChainedReplicaAndAutoPromotion(t *testing.T) {
 	waitFor(t, 30*time.Second, "C to follow the promoted node", func() bool {
 		return caughtUp(bnode, cnode, "c")
 	})
+	stop()
+	readers.Wait()
+	ok, bad := readsOK.Load(), readsFailed.Load()
+	t.Logf("reads at B through the failover: %d, %d failed", ok+bad, bad)
+	if ok+bad == 0 || float64(ok) < 0.99*float64(ok+bad) {
+		t.Fatalf("read availability at B %d/%d, want at least 99%%", ok, ok+bad)
+	}
 	if got := bootstraps(fc); got != 1 {
 		t.Fatalf("C bootstrapped %d times, want 1 (handoff, not re-bootstrap)", got)
 	}

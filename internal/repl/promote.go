@@ -96,9 +96,6 @@ func (f *Follower) Promote() error {
 	return nil
 }
 
-// Promoted reports whether this follower has been promoted to leader.
-func (f *Follower) Promoted() bool { return f.promoted.Load() }
-
 // noteContact records a successful exchange with the upstream — any
 // response at all, whatever its status, proves the leader is alive.
 func (f *Follower) noteContact() {

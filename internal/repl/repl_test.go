@@ -32,7 +32,7 @@ type node struct {
 
 func startNode(t *testing.T, dir string) *node {
 	t.Helper()
-	st, err := server.NewStore(dir, t.Logf)
+	st, err := server.OpenStore(dir, server.StoreOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -387,36 +391,78 @@ func TestDiskChaosLyingFsync(t *testing.T) {
 }
 
 // TestDiskChaosScrubDetectsAndRepairs: the background scrubber's pass finds
-// in-place corruption of a committed file, quarantines the generation while
-// reads keep serving, and — on a leader — self-repairs by writing a fresh
-// verified snapshot from the intact in-memory state.
+// in-place corruption of a committed file — of a fresh build, and of a
+// derived generation whose parent is retained — quarantines the generation
+// while reads keep serving, and — on a leader — self-repairs by writing a
+// fresh verified snapshot from the intact in-memory state.
 func TestDiskChaosScrubDetectsAndRepairs(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		gen  uint64 // the flipped file's generation
+	}{{"vocab-1.snap", 1}, {"index-2.snap", 2}} {
+		t.Run(tc.file, func(t *testing.T) { testScrubDetectsAndRepairs(t, tc.file, tc.gen) })
+	}
+}
+
+func testScrubDetectsAndRepairs(t *testing.T, file string, gen uint64) {
 	dir := t.TempDir()
 	store, ts := newServer(t, dir)
 	defer store.Close()
 	buildRestaurants(t, ts, "rest")
+	if gen == 2 {
+		doJSON(t, ts, "POST", "/collections/rest/records", `{"records": [["shake", "shack", "burgers"]]}`)
+		doJSON(t, ts, "POST", "/collections/rest/snapshot", "")
+	}
 	want := searchBoth(t, ts, "rest")
 
 	if rep := store.ScrubNow(); len(rep.Failures) != 0 || rep.Collections != 1 {
 		t.Fatalf("clean scrub: %+v", rep)
 	}
 
-	flipByte(t, filepath.Join(dir, "rest", "vocab-1.snap"))
+	// Four readers search from before the flip until after the follow-up
+	// scrub, and not one read may fail.
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	var readsFailed atomic.Int64
+	var ready, done sync.WaitGroup
+	for range 4 {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			for first := true; ctx.Err() == nil; first = false {
+				resp, err := ts.Client().Post(ts.URL+"/collections/rest/search", "application/json",
+					strings.NewReader(`{"query": ["five", "guys"], "threshold": 0.5}`))
+				if err != nil || resp.StatusCode != http.StatusOK {
+					readsFailed.Add(1)
+				}
+				if err == nil {
+					resp.Body.Close()
+				}
+				if first {
+					ready.Done()
+				}
+			}
+		}()
+	}
+	ready.Wait()
+
+	flipByte(t, filepath.Join(dir, "rest", file))
 	rep := store.ScrubNow()
 	if len(rep.Failures) != 1 {
 		t.Fatalf("scrub over corruption: %+v", rep)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "rest", "quarantine-1", "vocab-1.snap")); err != nil {
-		t.Fatalf("corrupt vocab not quarantined: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "rest", fmt.Sprintf("quarantine-%d", gen), file)); err != nil {
+		t.Fatalf("corrupt %s not quarantined: %v", file, err)
 	}
 	// Leader self-repair: the in-memory state was never corrupt, so the scrub
-	// snapshotted a verified generation 2 and cleared the quarantine flag.
+	// snapshotted a verified next generation and cleared the quarantine flag.
 	c, _ := store.Get("rest")
 	if g := c.gens.quarantined.Load(); g != 0 {
 		t.Fatalf("repair snapshot did not clear quarantine: gen %d", g)
 	}
-	if m, err := readMeta(fsx.Default, filepath.Join(dir, "rest")); err != nil || m.Generation != 2 {
-		t.Fatalf("repair snapshot: %v gen %d, want 2", err, m.Generation)
+	if m, err := readMeta(fsx.Default, filepath.Join(dir, "rest")); err != nil || m.Generation != gen+1 {
+		t.Fatalf("repair snapshot: %v gen %d, want %d", err, m.Generation, gen+1)
 	}
 	if got := searchBoth(t, ts, "rest"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reads across scrub repair:\n got  %v\n want %v", got, want)
@@ -435,6 +481,11 @@ func TestDiskChaosScrubDetectsAndRepairs(t *testing.T) {
 	// The repaired generation passes the next pass.
 	if rep := store.ScrubNow(); len(rep.Failures) != 0 {
 		t.Fatalf("scrub after repair: %+v", rep)
+	}
+	stop()
+	done.Wait()
+	if bad := readsFailed.Load(); bad > 0 {
+		t.Fatalf("%d reads failed through corruption, scrub and repair", bad)
 	}
 }
 

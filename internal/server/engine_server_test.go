@@ -359,11 +359,11 @@ func testOldFormatSnapshot(t *testing.T, rewrite func(w io.Writer, current []byt
 	// The daemon skips the collection with a line that says what to do.
 	var mu sync.Mutex
 	var lines []string
-	store2, err := NewStore(dir, func(format string, args ...any) {
+	store2, err := OpenStore(dir, StoreOptions{Logf: func(format string, args ...any) {
 		mu.Lock()
 		lines = append(lines, fmt.Sprintf(format, args...))
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func TestEntryTooLargeRefusedAlike(t *testing.T) {
 	huge := [][]string{{"fits"}, {strings.Repeat("x", journalMaxEntry)}}
 	var refusals []string
 	for _, dir := range []string{"", t.TempDir()} {
-		store, err := NewStore(dir, func(string, ...any) {})
+		store, err := OpenStore(dir, StoreOptions{Logf: func(string, ...any) {}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ import (
 // concurrent inserts.
 func newGroupCommitCollection(t *testing.T, dir string) (*Store, *Collection) {
 	t.Helper()
-	store, err := NewStore(dir, t.Logf)
+	store, err := OpenStore(dir, StoreOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestConcurrentGroupCommitInserts(t *testing.T) {
 	// Simulated kill: no Store.Close, reload from disk. Every acknowledged
 	// insert was fsynced before its Insert returned, so replay must
 	// reproduce each record at its acknowledged id.
-	store2, err := NewStore(dir, t.Logf)
+	store2, err := OpenStore(dir, StoreOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestKillBetweenAppendAndFsync(t *testing.T) {
 	}
 	f.Close()
 
-	store2, err := NewStore(dir, t.Logf)
+	store2, err := OpenStore(dir, StoreOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestAppendFailureHealsWithoutCommitInFlight(t *testing.T) {
 	if want := 3; ids[0] != want {
 		t.Fatalf("post-recovery id = %d, want %d", ids[0], want)
 	}
-	store2, err := NewStore(dir, t.Logf)
+	store2, err := OpenStore(dir, StoreOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,13 +439,13 @@ func TestInternBetweenEncodeAndApply(t *testing.T) {
 	if err := os.CopyFS(filepath.Join(replayDir, "gc"), os.DirFS(c.gens.dir)); err != nil {
 		t.Fatal(err)
 	}
-	replayStore, err := NewStore(replayDir, t.Logf)
+	replayStore, err := OpenStore(replayDir, StoreOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer replayStore.Close()
 	// The follower: the build's snapshot, then the journal as one chunk.
-	followerStore, err := NewStore(t.TempDir(), t.Logf)
+	followerStore, err := OpenStore(t.TempDir(), StoreOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -407,7 +407,7 @@ func FuzzBuildBody(f *testing.F) {
 // TestBodyTooLarge: a body that runs into the size bound is a 413 on the
 // scanned endpoints and the decoded ones alike, not a 400.
 func TestBodyTooLarge(t *testing.T) {
-	store, err := NewStore("", t.Logf)
+	store, err := OpenStore("", StoreOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestBulkIngestAllocs(t *testing.T) {
 	}
 	records := benchCollectionRecords(t, 20000)
 	body := marshalBuildBody(t, records, `{"seed":7}`)
-	store, err := NewStore("", func(string, ...any) {})
+	store, err := OpenStore("", StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -706,7 +706,7 @@ func TestBuildByteIdentity(t *testing.T) {
 		body := marshalBuildBody(t, records, `{"seed":7}`)
 
 		refDir := t.TempDir()
-		refStore, err := NewStore(refDir, t.Logf)
+		refStore, err := OpenStore(refDir, StoreOptions{Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}

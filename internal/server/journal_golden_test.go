@@ -105,7 +105,7 @@ func TestWritePathBytesMatchGolden(t *testing.T) {
 	reqs := journalGoldenRequests(records[200:])
 	var got bytes.Buffer
 	dir := t.TempDir()
-	store, err := NewStore(dir, func(string, ...any) {})
+	store, err := OpenStore(dir, StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWritePathBytesMatchGolden(t *testing.T) {
 		fmt.Fprintf(&got, "%s %d %x\n", filepath.Base(name), len(b), sha256.Sum256(b))
 	}
 	// What replay makes of them.
-	reopened, err := NewStore(dir, func(string, ...any) {})
+	reopened, err := OpenStore(dir, StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TestJSONFrameRefused(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	store, err := NewStore(dir, func(string, ...any) {})
+	store, err := OpenStore(dir, StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestJSONFrameRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logged []string
-	reopened, err := NewStore(dir, func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
+	reopened, err := OpenStore(dir, StoreOptions{Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestJSONFrameRefused(t *testing.T) {
 func fuzzJournalSeeds(tb testing.TB) (journal, vocab, metaJSON []byte) {
 	tb.Helper()
 	dir := tb.TempDir()
-	store, err := NewStore(dir, func(string, ...any) {})
+	store, err := OpenStore(dir, StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -548,11 +548,11 @@ func TestStartupLineReportsLoadStages(t *testing.T) {
 
 	var mu sync.Mutex
 	var lines []string
-	store, err := NewStore(dir, func(format string, args ...any) {
+	store, err := OpenStore(dir, StoreOptions{Logf: func(format string, args ...any) {
 		mu.Lock()
 		lines = append(lines, fmt.Sprintf(format, args...))
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

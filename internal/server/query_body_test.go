@@ -482,7 +482,7 @@ func TestQueryTokensRefuseWhatUnmarshalRefuses(t *testing.T) {
 // TestQueryEndpointsTooLarge: the size bound answers 413 on all four query
 // endpoints, as TestBodyTooLarge has it for build, insert and search.
 func TestQueryEndpointsTooLarge(t *testing.T) {
-	store, err := NewStore("", t.Logf)
+	store, err := OpenStore("", StoreOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestReadPathAllocs(t *testing.T) {
 			long = append(long, r[:46])
 		}
 	}
-	store, err := NewStore("", func(string, ...any) {})
+	store, err := OpenStore("", StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestReadPathResponsesMatchGolden(t *testing.T) {
 		t.Fatalf("only %d requests in the sequence", len(reqs))
 	}
 	var got bytes.Buffer
-	store, err := NewStore("", func(string, ...any) {})
+	store, err := OpenStore("", StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

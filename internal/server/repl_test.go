@@ -309,7 +309,7 @@ func TestApplyReplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replicaStore, err := NewStore(t.TempDir(), t.Logf)
+	replicaStore, err := OpenStore(t.TempDir(), StoreOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestApplyReplicated(t *testing.T) {
 // leader and one, "a�", everywhere else.)
 func TestInsertInvalidUTF8ReplaysIdentically(t *testing.T) {
 	leaderDir := t.TempDir()
-	leaderStore, err := NewStore(leaderDir, func(string, ...any) {})
+	leaderStore, err := OpenStore(leaderDir, StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestInsertInvalidUTF8ReplaysIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replicaStore, err := NewStore(t.TempDir(), func(string, ...any) {})
+	replicaStore, err := OpenStore(t.TempDir(), StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestInsertInvalidUTF8ReplaysIdentically(t *testing.T) {
 		t.Fatalf("replica applied %d entries, %v", applied, err)
 	}
 	// The crash: the leader's directory opened again, nothing closed.
-	reopenedStore, err := NewStore(leaderDir, func(string, ...any) {})
+	reopenedStore, err := OpenStore(leaderDir, StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,11 +146,6 @@ type StoreOptions struct {
 	MaxInflightInserts int
 }
 
-// NewStore is OpenStore with default options and the given logger.
-func NewStore(dir string, logf func(format string, args ...any)) (*Store, error) {
-	return OpenStore(dir, StoreOptions{Logf: logf})
-}
-
 // OpenStore opens a store over the data directory, reloading every
 // collection previously snapshotted there (latest snapshot plus journal
 // replay). An empty dir yields a memory-only store. Collections that fail to

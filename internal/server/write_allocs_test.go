@@ -22,7 +22,7 @@ import (
 func writeAllocsCollection(t *testing.T, dir string, n int) (*Store, *Collection, [][]byte) {
 	t.Helper()
 	records := benchCollectionRecords(t, n)
-	store, err := NewStore(dir, func(string, ...any) {})
+	store, err := OpenStore(dir, StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestReplayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	replicaStore, err := NewStore(t.TempDir(), func(string, ...any) {})
+	replicaStore, err := OpenStore(t.TempDir(), StoreOptions{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestReplayAllocs(t *testing.T) {
 		runtime.GC()
 	}
 	runtime.ReadMemStats(&before)
-	reopened, err := NewStore(dir, func(string, ...any) {})
+	reopened, err := OpenStore(dir, StoreOptions{Logf: func(string, ...any) {}})
 	runtime.ReadMemStats(&opened)
 	runtime.GC()
 	runtime.ReadMemStats(&settled)
