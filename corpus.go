@@ -52,14 +52,18 @@ func (c *Corpus) take() snapfmt.PackedRecords {
 // ones it did not find in block order (so ids follow first appearance, as one
 // goroutine interning every token in turn gives them), sorts and
 // deduplicates each record and appends the records to the corpus in block
-// order. Two blocks a worker, eight at most, are in flight, and they are
-// reused; at one proc the same block function runs on the caller's
-// goroutine. The workers run until Corpus is called, so call it once done,
-// also to abandon a build. A builder is not safe for concurrent use.
+// order. Two blocks a worker, eight at most, are in flight, sized to share
+// one budget between them, and they are reused; at one proc the same block
+// function runs on the caller's goroutine. The shape — workers, blocks and
+// their size — follows GOMAXPROCS as NewRecordBuilder finds it. The workers
+// run until Corpus is called, so call it once done, also to abandon a build.
+// A builder is not safe for concurrent use.
 type RecordBuilder struct {
-	voc  *Vocabulary
-	open *recordBlock // the block Token and EndRecord fill
-	next int          // the place of the next block handed on
+	voc     *Vocabulary
+	open    *recordBlock // the block Token and EndRecord fill
+	next    int          // the place of the next block handed on
+	size    int          // the bytes a block is handed on at
+	workers int          // GOMAXPROCS at NewRecordBuilder; 1 codes on the caller's goroutine
 
 	// The workers, started with the first block handed on at more than one
 	// proc and stopped by Corpus.
@@ -77,18 +81,40 @@ type RecordBuilder struct {
 	err                error
 }
 
-// blockBytes sizes a block: it is handed on at the first record end that
-// takes its text and 8 bytes a token (its end and its id) to this many. A
-// record larger than that is a block of its own. Every block costs its
-// worker two waits for the block before it, so larger blocks decode faster,
-// and all in flight are held at once, so they cost what a build allocates
+// A block is handed on at the first record end that takes its text and 8
+// bytes a token (its end and its id) to its size; a record larger than that
+// is a block of its own. Every block costs its worker two waits for the block
+// before it, and each hand-off leaves the goroutine it wakes runnable until a
+// core is free, so fewer, larger blocks decode faster; but all the blocks in
+// flight are held at once, and their total adds to what a build allocates
 // (DESIGN.md "Bulk ingest" has the measurements).
-const blockBytes = 32 << 10
+//
+// inflightBytes is that total with workers: it is shared out evenly over the
+// blocks in flight, 128 kB each at two procs and 64 kB from four on. One
+// budget rather than one block size keeps what a build allocates about level
+// from two procs to eight (TestBulkIngestAllocs). blockBytes is the block at
+// one proc, where the caller's goroutine codes each block as it fills: there
+// is no hand-off to save, and a larger block would only be held.
+const (
+	inflightBytes = 512 << 10
+	blockBytes    = 32 << 10
+)
 
-// maxBlocks bounds the blocks in flight whatever the worker count. A token
-// costs a worker about twice what it costs the scanning goroutine, so past
-// four workers the scan sets the pace, and more blocks would only be held.
+// maxBlocks bounds the blocks in flight whatever the worker count, two a
+// worker below it. A token costs a worker about twice what it costs the
+// scanning goroutine, so past four workers the scan sets the pace, and more
+// blocks would only be held.
 const maxBlocks = 8
+
+// blockShape returns the blocks in flight with this many workers and the size
+// each is handed on at.
+func blockShape(workers int) (blocks, size int) {
+	if workers <= 1 {
+		return 1, blockBytes
+	}
+	blocks = min(2*workers, maxBlocks)
+	return blocks, inflightBytes / blocks
+}
 
 // recordBlock is a run of whole records on their way from the goroutine that
 // reads them to the corpus.
@@ -123,7 +149,8 @@ func (k *recordBlock) reset() {
 
 // NewRecordBuilder returns a builder interning through voc.
 func NewRecordBuilder(voc *Vocabulary) *RecordBuilder {
-	b := &RecordBuilder{voc: voc, open: new(recordBlock)}
+	b := &RecordBuilder{voc: voc, open: new(recordBlock), workers: runtime.GOMAXPROCS(0)}
+	_, b.size = blockShape(b.workers)
 	b.moved.L = &b.mu
 	return b
 }
@@ -148,7 +175,7 @@ func (b *RecordBuilder) EndRecord() (empty bool) {
 	k := b.open
 	empty = k.closed() == len(k.ends)
 	k.recs = append(k.recs, len(k.ends))
-	if len(k.text)+8*len(k.ends) >= blockBytes {
+	if len(k.text)+8*len(k.ends) >= b.size {
 		b.handOn()
 	}
 	return empty
@@ -189,8 +216,8 @@ func (b *RecordBuilder) Corpus() (*Corpus, error) {
 func (b *RecordBuilder) handOn() {
 	k := b.open
 	k.seq, b.next = b.next, b.next+1
-	if b.work == nil && runtime.GOMAXPROCS(0) > 1 {
-		b.start(runtime.GOMAXPROCS(0))
+	if b.work == nil && b.workers > 1 {
+		b.start()
 	}
 	if b.work == nil {
 		b.code(k)
@@ -214,15 +241,15 @@ func (b *RecordBuilder) handOn() {
 }
 
 // start starts the workers. Their blocks outlive them, for the builder's
-// next corpus: two a worker up to maxBlocks, one of which the caller holds
-// open.
-func (b *RecordBuilder) start(workers int) {
+// next corpus: blockShape's count, one of which the caller holds open.
+func (b *RecordBuilder) start() {
 	if b.free == nil {
-		b.free, b.made = make(chan *recordBlock, min(2*workers, maxBlocks)), 1
+		blocks, _ := blockShape(b.workers)
+		b.free, b.made = make(chan *recordBlock, blocks), 1
 	}
 	b.work = make(chan *recordBlock, cap(b.free))
-	b.wg.Add(workers)
-	for range workers {
+	b.wg.Add(b.workers)
+	for range b.workers {
 		go func() {
 			defer b.wg.Done()
 			for k := range b.work {

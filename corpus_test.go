@@ -232,13 +232,15 @@ func (s *serialBuilder) endRecord() (empty bool) {
 	return empty
 }
 
-// builderStream is a seeded token stream for the differential test: records
-// from empty to several blocks long, so that blocks end inside runs of
-// records of every size; new tokens all along, each repeated within its record
-// and in the records after it, so that a block keeps meeting tokens an
-// earlier block — or the block before it, still interning — saw first; the
-// empty token (a null in a body) and empty records among them.
-func builderStream(seed int64) [][]string {
+// builderStream is a seeded token stream for the differential test, for a
+// builder whose blocks are handed on at size bytes: records from empty to
+// two blocks long, so that blocks end inside runs of records of every size;
+// new tokens all along, each repeated within its record and in the records
+// after it, so that a block keeps meeting tokens an earlier block — or the
+// block before it, still interning — saw first; the empty token (a null in a
+// body) and empty records among them. A record of size/8 tokens or more is
+// longer than a block: a token counts 8 bytes besides its text.
+func builderStream(seed int64, size int) [][]string {
 	rng := rand.New(rand.NewSource(seed))
 	var stream [][]string
 	var seen []string
@@ -248,7 +250,7 @@ func builderStream(seed int64) [][]string {
 		case r < 8:
 			n = 0
 		case r < 10:
-			n = 2000 + rng.Intn(6000) // longer than a block
+			n = size/8 + rng.Intn(size/8) // longer than a block
 		default:
 			n = 1 + rng.Intn(150)
 		}
@@ -275,8 +277,9 @@ func builderStream(seed int64) [][]string {
 // reference at 1, 2 and 8 procs: the same vocabulary to the Save byte (ids in
 // first-appearance order), the same coded corpus to the byte, the same first
 // empty record and the same error — with the record store's bound lowered
-// to fall inside a block too. After Corpus every block is back on the free
-// list, the workers gone with them.
+// to fall inside a block too. Each proc count has its own block size, and a
+// stream with records longer than that size. After Corpus every block is back
+// on the free list, the workers gone with them.
 func TestRecordBuilderMatchesSerial(t *testing.T) {
 	save := func(v *Vocabulary) []byte {
 		var buf bytes.Buffer
@@ -287,30 +290,37 @@ func TestRecordBuilderMatchesSerial(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for seed := int64(1); seed <= 3; seed++ {
-		stream := builderStream(seed)
-		for _, limit := range []int{0, 40 << 10} { // 0: no bound but the real one
-			ref := &serialBuilder{voc: NewVocabulary()}
-			refEmpty := -1
-			func() {
-				if limit > 0 {
-					defer snapfmt.SetPackLimit(limit)()
-				}
-				for i, tokens := range stream {
-					for _, tok := range tokens {
-						ref.token([]byte(tok))
-					}
-					if ref.endRecord() && refEmpty < 0 {
-						refEmpty = i
-					}
-				}
-			}()
-			if (limit > 0) != (ref.err != nil) {
-				t.Fatalf("seed %d, limit %d: the reference's error is %v", seed, limit, ref.err)
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			_, size := blockShape(procs)
+			stream := builderStream(seed, size)
+			if !slices.ContainsFunc(stream, func(tokens []string) bool { return len(tokens) >= size/8 }) {
+				t.Fatalf("seed %d, %d procs: no record in the stream is longer than a %d-byte block", seed, procs, size)
 			}
-			for _, procs := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(procs)
+			for _, limit := range []int{0, 40 << 10} { // 0: no bound but the real one
+				ref := &serialBuilder{voc: NewVocabulary()}
+				refEmpty := -1
+				func() {
+					if limit > 0 {
+						defer snapfmt.SetPackLimit(limit)()
+					}
+					for i, tokens := range stream {
+						for _, tok := range tokens {
+							ref.token([]byte(tok))
+						}
+						if ref.endRecord() && refEmpty < 0 {
+							refEmpty = i
+						}
+					}
+				}()
+				if (limit > 0) != (ref.err != nil) {
+					t.Fatalf("seed %d, limit %d: the reference's error is %v", seed, limit, ref.err)
+				}
 				voc := NewVocabulary()
 				b := NewRecordBuilder(voc)
+				if b.size != size {
+					t.Fatalf("%d procs: blocks of %d bytes, want %d", procs, b.size, size)
+				}
 				empty := -1
 				var c *Corpus
 				var err error

@@ -518,25 +518,83 @@ func (s *bodyScanner) array(what string, elem func() error) error {
 // tokens walks an array of strings, or null, calling token for each one's
 // bytes (valid only during the call). A null token is the empty string.
 func (s *bodyScanner) tokens(what string, token func([]byte)) error {
-	return s.array(what, func() error {
-		c, err := s.next()
+	c, err := s.next()
+	if err != nil {
+		return err
+	}
+	if c == 'n' {
+		return s.literal("null")
+	}
+	if c != '[' {
+		return syntaxErr(c, "where "+what+" should start")
+	}
+	done, err := s.open(']')
+	for !done && err == nil {
+		if done = s.plainTokens(token); done {
+			break
+		}
+		if err = s.tokenElem(token); err != nil {
+			return err
+		}
+		done, err = s.sep(']')
+	}
+	return err
+}
+
+// plainByte marks the bytes a string may hold and stand for itself in:
+// printable ASCII but for the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// plainTokens consumes the array's elements for as long as each is a string
+// of plain bytes followed at once by a comma or the closing bracket, calling
+// token for each, and reports whether it consumed the bracket. It stops at
+// the start of any other element — an escape, a control or non-ASCII byte,
+// null, whitespace, a window's end — and leaves it to tokenElem and sep: the
+// common case in one loop, everything else read as before.
+func (s *bodyScanner) plainTokens(token func([]byte)) (done bool) {
+	buf := s.buf[:s.end]
+	for i := s.pos; i < len(buf) && buf[i] == '"'; {
+		j := i + 1
+		for j < len(buf) && plainByte[buf[j]] {
+			j++
+		}
+		if j+1 >= len(buf) || buf[j] != '"' || buf[j+1] != ',' && buf[j+1] != ']' {
+			break
+		}
+		token(buf[i+1 : j])
+		i, s.pos = j+2, j+2
+		if buf[j+1] == ']' {
+			return true
+		}
+	}
+	return false
+}
+
+// tokenElem reads one element of a token array: a string, or null for the
+// empty token.
+func (s *bodyScanner) tokenElem(token func([]byte)) error {
+	c, err := s.next()
+	if err != nil {
+		return err
+	}
+	switch c {
+	case '"':
+		text, err := s.str()
 		if err != nil {
 			return err
 		}
-		switch c {
-		case '"':
-			text, err := s.str()
-			if err != nil {
-				return err
-			}
-			token(text)
-			return nil
-		case 'n':
-			token(nil)
-			return s.literal("null")
-		}
-		return notAToken(c)
-	})
+		token(text)
+		return nil
+	case 'n':
+		token(nil)
+		return s.literal("null")
+	}
+	return notAToken(c)
 }
 
 // notAToken is the error of an array element that starts with this byte,

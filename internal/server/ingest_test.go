@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -296,6 +298,25 @@ func bodyTable() [][]byte {
 		`{"records":[["a"]]}{"records":[["b"]]}`,
 		`{"records":[["a"]]}]`,
 		`{"file":"f"}` + "\x00\xff",
+		// Where the plain-token loop hands a token array back to the general
+		// path: an escape, a control byte, a non-ASCII or invalid byte after
+		// plain bytes; whitespace, null and the empty token between plain
+		// tokens; a separator missing, doubled or before the bracket; a
+		// body that ends in or right after a plain token.
+		`{"records":[["ab","cd\nef","g"],["h\u00e9","i"]]}`,
+		"{\"records\":[[\"ab\",\"cd\x01ef\",\"g\"]]}",
+		"{\"records\":[[\"ab\",\"cdé\",\"g\",\"h\xff\",\"i\"]]}",
+		"{\"records\":[[\"a\", \"b\" ,\"c\"\n,\t\"d\"\r\n]]}",
+		`{"records":[["a",null,"b",null],[null,"c"]]}`,
+		`{"records":[["a","","b",""],["","c"]]}`,
+		`{"records":[["a","b",]]}`,
+		`{"records":[["a",,"b"]]}`,
+		`{"records":[["a","b""c"]]}`,
+		`{"records":[["a","b"}]}`,
+		`{"records":[["a","b"]`,
+		`{"records":[["a","b",`,
+		`{"records":[["a","b"`,
+		`{"records":[["a","b`,
 		// A token, a key and an options value longer than the window.
 		`{"records":[["a","` + long + `","b"],["` + long + `"]]}`,
 		`{"records":[["\u00e9` + long + `\n"]]}`,
@@ -307,6 +328,19 @@ func bodyTable() [][]byte {
 	for _, b := range bodies {
 		out = append(out, []byte(b))
 	}
+	// Plain tokens of every length from 1 to 9 over twice the window, so
+	// that refills cut them at every place, and between the closing quote
+	// and the separator.
+	plain := []byte(`{"records":[[`)
+	for i := 0; len(plain) < 2*scanWindow; i++ {
+		if i%50 == 49 {
+			plain = append(plain, `"end"],["`...)
+		}
+		plain = append(plain, `"`...)
+		plain = append(plain, strings.Repeat("p", 1+i%9)...)
+		plain = append(plain, `",`...)
+	}
+	out = append(out, append(plain, `"end"]]}`...))
 	// Truncation at every prefix length of a short body with an escape, a
 	// multi-byte character, a null and both small values in it.
 	short := `{"records":[["a\u00e9","é\n"],null],"file":"f","options":{"seed":1}}`
@@ -319,7 +353,8 @@ func bodyTable() [][]byte {
 // TestScannerMatchesEncodingJSON runs the table through the scanner and the
 // reference, then again with readers that hand the scanner one byte, and
 // alternately half of what it asked for, per Read: what the scanner makes
-// of a body may not depend on where its window happens to end.
+// of a body may not depend on where its window happens to end, and neither
+// may the error it refuses one with.
 func TestScannerMatchesEncodingJSON(t *testing.T) {
 	readers := []struct {
 		name string
@@ -337,6 +372,38 @@ func TestScannerMatchesEncodingJSON(t *testing.T) {
 				checkInsertBody(t, body, rd.wrap)
 			}
 		})
+	}
+	t.Run("error-text", func(t *testing.T) {
+		for _, body := range bodyTable() {
+			checkErrorText(t, body)
+		}
+	})
+}
+
+// checkErrorText holds the errors readBuild and readInsert refuse a body
+// with, read whole, to those they refuse it with read a byte at a time. The
+// plain-token loop reads a token only where the window holds it and its
+// separator whole, and a one-byte reader never gives it one: every token it
+// reads there goes the general way.
+func checkErrorText(t testing.TB, body []byte) {
+	t.Helper()
+	scan := func(r io.Reader) string {
+		sc := getScanner(r)
+		_, build := sc.readBuild()
+		putScanner(sc)
+		return fmt.Sprint(build)
+	}
+	scanInsert := func(r io.Reader) string {
+		sc := getScanner(r)
+		_, insert := sc.readInsert()
+		putScanner(sc)
+		return fmt.Sprint(insert)
+	}
+	if whole, oneByte := scan(bytes.NewReader(body)), scan(iotest.OneByteReader(bytes.NewReader(body))); whole != oneByte {
+		t.Errorf("body %.200q: build read whole: %s; a byte at a time: %s", body, whole, oneByte)
+	}
+	if whole, oneByte := scanInsert(bytes.NewReader(body)), scanInsert(iotest.OneByteReader(bytes.NewReader(body))); whole != oneByte {
+		t.Errorf("body %.200q: insert read whole: %s; a byte at a time: %s", body, whole, oneByte)
 	}
 }
 
@@ -390,7 +457,8 @@ func TestRecordBuilderWorkersStop(t *testing.T) {
 }
 
 // FuzzBuildBody asserts the same equivalence, and no panic, on arbitrary
-// bodies, delivered whole and in halves.
+// bodies, delivered whole and in halves, and the same error text read whole
+// and a byte at a time.
 func FuzzBuildBody(f *testing.F) {
 	for _, body := range bodyTable() {
 		if len(body) < 1024 {
@@ -401,6 +469,7 @@ func FuzzBuildBody(f *testing.F) {
 		checkBuildBody(t, body, func(r io.Reader) io.Reader { return r })
 		checkBuildBody(t, body, iotest.HalfReader)
 		checkInsertBody(t, body, iotest.OneByteReader)
+		checkErrorText(t, body)
 	})
 }
 
@@ -477,9 +546,10 @@ func allocBytes(fn func()) uint64 {
 
 // TestBulkIngestAllocs bounds what the bulk endpoints allocate. A build —
 // body to served collection, through Handler, on a memory-only store —
-// allocates 0.67x its body at two procs (0.71x at four, 0.76x at eight) and
-// is held to a fifth over the 0.64x it allocated before the record builder
-// had workers: their blocks, reused, are most of the difference. The
+// allocates 0.57x its body at one proc, 0.68x at two, 0.69x at four and
+// 0.73x at eight, and is held to a fifth over the 0.64x it allocated before
+// the record builder had workers: their blocks, reused, are most of the
+// difference, and share one in-flight budget whatever their count. The
 // vocabulary is 0.5 MB of it: its slab a chunk at a time, its offsets and id
 // table doubling (1.0x while the vocabulary was a map and a []string, which
 // allocated 3.4 MB; 2.5x while records were read into element arenas and
@@ -661,22 +731,49 @@ func TestBuildOverflow(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildDecode is the decode stage of a build alone: body to
-// records plus vocabulary, by the scanner and by the reference.
-func BenchmarkBuildDecode(b *testing.B) {
-	body := marshalBuildBody(b, benchCollectionRecords(b, 20000), `{}`)
-	b.Run("scanner", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sc := getScanner(bytes.NewReader(body))
-			got, err := sc.readBuild()
-			putScanner(sc)
-			if err != nil || got.corpus.Len() != 20000 {
-				b.Fatalf("%d records, %v", got.corpus.Len(), err)
+// servingBuildRecords returns records shaped like the serving workloads'
+// 50 000-record build body: 24 to 64 distinct tokens a record, 44 on average,
+// each a "t" and a base-36 rank drawn Zipf (s = 1.05) from 44 000: 43 914
+// distinct tokens of 2 to 4 bytes, 3 on average, over 2.2 M occurrences, in
+// a 13.4 MB body.
+func servingBuildRecords() [][]string {
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.05, 1, 44000-1)
+	out := make([][]string, 50000)
+	for i := range out {
+		rec := make([]string, 0, 64)
+		for n := 24 + rng.Intn(41); len(rec) < n; {
+			if tok := "t" + strconv.FormatUint(zipf.Uint64(), 36); !slices.Contains(rec, tok) {
+				rec = append(rec, tok)
 			}
 		}
-	})
+		out[i] = rec
+	}
+	return out
+}
+
+// BenchmarkBuildDecode is the decode stage of a build alone: body to
+// records plus vocabulary, by the scanner and by the reference on the
+// 20 000-record benchmark corpus, and by the scanner on a body shaped like
+// serve-read's (servingBuildRecords): 50 000 records of short tokens, where
+// the scan, not the coding, is most of a token's cost.
+func BenchmarkBuildDecode(b *testing.B) {
+	body := marshalBuildBody(b, benchCollectionRecords(b, 20000), `{}`)
+	scan := func(body []byte, records int) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc := getScanner(bytes.NewReader(body))
+				got, err := sc.readBuild()
+				putScanner(sc)
+				if err != nil || got.corpus.Len() != records {
+					b.Fatalf("%d records, %v", got.corpus.Len(), err)
+				}
+			}
+		}
+	}
+	b.Run("scanner", scan(body, 20000))
 	b.Run("reflect", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
@@ -690,6 +787,8 @@ func BenchmarkBuildDecode(b *testing.B) {
 			}
 		}
 	})
+	serving := servingBuildRecords()
+	b.Run("serve-read", scan(marshalBuildBody(b, serving, `{}`), len(serving)))
 }
 
 // TestBuildByteIdentity: a body built through the handler and the same body
