@@ -30,8 +30,9 @@
 // Replication: -follow <leader-url> runs the daemon as a read replica — it
 // bootstraps every collection from the leader's snapshots, tails the
 // leader's journal stream, serves the full read API, redirects writes to
-// the leader (307), and holds /readyz at 503 until bootstrap completes and
-// replica lag is under -repl-ready-lag bytes:
+// the leader (307), and holds /readyz at 503 until bootstrap completes,
+// while a stream is failing, and until replica lag is under -repl-ready-lag
+// bytes. It becomes the leader only on request (POST /promote):
 //
 //	gbkmvd -addr :7879 -data ./replica-data -follow http://leader:7878
 //
@@ -79,8 +80,6 @@ func main() {
 		replPoll     = flag.Duration("repl-poll", 3*time.Second, "replica: leader collection-listing poll interval")
 		replWait     = flag.Duration("repl-wait", 10*time.Second, "replica: long-poll duration per WAL stream request")
 		replReadyLag = flag.Int64("repl-ready-lag", 1<<20, "replica: /readyz reports ready only under this many bytes of replica lag")
-		autoPromote  = flag.Bool("promote-on-leader-loss", false, "replica: promote this node to leader when the leader is silent past -leader-loss-window (enable on at most one replica)")
-		lossWindow   = flag.Duration("leader-loss-window", 15*time.Second, "replica: leader silence that triggers automatic promotion (floored to twice -repl-poll)")
 	)
 	flag.Parse()
 
@@ -118,13 +117,11 @@ func main() {
 	var follower *repl.Follower
 	if *follow != "" {
 		f, err := repl.New(repl.Options{
-			Leader:              strings.TrimRight(*follow, "/"),
-			Store:               store,
-			PollInterval:        *replPoll,
-			Wait:                *replWait,
-			ReadyLagBytes:       *replReadyLag,
-			PromoteOnLeaderLoss: *autoPromote,
-			LeaderLossWindow:    *lossWindow,
+			Leader:        strings.TrimRight(*follow, "/"),
+			Store:         store,
+			PollInterval:  *replPoll,
+			Wait:          *replWait,
+			ReadyLagBytes: *replReadyLag,
 		})
 		if err != nil {
 			log.Fatalf("gbkmvd: -follow: %v", err)

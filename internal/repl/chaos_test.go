@@ -25,7 +25,7 @@ import (
 // bounded, write-available promotion.
 
 // newChaosFollower is newFollower with a fault-injecting client and optional
-// auto-promotion settings.
+// changes to its options.
 func newChaosFollower(t *testing.T, n *node, leaderURL string, ft *faultnet.Transport, mut func(*Options)) *Follower {
 	t.Helper()
 	opt := Options{
@@ -224,6 +224,17 @@ func TestChaosPromotionFencesDivergedLeader(t *testing.T) {
 	waitFor(t, 10*time.Second, "partition to sever the stream", func() bool {
 		return num(fnode.replStats("c"), "consecutive_failures") >= 1
 	})
+	// A replica cut off from its leader says so: /readyz names the failing
+	// stream, and its lag in seconds runs from the last healthy exchange
+	// instead of reading the last headers' zero.
+	code, m := fnode.doJSON(t, "GET", "/readyz", "")
+	if reason := fmt.Sprint(m["reason"]); code != http.StatusServiceUnavailable ||
+		!strings.Contains(reason, `"c"`) || !strings.Contains(reason, "consecutive failures") {
+		t.Fatalf("partitioned follower readyz: %d %v, want 503 naming the failing stream", code, m)
+	}
+	if st := fnode.replStats("c"); num(st, "replica_lag_seconds") <= 0 {
+		t.Fatalf("partitioned follower reports no lag: %v", st)
+	}
 	if code, m := leader.doJSON(t, "POST", "/collections/c/records",
 		`{"records": [["divergent", "doomed", "write"]]}`); code != http.StatusOK {
 		t.Fatalf("divergent insert: %d %v", code, m)
@@ -250,7 +261,7 @@ func TestChaosPromotionFencesDivergedLeader(t *testing.T) {
 	}
 
 	// Fenced promotion via the admin endpoint.
-	code, m := fnode.doJSON(t, "POST", "/promote", "")
+	code, m = fnode.doJSON(t, "POST", "/promote", "")
 	if code != http.StatusOK || m["promoted"] != true {
 		t.Fatalf("promote: %d %v", code, m)
 	}
@@ -360,21 +371,18 @@ func TestChaosPromotionCleanDemotion(t *testing.T) {
 	}
 }
 
-// TestChaosChainedReplicaAndAutoPromotion runs the three-node chain
-// A ← B ← C: C bootstraps from and tails B, depth propagates down the wal
-// headers, and a generation handoff flows through the intermediate. Then A
-// is killed and B — running with -promote-on-leader-loss semantics —
-// promotes itself within the loss window while C follows it straight through
-// the failover, converging byte-identically on the new generation.
-func TestChaosChainedReplicaAndAutoPromotion(t *testing.T) {
+// TestChaosChainedReplicaPromotion runs the three-node chain A ← B ← C: C
+// bootstraps from and tails B, depth propagates down the wal headers, and a
+// generation handoff flows through the intermediate. Then A is killed, B is
+// promoted through POST /promote, and C follows it straight through the
+// failover, converging byte-identically on the new generation.
+func TestChaosChainedReplicaPromotion(t *testing.T) {
 	leader := startNode(t, t.TempDir())
 	if code, m := leader.doJSON(t, "PUT", "/collections/c", testCorpus); code != http.StatusOK {
 		t.Fatalf("build: %d %v", code, m)
 	}
 	bnode := startNode(t, t.TempDir())
 	fb := newChaosFollower(t, bnode, leader.ts.URL, nil, func(o *Options) {
-		o.PromoteOnLeaderLoss = true
-		o.LeaderLossWindow = 700 * time.Millisecond
 		o.Wait = 200 * time.Millisecond
 	})
 	fb.Start(context.Background())
@@ -417,19 +425,17 @@ func TestChaosChainedReplicaAndAutoPromotion(t *testing.T) {
 		}()
 	}
 
-	// Kill the true leader; B must detect the silence and promote itself
-	// inside a bounded window, C must ride the handoff without re-bootstrap.
-	killed := time.Now()
+	// Kill the true leader and promote B by request; C must ride the
+	// handoff without re-bootstrap.
 	leader.crash()
-	waitFor(t, 20*time.Second, "auto-promotion", fb.promoted.Load)
-	promoTime := time.Since(killed)
-	t.Logf("auto-promotion completed %v after leader death", promoTime)
-	if bound := 15 * time.Second; promoTime > bound {
-		t.Fatalf("promotion took %v, bound %v", promoTime, bound)
+	promoStart := time.Now()
+	if code, m := bnode.doJSON(t, "POST", "/promote", ""); code != http.StatusOK || m["promoted"] != true {
+		t.Fatalf("promote B: %d %v", code, m)
 	}
+	t.Logf("promotion took %v", time.Since(promoStart))
 	if code, m := bnode.doJSON(t, "POST", "/collections/c/records",
 		`{"records": [["chain", "survivor"]]}`); code != http.StatusOK {
-		t.Fatalf("write on auto-promoted node: %d %v", code, m)
+		t.Fatalf("write on promoted node: %d %v", code, m)
 	}
 	waitFor(t, 30*time.Second, "C to follow the promoted node", func() bool {
 		return caughtUp(bnode, cnode, "c")
@@ -448,8 +454,8 @@ func TestChaosChainedReplicaAndAutoPromotion(t *testing.T) {
 	waitFor(t, 10*time.Second, "C depth to collapse to 1", func() bool {
 		return num(cnode.replStats("c"), "chain_depth") == 1
 	})
-	if d := bnode.store.ChainDepth(); d != 0 {
-		t.Fatalf("promoted node chain depth = %d, want 0", d)
+	if d := fb.ChainDepth(); d != 0 || !strings.Contains(metricsBody(t, bnode), "gbkmv_repl_chain_depth 0\n") {
+		t.Fatalf("promoted node chain depth = %d, want 0 (and on /metrics)", d)
 	}
 	if !bytes.Equal(journalBytes(t, bnode.dir, "c", 2), journalBytes(t, cnode.dir, "c", 2)) {
 		t.Fatal("chained journals diverge post-failover")

@@ -55,16 +55,6 @@ type Options struct {
 	// Client is the HTTP client used against the leader; defaults to a
 	// dedicated client (requests carry per-call timeouts derived from Wait).
 	Client *http.Client
-	// PromoteOnLeaderLoss enables automatic failover: when no request to
-	// the leader has succeeded for LeaderLossWindow, the follower promotes
-	// itself to leader (see Promote). Exactly one follower per deployment
-	// should enable this — two auto-promoting followers of the same leader
-	// would both take over.
-	PromoteOnLeaderLoss bool
-	// LeaderLossWindow is the silence that triggers automatic promotion.
-	// Default 15s; floored to twice the poll interval (the listing poll is
-	// the heartbeat that refreshes the contact clock).
-	LeaderLossWindow time.Duration
 }
 
 // Follower replicates a leader's collections into a local store. Create
@@ -82,15 +72,14 @@ type Follower struct {
 	replicas map[string]*replica
 	listed   bool // first successful collection listing completed
 
-	// Promotion state (see promote.go). lastContact is the UnixNano stamp of
-	// the last successful exchange with the leader — the leader-loss clock.
-	promoting   atomic.Bool
-	promoted    atomic.Bool
-	closing     atomic.Bool
-	lastContact atomic.Int64
-	watcherStop chan struct{} // closed by Close; bounds the watcher's life
-	watcherDone chan struct{} // closed when the watcher exits
-	stopOnce    sync.Once
+	// depth is this node's distance from the true leader: provisionally 1,
+	// then the upstream's advertised depth plus one, and 0 once promoted.
+	depth atomic.Int64
+
+	// Promotion state (see promote.go).
+	promoting atomic.Bool
+	promoted  atomic.Bool
+	closing   atomic.Bool
 
 	mLagBytes   *obs.GaugeVec
 	mLagEntries *obs.GaugeVec
@@ -123,14 +112,16 @@ type replica struct {
 	leaderGen      uint64    // generation that frontier belongs to
 	leaderEntries  int       // leader's applied entry count in its current journal
 	behindSince    time.Time // zero while caught up
+	lastHealthy    time.Time // the last healthy exchange (the listing that found the collection, at first)
 	reconnects     int64
 	consecFailures int64         // erroring sessions since the last healthy exchange
 	curBackoff     time.Duration // delay of the current/most recent reconnect sleep
 }
 
-// New wires a follower to its store: write fencing, the /readyz gate, the
-// /stats annotation and the replication metric families all register here.
-// Call Start to begin replicating.
+// New wires a follower to its store — it becomes the store's replica role
+// (write fencing, the /readyz gate, the /stats annotation, POST /promote) —
+// and registers the replication metric families. Call Start to begin
+// replicating.
 func New(opt Options) (*Follower, error) {
 	if opt.Leader == "" {
 		return nil, errors.New("repl: leader URL required")
@@ -150,22 +141,12 @@ func New(opt Options) (*Follower, error) {
 	if opt.ReadyLagBytes <= 0 {
 		opt.ReadyLagBytes = 1 << 20
 	}
-	if opt.LeaderLossWindow <= 0 {
-		opt.LeaderLossWindow = 15 * time.Second
-	}
-	if floor := 2 * opt.PollInterval; opt.LeaderLossWindow < floor {
-		// The listing poll is the heartbeat; a window shorter than two polls
-		// would declare a perfectly healthy leader lost between beats.
-		opt.LeaderLossWindow = floor
-	}
 	f := &Follower{
-		opt:         opt,
-		store:       opt.Store,
-		client:      opt.Client,
-		logf:        opt.Logf,
-		replicas:    make(map[string]*replica),
-		watcherStop: make(chan struct{}),
-		watcherDone: make(chan struct{}),
+		opt:      opt,
+		store:    opt.Store,
+		client:   opt.Client,
+		logf:     opt.Logf,
+		replicas: make(map[string]*replica),
 	}
 	if f.client == nil {
 		f.client = &http.Client{}
@@ -179,7 +160,7 @@ func New(opt Options) (*Follower, error) {
 	f.mLagEntries = reg.GaugeVec("gbkmv_repl_lag_entries",
 		"Replica lag in applied journal entries behind the leader.", "collection")
 	f.mLagSecs = reg.GaugeVec("gbkmv_repl_lag_seconds",
-		"Seconds since the replica was last caught up (0 while caught up).", "collection")
+		"Seconds since the replica was last caught up, or since its last healthy exchange while its stream fails (0 while caught up).", "collection")
 	f.mReconnects = reg.CounterVec("gbkmv_repl_stream_reconnects_total",
 		"Replication stream sessions that ended in an error and reconnected.", "collection")
 	f.mApplied = reg.CounterVec("gbkmv_repl_applied_entries_total",
@@ -190,51 +171,53 @@ func New(opt Options) (*Follower, error) {
 		"Duration of collection bootstraps (snapshot transfer + load).",
 		[]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60})
 	f.mPromotions = reg.Counter("gbkmv_repl_promotions_total",
-		"Times this node promoted itself from follower to leader.")
+		"Times this follower was promoted to leader (POST /promote).")
 	f.mPromoSecs = reg.Histogram("gbkmv_repl_promotion_seconds",
 		"Duration of follower-to-leader promotions (quiesce + generation rolls).",
 		[]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30})
 	f.mChainDepth = reg.Gauge("gbkmv_repl_chain_depth",
 		"This node's distance from the true leader (0 after promotion, 1 following the leader, 2 chained, ...).")
 	reg.OnScrape(f.refreshLagGauges)
-	f.lastContact.Store(time.Now().UnixNano())
-	f.store.SetFollower(opt.Leader)
-	f.store.SetChainDepth(1) // provisional; refined from upstream headers
-	f.store.SetReadyCheck(f.readyCheck)
-	f.store.SetReplStatsProvider(f.statsFor)
-	f.store.SetPromoteHandler(f.Promote)
+	f.depth.Store(1) // provisional; refined from upstream headers
+	f.store.SetReplica(f)
 	return f, nil
 }
 
 // Start launches the replication loops. They run until ctx is cancelled or
-// Close is called. With PromoteOnLeaderLoss it also starts the leader-loss
-// watcher (stopped only by Close or a completed promotion — see promote.go).
+// Close is called.
 func (f *Follower) Start(ctx context.Context) {
 	ctx, f.cancel = context.WithCancel(ctx)
 	f.wg.Add(1)
 	go f.manage(ctx)
-	if f.opt.PromoteOnLeaderLoss {
-		f.lastContact.Store(time.Now().UnixNano())
-		go f.watchLeader()
-	} else {
-		close(f.watcherDone)
-	}
 }
 
-// Close stops every replication loop (and the leader-loss watcher) and waits
-// for them to finish. Unless the follower was promoted, the store keeps its
-// follower role (write fencing, readyz gate) — a stopped follower must not
-// silently start taking writes.
+// Close stops every replication loop and waits for them to finish. Unless
+// the follower was promoted, the store keeps its replica role (write
+// fencing, readyz gate) — a stopped follower must not silently start taking
+// writes.
 func (f *Follower) Close() {
 	f.closing.Store(true)
-	f.stopOnce.Do(func() { close(f.watcherStop) })
 	if f.cancel != nil {
 		f.cancel()
 	}
 	f.wg.Wait()
-	if f.cancel != nil {
-		<-f.watcherDone
+}
+
+// Leader is the upstream's base URL, where the store redirects writes.
+func (f *Follower) Leader() string { return f.opt.Leader }
+
+// ChainDepth is this node's distance from the true leader.
+func (f *Follower) ChainDepth() int64 { return f.depth.Load() }
+
+// replicaList copies the replica set under the lock.
+func (f *Follower) replicaList() []*replica {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	replicas := make([]*replica, 0, len(f.replicas))
+	for _, r := range f.replicas {
+		replicas = append(replicas, r)
 	}
+	return replicas
 }
 
 // manage polls the leader's collection listing, starting a replica loop for
@@ -274,7 +257,6 @@ func (f *Follower) listLeader(ctx context.Context) ([]string, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	f.noteContact()
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("leader answered %s", resp.Status)
 	}
@@ -306,7 +288,7 @@ func (f *Follower) reconcile(ctx context.Context, names []string) {
 		if _, ok := f.replicas[name]; ok {
 			continue
 		}
-		r := &replica{f: f, name: name}
+		r := &replica{f: f, name: name, lastHealthy: time.Now()}
 		f.replicas[name] = r
 		fresh = append(fresh, r)
 	}
@@ -367,6 +349,7 @@ func (r *replica) noteHealthy() {
 	r.bo.reset()
 	r.mu.Lock()
 	r.consecFailures, r.curBackoff = 0, 0
+	r.lastHealthy = time.Now()
 	r.mu.Unlock()
 }
 
@@ -437,7 +420,6 @@ func (r *replica) tailOnce(ctx context.Context, c *server.Collection) (bool, err
 		return false, err
 	}
 	defer resp.Body.Close()
-	r.f.noteContact() // any answer at all proves the leader alive
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotFound:
@@ -454,7 +436,7 @@ func (r *replica) tailOnce(ctx context.Context, c *server.Collection) (bool, err
 	if hdr.depth >= 0 {
 		// The upstream's distance from the true leader; ours is one more.
 		// This is how depth propagates down chained topologies.
-		r.f.store.SetChainDepth(hdr.depth + 1)
+		r.f.depth.Store(hdr.depth + 1)
 	}
 	frames, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
@@ -610,7 +592,6 @@ func (r *replica) fetchJSON(ctx context.Context, u string, v any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	r.f.noteContact()
 	if resp.StatusCode == http.StatusNotFound {
 		return errGoneFromLeader
 	}
@@ -632,7 +613,6 @@ func (r *replica) fetchFile(ctx context.Context, u, path string) error {
 		return err
 	}
 	defer resp.Body.Close()
-	r.f.noteContact()
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotFound:
@@ -688,11 +668,17 @@ func (r *replica) stats() *server.ReplStats {
 		StreamReconnects:    r.reconnects,
 		ConsecutiveFailures: r.consecFailures,
 		ReconnectBackoff:    r.curBackoff.Seconds(),
-		ChainDepth:          r.f.store.ChainDepth(),
+		ChainDepth:          r.f.depth.Load(),
 	}
 	coll := r.coll
 	leaderGen, leaderSynced, leaderEntries := r.leaderGen, r.leaderSynced, r.leaderEntries
 	behindSince := r.behindSince
+	if r.consecFailures > 0 && behindSince.IsZero() {
+		// A failing stream knows nothing newer than its last healthy
+		// exchange, so it counts as behind from there: lag headers that
+		// stopped arriving must not read as zero lag.
+		behindSince = r.lastHealthy
+	}
 	r.mu.Unlock()
 	if coll == nil {
 		return st
@@ -723,9 +709,8 @@ func (r *replica) stats() *server.ReplStats {
 	return st
 }
 
-// statsFor is the store's per-collection replication-state provider (the
-// /stats annotation).
-func (f *Follower) statsFor(name string) *server.ReplStats {
+// ReplStats is one collection's replication state, the /stats annotation.
+func (f *Follower) ReplStats(name string) *server.ReplStats {
 	f.mu.Lock()
 	r := f.replicas[name]
 	f.mu.Unlock()
@@ -735,23 +720,23 @@ func (f *Follower) statsFor(name string) *server.ReplStats {
 	return r.stats()
 }
 
-// readyCheck is the /readyz gate: ready once the first listing landed,
-// every collection bootstrapped, and no collection lags past the bound.
-func (f *Follower) readyCheck() (bool, string) {
+// Ready is the /readyz gate: ready once the first listing landed, every
+// collection bootstrapped, no collection's stream failing and none lagging
+// past the bound.
+func (f *Follower) Ready() (bool, string) {
 	f.mu.Lock()
 	listed := f.listed
-	replicas := make([]*replica, 0, len(f.replicas))
-	for _, r := range f.replicas {
-		replicas = append(replicas, r)
-	}
 	f.mu.Unlock()
 	if !listed {
 		return false, "awaiting first collection listing from leader"
 	}
-	for _, r := range replicas {
+	for _, r := range f.replicaList() {
 		st := r.stats()
 		if !st.Bootstrapped {
 			return false, fmt.Sprintf("collection %q is bootstrapping", r.name)
+		}
+		if st.ConsecutiveFailures > 0 {
+			return false, fmt.Sprintf("collection %q stream is failing (%d consecutive failures)", r.name, st.ConsecutiveFailures)
 		}
 		if st.LagBytes > f.opt.ReadyLagBytes {
 			return false, fmt.Sprintf("collection %q lags %d bytes (bound %d)", r.name, st.LagBytes, f.opt.ReadyLagBytes)
@@ -763,17 +748,11 @@ func (f *Follower) readyCheck() (bool, string) {
 // refreshLagGauges recomputes the per-collection lag gauges; runs on every
 // /metrics scrape so the exposition is current without a background ticker.
 func (f *Follower) refreshLagGauges() {
-	f.mChainDepth.Set(float64(f.store.ChainDepth()))
+	f.mChainDepth.Set(float64(f.depth.Load()))
 	if f.promoted.Load() {
 		return // a promoted node is the leader; lag is no longer meaningful
 	}
-	f.mu.Lock()
-	replicas := make([]*replica, 0, len(f.replicas))
-	for _, r := range f.replicas {
-		replicas = append(replicas, r)
-	}
-	f.mu.Unlock()
-	for _, r := range replicas {
+	for _, r := range f.replicaList() {
 		st := r.stats()
 		f.mLagBytes.With(r.name).Set(float64(st.LagBytes))
 		f.mLagEntries.With(r.name).Set(float64(st.LagEntries))

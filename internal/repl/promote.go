@@ -41,10 +41,11 @@ var (
 
 // Promote turns this follower into the leader: it stops replication, rolls
 // every collection's generation (fencing off stale peers), and drops write
-// fencing. Safe to call from the /promote handler and from the leader-loss
-// watcher; exactly one caller wins, the rest get ErrPromotionInProgress /
-// ErrAlreadyPromoted. A failed promotion (a snapshot error) leaves the node
-// a non-replicating follower and may be retried.
+// fencing. It is the only way a follower becomes the leader: POST /promote
+// runs it, and so may an embedding program, and nothing runs it on its own.
+// Exactly one caller wins, the rest get ErrPromotionInProgress /
+// ErrAlreadyPromoted. A failed promotion (a snapshot error) leaves the node a
+// non-replicating follower and may be retried.
 func (f *Follower) Promote() error {
 	if f.promoted.Load() {
 		return ErrAlreadyPromoted
@@ -58,8 +59,7 @@ func (f *Follower) Promote() error {
 	start := time.Now()
 	// Quiesce replication: after cancel + wait, no apply loop is running and
 	// no stream request is in flight, so every collection's journal offset is
-	// frozen at its final replicated position. The leader-loss watcher is
-	// deliberately NOT waited on — it may be the caller.
+	// frozen at its final replicated position.
 	if f.cancel != nil {
 		f.cancel()
 	}
@@ -74,19 +74,13 @@ func (f *Follower) Promote() error {
 	// The rolls are durable; drop the fence. Ordering matters: a write
 	// accepted before every generation rolled could land in a journal a
 	// fenced-off peer still believes it can stream.
-	f.store.SetFollower("")
-	f.store.SetReadyCheck(nil)
+	f.depth.Store(0)
+	f.store.SetReplica(nil)
 	f.promoted.Store(true)
 	secs := time.Since(start).Seconds()
 	f.mPromotions.Inc()
 	f.mPromoSecs.Observe(secs)
-	f.mu.Lock()
-	replicas := make([]*replica, 0, len(f.replicas))
-	for _, r := range f.replicas {
-		replicas = append(replicas, r)
-	}
-	f.mu.Unlock()
-	for _, r := range replicas {
+	for _, r := range f.replicaList() {
 		f.mLagBytes.Remove(r.name)
 		f.mLagEntries.Remove(r.name)
 		f.mLagSecs.Remove(r.name)
@@ -94,55 +88,4 @@ func (f *Follower) Promote() error {
 	f.logf("repl: promoted to leader in %.3fs (%d collections rolled, was following %s)",
 		secs, len(names), f.opt.Leader)
 	return nil
-}
-
-// noteContact records a successful exchange with the upstream — any
-// response at all, whatever its status, proves the leader is alive.
-func (f *Follower) noteContact() {
-	f.lastContact.Store(time.Now().UnixNano())
-}
-
-// watchLeader is the -promote-on-leader-loss loop: when no request to the
-// leader has succeeded for the loss window, the follower promotes itself.
-// The window must comfortably exceed the collection-listing poll interval
-// (the listing is the heartbeat — New enforces a floor). The watcher's
-// lifetime is bound to Close (via watcherStop), not to the replication
-// context — Promote cancels that context as its own first step, and the
-// watcher must outlive it to retry a failed promotion.
-func (f *Follower) watchLeader() {
-	defer close(f.watcherDone)
-	window := f.opt.LeaderLossWindow
-	tick := window / 8
-	if tick < 50*time.Millisecond {
-		tick = 50 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-f.watcherStop:
-			return
-		case <-t.C:
-		}
-		if f.promoted.Load() || f.closing.Load() {
-			return
-		}
-		if f.promoting.Load() {
-			continue // a manual promotion is in flight; wait for its verdict
-		}
-		silent := time.Since(time.Unix(0, f.lastContact.Load()))
-		if silent < window {
-			continue
-		}
-		f.logf("repl: no leader contact for %v (loss window %v); promoting", silent.Round(time.Millisecond), window)
-		switch err := f.Promote(); {
-		case err == nil, errors.Is(err, ErrAlreadyPromoted), errors.Is(err, ErrPromotionInProgress):
-			return
-		default:
-			// Promotion failed (e.g. a snapshot hit a disk error); keep
-			// ticking and retry — the alternative is a permanently
-			// write-dead deployment.
-			f.logf("repl: automatic promotion failed (will retry): %v", err)
-		}
-	}
 }

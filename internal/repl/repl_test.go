@@ -32,7 +32,14 @@ type node struct {
 
 func startNode(t *testing.T, dir string) *node {
 	t.Helper()
-	st, err := server.OpenStore(dir, server.StoreOptions{Logf: t.Logf})
+	return startNodeWith(t, dir, server.StoreOptions{})
+}
+
+// startNodeWith is startNode with store options (Logf is the test's).
+func startNodeWith(t *testing.T, dir string, opt server.StoreOptions) *node {
+	t.Helper()
+	opt.Logf = t.Logf
+	st, err := server.OpenStore(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,3 +106,39 @@ func TestRequestDeadlineSheds(t *testing.T) {
 		t.Fatalf("wal stream under request deadline: %d, want 200 (repl transfers are exempt)", resp.StatusCode)
 	}
 }
+
+// TestResponseWriteDeadline turns on -write-timeout at a deadline that has
+// always already passed: a search's response cannot be written, so the
+// client gets no complete answer, while the replication stream — exempt —
+// is served in full. The deadline reaches the connection only through
+// traceWriter.Unwrap (the middleware discards SetWriteDeadline's error), so
+// without that method this test fails.
+func TestResponseWriteDeadline(t *testing.T) {
+	dir := t.TempDir()
+	built, unbounded := newServer(t, dir)
+	buildRestaurants(t, unbounded, "c")
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newServerWith(t, dir, StoreOptions{ResponseWriteTimeout: time.Nanosecond})
+	resp, err := ts.Client().Post(ts.URL+"/collections/c/search", "application/json",
+		strings.NewReader(`{"query": ["five", "guys"], "threshold": 0.5}`))
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatalf("search under an expired write deadline answered %d in full", resp.StatusCode)
+	}
+
+	resp, err = ts.Client().Get(ts.URL + "/collections/c/wal?gen=1&from=0")
+	if err != nil {
+		t.Fatalf("wal stream under write deadline: %v (repl transfers are exempt)", err)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("wal stream under write deadline: %d, %v; want a complete 200 (repl transfers are exempt)", resp.StatusCode, err)
+	}
+}

@@ -34,7 +34,7 @@ const maxBodyBytes = 256 << 20
 //	GET    /collections/{name}/repl/manifest  committed generation, for bootstrap
 //	GET    /collections/{name}/repl/file      snapshot file transfer, for bootstrap
 //
-// On a follower (Store.SetFollower) the write endpoints — build, delete,
+// On a follower (Store.SetReplica) the write endpoints — build, delete,
 // insert, snapshot — answer 307 Temporary Redirect to the leader instead of
 // mutating replicated state.
 //
@@ -115,10 +115,11 @@ func (h *api) deadlinePassed(w http.ResponseWriter, r *http.Request) bool {
 // a client that follows it retries the write verbatim — request-id dedup
 // included). Reports whether the request was fenced.
 func (h *api) fenceWrite(w http.ResponseWriter, r *http.Request) bool {
-	leader := h.store.FollowerLeader()
-	if leader == "" {
+	rep := h.store.role()
+	if rep == nil {
 		return false
 	}
+	leader := rep.Leader()
 	w.Header().Set("Location", leader+r.URL.RequestURI())
 	writeJSON(w, http.StatusTemporaryRedirect, map[string]any{
 		"error":  "this node is a read-only replica; writes go to the leader",
@@ -176,14 +177,17 @@ func (h *api) ready(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "loading"})
 		return
 	}
-	if ok, reason := h.store.readyGate(); !ok {
-		// A follower is not ready until bootstrap finished and replica lag is
-		// under its bound — a load balancer must not route to a cold replica.
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "replicating",
-			"reason": reason,
-		})
-		return
+	if rep := h.store.role(); rep != nil {
+		if ok, reason := rep.Ready(); !ok {
+			// A follower is not ready until bootstrap finished, its streams are
+			// healthy and replica lag is under its bound — a load balancer must
+			// not route to a cold or cut-off replica.
+			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+				"status": "replicating",
+				"reason": reason,
+			})
+			return
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "ready",
@@ -343,9 +347,9 @@ func (h *api) stats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := c.Stats()
-	if h.store.FollowerLeader() != "" {
+	if rep := h.store.role(); rep != nil {
 		st.Role = "follower"
-		st.Replication = h.store.replStatsFor(c.name)
+		st.Replication = rep.ReplStats(c.name)
 	} else {
 		st.Role = "leader"
 	}
@@ -359,16 +363,12 @@ func (h *api) stats(w http.ResponseWriter, r *http.Request) {
 // 409 on a node that is already the leader; idempotent in effect, since a
 // second call lands in that 409.
 func (h *api) promote(w http.ResponseWriter, r *http.Request) {
-	if h.store.FollowerLeader() == "" {
+	rep := h.store.role()
+	if rep == nil {
 		writeError(w, http.StatusConflict, "this node is already the leader")
 		return
 	}
-	fn := h.store.promoteHandler()
-	if fn == nil {
-		writeError(w, http.StatusConflict, "this node has no promotion handler (not running as a replica?)")
-		return
-	}
-	if err := fn(); err != nil {
+	if err := rep.Promote(); err != nil {
 		writeError(w, http.StatusInternalServerError, "promoting: %v", err)
 		return
 	}

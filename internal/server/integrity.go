@@ -359,7 +359,7 @@ func (s *Store) scrubCollection(c *Collection) error {
 	// replacement generation. Followers must not advance their generation
 	// unilaterally — their repair is the leader-driven stream (or, for a
 	// corrupt snapshot discovered at restart, a re-bootstrap).
-	if ro, _ := c.ReadOnlyState(); s.FollowerLeader() == "" && !ro {
+	if ro, _ := c.ReadOnlyState(); s.role() == nil && !ro {
 		if _, err := s.Snapshot(c.name); err != nil {
 			s.logf("gbkmvd: scrub: repair snapshot of %q failed: %v", c.name, err)
 		} else {

@@ -33,63 +33,41 @@ import (
 // transient storage failure.
 var ErrReplDiverged = errors.New("server: replica diverged from leader")
 
-// SetFollower marks the store as a read replica of the leader at the given
-// base URL ("" reverts to leader role). Every write endpoint then fences
-// with a redirect to the leader; Close stops snapshotting (a replica's
-// generation must track the leader's).
-func (s *Store) SetFollower(leaderURL string) {
-	s.leaderURL.Store(leaderURL)
-	if leaderURL == "" {
-		s.chainDepth.Store(0)
+// Replica is a store's follower role: while one is set, every write
+// endpoint fences with a redirect to its leader, /readyz waits on its gate,
+// /stats carries its per-collection state, POST /promote runs its promotion
+// and Close skips the shutdown snapshot (a replica's generation must track
+// the leader's). repl.Follower implements it; no Replica is the leader role.
+type Replica interface {
+	// Leader is the upstream's base URL, where fenced writes are redirected.
+	Leader() string
+	// Ready is the /readyz gate: 503 with the reason until it reports true.
+	Ready() (ok bool, reason string)
+	// ReplStats is one collection's replication state (nil for a collection
+	// the replica does not track).
+	ReplStats(name string) *ReplStats
+	// ChainDepth is the node's distance from the true leader (1 on a
+	// follower of the leader); wal responses advertise it downstream.
+	ChainDepth() int64
+	// Promote turns the node into the leader; on success it has called
+	// SetReplica(nil).
+	Promote() error
+}
+
+// SetReplica gives the store its replica role, or the leader role when r is
+// nil: promotion is one SetReplica(nil).
+func (s *Store) SetReplica(r Replica) {
+	if r == nil {
+		s.replica.Store(nil)
+		return
 	}
+	s.replica.Store(&r)
 }
 
-// FollowerLeader returns the leader base URL, or "" when this store is the
-// leader.
-func (s *Store) FollowerLeader() string {
-	v, _ := s.leaderURL.Load().(string)
-	return v
-}
-
-// SetReadyCheck installs an extra /readyz gate: the endpoint reports 503
-// with the returned reason until fn reports true. The follower uses it to
-// keep load balancers away until bootstrap finished and lag is bounded.
-func (s *Store) SetReadyCheck(fn func() (ok bool, reason string)) { s.readyCheck.Store(fn) }
-
-// SetPromoteHandler installs the function POST /promote runs — the
-// follower's promotion sequence (stop replicating, roll every generation,
-// drop write fencing). Installed by repl.New; nil on a leader.
-func (s *Store) SetPromoteHandler(fn func() error) { s.promoteFn.Store(fn) }
-
-func (s *Store) promoteHandler() func() error {
-	fn, _ := s.promoteFn.Load().(func() error)
-	return fn
-}
-
-// SetChainDepth records this node's distance from the true leader (0 on the
-// leader itself, upstream+1 on a follower). WAL responses advertise it so
-// downstream replicas learn their own depth; /metrics exposes it as the
-// chain-depth gauge.
-func (s *Store) SetChainDepth(d int64) { s.chainDepth.Store(d) }
-
-// ChainDepth reports the node's replication chain depth (0 = leader).
-func (s *Store) ChainDepth() int64 { return s.chainDepth.Load() }
-
-func (s *Store) readyGate() (bool, string) {
-	if fn, ok := s.readyCheck.Load().(func() (bool, string)); ok && fn != nil {
-		return fn()
-	}
-	return true, ""
-}
-
-// SetReplStatsProvider installs the per-collection replication-state
-// source /stats annotates responses from (nil for collections the provider
-// doesn't track).
-func (s *Store) SetReplStatsProvider(fn func(name string) *ReplStats) { s.replStats.Store(fn) }
-
-func (s *Store) replStatsFor(name string) *ReplStats {
-	if fn, ok := s.replStats.Load().(func(string) *ReplStats); ok && fn != nil {
-		return fn(name)
+// role returns the store's replica role, nil on a leader.
+func (s *Store) role() Replica {
+	if p := s.replica.Load(); p != nil {
+		return *p
 	}
 	return nil
 }
@@ -99,7 +77,9 @@ func (s *Store) replStatsFor(name string) *ReplStats {
 // byte-identical to the leader's, so it is a subtraction of offsets in the
 // same stream); lag in entries compares the leader's applied count against
 // the local one and is exact at quiescence; lag in seconds is 0 while
-// caught up and otherwise the time since the replica last was.
+// caught up and otherwise the time since the replica last was — or, while
+// its stream fails (ConsecutiveFailures > 0), since its last healthy
+// exchange, since the lag headers it last saw may be stale.
 type ReplStats struct {
 	Leader             string  `json:"leader"`
 	Bootstrapped       bool    `json:"bootstrapped"`

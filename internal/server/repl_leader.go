@@ -80,7 +80,11 @@ func (h *api) setWALHeaders(w http.ResponseWriter, gen uint64, synced int64, ent
 	hd.Set(hdrWALGeneration, strconv.FormatUint(gen, 10))
 	hd.Set(hdrWALSynced, strconv.FormatInt(synced, 10))
 	hd.Set(hdrWALEntries, strconv.Itoa(entries))
-	hd.Set(hdrWALChainDepth, strconv.FormatInt(h.store.ChainDepth(), 10))
+	depth := int64(0)
+	if r := h.store.role(); r != nil {
+		depth = r.ChainDepth()
+	}
+	hd.Set(hdrWALChainDepth, strconv.FormatInt(depth, 10))
 }
 
 // fenceStale answers a replication request whose position this node no

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,11 +210,37 @@ func TestReplManifestAndFileTransfer(t *testing.T) {
 	}
 }
 
+// fakeReplica is a replica role driven by the test: the server's side of
+// the role without internal/repl.
+type fakeReplica struct {
+	store    *Store
+	ready    atomic.Bool
+	promoted atomic.Int32
+}
+
+func (f *fakeReplica) Leader() string { return "http://leader.example:7878" }
+func (f *fakeReplica) Ready() (bool, string) {
+	if f.ready.Load() {
+		return true, ""
+	}
+	return false, "collection \"c\" is bootstrapping"
+}
+func (f *fakeReplica) ReplStats(name string) *ReplStats {
+	return &ReplStats{Leader: f.Leader(), Bootstrapped: true, ChainDepth: 3}
+}
+func (f *fakeReplica) ChainDepth() int64 { return 3 }
+func (f *fakeReplica) Promote() error {
+	f.promoted.Add(1)
+	f.store.SetReplica(nil)
+	return nil
+}
+
 func TestFollowerWriteFencingAndReadyGate(t *testing.T) {
 	dir := t.TempDir()
 	store, ts := newServer(t, dir)
 	buildRestaurants(t, ts, "c")
-	store.SetFollower("http://leader.example:7878")
+	rep := &fakeReplica{store: store}
+	store.SetReplica(rep)
 
 	client := &http.Client{CheckRedirect: func(req *http.Request, via []*http.Request) error {
 		return http.ErrUseLastResponse // observe the 307, don't follow it
@@ -244,19 +273,41 @@ func TestFollowerWriteFencingAndReadyGate(t *testing.T) {
 		`{"query": ["five", "guys"], "threshold": 0.5}`); code != http.StatusOK || m["count"] != float64(2) {
 		t.Fatalf("replica search: %d %v", code, m)
 	}
-	if _, m := doJSON(t, ts, "GET", "/collections/c/stats", ""); m["role"] != "follower" {
-		t.Fatalf("stats role = %v, want follower", m["role"])
+	_, m := doJSON(t, ts, "GET", "/collections/c/stats", "")
+	if repl, _ := m["replication"].(map[string]any); m["role"] != "follower" || repl["chain_depth"] != float64(3) {
+		t.Fatalf("stats role = %v, replication %v; want follower at depth 3", m["role"], m["replication"])
+	}
+	// The wal stream advertises the role's depth downstream.
+	if _, hdr, _ := getRaw(t, ts, "/collections/c/wal?gen=1&from=0"); hdr.Get(hdrWALChainDepth) != "3" {
+		t.Fatalf("wal chain depth = %q, want 3", hdr.Get(hdrWALChainDepth))
 	}
 
 	// The ready gate holds /readyz at 503 with the reason until it passes.
-	store.SetReadyCheck(func() (bool, string) { return false, "collection \"c\" is bootstrapping" })
 	code, m := doJSON(t, ts, "GET", "/readyz", "")
-	if code != http.StatusServiceUnavailable || m["status"] != "replicating" {
+	if code != http.StatusServiceUnavailable || m["status"] != "replicating" || !strings.Contains(fmt.Sprint(m["reason"]), "bootstrapping") {
 		t.Fatalf("gated readyz: %d %v", code, m)
 	}
-	store.SetReadyCheck(func() (bool, string) { return true, "" })
+	rep.ready.Store(true)
 	if code, _ := doJSON(t, ts, "GET", "/readyz", ""); code != http.StatusOK {
 		t.Fatalf("ready readyz: %d", code)
+	}
+
+	// POST /promote runs the role's promotion, which leaves the role with one
+	// store: the node is the leader, writes flow, a second promote is a 409.
+	if code, m := doJSON(t, ts, "POST", "/promote", ""); code != http.StatusOK || m["promoted"] != true {
+		t.Fatalf("promote: %d %v", code, m)
+	}
+	if code, _ := doJSON(t, ts, "POST", "/promote", ""); code != http.StatusConflict || rep.promoted.Load() != 1 {
+		t.Fatalf("second promote: %d after %d promotions, want 409 after 1", code, rep.promoted.Load())
+	}
+	if code, m := doJSON(t, ts, "POST", "/collections/c/records", `{"records": [["promoted"]]}`); code != http.StatusOK {
+		t.Fatalf("write after promotion: %d %v", code, m)
+	}
+	if _, m := doJSON(t, ts, "GET", "/collections/c/stats", ""); m["role"] != "leader" || m["replication"] != nil {
+		t.Fatalf("promoted stats: role %v, replication %v", m["role"], m["replication"])
+	}
+	if _, hdr, _ := getRaw(t, ts, "/collections/c/wal?gen=1&from=0"); hdr.Get(hdrWALChainDepth) != "0" {
+		t.Fatalf("promoted wal chain depth = %q, want 0", hdr.Get(hdrWALChainDepth))
 	}
 }
 

@@ -59,17 +59,8 @@ type Store struct {
 	metrics *Metrics    // see metrics.go
 	ready   atomic.Bool // set once startup loading finished (readiness)
 
-	// Replica role (see repl_apply.go): leaderURL non-empty fences every
-	// write endpoint behind a redirect to the leader; readyCheck, when set,
-	// extends /readyz with the follower's bootstrap/lag gate; replStats,
-	// when set, annotates /stats with per-collection replication state;
-	// promoteFn, when set, is what POST /promote runs; chainDepth is this
-	// node's distance from the true leader (0 on the leader).
-	leaderURL  atomic.Value // string
-	readyCheck atomic.Value // func() (bool, string)
-	replStats  atomic.Value // func(name string) *ReplStats
-	promoteFn  atomic.Value // func() error
-	chainDepth atomic.Int64
+	// replica is the follower role (see repl_apply.go); nil on a leader.
+	replica atomic.Pointer[Replica]
 
 	// Background storage-health loop (see integrity.go) and the bounded
 	// quarantine event log surfaced through /stats.
@@ -407,7 +398,7 @@ func (s *Store) Close() error {
 	defer s.opMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	follower := s.FollowerLeader() != ""
+	follower := s.role() != nil
 	var first error
 	for _, c := range s.cols {
 		release := c.wal.quiesce()
