@@ -34,7 +34,13 @@ func (ix *Index) Join(threshold float64) []Pair {
 // deterministic in the stored seed).
 func (ix *Index) Save(w io.Writer) error { return ix.inner.Save(w) }
 
-// Load reads an index written by Save.
+// Load reads an index written by Save or SaveEngine; each section goes
+// straight from the stream into the slice the index keeps. The stream must
+// end where the index does, and is read to that end before anything is
+// derived from it (a reader that notes its last Read has timed the two halves
+// apart). Anything that does not open with a current-format "GBKMVIDX" header
+// is ErrSnapshotFormat: among it the engine container ("GBKMVENG") and the
+// segmented one ("GBKMVSEG") that earlier builds wrote around the index.
 func Load(r io.Reader) (*Index, error) {
 	inner, err := core.Load(r)
 	if err != nil {

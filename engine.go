@@ -192,85 +192,29 @@ func NewEngineFromCorpus(c *Corpus, opt EngineOptions) (*Index, error) {
 
 // ErrSnapshotFormat is returned (wrapped) by LoadEngine, Load and
 // LoadVocabulary for a stream that is not a snapshot of the current format:
-// the magic, the format version or the engine named in the header did not
-// match. The bytes may be an intact snapshot from an older build — there is
-// one format and no reader for any other — so the remedy is to rebuild the
-// collection from its records, not to treat the file as corrupt.
+// its first 8 bytes are not the stream's magic, or its format version is not
+// this build's. The error quotes the header it found. The bytes may be an
+// intact snapshot from an older build — there is one format and no reader for
+// any other — so the remedy is to rebuild the collection from its records,
+// not to treat the file as corrupt.
 var ErrSnapshotFormat = snapfmt.ErrFormat
 
-// An engine stream is the magic and format version, the engine's registry
-// name — always DefaultEngine — then the GB-KMV index's own payload (see
-// DESIGN.md "Snapshot format").
-const engineMagic = "GBKMVENG"
-
-// maxEngineName bounds the registry name a snapshot header can carry.
-const maxEngineName = 255
-
-// SaveEngine serializes a GB-KMV engine as the stream LoadEngine reads,
-// streaming through one fixed buffer: nothing of the collection's size is
-// staged in memory. Any other engine is refused: the baselines are built and
-// searched in memory only.
+// SaveEngine writes a GB-KMV engine as its index stream — byte for byte what
+// Index.Save writes, and what LoadEngine and Load read (see DESIGN.md
+// "Snapshot format") — streaming through one fixed buffer: nothing of the
+// collection's size is staged in memory. Any other engine is refused: the
+// baselines are built and searched in memory only.
 func SaveEngine(w io.Writer, e Engine) error {
 	ix, ok := e.(*Index)
 	if !ok || ix.EngineName() != DefaultEngine {
 		return fmt.Errorf("gbkmv: a %q engine has no snapshot format; only %q has", e.EngineStats().Engine, DefaultEngine)
 	}
-	sw := snapfmt.NewWriter(w)
-	sw.Magic(engineMagic)
-	sw.String(DefaultEngine)
-	if err := ix.Save(sw); err != nil {
-		sw.Fail(err)
-	}
-	if err := sw.Flush(); err != nil {
-		return fmt.Errorf("gbkmv: writing %q engine snapshot: %w", DefaultEngine, err)
-	}
-	return nil
+	return ix.Save(w)
 }
 
-// LoadEngine reads an engine written by SaveEngine; each section goes
-// straight from the stream into the slice the index keeps. The stream must
-// end where the snapshot does, and is read to that end before anything is
-// derived from it (a reader that notes its last Read has timed the two halves
-// apart). Anything that does not open with a current-format header naming
-// DefaultEngine is ErrSnapshotFormat: among it the segmented container
-// ("GBKMVSEG") that builds before one index per collection wrote, and the
-// snapshots of the baseline engines that builds before gbkmvd served GB-KMV
-// only wrote.
-func LoadEngine(r io.Reader) (*Index, error) {
-	finish, err := loadEngineStaged(r)
-	if err != nil {
-		return nil, err
-	}
-	return finish()
-}
-
-// loadEngineStaged is LoadEngine's stream half: everything that reads r, to
-// its end. The returned finish derives the sketch from what was read.
-func loadEngineStaged(r io.Reader) (finish func() (*Index, error), err error) {
-	sr := snapfmt.NewReader(r)
-	sr.Magic(engineMagic)
-	name := sr.String(maxEngineName)
-	if err := sr.Err(); err != nil {
-		return nil, fmt.Errorf("gbkmv: reading engine header: %w", err)
-	}
-	if name != DefaultEngine {
-		return nil, fmt.Errorf("gbkmv: a snapshot of a %q engine: %w", name, ErrSnapshotFormat)
-	}
-	derive, err := core.LoadStaged(sr)
-	if err != nil {
-		return nil, fmt.Errorf("gbkmv: loading %q engine: %w", name, err)
-	}
-	if err := sr.Done(); err != nil {
-		return nil, fmt.Errorf("gbkmv: reading engine snapshot: %w", err)
-	}
-	return func() (*Index, error) {
-		inner, err := derive()
-		if err != nil {
-			return nil, fmt.Errorf("gbkmv: loading %q engine: %w", name, err)
-		}
-		return &Index{inner: inner}, nil
-	}, nil
-}
+// LoadEngine is Load under the engine API's name: it reads the index stream
+// SaveEngine writes.
+func LoadEngine(r io.Reader) (*Index, error) { return Load(r) }
 
 // PrepareTokens prepares a token query against any engine: tokens are
 // converted through the vocabulary without interning (so queries never grow

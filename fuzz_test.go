@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 
+	"gbkmv/internal/core"
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/snapfmt"
 )
@@ -43,24 +45,49 @@ func fuzzSnapshots(t testing.TB) map[string][]byte {
 	return out
 }
 
-// baselineNamed returns, for each baseline engine, the GB-KMV snapshot with
-// its header naming that engine instead: the format and version this build
-// writes, an engine it has no snapshot format for. Builds that served every
-// engine wrote such headers; this one must name them as another format.
-func baselineNamed(t testing.TB, snapshot []byte) map[string][]byte {
+// containerHeader opens the format-5 engine container: "GBKMVENG", format
+// version 5 and the engine's registry name, gbkmv. Until the snapshot became
+// the index stream alone, every snapshot opened with such a header, the
+// index stream after it.
+var containerHeader = []byte("GBKMVENG\x05\x05gbkmv")
+
+// engineContainer returns the format-5 engine container the builds before
+// that wrote: TestSnapshotGoldenBytes' collection, 163 bytes, its index
+// stream the 148 this build writes. Intact bytes of another format.
+func engineContainer(t testing.TB) []byte {
 	t.Helper()
-	header := append([]byte(engineMagic), snapfmt.Version, byte(len(DefaultEngine)))
-	header = append(header, DefaultEngine...)
-	if !bytes.HasPrefix(snapshot, header) {
-		t.Fatalf("the snapshot opens with %q, not %q", snapshot[:len(header)], header)
+	b := hexFixture(t, "testdata/snapshot_format5_container.hex")
+	if !bytes.HasPrefix(b, containerHeader) {
+		t.Fatalf("the container opens with %q, not %q", b[:len(containerHeader)], containerHeader)
 	}
+	return b
+}
+
+// baselineNamed returns, for each baseline engine, the engine container with
+// its header naming that engine instead. Builds that served every engine
+// wrote such headers; this one must name them as another format.
+func baselineNamed(t testing.TB) map[string][]byte {
+	t.Helper()
+	index := engineContainer(t)[len(containerHeader):]
 	out := make(map[string][]byte)
 	for _, name := range Engines() {
 		if name != DefaultEngine {
-			named := append([]byte(engineMagic), snapfmt.Version, byte(len(name)))
+			named := append([]byte("GBKMVENG\x05"), byte(len(name)))
 			named = append(named, name...)
-			out[name] = append(named, snapshot[len(header):]...)
+			out[name] = append(named, index...)
 		}
+	}
+	return out
+}
+
+// earlierVersions returns stream under each format version before this
+// build's: the version byte follows the 8-byte magic in every stream.
+func earlierVersions(stream []byte) [][]byte {
+	var out [][]byte
+	for v := byte(1); v < snapfmt.Version; v++ {
+		old := bytes.Clone(stream)
+		old[8] = v
+		out = append(out, old)
 	}
 	return out
 }
@@ -145,18 +172,12 @@ func FuzzLoadEngine(f *testing.F) {
 	for _, b := range damagedRecordSections(f) {
 		f.Add(b)
 	}
-	// The earlier format versions — this build's snapshot under each earlier
-	// version byte, and a real format-4 snapshot, records coded one uvarint
-	// a gap —, the segmented container and the streams naming a baseline
-	// engine: intact bytes this build must not parse.
-	for v := byte(1); v < snapfmt.Version; v++ {
-		old := bytes.Clone(snaps["gbkmv"])
-		old[len(engineMagic)] = v
-		f.Add(old)
-	}
-	f.Add(format4Snapshot(f))
-	f.Add(segmentedHeader)
-	for _, b := range baselineNamed(f, snaps["gbkmv"]) {
+	// Intact bytes this build must not parse: the format-5 engine container
+	// and the containers naming a baseline engine, this build's snapshot and
+	// the container under each earlier version byte, a real format-4
+	// snapshot (records coded one uvarint a gap) and the segmented
+	// container.
+	for _, b := range oldFormatSeeds(f, snaps["gbkmv"]) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -167,17 +188,17 @@ func FuzzLoadEngine(f *testing.F) {
 			runtime.ReadMemStats(&after)
 			return after.TotalAlloc - before.TotalAlloc
 		}
-		var finish func() (*Index, error)
-		var ix *Index
+		var finish func() (*core.Index, error)
+		var inner *core.Index
 		var err error
 		n := uint64(len(data))
-		if got, bound := allocated(func() { finish, err = loadEngineStaged(bytes.NewReader(data)) }), 1<<20+32*n; got > bound {
+		if got, bound := allocated(func() { finish, err = core.LoadStaged(bytes.NewReader(data)) }), 1<<20+32*n; got > bound {
 			t.Fatalf("parsing %d bytes allocated %d, bound %d", n, got, bound)
 		}
 		if err != nil {
 			return
 		}
-		got, bound := allocated(func() { ix, err = finish() }), 1<<20+256*n+n*n/12
+		got, bound := allocated(func() { inner, err = finish() }), 1<<20+256*n+n*n/12
 		if err != nil {
 			return
 		}
@@ -185,7 +206,7 @@ func FuzzLoadEngine(f *testing.F) {
 			t.Fatalf("deriving an index from %d bytes allocated %d, bound %d", n, got, bound)
 		}
 		var saved bytes.Buffer
-		if err := SaveEngine(&saved, ix); err != nil {
+		if err := SaveEngine(&saved, &Index{inner: inner}); err != nil {
 			t.Fatalf("a loaded engine does not save: %v", err)
 		}
 		if !bytes.Equal(saved.Bytes(), data) {
@@ -194,11 +215,34 @@ func FuzzLoadEngine(f *testing.F) {
 	})
 }
 
-// format4Snapshot returns a format-4 snapshot: TestSnapshotGoldenBytes'
-// collection as the builds before format 5 wrote it.
-func format4Snapshot(t testing.TB) []byte {
+// oldFormatSeeds returns the streams of an earlier format, by name, that a
+// loader must refuse as ErrSnapshotFormat, never as corrupt: snapshot is this
+// build's, and is put under each earlier version byte; everything else is
+// fixed bytes.
+func oldFormatSeeds(t testing.TB, snapshot []byte) map[string][]byte {
 	t.Helper()
-	text, err := os.ReadFile("testdata/snapshot_format4.hex")
+	container := engineContainer(t)
+	out := map[string][]byte{
+		"engine container": container,
+		"format 4":         hexFixture(t, "testdata/snapshot_format4.hex"),
+		"segmented":        segmentedHeader,
+	}
+	for name, b := range baselineNamed(t) {
+		out["container naming "+name] = b
+	}
+	for i, b := range earlierVersions(snapshot) {
+		out[fmt.Sprintf("index stream v%d", i+1)] = b
+	}
+	for i, b := range earlierVersions(container) {
+		out[fmt.Sprintf("container v%d", i+1)] = b
+	}
+	return out
+}
+
+// hexFixture returns the bytes a hex file under testdata spells.
+func hexFixture(t testing.TB, file string) []byte {
+	t.Helper()
+	text, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,24 +254,19 @@ func format4Snapshot(t testing.TB) []byte {
 }
 
 // TestFuzzSeedsLoad keeps the fuzz seeds honest: every real snapshot loads,
-// every strict truncation of one is rejected, and a format-4 snapshot, the
-// segmented container's header and a stream naming any engine but gbkmv are
-// another format.
+// every strict truncation of one is rejected, a damaged records section is
+// corrupt, and every stream an earlier build wrote — the engine container,
+// the containers naming a baseline, each earlier version, the segmented
+// container — is another format.
 func TestFuzzSeedsLoad(t *testing.T) {
 	snaps := fuzzSnapshots(t)
-	if _, err := LoadEngine(bytes.NewReader(segmentedHeader)); !errors.Is(err, ErrSnapshotFormat) {
-		t.Errorf("a segmented container's header: LoadEngine = %v, want ErrSnapshotFormat", err)
+	old := oldFormatSeeds(t, snaps["gbkmv"])
+	if len(old) != 3+6+4+4 {
+		t.Errorf("%d streams of an earlier format, want 17", len(old))
 	}
-	if _, err := LoadEngine(bytes.NewReader(format4Snapshot(t))); !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, snapfmt.ErrCorrupt) {
-		t.Errorf("a format-4 snapshot: LoadEngine = %v, want ErrSnapshotFormat", err)
-	}
-	named := baselineNamed(t, snaps["gbkmv"])
-	if len(named) != 6 {
-		t.Errorf("streams naming %d baselines, want the six", len(named))
-	}
-	for name, b := range named {
+	for name, b := range old {
 		if _, err := LoadEngine(bytes.NewReader(b)); !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, snapfmt.ErrCorrupt) {
-			t.Errorf("a stream naming %s: LoadEngine = %v, want ErrSnapshotFormat", name, err)
+			t.Errorf("%s: LoadEngine = %v, want ErrSnapshotFormat", name, err)
 		}
 	}
 	for name, b := range damagedRecordSections(t) {

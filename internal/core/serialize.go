@@ -53,10 +53,10 @@ func Load(r io.Reader) (*Index, error) {
 	return finish()
 }
 
-// LoadStaged is Load split where the stream ends: it consumes exactly the
-// index's bytes, every section validated, and returns the work that no
-// longer needs the stream — derive. A container loading several indexes from
-// one stream reads them in order and runs the finishes in parallel.
+// LoadStaged is Load split where the stream ends: it reads the index's
+// bytes to the end of r, every section validated, and returns the work that
+// no longer needs the stream — derive — so the two halves can be timed and
+// bounded apart.
 func LoadStaged(r io.Reader) (finish func() (*Index, error), err error) {
 	sr := snapfmt.NewReader(r)
 	ix := &Index{}

@@ -225,15 +225,21 @@ func TestChaosPromotionFencesDivergedLeader(t *testing.T) {
 		return num(fnode.replStats("c"), "consecutive_failures") >= 1
 	})
 	// A replica cut off from its leader says so: /readyz names the failing
-	// stream, and its lag in seconds runs from the last healthy exchange
-	// instead of reading the last headers' zero.
+	// stream, its lag in seconds runs from the last healthy exchange, and
+	// its lag in bytes and entries is -1, unknown, in /stats and on
+	// /metrics — none of them reads the last headers' zero.
 	code, m := fnode.doJSON(t, "GET", "/readyz", "")
 	if reason := fmt.Sprint(m["reason"]); code != http.StatusServiceUnavailable ||
 		!strings.Contains(reason, `"c"`) || !strings.Contains(reason, "consecutive failures") {
 		t.Fatalf("partitioned follower readyz: %d %v, want 503 naming the failing stream", code, m)
 	}
-	if st := fnode.replStats("c"); num(st, "replica_lag_seconds") <= 0 {
-		t.Fatalf("partitioned follower reports no lag: %v", st)
+	if st := fnode.replStats("c"); num(st, "replica_lag_seconds") <= 0 ||
+		num(st, "replica_lag_bytes") != -1 || num(st, "replica_lag_entries") != -1 {
+		t.Fatalf("partitioned follower reports %v, want lag seconds > 0 and lag bytes and entries -1", st)
+	}
+	if expo := metricsBody(t, fnode); !strings.Contains(expo, `gbkmv_repl_lag_bytes{collection="c"} -1`+"\n") ||
+		!strings.Contains(expo, `gbkmv_repl_lag_entries{collection="c"} -1`+"\n") {
+		t.Fatalf("partitioned follower's lag gauges are not -1:\n%s", expo)
 	}
 	if code, m := leader.doJSON(t, "POST", "/collections/c/records",
 		`{"records": [["divergent", "doomed", "write"]]}`); code != http.StatusOK {

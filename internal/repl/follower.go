@@ -156,9 +156,9 @@ func New(opt Options) (*Follower, error) {
 	}
 	reg := f.store.Registry()
 	f.mLagBytes = reg.GaugeVec("gbkmv_repl_lag_bytes",
-		"Replica lag in journal bytes behind the leader's durable frontier.", "collection")
+		"Replica lag in journal bytes behind the leader's durable frontier; -1 (unknown) while its stream fails.", "collection")
 	f.mLagEntries = reg.GaugeVec("gbkmv_repl_lag_entries",
-		"Replica lag in applied journal entries behind the leader.", "collection")
+		"Replica lag in applied journal entries behind the leader; -1 (unknown) while its stream fails.", "collection")
 	f.mLagSecs = reg.GaugeVec("gbkmv_repl_lag_seconds",
 		"Seconds since the replica was last caught up, or since its last healthy exchange while its stream fails (0 while caught up).", "collection")
 	f.mReconnects = reg.CounterVec("gbkmv_repl_stream_reconnects_total",
@@ -673,13 +673,20 @@ func (r *replica) stats() *server.ReplStats {
 	coll := r.coll
 	leaderGen, leaderSynced, leaderEntries := r.leaderGen, r.leaderSynced, r.leaderEntries
 	behindSince := r.behindSince
-	if r.consecFailures > 0 && behindSince.IsZero() {
-		// A failing stream knows nothing newer than its last healthy
-		// exchange, so it counts as behind from there: lag headers that
-		// stopped arriving must not read as zero lag.
+	// A failing stream knows nothing newer than its last healthy exchange:
+	// lag headers that stopped arriving must not read as zero lag. It counts
+	// as behind from there, by a number of bytes and entries it cannot know.
+	failing := r.consecFailures > 0
+	if failing && behindSince.IsZero() {
 		behindSince = r.lastHealthy
 	}
 	r.mu.Unlock()
+	if !behindSince.IsZero() {
+		st.LagSeconds = time.Since(behindSince).Seconds()
+	}
+	if failing {
+		st.LagBytes, st.LagEntries = -1, -1
+	}
 	if coll == nil {
 		return st
 	}
@@ -688,7 +695,9 @@ func (r *replica) stats() *server.ReplStats {
 	st.AppliedOffsetBytes = applied
 	st.AppliedEntries = entries
 	st.LeaderSyncedBytes = leaderSynced
-	if leaderGen == gen {
+	switch {
+	case failing: // unknown, -1 above
+	case leaderGen == gen:
 		// Same byte stream on both sides: lag is an exact subtraction.
 		if lag := leaderSynced - applied; lag > 0 {
 			st.LagBytes = lag
@@ -696,15 +705,12 @@ func (r *replica) stats() *server.ReplStats {
 		if lag := leaderEntries - entries; lag > 0 {
 			st.LagEntries = lag
 		}
-	} else {
+	default:
 		// Mid-handoff (or diverged): byte offsets aren't comparable across
 		// generations; report the entry counts' difference as the best signal.
 		if lag := leaderEntries - entries; lag > 0 {
 			st.LagEntries = lag
 		}
-	}
-	if !behindSince.IsZero() {
-		st.LagSeconds = time.Since(behindSince).Seconds()
 	}
 	return st
 }

@@ -232,9 +232,17 @@ func TestRequestLogEviction(t *testing.T) {
 // checksums (older still) is the same error, not an unverified load. So is
 // the segmented container ("GBKMVSEG") the builds before one index per
 // collection wrote: a collection whose committed generation holds one is
-// refused, not quarantined. And so is a snapshot of any engine but gbkmv,
-// which builds before gbkmvd served GB-KMV only could write.
+// refused, not quarantined. And so is the engine container ("GBKMVENG",
+// the version, the engine's name) every build before the snapshot became the
+// bare index stream wrapped the index in, whichever engine it names: gbkmv,
+// or a baseline, which builds before gbkmvd served GB-KMV only could write.
 func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
+	// engineContainer wraps an index stream in the container header naming
+	// engine.
+	engineContainer := func(engine string, index []byte) []byte {
+		header := append([]byte("GBKMVENG"), snapfmt.Version, byte(len(engine)))
+		return append(append(header, engine...), index...)
+	}
 	// What the previous builds wrote: a gob stream (before the flat format),
 	// and the flat format's versions 1 (float64 hash values) and 2 (32-bit
 	// keys, the sketch stored beside the records) — the committed file itself
@@ -251,22 +259,28 @@ func TestOldFormatSnapshotIsNamedNotQuarantined(t *testing.T) {
 		testOldFormatSnapshot(t, func(w io.Writer, current []byte) error {
 			// The container's header (magic, format version, flags, the inner
 			// engine's name) and, where its options, routing table and segment
-			// streams began, the engine stream a one-segment container held.
+			// streams began, the engine container a one-segment container held.
 			header := append([]byte("GBKMVSEG"), snapfmt.Version, 1, 5, 'g', 'b', 'k', 'm', 'v')
-			_, err := w.Write(append(header, current...))
+			_, err := w.Write(append(header, engineContainer("gbkmv", current)...))
+			return err
+		})
+	})
+	// The committed index stream inside the engine container, as every
+	// build before the snapshot became the index stream wrote it.
+	t.Run("engine-container", func(t *testing.T) {
+		testOldFormatSnapshot(t, func(w io.Writer, current []byte) error {
+			if !bytes.HasPrefix(current, []byte("GBKMVIDX")) {
+				t.Fatalf("the index file opens with %q, not the index stream's magic", current[:8])
+			}
+			_, err := w.Write(engineContainer("gbkmv", current))
 			return err
 		})
 	})
 	// A baseline engine's snapshot, as the builds that served every engine
-	// wrote it: the current magic and version, then a name other than gbkmv.
+	// wrote it: the container naming an engine other than gbkmv.
 	t.Run("kmv", func(t *testing.T) {
 		testOldFormatSnapshot(t, func(w io.Writer, current []byte) error {
-			named := append([]byte("GBKMVENG"), snapfmt.Version, 5, 'g', 'b', 'k', 'm', 'v')
-			if !bytes.HasPrefix(current, named) {
-				t.Fatalf("the index file opens with %q, not %q", current[:len(named)], named)
-			}
-			kmv := append([]byte("GBKMVENG"), snapfmt.Version, 3, 'k', 'm', 'v')
-			_, err := w.Write(append(kmv, current[len(named):]...))
+			_, err := w.Write(engineContainer("kmv", current))
 			return err
 		})
 	})

@@ -21,7 +21,7 @@ import (
 //
 //	<dir>/meta.json        the commit record: a generation is live iff it names it
 //	<dir>/meta-prev.json   the commit record the live one superseded (fallback target)
-//	<dir>/index-G.snap     generation G's engine snapshot
+//	<dir>/index-G.snap     generation G's index stream
 //	<dir>/vocab-G.snap     generation G's vocabulary
 //	<dir>/journal-G.log    inserts since snapshot G (the wal appends to it)
 //
@@ -50,7 +50,7 @@ type generations struct {
 }
 
 // meta is the per-collection commit record. Engine is always "gbkmv"
-// (informational — the index file's own header names its engine, and a load
+// (informational — the index file is a GB-KMV index stream, and a load
 // refuses any other); Requests persists the duplicate-detection window
 // across the journal truncation a snapshot implies.
 type meta struct {

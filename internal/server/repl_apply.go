@@ -77,9 +77,10 @@ func (s *Store) role() Replica {
 // byte-identical to the leader's, so it is a subtraction of offsets in the
 // same stream); lag in entries compares the leader's applied count against
 // the local one and is exact at quiescence; lag in seconds is 0 while
-// caught up and otherwise the time since the replica last was — or, while
-// its stream fails (ConsecutiveFailures > 0), since its last healthy
-// exchange, since the lag headers it last saw may be stale.
+// caught up and otherwise the time since the replica last was. While its
+// stream fails (ConsecutiveFailures > 0) the lag headers it last saw may be
+// stale: lag in bytes and in entries is then -1, unknown, and lag in seconds
+// counts from its last healthy exchange.
 type ReplStats struct {
 	Leader             string  `json:"leader"`
 	Bootstrapped       bool    `json:"bootstrapped"`

@@ -539,7 +539,7 @@ func (p *PackedRecords) All() []dataset.Record {
 // codings as they are, chunk after chunk.
 func (w *Writer) Packed(p *PackedRecords) {
 	if err := p.CheckSorted(); err != nil {
-		w.Fail(fmt.Errorf("snapfmt: %w", err))
+		w.fail(fmt.Errorf("snapfmt: %w", err))
 		return
 	}
 	w.Int(p.Len())

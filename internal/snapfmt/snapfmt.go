@@ -1,10 +1,13 @@
 // Package snapfmt is the one byte codec behind every snapshot this module
-// writes: the GB-KMV index and the vocabulary. A stream is a sequence of
-// sections with no framing of their own — the reader knows the layout, every
-// count precedes the data it sizes — built from two encodings:
+// writes: the GB-KMV index and the vocabulary. A stream is an 8-byte magic
+// and the format version, then a sequence of sections with no framing of
+// their own — the reader knows the layout, every count precedes the data it
+// sizes — built from three encodings:
 //
 //	scalar   uvarint (canonical: no padding bytes), zigzag varint, 8-byte
-//	         little-endian float64/uint64, length-prefixed string
+//	         little-endian float64/uint64
+//	strings  count, total byte length, the lengths, then the bytes back to
+//	         back (StringTable)
 //	records  record count, total element count, then per record its length
 //	         (a uvarint) and its gaps — the first element, then the strictly
 //	         positive deltas — each as a 4-bit class, 6 more bits past class
@@ -61,30 +64,18 @@ const (
 // Writer buffers sections into an io.Writer. Errors are sticky: after the
 // first failure every call is a no-op and Flush reports it.
 type Writer struct {
-	w    io.Writer
-	buf  []byte
-	err  error
-	nest int
+	w   io.Writer
+	buf []byte
+	err error
 }
 
-// NewWriter returns a section writer over w. Handed a *Writer — a Save
-// called from inside another Save — it returns that writer, so one buffer
-// serves the whole stream and only the outermost Flush reaches w.
+// NewWriter returns a section writer over w.
 func NewWriter(w io.Writer) *Writer {
-	if sw, ok := w.(*Writer); ok {
-		sw.nest++
-		return sw
-	}
 	return &Writer{w: w, buf: make([]byte, 0, bufSize)}
 }
 
-// Flush ends the Save that called NewWriter: the outermost one writes the
-// buffered tail and returns the stream's first error.
+// Flush writes the buffered tail and returns the stream's first error.
 func (w *Writer) Flush() error {
-	if w.nest > 0 {
-		w.nest--
-		return w.err
-	}
 	w.flush()
 	return w.err
 }
@@ -106,21 +97,15 @@ func (w *Writer) room(n int) []byte {
 	return w.buf[len(w.buf)-n:]
 }
 
-// Fail records err as the stream's error (first one wins).
-func (w *Writer) Fail(err error) {
+// fail records err as the stream's error (first one wins).
+func (w *Writer) fail(err error) {
 	if w.err == nil {
 		w.err = err
 	}
 }
 
-// Write implements io.Writer, so a registered engine that knows nothing of
-// this package can still write its payload into the stream.
-func (w *Writer) Write(p []byte) (int, error) { return writeBytes(w, p) }
-
-// WriteString implements io.StringWriter (no copy of s on the way in).
-func (w *Writer) WriteString(s string) (int, error) { return writeBytes(w, s) }
-
-func writeBytes[B []byte | string](w *Writer, p B) (int, error) {
+// Write copies p into the stream as it is, whatever its length.
+func (w *Writer) Write(p []byte) (int, error) {
 	for rest := p; len(rest) > 0 && w.err == nil; {
 		n := min(len(rest), bufSize)
 		copy(w.room(n), rest[:n])
@@ -154,7 +139,7 @@ func (w *Writer) Uvarint(v uint64) {
 // the caller's state and fails the stream.
 func (w *Writer) Int(v int) {
 	if v < 0 {
-		w.Fail(fmt.Errorf("snapfmt: negative count %d", v))
+		w.fail(fmt.Errorf("snapfmt: negative count %d", v))
 		return
 	}
 	w.Uvarint(uint64(v))
@@ -166,11 +151,6 @@ func (w *Writer) Varint(v int64) { w.Uvarint(uint64(v<<1) ^ uint64(v>>63)) }
 func (w *Writer) Uint64(v uint64) { binary.LittleEndian.PutUint64(w.room(8), v) }
 
 func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
-
-func (w *Writer) String(s string) {
-	w.Int(len(s))
-	w.WriteString(s)
-}
 
 // Elements writes a count-prefixed element list as uvarints (no ordering
 // assumed).
@@ -212,45 +192,42 @@ type Reader struct {
 	left    int64
 	bounded bool
 	err     error
-	nest    int
 }
 
-// NewReader returns a section reader over r. Handed a *Reader — a loader
-// called from inside another — it returns that reader, so nested loaders
-// consume exactly their own bytes of one shared buffer. The source's length
-// bounds every allocation when r can report it (Len, as bytes.Reader and
-// bytes.Buffer do, or Seek, as files do).
+// NewReader returns a section reader over r. The source's length bounds
+// every allocation when r can report it (sourceLen).
 func NewReader(r io.Reader) *Reader {
-	if sr, ok := r.(*Reader); ok {
-		sr.nest++
-		return sr
-	}
 	sr := &Reader{r: r, buf: make([]byte, bufSize)}
-	switch src := r.(type) {
-	case interface{ Len() int }:
-		sr.left, sr.bounded = int64(src.Len()), true
-	case io.Seeker:
-		if cur, err := src.Seek(0, io.SeekCurrent); err == nil {
-			if end, err := src.Seek(0, io.SeekEnd); err == nil {
-				sr.left, sr.bounded = end-cur, true
-				if _, err := src.Seek(cur, io.SeekStart); err != nil {
-					sr.err = err
-				}
-			}
-		}
-	}
+	sr.left, sr.bounded, sr.err = sourceLen(r)
 	return sr
 }
 
-// Done ends the loader that called NewReader and returns the stream's first
-// error. The outermost loader also requires the source to be exhausted: a
-// snapshot is a whole file, and bytes after its last section mean the file
-// is not what the layout says.
-func (r *Reader) Done() error {
-	if r.nest > 0 {
-		r.nest--
-		return r.err
+// sourceLen reports how many bytes r still holds, when it can say: through
+// Len, as bytes.Reader and bytes.Buffer do, or Seek, as files do. A failure
+// to seek back to where r was is the stream's error.
+func sourceLen(r io.Reader) (left int64, bounded bool, err error) {
+	switch src := r.(type) {
+	case interface{ Len() int }:
+		return int64(src.Len()), true, nil
+	case io.Seeker:
+		cur, err := src.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false, nil
+		}
+		end, err := src.Seek(0, io.SeekEnd)
+		if err != nil {
+			return 0, false, nil
+		}
+		_, err = src.Seek(cur, io.SeekStart)
+		return end - cur, true, err
 	}
+	return 0, false, nil
+}
+
+// Done returns the stream's first error, and requires the source to be
+// exhausted: a snapshot is a whole file, and bytes after its last section
+// mean the file is not what the layout says.
+func (r *Reader) Done() error {
 	if r.err == nil && r.fill(1) > 0 {
 		r.Corrupt("bytes after the last section")
 	}
@@ -309,51 +286,22 @@ func (r *Reader) need(n int) []byte {
 	return b
 }
 
-// Read implements io.Reader over the buffered stream, for registered engines
-// that parse their own payload.
-func (r *Reader) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	n := r.fill(min(len(p), bufSize))
-	if n == 0 {
-		if r.err != nil {
-			return 0, r.err
-		}
-		return 0, io.EOF
-	}
-	copy(p, r.buf[r.pos:r.pos+n])
-	r.pos += n
-	return n, nil
-}
-
-// ReadByte implements io.ByteReader.
-func (r *Reader) ReadByte() (byte, error) {
-	if r.fill(1) < 1 {
-		if r.err != nil {
-			return 0, r.err
-		}
-		return 0, io.EOF
-	}
-	r.pos++
-	return r.buf[r.pos-1], nil
-}
-
 // Magic consumes a stream magic and version. A mismatch in either — or a
-// stream too short to hold them — is ErrFormat, not corruption.
+// stream too short to hold them — is ErrFormat, not corruption; the error
+// quotes the header it found, which names the stream an older build wrote.
 func (r *Reader) Magic(magic string) {
 	if r.err != nil {
 		return
 	}
-	if r.fill(magicLen+1) < magicLen+1 {
+	if n := r.fill(magicLen + 1); n < magicLen+1 {
 		if r.err == nil {
-			r.fail(fmt.Errorf("%w: no %q header", ErrFormat, magic))
+			r.fail(fmt.Errorf("%w: found %q, not a %q header", ErrFormat, r.buf[r.pos:r.pos+n], magic))
 		}
 		return
 	}
 	b := r.buf[r.pos : r.pos+magicLen+1]
 	if string(b[:magicLen]) != magic {
-		r.fail(fmt.Errorf("%w: no %q header", ErrFormat, magic))
+		r.fail(fmt.Errorf("%w: found %q, not a %q header", ErrFormat, b[:magicLen], magic))
 		return
 	}
 	if b[magicLen] != Version {
@@ -409,16 +357,6 @@ func (r *Reader) Uint64() uint64 {
 }
 
 func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
-
-// String reads a length-prefixed string of at most max bytes.
-func (r *Reader) String(max int) string {
-	n := r.Int()
-	if n > max || n > bufSize {
-		r.Corrupt("string of %d bytes, at most %d expected", n, max)
-		return ""
-	}
-	return string(r.need(n))
-}
 
 // firstStep is the first allocation step, in encoded bytes, against a source
 // of unknown length.

@@ -24,12 +24,11 @@ type sections struct {
 	Elems   []hash.Element
 	Records []dataset.Record
 	Strings stringTable
-	Name    string
 	Signed  int64
 }
 
 func fixture(n int) sections {
-	s := sections{Name: "gbkmv", Signed: -1}
+	s := sections{Signed: -1}
 	for i := 0; i < n; i++ {
 		s.Elems = append(s.Elems, hash.Element(i*i))
 		rec := dataset.Record{}
@@ -66,7 +65,6 @@ func (st stringTable) equal(o stringTable) bool {
 func (s sections) write(w io.Writer) error {
 	sw := NewWriter(w)
 	sw.Magic("TESTMAGC")
-	sw.String(s.Name)
 	sw.Varint(s.Signed)
 	sw.Elements(s.Elems)
 	writeRecords(sw, s.Records)
@@ -78,7 +76,6 @@ func read(r io.Reader) (sections, error) {
 	sr := NewReader(r)
 	sr.Magic("TESTMAGC")
 	var s sections
-	s.Name = sr.String(16)
 	s.Signed = sr.Varint()
 	s.Elems = sr.Elements()
 	recs := sr.Packed()
@@ -134,44 +131,6 @@ func TestRoundTrip(t *testing.T) {
 			}
 			prev = r
 		}
-	}
-}
-
-// TestForeignPayload: an engine that knows nothing of this package reads and
-// writes its payload through the plain io interfaces, in the middle of a
-// stream, and takes exactly its own bytes.
-func TestForeignPayload(t *testing.T) {
-	payload := bytes.Repeat([]byte("foreign"), 20000) // crosses the buffer twice
-	var buf bytes.Buffer
-	sw := NewWriter(&buf)
-	sw.Int(7)
-	if n, err := sw.Write(payload); n != len(payload) || err != nil {
-		t.Fatalf("Write = %d, %v", n, err)
-	}
-	sw.Byte(0xAB)
-	sw.Int(9)
-	if err := sw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	sr := NewReader(&buf)
-	if got := sr.Int(); got != 7 {
-		t.Fatalf("before the payload: %d", got)
-	}
-	got := make([]byte, len(payload))
-	if _, err := io.ReadFull(sr, got); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("payload did not survive: %v", err)
-	}
-	if b, err := sr.ReadByte(); b != 0xAB || err != nil {
-		t.Fatalf("ReadByte = %#x, %v", b, err)
-	}
-	if got := sr.Int(); got != 9 {
-		t.Fatalf("after the payload: %d", got)
-	}
-	if err := sr.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sr.ReadByte(); err != io.EOF {
-		t.Fatalf("ReadByte at the end = %v, want io.EOF", err)
 	}
 }
 

@@ -55,18 +55,33 @@ func TestLoadEngineOldFormat(t *testing.T) {
 			}
 		}
 	}
-	// The bare index stream (Index.Save) is not an engine stream: the
-	// headerless form LoadEngine once accepted is gone with the old formats.
+	// The engine container every earlier build wrote around the index
+	// stream is another format, whichever loader reads it.
+	container := hexFixture(t, "testdata/snapshot_format5_container.hex")
+	if _, err := gbkmv.LoadEngine(bytes.NewReader(container)); !errors.Is(err, gbkmv.ErrSnapshotFormat) || errors.Is(err, snapfmt.ErrCorrupt) {
+		t.Errorf("engine container: LoadEngine = %v, want ErrSnapshotFormat", err)
+	}
+	if _, err := gbkmv.Load(bytes.NewReader(container)); !errors.Is(err, gbkmv.ErrSnapshotFormat) || errors.Is(err, snapfmt.ErrCorrupt) {
+		t.Errorf("engine container: Load = %v, want ErrSnapshotFormat", err)
+	}
+	// The bare index stream (Index.Save) is the engine stream: both loaders
+	// take it, and SaveEngine writes it byte for byte.
 	ix, err := gbkmv.Build(numericRecords(10, 50, 8), gbkmv.Options{BudgetFraction: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bare bytes.Buffer
+	var bare, engine bytes.Buffer
 	if err := ix.Save(&bare); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gbkmv.LoadEngine(bytes.NewReader(bare.Bytes())); !errors.Is(err, gbkmv.ErrSnapshotFormat) {
-		t.Errorf("bare index stream: LoadEngine = %v, want ErrSnapshotFormat", err)
+	if err := gbkmv.SaveEngine(&engine, ix); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bare.Bytes(), engine.Bytes()) || !bytes.HasPrefix(bare.Bytes(), []byte("GBKMVIDX\x05")) {
+		t.Errorf("SaveEngine wrote %.12q…, Index.Save %.12q…: want the same GBKMVIDX v5 stream", engine.Bytes(), bare.Bytes())
+	}
+	if _, err := gbkmv.LoadEngine(bytes.NewReader(bare.Bytes())); err != nil {
+		t.Errorf("bare index stream: LoadEngine = %v", err)
 	}
 	if _, err := gbkmv.Load(&bare); err != nil {
 		t.Errorf("bare index stream: Load = %v", err)
@@ -400,13 +415,15 @@ func TestUnsortedRecordRefused(t *testing.T) {
 
 // goldenRecords and goldenSnapshot: a gbkmv collection — ten records built,
 // four inserted, among them an empty record and ids no vocabulary hands out
-// (2²⁰+3, 2⁴⁰, 2⁶³+1), the inserts shrinking τ to ≈ 0.65 — and its snapshot
-// in format 5: the version byte of both streams 5, and the records section's
-// gaps coded in bits, by class (163 bytes in all, where format 4 wrote 170).
-// Everything else is format 4's stream, which
-// testdata/snapshot_format4.hex holds: that collection as every build from
-// the one before the segmented layer went to the one before format 5 wrote
-// it.
+// (2²⁰+3, 2⁴⁰, 2⁶³+1), the inserts shrinking τ to ≈ 0.65 — and its snapshot:
+// the index stream in format 5, records coded in bits, by class (148 bytes).
+// Two fixtures hold the same collection as earlier builds wrote it, both
+// inside the engine container ("GBKMVENG", the version, the name gbkmv)
+// that wrapped every snapshot until the snapshot became the index stream:
+// testdata/snapshot_format5_container.hex (163 bytes: this index stream
+// behind the 15-byte header) and testdata/snapshot_format4.hex (170 bytes:
+// format 4, which coded a gap as one uvarint), written by every build from the
+// one before the segmented layer went to the one before format 5.
 func goldenRecords() []gbkmv.Record {
 	recs := make([]gbkmv.Record, 14)
 	for i := range recs {
@@ -420,10 +437,10 @@ func goldenRecords() []gbkmv.Record {
 }
 
 const goldenSnapshot = "" +
-	"47424b4d56454e47050567626b6d7647424b4d56494458059a9999999999b93f28100700000000000000000000bab2f5" +
-	"e43f08280e3f0530d10d211c0531559849000562aa31930e0572aa32941a000540aa34992c0541aa359d320582547d44" +
-	"da000592547f50e2000503c9c27989030540b7716eda000741b7828094f982c3ff9ff5ffbfffff01011f070000000000" +
-	"00000005926e09554902080001020304050607"
+	"47424b4d56494458059a9999999999b93f28100700000000000000000000bab2f5e43f08280e3f0530d10d211c053155" +
+	"9849000562aa31930e0572aa32941a000540aa34992c0541aa359d320582547d44da000592547f50e2000503c9c27989" +
+	"030540b7716eda000741b7828094f982c3ff9ff5ffbfffff01011f07000000000000000005926e095549020800010203" +
+	"04050607"
 
 // segmentedGolden is the same records as a two-segment collection (segments
 // at τ = 1 and τ ≈ 0.67) in the segmented container ("GBKMVSEG") the builds
@@ -438,10 +455,10 @@ const segmentedGolden = "" +
 	"28f00105020513268e020005000a1932ac0205020a1d44b60205040a215eb80205000f236eb60205030f29aa01a40208" +
 	"00020405070a0c0e"
 
-// format4Snapshot returns the golden collection's snapshot in format 4.
-func format4Snapshot(t testing.TB) []byte {
+// hexFixture returns the bytes a hex file under testdata spells.
+func hexFixture(t testing.TB, file string) []byte {
 	t.Helper()
-	text, err := os.ReadFile("testdata/snapshot_format4.hex")
+	text, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,16 +472,19 @@ func format4Snapshot(t testing.TB) []byte {
 // TestSnapshotGoldenBytes checks "format 5 unchanged" instead of asserting
 // it: the same build and inserts write the golden bytes; the golden bytes
 // load, answer as the built engine does, hand back the records, and save back
-// as themselves. The same collection in format 4 is intact bytes of another
-// format: refused as one, by its version, not as corruption.
+// as themselves. The same collection as earlier builds wrote it — in the
+// engine container, in format 5 and in format 4 — is intact bytes of another
+// format: refused as one, naming the header it found, not as corruption.
 func TestSnapshotGoldenBytes(t *testing.T) {
 	golden, err := hex.DecodeString(goldenSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = gbkmv.LoadEngine(bytes.NewReader(format4Snapshot(t)))
-	if !errors.Is(err, gbkmv.ErrSnapshotFormat) || errors.Is(err, snapfmt.ErrCorrupt) || !strings.Contains(err.Error(), "format version 4") {
-		t.Errorf("LoadEngine on the format-4 snapshot = %v, want ErrSnapshotFormat naming version 4", err)
+	for _, file := range []string{"testdata/snapshot_format5_container.hex", "testdata/snapshot_format4.hex"} {
+		_, err = gbkmv.LoadEngine(bytes.NewReader(hexFixture(t, file)))
+		if !errors.Is(err, gbkmv.ErrSnapshotFormat) || errors.Is(err, snapfmt.ErrCorrupt) || !strings.Contains(err.Error(), `found "GBKMVENG"`) {
+			t.Errorf("LoadEngine on %s = %v, want ErrSnapshotFormat naming the GBKMVENG header", file, err)
+		}
 	}
 	recs := goldenRecords()
 	built, err := gbkmv.NewEngine("gbkmv", recs[:10], gbkmv.EngineOptions{BudgetUnits: 40, BufferBits: 8, Seed: 7})

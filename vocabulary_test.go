@@ -38,7 +38,7 @@ func (m *vocabModel) stream() []byte {
 		w.Int(len(t))
 	}
 	for _, t := range m.toks {
-		w.WriteString(t)
+		w.Write([]byte(t))
 	}
 	if err := w.Flush(); err != nil {
 		panic(err)
