@@ -49,11 +49,12 @@ func Load(r io.Reader) (*Index, error) {
 	return &Index{inner: inner}, nil
 }
 
-// EstimateWithError returns the estimated containment C(Q, X_i) together
-// with an approximate standard error derived from the KMV intersection
-// variance (Equation 11 of the paper) evaluated at the estimated
-// quantities. The buffer part is exact, so only the G-KMV part contributes
-// error.
+// EstimateWithError returns the estimated containment C(Q, X_i) — Estimate's
+// figure, and the score a search gives record i, from the K∩ the search
+// counts — together with an approximate standard error: the KMV
+// intersection variance (Equation 11 of the paper) evaluated at the
+// estimated D̂∩, D̂∪ and the pair's sketch size k = k_Q + k_X − K∩. The
+// buffer part is exact, so only the G-KMV part contributes error.
 func (ix *Index) EstimateWithError(q Record, i int) (est, stderr float64) {
 	return ix.inner.EstimateWithError(ix.inner.Sketch(q), i)
 }

@@ -27,6 +27,7 @@ import (
 // the index's record set and buffered-element choice (both of which are
 // seed-deterministic and shared with the pipeline).
 type refState struct {
+	records        []dataset.Record // the records the reference was built from
 	cut            uint32
 	runs           [][]uint32
 	complete       []bool
@@ -112,8 +113,8 @@ func refCut(ix *Index) uint32 {
 func refBuild(ix *Index, cut uint32) refState {
 	seed := ix.opt.Seed
 	tau := hash.KeyUnit(cut)
-	st := refState{cut: cut, postings: map[hash.Element][]int32{}}
-	for i, rec := range recordsOf(ix) {
+	st := refState{records: recordsOf(ix), cut: cut, postings: map[hash.Element][]int32{}}
+	for i, rec := range st.records {
 		var buf *bitmap.Bitmap
 		if ix.bufferBits > 0 {
 			buf = bitmap.New(ix.bufferBits)
@@ -161,9 +162,8 @@ func checkAgainstRef(t *testing.T, ix *Index, ref refState, label string) {
 		if got := ix.summaryOf(i).gkmv(); got != want.Summary() {
 			t.Fatalf("%s: record %d summary %+v, reference %+v", label, i, got, want.Summary())
 		}
-		sc := &searchScratch{}
-		if got := ix.recordView(i, sc); !slices.Equal(got.Keys(), want.Keys()) || got.Summary() != want.Summary() {
-			t.Fatalf("%s: record %d sketched again %v, reference %v", label, i, got, want)
+		if got := ix.recs.AppendRecord(nil, i); !slices.Equal(got, ref.records[i]) {
+			t.Fatalf("%s: record %d retained as %v, reference %v", label, i, got, ref.records[i])
 		}
 		keys += len(ref.runs[i])
 		if ix.bufferBits > 0 {

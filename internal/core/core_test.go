@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gbkmv/internal/dataset"
@@ -178,6 +181,77 @@ func TestSearchEquivalentToLinear(t *testing.T) {
 			for i := range fast {
 				if fast[i] != slow[i] {
 					t.Fatalf("t*=%v: result %d differs: %d vs %d", tstar, i, fast[i], slow[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSearchMatchesLinearEveryProfile: the posting walk and the
+// single-record path count the same K∩ and score it alike, on every Table II
+// profile at the Quick scale of internal/experiments (a quarter of the
+// records, seed 42, 15 queries), at budgets of 5 % and 10 % and t* of 0.3,
+// 0.5, 0.7 and 0.9. Search returns what one EstimateIntersection per query
+// and record admits at each t* (SearchLinear's rule, which the t* = 0.5 round
+// also calls), and each scored hit is EstimateContainment to the bit. The
+// first query of each index, shuffled, estimates as its sorted self. About
+// 0.5 s on two cores.
+func TestSearchMatchesLinearEveryProfile(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range dataset.Profiles() {
+		cfg := p.Config
+		cfg.NumRecords /= 4
+		d, err := dataset.Synthetic(cfg, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := d.SampleQueries(15, 43)
+		for _, budget := range []float64{0.05, 0.10} {
+			ix, err := BuildIndex(d, Options{BudgetFraction: budget, BufferBits: AutoBuffer, Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s at %v", p.Name, budget)
+			est := make([]float64, ix.NumRecords())
+			for qi, q := range queries {
+				sig := ix.Sketch(q)
+				for i := range est {
+					est[i] = ix.EstimateIntersection(sig, i)
+				}
+				if qi == 0 {
+					shuffled := slices.Clone(q)
+					rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+					mixed := ix.Sketch(shuffled)
+					for i, want := range est {
+						if got := ix.EstimateIntersection(mixed, i); got != want {
+							t.Fatalf("%s, q0 shuffled: record %d estimates %v, sorted %v", label, i, got, want)
+						}
+					}
+				}
+				for _, tstar := range []float64{0.3, 0.5, 0.7, 0.9} {
+					want := []int{}
+					for i, e := range est {
+						if e >= tstar*float64(sig.Size) {
+							want = append(want, i)
+						}
+					}
+					if got := ix.SearchSig(sig, tstar); !slices.Equal(got, want) {
+						t.Fatalf("%s, q%d t*=%v: Search %v, Algorithm 2 %v", label, qi, tstar, got, want)
+					}
+					if tstar == 0.5 {
+						if got := ix.SearchLinear(q, tstar); !slices.Equal(got, want) {
+							t.Fatalf("%s, q%d t*=%v: SearchLinear %v, from the estimates %v", label, qi, tstar, got, want)
+						}
+					}
+					scored, total := ix.SearchSigScored(sig, tstar, 0)
+					if total != len(want) {
+						t.Fatalf("%s, q%d t*=%v: scored search counts %d hits, want %d", label, qi, tstar, total, len(want))
+					}
+					for _, hit := range scored {
+						if c := ix.EstimateContainment(sig, hit.ID); hit.Score != c {
+							t.Fatalf("%s, q%d t*=%v: record %d scored %v, EstimateContainment %v", label, qi, tstar, hit.ID, hit.Score, c)
+						}
+					}
 				}
 			}
 		}

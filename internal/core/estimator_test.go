@@ -173,10 +173,9 @@ func checkEstimator(t *testing.T, d *dataset.Dataset, pairs []estimatorPair, see
 		want := stats.Mean(predicted[p])
 		mean, variance := stats.Mean(est[p]), stats.Variance(est[p])
 		if want == 0 {
-			// Lossless sketches are exact. (Up to a collision of two
-			// 32-bit keys, which counts a pair of distinct elements as
-			// one: seed 1030 has one between elements 156 and 1003 at
-			// alpha 1.2, past the seeds the τ = 1 fixtures use.)
+			// Lossless sketches are exact: K∩ counts shared elements, so
+			// a collision of two 32-bit keys (seed 1030 has one between
+			// elements 156 and 1003 at alpha 1.2) counts nothing.
 			if mean != pair.truth || variance != 0 {
 				t.Errorf("pair %d, seeds 1000–%d: lossless estimates have mean %v, variance %v; truth %v",
 					p, 999+seeds, mean, variance, pair.truth)

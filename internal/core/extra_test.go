@@ -327,7 +327,11 @@ func TestQuerySigEstimatedSize(t *testing.T) {
 	queries := d.SampleQueries(20, 31)
 	for _, q := range queries {
 		sig := ix.Sketch(q)
-		got := gkmv.IntersectViews(sig.sketch, sig.sketch).DUnion
+		// L_Q's summary is flagged complete for the estimate's exact
+		// branch (sketchInto); as an estimate of the rest of Q it is not.
+		lq := sig.sum
+		lq.Complete = false
+		_, got, _ := gkmv.Estimate(lq, lq, lq.K)
 		if sig.buffer != nil {
 			got += float64(sig.buffer.Count())
 		}

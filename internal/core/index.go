@@ -25,9 +25,10 @@ type Index struct {
 	opt Options
 
 	// recs holds the records in their snapshot coding (≈ 1.04–1.09 bytes an
-	// occurrence against 8 for a hash.Element): derive, Save, Join and
-	// Record read them, no search and no insert does. decoded is the
-	// Records() shim's materialised copy, nil until that is first called.
+	// occurrence against 8 for a hash.Element): derive, Save, Join, Record
+	// and the single-record estimates read them, no search and no insert
+	// does. decoded is the Records() shim's materialised copy, nil until that
+	// is first called.
 	recs      snapfmt.PackedRecords
 	decodedMu sync.Mutex
 	decoded   []dataset.Record
@@ -328,10 +329,10 @@ func (ix *Index) IndexSizeBytes() int {
 type QuerySig struct {
 	Size   int // true |Q| (Remark 1: assumed available)
 	buffer *bitmap.Bitmap
-	sketch gkmv.View
-	// rest holds the query's non-buffered elements with hash ≤ τ, used by
-	// the inverted-index search.
+	// rest holds the query's non-buffered elements with hash ≤ τ, ascending:
+	// the elements of L_Q, whose posting lists the search walks.
 	rest []hash.Element
+	sum  gkmv.Summary // L_Q's size, largest key and completeness
 	// Stats is overwritten by each search run with the work that search did.
 	// It shares the signature's ownership contract: a QuerySig is used by one
 	// goroutine at a time, so the stats of the last completed search are
@@ -374,11 +375,10 @@ func (ix *Index) Sketch(q dataset.Record) *QuerySig {
 	return sig
 }
 
-// sketchInto fills sig with the query signature, reusing sig's buffer,
-// rest slice and hash run when their capacity allows. This is the
-// zero-steady-state-allocation path behind the sketch-and-search entry
-// points (the reused sig lives in the pooled searchScratch); Sketch calls it
-// with a fresh signature.
+// sketchInto fills sig with the query signature, reusing sig's buffer and
+// rest slice when their capacity allows. This is the zero-steady-state-
+// allocation path behind the sketch-and-search entry points (the reused sig
+// lives in the pooled searchScratch); Sketch calls it with a fresh signature.
 func (ix *Index) sketchInto(sig *QuerySig, q dataset.Record) {
 	if h := len(ix.bufferElems); h > 0 {
 		if sig.buffer == nil || sig.buffer.Len() != h {
@@ -389,39 +389,41 @@ func (ix *Index) sketchInto(sig *QuerySig, q dataset.Record) {
 	} else {
 		sig.buffer = nil
 	}
-	rest := sig.rest[:0]
-	run := sig.sketch.Keys()[:0]
+	rest, top := sig.rest[:0], uint32(0)
 	for _, e := range q {
 		if bit, ok := ix.bitOf.lookup(e); ok {
 			sig.buffer.Set(bit)
 			continue
 		}
 		if v := hash.Key32(e, ix.opt.Seed); v <= ix.cut {
-			rest = append(rest, e)
-			run = append(run, v)
+			rest, top = append(rest, e), max(top, v)
 		}
 	}
-	slices.Sort(run)
+	// The single-record estimates probe rest against a record's ascending
+	// elements. A Record is sorted by contract, so this sort is for a caller
+	// that hands in a bare element slice.
+	if !slices.IsSorted(rest) {
+		slices.Sort(rest)
+	}
 	sig.Size = len(q)
 	sig.rest = rest
-	// The run holds only the query's unbuffered elements that hash ≤ τ, not
-	// every element of the query, and is flagged "complete" all the same, so
-	// that the estimate's exact branch turns on the record's flag alone. K∩
-	// is exact there: under the one global τ, a complete record has every
-	// unbuffered element of Q ∩ X hashing ≤ τ, and the query's run holds
-	// each of those, so K∩ counts them all whatever the rest of Q hashes to.
-	sig.sketch = gkmv.MakeView(run, true)
+	// L_Q is the query's unbuffered elements that hash ≤ τ, not every
+	// element of the query, and is flagged "complete" all the same, so that
+	// the estimate's exact branch turns on the record's flag alone. K∩ is
+	// exact there: under the one global τ, a complete record has every
+	// unbuffered element of Q ∩ X hashing ≤ τ, and rest holds each of
+	// those, so K∩ counts them all whatever the rest of Q hashes to.
+	sig.sum = gkmv.Summary{K: len(rest), Top: top, Complete: true}
 }
 
 // qMax returns the unit value of the largest key of L_Q (0 when L_Q is
 // empty), the search prunes' lower bound on U(k): the largest key of
 // L_Q ∪ L_X is at least the largest key of L_Q alone.
 func (sig *QuerySig) qMax() float64 {
-	keys := sig.sketch.Keys()
-	if len(keys) == 0 {
+	if sig.sum.K == 0 {
 		return 0
 	}
-	return hash.KeyUnit(keys[len(keys)-1])
+	return hash.KeyUnit(sig.sum.Top)
 }
 
 // bufferOverlap returns |H_Q ∩ H_X_i|, the exact buffered intersection.
@@ -437,50 +439,68 @@ func (ix *Index) bufferOverlap(sig *QuerySig, i int) int {
 }
 
 // EstimateIntersection estimates |Q ∩ X_i| by Equation 27:
-// |H_Q ∩ H_X| + D̂∩^GKMV, merging the query's run with record i's, sketched
-// again from its packed record (recordView).
+// |H_Q ∩ H_X| + D̂∩^GKMV, from the K∩ counted on record i's packed record
+// (sharedCount), the count the search's posting walk makes.
 func (ix *Index) EstimateIntersection(sig *QuerySig, i int) float64 {
-	inter, _ := ix.intersectRecord(sig, i)
-	return inter
-}
-
-// intersectRecord is EstimateIntersection with the merge's result beside the
-// estimate, for EstimateWithError's error bar.
-func (ix *Index) intersectRecord(sig *QuerySig, i int) (float64, gkmv.Intersection) {
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	res := gkmv.IntersectViews(sig.sketch, ix.recordView(i, sc))
-	return float64(ix.bufferOverlap(sig, i)) + res.DInter, res
+	return ix.estimateRecord(sig, i, sc)
 }
 
-// countedEstimate is D̂∩^GKMV for a candidate of the query path, from the K∩
-// its posting walk counted in sc.counts: gkmv.Estimate reads only the
-// record's summary beside it, so a candidate costs O(1), not a merge.
-// Added to the buffer overlap the search read it is EstimateIntersection to
-// the bit, but for the one case where they count differently: two distinct
-// elements sharing a 32-bit key are a match to the merge and none to the
-// lists, which are keyed by element.
-func (ix *Index) countedEstimate(sig *QuerySig, id int32, sc *searchScratch) float64 {
-	_, _, d := gkmv.Estimate(sig.sketch.Summary(), ix.summaryOf(int(id)).gkmv(), int(sc.counts[id]))
+// estimateRecord is EstimateIntersection over caller-provided scratch.
+func (ix *Index) estimateRecord(sig *QuerySig, i int, sc *searchScratch) float64 {
+	return float64(ix.bufferOverlap(sig, i)) + ix.countedEstimate(sig, i, ix.sharedCount(sig, i, sc))
+}
+
+// sharedCount returns K∩ for record i: the elements of the query's rest
+// that record i holds. It is what gather counts for record i on the posting
+// lists, read off the decoded record instead: an element of rest is
+// unbuffered and hashes ≤ τ, so record i holds it exactly when its posting
+// list names i. One pass over two ascending element lists, no hash.
+func (ix *Index) sharedCount(sig *QuerySig, i int, sc *searchScratch) int {
+	rec := ix.recs.AppendRecord(sc.rec[:0], i)
+	sc.rec = rec
+	n, j := 0, 0
+	for _, e := range sig.rest {
+		for j < len(rec) && rec[j] < e {
+			j++
+		}
+		if j < len(rec) && rec[j] == e {
+			n++
+		}
+	}
+	return n
+}
+
+// countedEstimate is D̂∩^GKMV, the G-KMV part of Equation 27, for record i
+// given the pair's K∩, whether counted on the posting lists (a search's
+// candidate) or on the decoded record (sharedCount): gkmv.Estimate reads
+// only the two sketches' summaries beside it, so it costs O(1).
+func (ix *Index) countedEstimate(sig *QuerySig, i, kInter int) float64 {
+	_, _, d := gkmv.Estimate(sig.sum, ix.summaryOf(i).gkmv(), kInter)
 	return d
 }
 
 // EstimateWithError returns the containment estimate together with an
 // approximate standard error: the square root of the KMV intersection
 // variance (Equation 11) evaluated at the *estimated* D∩, D∪ and the pair's
-// G-KMV sketch size, divided by |Q|. The buffer part of the estimator is
-// exact and contributes no error. For complete (lossless) sketches the
-// error is zero.
+// G-KMV sketch size k = k_Q + k_X − K∩, divided by |Q|. The buffer part of
+// the estimator is exact and contributes no error. For complete (lossless)
+// sketches the error is zero.
 func (ix *Index) EstimateWithError(sig *QuerySig, i int) (est, stderr float64) {
 	if sig.Size <= 0 {
 		return 0, 0
 	}
-	inter, res := ix.intersectRecord(sig, i)
-	est = min(inter/float64(sig.Size), 1)
-	if res.Exact || res.K <= 2 {
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
+	x, kInter := ix.summaryOf(i).gkmv(), ix.sharedCount(sig, i, sc)
+	_, dUnion, dInter := gkmv.Estimate(sig.sum, x, kInter) // countedEstimate's call
+	est = min((float64(ix.bufferOverlap(sig, i))+dInter)/float64(sig.Size), 1)
+	k := sig.sum.K + x.K - kInter
+	if sig.sum.Complete && x.Complete || k <= 2 {
 		return est, 0
 	}
-	v := kmv.Variance(res.DInter, res.DUnion, res.K)
+	v := kmv.Variance(dInter, dUnion, k)
 	if v < 0 {
 		v = 0
 	}

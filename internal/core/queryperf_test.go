@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"gbkmv/internal/dataset"
-	"gbkmv/internal/gkmv"
 	"gbkmv/internal/hash"
 	"gbkmv/internal/snapfmt"
 )
@@ -282,13 +281,15 @@ func checkDifferential(t *testing.T, ix *Index, queries []dataset.Record, label 
 		refQ := refSketchOf(ref.rest(q), ix.Tau(), ix.opt.Seed)
 		sc := &searchScratch{}
 		for i := 0; i < ix.recs.Len(); i++ {
-			got := gkmv.IntersectViews(sig.sketch, ix.recordView(i, sc))
+			gotKInter := ix.sharedCount(sig, i, sc)
+			gotK := sig.sum.K + ix.summaryOf(i).k() - gotKInter
+			gotDInter := ix.countedEstimate(sig, i, gotKInter)
 			k, kInter, dInter := refIntersect(refQ, ref.sketches[i])
-			if got.K != k || got.KInter != kInter {
-				t.Fatalf("%s: q%d record %d: K=%d K∩=%d, reference %d %d", label, qi, i, got.K, got.KInter, k, kInter)
+			if gotK != k || gotKInter != kInter {
+				t.Fatalf("%s: q%d record %d: K=%d K∩=%d, reference %d %d", label, qi, i, gotK, gotKInter, k, kInter)
 			}
-			if math.Abs(got.DInter-dInter) > 1e-6*dInter {
-				t.Fatalf("%s: q%d record %d: D̂∩ = %v, reference %v", label, qi, i, got.DInter, dInter)
+			if math.Abs(gotDInter-dInter) > 1e-6*dInter {
+				t.Fatalf("%s: q%d record %d: D̂∩ = %v, reference %v", label, qi, i, gotDInter, dInter)
 			}
 			if est, want := ix.EstimateIntersection(sig, i), ref.estimate(sig, refQ, i); math.Abs(est-want) > 1e-6*want {
 				t.Fatalf("%s: q%d record %d: estimate %v, reference %v", label, qi, i, est, want)

@@ -12,11 +12,12 @@ import (
 // the posting lists and bit columns a query reads, the counter planes the
 // columns add up to, the hit buffer of the threshold walk, a reusable top-k
 // heap buffer, a reusable query-signature slot for the sketch-and-search
-// entry points, and a record and its run for recordView. Instances live in a per-index
-// sync.Pool; steady-state searches therefore allocate nothing beyond their
-// result slice — and not that when the caller brings one
-// (AppendSearchSigScored, AppendTopKSig). Results are always copied out,
-// never an alias of ids, which the next query on this scratch overwrites.
+// entry points, and a decoded record for the single-record estimates
+// (sharedCount). Instances live in a per-index sync.Pool; steady-state
+// searches therefore allocate nothing beyond their result slice — and not
+// that when the caller brings one (AppendSearchSigScored, AppendTopKSig).
+// Results are always copied out, never an alias of ids, which the next query
+// on this scratch overwrites.
 //
 // Concurrency contract: a scratch is owned by exactly one query at a time
 // (getScratch/putScratch bracket every use). The index itself stays
@@ -32,9 +33,8 @@ type searchScratch struct {
 	planes  []uint64    // the overlap counters, ⌈log₂(n_q+1)⌉ words per 64 records
 	ids     []int       // thresholdWalk's hits, unsorted, before the copy out
 	heap    []topkheap.Scored
-	sig     QuerySig // reusable signature for the Search(q)/SearchTopK(q) paths
-	rec     []hash.Element
-	run     []uint32
+	sig     QuerySig       // reusable signature for the Search(q)/SearchTopK(q) paths
+	rec     []hash.Element // a decoded record, for sharedCount
 }
 
 // getScratch returns a scratch covering the current collection.

@@ -11,8 +11,9 @@ import (
 
 // Search returns the ids of all records whose estimated containment
 // similarity C(Q, X) is at least tstar, using the inverted-index accelerated
-// algorithm. Results are sorted ascending. It is equivalent to SearchLinear
-// (Algorithm 2) but skips records that share no signature with the query.
+// algorithm. Results are sorted ascending. It returns what SearchLinear
+// (Algorithm 2) returns, from the same K∩ and the same estimate, but skips
+// records that share no signature element with the query.
 //
 // The query is sketched into pooled scratch memory, so steady-state calls
 // allocate only the result slice.
@@ -97,7 +98,7 @@ func (ix *Index) thresholdWalk(sig *QuerySig, tstar float64, sc *searchScratch) 
 			continue
 		}
 		sig.Stats.Estimated++
-		if overlap+ix.countedEstimate(sig, id, sc) >= theta {
+		if overlap+ix.countedEstimate(sig, int(id), int(sc.counts[id])) >= theta {
 			out = append(out, int(id))
 		}
 	}
@@ -152,9 +153,9 @@ func (sig *QuerySig) minCount(theta float64) int32 {
 // gather begins a query on sc and touches the records on the query's posting
 // lists, with K∩ per record accumulated exactly in sc.counts. K∩ counts the
 // sketch *elements* a record shares with the query, and the estimate is made
-// from it (countedEstimate). It is the merge's count of equal keys but where
-// two distinct elements share a 32-bit key: that collision is counted only by
-// the merge of the single-record API (EstimateIntersection, SearchLinear).
+// from it (countedEstimate). The single-record API (EstimateIntersection,
+// SearchLinear) counts the same elements on the decoded record instead
+// (sharedCount).
 //
 // minCount is the fewest lists a record must be on to qualify: top-k passes
 // 0, the threshold search its minCount T. Below 2 every list touches. From
@@ -239,10 +240,14 @@ func (ix *Index) gatherCounted(sig *QuerySig, t int, sc *searchScratch) {
 // SearchLinear is the plain Algorithm 2 of the paper: it scans every record,
 // estimates |Q ∩ X| by Equation 27 and keeps records meeting θ = t*·|Q|.
 // Results are sorted ascending. It exists as the reference implementation
-// for Search and for the ablation benchmarks: every record's run is sketched
-// again from its packed record and merged with the query's.
+// for Search and for the ablation benchmarks: every record is decoded and
+// its K∩ counted against the query's elements (sharedCount), where Search
+// reads K∩ off the posting lists.
 func (ix *Index) SearchLinear(q dataset.Record, tstar float64) []int {
-	sig := ix.Sketch(q)
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
+	sig := &sc.sig
+	ix.sketchInto(sig, q)
 	theta := tstar * float64(sig.Size)
 	out := []int{}
 	if tstar > 0 && sig.Size <= 0 {
@@ -251,7 +256,7 @@ func (ix *Index) SearchLinear(q dataset.Record, tstar float64) []int {
 		return out
 	}
 	for i := 0; i < ix.recs.Len(); i++ {
-		if ix.EstimateIntersection(sig, i) >= theta {
+		if ix.estimateRecord(sig, i, sc) >= theta {
 			out = append(out, i)
 		}
 	}

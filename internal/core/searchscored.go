@@ -60,7 +60,7 @@ func (ix *Index) AppendSearchSigScored(dst []Scored, sig *QuerySig, tstar float6
 		}
 		score := 0.0 // an empty query, at t* ≤ 0
 		if size > 0 {
-			score = min((overlap+ix.countedEstimate(sig, int32(id), sc))/size, 1)
+			score = min((overlap+ix.countedEstimate(sig, id, int(sc.counts[id])))/size, 1)
 		}
 		dst = append(dst, Scored{ID: id, Score: score})
 	}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"gbkmv/internal/gkmv"
-	"gbkmv/internal/hash"
-)
+import "gbkmv/internal/gkmv"
 
 // summary is a record's G-KMV sketch L_X as gkmv.Estimate reads it beside
 // K∩: its size k, its largest key U(k) (0 when k is 0) and whether it covers
@@ -91,26 +86,4 @@ func (ix *Index) resummarise(pairs []keyCount, cut uint32) {
 			}
 		}
 	}
-}
-
-// recordView is record i's run sketched again from its packed record into
-// the scratch, which owns it until the next call: gkmv.BuildHashes at the
-// index's τ, for the paths that merge a record's run with a query's
-// (EstimateIntersection, EstimateWithError, SearchLinear).
-func (ix *Index) recordView(i int, sc *searchScratch) gkmv.View {
-	sc.rec = ix.recs.AppendRecord(sc.rec[:0], i)
-	run, whole := sc.run[:0], true
-	for _, e := range sc.rec {
-		if _, buffered := ix.bitOf.lookup(e); buffered {
-			continue
-		}
-		if v := hash.Key32(e, ix.opt.Seed); v <= ix.cut {
-			run = append(run, v)
-		} else {
-			whole = false
-		}
-	}
-	slices.Sort(run)
-	sc.run = run
-	return gkmv.MakeView(run, whole)
 }

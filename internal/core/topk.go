@@ -96,7 +96,7 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) topkheap.H
 			continue
 		}
 		sig.Stats.Estimated++
-		if est := min((exact+ix.countedEstimate(sig, id, sc))/size, 1); est > 0 {
+		if est := min((exact+ix.countedEstimate(sig, int(id), int(sc.counts[id])))/size, 1); est > 0 {
 			h.Push(int(id), est)
 		}
 	}

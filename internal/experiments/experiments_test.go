@@ -390,7 +390,7 @@ func TestScalingIndexedFaster(t *testing.T) {
 
 // fig7to13Exceptions are the (profile, rule) pairs of TestFig7to13Ordering
 // that do not hold on all four budgets at HEAD, with the budgets they fail
-// at; DESIGN.md "Findings at HEAD" has the rows. An entry that moves — for
+// at; DESIGN.md "Findings" has the rows. An entry that moves — for
 // the better too — fails the test, so the record stays true.
 var fig7to13Exceptions = map[string]string{
 	// At 2 % (and 5 % on the two most size-skewed profiles) the cost model's
@@ -468,7 +468,7 @@ func TestFig7to13Ordering(t *testing.T) {
 			}
 			key := p.Name + ": " + rule.name
 			if got, want := strings.Join(fails, " "), fig7to13Exceptions[key]; got != want {
-				t.Errorf("%s fails at budgets [%s], recorded [%s] (fig7to13Exceptions and DESIGN.md \"Findings at HEAD\")", key, got, want)
+				t.Errorf("%s fails at budgets [%s], recorded [%s] (fig7to13Exceptions and DESIGN.md \"Findings\")", key, got, want)
 			}
 		}
 	}

@@ -28,10 +28,9 @@ import (
 )
 
 // View is a read-only G-KMV sketch over externally owned memory: an ascending
-// run of keys plus the completeness flag — a query's sketch, or a record's
-// sketched again for a merge. A View is a small value (slice header + bool);
-// copy it freely. The underlying run must stay ascending and unmodified while
-// any View of it is in use.
+// run of keys plus the completeness flag, as BuildHashes returns them. A View
+// is a small value (slice header + bool); copy it freely. The underlying run
+// must stay ascending and unmodified while any View of it is in use.
 type View struct {
 	keys     []uint32
 	complete bool
@@ -45,10 +44,6 @@ func MakeView(keys []uint32, complete bool) View {
 
 // K returns the number of stored keys.
 func (v View) K() int { return len(v.keys) }
-
-// Keys returns the stored keys ascending; the slice is owned by the backing
-// store.
-func (v View) Keys() []uint32 { return v.keys }
 
 // Summary is all Estimate reads of a sketch beside K∩: its size k, its
 // largest key (0 when k is 0) and whether it covers its whole record.
@@ -107,10 +102,10 @@ func IntersectViews(a, b View) Intersection {
 // Estimate is the closed form of Equations 24–25 given K∩, returning U(k),
 // D̂∪ and D̂∩: all it reads of the two sketches beside K∩ is their summaries,
 // since k = |L_A| + |L_B| − K∩ and U(k) is the larger of the two largest
-// keys. A caller that has counted K∩ some other way (the core search counts
-// it on the inverted lists while finding its candidates) scores a pair
-// without merging it, and gets IntersectViews' figures to the bit for the
-// same K∩.
+// keys. A caller that has counted K∩ some other way (the core index counts
+// shared elements, on its posting lists or on a decoded record) scores a
+// pair without merging it, and gets IntersectViews' figures to the bit for
+// the same K∩.
 func Estimate(a, b Summary, kInter int) (uk, dUnion, dInter float64) {
 	k := a.K + b.K - kInter
 	if k > 0 {

@@ -68,12 +68,12 @@ func TestBuildKeepsExactlyBelowTau(t *testing.T) {
 	if s.K() != want {
 		t.Errorf("K = %d, want %d", s.K(), want)
 	}
-	for _, x := range s.Keys() {
+	for _, x := range s.keys {
 		if hash.KeyUnit(x) > tau {
 			t.Fatalf("stored key %d (%v) above threshold %v", x, hash.KeyUnit(x), tau)
 		}
 	}
-	if !slices.IsSorted(s.Keys()) {
+	if !slices.IsSorted(s.keys) {
 		t.Fatal("run is not ascending")
 	}
 	// τ = 0 keeps nothing; an empty record is then still complete.
@@ -125,7 +125,7 @@ func TestTheorem2UnionIsValidKMV(t *testing.T) {
 	tau := 0.25
 	sx := build(x, tau, testSeed)
 	sy := build(y, tau, testSeed)
-	k, _, uk := unionStats(sx.Keys(), sy.Keys())
+	k, _, uk := unionStats(sx.keys, sy.keys)
 
 	union := dataset.NewRecord(append(append([]hash.Element{}, x...), y...))
 	all := make([]uint32, len(union))
@@ -301,7 +301,7 @@ func TestBuildAll(t *testing.T) {
 	const tau = 0.5
 	cut, _ := hash.UnitKey(tau)
 	for i, v := range buildAll(d, tau, testSeed) {
-		keys := v.Keys()
+		keys := v.keys
 		if !slices.IsSorted(keys) || (len(keys) > 0 && keys[len(keys)-1] > cut) {
 			t.Fatalf("record %d: run %v is not an ascending run under %d", i, keys, cut)
 		}
