@@ -149,8 +149,9 @@ func TestCorpusOverflow(t *testing.T) {
 // TestUnsortedRecordRefused: a record that breaks the Record invariant is
 // named with one text, whichever way the records arrive — as slices, which
 // the GB-KMV builds' counting pass checks as it reads them and the baselines
-// as they copy them, or as a corpus, which noted it as it coded — and so is
-// Build's: it refuses what NewEngine does.
+// as they copy them, or into a corpus, whose store refuses it where it would
+// be coded, appended or packed — and so is Build's: it refuses what
+// NewEngine does.
 func TestUnsortedRecordRefused(t *testing.T) {
 	good := []Record{{1, 2, 3}, {}, {2, 5, 9}, {4}}
 	for _, tc := range []struct {
@@ -164,19 +165,27 @@ func TestUnsortedRecordRefused(t *testing.T) {
 	} {
 		records := append(append(append([]Record{}, good[:tc.at]...), tc.bad), good[tc.at:]...)
 		want := fmt.Sprintf("gbkmv: record %d is not sorted and deduplicated (see NewRecord)", tc.at)
-		corpus := func() *Corpus {
-			recs, err := snapfmt.PackRecords(records, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return &Corpus{recs: recs}
-		}
 		opt := EngineOptions{BudgetUnits: 64}
 		for entry, build := range map[string]func() (Engine, error){
-			"NewEngine":           func() (Engine, error) { return NewEngine("exact", records, opt) },
-			"NewEngine gbkmv":     func() (Engine, error) { return NewEngine("gbkmv", records, opt) },
-			"NewEngine gkmv":      func() (Engine, error) { return NewEngine("gkmv", records, opt) },
-			"NewEngineFromCorpus": func() (Engine, error) { return NewEngineFromCorpus(corpus(), opt) },
+			"NewEngine":       func() (Engine, error) { return NewEngine("exact", records, opt) },
+			"NewEngine gbkmv": func() (Engine, error) { return NewEngine("gbkmv", records, opt) },
+			"NewEngine gkmv":  func() (Engine, error) { return NewEngine("gkmv", records, opt) },
+			"NewEngineFromCorpus": func() (Engine, error) {
+				var c Corpus
+				for _, rec := range records {
+					if err := c.recs.Append(rec); err != nil {
+						return nil, unsortedError(err)
+					}
+				}
+				return NewEngineFromCorpus(&c, opt)
+			},
+			"PackRecords": func() (Engine, error) {
+				recs, err := snapfmt.PackRecords(records, 2)
+				if err != nil {
+					return nil, unsortedError(err)
+				}
+				return NewEngineFromCorpus(&Corpus{recs: recs}, opt)
+			},
 			"Build": func() (Engine, error) {
 				ix, err := Build(records, Options{BudgetUnits: 64})
 				if err != nil {

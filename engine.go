@@ -29,9 +29,11 @@ type Engine interface {
 	Len() int
 	// AddBatch appends records as one batch, returning their ids in order.
 	// Engines that rebuild on insert pay the rebuild once per batch. Records
-	// must be sorted and deduplicated (see Record); nothing checks it here.
-	// recs and the records' arrays stay the caller's, who may reuse them once
-	// AddBatch returns: an engine that keeps records keeps copies.
+	// must be sorted and deduplicated (see Record): a batch holding one that
+	// is not is refused whole — AddBatch panics, naming the record's place in
+	// recs, before the engine changes. recs and the records' arrays stay the
+	// caller's, who may reuse them once AddBatch returns: an engine that keeps
+	// records keeps copies.
 	AddBatch(recs []Record) []int
 	// Search returns the ids of all records whose estimated containment
 	// C(Q, X) reaches threshold, ascending. Approximate engines may return
@@ -177,11 +179,6 @@ func NewEngineFromCorpus(c *Corpus, opt EngineOptions) (*Index, error) {
 	}
 	if err := opt.validate(); err != nil {
 		return nil, err
-	}
-	// The index assumes the Record invariant: the corpus noted a violation
-	// as it was coded.
-	if err := c.recs.CheckSorted(); err != nil {
-		return nil, unsortedError(err)
 	}
 	inner, err := core.BuildPacked(c.take(), opt.index())
 	if err != nil {

@@ -117,10 +117,16 @@ func (e *baseline) Len() int { return len(e.records) }
 // AddBatch appends copies of the records (one array a batch) under the
 // options resolved at build time (nothing is re-derived from the grown
 // collection) and hands the backend the whole batch at once, so a backend
-// that rebuilds pays for it once.
+// that rebuilds pays for it once. A batch holding a record that is not sorted
+// and deduplicated panics, naming its place in the batch, before the engine
+// changes.
 func (e *baseline) AddBatch(recs []Record) []int {
 	from := len(e.records)
-	e.records, _ = appendCopies(e.records, recs)
+	records, unsorted := appendCopies(e.records, recs)
+	if unsorted >= 0 {
+		panic(unsortedError(snapfmt.UnsortedError{Record: unsorted}).Error())
+	}
+	e.records = records
 	if err := e.add(e.records, from); err != nil {
 		// AddBatch cannot report errors, and a backend that built once from
 		// these options failing on more records is a programming error.

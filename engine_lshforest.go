@@ -28,11 +28,11 @@ func init() {
 		if numHashes <= 0 {
 			numHashes = 128
 		}
-		f, err := lshforest.New(l, max(numHashes/l, 1), opt.Seed)
+		f, err := lshforest.New(l, max(numHashes/l, 1))
 		if err != nil {
 			return nil, err
 		}
-		return &lshforestBackend{forest: f}, nil
+		return &lshforestBackend{gen: minhash.NewGenerator(f.NumHashes(), opt.Seed), forest: f}, nil
 	})
 }
 
@@ -41,10 +41,12 @@ func init() {
 // harder but start missing true results.
 const forestRecallFloor = 0.9
 
-// lshforestBackend retains the full signatures beside the forest: they
-// verify candidates and score Estimate and TopK.
+// lshforestBackend signs with its own generator, and retains the full
+// signatures beside the forest: they verify candidates and score Estimate and
+// TopK.
 type lshforestBackend struct {
 	signatures
+	gen     *minhash.Generator
 	forest  *lshforest.Forest
 	maxSize int
 }
@@ -54,7 +56,7 @@ type lshforestBackend struct {
 func (b *lshforestBackend) add(recs []Record, from int) error {
 	b.records = recs
 	for i := from; i < len(recs); i++ {
-		sig := b.forest.Sign(recs[i])
+		sig := b.gen.Sign(recs[i])
 		b.sigs = append(b.sigs, sig)
 		b.forest.Add(i, sig)
 		b.maxSize = max(b.maxSize, len(recs[i]))
@@ -63,7 +65,7 @@ func (b *lshforestBackend) add(recs []Record, from int) error {
 	return nil
 }
 
-func (b *lshforestBackend) sign(q Record) any { return b.forest.Sign(q) }
+func (b *lshforestBackend) sign(q Record) any { return b.gen.Sign(q) }
 
 // probeDepth picks the deepest prefix depth whose collision probability
 // 1−(1−s^r)^l at Jaccard s stays above the recall floor.

@@ -134,14 +134,19 @@ func (ix *Index) EstimateAll(q Record) []float64 {
 
 // Add appends a record to the index under the fixed space budget: the global
 // threshold shrinks as needed (Section IV-B, "Processing Dynamic Data"). It
-// returns the new record's id.
+// returns the new record's id. A record that is not sorted and deduplicated
+// (see NewRecord) is refused: Add panics, naming it, and the index does not
+// change.
 func (ix *Index) Add(r Record) int {
 	return ix.AddBatch([]Record{r})[0]
 }
 
 // AddBatch appends records in order, returning their ids. It is exactly Add
 // once per record — the budget is checked after each — so how callers group
-// records into batches never changes the resulting index.
+// records into batches never changes the resulting index. A batch holding a
+// record that is not sorted and deduplicated (see NewRecord) is refused
+// whole: AddBatch panics, naming the record's place in recs, before it adds
+// any.
 func (ix *Index) AddBatch(recs []Record) []int {
 	base := ix.inner.NumRecords()
 	ix.inner.AddRecords(recs)

@@ -45,24 +45,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Index is the asymmetric minwise hashing index.
+// Index is the asymmetric minwise hashing index. Its forest is probed with
+// the (b, r) of LSH Ensemble's tuner, which lshforest owns.
 type Index struct {
-	opt      Options
-	gen      *minhash.Generator
-	forest   *lshforest.Forest
-	maxSize  int // M, the padding target
-	sizes    []int
-	maxDepth int
+	opt     Options
+	gen     *minhash.Generator
+	forest  *lshforest.Forest
+	maxSize int // M, the padding target
+	sizes   []int
 	// padMin[i][j] is the minimum hash of functions i over the first j
 	// padding symbols (padMin[i][0] = MaxUint64).
 	padMin [][]uint64
-	// optParams caches (b, r) per threshold grid point, as in lshensemble.
-	optParams []bandParam
 }
-
-type bandParam struct{ b, r int }
-
-const paramGrid = 50
 
 // padBase offsets the dummy-symbol ids far beyond any real element id.
 const padBase = uint64(1) << 62
@@ -76,17 +70,10 @@ func Build(d *dataset.Dataset, opt Options) (*Index, error) {
 	if d == nil || len(d.Records) == 0 {
 		return nil, errors.New("asymminhash: empty dataset")
 	}
-	l := opt.MaxBands
-	for opt.NumHashes%l != 0 {
-		l--
-	}
-	maxDepth := opt.NumHashes / l
-
 	ix := &Index{
-		opt:      opt,
-		gen:      minhash.NewGenerator(opt.NumHashes, opt.Seed),
-		maxDepth: maxDepth,
-		sizes:    make([]int, len(d.Records)),
+		opt:   opt,
+		gen:   minhash.NewGenerator(opt.NumHashes, opt.Seed),
+		sizes: make([]int, len(d.Records)),
 	}
 	for i, r := range d.Records {
 		ix.sizes[i] = len(r)
@@ -115,7 +102,7 @@ func Build(d *dataset.Dataset, opt Options) (*Index, error) {
 		ix.padMin[i] = row
 	}
 
-	forest, err := lshforest.New(l, maxDepth, opt.Seed)
+	forest, err := lshforest.New(lshforest.Shape(opt.NumHashes, opt.MaxBands))
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +111,6 @@ func Build(d *dataset.Dataset, opt Options) (*Index, error) {
 	}
 	forest.Index()
 	ix.forest = forest
-	ix.buildParamTable(l, maxDepth)
 	return ix, nil
 }
 
@@ -142,52 +128,6 @@ func (ix *Index) paddedSignature(r dataset.Record) minhash.Signature {
 		}
 	}
 	return sig
-}
-
-// buildParamTable mirrors lshensemble's FP+FN-minimizing (b, r) selection.
-func (ix *Index) buildParamTable(l, maxDepth int) {
-	ix.optParams = make([]bandParam, paramGrid+1)
-	for i := 0; i <= paramGrid; i++ {
-		sStar := float64(i) / paramGrid
-		best := bandParam{b: l, r: 1}
-		bestCost := math.Inf(1)
-		for r := 1; r <= maxDepth; r++ {
-			for b := 1; b <= l; b++ {
-				cost := integrate(0, sStar, func(s float64) float64 {
-					return collisionProb(s, b, r)
-				}) + integrate(sStar, 1, func(s float64) float64 {
-					return 1 - collisionProb(s, b, r)
-				})
-				if cost < bestCost {
-					bestCost = cost
-					best = bandParam{b: b, r: r}
-				}
-			}
-		}
-		ix.optParams[i] = best
-	}
-}
-
-func collisionProb(s float64, b, r int) float64 {
-	return 1 - math.Pow(1-math.Pow(s, float64(r)), float64(b))
-}
-
-func integrate(a, b float64, f func(float64) float64) float64 {
-	if b <= a {
-		return 0
-	}
-	const n = 24
-	h := (b - a) / n
-	sum := f(a) + f(b)
-	for i := 1; i < n; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
-	}
-	return sum * h / 3
 }
 
 // jaccardThreshold converts the containment threshold into the padded-space
@@ -211,20 +151,12 @@ func (ix *Index) Query(q dataset.Record, tstar float64) []int {
 	if len(q) == 0 {
 		return nil
 	}
-	sStar := ix.jaccardThreshold(tstar, len(q))
-	idx := int(math.Round(sStar * paramGrid))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx > paramGrid {
-		idx = paramGrid
-	}
-	p := ix.optParams[idx]
+	b, r := ix.forest.OptimalParams(ix.jaccardThreshold(tstar, len(q)))
 	// The query is NOT padded: that is the asymmetry.
 	sig := ix.gen.Sign(q)
 	theta := tstar * float64(len(q))
 	out := []int{}
-	for _, id := range ix.forest.Query(sig, p.b, p.r) {
+	for _, id := range ix.forest.Query(sig, b, r) {
 		// Size filter only; no verification (candidate semantics).
 		if float64(ix.sizes[id]) >= theta {
 			out = append(out, id)

@@ -104,22 +104,41 @@ func TestPackedIndexRecords(t *testing.T) {
 	}
 }
 
-// TestPackedIndexRefusesUnsortedOnSave: AddRecords cannot refuse a record
-// that breaks the sorted-and-deduplicated invariant, and the packed store
-// holds it faithfully; Save names it rather than write a stream no loader
-// takes.
+// TestPackedIndexRefusesUnsortedOnSave: no record that breaks the
+// sorted-and-deduplicated invariant reaches a save, because none reaches the
+// index: AddRecords refuses a batch holding one, naming its place in the
+// batch, before it touches anything, and the index saves the same stream as
+// before and then grows as it would have.
 func TestPackedIndexRefusesUnsortedOnSave(t *testing.T) {
-	ix, err := BuildIndex(buildTestDataset(t, 63, 40), Options{BudgetFraction: 0.5, BufferBits: NoBuffer, Seed: testSeed})
+	d := buildTestDataset(t, 63, 40)
+	ix, err := BuildIndex(d, Options{BudgetFraction: 0.5, BufferBits: NoBuffer, Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := dataset.Record{9, 4, 4}
-	ix.AddRecords([]dataset.Record{bad})
-	if got := ix.Record(40); !slices.Equal(got, bad) {
-		t.Fatalf("Record(40) = %v, want %v", got, bad)
+	var before bytes.Buffer
+	if err := ix.Save(&before); err != nil {
+		t.Fatal(err)
 	}
-	if err := ix.Save(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "record 40 is not sorted") {
-		t.Fatalf("Save = %v, want record 40 named", err)
+	for _, bad := range []dataset.Record{{9, 4, 4}, {4, 4}, {3, 2}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != "core: record 1 is not sorted and deduplicated" {
+					t.Errorf("AddRecords over %v panicked with %q", bad, msg)
+				}
+			}()
+			ix.AddRecords([]dataset.Record{{1, 2, 3}, bad})
+		}()
+	}
+	var after bytes.Buffer
+	if err := ix.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if ix.NumRecords() != 40 || !bytes.Equal(after.Bytes(), before.Bytes()) {
+		t.Fatalf("a refused batch left %d records and a save of %d bytes, want 40 and %d", ix.NumRecords(), after.Len(), before.Len())
+	}
+	ix.AddRecords([]dataset.Record{{1, 2, 3}})
+	if err := ix.Save(&after); err != nil || ix.NumRecords() != 41 || !slices.Equal(ix.Record(40), dataset.Record{1, 2, 3}) {
+		t.Fatalf("after the refusals an insert gave %d records (%v), save: %v", ix.NumRecords(), ix.Record(ix.NumRecords()-1), err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/hash"
+	"gbkmv/internal/snapfmt"
 )
 
 // Search returns the ids of all records whose estimated containment
@@ -284,16 +285,25 @@ const shrinkSlackDivisor = 128
 // The records are coded onto the packed store, not retained: the caller's
 // slices are its own again when AddRecords returns.
 //
-// It panics, before touching the index, when the batch could take the
-// posting lists' tails to 2³²−1 slots or the record store to 2³²−1 bytes,
-// the ends of their 32-bit positions (BuildIndex returns an error at the
-// same bounds).
+// It panics, before touching the index, when a record is not strictly
+// ascending (the dataset.Record invariant; the panic names its position in
+// recs), or when the batch could take the posting lists' tails to 2³²−1 slots
+// or the record store to 2³²−1 bytes, the ends of their 32-bit positions
+// (BuildIndex returns an error in each case).
 func (ix *Index) AddRecords(recs []dataset.Record) {
 	incoming := 0
-	for _, rec := range recs {
+	var err error
+	for i, rec := range recs {
 		incoming += len(rec)
+		for j := 1; j < len(rec) && err == nil; j++ {
+			if rec[j] <= rec[j-1] {
+				err = snapfmt.UnsortedError{Record: i}
+			}
+		}
 	}
-	err := checkPostingRoom(ix.postings.tailBound(incoming))
+	if err == nil {
+		err = checkPostingRoom(ix.postings.tailBound(incoming))
+	}
 	if err == nil {
 		err = ix.recs.CheckRoom(len(recs), incoming)
 	}
@@ -312,7 +322,7 @@ func (ix *Index) AddRecords(recs []dataset.Record) {
 	for _, rec := range recs {
 		id := ix.recs.Len()
 		if err := ix.recs.Append(rec); err != nil {
-			panic("core: " + err.Error()) // CheckRoom above made the room
+			panic("core: " + err.Error()) // checked above: the record is ascending, and CheckRoom made the room
 		}
 		// The record's postings go in before the budget check: the shrink
 		// selects its cut from the lists, this record's keys included, and

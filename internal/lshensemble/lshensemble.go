@@ -10,7 +10,8 @@
 //     (Equation 13), and
 //  4. probes each partition's forest with the (b, r) banding parameters that
 //     minimize the expected number of false positives plus false negatives
-//     at s*, returning the union of candidates as the result set.
+//     at s* (the tuner lives with the forests, in lshforest), returning the
+//     union of candidates as the result set.
 //
 // Using the upper bound u instead of the true record size x inflates the
 // estimator by (u+q)/(x+q) (Equation 20), which buys recall at the price of
@@ -19,7 +20,6 @@ package lshensemble
 
 import (
 	"errors"
-	"math"
 	"sort"
 
 	"gbkmv/internal/dataset"
@@ -71,16 +71,7 @@ type Ensemble struct {
 	partitions []partition
 	records    []dataset.Record    // retained for QueryVerified
 	sigs       []minhash.Signature // full signature per record; the forests hold banded copies
-	// optParams[i] caches the (b, r) minimizing FP+FN at threshold grid
-	// point i (s* = i / paramGrid).
-	optParams []bandParam
-	maxDepth  int
 }
-
-type bandParam struct{ b, r int }
-
-// paramGrid is the resolution of the cached optimal-parameter table.
-const paramGrid = 50
 
 // Build constructs the LSH-E index over the dataset. sigs holds the
 // signatures of d.Records[:len(sigs)] under opt's hash family (a pure function
@@ -98,24 +89,17 @@ func Build(d *dataset.Dataset, opt Options, sigs []minhash.Signature) (*Ensemble
 	if len(sigs) > len(d.Records) {
 		return nil, errors.New("lshensemble: more signatures than records")
 	}
-	// The forest needs NumHashes divisible into MaxBands trees.
-	l := opt.MaxBands
-	for opt.NumHashes%l != 0 {
-		l--
-	}
-	maxDepth := opt.NumHashes / l
+	l, maxDepth := lshforest.Shape(opt.NumHashes, opt.MaxBands)
 
 	e := &Ensemble{
-		opt:      opt,
-		gen:      minhash.NewGenerator(opt.NumHashes, opt.Seed),
-		records:  d.Records,
-		sigs:     sigs,
-		maxDepth: maxDepth,
+		opt:     opt,
+		gen:     minhash.NewGenerator(opt.NumHashes, opt.Seed),
+		records: d.Records,
+		sigs:    sigs,
 	}
 	for _, r := range d.Records[len(sigs):] {
 		e.sigs = append(e.sigs, e.gen.Sign(r))
 	}
-	e.buildParamTable(l, maxDepth)
 
 	// Equal-depth partitioning by record size (the optimal strategy under
 	// the power-law assumption, Section III-A "Data Partition").
@@ -142,7 +126,7 @@ func Build(d *dataset.Dataset, opt Options, sigs []minhash.Signature) (*Ensemble
 			end = len(order)
 		}
 		ids := order[start:end]
-		f, err := lshforest.New(l, maxDepth, opt.Seed)
+		f, err := lshforest.New(l, maxDepth)
 		if err != nil {
 			return nil, err
 		}
@@ -160,91 +144,19 @@ func Build(d *dataset.Dataset, opt Options, sigs []minhash.Signature) (*Ensemble
 	return e, nil
 }
 
-// buildParamTable precomputes, for a grid of Jaccard thresholds, the (b, r)
-// pair minimizing the FP+FN probability mass under the uniform-similarity
-// assumption the paper adopts:
-//
-//	FP(b,r | s*) = ∫₀^{s*} 1−(1−s^r)^b ds
-//	FN(b,r | s*) = ∫_{s*}^{1} (1−s^r)^b ds
-func (e *Ensemble) buildParamTable(l, maxDepth int) {
-	e.optParams = make([]bandParam, paramGrid+1)
-	for i := 0; i <= paramGrid; i++ {
-		sStar := float64(i) / paramGrid
-		best := bandParam{b: l, r: 1}
-		bestCost := math.Inf(1)
-		for r := 1; r <= maxDepth; r++ {
-			for b := 1; b <= l; b++ {
-				cost := integrate(0, sStar, func(s float64) float64 {
-					return collisionProb(s, b, r)
-				}) + integrate(sStar, 1, func(s float64) float64 {
-					return 1 - collisionProb(s, b, r)
-				})
-				if cost < bestCost {
-					bestCost = cost
-					best = bandParam{b: b, r: r}
-				}
-			}
-		}
-		e.optParams[i] = best
-	}
-}
-
-// collisionProb is the banding collision probability 1 − (1 − s^r)^b.
-func collisionProb(s float64, b, r int) float64 {
-	return 1 - math.Pow(1-math.Pow(s, float64(r)), float64(b))
-}
-
-// integrate is Simpson's rule with a fixed 24-interval mesh — plenty for the
-// smooth collision-probability curves.
-func integrate(a, b float64, f func(float64) float64) float64 {
-	if b <= a {
-		return 0
-	}
-	const n = 24
-	h := (b - a) / n
-	sum := f(a) + f(b)
-	for i := 1; i < n; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
-	}
-	return sum * h / 3
-}
-
-// OptimalParams returns the cached (b, r) for Jaccard threshold sStar.
-func (e *Ensemble) OptimalParams(sStar float64) (b, r int) {
-	if sStar < 0 {
-		sStar = 0
-	}
-	if sStar > 1 {
-		sStar = 1
-	}
-	p := e.optParams[int(math.Round(sStar*paramGrid))]
-	return p.b, p.r
-}
-
 // Query returns the candidate set for containment threshold tstar: the union
 // over partitions of each forest probe. Per the paper, LSH-E returns the
 // candidates directly (no verification step), which is why it favours
 // recall.
 func (e *Ensemble) Query(q dataset.Record, tstar float64) []int {
-	return e.QuerySized(q, len(q), tstar)
-}
-
-// QuerySized is Query with an explicit query set size |Q|, for callers whose
-// query had to omit elements that cannot appear in any indexed record (e.g.
-// tokens unknown to a vocabulary) — such elements still belong to Q and
-// shrink every containment.
-func (e *Ensemble) QuerySized(q dataset.Record, qSize int, tstar float64) []int {
-	return e.QuerySigSized(e.gen.Sign(q), qSize, tstar)
+	return e.QuerySigSized(e.gen.Sign(q), len(q), tstar)
 }
 
 // QuerySigSized runs the partition probes from a precomputed signature (see
-// Sign), so a prepared query pays the signing cost once across any number of
-// probes.
+// Sign) and an explicit query set size |Q|, so a prepared query pays the
+// signing cost once across any number of probes, and a query that had to omit
+// elements no indexed record can hold (tokens unknown to a vocabulary) still
+// counts them in Q, where they shrink every containment.
 func (e *Ensemble) QuerySigSized(sig minhash.Signature, qSize int, tstar float64) []int {
 	if qSize == 0 {
 		return nil
@@ -257,7 +169,7 @@ func (e *Ensemble) QuerySigSized(sig minhash.Signature, qSize int, tstar float64
 			continue
 		}
 		sStar := minhash.JaccardFromContainment(tstar, p.upper, qSize)
-		b, r := e.OptimalParams(sStar)
+		b, r := p.forest.OptimalParams(sStar)
 		for _, local := range p.forest.Query(sig, b, r) {
 			out = append(out, p.ids[local])
 		}

@@ -1,7 +1,6 @@
 package lshensemble
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -168,64 +167,6 @@ func TestSizeFilterSkipsSmallPartitions(t *testing.T) {
 			t.Errorf("record %d of size %d cannot reach overlap %v",
 				id, len(d.Records[id]), theta)
 		}
-	}
-}
-
-func TestOptimalParamsShape(t *testing.T) {
-	d := testDataset(t)
-	e, err := Build(d, Options{Seed: 6}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Higher thresholds demand longer AND-chains (larger r) or fewer bands:
-	// the collision curve must shift right. Check the probe selectivity
-	// rises with s*: collisionProb at s=0.2 under params for s*=0.9 must be
-	// below that under params for s*=0.2.
-	bLow, rLow := e.OptimalParams(0.2)
-	bHigh, rHigh := e.OptimalParams(0.9)
-	pLow := collisionProb(0.2, bLow, rLow)
-	pHigh := collisionProb(0.2, bHigh, rHigh)
-	if pHigh > pLow {
-		t.Errorf("params for s*=0.9 (b=%d,r=%d) catch more low-sim pairs than for s*=0.2 (b=%d,r=%d)",
-			bHigh, rHigh, bLow, rLow)
-	}
-	// Clamping must not panic.
-	e.OptimalParams(-1)
-	e.OptimalParams(2)
-}
-
-func TestCollisionProbBounds(t *testing.T) {
-	for _, s := range []float64{0, 0.3, 0.7, 1} {
-		for _, b := range []int{1, 8, 32} {
-			for _, r := range []int{1, 4, 8} {
-				p := collisionProb(s, b, r)
-				if p < 0 || p > 1 {
-					t.Fatalf("collisionProb(%v,%d,%d) = %v", s, b, r, p)
-				}
-			}
-		}
-	}
-	if got := collisionProb(1, 16, 4); got != 1 {
-		t.Errorf("collisionProb(1) = %v, want 1", got)
-	}
-	if got := collisionProb(0, 16, 4); got != 0 {
-		t.Errorf("collisionProb(0) = %v, want 0", got)
-	}
-}
-
-func TestIntegrateKnownValues(t *testing.T) {
-	// ∫₀¹ x dx = 0.5
-	got := integrate(0, 1, func(x float64) float64 { return x })
-	if math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("∫x = %v", got)
-	}
-	// ∫₀¹ x² dx = 1/3 (Simpson is exact for cubics)
-	got = integrate(0, 1, func(x float64) float64 { return x * x })
-	if math.Abs(got-1.0/3.0) > 1e-9 {
-		t.Errorf("∫x² = %v", got)
-	}
-	if got := integrate(1, 0, func(x float64) float64 { return x }); got != 0 {
-		t.Errorf("reversed bounds = %v, want 0", got)
 	}
 }
 

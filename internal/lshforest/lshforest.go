@@ -8,13 +8,16 @@
 // Each "tree" is stored as a lexicographically sorted slice of signature
 // bands; probing a prefix of depth r is a binary-search range scan, which is
 // the standard flat-array realization of an LSH Forest prefix tree.
+//
+// A forest indexes the signatures it is handed and makes none: its caller
+// owns the signer. The package also owns LSH-E's banding tuner (params.go),
+// the (b, r) a forest of a given shape is probed with at a Jaccard threshold.
 package lshforest
 
 import (
 	"errors"
 	"sort"
 
-	"gbkmv/internal/dataset"
 	"gbkmv/internal/minhash"
 )
 
@@ -22,7 +25,7 @@ import (
 type Forest struct {
 	l        int
 	maxDepth int
-	gen      *minhash.Generator
+	params   *paramTable // the tuner's table for (l, maxDepth), shared by every forest of the shape
 	trees    []tree
 	n        int // number of indexed records
 }
@@ -33,16 +36,16 @@ type tree struct {
 	ids  []int32
 }
 
-// New creates a forest with l trees of depth maxDepth; the underlying
-// MinHash signatures have l·maxDepth hash functions derived from seed.
-func New(l, maxDepth int, seed uint64) (*Forest, error) {
+// New creates a forest with l trees of depth maxDepth, over MinHash
+// signatures of l·maxDepth hash values.
+func New(l, maxDepth int) (*Forest, error) {
 	if l <= 0 || maxDepth <= 0 {
 		return nil, errors.New("lshforest: l and maxDepth must be positive")
 	}
 	return &Forest{
 		l:        l,
 		maxDepth: maxDepth,
-		gen:      minhash.NewGenerator(l*maxDepth, seed),
+		params:   tableFor(l, maxDepth),
 		trees:    make([]tree, l),
 	}, nil
 }
@@ -58,9 +61,6 @@ func (f *Forest) NumHashes() int { return f.l * f.maxDepth }
 
 // Len returns the number of indexed records.
 func (f *Forest) Len() int { return f.n }
-
-// Sign computes the MinHash signature used by this forest.
-func (f *Forest) Sign(r dataset.Record) minhash.Signature { return f.gen.Sign(r) }
 
 // Add inserts a record's signature under the given id. Index must be called
 // before Query once all insertions are done.

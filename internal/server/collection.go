@@ -197,7 +197,6 @@ func (sp querySpec) run(q *gbkmv.Query, dst []gbkmv.Scored) (scored []gbkmv.Scor
 func (c *Collection) noteSearch(q *gbkmv.Query, tr *reqTrace) {
 	st := q.QueryStats()
 	c.metrics.candidates.Observe(float64(st.Candidates))
-	c.metrics.candTotal.Add(uint64(st.Candidates))
 	c.metrics.pruned.Add(uint64(st.PrunedByBound))
 	c.metrics.estimated.Add(uint64(st.Estimated))
 	c.metrics.bufAccepts.Add(uint64(st.BufferAccepts))

@@ -39,7 +39,6 @@ type Metrics struct {
 
 	batchSize     *obs.HistogramVec // collection
 	candidates    *obs.HistogramVec // collection
-	candTotal     *obs.CounterVec   // collection
 	prunedTotal   *obs.CounterVec   // collection
 	estTotal      *obs.CounterVec   // collection
 	bufferAccepts *obs.CounterVec   // collection
@@ -143,8 +142,6 @@ func newMetrics() *Metrics {
 		candidates: r.HistogramVec("gbkmv_search_candidates",
 			"Candidate records generated per search.",
 			obs.CountBuckets, "collection"),
-		candTotal: r.CounterVec("gbkmv_search_candidates_total",
-			"Candidate records generated by searches.", "collection"),
 		prunedTotal: r.CounterVec("gbkmv_search_pruned_total",
 			"Candidates dismissed by the upper-bound prune without an estimate.",
 			"collection"),
@@ -263,7 +260,7 @@ func (m *Metrics) removeCollection(name string) {
 	for _, v := range []*obs.CounterVec{
 		m.walBytes, m.walFrames, m.rollbacks, m.tornTails,
 		m.qcHits, m.qcMisses, m.qcEvictions,
-		m.candTotal, m.prunedTotal, m.estTotal, m.bufferAccepts,
+		m.prunedTotal, m.estTotal, m.bufferAccepts,
 		m.hashedTotal, m.shrinkTotal, m.fencing, m.quarantines,
 	} {
 		v.Remove(name)
@@ -313,7 +310,6 @@ type collMetrics struct {
 	qcEvictions *obs.Counter
 	batchSize   *obs.Histogram
 	candidates  *obs.Histogram
-	candTotal   *obs.Counter
 	pruned      *obs.Counter
 	estimated   *obs.Counter
 	bufAccepts  *obs.Counter
@@ -333,7 +329,6 @@ func (m *Metrics) collMetricsFor(name string) *collMetrics {
 		qcEvictions: m.qcEvictions.With(name),
 		batchSize:   m.batchSize.With(name),
 		candidates:  m.candidates.With(name),
-		candTotal:   m.candTotal.With(name),
 		pruned:      m.prunedTotal.With(name),
 		estimated:   m.estTotal.With(name),
 		bufAccepts:  m.bufferAccepts.With(name),

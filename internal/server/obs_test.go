@@ -289,11 +289,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	// Per-search work counters count engine searches, not requests: the cold
 	// search and the 2 batch slots ran one each, the cache hit none.
-	// Candidates flowed through the histogram and the totals agree with it.
-	candSum := series[`gbkmv_search_candidates_sum{collection="m"}`]
-	candTotal := series[`gbkmv_search_candidates_total{collection="m"}`]
-	if candSum != candTotal {
-		t.Errorf("candidates histogram sum %g != counter total %g", candSum, candTotal)
+	// Candidates flowed through the histogram, one observation a search; its
+	// _sum is the candidate total.
+	if got := series[`gbkmv_search_candidates_sum{collection="m"}`]; got <= 0 {
+		t.Errorf("candidates histogram sum %g, want the searches' candidates", got)
 	}
 	if series[`gbkmv_search_candidates_count{collection="m"}`] != 3 {
 		t.Errorf("candidate observations = %g, want 3",

@@ -272,7 +272,6 @@ type PackedRecords struct {
 	offsets  chunked.Store[uint32] // Len()+1 addresses once anything is stored; record i is data.Run(offsets[i], offsets[i+1])
 	elements int                   // element occurrences
 	top      hash.Element
-	unsorted int // 1 + the first record that is not strictly ascending; 0 when all are
 }
 
 // packLimit is the first address the uint32 offsets cannot hold: a store's
@@ -380,13 +379,15 @@ func (l *Layout) Store() PackedRecords { return l.p }
 // PackRecords codes recs across up to `workers` goroutines: every record is
 // measured, the offsets are the prefix sums, and each record is coded
 // straight into its window of the slab (Layout). Slab and offsets are exactly
-// as long as what they hold. recs is not retained.
+// as long as what they hold. recs is not retained. A record that is not
+// strictly ascending is refused (UnsortedError, naming the first), and then
+// nothing is coded.
 func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 	m := len(recs)
 	l := NewLayout(m)
 	workers = max(1, min(workers, m))
 	type share struct {
-		elements, unsorted int
+		elements, unsorted int // unsorted: 1 + the span's first record that is not ascending, 0 for none
 		top                hash.Element
 	}
 	shares := make([]share, workers)
@@ -401,19 +402,18 @@ func PackRecords(recs []dataset.Record, workers int) (PackedRecords, error) {
 			sh.elements, sh.top = sh.elements+len(recs[i]), max(sh.top, top)
 		}
 	})
-	var elements, unsorted int
+	var elements int
 	var top hash.Element
 	for _, sh := range shares {
-		elements, top = elements+sh.elements, max(top, sh.top)
-		if unsorted == 0 {
-			unsorted = sh.unsorted
+		if sh.unsorted > 0 {
+			return PackedRecords{}, UnsortedError{sh.unsorted - 1}
 		}
+		elements, top = elements+sh.elements, max(top, sh.top)
 	}
 	if err := l.Place(elements, top); err != nil {
 		return PackedRecords{}, err
 	}
 	fanSpans(m, workers, func(_, lo, hi int) { l.Code(recs, lo, hi) })
-	l.p.unsorted = unsorted
 	return l.p, nil
 }
 
@@ -465,8 +465,10 @@ func (p *PackedRecords) push(size int) ([]byte, error) {
 }
 
 // Append codes rec onto the end of the store, which allocates a chunk when
-// the last is full and moves nothing. rec is not retained. A caller that must
-// not find the store full halfway through a batch asks first (CheckRoom).
+// the last is full and moves nothing. rec is not retained. A record that is
+// not strictly ascending is refused (UnsortedError, naming the id it would
+// have had) and leaves the store as it was. A caller that must not find the
+// store full halfway through a batch asks first (CheckRoom).
 func (p *PackedRecords) Append(rec dataset.Record) error { return appendTo(p, rec) }
 
 // Append32 is Append for a record of 32-bit ids, the width a builder sorts
@@ -475,12 +477,12 @@ func (p *PackedRecords) Append32(rec []uint32) error { return appendTo(p, rec) }
 
 func appendTo[E id](p *PackedRecords, rec []E) error {
 	size, top, ascending := measure(rec)
+	if !ascending {
+		return UnsortedError{p.Len()}
+	}
 	coding, err := p.push(size)
 	if err != nil {
 		return err
-	}
-	if !ascending && p.unsorted == 0 {
-		p.unsorted = p.Len()
 	}
 	appendRecord(coding[:0], rec)
 	p.elements, p.top = p.elements+len(rec), max(p.top, top)
@@ -493,15 +495,6 @@ type UnsortedError struct{ Record int }
 
 func (e UnsortedError) Error() string {
 	return fmt.Sprintf("record %d is not sorted and deduplicated", e.Record)
-}
-
-// CheckSorted names the first record that is not strictly ascending, or
-// returns nil: the store noted it as it coded.
-func (p *PackedRecords) CheckSorted() error {
-	if p.unsorted > 0 {
-		return UnsortedError{p.unsorted - 1}
-	}
-	return nil
 }
 
 // RecordLen returns the number of elements of record i.
@@ -536,12 +529,9 @@ func (p *PackedRecords) All() []dataset.Record {
 }
 
 // Packed writes the records section of a store: the two counts and the
-// codings as they are, chunk after chunk.
+// codings as they are, chunk after chunk. Every record is strictly ascending:
+// a store refuses any other.
 func (w *Writer) Packed(p *PackedRecords) {
-	if err := p.CheckSorted(); err != nil {
-		w.fail(fmt.Errorf("snapfmt: %w", err))
-		return
-	}
 	w.Int(p.Len())
 	w.Int(p.elements)
 	for _, chunk := range p.data.Chunks() {

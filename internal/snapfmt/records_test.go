@@ -222,7 +222,7 @@ func sameStore(a, b *PackedRecords) bool {
 	aData, aEnds := codings(a)
 	bData, bEnds := codings(b)
 	return bytes.Equal(aData, bData) && slices.Equal(aEnds, bEnds) && a.SizeBytes() == b.SizeBytes() &&
-		a.elements == b.elements && a.top == b.top && a.unsorted == b.unsorted
+		a.elements == b.elements && a.top == b.top
 }
 
 // TestPackedGrownEqualsPacked: a store grown by Append holds what
@@ -245,27 +245,34 @@ func TestPackedGrownEqualsPacked(t *testing.T) {
 }
 
 // TestPackedUnsortedRefusesToSave: a record that breaks the Record invariant
-// still decodes to itself (a zero gap is class 0, a descending one wraps), so a store that was handed one — an
-// insert cannot refuse — keeps answering, but names the record when written
-// instead of producing a section no reader takes.
+// is refused where it would be coded, so no store holds one and no section
+// written from a store can: PackRecords names the first and codes nothing,
+// and Append names the id it would have had and leaves the store as it was,
+// which then takes the next record and writes the section of the records it
+// holds.
 func TestPackedUnsortedRefusesToSave(t *testing.T) {
 	good := []dataset.Record{{1, 2, 3}, {}, {2, 5, 9}}
 	for _, bad := range []dataset.Record{{3, 1, 2}, {1, 2, 2}, {0, 0}} {
-		packed, err := PackRecords(append(slices.Clone(good), bad, dataset.Record{7}), 2)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := PackRecords(append(slices.Clone(good), bad, dataset.Record{7}, bad), 2); err != (UnsortedError{3}) {
+			t.Errorf("PackRecords over %v: %v, want record 3 named", bad, err)
 		}
 		appended, _ := PackRecords(good, 1)
-		appended.Append(bad)
-		appended.Append(dataset.Record{7})
-		for name, p := range map[string]*PackedRecords{"packed": &packed, "appended": &appended} {
-			checkPacked(t, p, append(slices.Clone(good), bad, dataset.Record{7}), name)
-			var buf bytes.Buffer
-			w := NewWriter(&buf)
-			w.Packed(p)
-			if err := w.Flush(); err == nil || !strings.Contains(err.Error(), "record 3 is not sorted") {
-				t.Errorf("%s holding %v: Flush = %v, want record 3 named", name, bad, err)
-			}
+		if err := appended.Append(bad); err != (UnsortedError{3}) {
+			t.Errorf("Append(%v): %v, want record 3 named", bad, err)
+		}
+		if err := appended.Append(dataset.Record{7}); err != nil {
+			t.Fatal(err)
+		}
+		want := append(slices.Clone(good), dataset.Record{7})
+		checkPacked(t, &appended, want, "appended")
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.Packed(&appended)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if ref := sectionOf(t, func(w *Writer) { writeRecords(w, want) }); !bytes.Equal(buf.Bytes(), ref) {
+			t.Errorf("after refusing %v the store writes %x, the reference %x", bad, buf.Bytes(), ref)
 		}
 	}
 }

@@ -183,11 +183,6 @@ func TestFormatAndStructureErrors(t *testing.T) {
 	if err := section(func(w *Writer) { w.Write(append([]byte{1, 1}, appendRecord(nil, dataset.Record{5, 6})...)) }, func(r *Reader) { r.Packed() }); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("record overrunning the section total: %v", err)
 	}
-	var unsorted PackedRecords
-	unsorted.Append(dataset.Record{3, 1})
-	if err := section(func(w *Writer) { w.Packed(&unsorted) }, func(*Reader) {}); err == nil {
-		t.Error("the writer accepted an unsorted record")
-	}
 }
 
 // TestDeclaredCountsDoNotAllocate: a count is honoured only as far as the

@@ -390,25 +390,42 @@ func TestDerivedOptionsReload(t *testing.T) {
 }
 
 // TestUnsortedRecordRefused: the format stores records as gaps, so a record
-// that breaks the sorted-and-deduplicated invariant is refused where a
-// collection is built, by every engine; one slipped into a GB-KMV index
-// through AddBatch (which cannot refuse) fails the save with an error instead
-// of writing a stream no loader takes.
+// that breaks the sorted-and-deduplicated invariant is refused by every
+// engine, where a collection is built (an error) and where it grows
+// (AddBatch panics, naming the record's place in the batch, before the
+// engine changes). No collection holds one, so a save never meets one.
 func TestUnsortedRecordRefused(t *testing.T) {
 	good := []gbkmv.Record{{1, 2, 3}, {2, 5, 9}}
+	opt := gbkmv.EngineOptions{BudgetUnits: 100}
 	for _, bad := range []gbkmv.Record{{3, 1, 2}, {1, 2, 2}} {
 		for _, name := range gbkmv.Engines() {
-			if _, err := gbkmv.NewEngine(name, append(good[:2:2], bad), gbkmv.EngineOptions{BudgetUnits: 100}); err == nil {
+			if _, err := gbkmv.NewEngine(name, append(good[:2:2], bad), opt); err == nil {
 				t.Errorf("%s built over the record %v", name, bad)
 			}
-		}
-		e, err := gbkmv.NewEngine("gbkmv", good, gbkmv.EngineOptions{BudgetUnits: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.AddBatch([]gbkmv.Record{bad})
-		if err := gbkmv.SaveEngine(io.Discard, e); err == nil {
-			t.Errorf("a collection holding %v saved", bad)
+			e, err := gbkmv.NewEngine(name, good, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := e.Search(gbkmv.Record{2, 5}, 0.5)
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "record 1 is not sorted and deduplicated") {
+						t.Errorf("%s: AddBatch of %v panicked with %q, want record 1 named", name, bad, msg)
+					}
+				}()
+				e.AddBatch([]gbkmv.Record{{4, 7}, bad})
+			}()
+			if got := e.Search(gbkmv.Record{2, 5}, 0.5); e.Len() != 2 || !slices.Equal(got, want) {
+				t.Errorf("%s: a refused batch left %d records answering %v, want 2 answering %v", name, e.Len(), got, want)
+			}
+			if name == gbkmv.DefaultEngine {
+				if err := gbkmv.SaveEngine(io.Discard, e); err != nil {
+					t.Errorf("after refusing %v: %v", bad, err)
+				}
+			}
+			if ids := e.AddBatch([]gbkmv.Record{{4, 7}}); !slices.Equal(ids, []int{2}) {
+				t.Errorf("%s: after the refusal an insert got ids %v, want [2]", name, ids)
+			}
 		}
 	}
 }
